@@ -2,11 +2,12 @@
 """CI dispatch-smoke: prove the multiprocess serving tier is alive.
 
 Boots a real ``repro serve --workers N --bundle ...`` as a subprocess,
-waits for its URL announcement, then over HTTP: search, update, search —
-asserting the update's epoch propagated to *every* worker (the sync
-broadcast acked) and the new data is immediately visible no matter which
-worker serves the follow-up search.  Finishes with a SIGTERM and checks
-the drain exits cleanly.
+waits for its URL announcement, then over HTTP — every request on **one**
+kept connection, and it is a failure if the server closes it in between:
+search, update, search — asserting the update's epoch propagated to
+*every* worker (the sync broadcast acked) and the new data is immediately
+visible no matter which worker serves the follow-up search.  Finishes
+with a SIGTERM and checks the drain exits cleanly.
 
 Run under a hard ``timeout`` in CI so a deadlocked pipe fails the job in
 minutes; any violated assertion exits nonzero.
@@ -14,6 +15,7 @@ minutes; any violated assertion exits nonzero.
 Usage: python scripts/dispatch_smoke.py [bundle] [workers]
 """
 
+import http.client
 import json
 import re
 import signal
@@ -21,23 +23,43 @@ import subprocess
 import sys
 import threading
 import time
-import urllib.request
+from urllib.parse import urlparse
 
 
-def _get(url):
-    with urllib.request.urlopen(url, timeout=60) as resp:
-        return json.loads(resp.read().decode("utf-8"))
+class _KeptConnection:
+    """One ``http.client`` connection for the whole smoke.  ``http.client``
+    reconnects silently when ``auto_open`` is left on, so it is switched
+    off after the first connect: a server that closed the connection
+    between two requests makes the next one raise."""
 
+    def __init__(self, url):
+        parsed = urlparse(url)
+        self._conn = http.client.HTTPConnection(
+            parsed.hostname, parsed.port, timeout=60
+        )
+        self._conn.connect()
+        self._conn.auto_open = 0
 
-def _post(url, payload):
-    request = urllib.request.Request(
-        url,
-        data=json.dumps(payload).encode("utf-8"),
-        headers={"Content-Type": "application/json"},
-        method="POST",
-    )
-    with urllib.request.urlopen(request, timeout=60) as resp:
-        return json.loads(resp.read().decode("utf-8"))
+    def _exchange(self, method, path, body=None):
+        headers = {"Content-Type": "application/json"} if body else {}
+        self._conn.request(method, path, body=body, headers=headers)
+        response = self._conn.getresponse()
+        payload = response.read()
+        assert response.status == 200, (response.status, payload[:200])
+        assert not response.will_close, (
+            f"server announced it will close the connection after "
+            f"{method} {path}"
+        )
+        return json.loads(payload)
+
+    def get(self, path):
+        return self._exchange("GET", path)
+
+    def post(self, path, payload):
+        return self._exchange("POST", path, json.dumps(payload))
+
+    def close(self):
+        self._conn.close()
 
 
 def main() -> int:
@@ -69,11 +91,12 @@ def main() -> int:
             daemon=True,
         ).start()
 
-        before = _get(f"{url}/stats")
+        conn = _KeptConnection(url)
+        before = conn.get("/stats")
         assert before["service"]["mode"] == "dispatch", before["service"]
         assert before["service"]["live_workers"] == workers
 
-        hit = _get(f"{url}/search?q=cimiano+2006")
+        hit = conn.get("/search?q=cimiano+2006")
         assert hit["candidates"], "pre-update search found no interpretations"
 
         add = (
@@ -81,15 +104,17 @@ def main() -> int:
             '<http://www.w3.org/2000/01/rdf-schema#label> '
             '"zzdispatchsmoke paper" .'
         )
-        updated = _post(f"{url}/update", {"add": add})
+        updated = conn.post("/update", {"add": add})
         assert updated["changed"] == 1, updated
         assert updated["workers_synced"] == workers, updated
 
-        fresh = _get(f"{url}/search?q=zzdispatchsmoke")
+        fresh = conn.get("/search?q=zzdispatchsmoke")
         assert fresh["ignored_keywords"] == [], fresh
         assert fresh["candidates"], "update not visible after sync broadcast"
 
-        after = _get(f"{url}/stats")
+        after = conn.get("/stats")
+        conn.close()
+        assert after["http"] == {"connections": 1, "requests": 5}, after["http"]
         live = [w for w in after["workers"] if w.get("alive")]
         assert len(live) == workers, after["workers"]
         epochs = [w["epoch"] for w in live]
@@ -99,7 +124,8 @@ def main() -> int:
         )
         print(
             f"# dispatch-smoke ok: {workers} workers all at epoch "
-            f"{updated['epoch']}, update visible over HTTP",
+            f"{updated['epoch']}, update visible over HTTP, 5 requests on "
+            f"1 connection",
             file=sys.stderr,
         )
     finally:

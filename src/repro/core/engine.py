@@ -31,6 +31,7 @@ are byte-identical either way.
 
 from __future__ import annotations
 
+import json
 import time
 from typing import Dict, List, Optional, Sequence, Union
 
@@ -75,9 +76,22 @@ from repro.summary.summary_graph import SummaryGraph
 
 
 class QueryCandidate:
-    """One computed interpretation: a ranked conjunctive query."""
+    """One computed interpretation: a ranked conjunctive query.
 
-    __slots__ = ("query", "cost", "subgraph", "rank")
+    A candidate is immutable once built and shared by every copy of a
+    memoized :class:`SearchResult`, so its encoded presentation
+    (:meth:`json_fragment`: signature, SPARQL and natural-language
+    renderings, as the serving layer sends them) is produced on first use
+    and kept *here*: a memo hit finds it ready, and there is nothing to
+    invalidate.  Two threads racing on the first use compute equal bytes;
+    the later store wins harmlessly.
+
+    ``form`` is the query's ``canonical_form`` when the caller already
+    holds it (query mapping deduplicates on it): the signature is derived
+    from it instead of canonicalising a second time.
+    """
+
+    __slots__ = ("query", "cost", "subgraph", "rank", "_form", "_json")
 
     def __init__(
         self,
@@ -85,11 +99,23 @@ class QueryCandidate:
         cost: float,
         subgraph: MatchingSubgraph,
         rank: int,
+        form=None,
     ):
         self.query = query
         self.cost = cost
         self.subgraph = subgraph
         self.rank = rank
+        self._form = form
+        self._json: Optional[bytes] = None
+
+    @property
+    def signature(self) -> str:
+        """The renaming-invariant id of :func:`repro.quality.query_signature`."""
+        # Imported here: repro.quality imports this module.
+        from repro.quality.signatures import form_signature
+
+        form = self._form
+        return form_signature(canonical_form(self.query) if form is None else form)
 
     def to_sparql(self) -> str:
         return to_sparql(self.query)
@@ -99,6 +125,30 @@ class QueryCandidate:
 
     def verbalize(self) -> str:
         return verbalize(self.query)
+
+    def to_json(self) -> Dict[str, object]:
+        """The candidate as the HTTP endpoints present it."""
+        return {
+            "rank": self.rank,
+            "cost": self.cost,
+            "query": str(self.query),
+            # Renaming-invariant id; lets clients (and the quality harness's
+            # endpoint seeding) refer to an interpretation stably across
+            # serving tiers and engine versions.
+            "signature": self.signature,
+            "sparql": self.to_sparql(),
+            "text": self.verbalize(),
+        }
+
+    def json_fragment(self) -> bytes:
+        """``json.dumps(self.to_json())``, encoded once per candidate."""
+        fragment = self._json
+        if fragment is None:
+            fragment = self._json = json.dumps(self.to_json()).encode("ascii")
+            # The fragment carries the signature: of a memoized candidate
+            # only these bytes need to stay, not the form as well.
+            self._form = None
+        return fragment
 
     def __repr__(self):
         return f"QueryCandidate(rank={self.rank}, cost={self.cost:.3f}, query={self.query})"
@@ -264,7 +314,9 @@ def _map_stage(
             continue
         seen_forms[form] = True
         candidates.append(
-            QueryCandidate(query, subgraph.cost, subgraph, rank=len(candidates) + 1)
+            QueryCandidate(
+                query, subgraph.cost, subgraph, rank=len(candidates) + 1, form=form
+            )
         )
     return candidates
 

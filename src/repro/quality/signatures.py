@@ -21,7 +21,6 @@ from typing import Dict, Iterable, List, Mapping
 
 from repro.query.conjunctive import ConjunctiveQuery
 from repro.query.isomorphism import canonical_form
-from repro.rdf.terms import Term
 
 
 def answer_json_signature(payload: Mapping[str, str]) -> str:
@@ -52,21 +51,32 @@ def sort_answers(answers: Iterable) -> List:
     return sorted(answers, key=answer_signature)
 
 
-def _normalize(value):
-    """Make :func:`canonical_form`'s nested structure repr-stable.
+def form_signature(form) -> str:
+    """:func:`query_signature` of a query whose ``canonical_form`` is ``form``.
 
-    The canonical form nests RDF terms (inside ``("const", term)`` keys)
-    whose ``repr`` is not guaranteed stable across releases; everything
-    else is tuples/strs/ints.  Terms become their N3 string, frozensets
-    become sorted tuples, so ``repr`` of the result is deterministic.
+    The signature is the sorted ``repr`` of the form's atoms, made stable
+    across releases: an atom is ``(predicate, key, key)`` and a key either
+    ``("var", occurrences)`` — strs, ints and tuples only, whose ``repr``
+    is stable as it is — or ``("const", term)``, where the term (whose
+    ``repr`` is not guaranteed) becomes ``("term", n3)``.  A variable's
+    key embeds its whole occurrence list and recurs in every atom the
+    variable occurs in, so each distinct key is rendered once per query.
     """
-    if isinstance(value, Term):
-        return ("term", value.n3())
-    if isinstance(value, (frozenset, set)):
-        return tuple(sorted(repr(_normalize(v)) for v in value))
-    if isinstance(value, tuple):
-        return tuple(_normalize(v) for v in value)
-    return value
+    rendered: Dict[object, str] = {}
+
+    def render(key) -> str:
+        text = rendered.get(key)
+        if text is None:
+            kind, value = key
+            stable = (kind, ("term", value.n3())) if kind == "const" else key
+            text = rendered[key] = repr(stable)
+        return text
+
+    atoms = sorted(
+        f"({predicate!r}, {render(arg1)}, {render(arg2)})"
+        for predicate, arg1, arg2 in form
+    )
+    return "cq:" + ";".join(atoms)
 
 
 def query_signature(query: ConjunctiveQuery) -> str:
@@ -77,13 +87,12 @@ def query_signature(query: ConjunctiveQuery) -> str:
     normalized atoms — so it is stable across variable naming, atom
     order, index tiers, and Python hash seeds.
     """
-    atoms = sorted(repr(_normalize(atom)) for atom in canonical_form(query))
-    return "cq:" + ";".join(atoms)
+    return form_signature(canonical_form(query))
 
 
 def candidate_signatures(candidates) -> List[str]:
     """Ranked candidate signatures, as the metrics layer consumes them."""
-    return [query_signature(c.query) for c in candidates]
+    return [c.signature for c in candidates]
 
 
 def answer_payloads(answers) -> List[Dict[str, str]]:

@@ -17,6 +17,9 @@ breaks that wall with processes instead:
 * ``/search`` and ``/execute`` are fanned out over the pool through a
   length-prefixed JSON frame protocol (:mod:`repro.service.protocol`)
   on each worker's stdin/stdout pipe, one in-flight request per worker.
+  The worker encodes the HTTP response body and the frame carries it
+  opaque behind its JSON envelope: the dispatcher checks the envelope and
+  hands the body to the socket as it came off the pipe.
 
 **Consistency.**  Every request carries the watermark; a worker behind
 it replays the committed WAL tail (or reloads the bundle when the tail
@@ -495,9 +498,11 @@ class DispatchService:
     def search(self, query, k=None, dmax=None, max_cursors=None):
         """One search on some worker, at or past the current watermark.
 
-        Returns the *JSON-shaped* result dict (the worker serializes at
-        the source); :func:`repro.service.http.result_to_json` passes it
-        through unchanged, so the HTTP layer is tier-agnostic.
+        Returns the *encoded* result — the HTTP response body, as
+        ``bytes`` (the worker serializes at the source);
+        :func:`repro.service.http.encode_result` passes it through
+        unchanged, so the HTTP layer is tier-agnostic, and
+        ``json.loads`` gives the dict ``result_to_json`` would.
         """
         response = self._roundtrip(
             {
@@ -509,7 +514,7 @@ class DispatchService:
                 "min_epoch": self._watermark,
             }
         )
-        return response["result"]
+        return response["body"]
 
     def search_many(
         self,
@@ -551,7 +556,7 @@ class DispatchService:
                     latency_seconds=time.monotonic() - started,
                 )
             return BatchOutcome(
-                index, query, "ok", result=response["result"],
+                index, query, "ok", result=response["body"],
                 latency_seconds=time.monotonic() - started,
             )
 
@@ -563,9 +568,9 @@ class DispatchService:
     def execute_ranked(self, query, rank: int = 1, limit: Optional[int] = 10):
         """Search + evaluate the rank-th candidate on one worker.
 
-        Returns ``(candidate_json, answers_json)`` — already serialized,
-        like :meth:`search` — or ``(None, [])`` when the rank is out of
-        range."""
+        Returns ``(body, None)`` — the whole ``/execute`` response body,
+        already encoded like :meth:`search`'s, in the candidate's place —
+        or ``(None, [])`` when the rank is out of range."""
         response = self._roundtrip(
             {
                 "op": "execute",
@@ -575,7 +580,8 @@ class DispatchService:
                 "min_epoch": self._watermark,
             }
         )
-        return response.get("candidate"), response.get("answers", [])
+        body = response.get("body")
+        return (None, []) if body is None else (body, None)
 
     # ------------------------------------------------------------------
     # The write path

@@ -13,84 +13,76 @@ path        method  body / query parameters
                     run the rank-th interpretation, return its answers
 /update     POST    ``{"add": "<N-Triples>", "remove": "<N-Triples>"}`` —
                     one atomic epoch through incremental maintenance
-/stats      GET     service counters, latency percentiles, cache rates
+/stats      GET     service counters, latency percentiles, cache rates,
+                    ``http: {connections, requests}``
 ==========  ======  =====================================================
 
 Error mapping: bad input → 400, unknown path → 404, admission bound → 429
-(backpressure), anything else → 500.  The handler threads come from
-``ThreadingHTTPServer``; concurrency control is entirely the service's —
-the HTTP layer holds no state of its own.
+(backpressure), anything else → 500.
+
+The server speaks HTTP/1.1: a connection is kept for the client's next
+request and closed after :data:`IDLE_TIMEOUT_SECONDS` without one (or
+with half of one).  The handler threads come from ``ThreadingHTTPServer``,
+one per connection; concurrency control is entirely the service's — the
+HTTP layer holds two counters and no other state of its own.
+
+**Response path.**  A response body is ``json.dumps(payload)`` byte for
+byte, but no byte of it is produced twice: each
+:class:`~repro.core.engine.QueryCandidate` encodes its own fragment once
+(:meth:`~repro.core.engine.QueryCandidate.json_fragment`),
+:func:`encode_result` joins the fragments around a fresh ``timings_ms``,
+and head and body leave in one write.  ``result_to_json`` /
+``candidate_to_json`` / ``answers_to_json`` build the same payloads as
+dicts; the encoders are tested against them.
 """
 
 from __future__ import annotations
 
 import json
 import threading
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
-from repro.quality.signatures import answer_json_signature, query_signature
+from repro.quality.signatures import answer_json_signature
 from repro.rdf.ntriples import parse_ntriples
 from repro.service.service import AdmissionError, EngineService
 
 __all__ = [
+    "IDLE_TIMEOUT_SECONDS",
     "ReproServer",
     "answers_to_json",
     "candidate_to_json",
+    "encode_execution",
+    "encode_result",
     "result_to_json",
 ]
 
+#: How long a connection may stay silent — between two requests or in the
+#: middle of one — before the server closes it and its thread exits.
+IDLE_TIMEOUT_SECONDS = 30.0
+
 
 # ----------------------------------------------------------------------
-# JSON shapes
+# JSON shapes: as dicts ...
 # ----------------------------------------------------------------------
-#
-# Each converter passes an already-JSON-shaped dict/list through
-# unchanged: the multiprocess tier (repro.service.dispatch) serializes
-# at the source — worker processes run result_to_json before the bytes
-# cross the pipe — so the handler code below stays tier-agnostic.
 
 def candidate_to_json(candidate) -> Dict[str, object]:
-    if isinstance(candidate, dict):
-        return candidate
-    return {
-        "rank": candidate.rank,
-        "cost": candidate.cost,
-        "query": str(candidate.query),
-        # Renaming-invariant id; lets clients (and the quality harness's
-        # endpoint seeding) refer to an interpretation stably across
-        # serving tiers and engine versions.
-        "signature": query_signature(candidate.query),
-        "sparql": candidate.to_sparql(),
-        "text": candidate.verbalize(),
-    }
+    return candidate.to_json()
 
 
 def result_to_json(result) -> Dict[str, object]:
-    if isinstance(result, dict):
-        return result
     return {
         "keywords": result.keywords,
         "ignored_keywords": result.ignored_keywords,
         "candidates": [candidate_to_json(c) for c in result.candidates],
-        "timings_ms": {
-            stage: 1000 * seconds for stage, seconds in result.timings.items()
-        },
+        "timings_ms": _timings_ms(result),
     }
 
 
-def _outcome_to_json(outcome) -> Dict[str, object]:
-    payload: Dict[str, object] = {
-        "index": outcome.index,
-        "status": outcome.status,
-        "latency_ms": 1000 * outcome.latency_seconds,
-    }
-    if outcome.ok:
-        payload["result"] = result_to_json(outcome.result)
-    elif outcome.error is not None:
-        payload["error"] = str(outcome.error)
-    return payload
+def _timings_ms(result) -> Dict[str, float]:
+    return {stage: 1000 * seconds for stage, seconds in result.timings.items()}
 
 
 def answers_to_json(answers) -> List[Dict[str, str]]:
@@ -110,86 +102,179 @@ def answers_to_json(answers) -> List[Dict[str, str]]:
 
 
 # ----------------------------------------------------------------------
+# ... and as the bytes that go on the wire
+# ----------------------------------------------------------------------
+#
+# The tier seam: the multiprocess tier (repro.service.dispatch) encodes
+# at the source — a worker process runs these encoders and the dispatcher
+# hands the body on as it came off the pipe — so ``bytes`` pass through
+# and the handler code below stays tier-agnostic.
+
+def _dumps(payload) -> bytes:
+    return json.dumps(payload).encode("ascii")
+
+
+def encode_result(result) -> bytes:
+    """``json.dumps(result_to_json(result))``, from the candidates' cached
+    fragments.  A memo hit shares its candidates with the original
+    result, so it costs a join and the few small values encoded here."""
+    if isinstance(result, bytes):
+        return result
+    return b"".join((
+        b'{"keywords": ', _dumps(result.keywords),
+        b', "ignored_keywords": ', _dumps(result.ignored_keywords),
+        b', "candidates": [',
+        b", ".join([c.json_fragment() for c in result.candidates]),
+        b'], "timings_ms": ', _dumps(_timings_ms(result)),
+        b"}",
+    ))
+
+
+def encode_execution(candidate, answers) -> bytes:
+    """The ``/execute`` body.  A worker's body arrives whole, in the
+    candidate's place."""
+    if isinstance(candidate, bytes):
+        return candidate
+    return b"".join((
+        b'{"candidate": ', candidate.json_fragment(),
+        b', "answers": ', _dumps(answers_to_json(answers)),
+        b"}",
+    ))
+
+
+def _encode_outcome(outcome) -> bytes:
+    payload: Dict[str, object] = {
+        "index": outcome.index,
+        "status": outcome.status,
+        "latency_ms": 1000 * outcome.latency_seconds,
+    }
+    if outcome.ok:
+        return b"".join((
+            _dumps(payload)[:-1], b', "result": ',
+            encode_result(outcome.result), b"}",
+        ))
+    if outcome.error is not None:
+        payload["error"] = str(outcome.error)
+    return _dumps(payload)
+
+
+def _error(message: str) -> bytes:
+    return _dumps({"error": message})
+
+
+# ----------------------------------------------------------------------
 # Handler
 # ----------------------------------------------------------------------
 
 class _Handler(BaseHTTPRequestHandler):
     server_version = "repro-serve"
+    protocol_version = "HTTP/1.1"
+    timeout = IDLE_TIMEOUT_SECONDS
+    # A response is one write (`_send`), and it must leave at once: on a
+    # reused connection Nagle's algorithm would hold a segment back until
+    # the client's delayed ACK of the one before.
+    disable_nagle_algorithm = True
 
     @property
     def service(self) -> EngineService:
-        return self.server.service  # type: ignore[attr-defined]
+        return self.server.service
 
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
-        if getattr(self.server, "verbose", False):
+        if self.server.verbose:
             super().log_message(format, *args)
+
+    def setup(self) -> None:
+        super().setup()
+        self.server.count("connections")
 
     # -- plumbing ------------------------------------------------------
 
-    def _send_json(self, status: int, payload: Dict[str, object]) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _read_json(self) -> Dict[str, object]:
-        length = int(self.headers.get("Content-Length") or 0)
-        raw = self.rfile.read(length) if length else b""
-        if not raw:
-            return {}
-        payload = json.loads(raw.decode("utf-8"))
-        if not isinstance(payload, dict):
-            raise ValueError("request body must be a JSON object")
-        return payload
-
-    def _dispatch(self, handler, *args) -> None:
+    def _answer(self) -> None:
+        self.server.count("requests")
         try:
-            handler(*args)
-        except AdmissionError as exc:
-            self._send_json(429, {"error": str(exc)})
-        except (ValueError, KeyError, json.JSONDecodeError) as exc:
-            self._send_json(400, {"error": str(exc)})
-        except BrokenPipeError:  # client went away mid-response
-            pass
-        except Exception as exc:  # pragma: no cover - defensive
-            self._send_json(500, {"error": f"{type(exc).__name__}: {exc}"})
+            try:
+                status, body = self._route()
+            except AdmissionError as exc:
+                status, body = 429, _error(str(exc))
+            except (ValueError, KeyError) as exc:
+                status, body = 400, _error(str(exc))
+            except (ConnectionError, TimeoutError):
+                raise
+            except Exception as exc:  # pragma: no cover - defensive
+                status, body = 500, _error(f"{type(exc).__name__}: {exc}")
+            self._send(status, body)
+        except (ConnectionError, TimeoutError):
+            # The client went away (reset, closed pipe) or stalled past the
+            # handler timeout, mid-request or mid-response: nobody is left
+            # to answer, and the stream is in no state to be reused.
+            self.close_connection = True
+
+    do_GET = do_POST = _answer
+
+    def _send(self, status: int, body: bytes) -> None:
+        self.log_request(status, len(body))
+        head = (
+            f"HTTP/1.1 {status} {HTTPStatus(status).phrase}\r\n"
+            f"Server: {self.version_string()}\r\n"
+            f"Date: {self.date_time_string()}\r\n"
+            "Content-Type: application/json\r\n"
+            f"Content-Length: {len(body)}\r\n"
+            + ("Connection: close\r\n" if self.close_connection else "")
+            + "\r\n"
+        )
+        self.wfile.write(head.encode("latin-1") + body)
+
+    def _read_body(self) -> bytes:
+        """Consume the request body, whatever becomes of the request: the
+        next one on this connection must start at a request line.  With a
+        length that cannot be trusted there is no finding that line, so
+        the connection closes after the 400."""
+        announced = self.headers.get("Content-Length")
+        try:
+            length = 0 if announced is None else int(announced)
+            if length < 0 or "Transfer-Encoding" in self.headers:
+                raise ValueError
+        except ValueError:
+            self.close_connection = True
+            raise ValueError(
+                f"request body needs a valid Content-Length, got {announced!r}"
+            ) from None
+        return self.rfile.read(length) if length else b""
 
     # -- routes --------------------------------------------------------
 
-    def do_GET(self) -> None:
+    def _route(self) -> Tuple[int, bytes]:
+        raw = self._read_body()
         url = urlparse(self.path)
-        if url.path == "/search":
-            self._dispatch(self._get_search, parse_qs(url.query))
-        elif url.path == "/stats":
-            self._dispatch(lambda: self._send_json(200, self.service.stats()))
+        if self.command == "GET":
+            if url.path == "/search":
+                return self._get_search(parse_qs(url.query))
+            if url.path == "/stats":
+                return 200, _dumps(
+                    dict(self.service.stats(), http=self.server.http_stats())
+                )
         else:
-            self._send_json(404, {"error": f"unknown path {url.path!r}"})
+            handler = {
+                "/search": self._post_search,
+                "/execute": self._post_execute,
+                "/update": self._post_update,
+            }.get(url.path)
+            if handler is not None:
+                payload = json.loads(raw.decode("utf-8")) if raw else {}
+                if not isinstance(payload, dict):
+                    raise ValueError("request body must be a JSON object")
+                return handler(payload)
+        return 404, _error(f"unknown path {url.path!r}")
 
-    def do_POST(self) -> None:
-        url = urlparse(self.path)
-        routes = {
-            "/search": self._post_search,
-            "/execute": self._post_execute,
-            "/update": self._post_update,
-        }
-        handler = routes.get(url.path)
-        if handler is None:
-            self._send_json(404, {"error": f"unknown path {url.path!r}"})
-            return
-        self._dispatch(handler)
-
-    def _get_search(self, params: Dict[str, List[str]]) -> None:
+    def _get_search(self, params: Dict[str, List[str]]) -> Tuple[int, bytes]:
         if "q" not in params:
             raise ValueError("missing query parameter 'q'")
         k = int(params["k"][0]) if "k" in params else None
         dmax = int(params["dmax"][0]) if "dmax" in params else None
         result = self.service.search(params["q"][0], k=k, dmax=dmax)
-        self._send_json(200, result_to_json(result))
+        return 200, encode_result(result)
 
-    def _post_search(self) -> None:
-        body = self._read_json()
+    def _post_search(self, body: Dict[str, object]) -> Tuple[int, bytes]:
         # Coerce numeric knobs up front: a malformed value is the client's
         # mistake (400), not a server bug (500).
         k = int(body["k"]) if body.get("k") is not None else None
@@ -202,17 +287,17 @@ class _Handler(BaseHTTPRequestHandler):
             outcomes = self.service.search_many(
                 queries, k=k, dmax=dmax, timeout=timeout
             )
-            self._send_json(
-                200, {"outcomes": [_outcome_to_json(o) for o in outcomes]}
-            )
-            return
+            return 200, b"".join((
+                b'{"outcomes": [',
+                b", ".join([_encode_outcome(o) for o in outcomes]),
+                b"]}",
+            ))
         if "q" not in body:
             raise ValueError("provide 'q' (one query) or 'queries' (a batch)")
         result = self.service.search(body["q"], k=k, dmax=dmax)
-        self._send_json(200, result_to_json(result))
+        return 200, encode_result(result)
 
-    def _post_execute(self) -> None:
-        body = self._read_json()
+    def _post_execute(self, body: Dict[str, object]) -> Tuple[int, bytes]:
         if "q" not in body:
             raise ValueError("missing 'q'")
         candidate, answers = self.service.execute_ranked(
@@ -221,28 +306,42 @@ class _Handler(BaseHTTPRequestHandler):
             limit=int(body.get("limit", 10)),
         )
         if candidate is None:
-            self._send_json(404, {"error": "no interpretation at that rank"})
-            return
-        self._send_json(
-            200,
-            {
-                "candidate": candidate_to_json(candidate),
-                "answers": answers_to_json(answers),
-            },
-        )
+            return 404, _error("no interpretation at that rank")
+        return 200, encode_execution(candidate, answers)
 
-    def _post_update(self) -> None:
-        body = self._read_json()
+    def _post_update(self, body: Dict[str, object]) -> Tuple[int, bytes]:
         adds = list(parse_ntriples(body.get("add", "")))
         removes = list(parse_ntriples(body.get("remove", "")))
         if not adds and not removes:
             raise ValueError("provide 'add' and/or 'remove' as N-Triples text")
-        self._send_json(200, self.service.update(adds=adds, removes=removes))
+        return 200, _dumps(self.service.update(adds=adds, removes=removes))
 
 
 # ----------------------------------------------------------------------
 # Server
 # ----------------------------------------------------------------------
+
+class _HTTPServer(ThreadingHTTPServer):
+    """The listening socket plus what every handler thread shares: the
+    service and the two counters ``/stats`` reports as ``http``."""
+
+    def __init__(self, address, service: EngineService, verbose: bool):
+        super().__init__(address, _Handler)
+        self.service = service
+        self.verbose = verbose
+        self._counts_lock = threading.Lock()
+        self._counts = {"connections": 0, "requests": 0}
+
+    def count(self, what: str) -> None:
+        with self._counts_lock:
+            self._counts[what] += 1
+
+    def http_stats(self) -> Dict[str, int]:
+        """``requests / connections`` is the reuse ratio: 1 means every
+        request paid a TCP connect and a thread spawn."""
+        with self._counts_lock:
+            return dict(self._counts)
+
 
 class ReproServer:
     """A threading HTTP server bound to one :class:`EngineService`.
@@ -260,9 +359,7 @@ class ReproServer:
         port: int = 0,
         verbose: bool = False,
     ):
-        self._httpd = ThreadingHTTPServer((host, port), _Handler)
-        self._httpd.service = service  # type: ignore[attr-defined]
-        self._httpd.verbose = verbose  # type: ignore[attr-defined]
+        self._httpd = _HTTPServer((host, port), service, verbose)
         self._thread: Optional[threading.Thread] = None
 
     @property

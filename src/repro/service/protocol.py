@@ -1,13 +1,17 @@
 """Length-prefixed JSON frames: the dispatcher <-> worker wire format.
 
 One frame is a 4-byte big-endian length followed by that many bytes of
-UTF-8 JSON encoding a single object.  The format is deliberately dumb:
-no pickles (a worker must never be able to make the dispatcher execute
-code, nor vice versa), no streaming bodies, no multiplexing — each
-worker connection carries strictly alternating request/response frames,
-so a frame boundary error can only mean a dead or corrupted peer, and
-the dispatcher's answer to both is the same (retire the worker, retry
-elsewhere).
+UTF-8 JSON encoding a single object, the **envelope**.  An envelope that
+carries ``"body_bytes": n`` is followed by ``n`` opaque bytes, the
+**body**: a worker encodes an HTTP response body at the source and the
+dispatcher hands it to the socket as it came off the pipe, checking the
+envelope (``ok`` / ``epoch`` / ``kind`` / ``error``) and never parsing the
+body.  The format is deliberately dumb: no pickles (a worker must never
+be able to make the dispatcher execute code, nor vice versa), no
+streaming bodies, no multiplexing — each worker connection carries
+strictly alternating request/response frames, so a frame boundary error
+can only mean a dead or corrupted peer, and the dispatcher's answer to
+both is the same (retire the worker, retry elsewhere).
 
 ``read_frame`` accepts any object with ``read(n) -> bytes`` that may
 return *up to* ``n`` bytes (a raw pipe read), so the dispatcher can wrap
@@ -23,8 +27,10 @@ from typing import Dict, Optional
 
 __all__ = ["ProtocolError", "read_frame", "write_frame", "MAX_FRAME_BYTES"]
 
-#: Upper bound on one frame.  Results are top-k query candidates — a few
-#: KB — so anything near this bound is a corrupted stream, not a payload.
+#: Upper bound on one frame, envelope and body together.  A result is the
+#: top-k query candidates with their renderings — 31 KB at k=10 on DBLP,
+#: and it grows with k — so anything near this bound is a corrupted
+#: stream, not a payload.
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
 _LEN = struct.Struct(">I")
@@ -34,21 +40,30 @@ class ProtocolError(RuntimeError):
     """The peer sent bytes that are not a well-formed frame."""
 
 
-def write_frame(stream, payload: Dict[str, object]) -> None:
-    """Serialize one JSON object frame and flush it."""
-    body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
-    if len(body) > MAX_FRAME_BYTES:
-        raise ProtocolError(f"frame of {len(body)} bytes exceeds {MAX_FRAME_BYTES}")
-    stream.write(_LEN.pack(len(body)) + body)
+def write_frame(
+    stream, payload: Dict[str, object], body: Optional[bytes] = None
+) -> None:
+    """Serialize one frame — the envelope, then ``body`` as it is — and
+    flush it."""
+    if body is None:
+        body = b""
+    else:
+        payload = dict(payload, body_bytes=len(body))
+    envelope = json.dumps(payload, separators=(",", ":")).encode("utf-8")
+    size = len(envelope) + len(body)
+    if size > MAX_FRAME_BYTES:
+        raise ProtocolError(f"frame of {size} bytes exceeds {MAX_FRAME_BYTES}")
+    stream.write(_LEN.pack(len(envelope)) + envelope + body)
     stream.flush()
 
 
 def read_frame(reader) -> Optional[Dict[str, object]]:
     """Read one frame; ``None`` on clean EOF at a frame boundary.
 
-    EOF *inside* a frame, an oversized length, or a non-object payload
-    raise :class:`ProtocolError` — all three mean the peer died mid-write
-    or the stream is corrupt.
+    Returns the envelope; the bytes of an announced body are under its
+    ``"body"`` key.  EOF *inside* a frame, an oversized length, or a
+    non-object envelope raise :class:`ProtocolError` — all three mean the
+    peer died mid-write or the stream is corrupt.
     """
     header = _read_exact(reader, _LEN.size)
     if header is None:
@@ -56,15 +71,27 @@ def read_frame(reader) -> Optional[Dict[str, object]]:
     (length,) = _LEN.unpack(header)
     if length > MAX_FRAME_BYTES:
         raise ProtocolError(f"frame length {length} exceeds {MAX_FRAME_BYTES}")
-    body = _read_exact(reader, length)
-    if body is None:
-        raise ProtocolError("stream ended inside a frame body")
+    envelope = _read_exact(reader, length)
+    if envelope is None:
+        raise ProtocolError("stream ended inside a frame envelope")
     try:
-        payload = json.loads(body.decode("utf-8"))
+        payload = json.loads(envelope.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ProtocolError(f"undecodable frame: {exc}") from exc
     if not isinstance(payload, dict):
         raise ProtocolError("frame payload must be a JSON object")
+    if "body_bytes" in payload:
+        announced = payload.pop("body_bytes")
+        if type(announced) is not int or announced < 0:
+            raise ProtocolError(f"bad body length {announced!r}")
+        if length + announced > MAX_FRAME_BYTES:
+            raise ProtocolError(
+                f"frame of {length + announced} bytes exceeds {MAX_FRAME_BYTES}"
+            )
+        body = _read_exact(reader, announced)
+        if body is None:
+            raise ProtocolError("stream ended before an announced frame body")
+        payload["body"] = body
     return payload
 
 

@@ -31,16 +31,19 @@ consistency argument.  Parallelism lives in the *number* of workers, not
 inside one.
 
 Frame protocol (all ops reply with one frame; ``ok: false`` carries
-``kind`` = ``bad_request`` | ``stale`` | ``internal`` and ``error``):
+``kind`` = ``bad_request`` | ``stale`` | ``internal`` and ``error``).
+``search`` and ``execute`` encode the HTTP response body here, at the
+source, and send it as the frame's opaque body: the dispatcher forwards
+those bytes to the socket without parsing them.
 
 ==========  ===========================================================
 op          behavior
 ==========  ===========================================================
 search      sync to ``min_epoch``; run the pipeline; reply
-            ``{"result": <result_to_json>, "epoch": E}``
+            ``{"epoch": E}`` + body ``encode_result(result)``
 execute     sync; search + evaluate the rank-th candidate; reply
-            ``{"candidate": ..., "answers": [...], "epoch": E}``
-            (``candidate: null`` when the rank is out of range)
+            ``{"epoch": E}`` + body ``encode_execution(candidate,
+            answers)`` (no body when the rank is out of range)
 sync        replay to ``min_epoch``; reply ``{"epoch": E}``
 stats       counters, epoch, pid, RSS (VmRSS/VmHWM/Pss), cache rates
 ping        liveness probe: ``{"pid": ..., "epoch": E}``
@@ -169,6 +172,8 @@ class WorkerRuntime:
     # -- request handling ---------------------------------------------
 
     def handle(self, request: Dict[str, object]) -> Dict[str, object]:
+        """The response envelope; an encoded body rides under ``"body"``,
+        as :func:`~repro.service.protocol.read_frame` hands it back."""
         op = request.get("op")
         try:
             if op == "search":
@@ -207,7 +212,7 @@ class WorkerRuntime:
             }
 
     def _op_search(self, request: Dict[str, object]) -> Dict[str, object]:
-        from repro.service.http import result_to_json
+        from repro.service.http import encode_result
 
         self.sync_to(request.get("min_epoch"))
         result = self.engine.search(
@@ -217,10 +222,10 @@ class WorkerRuntime:
             max_cursors=request.get("max_cursors"),
         )
         self.completed += 1
-        return {"ok": True, "epoch": self.epoch, "result": result_to_json(result)}
+        return {"ok": True, "epoch": self.epoch, "body": encode_result(result)}
 
     def _op_execute(self, request: Dict[str, object]) -> Dict[str, object]:
-        from repro.service.http import answers_to_json, candidate_to_json
+        from repro.service.http import encode_execution
 
         rank = int(request.get("rank", 1))
         if rank < 1:
@@ -229,7 +234,7 @@ class WorkerRuntime:
         self.sync_to(request.get("min_epoch"))
         result = self.engine.search(request["q"])
         if len(result.candidates) < rank:
-            return {"ok": True, "epoch": self.epoch, "candidate": None, "answers": []}
+            return {"ok": True, "epoch": self.epoch}
         candidate = result.candidates[rank - 1]
         answers = self.engine.evaluator.evaluate(
             candidate.query, limit=None if limit is None else int(limit)
@@ -238,8 +243,7 @@ class WorkerRuntime:
         return {
             "ok": True,
             "epoch": self.epoch,
-            "candidate": candidate_to_json(candidate),
-            "answers": answers_to_json(answers),
+            "body": encode_execution(candidate, answers),
         }
 
     def _op_stats(self) -> Dict[str, object]:
@@ -279,8 +283,9 @@ class WorkerRuntime:
             if request is None:
                 return 0  # dispatcher hung up: clean exit
             response = self.handle(request)
+            body = response.pop("body", None)
             try:
-                write_frame(out_stream, response)
+                write_frame(out_stream, response, body)
             except (BrokenPipeError, OSError):
                 return 1
             if request.get("op") == "shutdown":

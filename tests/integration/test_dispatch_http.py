@@ -7,20 +7,27 @@ are tier-agnostic (same JSON shapes), and an `/update` propagates its
 epoch to *every* worker before the response returns.
 """
 
+import http.client
 import json
+import re
 import urllib.request
 
 import pytest
 
 from repro.core.engine import KeywordSearchEngine
 from repro.rdf.graph import DataGraph
-from repro.service import DispatchService, ReproServer
+from repro.service import DispatchService, EngineService, ReproServer
 
 
 @pytest.fixture(scope="module")
-def dispatch_server(example_graph, tmp_path_factory):
-    bundle = str(tmp_path_factory.mktemp("dispatch-http") / "ex.reprobundle")
-    KeywordSearchEngine(DataGraph(example_graph.triples), k=5).save(bundle)
+def bundle(example_graph, tmp_path_factory):
+    path = str(tmp_path_factory.mktemp("dispatch-http") / "ex.reprobundle")
+    KeywordSearchEngine(DataGraph(example_graph.triples), k=5).save(path)
+    return path
+
+
+@pytest.fixture(scope="module")
+def dispatch_server(bundle):
     service = DispatchService(bundle, workers=2)
     with ReproServer(service, port=0).start() as srv:
         yield srv
@@ -106,10 +113,62 @@ def test_update_epoch_advances_on_all_workers(dispatch_server):
     assert all(w["epoch"] == body["epoch"] for w in live)
 
 
+#: What legitimately differs between two responses to one request.
+_TIMING_VALUES = re.compile(rb'"timings_ms": \{[^}]*\}|"latency_ms": [-+.e0-9]+')
+
+
+def _bodies(server):
+    """The raw response bodies of one request of every read shape, all
+    over one kept connection."""
+    conn = http.client.HTTPConnection(server.host, server.port, timeout=30)
+    posts = [
+        ("/search", {"q": "cimiano 2006", "k": 3}),
+        ("/search", {"queries": ["cimiano 2006", "aifb", "zzznomatch"], "k": 3}),
+        ("/execute", {"q": "2006 cimiano aifb", "rank": 1, "limit": 5}),
+        ("/execute", {"q": "2006 cimiano aifb", "rank": 99}),
+    ]
+    try:
+        conn.request("GET", "/search?q=2006+cimiano+aifb")
+        exchanges = [conn.getresponse()]
+        out = [(exchanges[0].status, exchanges[0].read())]
+        for path, payload in posts:
+            conn.request("POST", path, body=json.dumps(payload),
+                         headers={"Content-Type": "application/json"})
+            response = conn.getresponse()
+            assert not response.will_close
+            out.append((response.status, response.read()))
+    finally:
+        conn.close()
+    return [
+        (status, _TIMING_VALUES.sub(lambda m: m.group().split(b":")[0], body))
+        for status, body in out
+    ]
+
+
+def test_bodies_equal_the_inprocess_tier_modulo_timing_values(
+    dispatch_server, bundle
+):
+    """A worker encodes the body and the dispatcher forwards it unparsed:
+    what reaches the socket must be, byte for byte, what the in-process
+    tier sends for the same data — key order and separators included."""
+    engine = KeywordSearchEngine.load(bundle, attach_wal=False)
+    service = EngineService(engine, workers=2)
+    try:
+        with ReproServer(service, port=0).start() as inprocess:
+            expected = _bodies(inprocess)
+    finally:
+        service.close()
+    got = _bodies(dispatch_server)
+    assert [status for status, _ in got] == [200, 200, 200, 200, 404]
+    assert got == expected
+    assert b'"candidates": [{"rank": 1, ' in got[0][1]
+
+
 def test_stats_merges_dispatch_counters(dispatch_server):
     _get(f"{dispatch_server.url}/search?q=cimiano")
     status, stats = _get(f"{dispatch_server.url}/stats")
     assert status == 200
+    assert stats["http"]["requests"] >= stats["http"]["connections"] >= 2
     assert stats["queries"]["completed"] >= 1
     assert "queue_wait_p99_ms" in stats["queries"]
     assert "restarts" in stats["dispatch"]

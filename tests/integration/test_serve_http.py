@@ -2,14 +2,22 @@
 
 Spins the stdlib server on an ephemeral port over the running example and
 exercises /search (GET + batched POST), /execute, /update, /stats as a
-real HTTP client would.
+real HTTP client would — and, over raw sockets, as clients that reuse,
+stall, desynchronise or reset a connection would.
 """
 
+import http.client
+import io
 import json
+import socket
+import threading
+import time
 import urllib.error
 import urllib.request
 
 import pytest
+
+from repro.service import http as http_module
 
 from repro.core.engine import KeywordSearchEngine
 from repro.rdf.graph import DataGraph
@@ -134,3 +142,228 @@ def test_bad_requests(server):
     with pytest.raises(urllib.error.HTTPError) as excinfo:
         _post(f"{server.url}/search", {"queries": ["cimiano"], "timeout": "soon"})
     assert excinfo.value.code == 400
+
+
+# ----------------------------------------------------------------------
+# HTTP/1.1: kept connections, request-body hygiene, slow and vanished
+# clients
+# ----------------------------------------------------------------------
+
+def _raw(server):
+    sock = socket.create_connection((server.host, server.port), timeout=10)
+    return sock, sock.makefile("rb")
+
+
+def _read_response(stream):
+    """One response off a raw stream: (status, headers, body), or None
+    when the server closed the connection at a response boundary."""
+    status_line = stream.readline()
+    if not status_line:
+        return None
+    version, status, _ = status_line.decode("latin-1").split(" ", 2)
+    assert version == "HTTP/1.1"
+    headers = {}
+    while True:
+        line = stream.readline().decode("latin-1").rstrip("\r\n")
+        if not line:
+            break
+        name, _, value = line.partition(":")
+        headers[name.strip().lower()] = value.strip()
+    body = stream.read(int(headers["content-length"]))
+    return int(status), headers, body
+
+
+def _handler_threads():
+    return [
+        t for t in threading.enumerate() if "process_request_thread" in t.name
+    ]
+
+
+def _wait_until(predicate, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if predicate():
+            return True
+        time.sleep(0.02)
+    return predicate()
+
+
+def test_connection_is_kept_and_counted(server):
+    conn = http.client.HTTPConnection(server.host, server.port, timeout=10)
+    try:
+        for _ in range(3):
+            conn.request("GET", "/search?q=cimiano+2006")
+            response = conn.getresponse()
+            body = response.read()
+            assert response.status == 200
+            assert response.version == 11
+            assert not response.will_close
+            assert json.loads(body)["candidates"]
+        conn.request(
+            "POST", "/execute", body=json.dumps({"q": "2006 cimiano aifb"}),
+            headers={"Content-Type": "application/json"},
+        )
+        response = conn.getresponse()
+        assert response.status == 200 and json.loads(response.read())["answers"]
+        conn.request("GET", "/stats")
+        response = conn.getresponse()
+        stats = json.loads(response.read())
+    finally:
+        conn.close()
+    # Five requests, one TCP connect: the reuse ratio is visible in /stats.
+    assert stats["http"] == {"connections": 1, "requests": 5}
+
+
+def test_client_asking_to_close_is_told_so(server):
+    sock, stream = _raw(server)
+    try:
+        sock.sendall(b"GET /stats HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n")
+        status, headers, _ = _read_response(stream)
+        assert status == 200
+        assert headers["connection"] == "close"
+        assert _read_response(stream) is None
+    finally:
+        sock.close()
+
+
+_STATS = b"GET /stats HTTP/1.1\r\nHost: x\r\n\r\n"
+
+
+def _raw_post(path, body, length=None):
+    length = len(body) if length is None else length
+    return (
+        f"POST {path} HTTP/1.1\r\nHost: x\r\nContent-Type: application/json\r\n"
+        f"Content-Length: {length}\r\n\r\n"
+    ).encode("latin-1") + body
+
+
+@pytest.mark.parametrize(
+    "request_bytes, status",
+    [
+        (_raw_post("/nope", b'{"q": "GET /stats HTTP/1.1"}'), 404),
+        (_raw_post("/search", b'["not", "an", "object"]'), 400),
+        (_raw_post("/search", b"{not json at all"), 400),
+        (_raw_post("/search", b'{"q": "cimiano", "k": "abc"}'), 400),
+        (b"GET /nope HTTP/1.1\r\nHost: x\r\nContent-Length: 9\r\n\r\nGET / HTT", 404),
+    ],
+)
+def test_consumed_body_leaves_the_connection_clean(server, request_bytes, status):
+    """Pipelined behind a refused request, the next request is parsed from
+    its own first byte — never from the refused request's body."""
+    sock, stream = _raw(server)
+    try:
+        sock.sendall(request_bytes + _STATS)
+        first = _read_response(stream)
+        assert first[0] == status
+        assert "error" in json.loads(first[2])
+        second = _read_response(stream)
+        assert second is not None and second[0] == 200
+        assert json.loads(second[2])["http"]["requests"] == 2
+    finally:
+        sock.close()
+
+
+@pytest.mark.parametrize("length", ["abc", "-5", "1e3", ""])
+def test_untrusted_content_length_closes_the_connection(server, length):
+    """With no way to tell where the body ends, the only safe next step is
+    to close: a well-formed 400 that says so, then EOF."""
+    sock, stream = _raw(server)
+    try:
+        body = b'{"q": "cimiano"}'
+        head = (
+            "POST /search HTTP/1.1\r\nHost: x\r\n"
+            f"Content-Length: {length}\r\n\r\n"
+        ).encode("latin-1")
+        try:
+            sock.sendall(head + body + _STATS)
+        except ConnectionError:
+            pass  # already closed under us: as clean as it gets
+        first = _read_response(stream)
+        assert first[0] == 400
+        assert first[1]["connection"] == "close"
+        assert "Content-Length" in json.loads(first[2])["error"]
+        try:
+            assert _read_response(stream) is None
+        except ConnectionError:
+            pass  # reset instead of FIN: unread bytes were pending
+    finally:
+        sock.close()
+
+
+def test_chunked_body_is_refused_and_closed(server):
+    sock, stream = _raw(server)
+    try:
+        sock.sendall(
+            b"POST /search HTTP/1.1\r\nHost: x\r\nTransfer-Encoding: chunked\r\n\r\n"
+            b"10\r\n{\"q\": \"cimiano\"}\r\n0\r\n\r\n"
+        )
+        status, headers, _ = _read_response(stream)
+        assert status == 400 and headers["connection"] == "close"
+    finally:
+        sock.close()
+
+
+def test_slow_and_idle_clients_are_closed_after_the_timeout(server, monkeypatch):
+    """The slow-loris bound: half a request line, or silence after a
+    response, holds a handler thread for the handler timeout and no longer."""
+    monkeypatch.setattr(http_module._Handler, "timeout", 0.3)
+    assert _wait_until(lambda: not _handler_threads())
+
+    half, _ = _raw(server)
+    idle, idle_stream = _raw(server)
+    try:
+        half.sendall(b"GET /sea")
+        idle.sendall(_STATS)
+        assert _read_response(idle_stream)[0] == 200
+        assert _wait_until(lambda: len(_handler_threads()) == 2)
+
+        started = time.monotonic()
+        half.settimeout(5)
+        assert half.recv(1024) == b""  # closed without a response
+        assert idle_stream.read(1) == b""
+        assert time.monotonic() - started < 4
+        assert _wait_until(lambda: not _handler_threads()), "handler threads linger"
+    finally:
+        half.close()
+        idle.close()
+
+
+def test_stalled_request_body_is_closed_after_the_timeout(server, monkeypatch):
+    monkeypatch.setattr(http_module._Handler, "timeout", 0.3)
+    sock, stream = _raw(server)
+    try:
+        sock.sendall(_raw_post("/search", b'{"q": ', length=64))  # 58 bytes short
+        assert stream.read(1) == b""
+        assert _wait_until(lambda: not _handler_threads())
+    finally:
+        sock.close()
+
+
+class _Reset:
+    """A response stream whose client reset the connection."""
+
+    def __init__(self):
+        self.writes = 0
+
+    def write(self, data):
+        self.writes += 1
+        raise ConnectionResetError(104, "Connection reset by peer")
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize(
+    "request_line", [b"GET /search?q=cimiano+2006", b"GET /search", b"GET /nope"]
+)
+def test_client_reset_mid_response_is_not_a_server_error(server, request_line):
+    """200, 400 and 404 alike: one write attempt, no 500 written after it
+    to the dead socket, no exception out of the handler thread."""
+    handler = http_module._Handler.__new__(http_module._Handler)
+    handler.server = server._httpd
+    handler.client_address = ("127.0.0.1", 0)
+    handler.rfile = io.BytesIO(request_line + b" HTTP/1.1\r\nHost: x\r\n\r\n")
+    handler.wfile = _Reset()
+    handler.handle_one_request()
+    assert handler.wfile.writes == 1
+    assert handler.close_connection is True

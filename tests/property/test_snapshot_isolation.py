@@ -9,6 +9,7 @@ are compared on their full rendered form: keywords, ignored keywords, and
 every candidate's (rank, cost, query, SPARQL).
 """
 
+import json
 import threading
 
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -117,11 +118,12 @@ def test_racing_search_returns_pre_or_post_state_never_hybrid(batch):
         service.close()
 
 
-def _render_json(payload):
+def _render_json(body):
     """The dispatcher-path analogue of `_render`: the same byte-comparable
-    tuple, built from the wire-format JSON a worker process returned.
+    tuple, built from the encoded response body a worker process returned.
     JSON float round-trips are exact (repr-based), so candidate costs
     compare without tolerance."""
+    payload = json.loads(body)
     return (
         tuple(payload["keywords"]),
         tuple(payload["ignored_keywords"]),
@@ -133,10 +135,10 @@ def _render_json(payload):
 
 
 def _reference_render_json(triples):
-    from repro.service import result_to_json
+    from repro.service.http import encode_result
 
     return _render_json(
-        result_to_json(KeywordSearchEngine(DataGraph(triples)).search(KEYWORDS))
+        encode_result(KeywordSearchEngine(DataGraph(triples)).search(KEYWORDS))
     )
 
 

@@ -6,6 +6,7 @@ request is retried on a healthy worker, a replacement is respawned, and
 execution; per-worker facts are merged into the dispatcher's stats.
 """
 
+import json
 import os
 import signal
 import threading
@@ -71,7 +72,7 @@ class TestCrashRecovery:
         assert victim not in live_pids
         assert len(live_pids) == 2
         # The pool serves straight through the recovery.
-        assert service.search("cimiano 2006")["candidates"]
+        assert json.loads(service.search("cimiano 2006"))["candidates"]
 
     def test_kill_mid_request_retried_on_healthy_worker(self, service):
         outcome = {}
@@ -134,9 +135,34 @@ class TestCrashRecovery:
             assert all(
                 w["epoch"] == out["epoch"] for w in _live_workers(stats)
             )
-            assert svc.search("zzrespawn")["candidates"]
+            assert json.loads(svc.search("zzrespawn"))["candidates"]
         finally:
             svc.close()
+
+
+class TestFrameDamage:
+    def test_short_body_retires_the_worker_like_a_death(self):
+        """A worker that dies after announcing a body must not have the
+        part it managed to write forwarded as a response."""
+        import io
+        import types
+
+        from repro.service.dispatch import WorkerDied, _FdReader, _WorkerHandle
+        from repro.service.protocol import write_frame
+
+        frame = io.BytesIO()
+        write_frame(frame, {"ok": True, "epoch": 0}, b"x" * 4096)
+        read_fd, write_fd = os.pipe()
+        try:
+            os.write(write_fd, frame.getvalue()[:-100])
+            os.close(write_fd)  # the worker's end: gone mid-body
+            handle = _WorkerHandle.__new__(_WorkerHandle)
+            handle.proc = types.SimpleNamespace(stdin=io.BytesIO())
+            handle.reader = _FdReader(read_fd)
+            with pytest.raises(WorkerDied, match="corrupt"):
+                handle.request({"op": "search", "q": "cimiano"}, timeout=5.0)
+        finally:
+            os.close(read_fd)
 
 
 class TestQueueWait:
