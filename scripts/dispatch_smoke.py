@@ -4,10 +4,12 @@
 Boots a real ``repro serve --workers N --bundle ...`` as a subprocess,
 waits for its URL announcement, then over HTTP — every request on **one**
 kept connection, and it is a failure if the server closes it in between:
-search, update, search — asserting the update's epoch propagated to
-*every* worker (the sync broadcast acked) and the new data is immediately
-visible no matter which worker serves the follow-up search.  Finishes
-with a SIGTERM and checks the drain exits cleanly.
+search, execute, update, search, execute — asserting the update's epoch
+propagated to *every* worker (the sync broadcast acked), the new data is
+immediately visible no matter which worker serves the follow-up search,
+and a worker's execute path answers (rows, ``timings_ms``, ``limit: 0``
+-> no rows) on both sides of the update.  Finishes with a SIGTERM and
+checks the drain exits cleanly.
 
 Run under a hard ``timeout`` in CI so a deadlocked pipe fails the job in
 minutes; any violated assertion exits nonzero.
@@ -62,6 +64,18 @@ class _KeptConnection:
         self._conn.close()
 
 
+def check_execute(conn) -> None:
+    """A worker evaluates a query: rows, flat timings, and ``limit`` 0."""
+    ask = {"q": "cimiano 2006", "rank": 1}
+    executed = conn.post("/execute", ask)
+    assert executed["answers"], "execute returned no answers"
+    timings = executed["timings_ms"]
+    assert "execute" in timings and all(
+        isinstance(ms, float) for ms in timings.values()
+    ), timings
+    assert conn.post("/execute", dict(ask, limit=0))["answers"] == []
+
+
 def main() -> int:
     bundle = sys.argv[1] if len(sys.argv) > 1 else "example.reprobundle"
     workers = int(sys.argv[2]) if len(sys.argv) > 2 else 2
@@ -98,6 +112,7 @@ def main() -> int:
 
         hit = conn.get("/search?q=cimiano+2006")
         assert hit["candidates"], "pre-update search found no interpretations"
+        check_execute(conn)
 
         add = (
             '<http://example.org/smoke/pub> '
@@ -111,10 +126,11 @@ def main() -> int:
         fresh = conn.get("/search?q=zzdispatchsmoke")
         assert fresh["ignored_keywords"] == [], fresh
         assert fresh["candidates"], "update not visible after sync broadcast"
+        check_execute(conn)
 
         after = conn.get("/stats")
         conn.close()
-        assert after["http"] == {"connections": 1, "requests": 5}, after["http"]
+        assert after["http"] == {"connections": 1, "requests": 9}, after["http"]
         live = [w for w in after["workers"] if w.get("alive")]
         assert len(live) == workers, after["workers"]
         epochs = [w["epoch"] for w in live]
@@ -124,8 +140,8 @@ def main() -> int:
         )
         print(
             f"# dispatch-smoke ok: {workers} workers all at epoch "
-            f"{updated['epoch']}, update visible over HTTP, 5 requests on "
-            f"1 connection",
+            f"{updated['epoch']}, update visible over HTTP, execute answers "
+            f"on both sides of it, 9 requests on 1 connection",
             file=sys.stderr,
         )
     finally:

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import json
 import time
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.util import LruDict
 
@@ -870,6 +870,32 @@ class KeywordSearchEngine:
         """Run one computed query on the underlying store."""
         query = candidate.query if isinstance(candidate, QueryCandidate) else candidate
         return self.evaluator.evaluate(query, limit=limit)
+
+    def execute_ranked(
+        self,
+        query: Union[str, Sequence[str]],
+        rank: int = 1,
+        limit: Optional[int] = 10,
+        snapshot: Optional[EngineSnapshot] = None,
+    ) -> Tuple[Optional[QueryCandidate], List[Answer], Dict[str, float]]:
+        """Search, then run the rank-th interpretation on the store — the
+        ``/execute`` request.  Returns ``(candidate, answers, timings)``:
+        the search's stage timings plus ``execute``, in seconds.
+        ``candidate`` is ``None`` when the search has fewer than ``rank``
+        interpretations.
+        """
+        if rank < 1:
+            raise ValueError(f"rank must be >= 1, got {rank}")
+        if snapshot is None:
+            snapshot = self.snapshot()
+        result = self.search_on_snapshot(snapshot, query)
+        if len(result.candidates) < rank:
+            return None, [], result.timings
+        candidate = result.candidates[rank - 1]
+        started = time.perf_counter()
+        answers = snapshot.evaluator.evaluate(candidate.query, limit=limit)
+        timings = dict(result.timings, execute=time.perf_counter() - started)
+        return candidate, answers, timings
 
     def search_and_execute(
         self,

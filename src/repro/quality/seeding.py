@@ -44,11 +44,6 @@ DEFAULT_ANSWER_DEPTH = 20
 #: canonical sort can repair, and goldens must not depend on it.
 DEFAULT_EXECUTE_LIMIT: Optional[int] = None
 
-#: What "unbounded" means over HTTP: /execute takes an integer limit,
-#: so full enumeration is requested as a bound far above any eval-scale
-#: answer count.
-_HTTP_UNBOUNDED_LIMIT = 1_000_000
-
 
 def _now() -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
@@ -171,12 +166,11 @@ def seed_cases_from_endpoint(
             if sig not in query_grades:
                 query_grades[sig] = 2.0 if rank == 1 else 1.0
         answer_lists = []
-        limit = _HTTP_UNBOUNDED_LIMIT if execute_limit is None else execute_limit
         for rank in range(1, len(candidates) + 1):
             try:
                 payload = _http_json(
                     f"{base}/execute",
-                    body={"q": q, "rank": rank, "limit": limit},
+                    body={"q": q, "rank": rank, "limit": execute_limit},
                     timeout=timeout,
                 )
             except HTTPError as exc:

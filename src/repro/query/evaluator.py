@@ -1,25 +1,34 @@
 """Conjunctive-query evaluation against a triple store (Definition 3).
 
-The evaluator performs an index-nested-loop join with *dynamic* atom ordering:
-at each step it picks the unevaluated atom with the smallest estimated
-cardinality under the current bindings, so highly selective constants (the
-keyword constants of computed queries) prune the search early.
+One executor serves every store.  A query is compiled once — variables
+become slots of one list, constants are resolved to the store's *keys* —
+and joined by index nested loops in key space: the store scans a bound
+predicate for ``(subject key, object key)`` pairs
+(:meth:`~repro.store.triple_store.TripleStore.scan_keys`), and a
+``Term`` is only built for the distinguished values of an answer that is
+actually emitted.  What a key is belongs to the store: a term-table id
+on the mmap tier, the term itself on :class:`TripleStore`.
+
+Atoms are ordered most-selective-first, so highly selective constants
+(the keyword constants of computed queries) prune the search early.  The
+atom evaluated at join depth *d* is chosen with the first binding that
+reaches that depth and kept for the rest of the query: one cardinality
+count per remaining atom and depth, not per binding.
 
 Answers follow Definition 3: a mapping of the distinguished variables such
 that some extension to the existential variables embeds the whole query
-pattern into the data.
+pattern into the data.  Enumeration is lazy, and its order is the
+store's: which answers a truncating ``limit`` keeps is unspecified.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from itertools import islice
+from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Tuple
 
-from repro.query.conjunctive import Atom, ConjunctiveQuery
+from repro.query.conjunctive import ConjunctiveQuery
 from repro.rdf.terms import Term, Variable
 from repro.store.statistics import StoreStatistics
-from repro.store.triple_store import TripleStore
-
-Binding = Dict[Variable, Term]
 
 
 class Answer:
@@ -58,11 +67,31 @@ class Answer:
         return f"Answer({pairs})"
 
 
-class QueryEvaluator:
-    """Evaluates conjunctive queries over a :class:`TripleStore`."""
+class _TermKeys:
+    """Key-level access to a store that only has ``match`` and ``count``
+    (the baseline stores): its keys are the terms."""
 
-    def __init__(self, store: TripleStore):
+    def __init__(self, store):
         self._store = store
+
+    def key_of(self, term: Term) -> Term:
+        return term
+
+    term_of = key_of
+
+    def count_keys(self, s, p, o) -> int:
+        return self._store.count(s, p, o)
+
+    def scan_keys(self, s, p, o) -> Iterable[Tuple[Term, Term]]:
+        return ((t.subject, t.object) for t in self._store.match(s, p, o))
+
+
+class QueryEvaluator:
+    """Evaluates conjunctive queries over a triple store."""
+
+    def __init__(self, store):
+        self._store = store
+        self._keys = store if hasattr(store, "scan_keys") else _TermKeys(store)
         self._stats = StoreStatistics(store)
 
     def invalidate_statistics(self) -> None:
@@ -75,24 +104,22 @@ class QueryEvaluator:
         limit: Optional[int] = None,
     ) -> List[Answer]:
         """All (or the first ``limit``) distinct answers to the query."""
-        out: List[Answer] = []
-        for answer in self.iter_answers(query):
-            out.append(answer)
-            if limit is not None and len(out) >= limit:
-                break
-        return out
+        return list(islice(self.iter_answers(query), limit))
 
     def iter_answers(self, query: ConjunctiveQuery) -> Iterator[Answer]:
         """Lazily yield distinct answers — supports the paper's 'process the
         top queries until ≥10 answers are found' loop without full evaluation.
         """
         distinguished = query.distinguished
-        seen: Set[Tuple[Term, ...]] = set()
-        for binding in self._solve(list(query.atoms), {}):
-            values = tuple(binding[v] for v in distinguished)
-            if values not in seen:
-                seen.add(values)
-                yield Answer(distinguished, values)
+        variables = query.variables
+        picks = [variables.index(v) for v in distinguished]
+        term_of = self._keys.term_of
+        seen = set()
+        for slots in self._solve(query):
+            keys = tuple([slots[i] for i in picks])
+            if keys not in seen:
+                seen.add(keys)
+                yield Answer(distinguished, tuple(map(term_of, keys)))
 
     def count(self, query: ConjunctiveQuery) -> int:
         """Number of distinct answers."""
@@ -103,64 +130,81 @@ class QueryEvaluator:
         return next(self.iter_answers(query), None) is not None
 
     # ------------------------------------------------------------------
-    # Join machinery
+    # The join
     # ------------------------------------------------------------------
 
-    def _solve(self, remaining: List[Atom], binding: Binding) -> Iterator[Binding]:
-        if not remaining:
-            yield binding
-            return
-        index = self._pick_atom(remaining, binding)
-        atom = remaining[index]
-        rest = remaining[:index] + remaining[index + 1 :]
-        for extension in self._match_atom(atom, binding):
-            yield from self._solve(rest, extension)
+    def _solve(self, query: ConjunctiveQuery) -> Iterator[List[Hashable]]:
+        """Every embedding of the query pattern into the store, as keys
+        in one slot per variable (``query.variables`` order).  The list is
+        reused: read it before advancing the iterator."""
+        store = self._keys
+        key_of = store.key_of
+        scan = store.scan_keys
+        slot_of = {v: i for i, v in enumerate(query.variables)}
+        slots: List[Hashable] = [None] * len(slot_of)
 
-    def _pick_atom(self, remaining: Sequence[Atom], binding: Binding) -> int:
-        """Greedy most-selective-next atom choice."""
-        best_index = 0
-        best_cost = float("inf")
-        for i, atom in enumerate(remaining):
-            s, o = self._resolve(atom, binding)
-            cost = self._stats.estimate(s, atom.predicate, o)
-            # Prefer atoms already joined to the current bindings: an atom
-            # with no bound position creates a cross product.
-            if s is None and o is None and binding:
-                cost *= len(self._store) or 1
-            if cost < best_cost:
-                best_cost = cost
-                best_index = i
-        return best_index
+        # An atom compiles to (predicate key, subject slot, subject key,
+        # object slot, object key, predicate): an argument is a slot
+        # (>= 0, its key None) or a constant key (its slot -1).
+        remaining = []
+        for atom in query.atoms:
+            compiled = [key_of(atom.predicate)]
+            for arg in (atom.arg1, atom.arg2):
+                if isinstance(arg, Variable):
+                    compiled += (slot_of[arg], None)
+                else:
+                    compiled += (-1, key_of(arg))
+            remaining.append((*compiled, atom.predicate))
+        order = []  # order[d]: the atom joined at depth d, once chosen
+        last = len(remaining) - 1
 
-    @staticmethod
-    def _resolve(atom: Atom, binding: Binding) -> Tuple[Optional[Term], Optional[Term]]:
-        """Current constants for the two argument positions (None = free)."""
-        if isinstance(atom.arg1, Variable):
-            s = binding.get(atom.arg1)
-        else:
-            s = atom.arg1
-        if isinstance(atom.arg2, Variable):
-            o = binding.get(atom.arg2)
-        else:
-            o = atom.arg2
-        return s, o
+        def pick() -> None:
+            """Move the most selective remaining atom under the current
+            binding to the end of ``order``."""
+            best, best_cost = 0, float("inf")
+            joined = any(key is not None for key in slots)
+            for i, (p, s_slot, s, o_slot, o, predicate) in enumerate(remaining):
+                if s_slot >= 0:
+                    s = slots[s_slot]
+                if o_slot >= 0:
+                    o = slots[o_slot]
+                if s is None and o is None:
+                    cost = self._stats.predicate_count(predicate)
+                    # Prefer atoms joined to the current binding: one
+                    # with no bound position creates a cross product.
+                    if joined:
+                        cost *= len(self._store) or 1
+                else:
+                    cost = store.count_keys(s, p, o)
+                if cost < best_cost:
+                    best, best_cost = i, cost
+            order.append(remaining.pop(best))
 
-    def _match_atom(self, atom: Atom, binding: Binding) -> Iterator[Binding]:
-        s, o = self._resolve(atom, binding)
-        for triple in self._store.match(s, atom.predicate, o):
-            extension = binding
-            copied = False
-            ok = True
-            for template, actual in ((atom.arg1, triple.subject), (atom.arg2, triple.object)):
-                if isinstance(template, Variable):
-                    bound = extension.get(template)
-                    if bound is None:
-                        if not copied:
-                            extension = dict(extension)
-                            copied = True
-                        extension[template] = actual
-                    elif bound != actual:
-                        ok = False
-                        break
-            if ok:
-                yield extension if copied else dict(extension)
+        def extend(depth: int) -> Iterator[List[Hashable]]:
+            if depth == len(order):
+                pick()
+            p, s_slot, s, o_slot, o, _ = order[depth]
+            if s_slot >= 0:
+                s = slots[s_slot]
+            if o_slot >= 0:
+                o = slots[o_slot]
+            bind_s = s is None
+            bind_o = o is None
+            same = bind_s and bind_o and s_slot == o_slot
+            for s_key, o_key in scan(s, p, o):
+                if same and s_key != o_key:
+                    continue
+                if bind_s:
+                    slots[s_slot] = s_key
+                if bind_o:
+                    slots[o_slot] = o_key
+                if depth == last:
+                    yield slots
+                else:
+                    yield from extend(depth + 1)
+            if bind_s:
+                slots[s_slot] = None
+            if bind_o:
+                slots[o_slot] = None
+
+        return extend(0)

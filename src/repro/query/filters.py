@@ -21,6 +21,7 @@ the remaining keywords' best interpretation binds (see
 from __future__ import annotations
 
 import re
+from itertools import islice
 from typing import List, Optional, Sequence, Tuple
 
 from repro.query.conjunctive import Atom, ConjunctiveQuery
@@ -137,14 +138,12 @@ class FilteredQuery:
         self, evaluator: QueryEvaluator, limit: Optional[int] = None
     ) -> List[Answer]:
         """All (or the first ``limit``) answers satisfying every filter."""
-        out: List[Answer] = []
-        for answer in evaluator.iter_answers(self.query):
-            bindings = answer.as_dict()
-            if all(f.accepts(bindings[f.variable]) for f in self.filters):
-                out.append(answer)
-                if limit is not None and len(out) >= limit:
-                    break
-        return out
+        accepted = (
+            answer
+            for answer in evaluator.iter_answers(self.query)
+            if all(f.accepts(answer[f.variable]) for f in self.filters)
+        )
+        return list(islice(accepted, limit))
 
     def __repr__(self):
         return f"FilteredQuery({self.query}, filters={list(self.filters)})"

@@ -568,9 +568,9 @@ class DispatchService:
     def execute_ranked(self, query, rank: int = 1, limit: Optional[int] = 10):
         """Search + evaluate the rank-th candidate on one worker.
 
-        Returns ``(body, None)`` — the whole ``/execute`` response body,
-        already encoded like :meth:`search`'s, in the candidate's place —
-        or ``(None, [])`` when the rank is out of range."""
+        Returns ``(body, None, None)`` — the whole ``/execute`` response
+        body, already encoded like :meth:`search`'s, in the candidate's
+        place — or ``(None, [], None)`` when the rank is out of range."""
         response = self._roundtrip(
             {
                 "op": "execute",
@@ -581,7 +581,7 @@ class DispatchService:
             }
         )
         body = response.get("body")
-        return (None, []) if body is None else (body, None)
+        return (None, [], None) if body is None else (body, None, None)
 
     # ------------------------------------------------------------------
     # The write path

@@ -10,7 +10,8 @@ path        method  body / query parameters
                     ``search_many`` under one snapshot), optional ``k``,
                     ``dmax``, ``timeout``
 /execute    POST    ``{"q": "...", "rank": 1, "limit": 10}`` — search,
-                    run the rank-th interpretation, return its answers
+                    run the rank-th interpretation, return its answers;
+                    ``limit`` is an integer >= 0 or ``null`` (unbounded)
 /update     POST    ``{"add": "<N-Triples>", "remove": "<N-Triples>"}`` —
                     one atomic epoch through incremental maintenance
 /stats      GET     service counters, latency percentiles, cache rates,
@@ -77,12 +78,12 @@ def result_to_json(result) -> Dict[str, object]:
         "keywords": result.keywords,
         "ignored_keywords": result.ignored_keywords,
         "candidates": [candidate_to_json(c) for c in result.candidates],
-        "timings_ms": _timings_ms(result),
+        "timings_ms": _timings_ms(result.timings),
     }
 
 
-def _timings_ms(result) -> Dict[str, float]:
-    return {stage: 1000 * seconds for stage, seconds in result.timings.items()}
+def _timings_ms(timings: Dict[str, float]) -> Dict[str, float]:
+    return {stage: 1000 * seconds for stage, seconds in timings.items()}
 
 
 def answers_to_json(answers) -> List[Dict[str, str]]:
@@ -125,19 +126,21 @@ def encode_result(result) -> bytes:
         b', "ignored_keywords": ', _dumps(result.ignored_keywords),
         b', "candidates": [',
         b", ".join([c.json_fragment() for c in result.candidates]),
-        b'], "timings_ms": ', _dumps(_timings_ms(result)),
+        b'], "timings_ms": ', _dumps(_timings_ms(result.timings)),
         b"}",
     ))
 
 
-def encode_execution(candidate, answers) -> bytes:
-    """The ``/execute`` body.  A worker's body arrives whole, in the
-    candidate's place."""
+def encode_execution(candidate, answers, timings) -> bytes:
+    """The ``/execute`` body: the candidate, its answers and a flat
+    ``timings_ms`` (the search's stages plus ``execute``).  A worker's
+    body arrives whole, in the candidate's place."""
     if isinstance(candidate, bytes):
         return candidate
     return b"".join((
         b'{"candidate": ', candidate.json_fragment(),
         b', "answers": ', _dumps(answers_to_json(answers)),
+        b', "timings_ms": ', _dumps(_timings_ms(timings)),
         b"}",
     ))
 
@@ -300,14 +303,19 @@ class _Handler(BaseHTTPRequestHandler):
     def _post_execute(self, body: Dict[str, object]) -> Tuple[int, bytes]:
         if "q" not in body:
             raise ValueError("missing 'q'")
-        candidate, answers = self.service.execute_ranked(
-            body["q"],
-            rank=int(body.get("rank", 1)),
-            limit=int(body.get("limit", 10)),
+        limit = body.get("limit", 10)
+        if limit is not None and (
+            not isinstance(limit, int) or isinstance(limit, bool) or limit < 0
+        ):
+            raise ValueError(
+                f"'limit' must be null (unbounded) or an integer >= 0, got {limit!r}"
+            )
+        candidate, answers, timings = self.service.execute_ranked(
+            body["q"], rank=int(body.get("rank", 1)), limit=limit
         )
         if candidate is None:
             return 404, _error("no interpretation at that rank")
-        return 200, encode_execution(candidate, answers)
+        return 200, encode_execution(candidate, answers, timings)
 
     def _post_update(self, body: Dict[str, object]) -> Tuple[int, bytes]:
         adds = list(parse_ntriples(body.get("add", "")))

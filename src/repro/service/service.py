@@ -436,26 +436,24 @@ class EngineService:
     def execute_ranked(self, query, rank: int = 1, limit: Optional[int] = 10):
         """Search, then run the rank-th candidate on the store — both under
         one read hold, so the answers come from the same epoch as the
-        interpretation.  Returns ``(candidate, answers)``; candidate is
-        ``None`` when the search has fewer than ``rank`` interpretations.
+        interpretation.  Returns ``(candidate, answers, timings)``
+        (:meth:`~repro.core.engine.KeywordSearchEngine.execute_ranked`);
+        candidate is ``None`` when the search has fewer than ``rank``
+        interpretations.
         """
-        if rank < 1:
-            raise ValueError(f"rank must be >= 1, got {rank}")
         self._admit(1)
         try:
             started = time.monotonic()
             self._rw.acquire_read()
             try:
-                snapshot = self.engine.snapshot()
-                result = self.engine.search_on_snapshot(snapshot, query)
-                if len(result.candidates) < rank:
-                    return None, []
-                candidate = result.candidates[rank - 1]
-                answers = snapshot.evaluator.evaluate(candidate.query, limit=limit)
+                outcome = self.engine.execute_ranked(
+                    query, rank=rank, limit=limit, snapshot=self.engine.snapshot()
+                )
             finally:
                 self._rw.release_read()
-            self._record(time.monotonic() - started, "ok")
-            return candidate, answers
+            if outcome[0] is not None:
+                self._record(time.monotonic() - started, "ok")
+            return outcome
         except Exception:
             self._record(0.0, "error")
             raise

@@ -43,7 +43,7 @@ search      sync to ``min_epoch``; run the pipeline; reply
             ``{"epoch": E}`` + body ``encode_result(result)``
 execute     sync; search + evaluate the rank-th candidate; reply
             ``{"epoch": E}`` + body ``encode_execution(candidate,
-            answers)`` (no body when the rank is out of range)
+            answers, timings)`` (no body when the rank is out of range)
 sync        replay to ``min_epoch``; reply ``{"epoch": E}``
 stats       counters, epoch, pid, RSS (VmRSS/VmHWM/Pss), cache rates
 ping        liveness probe: ``{"pid": ..., "epoch": E}``
@@ -227,23 +227,19 @@ class WorkerRuntime:
     def _op_execute(self, request: Dict[str, object]) -> Dict[str, object]:
         from repro.service.http import encode_execution
 
-        rank = int(request.get("rank", 1))
-        if rank < 1:
-            raise ValueError(f"rank must be >= 1, got {rank}")
-        limit = request.get("limit", 10)
         self.sync_to(request.get("min_epoch"))
-        result = self.engine.search(request["q"])
-        if len(result.candidates) < rank:
-            return {"ok": True, "epoch": self.epoch}
-        candidate = result.candidates[rank - 1]
-        answers = self.engine.evaluator.evaluate(
-            candidate.query, limit=None if limit is None else int(limit)
+        candidate, answers, timings = self.engine.execute_ranked(
+            request["q"],
+            rank=int(request.get("rank", 1)),
+            limit=request.get("limit", 10),
         )
+        if candidate is None:
+            return {"ok": True, "epoch": self.epoch}
         self.completed += 1
         return {
             "ok": True,
             "epoch": self.epoch,
-            "body": encode_execution(candidate, answers),
+            "body": encode_execution(candidate, answers, timings),
         }
 
     def _op_stats(self) -> Dict[str, object]:

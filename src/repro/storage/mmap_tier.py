@@ -34,6 +34,8 @@ from __future__ import annotations
 
 import math
 import struct
+from bisect import bisect_left, bisect_right
+from itertools import filterfalse
 from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Tuple
 
 from repro.rdf.terms import BNode, Literal, Term, URI
@@ -707,27 +709,39 @@ class LazyRefMap:
             yield key, self[key]
 
 
-# Row reorderings from each index's storage order back to (s, p, o).
-def _from_spo(a, b, c):
-    return (a, b, c)
+#: Triple position (0 = subject, 1 = predicate, 2 = object) held by each
+#: column of the three runs.
+_RUN_ORDERS = ((0, 1, 2), (1, 2, 0), (2, 0, 1))  # spo, pos, osp
 
+#: Every set of bound positions is a prefix of one run's order.  Indexed
+#: by ``s bound + 2 * (p bound) + 4 * (o bound)``: (run, bound prefix).
+_PREFIX_RUN = (
+    (0, ()), (0, (0,)), (1, (1,)), (0, (0, 1)),
+    (2, (2,)), (2, (2, 0)), (1, (1, 2)), (0, (0, 1, 2)),
+)
 
-def _from_pos(a, b, c):
-    return (c, a, b)
-
-
-def _from_osp(a, b, c):
-    return (b, c, a)
+#: Rows decoded per slice of a column: a scan never turns more than this
+#: many rows into Python objects at once, however large its range.
+SCAN_CHUNK = 1024
 
 
 class MmapTripleTier:
     """A ``TripleStore``-compatible tier over SPO/POS/OSP-sorted runs.
 
-    Every pattern binds a prefix of one of the three sort orders, so
-    ``match``/``count`` are a binary-searched row range plus a skip of
-    tombstoned rows, then the delta store's answer for the same pattern.
-    Adds and removes go to the overlay (delta store / id-triple
-    tombstones); the base file is never written.
+    A run is a flat int64 view of ``(a, b, c)`` rows; ``view[c::3]`` is
+    one of its columns, still a view.  Every pattern binds a prefix of
+    one run's sort order, and :meth:`_rows` narrows that prefix one
+    column at a time with ``bisect`` — in C, over the mmap.  ``match`` /
+    ``count`` / ``__contains__`` / ``add`` / ``remove`` are that range
+    plus the overlay: tombstoned base rows are skipped, then comes the
+    delta store's answer for the same pattern.  Adds and removes go to
+    the overlay; the base file is never written.
+
+    The query evaluator works in this tier's *key space*
+    (:meth:`key_of` / :meth:`term_of` / :meth:`count_keys` /
+    :meth:`scan_keys`): a key is the term-table id, and a term that
+    exists only in the delta overlay is its own key, so a key identifies
+    one term across base rows and overlay.
     """
 
     def __init__(self, spo, pos, osp, size: int, term_table: MmapTermTable):
@@ -737,89 +751,96 @@ class MmapTripleTier:
                     f"store2.{name} holds {len(view)} values, expected "
                     f"{3 * size} for {size} triples"
                 )
-        self._spo = spo
-        self._pos = pos
-        self._osp = osp
+        #: Per run: its columns in sort order, and again by triple position.
+        self._runs = []
+        for view, order in zip((spo, pos, osp), _RUN_ORDERS):
+            columns = tuple(view[c::3] for c in range(3))
+            self._runs.append(
+                (columns, tuple(columns[order.index(p)] for p in range(3)))
+            )
         self._n = size
         self._terms = term_table
         self._delta = TripleStore()
-        self._tombstones: set = set()  # (sid, pid, oid) id triples
+        #: Removed base rows: predicate id -> {(subject id, object id)}.
+        self._tombstones: Dict[int, set] = {}
+        self._n_dead = 0
 
-    # -- binary search over sorted rows --------------------------------
+    # -- the range function --------------------------------------------
 
-    def _lower(self, view, prefix: Tuple[int, ...]) -> int:
-        k = len(prefix)
+    def _rows(self, sid, pid, oid):
+        """The base rows matching an id pattern (None = wildcard), as
+        ``(subject column, predicate column, object column), lo, hi`` of
+        the run the pattern is a prefix of, narrowed a column at a time."""
+        ids = (sid, pid, oid)
+        run, prefix = _PREFIX_RUN[
+            (sid is not None) + 2 * (pid is not None) + 4 * (oid is not None)
+        ]
+        columns, by_position = self._runs[run]
         lo, hi = 0, self._n
-        while lo < hi:
-            mid = (lo + hi) // 2
-            base = 3 * mid
-            if tuple(view[base : base + k]) < prefix:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
+        for column, position in zip(columns, prefix):
+            key = ids[position]
+            lo = bisect_left(column, key, lo, hi)
+            hi = bisect_right(column, key, lo, hi)
+        return by_position, lo, hi
 
-    def _upper(self, view, prefix: Tuple[int, ...]) -> int:
-        k = len(prefix)
-        lo, hi = 0, self._n
-        while lo < hi:
-            mid = (lo + hi) // 2
-            base = 3 * mid
-            if tuple(view[base : base + k]) <= prefix:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
-
-    def _range(self, view, prefix: Tuple[int, ...]) -> Tuple[int, int]:
-        return self._lower(view, prefix), self._upper(view, prefix)
-
-    def _base_ids(self, view, prefix, reorder) -> Iterator[Tuple[int, int, int]]:
-        """Live base rows under a prefix, reordered to (s, p, o) ids."""
-        lo, hi = self._range(view, prefix)
-        tombstones = self._tombstones
-        for i in range(lo, hi):
-            base = 3 * i
-            ids = reorder(view[base], view[base + 1], view[base + 2])
-            if tombstones and ids in tombstones:
-                continue
-            yield ids
-
-    def _ids(self, triple: Triple) -> Optional[Tuple[int, int, int]]:
+    def _ids(self, s, p, o) -> Optional[Tuple]:
+        """A term pattern (None = wildcard) as ids, or None when a bound
+        term is not in the table: no base row can match it."""
         id_of = self._terms.id_of
-        sid = id_of(triple.subject)
-        if sid is None:
-            return None
-        pid = id_of(triple.predicate)
-        if pid is None:
-            return None
-        oid = id_of(triple.object)
-        if oid is None:
-            return None
-        return (sid, pid, oid)
+        pattern = (s, p, o)
+        ids = tuple(None if t is None else id_of(t) for t in pattern)
+        return ids if ids.count(None) == pattern.count(None) else None
 
     def _dead_matching(self, sid, pid, oid) -> int:
-        """Tombstones matching a pattern (None = wildcard)."""
-        if not self._tombstones:
+        """Tombstones matching an id pattern (None = wildcard): O(1) for
+        a predicate alone, otherwise a scan of one predicate's set."""
+        if pid is None:
+            if sid is None and oid is None:
+                return self._n_dead
+            return sum(
+                self._dead_matching(sid, p, oid) for p in self._tombstones
+            )
+        dead = self._tombstones.get(pid)
+        if not dead:
             return 0
+        if sid is None and oid is None:
+            return len(dead)
+        if sid is not None and oid is not None:
+            return int((sid, oid) in dead)
         return sum(
-            1
-            for t in self._tombstones
-            if (sid is None or t[0] == sid)
-            and (pid is None or t[1] == pid)
-            and (oid is None or t[2] == oid)
+            1 for s, o in dead if (s == sid if oid is None else o == oid)
         )
+
+    def _is_dead(self, sid, pid, oid) -> bool:
+        return (sid, oid) in self._tombstones.get(pid, ())
+
+    def _in_base(self, sid, pid, oid) -> bool:
+        """True when the base runs hold the row (tombstoned or not)."""
+        _, lo, hi = self._rows(sid, pid, oid)
+        return lo < hi
+
+    def _live_base(self, sid, pid, oid) -> int:
+        """Base rows matching an id pattern, minus the tombstoned ones."""
+        _, lo, hi = self._rows(sid, pid, oid)
+        live = hi - lo
+        if live and self._n_dead:
+            live -= self._dead_matching(sid, pid, oid)
+        return live
 
     # -- mutation (overlay) --------------------------------------------
 
     def add(self, triple: Triple) -> bool:
-        ids = self._ids(triple)
+        ids = self._ids(*triple)
         if ids is not None:
-            if ids in self._tombstones:
-                self._tombstones.discard(ids)
+            sid, pid, oid = ids
+            if self._is_dead(sid, pid, oid):
+                dead = self._tombstones[pid]
+                dead.discard((sid, oid))
+                if not dead:
+                    del self._tombstones[pid]
+                self._n_dead -= 1
                 return True
-            lo, hi = self._range(self._spo, ids)
-            if lo < hi:
+            if self._in_base(sid, pid, oid):
                 return False
         return self._delta.add(triple)
 
@@ -829,31 +850,27 @@ class MmapTripleTier:
     def remove(self, triple: Triple) -> bool:
         if self._delta.remove(triple):
             return True
-        ids = self._ids(triple)
-        if ids is None or ids in self._tombstones:
+        ids = self._ids(*triple)
+        if ids is None or self._is_dead(*ids) or not self._in_base(*ids):
             return False
-        lo, hi = self._range(self._spo, ids)
-        if lo >= hi:
-            return False
-        self._tombstones.add(ids)
+        sid, pid, oid = ids
+        self._tombstones.setdefault(pid, set()).add((sid, oid))
+        self._n_dead += 1
         return True
 
     def remove_all(self, triples: Iterable[Triple]) -> int:
         return sum(1 for t in triples if self.remove(t))
 
-    # -- lookup --------------------------------------------------------
+    # -- lookup by term ------------------------------------------------
 
     def __len__(self) -> int:
-        return self._n - len(self._tombstones) + len(self._delta)
+        return self._n - self._n_dead + len(self._delta)
 
     def __contains__(self, triple: Triple) -> bool:
         if triple in self._delta:
             return True
-        ids = self._ids(triple)
-        if ids is None or ids in self._tombstones:
-            return False
-        lo, hi = self._range(self._spo, ids)
-        return lo < hi
+        ids = self._ids(*triple)
+        return ids is not None and not self._is_dead(*ids) and self._in_base(*ids)
 
     def match(
         self,
@@ -863,58 +880,18 @@ class MmapTripleTier:
     ) -> Iterator[Triple]:
         if ill_typed_pattern(subject, predicate):
             return
-        terms = self._terms
-        id_of = terms.id_of
-        s, p, o = subject, predicate, obj
-        if s is not None and p is not None and o is not None:
-            if Triple(s, p, o) in self:
-                yield Triple(s, p, o)
-            return
-        if s is not None and p is not None:
-            sid, pid = id_of(s), id_of(p)
-            if sid is not None and pid is not None:
-                for _, _, oid in self._base_ids(self._spo, (sid, pid), _from_spo):
-                    yield Triple(s, p, terms[oid])
-            yield from self._delta.match(s, p, None)
-            return
-        if p is not None and o is not None:
-            pid, oid = id_of(p), id_of(o)
-            if pid is not None and oid is not None:
-                for sid, _, _ in self._base_ids(self._pos, (pid, oid), _from_pos):
-                    yield Triple(terms[sid], p, o)
-            yield from self._delta.match(None, p, o)
-            return
-        if s is not None and o is not None:
-            sid, oid = id_of(s), id_of(o)
-            if sid is not None and oid is not None:
-                for _, pid, _ in self._base_ids(self._osp, (oid, sid), _from_osp):
-                    yield Triple(s, terms[pid], o)
-            yield from self._delta.match(s, None, o)
-            return
-        if s is not None:
-            sid = id_of(s)
-            if sid is not None:
-                for _, pid, oid in self._base_ids(self._spo, (sid,), _from_spo):
-                    yield Triple(s, terms[pid], terms[oid])
-            yield from self._delta.match(s, None, None)
-            return
-        if p is not None:
-            pid = id_of(p)
-            if pid is not None:
-                for sid, _, oid in self._base_ids(self._pos, (pid,), _from_pos):
-                    yield Triple(terms[sid], p, terms[oid])
-            yield from self._delta.match(None, p, None)
-            return
-        if o is not None:
-            oid = id_of(o)
-            if oid is not None:
-                for sid, pid, _ in self._base_ids(self._osp, (oid,), _from_osp):
-                    yield Triple(terms[sid], terms[pid], o)
-            yield from self._delta.match(None, None, o)
-            return
-        for sid, pid, oid in self._base_ids(self._spo, (), _from_spo):
-            yield Triple(terms[sid], terms[pid], terms[oid])
-        yield from self._delta.match(None, None, None)
+        ids = self._ids(subject, predicate, obj)
+        if ids is not None:
+            terms = self._terms
+            tombstones = self._tombstones
+            columns, lo, hi = self._rows(*ids)
+            for a in range(lo, hi, SCAN_CHUNK):
+                b = min(a + SCAN_CHUNK, hi)
+                for sid, pid, oid in zip(*[c[a:b].tolist() for c in columns]):
+                    if tombstones and self._is_dead(sid, pid, oid):
+                        continue
+                    yield Triple(terms[sid], terms[pid], terms[oid])
+        yield from self._delta.match(subject, predicate, obj)
 
     def count(
         self,
@@ -924,32 +901,11 @@ class MmapTripleTier:
     ) -> int:
         if ill_typed_pattern(subject, predicate):
             return 0
-        s, p, o = subject, predicate, obj
-        if s is not None and p is not None and o is not None:
-            return 1 if Triple(s, p, o) in self else 0
-        if s is None and p is None and o is None:
-            return len(self)
-        id_of = self._terms.id_of
-        sid = id_of(s) if s is not None else None
-        pid = id_of(p) if p is not None else None
-        oid = id_of(o) if o is not None else None
-        total = self._delta.count(s, p, o)
-        bound = [x for x, t in ((sid, s), (pid, p), (oid, o)) if t is not None]
-        if any(x is None for x in bound):
-            return total  # a bound term missing from the table: no base rows
-        if sid is not None and pid is not None:
-            lo, hi = self._range(self._spo, (sid, pid))
-        elif pid is not None and oid is not None:
-            lo, hi = self._range(self._pos, (pid, oid))
-        elif sid is not None and oid is not None:
-            lo, hi = self._range(self._osp, (oid, sid))
-        elif sid is not None:
-            lo, hi = self._range(self._spo, (sid,))
-        elif pid is not None:
-            lo, hi = self._range(self._pos, (pid,))
-        else:
-            lo, hi = self._range(self._osp, (oid,))
-        return total + (hi - lo) - self._dead_matching(sid, pid, oid)
+        total = self._delta.count(subject, predicate, obj)
+        ids = self._ids(subject, predicate, obj)
+        if ids is not None:
+            total += self._live_base(*ids)
+        return total
 
     def subjects(self, predicate: Term, obj: Term) -> Iterator[Term]:
         for triple in self.match(None, predicate, obj):
@@ -960,32 +916,77 @@ class MmapTripleTier:
             yield triple.object
 
     def predicates(self) -> Iterator[Term]:
-        view = self._pos
         terms = self._terms
+        column = self._runs[1][0][0]  # the predicate column of POS
         i = 0
         while i < self._n:
-            pid = view[3 * i]
-            hi = self._upper(view, (pid,))
-            if (hi - i) - self._dead_matching(None, pid, None) > 0:
+            pid = column[i]
+            hi = bisect_right(column, pid, i, self._n)
+            if hi - i > self._dead_matching(None, pid, None):
                 yield terms[pid]
             i = hi
-        id_of = terms.id_of
         for pred in self._delta.predicates():
-            pid = id_of(pred)
-            if pid is None:
-                yield pred
-                continue
-            lo, hi = self._range(self._pos, (pid,))
-            if (hi - lo) - self._dead_matching(None, pid, None) <= 0:
-                yield pred
+            ids = self._ids(None, pred, None)
+            if ids is None or not self._live_base(*ids):
+                yield pred  # not among the base predicates above
 
     def predicate_cardinality(self, predicate: Term) -> int:
-        total = self._delta.predicate_cardinality(predicate)
-        pid = self._terms.id_of(predicate)
-        if pid is not None:
-            lo, hi = self._range(self._pos, (pid,))
-            total += (hi - lo) - self._dead_matching(None, pid, None)
+        return self.count(None, predicate, None)
+
+    # -- lookup by key (the query evaluator's access path) --------------
+
+    def key_of(self, term: Term) -> Hashable:
+        """The term's table id; a term the table lacks is its own key."""
+        tid = self._terms.id_of(term)
+        return term if tid is None else tid
+
+    def term_of(self, key: Hashable) -> Term:
+        return self._terms[key] if type(key) is int else key
+
+    def _delta_pattern(self, s, p, o):
+        """A key pattern as the terms the delta store is probed with."""
+        term_of = self.term_of
+        return (
+            None if s is None else term_of(s),
+            term_of(p),
+            None if o is None else term_of(o),
+        )
+
+    @staticmethod
+    def _all_ids(s, p, o) -> bool:
+        """True when every bound key is a table id (a term that is its
+        own key has no base rows)."""
+        return (
+            type(p) is int
+            and (s is None or type(s) is int)
+            and (o is None or type(o) is int)
+        )
+
+    def count_keys(self, s, p, o) -> int:
+        """Live triples with predicate key ``p`` and the given subject /
+        object keys (None = any)."""
+        total = 0
+        if len(self._delta):
+            total = self._delta.count(*self._delta_pattern(s, p, o))
+        if self._all_ids(s, p, o):
+            total += self._live_base(s, p, o)
         return total
+
+    def scan_keys(self, s, p, o) -> Iterator[Tuple[Hashable, Hashable]]:
+        """``(subject key, object key)`` of every live triple with
+        predicate key ``p`` and the given subject / object keys: base
+        rows in run order, a chunk at a time, then the delta's."""
+        if self._all_ids(s, p, o):
+            (subjects, _, objects), lo, hi = self._rows(s, p, o)
+            dead = self._tombstones.get(p)
+            for a in range(lo, hi, SCAN_CHUNK):
+                b = min(a + SCAN_CHUNK, hi)
+                chunk = zip(subjects[a:b].tolist(), objects[a:b].tolist())
+                yield from filterfalse(dead.__contains__, chunk) if dead else chunk
+        if len(self._delta):
+            key_of = self.key_of
+            for st, ot in self._delta.scan_keys(*self._delta_pattern(s, p, o)):
+                yield key_of(st), key_of(ot)
 
     # -- persistence ---------------------------------------------------
 
@@ -997,5 +998,5 @@ class MmapTripleTier:
     def __repr__(self):
         return (
             f"MmapTripleTier(base={self._n}, "
-            f"tombstones={len(self._tombstones)}, delta={len(self._delta)})"
+            f"tombstones={self._n_dead}, delta={len(self._delta)})"
         )

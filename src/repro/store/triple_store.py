@@ -9,10 +9,11 @@ RDF engines such as Jena/Sesame the paper names as its storage substrate.
 from __future__ import annotations
 
 from collections import defaultdict
+from itertools import repeat
 from typing import Dict, Iterable, Iterator, Optional, Set, Tuple
 
 from repro.rdf.graph import DataGraph
-from repro.rdf.terms import Term, URI
+from repro.rdf.terms import Literal, Term, URI
 from repro.rdf.triples import Triple
 
 _Index = Dict[Term, Dict[Term, Set[Term]]]
@@ -30,9 +31,7 @@ def ill_typed_pattern(subject: Optional[Term], predicate: Optional[Term]) -> boo
     matches nothing.  Every store tier (hash-indexed, vertical, mmap)
     applies the same guard so their answers stay identical.
     """
-    from repro.rdf.terms import Literal as _Literal
-
-    return isinstance(subject, _Literal) or (
+    return isinstance(subject, Literal) or (
         predicate is not None and not isinstance(predicate, URI)
     )
 
@@ -245,6 +244,37 @@ class TripleStore:
         if o is not None:
             return sum(len(preds) for preds in self._osp.get(o, {}).values())
         return self._size
+
+    # ------------------------------------------------------------------
+    # Lookup by key (the query evaluator's access path; here a key is
+    # the term itself)
+    # ------------------------------------------------------------------
+
+    def key_of(self, term: Term) -> Term:
+        return term
+
+    def term_of(self, key: Term) -> Term:
+        return key
+
+    def count_keys(self, s: Optional[Term], p: Term, o: Optional[Term]) -> int:
+        return self.count(s, p, o)
+
+    def scan_keys(
+        self, s: Optional[Term], p: Term, o: Optional[Term]
+    ) -> Iterable[Tuple[Term, Term]]:
+        """``(subject, object)`` of every triple with predicate ``p`` and
+        the given subject / object (None = any)."""
+        if s is not None:
+            objects = self._spo.get(s, {}).get(p, ())
+            if o is None:
+                return zip(repeat(s), objects)
+            return ((s, o),) if o in objects else ()
+        by_object = self._pos.get(p, {})
+        if o is not None:
+            return zip(by_object.get(o, ()), repeat(o))
+        return (
+            (subj, obj) for obj, subjects in by_object.items() for subj in subjects
+        )
 
     def subjects(self, predicate: Term, obj: Term) -> Iterator[Term]:
         """Subjects s with (s, predicate, obj) stored."""

@@ -10,6 +10,7 @@ epoch to *every* worker before the response returns.
 import http.client
 import json
 import re
+import urllib.error
 import urllib.request
 
 import pytest
@@ -27,11 +28,29 @@ def bundle(example_graph, tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def dispatch_server(bundle):
+def dispatch_service(bundle):
     service = DispatchService(bundle, workers=2)
+    yield service
+    service.close()
+
+
+@pytest.fixture(scope="module")
+def dispatch_server(dispatch_service):
+    with ReproServer(dispatch_service, port=0).start() as srv:
+        yield srv
+
+
+@pytest.fixture(scope="module")
+def inprocess_server(bundle):
+    """The in-process tier over the same bundle as it was built (it does
+    not see the dispatch server's later updates)."""
+    service = EngineService(KeywordSearchEngine.load(bundle, attach_wal=False), workers=2)
     with ReproServer(service, port=0).start() as srv:
         yield srv
     service.close()
+
+
+BOTH_TIERS = pytest.mark.parametrize("tier", ["inprocess_server", "dispatch_server"])
 
 
 def _get(url):
@@ -69,6 +88,54 @@ def test_execute_endpoint(dispatch_server):
     assert status == 200
     assert body["candidate"]["rank"] == 1
     assert body["answers"]
+
+
+@BOTH_TIERS
+def test_execute_limit_rule(request, tier):
+    """One rule in both tiers: ``null`` is unbounded, an integer >= 0 is
+    a bound (0 answers with no rows), anything else is the client's
+    mistake."""
+    url = f"{request.getfixturevalue(tier).url}/execute"
+    ask = {"q": "publication", "rank": 1}
+    _, unbounded = _post(url, dict(ask, limit=None))
+    total = len(unbounded["answers"])
+    assert total >= 2
+    assert _post(url, dict(ask, limit=0))[1]["answers"] == []
+    assert len(_post(url, dict(ask, limit=1))[1]["answers"]) == 1
+    assert _post(url, dict(ask, limit=total + 5))[1]["answers"] == unbounded["answers"]
+    assert len(_post(url, ask)[1]["answers"]) == min(total, 10)  # the default
+    for bad in (-1, "5", 2.5, True, [3]):
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            _post(url, dict(ask, limit=bad))
+        assert excinfo.value.code == 400, bad
+        assert "limit" in json.loads(excinfo.value.read())["error"]
+
+
+def test_worker_applies_the_limit_rule_itself(dispatch_service):
+    """Below HTTP too: a worker treats ``None`` as unbounded, 0 as no
+    rows, and refuses a negative bound as a bad request."""
+
+    def answers(limit):
+        body, _, _ = dispatch_service.execute_ranked("publication", limit=limit)
+        return json.loads(body)["answers"]
+
+    assert len(answers(None)) >= 2
+    assert answers(0) == []
+    assert len(answers(1)) == 1
+    with pytest.raises(ValueError):
+        answers(-1)
+
+
+@BOTH_TIERS
+def test_execute_reports_flat_timings(request, tier):
+    server = request.getfixturevalue(tier)
+    _, search = _get(f"{server.url}/search?q=2006+cimiano+aifb")
+    status, body = _post(f"{server.url}/execute", {"q": "2006 cimiano aifb"})
+    assert status == 200
+    assert list(body) == ["candidate", "answers", "timings_ms"]
+    timings = body["timings_ms"]
+    assert list(timings) == [*search["timings_ms"], "execute"]
+    assert all(isinstance(ms, float) and ms >= 0 for ms in timings.values())
 
 
 def test_batch_search_endpoint(dispatch_server):

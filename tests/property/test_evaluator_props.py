@@ -3,7 +3,7 @@ oracle (the Fig. 1b/1c execution model).
 
 Random small graphs and random conjunctive queries built over their
 vocabulary must produce identical answer sets through both engines — the
-index-nested-loop join with dynamic atom ordering is equivalent to the
+selectivity-ordered index-nested-loop join in key space is equivalent to the
 brute-force self-join.
 """
 

@@ -58,6 +58,14 @@ def test_limit(evaluator):
     assert len(evaluator.evaluate(query)) == 2
 
 
+def test_limit_zero_none_and_negative(evaluator):
+    query = ConjunctiveQuery([Atom(RDF.type, x, EX.Researcher)])
+    assert evaluator.evaluate(query, limit=0) == []
+    assert len(evaluator.evaluate(query, limit=None)) == 2
+    with pytest.raises(ValueError):
+        evaluator.evaluate(query, limit=-1)
+
+
 def test_count(evaluator):
     query = ConjunctiveQuery([Atom(RDF.type, x, EX.Publication)])
     assert evaluator.count(query) == 2

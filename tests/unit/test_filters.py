@@ -94,6 +94,7 @@ class TestFilteredQuery:
         store, query = self.make()
         fq = FilteredQuery(query, [Filter(y, ">", Literal("2000"))])
         assert len(fq.evaluate(QueryEvaluator(store), limit=2)) == 2
+        assert fq.evaluate(QueryEvaluator(store), limit=0) == []
 
     def test_no_filters_passthrough(self):
         store, query = self.make()

@@ -9,6 +9,7 @@ service's ``/stats`` endpoint reports.
 """
 
 import itertools
+from array import array
 
 import pytest
 
@@ -18,7 +19,13 @@ from repro.rdf.graph import DataGraph
 from repro.rdf.namespace import RDF, XSD
 from repro.rdf.terms import Literal, URI
 from repro.rdf.triples import Triple
-from repro.storage import MmapInvertedIndex, MmapTripleTier, load_bundle
+from repro.storage import (
+    MmapInvertedIndex,
+    MmapTripleTier,
+    build_bundle_streaming,
+    load_bundle,
+    mmap_tier,
+)
 from repro.store.triple_store import TripleStore
 
 
@@ -119,6 +126,175 @@ def test_triple_tier_overlay_add_remove(example_bundle, mapped):
         assert store.remove(fresh) is True
     assert len(tier) == len(reference)
     assert sorted(map(repr, tier.match())) == sorted(map(repr, reference.match()))
+
+
+# -- the column-view range function ------------------------------------
+
+
+def _id_tier(rows):
+    """A tier straight over id rows: no bundle and no term table, which
+    nothing at id level reads."""
+    runs = []
+    for order in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):  # spo, pos, osp
+        flat = array("q")
+        for row in sorted(tuple(r[p] for p in order) for r in rows):
+            flat.extend(row)
+        runs.append(memoryview(flat))
+    return MmapTripleTier(*runs, len(rows), None)
+
+
+def _oracle(rows, pattern):
+    return sorted(
+        r for r in rows if all(want in (None, got) for want, got in zip(pattern, r))
+    )
+
+
+def _read(tier, pattern):
+    columns, lo, hi = tier._rows(*pattern)
+    return list(zip(*[c[lo:hi].tolist() for c in columns])), lo, hi
+
+
+#: Even ids only, so there are keys below (-1), between (odd) and above
+#: (9) the stored ones.
+ID_ROWS = [
+    (s, p, o)
+    for s, p, o in itertools.product((0, 2, 4, 6, 8), (0, 2, 4), (0, 2, 4, 6, 8))
+    if (s + p + o) % 3
+]
+
+
+def test_range_function_against_a_sorted_list():
+    tier = _id_tier(ID_ROWS)
+    keys = (None, -1, 0, 1, 4, 7, 8, 9)  # first, last, below, between, above
+    for pattern in itertools.product(keys, repeat=3):  # every prefix length, every run
+        got, lo, hi = _read(tier, pattern)
+        assert sorted(got) == _oracle(ID_ROWS, pattern), pattern
+        assert 0 <= lo <= hi <= len(ID_ROWS)
+    first, last = min(ID_ROWS), max(ID_ROWS)
+    assert _read(tier, first) == ([first], 0, 1)
+    assert _read(tier, last) == ([last], len(ID_ROWS) - 1, len(ID_ROWS))
+
+
+def test_range_function_on_an_empty_tier():
+    tier = _id_tier([])
+    for pattern in itertools.product((None, 0), repeat=3):
+        assert _read(tier, pattern) == ([], 0, 0)
+    assert len(tier) == 0
+    assert tier.count_keys(None, 0, None) == 0
+    assert list(tier.scan_keys(None, 0, None)) == []
+
+
+def test_scans_cross_chunk_boundaries(monkeypatch):
+    monkeypatch.setattr(mmap_tier, "SCAN_CHUNK", 4)
+    tier = _id_tier(ID_ROWS)
+    for p in (0, 2, 4):
+        rows = _oracle(ID_ROWS, (None, p, None))
+        assert len(rows) > 3 * 4  # several chunks, the last one short
+        assert sorted(tier.scan_keys(None, p, None)) == [(s, o) for s, _, o in rows]
+        assert tier.count_keys(None, p, None) == len(rows)
+        for s in (0, 1, 8):
+            expect = [(r[0], r[2]) for r in _oracle(ID_ROWS, (s, p, None))]
+            assert sorted(tier.scan_keys(s, p, None)) == expect
+    # Tombstones are dropped inside a chunk and at its edges alike.
+    victims = _oracle(ID_ROWS, (None, 2, None))[3:9]
+    for s, p, o in victims:
+        tier._tombstones.setdefault(p, set()).add((s, o))
+        tier._n_dead += 1
+    live = [r for r in ID_ROWS if r not in victims]
+    assert sorted(tier.scan_keys(None, 2, None)) == [
+        (s, o) for s, _, o in _oracle(live, (None, 2, None))
+    ]
+    assert tier.count_keys(None, 2, None) == len(_oracle(live, (None, 2, None)))
+
+
+def _assert_counts_are_scan_lengths(tier, reference, probes):
+    """``count`` is ``len(match)`` and ``count_keys`` is ``len(scan_keys)``
+    for all eight patterns of every probe, and both equal the reference."""
+    for t in probes:
+        for s, p, o in itertools.product(
+            (t.subject, None), (t.predicate, None), (t.object, None)
+        ):
+            matched = list(tier.match(s, p, o))
+            assert len(matched) == len(set(matched)) == tier.count(s, p, o), (s, p, o)
+            assert set(matched) == set(reference.match(s, p, o)), (s, p, o)
+            if p is not None:
+                keys = [None if x is None else tier.key_of(x) for x in (s, p, o)]
+                pairs = list(tier.scan_keys(*keys))
+                assert len(pairs) == tier.count_keys(*keys) == len(matched), (s, p, o)
+                assert {(tier.term_of(a), tier.term_of(b)) for a, b in pairs} == {
+                    (m.subject, m.object) for m in matched
+                }
+        assert (t in tier) == (t in reference)
+    assert len(tier) == len(reference) == tier.count()
+
+
+def test_counts_are_scan_lengths_through_overlay_updates(example_bundle, mapped):
+    engine, _ = example_bundle
+    tier = mapped.store
+    reference = TripleStore(engine.graph.triples)
+    base = list(engine.graph.triples)
+    victim, other = base[3], base[-1]
+    fresh = [
+        Triple(URI("http://example.org/new"), victim.predicate, Literal("v")),
+        Triple(victim.subject, URI("http://example.org/newp"), victim.subject),
+        Triple(URI("http://example.org/new"), other.predicate, other.object),
+    ]
+    probes = [base[0], victim, other, *fresh]
+    _assert_counts_are_scan_lengths(tier, reference, probes)
+    steps = [
+        ("remove", victim), ("add", fresh[0]), ("add", fresh[1]), ("remove", other),
+        ("add", victim), ("add", fresh[2]), ("remove", fresh[0]), ("add", fresh[0]),
+        ("remove", victim), ("add", other),
+    ]
+    for op, t in steps:
+        assert getattr(tier, op)(t) == getattr(reference, op)(t), (op, t)
+        _assert_counts_are_scan_lengths(tier, reference, probes)
+
+
+def test_counts_stay_exact_under_thousands_of_tombstones(tmp_path):
+    ex = "http://example.org/churn/"
+    preds = [URI(f"{ex}p{i}") for i in range(3)]
+    triples = [
+        Triple(URI(f"{ex}s{i}"), preds[i % 3], URI(f"{ex}o{i % 50}"))
+        for i in range(3600)
+    ]
+    path = tmp_path / "churn.reprobundle"
+    build_bundle_streaming(iter(triples), path)
+    tier = load_bundle(path, index_tier="mmap").store
+    reference = TripleStore(triples)
+
+    def agree():
+        assert len(tier) == len(reference)
+        assert set(tier.predicates()) == set(reference.predicates())
+        for p in preds:
+            assert tier.predicate_cardinality(p) == reference.predicate_cardinality(p)
+            assert tier.count(None, p, None) == reference.count(None, p, None)
+        for t in (triples[0], triples[1], triples[1799], triples[3599]):
+            for s, p, o in itertools.product(
+                (t.subject, None), (t.predicate, None), (t.object, None)
+            ):
+                assert tier.count(s, p, o) == reference.count(s, p, o), (s, p, o)
+        # Grouped by predicate, nothing lost: the sets sum to the total.
+        assert sum(map(len, tier._tombstones.values())) == tier._n_dead
+        assert tier._n_dead == len(triples) - len(reference)
+
+    removed = triples[:3000]  # every predicate loses most, not all, rows
+    for store in (tier, reference):
+        assert store.remove_all(removed) == 3000
+    agree()
+    assert set(tier._tombstones) == {tier._terms.id_of(p) for p in preds}
+    for store in (tier, reference):
+        assert store.add_all(removed[::2]) == 1500  # un-tombstone every other one
+    agree()
+    for store in (tier, reference):
+        assert store.remove_all(removed) == 1500  # ... and remove them again
+        assert store.remove_all(triples[3000:]) == 600  # now whole predicates die
+    agree()
+    assert len(tier) == 0 and list(tier.predicates()) == []
+    for store in (tier, reference):
+        assert store.add_all(triples) == 3600
+    agree()
+    assert tier._tombstones == {} and len(tier._delta) == 0
 
 
 def test_inverted_index_lookup_and_tombstones(example_bundle, mapped):

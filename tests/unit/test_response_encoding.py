@@ -155,8 +155,10 @@ def test_execution_and_batch_outcomes_use_the_same_fragments(example_graph):
     best = result.best()
     answers = engine.execute(best, limit=5)
     assert answers
-    assert encode_execution(best, answers) == json.dumps(
-        {"candidate": candidate_to_json(best), "answers": answers_to_json(answers)}
+    timings = {"keyword_mapping": 0.00025, "total": 0.0015, "execute": 0.002}
+    assert encode_execution(best, answers, timings) == json.dumps(
+        {"candidate": candidate_to_json(best), "answers": answers_to_json(answers),
+         "timings_ms": {stage: 1000 * s for stage, s in timings.items()}}
     ).encode("utf-8")
 
     ok = BatchOutcome(0, "q", "ok", result=result, latency_seconds=0.00125)
@@ -177,7 +179,7 @@ def test_execution_and_batch_outcomes_use_the_same_fragments(example_graph):
 def test_encoded_bytes_pass_through_the_tier_seam():
     body = b'{"already": "encoded by a worker"}'
     assert encode_result(body) is body
-    assert encode_execution(body, None) is body
+    assert encode_execution(body, None, None) is body
 
 
 @pytest.mark.parametrize("atoms, expected", FROZEN_SIGNATURES)

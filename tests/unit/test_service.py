@@ -214,6 +214,34 @@ class TestUpdates:
         assert service.stats()["queries"]["updates"] == 5
 
 
+class TestExecuteRanked:
+    def test_answers_and_timings(self, engine, service):
+        candidate, answers, timings = service.execute_ranked(
+            "2006 cimiano aifb", rank=1, limit=None
+        )
+        result = engine.search("2006 cimiano aifb")
+        assert candidate.query == result.best().query
+        assert set(answers) == set(engine.execute(result.best()))
+        assert list(timings) == [*result.timings, "execute"]
+        assert timings["execute"] >= 0
+
+    def test_limit_rule(self, service):
+        full = service.execute_ranked("publication", limit=None)[1]
+        assert len(full) >= 2
+        assert service.execute_ranked("publication", limit=0)[1] == []
+        assert len(service.execute_ranked("publication", limit=1)[1]) == 1
+        with pytest.raises(ValueError):
+            service.execute_ranked("publication", limit=-1)
+
+    def test_rank_out_of_range(self, service):
+        candidate, answers, _ = service.execute_ranked("2006 cimiano aifb", rank=99)
+        assert candidate is None and answers == []
+        with pytest.raises(ValueError):
+            service.execute_ranked("2006 cimiano aifb", rank=0)
+        stats = service.stats()["queries"]
+        assert stats["completed"] == 0 and stats["errors"] == 1
+
+
 class TestStats:
     def test_counters_and_percentiles(self, service):
         for q in QUERIES:
