@@ -1,13 +1,13 @@
 #!/usr/bin/env python
 """CI scale-smoke: prove the out-of-core build path works at real size.
 
-Streams a ~10^5-triple LUBM corpus through ``repro build --stream`` in a
-fresh subprocess, asserts the build's peak RSS (``VmHWM`` from
-``/proc/self/status``) stays under a hard ceiling, then loads the
-resulting bundle and runs one search against it.  The point is liveness
-*and* the memory contract: a regression that quietly materializes the
-corpus (or an index) during the streamed build shows up here as a
-blown ceiling, not just as a slow job.
+Builds a ~10^5-triple LUBM corpus with a plain ``repro build`` in a
+fresh subprocess, asserts the build's peak RSS (the child's own
+``ru_maxrss``) stays under a hard ceiling, then loads the resulting
+bundle and runs one search against it.  The point is liveness *and* the
+memory contract of the default path: a regression that quietly
+materializes the corpus (or an index) during the build shows up here as
+a blown ceiling, not just as a slow job.
 
 The same bundle is then served through the mmap tier
 (``index_tier="mmap"``) in another fresh subprocess — search, execute,
@@ -27,10 +27,10 @@ import sys
 
 #: ~37 universities ≈ 10^5 LUBM triples (the generator is deterministic).
 DEFAULT_UNIVERSITIES = 37
-#: The streamed build of 10^5 triples peaks near 110 MB (interpreter
-#: included); 256 MB is ~2.3x headroom while still far below the
-#: in-memory build's ~280 MB — the ceiling fails if streaming degrades
-#: to materialization.
+#: The build of 10^5 triples peaks near 110 MB (interpreter included);
+#: 256 MB is ~2.3x headroom while still below what constructing the
+#: engine in process needs — the ceiling fails if streaming degrades to
+#: materialization.
 DEFAULT_CEILING_MB = 256
 #: The mmap tier serving the same bundle peaks near 45 MB through load +
 #: search + execute (touched pages plus the interpreter); the
@@ -40,27 +40,6 @@ DEFAULT_CEILING_MB = 256
 #: needs it on every tier) and peaks near 125 MB — gated separately at
 #: 2x that, still well below the materialized tier.
 DEFAULT_SERVE_CEILING_MB = 96
-
-_CHILD = """
-import resource
-from repro.datasets import LubmConfig, iter_lubm_triples
-from repro.storage import build_bundle_streaming
-
-info = build_bundle_streaming(
-    iter_lubm_triples(LubmConfig(universities={universities})),
-    {path!r},
-    force=True,
-)
-print('TRIPLES', info['triples'])
-peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-try:
-    for line in open('/proc/self/status'):
-        if line.startswith('VmHWM:'):
-            peak = int(line.split()[1])
-except OSError:
-    pass
-print('PEAK_KB', peak)
-"""
 
 _SERVE_CHILD = """
 import resource, time
@@ -116,35 +95,34 @@ def main() -> int:
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
 
-    print(f"# streamed build: {universities} universities -> {bundle}")
-    out = subprocess.run(
-        [sys.executable, "-c", _CHILD.format(universities=universities, path=bundle)],
+    print(f"# repro build: {universities} universities -> {bundle}")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "build", "--dataset", "lubm",
+         "--scale", str(1000 * universities), "-o", bundle, "--force"],
         env=env,
-        capture_output=True,
-        text=True,
     )
-    sys.stderr.write(out.stderr)
-    if out.returncode != 0:
-        print("FAIL: streamed build exited nonzero")
-        return 1
-    values = dict(line.split() for line in out.stdout.split("\n") if line.strip())
-    triples = int(values["TRIPLES"])
-    peak_mb = int(values["PEAK_KB"]) / 1024
-    print(f"# built {triples:,} triples, peak RSS {peak_mb:.0f} MB (ceiling {ceiling_mb} MB)")
-    if triples < 50_000:
-        print(f"FAIL: expected a ~10^5-triple corpus, generated {triples}")
-        return 1
-    if peak_mb > ceiling_mb:
-        print(f"FAIL: streamed build peaked at {peak_mb:.0f} MB > {ceiling_mb} MB ceiling")
+    # wait4 (not Popen.wait) so the peak RSS is this child's own.
+    _, status, rusage = os.wait4(proc.pid, 0)
+    if os.waitstatus_to_exitcode(status) != 0:
+        print("FAIL: repro build exited nonzero")
         return 1
 
     # The artifact must actually serve: load + one search, in-process.
     from repro.core.engine import KeywordSearchEngine
 
     engine = KeywordSearchEngine.load(bundle, attach_wal=False)
+    triples = len(engine.graph)
+    peak_mb = rusage.ru_maxrss / 1024
+    print(f"# built {triples:,} triples, peak RSS {peak_mb:.0f} MB (ceiling {ceiling_mb} MB)")
+    if triples < 50_000:
+        print(f"FAIL: expected a ~10^5-triple corpus, generated {triples}")
+        return 1
+    if peak_mb > ceiling_mb:
+        print(f"FAIL: repro build peaked at {peak_mb:.0f} MB > {ceiling_mb} MB ceiling")
+        return 1
     result = engine.search("professor department0")
     if not result.candidates:
-        print("FAIL: search over the streamed bundle returned no candidates")
+        print("FAIL: search over the built bundle returned no candidates")
         return 1
     print(f"# search ok: {len(result.candidates)} candidates, best cost {result.best().cost:.2f}")
 

@@ -26,14 +26,14 @@ Examples::
     python -m repro "cimiano before 2005" --dataset dblp --filters
     python -m repro "professor department0" --data my_data.nt --guided
     python -m repro "new paper" --data base.nt --update-ntriples delta.nt
-    python -m repro build --data my_data.nt -o my_data.reprobundle
-    python -m repro build --data big.nt --stream --spill-budget 64 -o big.reprobundle
+    python -m repro build --data my_data.nt --spill-budget 64 -o my_data.reprobundle
     python -m repro serve --bundle my_data.reprobundle --port 8080
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from typing import Optional
 
@@ -45,7 +45,7 @@ from repro.rdf.ntriples import parse_ntriples
 SUBCOMMANDS = ("search", "serve", "bench", "build", "compact", "eval")
 
 
-def _progress_lines(lines, every: int, label: str = "ingest"):
+def _progress_lines(lines, every: int):
     """Pass lines through, reporting throughput to stderr every ``every``.
 
     Zero (the default for commands without ``--progress-every``) disables
@@ -64,25 +64,27 @@ def _progress_lines(lines, every: int, label: str = "ingest"):
             elapsed = time.perf_counter() - started
             rate = count / elapsed if elapsed > 0 else 0.0
             print(
-                f"# {label}: {count:,} lines in {elapsed:.1f}s ({rate:,.0f}/s)",
+                f"# parse: {count:,} lines in {elapsed:.1f}s ({rate:,.0f}/s)",
                 file=sys.stderr,
             )
         yield line
 
 
-def _load_graph(args) -> DataGraph:
+@contextlib.contextmanager
+def _triple_source(args):
+    """The triples ``--data`` / ``--dataset --scale`` name, as a lazy
+    iterator: a file parsed line by line (never read into memory whole,
+    see parse_ntriples) or a dataset generator.  Every command that
+    derives the offline layer from triples reads them through here."""
     if args.data is not None:
-        # The file handle is handed to the parser as a line iterator —
-        # the whole file is never read into memory (see parse_ntriples).
         with open(args.data) as fh:
-            lines = _progress_lines(fh, getattr(args, "progress_every", 0) or 0)
-            return DataGraph(parse_ntriples(lines))
-    from repro.datasets import graph_for
+            yield parse_ntriples(
+                _progress_lines(fh, getattr(args, "progress_every", 0))
+            )
+    else:
+        from repro.datasets import triples_for
 
-    try:
-        return graph_for(args.dataset, scale=args.scale)
-    except ValueError as exc:
-        raise SystemExit(str(exc))
+        yield triples_for(args.dataset, scale=args.scale)
 
 
 def _positive_int(text: str) -> int:
@@ -139,6 +141,21 @@ def _add_dataset_args(
             "building the offline layer from triples (replays and attaches "
             "the bundle's delta log)",
         )
+        _add_index_tier_arg(parser)
+
+
+def _add_index_tier_arg(parser: argparse.ArgumentParser) -> None:
+    """``--index-tier`` goes wherever ``--bundle`` goes: it says how a
+    bundle is served, and means nothing to a build."""
+    parser.add_argument(
+        "--index-tier",
+        choices=("memory", "mmap"),
+        default=None,
+        help="how --bundle serves the keyword index and triple store: "
+        "'memory' materializes them at load (default); 'mmap' reads the "
+        "queryable sections in place — cold start stays O(metadata) and "
+        "resident memory O(touched data)",
+    )
 
 
 #: Engine configuration applied when a flag is not given on the command
@@ -181,19 +198,17 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
         "scalar path; default: auto, or the bundle's setting with "
         "--bundle)",
     )
-    parser.add_argument(
-        "--index-tier",
-        choices=("memory", "mmap"),
-        default=None,
-        help="how --bundle serves the keyword index and triple store: "
-        "'memory' materializes them at load (default); 'mmap' reads the "
-        "format-v2 queryable sections in place — cold start stays "
-        "O(metadata) and resident memory O(touched data)",
-    )
 
 
 def _resolve_engine_args(args) -> None:
     """Fill unset engine flags with the stock defaults (non-bundle paths)."""
+    if getattr(args, "index_tier", None) == "mmap":
+        # The mmap tier reads bundle sections in place; there is nothing
+        # to map when the offline layer is derived fresh from triples.
+        raise SystemExit(
+            "repro: --index-tier mmap requires --bundle (build one with "
+            "`repro build` first)"
+        )
     for name, value in _ENGINE_DEFAULTS.items():
         if getattr(args, name) is None:
             setattr(args, name, value)
@@ -202,15 +217,7 @@ def _resolve_engine_args(args) -> None:
 def _build_engine(
     args, search_cache_size: int = 0, writer: bool = False
 ) -> KeywordSearchEngine:
-    index_tier = getattr(args, "index_tier", None)
-    if index_tier == "mmap" and not getattr(args, "bundle", None):
-        # The mmap tier reads bundle sections in place; there is nothing
-        # to map when the offline layer is built fresh in this process.
-        raise SystemExit(
-            "repro: --index-tier mmap requires --bundle (build one with "
-            "`repro build` first)"
-        )
-    if getattr(args, "bundle", None):
+    if args.bundle:
         from repro.storage import BundleError, WalError
 
         if args.data is not None or args.dataset != "example" or args.scale != 1000:
@@ -239,7 +246,7 @@ def _build_engine(
                 guided=args.guided,
                 use_vectorized=args.use_vectorized,
                 search_cache_size=search_cache_size,
-                index_tier=index_tier or "memory",
+                index_tier=args.index_tier or "memory",
             )
         except FileNotFoundError as exc:
             raise SystemExit(f"repro: --bundle: {exc}") from exc
@@ -265,7 +272,8 @@ def _build_engine(
         )
         return engine
     _resolve_engine_args(args)
-    graph = _load_graph(args)
+    with _triple_source(args) as triples:
+        graph = DataGraph(triples)
     print(f"# dataset: {graph}", file=sys.stderr)
     return KeywordSearchEngine(
         graph,
@@ -459,22 +467,41 @@ def _dispatch_overrides(args) -> dict:
         "guided": args.guided,
         "use_vectorized": args.use_vectorized,
         "search_cache_size": max(0, args.cache),
-        "index_tier": getattr(args, "index_tier", None),
+        "index_tier": args.index_tier,
     }
 
 
-def _stage_bundle(engine, prefix: str) -> str:
-    """Save a just-built engine as the temp bundle the workers will mmap.
+def _stream_bundle(args, path, **options) -> dict:
+    """Stream the triples the dataset flags name into the bundle builder,
+    under the configuration the engine flags name."""
+    from repro.storage import build_bundle_streaming
 
-    ``--workers N`` without ``--bundle`` still works: the offline layer is
-    built once in this process, staged to disk, and every worker maps the
-    staged artifact — the same shared-page-cache shape as a prebuilt one.
+    _resolve_engine_args(args)
+    with _triple_source(args) as triples:
+        return build_bundle_streaming(
+            triples,
+            path,
+            cost_model=args.cost_model,
+            k=args.k,
+            dmax=args.dmax,
+            guided=args.guided,
+            use_vectorized=args.use_vectorized,
+            **options,
+        )
+
+
+def _stage_bundle(args, prefix: str) -> str:
+    """Build the temp bundle the worker processes will mmap.
+
+    ``--workers N`` without ``--bundle`` still works: the triple source
+    is streamed into a staged bundle once and every worker maps that
+    artifact — the same shared-page-cache shape as a prebuilt one.
     """
     import tempfile
 
     directory = tempfile.mkdtemp(prefix=prefix)
     path = f"{directory}/staged.reprobundle"
-    info = engine.save(path)
+    info = _stream_bundle(args, path, search_cache_size=max(0, args.cache))
     print(
         f"# staged bundle for worker processes: {path} "
         f"({info['bytes']} bytes)",
@@ -492,21 +519,23 @@ def serve_command(argv) -> int:
     args = build_serve_parser().parse_args(argv)
     if args.workers < 0:
         raise SystemExit(f"repro serve: --workers must be >= 0, got {args.workers}")
-    engine = _build_engine(args, search_cache_size=max(0, args.cache), writer=True)
+    if args.workers > 0 and not args.bundle:
+        # No engine is built here: the dispatcher loads its writer from
+        # the staged bundle, so /update epochs are logged durably where
+        # the workers can replay them.
+        engine = None
+        bundle = _stage_bundle(args, "repro-serve-")
+    else:
+        engine = _build_engine(
+            args, search_cache_size=max(0, args.cache), writer=True
+        )
+        bundle = args.bundle
 
     if args.workers > 0:
-        bundle = getattr(args, "bundle", None)
-        dispatch_engine = engine
-        if not bundle:
-            bundle = _stage_bundle(engine, "repro-serve-")
-            # The built engine has no WAL; the dispatcher loads its writer
-            # from the staged bundle so /update epochs are logged durably
-            # where the workers can replay them.
-            dispatch_engine = None
         service = DispatchService(
             bundle,
             workers=args.workers,
-            engine=dispatch_engine,
+            engine=engine,
             overrides=_dispatch_overrides(args),
             max_pending=args.max_pending,
             max_queue_wait=args.max_queue_wait,
@@ -565,7 +594,7 @@ def _bench_queries(args, engine) -> list:
     # A bundle's contents are opaque to the dataset flags (which stay at
     # their defaults), so the curated per-dataset workloads would silently
     # benchmark no-match short-circuits; sample from the loaded data.
-    if args.data is None and not getattr(args, "bundle", None):
+    if args.data is None and not args.bundle:
         if args.dataset == "dblp":
             from repro.datasets.workloads import dblp_performance_queries
 
@@ -647,9 +676,9 @@ def bench_command(argv) -> int:
     client_counts = sorted(set(args.clients))
     max_pending = max(client_counts) * args.requests + 1
 
-    bundle = getattr(args, "bundle", None)
+    bundle = args.bundle
     if any(n > 0 for n in worker_counts) and not bundle:
-        bundle = _stage_bundle(engine, "repro-bench-")
+        bundle = _stage_bundle(args, "repro-bench-")
 
     # The full matrix: every worker tier crossed with every client count,
     # so `repro bench --clients 1,4 --workers 0,1,2,4` regenerates the
@@ -715,21 +744,20 @@ def build_build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="overwrite an existing bundle (refused otherwise)",
     )
-    parser.add_argument(
-        "--stream",
-        action="store_true",
-        help="out-of-core build: consume the triple source as an iterator "
-        "and spool intermediates to disk, so peak memory is bounded by the "
-        "keyword-class contexts + summary graph + the spill budget instead "
-        "of the corpus size",
-    )
+    # `--stream` chose the out-of-core builder when there were two.  There
+    # is one now, so the flag changes nothing; it still parses only because
+    # the benchmark harness (perf/workloads.py, frozen for this change)
+    # passes it.  A later `benchmark` PR drops it from both places.
+    parser.add_argument("--stream", action="store_true", help=argparse.SUPPRESS)
     parser.add_argument(
         "--spill-budget",
         type=_positive_int,
         default=64,
         metavar="MB",
-        help="with --stream: in-memory budget per sort/postings buffer "
-        "before spilling a sorted run to disk (default 64 MB)",
+        help="in-memory budget per sort/postings buffer before the build "
+        "spills a sorted run to disk (default 64 MB); peak memory is "
+        "bounded by the keyword-class contexts + summary graph + this "
+        "budget, not by the corpus size",
     )
     parser.add_argument(
         "--progress-every",
@@ -742,37 +770,28 @@ def build_build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _stream_triple_source(args):
-    """(context manager, triple iterator) for ``repro build --stream``.
-
-    Every branch returns a *lazy* source: a file handle parsed line by
-    line, or a dataset generator.  Nothing here materializes the corpus.
-    """
-    import contextlib
-
-    if args.data is not None:
-        fh = open(args.data)
-        lines = _progress_lines(fh, args.progress_every, label="parse")
-        return fh, parse_ntriples(lines)
-    if args.dataset == "lubm":
-        from repro.datasets import LubmConfig, iter_lubm_triples
-
-        config = LubmConfig(universities=max(1, args.scale // 1000))
-        return contextlib.nullcontext(), iter_lubm_triples(config)
-    # The remaining bundled datasets are small; iterating the generated
-    # graph keeps the streamed builder's input shape uniform.
-    return contextlib.nullcontext(), iter(_load_graph(args))
-
-
 def build_command(argv) -> int:
     from repro.storage import BundleError, WalError
 
     args = build_build_parser().parse_args(argv)
-    if args.stream:
-        return _stream_build_command(args)
-    engine = _build_engine(args)
+
+    def progress(count: int, elapsed: float) -> None:
+        rate = count / elapsed if elapsed > 0 else 0.0
+        print(
+            f"# build: {count:,} triples in {elapsed:.1f}s "
+            f"({rate:,.0f} triples/s)",
+            file=sys.stderr,
+        )
+
     try:
-        info = engine.save(args.output, force=args.force)
+        info = _stream_bundle(
+            args,
+            args.output,
+            force=args.force,
+            spill_budget_bytes=args.spill_budget * 1024 * 1024,
+            progress=progress,
+            progress_every=args.progress_every,
+        )
     except (BundleError, WalError) as exc:
         # WalError covers overwriting an artifact whose delta log another
         # engine currently holds — same clean refusal as `repro compact`.
@@ -781,51 +800,8 @@ def build_command(argv) -> int:
     print(
         f"# wrote {info['path']}: {info['bytes']} bytes, "
         f"{info['sections']} sections, format v{info['format_version']}, "
-        f"epoch {info['epoch']}",
-        file=sys.stderr,
-    )
-    return 0
-
-
-def _stream_build_command(args) -> int:
-    from repro.storage import BundleError, WalError, build_bundle_streaming
-
-    if getattr(args, "bundle", None):
-        raise SystemExit("repro build: --stream builds from triples, not --bundle")
-    _resolve_engine_args(args)
-
-    def progress(count: int, elapsed: float) -> None:
-        rate = count / elapsed if elapsed > 0 else 0.0
-        print(
-            f"# build --stream: {count:,} triples in {elapsed:.1f}s "
-            f"({rate:,.0f} triples/s)",
-            file=sys.stderr,
-        )
-
-    source, triples = _stream_triple_source(args)
-    try:
-        with source:
-            info = build_bundle_streaming(
-                triples,
-                args.output,
-                force=args.force,
-                cost_model=args.cost_model,
-                k=args.k,
-                dmax=args.dmax,
-                guided=args.guided,
-                use_vectorized=args.use_vectorized,
-                spill_budget_bytes=args.spill_budget * 1024 * 1024,
-                progress=progress,
-                progress_every=args.progress_every,
-            )
-    except (BundleError, WalError) as exc:
-        print(f"repro build: {exc}", file=sys.stderr)
-        return 1
-    print(
-        f"# wrote {info['path']}: {info['bytes']} bytes, "
-        f"{info['sections']} sections, format v{info['format_version']}, "
         f"epoch {info['epoch']} "
-        f"(streamed {info['triples']:,} triples, {info['terms']:,} terms, "
+        f"({info['triples']:,} triples, {info['terms']:,} terms, "
         f"{info['postings_runs']} posting runs, {info['build_seconds']:.1f}s)",
         file=sys.stderr,
     )
@@ -904,6 +880,7 @@ def _add_eval_engine_args(parser: argparse.ArgumentParser) -> None:
         help="deliberately invert the cost model's ranking — proves the "
         "regression gate fires (eval check must then exit nonzero)",
     )
+    _add_index_tier_arg(parser)
     _add_engine_args(parser)
 
 

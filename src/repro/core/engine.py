@@ -431,7 +431,7 @@ class KeywordSearchEngine:
     # Persistence (the offline layer as a durable artifact)
     # ------------------------------------------------------------------
 
-    def save(self, path, force: bool = False, **kwargs) -> Dict[str, object]:
+    def save(self, path, force: bool = False) -> Dict[str, object]:
         """Write the whole offline layer to a ``.reprobundle`` file.
 
         The bundle (``repro.storage``) holds the triple store, keyword
@@ -439,14 +439,38 @@ class KeywordSearchEngine:
         checksummed, pickle-free binary format keyed on the formal
         ``(summary version, keyword-index version)`` snapshot pair;
         :meth:`load` reconstitutes an engine that is byte-identical in
-        behavior to this one.  Refuses to overwrite an existing file
-        unless ``force``.  Returns an info dict (path, size, epoch).
-        Keyword arguments (``format_version``) pass through to
-        :func:`repro.storage.save_bundle`.
+        behavior to this one.  Saving is a streamed rebuild: the engine's
+        current triples and configuration go through the one bundle
+        builder (:func:`repro.storage.build_bundle_streaming`), so the
+        saved version counters are those of a fresh build of the same
+        triples while the epoch is this engine's.  Refuses to overwrite
+        an existing file unless ``force``.  Returns an info dict (path,
+        size, epoch, build statistics).
         """
-        from repro.storage import save_bundle
+        from repro.storage import UnsupportedEngineError, build_bundle_streaming
 
-        return save_bundle(self, path, force=force, **kwargs)
+        if not self.keyword_index.uses_default_analysis():
+            raise UnsupportedEngineError(
+                "the keyword index uses a custom analyzer or lexicon; bundles "
+                "store no code, so only the stock analysis chain round-trips"
+            )
+        cache = self._search_cache
+        return build_bundle_streaming(
+            self.graph.triples,
+            path,
+            force=force,
+            cost_model=self.cost_model,
+            k=self.k,
+            dmax=self.dmax,
+            strict_keywords=self.strict_keywords,
+            guided=self.guided,
+            search_cache_size=cache.maxsize if cache is not None else 0,
+            use_vectorized=self.use_vectorized,
+            graph_strict=self.graph.strict,
+            epoch=self.index_manager.epoch,
+            delta_log=self.delta_log,
+            **self.keyword_index.settings(),
+        )
 
     @classmethod
     def load(

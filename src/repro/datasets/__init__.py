@@ -7,10 +7,11 @@ DESIGN.md §4 for the substitution argument — plus the keyword-query
 workloads with ground-truth intent used by the Fig. 4/5/6 benchmarks.
 """
 
-from repro.datasets.example import running_example_graph
-from repro.datasets.dblp import generate_dblp, DblpConfig, DBLP
+from repro.datasets.example import running_example_graph, running_example_triples
+from repro.datasets.dblp import generate_dblp, dblp_triples, DblpConfig, DBLP
 from repro.datasets.lubm import generate_lubm, iter_lubm_triples, LubmConfig, UB
-from repro.datasets.tap import generate_tap, TapConfig, TAP
+from repro.datasets.tap import generate_tap, tap_triples, TapConfig, TAP
+from repro.rdf.graph import DataGraph
 from repro.datasets.workloads import (
     WorkloadQuery,
     IntentSpec,
@@ -28,26 +29,36 @@ from repro.datasets.workloads import (
 DATASET_NAMES = ("example", "dblp", "lubm", "tap")
 
 
-def graph_for(dataset: str, scale: int = 1000):
-    """Generate the named dataset at ``scale`` — the single source of
-    truth for how a dataset name maps to generator configuration, shared
-    by ``repro build``/``search`` and the quality harness so that a
-    bundle built via the CLI and a fresh eval build describe the same
-    graph."""
+def triples_for(dataset: str, scale: int = 1000):
+    """Lazily yield the named dataset's triples at ``scale`` — the single
+    source of truth for how a dataset name maps to generator
+    configuration.  ``repro build`` streams it into the bundle builder
+    and :func:`graph_for` (``repro search``, the quality harness) wraps it
+    in a :class:`DataGraph`, so a bundle built via the CLI and a fresh
+    eval build describe the same graph by construction.  Nothing is
+    generated before the first ``next()``; LUBM never holds more than one
+    department."""
     if dataset == "example":
-        return running_example_graph()
-    if dataset == "dblp":
-        return generate_dblp(DblpConfig(publications=scale))
-    if dataset == "lubm":
-        return generate_lubm(LubmConfig(universities=max(1, scale // 1000)))
-    if dataset == "tap":
-        return generate_tap(TapConfig())
-    raise ValueError(f"unknown dataset {dataset!r} (have: {DATASET_NAMES})")
+        yield from running_example_triples()
+    elif dataset == "dblp":
+        yield from dblp_triples(DblpConfig(publications=scale))
+    elif dataset == "lubm":
+        yield from iter_lubm_triples(LubmConfig(universities=max(1, scale // 1000)))
+    elif dataset == "tap":
+        yield from tap_triples(TapConfig())
+    else:
+        raise ValueError(f"unknown dataset {dataset!r} (have: {DATASET_NAMES})")
+
+
+def graph_for(dataset: str, scale: int = 1000) -> DataGraph:
+    """The named dataset at ``scale`` as a graph (see :func:`triples_for`)."""
+    return DataGraph(triples_for(dataset, scale))
 
 
 __all__ = [
     "DATASET_NAMES",
     "graph_for",
+    "triples_for",
     "running_example_graph",
     "generate_dblp",
     "DblpConfig",

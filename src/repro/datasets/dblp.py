@@ -80,8 +80,8 @@ DECOY_CONFERENCE_NAMES = (
 )
 
 
-def generate_dblp(config: DblpConfig = DblpConfig()) -> DataGraph:
-    """Generate the dataset deterministically for a given config."""
+def dblp_triples(config: DblpConfig = DblpConfig()) -> List[Triple]:
+    """The dataset's triples, deterministic for a given config."""
     rng = random.Random(config.seed)
     triples: List[Triple] = []
     t = RDF.type
@@ -231,4 +231,9 @@ def generate_dblp(config: DblpConfig = DblpConfig()) -> DataGraph:
             if citing != cited:
                 triples.append(Triple(citing, DBLP.cites, cited))
 
-    return DataGraph(triples)
+    return triples
+
+
+def generate_dblp(config: DblpConfig = DblpConfig()) -> DataGraph:
+    """Generate the dataset deterministically for a given config."""
+    return DataGraph(dblp_triples(config))

@@ -9,6 +9,8 @@ conjunctive query of Fig. 1c.
 
 from __future__ import annotations
 
+from typing import List
+
 from repro.rdf.graph import DataGraph
 from repro.rdf.namespace import Namespace, RDF, RDFS
 from repro.rdf.terms import Literal, URI
@@ -18,11 +20,11 @@ from repro.rdf.triples import Triple
 EX = Namespace("http://example.org/aifb/")
 
 
-def running_example_graph() -> DataGraph:
-    """Build the Fig. 1a data graph."""
+def running_example_triples() -> List[Triple]:
+    """The triples of the Fig. 1a data graph."""
     t = RDF.type
     sub = RDFS.subClassOf
-    triples = [
+    return [
         Triple(EX.pro2URI, t, EX.Project),
         Triple(EX.pro1URI, t, EX.Project),
         Triple(EX.pro1URI, EX.name, Literal("X-Media")),
@@ -46,4 +48,8 @@ def running_example_graph() -> DataGraph:
         # Connections the paper's intro discusses for the X-Media query.
         Triple(EX.pub1URI, EX.hasProject, EX.pro1URI),
     ]
-    return DataGraph(triples)
+
+
+def running_example_graph() -> DataGraph:
+    """Build the Fig. 1a data graph."""
+    return DataGraph(running_example_triples())

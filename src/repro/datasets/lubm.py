@@ -10,7 +10,7 @@ relation structure LUBM(50,0) exercises in the paper's Fig. 6b.
 :func:`iter_lubm_triples` is the streaming form: it yields the exact same
 triple sequence :func:`generate_lubm` materializes (asserted by test), with
 memory bounded by one department's entities — the out-of-core build path
-(`repro build --stream`) consumes it directly so million-triple scales never
+(`repro build`) consumes it directly so million-triple scales never
 instantiate a :class:`~repro.rdf.graph.DataGraph` first.
 """
 

@@ -124,8 +124,8 @@ _RELATIONS: Sequence[Tuple[str, str, str]] = (
 )
 
 
-def generate_tap(config: TapConfig = TapConfig()) -> DataGraph:
-    """Generate the TAP-style graph deterministically."""
+def tap_triples(config: TapConfig = TapConfig()) -> List[Triple]:
+    """The TAP-style graph's triples, deterministic for a given config."""
     rng = random.Random(config.seed)
     triples: List[Triple] = []
     t = RDF.type
@@ -186,4 +186,9 @@ def generate_tap(config: TapConfig = TapConfig()) -> DataGraph:
     triples.append(Triple(karlsruhe, TAP.locatedIn, germany))
     triples.append(Triple(TAP["Franz_Kafka"], TAP.wrote, instances["Book"][0]))
 
-    return DataGraph(triples)
+    return triples
+
+
+def generate_tap(config: TapConfig = TapConfig()) -> DataGraph:
+    """Generate the TAP-style graph deterministically."""
+    return DataGraph(tap_triples(config))

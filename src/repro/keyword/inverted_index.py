@@ -73,11 +73,6 @@ class InvertedIndex:
     # Persistence (used by repro.storage)
     # ------------------------------------------------------------------
 
-    def state_for_persistence(self) -> Dict[str, object]:
-        """Read-only references to the postings and the reverse map
-        (``_indexed_elements`` is derivable as the reverse map's keys)."""
-        return {"postings": self._postings, "element_terms": self._element_terms}
-
     @classmethod
     def from_state(
         cls,

@@ -380,17 +380,13 @@ class KeywordIndex:
             and self._lexicon is DEFAULT_LEXICON
         )
 
-    def state_for_persistence(self) -> Dict[str, object]:
-        """Read-only references to the state :meth:`from_state` restores."""
+    def settings(self) -> Dict[str, object]:
+        """The constructor settings a bundle header records, under their
+        constructor names (the bundle builder takes them by the same)."""
         return {
-            "version": self.version,
             "fuzzy_max_distance": self._fuzzy_max_distance,
-            "max_matches": self._max_matches,
+            "max_matches_per_keyword": self._max_matches,
             "lookup_cache_size": self._lookup_cache.maxsize,
-            "build_seconds": self.build_seconds,
-            "index": self._index.state_for_persistence(),
-            "attribute_class_refs": self._attribute_class_refs,
-            "value_occurrence_refs": self._value_occurrence_refs,
         }
 
     @classmethod

@@ -627,35 +627,10 @@ class DataGraph:
     # restored graph is search- and maintenance-equivalent to a rebuilt
     # one.
 
-    def state_for_persistence(self) -> Dict[str, object]:
-        """Live references to the state :meth:`from_state` needs back.
-
-        Callers must treat every container as read-only; the dict exists
-        so the storage codec owns the byte format while this class owns
-        the field list.
-        """
-        return {
-            "strict": self.strict,
-            "conflicts": self.conflicts,
-            "triples": self._triples,
-            "entity_refs": self._entity_refs,
-            "class_refs": self._class_refs,
-            "value_refs": self._value_refs,
-            "type_pair_refs": self._type_pair_refs,
-            "subclass_pair_refs": self._subclass_pair_refs,
-            "out": self._out,
-            "in": self._in,
-            "relation_triples": self._relation_triples,
-            "attribute_triples": self._attribute_triples,
-            "labels": self._labels,
-            "label_rank": self._label_rank,
-            "type_pred_counts": self._type_pred_counts,
-            "subclass_pred_counts": self._subclass_pred_counts,
-        }
-
     @classmethod
     def from_state(cls, state: Dict[str, object]) -> "DataGraph":
-        """Reconstitute a graph from :meth:`state_for_persistence` shapes.
+        """Reconstitute a graph from the bundle loader's decoded state
+        (one entry per field read below).
 
         The containers are adopted, not copied (the caller — the bundle
         loader — built them for this purpose): ``out``/``in`` must map

@@ -155,7 +155,7 @@ def parse_ntriples(source: Union[str, TextIO, Iterable[str]]) -> Iterator[Triple
     ``.read()`` is never called and no list of lines is ever built, so an
     open file handle (or any lazy line generator) parses in O(1) memory
     regardless of corpus size.  Errors carry the 1-based line number and
-    column.  The out-of-core build path (``repro build --stream``) feeds
+    column.  The out-of-core build path (``repro build``) feeds
     file handles through here directly.
 
     >>> list(parse_ntriples('<a:s> <a:p> "v" .'))

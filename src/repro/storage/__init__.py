@@ -4,22 +4,22 @@ The paper's economics — one offline indexing pass amortized over many
 online queries — only materialize when the offline product *survives the
 process*.  This package provides that lifecycle:
 
-* :func:`save_bundle` / :func:`load_bundle` — the versioned, pickle-free,
-  checksummed ``.reprobundle`` container holding the triple store,
-  keyword index, summary graph, and mmap-backed CSR substrate;
+* :func:`build_bundle_streaming` — the one writer of the versioned,
+  pickle-free, checksummed ``.reprobundle`` container (triple store,
+  keyword index, summary graph, mmap-backed CSR substrate): triple
+  iterator in, bundle out, peak RSS bounded by the hot structures plus
+  the spill budget instead of the corpus.  ``repro build``,
+  ``KeywordSearchEngine.save`` and :func:`compact_bundle` all call it;
+* :func:`load_bundle` — the reader of that container;
 * :func:`load_engine` — bundle → ready
   :class:`~repro.core.engine.KeywordSearchEngine` (what
   ``KeywordSearchEngine.load`` and the CLI's ``--bundle`` call);
 * :class:`DeltaLog` — the write-ahead N-Triples delta log that makes
   update epochs restart-safe;
 * :func:`compact_bundle` — folds the log back into a fresh bundle;
-* :func:`build_bundle_streaming` — the out-of-core build path
-  (``repro build --stream``): triple iterator in, bundle out, peak RSS
-  bounded by the hot structures plus the spill budget instead of the
-  corpus;
 * :mod:`repro.storage.mmap_tier` — the out-of-core *serving* path
   (``load_engine(..., index_tier="mmap")``): disk-resident readers over
-  the format-v2 queryable sections, so a loaded engine's cold start is
+  the queryable sections, so a loaded engine's cold start is
   O(metadata) and its resident set O(touched data).
 
 ``repro build`` / ``repro compact`` and the ``--bundle`` option of
@@ -30,12 +30,10 @@ from repro.storage.bundle import (
     BUNDLE_SUFFIX,
     FORMAT_VERSION,
     MAGIC,
-    SUPPORTED_FORMAT_VERSIONS,
     BundleWriter,
     compact_bundle,
     load_bundle,
     load_engine,
-    save_bundle,
 )
 from repro.storage.mmap_tier import (
     MmapInvertedIndex,
@@ -70,12 +68,10 @@ __all__ = [
     "MmapTermDictionary",
     "MmapTermTable",
     "MmapTripleTier",
-    "SUPPORTED_FORMAT_VERSIONS",
     "WalCursor",
     "UnsupportedEngineError",
     "WalError",
     "compact_bundle",
     "load_bundle",
     "load_engine",
-    "save_bundle",
 ]

@@ -1,4 +1,4 @@
-"""The versioned on-disk index bundle: build → save → mmap → load.
+"""The versioned on-disk index bundle: the format, its container, its loader.
 
 A ``.reprobundle`` file is the whole offline layer of one engine —
 triple store, keyword index, summary graph, and the CSR exploration
@@ -31,6 +31,10 @@ The loaded engine is **equivalent by construction and identical by
 test**: ``tests/property/test_persistence_identity.py`` asserts
 ``load(save(engine))`` reproduces a freshly built engine's ``search()``
 output byte for byte, including after a WAL tail replay.
+
+This module *reads* the format; the one piece of code that writes it is
+:func:`repro.storage.stream_build.build_bundle_streaming`, which fills
+the :class:`BundleWriter` container defined here section by section.
 """
 
 from __future__ import annotations
@@ -42,10 +46,8 @@ import struct
 import time
 import zlib
 from collections import defaultdict
-from itertools import chain
 from typing import Dict, List, Optional, Tuple
 
-from repro import __version__
 from repro.keyword.inverted_index import InvertedIndex
 from repro.keyword.keyword_index import KeywordIndex
 from repro.rdf.terms import Literal, Term, URI
@@ -62,22 +64,13 @@ from repro.summary.substrate import ExplorationSubstrate
 from repro.summary.summary_graph import SummaryGraph
 
 from repro.storage.codec import (
-    ELEMENT_CODE,
     ELEMENT_KINDS,
-    Interner,
     Reader,
-    TermInterner,
     decode_grouping,
     decode_raw_ids,
     decode_strings,
     decode_terms,
-    encode_grouping,
-    encode_ids,
-    encode_raw_ids,
-    encode_strings,
-    encode_term_record,
     fsync_directory,
-    term_order_key,
 )
 from repro.storage.errors import (
     BundleChecksumError,
@@ -89,26 +82,22 @@ from repro.storage.errors import (
 from repro.storage.lazy import LazyDataGraph, LazyTripleStore
 
 MAGIC = b"RPROBNDL"
-#: Bump on any change to the section layout or encodings.  Version 2
-#: added the queryable mmap-tier sections (sorted term/vocab offset
-#: tables, posting runs, SPO/POS/OSP triple runs) as a superset of the
-#: version-1 layout, so readers accept both — version-1 bundles simply
-#: cannot serve ``index_tier="mmap"``.
+#: Bump on any change to the section layout or encodings.  The one
+#: version this release writes is the one version it reads: version 2
+#: carries the materializable sections (``store.*``, ``kindex.*``) next
+#: to the queryable mmap-tier ones (sorted term/vocab offset tables,
+#: posting runs, SPO/POS/OSP triple runs), so every bundle serves both
+#: index tiers.  Anything else is refused with a rebuild hint.
 FORMAT_VERSION = 2
-SUPPORTED_FORMAT_VERSIONS = (1, 2)
 
 #: Conventional file extension (the CLI and docs use it; the reader only
 #: trusts the magic).
 BUNDLE_SUFFIX = ".reprobundle"
 
 _U32 = struct.Struct("<I")
-_U64 = struct.Struct("<Q")
 
-# Stable wire codes for the element/edge/vertex kinds.  The element
-# codes live in the codec (the mmap tier decodes against them); the
-# underscored names are the bundle-internal aliases other modules import.
-_ELEMENT_KINDS = ELEMENT_KINDS
-_ELEMENT_CODE = ELEMENT_CODE
+# Stable wire codes for the edge/vertex kinds (the element codes live in
+# the codec: the mmap tier decodes against them too).
 _VERTEX_KINDS = (
     SummaryVertexKind.CLASS,
     SummaryVertexKind.THING,
@@ -168,13 +157,8 @@ def persistable_cost_model_name(model: CostModel) -> str:
 
 
 # ----------------------------------------------------------------------
-# Encoding helpers over interned ids
+# Decoding helpers over interned ids
 # ----------------------------------------------------------------------
-
-
-def _encode_count_pairs(mapping, key_id) -> bytes:
-    """``{key: int}`` → interleaved ``(key id, count)`` blob."""
-    return encode_ids(chain.from_iterable((key_id(k), c) for k, c in mapping.items()))
 
 
 def _decode_count_pairs(reader: Reader, terms) -> Dict:
@@ -183,29 +167,10 @@ def _decode_count_pairs(reader: Reader, terms) -> Dict:
     return {terms[k]: c for k, c in zip(it, it)}
 
 
-def _encode_pair_refs(mapping, key_id) -> bytes:
-    """``{(a, b): int}`` → interleaved ``(a, b, count)`` blob."""
-    return encode_ids(
-        chain.from_iterable((key_id(a), key_id(b), c) for (a, b), c in mapping.items())
-    )
-
-
 def _decode_pair_refs(reader: Reader, terms) -> Dict:
     flat = reader.ids()
     it = iter(flat)
     return {(terms[a], terms[b]): c for a, b, c in zip(it, it, it)}
-
-
-def _encode_adjacency(mapping, key_id) -> bytes:
-    """``{vertex: {(pred, other): None}}`` → grouping with (pred, other)
-    pairs flattened into the value blob."""
-    return encode_grouping(
-        (
-            key_id(vertex),
-            chain.from_iterable((key_id(p), key_id(o)) for p, o in pairs),
-        )
-        for vertex, pairs in mapping.items()
-    )
 
 
 def _decode_adjacency(reader: Reader, terms) -> Dict:
@@ -219,14 +184,6 @@ def _decode_adjacency(reader: Reader, terms) -> Dict:
     return out
 
 
-def _encode_triple_buckets(mapping, key_id, triple_index) -> bytes:
-    """``{pred: {Triple: None}}`` → grouping of triple indices."""
-    return encode_grouping(
-        (key_id(pred), (triple_index[t] for t in bucket))
-        for pred, bucket in mapping.items()
-    )
-
-
 def _decode_triple_buckets(reader: Reader, terms, triples) -> Dict:
     keys, offsets, values = decode_grouping(reader)
     triple_of = triples.__getitem__
@@ -234,15 +191,6 @@ def _decode_triple_buckets(reader: Reader, terms, triples) -> Dict:
         terms[k]: dict.fromkeys(map(triple_of, values[offsets[i] : offsets[i + 1]]))
         for i, k in enumerate(keys)
     }
-
-
-def _encode_labels(labels, label_rank, key_id) -> bytes:
-    out = [struct.pack("<Q", len(labels))]
-    for term, text in labels.items():
-        data = text.encode("utf-8")
-        out.append(struct.pack("<QQI", key_id(term), label_rank[term], len(data)))
-        out.append(data)
-    return b"".join(out)
 
 
 def _decode_labels(reader: Reader, terms) -> Tuple[Dict, Dict]:
@@ -255,30 +203,6 @@ def _decode_labels(reader: Reader, terms) -> Tuple[Dict, Dict]:
         labels[term] = reader.string()
         ranks[term] = rank
     return labels, ranks
-
-
-def _encode_two_level(mapping, key_id) -> bytes:
-    """``{a: {b: iterable-of-c}}`` → five id blobs (the triple-store
-    index shape)."""
-    outer: List[int] = []
-    outer_offsets: List[int] = [0]
-    inner: List[int] = []
-    inner_offsets: List[int] = [0]
-    leaf: List[int] = []
-    for a, inner_map in mapping.items():
-        outer.append(key_id(a))
-        for b, cs in inner_map.items():
-            inner.append(key_id(b))
-            leaf.extend(key_id(c) for c in cs)
-            inner_offsets.append(len(leaf))
-        outer_offsets.append(len(inner))
-    return (
-        encode_ids(outer)
-        + encode_ids(outer_offsets)
-        + encode_ids(inner)
-        + encode_ids(inner_offsets)
-        + encode_ids(leaf)
-    )
 
 
 def _decode_two_level(reader: Reader, terms):
@@ -305,7 +229,7 @@ def _decode_two_level(reader: Reader, terms):
 
 
 # ----------------------------------------------------------------------
-# Save
+# The container writer
 # ----------------------------------------------------------------------
 
 
@@ -343,13 +267,11 @@ class BundleWriter:
     produced — each framed 8-aligned with its checksum computed on the
     fly — and :meth:`finish` prepends the prelude + header, copies the
     spool across in bounded chunks, and atomically publishes the bundle
-    via ``os.replace``.  Both the in-memory :func:`save_bundle` and the
-    out-of-core streaming build write through this class, so neither
-    path ever holds the concatenated payload in memory.
+    via ``os.replace``, so the concatenated payload is never held in
+    memory.  Its one caller is the streaming builder.
 
     ``finish`` also supersedes any delta log sitting next to the target
-    path (see the comment inside), preserving :func:`save_bundle`'s WAL
-    semantics for every producer of bundles.
+    path (see the comment inside).
     """
 
     def __init__(self, path, force: bool = False):
@@ -396,27 +318,14 @@ class BundleWriter:
         self._offset += sec.length + padding
         self._open_section = None
 
-    def finish(
-        self,
-        meta: Dict[str, object],
-        engine_log=None,
-        format_version: int = FORMAT_VERSION,
-    ) -> Dict[str, object]:
+    def finish(self, meta: Dict[str, object], engine_log=None) -> Dict[str, object]:
         """Write the final bundle and publish it atomically.
 
         ``meta`` is the header dict *without* the section table (added
         here).  ``engine_log`` is the saving engine's attached delta log,
         if any — used for the post-replace WAL truncation instead of the
         sibling-lock guard when it is live and co-located.
-        ``format_version`` stamps the prelude — callers that skip the
-        version-2 queryable sections pass 1 so readers know not to look
-        for them.
         """
-        if format_version not in SUPPORTED_FORMAT_VERSIONS:
-            raise ValueError(
-                f"unsupported bundle format version {format_version!r} "
-                f"(supported: {SUPPORTED_FORMAT_VERSIONS})"
-            )
         if self._open_section is not None:
             raise ValueError(f"section {self._open_section.name!r} is still open")
         self._fh.close()
@@ -457,7 +366,7 @@ class BundleWriter:
         try:
             with open(tmp_path, "wb") as fh:
                 fh.write(MAGIC)
-                fh.write(_U32.pack(format_version))
+                fh.write(_U32.pack(FORMAT_VERSION))
                 fh.write(_U32.pack(len(header)))
                 fh.write(header)
                 fh.write(b"\x00" * header_padding)
@@ -489,7 +398,7 @@ class BundleWriter:
             "path": self.path,
             "bytes": len(MAGIC) + 8 + len(header) + header_padding + self._offset,
             "sections": len(self._table),
-            "format_version": format_version,
+            "format_version": FORMAT_VERSION,
             "epoch": meta.get("snapshot", {}).get("epoch", 0),
         }
 
@@ -500,449 +409,6 @@ class BundleWriter:
             self._fh = None
         if os.path.exists(self._payload_path):
             os.unlink(self._payload_path)
-
-
-def save_bundle(
-    engine, path, force: bool = False, *, format_version: int = FORMAT_VERSION
-) -> Dict[str, object]:
-    """Serialize an engine's offline layer to ``path``.
-
-    Refuses to overwrite an existing file unless ``force`` (the CLI's
-    ``repro build`` surfaces this as its ``--force`` guard).  The write
-    goes through a same-directory temporary file and ``os.replace`` so a
-    crash never leaves a half-written bundle under the final name.
-
-    ``format_version=1`` writes the legacy layout without the queryable
-    mmap-tier sections — the compatibility tests use it to produce old
-    bundles; production callers take the default.
-
-    Returns a small info dict (path, bytes written, section count,
-    format version, epoch).
-    """
-    if format_version not in SUPPORTED_FORMAT_VERSIONS:
-        raise ValueError(
-            f"unsupported bundle format version {format_version!r} "
-            f"(supported: {SUPPORTED_FORMAT_VERSIONS})"
-        )
-    path = os.fspath(path)
-    if os.path.exists(path) and not force:
-        raise BundleExistsError(
-            f"refusing to overwrite existing bundle {path!r} (pass force=True / --force)"
-        )
-    keyword_index = engine.keyword_index
-    if not keyword_index.uses_default_analysis():
-        raise UnsupportedEngineError(
-            "the keyword index uses a custom analyzer or lexicon; bundles "
-            "store no code, so only the stock analysis chain round-trips"
-        )
-    cost_model_name = persistable_cost_model_name(engine.cost_model)
-
-    interner = TermInterner()
-    term_id = interner.id
-    graph_state = engine.graph.state_for_persistence()
-    triples: List[Triple] = list(graph_state["triples"])
-    triple_index = {t: i for i, t in enumerate(triples)}
-
-    sections: List[Tuple[str, bytes]] = []
-    add = sections.append
-
-    add(
-        (
-            "triples",
-            encode_ids(
-                chain.from_iterable(
-                    (term_id(t.subject), term_id(t.predicate), term_id(t.object))
-                    for t in triples
-                )
-            ),
-        )
-    )
-
-    # -- data graph ----------------------------------------------------
-    add(("graph.entity_refs", _encode_count_pairs(graph_state["entity_refs"], term_id)))
-    add(("graph.class_refs", _encode_count_pairs(graph_state["class_refs"], term_id)))
-    add(("graph.value_refs", _encode_count_pairs(graph_state["value_refs"], term_id)))
-    add(("graph.type_pairs", _encode_pair_refs(graph_state["type_pair_refs"], term_id)))
-    add(
-        (
-            "graph.subclass_pairs",
-            _encode_pair_refs(graph_state["subclass_pair_refs"], term_id),
-        )
-    )
-    add(("graph.out", _encode_adjacency(graph_state["out"], term_id)))
-    add(("graph.in", _encode_adjacency(graph_state["in"], term_id)))
-    add(
-        (
-            "graph.relation_triples",
-            _encode_triple_buckets(
-                graph_state["relation_triples"], term_id, triple_index
-            ),
-        )
-    )
-    add(
-        (
-            "graph.attribute_triples",
-            _encode_triple_buckets(
-                graph_state["attribute_triples"], term_id, triple_index
-            ),
-        )
-    )
-    add(
-        (
-            "graph.labels",
-            _encode_labels(graph_state["labels"], graph_state["label_rank"], term_id),
-        )
-    )
-    add(
-        (
-            "graph.type_pred_counts",
-            _encode_count_pairs(graph_state["type_pred_counts"], term_id),
-        )
-    )
-    add(
-        (
-            "graph.subclass_pred_counts",
-            _encode_count_pairs(graph_state["subclass_pred_counts"], term_id),
-        )
-    )
-
-    # -- triple store --------------------------------------------------
-    store_state = engine.store.state_for_persistence()
-    add(("store.spo", _encode_two_level(store_state["spo"], term_id)))
-    add(("store.pos", _encode_two_level(store_state["pos"], term_id)))
-    add(("store.osp", _encode_two_level(store_state["osp"], term_id)))
-    if format_version >= 2:
-        # Queryable triple runs: the same triple set as flat sorted id
-        # rows, binary-searchable by prefix without decoding (the mmap
-        # tier's whole point).
-        spo_rows = sorted(
-            (term_id(s), term_id(p), term_id(o))
-            for s, po in store_state["spo"].items()
-            for p, objs in po.items()
-            for o in objs
-        )
-        add(("store2.spo", encode_raw_ids(chain.from_iterable(spo_rows))))
-        add(
-            (
-                "store2.pos",
-                encode_raw_ids(
-                    chain.from_iterable(sorted((p, o, s) for s, p, o in spo_rows))
-                ),
-            )
-        )
-        add(
-            (
-                "store2.osp",
-                encode_raw_ids(
-                    chain.from_iterable(sorted((o, s, p) for s, p, o in spo_rows))
-                ),
-            )
-        )
-
-    # -- keyword index -------------------------------------------------
-    kindex_state = keyword_index.state_for_persistence()
-    postings = kindex_state["index"]["postings"]
-    element_terms = kindex_state["index"]["element_terms"]
-
-    vocab = Interner()
-    vocab_id = vocab.id
-    element_interner = Interner()
-    element_id = element_interner.id
-
-    postings_blob = encode_grouping(
-        (
-            vocab_id(text),
-            chain.from_iterable(
-                (element_id(el), tf, total) for el, (tf, total) in bucket.items()
-            ),
-        )
-        for text, bucket in postings.items()
-    )
-    element_terms_blob = encode_grouping(
-        (element_id(el), (vocab_id(t) for t in terms_of))
-        for el, terms_of in element_terms.items()
-    )
-    add(("kindex.vocab", encode_strings(vocab.items)))
-    add(
-        (
-            "kindex.elements",
-            encode_ids(
-                chain.from_iterable(
-                    (_ELEMENT_CODE[kind], term_id(term))
-                    for kind, term in element_interner.items
-                )
-            ),
-        )
-    )
-    add(("kindex.postings", postings_blob))
-    add(("kindex.element_terms", element_terms_blob))
-    add(
-        (
-            "kindex.attr_class_refs",
-            encode_grouping(
-                (
-                    term_id(label),
-                    chain.from_iterable(
-                        (-1 if cls is None else term_id(cls), count)
-                        for cls, count in refs.items()
-                    ),
-                )
-                for label, refs in kindex_state["attribute_class_refs"].items()
-            ),
-        )
-    )
-    add(
-        (
-            "kindex.value_occ_refs",
-            encode_grouping(
-                (
-                    term_id(value),
-                    chain.from_iterable(
-                        (term_id(label), -1 if cls is None else term_id(cls), count)
-                        for (label, cls), count in refs.items()
-                    ),
-                )
-                for value, refs in kindex_state["value_occurrence_refs"].items()
-            ),
-        )
-    )
-
-    if format_version >= 2:
-        # Queryable keyword sections: vocabulary offset table + sorted
-        # permutation (binary-searchable term dictionary), posting lists
-        # as per-vocab-id int64 runs, element lookup and element→terms
-        # runs (the unindex path), and the refcount groupings re-keyed by
-        # sorted term id for bisection.
-        vocab_offsets = [8]
-        for text in vocab.items:
-            vocab_offsets.append(vocab_offsets[-1] + 4 + len(text.encode("utf-8")))
-        add(("kindex2.vocab.offsets", encode_raw_ids(vocab_offsets)))
-        add(
-            (
-                "kindex2.vocab.sorted",
-                encode_raw_ids(
-                    sorted(range(len(vocab.items)), key=vocab.items.__getitem__)
-                ),
-            )
-        )
-        run_offsets = [0]
-        runs: List[int] = []
-        for bucket in postings.values():
-            for el, (tf, total) in bucket.items():
-                runs.extend((element_id(el), tf, total))
-            run_offsets.append(len(runs) // 3)
-        while len(run_offsets) < len(vocab.items) + 1:
-            run_offsets.append(run_offsets[-1])
-        add(("kindex2.postings.offsets", encode_raw_ids(run_offsets)))
-        add(("kindex2.postings.runs", encode_raw_ids(runs)))
-        element_sort_keys = [
-            (_ELEMENT_CODE[kind], term_id(term))
-            for kind, term in element_interner.items
-        ]
-        add(
-            (
-                "kindex2.elements.sorted",
-                encode_raw_ids(
-                    sorted(
-                        range(len(element_sort_keys)),
-                        key=element_sort_keys.__getitem__,
-                    )
-                ),
-            )
-        )
-        runs_by_eid: List[List[int]] = [[] for _ in element_interner.items]
-        for el, terms_of in element_terms.items():
-            runs_by_eid[element_id(el)] = [vocab_id(t) for t in terms_of]
-        eterm_offsets = [0]
-        eterm_runs: List[int] = []
-        for run in runs_by_eid:
-            eterm_runs.extend(run)
-            eterm_offsets.append(len(eterm_runs))
-        add(("kindex2.element_terms.offsets", encode_raw_ids(eterm_offsets)))
-        add(("kindex2.element_terms.runs", encode_raw_ids(eterm_runs)))
-        add(
-            (
-                "kindex2.attr_refs",
-                encode_grouping(
-                    sorted(
-                        (
-                            (
-                                term_id(label),
-                                list(
-                                    chain.from_iterable(
-                                        (-1 if cls is None else term_id(cls), count)
-                                        for cls, count in refs.items()
-                                    )
-                                ),
-                            )
-                            for label, refs in kindex_state[
-                                "attribute_class_refs"
-                            ].items()
-                        ),
-                        key=lambda kv: kv[0],
-                    )
-                ),
-            )
-        )
-        add(
-            (
-                "kindex2.value_refs",
-                encode_grouping(
-                    sorted(
-                        (
-                            (
-                                term_id(value),
-                                list(
-                                    chain.from_iterable(
-                                        (
-                                            term_id(label),
-                                            -1 if cls is None else term_id(cls),
-                                            count,
-                                        )
-                                        for (label, cls), count in refs.items()
-                                    )
-                                ),
-                            )
-                            for value, refs in kindex_state[
-                                "value_occurrence_refs"
-                            ].items()
-                        ),
-                        key=lambda kv: kv[0],
-                    )
-                ),
-            )
-        )
-
-    # -- summary graph + substrate ------------------------------------
-    summary_state = engine.summary.state_for_persistence()
-    vertices: List[SummaryVertex] = list(summary_state["vertices"].values())
-    vertex_index = {v.key: i for i, v in enumerate(vertices)}
-
-    def vertex_term_id(vertex: SummaryVertex) -> int:
-        # The identifying term lives in the key (for artificial vertices
-        # `vertex.term` is None while the key still carries the label).
-        if vertex.kind is SummaryVertexKind.THING:
-            return -1
-        return term_id(vertex.key[1])
-
-    add(
-        (
-            "summary.vertices",
-            encode_ids(
-                chain.from_iterable(
-                    (_VERTEX_CODE[v.kind], vertex_term_id(v), v.agg_count)
-                    for v in vertices
-                )
-            ),
-        )
-    )
-    add(
-        (
-            "summary.edges",
-            encode_ids(
-                chain.from_iterable(
-                    (
-                        term_id(e.label),
-                        _EDGE_CODE[e.kind],
-                        vertex_index[e.source_key],
-                        vertex_index[e.target_key],
-                        e.agg_count,
-                    )
-                    for e in summary_state["edges"].values()
-                )
-            ),
-        )
-    )
-
-    substrate = engine.summary.exploration_substrate()
-    add(("substrate.offsets", encode_raw_ids(substrate.offsets)))
-    add(("substrate.targets", encode_raw_ids(substrate.targets)))
-
-    # The term table is interned last but read first.
-    term_records = [encode_term_record(t, term_id) for t in interner.terms]
-    sections.insert(
-        0, ("terms", _U64.pack(len(term_records)) + b"".join(term_records))
-    )
-    if format_version >= 2:
-        # Byte offsets of each record within the terms section (first
-        # record sits past the 8-byte count prefix) and the order-key
-        # permutation — together they make the table binary-searchable
-        # without decoding it.
-        term_offsets = [8]
-        for record in term_records:
-            term_offsets.append(term_offsets[-1] + len(record))
-        add(("terms.offsets", encode_raw_ids(term_offsets)))
-        add(
-            (
-                "terms.sorted",
-                encode_raw_ids(
-                    sorted(
-                        range(len(interner.terms)),
-                        key=lambda i: term_order_key(interner.terms[i], term_id),
-                    )
-                ),
-            )
-        )
-
-    meta = {
-        "writer": f"repro {__version__}",
-        "snapshot": {
-            "summary_version": engine.summary.snapshot_key,
-            "index_version": keyword_index.snapshot_key,
-            "epoch": engine.index_manager.epoch,
-        },
-        "engine": {
-            "cost_model": cost_model_name,
-            "k": engine.k,
-            "dmax": engine.dmax,
-            "strict_keywords": engine.strict_keywords,
-            "guided": engine.guided,
-            "search_cache_size": (
-                engine._search_cache.maxsize if engine._search_cache is not None else 0
-            ),
-            "use_vectorized": engine.use_vectorized,
-        },
-        "graph": {
-            "strict": graph_state["strict"],
-            "conflicts": list(graph_state["conflicts"]),
-            # Cheap structural counts, so a lazily loaded graph can serve
-            # len()/stats() without materializing its heavy state.
-            "stats": engine.graph.stats(),
-        },
-        "kindex": {
-            "version": kindex_state["version"],
-            "fuzzy_max_distance": kindex_state["fuzzy_max_distance"],
-            "max_matches": kindex_state["max_matches"],
-            "lookup_cache_size": kindex_state["lookup_cache_size"],
-            "build_seconds": kindex_state["build_seconds"],
-        },
-        "summary": {
-            "version": summary_state["version"],
-            "total_entities": summary_state["total_entities"],
-            "total_relation_edges": summary_state["total_relation_edges"],
-            "total_attribute_edges": summary_state["total_attribute_edges"],
-            "build_seconds": summary_state["build_seconds"],
-        },
-        "counts": {
-            "terms": len(interner),
-            "triples": len(triples),
-            "summary_vertices": len(vertices),
-            "summary_edges": len(summary_state["edges"]),
-        },
-    }
-
-    writer = BundleWriter(path, force=force)
-    try:
-        for name, payload in sections:
-            writer.add_section(name, payload)
-        return writer.finish(
-            meta,
-            engine_log=getattr(engine, "delta_log", None),
-            format_version=format_version,
-        )
-    except BaseException:
-        writer.abort()
-        raise
 
 
 # ----------------------------------------------------------------------
@@ -971,7 +437,7 @@ def load_bundle(path, index_tier: str = "memory") -> LoadedBundle:
 
     ``index_tier`` selects how the keyword index and triple store come
     back: ``"memory"`` (the default) decodes them into the materialized
-    Python structures; ``"mmap"`` wraps the format-v2 queryable sections
+    Python structures; ``"mmap"`` wraps the queryable sections
     in disk-resident readers (:mod:`repro.storage.mmap_tier`) so neither
     postings nor triples are materialized — cold start stays O(metadata)
     and resident memory O(touched data).  The big queryable sections are
@@ -979,13 +445,12 @@ def load_bundle(path, index_tier: str = "memory") -> LoadedBundle:
     every byte, defeating the tier); the metadata, summary, and graph
     sections still are.
 
-    Raises :class:`BundleFormatError` on anything that is not a
-    supported-version repro bundle and :class:`BundleChecksumError` when
-    a verified section's bytes do not match its recorded CRC — the
-    artifact is then unusable by definition and no partial engine is
-    produced.  A version-1 bundle with ``index_tier="mmap"`` raises
-    :class:`UnsupportedEngineError`: the queryable sections do not exist
-    in the old layout, so the only fix is a rebuild.
+    Raises :class:`BundleFormatError` on anything that is not a repro
+    bundle of exactly :data:`FORMAT_VERSION` (on either tier: an older
+    or newer layout is rebuilt, never half-read) and
+    :class:`BundleChecksumError` when a verified section's bytes do not
+    match its recorded CRC — the artifact is then unusable by definition
+    and no partial engine is produced.
     """
     if index_tier not in ("memory", "mmap"):
         raise ValueError(
@@ -1006,19 +471,11 @@ def load_bundle(path, index_tier: str = "memory") -> LoadedBundle:
     if bytes(view[: len(MAGIC)]) != MAGIC:
         raise BundleFormatError(f"{path}: not a repro bundle (bad magic)")
     (format_version,) = _U32.unpack(view[8:12])
-    if format_version not in SUPPORTED_FORMAT_VERSIONS:
+    if format_version != FORMAT_VERSION:
         raise BundleFormatError(
-            f"{path}: bundle format version {format_version} is not a "
-            f"supported version ({', '.join(map(str, SUPPORTED_FORMAT_VERSIONS))}); "
-            "rebuild the bundle with `repro build` (or read it with the "
-            "matching release)"
-        )
-    if index_tier == "mmap" and format_version < 2:
-        raise UnsupportedEngineError(
-            f"{path}: bundle format version {format_version} predates the "
-            "queryable mmap-tier sections; rebuild with `repro build` "
-            "(format version 2) to serve with index_tier='mmap', or load "
-            "with the default tier"
+            f"{path}: bundle format version {format_version} is not the "
+            f"supported version ({FORMAT_VERSION}); rebuild the bundle with "
+            "`repro build` (or read it with the matching release)"
         )
     (header_length,) = _U32.unpack(view[12:16])
     header_end = 16 + header_length
@@ -1071,10 +528,7 @@ def load_bundle(path, index_tier: str = "memory") -> LoadedBundle:
         try:
             return section_views[name]
         except KeyError:
-            raise BundleFormatError(
-                f"{path}: missing section {name!r} — the bundle predates "
-                "the queryable layout; rebuild with `repro build`"
-            ) from None
+            raise BundleFormatError(f"{path}: missing section {name!r}") from None
 
     mmap_tier = index_tier == "mmap"
     if mmap_tier:
@@ -1258,7 +712,7 @@ def load_bundle(path, index_tier: str = "memory") -> LoadedBundle:
         vocab = decode_strings(Reader(section("kindex.vocab")))
         element_flat = Reader(section("kindex.elements")).ids()
         it = iter(element_flat)
-        elements = [(_ELEMENT_KINDS[code], terms[t]) for code, t in zip(it, it)]
+        elements = [(ELEMENT_KINDS[code], terms[t]) for code, t in zip(it, it)]
 
         keys, offsets, values = decode_grouping(Reader(section("kindex.postings")))
         postings: Dict[str, Dict] = {}
@@ -1403,9 +857,9 @@ def load_engine(
 
     ``index_tier="mmap"`` goes further: the keyword index and the triple
     store are *never* materialized — lookups binary-search the bundle's
-    format-v2 queryable sections through the mmap, updates land in small
+    queryable sections through the mmap, updates land in small
     in-memory overlays, and serving RSS stays O(touched data) (see
-    :mod:`repro.storage.mmap_tier`).  Requires a version-2 bundle.
+    :mod:`repro.storage.mmap_tier`).
 
     The bundle + log pair is a **single-writer artifact**: attaching
     takes an exclusive lock on the log (released by
@@ -1421,9 +875,6 @@ def load_engine(
     loaded = load_bundle(path, index_tier=index_tier)
     meta = loaded.meta
     engine_meta = dict(meta["engine"])
-    # Bundles written before the vectorized kernels lack the key; the
-    # tri-state default (None = auto) keeps them loadable and overridable.
-    engine_meta.setdefault("use_vectorized", None)
     unknown = set(overrides) - set(engine_meta)
     if unknown:
         raise TypeError(f"unknown load() overrides: {sorted(unknown)}")
@@ -1501,10 +952,11 @@ def load_engine(
 def compact_bundle(path, wal_path=None) -> Dict[str, object]:
     """Fold the delta log into a fresh bundle and truncate the log.
 
-    Loads bundle + committed WAL tail, writes the caught-up state as a
-    new bundle (atomic same-directory replace), then resets the log —
-    the epochs it held are now part of the bundle itself.  Returns an
-    info dict including how many logged epochs were folded in.
+    Loads bundle + committed WAL tail, saves the caught-up engine as a
+    new bundle (:meth:`KeywordSearchEngine.save`: a streamed rebuild from
+    its current triples, atomic same-directory replace), then resets the
+    log — the epochs it held are now part of the bundle itself.  Returns
+    an info dict including how many logged epochs were folded in.
     """
     from repro.storage.wal import DeltaLog
 
@@ -1526,7 +978,7 @@ def compact_bundle(path, wal_path=None) -> Dict[str, object]:
         folded = engine.artifact["wal_epochs_replayed"]
         tmp_path = f"{path}.compact.{os.getpid()}"
         try:
-            info = save_bundle(engine, tmp_path, force=True)
+            info = engine.save(tmp_path, force=True)
             os.replace(tmp_path, path)
             fsync_directory(path)
         finally:

@@ -531,33 +531,6 @@ class MmapInvertedIndex:
     def __len__(self) -> int:
         return self.term_count
 
-    # -- persistence ---------------------------------------------------
-
-    def state_for_persistence(self) -> Dict[str, object]:
-        """Materialize the combined base + overlay state (the save path;
-        an O(index) scan by necessity)."""
-        postings: Dict[str, Dict[Hashable, List[int]]] = {}
-        for term in self.iter_terms():
-            postings[term] = {
-                p.element: [p.term_frequency, p.label_terms]
-                for p in self.lookup(term)
-            }
-        element_terms: Dict[Hashable, set] = {}
-        texts = self._dict.text
-        runs = self._eterm_runs
-        offsets = self._eterm_offsets
-        for eid in range(self._n_elements):
-            element = self._element_key(eid)
-            if element in self._tombstones:
-                continue
-            element_terms[element] = {
-                texts(runs[i]) for i in range(offsets[eid], offsets[eid + 1])
-            }
-        delta_state = self._delta.state_for_persistence()
-        for element, terms_of in delta_state["element_terms"].items():
-            element_terms[element] = set(terms_of)
-        return {"postings": postings, "element_terms": element_terms}
-
     def cache_stats(self) -> Dict[str, float]:
         """Hit/miss statistics of the decoded-postings LRU."""
         return self._postings.cache_stats()
@@ -987,13 +960,6 @@ class MmapTripleTier:
             key_of = self.key_of
             for st, ot in self._delta.scan_keys(*self._delta_pattern(s, p, o)):
                 yield key_of(st), key_of(ot)
-
-    # -- persistence ---------------------------------------------------
-
-    def state_for_persistence(self) -> Dict[str, object]:
-        """Materialize the live triple set into the nested-index shape
-        (the save path; O(store) by necessity)."""
-        return TripleStore(self.match()).state_for_persistence()
 
     def __repr__(self):
         return (

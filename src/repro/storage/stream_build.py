@@ -1,12 +1,16 @@
-"""Out-of-core bundle construction: stream triples in, stream sections out.
+"""The bundle builder: stream triples in, stream sections out.
 
-:func:`build_bundle_streaming` consumes a triple *iterator* — an open
-N-Triples file handle through :func:`repro.rdf.ntriples.parse_ntriples`,
-or a generator like :func:`repro.datasets.lubm.iter_lubm_triples` — and
-writes a ``.reprobundle`` that loads into an engine behaviorally
-identical to one built in memory from the same triples (property-tested
-in ``tests/property/test_stream_build_identity.py``).  The corpus is
-never resident:
+:func:`build_bundle_streaming` is the one writer of the ``.reprobundle``
+format — ``repro build``, :meth:`KeywordSearchEngine.save` and
+``repro compact`` all end here.  It consumes a triple *iterator* — an
+open N-Triples file handle through
+:func:`repro.rdf.ntriples.parse_ntriples`, a generator like
+:func:`repro.datasets.lubm.iter_lubm_triples`, or a live engine's
+``graph.triples`` — and writes a bundle that loads into an engine
+behaviorally identical to one constructed in process from the same
+triples (property-tested in
+``tests/property/test_stream_build_identity.py``).  The corpus is never
+resident:
 
 * **pass A** (the only pass over the input) interns terms, classifies
   and dedups each triple, appends its id row to an on-disk segment
@@ -33,13 +37,14 @@ import tempfile
 import time
 from array import array
 from itertools import groupby
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
 
 from repro import __version__
 from repro.core.exploration import DEFAULT_DMAX
 from repro.keyword.analysis import Analyzer
 from repro.keyword.inverted_index import SpillingPostingsBuilder
 from repro.keyword.keyword_index import element_label_text
+from repro.rdf.graph import GraphIntegrityError
 from repro.rdf.namespace import (
     LABEL_PREDICATES,
     SUBCLASS_PREDICATES,
@@ -48,18 +53,19 @@ from repro.rdf.namespace import (
 )
 from repro.rdf.terms import Literal, Term, URI
 from repro.rdf.triples import Triple
-from repro.scoring.cost import COST_MODELS
+from repro.scoring.cost import COST_MODELS, CostModel
 from repro.summary.elements import THING_KEY, SummaryEdgeKind
 from repro.summary.summary_graph import _SUBCLASS_LABEL, SummaryGraph
 
 from repro.storage.bundle import (
     _EDGE_CODE,
-    _ELEMENT_CODE,
     _VERTEX_CODE,
     BundleWriter,
     SummaryVertexKind,
+    persistable_cost_model_name,
 )
 from repro.storage.codec import (
+    ELEMENT_CODE,
     Interner,
     TermInterner,
     _pack_str,
@@ -135,7 +141,7 @@ def build_bundle_streaming(
     path,
     *,
     force: bool = False,
-    cost_model: str = "c3",
+    cost_model: Union[str, CostModel] = "c3",
     k: int = 10,
     dmax: int = DEFAULT_DMAX,
     strict_keywords: bool = False,
@@ -145,6 +151,9 @@ def build_bundle_streaming(
     fuzzy_max_distance: int = 1,
     max_matches_per_keyword: int = 8,
     lookup_cache_size: int = 1024,
+    graph_strict: bool = False,
+    epoch: int = 0,
+    delta_log=None,
     spill_budget_bytes: int = DEFAULT_SPILL_BUDGET,
     progress: Optional[Callable[[int, float], None]] = None,
     progress_every: int = 100_000,
@@ -153,13 +162,22 @@ def build_bundle_streaming(
     """Build a bundle from a triple iterator without materializing it.
 
     Parameters mirror the engine/CLI configuration persisted in the
-    bundle header; ``spill_budget_bytes`` bounds each external sort's
+    bundle header.  ``cost_model`` is a stock model's name or an instance
+    configured exactly like one (bundles store the name, so anything
+    else is refused).  ``graph_strict``, ``epoch`` and ``delta_log`` are
+    what a live engine hands over when it saves itself: its graph's
+    Definition 1 mode (a violation among the triples then fails the
+    build), the update epoch its triples stand at, and its attached
+    delta log, which :meth:`BundleWriter.finish` resets once the bundle
+    is in place.  ``spill_budget_bytes`` bounds each external sort's
     resident buffer, ``progress(n_triples, elapsed_seconds)`` is invoked
     every ``progress_every`` input triples.  Returns the
     :meth:`BundleWriter.finish` info dict extended with build statistics
     (triple/term counts, seconds, spill-run counts).
     """
-    if cost_model not in COST_MODELS:
+    if not isinstance(cost_model, str):
+        cost_model = persistable_cost_model_name(cost_model)
+    elif cost_model not in COST_MODELS:
         raise UnsupportedEngineError(
             f"unknown cost model {cost_model!r}; bundles persist only the "
             f"stock models {sorted(COST_MODELS)}"
@@ -167,6 +185,26 @@ def build_bundle_streaming(
     path = os.fspath(path)
     budget_rows = max(4, spill_budget_bytes // _BYTES_PER_ROW)
     started = time.perf_counter()
+    # The header's configuration blocks; `_build` adds what it measures.
+    config = {
+        "snapshot": {"index_version": 0, "epoch": epoch},
+        "engine": {
+            "cost_model": cost_model,
+            "k": k,
+            "dmax": dmax,
+            "strict_keywords": strict_keywords,
+            "guided": guided,
+            "search_cache_size": search_cache_size,
+            "use_vectorized": use_vectorized,
+        },
+        "graph": {"strict": graph_strict},
+        "kindex": {
+            "version": 0,
+            "fuzzy_max_distance": fuzzy_max_distance,
+            "max_matches": max_matches_per_keyword,
+            "lookup_cache_size": lookup_cache_size,
+        },
+    }
 
     writer = BundleWriter(path, force=force)
     spool_parent = tmp_dir if tmp_dir is not None else (
@@ -180,17 +218,9 @@ def build_bundle_streaming(
                 triples,
                 writer,
                 tmp,
+                config,
+                delta_log,
                 budget_rows=budget_rows,
-                cost_model=cost_model,
-                k=k,
-                dmax=dmax,
-                strict_keywords=strict_keywords,
-                guided=guided,
-                search_cache_size=search_cache_size,
-                use_vectorized=use_vectorized,
-                fuzzy_max_distance=fuzzy_max_distance,
-                max_matches_per_keyword=max_matches_per_keyword,
-                lookup_cache_size=lookup_cache_size,
                 progress=progress,
                 progress_every=max(1, progress_every),
                 started=started,
@@ -206,18 +236,10 @@ def _build(
     triples,
     writer: BundleWriter,
     tmp: str,
+    meta: Dict[str, Dict[str, object]],
+    delta_log,
     *,
     budget_rows: int,
-    cost_model: str,
-    k: int,
-    dmax: int,
-    strict_keywords: bool,
-    guided: bool,
-    search_cache_size: int,
-    use_vectorized: Optional[bool],
-    fuzzy_max_distance: int,
-    max_matches_per_keyword: int,
-    lookup_cache_size: int,
     progress,
     progress_every: int,
     started: float,
@@ -347,6 +369,8 @@ def _build(
     rows_spool.close()
     kind_spool.close()
     del seen  # the largest pass-A structure; done deduping
+    if meta["graph"]["strict"] and conflicts:
+        raise GraphIntegrityError(conflicts[0])
 
     untyped_count = sum(1 for e in entities if e not in types_of)
     stats = {
@@ -546,10 +570,10 @@ def _build(
             postings.add(vid, eid, tf, total)
         element_terms.add(eid, term_ids)
 
-    code_class = _ELEMENT_CODE["class"]
-    code_relation = _ELEMENT_CODE["relation"]
-    code_attribute = _ELEMENT_CODE["attribute"]
-    code_value = _ELEMENT_CODE["value"]
+    code_class = ELEMENT_CODE["class"]
+    code_relation = ELEMENT_CODE["relation"]
+    code_attribute = ELEMENT_CODE["attribute"]
+    code_value = ELEMENT_CODE["value"]
     for cid in class_refs:
         index_element(
             code_class,
@@ -794,51 +818,30 @@ def _build(
     rows_spool.unlink()
     kind_spool.unlink()
 
-    meta = {
-        "writer": f"repro {__version__}",
-        "builder": "stream",
-        "snapshot": {
-            "summary_version": summary.snapshot_key,
-            "index_version": 0,
-            "epoch": 0,
-        },
-        "engine": {
-            "cost_model": cost_model,
-            "k": k,
-            "dmax": dmax,
-            "strict_keywords": strict_keywords,
-            "guided": guided,
-            "search_cache_size": search_cache_size,
-            "use_vectorized": use_vectorized,
-        },
-        "graph": {
-            "strict": False,
-            "conflicts": conflicts,
-            "stats": stats,
-        },
-        "kindex": {
-            "version": 0,
-            "fuzzy_max_distance": fuzzy_max_distance,
-            "max_matches": max_matches_per_keyword,
-            "lookup_cache_size": lookup_cache_size,
-            "build_seconds": kindex_seconds,
-        },
-        "summary": {
-            "version": summary_state["version"],
-            "total_entities": summary_state["total_entities"],
-            "total_relation_edges": summary_state["total_relation_edges"],
-            "total_attribute_edges": summary_state["total_attribute_edges"],
-            "build_seconds": summary_state["build_seconds"],
-        },
-        "counts": {
-            "terms": len(terms),
-            "triples": n_rows,
-            "summary_vertices": len(vertices),
-            "summary_edges": len(summary_state["edges"]),
-        },
+    meta["writer"] = f"repro {__version__}"
+    meta["snapshot"]["summary_version"] = summary.snapshot_key
+    # Cheap structural counts, so a lazily loaded graph can serve
+    # len()/stats() without materializing its heavy state.
+    meta["graph"].update(conflicts=conflicts, stats=stats)
+    meta["kindex"]["build_seconds"] = kindex_seconds
+    meta["summary"] = {
+        key: summary_state[key]
+        for key in (
+            "version",
+            "total_entities",
+            "total_relation_edges",
+            "total_attribute_edges",
+            "build_seconds",
+        )
+    }
+    meta["counts"] = {
+        "terms": len(terms),
+        "triples": n_rows,
+        "summary_vertices": len(vertices),
+        "summary_edges": len(summary_state["edges"]),
     }
 
-    info = writer.finish(meta)
+    info = writer.finish(meta, engine_log=delta_log)
     info.update(
         {
             "triples": n_rows,

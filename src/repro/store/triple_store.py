@@ -130,10 +130,6 @@ class TripleStore:
     # Persistence (used by repro.storage)
     # ------------------------------------------------------------------
 
-    def state_for_persistence(self) -> Dict[str, _Index]:
-        """Read-only references to the three nested indexes."""
-        return {"spo": self._spo, "pos": self._pos, "osp": self._osp}
-
     @classmethod
     def from_state(cls, spo: _Index, pos: _Index, osp: _Index, size: int) -> "TripleStore":
         """Adopt pre-built nested indexes (the bundle loader's output).

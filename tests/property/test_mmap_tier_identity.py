@@ -30,7 +30,6 @@ from repro.rdf.namespace import RDF
 from repro.rdf.terms import Literal, URI
 from repro.rdf.triples import Triple
 from repro.storage import build_bundle_streaming
-from repro.storage.errors import UnsupportedEngineError
 
 
 def _both_tiers(engine, path):
@@ -62,7 +61,7 @@ def test_mmap_tier_equals_materialized(request, tmp_path, fixture_name, queries)
 
 def test_mmap_tier_on_streamed_bundle(dblp_small, tmp_path):
     """The out-of-core *build* path feeds the out-of-core *serving* path:
-    a --stream bundle (tiny spill budget, so the merge machinery runs)
+    a bundle built under a tiny spill budget (so the merge machinery runs)
     must serve identically through the mmap tier."""
     triples = list(dblp_small.triples)
     path = tmp_path / "s.reprobundle"
@@ -133,22 +132,6 @@ def test_mmap_tier_wal_tail_replay_identity(dblp_small, tmp_path):
     queries = DBLP_QUERIES + ("tail replayed paper",)
     assert_engines_identical(writer, mapped, queries)
     assert_engines_identical(memory, mapped, queries)
-
-
-def test_v1_bundle_mmap_tier_refused_loudly(example_graph, tmp_path):
-    """A version-1 bundle lacks the queryable sections: the mmap tier
-    must refuse with a rebuild hint, while the default tier still loads
-    and serves the old layout identically."""
-    reference = KeywordSearchEngine(DataGraph(example_graph.triples))
-    path = tmp_path / "v1.reprobundle"
-    reference.save(path, format_version=1)
-
-    with pytest.raises(UnsupportedEngineError, match="rebuild with `repro build`"):
-        KeywordSearchEngine.load(path, attach_wal=False, index_tier="mmap")
-
-    loaded = KeywordSearchEngine.load(path, attach_wal=False)
-    assert loaded.index_tier == "memory"
-    assert_engines_identical(reference, loaded, EXAMPLE_QUERIES)
 
 
 # ----------------------------------------------------------------------

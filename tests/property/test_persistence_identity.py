@@ -176,6 +176,84 @@ def test_wal_tail_replay_identity(dblp_small, tmp_path):
     assert_engines_identical(rebuilt, reloaded, queries)
 
 
+@pytest.mark.parametrize("index_tier", ["memory", "mmap"])
+def test_save_after_updates_identity(dblp_small, tmp_path, index_tier):
+    """``engine.save`` of a bundle-loaded engine that has applied update
+    epochs — a streamed rebuild from its current triples — on both index
+    tiers, to a new path and over the artifact the engine is attached to.
+    The saved bundle must reload to the live engine and to a from-scratch
+    one, carry the live epoch, and supersede the sibling delta log."""
+    from repro.storage import BundleExistsError, DeltaLog
+
+    triples = list(dblp_small.triples)
+    path = tmp_path / "engine.reprobundle"
+    KeywordSearchEngine(DataGraph(triples)).save(path)
+
+    ns = "http://example.org/saveprop/"
+    title = URI("http://purl.org/dc/elements/1.1/title")
+    added = [
+        Triple(URI(ns + "p1"), RDF.type, URI("http://example.org/dblp/Article")),
+        Triple(URI(ns + "p1"), title, Literal("Saved After Updates")),
+        Triple(URI(ns + "p1"), URI("http://example.org/dblp/year"), Literal("2008")),
+    ]
+    removed = triples[50:60]
+    queries = DBLP_QUERIES + ("saved after updates", "2008 article")
+
+    live = KeywordSearchEngine.load(path, index_tier=index_tier)
+    assert live.index_tier == index_tier
+    assert live.add_triples(added) == len(added)
+    assert live.remove_triples(removed) == len(removed)
+    assert live.index_manager.epoch == 2
+    rebuilt = KeywordSearchEngine(DataGraph(live.graph.triples))
+
+    def check(bundle, wal_epochs):
+        reloaded = KeywordSearchEngine.load(
+            bundle, attach_wal=False, index_tier=index_tier
+        )
+        assert reloaded.artifact["epoch_at_save"] == 2
+        assert reloaded.artifact["wal_epochs_replayed"] == wal_epochs
+        assert reloaded.index_manager.epoch == live.index_manager.epoch
+        assert_engines_identical(live, reloaded, queries)
+        assert_engines_identical(rebuilt, reloaded, queries)
+        if not wal_epochs:
+            # A saved bundle's version counters are those of a fresh
+            # build of the same triples (replayed epochs advance them).
+            assert reloaded.summary.snapshot_key == rebuilt.summary.snapshot_key
+            assert (
+                reloaded.keyword_index.snapshot_key
+                == rebuilt.keyword_index.snapshot_key
+            )
+
+    # To a new path: the attached log is someone else's sibling, untouched.
+    other = tmp_path / "other.reprobundle"
+    assert live.save(other)["epoch"] == 2
+    assert len(list(DeltaLog(f"{path}.wal").committed_entries())) == 2
+    assert not os.path.exists(f"{other}.wal")
+    check(other, wal_epochs=0)
+
+    # Over the attached artifact: refused without force, then the bundle
+    # carries both epochs itself and the engine's own log is reset.
+    with pytest.raises(BundleExistsError):
+        live.save(path)
+    assert live.save(path, force=True)["epoch"] == 2
+    assert list(DeltaLog(f"{path}.wal").committed_entries()) == []
+    check(path, wal_epochs=0)
+    assert sorted(os.listdir(tmp_path)) == [
+        "engine.reprobundle",
+        "engine.reprobundle.wal",
+        "other.reprobundle",
+    ]
+
+    # The engine stays attached: its next epoch lands in the reset log
+    # and replays on top of the bundle it just wrote.
+    extra = Triple(URI(ns + "p1"), title, Literal("One More Epoch"))
+    assert live.add_triples([extra]) == 1
+    live.delta_log.close()
+    rebuilt = KeywordSearchEngine(DataGraph(live.graph.triples))
+    queries += ("one more epoch",)
+    check(path, wal_epochs=1)
+
+
 # ----------------------------------------------------------------------
 # Hypothesis: random update batches through the WAL
 # ----------------------------------------------------------------------

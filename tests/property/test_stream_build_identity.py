@@ -1,13 +1,18 @@
-"""Property: the out-of-core build ≡ the in-memory build, byte for byte.
+"""Property: the bundle builder ≡ the in-process engine.
 
-``repro build --stream`` (storage.stream_build) constructs the bundle
+Two derivations of the offline layer remain and this suite is the seam
+where they meet: the in-process constructors
+(``KeywordSearchEngine(DataGraph(triples))`` — the library API and the
+oracle of every identity suite) and the streaming builder
+(storage.stream_build — the only code that writes a ``.reprobundle``,
 from a triple iterator with external sorts and disk spills, never
-holding the corpus or its index in memory at once.  The contract is
-*identity*, not similarity: for the same triples the streamed bundle
-must load to an engine whose formal snapshot keys
+holding the corpus or its index in memory at once).  The contract is
+*identity*, not similarity: for the same triples the built bundle must
+load to an engine whose formal snapshot keys
 ``(SummaryGraph.snapshot_key, KeywordIndex.snapshot_key)`` and whose
 full ``search()`` output — candidates, costs, renderings, matching
-subgraphs, exploration diagnostics — equal the engine built in memory.
+subgraphs, exploration diagnostics — equal the engine constructed in
+process.
 
 The spill machinery is exercised for real: a deliberately tiny spill
 budget forces the postings sort through multiple on-disk runs and a
@@ -80,54 +85,30 @@ def test_tiny_budget_actually_spills(dblp_small, tmp_path):
     assert info["postings_runs"] >= 2
 
 
-#: Sections whose in-memory encoding iterates hash-ordered sets
-#: (``store.*`` leaf object-sets) or assigns element/vertex ids in an
-#: order the out-of-core pass cannot observe.  For these the contract is
-#: *decoded* identity — covered by test_streamed_equals_in_memory — not
-#: byte parity; everything else must match byte for byte.
-HASH_ORDERED_SECTIONS = frozenset(
-    {
-        "store.spo",
-        "store.pos",
-        "store.osp",
-        "kindex.vocab",
-        "kindex.elements",
-        "kindex.postings",
-        "kindex.element_terms",
-        "summary.vertices",
-        "summary.edges",
-        # The format-v2 queryable views keyed by vocab/element id inherit
-        # the builders' differing id-assignment orders; the views keyed by
-        # *term* id (terms.*, store2.*, kindex2.attr_refs/value_refs) are
-        # deterministic and stay under the byte-parity contract.
-        "kindex2.vocab.offsets",
-        "kindex2.vocab.sorted",
-        "kindex2.postings.offsets",
-        "kindex2.postings.runs",
-        "kindex2.elements.sorted",
-        "kindex2.element_terms.offsets",
-        "kindex2.element_terms.runs",
-    }
-)
-
-
-def test_streamed_bundle_bytes_equal_saved_bundle(example_graph, tmp_path):
-    """Byte parity on the deterministic sections of the running example.
-
-    The streamed writer orders sections differently (terms last), so
-    compare per-section payload bytes through each bundle's own loader
-    metadata rather than whole files.
-    """
+def test_engine_save_is_the_builder(example_graph, tmp_path):
+    """``engine.save`` hands the engine's triples and configuration to
+    the same builder: every section byte for byte, in the same order, as
+    a direct build with that configuration — also across a spill budget
+    that changes how the sorts run, not what they produce."""
     import json
     import struct
 
     from repro.storage.bundle import MAGIC
 
-    reference = KeywordSearchEngine(DataGraph(example_graph.triples))
+    reference = KeywordSearchEngine(
+        DataGraph(example_graph.triples), cost_model="c2", k=7, guided=True
+    )
     saved = tmp_path / "saved.reprobundle"
-    streamed = tmp_path / "streamed.reprobundle"
+    built = tmp_path / "built.reprobundle"
     reference.save(saved)
-    build_bundle_streaming(iter(example_graph.triples), streamed)
+    build_bundle_streaming(
+        iter(example_graph.triples),
+        built,
+        cost_model="c2",
+        k=7,
+        guided=True,
+        spill_budget_bytes=TINY_BUDGET,
+    )
 
     def sections(path):
         raw = path.read_bytes()
@@ -136,21 +117,17 @@ def test_streamed_bundle_bytes_equal_saved_bundle(example_graph, tmp_path):
         header = json.loads(raw[len(MAGIC) + 8 : len(MAGIC) + 8 + header_len])
         base = len(MAGIC) + 8 + header_len
         base += (-base) % 8
-        return {
-            s["name"]: raw[base + s["offset"] : base + s["offset"] + s["length"]]
+        return [
+            (s["name"], raw[base + s["offset"] : base + s["offset"] + s["length"]])
             for s in header["sections"]
-        }, header
+        ], header
 
     saved_sections, saved_header = sections(saved)
-    streamed_sections, streamed_header = sections(streamed)
-    assert set(saved_sections) == set(streamed_sections)
-    deterministic = set(saved_sections) - HASH_ORDERED_SECTIONS
-    assert deterministic  # triples, terms, graph.*, substrate, ...
-    for name in sorted(deterministic):
-        assert streamed_sections[name] == saved_sections[name], name
-    # Metadata parity where it matters (the builder tag may differ).
-    assert streamed_header["snapshot"] == saved_header["snapshot"]
-    assert streamed_header["engine"] == saved_header["engine"]
+    built_sections, built_header = sections(built)
+    assert saved_sections == built_sections
+    assert len(saved_sections) == 41
+    for key in ("snapshot", "engine", "graph", "counts"):
+        assert built_header[key] == saved_header[key], key
 
 
 # ----------------------------------------------------------------------

@@ -235,59 +235,59 @@ class TestPersistenceCommands:
         assert "[1]" in captured.out
         assert "# bundle:" in captured.err
 
-    def test_build_stream_and_search_bundle(self, tmp_path, capsys):
-        bundle = str(tmp_path / "example.reprobundle")
-        assert main(["build", "--dataset", "example", "--stream", "-o", bundle]) == 0
-        err = capsys.readouterr().err
-        assert "# wrote" in err and "streamed" in err
-        assert main(["search", "2006 cimiano aifb", "--bundle", bundle]) == 0
-        assert "[1]" in capsys.readouterr().out
+    def test_stream_flag_is_a_hidden_noop(self, tmp_path, capsys):
+        """The CLI contract the benchmark harness leans on: it passes
+        ``--stream`` for two workloads and not for three, and both
+        spellings must be the same build — identical section tables
+        (names, order, lengths, CRC32s) and headers equal but for the
+        timing fields."""
+        import json
+        import struct
 
-    def test_build_stream_matches_in_memory_build(self, tmp_path, capsys):
-        from repro.core.engine import KeywordSearchEngine
+        def header(path):
+            raw = open(path, "rb").read()
+            (length,) = struct.unpack_from("<I", raw, 12)
+            return json.loads(raw[16 : 16 + length])
 
-        streamed = str(tmp_path / "streamed.reprobundle")
-        saved = str(tmp_path / "saved.reprobundle")
-        assert main(["build", "--dataset", "example", "--stream", "-o", streamed]) == 0
-        assert main(["build", "--dataset", "example", "-o", saved]) == 0
+        plain = str(tmp_path / "plain.reprobundle")
+        flagged = str(tmp_path / "flagged.reprobundle")
+        argv = ["build", "--dataset", "dblp", "--scale", "60", "-k", "7"]
+        assert main(argv + ["-o", plain]) == 0
+        assert main(argv + ["--stream", "-o", flagged]) == 0
         capsys.readouterr()
-        a = KeywordSearchEngine.load(streamed, attach_wal=False)
-        b = KeywordSearchEngine.load(saved, attach_wal=False)
-        assert a.summary.snapshot_key == b.summary.snapshot_key
-        assert a.keyword_index.snapshot_key == b.keyword_index.snapshot_key
-        # The CLI's resolved engine defaults apply on both paths.
-        assert (a.k, a.dmax, a.cost_model.name) == (b.k, b.dmax, b.cost_model.name)
+        a, b = header(plain), header(flagged)
+        assert len(a["sections"]) == 41
+        assert a["sections"] == b["sections"]
+        for meta in (a, b):
+            del meta["kindex"]["build_seconds"], meta["summary"]["build_seconds"]
+        assert a == b
+        assert a["engine"]["k"] == 7  # the engine flags reach the header
+        with pytest.raises(SystemExit):
+            main(["build", "--help"])
+        assert "--stream" not in capsys.readouterr().out
 
-    def test_build_stream_from_data_file(self, tmp_path, capsys, example_graph):
+    @pytest.mark.parametrize("stream", [[], ["--stream"]])
+    def test_build_rejects_index_tier(self, tmp_path, capsys, stream):
+        """``--index-tier`` means nothing to a build: the parser does not
+        offer it, whichever way the build is spelled."""
+        bundle = tmp_path / "x.reprobundle"
+        argv = ["build", "--dataset", "example", *stream]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--index-tier", "mmap", "-o", str(bundle)])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --index-tier" in capsys.readouterr().err
+        assert not bundle.exists()
+
+    def test_build_from_data_file(self, tmp_path, capsys, example_graph):
         data = tmp_path / "example.nt"
         data.write_text(serialize_ntriples(example_graph.triples))
         bundle = str(tmp_path / "data.reprobundle")
-        assert (
-            main(
-                [
-                    "build",
-                    "--data",
-                    str(data),
-                    "--stream",
-                    "--progress-every",
-                    "10",
-                    "-o",
-                    bundle,
-                ]
-            )
-            == 0
-        )
+        argv = ["build", "--data", str(data), "--progress-every", "10", "-o", bundle]
+        assert main(argv) == 0
         err = capsys.readouterr().err
         assert "# wrote" in err
-        assert "# build --stream:" in err  # progress lines reached stderr
+        assert "# build:" in err  # progress lines reached stderr
         assert main(["search", "2006 cimiano aifb", "--bundle", bundle]) == 0
-
-    def test_build_stream_refuses_overwrite_without_force(self, tmp_path, capsys):
-        bundle = str(tmp_path / "example.reprobundle")
-        assert main(["build", "--dataset", "example", "--stream", "-o", bundle]) == 0
-        capsys.readouterr()
-        assert main(["build", "--dataset", "example", "--stream", "-o", bundle]) == 1
-        assert "refusing to overwrite" in capsys.readouterr().err
 
     def test_build_refuses_overwrite_without_force(self, tmp_path, capsys):
         bundle = str(tmp_path / "example.reprobundle")
@@ -393,6 +393,26 @@ class TestBundleConflicts:
             with pytest.raises(SystemExit) as excinfo:
                 main(["search", "q", "--bundle", bundle, *extra])
             assert "conflicts" in str(excinfo.value)
+
+
+def test_stage_bundle_streams_the_source(tmp_path, capsys, monkeypatch):
+    """``serve/bench --workers N`` without ``--bundle`` stage the worker
+    bundle straight from the parsed flags — no throw-away engine."""
+    import tempfile
+
+    from repro.cli import _stage_bundle, build_serve_parser
+    from repro.core.engine import KeywordSearchEngine
+
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    args = build_serve_parser().parse_args(
+        ["--dataset", "example", "--workers", "2", "-k", "3", "--cache", "7"]
+    )
+    path = _stage_bundle(args, "repro-test-")
+    assert path.startswith(str(tmp_path))
+    assert "# staged bundle for worker processes" in capsys.readouterr().err
+    staged = KeywordSearchEngine.load(path, attach_wal=False)
+    assert (staged.k, staged.dmax, staged._search_cache.maxsize) == (3, 10, 7)
+    assert len(staged.graph) == 21
 
 
 def test_bench_bundle_derives_queries_from_loaded_data(tmp_path, capsys):

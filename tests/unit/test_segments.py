@@ -2,16 +2,18 @@
 
 The streamed bundle build stands on four small disk-backed structures:
 segment files of int64 values, a budgeted external sorter, and two
-spools that stream the bundle's grouping / two-level wire shapes.  Each
-is held to byte-parity with the in-memory encoder it replaces.
+spools that stream the bundle's grouping / two-level wire shapes.  The
+grouping spool is held to byte-parity with the codec's in-memory
+encoder; the two-level spool is the format's only encoder of its shape
+and is held to the loader's decoder instead.
 """
 
 import random
 
 import pytest
 
-from repro.storage.bundle import _encode_two_level
-from repro.storage.codec import encode_grouping, encode_ids
+from repro.storage.bundle import _decode_two_level
+from repro.storage.codec import Reader, encode_grouping, encode_ids
 from repro.storage.segments import (
     ExternalSorter,
     GroupingSpool,
@@ -137,7 +139,8 @@ def test_external_sorter_empty(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# GroupingSpool / TwoLevelSpool — byte parity with the codec
+# GroupingSpool — byte parity with the codec; TwoLevelSpool — round trip
+# through the loader's decoder
 # ----------------------------------------------------------------------
 
 
@@ -160,21 +163,26 @@ def test_grouping_spool_empty(tmp_path):
     assert section.data == encode_grouping([])
 
 
-def test_two_level_spool_matches_encode_two_level(tmp_path):
+def test_two_level_spool_round_trips_through_the_loader(tmp_path):
     rng = random.Random(3)
     rows = sorted(
         {(rng.randrange(6), rng.randrange(6), rng.randrange(20)) for _ in range(200)}
     )
-    # The in-memory shape _encode_two_level consumes: {a: {b: [c...]}}
+    # The shape the loader restores: {a: {b: {c...}}}, outer and inner
+    # keys in sorted-row order.
     mapping = {}
     for a, b, c in rows:
-        mapping.setdefault(a, {}).setdefault(b, []).append(c)
+        mapping.setdefault(a, {}).setdefault(b, set()).add(c)
     spool = TwoLevelSpool(tmp_path, "spo")
     spool.feed(iter(rows))
     section = _Section()
     spool.write_to(section)
     spool.cleanup()
-    assert section.data == _encode_two_level(mapping, key_id=lambda x: x)
+    index, size = _decode_two_level(Reader(section.data), range(20))
+    assert size == len(rows)
+    assert index == mapping
+    assert list(index) == list(mapping)
+    assert all(list(index[a]) == list(mapping[a]) for a in mapping)
 
 
 def test_two_level_spool_empty(tmp_path):
@@ -183,7 +191,7 @@ def test_two_level_spool_empty(tmp_path):
     section = _Section()
     spool.write_to(section)
     spool.cleanup()
-    assert section.data == _encode_two_level({}, key_id=lambda x: x)
+    assert _decode_two_level(Reader(section.data), ()) == ({}, 0)
 
 
 # ----------------------------------------------------------------------
@@ -200,10 +208,11 @@ def test_spilling_postings_matches_inverted_index(tmp_path):
         index.index(element_id, terms)
     # Feed the spilling builder the same (vocab, element, tf, total) rows
     # the streamed build produces, with vocab ids in first-seen order.
-    postings = index.state_for_persistence()["postings"]
-    vocab = {}
-    for term in postings:
-        vocab.setdefault(term, len(vocab))
+    postings = {
+        term: {p.element: (p.term_frequency, p.label_terms) for p in index.lookup(term)}
+        for term in index.iter_terms()
+    }
+    vocab = {term: vid for vid, term in enumerate(postings)}
     for term, bucket in postings.items():
         for element_id, (tf, total) in bucket.items():
             builder.add(vocab[term], element_id, tf, total)
@@ -215,4 +224,4 @@ def test_spilling_postings_matches_inverted_index(tmp_path):
         got = {
             flat[i]: (flat[i + 1], flat[i + 2]) for i in range(0, len(flat), 3)
         }
-        assert got == {eid: tuple(entry) for eid, entry in bucket.items()}
+        assert got == bucket

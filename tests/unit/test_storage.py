@@ -149,6 +149,19 @@ def test_load_rejects_future_format_version(small_engine, tmp_path):
     assert "format version" in str(excinfo.value)
 
 
+@pytest.mark.parametrize("index_tier", ["memory", "mmap"])
+def test_load_rejects_format_version_1(small_engine, tmp_path, index_tier):
+    """Format v1 went with its only writer: a prelude that says version 1
+    is refused with the rebuild hint on every tier, not half-read."""
+    path = tmp_path / "a.reprobundle"
+    small_engine.save(path)
+    data = bytearray(path.read_bytes())
+    data[8:12] = struct.pack("<I", 1)
+    path.write_bytes(bytes(data))
+    with pytest.raises(BundleFormatError, match="rebuild the bundle with `repro build`"):
+        KeywordSearchEngine.load(path, attach_wal=False, index_tier=index_tier)
+
+
 def test_load_rejects_corrupted_section(small_engine, tmp_path):
     path = tmp_path / "a.reprobundle"
     small_engine.save(path)
@@ -225,6 +238,24 @@ def test_engine_config_round_trips(example_graph, tmp_path):
     assert loaded.cost_model.name == "c2"
     assert (loaded.k, loaded.dmax, loaded.guided, loaded.strict_keywords) == (7, 6, True, True)
     assert loaded._search_cache is not None and loaded._search_cache.maxsize == 32
+
+
+def test_strict_graph_round_trips_and_fails_a_violating_build(example_graph, tmp_path):
+    """The builder carries the graph's Definition 1 mode into the header,
+    and under it a violating triple fails the build instead of writing a
+    bundle whose strict graph records conflicts."""
+    from repro.rdf.graph import GraphIntegrityError
+    from repro.storage import build_bundle_streaming
+
+    path = tmp_path / "a.reprobundle"
+    KeywordSearchEngine(DataGraph(example_graph.triples, strict=True)).save(path)
+    assert KeywordSearchEngine.load(path, attach_wal=False).graph.strict is True
+    bad = Triple(URI("ex:a"), RDF.type, Literal("not a class"))
+    with pytest.raises(GraphIntegrityError):
+        build_bundle_streaming(
+            [*example_graph.triples, bad], tmp_path / "b.reprobundle", graph_strict=True
+        )
+    assert os.listdir(tmp_path) == ["a.reprobundle"]
 
 
 def test_artifact_metadata(small_engine, tmp_path):
