@@ -30,10 +30,12 @@ _REPORTS = defaultdict(list)
 
 
 def pytest_addoption(parser):
-    # Only registered when benchmarks/ is on the initial command line (the
-    # CI smoke job invokes `pytest benchmarks/test_fig_substrate.py --quick`);
-    # consumers read it through `config.getoption("--quick", False)` so a
-    # root-level `pytest` run, where the option never registers, still works.
+    # Only usable when benchmarks/ is on the initial command line (the CI
+    # smoke job invokes `pytest benchmarks/test_fig_substrate.py --quick`);
+    # in a root-level `pytest` run this conftest is imported during
+    # collection, after the command line was parsed, so the options exist
+    # at their defaults only — consumers read them through
+    # `config.getoption("--quick", False)`.
     parser.addoption(
         "--quick",
         action="store_true",
@@ -115,7 +117,29 @@ def report():
     return Report
 
 
+def _benchmarks_named(config) -> bool:
+    """True when a command-line path argument lies inside ``benchmarks/``.
+
+    (Whether ``--quick`` is *registered* cannot tell: ``pytest_addoption``
+    is a historic hook, replayed when collection imports this conftest, so
+    the option exists — unparsed, at its default — in a root-level run
+    too.)"""
+    here = os.path.dirname(os.path.abspath(__file__))
+    invoked_from = str(config.invocation_params.dir)
+    for arg in config.args:
+        path = os.path.abspath(os.path.join(invoked_from, str(arg).split("::", 1)[0]))
+        if path == here or path.startswith(here + os.sep):
+            return True
+    return False
+
+
 def pytest_sessionfinish(session):
+    # The result files are tracked; rewrite them only for a run that named
+    # benchmarks/ (or a file in it) on the command line.  A root-level
+    # tier-1 `pytest` still runs every benchmark and prints the tables
+    # below, but leaves `git status` clean.
+    if not _benchmarks_named(session.config):
+        return
     os.makedirs(RESULTS_DIR, exist_ok=True)
     for name, lines in _REPORTS.items():
         with open(os.path.join(RESULTS_DIR, f"{name}.txt"), "w") as fh:

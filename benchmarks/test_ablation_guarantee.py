@@ -74,7 +74,9 @@ def test_ablation_guided_exploration(benchmark, dblp_performance_graph, report):
     """Distance-information pruning: identical results, less work."""
     from repro.datasets import dblp_performance_queries
 
-    plain = KeywordSearchEngine(dblp_performance_graph, cost_model="c3", k=10)
+    plain = KeywordSearchEngine(
+        dblp_performance_graph, cost_model="c3", k=10, guided=False
+    )
     guided = KeywordSearchEngine(
         dblp_performance_graph,
         cost_model="c3",

@@ -24,7 +24,7 @@ Examples::
     python -m repro "cimiano 2006" --dataset dblp --execute
     python -m repro "2006 cimiano aifb" --dataset example --cost-model c1
     python -m repro "cimiano before 2005" --dataset dblp --filters
-    python -m repro "professor department0" --data my_data.nt --guided
+    python -m repro "professor department0" --data my_data.nt -k 10
     python -m repro "new paper" --data base.nt --update-ntriples delta.nt
     python -m repro build --data my_data.nt --spill-budget 64 -o my_data.reprobundle
     python -m repro serve --bundle my_data.reprobundle --port 8080
@@ -38,7 +38,7 @@ import sys
 from typing import Optional
 
 from repro import __version__
-from repro.core.engine import KeywordSearchEngine
+from repro.core.engine import ENGINE_DEFAULTS, KeywordSearchEngine
 from repro.rdf.graph import DataGraph
 from repro.rdf.ntriples import parse_ntriples
 
@@ -158,15 +158,14 @@ def _add_index_tier_arg(parser: argparse.ArgumentParser) -> None:
     )
 
 
-#: Engine configuration applied when a flag is not given on the command
-#: line.  The parser defaults are ``None`` so `--bundle` can distinguish
-#: "user asked for this" (flag wins) from "unspecified" (the config the
-#: bundle was built with wins — overriding it silently would serve the
-#: artifact under a different cost model than it was built for).
-_ENGINE_DEFAULTS = {"k": 5, "cost_model": "c3", "dmax": 10, "guided": False}
-
-
-def _add_engine_args(parser: argparse.ArgumentParser) -> None:
+def _add_engine_args(
+    parser: argparse.ArgumentParser, guided: bool = True
+) -> None:
+    # The parser defaults are ``None``, not `ENGINE_DEFAULTS`, so `--bundle`
+    # can distinguish "user asked for this" (flag wins) from "unspecified"
+    # (the config the bundle was built with wins — overriding it silently
+    # would serve the artifact under a different cost model than it was
+    # built for).
     parser.add_argument(
         "-k",
         type=_positive_int,
@@ -186,11 +185,14 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
         help="exploration depth bound (default 10, or the bundle's setting "
         "with --bundle)",
     )
-    parser.add_argument(
-        "--guided", action=argparse.BooleanOptionalAction, default=None,
-        help="distance-information pruning (--no-guided overrides a "
-        "bundle built with --guided)",
-    )
+    if guided:
+        parser.add_argument(
+            "--guided", action=argparse.BooleanOptionalAction, default=None,
+            help="Algorithm 2's completion bounds (default: on).  "
+            "--no-guided runs the unbounded loop: same results, several "
+            "times the work — it exists to check the bounds against.  An "
+            "execution strategy, not stored in bundles",
+        )
     parser.add_argument(
         "--vectorized", dest="use_vectorized",
         action=argparse.BooleanOptionalAction, default=None,
@@ -209,8 +211,8 @@ def _resolve_engine_args(args) -> None:
             "repro: --index-tier mmap requires --bundle (build one with "
             "`repro build` first)"
         )
-    for name, value in _ENGINE_DEFAULTS.items():
-        if getattr(args, name) is None:
+    for name, value in ENGINE_DEFAULTS.items():
+        if getattr(args, name, None) is None:
             setattr(args, name, value)
 
 
@@ -484,7 +486,6 @@ def _stream_bundle(args, path, **options) -> dict:
             cost_model=args.cost_model,
             k=args.k,
             dmax=args.dmax,
-            guided=args.guided,
             use_vectorized=args.use_vectorized,
             **options,
         )
@@ -731,7 +732,9 @@ def build_build_parser() -> argparse.ArgumentParser:
         "index bundle that `search`/`serve`/`bench --bundle` warm-start from.",
     )
     _add_dataset_args(parser, bundle=False)
-    _add_engine_args(parser)
+    # No --guided: the bounds are an execution strategy a bundle does not
+    # record, so the flag would have nothing to act on here.
+    _add_engine_args(parser, guided=False)
     parser.add_argument(
         "-o",
         "--output",

@@ -321,6 +321,14 @@ def _map_stage(
     return candidates
 
 
+#: The engine configuration every command-line entry point (``repro
+#: search`` / ``serve`` / ``bench`` / ``build`` / ``eval``) applies when a
+#: flag is not given.  One table, read by :mod:`repro.cli` and
+#: :func:`repro.quality.runner.build_eval_engine`, so the entry points
+#: cannot drift apart.
+ENGINE_DEFAULTS = {"k": 5, "cost_model": "c3", "dmax": DEFAULT_DMAX, "guided": True}
+
+
 class KeywordSearchEngine:
     """Keyword search through top-k query computation over RDF data.
 
@@ -342,6 +350,11 @@ class KeywordSearchEngine:
         If true, a keyword with no matching element fails the search; if
         false (default) such keywords are ignored and reported in
         ``SearchResult.ignored_keywords``.
+    guided:
+        ``True`` (default) runs Algorithm 2 with its completion bounds;
+        ``False`` runs the unbounded loop, which returns the same results
+        and exists as the identity oracle for the bounds (see
+        :func:`~repro.core.exploration.explore_top_k`).
     search_cache_size:
         When positive, completed :class:`SearchResult` objects are
         memoized (LRU) keyed on the keyword tuple, the effective search
@@ -363,7 +376,7 @@ class KeywordSearchEngine:
         dmax: int = DEFAULT_DMAX,
         max_matches_per_keyword: int = 8,
         strict_keywords: bool = False,
-        guided: bool = False,
+        guided: bool = True,
         use_vectorized: Optional[bool] = None,
         keyword_index: Optional[KeywordIndex] = None,
         summary: Optional[SummaryGraph] = None,
@@ -463,7 +476,6 @@ class KeywordSearchEngine:
             k=self.k,
             dmax=self.dmax,
             strict_keywords=self.strict_keywords,
-            guided=self.guided,
             search_cache_size=cache.maxsize if cache is not None else 0,
             use_vectorized=self.use_vectorized,
             graph_strict=self.graph.strict,
@@ -489,7 +501,8 @@ class KeywordSearchEngine:
         re-analysis) and maps the substrate's CSR sections straight from
         the file; the engine configuration saved in the bundle applies
         unless overridden (``cost_model``, ``k``, ``dmax``,
-        ``strict_keywords``, ``guided``, ``search_cache_size``).  A delta
+        ``strict_keywords``, ``search_cache_size``); ``guided`` is not
+        saved — pass it here or get the constructor's default.  A delta
         log next to the bundle has its committed tail replayed through
         incremental maintenance (``replay_wal``) and is then kept
         attached (``attach_wal``) so future :meth:`add_triples` /

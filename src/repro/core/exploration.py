@@ -37,11 +37,19 @@ Implementation notes (performance, same semantics):
   candidate list's current k-th cost — both when consuming them and inside
   the enumeration heap, so long per-keyword lists cannot allocate
   frontier state quadratically;
-* guided mode's per-keyword Dijkstra tables run on the CSR arrays and are
-  cached on the substrate per (cost table, keyword-element sets, overlay
-  signature), so repeated queries skip them entirely;
+* admissible per-keyword completion bounds (Section VI-A/IX, "indexing
+  connectivity") are applied twice: a child whose cheapest possible
+  completion cannot beat the current k-th candidate is never given a
+  cursor, and a cursor that was queued before the k-th cost fell is
+  discarded when popped.  The k-th cost only ever falls, so the push-time
+  check drops a subset of what the pop-time check would, and neither can
+  change the answer (``guided=False`` switches both off and is kept only
+  as the identity oracle).  The per-keyword Dijkstra tables behind the
+  bounds run on the CSR arrays and are cached on the substrate per (cost
+  table, keyword-element sets, overlay signature), so repeated queries
+  skip them entirely;
 * when numpy is importable (the ``repro[fast]`` extra), exploration takes
-  the **vectorized kernel path** (:mod:`repro.core.kernels`): guided bound
+  the **vectorized kernel path** (:mod:`repro.core.kernels`): the bound
   tables become batched relaxation sweeps over zero-copy ndarray views of
   the CSR arrays, the pop loop runs on structure-of-arrays cursors, and
   assembled per-query views are cached on the substrate per (overlay
@@ -429,7 +437,14 @@ def _completion_bounds(
     completing a keyword-i path sitting at n with cost w costs at least
     ``w + L_i(n) − cost(n)``.  Bounds also ignore the simple-path
     constraint, so they only ever *under*estimate: pruning on them
-    preserves the exact top-k.
+    preserves the exact top-k.  They underestimate by at least one whole
+    element cost — the meeting element n*'s own cost is in neither the
+    relaxed distance from n* nor the subtraction — which, for any cost
+    table whose entries are within ~10 orders of magnitude of each other,
+    dwarfs the last-ulp difference between a table's sum and a path's sum
+    over the same elements; that slack is why the prune compares with a
+    plain ``>=`` and needs no rounding margin
+    (``test_bounds_real_costs.py`` checks it on the real cost models).
     """
     per_keyword_dist = [
         _dijkstra_rows(seed_costs[i], row_of, costs, total) for i in range(m)
@@ -499,7 +514,7 @@ def explore_top_k(
     k: int = 10,
     dmax: int = DEFAULT_DMAX,
     max_cursors: Optional[int] = None,
-    guided: bool = False,
+    guided: bool = True,
     use_substrate: Optional[bool] = None,
     use_vectorized: Optional[bool] = None,
 ) -> ExplorationResult:
@@ -519,13 +534,21 @@ def explore_top_k(
     max_cursors:
         Optional safety bound on total cursor creations; exceeding it stops
         exploration and returns the best candidates found so far
-        (``terminated_by == "budget"``).
+        (``terminated_by == "budget"``).  The budget counts cursors
+        actually created: a child the bounds reject before it gets a
+        cursor is counted in ``cursors_pruned``, not here.
     guided:
-        Enable distance-information pruning (the Section VI-A/IX "indexing
-        connectivity" speed-up): per-keyword cheapest-completion bounds are
-        precomputed, and cursors that provably cannot contribute a
-        candidate better than the current k-th are discarded.  The result
-        is identical; only the work changes.
+        ``True`` (default): the completion bounds of Section VI-A/IX
+        ("indexing connectivity") are part of the algorithm — per-keyword
+        cheapest-completion tables are looked up (or computed once and
+        cached on the substrate), a child that provably cannot contribute
+        a candidate better than the current k-th never gets a cursor, and
+        a cursor that lost that race while queued is discarded when
+        popped.  ``False`` runs the unbounded loop.  The result is
+        identical; only the work changes — which is the one reason
+        ``False`` still exists: it is the oracle the bounds are tested
+        against (``test_guided_equivalence.py``, ``repro eval check
+        --no-guided``).
     use_substrate:
         ``None`` (default) explores on the base graph's version-keyed CSR
         substrate when available and falls back to per-query interning
@@ -612,6 +635,9 @@ def explore_top_k(
             seed_costs[i][element] = cost
             pairs.append((element, cost))
 
+    # The single seam between the algorithm and its oracle: without
+    # `bounds` both loops below run unbounded — same subgraphs, several
+    # times the cursors — which is what the identity tests compare against.
     bounds: Optional[List[List[float]]] = None
     if guided:
         cache_key = None
@@ -684,10 +710,12 @@ def explore_top_k(
         kw = cursor.keyword
         cursor_cost = cursor.cost
 
-        # Guided pruning: if even the cheapest completion of this path
+        # Bound check: if even the cheapest completion of this path
         # cannot beat the k-th candidate, the cursor is dead weight.
         # (The raw bound enters `element` once more; the cursor's cost
         # already covers it, hence the subtraction — see _completion_bounds.)
+        # Children are checked before they are pushed too; this pop-time
+        # check stays because the k-th cost may have fallen since.
         if bounds is not None:
             completion = bounds[kw][element] - costs[element]
             if cursor_cost + completion >= kth_cost():
@@ -717,6 +745,7 @@ def explore_top_k(
         if distance < dmax:
             origin = cursor.origin
             next_distance = distance + 1
+            kw_bounds = bounds[kw] if bounds is not None else None
             for neighbor in row_of(element):
                 probe = cursor
                 while probe is not None and probe.element != neighbor:
@@ -728,6 +757,17 @@ def explore_top_k(
                     pruned += 1
                     continue
                 child_cost = cursor_cost + costs[neighbor]
+                # The bound applied before the cursor exists: the same
+                # float expression the pop-time check evaluates, against a
+                # k-th cost that only ever falls — so every child dropped
+                # here would have been discarded at its pop, and skipping
+                # its cursor, cost slot and heap entry cannot change the
+                # answer.
+                if kw_bounds is not None:
+                    completion = kw_bounds[neighbor] - costs[neighbor]
+                    if child_cost + completion >= kth_cost():
+                        pruned += 1
+                        continue
                 created += 1
                 heappush(
                     heap,

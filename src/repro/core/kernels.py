@@ -63,6 +63,7 @@ from __future__ import annotations
 
 import logging
 from heapq import heapify, heappop, heappush
+from operator import sub
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.subgraph import MatchingSubgraph
@@ -584,7 +585,9 @@ def explore_soa(seed_lists, m, view, bounds, candidates, k, dmax, max_cursors):
     distance)`` tuple plus a parallel cost list, indexed by creation
     order; heap entries are ``(cost, index)`` two-tuples whose index is
     the exact tie-break the reference's ``(cost, created, Cursor)``
-    triples encode.  Every counter increment, pruning decision, offer and
+    triples encode.  Every counter increment, pruning decision (the
+    completion bound is checked before a child is pushed and again when
+    a cursor is popped, exactly as in the reference), offer and
     termination check mirrors ``explore_top_k``'s loop line for line —
     the test suite asserts the diagnostics match bit for bit.
 
@@ -679,17 +682,10 @@ def explore_soa(seed_lists, m, view, bounds, candidates, k, dmax, max_cursors):
         if cached_nets is not None and cached_nets[0] is bounds:
             nets = cached_nets[1]
         else:
-            if _np is not None:
-                carr = _np.asarray(costs)
-                nets = [
-                    (_np.asarray(brow) - carr).tolist() for brow in bounds
-                ]
-            else:  # pragma: no cover - explore_soa requires numpy today
-                nets = [
-                    [b - c for b, c in zip(brow, costs)] for brow in bounds
-                ]
+            nets = [list(map(sub, brow, costs)) for brow in bounds]
             view.net_bounds = (bounds, nets)
 
+    kw_nets = None
     popped = 0
     pruned = 0
     max_queue = 0
@@ -710,7 +706,8 @@ def explore_soa(seed_lists, m, view, bounds, candidates, k, dmax, max_cursors):
             continue
 
         if nets is not None:
-            if cursor_cost + nets[kw][element] >= kth:
+            kw_nets = nets[kw]
+            if cursor_cost + kw_nets[element] >= kth:
                 pruned += 1
                 continue
 
@@ -748,6 +745,11 @@ def explore_soa(seed_lists, m, view, bounds, candidates, k, dmax, max_cursors):
                     pruned += 1
                     continue
                 child_cost = cursor_cost + costs[neighbor]
+                # Push-time bound, the reference's check on the same
+                # folded `bounds - costs` value the pop-time check reads.
+                if kw_nets is not None and child_cost + kw_nets[neighbor] >= kth:
+                    pruned += 1
+                    continue
                 cur_append((neighbor, kw, ci, next_distance))
                 cost_append(child_cost)
                 hpush(heap, (child_cost, created))

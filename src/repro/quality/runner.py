@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.core.engine import KeywordSearchEngine
+from repro.core.engine import ENGINE_DEFAULTS, KeywordSearchEngine
 from repro.datasets import DATASET_NAMES, effectiveness_workload, graph_for
 from repro.quality.goldens import GoldenCase, GoldenFile
 from repro.quality.metrics import (
@@ -113,17 +113,16 @@ def build_eval_engine(
             use_vectorized=use_vectorized,
         )
     else:
-        # Stock CLI defaults (cli._ENGINE_DEFAULTS), so a fresh eval
-        # build and a `repro build` bundle describe the same engine —
-        # the gate must not drift just because the offline layer came
-        # from a different entry point.
+        # The one table of entry-point defaults, so a fresh eval build
+        # and a `repro build` bundle describe the same engine — the gate
+        # must not drift just because the offline layer came from a
+        # different entry point.
+        given = {"cost_model": cost_model, "k": k, "dmax": dmax, "guided": guided}
+        given = {name: value for name, value in given.items() if value is not None}
         engine = KeywordSearchEngine(
             graph_for(dataset, scale=scale),
-            cost_model=cost_model or "c3",
-            k=k if k is not None else DEFAULT_EVAL_K,
-            dmax=dmax if dmax is not None else 10,
-            guided=bool(guided),
             use_vectorized=use_vectorized,
+            **{**ENGINE_DEFAULTS, **given},
         )
     if perturb_costs:
         engine.cost_model = PerturbedCostModel(engine.cost_model)

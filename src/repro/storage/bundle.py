@@ -841,8 +841,14 @@ def load_engine(
 
     The engine is assembled from the bundle's decoded parts with the
     engine configuration saved in the header; keyword arguments
-    (``cost_model``, ``k``, ``dmax``, ``strict_keywords``, ``guided``,
-    ``search_cache_size``) override it.  When a delta log exists next to
+    (``cost_model``, ``k``, ``dmax``, ``strict_keywords``,
+    ``search_cache_size``) override it.  ``guided`` is accepted too but is
+    not part of that configuration: bounded and unbounded exploration
+    return the same results, so a bundle does not record which one its
+    builder ran (a ``guided`` key left by an older builder is ignored) and
+    an unspecified ``guided`` means the engine's default.
+
+    When a delta log exists next to
     the bundle (``<path>.wal`` unless ``wal_path`` says otherwise), its
     committed epochs past the bundle's epoch are replayed through the
     incremental maintenance path, and — with ``attach_wal`` — the log is
@@ -875,6 +881,8 @@ def load_engine(
     loaded = load_bundle(path, index_tier=index_tier)
     meta = loaded.meta
     engine_meta = dict(meta["engine"])
+    engine_meta.pop("guided", None)
+    guided = overrides.pop("guided", None)
     unknown = set(overrides) - set(engine_meta)
     if unknown:
         raise TypeError(f"unknown load() overrides: {sorted(unknown)}")
@@ -886,13 +894,14 @@ def load_engine(
         k=engine_meta["k"],
         dmax=engine_meta["dmax"],
         strict_keywords=engine_meta["strict_keywords"],
-        guided=engine_meta["guided"],
         keyword_index=loaded.keyword_index,
         summary=loaded.summary,
         store=loaded.store,
         search_cache_size=engine_meta["search_cache_size"],
         use_vectorized=engine_meta["use_vectorized"],
     )
+    if guided is not None:
+        engine.guided = guided
     engine.index_manager.epoch = meta["snapshot"]["epoch"]
     engine.index_tier = index_tier
     if not lazy:

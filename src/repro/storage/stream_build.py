@@ -145,7 +145,6 @@ def build_bundle_streaming(
     k: int = 10,
     dmax: int = DEFAULT_DMAX,
     strict_keywords: bool = False,
-    guided: bool = False,
     search_cache_size: int = 0,
     use_vectorized: Optional[bool] = None,
     fuzzy_max_distance: int = 1,
@@ -193,7 +192,6 @@ def build_bundle_streaming(
             "k": k,
             "dmax": dmax,
             "strict_keywords": strict_keywords,
-            "guided": guided,
             "search_cache_size": search_cache_size,
             "use_vectorized": use_vectorized,
         },

@@ -84,5 +84,39 @@ def test_guided_and_unguided_return_identical_results(case):
     guided = explore_top_k(augmented, costs, k=k, dmax=6, guided=True)
 
     assert _signature(guided) == _signature(plain)
-    # Guided pruning is monotone: it never expands more cursors.
+    # The bounds only ever take cursors away: a child the unbounded run
+    # refuses (k paths already registered at its target) is refused by the
+    # bounded run too, by the same rule or — when the bound kept those
+    # paths from registering — by the bound itself.
     assert guided.cursors_created <= plain.cursors_created
+
+
+def test_bound_is_applied_before_a_cursor_is_created():
+    """A star: keyword 0 on the hub, keyword 1 on one of six leaves, unit
+    costs, k=1.  The only subgraph (hub - edge - leaf, cost 4) is complete
+    once both cursors of cost 2 are popped.  Keyword 1's cursor at the hub
+    (cost 3) then still beats the bound and registers, but none of its
+    five children towards the other leaves (cost 4 each) can complete
+    below 4: they are counted as pruned and never get a cursor — a check
+    at pop time only would have created all five first."""
+    graph = SummaryGraph()
+    hub = graph.add_class_vertex(URI("c:hub"), agg_count=1).key
+    leaves = [
+        graph.add_class_vertex(URI(f"c:leaf{i}"), agg_count=1).key for i in range(6)
+    ]
+    for i, leaf in enumerate(leaves):
+        graph.add_edge(URI(f"e:{i}"), SummaryEdgeKind.RELATION, hub, leaf)
+    costs = {el.key: 1.0 for el in list(graph.vertices) + list(graph.edges)}
+    augmented = AugmentedSummaryGraph(graph, [{hub}, {leaves[0]}], {})
+
+    plain = explore_top_k(augmented, costs, k=1, guided=False)
+    guided = explore_top_k(augmented, costs, k=1, guided=True)
+
+    assert _signature(guided) == _signature(plain)
+    assert [sg.cost for sg in guided.subgraphs] == [4.0]
+    assert plain.cursors_created == 26
+    # 2 origins + 14 children pushed while no candidate existed yet; the
+    # five children of keyword 1's hub cursor are the difference to a
+    # pop-time-only check (21).
+    assert guided.cursors_created == 16 < plain.cursors_created
+    assert guided.cursors_popped == 16

@@ -89,14 +89,16 @@ def test_engine_save_is_the_builder(example_graph, tmp_path):
     """``engine.save`` hands the engine's triples and configuration to
     the same builder: every section byte for byte, in the same order, as
     a direct build with that configuration — also across a spill budget
-    that changes how the sorts run, not what they produce."""
+    that changes how the sorts run, not what they produce.  ``guided`` is
+    how an engine explores, not what the artifact holds: a non-default
+    value leaves no trace in the header."""
     import json
     import struct
 
     from repro.storage.bundle import MAGIC
 
     reference = KeywordSearchEngine(
-        DataGraph(example_graph.triples), cost_model="c2", k=7, guided=True
+        DataGraph(example_graph.triples), cost_model="c2", k=7, guided=False
     )
     saved = tmp_path / "saved.reprobundle"
     built = tmp_path / "built.reprobundle"
@@ -106,7 +108,6 @@ def test_engine_save_is_the_builder(example_graph, tmp_path):
         built,
         cost_model="c2",
         k=7,
-        guided=True,
         spill_budget_bytes=TINY_BUDGET,
     )
 
@@ -128,6 +129,7 @@ def test_engine_save_is_the_builder(example_graph, tmp_path):
     assert len(saved_sections) == 41
     for key in ("snapshot", "engine", "graph", "counts"):
         assert built_header[key] == saved_header[key], key
+    assert "guided" not in saved_header["engine"]
 
 
 # ----------------------------------------------------------------------

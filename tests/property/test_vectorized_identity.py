@@ -61,6 +61,13 @@ def _assert_identical(vectorized, scalar, queries):
         ), f"vectorized/scalar divergence on {query!r}"
 
 
+#: Every identity case runs twice: under the engine's default (the bounded
+#: loop — spelled as "no argument" so the suite follows the default
+#: wherever it points) and under the unbounded oracle loop.
+MODES = pytest.mark.parametrize(
+    "mode", [{}, {"guided": False}], ids=["default", "unbounded"]
+)
+
 EXAMPLE_QUERIES = ["cimiano 2006", "aifb article", "cimiano aifb 2006"]
 TAP_QUERIES = [
     "business",
@@ -70,27 +77,27 @@ TAP_QUERIES = [
 ]
 
 
-@pytest.mark.parametrize("guided", [False, True], ids=["plain", "guided"])
-def test_example_dataset_identity(guided):
-    vectorized, scalar = _engine_pair(running_example_graph(), guided=guided)
+@MODES
+def test_example_dataset_identity(mode):
+    vectorized, scalar = _engine_pair(running_example_graph(), **mode)
     _assert_identical(vectorized, scalar, EXAMPLE_QUERIES)
 
 
-@pytest.mark.parametrize("guided", [False, True], ids=["plain", "guided"])
-def test_tap_dataset_identity(guided):
+@MODES
+def test_tap_dataset_identity(mode):
     graph = generate_tap(TapConfig(instances_per_class=6))
-    vectorized, scalar = _engine_pair(graph, cost_model="c3", k=10, guided=guided)
+    vectorized, scalar = _engine_pair(graph, cost_model="c3", k=10, **mode)
     _assert_identical(vectorized, scalar, TAP_QUERIES)
 
 
 def test_bundle_engine_identity(tmp_path):
     """An mmap-backed bundle engine (zero-copy ndarray adoption of the
     CSR sections) must agree with a scalar in-memory build."""
-    build_engine = KeywordSearchEngine(running_example_graph(), guided=True)
+    build_engine = KeywordSearchEngine(running_example_graph())
     path = tmp_path / "example.reprobundle"
     build_engine.save(str(path))
     vectorized = KeywordSearchEngine.load(str(path), use_vectorized=True)
-    scalar = KeywordSearchEngine(running_example_graph(), guided=True, use_vectorized=False)
+    scalar = KeywordSearchEngine(running_example_graph(), use_vectorized=False)
     _assert_identical(vectorized, scalar, EXAMPLE_QUERIES)
 
 
@@ -139,8 +146,8 @@ def exploration_cases(draw):
         )
     )
     k = draw(st.integers(min_value=1, max_value=5))
-    guided = draw(st.booleans())
-    return n, edges, keyword_sets, costs, k, guided
+    mode = draw(st.sampled_from([{}, {"guided": False}]))
+    return n, edges, keyword_sets, costs, k, mode
 
 
 def _exploration_signature(result):
@@ -158,7 +165,7 @@ def _exploration_signature(result):
 @given(exploration_cases())
 @settings(max_examples=120, deadline=None)
 def test_random_graph_exploration_identity(case):
-    n, edges, keyword_indices, cost_choices, k, guided = case
+    n, edges, keyword_indices, cost_choices, k, mode = case
     graph, keys = _build_random_graph(n, edges)
     keyword_sets = [{keys[i] for i in indices} for indices in keyword_indices]
     elements = [v.key for v in graph.vertices] + [e.key for e in graph.edges]
@@ -168,10 +175,10 @@ def test_random_graph_exploration_identity(case):
     }
     augmented = AugmentedSummaryGraph(graph, keyword_sets, {})
     vectorized = explore_top_k(
-        augmented, costs, k=k, dmax=6, guided=guided, use_vectorized=True
+        augmented, costs, k=k, dmax=6, use_vectorized=True, **mode
     )
     scalar = explore_top_k(
-        augmented, costs, k=k, dmax=6, guided=guided, use_vectorized=False
+        augmented, costs, k=k, dmax=6, use_vectorized=False, **mode
     )
     assert _exploration_signature(vectorized) == _exploration_signature(scalar)
 
@@ -191,24 +198,25 @@ def _paper_triple(i):
     ]
 
 
+@MODES
 @given(
-    st.lists(
+    operations=st.lists(
         st.tuples(st.booleans(), st.integers(min_value=0, max_value=11)),
         min_size=1,
         max_size=6,
     )
 )
 @settings(max_examples=25, deadline=None)
-def test_identity_survives_update_batches(operations):
+def test_identity_survives_update_batches(operations, mode):
     """Apply the same add/remove batches to a vectorized and a scalar
     engine; after every batch both must answer identically (the kernels
     see each new summary version through a fresh substrate).  Each engine
     gets its own graph instance — add/remove mutates the graph in place."""
     vectorized = KeywordSearchEngine(
-        running_example_graph(), guided=True, use_vectorized=True
+        running_example_graph(), use_vectorized=True, **mode
     )
     scalar = KeywordSearchEngine(
-        running_example_graph(), guided=True, use_vectorized=False
+        running_example_graph(), use_vectorized=False, **mode
     )
     for is_add, i in operations:
         batch = _paper_triple(i)

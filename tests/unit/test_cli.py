@@ -67,6 +67,9 @@ def test_filters_mode(capsys):
 
 def test_guided_flag(capsys):
     assert main(["aifb 2006", "--guided"]) == 0
+    bounded = capsys.readouterr().out
+    assert main(["aifb 2006", "--no-guided"]) == 0
+    assert capsys.readouterr().out == bounded
 
 
 def test_cost_model_flag(capsys):
@@ -339,13 +342,23 @@ class TestPersistenceCommands:
         assert engine.k == 7
         assert args.k == 7  # post-load resolution for downstream readers
 
-    def test_bundle_guided_is_overridable_both_ways(self, tmp_path, capsys):
+    def test_bundle_does_not_pin_guided(self, tmp_path, capsys):
+        """The bounds are an execution strategy, not part of the artifact:
+        `repro build` does not offer the flag, and a load explores bounded
+        unless this invocation passes --no-guided."""
         from repro.cli import _build_engine, build_parser
 
         bundle = str(tmp_path / "g.reprobundle")
-        assert main(["build", "--dataset", "example", "--guided", "-o", bundle]) == 0
+        argv = ["build", "--dataset", "example", "-o", bundle]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--no-guided"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --no-guided" in capsys.readouterr().err
+        assert main(argv) == 0
         capsys.readouterr()
-        assert _build_engine(build_parser().parse_args(["q", "--bundle", bundle])).guided is True
+        args = build_parser().parse_args(["q", "--bundle", bundle])
+        assert _build_engine(args).guided is True
+        assert args.guided is True  # post-load resolution for downstream readers
         args = build_parser().parse_args(["q", "--bundle", bundle, "--no-guided"])
         assert _build_engine(args).guided is False
 

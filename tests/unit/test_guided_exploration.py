@@ -43,7 +43,7 @@ class TestGuidedEquivalence:
         graph, keys, _ = build_line_graph(6)
         augmented = augmented_for(graph, [[keys[0]], [keys[5], keys[2]]])
         costs = uniform_costs(graph)
-        plain = explore_top_k(augmented, costs, k=5)
+        plain = explore_top_k(augmented, costs, k=5, guided=False)
         guided = explore_top_k(augmented, costs, k=5, guided=True)
         assert [sg.cost for sg in plain.subgraphs] == [
             sg.cost for sg in guided.subgraphs
@@ -55,7 +55,7 @@ class TestGuidedEquivalence:
         costs[keys[2]] = 0.3
         costs[edges[1]] = 2.0
         augmented = augmented_for(graph, [[keys[0]], [keys[4]]])
-        plain = explore_top_k(augmented, costs, k=3)
+        plain = explore_top_k(augmented, costs, k=3, guided=False)
         guided = explore_top_k(augmented, costs, k=3, guided=True)
         assert [sg.elements for sg in plain.subgraphs] == [
             sg.elements for sg in guided.subgraphs
@@ -69,7 +69,7 @@ class TestGuidedEquivalence:
             graph.add_edge(URI(f"e:{i}"), SummaryEdgeKind.RELATION, keys[i], keys[i + 1])
         costs = uniform_costs(graph)
         augmented = augmented_for(graph, [[keys[0]], [keys[2]]])
-        plain = explore_top_k(augmented, costs, k=1)
+        plain = explore_top_k(augmented, costs, k=1, guided=False)
         guided = explore_top_k(augmented, costs, k=1, guided=True)
         assert guided.cursors_popped <= plain.cursors_popped
         assert [sg.cost for sg in guided.subgraphs] == [
@@ -79,7 +79,7 @@ class TestGuidedEquivalence:
     def test_guided_engine_matches_plain_engine(self, example_graph):
         from repro.core.engine import KeywordSearchEngine
 
-        plain = KeywordSearchEngine(example_graph, cost_model="c3", k=5)
+        plain = KeywordSearchEngine(example_graph, cost_model="c3", k=5, guided=False)
         guided = KeywordSearchEngine(
             example_graph,
             cost_model="c3",

@@ -58,3 +58,23 @@ def test_goldens_and_baseline_case_counts_agree(dataset):
         os.path.join(EVAL_DIR, "baselines", f"{dataset}.json")
     )
     assert baseline["num_cases"] == len(goldens)
+
+
+@pytest.mark.parametrize("dataset", ["example", "tap"])
+def test_baseline_metrics_do_not_depend_on_the_bounds(dataset):
+    """What the CI quality gate runs twice, held to equality: the default
+    (bounded) exploration and the unbounded ``--no-guided`` oracle score
+    the committed goldens to the same aggregates, bit for bit, and those
+    are the committed baseline's — only the recorded ``config.guided``
+    differs between the two runs."""
+    from repro.quality import build_eval_engine, evaluate_quality
+
+    goldens = load_goldens(os.path.join(EVAL_DIR, "goldens", f"{dataset}.jsonl"))
+    baseline = load_baseline(os.path.join(EVAL_DIR, "baselines", f"{dataset}.json"))
+    engine, config = build_eval_engine(dataset)
+    assert config["guided"] is True
+    bounded = evaluate_quality(engine, goldens)
+    engine.guided = False
+    unbounded = evaluate_quality(engine, goldens)
+    assert bounded["aggregates"] == unbounded["aggregates"] == baseline["aggregates"]
+    assert bounded["counts"] == unbounded["counts"] == baseline["counts"]

@@ -216,8 +216,8 @@ def test_save_refuses_custom_lexicon(example_graph, tmp_path):
 def test_load_overrides_engine_config(small_engine, tmp_path):
     path = tmp_path / "a.reprobundle"
     small_engine.save(path)
-    loaded = KeywordSearchEngine.load(path, k=3, guided=True, cost_model="c1")
-    assert (loaded.k, loaded.guided, loaded.cost_model.name) == (3, True, "c1")
+    loaded = KeywordSearchEngine.load(path, k=3, guided=False, cost_model="c1")
+    assert (loaded.k, loaded.guided, loaded.cost_model.name) == (3, False, "c1")
     with pytest.raises(TypeError):
         KeywordSearchEngine.load(path, no_such_option=1)
 
@@ -228,7 +228,7 @@ def test_engine_config_round_trips(example_graph, tmp_path):
         cost_model="c2",
         k=7,
         dmax=6,
-        guided=True,
+        guided=False,
         strict_keywords=True,
         search_cache_size=32,
     )
@@ -236,8 +236,39 @@ def test_engine_config_round_trips(example_graph, tmp_path):
     engine.save(path)
     loaded = KeywordSearchEngine.load(path)
     assert loaded.cost_model.name == "c2"
-    assert (loaded.k, loaded.dmax, loaded.guided, loaded.strict_keywords) == (7, 6, True, True)
+    assert (loaded.k, loaded.dmax, loaded.strict_keywords) == (7, 6, True)
     assert loaded._search_cache is not None and loaded._search_cache.maxsize == 32
+    # How the saving engine explored is not a property of the artifact.
+    assert loaded.guided is True
+
+
+def test_guided_key_of_an_older_builder_is_ignored(small_engine, tmp_path):
+    """Bundles written before the bounds became the algorithm carry
+    ``"guided": false`` in their engine block (same format version); it
+    must not pin a server loading one today to the unbounded loop."""
+    import json
+    import struct
+
+    from repro.storage.bundle import MAGIC
+
+    path = tmp_path / "old.reprobundle"
+    small_engine.save(path)
+    raw = path.read_bytes()
+    prelude = len(MAGIC) + 8
+    header_len = struct.unpack_from("<I", raw, len(MAGIC) + 4)[0]
+    header = json.loads(raw[prelude : prelude + header_len])
+    payload = raw[prelude + header_len + (-(prelude + header_len)) % 8 :]
+    header["engine"]["guided"] = False
+    encoded = json.dumps(header, separators=(",", ":"), sort_keys=True).encode()
+    path.write_bytes(
+        raw[: len(MAGIC) + 4]
+        + struct.pack("<I", len(encoded))
+        + encoded
+        + b"\x00" * (-(prelude + len(encoded)) % 8)
+        + payload
+    )
+    assert KeywordSearchEngine.load(path, attach_wal=False).guided is True
+    assert KeywordSearchEngine.load(path, attach_wal=False, guided=False).guided is False
 
 
 def test_strict_graph_round_trips_and_fails_a_violating_build(example_graph, tmp_path):
