@@ -23,7 +23,7 @@ each load in its own fresh subprocess so VmHWM isolates the tier:
 * **cold ms** — load + first search + first execute, per tier;
 * **peak MB** — the subprocess's VmHWM: the materialized tier decodes
   every section into Python dicts, the mmap tier
-  (``--index-tier mmap``) binary-searches the format-v2 queryable
+  (``--index-tier mmap``) binary-searches the bundle's queryable
   sections in place and pays only for pages it touches.
 
 Acceptance gates (non-``--quick``), both at the largest default scale:

@@ -159,7 +159,7 @@ def _add_index_tier_arg(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_engine_args(
-    parser: argparse.ArgumentParser, guided: bool = True
+    parser: argparse.ArgumentParser, execution: bool = True
 ) -> None:
     # The parser defaults are ``None``, not `ENGINE_DEFAULTS`, so `--bundle`
     # can distinguish "user asked for this" (flag wins) from "unspecified"
@@ -185,20 +185,23 @@ def _add_engine_args(
         help="exploration depth bound (default 10, or the bundle's setting "
         "with --bundle)",
     )
-    if guided:
-        parser.add_argument(
-            "--guided", action=argparse.BooleanOptionalAction, default=None,
-            help="Algorithm 2's completion bounds (default: on).  "
-            "--no-guided runs the unbounded loop: same results, several "
-            "times the work — it exists to check the bounds against.  An "
-            "execution strategy, not stored in bundles",
-        )
+    if not execution:
+        return
+    # Execution strategies: same results either way, so a bundle records
+    # neither and `repro build` registers neither.
+    parser.add_argument(
+        "--guided", action=argparse.BooleanOptionalAction, default=None,
+        help="Algorithm 2's completion bounds (default: on).  "
+        "--no-guided runs the unbounded loop: same results, several "
+        "times the work — it exists to check the bounds against.  An "
+        "execution strategy, not stored in bundles",
+    )
     parser.add_argument(
         "--vectorized", dest="use_vectorized",
         action=argparse.BooleanOptionalAction, default=None,
         help="numpy exploration kernels (--no-vectorized forces the "
-        "scalar path; default: auto, or the bundle's setting with "
-        "--bundle)",
+        "scalar path; default: auto).  An execution strategy, not stored "
+        "in bundles",
     )
 
 
@@ -486,7 +489,6 @@ def _stream_bundle(args, path, **options) -> dict:
             cost_model=args.cost_model,
             k=args.k,
             dmax=args.dmax,
-            use_vectorized=args.use_vectorized,
             **options,
         )
 
@@ -732,9 +734,9 @@ def build_build_parser() -> argparse.ArgumentParser:
         "index bundle that `search`/`serve`/`bench --bundle` warm-start from.",
     )
     _add_dataset_args(parser, bundle=False)
-    # No --guided: the bounds are an execution strategy a bundle does not
-    # record, so the flag would have nothing to act on here.
-    _add_engine_args(parser, guided=False)
+    # No --guided / --vectorized: execution strategies a bundle does not
+    # record, so the flags would have nothing to act on here.
+    _add_engine_args(parser, execution=False)
     parser.add_argument(
         "-o",
         "--output",

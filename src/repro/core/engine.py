@@ -477,7 +477,6 @@ class KeywordSearchEngine:
             dmax=self.dmax,
             strict_keywords=self.strict_keywords,
             search_cache_size=cache.maxsize if cache is not None else 0,
-            use_vectorized=self.use_vectorized,
             graph_strict=self.graph.strict,
             epoch=self.index_manager.epoch,
             delta_log=self.delta_log,
@@ -501,8 +500,9 @@ class KeywordSearchEngine:
         re-analysis) and maps the substrate's CSR sections straight from
         the file; the engine configuration saved in the bundle applies
         unless overridden (``cost_model``, ``k``, ``dmax``,
-        ``strict_keywords``, ``search_cache_size``); ``guided`` is not
-        saved — pass it here or get the constructor's default.  A delta
+        ``strict_keywords``, ``search_cache_size``); ``guided`` and
+        ``use_vectorized`` are not saved — pass them here or get the
+        constructor's defaults.  A delta
         log next to the bundle has its committed tail replayed through
         incremental maintenance (``replay_wal``) and is then kept
         attached (``attach_wal``) so future :meth:`add_triples` /

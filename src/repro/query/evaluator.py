@@ -24,7 +24,7 @@ store's: which answers a truncating ``limit`` keeps is unspecified.
 from __future__ import annotations
 
 from itertools import islice
-from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Hashable, Iterator, List, Optional, Tuple
 
 from repro.query.conjunctive import ConjunctiveQuery
 from repro.rdf.terms import Term, Variable
@@ -67,31 +67,11 @@ class Answer:
         return f"Answer({pairs})"
 
 
-class _TermKeys:
-    """Key-level access to a store that only has ``match`` and ``count``
-    (the baseline stores): its keys are the terms."""
-
-    def __init__(self, store):
-        self._store = store
-
-    def key_of(self, term: Term) -> Term:
-        return term
-
-    term_of = key_of
-
-    def count_keys(self, s, p, o) -> int:
-        return self._store.count(s, p, o)
-
-    def scan_keys(self, s, p, o) -> Iterable[Tuple[Term, Term]]:
-        return ((t.subject, t.object) for t in self._store.match(s, p, o))
-
-
 class QueryEvaluator:
     """Evaluates conjunctive queries over a triple store."""
 
     def __init__(self, store):
         self._store = store
-        self._keys = store if hasattr(store, "scan_keys") else _TermKeys(store)
         self._stats = StoreStatistics(store)
 
     def invalidate_statistics(self) -> None:
@@ -113,7 +93,7 @@ class QueryEvaluator:
         distinguished = query.distinguished
         variables = query.variables
         picks = [variables.index(v) for v in distinguished]
-        term_of = self._keys.term_of
+        term_of = self._store.term_of
         seen = set()
         for slots in self._solve(query):
             keys = tuple([slots[i] for i in picks])
@@ -137,7 +117,7 @@ class QueryEvaluator:
         """Every embedding of the query pattern into the store, as keys
         in one slot per variable (``query.variables`` order).  The list is
         reused: read it before advancing the iterator."""
-        store = self._keys
+        store = self._store
         key_of = store.key_of
         scan = store.scan_keys
         slot_of = {v: i for i, v in enumerate(query.variables)}

@@ -46,6 +46,8 @@ import struct
 import time
 import zlib
 from collections import defaultdict
+from itertools import groupby
+from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
 from repro.keyword.inverted_index import InvertedIndex
@@ -83,18 +85,20 @@ from repro.storage.lazy import LazyDataGraph, LazyTripleStore
 
 MAGIC = b"RPROBNDL"
 #: Bump on any change to the section layout or encodings.  The one
-#: version this release writes is the one version it reads: version 2
-#: carries the materializable sections (``store.*``, ``kindex.*``) next
-#: to the queryable mmap-tier ones (sorted term/vocab offset tables,
-#: posting runs, SPO/POS/OSP triple runs), so every bundle serves both
-#: index tiers.  Anything else is refused with a rebuild hint.
-FORMAT_VERSION = 2
+#: version this release writes is the one version it reads: version 3
+#: stores the triple indexes and the keyword index once, as the sorted
+#: runs (``store2.*``, ``kindex2.*``) — the memory tier decodes them into
+#: its dicts, the mmap tier binary-searches them in place — so every
+#: bundle serves both index tiers.  Anything else is refused with a
+#: rebuild hint.
+FORMAT_VERSION = 3
 
 #: Conventional file extension (the CLI and docs use it; the reader only
 #: trusts the magic).
 BUNDLE_SUFFIX = ".reprobundle"
 
 _U32 = struct.Struct("<I")
+_FIRST, _SECOND, _THIRD = itemgetter(0), itemgetter(1), itemgetter(2)
 
 # Stable wire codes for the edge/vertex kinds (the element codes live in
 # the codec: the mmap tier decodes against them too).
@@ -205,27 +209,27 @@ def _decode_labels(reader: Reader, terms) -> Tuple[Dict, Dict]:
     return labels, ranks
 
 
-def _decode_two_level(reader: Reader, terms):
-    """Restore one SPO-shaped index into the store's defaultdict nesting."""
-    outer = reader.ids()
-    outer_offsets = reader.ids()
-    inner = reader.ids()
-    inner_offsets = reader.ids()
-    leaf = reader.ids()
-    if len(outer_offsets) != len(outer) + 1 or len(inner_offsets) != len(inner) + 1:
-        raise BundleFormatError("two-level index offsets are inconsistent")
+def _decode_sorted_run(buf, terms, size: int):
+    """One flat sorted ``(a, b, c)`` id run (``store2.*``) as the store's
+    defaultdict nesting ``a -> b -> {c}``; ``size`` is the triple count
+    the header promises for it."""
+    flat = decode_raw_ids(buf)
+    if len(flat) != 3 * size:
+        raise BundleFormatError(
+            f"sorted triple run holds {len(flat)} values, header says "
+            f"{size} triples"
+        )
     term_of = terms.__getitem__
-    # One C-level pass per blob, then plain dict stores over slices — the
-    # per-triple `add()` hashing this bypasses is the cold-start cost.
-    leaf_terms = list(map(term_of, leaf))
-    inner_terms = list(map(term_of, inner))
+    # C-level passes over the columns and group boundaries, then plain
+    # dict stores — the per-triple `add()` hashing this bypasses is the
+    # cold-start cost.
+    rows = zip(flat[::3], flat[1::3], map(term_of, flat[2::3]))
     index = _nested()
-    size = len(leaf)
-    for i, a in enumerate(outer):
+    for a, a_rows in groupby(rows, key=_FIRST):
         inner_map = index[term_of(a)]
-        for j in range(outer_offsets[i], outer_offsets[i + 1]):
-            inner_map[inner_terms[j]] = set(leaf_terms[inner_offsets[j] : inner_offsets[j + 1]])
-    return index, size
+        for b, b_rows in groupby(a_rows, key=_SECOND):
+            inner_map[term_of(b)] = set(map(_THIRD, b_rows))
+    return index
 
 
 # ----------------------------------------------------------------------
@@ -443,7 +447,9 @@ def load_bundle(path, index_tier: str = "memory") -> LoadedBundle:
     and resident memory O(touched data).  The big queryable sections are
     *not* CRC-verified on the mmap path (checksumming them would read
     every byte, defeating the tier); the metadata, summary, and graph
-    sections still are.
+    sections still are.  The memory tier decodes those same sections and
+    verifies them like any other: eagerly for the keyword index, at
+    first touch for the store.
 
     Raises :class:`BundleFormatError` on anything that is not a repro
     bundle of exactly :data:`FORMAT_VERSION` (on either tier: an older
@@ -537,9 +543,6 @@ def load_bundle(path, index_tier: str = "memory") -> LoadedBundle:
         for name in (
             "terms.offsets",
             "terms.sorted",
-            "store2.spo",
-            "store2.pos",
-            "store2.osp",
             "kindex2.vocab.offsets",
             "kindex2.vocab.sorted",
             "kindex2.postings.offsets",
@@ -589,9 +592,9 @@ def load_bundle(path, index_tier: str = "memory") -> LoadedBundle:
         "graph.relation_triples",
         "graph.attribute_triples",
         "graph.labels",
-        "store.spo",
-        "store.pos",
-        "store.osp",
+        "store2.spo",
+        "store2.pos",
+        "store2.osp",
     ):
         if name not in section_views:
             raise BundleFormatError(f"{path}: missing section {name!r}")
@@ -672,10 +675,13 @@ def load_bundle(path, index_tier: str = "memory") -> LoadedBundle:
     else:
 
         def store_thunk() -> TripleStore:
-            spo, size = _decode_two_level(Reader(section("store.spo")), terms)
-            pos, _ = _decode_two_level(Reader(section("store.pos")), terms)
-            osp, _ = _decode_two_level(Reader(section("store.osp")), terms)
-            return TripleStore.from_state(spo, pos, osp, size)
+            size = meta_graph["stats"]["triples"]
+            return TripleStore.from_state(
+                _decode_sorted_run(section("store2.spo"), terms, size),
+                _decode_sorted_run(section("store2.pos"), terms, size),
+                _decode_sorted_run(section("store2.osp"), terms, size),
+                size,
+            )
 
         store = LazyTripleStore(store_thunk, size=meta_graph["stats"]["triples"])
 
@@ -714,24 +720,36 @@ def load_bundle(path, index_tier: str = "memory") -> LoadedBundle:
         it = iter(element_flat)
         elements = [(ELEMENT_KINDS[code], terms[t]) for code, t in zip(it, it)]
 
-        keys, offsets, values = decode_grouping(Reader(section("kindex.postings")))
+        # The memory tier decodes the same runs the mmap tier bisects,
+        # through the CRC-checking `section()`.
+        offsets = decode_raw_ids(section("kindex2.postings.offsets")).tolist()
+        runs = decode_raw_ids(section("kindex2.postings.runs")).tolist()
+        if len(offsets) != len(vocab) + 1 or 3 * offsets[-1] != len(runs):
+            raise BundleFormatError(
+                f"{path}: posting runs are inconsistent ({len(vocab)} vocabulary "
+                f"terms, {len(offsets)} offsets, {len(runs)} run values)"
+            )
         postings: Dict[str, Dict] = {}
-        for i, k in enumerate(keys):
-            segment = iter(values[offsets[i] : offsets[i + 1]])
-            postings[vocab[k]] = {
+        for vid, text in enumerate(vocab):
+            segment = iter(runs[3 * offsets[vid] : 3 * offsets[vid + 1]])
+            rows = {
                 elements[e]: [tf, total]
                 for e, tf, total in zip(segment, segment, segment)
             }
-        keys, offsets, values = decode_grouping(
-            Reader(section("kindex.element_terms"))
-        )
+            if rows:
+                postings[text] = rows
+        offsets = decode_raw_ids(section("kindex2.element_terms.offsets")).tolist()
+        runs = decode_raw_ids(section("kindex2.element_terms.runs")).tolist()
+        if len(offsets) != len(elements) + 1 or offsets[-1] != len(runs):
+            raise BundleFormatError(
+                f"{path}: element-term runs are inconsistent ({len(elements)} "
+                f"elements, {len(offsets)} offsets, {len(runs)} run values)"
+            )
         element_terms = {
-            elements[k]: {vocab[v] for v in values[offsets[i] : offsets[i + 1]]}
-            for i, k in enumerate(keys)
+            element: {vocab[v] for v in runs[offsets[i] : offsets[i + 1]]}
+            for i, element in enumerate(elements)
         }
-        keys, offsets, values = decode_grouping(
-            Reader(section("kindex.attr_class_refs"))
-        )
+        keys, offsets, values = decode_grouping(Reader(section("kindex2.attr_refs")))
         attr_class_refs: Dict[URI, Dict[Optional[Term], int]] = {}
         for i, k in enumerate(keys):
             segment = iter(values[offsets[i] : offsets[i + 1]])
@@ -739,9 +757,7 @@ def load_bundle(path, index_tier: str = "memory") -> LoadedBundle:
                 (None if cls < 0 else terms[cls]): count
                 for cls, count in zip(segment, segment)
             }
-        keys, offsets, values = decode_grouping(
-            Reader(section("kindex.value_occ_refs"))
-        )
+        keys, offsets, values = decode_grouping(Reader(section("kindex2.value_refs")))
         value_occ_refs: Dict[Literal, Dict[Tuple[URI, Optional[Term]], int]] = {}
         for i, k in enumerate(keys):
             segment = iter(values[offsets[i] : offsets[i + 1]])
@@ -835,6 +851,8 @@ def load_engine(
     wal_path=None,
     lazy: bool = True,
     index_tier: str = "memory",
+    guided: Optional[bool] = None,
+    use_vectorized: Optional[bool] = None,
     **overrides,
 ):
     """Reconstitute a :class:`~repro.core.engine.KeywordSearchEngine`.
@@ -842,11 +860,10 @@ def load_engine(
     The engine is assembled from the bundle's decoded parts with the
     engine configuration saved in the header; keyword arguments
     (``cost_model``, ``k``, ``dmax``, ``strict_keywords``,
-    ``search_cache_size``) override it.  ``guided`` is accepted too but is
-    not part of that configuration: bounded and unbounded exploration
-    return the same results, so a bundle does not record which one its
-    builder ran (a ``guided`` key left by an older builder is ignored) and
-    an unspecified ``guided`` means the engine's default.
+    ``search_cache_size``) override it.  ``guided`` and ``use_vectorized``
+    are load-time arguments, not part of that configuration: they are
+    execution strategies with identical results, so a bundle records
+    neither and an unspecified one means the engine's default.
 
     When a delta log exists next to
     the bundle (``<path>.wal`` unless ``wal_path`` says otherwise), its
@@ -881,8 +898,6 @@ def load_engine(
     loaded = load_bundle(path, index_tier=index_tier)
     meta = loaded.meta
     engine_meta = dict(meta["engine"])
-    engine_meta.pop("guided", None)
-    guided = overrides.pop("guided", None)
     unknown = set(overrides) - set(engine_meta)
     if unknown:
         raise TypeError(f"unknown load() overrides: {sorted(unknown)}")
@@ -898,7 +913,7 @@ def load_engine(
         summary=loaded.summary,
         store=loaded.store,
         search_cache_size=engine_meta["search_cache_size"],
-        use_vectorized=engine_meta["use_vectorized"],
+        use_vectorized=use_vectorized,
     )
     if guided is not None:
         engine.guided = guided

@@ -1,14 +1,15 @@
 """Disk-resident serving tier: binary-searchable readers over the mmap.
 
 PR 8 made *building* a million-triple bundle possible in bounded memory;
-this module is the serving half.  A format-v2 bundle carries, next to
-the eagerly-decodable v1 sections, *queryable* layouts: byte-offset
-tables over the term table and the keyword vocabulary, order-preserving
-sorted permutations for binary search, posting lists as contiguous
-``(element, tf, total)`` int64 runs, and the full triple set as
-SPO/POS/OSP-sorted flat runs.  The classes here serve the exact same
-interfaces the materialized structures expose — ``InvertedIndex``'s
-lookup/maintenance surface, ``TripleStore``'s pattern matching — by
+this module is the serving half.  A bundle stores its keyword index and
+triple indexes as *queryable* layouts: byte-offset tables over the term
+table and the keyword vocabulary, order-preserving sorted permutations
+for binary search, posting lists as contiguous ``(element, tf, total)``
+int64 runs, and the full triple set as SPO/POS/OSP-sorted flat runs (the
+memory tier decodes the same sections into its dicts at load).  The
+classes here serve the exact same interfaces the materialized structures
+expose — ``InvertedIndex``'s lookup/maintenance surface,
+``TripleStore``'s pattern matching — by
 binary search over ``memoryview('q')`` casts of the mmap-ed sections,
 so cold start is O(metadata) and resident memory is O(touched data):
 the page cache faults in only the runs a query's keywords and join

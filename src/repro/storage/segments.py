@@ -22,7 +22,6 @@ import os
 import struct
 import sys
 from array import array
-from itertools import groupby
 from typing import IO, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 _U64 = struct.Struct("<Q")
@@ -258,39 +257,4 @@ class GroupingSpool:
 
     def cleanup(self) -> None:
         for spool in (self._keys, self._offsets, self._values):
-            spool.unlink()
-
-
-class TwoLevelSpool:
-    """The five-blob two-level index shape (``store.spo`` et al.), fed
-    sorted ``(a, b, c)`` rows and streamed out without residency."""
-
-    def __init__(self, directory, name: str):
-        directory = os.fspath(directory)
-        self._spools = tuple(
-            SegmentWriter(os.path.join(directory, f"{name}.{part}.seg"), 1)
-            for part in ("outer", "outer_offs", "inner", "inner_offs", "leaf")
-        )
-        outer, outer_offs, inner, inner_offs, leaf = self._spools
-        outer_offs.append_value(0)
-        inner_offs.append_value(0)
-
-    def feed(self, sorted_rows: Iterable[Tuple[int, int, int]]) -> None:
-        outer, outer_offs, inner, inner_offs, leaf = self._spools
-        for a, a_rows in groupby(sorted_rows, key=lambda row: row[0]):
-            outer.append_value(a)
-            for b, b_rows in groupby(a_rows, key=lambda row: row[1]):
-                inner.append_value(b)
-                for row in b_rows:
-                    leaf.append_value(row[2])
-                inner_offs.append_value(leaf.rows)
-            outer_offs.append_value(inner.rows)
-
-    def write_to(self, section) -> None:
-        for spool in self._spools:
-            spool.close()
-            write_ids_from_segment(section, spool)
-
-    def cleanup(self) -> None:
-        for spool in self._spools:
             spool.unlink()

@@ -36,8 +36,8 @@ import struct
 import tempfile
 import time
 from array import array
-from itertools import groupby
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
+from itertools import chain, groupby, islice
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from repro import __version__
 from repro.core.exploration import DEFAULT_DMAX
@@ -77,10 +77,10 @@ from repro.storage.codec import (
 )
 from repro.storage.errors import UnsupportedEngineError
 from repro.storage.segments import (
+    DEFAULT_BUFFER_ROWS,
     ExternalSorter,
     GroupingSpool,
     SegmentWriter,
-    TwoLevelSpool,
     iter_rows,
     write_ids_from_segment,
     write_raw_from_segment,
@@ -114,26 +114,14 @@ _K_SUBCLASS_BAD = 5
 _PACK_LIMIT = 1 << 21
 
 
-def _capture_rows(
-    rows: Iterable[Tuple[int, int, int]], section, buffer_rows: int = 16384
-) -> Iterator[Tuple[int, int, int]]:
-    """Tee a sorted-row stream into a raw int64 section while yielding it.
-
-    The mmap-tier triple runs (``store2.*``) are the *same* merge pass
-    that feeds the two-level store sections; this wrapper writes each
-    row to the open raw section in bounded chunks on the way through, so
-    the sort is consumed exactly once.
-    """
-    buf: List[int] = []
-    flush_at = 3 * max(1, buffer_rows)
-    for row in rows:
-        buf.extend(row)
-        if len(buf) >= flush_at:
-            section.write(encode_raw_ids(buf))
-            buf.clear()
-        yield row
-    if buf:
-        section.write(encode_raw_ids(buf))
+def _write_rows(section, rows: Iterable[Tuple[int, ...]]) -> None:
+    """Stream row tuples into an open raw int64 section in bounded chunks."""
+    rows = iter(rows)
+    while True:
+        chunk = array("q", chain.from_iterable(islice(rows, DEFAULT_BUFFER_ROWS)))
+        if not chunk:
+            return
+        section.write(encode_raw_ids(chunk))
 
 
 def build_bundle_streaming(
@@ -146,7 +134,6 @@ def build_bundle_streaming(
     dmax: int = DEFAULT_DMAX,
     strict_keywords: bool = False,
     search_cache_size: int = 0,
-    use_vectorized: Optional[bool] = None,
     fuzzy_max_distance: int = 1,
     max_matches_per_keyword: int = 8,
     lookup_cache_size: int = 1024,
@@ -193,7 +180,6 @@ def build_bundle_streaming(
             "dmax": dmax,
             "strict_keywords": strict_keywords,
             "search_cache_size": search_cache_size,
-            "use_vectorized": use_vectorized,
         },
         "graph": {"strict": graph_strict},
         "kindex": {
@@ -511,20 +497,15 @@ def _build(
         "graph.subclass_pred_counts", encode_ids(flat_pairs(subclass_pred_counts))
     )
 
-    # Triple store indexes: three external sorts, each consumed once —
-    # teed into the raw mmap-tier runs (store2.*) and the two-level
-    # hash-store sections (store.*).
-    for name, raw_name, sorter in (
-        ("store.spo", "store2.spo", sort_spo),
-        ("store.pos", "store2.pos", sort_pos),
-        ("store.osp", "store2.osp", sort_osp),
+    # Triple store indexes: three external sorts, each streamed into its
+    # flat sorted run — the one stored form both index tiers read.
+    for name, sorter in (
+        ("store2.spo", sort_spo),
+        ("store2.pos", sort_pos),
+        ("store2.osp", sort_osp),
     ):
-        two_level = TwoLevelSpool(tmp, name.replace(".", "_"))
-        with writer.section(raw_name) as sec:
-            two_level.feed(_capture_rows(sorter.sorted_rows(), sec))
         with writer.section(name) as sec:
-            two_level.write_to(sec)
-        two_level.cleanup()
+            _write_rows(sec, sorter.sorted_rows())
         sorter.cleanup()
 
     # ------------------------------------------------------------------
@@ -628,10 +609,8 @@ def _build(
         ),
     )
     del element_codes, element_tids
-    # Posting lists: the merged spill runs feed the v1 grouping and the
-    # mmap-tier run layout (per-vocab-id row offsets + flat rows) in one
-    # consumption.
-    postings_grouping = GroupingSpool(tmp, "postings_grouping")
+    # Posting lists: the merged spill runs become the run layout
+    # (per-vocab-id row offsets + flat rows).
     postings_runs_spool = SegmentWriter(os.path.join(tmp, "postings_runs.seg"), 3)
     run_offsets = array("q", [0])
     rows_so_far = 0
@@ -643,12 +622,8 @@ def _build(
             postings_runs_spool.append(row)
         rows_so_far += len(flat) // 3
         run_offsets.append(rows_so_far)
-        postings_grouping.add(vid, flat)
     while len(run_offsets) <= len(vocab.items):
         run_offsets.append(rows_so_far)
-    with writer.section("kindex.postings") as sec:
-        postings_grouping.write_to(sec)
-    postings_grouping.cleanup()
     postings_runs_spool.close()
     writer.add_section("kindex2.postings.offsets", encode_raw_ids(run_offsets))
     with writer.section("kindex2.postings.runs") as sec:
@@ -656,8 +631,6 @@ def _build(
     postings_runs_spool.unlink()
     postings_runs = postings.runs_spilled
     postings.cleanup()
-    with writer.section("kindex.element_terms") as sec:
-        element_terms.write_to(sec)
     with writer.section("kindex2.element_terms.offsets") as sec:
         element_terms.write_raw_offsets(sec)
     with writer.section("kindex2.element_terms.runs") as sec:
@@ -665,28 +638,8 @@ def _build(
     element_terms.cleanup()
     elements_spool.unlink()
 
-    writer.add_section(
-        "kindex.attr_class_refs",
-        encode_grouping(
-            (pid, flat_pairs(refs)) for pid, refs in attr_class_refs.items()
-        ),
-    )
-    writer.add_section(
-        "kindex.value_occ_refs",
-        encode_grouping(
-            (
-                vid,
-                (
-                    value
-                    for (label_id, cls), count in refs.items()
-                    for value in (label_id, cls, count)
-                ),
-            )
-            for vid, refs in value_occ_refs.items()
-        ),
-    )
-    # The same refcount groupings re-keyed in ascending term-id order,
-    # so the mmap tier can bisect them without decoding.
+    # The refcount groupings, keyed in ascending term-id order so the
+    # mmap tier can bisect them without decoding.
     writer.add_section(
         "kindex2.attr_refs",
         encode_grouping(

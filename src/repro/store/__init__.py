@@ -10,7 +10,6 @@ join ordering (:mod:`~repro.store.statistics`).
 
 from repro.store.triple_store import TripleStore
 from repro.store.single_table import SingleTableStore, Row
-from repro.store.vertical import VerticalStore
 from repro.store.statistics import StoreStatistics
 
-__all__ = ["TripleStore", "SingleTableStore", "Row", "VerticalStore", "StoreStatistics"]
+__all__ = ["TripleStore", "SingleTableStore", "Row", "StoreStatistics"]

@@ -28,7 +28,7 @@ def ill_typed_pattern(subject: Optional[Term], predicate: Optional[Term]) -> boo
 
     A literal in subject position or a non-URI predicate is not an error
     — joins routinely probe with values bound from other atoms — but it
-    matches nothing.  Every store tier (hash-indexed, vertical, mmap)
+    matches nothing.  Every store tier (hash-indexed, mmap)
     applies the same guard so their answers stay identical.
     """
     return isinstance(subject, Literal) or (

@@ -1,7 +1,7 @@
 """Property: the mmap serving tier ≡ the materialized tier, byte for byte.
 
 ``load(path, index_tier="mmap")`` serves the keyword index and triple
-store straight off the format-v2 queryable sections — binary-searched
+store straight off the bundle's queryable sections — binary-searched
 term dictionary, contiguous posting runs, sorted triple runs — without
 ever materializing the Python dicts.  The contract is *identity*, not
 similarity: for every query, ``search()`` (candidates, costs, SPARQL/SQL

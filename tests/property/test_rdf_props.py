@@ -156,25 +156,3 @@ def test_store_count_matches_match(items):
         ]
         for s, p, o in patterns:
             assert store.count(s, p, o) == len(list(store.match(s, p, o)))
-
-
-@given(st.lists(triples, max_size=25))
-@settings(max_examples=100)
-def test_vertical_store_agrees_with_spo_store(items):
-    from repro.store.triple_store import TripleStore
-    from repro.store.vertical import VerticalStore
-
-    spo = TripleStore(items)
-    vertical = VerticalStore(items)
-    assert len(vertical) == len(spo)
-    for triple in items[:5]:
-        patterns = [
-            (triple.subject, None, None),
-            (None, triple.predicate, None),
-            (None, None, triple.object),
-            (triple.subject, triple.predicate, None),
-            (None, triple.predicate, triple.object),
-        ]
-        for s, p, o in patterns:
-            assert set(vertical.match(s, p, o)) == set(spo.match(s, p, o))
-            assert vertical.count(s, p, o) == spo.count(s, p, o)

@@ -259,7 +259,7 @@ class TestPersistenceCommands:
         assert main(argv + ["--stream", "-o", flagged]) == 0
         capsys.readouterr()
         a, b = header(plain), header(flagged)
-        assert len(a["sections"]) == 41
+        assert len(a["sections"]) == 34
         assert a["sections"] == b["sections"]
         for meta in (a, b):
             del meta["kindex"]["build_seconds"], meta["summary"]["build_seconds"]
@@ -343,24 +343,30 @@ class TestPersistenceCommands:
         assert args.k == 7  # post-load resolution for downstream readers
 
     def test_bundle_does_not_pin_guided(self, tmp_path, capsys):
-        """The bounds are an execution strategy, not part of the artifact:
-        `repro build` does not offer the flag, and a load explores bounded
-        unless this invocation passes --no-guided."""
+        """The bounds and the kernel choice are execution strategies, not
+        part of the artifact: `repro build` offers neither flag, and a load
+        explores bounded with the auto kernel unless this invocation says
+        otherwise."""
         from repro.cli import _build_engine, build_parser
 
         bundle = str(tmp_path / "g.reprobundle")
         argv = ["build", "--dataset", "example", "-o", bundle]
-        with pytest.raises(SystemExit) as excinfo:
-            main(argv + ["--no-guided"])
-        assert excinfo.value.code == 2
-        assert "unrecognized arguments: --no-guided" in capsys.readouterr().err
+        for flag in ("--no-guided", "--guided", "--no-vectorized", "--vectorized"):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv + [flag])
+            assert excinfo.value.code == 2
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
         assert main(argv) == 0
         capsys.readouterr()
         args = build_parser().parse_args(["q", "--bundle", bundle])
         assert _build_engine(args).guided is True
         assert args.guided is True  # post-load resolution for downstream readers
-        args = build_parser().parse_args(["q", "--bundle", bundle, "--no-guided"])
-        assert _build_engine(args).guided is False
+        assert _build_engine(args).use_vectorized is None
+        args = build_parser().parse_args(
+            ["q", "--bundle", bundle, "--no-guided", "--no-vectorized"]
+        )
+        engine = _build_engine(args)
+        assert (engine.guided, engine.use_vectorized) == (False, False)
 
     def test_readonly_search_coexists_with_attached_writer(self, tmp_path, capsys):
         from repro.core.engine import KeywordSearchEngine

@@ -1,24 +1,20 @@
 """Unit tests for the out-of-core build primitives (storage.segments).
 
-The streamed bundle build stands on four small disk-backed structures:
-segment files of int64 values, a budgeted external sorter, and two
-spools that stream the bundle's grouping / two-level wire shapes.  The
-grouping spool is held to byte-parity with the codec's in-memory
-encoder; the two-level spool is the format's only encoder of its shape
-and is held to the loader's decoder instead.
+The streamed bundle build stands on three small disk-backed structures:
+segment files of int64 values, a budgeted external sorter, and a spool
+that streams the bundle's grouping wire shape, held to byte-parity with
+the codec's in-memory encoder.
 """
 
 import random
 
 import pytest
 
-from repro.storage.bundle import _decode_two_level
-from repro.storage.codec import Reader, encode_grouping, encode_ids
+from repro.storage.codec import encode_grouping, encode_ids
 from repro.storage.segments import (
     ExternalSorter,
     GroupingSpool,
     SegmentWriter,
-    TwoLevelSpool,
     iter_rows,
     iter_value_chunks,
     write_ids_from_segment,
@@ -139,8 +135,7 @@ def test_external_sorter_empty(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# GroupingSpool — byte parity with the codec; TwoLevelSpool — round trip
-# through the loader's decoder
+# GroupingSpool — byte parity with the codec
 # ----------------------------------------------------------------------
 
 
@@ -161,37 +156,6 @@ def test_grouping_spool_empty(tmp_path):
     spool.write_to(section)
     spool.cleanup()
     assert section.data == encode_grouping([])
-
-
-def test_two_level_spool_round_trips_through_the_loader(tmp_path):
-    rng = random.Random(3)
-    rows = sorted(
-        {(rng.randrange(6), rng.randrange(6), rng.randrange(20)) for _ in range(200)}
-    )
-    # The shape the loader restores: {a: {b: {c...}}}, outer and inner
-    # keys in sorted-row order.
-    mapping = {}
-    for a, b, c in rows:
-        mapping.setdefault(a, {}).setdefault(b, set()).add(c)
-    spool = TwoLevelSpool(tmp_path, "spo")
-    spool.feed(iter(rows))
-    section = _Section()
-    spool.write_to(section)
-    spool.cleanup()
-    index, size = _decode_two_level(Reader(section.data), range(20))
-    assert size == len(rows)
-    assert index == mapping
-    assert list(index) == list(mapping)
-    assert all(list(index[a]) == list(mapping[a]) for a in mapping)
-
-
-def test_two_level_spool_empty(tmp_path):
-    spool = TwoLevelSpool(tmp_path, "empty")
-    spool.feed(iter(()))
-    section = _Section()
-    spool.write_to(section)
-    spool.cleanup()
-    assert _decode_two_level(Reader(section.data), ()) == ({}, 0)
 
 
 # ----------------------------------------------------------------------

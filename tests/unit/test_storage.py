@@ -149,37 +149,185 @@ def test_load_rejects_future_format_version(small_engine, tmp_path):
     assert "format version" in str(excinfo.value)
 
 
-@pytest.mark.parametrize("index_tier", ["memory", "mmap"])
-def test_load_rejects_format_version_1(small_engine, tmp_path, index_tier):
-    """Format v1 went with its only writer: a prelude that says version 1
-    is refused with the rebuild hint on every tier, not half-read."""
-    path = tmp_path / "a.reprobundle"
-    small_engine.save(path)
+def _assert_version_refused(engine, path, version, index_tier):
+    engine.save(path)
     data = bytearray(path.read_bytes())
-    data[8:12] = struct.pack("<I", 1)
+    data[8:12] = struct.pack("<I", version)
     path.write_bytes(bytes(data))
     with pytest.raises(BundleFormatError, match="rebuild the bundle with `repro build`"):
         KeywordSearchEngine.load(path, attach_wal=False, index_tier=index_tier)
 
 
+@pytest.mark.parametrize("index_tier", ["memory", "mmap"])
+def test_load_rejects_format_version_1(small_engine, tmp_path, index_tier):
+    """Format v1 went with its only writer: a prelude that says version 1
+    is refused with the rebuild hint on every tier, not half-read."""
+    _assert_version_refused(small_engine, tmp_path / "a.reprobundle", 1, index_tier)
+
+
+@pytest.mark.parametrize("index_tier", ["memory", "mmap"])
+def test_load_rejects_format_version_2(small_engine, tmp_path, index_tier):
+    """So did v2, which stored the indexes twice (``store.*`` and four
+    ``kindex.*`` sections next to the runs): its memory-tier sections are
+    gone from the reader, so it is refused rather than half-read."""
+    assert FORMAT_VERSION == 3
+    _assert_version_refused(small_engine, tmp_path / "a.reprobundle", 2, index_tier)
+
+
+def _read_header(data):
+    """``(header dict, offset of the first section)`` of raw bundle bytes."""
+    (header_length,) = struct.unpack_from("<I", data, 12)
+    header = json.loads(bytes(data[16 : 16 + header_length]))
+    return header, 16 + header_length + (-(16 + header_length) % 8)
+
+
+def _section_entry(header, name):
+    return next(e for e in header["sections"] if e["name"] == name)
+
+
+def _flip_byte_in_section(path, name):
+    data = bytearray(path.read_bytes())
+    header, data_start = _read_header(data)
+    entry = _section_entry(header, name)
+    data[data_start + entry["offset"] + entry["length"] // 2] ^= 0xFF
+    path.write_bytes(bytes(data))
+
+
 def test_load_rejects_corrupted_section(small_engine, tmp_path):
+    """The memory tier decodes the posting runs it shares with the mmap
+    tier at load, through the CRC check: a flipped byte fails a default
+    load with the dedicated exception."""
     path = tmp_path / "a.reprobundle"
     small_engine.save(path)
-    data = bytearray(path.read_bytes())
-    assert data[:8] == MAGIC
-    # Flip a byte in the middle of a section the load always decodes
-    # (the format-v2 tail sections are mmap-tier views a default load
-    # never reads, so a blind flip at the end of the file would not be
-    # seen by any CRC check).
-    header_len = struct.unpack_from("<I", data, 12)[0]
-    header = json.loads(bytes(data[16 : 16 + header_len]))
-    base = 16 + header_len
-    base += (-base) % 8
-    entry = next(s for s in header["sections"] if s["name"] == "kindex.postings")
-    data[base + entry["offset"] + entry["length"] // 2] ^= 0xFF
-    path.write_bytes(bytes(data))
+    assert path.read_bytes()[:8] == MAGIC
+    _flip_byte_in_section(path, "kindex2.postings.runs")
     with pytest.raises(BundleChecksumError):
         load_bundle(path)
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "kindex2.postings.offsets",
+        "kindex2.element_terms.offsets",
+        "kindex2.element_terms.runs",
+        "kindex2.attr_refs",
+        "kindex2.value_refs",
+    ],
+)
+def test_memory_tier_checksums_every_keyword_run(small_engine, tmp_path, name):
+    path = tmp_path / "a.reprobundle"
+    small_engine.save(path)
+    _flip_byte_in_section(path, name)
+    with pytest.raises(BundleChecksumError):
+        load_bundle(path)
+
+
+EXPECTED_SECTIONS = {
+    "triples",
+    "graph.entity_refs",
+    "graph.class_refs",
+    "graph.value_refs",
+    "graph.type_pairs",
+    "graph.subclass_pairs",
+    "graph.out",
+    "graph.in",
+    "graph.relation_triples",
+    "graph.attribute_triples",
+    "graph.labels",
+    "graph.type_pred_counts",
+    "graph.subclass_pred_counts",
+    "store2.spo",
+    "store2.pos",
+    "store2.osp",
+    "kindex.vocab",
+    "kindex.elements",
+    "kindex2.vocab.offsets",
+    "kindex2.vocab.sorted",
+    "kindex2.elements.sorted",
+    "kindex2.postings.offsets",
+    "kindex2.postings.runs",
+    "kindex2.element_terms.offsets",
+    "kindex2.element_terms.runs",
+    "kindex2.attr_refs",
+    "kindex2.value_refs",
+    "summary.vertices",
+    "summary.edges",
+    "substrate.offsets",
+    "substrate.targets",
+    "terms",
+    "terms.offsets",
+    "terms.sorted",
+}
+
+
+def test_bundle_holds_exactly_the_expected_sections(small_engine, tmp_path):
+    """One stored copy of the indexes: the 34 sections, no ``store.*``
+    and none of the four ``kindex.*`` duplicates of the runs."""
+    path = tmp_path / "a.reprobundle"
+    info = small_engine.save(path)
+    header, _ = _read_header(path.read_bytes())
+    names = [e["name"] for e in header["sections"]]
+    assert len(names) == info["sections"] == 34
+    assert set(names) == EXPECTED_SECTIONS
+    assert not any(name.startswith("store.") for name in names)
+
+
+def test_shortened_triple_run_fails_store_materialisation(small_engine, tmp_path):
+    """A ``store2.pos`` entry one row short — length and CRC patched, so
+    the checksum passes — must fail the length check against the
+    header's triple count, not produce an index missing a triple."""
+    import zlib
+
+    path = tmp_path / "a.reprobundle"
+    small_engine.save(path)
+    data = path.read_bytes()
+    header, data_start = _read_header(data)
+    payload = data[data_start:]
+    entry = _section_entry(header, "store2.pos")
+    entry["length"] -= 24
+    entry["crc32"] = zlib.crc32(
+        payload[entry["offset"] : entry["offset"] + entry["length"]]
+    )
+    encoded = json.dumps(header, separators=(",", ":"), sort_keys=True).encode()
+    path.write_bytes(
+        data[:12]
+        + struct.pack("<I", len(encoded))
+        + encoded
+        + b"\x00" * (-(16 + len(encoded)) % 8)
+        + payload
+    )
+    loaded = KeywordSearchEngine.load(path, attach_wal=False)
+    result = loaded.search("cimiano 2006")  # search never touches the store
+    assert result.candidates
+    with pytest.raises(BundleFormatError, match="sorted triple run"):
+        loaded.execute(result.best())
+    with pytest.raises(BundleFormatError, match="sorted triple run"):
+        KeywordSearchEngine.load(path, attach_wal=False, lazy=False)
+
+
+def test_decode_sorted_run_keeps_row_order():
+    """The nested index comes back with outer and inner keys in the
+    run's (sorted-row) order, which is the order the build sorted."""
+    import random
+
+    from repro.storage.bundle import _decode_sorted_run
+
+    rng = random.Random(3)
+    rows = sorted(
+        {(rng.randrange(6), rng.randrange(6), rng.randrange(20)) for _ in range(200)}
+    )
+    mapping = {}
+    for a, b, c in rows:
+        mapping.setdefault(a, {}).setdefault(b, set()).add(c)
+    flat = encode_raw_ids([v for row in rows for v in row])
+    index = _decode_sorted_run(flat, range(20), len(rows))
+    assert index == mapping
+    assert list(index) == list(mapping)
+    assert all(list(index[a]) == list(mapping[a]) for a in mapping)
+    assert _decode_sorted_run(b"", (), 0) == {}
+    with pytest.raises(BundleFormatError):
+        _decode_sorted_run(flat, range(20), len(rows) + 1)
 
 
 def test_save_refuses_custom_cost_model(example_graph, tmp_path):
@@ -216,8 +364,11 @@ def test_save_refuses_custom_lexicon(example_graph, tmp_path):
 def test_load_overrides_engine_config(small_engine, tmp_path):
     path = tmp_path / "a.reprobundle"
     small_engine.save(path)
-    loaded = KeywordSearchEngine.load(path, k=3, guided=False, cost_model="c1")
+    loaded = KeywordSearchEngine.load(
+        path, k=3, guided=False, use_vectorized=False, cost_model="c1"
+    )
     assert (loaded.k, loaded.guided, loaded.cost_model.name) == (3, False, "c1")
+    assert loaded.use_vectorized is False
     with pytest.raises(TypeError):
         KeywordSearchEngine.load(path, no_such_option=1)
 
@@ -229,6 +380,7 @@ def test_engine_config_round_trips(example_graph, tmp_path):
         k=7,
         dmax=6,
         guided=False,
+        use_vectorized=False,
         strict_keywords=True,
         search_cache_size=32,
     )
@@ -240,35 +392,7 @@ def test_engine_config_round_trips(example_graph, tmp_path):
     assert loaded._search_cache is not None and loaded._search_cache.maxsize == 32
     # How the saving engine explored is not a property of the artifact.
     assert loaded.guided is True
-
-
-def test_guided_key_of_an_older_builder_is_ignored(small_engine, tmp_path):
-    """Bundles written before the bounds became the algorithm carry
-    ``"guided": false`` in their engine block (same format version); it
-    must not pin a server loading one today to the unbounded loop."""
-    import json
-    import struct
-
-    from repro.storage.bundle import MAGIC
-
-    path = tmp_path / "old.reprobundle"
-    small_engine.save(path)
-    raw = path.read_bytes()
-    prelude = len(MAGIC) + 8
-    header_len = struct.unpack_from("<I", raw, len(MAGIC) + 4)[0]
-    header = json.loads(raw[prelude : prelude + header_len])
-    payload = raw[prelude + header_len + (-(prelude + header_len)) % 8 :]
-    header["engine"]["guided"] = False
-    encoded = json.dumps(header, separators=(",", ":"), sort_keys=True).encode()
-    path.write_bytes(
-        raw[: len(MAGIC) + 4]
-        + struct.pack("<I", len(encoded))
-        + encoded
-        + b"\x00" * (-(prelude + len(encoded)) % 8)
-        + payload
-    )
-    assert KeywordSearchEngine.load(path, attach_wal=False).guided is True
-    assert KeywordSearchEngine.load(path, attach_wal=False, guided=False).guided is False
+    assert loaded.use_vectorized is None
 
 
 def test_strict_graph_round_trips_and_fails_a_violating_build(example_graph, tmp_path):
@@ -472,23 +596,17 @@ def test_wal_torn_commit_then_reattach_survives(example_graph, tmp_path):
 def test_corrupted_lazy_section_fails_on_first_touch(small_engine, tmp_path):
     """Graph/store sections are CRC-checked when they materialize; a
     corrupted byte there must raise the dedicated exception at first
-    use, never decode silently wrong."""
-    import json as json_module
-
-    path = tmp_path / "a.reprobundle"
-    small_engine.save(path)
-    data = bytearray(path.read_bytes())
-    (header_length,) = struct.unpack("<I", data[12:16])
-    meta = json_module.loads(bytes(data[16 : 16 + header_length]))
-    data_start = (16 + header_length) + (-(16 + header_length) % 8)
-    entry = next(e for e in meta["sections"] if e["name"] == "store.spo")
-    data[data_start + entry["offset"] + entry["length"] // 2] ^= 0xFF
-    path.write_bytes(bytes(data))
-    loaded = KeywordSearchEngine.load(path)
-    result = loaded.search("cimiano 2006")  # search never touches the store
-    assert result.candidates
-    with pytest.raises(BundleChecksumError):
-        loaded.execute(result.best())
+    use, never decode silently wrong.  ``store2.*`` are the runs the
+    mmap tier reads unverified — the memory tier must not inherit that."""
+    for name in ("store2.spo", "store2.pos", "store2.osp"):
+        path = tmp_path / f"{name}.reprobundle"
+        small_engine.save(path)
+        _flip_byte_in_section(path, name)
+        loaded = KeywordSearchEngine.load(path)
+        result = loaded.search("cimiano 2006")  # search never touches the store
+        assert result.candidates
+        with pytest.raises(BundleChecksumError):
+            loaded.execute(result.best())
 
 
 def test_commit_hooks_run_despite_earlier_hook_failure(example_graph):
