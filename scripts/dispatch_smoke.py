@@ -8,8 +8,12 @@ search, execute, update, search, execute — asserting the update's epoch
 propagated to *every* worker (the sync broadcast acked), the new data is
 immediately visible no matter which worker serves the follow-up search,
 and a worker's execute path answers (rows, ``timings_ms``, ``limit: 0``
--> no rows) on both sides of the update.  Finishes with a SIGTERM and
-checks the drain exits cleanly.
+-> no rows) on both sides of the update.  Around the update it also
+proves, on every worker, that survival and freshness hold together: the
+pre-update search, repeated after an update that touched none of its
+keywords, is served from each worker's keyword-lookup memo (``hits``
+grow, ``misses`` do not) while the updated keyword shows the new triple.
+Finishes with a SIGTERM and checks the drain exits cleanly.
 
 Run under a hard ``timeout`` in CI so a deadlocked pipe fails the job in
 minutes; any violated assertion exits nonzero.
@@ -41,10 +45,12 @@ class _KeptConnection:
         )
         self._conn.connect()
         self._conn.auto_open = 0
+        self.requests = 0
 
     def _exchange(self, method, path, body=None):
         headers = {"Content-Type": "application/json"} if body else {}
         self._conn.request(method, path, body=body, headers=headers)
+        self.requests += 1
         response = self._conn.getresponse()
         payload = response.read()
         assert response.status == 200, (response.status, payload[:200])
@@ -74,6 +80,27 @@ def check_execute(conn) -> None:
         isinstance(ms, float) for ms in timings.values()
     ), timings
     assert conn.post("/execute", dict(ask, limit=0))["answers"] == []
+
+
+def lookup_counters(conn):
+    """(hits, misses) of every live worker's keyword-lookup memo."""
+    memos = [
+        w["caches"]["keyword_lookups"]
+        for w in conn.get("/stats")["workers"]
+        if w.get("alive")
+    ]
+    return [(memo["hits"], memo["misses"]) for memo in memos]
+
+
+def search_until(conn, query, workers, done):
+    """Send ``query`` in batches (a batch fans out over the pool) until
+    ``done(lookup counters of every worker)``; returns those counters."""
+    for _ in range(20):
+        conn.post("/search", {"queries": [query] * (4 * workers)})
+        counters = lookup_counters(conn)
+        if done(counters):
+            return counters
+    raise AssertionError(f"{query!r} never reached every worker: {counters}")
 
 
 def main() -> int:
@@ -113,6 +140,12 @@ def main() -> int:
         hit = conn.get("/search?q=cimiano+2006")
         assert hit["candidates"], "pre-update search found no interpretations"
         check_execute(conn)
+        # Every worker has looked both keywords up (a repeat is then served
+        # by its result memo and never reaches the keyword index).
+        search_until(
+            conn, "cimiano 2006", workers,
+            lambda counters: all(misses >= 2 for _, misses in counters),
+        )
 
         add = (
             '<http://example.org/smoke/pub> '
@@ -123,6 +156,22 @@ def main() -> int:
         assert updated["changed"] == 1, updated
         assert updated["workers_synced"] == workers, updated
 
+        # The epoch emptied every worker's result memo, so the repeated
+        # search runs the pipeline again — and since the update changed no
+        # posting of "cimiano" or "2006", each worker (it replayed the
+        # epoch) serves both keywords from its lookup memo.
+        synced = lookup_counters(conn)
+        served = search_until(
+            conn, "cimiano 2006", workers,
+            lambda counters: all(
+                hits > before for (hits, _), (before, _) in zip(counters, synced)
+            ),
+        )
+        assert [m for _, m in served] == [m for _, m in synced], (
+            f"an unrelated update cost a worker its keyword lookups: "
+            f"{synced} -> {served}"
+        )
+
         fresh = conn.get("/search?q=zzdispatchsmoke")
         assert fresh["ignored_keywords"] == [], fresh
         assert fresh["candidates"], "update not visible after sync broadcast"
@@ -130,7 +179,9 @@ def main() -> int:
 
         after = conn.get("/stats")
         conn.close()
-        assert after["http"] == {"connections": 1, "requests": 9}, after["http"]
+        assert after["http"] == {"connections": 1, "requests": conn.requests}, (
+            after["http"]
+        )
         live = [w for w in after["workers"] if w.get("alive")]
         assert len(live) == workers, after["workers"]
         epochs = [w["epoch"] for w in live]
@@ -141,7 +192,8 @@ def main() -> int:
         print(
             f"# dispatch-smoke ok: {workers} workers all at epoch "
             f"{updated['epoch']}, update visible over HTTP, execute answers "
-            f"on both sides of it, 9 requests on 1 connection",
+            f"on both sides of it, unrelated lookups survived it on every "
+            f"worker, {conn.requests} requests on 1 connection",
             file=sys.stderr,
         )
     finally:

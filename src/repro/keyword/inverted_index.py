@@ -69,6 +69,15 @@ class InvertedIndex:
         self._indexed_elements.discard(element)
         return True
 
+    def posted_counts(self, element: Hashable) -> Dict[str, int]:
+        """term → TF the element is posted under (empty if not indexed);
+        O(|label|) from the element's own record."""
+        postings = self._postings
+        return {
+            term: postings[term][element][0]
+            for term in self._element_terms.get(element, ())
+        }
+
     # ------------------------------------------------------------------
     # Persistence (used by repro.storage)
     # ------------------------------------------------------------------

@@ -20,10 +20,23 @@ the summary graph's ``Thing`` vertex.
 
 from __future__ import annotations
 
+import heapq
+import threading
 import time
-from typing import Dict, FrozenSet, Hashable, List, Optional, Sequence, Set, Tuple
+from collections import Counter, OrderedDict
+from typing import (
+    Dict,
+    FrozenSet,
+    Hashable,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
-from repro.util import LruDict
+from repro.util import cache_stats_shape
 
 from repro.keyword.analysis import Analyzer
 from repro.keyword.inverted_index import InvertedIndex
@@ -173,6 +186,107 @@ def element_label_text(kind: str, term, label_of) -> str:
     return local_name(term)
 
 
+#: The dependency of a lookup that scanned the vocabulary (a fuzzy match,
+#: or no match at all): any posting change may alter its answer.
+_ANY_POSTING = object()
+
+
+class LookupMemo:
+    """keyword → match tuple, LRU-bounded, invalidated by dependency.
+
+    An entry records what its result was computed from: analyzed terms
+    (strings), element keys (tuples) and possibly :data:`_ANY_POSTING`.
+    :meth:`invalidate` drops exactly the entries that depend on a marked
+    term or element, through a dependency → keywords reverse map.  The
+    reverse map only ever names dependencies of live entries — eviction
+    and invalidation unlink what they drop — so its size is bounded by
+    ``maxsize`` × dependencies per entry however many terms the index has
+    seen come and go.
+
+    A *hit* is a list served without recomputation, a *miss* a
+    recomputation, ``invalidated`` counts entries dropped by updates
+    (not by the LRU bound).  Thread-safe like :class:`~repro.util.LruDict`.
+    """
+
+    def __init__(self, maxsize: int):
+        self._lock = threading.Lock()
+        self._entries: "OrderedDict[str, Tuple[tuple, tuple]]" = OrderedDict()
+        self._dependents: Dict[Hashable, Set[str]] = {}
+        self.maxsize = maxsize
+        #: Advances with every invalidation; :meth:`put` refuses a result
+        #: computed before the latest one (it may predate the change).
+        self.generation = 0
+        self.hits = 0
+        self.misses = 0
+        self.invalidated = 0
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def hit(self, keyword: str) -> Optional[tuple]:
+        """The memoized matches, refreshed as most-recent; None on a miss."""
+        with self._lock:
+            entry = self._entries.get(keyword)
+            if entry is None:
+                self.misses += 1
+                return None
+            self.hits += 1
+            self._entries.move_to_end(keyword)
+            return entry[0]
+
+    def put(
+        self, keyword: str, matches: tuple, dependencies: tuple, generation: int
+    ) -> None:
+        """Memoize a result computed at ``generation``, with what it
+        depends on; evicts least-recently-used entries beyond the bound."""
+        with self._lock:
+            if generation != self.generation:
+                return
+            self._drop(keyword)  # two threads may have computed it at once
+            self._entries[keyword] = (matches, dependencies)
+            for dependency in dependencies:
+                self._dependents.setdefault(dependency, set()).add(keyword)
+            while len(self._entries) > self.maxsize:
+                self._drop(next(iter(self._entries)))
+
+    def invalidate(
+        self, terms: Iterable[str] = (), elements: Iterable[Hashable] = ()
+    ) -> None:
+        """Drop the entries that read the posting list of one of ``terms``
+        (and, if there is one, those that scanned the vocabulary) or that
+        carry the class context of one of ``elements``."""
+        marks = list(terms)
+        if marks:
+            marks.append(_ANY_POSTING)
+        marks.extend(elements)
+        with self._lock:
+            self.generation += 1
+            for mark in marks:
+                for keyword in tuple(self._dependents.get(mark, ())):
+                    self._drop(keyword)
+                    self.invalidated += 1
+
+    def _drop(self, keyword: str) -> None:
+        entry = self._entries.pop(keyword, None)
+        if entry is None:
+            return
+        dependents = self._dependents
+        for dependency in entry[1]:
+            keywords = dependents[dependency]
+            keywords.discard(keyword)
+            if not keywords:
+                del dependents[dependency]
+
+    def cache_stats(self) -> Dict[str, float]:
+        """The ``/stats`` cache shape plus ``invalidated``."""
+        with self._lock:
+            stats = cache_stats_shape(
+                len(self._entries), self.maxsize, self.hits, self.misses
+            )
+            stats["invalidated"] = self.invalidated
+            return stats
+
+
 class KeywordIndex:
     """The IR engine over element labels: build once, look keywords up fast.
 
@@ -191,10 +305,10 @@ class KeywordIndex:
         Keeps only the best-scoring elements per keyword; bounds the
         branching factor of the subsequent graph exploration.
     lookup_cache_size:
-        LRU bound for memoized :meth:`lookup` results.  Entries are keyed
-        on :attr:`version`, which advances with every incremental index
-        mutation, so maintenance invalidates them automatically.  ``0``
-        disables the cache.
+        LRU bound for memoized :meth:`lookup` results.  An entry is
+        dropped when incremental maintenance changes a posting list or a
+        class context its result was computed from (:class:`LookupMemo`),
+        and only then.  ``0`` disables the cache.
     """
 
     def __init__(
@@ -212,9 +326,10 @@ class KeywordIndex:
         self._fuzzy_max_distance = fuzzy_max_distance
         self._max_matches = max_matches_per_keyword
 
-        #: Monotone mutation counter; caches over lookups key on it.
+        #: Monotone mutation counter: the index half of the snapshot key
+        #: (and so of the engine's result-memo key).
         self.version: int = 0
-        self._lookup_cache = LruDict(lookup_cache_size)
+        self._lookup_cache = LookupMemo(lookup_cache_size)
 
         self._index = InvertedIndex()
         # Attribute label -> {subject class (None = untyped): refcount}.
@@ -237,27 +352,14 @@ class KeywordIndex:
 
     def _build(self) -> None:
         graph = self._graph
-
-        for cls in graph.classes:
-            self._index_class(cls)
-
-        for label in graph.relation_labels:
-            self._index_relation_label(label)
-
-        for label in graph.attribute_labels:
-            self._index.index(
-                (_KIND_ATTRIBUTE, label),
-                self._analyzer.analyze(
-                    element_label_text(_KIND_ATTRIBUTE, label, graph.label_of)
-                ),
-            )
-        for value in graph.values:
-            self._index.index(
-                (_KIND_VALUE, value),
-                self._analyzer.analyze(
-                    element_label_text(_KIND_VALUE, value, graph.label_of)
-                ),
-            )
+        for kind, elements in (
+            (_KIND_CLASS, graph.classes),
+            (_KIND_RELATION, graph.relation_labels),
+            (_KIND_ATTRIBUTE, graph.attribute_labels),
+            (_KIND_VALUE, graph.values),
+        ):
+            for element in elements:
+                self._index.index((kind, element), self._label_terms(kind, element))
 
         # One pass over all A-edges seeds the class-context refcounts.
         for triple in graph.attribute_triples():
@@ -268,64 +370,93 @@ class KeywordIndex:
                 +1,
             )
 
-    def _index_class(self, cls: Term) -> None:
-        self._index.index(
-            (_KIND_CLASS, cls),
-            self._analyzer.analyze(
-                element_label_text(_KIND_CLASS, cls, self._graph.label_of)
-            ),
+    def _label_terms(self, kind: str, element) -> List[str]:
+        return self._analyzer.analyze(
+            element_label_text(kind, element, self._graph.label_of)
         )
 
-    def _index_relation_label(self, label: URI) -> None:
-        self._index.index(
-            (_KIND_RELATION, label),
-            self._analyzer.analyze(
-                element_label_text(_KIND_RELATION, label, self._graph.label_of)
-            ),
-        )
+    def _adjust_occurrence_refs(
+        self, label, value, classes, delta: int
+    ) -> List[Tuple[Hashable, bool, bool]]:
+        """Apply one incidence's refcount delta to both class-context maps.
 
-    def _adjust_occurrence_refs(self, label, value, classes, delta: int) -> None:
-        label_refs = self._attribute_class_refs.setdefault(label, {})
-        value_refs = self._value_occurrence_refs.setdefault(value, {})
-        for cls in classes or (None,):
-            count = label_refs.get(cls, 0) + delta
-            if count > 0:
-                label_refs[cls] = count
-            else:
-                label_refs.pop(cls, None)
-            pair = (label, cls)
-            count = value_refs.get(pair, 0) + delta
-            if count > 0:
-                value_refs[pair] = count
-            else:
-                value_refs.pop(pair, None)
-        if not label_refs:
-            del self._attribute_class_refs[label]
-        if not value_refs:
-            del self._value_occurrence_refs[value]
+        Returns ``(element key, existed, exists)`` for each of the two
+        elements whose context *key set* changed — a count moving between
+        two positive values changes nothing a match carries, and an
+        element cannot appear or disappear without its key set changing.
+        """
+        classes = classes or (None,)
+        changed = []
+        for kind, refs, element, members in (
+            (_KIND_ATTRIBUTE, self._attribute_class_refs, label, classes),
+            (
+                _KIND_VALUE,
+                self._value_occurrence_refs,
+                value,
+                [(label, cls) for cls in classes],
+            ),
+        ):
+            group = refs.setdefault(element, {})
+            existed = bool(group)
+            moved = False
+            for member in members:
+                before = group.get(member, 0)
+                count = before + delta
+                if count > 0:
+                    group[member] = count
+                else:
+                    group.pop(member, None)
+                moved |= (before > 0) != (count > 0)
+            if not group:
+                del refs[element]
+            if moved:
+                changed.append(((kind, element), existed, bool(group)))
+        return changed
 
     # ------------------------------------------------------------------
     # Incremental maintenance (used by repro.maintenance.IndexManager)
     # ------------------------------------------------------------------
     #
     # ``refresh_*`` re-derives one element's postings from the *already
-    # updated* data graph: unindex the stale postings, then re-index if
-    # the element still exists.  ``adjust_attribute_occurrence`` applies a
-    # class-context delta for one A-edge incidence — a few counter
-    # updates, so maintenance cost is bounded by the delta, never by how
-    # many triples share the predicate or the value.
+    # updated* data graph; when they come out as they are (a ``type``
+    # triple refreshes its class, whose label did not move) no posting is
+    # touched.  ``adjust_attribute_occurrence`` applies a class-context
+    # delta for one A-edge incidence — a few counter updates, so
+    # maintenance cost is bounded by the delta, never by how many triples
+    # share the predicate or the value.
+    #
+    # Every call advances ``version`` (the snapshot key must move with
+    # every applied batch) but marks for the lookup memo only what it
+    # changed: the terms whose posting lists differ, and the elements
+    # whose class-context key set differs.
 
     def refresh_class(self, cls: Term) -> None:
-        self.version += 1
-        self._index.unindex((_KIND_CLASS, cls))
-        if self._graph.vertex_kind(cls) is VertexKind.CLASS:
-            self._index_class(cls)
+        self._refresh(
+            (_KIND_CLASS, cls), self._graph.vertex_kind(cls) is VertexKind.CLASS
+        )
 
     def refresh_relation_label(self, label: URI) -> None:
+        self._refresh((_KIND_RELATION, label), self._graph.has_relation_label(label))
+
+    def _refresh(self, key: Hashable, exists: bool) -> None:
+        """Make ``key``'s postings what its label analyzes to now (none
+        when the element is gone).
+
+        The comparison reads the element's own record (``posted_counts``,
+        O(|label|) on both tiers): same terms with the same counts means
+        the same ``(tf, label_terms)`` rows, so nothing is rewritten and
+        nothing is marked.
+        """
         self.version += 1
-        self._index.unindex((_KIND_RELATION, label))
-        if self._graph.has_relation_label(label):
-            self._index_relation_label(label)
+        terms = self._label_terms(*key) if exists else []
+        posted = self._index.posted_counts(key)
+        if posted == Counter(terms):
+            return
+        if posted:
+            self._index.unindex(key)
+        if terms:
+            self._index.index(key, terms)
+        self._lookup_cache.invalidate(terms={*posted, *terms})
 
     def adjust_attribute_occurrence(
         self,
@@ -342,23 +473,20 @@ class KeywordIndex:
         attribute label and the value toggle with their existence.
         """
         self.version += 1
-        had_label = label in self._attribute_class_refs
-        had_value = value in self._value_occurrence_refs
-        self._adjust_occurrence_refs(label, value, classes, delta)
-        has_label = label in self._attribute_class_refs
-        has_value = value in self._value_occurrence_refs
-        if has_label and not had_label:
-            self._index.index(
-                (_KIND_ATTRIBUTE, label), self._analyzer.analyze(local_name(label))
-            )
-        elif had_label and not has_label:
-            self._index.unindex((_KIND_ATTRIBUTE, label))
-        if has_value and not had_value:
-            self._index.index(
-                (_KIND_VALUE, value), self._analyzer.analyze(value.lexical)
-            )
-        elif had_value and not has_value:
-            self._index.unindex((_KIND_VALUE, value))
+        terms: Set[str] = set()
+        elements = []
+        for key, existed, exists in self._adjust_occurrence_refs(
+            label, value, classes, delta
+        ):
+            elements.append(key)
+            if exists and not existed:
+                label_terms = self._label_terms(*key)
+                self._index.index(key, label_terms)
+                terms.update(label_terms)
+            elif existed and not exists:
+                terms.update(self._index.posted_counts(key))
+                self._index.unindex(key)
+        self._lookup_cache.invalidate(terms, elements)
 
     # ------------------------------------------------------------------
     # Persistence (used by repro.storage)
@@ -418,7 +546,7 @@ class KeywordIndex:
         index._fuzzy_max_distance = fuzzy_max_distance
         index._max_matches = max_matches
         index.version = version
-        index._lookup_cache = LruDict(lookup_cache_size)
+        index._lookup_cache = LookupMemo(lookup_cache_size)
         index._index = inverted_index
         index._attribute_class_refs = attribute_class_refs
         index._value_occurrence_refs = value_occurrence_refs
@@ -433,9 +561,10 @@ class KeywordIndex:
     def snapshot_key(self) -> int:
         """The formal snapshot key of this index: its mutation version.
 
-        The lookup memo keys on it, and
         :class:`~repro.core.snapshot.EngineSnapshot` pins it (paired
-        with the summary graph's key) as the identity of one engine state.
+        with the summary graph's key) as the identity of one engine
+        state; it advances on every maintenance call, whether or not a
+        posting changed.
         """
         return self.version
 
@@ -467,41 +596,52 @@ class KeywordIndex:
         the score combines per-term match quality with a coverage penalty
         for labels longer than the keyword (the paper's TF/IDF remark).
 
-        Results are memoized (LRU, ``lookup_cache_size`` entries) keyed on
-        ``(version, keyword)``: incremental maintenance advances
-        :attr:`version`, so stale entries can never be served — they just
-        age out of the LRU.  Matches are immutable; each call returns a
-        fresh list of the shared match objects.
+        Results are memoized per keyword (LRU, ``lookup_cache_size``
+        entries) together with what they were computed from — the terms
+        consulted and the elements returned — and incremental maintenance
+        drops exactly the entries that depend on something it changed
+        (:class:`LookupMemo`), so a stale list is never served and an
+        unrelated update costs nothing here.  Matches are immutable; each
+        call returns a fresh list of the shared match objects.
         """
-        cache = self._lookup_cache
-        if cache.maxsize <= 0:
+        memo = self._lookup_cache
+        if memo.maxsize <= 0:
             return self._lookup_uncached(keyword)
-        key = (self.version, keyword)
-        hit = cache.hit(key)
+        hit = memo.hit(keyword)
         if hit is not None:
             return list(hit)
-        matches = self._lookup_uncached(keyword)
-        cache.put(key, tuple(matches))
+        generation = memo.generation
+        consulted: Set[Hashable] = set()
+        matches = self._lookup_uncached(keyword, consulted)
+        # Only A-edge and V-vertex matches read a class context.
+        consulted.update(
+            match.element_key
+            for match in matches
+            if isinstance(match, (AttributeMatch, ValueMatch))
+        )
+        memo.put(keyword, tuple(matches), tuple(consulted), generation)
         return matches
 
-    def _lookup_uncached(self, keyword: str) -> List[KeywordMatch]:
+    def _lookup_uncached(
+        self, keyword: str, consulted: Optional[Set[Hashable]] = None
+    ) -> List[KeywordMatch]:
+        """Compute the matches; ``consulted`` (when given) collects the
+        terms whose posting lists the answer was read from."""
+        if consulted is None:
+            consulted = set()
         terms = self._analyzer.analyze_unique(keyword)
         if not terms:
             return []
 
-        # element_key -> list of per-term best factors.
-        per_term: List[Dict[Hashable, Tuple[float, int]]] = []
-        for term in terms:
-            per_term.append(self._term_candidates(term))
+        # element_key -> (best factor, label length), per keyword term.
+        per_term = [self._term_candidates(term, consulted) for term in terms]
 
         # Intersect: every term must match.
         common = set(per_term[0])
         for candidates in per_term[1:]:
             common &= set(candidates)
-        if not common:
-            return []
 
-        matches: List[KeywordMatch] = []
+        scored: List[Tuple[float, Hashable]] = []
         for key in common:
             factor_product = 1.0
             label_terms = 1
@@ -511,20 +651,27 @@ class KeywordIndex:
                 label_terms = max(label_terms, label_len)
             base = factor_product ** (1.0 / len(terms))
             coverage = min(1.0, len(terms) / max(label_terms, 1))
-            score = max(1e-6, base * (coverage ** 0.5))
-            matches.append(self._materialize(key, score))
+            scored.append((max(1e-6, base * (coverage ** 0.5)), key))
 
-        # Tie-break equal scores canonically (by element-key repr) so the
-        # result — and the max_matches cutoff — does not depend on index
-        # insertion order; incremental maintenance and a fresh rebuild
-        # must rank identically.
-        matches.sort(key=lambda m: (-m.score, repr(m.element_key)))
-        if self._max_matches is not None:
-            matches = matches[: self._max_matches]
-        return matches
+        # Select, then materialize only what is kept.  Equal scores
+        # tie-break canonically (by element-key repr) so the result — and
+        # the max_matches cutoff — does not depend on index insertion
+        # order; incremental maintenance and a fresh rebuild must rank
+        # identically.
+        limit = self._max_matches
+        if limit is not None and len(scored) > limit:
+            # Only what scores at least the limit-th best can be kept;
+            # the rest need no repr.
+            floor = heapq.nlargest(limit, (score for score, _ in scored))[-1]
+            scored = [pair for pair in scored if pair[0] >= floor]
+        scored.sort(key=lambda pair: (-pair[0], repr(pair[1])))
+        return [self._materialize(key, score) for score, key in scored[:limit]]
 
-    def _term_candidates(self, term: str) -> Dict[Hashable, Tuple[float, int]]:
-        """element_key -> (best factor, label length) for one analyzed term."""
+    def _term_candidates(
+        self, term: str, consulted: Set[Hashable]
+    ) -> Dict[Hashable, Tuple[float, int]]:
+        """element_key -> (best factor, label length) for one analyzed
+        term; every term looked up on the way is added to ``consulted``."""
         out: Dict[Hashable, Tuple[float, int]] = {}
 
         def _offer(key: Hashable, factor: float, label_len: int) -> None:
@@ -532,14 +679,17 @@ class KeywordIndex:
             if current is None or factor > current[0]:
                 out[key] = (factor, label_len)
 
+        consulted.add(term)
         for posting in self._index.lookup(term):
             _offer(posting.element, 1.0, posting.label_terms)
 
         for related_term, rel_factor in self._lexicon.related(term):
+            consulted.add(related_term)
             for posting in self._index.lookup(related_term):
                 _offer(posting.element, rel_factor, posting.label_terms)
 
         if not out and self._fuzzy_max_distance > 0:
+            consulted.add(_ANY_POSTING)
             bound = self._fuzzy_max_distance
             for vocab_term in self._index.iter_terms():
                 if abs(len(vocab_term) - len(term)) > bound:

@@ -42,7 +42,7 @@ from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Tuple
 from repro.rdf.terms import BNode, Literal, Term, URI
 from repro.rdf.triples import Triple
 from repro.store.triple_store import TripleStore, ill_typed_pattern
-from repro.util import LruDict
+from repro.util import LruDict, cache_stats_shape
 
 from repro.storage.codec import (
     ELEMENT_CODE,
@@ -276,16 +276,23 @@ class MmapPostingsReader:
     :class:`~repro.util.LruDict` so hot keywords do not re-decode.
     """
 
-    __slots__ = ("_offsets", "_runs", "_resolve", "_cache")
+    __slots__ = ("_offsets", "_runs", "_eids", "_resolve", "_cache")
 
     def __init__(self, offsets, runs, resolve_element, cache_size: int):
         self._offsets = offsets
         self._runs = runs
+        self._eids = runs[0::3]  # the element-id column, still a view
         self._resolve = resolve_element
         self._cache = LruDict(cache_size) if cache_size > 0 else None
 
     def df(self, vid: int) -> int:
         return self._offsets[vid + 1] - self._offsets[vid]
+
+    def tf(self, vid: int, eid: int) -> int:
+        """The TF of one element under one term: a run is in ascending
+        element id, so this is a bisect on its id column, not a decode."""
+        row = bisect_left(self._eids, eid, self._offsets[vid], self._offsets[vid + 1])
+        return self._runs[3 * row + 1]
 
     def rows(self, vid: int) -> Tuple[Tuple[Hashable, int, int], ...]:
         cache = self._cache
@@ -307,7 +314,7 @@ class MmapPostingsReader:
 
     def cache_stats(self) -> Dict[str, float]:
         if self._cache is None:
-            return {"size": 0, "maxsize": 0, "hits": 0, "misses": 0, "hit_rate": 0.0}
+            return cache_stats_shape(0, 0, 0, 0)
         return self._cache.cache_stats()
 
 
@@ -433,6 +440,19 @@ class MmapInvertedIndex:
             if dead == df(vid):
                 self._dead_vids.add(vid)
         return True
+
+    def posted_counts(self, element: Hashable) -> Dict[str, int]:
+        counts = self._delta.posted_counts(element)
+        if counts or element in self._tombstones:
+            return counts
+        eid = self._base_eid(element)
+        if eid is None:
+            return counts
+        runs = self._eterm_runs
+        return {
+            self._dict.text(runs[i]): self._postings.tf(runs[i], eid)
+            for i in range(self._eterm_offsets[eid], self._eterm_offsets[eid + 1])
+        }
 
     # -- lookup --------------------------------------------------------
 

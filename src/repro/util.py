@@ -7,6 +7,20 @@ from collections import OrderedDict
 from typing import Dict, Optional
 
 
+def cache_stats_shape(
+    size: int, maxsize: int, hits: int, misses: int
+) -> Dict[str, float]:
+    """The shape every memo reports under ``/stats`` ``caches``."""
+    lookups = hits + misses
+    return {
+        "size": size,
+        "maxsize": maxsize,
+        "hits": hits,
+        "misses": misses,
+        "hit_rate": (hits / lookups) if lookups else 0.0,
+    }
+
+
 class LruDict(OrderedDict):
     """A bounded, thread-safe mapping with least-recently-used eviction.
 
@@ -63,12 +77,4 @@ class LruDict(OrderedDict):
     def cache_stats(self) -> Dict[str, float]:
         """Size, bound, and hit/miss counts — the service ``/stats`` shape."""
         with self._lock:
-            hits, misses = self.hits, self.misses
-            lookups = hits + misses
-            return {
-                "size": len(self),
-                "maxsize": self.maxsize,
-                "hits": hits,
-                "misses": misses,
-                "hit_rate": (hits / lookups) if lookups else 0.0,
-            }
+            return cache_stats_shape(len(self), self.maxsize, self.hits, self.misses)

@@ -240,3 +240,8 @@ def test_stats_merges_dispatch_counters(dispatch_server):
     assert "queue_wait_p99_ms" in stats["queries"]
     assert "restarts" in stats["dispatch"]
     assert stats["dispatch"]["watermark"] == stats["snapshot"]["epoch"]
+    # A worker's cache block reaches /stats as the worker reported it.
+    for worker in stats["workers"]:
+        assert set(worker["caches"]["keyword_lookups"]) == {
+            "size", "maxsize", "hits", "misses", "hit_rate", "invalidated",
+        }

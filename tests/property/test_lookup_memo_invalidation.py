@@ -1,0 +1,275 @@
+"""The keyword-lookup memo against recomputation, after every update step.
+
+``KeywordIndex.lookup`` serves memoized match lists across update epochs:
+an entry is dropped only when maintenance changed a posting list or a
+class context its result was computed from.  The ground truth is
+``_lookup_uncached`` on the same index at the same moment.  After every
+step of an add/remove history, for a keyword pool that covers exact,
+lexicon-related, fuzzy, multi-term and no-match keywords, the memoized
+list must equal the recomputed one — scores, order, and the class
+contexts the matches carry (which ``repr`` does not show) — on an
+in-process engine and on both serving tiers of one bundle.
+
+Random histories draw from a triple pool built so that the hazards are
+reachable; a scripted history walks each hazard by name and also pins
+what must *survive*, so that a memo which simply forgot everything on
+every update could not pass.
+
+Pure Python on purpose: this suite must run, not skip, where numpy does
+not exist.
+"""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.core.engine import KeywordSearchEngine
+from repro.keyword.keyword_index import AttributeMatch, KeywordIndex, ValueMatch
+from repro.rdf.graph import DataGraph
+from repro.rdf.namespace import LABEL_PREDICATES, RDF, RDFS, Namespace
+from repro.rdf.terms import Literal
+from repro.rdf.triples import Triple
+from repro.storage import build_bundle_streaming
+
+N = Namespace("http://example.org/memo/")
+CLASSES = [N.Student, N.GraduateStudent, N.Professor, N.Course]
+ENTITIES = [N.e0, N.e1, N.e2, N.e3]
+VALUES = [
+    Literal(text)
+    for text in (
+        "Alice",
+        "student council",
+        "Course Notes",
+        "paper",  # publication ~ paper in the lexicon
+        "pupil",  # student ~ pupil
+        "studet",  # one edit from the misspelt keyword "studnt"
+        "graduate student handbook",
+    )
+]
+LABELS = [
+    Triple(N.Student, RDFS.label, Literal("Pupil")),
+    Triple(N.Course, RDFS.label, Literal("Lecture")),
+    Triple(N.Professor, RDFS.label, Literal("Professor")),  # relabel to itself
+]
+
+KEYWORDS = (
+    "student",  # exact; consults pupil and person too
+    "course",
+    "professor",
+    "pupil",  # matches through the lexicon until something is named so
+    "publication",  # only ever matches through the lexicon
+    "lecture",
+    "studnt",  # fuzzy: no such term, "student" is one edit away
+    "profesor",
+    "graduate student",  # multi-term, intersected
+    "student council",
+    "alice",  # a value: carries its (attribute, class) occurrences
+    "name",  # an attribute: carries its subject classes
+    "advisor",  # a relation
+    "zzzqqq",  # no match, not even a fuzzy one
+    "the",  # analyzes to nothing
+)
+
+assert RDFS.label in LABEL_PREDICATES
+
+POOL = (
+    [Triple(e, RDF.type, c) for e in ENTITIES for c in CLASSES]
+    + [Triple(e, p, v) for e in ENTITIES for p in (N.name, N.title) for v in VALUES]
+    + [Triple(a, N.advisor, b) for a in ENTITIES for b in ENTITIES if a != b]
+    + LABELS
+)
+
+pool_triple = st.sampled_from(POOL)
+
+
+@st.composite
+def base_and_history(draw):
+    """A base graph and single-triple steps that keep returning to its
+    triples: removing one can take a value's last occurrence away,
+    re-adding it brings the value back."""
+    base = draw(st.lists(pool_triple, min_size=1, max_size=14, unique=True))
+    touched = st.one_of(pool_triple, st.sampled_from(base))
+    return base, draw(st.lists(st.tuples(st.booleans(), touched), max_size=8))
+
+
+def describe(matches):
+    """Everything a match list says, including what ``repr`` leaves out."""
+    out = []
+    for m in matches:
+        context = None
+        if isinstance(m, AttributeMatch):
+            context = m.classes
+        elif isinstance(m, ValueMatch):
+            context = m.occurrences
+        out.append((repr(m), m.element_key, m.score, context))
+    return out
+
+
+def three_engines(base, tmp_path_factory):
+    """An in-process engine, and both serving tiers of one bundle."""
+    path = tmp_path_factory.mktemp("lookup-memo") / "g.reprobundle"
+    build_bundle_streaming(iter(base), path)
+    return {
+        "in-process": KeywordSearchEngine(DataGraph(base)),
+        "memory": KeywordSearchEngine.load(path, attach_wal=False),
+        "mmap": KeywordSearchEngine.load(path, attach_wal=False, index_tier="mmap"),
+    }
+
+
+def check(engine, where):
+    """Every keyword, served through the memo, is what recomputation says
+    — and stays so when served a second time (now certainly a hit)."""
+    index = engine.keyword_index
+    for keyword in KEYWORDS:
+        expected = describe(index._lookup_uncached(keyword))
+        assert describe(index.lookup(keyword)) == expected, (where, keyword)
+        assert describe(index.lookup(keyword)) == expected, (where, keyword)
+
+
+def apply(engine, add, triple):
+    if add:
+        engine.add_triples([triple])
+    else:
+        engine.remove_triples([triple])
+
+
+@given(graph=base_and_history())
+@settings(max_examples=100, deadline=None)
+def test_memoized_lookup_equals_recomputation(tmp_path_factory, graph):
+    base, history = graph
+    engines = three_engines(base, tmp_path_factory)
+    assert engines["mmap"].keyword_index.index_tier == "mmap"
+    for name, engine in engines.items():
+        check(engine, (name, "base"))
+        for step, (add, triple) in enumerate(history):
+            version = engine.keyword_index.version
+            changed = (triple in engine.graph) != add
+            apply(engine, add, triple)
+            # The snapshot key moves with every applied batch, memo or no memo.
+            assert (engine.keyword_index.version > version) == changed
+            check(engine, (name, step, add, triple))
+
+
+# ----------------------------------------------------------------------
+# Scripted history: one hazard per step, and what must survive it
+# ----------------------------------------------------------------------
+
+SCRIPT_BASE = [
+    Triple(N.e0, RDF.type, N.Student),
+    Triple(N.e0, N.name, Literal("Alice")),
+    Triple(N.e0, N.advisor, N.e1),
+    Triple(N.e1, RDF.type, N.Professor),
+    Triple(N.e1, N.name, Literal("Bob Stone")),
+    Triple(N.e2, RDF.type, N.Course),
+    Triple(N.e2, N.title, Literal("Course Notes")),
+    Triple(N.e3, RDF.type, N.GraduateStudent),
+    Triple(N.e3, N.name, Literal("student council")),
+]
+
+
+def memo_stats(engine):
+    stats = engine.keyword_index.cache_stats()
+    return stats["hits"], stats["misses"], stats["invalidated"]
+
+
+def served_from_memo(engine, keyword):
+    """True when ``lookup(keyword)`` is a hit right now."""
+    hits, misses, _ = memo_stats(engine)
+    engine.keyword_index.lookup(keyword)
+    return memo_stats(engine)[:2] == (hits + 1, misses)
+
+
+@pytest.mark.parametrize("tier", ["in-process", "memory", "mmap"])
+def test_named_hazards(tmp_path_factory, tier):
+    engine = three_engines(SCRIPT_BASE, tmp_path_factory)[tier]
+    index = engine.keyword_index
+    check(engine, "base")
+
+    def occurrences(keyword):
+        (match,) = [m for m in index.lookup(keyword) if isinstance(m, ValueMatch)]
+        return match.occurrences
+
+    # A class relabelled through a LABEL_PREDICATES triple: Course is now
+    # posted under "lectur", so "course" finds it through the lexicon only.
+    engine.add_triples([Triple(N.Course, RDFS.label, Literal("Lecture"))])
+    assert served_from_memo(engine, "alice")
+    assert not served_from_memo(engine, "course")
+    assert not served_from_memo(engine, "lecture")
+    check(engine, "relabel")
+    assert [
+        m.score for m in index.lookup("course") if m.element_key[0] == "class"
+    ] == [0.9]
+
+    # A subject retyped while it carries attribute values: no posting of
+    # "alic" or "name" moves, the class contexts of both matches do.
+    assert occurrences("alice") == {(N.name, N.Student)}
+    engine.add_triples([Triple(N.e0, RDF.type, N.Professor)])
+    assert not served_from_memo(engine, "alice")
+    check(engine, "second type")
+    assert occurrences("alice") == {(N.name, N.Student), (N.name, N.Professor)}
+    engine.remove_triples([Triple(N.e0, RDF.type, N.Student)])
+    check(engine, "first type gone")
+    assert occurrences("alice") == {(N.name, N.Professor)}
+    assert served_from_memo(engine, "advisor")
+
+    # A value's last occurrence removed, then re-added.
+    engine.remove_triples([Triple(N.e0, N.name, Literal("Alice"))])
+    check(engine, "value gone")
+    assert index.lookup("alice") == []
+    engine.add_triples([Triple(N.e0, N.name, Literal("Alice"))])
+    check(engine, "value back")
+    assert occurrences("alice") == {(N.name, N.Professor)}
+
+    # A new term one edit away from a fuzzy keyword: "studnt" consulted no
+    # term that changed, only the vocabulary as a whole.
+    before = describe(index.lookup("studnt"))
+    assert before  # fuzzy-matched "student"
+    engine.add_triples([Triple(N.e1, N.title, Literal("studet"))])
+    check(engine, "near miss")
+    assert len(index.lookup("studnt")) == len(before) + 1
+    assert served_from_memo(engine, "professor")  # an exact entry is not so broad
+
+    # A no-op refresh: a new instance refreshes its class, whose label did
+    # not move — nothing at all is invalidated, every keyword is a hit.
+    hits, misses, invalidated = memo_stats(engine)
+    version = index.version
+    engine.add_triples([Triple(N.e4, RDF.type, N.GraduateStudent)])
+    assert index.version > version
+    check(engine, "no-op refresh")
+    assert memo_stats(engine) == (hits + 2 * len(KEYWORDS), misses, invalidated)
+
+    # And the incrementally maintained index still answers like a fresh one.
+    fresh = KeywordIndex(DataGraph(engine.graph.triples))
+    for keyword in KEYWORDS:
+        assert describe(index.lookup(keyword)) == describe(fresh.lookup(keyword))
+
+
+# ----------------------------------------------------------------------
+# The bookkeeping is bounded by the memo, not by the churn
+# ----------------------------------------------------------------------
+
+
+def test_bookkeeping_is_bounded_by_the_memo_under_value_churn():
+    size = 8
+    index = KeywordIndex(DataGraph(SCRIPT_BASE), lookup_cache_size=size)
+    memo = index._lookup_cache
+    student = frozenset({N.Student})
+    peak_links = peak_dependencies = 0
+    for i in range(5000):
+        # Each update mints two terms nothing has seen before ...
+        value = Literal(f"fresh{i} minted{i}")
+        index.adjust_attribute_occurrence(N.name, value, student, +1)
+        # ... which lookups then depend on, beside the standing pool.
+        index.lookup(f"fresh{i}")
+        index.lookup(f"minted{i} fresh{i}")
+        index.lookup(KEYWORDS[i % len(KEYWORDS)])
+        if i % 10:  # most go again (entries invalidated), some stay (evicted)
+            index.adjust_attribute_occurrence(N.name, value, student, -1)
+        peak_dependencies = max(peak_dependencies, len(memo._dependents))
+        peak_links = max(
+            peak_links, sum(len(keywords) for keywords in memo._dependents.values())
+        )
+    assert 0 < len(memo) <= size
+    # An entry depends on at most its terms, their lexicon neighbours, the
+    # vocabulary marker and max_matches (8) elements: well under 32.
+    assert peak_dependencies <= peak_links <= 32 * size
+    assert index.cache_stats()["invalidated"] > 0

@@ -2,15 +2,18 @@
 
 import pytest
 
-from repro.datasets.example import EX
+from repro.datasets.example import EX, running_example_graph
 from repro.keyword.keyword_index import (
     AttributeMatch,
     ClassMatch,
     KeywordIndex,
+    LookupMemo,
     RelationMatch,
     ValueMatch,
 )
+from repro.rdf.namespace import RDF, RDFS
 from repro.rdf.terms import Literal
+from repro.rdf.triples import Triple
 
 
 @pytest.fixture(scope="module")
@@ -150,25 +153,143 @@ class TestMatchObjects:
             m.score = 1.0
 
 
+def links(memo):
+    """(dependency, keyword) pairs the memo's reverse map holds."""
+    return sum(len(keywords) for keywords in memo._dependents.values())
+
+
+def posting_rows(index):
+    """Every (term, element, tf, label_terms) row the index holds."""
+    inverted = index._index
+    return sorted(
+        (term, repr(p.element), p.term_frequency, p.label_terms)
+        for term in inverted.iter_terms()
+        for p in inverted.lookup(term)
+    )
+
+
 class TestLookupCache:
     def test_repeated_lookup_hits_cache(self, example_graph):
         index = KeywordIndex(example_graph)
         first = index.lookup("publication")
+        assert index.cache_stats()["hits"] == 0
+        assert index.cache_stats()["misses"] == 1
         second = index.lookup("publication")
         assert first is not second  # callers get fresh lists
+        assert all(a is b for a, b in zip(first, second))  # of shared matches
         assert [repr(m) for m in first] == [repr(m) for m in second]
-        assert (index.version, "publication") in index._lookup_cache
+        stats = index.cache_stats()
+        assert (stats["hits"], stats["misses"], stats["size"]) == (1, 1, 1)
+        assert stats["hit_rate"] == 0.5
 
-    def test_version_bump_invalidates_entries(self, example_graph):
-        index = KeywordIndex(example_graph)
+    def test_only_a_changed_label_invalidates_an_entry(self):
+        graph = running_example_graph()
+        index = KeywordIndex(graph)
         before = index.lookup("publication")
+        assert [(type(m), m.score) for m in before] == [(ClassMatch, 1.0)]
+
+        # An unrelated class is refreshed: the version moves, the entry stays.
         version = index.version
-        index.refresh_class(EX.Publication)
+        index.refresh_class(EX.Project)
         assert index.version > version
+        assert all(a is b for a, b in zip(index.lookup("publication"), before))
+        stats = index.cache_stats()
+        assert (stats["hits"], stats["misses"], stats["invalidated"]) == (1, 1, 0)
+
+        # Publication is relabelled "Paper": the entry goes, and the class
+        # now matches through the lexicon (publication ~ paper) only.
+        graph.add(Triple(EX.Publication, RDFS.label, Literal("Paper")))
+        index.refresh_class(EX.Publication)
+        stats = index.cache_stats()
+        assert (stats["size"], stats["invalidated"]) == (0, 1)
         after = index.lookup("publication")
-        assert [repr(m) for m in after] == [repr(m) for m in before]
-        assert (version, "publication") in index._lookup_cache  # aged, not served
-        assert (index.version, "publication") in index._lookup_cache
+        assert index.cache_stats()["misses"] == 2
+        assert [(type(m), m.score) for m in after] == [(ClassMatch, 0.9)]
+
+        # The label triple's own A-edge, as the IndexManager applies it:
+        # a new value under a term the entry consulted.
+        index.adjust_attribute_occurrence(
+            RDFS.label, Literal("Paper"), graph.types_of(EX.Publication), +1
+        )
+        assert index.cache_stats()["invalidated"] == 2
+        after = index.lookup("publication")
+        assert [repr(m) for m in after] == [
+            repr(m) for m in KeywordIndex(graph).lookup("publication")
+        ]
+
+    def test_refresh_with_unchanged_label_bumps_version_touches_no_posting(self):
+        graph = running_example_graph()
+        index = KeywordIndex(graph)
+        index.lookup("publication")
+        index.lookup("author")
+        rows, version = posting_rows(index), index.version
+        terms_before = list(index._index.iter_terms())
+        index.refresh_class(EX.Publication)
+        index.refresh_relation_label(EX.author)
+        assert index.version == version + 2
+        assert posting_rows(index) == rows
+        # Not even un- and re-posted: the vocabulary order did not move.
+        assert list(index._index.iter_terms()) == terms_before
+        assert index.cache_stats()["invalidated"] == 0
+        assert index.cache_stats()["size"] == 2
+
+    def test_refcount_two_to_one_keeps_the_entry_one_to_zero_drops_it(self):
+        graph = running_example_graph()
+        graph.add(Triple(EX.re3URI, RDF.type, EX.Researcher))
+        graph.add(Triple(EX.re3URI, EX.name, Literal("AIFB")))
+        index = KeywordIndex(graph)
+        both = frozenset({(EX.name, EX.Institute), (EX.name, EX.Researcher)})
+        (match,) = matches_of_type(index.lookup("aifb"), ValueMatch)
+        assert match.occurrences == both
+
+        # A second researcher named AIFB comes (1 -> 2) and goes (2 -> 1):
+        # the key set of the value's occurrences never moves.
+        researcher = frozenset({EX.Researcher})
+        index.adjust_attribute_occurrence(EX.name, Literal("AIFB"), researcher, +1)
+        index.adjust_attribute_occurrence(EX.name, Literal("AIFB"), researcher, -1)
+        assert index.cache_stats()["invalidated"] == 0
+        assert matches_of_type(index.lookup("aifb"), ValueMatch) == [match]
+        assert index.cache_stats()["hits"] == 1
+
+        # The last one goes (1 -> 0): the occurrence disappears with it.
+        index.adjust_attribute_occurrence(EX.name, Literal("AIFB"), researcher, -1)
+        assert index.cache_stats()["invalidated"] == 1
+        (match,) = matches_of_type(index.lookup("aifb"), ValueMatch)
+        assert match.occurrences == {(EX.name, EX.Institute)}
+
+    def test_no_match_entry_without_a_fuzzy_scan_depends_on_its_term(self):
+        graph = running_example_graph()
+        index = KeywordIndex(graph, fuzzy_max_distance=0)
+        assert index.lookup("zebra") == [] and index.lookup("zebra") == []
+        assert index.cache_stats()["hits"] == 1
+        # Another new value leaves it alone, one named so does not.
+        index.adjust_attribute_occurrence(EX.name, Literal("Okapi"), frozenset(), +1)
+        assert index.cache_stats()["invalidated"] == 0
+        index.adjust_attribute_occurrence(EX.name, Literal("Zebra"), frozenset(), +1)
+        assert index.cache_stats()["invalidated"] == 1
+        assert [m.value for m in index.lookup("zebra")] == [Literal("Zebra")]
+
+    def test_result_computed_before_an_invalidation_is_not_stored(self):
+        memo = LookupMemo(4)
+        generation = memo.generation
+        memo.invalidate(terms=["student"])  # an update lands while it is computed
+        memo.put("student", ("stale",), ("student",), generation)
+        assert memo.hit("student") is None
+        assert links(memo) == 0
+
+    def test_eviction_and_invalidation_unlink_their_dependencies(self):
+        memo = LookupMemo(2)
+        memo.put("a", (1,), ("t1", "shared"), memo.generation)
+        memo.put("b", (2,), ("t2", "shared"), memo.generation)
+        memo.put("c", (3,), ("t3",), memo.generation)  # evicts "a"
+        assert memo.hit("a") is None
+        assert links(memo) == 3
+        memo.invalidate(terms=["t1"])  # names nothing live any more
+        assert memo.cache_stats()["invalidated"] == 0
+        memo.invalidate(terms=["shared"])
+        assert memo.hit("b") is None and memo.hit("c") == (3,)
+        assert memo.cache_stats()["invalidated"] == 1
+        assert links(memo) == 1
 
     def test_lru_bound_respected(self, example_graph):
         index = KeywordIndex(example_graph, lookup_cache_size=2)

@@ -1,14 +1,19 @@
-"""Thread-safety stress test for the shared LRU memo (`repro.util.LruDict`).
+"""Thread-safety stress tests for the shared memos.
 
-The serving layer hammers one LruDict from a worker pool (search-result
-memo, keyword-lookup memo) while maintenance clears it, so the contract
-is: no internal exception ever escapes `hit`/`put`/`clear`, and the size
-bound holds whenever the dict is quiescent.
+The serving layer hammers one `repro.util.LruDict` from a worker pool
+(search-result memo, decoded postings) while maintenance clears it, so the
+contract is: no internal exception ever escapes `hit`/`put`/`clear`, and
+the size bound holds whenever the dict is quiescent.  The keyword-lookup
+memo (`repro.keyword.keyword_index.LookupMemo`) is hammered the same way
+and owes one thing more: its dependency → keywords reverse map names
+exactly the dependencies of the entries it holds.
 """
 
 import random
+import sys
 import threading
 
+from repro.keyword.keyword_index import LookupMemo
 from repro.util import LruDict
 
 THREADS = 8
@@ -56,6 +61,63 @@ def test_concurrent_hit_put_clear_never_raises_and_size_bounded():
     cache.put("after", "storm")
     assert cache.hit("after") == "storm"
     assert len(cache) <= MAXSIZE
+
+
+def _hammer_memo(memo, seed, failures, barrier):
+    rng = random.Random(seed)
+    barrier.wait()
+    try:
+        for _ in range(OPS_PER_THREAD):
+            key = rng.randrange(KEYSPACE)
+            op = rng.random()
+            if op < 0.45:
+                memo.hit(f"kw{key}")
+            elif op < 0.90:
+                terms = tuple(f"t{(key + j) % KEYSPACE}" for j in range(3))
+                memo.put(f"kw{key}", (key,), terms, memo.generation)
+            else:
+                memo.invalidate(terms=[f"t{key}"], elements=[("value", key)])
+    except BaseException as exc:  # noqa: BLE001 - the assertion target
+        failures.append(exc)
+
+
+def test_lookup_memo_reverse_map_stays_consistent_under_contention():
+    memo = LookupMemo(MAXSIZE)
+    failures = []
+    barrier = threading.Barrier(THREADS)
+    threads = [
+        threading.Thread(
+            target=_hammer_memo, args=(memo, seed, failures, barrier), daemon=True
+        )
+        for seed in range(THREADS)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive(), "stress thread wedged (deadlock?)"
+    finally:
+        sys.setswitchinterval(interval)
+
+    assert failures == []
+    assert len(memo) <= MAXSIZE
+    # A lost update would leave a link to a dropped entry, or an entry
+    # that no invalidation can reach.
+    links = {
+        (dependency, keyword)
+        for dependency, keywords in memo._dependents.items()
+        for keyword in keywords
+    }
+    assert links == {
+        (dependency, keyword)
+        for keyword, (_, dependencies) in memo._entries.items()
+        for dependency in dependencies
+    }
+    stats = memo.cache_stats()
+    assert stats["invalidated"] > 0 and stats["hits"] > 0
 
 
 def test_counters_and_stats_shape():

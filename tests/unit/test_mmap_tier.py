@@ -328,6 +328,35 @@ def test_inverted_index_lookup_and_tombstones(example_bundle, mapped):
     assert rows[-1].element == element and rows[-1].term_frequency == 2
 
 
+def test_posted_counts_reads_the_elements_own_record(tmp_path):
+    """``posted_counts`` is the element's own (term, tf) record on both
+    tiers — through base rows, a tombstone and a delta re-post — and on
+    the mmap tier it never decodes a posting list to get there."""
+    ex = "http://example.org/mmapunit/"
+    texts = ["data data mining", "data mining", "mining mining mining data", "data"]
+    triples = [
+        Triple(URI(f"{ex}d{i}"), URI(ex + "topic"), Literal(text))
+        for i, text in enumerate(texts)
+    ]
+    path = tmp_path / "tf.reprobundle"
+    build_bundle_streaming(iter(triples), path)
+    inverted = load_bundle(path, index_tier="mmap").keyword_index._index
+    reference = KeywordSearchEngine(DataGraph(triples)).keyword_index._index
+
+    element = ("value", Literal(texts[2]))
+    assert reference.posted_counts(element) == {"mine": 3, "data": 1}
+    for key in reference._element_terms:
+        assert inverted.posted_counts(key) == reference.posted_counts(key)
+    assert inverted.cache_stats()["misses"] == 0  # no run was decoded
+    assert inverted.posted_counts(("value", Literal("never indexed"))) == {}
+
+    for index in (inverted, reference):
+        index.unindex(element)
+        assert index.posted_counts(element) == {}
+        index.index(element, ["data", "data", "reborn"])
+        assert index.posted_counts(element) == {"data": 2, "reborn": 1}
+
+
 def test_postings_lru_counters(mapped):
     inverted = mapped.keyword_index._index
     stats = inverted.cache_stats()

@@ -11,6 +11,7 @@ import threading
 import pytest
 
 from repro.core.engine import KeywordSearchEngine
+from repro.datasets.example import EX
 from repro.rdf.terms import Literal, URI
 from repro.rdf.triples import Triple
 from repro.service import AdmissionError, EngineService
@@ -255,6 +256,21 @@ class TestStats:
         assert "keyword_lookups" in stats["caches"]
         assert stats["snapshot"]["epoch"] == 0
         assert stats["data"]["triples"] > 0
+
+    def test_keyword_lookup_invalidations_reported(self, service):
+        """`/stats` shows how selective an epoch was: the update below
+        names a new value "Cimiano Lab", so of the two memoized keywords
+        only "cimiano" is dropped and looked up again."""
+        service.search("cimiano 2006")
+        before = service.stats()["caches"]["keyword_lookups"]
+        assert (before["misses"], before["invalidated"]) == (2, 0)
+        service.update(
+            adds=[Triple(EX.inst2URI, EX.name, Literal("Cimiano Lab"))]
+        )
+        service.search("cimiano 2006")
+        after = service.stats()["caches"]["keyword_lookups"]
+        assert after["invalidated"] == 1
+        assert (after["hits"], after["misses"]) == (before["hits"] + 1, 3)
 
     def test_search_cache_rates_reported(self, example_graph):
         engine = KeywordSearchEngine(example_graph, k=5, search_cache_size=8)
