@@ -30,26 +30,11 @@ _REPORTS = defaultdict(list)
 
 
 def pytest_addoption(parser):
-    # Only usable when benchmarks/ is on the initial command line (the CI
-    # smoke job invokes `pytest benchmarks/test_fig_substrate.py --quick`);
-    # in a root-level `pytest` run this conftest is imported during
-    # collection, after the command line was parsed, so the options exist
-    # at their defaults only — consumers read them through
-    # `config.getoption("--quick", False)`.
-    parser.addoption(
-        "--quick",
-        action="store_true",
-        default=False,
-        help="benchmark smoke mode: tiny workloads, exercise the harness, "
-        "skip timing assertions (failures mean exceptions, not regressions)",
-    )
-    parser.addoption(
-        "--full",
-        action="store_true",
-        default=False,
-        help="extend long-running sweeps to their largest configuration "
-        "(e.g. the 10^7-triple row of the scale figure)",
-    )
+    # Only usable when benchmarks/ is on the initial command line; in a
+    # root-level `pytest` run this conftest is imported during collection,
+    # after the command line was parsed, so the options exist at their
+    # defaults only — consumers read them through
+    # `config.getoption("--eval-bundle", None)`.
     parser.addoption(
         "--eval-bundle",
         default=None,
@@ -85,12 +70,6 @@ def eval_bundle_config(pytestconfig):
     )
 
 
-@pytest.fixture(scope="session")
-def quick_mode(pytestconfig):
-    """True when running as a CI smoke job (see ``--quick``)."""
-    return bool(pytestconfig.getoption("--quick", False))
-
-
 class Report:
     """Accumulates printable rows for one figure reproduction."""
 
@@ -118,12 +97,7 @@ def report():
 
 
 def _benchmarks_named(config) -> bool:
-    """True when a command-line path argument lies inside ``benchmarks/``.
-
-    (Whether ``--quick`` is *registered* cannot tell: ``pytest_addoption``
-    is a historic hook, replayed when collection imports this conftest, so
-    the option exists — unparsed, at its default — in a root-level run
-    too.)"""
+    """True when a command-line path argument lies inside ``benchmarks/``."""
     here = os.path.dirname(os.path.abspath(__file__))
     invoked_from = str(config.invocation_params.dir)
     for arg in config.args:

@@ -4,7 +4,6 @@
 
     repro search "cimiano 2006" --dataset dblp --execute   # one-shot search
     repro serve --dataset dblp --port 8080 --cache 256     # HTTP service
-    repro bench --dataset dblp --clients 4 --requests 20   # closed-loop QPS
     repro build --dataset dblp -o dblp.reprobundle         # offline artifact
     repro compact dblp.reprobundle                         # fold WAL into it
     repro eval run --dataset tap                           # quality report
@@ -14,7 +13,7 @@ The original positional form (``repro "cimiano 2006" ...``) is kept as an
 alias for ``repro search`` — any first argument that is not a subcommand
 name is treated as the keyword query.
 
-``search``/``serve``/``bench`` accept ``--bundle PATH`` to warm-start
+``search``/``serve`` accept ``--bundle PATH`` to warm-start
 from a ``repro build`` artifact instead of rebuilding the offline layer
 from raw triples; serving then starts in milliseconds and ``/update``
 epochs are logged durably next to the bundle.
@@ -42,7 +41,7 @@ from repro.core.engine import ENGINE_DEFAULTS, KeywordSearchEngine
 from repro.rdf.graph import DataGraph
 from repro.rdf.ntriples import parse_ntriples
 
-SUBCOMMANDS = ("search", "serve", "bench", "build", "compact", "eval")
+SUBCOMMANDS = ("search", "serve", "build", "compact", "eval")
 
 
 def _progress_lines(lines, every: int):
@@ -92,34 +91,6 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
-
-
-def _positive_int_list(text: str) -> list:
-    """Comma-separated positive ints: the bench matrix axes (``1,4``)."""
-    try:
-        values = [int(x) for x in text.split(",") if x.strip() != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated int list: {text!r}")
-    if not values:
-        raise argparse.ArgumentTypeError("empty list")
-    for value in values:
-        if value < 1:
-            raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return values
-
-
-def _worker_count_list(text: str) -> list:
-    """Like :func:`_positive_int_list` but 0 (in-process tier) is legal."""
-    try:
-        values = [int(x) for x in text.split(",") if x.strip() != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated int list: {text!r}")
-    if not values:
-        raise argparse.ArgumentTypeError("empty list")
-    for value in values:
-        if value < 0:
-            raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return values
 
 
 def _add_dataset_args(
@@ -301,9 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro",
         description="Keyword search on RDF data through top-k query computation "
         "(Tran et al., ICDE 2009).  Subcommands: search (this form; the bare "
-        "positional query is an alias), serve (HTTP service), bench "
-        "(closed-loop throughput).",
-        epilog="See also: `repro serve --help` and `repro bench --help`.",
+        "positional query is an alias), serve (HTTP service).",
+        epilog="See also: `repro serve --help`.",
     )
     parser.add_argument("keywords", help="the keyword query, e.g. 'cimiano 2006'")
     _add_dataset_args(parser)
@@ -493,7 +463,7 @@ def _stream_bundle(args, path, **options) -> dict:
         )
 
 
-def _stage_bundle(args, prefix: str) -> str:
+def _stage_bundle(args) -> str:
     """Build the temp bundle the worker processes will mmap.
 
     ``--workers N`` without ``--bundle`` still works: the triple source
@@ -502,7 +472,7 @@ def _stage_bundle(args, prefix: str) -> str:
     """
     import tempfile
 
-    directory = tempfile.mkdtemp(prefix=prefix)
+    directory = tempfile.mkdtemp(prefix="repro-serve-")
     path = f"{directory}/staged.reprobundle"
     info = _stream_bundle(args, path, search_cache_size=max(0, args.cache))
     print(
@@ -527,7 +497,7 @@ def serve_command(argv) -> int:
         # the staged bundle, so /update epochs are logged durably where
         # the workers can replay them.
         engine = None
-        bundle = _stage_bundle(args, "repro-serve-")
+        bundle = _stage_bundle(args)
     else:
         engine = _build_engine(
             args, search_cache_size=max(0, args.cache), writer=True
@@ -575,155 +545,6 @@ def serve_command(argv) -> int:
 
 
 # ----------------------------------------------------------------------
-# repro bench
-# ----------------------------------------------------------------------
-
-_BENCH_QUERIES = {
-    "example": ["cimiano 2006", "aifb publication", "2006 article"],
-    "lubm": ["professor department0", "student course", "university publication"],
-}
-
-
-def _bench_queries(args, engine) -> list:
-    """A workload whose keywords actually match the chosen data.
-
-    Curated sets for the bundled datasets; for ``--data`` files (or any
-    gap), keywords are sampled from the engine's own keyword index so the
-    benchmark always exercises the full pipeline instead of silently
-    measuring no-match short-circuits.
-    """
-    if args.queries:
-        return list(args.queries)
-    # A bundle's contents are opaque to the dataset flags (which stay at
-    # their defaults), so the curated per-dataset workloads would silently
-    # benchmark no-match short-circuits; sample from the loaded data.
-    if args.data is None and not args.bundle:
-        if args.dataset == "dblp":
-            from repro.datasets.workloads import dblp_performance_queries
-
-            return [" ".join(q.keywords) for q in dblp_performance_queries()[:5]]
-        if args.dataset == "tap":
-            from repro.datasets.workloads import tap_effectiveness_workload
-
-            return [" ".join(q.keywords) for q in tap_effectiveness_workload()[:5]]
-        if args.dataset in _BENCH_QUERIES:
-            return _BENCH_QUERIES[args.dataset]
-    # Derive from the data: words of the first few indexed labels.
-    words = []
-    for term in engine.graph.triples:
-        if not hasattr(term.object, "lexical"):
-            continue
-        for word in str(term.object.lexical).split():
-            if word.isalpha() and len(word) > 2:
-                words.append(word.lower())
-        if len(words) >= 8:
-            break
-    if not words:
-        raise SystemExit("bench: no textual labels in the data; pass --query")
-    return [" ".join(words[i : i + 2]) for i in range(0, min(len(words), 8), 2)]
-
-
-def build_bench_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro bench",
-        description="Closed-loop throughput (QPS, p50/p99) against the "
-        "serving layer.",
-    )
-    _add_dataset_args(parser)
-    _add_engine_args(parser)
-    parser.add_argument(
-        "--clients", type=_positive_int_list, default=[1, 4], metavar="M[,M...]",
-        help="closed-loop client counts — one benchmark row per value "
-        "(default: 1,4)",
-    )
-    parser.add_argument(
-        "--requests", type=_positive_int, default=20,
-        help="requests per client",
-    )
-    parser.add_argument(
-        "--workers", type=_worker_count_list, default=[0], metavar="N[,N...]",
-        help="worker-process counts — the matrix crosses every value with "
-        "every --clients value (0 = in-process serving; default: 0)",
-    )
-    parser.add_argument(
-        "--threads", type=_positive_int, default=4,
-        help="in-process thread-pool size for the workers=0 rows",
-    )
-    parser.add_argument(
-        "--cache", type=int, default=0, metavar="N",
-        help="search-result memo size (0 = every request runs the pipeline)",
-    )
-    parser.add_argument(
-        "--query", dest="queries", action="append", default=[], metavar="KEYWORDS",
-        help="benchmark query (repeatable; default: a workload matching "
-        "the chosen dataset)",
-    )
-    return parser
-
-
-def bench_command(argv) -> int:
-    from repro.core import kernels
-    from repro.service import DispatchService, EngineService, closed_loop_benchmark
-
-    args = build_bench_parser().parse_args(argv)
-    if args.use_vectorized is not None:
-        # Benchmarks flip the module-level switch too: an apples-to-apples
-        # scalar baseline must also cover the prefuse/shared-frontier
-        # paths, which consult the global kill switch.
-        kernels.set_enabled(args.use_vectorized)
-    print(f"# {kernels.status_line()}")
-    engine = _build_engine(args, search_cache_size=max(0, args.cache))
-    queries = _bench_queries(args, engine)
-
-    worker_counts = sorted(set(args.workers))
-    client_counts = sorted(set(args.clients))
-    max_pending = max(client_counts) * args.requests + 1
-
-    bundle = args.bundle
-    if any(n > 0 for n in worker_counts) and not bundle:
-        bundle = _stage_bundle(args, "repro-bench-")
-
-    # The full matrix: every worker tier crossed with every client count,
-    # so `repro bench --clients 1,4 --workers 0,1,2,4` regenerates the
-    # serving figure in one command.
-    for workers in worker_counts:
-        if workers == 0:
-            service = EngineService(
-                engine, workers=args.threads, max_pending=max_pending
-            )
-        else:
-            service = DispatchService(
-                bundle,
-                workers=workers,
-                overrides=_dispatch_overrides(args),
-                max_pending=max_pending,
-            )
-        try:
-            for clients in client_counts:
-                row = closed_loop_benchmark(
-                    service, queries, clients=clients,
-                    requests_per_client=args.requests,
-                )
-                print(
-                    f"workers={workers:<2d} clients={row['clients']:<3d} "
-                    f"completed={row['completed']:<5d} "
-                    f"qps={row['qps']:8.1f}  p50={row['p50_ms']:7.2f}ms  "
-                    f"p99={row['p99_ms']:7.2f}ms  errors={row['errors']}"
-                )
-            if workers > 0:
-                rows = service.stats()["workers"]
-                vmhwm = [w.get("vmhwm_kb") for w in rows if w.get("alive")]
-                pss = [w.get("pss_kb") for w in rows if w.get("alive")]
-                print(
-                    f"# workers={workers}: per-worker VmHWM_kb={vmhwm} "
-                    f"Pss_kb={pss}"
-                )
-        finally:
-            service.close()
-    return 0
-
-
-# ----------------------------------------------------------------------
 # repro build / repro compact (the offline artifact lifecycle)
 # ----------------------------------------------------------------------
 
@@ -731,7 +552,7 @@ def build_build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro build",
         description="Build the offline layer once and save it as a versioned "
-        "index bundle that `search`/`serve`/`bench --bundle` warm-start from.",
+        "index bundle that `search`/`serve --bundle` warm-start from.",
     )
     _add_dataset_args(parser, bundle=False)
     # No --guided / --vectorized: execution strategies a bundle does not
@@ -1222,6 +1043,15 @@ def main(argv: Optional[list] = None) -> int:
         print(f"repro {__version__}")
         print(kernels.status_line())
         return 0
+    if argv and argv[0] == "bench":
+        # A removed subcommand, not a keyword: the positional alias below
+        # would otherwise run `search "bench"`.
+        print(
+            "repro: `bench` was removed; measure with `python3 perf/run.py "
+            "--workload <name>` (to search for the word: `repro search bench`)",
+            file=sys.stderr,
+        )
+        return 2
     if argv and argv[0] in SUBCOMMANDS:
         command, rest = argv[0], argv[1:]
     else:
@@ -1229,8 +1059,6 @@ def main(argv: Optional[list] = None) -> int:
         command, rest = "search", argv
     if command == "serve":
         return serve_command(rest)
-    if command == "bench":
-        return bench_command(rest)
     if command == "build":
         return build_command(rest)
     if command == "compact":

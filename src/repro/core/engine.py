@@ -322,7 +322,7 @@ def _map_stage(
 
 
 #: The engine configuration every command-line entry point (``repro
-#: search`` / ``serve`` / ``bench`` / ``build`` / ``eval``) applies when a
+#: search`` / ``serve`` / ``build`` / ``eval``) applies when a
 #: flag is not given.  One table, read by :mod:`repro.cli` and
 #: :func:`repro.quality.runner.build_eval_engine`, so the entry points
 #: cannot drift apart.

@@ -19,11 +19,12 @@ Implementation notes (performance, same semantics):
   rows, so exploration setup is proportional to the keyword matches, not
   the summary;
 * result identity is anchored to the **canonical merged id space** — the
-  ids a full per-query interning would have assigned.  The substrate path
-  explores on its own append-only ids but emits subgraphs in merged ids
-  (a monotone O(log #matches) translation), so tie-breaking among
-  equal-cost candidates, and therefore the returned ranking, is
-  byte-identical to the reference interning (``use_substrate=False``);
+  ids interning base + overlay from scratch in repr order would assign.
+  Exploration runs on the substrate's append-only ids but emits subgraphs
+  in merged ids (a monotone O(log #matches) translation), so tie-breaking
+  among equal-cost candidates, and therefore the returned ranking, is a
+  function of the abstract graph: an incrementally maintained index and a
+  freshly rebuilt one rank identically;
 * the cycle check walks the parent chain (≤ dmax pointer hops, zero
   allocation) — per-cursor path sets/bitmasks were measured and rejected:
   keeping hundreds of thousands of GC-tracked containers alive makes
@@ -56,7 +57,7 @@ Implementation notes (performance, same semantics):
   signature, cost token).  Output — subgraphs *and* diagnostics — is
   byte-identical by contract; ``use_vectorized=False`` (or a missing
   numpy) keeps this scalar reference path, which the property tests use
-  as the oracle exactly like ``use_substrate=False``.
+  as the oracle.
 """
 
 from __future__ import annotations
@@ -120,52 +121,15 @@ class ExplorationResult:
         )
 
 
-class _InternedGraph:
-    """Reference integer-id view, interned from scratch per exploration.
-
-    Kept as the fallback for graph objects without a substrate (and as the
-    byte-identity oracle the substrate path is property-tested against).
-    """
-
-    __slots__ = ("keys", "ids", "neighbors", "costs")
-
-    def __init__(self, augmented: AugmentedSummaryGraph, element_costs):
-        graph = augmented.graph
-        # Canonical interning order (sorted by key repr) makes the whole
-        # exploration — including tie-breaking among equal-cost cursors and
-        # candidates — a function of the abstract graph, independent of the
-        # base graph's internal dict/list ordering.  Incrementally
-        # maintained and freshly rebuilt indexes therefore rank
-        # identically.  Summary graphs and overlays serve the order from a
-        # version-keyed cache; other graph objects are sorted here.
-        canonical = getattr(graph, "canonical_element_keys", None)
-        if canonical is not None:
-            self.keys: List[Hashable] = list(canonical())
-        else:
-            self.keys = sorted(
-                [v.key for v in graph.vertices] + [e.key for e in graph.edges],
-                key=repr,
-            )
-        self.ids: Dict[Hashable, int] = {key: i for i, key in enumerate(self.keys)}
-
-        n = len(self.keys)
-        self.neighbors: List[List[int]] = [[] for _ in range(n)]
-        self.costs: List[float] = [0.0] * n
-        for key, idx in self.ids.items():
-            self.costs[idx] = checked_cost(key, element_costs.get(key))
-            self.neighbors[idx] = sorted(self.ids[nb] for nb in graph.neighbors(key))
-
-
 class _SubstrateView:
     """Per-query id space: a cached substrate plus appended overlay extras.
 
     Base elements keep their substrate ids ``0..n-1``; the overlay's
     O(#matches) elements get ids ``n..n+m-1`` in canonical (repr-sorted)
     order.  ``to_merged`` translates a substrate id to the rank the element
-    holds in the *merged* canonical order over base + overlay — the id a
-    full per-query interning would have assigned — which is what emitted
-    subgraphs are expressed in (``None`` when there are no extras: the two
-    id spaces coincide).
+    holds in the *merged* canonical order over base + overlay, which is
+    what emitted subgraphs are expressed in (``None`` when there are no
+    extras: the two id spaces coincide).
     """
 
     __slots__ = (
@@ -196,24 +160,22 @@ class _SubstrateView:
 
 def _build_substrate_view(
     augmented: AugmentedSummaryGraph, element_costs
-) -> Optional[_SubstrateView]:
-    """Assemble the per-query view, or None if the graph has no substrate."""
+) -> _SubstrateView:
+    """Assemble the per-query view over the graph's cached substrate."""
     graph = augmented.graph
-    base = getattr(graph, "base", None)
-    if base is None:
-        owner = graph
+    owner = getattr(graph, "base", graph)
+    factory = getattr(owner, "exploration_substrate", None)
+    if factory is None:
+        raise ValueError(
+            "exploration requires a summary graph (or overlay) "
+            f"with exploration_substrate(); got {type(graph).__name__}"
+        )
+    if owner is graph:
         added_keys: Tuple[Hashable, ...] = ()
         added_incident = {}
     else:
-        owner = base
-        getter = getattr(graph, "added_element_keys", None)
-        if getter is None:
-            return None
-        added_keys = getter()
+        added_keys = graph.added_element_keys()
         added_incident = graph.added_incident_map()
-    factory = getattr(owner, "exploration_substrate", None)
-    if factory is None:
-        return None
     substrate = factory()
 
     # Cost token first: it is both the cost-slot recipe and half of the
@@ -413,13 +375,6 @@ def _dijkstra_rows(
     return dist
 
 
-def _dijkstra(
-    seeds: Dict[int, float], neighbors: List[List[int]], costs: List[float]
-) -> List[float]:
-    """List-adjacency convenience wrapper around :func:`_dijkstra_rows`."""
-    return _dijkstra_rows(seeds, neighbors.__getitem__, costs, len(costs))
-
-
 def _completion_bounds(
     m: int,
     seed_costs: List[Dict[int, float]],
@@ -492,15 +447,14 @@ def _bounds_for(
     row_of,
     costs,
     total: int,
-    view: Optional[_SubstrateView],
+    view: _SubstrateView,
     force_kernel: bool,
 ) -> List[List[float]]:
     """Completion bounds via the relaxation kernel when it pays off, via
     the scalar Dijkstra otherwise (or when the kernel declines a
     pathological graph) — identical values either way."""
-    if view is not None and (
-        force_kernel
-        or (kernels.kernels_enabled() and total >= kernels.MIN_BOUNDS_TOTAL)
+    if force_kernel or (
+        kernels.kernels_enabled() and total >= kernels.MIN_BOUNDS_TOTAL
     ):
         computed = kernels.completion_bounds_batch([(m, seed_costs, view)])[0]
         if computed is not None:
@@ -515,7 +469,6 @@ def explore_top_k(
     dmax: int = DEFAULT_DMAX,
     max_cursors: Optional[int] = None,
     guided: bool = True,
-    use_substrate: Optional[bool] = None,
     use_vectorized: Optional[bool] = None,
 ) -> ExplorationResult:
     """Run Algorithms 1+2 and return the k cheapest matching subgraphs.
@@ -524,6 +477,8 @@ def explore_top_k(
     ----------
     augmented:
         The augmented summary graph with per-keyword element sets K_i.
+        Its graph must be a summary graph or an overlay on one — something
+        with an ``exploration_substrate()`` — or ``ValueError`` is raised.
     element_costs:
         Positive cost per element key (from a :class:`~repro.scoring.cost.CostModel`).
     k:
@@ -549,22 +504,15 @@ def explore_top_k(
         ``False`` still exists: it is the oracle the bounds are tested
         against (``test_guided_equivalence.py``, ``repro eval check
         --no-guided``).
-    use_substrate:
-        ``None`` (default) explores on the base graph's version-keyed CSR
-        substrate when available and falls back to per-query interning
-        otherwise; ``False`` forces the reference interning (the
-        byte-identity oracle used by tests and benchmarks); ``True``
-        requires the substrate and raises if the graph cannot provide one.
     use_vectorized:
         ``None`` (default) takes the vectorized kernel path
-        (:mod:`repro.core.kernels`) whenever numpy is importable and a
-        substrate view exists; ``False`` forces the scalar loop (the
-        second byte-identity oracle); ``True`` requires the kernels and
-        raises when numpy is missing, kernels are disabled, or there is
-        no substrate view — it also forces the bound tables through the
-        relaxation kernel regardless of graph size (how the property
-        tests exercise it on tiny graphs).  Output is byte-identical
-        either way — subgraphs and diagnostics.
+        (:mod:`repro.core.kernels`) whenever numpy is importable;
+        ``False`` forces the scalar loop (the byte-identity oracle);
+        ``True`` requires the kernels and raises when numpy is missing —
+        it also forces the bound tables through the relaxation kernel
+        regardless of graph size (how the property tests exercise it on
+        tiny graphs).  Output is byte-identical either way — subgraphs
+        and diagnostics.
     """
     ordered_sets = [ks for ks in augmented.sorted_keyword_elements() if ks]
     m = len(ordered_sets)
@@ -573,51 +521,29 @@ def explore_top_k(
     if m == 0:
         return ExplorationResult([], 0, 0, 0, 0, "no-keywords", 0)
 
-    view: Optional[_SubstrateView] = None
-    if use_substrate is not False:
-        view = _build_substrate_view(augmented, element_costs)
-    if view is not None:
-        costs: Sequence[float] = view.costs
-        total = view.total
-        id_of = view.id_of
-        to_merged = view.to_merged
-        decode = view.decode
-        row_of = _view_row_of(view)
-    else:
-        if use_substrate is True:
-            raise ValueError(
-                "substrate exploration requires a summary graph (or overlay) "
-                f"with exploration_substrate(); got {type(augmented.graph).__name__}"
-            )
-        interned = _InternedGraph(augmented, element_costs)
-        costs = interned.costs
-        total = len(interned.keys)
-        id_of = interned.ids.get
-        to_merged = None
-        decode = interned.keys.__getitem__
-        row_of = interned.neighbors.__getitem__
+    view = _build_substrate_view(augmented, element_costs)
+    costs: Sequence[float] = view.costs
+    total = view.total
+    id_of = view.id_of
+    to_merged = view.to_merged
+    decode = view.decode
+    row_of = _view_row_of(view)
 
     # Resolve the vectorized kernel path before seeding: the SoA loop
     # skips Cursor construction entirely, and a forced kernel run routes
     # the bound tables through the relaxation sweeps too.
     vectorized = False
     if use_vectorized is True:
-        if view is None:
-            raise ValueError(
-                "vectorized exploration requires the CSR substrate "
-                "(use_substrate must not be False and the graph must "
-                "provide exploration_substrate())"
-            )
         if not kernels.kernels_enabled():
             raise ValueError(
                 "vectorized exploration requires numpy (pip install "
-                "repro[fast]) and kernels not disabled"
+                "repro[fast])"
             )
         vectorized = True
-    elif use_vectorized is None and view is not None:
+    elif use_vectorized is None:
         vectorized = kernels.kernels_enabled()
-        if not vectorized and not kernels.numpy_available():
-            kernels._log_fallback("numpy not installed")
+        if not vectorized:
+            kernels._log_fallback()
 
     # Deterministic seeding: K_i are sets, so a canonical order (by key
     # repr, cached on the augmented graph) makes tie-breaking — and
@@ -641,7 +567,7 @@ def explore_top_k(
     bounds: Optional[List[List[float]]] = None
     if guided:
         cache_key = None
-        if view is not None and view.cost_token is not None:
+        if view.cost_token is not None:
             cache_key = (
                 view.cost_token,
                 view.extra_keys,
@@ -845,14 +771,14 @@ def prepare_guided_request(
 ) -> Optional[tuple]:
     """``(m, seed_costs, view, cache_key)`` for prefusing one query's
     guided bound tables, or ``None`` when the query cannot share the
-    substrate bounds cache (no substrate, uncacheable cost mapping, no
-    matched keywords, or a keyword element outside the view)."""
+    substrate bounds cache (uncacheable cost mapping, no matched keywords,
+    or a keyword element outside the view)."""
     ordered_sets = [ks for ks in augmented.sorted_keyword_elements() if ks]
     m = len(ordered_sets)
     if m == 0:
         return None
     view = _build_substrate_view(augmented, element_costs)
-    if view is None or view.cost_token is None:
+    if view.cost_token is None:
         return None
     id_of = view.id_of
     costs = view.costs

@@ -53,10 +53,10 @@ one add and can differ in the last ulp, which can flip the consumer's
 enumeration therefore has to replay the same successor chains, which is
 what :func:`iter_combinations` does.
 
-numpy is an optional extra (``pip install repro[fast]``).  Without it —
-or after :func:`set_enabled(False) <set_enabled>` — every entry point
-reports itself unavailable and :mod:`repro.core.exploration` stays on
-the scalar reference path; the first such fallback logs one loud line.
+numpy is an optional extra (``pip install repro[fast]``).  Without it
+every entry point reports itself unavailable and
+:mod:`repro.core.exploration` stays on the scalar reference path; the
+first such fallback logs one loud line.
 """
 
 from __future__ import annotations
@@ -77,9 +77,6 @@ except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
 
 _INF = float("inf")
 
-#: Kill switch (``repro bench --no-vectorized``, tests): True disables the
-#: kernels even when numpy is importable.
-_disabled = False
 _fallback_logged = False
 
 #: Guided bound tables go through the batched relaxation kernel only when
@@ -90,25 +87,12 @@ _fallback_logged = False
 #: the kernel on the small example/DBLP graphs this way).
 MIN_BOUNDS_TOTAL = 512
 
-#: Row length at which the expansion cycle-check switches to one
-#: ``np.isin`` over the row instead of a parent-chain walk per neighbor.
-MIN_VECTOR_ROW = 64
-
-
-def numpy_available() -> bool:
-    """True when the optional numpy extra is importable."""
-    return _np is not None
-
 
 def kernels_enabled() -> bool:
-    """True when explorations may take the vectorized path."""
-    return _np is not None and not _disabled
-
-
-def set_enabled(enabled: bool) -> None:
-    """Globally enable/disable the kernels (``--no-vectorized``)."""
-    global _disabled
-    _disabled = not enabled
+    """True when explorations may take the vectorized path: the optional
+    numpy extra is importable.  (``use_vectorized=False`` /
+    ``--no-vectorized`` force the scalar path per engine.)"""
+    return _np is not None
 
 
 def kernel_status() -> Dict[str, object]:
@@ -116,27 +100,25 @@ def kernel_status() -> Dict[str, object]:
     return {
         "numpy": None if _np is None else _np.__version__,
         "active": kernels_enabled(),
-        "disabled": _disabled,
     }
 
 
 def status_line() -> str:
-    """One-line kernel state for ``repro --version`` / bench headers."""
+    """One-line kernel state for ``repro --version`` and the benchmark
+    harness's run header."""
     if _np is None:
         return "kernels: off (numpy not installed; pip install repro[fast])"
-    if _disabled:
-        return f"kernels: off (disabled; numpy {_np.__version__} available)"
     return f"kernels: numpy {_np.__version__} (active)"
 
 
-def _log_fallback(reason: str) -> None:
-    """One loud line the first time a vectorized path falls back."""
+def _log_fallback() -> None:
+    """One loud line the first time a search runs without the kernels."""
     global _fallback_logged
     if not _fallback_logged:
         _fallback_logged = True
         log.warning(
-            "vectorized exploration kernels unavailable (%s); "
-            "falling back to the pure-Python reference path", reason
+            "vectorized exploration kernels unavailable (numpy not "
+            "installed); falling back to the pure-Python reference path"
         )
 
 

@@ -1,4 +1,4 @@
-"""Evaluation harness: effectiveness (MRR), index statistics, timing."""
+"""Evaluation harness: effectiveness (MRR) and index statistics."""
 
 from repro.eval.effectiveness import (
     reciprocal_rank,
@@ -6,7 +6,6 @@ from repro.eval.effectiveness import (
     EffectivenessReport,
 )
 from repro.eval.index_stats import collect_index_stats, IndexStatsRow
-from repro.eval.timing import Timer, summarize_times
 
 __all__ = [
     "reciprocal_rank",
@@ -14,6 +13,4 @@ __all__ = [
     "EffectivenessReport",
     "collect_index_stats",
     "IndexStatsRow",
-    "Timer",
-    "summarize_times",
 ]

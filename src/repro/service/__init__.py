@@ -25,7 +25,6 @@ from repro.service.service import (
     AdmissionError,
     BatchOutcome,
     EngineService,
-    closed_loop_benchmark,
 )
 
 __all__ = [
@@ -40,6 +39,5 @@ __all__ = [
     "WorkerDied",
     "answers_to_json",
     "candidate_to_json",
-    "closed_loop_benchmark",
     "result_to_json",
 ]

@@ -35,7 +35,7 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence
 
 from repro.core import kernels
 
@@ -45,7 +45,6 @@ __all__ = [
     "AdmissionError",
     "BatchOutcome",
     "EngineService",
-    "closed_loop_benchmark",
 ]
 
 
@@ -536,61 +535,3 @@ class EngineService:
             f"max_pending={self.max_pending}, engine={self.engine!r})"
         )
 
-
-# ----------------------------------------------------------------------
-# Closed-loop load generation (repro bench + benchmarks/test_fig_serving)
-# ----------------------------------------------------------------------
-
-def closed_loop_benchmark(
-    service: EngineService,
-    queries: Sequence[Union[str, Sequence[str]]],
-    clients: int = 1,
-    requests_per_client: int = 20,
-) -> Dict[str, float]:
-    """Closed-loop throughput: each client fires its next query the moment
-    the previous one returns, round-robin over ``queries``.
-
-    Returns QPS and latency percentiles measured at the clients (not the
-    service's internal counters), so coordination overhead is included.
-    """
-    if clients < 1:
-        raise ValueError(f"clients must be >= 1, got {clients}")
-    latencies: List[List[float]] = [[] for _ in range(clients)]
-    errors = [0] * clients
-    barrier = threading.Barrier(clients + 1)
-
-    def client(slot: int) -> None:
-        barrier.wait()
-        mine = latencies[slot]
-        for i in range(requests_per_client):
-            query = queries[(slot + i * clients) % len(queries)]
-            started = time.monotonic()
-            try:
-                service.search(query)
-            except Exception:
-                errors[slot] += 1
-                continue
-            mine.append(time.monotonic() - started)
-
-    threads = [
-        threading.Thread(target=client, args=(slot,), daemon=True)
-        for slot in range(clients)
-    ]
-    for t in threads:
-        t.start()
-    barrier.wait()
-    started = time.monotonic()
-    for t in threads:
-        t.join()
-    elapsed = time.monotonic() - started
-
-    merged = sorted(x for chunk in latencies for x in chunk)
-    return {
-        "clients": clients,
-        "completed": len(merged),
-        "errors": sum(errors),
-        "seconds": elapsed,
-        "qps": (len(merged) / elapsed) if elapsed > 0 else 0.0,
-        "p50_ms": 1000 * _percentile(merged, 0.50),
-        "p99_ms": 1000 * _percentile(merged, 0.99),
-    }

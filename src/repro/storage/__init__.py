@@ -23,7 +23,7 @@ process*.  This package provides that lifecycle:
   O(metadata) and its resident set O(touched data).
 
 ``repro build`` / ``repro compact`` and the ``--bundle`` option of
-``search``/``serve``/``bench`` are the command-line surface.
+``search``/``serve`` are the command-line surface.
 """
 
 from repro.storage.bundle import (

@@ -17,10 +17,7 @@ The extension is **zero-copy**: instead of duplicating the summary graph per
 query, the added vertices and edges are layered onto the shared base graph
 through an :class:`~repro.summary.overlay.OverlaySummaryGraph` view, so
 augmentation allocates work proportional to the number of keyword matches,
-not to |summary graph|.  The base graph is never mutated either way.  The
-legacy copying behavior is retained behind ``copy=True`` purely as the
-reference point for the ``benchmarks/test_fig_augmentation.py``
-micro-benchmark.
+not to |summary graph|.  The base graph is never mutated.
 """
 
 from __future__ import annotations
@@ -117,7 +114,6 @@ def _resolve_class_keys(graph, classes) -> Set[Hashable]:
 def augment(
     summary: SummaryGraph,
     matches_per_keyword: Sequence[Sequence[KeywordMatch]],
-    copy: bool = False,
 ) -> AugmentedSummaryGraph:
     """Build the augmented summary graph G'_K for one query.
 
@@ -130,12 +126,8 @@ def augment(
       V-vertex is the keyword element.
     * ``AttributeMatch`` — add an artificial ``value`` node and class-level
       A-edges; the *added edges* are the keyword elements.
-
-    ``copy=True`` materializes a full per-query copy of the summary graph
-    (the seed implementation's O(|summary|) behavior) instead of the
-    zero-copy overlay; it exists for benchmarking the two side by side.
     """
-    graph = summary.copy() if copy else OverlaySummaryGraph(summary)
+    graph = OverlaySummaryGraph(summary)
     keyword_elements: List[Set[Hashable]] = []
     match_scores: Dict[Hashable, float] = {}
 

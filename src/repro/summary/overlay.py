@@ -24,7 +24,6 @@ across concurrent queries.
 
 from __future__ import annotations
 
-from heapq import merge as _heapmerge
 from itertools import chain
 from typing import Dict, Hashable, List, Optional, Tuple
 
@@ -232,26 +231,6 @@ class OverlaySummaryGraph:
 
     def degree(self, vertex_key: Hashable) -> int:
         return len(self.incident_edges(vertex_key))
-
-    def canonical_element_keys(self) -> Tuple[Hashable, ...]:
-        """Canonical (repr-sorted) order over base + overlay elements.
-
-        The base's sorted order is cached on the base graph (keyed on its
-        mutation version); only the O(#matches) overlay keys are sorted
-        per query and merged in.
-        """
-        added = sorted(
-            ((repr(k), k) for k in chain(self._added_vertices, self._added_edges)),
-            key=lambda p: p[0],
-        )
-        if not added:
-            return self.base.canonical_element_keys()
-        return tuple(
-            k
-            for _, k in _heapmerge(
-                self.base._canonical_pairs(), added, key=lambda p: p[0]
-            )
-        )
 
     # ------------------------------------------------------------------
     # Statistics

@@ -215,7 +215,7 @@ class ExplorationSubstrate:
     def clear_bounds(self) -> None:
         """Drop every cached bound table (views and CSR arrays stay).
 
-        For benchmarks and tests that need cold-bounds rounds without
+        For tests that need cold-bounds rounds without
         rebuilding the substrate; production code never needs this —
         entries age out of the LRU on their own.
         """

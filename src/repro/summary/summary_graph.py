@@ -53,8 +53,8 @@ class SummaryGraph:
         # Monotone mutation counter; cached structures derived from this
         # graph (e.g. per-element base costs) key their validity on it.
         self.version: int = 0
-        # (version, (repr, key) pairs, keys) cache for the canonical order.
-        self._canonical_cache: Optional[Tuple[int, Tuple, Tuple[Hashable, ...]]] = None
+        # (version, (repr, key) pairs) cache for the canonical order.
+        self._canonical_cache: Optional[Tuple[int, Tuple]] = None
         # (version, substrate) cache for the CSR exploration substrate.
         self._substrate_cache: Optional[Tuple[int, ExplorationSubstrate]] = None
 
@@ -322,8 +322,8 @@ class SummaryGraph:
         return self.version
 
     def _canonical_pairs(self) -> Tuple:
-        """Cached ``(repr, key)`` pairs sorted by repr; overlay views merge
-        their few added elements into this without re-sorting the base."""
+        """Cached ``(repr, key)`` pairs sorted by repr — the deterministic
+        interning order the substrate is built over."""
         cached = self._canonical_cache
         if cached is not None and cached[0] == self.version:
             return cached[1]
@@ -333,15 +333,8 @@ class SummaryGraph:
                 key=lambda p: p[0],
             )
         )
-        keys = tuple(k for _, k in pairs)
-        self._canonical_cache = (self.version, pairs, keys)
+        self._canonical_cache = (self.version, pairs)
         return pairs
-
-    def canonical_element_keys(self) -> Tuple[Hashable, ...]:
-        """All element keys in canonical (repr-sorted) order, cached per
-        :attr:`version` — the exploration's deterministic interning order."""
-        self._canonical_pairs()
-        return self._canonical_cache[2]
 
     def exploration_substrate(self) -> ExplorationSubstrate:
         """The CSR intern tables of this graph, cached per :attr:`version`.
@@ -436,23 +429,6 @@ class SummaryGraph:
         :attr:`version` and drops it, exactly like a built one.
         """
         self._substrate_cache = (self.version, substrate)
-
-    # ------------------------------------------------------------------
-    # Copy (kept as the reference semantics the overlay view is benchmarked
-    # against; query-time augmentation uses OverlaySummaryGraph instead)
-    # ------------------------------------------------------------------
-
-    def copy(self) -> "SummaryGraph":
-        clone = SummaryGraph()
-        clone._vertices = dict(self._vertices)
-        clone._edges = dict(self._edges)
-        clone._incident = {k: list(v) for k, v in self._incident.items()}
-        clone._by_label = {k: list(v) for k, v in self._by_label.items()}
-        clone.total_entities = self.total_entities
-        clone.total_relation_edges = self.total_relation_edges
-        clone.total_attribute_edges = self.total_attribute_edges
-        clone.build_seconds = self.build_seconds
-        return clone
 
     # ------------------------------------------------------------------
     # Statistics (Fig. 6b)

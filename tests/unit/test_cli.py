@@ -146,8 +146,8 @@ def test_profile_flag_with_filters_reports_unsupported(capsys):
 
 
 class TestSubcommands:
-    """`repro search|serve|bench`, with the bare positional form kept as
-    an alias for `search`."""
+    """`repro search|serve`, with the bare positional form kept as an
+    alias for `search`."""
 
     def test_search_subcommand_matches_legacy_alias(self, capsys):
         assert main(["search", "2006 cimiano aifb"]) == 0
@@ -170,21 +170,16 @@ class TestSubcommands:
         assert args.max_queue_wait is None
         assert args.cache == 256
 
-    def test_bench_subcommand_runs(self, capsys):
-        assert main(["bench", "--dataset", "example", "--clients", "1,2",
-                     "--requests", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "clients=1" in out
-        assert "clients=2" in out
-        assert "workers=0" in out
-        assert "qps=" in out
-
-    def test_bench_parser_rejects_bad_clients(self, capsys):
-        from repro.cli import build_bench_parser
-
-        with pytest.raises(SystemExit):
-            build_bench_parser().parse_args(["--clients", "0"])
-        assert "must be >= 1" in capsys.readouterr().err
+    def test_removed_bench_is_not_a_keyword_search(self, capsys):
+        """`repro bench ...` must point at the harness, not fall through
+        the positional alias into `search "bench"`."""
+        assert main(["bench", "--dataset", "example", "--clients", "1,2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "python3 perf/run.py --workload <name>" in captured.err
+        # The word itself is still searchable through the subcommand.
+        assert main(["search", "bench"]) == 1
 
 
 class TestPersistenceCommands:
@@ -415,7 +410,7 @@ class TestBundleConflicts:
 
 
 def test_stage_bundle_streams_the_source(tmp_path, capsys, monkeypatch):
-    """``serve/bench --workers N`` without ``--bundle`` stage the worker
+    """``serve --workers N`` without ``--bundle`` stages the worker
     bundle straight from the parsed flags — no throw-away engine."""
     import tempfile
 
@@ -426,27 +421,9 @@ def test_stage_bundle_streams_the_source(tmp_path, capsys, monkeypatch):
     args = build_serve_parser().parse_args(
         ["--dataset", "example", "--workers", "2", "-k", "3", "--cache", "7"]
     )
-    path = _stage_bundle(args, "repro-test-")
+    path = _stage_bundle(args)
     assert path.startswith(str(tmp_path))
     assert "# staged bundle for worker processes" in capsys.readouterr().err
     staged = KeywordSearchEngine.load(path, attach_wal=False)
     assert (staged.k, staged.dmax, staged._search_cache.maxsize) == (3, 10, 7)
     assert len(staged.graph) == 21
-
-
-def test_bench_bundle_derives_queries_from_loaded_data(tmp_path, capsys):
-    """`bench --bundle` must sample its workload from the bundle's own
-    data, not the example-dataset defaults (which would benchmark
-    no-match short-circuits)."""
-    from repro.cli import _bench_queries, build_bench_parser
-    from repro.core.engine import KeywordSearchEngine
-
-    bundle = str(tmp_path / "b.reprobundle")
-    assert main(["build", "--dataset", "example", "-o", bundle]) == 0
-    args = build_bench_parser().parse_args(["--bundle", bundle])
-    engine = KeywordSearchEngine.load(bundle, attach_wal=False)
-    queries = _bench_queries(args, engine)
-    assert queries  # derived from the engine's own labels
-    # Every derived query must actually hit the pipeline on this data.
-    assert any(engine.keyword_index.lookup(word)
-               for q in queries for word in q.split())

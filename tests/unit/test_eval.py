@@ -11,7 +11,6 @@ from repro.eval.effectiveness import (
     reciprocal_rank,
 )
 from repro.eval.index_stats import collect_index_stats
-from repro.eval.timing import Timer, summarize_times, time_call
 from repro.query.conjunctive import Atom, ConjunctiveQuery
 from repro.rdf.terms import Literal, Variable
 
@@ -97,20 +96,3 @@ class TestIndexStats:
         assert row.graph_index_elements > 0
         assert row.summary_ratio > 1.0
         assert "triples" in row.as_dict()
-
-
-class TestTiming:
-    def test_timer(self):
-        with Timer() as t:
-            sum(range(1000))
-        assert t.seconds >= 0
-
-    def test_time_call(self):
-        samples = time_call(lambda: None, repeat=3)
-        assert len(samples) == 3
-
-    def test_summarize(self):
-        summary = summarize_times([0.001, 0.002, 0.003])
-        assert summary["min_ms"] == pytest.approx(1.0)
-        assert summary["median_ms"] == pytest.approx(2.0)
-        assert summary["mean_ms"] == pytest.approx(2.0)

@@ -3,7 +3,7 @@ speed-up of Sections VI-A and IX)."""
 
 import pytest
 
-from repro.core.exploration import _dijkstra, explore_top_k
+from repro.core.exploration import _dijkstra_rows, explore_top_k
 from repro.rdf.terms import URI
 from repro.summary.augmentation import AugmentedSummaryGraph
 from repro.summary.elements import SummaryEdgeKind
@@ -21,21 +21,21 @@ class TestDijkstra:
         # 0 -1- 2 -3- 4 (indices); costs all 1.
         neighbors = [[1], [0, 2], [1, 3], [2, 4], [3]]
         costs = [1.0] * 5
-        dist = _dijkstra({0: 1.0}, neighbors, costs)
+        dist = _dijkstra_rows({0: 1.0}, neighbors.__getitem__, costs, 5)
         assert dist == [1.0, 2.0, 3.0, 4.0, 5.0]
 
     def test_multi_source_takes_minimum(self):
         neighbors = [[1], [0, 2], [1]]
         costs = [1.0, 1.0, 1.0]
-        dist = _dijkstra({0: 1.0, 2: 0.5}, neighbors, costs)
+        dist = _dijkstra_rows({0: 1.0, 2: 0.5}, neighbors.__getitem__, costs, 3)
         assert dist == [1.0, 1.5, 0.5]
 
     def test_unreachable_infinite(self):
-        dist = _dijkstra({0: 1.0}, [[], []], [1.0, 1.0])
+        dist = _dijkstra_rows({0: 1.0}, [[], []].__getitem__, [1.0, 1.0], 2)
         assert dist[1] == float("inf")
 
     def test_empty_seeds(self):
-        assert _dijkstra({}, [[], []], [1.0, 1.0]) == [float("inf")] * 2
+        assert _dijkstra_rows({}, [[], []].__getitem__, [1.0, 1.0], 2) == [float("inf")] * 2
 
 
 class TestGuidedEquivalence:

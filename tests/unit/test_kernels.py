@@ -29,15 +29,6 @@ from repro.rdf.triples import Triple
 from repro.summary.augmentation import augment
 
 
-@pytest.fixture
-def kernels_on():
-    """Guarantee the global kill switch is off, restoring prior state."""
-    before = kernels.kernels_enabled()
-    kernels.set_enabled(True)
-    yield
-    kernels.set_enabled(before)
-
-
 def _ring_graph(n, chord_step=3):
     triples = []
     for i in range(n):
@@ -76,29 +67,25 @@ def _guided_requests(engine, queries):
 
 
 # ----------------------------------------------------------------------
-# Status and the kill switch
+# Status, with and without numpy
 # ----------------------------------------------------------------------
 
 
-def test_status_and_kill_switch(kernels_on):
-    assert kernels.numpy_available()
+def test_status_with_and_without_numpy(monkeypatch):
     assert kernels.kernels_enabled()
-    status = kernels.kernel_status()
-    assert status["numpy"] == np.__version__
-    assert status["active"] is True and status["disabled"] is False
+    assert kernels.kernel_status() == {"numpy": np.__version__, "active": True}
     assert "active" in kernels.status_line()
 
-    kernels.set_enabled(False)
-    assert kernels.numpy_available()  # numpy presence is not the switch
+    monkeypatch.setattr(kernels, "_np", None)
     assert not kernels.kernels_enabled()
-    assert kernels.kernel_status()["disabled"] is True
+    assert kernels.kernel_status() == {"numpy": None, "active": False}
     assert "off" in kernels.status_line()
 
 
-def test_disabled_kernels_still_explore_identically(kernels_on):
+def test_disabled_kernels_still_explore_identically(monkeypatch):
     engine = KeywordSearchEngine(running_example_graph(), guided=True)
     reference = engine.search("cimiano 2006")
-    kernels.set_enabled(False)
+    monkeypatch.setattr(kernels, "_np", None)
     disabled = engine.search("cimiano 2006")
     assert [(c.cost, str(c.query)) for c in disabled.candidates] == [
         (c.cost, str(c.query)) for c in reference.candidates
@@ -110,7 +97,7 @@ def test_disabled_kernels_still_explore_identically(kernels_on):
 # ----------------------------------------------------------------------
 
 
-def test_csr_ndarrays_values_and_caching(kernels_on):
+def test_csr_ndarrays_values_and_caching():
     engine = KeywordSearchEngine(_ring_graph(40), guided=True)
     substrate = engine.summary.exploration_substrate()
     offsets, targets = kernels.csr_ndarrays(substrate)
@@ -122,7 +109,7 @@ def test_csr_ndarrays_values_and_caching(kernels_on):
     assert again[0] is offsets and again[1] is targets
 
 
-def test_csr_ndarrays_share_the_backing_buffer(kernels_on):
+def test_csr_ndarrays_share_the_backing_buffer():
     engine = KeywordSearchEngine(_ring_graph(40), guided=True)
     substrate = engine.summary.exploration_substrate()
     offsets, _ = kernels.csr_ndarrays(substrate)
@@ -135,7 +122,7 @@ def test_csr_ndarrays_share_the_backing_buffer(kernels_on):
 # ----------------------------------------------------------------------
 
 
-def test_completion_bounds_batch_matches_scalar_oracle(kernels_on):
+def test_completion_bounds_batch_matches_scalar_oracle():
     engine = KeywordSearchEngine(_ring_graph(80), guided=True)
     queries = [f"w{7 * j % 80:06d} w{(7 * j + 2) % 80:06d}" for j in range(4)]
     prepared = _guided_requests(engine, queries)
@@ -149,7 +136,7 @@ def test_completion_bounds_batch_matches_scalar_oracle(kernels_on):
         assert fused == oracle  # bit-identical, not approx
 
 
-def test_single_query_bounds_match_scalar_oracle(kernels_on):
+def test_single_query_bounds_match_scalar_oracle():
     engine = KeywordSearchEngine(_ring_graph(60), guided=True)
     (m, seed_costs, view, _), = _guided_requests(engine, ["w000007 w000011"])
     [fused] = kernels.completion_bounds_batch([(m, seed_costs, view)])
@@ -158,7 +145,7 @@ def test_single_query_bounds_match_scalar_oracle(kernels_on):
     )
 
 
-def test_nonconvergence_falls_back_to_scalar(kernels_on):
+def test_nonconvergence_falls_back_to_scalar(monkeypatch):
     """A bare ring's diameter exceeds the sweep budget: the kernel must
     decline (None) rather than return a non-fixpoint table, and the
     engine must still answer identically through the scalar fallback."""
@@ -169,15 +156,15 @@ def test_nonconvergence_falls_back_to_scalar(kernels_on):
     assert fused is None
 
     vectorized = engine.search("w000001 w000003")
-    kernels.set_enabled(False)
-    scalar = engine.search("w000001 w000003")
-    kernels.set_enabled(True)
+    with monkeypatch.context() as without_numpy:
+        without_numpy.setattr(kernels, "_np", None)
+        scalar = engine.search("w000001 w000003")
     assert [(c.cost, str(c.query)) for c in vectorized.candidates] == [
         (c.cost, str(c.query)) for c in scalar.candidates
     ]
 
 
-def test_relax_to_fixpoint_on_a_path_graph(kernels_on):
+def test_relax_to_fixpoint_on_a_path_graph():
     """Hand-checkable case: a 4-element path with unit entry costs.  Both
     the sparse frontier path (one seeded row) and the dense sweep path
     (fully seeded row at its fixpoint) must land on the same answer."""
@@ -197,7 +184,7 @@ def test_relax_to_fixpoint_on_a_path_graph(kernels_on):
     assert out[1].tolist() == [0.0, 1.0, 2.0, 3.0]
 
 
-def test_relax_to_fixpoint_with_trailing_empty_row(kernels_on):
+def test_relax_to_fixpoint_with_trailing_empty_row():
     """Regression: a trailing empty CSR row (an isolated element, e.g.
     left behind by a triple removal) must not truncate the *previous*
     row's reduceat segment in the dense sweep.  Star 0-2, 1-2 plus
@@ -224,7 +211,7 @@ def test_relax_to_fixpoint_with_trailing_empty_row(kernels_on):
 # ----------------------------------------------------------------------
 
 
-def test_prefuse_populates_the_bounds_cache_once(kernels_on):
+def test_prefuse_populates_the_bounds_cache_once():
     engine = KeywordSearchEngine(_ring_graph(60), guided=True)
     substrate = engine.summary.exploration_substrate()
     queries = ["w000002 w000004", "w000009 w000011"]
@@ -244,7 +231,7 @@ def test_prefuse_populates_the_bounds_cache_once(kernels_on):
     assert prefuse_guided_bounds(requests()) == 2
 
 
-def test_prefuse_dedups_identical_queries(kernels_on):
+def test_prefuse_dedups_identical_queries():
     engine = KeywordSearchEngine(_ring_graph(60), guided=True)
 
     def requests():
@@ -259,13 +246,13 @@ def test_prefuse_dedups_identical_queries(kernels_on):
     assert prefuse_guided_bounds(requests()) == 1
 
 
-def test_prefuse_on_snapshot_requires_guided(kernels_on):
+def test_prefuse_on_snapshot_requires_guided():
     engine = KeywordSearchEngine(_ring_graph(60), guided=False)
     snapshot = engine.snapshot()
     assert engine.prefuse_bounds_on_snapshot(snapshot, ["w000002 w000004"]) == 0
 
 
-def test_prefuse_on_snapshot_skips_malformed_queries(kernels_on):
+def test_prefuse_on_snapshot_skips_malformed_queries():
     engine = KeywordSearchEngine(_ring_graph(60), guided=True)
     snapshot = engine.snapshot()
     count = engine.prefuse_bounds_on_snapshot(
@@ -274,7 +261,7 @@ def test_prefuse_on_snapshot_skips_malformed_queries(kernels_on):
     assert count == 1
 
 
-def test_forced_vectorized_explores_identically_below_threshold(kernels_on):
+def test_forced_vectorized_explores_identically_below_threshold():
     """``use_vectorized=True`` overrides MIN_BOUNDS_TOTAL: even on a tiny
     graph the kernel path must match the scalar reference exactly."""
     engine = KeywordSearchEngine(running_example_graph(), guided=True)

@@ -37,12 +37,6 @@ class TestCaching:
         assert second is not first
         assert second.n == first.n + 1
 
-    def test_copy_does_not_share_substrate(self):
-        graph, _, _ = line_graph()
-        substrate = graph.exploration_substrate()
-        clone = graph.copy()
-        assert clone.exploration_substrate() is not substrate
-
 
 class TestStructure:
     def test_keys_in_canonical_order(self):
@@ -117,6 +111,9 @@ class TestBoundsCache:
 
 
 class TestExplorationIntegration:
+    """Exploration over a warm (cached views/bounds) substrate against the
+    same exploration over a second, freshly built ``SummaryGraph``."""
+
     def _costs(self, graph):
         out = {v.key: 1.0 for v in graph.vertices}
         out.update({e.key: 1.0 for e in graph.edges})
@@ -126,15 +123,21 @@ class TestExplorationIntegration:
         graph, keys, edges = line_graph(4)
         augmented = AugmentedSummaryGraph(graph, [{keys[0]}, {keys[3]}], {})
         costs = self._costs(graph)
-        a = explore_top_k(augmented, costs, k=3, use_substrate=True)
-        b = explore_top_k(augmented, costs, k=3, use_substrate=False)
+        explore_top_k(augmented, costs, k=3)  # warm the view/bounds caches
+        a = explore_top_k(augmented, costs, k=3)
+        fresh, _, _ = line_graph(4)
+        b = explore_top_k(
+            AugmentedSummaryGraph(fresh, [{keys[0]}, {keys[3]}], {}),
+            self._costs(fresh),
+            k=3,
+        )
         assert [sg.elements for sg in a.subgraphs] == [sg.elements for sg in b.subgraphs]
         assert [sg.paths for sg in a.subgraphs] == [sg.paths for sg in b.subgraphs]
 
     def test_masked_non_positive_base_cost_falls_back(self):
         """A two-layer ChainMap whose base holds a non-positive entry that
-        a per-query override rescores positive must behave like the
-        reference interning: succeed, reading through the full mapping."""
+        a per-query override rescores positive must succeed, reading
+        through the full mapping — like the flat table it amounts to."""
         from collections import ChainMap
 
         graph, keys, _ = line_graph(3)
@@ -142,12 +145,17 @@ class TestExplorationIntegration:
         base[keys[1]] = -5.0
         costs = ChainMap({keys[1]: 2.0}, base)
         augmented = AugmentedSummaryGraph(graph, [{keys[0]}, {keys[2]}], {})
-        a = explore_top_k(augmented, costs, k=2, use_substrate=True)
-        b = explore_top_k(augmented, costs, k=2, use_substrate=False)
+        a = explore_top_k(augmented, costs, k=2)
+        fresh, _, _ = line_graph(3)
+        b = explore_top_k(
+            AugmentedSummaryGraph(fresh, [{keys[0]}, {keys[2]}], {}),
+            dict(costs),
+            k=2,
+        )
         assert [sg.cost for sg in a.subgraphs] == [sg.cost for sg in b.subgraphs]
         assert a.subgraphs
 
-    def test_use_substrate_requires_summary_graph(self):
+    def test_graph_without_substrate_is_rejected(self):
         class Fake:
             vertices = ()
             edges = ()
@@ -156,8 +164,8 @@ class TestExplorationIntegration:
                 return ()
 
         augmented = AugmentedSummaryGraph(Fake(), [{"a"}], {})
-        with pytest.raises(ValueError, match="substrate exploration requires"):
-            explore_top_k(augmented, {"a": 1.0}, k=1, use_substrate=True)
+        with pytest.raises(ValueError, match="exploration requires a summary graph"):
+            explore_top_k(augmented, {"a": 1.0}, k=1)
 
     def test_overlay_elements_get_appended_ids(self):
         """A query whose matches add overlay elements explores identically
@@ -181,8 +189,10 @@ class TestExplorationIntegration:
             + [e.key for e in augmented.graph.edges],
             1.0,
         )
-        a = explore_top_k(augmented, costs, k=2, use_substrate=True)
-        b = explore_top_k(augmented, costs, k=2, use_substrate=False)
+        a = explore_top_k(augmented, costs, k=2)
+        fresh, _, _ = line_graph(3)
+        b = explore_top_k(augment(fresh, [[match]]), costs, k=2)
+        assert a.subgraphs
         assert [sg.elements for sg in a.subgraphs] == [sg.elements for sg in b.subgraphs]
         assert graph.exploration_substrate() is substrate
         assert substrate.n == n_before

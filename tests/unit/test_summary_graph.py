@@ -147,29 +147,18 @@ class TestNavigation:
         assert is_edge_key(summary.element(edge_key).key)
 
 
-class TestCopy:
-    def test_copy_is_independent(self, summary):
-        clone = summary.copy()
-        clone.add_value_vertex(Literal("new"))
-        assert not summary.has_element(("value", Literal("new")))
-        assert clone.has_element(("value", Literal("new")))
-
-    def test_copy_preserves_totals(self, summary):
-        clone = summary.copy()
-        assert clone.total_entities == summary.total_entities
-
-
 class TestMutators:
-    def test_add_edge_requires_endpoints(self, summary):
-        clone = summary.copy()
+    # Mutating tests build their own graph: `summary` is module-scoped.
+    def test_add_edge_requires_endpoints(self, example_graph):
+        own = SummaryGraph.from_data_graph(example_graph)
         with pytest.raises(KeyError):
-            clone.add_edge(EX.rel, SummaryEdgeKind.RELATION, ("class", EX.Nope), THING_KEY)
+            own.add_edge(EX.rel, SummaryEdgeKind.RELATION, ("class", EX.Nope), THING_KEY)
 
-    def test_add_edge_idempotent(self, summary):
-        clone = summary.copy()
-        v = clone.add_value_vertex(Literal("v"))
-        e1 = clone.add_edge(EX.name, SummaryEdgeKind.ATTRIBUTE, ("class", EX.Project), v.key)
-        e2 = clone.add_edge(EX.name, SummaryEdgeKind.ATTRIBUTE, ("class", EX.Project), v.key)
+    def test_add_edge_idempotent(self, example_graph):
+        own = SummaryGraph.from_data_graph(example_graph)
+        v = own.add_value_vertex(Literal("v"))
+        e1 = own.add_edge(EX.name, SummaryEdgeKind.ATTRIBUTE, ("class", EX.Project), v.key)
+        e2 = own.add_edge(EX.name, SummaryEdgeKind.ATTRIBUTE, ("class", EX.Project), v.key)
         assert e1 is e2
 
     def test_stats(self, summary):
