@@ -1,10 +1,11 @@
 """Setuptools packaging for the reproduction.
 
 The core is dependency-free on purpose — ``pip install repro`` pulls in
-nothing, and every subsystem degrades gracefully.  The ``fast`` extra
-opts into the numpy-vectorized exploration kernels
-(:mod:`repro.core.kernels`); without it the engine runs the scalar
-reference path with identical output.
+nothing and runs the same exploration loop as any other install.  The
+``fast`` extra buys one thing: with numpy importable, the completion-bound
+tables of a large summary (512+ elements in a query's view) are computed
+by the relaxation kernel of :mod:`repro.core.kernels` instead of
+per-keyword Dijkstras, with identical output.
 """
 
 import os
@@ -32,8 +33,8 @@ setup(
     python_requires=">=3.8",
     install_requires=[],
     extras_require={
-        # numpy accelerates the exploration hot loops (CSR ndarray views,
-        # batched completion-bound sweeps); output stays byte-identical.
+        # numpy accelerates the bound tables of large summaries, nothing
+        # else; output stays byte-identical.
         "fast": ["numpy"],
         "dev": ["pytest", "hypothesis", "pytest-benchmark"],
     },

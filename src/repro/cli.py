@@ -158,21 +158,14 @@ def _add_engine_args(
     )
     if not execution:
         return
-    # Execution strategies: same results either way, so a bundle records
-    # neither and `repro build` registers neither.
+    # An execution strategy: same results either way, so a bundle does
+    # not record it and `repro build` does not register it.
     parser.add_argument(
         "--guided", action=argparse.BooleanOptionalAction, default=None,
         help="Algorithm 2's completion bounds (default: on).  "
         "--no-guided runs the unbounded loop: same results, several "
         "times the work — it exists to check the bounds against.  An "
         "execution strategy, not stored in bundles",
-    )
-    parser.add_argument(
-        "--vectorized", dest="use_vectorized",
-        action=argparse.BooleanOptionalAction, default=None,
-        help="numpy exploration kernels (--no-vectorized forces the "
-        "scalar path; default: auto).  An execution strategy, not stored "
-        "in bundles",
     )
 
 
@@ -220,7 +213,6 @@ def _build_engine(
                 k=args.k,
                 dmax=args.dmax,
                 guided=args.guided,
-                use_vectorized=args.use_vectorized,
                 search_cache_size=search_cache_size,
                 index_tier=args.index_tier or "memory",
             )
@@ -257,7 +249,6 @@ def _build_engine(
         k=args.k,
         dmax=args.dmax,
         guided=args.guided,
-        use_vectorized=args.use_vectorized,
         search_cache_size=search_cache_size,
     )
 
@@ -440,7 +431,6 @@ def _dispatch_overrides(args) -> dict:
         "cost_model": args.cost_model,
         "dmax": args.dmax,
         "guided": args.guided,
-        "use_vectorized": args.use_vectorized,
         "search_cache_size": max(0, args.cache),
         "index_tier": args.index_tier,
     }
@@ -555,8 +545,8 @@ def build_build_parser() -> argparse.ArgumentParser:
         "index bundle that `search`/`serve --bundle` warm-start from.",
     )
     _add_dataset_args(parser, bundle=False)
-    # No --guided / --vectorized: execution strategies a bundle does not
-    # record, so the flags would have nothing to act on here.
+    # No --guided: an execution strategy a bundle does not record, so the
+    # flag would have nothing to act on here.
     _add_engine_args(parser, execution=False)
     parser.add_argument(
         "-o",
@@ -852,7 +842,6 @@ def _eval_engine_from_args(args):
             k=args.k,
             dmax=args.dmax,
             guided=args.guided,
-            use_vectorized=args.use_vectorized,
             scale=args.scale,
             perturb_costs=args.perturb_costs,
         )

@@ -1,6 +1,5 @@
 """The paper's primary contribution: top-k exploration of query candidates.
 
-* :mod:`~repro.core.cursor` — the cursor ``c(n, k, p, d, w)`` of Algorithm 1
 * :mod:`~repro.core.exploration` — Algorithm 1, cost-ordered multi-origin
   exploration of the augmented summary graph
 * :mod:`~repro.core.topk` — Algorithm 2, TA-style top-k with the best-score
@@ -11,14 +10,12 @@
 * :mod:`~repro.core.engine` — the end-to-end keyword-search facade
 """
 
-from repro.core.cursor import Cursor
 from repro.core.subgraph import MatchingSubgraph
 from repro.core.exploration import ExplorationResult, explore_top_k
 from repro.core.query_mapping import map_to_query
 from repro.core.engine import KeywordSearchEngine, QueryCandidate, SearchResult
 
 __all__ = [
-    "Cursor",
     "MatchingSubgraph",
     "ExplorationResult",
     "explore_top_k",

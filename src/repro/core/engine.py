@@ -37,12 +37,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.util import LruDict
 
-from repro.core.exploration import (
-    DEFAULT_DMAX,
-    ExplorationResult,
-    explore_top_k,
-    prefuse_guided_bounds,
-)
+from repro.core.exploration import DEFAULT_DMAX, ExplorationResult, explore_top_k
 from repro.core.query_mapping import QueryMappingError, map_to_query
 from repro.maintenance import IndexManager
 from repro.core.subgraph import MatchingSubgraph
@@ -287,7 +282,6 @@ def _explore_stage(
         dmax=dmax,
         max_cursors=max_cursors,
         guided=snapshot.guided,
-        use_vectorized=snapshot.use_vectorized,
     )
 
 
@@ -377,7 +371,6 @@ class KeywordSearchEngine:
         max_matches_per_keyword: int = 8,
         strict_keywords: bool = False,
         guided: bool = True,
-        use_vectorized: Optional[bool] = None,
         keyword_index: Optional[KeywordIndex] = None,
         summary: Optional[SummaryGraph] = None,
         store: Optional[TripleStore] = None,
@@ -391,11 +384,6 @@ class KeywordSearchEngine:
         self.dmax = dmax
         self.strict_keywords = strict_keywords
         self.guided = guided
-        #: Tri-state vectorized-kernel override handed to every snapshot:
-        #: None = auto (numpy-backed kernels when available), False =
-        #: scalar reference path, True = require the kernels.  A runtime
-        #: performance knob, deliberately not persisted in bundles.
-        self.use_vectorized = use_vectorized
         self._search_cache: Optional[LruDict] = (
             LruDict(search_cache_size) if search_cache_size > 0 else None
         )
@@ -500,9 +488,8 @@ class KeywordSearchEngine:
         re-analysis) and maps the substrate's CSR sections straight from
         the file; the engine configuration saved in the bundle applies
         unless overridden (``cost_model``, ``k``, ``dmax``,
-        ``strict_keywords``, ``search_cache_size``); ``guided`` and
-        ``use_vectorized`` are not saved — pass them here or get the
-        constructor's defaults.  A delta
+        ``strict_keywords``, ``search_cache_size``); ``guided`` is not
+        saved — pass it here or get the constructor's default.  A delta
         log next to the bundle has its committed tail replayed through
         incremental maintenance (``replay_wal``) and is then kept
         attached (``attach_wal``) so future :meth:`add_triples` /
@@ -580,7 +567,6 @@ class KeywordSearchEngine:
             dmax=self.dmax,
             strict_keywords=self.strict_keywords,
             guided=self.guided,
-            use_vectorized=self.use_vectorized,
         )
 
     def search(
@@ -693,43 +679,6 @@ class KeywordSearchEngine:
         timings["total"] = time.perf_counter() - total_started
         result = SearchResult(keywords, candidates, matches, ignored, exploration, timings)
         return self._cache_result(cache_key, result)
-
-    def prefuse_bounds_on_snapshot(self, snapshot: EngineSnapshot, queries) -> int:
-        """Shared-frontier precompute for a batch of guided queries.
-
-        Runs the match + augmentation stages for every query on the
-        pinned snapshot and computes all missing guided bound tables in
-        one fused relaxation-kernel pass, storing them in the substrate
-        bounds cache under exactly the keys the per-query explorations
-        will look up.  The searches that follow are therefore unchanged —
-        they just hit the cache — so a shared-frontier batch stays
-        byte-identical to sequential execution.  No-op (returns 0) for
-        unguided snapshots or queries that cannot share the cache; a
-        malformed query is skipped here and left to fail in its own
-        search with its normal error.
-        """
-        if not snapshot.guided:
-            return 0
-        requests = []
-        for query in queries:
-            try:
-                keywords = (
-                    split_keywords(query) if isinstance(query, str) else list(query)
-                )
-                if not keywords or all(not kw.strip() for kw in keywords):
-                    continue
-                matches = _match_stage(snapshot, keywords)
-                effective = [m for m in matches if m]
-                if not effective or (
-                    snapshot.strict_keywords and len(effective) != len(matches)
-                ):
-                    continue
-                requests.append(_augment_stage(snapshot, effective))
-            except Exception:
-                continue
-        if not requests:
-            return 0
-        return prefuse_guided_bounds(requests)
 
     def _cache_result(self, cache_key, result: SearchResult) -> SearchResult:
         if cache_key is not None:

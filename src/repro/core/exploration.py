@@ -25,19 +25,32 @@ Implementation notes (performance, same semantics):
   among equal-cost candidates, and therefore the returned ranking, is a
   function of the abstract graph: an incrementally maintained index and a
   freshly rebuilt one rank identically;
-* the cycle check walks the parent chain (≤ dmax pointer hops, zero
-  allocation) — per-cursor path sets/bitmasks were measured and rejected:
-  keeping hundreds of thousands of GC-tracked containers alive makes
-  garbage collection dominate on k≥20 workloads (see the hot loop);
+* cursors live in **structure-of-arrays** lists indexed by creation order
+  (one packed ``(element, keyword, parent, distance)`` tuple plus a
+  parallel cost list); heap entries are ``(cost, index)`` pairs, so the
+  creation counter is the tie-break among equal costs.  No object is
+  constructed per cursor, and nothing per cursor is GC-tracked beyond one
+  tuple — per-cursor objects or path sets were measured and rejected:
+  hundreds of thousands of live containers make garbage collection
+  dominate on k>=20 workloads;
+* the cycle check is one ancestor set per *expanded* cursor (a C-level
+  union with the parent's set), not a walk per neighbor;
 * per-element registration state is a flat list of per-keyword buckets,
   updated inline (no wrapper objects or method calls on the hot path);
 * pushes are pruned when the target element already holds k registered
   paths for the cursor's keyword (pop order is cost-monotone, so such a
   cursor could never register);
-* new candidate combinations are enumerated best-first and cut off at the
-  candidate list's current k-th cost — both when consuming them and inside
-  the enumeration heap, so long per-keyword lists cannot allocate
-  frontier state quadratically;
+* new candidate combinations are enumerated best-first
+  (:func:`iter_combinations`) and cut off at the candidate list's current
+  k-th cost — both when consuming them and inside the enumeration heap,
+  so long per-keyword lists cannot allocate frontier state
+  quadratically.  A combination's cost is the *chained* sum along the
+  successor path that discovered it (``cost + w[next] - w[current]``),
+  not a fresh sum of its members: the two can differ in the last ulp,
+  which can flip the consumer's ``>= kth_cost`` break, so the literal
+  Algorithm 2 the tests compare against
+  (``tests/reference_exploration.py``) and this enumerator replay the
+  same chains and agree value for value;
 * admissible per-keyword completion bounds (Section VI-A/IX, "indexing
   connectivity") are applied twice: a child whose cheapest possible
   completion cannot beat the current k-th candidate is never given a
@@ -45,31 +58,26 @@ Implementation notes (performance, same semantics):
   discarded when popped.  The k-th cost only ever falls, so the push-time
   check drops a subset of what the pop-time check would, and neither can
   change the answer (``guided=False`` switches both off and is kept only
-  as the identity oracle).  The per-keyword Dijkstra tables behind the
-  bounds run on the CSR arrays and are cached on the substrate per (cost
-  table, keyword-element sets, overlay signature), so repeated queries
-  skip them entirely;
-* when numpy is importable (the ``repro[fast]`` extra), exploration takes
-  the **vectorized kernel path** (:mod:`repro.core.kernels`): the bound
-  tables become batched relaxation sweeps over zero-copy ndarray views of
-  the CSR arrays, the pop loop runs on structure-of-arrays cursors, and
-  assembled per-query views are cached on the substrate per (overlay
-  signature, cost token).  Output — subgraphs *and* diagnostics — is
-  byte-identical by contract; ``use_vectorized=False`` (or a missing
-  numpy) keeps this scalar reference path, which the property tests use
-  as the oracle.
+  as the identity oracle).  The bound tables are cached on the substrate
+  per (cost table, keyword-element sets, overlay signature), so repeated
+  queries skip them entirely;
+* the loop is pure Python and runs on every install.  numpy (the
+  ``repro[fast]`` extra) buys exactly one thing: a bound table over a
+  view of at least ``kernels.MIN_BOUNDS_TOTAL`` elements is computed by
+  the relaxation kernel of :mod:`repro.core.kernels` instead of the
+  per-keyword Dijkstra below — same values bit for bit, chosen from the
+  view's size, not by an option.
 """
 
 from __future__ import annotations
 
-import heapq
 from array import array
 from bisect import bisect_left, bisect_right
-from operator import itemgetter
-from typing import Callable, Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
+from heapq import heapify, heappop, heappush
+from operator import itemgetter, sub
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.core import kernels
-from repro.core.cursor import Cursor
 from repro.core.subgraph import MatchingSubgraph
 from repro.core.topk import CandidateList
 from repro.scoring.cost import split_cost_mapping
@@ -143,11 +151,11 @@ class _SubstrateView:
         "id_of",
         "to_merged",
         "decode",
-        # Lazy per-view caches for the vectorized kernel path: the costs as
-        # a plain list (scalar indexing of array('d') is slower in the SoA
-        # loop), the overlay patch-edge ndarrays (False = not built), and
-        # the shared adjacency-row memo (base rows boxed into tuples once,
-        # reused across every exploration on this view).
+        # Lazy per-view caches: the costs as a plain list (scalar indexing
+        # of array('d') is slower in the pop loop), the relaxation kernel's
+        # overlay patch-edge ndarrays (False = not built), and the shared
+        # adjacency-row memo (base rows boxed into tuples once, reused
+        # across every exploration on this view).
         "costs_list",
         "np_patches",
         "row_memo",
@@ -305,45 +313,6 @@ def _build_substrate_view(
     return view
 
 
-def _best_combinations(
-    lists: Sequence[Sequence[Cursor]],
-    cutoff: Optional[Callable[[], float]] = None,
-) -> Iterator[Tuple[float, Tuple[Cursor, ...]]]:
-    """Cursor tuples across per-keyword lists, cheapest-sum first.
-
-    Each list is sorted ascending by cost, so this is the classic
-    k-smallest-sums frontier search from index vector (0, …, 0); the caller
-    decides when to stop consuming.  ``cutoff``, when given, returns the
-    caller's current cut-off cost: successors at or above it are neither
-    pushed nor remembered in ``seen`` — they could only ever be consumed
-    past the caller's own stopping point (the cut-off never increases), so
-    pruning them bounds the frontier and the ``seen`` set by the cut-off
-    instead of letting them grow quadratically in the list lengths.
-    """
-    if any(not lst for lst in lists):
-        return
-    m = len(lists)
-    start = (0,) * m
-    start_cost = sum(lst[0].cost for lst in lists)
-    heap: List[Tuple[float, Tuple[int, ...]]] = [(start_cost, start)]
-    seen = {start}
-    while heap:
-        cost, indices = heapq.heappop(heap)
-        yield cost, tuple(lists[i][indices[i]] for i in range(m))
-        bound = cutoff() if cutoff is not None else None
-        for i in range(m):
-            nxt = indices[i] + 1
-            if nxt < len(lists[i]):
-                successor = indices[:i] + (nxt,) + indices[i + 1 :]
-                if successor in seen:
-                    continue
-                next_cost = cost + lists[i][nxt].cost - lists[i][indices[i]].cost
-                if bound is not None and next_cost >= bound:
-                    continue
-                seen.add(successor)
-                heapq.heappush(heap, (next_cost, successor))
-
-
 def _dijkstra_rows(
     seeds: Dict[int, float],
     row_of: Callable[[int], Sequence[int]],
@@ -362,16 +331,16 @@ def _dijkstra_rows(
         if cost < dist[node]:
             dist[node] = cost
             heap.append((cost, node))
-    heapq.heapify(heap)
+    heapify(heap)
     while heap:
-        d, node = heapq.heappop(heap)
+        d, node = heappop(heap)
         if d != dist[node]:
             continue
         for neighbor in row_of(node):
             nd = d + costs[neighbor]
             if nd < dist[neighbor]:
                 dist[neighbor] = nd
-                heapq.heappush(heap, (nd, neighbor))
+                heappush(heap, (nd, neighbor))
     return dist
 
 
@@ -444,22 +413,416 @@ def _view_row_of(view: _SubstrateView):
 def _bounds_for(
     m: int,
     seed_costs: List[Dict[int, float]],
-    row_of,
-    costs,
-    total: int,
     view: _SubstrateView,
-    force_kernel: bool,
+    use_kernel: Optional[bool],
 ) -> List[List[float]]:
-    """Completion bounds via the relaxation kernel when it pays off, via
-    the scalar Dijkstra otherwise (or when the kernel declines a
-    pathological graph) — identical values either way."""
-    if force_kernel or (
-        kernels.kernels_enabled() and total >= kernels.MIN_BOUNDS_TOTAL
-    ):
-        computed = kernels.completion_bounds_batch([(m, seed_costs, view)])[0]
+    """Completion bounds for one query, by the implementation its view's
+    size selects: the numpy relaxation kernel from
+    ``kernels.MIN_BOUNDS_TOTAL`` elements up (when numpy is importable),
+    the Dijkstra tables below that, without numpy, or when the kernel
+    declines a pathological graph — identical values either way.
+    ``use_kernel`` is ``explore_top_k``'s ``use_vectorized``: ``None``
+    selects by size, ``True`` / ``False`` pin one implementation."""
+    if use_kernel is None:
+        use_kernel = (
+            view.total >= kernels.MIN_BOUNDS_TOTAL and kernels.kernels_enabled()
+        )
+    if use_kernel:
+        computed = kernels.completion_bounds(m, seed_costs, view)
         if computed is not None:
             return computed
-    return _completion_bounds(m, seed_costs, row_of, costs, total)
+    return _completion_bounds(
+        m, seed_costs, _view_row_of(view), view.costs, view.total
+    )
+
+
+# ----------------------------------------------------------------------
+# Combination enumeration (Algorithm 2 registrations)
+# ----------------------------------------------------------------------
+
+
+def iter_combinations(lists, w, cutoff):
+    """Cheapest-sum-first index tuples across per-keyword cursor lists.
+
+    ``lists[i]`` holds cursor indices ascending in cost, ``w`` maps a
+    cursor index to its cost, ``cutoff`` returns the caller's current
+    k-th cost.  Yields ``(cost, combo)`` with ``combo`` one cursor index
+    per keyword: the classic k-smallest-sums frontier search from index
+    vector (0, ..., 0); the caller decides when to stop consuming.
+    Successors at or above the cut-off are neither pushed nor remembered
+    in ``seen`` — they could only ever be consumed past the caller's own
+    stopping point (the cut-off never increases) — which bounds the
+    frontier by the cut-off instead of letting it grow quadratically in
+    the list lengths.
+
+    Costs are chained (``cost + w[next] - w[current]`` along the
+    successor path that discovers a combination), the start sum is a
+    fold-left over the keywords, and ties break lexicographically on the
+    index vector — see the module docstring for why that arithmetic is
+    part of the contract.  Singleton dimensions are reduced out first
+    (their constant coordinates never influence a tuple comparison): with
+    one non-singleton list the frontier heap degenerates to an ascending
+    scan of that list, chaining successor costs exactly as the heap
+    would — the common ``m == 2`` registration.
+    """
+    m = len(lists)
+    start_cost = 0
+    for lst in lists:
+        start_cost = start_cost + w[lst[0]]
+    base = [lst[0] for lst in lists]
+    wide = [i for i in range(m) if len(lists[i]) > 1]
+
+    if not wide:
+        yield start_cost, tuple(base)
+        return
+
+    if len(wide) == 1:
+        d = wide[0]
+        lst = lists[d]
+        cost = start_cost
+        prev = lst[0]
+        yield cost, tuple(base)
+        for nxt in lst[1:]:
+            cost = cost + w[nxt] - w[prev]
+            prev = nxt
+            base[d] = nxt
+            yield cost, tuple(base)
+        return
+
+    # >= 2 open dimensions: the frontier heap over full m-length index
+    # vectors (an np.add.outer grid with argpartition chunks was measured
+    # and rejected: grid arithmetic is not value-identical to the chained
+    # successor sums).
+    start = (0,) * m
+    heap: List[Tuple[float, Tuple[int, ...]]] = [(start_cost, start)]
+    seen = {start}
+    while heap:
+        cost, indices = heappop(heap)
+        yield cost, tuple(lists[i][indices[i]] for i in range(m))
+        bound = cutoff()
+        for i in wide:
+            nxt = indices[i] + 1
+            lst = lists[i]
+            if nxt < len(lst):
+                successor = indices[:i] + (nxt,) + indices[i + 1 :]
+                if successor in seen:
+                    continue
+                next_cost = cost + w[lst[nxt]] - w[lst[indices[i]]]
+                if next_cost >= bound:
+                    continue
+                seen.add(successor)
+                heappush(heap, (next_cost, successor))
+
+
+# ----------------------------------------------------------------------
+# The exploration loop (Algorithm 1 pops, Algorithm 2 registrations)
+# ----------------------------------------------------------------------
+
+
+def explore_soa(seed_lists, m, view, bounds, candidates, k, dmax, max_cursors):
+    """The cost-ordered pop loop on structure-of-arrays cursors.
+
+    ``seed_lists[i]`` holds ``(element, cost)`` origin pairs in canonical
+    seeding order.  Cursors are one packed ``(element, keyword, parent,
+    distance)`` tuple plus a parallel cost list, indexed by creation
+    order; heap entries are ``(cost, index)`` pairs, so equal costs pop
+    in creation order.  ``bounds`` is the per-keyword completion table or
+    ``None`` for the unbounded oracle run.  Every counter increment,
+    pruning decision, offer and termination check is that of the literal
+    Algorithm 1/2 in ``tests/reference_exploration.py`` — the identity
+    suites assert subgraphs and diagnostics match it bit for bit.
+
+    Returns ``(created, popped, pruned, max_queue, terminated_by)``;
+    accepted subgraphs accumulate in ``candidates``.
+    """
+    substrate = view.substrate
+    offsets = substrate.offsets
+    targets = substrate.targets
+    extra_rows = view.rows
+    costs = view.costs_list
+    if costs is None:
+        costs = view.costs.tolist()
+        view.costs_list = costs
+    to_merged = view.to_merged
+
+    cursors: List[Tuple[int, int, int, int]] = []
+    c_cost: List[float] = []
+    cur_append = cursors.append
+    cost_append = c_cost.append
+
+    heap: List[Tuple[float, int]] = []
+    created = 0
+    for i, pairs in enumerate(seed_lists):
+        for element, cost in pairs:
+            cur_append((element, i, -1, 0))
+            cost_append(cost)
+            heap.append((cost, created))
+            created += 1
+    heapify(heap)
+
+    # Per-element registration state: m per-keyword buckets, ``state[i]``
+    # holding the cursors that reached the element from keyword i in
+    # ascending cost order (pop order guarantees this), capped at k — the
+    # paper's space bound of k cheapest paths per (element, keyword).
+    states: Dict[int, List[List[int]]] = {}
+    states_get = states.get
+    # The adjacency-row memo lives on the view so repeated explorations
+    # skip both the CSR slice and the per-iteration int boxing of
+    # array('l') rows (base rows are boxed into tuples once).  Concurrent
+    # searches share it safely: entries are pure functions of the element
+    # id, so a racing double-compute just overwrites with an equal value.
+    rows = view.row_memo
+    if rows is None:
+        rows = dict(extra_rows)
+        view.row_memo = rows
+    rows_get = rows.get
+    # A cursor's (translated) path and its element set are fixed at
+    # creation; registrations re-enumerate the same cursors many times,
+    # so both are memoized by cursor index.  MatchingSubgraph copies the
+    # path lists it is handed, so sharing them is safe.
+    path_cache: Dict[int, list] = {}
+    paths_get = path_cache.get
+    pset_cache: Dict[int, frozenset] = {}
+    anc_cache: Dict[int, set] = {}
+    from_parts = MatchingSubgraph.from_parts
+
+    def path_of(ix):
+        path = paths_get(ix)
+        if path is None:
+            parts = []
+            append = parts.append
+            probe = ix
+            if to_merged is None:
+                while probe >= 0:
+                    cu = cursors[probe]
+                    append(cu[0])
+                    probe = cu[2]
+            else:
+                while probe >= 0:
+                    cu = cursors[probe]
+                    append(to_merged(cu[0]))
+                    probe = cu[2]
+            parts.reverse()
+            # Stored as a tuple: MatchingSubgraph's path normalization
+            # (tuple of tuples) then reuses the object instead of copying.
+            path = tuple(parts)
+            path_cache[ix] = path
+            pset_cache[ix] = frozenset(parts)
+        return path
+
+    kth_cost = candidates.kth_cost
+    accept = candidates.accept
+    by_key_get = candidates._by_key.get
+    srt = candidates._sorted
+    kth = kth_cost()
+    n_found = len(candidates)
+    dup_offers = 0
+
+    # Net completion bounds: the raw table enters an element once more
+    # while a cursor's cost already covers it (see _completion_bounds), so
+    # every check needs ``bounds[kw][e] - costs[e]``; the subtraction is
+    # folded once per table and cached on the view, keyed by the bounds
+    # object's identity.
+    nets = None
+    if bounds is not None:
+        cached_nets = view.net_bounds
+        if cached_nets is not None and cached_nets[0] is bounds:
+            nets = cached_nets[1]
+        else:
+            nets = [list(map(sub, brow, costs)) for brow in bounds]
+            view.net_bounds = (bounds, nets)
+
+    kw_nets = None
+    popped = 0
+    pruned = 0
+    max_queue = 0
+    terminated_by = "exhausted"
+    budget = _INF if max_cursors is None else max_cursors
+    hpop = heappop
+    hpush = heappush
+
+    while heap:
+        queue_size = len(heap)
+        if queue_size > max_queue:
+            max_queue = queue_size
+        cursor_cost, ci = hpop(heap)
+        popped += 1
+        element, kw, par, distance = cursors[ci]
+
+        if distance > dmax:
+            continue
+
+        # Bound check: if even the cheapest completion of this path
+        # cannot beat the k-th candidate, the cursor is dead weight.
+        # Children are checked before they are pushed too; this pop-time
+        # check stays because the k-th cost may have fallen since.
+        if nets is not None:
+            kw_nets = nets[kw]
+            if cursor_cost + kw_nets[element] >= kth:
+                pruned += 1
+                continue
+
+        state = states_get(element)
+        if state is None:
+            state = ([], []) if m == 2 else [[] for _ in range(m)]
+            states[element] = state
+        bucket = state[kw]
+        if len(bucket) >= k:
+            pruned += 1
+            continue
+        bucket.append(ci)
+
+        # Expand to all neighbors not already on the path (Alg 1 lines
+        # 13-22).  Registration happened, so paths of length dmax still
+        # contribute to connecting elements.
+        if distance < dmax:
+            row = rows_get(element)
+            if row is None:
+                row = tuple(targets[offsets[element] : offsets[element + 1]])
+                rows[element] = row
+            # One ancestor set per expansion is the cycle check.  A
+            # child's path extends its parent's by one element, and a
+            # child only exists because its parent expanded (and cached
+            # its set), so each set is one C-level union, not a walk.
+            if par >= 0:
+                ancestors = anc_cache[par] | {element}
+            else:
+                ancestors = {element}
+            anc_cache[ci] = ancestors
+            next_distance = distance + 1
+            for neighbor in row:
+                if neighbor in ancestors:
+                    continue
+                neighbor_state = states_get(neighbor)
+                if neighbor_state is not None and len(neighbor_state[kw]) >= k:
+                    pruned += 1
+                    continue
+                child_cost = cursor_cost + costs[neighbor]
+                # The bound applied before the cursor exists: the same
+                # float expression the pop-time check evaluates, against a
+                # k-th cost that only ever falls — so every child dropped
+                # here would have been discarded at its pop, and skipping
+                # its cursor, cost slot and heap entry cannot change the
+                # answer.
+                if kw_nets is not None and child_cost + kw_nets[neighbor] >= kth:
+                    pruned += 1
+                    continue
+                cur_append((neighbor, kw, ci, next_distance))
+                cost_append(child_cost)
+                hpush(heap, (child_cost, created))
+                created += 1
+
+        # Algorithm 2: build the new candidate subgraphs this registration
+        # enables — combinations that use this cursor for its keyword and
+        # any registered path for every other keyword, enumerated
+        # best-first.  Enumeration stops when (a) the combination cost
+        # reaches the k-th candidate cost (ascending order: nothing later
+        # can enter the top-k), or (b) k *distinct element sets* have been
+        # produced here — any further combination is dominated by k
+        # already-offered candidates at this element that cost no more.
+        if all(state):
+            # Cheapest combination = the per-keyword list heads (this
+            # cursor for its own keyword).  Same fold order as the
+            # enumerator's start sum; if it already cannot beat the k-th
+            # candidate, the enumerator's first yield would hit the break
+            # below before offering anything — skip building it at all
+            # (the dominant case once the candidate list saturates).
+            first_cost = 0
+            for i in range(m):
+                first_cost = first_cost + c_cost[state[i][0] if i != kw else ci]
+            if n_found >= k and first_cost >= kth:
+                pass
+            elif m == 2:
+                # The dominant registration shape: this cursor is the
+                # only entry for its own keyword, so the combination
+                # stream is an ascending scan of the other keyword's
+                # bucket — the iter_combinations singleton reduction,
+                # inlined without the generator machinery.
+                connecting = element if to_merged is None else to_merged(element)
+                olist = state[1 - kw]
+                olen = len(olist)
+                distinct_sets = set()
+                combo_cost = first_cost
+                pc = path_of(ci)
+                sc = pset_cache[ci]
+                wc = c_cost[ci]
+                oi = 0
+                while True:
+                    if n_found >= k and combo_cost >= kth:
+                        break
+                    ox = olist[oi]
+                    po = path_of(ox)
+                    if kw == 0:
+                        subgraph_cost = 0 + wc + c_cost[ox]
+                    else:
+                        subgraph_cost = 0 + c_cost[ox] + wc
+                    key = sc | pset_cache[ox]
+                    existing = by_key_get(key)
+                    if existing is None or subgraph_cost < existing.cost:
+                        paths = [pc, po] if kw == 0 else [po, pc]
+                        accept(
+                            key,
+                            existing,
+                            from_parts(connecting, paths, key, subgraph_cost),
+                        )
+                        n_found = len(srt)
+                        kth = srt[k - 1][0] if n_found >= k else _INF
+                    else:
+                        dup_offers += 1
+                    distinct_sets.add(key)
+                    if len(distinct_sets) >= k:
+                        break
+                    oi += 1
+                    if oi >= olen:
+                        break
+                    combo_cost = combo_cost + c_cost[olist[oi]] - c_cost[ox]
+            else:
+                lists = [state[i] if i != kw else (ci,) for i in range(m)]
+                connecting = element if to_merged is None else to_merged(element)
+                distinct_sets = set()
+                for combo_cost, combo in iter_combinations(lists, c_cost, kth_cost):
+                    if n_found >= k and combo_cost >= kth:
+                        break
+                    paths = []
+                    key_sets = []
+                    subgraph_cost = 0
+                    for ix in combo:
+                        paths.append(path_of(ix))
+                        key_sets.append(pset_cache[ix])
+                        subgraph_cost = subgraph_cost + c_cost[ix]
+                    key = frozenset().union(*key_sets)
+                    existing = by_key_get(key)
+                    if existing is None or subgraph_cost < existing.cost:
+                        accept(
+                            key,
+                            existing,
+                            from_parts(connecting, paths, key, subgraph_cost),
+                        )
+                        n_found = len(srt)
+                        kth = srt[k - 1][0] if n_found >= k else _INF
+                    else:
+                        dup_offers += 1
+                    distinct_sets.add(key)
+                    if len(distinct_sets) >= k:
+                        break
+
+        # Termination check: the cheapest outstanding cursor bounds every
+        # undiscovered subgraph from below.
+        lowest_remaining = heap[0][0] if heap else _INF
+        if kth < lowest_remaining:
+            terminated_by = "threshold"
+            break
+
+        if created >= budget:
+            terminated_by = "budget"
+            break
+
+    if dup_offers:
+        # Duplicate offers rejected by the inline pre-check are still
+        # offers: the counter is flushed once.
+        candidates.offered += dup_offers
+
+    return created, popped, pruned, max_queue, terminated_by
 
 
 def explore_top_k(
@@ -505,67 +868,45 @@ def explore_top_k(
         against (``test_guided_equivalence.py``, ``repro eval check
         --no-guided``).
     use_vectorized:
-        ``None`` (default) takes the vectorized kernel path
-        (:mod:`repro.core.kernels`) whenever numpy is importable;
-        ``False`` forces the scalar loop (the byte-identity oracle);
-        ``True`` requires the kernels and raises when numpy is missing —
-        it also forces the bound tables through the relaxation kernel
-        regardless of graph size (how the property tests exercise it on
-        tiny graphs).  Output is byte-identical either way — subgraphs
-        and diagnostics.
+        Which implementation computes a missing bound table — nothing
+        else; the loop is the same on every install.  ``None`` (default)
+        selects by the view's size (see :func:`_bounds_for`); ``True``
+        forces the numpy relaxation kernel regardless of size (how the
+        tests exercise it on tiny graphs) and raises without numpy;
+        ``False`` forces the Dijkstra tables.  The tables are
+        bit-identical either way.
     """
+    if use_vectorized and not kernels.kernels_enabled():
+        raise ValueError(
+            "the relaxation kernel requires numpy (pip install repro[fast])"
+        )
     ordered_sets = [ks for ks in augmented.sorted_keyword_elements() if ks]
     m = len(ordered_sets)
-    candidates = CandidateList(k)
-
     if m == 0:
         return ExplorationResult([], 0, 0, 0, 0, "no-keywords", 0)
 
     view = _build_substrate_view(augmented, element_costs)
-    costs: Sequence[float] = view.costs
-    total = view.total
+    costs = view.costs
     id_of = view.id_of
-    to_merged = view.to_merged
-    decode = view.decode
-    row_of = _view_row_of(view)
-
-    # Resolve the vectorized kernel path before seeding: the SoA loop
-    # skips Cursor construction entirely, and a forced kernel run routes
-    # the bound tables through the relaxation sweeps too.
-    vectorized = False
-    if use_vectorized is True:
-        if not kernels.kernels_enabled():
-            raise ValueError(
-                "vectorized exploration requires numpy (pip install "
-                "repro[fast])"
-            )
-        vectorized = True
-    elif use_vectorized is None:
-        vectorized = kernels.kernels_enabled()
-        if not vectorized:
-            kernels._log_fallback()
 
     # Deterministic seeding: K_i are sets, so a canonical order (by key
     # repr, cached on the augmented graph) makes tie-breaking — and
     # therefore ranking among equal-cost subgraphs — reproducible across
     # processes.
     seed_lists: List[List[Tuple[int, float]]] = [[] for _ in range(m)]
-    seed_costs: List[Dict[int, float]] = [dict() for _ in range(m)]
-    for i, elements in enumerate(ordered_sets):
-        pairs = seed_lists[i]
+    for pairs, elements in zip(seed_lists, ordered_sets):
         for key in elements:
             element = id_of(key)
             if element is None:
                 raise KeyError(f"keyword element {key!r} not in augmented graph")
-            cost = costs[element]
-            seed_costs[i][element] = cost
-            pairs.append((element, cost))
+            pairs.append((element, costs[element]))
 
     # The single seam between the algorithm and its oracle: without
-    # `bounds` both loops below run unbounded — same subgraphs, several
-    # times the cursors — which is what the identity tests compare against.
+    # `bounds` the loop runs unbounded — same subgraphs, several times the
+    # cursors — which is what the identity tests compare against.
     bounds: Optional[List[List[float]]] = None
     if guided:
+        seed_costs = [dict(pairs) for pairs in seed_lists]
         cache_key = None
         if view.cost_token is not None:
             cache_key = (
@@ -575,183 +916,17 @@ def explore_top_k(
             )
             bounds = view.substrate.get_bounds(cache_key, view.cost_table)
         if bounds is None:
-            bounds = _bounds_for(
-                m, seed_costs, row_of, costs, total, view,
-                force_kernel=(use_vectorized is True),
-            )
+            bounds = _bounds_for(m, seed_costs, view, use_vectorized)
             if cache_key is not None:
                 view.substrate.store_bounds(cache_key, view.cost_table, bounds)
 
-    if vectorized:
-        created, popped, pruned, max_queue, terminated_by = kernels.explore_soa(
-            seed_lists, m, view, bounds, candidates, k, dmax, max_cursors
-        )
-        return ExplorationResult(
-            subgraphs=[sg.translated(decode) for sg in candidates.best()],
-            cursors_created=created,
-            cursors_popped=popped,
-            cursors_pruned=pruned,
-            candidates_offered=candidates.offered,
-            terminated_by=terminated_by,
-            max_queue_size=max_queue,
-        )
-
-    heap: List[Tuple[float, int, Cursor]] = []
-    created = 0
-    for i, pairs in enumerate(seed_lists):
-        for element, cost in pairs:
-            created += 1
-            heap.append((cost, created, Cursor.origin_cursor(element, i, cost)))
-    heapq.heapify(heap)
-
-    # Per-element registration state: a flat list of m per-keyword buckets,
-    # ``states[element][i]`` holding the cursors that reached the element
-    # from keyword i in ascending cost order (pop order guarantees this),
-    # capped at k — the paper's space bound of k cheapest paths per
-    # (element, keyword).
-    states: Dict[int, List[List[Cursor]]] = {}
-    states_get = states.get
-    heappush = heapq.heappush
-    heappop = heapq.heappop
-    kth_cost = candidates.kth_cost
-    offer = candidates.offer
-
-    popped = 0
-    pruned = 0
-    max_queue = 0
-    terminated_by = "exhausted"
-
-    while heap:
-        queue_size = len(heap)
-        if queue_size > max_queue:
-            max_queue = queue_size
-        _, _, cursor = heappop(heap)
-        popped += 1
-        element = cursor.element
-        distance = cursor.distance
-
-        if distance > dmax:
-            continue
-
-        kw = cursor.keyword
-        cursor_cost = cursor.cost
-
-        # Bound check: if even the cheapest completion of this path
-        # cannot beat the k-th candidate, the cursor is dead weight.
-        # (The raw bound enters `element` once more; the cursor's cost
-        # already covers it, hence the subtraction — see _completion_bounds.)
-        # Children are checked before they are pushed too; this pop-time
-        # check stays because the k-th cost may have fallen since.
-        if bounds is not None:
-            completion = bounds[kw][element] - costs[element]
-            if cursor_cost + completion >= kth_cost():
-                pruned += 1
-                continue
-
-        state = states_get(element)
-        if state is None:
-            state = [[] for _ in range(m)]
-            states[element] = state
-        bucket = state[kw]
-        if len(bucket) >= k:
-            pruned += 1
-            continue
-        bucket.append(cursor)
-
-        # Expand to all neighbors not already on the path (Alg 1 lines
-        # 13-22; the parent is on the path, so the walk covers both
-        # checks).  The cycle check deliberately walks the parent chain
-        # (≤ dmax pointer hops) instead of carrying per-cursor path
-        # sets/bitmasks: measured on the Fig. 6a k=100 workload, a
-        # frozenset per cursor is ~25% slower end to end — hundreds of
-        # thousands of live GC-tracked containers make every collection
-        # scan far more expensive — while the chain walk allocates
-        # nothing.  Registration happened, so paths of length dmax still
-        # contribute to connecting elements.
-        if distance < dmax:
-            origin = cursor.origin
-            next_distance = distance + 1
-            kw_bounds = bounds[kw] if bounds is not None else None
-            for neighbor in row_of(element):
-                probe = cursor
-                while probe is not None and probe.element != neighbor:
-                    probe = probe.parent
-                if probe is not None:
-                    continue
-                neighbor_state = states_get(neighbor)
-                if neighbor_state is not None and len(neighbor_state[kw]) >= k:
-                    pruned += 1
-                    continue
-                child_cost = cursor_cost + costs[neighbor]
-                # The bound applied before the cursor exists: the same
-                # float expression the pop-time check evaluates, against a
-                # k-th cost that only ever falls — so every child dropped
-                # here would have been discarded at its pop, and skipping
-                # its cursor, cost slot and heap entry cannot change the
-                # answer.
-                if kw_bounds is not None:
-                    completion = kw_bounds[neighbor] - costs[neighbor]
-                    if child_cost + completion >= kth_cost():
-                        pruned += 1
-                        continue
-                created += 1
-                heappush(
-                    heap,
-                    (
-                        child_cost,
-                        created,
-                        Cursor(
-                            neighbor,
-                            kw,
-                            origin,
-                            cursor,
-                            next_distance,
-                            child_cost,
-                        ),
-                    ),
-                )
-
-        # Algorithm 2: build the new candidate subgraphs this registration
-        # enables — combinations that use this cursor for its keyword and
-        # any registered path for every other keyword, enumerated
-        # best-first.  Enumeration stops when (a) the combination cost
-        # reaches the k-th candidate cost (ascending order: nothing later
-        # can enter the top-k), or (b) k *distinct element sets* have been
-        # produced here — any further combination is dominated by k
-        # already-offered candidates at this element that cost no more.
-        if all(state):
-            other_lists = [state[i] if i != kw else [cursor] for i in range(m)]
-            distinct_sets = set()
-            for combo_cost, combo in _best_combinations(other_lists, kth_cost):
-                if len(candidates) >= k and combo_cost >= kth_cost():
-                    break
-                if to_merged is None:
-                    merged = MatchingSubgraph.from_cursors(element, combo)
-                else:
-                    merged = MatchingSubgraph(
-                        to_merged(element),
-                        [[to_merged(e) for e in c.path()] for c in combo],
-                        sum(c.cost for c in combo),
-                    )
-                offer(merged)
-                distinct_sets.add(merged.canonical_key)
-                if len(distinct_sets) >= k:
-                    break
-
-        # Termination check: cheapest outstanding cursor bounds every
-        # undiscovered subgraph from below.
-        lowest_remaining = heap[0][0] if heap else _INF
-        if candidates.should_terminate(lowest_remaining):
-            terminated_by = "threshold"
-            break
-
-        if max_cursors is not None and created >= max_cursors:
-            terminated_by = "budget"
-            break
-
-    subgraphs = [sg.translated(decode) for sg in candidates.best()]
+    candidates = CandidateList(k)
+    created, popped, pruned, max_queue, terminated_by = explore_soa(
+        seed_lists, m, view, bounds, candidates, k, dmax, max_cursors
+    )
+    decode = view.decode
     return ExplorationResult(
-        subgraphs=subgraphs,
+        subgraphs=[sg.translated(decode) for sg in candidates.best()],
         cursors_created=created,
         cursors_popped=popped,
         cursors_pruned=pruned,
@@ -759,83 +934,3 @@ def explore_top_k(
         terminated_by=terminated_by,
         max_queue_size=max_queue,
     )
-
-
-# ----------------------------------------------------------------------
-# Shared-frontier bound prefusion (EngineService.search_many)
-# ----------------------------------------------------------------------
-
-
-def prepare_guided_request(
-    augmented: AugmentedSummaryGraph, element_costs
-) -> Optional[tuple]:
-    """``(m, seed_costs, view, cache_key)`` for prefusing one query's
-    guided bound tables, or ``None`` when the query cannot share the
-    substrate bounds cache (uncacheable cost mapping, no matched keywords,
-    or a keyword element outside the view)."""
-    ordered_sets = [ks for ks in augmented.sorted_keyword_elements() if ks]
-    m = len(ordered_sets)
-    if m == 0:
-        return None
-    view = _build_substrate_view(augmented, element_costs)
-    if view.cost_token is None:
-        return None
-    id_of = view.id_of
-    costs = view.costs
-    seed_costs: List[Dict[int, float]] = [dict() for _ in range(m)]
-    for i, elements in enumerate(ordered_sets):
-        for key in elements:
-            element = id_of(key)
-            if element is None:
-                return None
-            seed_costs[i][element] = costs[element]
-    cache_key = (
-        view.cost_token,
-        view.extra_keys,
-        tuple(tuple(sorted(sc.items())) for sc in seed_costs),
-    )
-    return m, seed_costs, view, cache_key
-
-
-def prefuse_guided_bounds(requests) -> int:
-    """Precompute missing guided bound tables for a batch of queries in
-    one fused relaxation pass (the shared-frontier mode of
-    ``EngineService.search_many``).
-
-    ``requests`` yields ``(augmented, element_costs)`` pairs, all built on
-    one snapshot.  Every query's table lands in the substrate bounds
-    cache under exactly the key :func:`explore_top_k` computes, so the
-    subsequent per-query searches hit the cache and run unchanged —
-    identity of the batch with sequential execution is structural, not
-    re-proved per query.  Queries the kernel declines (no numpy,
-    pathological diameter) are warmed with the scalar Dijkstra instead.
-    Returns the number of tables computed.
-    """
-    pending = []
-    seen = set()
-    for augmented, element_costs in requests:
-        prepared = prepare_guided_request(augmented, element_costs)
-        if prepared is None:
-            continue
-        m, seed_costs, view, cache_key = prepared
-        if cache_key in seen:
-            continue
-        if view.substrate.get_bounds(cache_key, view.cost_table) is not None:
-            continue
-        seen.add(cache_key)
-        pending.append((m, seed_costs, view, cache_key))
-    if not pending:
-        return 0
-    if kernels.kernels_enabled():
-        computed = kernels.completion_bounds_batch(
-            [(m, sc, v) for m, sc, v, _ in pending]
-        )
-    else:
-        computed = [None] * len(pending)
-    for (m, seed_costs, view, cache_key), bounds in zip(pending, computed):
-        if bounds is None:
-            bounds = _completion_bounds(
-                m, seed_costs, _view_row_of(view), view.costs, view.total
-            )
-        view.substrate.store_bounds(cache_key, view.cost_table, bounds)
-    return len(pending)

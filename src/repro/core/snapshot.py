@@ -59,8 +59,12 @@ class EngineSnapshot:
         "dmax",
         "strict_keywords",
         "guided",
-        "use_vectorized",
     )
+
+    #: A constant.  Its only reader is the frozen perf/tracing.py, which
+    #: hands it to explore_top_k(use_vectorized=) — None there means "bound
+    #: tables by view size"; goes with that call when perf/ may be edited.
+    use_vectorized = None
 
     def __init__(
         self,
@@ -78,7 +82,6 @@ class EngineSnapshot:
         dmax: int,
         strict_keywords: bool,
         guided: bool,
-        use_vectorized=None,
     ):
         self.graph = graph
         self.summary = summary
@@ -98,9 +101,6 @@ class EngineSnapshot:
         self.dmax = dmax
         self.strict_keywords = strict_keywords
         self.guided = guided
-        #: Tri-state vectorized-kernel override pinned from the engine
-        #: (None = auto: kernels when numpy is available).
-        self.use_vectorized = use_vectorized
 
     @property
     def key(self) -> SnapshotKey:

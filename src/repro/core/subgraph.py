@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from typing import Callable, FrozenSet, Hashable, List, Sequence, Tuple
 
-from repro.core.cursor import Cursor
-
 
 #: order_key is a pure function of the element set, so repeated queries
 #: (which rediscover the same subgraphs) share one computed string.  The
@@ -60,7 +58,7 @@ class MatchingSubgraph:
         cost: float,
     ) -> "MatchingSubgraph":
         """Trusted constructor for callers that already hold the merged
-        element set (the vectorized loop's deduplication key is exactly
+        element set (the exploration loop's deduplication key is exactly
         it): skips recomputing the frozenset from the paths.  The caller
         guarantees ``elements`` equals the union of ``paths``."""
         self = cls.__new__(cls)
@@ -69,17 +67,6 @@ class MatchingSubgraph:
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "cost", float(cost))
         return self
-
-    @classmethod
-    def from_cursors(
-        cls, connecting_element: Hashable, cursors: Sequence[Cursor]
-    ) -> "MatchingSubgraph":
-        """Merge one cursor path per keyword at a connecting element."""
-        return cls(
-            connecting_element,
-            [c.path() for c in cursors],
-            sum(c.cost for c in cursors),
-        )
 
     @property
     def canonical_key(self) -> FrozenSet[Hashable]:

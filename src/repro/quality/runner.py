@@ -87,7 +87,6 @@ def build_eval_engine(
     k: Optional[int] = None,
     dmax: Optional[int] = None,
     guided: Optional[bool] = None,
-    use_vectorized: Optional[bool] = None,
     scale: int = 1000,
     perturb_costs: bool = False,
 ):
@@ -110,7 +109,6 @@ def build_eval_engine(
             k=k,
             dmax=dmax,
             guided=guided,
-            use_vectorized=use_vectorized,
         )
     else:
         # The one table of entry-point defaults, so a fresh eval build
@@ -121,7 +119,6 @@ def build_eval_engine(
         given = {name: value for name, value in given.items() if value is not None}
         engine = KeywordSearchEngine(
             graph_for(dataset, scale=scale),
-            use_vectorized=use_vectorized,
             **{**ENGINE_DEFAULTS, **given},
         )
     if perturb_costs:

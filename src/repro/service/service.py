@@ -30,7 +30,6 @@ preempted mid-flight; the deadline is checked at dispatch).
 
 from __future__ import annotations
 
-import logging
 import threading
 import time
 from collections import deque
@@ -38,8 +37,6 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Sequence
 
 from repro.core import kernels
-
-log = logging.getLogger(__name__)
 
 __all__ = [
     "AdmissionError",
@@ -324,7 +321,6 @@ class EngineService:
         dmax=None,
         max_cursors=None,
         timeout: Optional[float] = None,
-        shared_frontier: Optional[bool] = None,
     ) -> List[BatchOutcome]:
         """Run a batch of keyword queries over the worker pool, all against
         **one** pinned snapshot.
@@ -334,14 +330,6 @@ class EngineService:
         ``None``) checked at dispatch.  Results are byte-identical to
         sequential ``engine.search`` calls on the same snapshot — the pool
         only changes wall-clock, never output.
-
-        ``shared_frontier`` (default: auto — on for guided multi-query
-        batches when the vectorized kernels are active) precomputes the
-        batch's guided completion-bound tables in **one** fused relaxation
-        pass over the shared snapshot before the per-query searches are
-        dispatched; they then hit the substrate's bounds cache instead of
-        each running their own sweeps.  Purely a cache prewarm: per-query
-        results and diagnostics are unchanged.
         """
         if self._closed:
             raise RuntimeError("service is closed")
@@ -355,25 +343,13 @@ class EngineService:
             self._rw.acquire_read()
             try:
                 snapshot = self.engine.snapshot()
-                if shared_frontier is None:
-                    shared_frontier = (
-                        len(queries) > 1
-                        and snapshot.guided
-                        and kernels.kernels_enabled()
-                        and snapshot.use_vectorized is not False
-                    )
-                if shared_frontier:
-                    try:
-                        self.engine.prefuse_bounds_on_snapshot(snapshot, queries)
-                    except Exception:  # prewarm only — never fail the batch
-                        log.exception("shared-frontier bound prefuse failed")
                 deadline = None if timeout is None else time.monotonic() + timeout
                 # Dispatch in contiguous chunks — one pool task per worker,
                 # not per query.  Submit/result handshakes cost tens of
                 # microseconds each; on an 8-query batch of sub-millisecond
-                # searches, per-query futures spent more time in executor
-                # plumbing than the shared-frontier prewarm saved.  Deadline
-                # and queue-wait checks still run per query inside the chunk.
+                # searches, per-query futures spend a large share of the
+                # batch in executor plumbing.  Deadline and queue-wait
+                # checks still run per query inside the chunk.
                 n_chunks = min(self.workers, len(queries))
                 step = -(-len(queries) // n_chunks)
                 futures = [

@@ -852,7 +852,6 @@ def load_engine(
     lazy: bool = True,
     index_tier: str = "memory",
     guided: Optional[bool] = None,
-    use_vectorized: Optional[bool] = None,
     **overrides,
 ):
     """Reconstitute a :class:`~repro.core.engine.KeywordSearchEngine`.
@@ -860,10 +859,10 @@ def load_engine(
     The engine is assembled from the bundle's decoded parts with the
     engine configuration saved in the header; keyword arguments
     (``cost_model``, ``k``, ``dmax``, ``strict_keywords``,
-    ``search_cache_size``) override it.  ``guided`` and ``use_vectorized``
-    are load-time arguments, not part of that configuration: they are
-    execution strategies with identical results, so a bundle records
-    neither and an unspecified one means the engine's default.
+    ``search_cache_size``) override it.  ``guided`` is a load-time
+    argument, not part of that configuration: bounded and unbounded
+    exploration return identical results, so a bundle does not record it
+    and leaving it unspecified means the engine's default.
 
     When a delta log exists next to
     the bundle (``<path>.wal`` unless ``wal_path`` says otherwise), its
@@ -913,7 +912,6 @@ def load_engine(
         summary=loaded.summary,
         store=loaded.store,
         search_cache_size=engine_meta["search_cache_size"],
-        use_vectorized=use_vectorized,
     )
     if guided is not None:
         engine.guided = guided

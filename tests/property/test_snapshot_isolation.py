@@ -244,10 +244,11 @@ def test_search_many_is_byte_identical_to_sequential_after_update(batch):
 )
 @given(update_batches())
 def test_shared_frontier_batch_racing_update_is_pre_or_post_never_hybrid(batch):
-    """A shared-frontier ``search_many`` racing an update epoch: the fused
-    bound-prefuse pass runs against the batch's pinned snapshot, so every
-    query in the batch must see *one* engine state — all-pre or all-post,
-    never a hybrid, and never bounds from one epoch applied to the other."""
+    """A ``search_many`` batch racing an update epoch: the whole batch
+    runs against one pinned snapshot, and its queries share the
+    substrate's view and bound-table caches, so every query in the batch
+    must see *one* engine state — all-pre or all-post, never a hybrid,
+    and never bounds from one epoch applied to the other."""
     adds, removes = batch
 
     pre = _reference_render(BASE_TRIPLES)
@@ -265,9 +266,7 @@ def test_shared_frontier_batch_racing_update_is_pre_or_post_never_hybrid(batch):
             try:
                 start.wait()
                 for _ in range(4):
-                    outcomes = service.search_many(
-                        [KEYWORDS] * 3, shared_frontier=True
-                    )
+                    outcomes = service.search_many([KEYWORDS] * 3)
                     assert all(o.ok for o in outcomes)
                     batches.append([_render(o.result) for o in outcomes])
             except Exception as exc:  # noqa: BLE001
@@ -283,11 +282,11 @@ def test_shared_frontier_batch_racing_update_is_pre_or_post_never_hybrid(batch):
 
         legal = {pre, post}
         for renders in batches:
-            assert renders[0] in legal, "hybrid result in shared-frontier batch"
+            assert renders[0] in legal, "hybrid result in a batch"
             # One snapshot per batch: identical queries, identical answers.
             assert all(render == renders[0] for render in renders)
         # After the epoch committed, a fresh batch serves only post state.
-        outcomes = service.search_many([KEYWORDS] * 2, shared_frontier=True)
+        outcomes = service.search_many([KEYWORDS] * 2)
         assert [_render(o.result) for o in outcomes] == [post, post]
     finally:
         service.close()

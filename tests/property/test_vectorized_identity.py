@@ -1,23 +1,35 @@
-"""Property: vectorized exploration is byte-identical to the scalar path.
+"""Property: the exploration that ships is byte-identical to its oracles.
 
-The numpy kernels (``repro.core.kernels``) are pure accelerators — same
-bound tables, same subgraphs, same diagnostics, bit-for-bit.  The proof
-obligation is structural (both compute the same least fixpoint under
-IEEE round-to-nearest; see the kernel docstrings), but floating-point
-identity arguments rot silently, so this suite re-checks the contract
-empirically: on the bundled datasets, on randomized graphs, across
-incremental update batches, and through an mmap-backed bundle engine.
+Two identities, over one case space (the bundled datasets, an mmap-backed
+bundle engine, randomized graphs, incremental update batches, bounded and
+unbounded):
+
+* **production loop == reference loop.**  ``explore_top_k``'s
+  structure-of-arrays loop against the literal Algorithm 1/2 of
+  ``tests/reference_exploration.py`` — same subgraphs, same ranking among
+  equal costs, same six diagnostics.  Pure Python on both sides: these
+  cases run with or without numpy.
+* **relaxation kernel == Dijkstra.**  The numpy bound tables
+  (``repro.core.kernels``) forced on graphs far below the size at which
+  they are selected, against the Dijkstra tables.  The proof obligation
+  is structural (both compute the same least fixpoint under IEEE
+  round-to-nearest; see the kernel docstrings), but floating-point
+  identity arguments rot silently, so it is re-checked empirically.
+  Only these cases need numpy.
 """
+
+from contextlib import contextmanager, nullcontext
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-np = pytest.importorskip("numpy")
+from reference_exploration import explore_top_k as reference_explore_top_k
+from reference_exploration import reference_loop
 
+from repro.core import kernels
 from repro.core.engine import KeywordSearchEngine
 from repro.core.exploration import explore_top_k
 from repro.datasets import TapConfig, generate_tap, running_example_graph
-from repro.rdf.graph import DataGraph
 from repro.rdf.namespace import RDF
 from repro.rdf.terms import URI
 from repro.rdf.triples import Triple
@@ -48,17 +60,37 @@ def _search_signature(result):
     )
 
 
-def _engine_pair(graph, **config):
-    vectorized = KeywordSearchEngine(graph, use_vectorized=True, **config)
-    scalar = KeywordSearchEngine(graph, use_vectorized=False, **config)
-    return vectorized, scalar
+@contextmanager
+def _forced_kernel():
+    """Every bound table inside the block comes from the relaxation
+    kernel: the size rule is the only selector an engine has, so the
+    threshold is what gets moved."""
+    threshold = kernels.MIN_BOUNDS_TOTAL
+    kernels.MIN_BOUNDS_TOTAL = 0
+    try:
+        yield
+    finally:
+        kernels.MIN_BOUNDS_TOTAL = threshold
 
 
-def _assert_identical(vectorized, scalar, queries):
+#: (subject, oracle): how the first and the second engine of a pair search.
+#: Neither side caches across the pair — each engine has its own substrate.
+LOOP = (nullcontext, reference_loop)
+KERNEL = (_forced_kernel, nullcontext)
+
+needs_numpy = pytest.mark.skipif(
+    not kernels.kernels_enabled(), reason="runs the numpy kernel"
+)
+
+
+def _assert_identical(pair, subject, oracle, queries):
+    searching_subject, searching_oracle = pair
     for query in queries:
-        assert _search_signature(vectorized.search(query)) == _search_signature(
-            scalar.search(query)
-        ), f"vectorized/scalar divergence on {query!r}"
+        with searching_subject():
+            got = _search_signature(subject.search(query))
+        with searching_oracle():
+            expected = _search_signature(oracle.search(query))
+        assert got == expected, f"divergence on {query!r}"
 
 
 #: Every identity case runs twice: under the engine's default (the bounded
@@ -77,28 +109,59 @@ TAP_QUERIES = [
 ]
 
 
+def _example_dataset_case(pair, mode):
+    subject = KeywordSearchEngine(running_example_graph(), **mode)
+    oracle = KeywordSearchEngine(running_example_graph(), **mode)
+    _assert_identical(pair, subject, oracle, EXAMPLE_QUERIES)
+
+
+def _tap_dataset_case(pair, mode):
+    graph = generate_tap(TapConfig(instances_per_class=6))
+    subject = KeywordSearchEngine(graph, cost_model="c3", k=10, **mode)
+    oracle = KeywordSearchEngine(graph, cost_model="c3", k=10, **mode)
+    _assert_identical(pair, subject, oracle, TAP_QUERIES)
+
+
+def _bundle_engine_case(pair, tmp_path):
+    """An mmap-backed bundle engine (for the kernel: zero-copy ndarray
+    adoption of the CSR sections) must agree with an in-memory build."""
+    build_engine = KeywordSearchEngine(running_example_graph())
+    path = tmp_path / "example.reprobundle"
+    build_engine.save(str(path))
+    subject = KeywordSearchEngine.load(str(path))
+    oracle = KeywordSearchEngine(running_example_graph())
+    _assert_identical(pair, subject, oracle, EXAMPLE_QUERIES)
+
+
 @MODES
 def test_example_dataset_identity(mode):
-    vectorized, scalar = _engine_pair(running_example_graph(), **mode)
-    _assert_identical(vectorized, scalar, EXAMPLE_QUERIES)
+    _example_dataset_case(LOOP, mode)
+
+
+@needs_numpy
+@MODES
+def test_example_dataset_kernel_identity(mode):
+    _example_dataset_case(KERNEL, mode)
 
 
 @MODES
 def test_tap_dataset_identity(mode):
-    graph = generate_tap(TapConfig(instances_per_class=6))
-    vectorized, scalar = _engine_pair(graph, cost_model="c3", k=10, **mode)
-    _assert_identical(vectorized, scalar, TAP_QUERIES)
+    _tap_dataset_case(LOOP, mode)
+
+
+@needs_numpy
+@MODES
+def test_tap_dataset_kernel_identity(mode):
+    _tap_dataset_case(KERNEL, mode)
 
 
 def test_bundle_engine_identity(tmp_path):
-    """An mmap-backed bundle engine (zero-copy ndarray adoption of the
-    CSR sections) must agree with a scalar in-memory build."""
-    build_engine = KeywordSearchEngine(running_example_graph())
-    path = tmp_path / "example.reprobundle"
-    build_engine.save(str(path))
-    vectorized = KeywordSearchEngine.load(str(path), use_vectorized=True)
-    scalar = KeywordSearchEngine(running_example_graph(), use_vectorized=False)
-    _assert_identical(vectorized, scalar, EXAMPLE_QUERIES)
+    _bundle_engine_case(LOOP, tmp_path)
+
+
+@needs_numpy
+def test_bundle_engine_kernel_identity(tmp_path):
+    _bundle_engine_case(KERNEL, tmp_path)
 
 
 # ----------------------------------------------------------------------
@@ -162,9 +225,7 @@ def _exploration_signature(result):
     )
 
 
-@given(exploration_cases())
-@settings(max_examples=120, deadline=None)
-def test_random_graph_exploration_identity(case):
+def _random_case(case):
     n, edges, keyword_indices, cost_choices, k, mode = case
     graph, keys = _build_random_graph(n, edges)
     keyword_sets = [{keys[i] for i in indices} for indices in keyword_indices]
@@ -173,14 +234,28 @@ def test_random_graph_exploration_identity(case):
         el: (cost_choices[i] if i < len(cost_choices) else 1.0)
         for i, el in enumerate(elements)
     }
-    augmented = AugmentedSummaryGraph(graph, keyword_sets, {})
-    vectorized = explore_top_k(
-        augmented, costs, k=k, dmax=6, use_vectorized=True, **mode
-    )
-    scalar = explore_top_k(
-        augmented, costs, k=k, dmax=6, use_vectorized=False, **mode
-    )
-    assert _exploration_signature(vectorized) == _exploration_signature(scalar)
+    return AugmentedSummaryGraph(graph, keyword_sets, {}), costs, k, mode
+
+
+@given(exploration_cases())
+@settings(max_examples=120, deadline=None)
+def test_random_graph_exploration_identity(case):
+    augmented, costs, k, mode = _random_case(case)
+    production = explore_top_k(augmented, costs, k=k, dmax=6, **mode)
+    reference = reference_explore_top_k(augmented, costs, k=k, dmax=6, **mode)
+    assert _exploration_signature(production) == _exploration_signature(reference)
+
+
+@needs_numpy
+@given(exploration_cases())
+@settings(max_examples=120, deadline=None)
+def test_random_graph_kernel_identity(case):
+    """Plain-dict costs are not cacheable, so each call computes its own
+    table: the kernel's on one side, the Dijkstra's on the other."""
+    augmented, costs, k, _ = _random_case(case)
+    kernel = explore_top_k(augmented, costs, k=k, dmax=6, use_vectorized=True)
+    dijkstra = explore_top_k(augmented, costs, k=k, dmax=6, use_vectorized=False)
+    assert _exploration_signature(kernel) == _exploration_signature(dijkstra)
 
 
 # ----------------------------------------------------------------------
@@ -198,32 +273,44 @@ def _paper_triple(i):
     ]
 
 
-@MODES
-@given(
-    operations=st.lists(
-        st.tuples(st.booleans(), st.integers(min_value=0, max_value=11)),
-        min_size=1,
-        max_size=6,
-    )
+update_operations = st.lists(
+    st.tuples(st.booleans(), st.integers(min_value=0, max_value=11)),
+    min_size=1,
+    max_size=6,
 )
-@settings(max_examples=25, deadline=None)
-def test_identity_survives_update_batches(operations, mode):
-    """Apply the same add/remove batches to a vectorized and a scalar
-    engine; after every batch both must answer identically (the kernels
-    see each new summary version through a fresh substrate).  Each engine
-    gets its own graph instance — add/remove mutates the graph in place."""
-    vectorized = KeywordSearchEngine(
-        running_example_graph(), use_vectorized=True, **mode
-    )
-    scalar = KeywordSearchEngine(
-        running_example_graph(), use_vectorized=False, **mode
-    )
+
+
+def _update_batches_case(pair, operations, mode):
+    """Apply the same add/remove batches to both engines of a pair; after
+    every batch both must answer identically (each new summary version
+    gets a fresh substrate, and with it fresh views and bound tables).
+    Each engine gets its own graph instance — add/remove mutates the graph
+    in place."""
+    subject = KeywordSearchEngine(running_example_graph(), **mode)
+    oracle = KeywordSearchEngine(running_example_graph(), **mode)
     for is_add, i in operations:
         batch = _paper_triple(i)
         if is_add:
-            vectorized.add_triples(batch)
-            scalar.add_triples(batch)
+            subject.add_triples(batch)
+            oracle.add_triples(batch)
         else:
-            vectorized.remove_triples(batch)
-            scalar.remove_triples(batch)
-        _assert_identical(vectorized, scalar, ["cimiano 2006", "researcher article"])
+            subject.remove_triples(batch)
+            oracle.remove_triples(batch)
+        _assert_identical(
+            pair, subject, oracle, ["cimiano 2006", "researcher article"]
+        )
+
+
+@MODES
+@given(operations=update_operations)
+@settings(max_examples=25, deadline=None)
+def test_identity_survives_update_batches(operations, mode):
+    _update_batches_case(LOOP, operations, mode)
+
+
+@needs_numpy
+@MODES
+@given(operations=update_operations)
+@settings(max_examples=25, deadline=None)
+def test_kernel_identity_survives_update_batches(operations, mode):
+    _update_batches_case(KERNEL, operations, mode)

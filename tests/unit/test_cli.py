@@ -338,11 +338,17 @@ class TestPersistenceCommands:
         assert args.k == 7  # post-load resolution for downstream readers
 
     def test_bundle_does_not_pin_guided(self, tmp_path, capsys):
-        """The bounds and the kernel choice are execution strategies, not
-        part of the artifact: `repro build` offers neither flag, and a load
-        explores bounded with the auto kernel unless this invocation says
-        otherwise."""
-        from repro.cli import _build_engine, build_parser
+        """The bounds are an execution strategy, not part of the artifact:
+        `repro build` does not offer the flag, and a load explores bounded
+        unless this invocation says otherwise.  Which implementation
+        computes a bound table is nobody's flag: the code picks it from
+        the view's size."""
+        from repro.cli import (
+            _build_engine,
+            build_eval_parser,
+            build_parser,
+            build_serve_parser,
+        )
 
         bundle = str(tmp_path / "g.reprobundle")
         argv = ["build", "--dataset", "example", "-o", bundle]
@@ -351,17 +357,28 @@ class TestPersistenceCommands:
                 main(argv + [flag])
             assert excinfo.value.code == 2
             assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        for argv_of in (
+            lambda flag: ["search", "q", flag],
+            lambda flag: ["serve", flag],
+            lambda flag: ["eval", "check", "--dataset", "example", flag],
+        ):
+            for flag in ("--no-vectorized", "--vectorized"):
+                with pytest.raises(SystemExit) as excinfo:
+                    main(argv_of(flag))
+                assert excinfo.value.code == 2
+                assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert build_serve_parser().parse_args(["--no-guided"]).guided is False
+        eval_args = build_eval_parser().parse_args(
+            ["check", "--dataset", "example", "--guided"]
+        )
+        assert eval_args.guided is True
         assert main(argv) == 0
         capsys.readouterr()
         args = build_parser().parse_args(["q", "--bundle", bundle])
         assert _build_engine(args).guided is True
         assert args.guided is True  # post-load resolution for downstream readers
-        assert _build_engine(args).use_vectorized is None
-        args = build_parser().parse_args(
-            ["q", "--bundle", bundle, "--no-guided", "--no-vectorized"]
-        )
-        engine = _build_engine(args)
-        assert (engine.guided, engine.use_vectorized) == (False, False)
+        args = build_parser().parse_args(["q", "--bundle", bundle, "--no-guided"])
+        assert _build_engine(args).guided is False
 
     def test_readonly_search_coexists_with_attached_writer(self, tmp_path, capsys):
         from repro.core.engine import KeywordSearchEngine

@@ -1,8 +1,9 @@
-"""Unit tests for the exploration cursor."""
+"""Unit tests for the cursor of the reference exploration
+(``tests/reference_exploration.py``)."""
 
 import pytest
 
-from repro.core.cursor import Cursor
+from reference_exploration import Cursor
 
 
 def test_origin_cursor():

