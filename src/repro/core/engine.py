@@ -33,6 +33,8 @@ from __future__ import annotations
 
 import json
 import time
+from json.encoder import encode_basestring_ascii
+from math import isfinite
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.util import LruDict
@@ -59,6 +61,7 @@ from repro.rdf.terms import Literal, Variable
 from repro.query.evaluator import Answer, QueryEvaluator
 from repro.query.isomorphism import canonical_form
 from repro.query.nlg import verbalize
+from repro.query.presentation import form_signature, present
 from repro.query.sparql import to_sparql
 from repro.query.sql import to_sql
 from repro.rdf.graph import DataGraph
@@ -68,6 +71,13 @@ from repro.scoring.cost import CostModel, make_cost_model
 from repro.store.triple_store import TripleStore
 from repro.summary.augmentation import augment
 from repro.summary.summary_graph import SummaryGraph
+
+
+def _json_number(value) -> str:
+    """What ``json.dumps`` writes for a rank or a cost."""
+    if type(value) is int or (type(value) is float and isfinite(value)):
+        return repr(value)  # float.__repr__ / int.__repr__, as the encoder
+    return json.dumps(value)
 
 
 class QueryCandidate:
@@ -80,6 +90,9 @@ class QueryCandidate:
     and kept *here*: a memo hit finds it ready, and there is nothing to
     invalidate.  Two threads racing on the first use compute equal bytes;
     the later store wins harmlessly.
+
+    :meth:`to_json` is one presentation pass over the query
+    (:func:`repro.query.presentation.present`) plus rank and cost.
 
     ``form`` is the query's ``canonical_form`` when the caller already
     holds it (query mapping deduplicates on it): the signature is derived
@@ -103,14 +116,14 @@ class QueryCandidate:
         self._form = form
         self._json: Optional[bytes] = None
 
+    def _canonical_form(self):
+        form = self._form
+        return canonical_form(self.query) if form is None else form
+
     @property
     def signature(self) -> str:
         """The renaming-invariant id of :func:`repro.quality.query_signature`."""
-        # Imported here: repro.quality imports this module.
-        from repro.quality.signatures import form_signature
-
-        form = self._form
-        return form_signature(canonical_form(self.query) if form is None else form)
+        return form_signature(self._canonical_form())
 
     def to_sparql(self) -> str:
         return to_sparql(self.query)
@@ -122,24 +135,27 @@ class QueryCandidate:
         return verbalize(self.query)
 
     def to_json(self) -> Dict[str, object]:
-        """The candidate as the HTTP endpoints present it."""
-        return {
-            "rank": self.rank,
-            "cost": self.cost,
-            "query": str(self.query),
-            # Renaming-invariant id; lets clients (and the quality harness's
-            # endpoint seeding) refer to an interpretation stably across
-            # serving tiers and engine versions.
-            "signature": self.signature,
-            "sparql": self.to_sparql(),
-            "text": self.verbalize(),
-        }
+        """The candidate as the HTTP endpoints present it.  The signature
+        lets clients (and the quality harness's endpoint seeding) refer to
+        an interpretation stably across serving tiers and engine versions."""
+        renderings = present(self.query, self._canonical_form())
+        return {"rank": self.rank, "cost": self.cost, **renderings}
 
     def json_fragment(self) -> bytes:
-        """``json.dumps(self.to_json())``, encoded once per candidate."""
+        """``json.dumps(self.to_json())``, encoded once per candidate —
+        written field by field with the string and number encoders
+        ``json.dumps`` would call, not through a dict."""
         fragment = self._json
         if fragment is None:
-            fragment = self._json = json.dumps(self.to_json()).encode("ascii")
+            fields = [
+                f'"rank": {_json_number(self.rank)}',
+                f'"cost": {_json_number(self.cost)}',
+            ]
+            fields.extend(
+                f'"{name}": {encode_basestring_ascii(text)}'
+                for name, text in present(self.query, self._canonical_form()).items()
+            )
+            fragment = self._json = ("{" + ", ".join(fields) + "}").encode("ascii")
             # The fragment carries the signature: of a memoized candidate
             # only these bytes need to stay, not the form as well.
             self._form = None

@@ -19,17 +19,13 @@ the instance-level reading would be unsatisfiable.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Sequence
+from typing import Dict, Hashable, Optional, Sequence, Tuple
 
 from repro.core.subgraph import MatchingSubgraph
 from repro.query.conjunctive import Atom, ConjunctiveQuery
 from repro.rdf.namespace import RDF, RDFS
-from repro.rdf.terms import Literal, Term, URI, Variable
-from repro.summary.elements import (
-    SummaryEdgeKind,
-    SummaryVertexKind,
-    is_edge_key,
-)
+from repro.rdf.terms import Literal, URI, Variable
+from repro.summary.elements import SummaryEdgeKind, SummaryVertexKind
 from repro.summary.summary_graph import SummaryGraph
 
 
@@ -37,28 +33,22 @@ class QueryMappingError(ValueError):
     """Raised when a subgraph cannot be expressed as a conjunctive query."""
 
 
-#: Friendly variable names in assignment order, then a numbered fallback.
-_VAR_NAMES = ("x", "y", "z", "u", "v", "w")
+#: Variables in assignment order: six friendly names, then numbered ones.
+#: Variables are immutable values, so every query shares these.
+_VARIABLES: Tuple[Variable, ...] = tuple(
+    Variable(name) for name in ("x", "y", "z", "u", "v", "w")
+) + tuple(Variable(f"x{number}") for number in range(7, 33))
 
 
-class _VariableNamer:
-    """Deterministic per-vertex variable assignment."""
-
-    def __init__(self):
-        self._assigned: Dict[Hashable, Variable] = {}
-
-    def var(self, vertex_key: Hashable) -> Variable:
-        existing = self._assigned.get(vertex_key)
-        if existing is not None:
-            return existing
-        index = len(self._assigned)
-        if index < len(_VAR_NAMES):
-            name = _VAR_NAMES[index]
-        else:
-            name = f"x{index + 1}"
-        variable = Variable(name)
-        self._assigned[vertex_key] = variable
-        return variable
+def _variable(assigned: Dict[Hashable, Variable], key: Hashable) -> Variable:
+    """The variable of a vertex, assigned on first request."""
+    variable = assigned.get(key)
+    if variable is None:
+        index = len(assigned)
+        variable = assigned[key] = (
+            _VARIABLES[index] if index < len(_VARIABLES) else Variable(f"x{index + 1}")
+        )
+    return variable
 
 
 def map_to_query(
@@ -74,115 +64,106 @@ def map_to_query(
     on (vertex/edge metadata is resolved through it).  All variables are
     distinguished unless a projection is given (Section VI-D's default).
     """
-    namer = _VariableNamer()
-    atoms: List[Atom] = []
-    seen = set()
-
-    def _emit(atom: Atom) -> None:
-        if atom not in seen:
-            seen.add(atom)
-            atoms.append(atom)
-
-    def _class_constant(vertex) -> Optional[Term]:
-        if vertex.kind is SummaryVertexKind.CLASS:
-            return vertex.term
-        return None  # Thing: no type atom (documented deviation)
-
-    def _emit_type_atom(vertex_key: Hashable, var_key: Optional[Hashable] = None) -> None:
-        vertex = graph.vertex(vertex_key)
-        constant = _class_constant(vertex)
-        if constant is not None:
-            _emit(Atom(type_predicate, namer.var(var_key or vertex_key), constant))
-
-    # Deterministic edge order: sort by stable string form of the key.
-    edge_keys = sorted(subgraph.edge_keys(), key=repr)
-    covered_vertices = set()
+    CLASS = SummaryVertexKind.CLASS
+    VALUE = SummaryVertexKind.VALUE
+    ARTIFICIAL = SummaryVertexKind.ARTIFICIAL
+    vertex_of = graph.vertex
+    # Deterministic order: edges, then uncovered vertices, each by the
+    # stable string form of their keys.
+    edge_keys, vertex_keys = subgraph.partition()
+    variables: Dict[Hashable, Variable] = {}  # in assignment order
+    # The atoms as (predicate, arg1, arg2), insertion-ordered and distinct:
+    # two edges at one vertex both ask for its type atom.  A Thing vertex
+    # gets none (documented deviation), so its variable is first assigned
+    # by an edge's own atom.
+    triples: Dict[Tuple, None] = {}
+    covered = set()
 
     for edge_key in edge_keys:
         edge = graph.edge(edge_key)
-        source = graph.vertex(edge.source_key)
-        target = graph.vertex(edge.target_key)
-        covered_vertices.add(edge.source_key)
-        covered_vertices.add(edge.target_key)
+        kind = edge.kind
+        source_key = edge.source_key
+        target_key = edge.target_key
+        source = vertex_of(source_key)
+        target = vertex_of(target_key)
+        covered.add(source_key)
+        covered.add(target_key)
 
-        if edge.kind is SummaryEdgeKind.ATTRIBUTE:
-            _emit_type_atom(edge.source_key)
-            if target.kind is SummaryVertexKind.VALUE:
+        if kind is SummaryEdgeKind.SUBCLASS:
+            if source.term is None or target.term is None:
+                raise QueryMappingError("subclass edge with Thing endpoint")
+            triples[(subclass_predicate, source.term, target.term)] = None
+            continue
+        if source.kind is CLASS:
+            subject = _variable(variables, source_key)
+            triples[(type_predicate, subject, source.term)] = None
+        if kind is SummaryEdgeKind.ATTRIBUTE:
+            subject = _variable(variables, source_key)
+            if target.kind is VALUE:
                 if not isinstance(target.term, Literal):  # pragma: no cover
                     raise QueryMappingError(f"value vertex without literal: {target!r}")
-                _emit(Atom(edge.label, namer.var(edge.source_key), target.term))
-            elif target.kind is SummaryVertexKind.ARTIFICIAL:
-                _emit(
-                    Atom(
-                        edge.label,
-                        namer.var(edge.source_key),
-                        namer.var(edge.target_key),
-                    )
-                )
+                triples[(edge.label, subject, target.term)] = None
+            elif target.kind is ARTIFICIAL:
+                triples[(edge.label, subject, _variable(variables, target_key))] = None
             else:
                 raise QueryMappingError(
                     f"attribute edge into non-value vertex: {edge!r}"
                 )
-        elif edge.kind is SummaryEdgeKind.RELATION:
-            _emit_type_atom(edge.source_key)
-            if edge.source_key == edge.target_key:
+        elif kind is SummaryEdgeKind.RELATION:
+            if source_key == target_key:
                 # A class-level self-loop stands for instance pairs *within*
                 # one class (a publication citing another publication), not
                 # self-relations — give the target a fresh variable
                 # (documented deviation, DESIGN.md §5).
-                loop_key = ("loop-target", edge_key)
-                _emit_type_atom(edge.target_key, var_key=loop_key)
-                _emit(Atom(edge.label, namer.var(edge.source_key), namer.var(loop_key)))
-            else:
-                _emit_type_atom(edge.target_key)
-                _emit(
-                    Atom(
-                        edge.label,
-                        namer.var(edge.source_key),
-                        namer.var(edge.target_key),
-                    )
-                )
-        elif edge.kind is SummaryEdgeKind.SUBCLASS:
-            if source.term is None or target.term is None:
-                raise QueryMappingError("subclass edge with Thing endpoint")
-            _emit(Atom(subclass_predicate, source.term, target.term))
+                target_key = ("loop-target", edge_key)
+            if target.kind is CLASS:
+                obj = _variable(variables, target_key)
+                triples[(type_predicate, obj, target.term)] = None
+            subject = _variable(variables, source_key)
+            triples[(edge.label, subject, _variable(variables, target_key))] = None
         else:  # pragma: no cover - enum is closed
-            raise QueryMappingError(f"unknown edge kind {edge.kind!r}")
+            raise QueryMappingError(f"unknown edge kind {kind!r}")
 
     # Vertices not covered by any edge (single-element or degenerate
     # subgraphs) still need an anchoring atom.
-    for vertex_key in sorted(set(subgraph.vertex_keys()) - covered_vertices, key=repr):
-        vertex = graph.vertex(vertex_key)
-        if vertex.kind is SummaryVertexKind.CLASS:
-            _emit(Atom(type_predicate, namer.var(vertex_key), vertex.term))
-        elif vertex.kind in (SummaryVertexKind.VALUE, SummaryVertexKind.ARTIFICIAL):
-            _anchor_value_vertex(vertex_key, graph, namer, _emit, type_predicate)
+    for vertex_key in vertex_keys:
+        if vertex_key in covered:
+            continue
+        vertex = vertex_of(vertex_key)
+        if vertex.kind is CLASS:
+            subject = _variable(variables, vertex_key)
+            triples[(type_predicate, subject, vertex.term)] = None
+        elif vertex.kind is VALUE or vertex.kind is ARTIFICIAL:
+            _anchor_value_vertex(vertex, graph, variables, triples, type_predicate)
         elif vertex.kind is SummaryVertexKind.THING:
             raise QueryMappingError(
                 "subgraph consists only of the Thing vertex; no query derivable"
             )
 
-    if not atoms:
+    if not triples:
         raise QueryMappingError("subgraph produced no atoms")
-    return ConjunctiveQuery(atoms, distinguished=distinguished)
+    atoms = tuple([Atom(*triple) for triple in triples])
+    if distinguished is not None:
+        return ConjunctiveQuery(atoms, distinguished=distinguished)
+    return ConjunctiveQuery.from_parts(atoms, tuple(variables.values()))
 
 
-def _anchor_value_vertex(vertex_key, graph, namer, emit, type_predicate) -> None:
+def _anchor_value_vertex(vertex, graph, variables, triples, type_predicate) -> None:
     """Anchor an isolated value vertex through its cheapest incident A-edge.
 
     Happens when every keyword maps to the same V-vertex: the subgraph is a
     single vertex, but a query needs the attribute and class context, which
     augmentation recorded as incident edges.
     """
-    vertex = graph.vertex(vertex_key)
-    incident = graph.incident_edges(vertex_key)
+    incident = graph.incident_edges(vertex.key)
     if not incident:
         raise QueryMappingError(f"value vertex {vertex!r} has no incident edges")
-    edge = graph.edge(sorted(incident, key=repr)[0])
+    edge = graph.edge(min(incident, key=repr))
     source = graph.vertex(edge.source_key)
+    subject = _variable(variables, edge.source_key)
     if source.kind is SummaryVertexKind.CLASS:
-        emit(Atom(type_predicate, namer.var(edge.source_key), source.term))
+        triples[(type_predicate, subject, source.term)] = None
     if vertex.kind is SummaryVertexKind.VALUE:
-        emit(Atom(edge.label, namer.var(edge.source_key), vertex.term))
+        triples[(edge.label, subject, vertex.term)] = None
     else:
-        emit(Atom(edge.label, namer.var(edge.source_key), namer.var(vertex_key)))
+        triples[(edge.label, subject, _variable(variables, vertex.key))] = None

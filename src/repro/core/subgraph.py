@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from typing import Callable, FrozenSet, Hashable, List, Sequence, Tuple
 
+from repro.summary.elements import is_edge_key
+
 
 #: order_key is a pure function of the element set, so repeated queries
 #: (which rediscover the same subgraphs) share one computed string.  The
@@ -28,7 +30,9 @@ _ORDER_KEY_CAP = 4096
 class MatchingSubgraph:
     """A candidate result of the exploration: merged paths + their cost."""
 
-    __slots__ = ("connecting_element", "paths", "elements", "cost", "_order_key")
+    __slots__ = (
+        "connecting_element", "paths", "elements", "cost", "_order_key", "_partition",
+    )
 
     def __init__(
         self,
@@ -86,7 +90,7 @@ class MatchingSubgraph:
         if cached is None:
             cached = _ORDER_KEYS.get(self.elements)
             if cached is None:
-                cached = repr(sorted(self.elements, key=repr))
+                cached = repr(self._sorted_elements())
                 if len(_ORDER_KEYS) >= _ORDER_KEY_CAP:
                     _ORDER_KEYS.clear()
                 _ORDER_KEYS[self.elements] = cached
@@ -106,17 +110,31 @@ class MatchingSubgraph:
             self.cost,
         )
 
+    def _sorted_elements(self) -> List[Hashable]:
+        """The one canonical element order: ranking ties and the order in
+        which query mapping walks the subgraph both derive from it."""
+        return sorted(self.elements, key=repr)
+
+    def partition(self) -> Tuple[Tuple[Hashable, ...], Tuple[Hashable, ...]]:
+        """``(edge keys, vertex keys)``, each in canonical order; computed
+        once per subgraph."""
+        cached = getattr(self, "_partition", None)
+        if cached is None:
+            edges: List[Hashable] = []
+            vertices: List[Hashable] = []
+            for key in self._sorted_elements():
+                (edges if is_edge_key(key) else vertices).append(key)
+            cached = (tuple(edges), tuple(vertices))
+            object.__setattr__(self, "_partition", cached)
+        return cached
+
     def edge_keys(self) -> List[Hashable]:
         """Edge elements of the subgraph (4-tuple keys)."""
-        from repro.summary.elements import is_edge_key
-
-        return [key for key in self.elements if is_edge_key(key)]
+        return list(self.partition()[0])
 
     def vertex_keys(self) -> List[Hashable]:
         """Vertex elements of the subgraph."""
-        from repro.summary.elements import is_edge_key
-
-        return [key for key in self.elements if not is_edge_key(key)]
+        return list(self.partition()[1])
 
     def __len__(self) -> int:
         return len(self.elements)

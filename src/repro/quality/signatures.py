@@ -21,6 +21,7 @@ from typing import Dict, Iterable, List, Mapping
 
 from repro.query.conjunctive import ConjunctiveQuery
 from repro.query.isomorphism import canonical_form
+from repro.query.presentation import form_signature
 
 
 def answer_json_signature(payload: Mapping[str, str]) -> str:
@@ -49,34 +50,6 @@ def sort_answers(answers: Iterable) -> List:
     canonical presentation every tier shares.
     """
     return sorted(answers, key=answer_signature)
-
-
-def form_signature(form) -> str:
-    """:func:`query_signature` of a query whose ``canonical_form`` is ``form``.
-
-    The signature is the sorted ``repr`` of the form's atoms, made stable
-    across releases: an atom is ``(predicate, key, key)`` and a key either
-    ``("var", occurrences)`` — strs, ints and tuples only, whose ``repr``
-    is stable as it is — or ``("const", term)``, where the term (whose
-    ``repr`` is not guaranteed) becomes ``("term", n3)``.  A variable's
-    key embeds its whole occurrence list and recurs in every atom the
-    variable occurs in, so each distinct key is rendered once per query.
-    """
-    rendered: Dict[object, str] = {}
-
-    def render(key) -> str:
-        text = rendered.get(key)
-        if text is None:
-            kind, value = key
-            stable = (kind, ("term", value.n3())) if kind == "const" else key
-            text = rendered[key] = repr(stable)
-        return text
-
-    atoms = sorted(
-        f"({predicate!r}, {render(arg1)}, {render(arg2)})"
-        for predicate, arg1, arg2 in form
-    )
-    return "cq:" + ";".join(atoms)
 
 
 def query_signature(query: ConjunctiveQuery) -> str:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
-from repro.rdf.namespace import local_name
+from repro.query.presentation import render, term_text
 from repro.rdf.terms import Literal, Term, URI, Variable
 
 AtomArg = Union[Variable, Term]
@@ -27,7 +27,7 @@ class Atom:
     variables); the two arguments may each be a variable or a constant.
     """
 
-    __slots__ = ("predicate", "arg1", "arg2")
+    __slots__ = ("predicate", "arg1", "arg2", "_hash")
 
     def __init__(self, predicate: URI, arg1: AtomArg, arg2: AtomArg):
         if not isinstance(predicate, URI):
@@ -39,6 +39,7 @@ class Atom:
         object.__setattr__(self, "predicate", predicate)
         object.__setattr__(self, "arg1", arg1)
         object.__setattr__(self, "arg2", arg2)
+        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("Atom is immutable")
@@ -52,13 +53,22 @@ class Atom:
         )
 
     def __hash__(self):
-        return hash((self.predicate, self.arg1, self.arg2))
+        # On first use, not at construction: a mapped query's atoms are
+        # deduplicated before they are built and most are never hashed.
+        value = self._hash
+        if value is None:
+            value = hash((self.predicate, self.arg1, self.arg2))
+            object.__setattr__(self, "_hash", value)
+        return value
 
     def __repr__(self):
         return f"Atom({self.predicate!r}, {self.arg1!r}, {self.arg2!r})"
 
     def __str__(self):
-        return f"{local_name(self.predicate)}({_arg_str(self.arg1)}, {_arg_str(self.arg2)})"
+        name, arg1, arg2 = (
+            term_text(term)[0] for term in (self.predicate, self.arg1, self.arg2)
+        )
+        return f"{name}({arg1}, {arg2})"
 
     @property
     def variables(self) -> Tuple[Variable, ...]:
@@ -75,16 +85,6 @@ class Atom:
         a1 = binding.get(self.arg1, self.arg1) if isinstance(self.arg1, Variable) else self.arg1
         a2 = binding.get(self.arg2, self.arg2) if isinstance(self.arg2, Variable) else self.arg2
         return Atom(self.predicate, a1, a2)
-
-
-def _arg_str(arg: AtomArg) -> str:
-    if isinstance(arg, Variable):
-        return str(arg)
-    if isinstance(arg, Literal):
-        return repr(arg.lexical)
-    if isinstance(arg, URI):
-        return local_name(arg)
-    return str(arg)
 
 
 class ConjunctiveQuery:
@@ -112,7 +112,8 @@ class ConjunctiveQuery:
             distinguished = all_vars
         else:
             distinguished = tuple(distinguished)
-            unknown = [v for v in distinguished if v not in set(all_vars)]
+            known = set(all_vars)
+            unknown = [v for v in distinguished if v not in known]
             if unknown:
                 raise QueryValidationError(
                     f"distinguished variables not in query: {unknown}"
@@ -124,6 +125,21 @@ class ConjunctiveQuery:
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("ConjunctiveQuery is immutable")
+
+    @classmethod
+    def from_parts(
+        cls, atoms: Tuple[Atom, ...], variables: Tuple[Variable, ...]
+    ) -> "ConjunctiveQuery":
+        """Trusted constructor for a caller that built the atoms one by
+        one and kept them distinct (query mapping): skips deduplicating
+        them again and collecting the variables a second time.  The
+        caller guarantees ``atoms`` is non-empty and duplicate-free and
+        ``variables`` is all its variables in first-occurrence order;
+        every one of them is distinguished."""
+        self = cls.__new__(cls)
+        object.__setattr__(self, "atoms", atoms)
+        object.__setattr__(self, "distinguished", variables)
+        return self
 
     # ------------------------------------------------------------------
     # Introspection
@@ -213,13 +229,7 @@ class ConjunctiveQuery:
         return f"ConjunctiveQuery({list(self.atoms)!r}, distinguished={list(self.distinguished)!r})"
 
     def __str__(self):
-        head = ", ".join(str(v) for v in self.distinguished)
-        exist = self.undistinguished
-        prefix = f"({head})."
-        if exist:
-            prefix += " ∃" + ",".join(str(v) for v in exist) + "."
-        body = " ∧ ".join(str(a) for a in self.atoms)
-        return f"{prefix} {body}"
+        return render(self)[0]
 
 
 def _ordered_variables(atoms: Iterable[Atom]) -> Tuple[Variable, ...]:

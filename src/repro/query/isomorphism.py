@@ -14,7 +14,8 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.query.conjunctive import Atom, ConjunctiveQuery
-from repro.rdf.terms import Term, Variable
+from repro.query.presentation import term_text
+from repro.rdf.terms import Variable
 
 
 def queries_isomorphic(
@@ -99,29 +100,31 @@ def canonical_form(query: ConjunctiveQuery) -> FrozenSet[Tuple]:
     check remains :func:`queries_isomorphic` (signatures can collide on
     highly symmetric queries).
     """
-    signatures: Dict[Variable, Tuple] = {}
-    occurrences: Dict[Variable, List[Tuple]] = {}
-    for atom in dict.fromkeys(query.atoms):
-        for pos, (arg, other) in enumerate(
-            ((atom.arg1, atom.arg2), (atom.arg2, atom.arg1))
-        ):
-            if isinstance(arg, Variable):
-                # n3() gives a sortable, injective string key for constants.
-                other_key = (
-                    ("var",) if isinstance(other, Variable) else ("const", other.n3())
-                )
-                occurrences.setdefault(arg, []).append(
-                    (atom.predicate.value, pos, other_key)
-                )
-    for var, ctx in occurrences.items():
-        signatures[var] = tuple(sorted(ctx))
-
-    def _arg_key(arg) -> Tuple:
-        if isinstance(arg, Variable):
-            return ("var", signatures.get(arg, ()))
-        return ("const", arg)
-
+    # One pass over the atoms collects each variable's contexts; a
+    # variable's key exists only once every atom has been seen, so the
+    # atoms are keyed last.
+    contexts: Dict[str, List[Tuple]] = {}
+    rows = []
+    for atom in query.atoms:
+        predicate, arg1, arg2 = atom.predicate.value, atom.arg1, atom.arg2
+        name1 = arg1.name if type(arg1) is Variable else None
+        name2 = arg2.name if type(arg2) is Variable else None
+        if name1 is not None:
+            # n3 gives a sortable, injective string key for constants.
+            other = ("const", term_text(arg2)[1]) if name2 is None else ("var",)
+            contexts.setdefault(name1, []).append((predicate, 0, other))
+        if name2 is not None:
+            other = ("const", term_text(arg1)[1]) if name1 is None else ("var",)
+            contexts.setdefault(name2, []).append((predicate, 1, other))
+        rows.append((predicate, name1, name2, arg1, arg2))
+    keys = {name: ("var", tuple(sorted(ctx))) for name, ctx in contexts.items()}
     return frozenset(
-        (atom.predicate.value, _arg_key(atom.arg1), _arg_key(atom.arg2))
-        for atom in query.atoms
+        [
+            (
+                predicate,
+                ("const", arg1) if name1 is None else keys[name1],
+                ("const", arg2) if name2 is None else keys[name2],
+            )
+            for predicate, name1, name2, arg1, arg2 in rows
+        ]
     )

@@ -8,35 +8,8 @@ English gloss of a query, grouped per variable.
 
 from __future__ import annotations
 
-from typing import Dict, List
-
 from repro.query.conjunctive import ConjunctiveQuery
-from repro.rdf.namespace import SUBCLASS_PREDICATES, TYPE_PREDICATES, local_name
-from repro.rdf.terms import Literal, Term, URI, Variable
-
-
-def _term_text(term) -> str:
-    if isinstance(term, Variable):
-        return f"something ({term})"
-    if isinstance(term, Literal):
-        return f"'{term.lexical}'"
-    if isinstance(term, URI):
-        return local_name(term)
-    return str(term)
-
-
-def _humanize(label: str) -> str:
-    """camelCase / snake_case predicate names to spaced words."""
-    out = []
-    for ch in label:
-        if ch.isupper() and out and out[-1] != " ":
-            out.append(" ")
-            out.append(ch.lower())
-        elif ch == "_":
-            out.append(" ")
-        else:
-            out.append(ch)
-    return "".join(out)
+from repro.query.presentation import render
 
 
 def verbalize(query: ConjunctiveQuery) -> str:
@@ -50,60 +23,10 @@ def verbalize(query: ConjunctiveQuery) -> str:
     ... ])
     >>> verbalize(q)
     "Find ?x, a Publication, whose year is '2006'."
+
+    A query without variables states facts to check:
+
+    >>> verbalize(ConjunctiveQuery([Atom(URI("subclass"), URI("Institute"), URI("Agent"))]))
+    'Check that Institute is a kind of Agent.'
     """
-    types: Dict[Variable, List[str]] = {}
-    facts: Dict[Variable, List[str]] = {}
-    order: List[Variable] = []
-
-    def _var_bucket(v: Variable) -> List[str]:
-        if v not in facts:
-            facts[v] = []
-            if v not in order:
-                order.append(v)
-        return facts[v]
-
-    for atom in query.atoms:
-        pred = atom.predicate
-        if pred in TYPE_PREDICATES and isinstance(atom.arg1, Variable):
-            types.setdefault(atom.arg1, []).append(_term_text(atom.arg2))
-            if atom.arg1 not in order:
-                order.append(atom.arg1)
-            continue
-        if pred in SUBCLASS_PREDICATES:
-            subject = atom.arg1
-            if isinstance(subject, Variable):
-                _var_bucket(subject).append(
-                    f"is a kind of {_term_text(atom.arg2)}"
-                )
-            continue
-        predicate_text = _humanize(local_name(pred))
-        if isinstance(atom.arg1, Variable):
-            _var_bucket(atom.arg1).append(
-                f"whose {predicate_text} is {_term_text(atom.arg2)}"
-            )
-        else:
-            # Constant subject: phrase it as a standalone fact.
-            subject_text = _term_text(atom.arg1)
-            obj = atom.arg2
-            if isinstance(obj, Variable):
-                _var_bucket(obj).append(
-                    f"is the {predicate_text} of {subject_text}"
-                )
-
-    sentences: List[str] = []
-    for v in order:
-        parts: List[str] = []
-        type_list = types.get(v, [])
-        if type_list:
-            parts.append("a " + " and ".join(type_list))
-        parts.extend(facts.get(v, []))
-        if not parts:
-            continue
-        if v in set(query.distinguished):
-            lead = f"Find {v}"
-        else:
-            lead = f"where {v} is"
-        sentences.append(f"{lead}, {', '.join(parts)}")
-    if not sentences:
-        return "Find all matches."
-    return ". ".join(sentences) + "."
+    return render(query)[2]

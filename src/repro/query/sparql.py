@@ -2,46 +2,33 @@
 
 The paper presents each computed conjunctive query to the user as SPARQL
 (Fig. 1c).  :func:`to_sparql` renders; :func:`parse_sparql` reads back the
-same subset — ``SELECT ?v ... WHERE { pattern . ... }`` with URIs in angle
-brackets, plain/typed literals, and variables — enabling round-trip tests
-and programmatic query input.
+same subset — ``SELECT ?v ... WHERE { pattern . ... }``, or ``ASK { ... }``
+for a query that binds nothing, with URIs in angle brackets, plain/typed
+literals, and variables — enabling round-trip tests and programmatic query
+input.
 """
 
 from __future__ import annotations
 
 import re
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Tuple
 
 from repro.query.conjunctive import Atom, ConjunctiveQuery
-from repro.rdf.terms import Literal, Term, URI, Variable
+from repro.query.presentation import render
+from repro.rdf.terms import Literal, URI, Variable
 
 
 def to_sparql(query: ConjunctiveQuery, pretty: bool = True) -> str:
-    """Render a conjunctive query as a SPARQL SELECT query.
+    """Render a conjunctive query as a SPARQL SELECT query — or, when no
+    variable is distinguished, as the ASK query of its pattern.
 
     >>> q = ConjunctiveQuery([Atom(URI("p"), Variable("x"), Literal("2006"))])
     >>> to_sparql(q, pretty=False)
     'SELECT ?x WHERE { ?x <p> "2006" . }'
+    >>> to_sparql(ConjunctiveQuery([Atom(URI("p"), URI("s"), URI("o"))]), pretty=False)
+    'ASK { <s> <p> <o> . }'
     """
-    head = " ".join(str(v) for v in query.distinguished)
-    patterns = [
-        f"{_term_sparql(a.arg1)} {_term_sparql(a.predicate)} {_term_sparql(a.arg2)} ."
-        for a in query.atoms
-    ]
-    if pretty:
-        body = "\n  ".join(patterns)
-        return f"SELECT {head} WHERE {{\n  {body}\n}}"
-    return f"SELECT {head} WHERE {{ {' '.join(patterns)} }}"
-
-
-def _term_sparql(term: Union[Term, Variable]) -> str:
-    if isinstance(term, Variable):
-        return str(term)
-    if isinstance(term, Literal):
-        return term.n3()
-    if isinstance(term, URI):
-        return f"<{term.value}>"
-    return term.n3()
+    return render(query, pretty)[1]
 
 
 class SparqlParseError(ValueError):
@@ -51,7 +38,7 @@ class SparqlParseError(ValueError):
 _TOKEN_RE = re.compile(
     r"""
     (?P<ws>\s+)
-  | (?P<keyword>SELECT|WHERE|DISTINCT)\b
+  | (?P<keyword>SELECT|WHERE|DISTINCT|ASK)\b
   | (?P<var>\?[A-Za-z_][A-Za-z0-9_]*)
   | (?P<uri><[^<>\s]+>)
   | (?P<literal>"(?:[^"\\]|\\.)*")
@@ -96,13 +83,13 @@ def parse_sparql(text: str) -> ConjunctiveQuery:
         cursor += 1
         return tok[1]
 
-    kw = take("keyword")
-    if kw.upper() != "SELECT":
-        raise SparqlParseError("query must start with SELECT")
+    form = take("keyword").upper()
+    if form not in ("SELECT", "ASK"):
+        raise SparqlParseError("query must start with SELECT or ASK")
 
     select_all = False
     head: List[Variable] = []
-    while True:
+    while form == "SELECT":
         tok = peek()
         if tok is None:
             raise SparqlParseError("unexpected end of input in SELECT clause")
@@ -118,9 +105,11 @@ def parse_sparql(text: str) -> ConjunctiveQuery:
             continue
         break
 
-    kw = take("keyword")
-    if kw.upper() != "WHERE":
-        raise SparqlParseError("expected WHERE")
+    # ASK's WHERE is optional (and to_sparql omits it).
+    tok = peek()
+    if form == "SELECT" or (tok is not None and tok[0] == "keyword"):
+        if take("keyword").upper() != "WHERE":
+            raise SparqlParseError("expected WHERE")
     take("lbrace")
 
     atoms: List[Atom] = []
@@ -143,7 +132,10 @@ def parse_sparql(text: str) -> ConjunctiveQuery:
         raise SparqlParseError("trailing content after WHERE block")
     if not atoms:
         raise SparqlParseError("empty WHERE block")
-    distinguished = None if select_all or not head else head
+    if form == "ASK":
+        distinguished: Optional[List[Variable]] = []
+    else:
+        distinguished = None if select_all or not head else head
     return ConjunctiveQuery(atoms, distinguished=distinguished)
 
 

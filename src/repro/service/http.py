@@ -30,7 +30,10 @@ HTTP layer holds two counters and no other state of its own.
 **Response path.**  A response body is ``json.dumps(payload)`` byte for
 byte, but no byte of it is produced twice: each
 :class:`~repro.core.engine.QueryCandidate` encodes its own fragment once
-(:meth:`~repro.core.engine.QueryCandidate.json_fragment`),
+(:meth:`~repro.core.engine.QueryCandidate.json_fragment` — one
+presentation pass over the query, :mod:`repro.query.presentation`, reads
+every term once and yields logic form, signature, SPARQL and English
+together, and the six fields are written straight to bytes),
 :func:`encode_result` joins the fragments around a fresh ``timings_ms``,
 and head and body leave in one write.  ``result_to_json`` /
 ``candidate_to_json`` / ``answers_to_json`` build the same payloads as

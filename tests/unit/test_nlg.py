@@ -1,7 +1,8 @@
 """Unit tests for natural-language verbalization."""
 
 from repro.query.conjunctive import Atom, ConjunctiveQuery
-from repro.query.nlg import verbalize, _humanize
+from repro.query.nlg import verbalize
+from repro.query.presentation import humanize as _humanize
 from repro.rdf.namespace import Namespace, RDF, RDFS
 from repro.rdf.terms import Literal, URI, Variable
 
@@ -60,3 +61,40 @@ def test_undistinguished_variable_phrase():
 def test_ends_with_period():
     q = ConjunctiveQuery([Atom(EX.year, x, Literal("2006"))])
     assert verbalize(q).endswith(".")
+
+
+def test_variable_free_query_reads_as_a_check():
+    ground = ConjunctiveQuery([Atom(RDFS.subClassOf, EX.Institute, EX.Agent)])
+    assert verbalize(ground) == "Check that Institute is a kind of Agent."
+    both = ConjunctiveQuery(
+        [
+            Atom(RDFS.subClassOf, EX.Institute, EX.Agent),
+            Atom(EX.worksAt, EX.cimiano, EX.aifb),
+        ]
+    )
+    assert verbalize(both) == (
+        "Check that Institute is a kind of Agent"
+        " and aifb is the works at of cimiano."
+    )
+
+
+def test_ground_atom_beside_variables_stays_unspoken():
+    q = ConjunctiveQuery(
+        [Atom(RDF.type, x, EX.Researcher), Atom(RDFS.subClassOf, EX.Researcher, EX.Person)]
+    )
+    assert verbalize(q) == "Find ?x, a Researcher."
+
+
+def test_type_atoms_of_one_variable_share_its_sentence():
+    q = ConjunctiveQuery(
+        [
+            Atom(EX.author, x, y),
+            Atom(RDF.type, y, EX.Researcher),
+            Atom(RDF.type, y, EX.Person),
+            Atom(RDF.type, x, EX.Publication),
+        ]
+    )
+    assert verbalize(q) == (
+        "Find ?x, a Publication, whose author is something (?y). "
+        "Find ?y, a Researcher and Person."
+    )

@@ -37,6 +37,24 @@ def build_graph():
     }
 
 
+def chain_graph(classes):
+    """``classes`` class vertices in a row, neighbours joined by one relation
+    edge each (``r0`` .. in ``repr`` order): a path over all of it needs one
+    variable per class.  Short URIs: its renderings are frozen as literals."""
+    graph = SummaryGraph()
+    vertices = [graph.add_class_vertex(URI(f"u:C{i}")).key for i in range(classes)]
+    edges = [
+        graph.add_edge(URI(f"u:r{i}"), SummaryEdgeKind.RELATION, source, target).key
+        for i, (source, target) in enumerate(zip(vertices, vertices[1:]))
+    ]
+    return graph, vertices, edges
+
+
+def chain_subgraph(vertices, edges):
+    path = [key for pair in zip(vertices, edges) for key in pair] + [vertices[-1]]
+    return single_path_subgraph(path)
+
+
 def single_path_subgraph(elements, connecting=None):
     return MatchingSubgraph(connecting or elements[0], [list(elements)], 1.0)
 
@@ -144,6 +162,18 @@ class TestGeneral:
         sg = single_path_subgraph([k["pub"]])
         query = map_to_query(sg, graph, type_predicate=URI("type"))
         assert query.atoms[0].predicate == URI("type")
+
+    def test_variables_are_named_in_assignment_order_and_the_seventh_is_x7(self):
+        graph, vertices, edges = chain_graph(9)
+        query = map_to_query(chain_subgraph(vertices, edges), graph)
+        assert [v.name for v in query.distinguished] == [
+            "x", "y", "z", "u", "v", "w", "x7", "x8", "x9",
+        ]
+        # r0 is mapped first, so ?x is C0 and ?x7 is C6.
+        typed = {a.arg1.name: a.arg2 for a in query.atoms if a.predicate == RDF.type}
+        assert (typed["x"], typed["x7"], typed["x9"]) == (
+            URI("u:C0"), URI("u:C6"), URI("u:C8"),
+        )
 
     def test_deterministic_output(self):
         graph, k = build_graph()

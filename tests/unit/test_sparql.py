@@ -71,10 +71,46 @@ def test_round_trip(example_graph):
     assert parsed == original
 
 
+def test_variable_free_query_renders_as_ask():
+    q = ConjunctiveQuery([Atom(EX.subClassOf, EX.Institute, EX.Agent)])
+    compact = "ASK { <http://t/Institute> <http://t/subClassOf> <http://t/Agent> . }"
+    assert to_sparql(q, pretty=False) == compact
+    assert to_sparql(q) == (
+        "ASK {\n  <http://t/Institute> <http://t/subClassOf> <http://t/Agent> .\n}"
+    )
+    for rendered in (to_sparql(q), compact, compact.replace("ASK", "ASK WHERE")):
+        parsed = parse_sparql(rendered)
+        assert parsed == q
+        assert parsed.distinguished == ()
+
+
+def test_empty_projection_round_trips_through_ask():
+    q = ConjunctiveQuery([Atom(EX.p, x, y)], distinguished=[])
+    assert to_sparql(q, pretty=False) == "ASK { ?x <http://t/p> ?y . }"
+    parsed = parse_sparql(to_sparql(q))
+    assert parsed == q and parsed.distinguished == ()
+
+
+def test_search_result_without_variables_is_valid_sparql(example_graph):
+    from repro.core.engine import KeywordSearchEngine
+    from repro.rdf.graph import DataGraph
+
+    top = KeywordSearchEngine(DataGraph(example_graph.triples), k=3).search(
+        "institute agent"
+    ).best()
+    assert not top.query.variables
+    assert top.to_sparql().startswith("ASK {")
+    assert parse_sparql(top.to_sparql()) == top.query
+    assert top.verbalize() == "Check that Institute is a kind of Agent."
+
+
 @pytest.mark.parametrize(
     "text",
     [
         "WHERE { ?x <p:a> ?y . }",  # missing SELECT
+        "ASK ?x { ?x <p:a> ?y . }",  # ASK projects nothing
+        "ASK SELECT { ?x <p:a> ?y . }",
+        "ASK { }",
         "SELECT ?x { ?x <p:a> ?y . }",  # missing WHERE
         "SELECT ?x WHERE { ?x <p:a> ?y . ",  # unterminated block
         "SELECT ?x WHERE { }",  # empty pattern
