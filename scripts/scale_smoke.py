@@ -7,7 +7,9 @@ fresh subprocess, asserts the build's peak RSS (the child's own
 bundle and runs one search against it.  The point is liveness *and* the
 memory contract of the default path: a regression that quietly
 materializes the corpus (or an index) during the build shows up here as
-a blown ceiling, not just as a slow job.
+a blown ceiling, not just as a slow job.  The bundle's size per stored
+triple is held under a ceiling too, so a derived copy of the corpus
+cannot creep back into the format unnoticed.
 
 The same bundle is then served through the mmap tier
 (``index_tier="mmap"``) in another fresh subprocess — search, execute,
@@ -27,17 +29,23 @@ import sys
 
 #: ~37 universities ≈ 10^5 LUBM triples (the generator is deterministic).
 DEFAULT_UNIVERSITIES = 37
-#: The build of 10^5 triples peaks near 110 MB (interpreter included);
-#: 256 MB is ~2.3x headroom while still below what constructing the
+#: The build of 10^5 triples peaks near 97 MB (interpreter included);
+#: 256 MB is ~2.6x headroom while still below what constructing the
 #: engine in process needs — the ceiling fails if streaming degrades to
 #: materialization.
 DEFAULT_CEILING_MB = 256
+#: Format v4 stores this corpus in ~178 bytes per triple (the triples
+#: once, three sorted runs, the keyword runs, the term table); v3, which
+#: also stored the data graph's adjacency, refcounts and buckets, took
+#: ~231.  200 fails the job if a derived copy of the corpus is ever
+#: stored again.
+BYTES_PER_TRIPLE_CEILING = 200
 #: The mmap tier serving the same bundle peaks near 45 MB through load +
 #: search + execute (touched pages plus the interpreter); the
 #: materialized tier needs ~230 MB for the same work.  96 MB fails the
 #: job if the tier regresses to decoding whole sections.  An update
 #: epoch then materializes the lazy data graph (the maintenance path
-#: needs it on every tier) and peaks near 125 MB — gated separately at
+#: needs it on every tier) and peaks near 115 MB — gated separately at
 #: 2x that, still well below the materialized tier.
 DEFAULT_SERVE_CEILING_MB = 96
 
@@ -119,6 +127,17 @@ def main() -> int:
         return 1
     if peak_mb > ceiling_mb:
         print(f"FAIL: repro build peaked at {peak_mb:.0f} MB > {ceiling_mb} MB ceiling")
+        return 1
+    bytes_per_triple = os.path.getsize(bundle) / triples
+    print(
+        f"# bundle holds {bytes_per_triple:.0f} bytes per stored triple "
+        f"(ceiling {BYTES_PER_TRIPLE_CEILING})"
+    )
+    if bytes_per_triple > BYTES_PER_TRIPLE_CEILING:
+        print(
+            f"FAIL: bundle takes {bytes_per_triple:.0f} bytes per triple "
+            f"> {BYTES_PER_TRIPLE_CEILING} ceiling"
+        )
         return 1
     result = engine.search("professor department0")
     if not result.candidates:

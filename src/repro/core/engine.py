@@ -495,7 +495,6 @@ class KeywordSearchEngine:
         replay_wal: bool = True,
         attach_wal: bool = True,
         wal_path=None,
-        lazy: bool = True,
         **overrides,
     ) -> "KeywordSearchEngine":
         """Reconstitute an engine from a bundle in milliseconds-not-minutes.
@@ -519,7 +518,6 @@ class KeywordSearchEngine:
             replay_wal=replay_wal,
             attach_wal=attach_wal,
             wal_path=wal_path,
-            lazy=lazy,
             **overrides,
         )
 

@@ -612,82 +612,6 @@ class DataGraph:
         return str(term)
 
     # ------------------------------------------------------------------
-    # Persistence (used by repro.storage)
-    # ------------------------------------------------------------------
-    #
-    # The derived classification is a pure function of the triples, but
-    # re-deriving it costs one full `add()` replay — the per-triple
-    # branching that dominates cold start.  The persistence layer instead
-    # stores the *irreducible* state (triples in insertion order, role
-    # refcounts, pair refcounts, adjacency, labels) and `from_state`
-    # reconstitutes everything else from documented invariants:
-    # classes == keys of the class refcounts, an entity is an
-    # entity-positioned term that is not a class, untyped entities are
-    # entities without a type pair.  tests/property/ enforces that a
-    # restored graph is search- and maintenance-equivalent to a rebuilt
-    # one.
-
-    @classmethod
-    def from_state(cls, state: Dict[str, object]) -> "DataGraph":
-        """Reconstitute a graph from the bundle loader's decoded state
-        (one entry per field read below).
-
-        The containers are adopted, not copied (the caller — the bundle
-        loader — built them for this purpose): ``out``/``in`` must map
-        vertices to ``{(predicate, other): None}`` dicts,
-        ``relation_triples``/``attribute_triples`` must map predicates to
-        ``{Triple: None}`` dicts sharing the Triple objects of
-        ``triples``, and all orderings must be insertion order, which the
-        codec preserves.
-        """
-        graph = cls.__new__(cls)
-        graph.strict = bool(state["strict"])
-        graph.conflicts = list(state["conflicts"])
-        graph._triples = dict.fromkeys(state["triples"])
-
-        graph._entity_refs = defaultdict(int, state["entity_refs"])
-        graph._class_refs = defaultdict(int, state["class_refs"])
-        graph._value_refs = defaultdict(int, state["value_refs"])
-        graph._classes = set(graph._class_refs)
-        graph._entities = {
-            t for t in graph._entity_refs if t not in graph._classes
-        }
-        graph._values = set(graph._value_refs)
-
-        graph._type_pair_refs = defaultdict(int, state["type_pair_refs"])
-        graph._subclass_pair_refs = defaultdict(int, state["subclass_pair_refs"])
-        types_of: Dict[Term, Set[Term]] = defaultdict(set)
-        instances_of: Dict[Term, Set[Term]] = defaultdict(set)
-        for entity, class_term in graph._type_pair_refs:
-            types_of[entity].add(class_term)
-            instances_of[class_term].add(entity)
-        graph._types_of = types_of
-        graph._instances_of = instances_of
-        superclasses: Dict[Term, Set[Term]] = defaultdict(set)
-        subclasses: Dict[Term, Set[Term]] = defaultdict(set)
-        for sub, sup in graph._subclass_pair_refs:
-            superclasses[sub].add(sup)
-            subclasses[sup].add(sub)
-        graph._superclasses = superclasses
-        graph._subclasses = subclasses
-        graph._untyped = {t for t in graph._entities if not types_of.get(t)}
-
-        out: Dict[Term, Dict[Tuple[URI, Term], None]] = defaultdict(dict)
-        out.update(state["out"])
-        graph._out = out
-        in_: Dict[Term, Dict[Tuple[URI, Term], None]] = defaultdict(dict)
-        in_.update(state["in"])
-        graph._in = in_
-        graph._relation_triples = defaultdict(dict, state["relation_triples"])
-        graph._attribute_triples = defaultdict(dict, state["attribute_triples"])
-
-        graph._labels = dict(state["labels"])
-        graph._label_rank = dict(state["label_rank"])
-        graph._type_pred_counts = defaultdict(int, state["type_pred_counts"])
-        graph._subclass_pred_counts = defaultdict(int, state["subclass_pred_counts"])
-        return graph
-
-    # ------------------------------------------------------------------
     # Statistics
     # ------------------------------------------------------------------
 

@@ -53,16 +53,11 @@ import subprocess
 import sys
 import threading
 import time
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.service.protocol import ProtocolError, read_frame, write_frame
-from repro.service.service import (
-    AdmissionError,
-    BatchOutcome,
-    _percentile,
-)
+from repro.service.service import AdmissionError, BatchOutcome, QueryLedger
 
 __all__ = ["DispatchError", "DispatchService", "WorkerDied"]
 
@@ -258,7 +253,7 @@ class DispatchService:
             from repro.core.engine import KeywordSearchEngine
 
             engine = KeywordSearchEngine.load(
-                self.bundle, lazy=True, attach_wal=True, **self._overrides
+                self.bundle, attach_wal=True, **self._overrides
             )
         self.engine = engine
 
@@ -268,19 +263,12 @@ class DispatchService:
         self._spawning = 0
         self._closed = False
 
+        self._ledger = QueryLedger(max_pending, latency_window)
+        # The dispatcher's own counters (the ledger has its own lock).
         self._stats_lock = threading.Lock()
-        self._inflight = 0
-        self._completed = 0
-        self._errors = 0
-        self._timeouts = 0
-        self._rejected = 0
         self._retries = 0
         self._restarts = 0
         self._spawn_failures = 0
-        self._updates = 0
-        self._latencies: deque = deque(maxlen=latency_window)
-        self._queue_waits: deque = deque(maxlen=latency_window)
-        self._started_at = time.monotonic()
         #: The committed epoch every response must be at or past.
         self._watermark = engine.index_manager.epoch
 
@@ -334,8 +322,7 @@ class DispatchService:
                     )
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
-                    with self._stats_lock:
-                        self._rejected += 1
+                    self._ledger.count("rejected")
                     raise AdmissionError(
                         f"no idle worker within max_queue_wait={max_wait:.3f}s "
                         f"({len(self._handles)} live, all busy)"
@@ -419,38 +406,6 @@ class DispatchService:
                 self._cond.wait(remaining)
 
     # ------------------------------------------------------------------
-    # Admission + stats recording (mirrors EngineService)
-    # ------------------------------------------------------------------
-
-    def _admit(self, count: int) -> None:
-        with self._stats_lock:
-            if self._inflight + count > self.max_pending:
-                self._rejected += count
-                raise AdmissionError(
-                    f"{self._inflight} requests in flight + {count} admitted "
-                    f"would exceed max_pending={self.max_pending}"
-                )
-            self._inflight += count
-
-    def _release(self, count: int) -> None:
-        with self._stats_lock:
-            self._inflight -= count
-
-    def _record(self, latency: float, status: str) -> None:
-        with self._stats_lock:
-            if status == "ok":
-                self._completed += 1
-                self._latencies.append((time.monotonic(), latency))
-            elif status == "timeout":
-                self._timeouts += 1
-            else:
-                self._errors += 1
-
-    def _record_queue_wait(self, seconds: float) -> None:
-        with self._stats_lock:
-            self._queue_waits.append(seconds)
-
-    # ------------------------------------------------------------------
     # The request path
     # ------------------------------------------------------------------
 
@@ -460,13 +415,13 @@ class DispatchService:
         """Admit, borrow, exchange, retry-on-death; returns the ok frame."""
         if self._closed:
             raise RuntimeError("service is closed")
-        self._admit(1)
+        self._ledger.admit(1)
         started = time.monotonic()
         attempts = 0
         try:
             while True:
                 handle, waited = self._borrow(max_wait)
-                self._record_queue_wait(waited)
+                self._ledger.record_queue_wait(waited)
                 try:
                     response = handle.request(payload, self.request_timeout)
                 except WorkerDied:
@@ -475,16 +430,16 @@ class DispatchService:
                     with self._stats_lock:
                         self._retries += 1
                     if attempts > self.workers + 1:
-                        self._record(0.0, "error")
+                        self._ledger.record(0.0, "error")
                         raise DispatchError(
                             f"request failed on {attempts} workers in a row"
                         )
                     continue
                 self._checkin(handle)
                 if response.get("ok"):
-                    self._record(time.monotonic() - started, "ok")
+                    self._ledger.record(time.monotonic() - started, "ok")
                     return response
-                self._record(0.0, "error")
+                self._ledger.record(0.0, "error")
                 kind = response.get("kind")
                 message = str(response.get("error"))
                 if kind == "bad_request":
@@ -493,7 +448,7 @@ class DispatchService:
         except AdmissionError:
             raise
         finally:
-            self._release(1)
+            self._ledger.release(1)
 
     def search(self, query, k=None, dmax=None, max_cursors=None):
         """One search on some worker, at or past the current watermark.
@@ -609,8 +564,7 @@ class DispatchService:
         self._watermark = epoch
         synced = 0
         if changed:
-            with self._stats_lock:
-                self._updates += 1
+            self._ledger.count("updates")
             synced = self._broadcast_sync(epoch)
         return {
             "changed": changed,
@@ -652,25 +606,11 @@ class DispatchService:
         reported by pid with ``busy: true`` instead of blocking the
         stats call behind a long search."""
         now = time.monotonic()
+        queries = self._ledger.stats(now)
         with self._stats_lock:
-            records = list(self._latencies)
-            queue_waits = sorted(self._queue_waits)
-            completed = self._completed
-            counters = {
-                "completed": completed,
-                "errors": self._errors,
-                "timeouts": self._timeouts,
-                "rejected": self._rejected,
-                "retries": self._retries,
-                "updates": self._updates,
-                "inflight": self._inflight,
-            }
+            queries["retries"] = self._retries
             restarts = self._restarts
             spawn_failures = self._spawn_failures
-            uptime = now - self._started_at
-        latencies = sorted(seconds for _, seconds in records)
-        recent = [t for t, _ in records if t > now - 60.0]
-        window = min(uptime, 60.0)
 
         workers: List[Dict[str, object]] = []
         with self._cond:
@@ -707,18 +647,9 @@ class DispatchService:
                 "workers": self.workers,
                 "live_workers": len(handles),
                 "max_pending": self.max_pending,
-                "uptime_seconds": uptime,
+                "uptime_seconds": now - self._ledger.started_at,
             },
-            "queries": dict(
-                counters,
-                qps=(completed / uptime) if uptime > 0 else 0.0,
-                recent_qps=(len(recent) / window) if window > 0 else 0.0,
-                p50_ms=1000 * _percentile(latencies, 0.50),
-                p99_ms=1000 * _percentile(latencies, 0.99),
-                queue_wait_p50_ms=1000 * _percentile(queue_waits, 0.50),
-                queue_wait_p99_ms=1000 * _percentile(queue_waits, 0.99),
-                queue_wait_max_ms=1000 * (queue_waits[-1] if queue_waits else 0.0),
-            ),
+            "queries": queries,
             "dispatch": {
                 "watermark": self._watermark,
                 "restarts": restarts,
@@ -753,9 +684,8 @@ class DispatchService:
             self._cond.notify_all()
         deadline = time.monotonic() + drain_seconds
         while time.monotonic() < deadline:
-            with self._stats_lock:
-                if self._inflight == 0:
-                    break
+            if self._ledger.inflight == 0:
+                break
             time.sleep(0.02)
         with self._cond:
             handles = list(self._handles)

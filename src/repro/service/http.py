@@ -168,6 +168,30 @@ def _error(message: str) -> bytes:
     return _dumps({"error": message})
 
 
+# A JSON body's fields arrive with whatever type the client chose; each is
+# checked here, before the service sees it, so a wrong one is the same
+# 400 on both tiers instead of whatever exception its first use raises.
+
+def _is_integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _query_field(body: Dict[str, object]):
+    q = body["q"]
+    if isinstance(q, str) or (
+        isinstance(q, list) and all(isinstance(word, str) for word in q)
+    ):
+        return q
+    raise ValueError(f"'q' must be a string or a list of strings, got {q!r}")
+
+
+def _ntriples_field(body: Dict[str, object], name: str) -> list:
+    text = body.get(name, "")
+    if not isinstance(text, str):
+        raise ValueError(f"{name!r} must be N-Triples text (a string), got {text!r}")
+    return list(parse_ntriples(text))
+
+
 # ----------------------------------------------------------------------
 # Handler
 # ----------------------------------------------------------------------
@@ -300,29 +324,30 @@ class _Handler(BaseHTTPRequestHandler):
             ))
         if "q" not in body:
             raise ValueError("provide 'q' (one query) or 'queries' (a batch)")
-        result = self.service.search(body["q"], k=k, dmax=dmax)
+        result = self.service.search(_query_field(body), k=k, dmax=dmax)
         return 200, encode_result(result)
 
     def _post_execute(self, body: Dict[str, object]) -> Tuple[int, bytes]:
         if "q" not in body:
             raise ValueError("missing 'q'")
         limit = body.get("limit", 10)
-        if limit is not None and (
-            not isinstance(limit, int) or isinstance(limit, bool) or limit < 0
-        ):
+        if limit is not None and (not _is_integer(limit) or limit < 0):
             raise ValueError(
                 f"'limit' must be null (unbounded) or an integer >= 0, got {limit!r}"
             )
+        rank = body.get("rank", 1)
+        if not _is_integer(rank):
+            raise ValueError(f"'rank' must be an integer, got {rank!r}")
         candidate, answers, timings = self.service.execute_ranked(
-            body["q"], rank=int(body.get("rank", 1)), limit=limit
+            _query_field(body), rank=rank, limit=limit
         )
         if candidate is None:
             return 404, _error("no interpretation at that rank")
         return 200, encode_execution(candidate, answers, timings)
 
     def _post_update(self, body: Dict[str, object]) -> Tuple[int, bytes]:
-        adds = list(parse_ntriples(body.get("add", "")))
-        removes = list(parse_ntriples(body.get("remove", "")))
+        adds = _ntriples_field(body, "add")
+        removes = _ntriples_field(body, "remove")
         if not adds and not removes:
             raise ValueError("provide 'add' and/or 'remove' as N-Triples text")
         return 200, _dumps(self.service.update(adds=adds, removes=removes))

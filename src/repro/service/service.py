@@ -139,6 +139,89 @@ def _percentile(sorted_values: Sequence[float], q: float) -> float:
     return sorted_values[rank]
 
 
+class QueryLedger:
+    """The admission bound and the counters behind ``/stats``' ``queries``
+    block — one per service, whichever tier it serves from.
+
+    ``admit`` / ``release`` bracket every in-flight query against
+    ``max_pending``; ``record`` files its outcome (``"ok"`` with its
+    latency, ``"timeout"``, anything else an error); waits — for the read
+    lock, the pool queue or an idle worker — go to ``record_queue_wait``.
+    All of it sits behind one lock and :meth:`stats` reads it in one
+    critical section.
+    """
+
+    def __init__(self, max_pending: int, latency_window: int):
+        self.max_pending = max_pending
+        self.started_at = time.monotonic()
+        self._lock = threading.Lock()
+        self._inflight = 0
+        self._counts = dict.fromkeys(
+            ("completed", "errors", "timeouts", "rejected", "updates"), 0
+        )
+        self._latencies: deque = deque(maxlen=latency_window)  # (end time, seconds)
+        self._queue_waits: deque = deque(maxlen=latency_window)  # seconds
+
+    def admit(self, count: int) -> None:
+        with self._lock:
+            if self._inflight + count > self.max_pending:
+                self._counts["rejected"] += count
+                raise AdmissionError(
+                    f"{self._inflight} queries in flight + {count} admitted would "
+                    f"exceed max_pending={self.max_pending}"
+                )
+            self._inflight += count
+
+    def release(self, count: int) -> None:
+        with self._lock:
+            self._inflight -= count
+
+    @property
+    def inflight(self) -> int:
+        with self._lock:
+            return self._inflight
+
+    def count(self, what: str) -> None:
+        """One more ``"rejected"`` (a wait past its bound) or ``"updates"``."""
+        with self._lock:
+            self._counts[what] += 1
+
+    def record(self, latency: float, status: str) -> None:
+        with self._lock:
+            if status == "ok":
+                self._counts["completed"] += 1
+                self._latencies.append((time.monotonic(), latency))
+            elif status == "timeout":
+                self._counts["timeouts"] += 1
+            else:
+                self._counts["errors"] += 1
+
+    def record_queue_wait(self, seconds: float) -> None:
+        with self._lock:
+            self._queue_waits.append(seconds)
+
+    def stats(self, now: float) -> Dict[str, object]:
+        """The ``queries`` block as of ``now`` (a ``time.monotonic()``)."""
+        with self._lock:
+            records = list(self._latencies)
+            queue_waits = sorted(self._queue_waits)
+            counters = dict(self._counts, inflight=self._inflight)
+        uptime = now - self.started_at
+        latencies = sorted(seconds for _, seconds in records)
+        recent = [t for t, _ in records if t > now - 60.0]
+        window = min(uptime, 60.0)
+        return dict(
+            counters,
+            qps=(counters["completed"] / uptime) if uptime > 0 else 0.0,
+            recent_qps=(len(recent) / window) if window > 0 else 0.0,
+            p50_ms=1000 * _percentile(latencies, 0.50),
+            p99_ms=1000 * _percentile(latencies, 0.99),
+            queue_wait_p50_ms=1000 * _percentile(queue_waits, 0.50),
+            queue_wait_p99_ms=1000 * _percentile(queue_waits, 0.99),
+            queue_wait_max_ms=1000 * (queue_waits[-1] if queue_waits else 0.0),
+        )
+
+
 class EngineService:
     """Snapshot-isolated concurrent serving over one :class:`KeywordSearchEngine`.
 
@@ -198,17 +281,8 @@ class EngineService:
         )
         self._closed = False
 
-        self._stats_lock = threading.Lock()
+        self._ledger = QueryLedger(max_pending, latency_window)
         self._epoch_at_begin = -1
-        self._inflight = 0
-        self._completed = 0
-        self._errors = 0
-        self._timeouts = 0
-        self._rejected = 0
-        self._updates = 0
-        self._latencies: deque = deque(maxlen=latency_window)  # (end time, seconds)
-        self._queue_waits: deque = deque(maxlen=latency_window)  # seconds
-        self._started_at = time.monotonic()
 
         # Every update batch — whichever path issues it — excludes readers
         # for exactly the span of its mutations.
@@ -230,8 +304,7 @@ class EngineService:
         # Commit hooks run even for aborted/no-op batches (the lock must
         # be released); only a batch that advanced the epoch is an update.
         if epoch != self._epoch_at_begin:
-            with self._stats_lock:
-                self._updates += 1
+            self._ledger.count("updates")
         self._rw.release_write()
 
     def update(self, adds: Sequence = (), removes: Sequence = ()) -> Dict[str, int]:
@@ -252,51 +325,22 @@ class EngineService:
     # Read path (shared, lock-free against the pinned snapshot)
     # ------------------------------------------------------------------
 
-    def _admit(self, count: int) -> None:
-        with self._stats_lock:
-            if self._inflight + count > self.max_pending:
-                self._rejected += count
-                raise AdmissionError(
-                    f"{self._inflight} queries in flight + {count} admitted would "
-                    f"exceed max_pending={self.max_pending}"
-                )
-            self._inflight += count
-
-    def _release(self, count: int) -> None:
-        with self._stats_lock:
-            self._inflight -= count
-
-    def _record(self, latency: float, status: str) -> None:
-        with self._stats_lock:
-            if status == "ok":
-                self._completed += 1
-                self._latencies.append((time.monotonic(), latency))
-            elif status == "timeout":
-                self._timeouts += 1
-            else:
-                self._errors += 1
-
-    def _record_queue_wait(self, seconds: float) -> None:
-        with self._stats_lock:
-            self._queue_waits.append(seconds)
-
     def search(self, query, k=None, dmax=None, max_cursors=None):
         """One search under a fresh read hold; the concurrent-safe analogue
         of ``engine.search``.  Raises :class:`AdmissionError` at the
         in-flight bound, and — when ``max_queue_wait`` is set — when the
         read lock cannot be acquired within that bound (an update epoch,
         or writers queued behind readers, is hogging the engine)."""
-        self._admit(1)
+        self._ledger.admit(1)
         try:
             started = time.monotonic()
             if not self._rw.acquire_read(timeout=self.max_queue_wait):
-                with self._stats_lock:
-                    self._rejected += 1
+                self._ledger.count("rejected")
                 raise AdmissionError(
                     f"read admission waited past max_queue_wait="
                     f"{self.max_queue_wait:.3f}s behind an update epoch"
                 )
-            self._record_queue_wait(time.monotonic() - started)
+            self._ledger.record_queue_wait(time.monotonic() - started)
             try:
                 snapshot = self.engine.snapshot()
                 result = self.engine.search_on_snapshot(
@@ -304,15 +348,15 @@ class EngineService:
                 )
             finally:
                 self._rw.release_read()
-            self._record(time.monotonic() - started, "ok")
+            self._ledger.record(time.monotonic() - started, "ok")
             return result
         except AdmissionError:
             raise
         except Exception:
-            self._record(0.0, "error")
+            self._ledger.record(0.0, "error")
             raise
         finally:
-            self._release(1)
+            self._ledger.release(1)
 
     def search_many(
         self,
@@ -338,7 +382,7 @@ class EngineService:
             return []
         if timeout is None:
             timeout = self.default_timeout
-        self._admit(len(queries))
+        self._ledger.admit(len(queries))
         try:
             self._rw.acquire_read()
             try:
@@ -364,9 +408,9 @@ class EngineService:
             finally:
                 self._rw.release_read()
         finally:
-            self._release(len(queries))
+            self._ledger.release(len(queries))
         for outcome in outcomes:
-            self._record(outcome.latency_seconds, outcome.status)
+            self._ledger.record(outcome.latency_seconds, outcome.status)
         return outcomes
 
     def _run_chunk(
@@ -389,7 +433,7 @@ class EngineService:
         # execution so a cold burst sheds load instead of stacking
         # deadline debt behind the GIL.
         waited = started - submitted
-        self._record_queue_wait(waited)
+        self._ledger.record_queue_wait(waited)
         if self.max_queue_wait is not None and waited > self.max_queue_wait:
             return BatchOutcome(index, query, "timeout")
         if deadline is not None and started >= deadline:
@@ -416,7 +460,7 @@ class EngineService:
         candidate is ``None`` when the search has fewer than ``rank``
         interpretations.
         """
-        self._admit(1)
+        self._ledger.admit(1)
         try:
             started = time.monotonic()
             self._rw.acquire_read()
@@ -427,13 +471,13 @@ class EngineService:
             finally:
                 self._rw.release_read()
             if outcome[0] is not None:
-                self._record(time.monotonic() - started, "ok")
+                self._ledger.record(time.monotonic() - started, "ok")
             return outcome
         except Exception:
-            self._record(0.0, "error")
+            self._ledger.record(0.0, "error")
             raise
         finally:
-            self._release(1)
+            self._ledger.release(1)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -443,22 +487,6 @@ class EngineService:
         """Service-level counters: QPS, latency percentiles, admission and
         epoch state, and the engine's memo-layer hit rates."""
         now = time.monotonic()
-        with self._stats_lock:
-            records = list(self._latencies)
-            queue_waits = sorted(self._queue_waits)
-            completed = self._completed
-            counters = {
-                "completed": completed,
-                "errors": self._errors,
-                "timeouts": self._timeouts,
-                "rejected": self._rejected,
-                "updates": self._updates,
-                "inflight": self._inflight,
-            }
-            uptime = now - self._started_at
-        latencies = sorted(seconds for _, seconds in records)
-        recent = [t for t, _ in records if t > now - 60.0]
-        window = min(uptime, 60.0)
         engine = self.engine
         # Bundle provenance of a warm-started engine: which artifact this
         # process serves, at which saved epoch, and how many delta-log
@@ -469,18 +497,9 @@ class EngineService:
             "service": {
                 "workers": self.workers,
                 "max_pending": self.max_pending,
-                "uptime_seconds": uptime,
+                "uptime_seconds": now - self._ledger.started_at,
             },
-            "queries": dict(
-                counters,
-                qps=(completed / uptime) if uptime > 0 else 0.0,
-                recent_qps=(len(recent) / window) if window > 0 else 0.0,
-                p50_ms=1000 * _percentile(latencies, 0.50),
-                p99_ms=1000 * _percentile(latencies, 0.99),
-                queue_wait_p50_ms=1000 * _percentile(queue_waits, 0.50),
-                queue_wait_p99_ms=1000 * _percentile(queue_waits, 0.99),
-                queue_wait_max_ms=1000 * (queue_waits[-1] if queue_waits else 0.0),
-            ),
+            "queries": self._ledger.stats(now),
             "index_tier": getattr(engine, "index_tier", "memory"),
             "caches": engine.cache_stats(),
             "kernels": kernels.kernel_status(),

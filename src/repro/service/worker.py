@@ -4,7 +4,7 @@ One worker serves ``search`` / ``execute`` requests over stdin/stdout
 frames (:mod:`repro.service.protocol`) against its *own* read-only load
 of the shared bundle::
 
-    KeywordSearchEngine.load(bundle, lazy=True, attach_wal=False)
+    KeywordSearchEngine.load(bundle, attach_wal=False)
 
 Lazy loading means the worker's searchable state is mostly ``mmap`` views
 of the bundle's CSR sections — every worker maps the *same* file, so the
@@ -115,7 +115,7 @@ class WorkerRuntime:
         self.overrides = dict(overrides or {})
         started = time.perf_counter()
         self.engine = KeywordSearchEngine.load(
-            self.bundle, lazy=True, attach_wal=False, **self.overrides
+            self.bundle, attach_wal=False, **self.overrides
         )
         self.load_seconds = time.perf_counter() - started
         self.cursor = WalCursor(self._wal_path())
@@ -164,7 +164,7 @@ class WorkerRuntime:
         from repro.storage.wal import WalCursor
 
         self.engine = KeywordSearchEngine.load(
-            self.bundle, lazy=True, attach_wal=False, **self.overrides
+            self.bundle, attach_wal=False, **self.overrides
         )
         self.cursor = WalCursor(self._wal_path())
         self.reloads += 1

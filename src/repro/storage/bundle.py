@@ -19,9 +19,11 @@ produces an engine it cannot prove equivalent to the one saved.
 
 Loading is built around two cost classes:
 
-* Python-object state (term table, postings, refcounts, groupings) is
+* the two structures a search reads (keyword index, summary graph) are
   decoded through C-speed blob reads plus slice comprehensions — no
-  per-triple ``add()`` replay, no re-analysis, no re-projection;
+  re-analysis, no re-projection; the data graph is *not* a stored
+  structure: its triples are, and the first consumer that needs the
+  graph replays them through the ``DataGraph`` constructor;
 * the substrate's flat ``offsets``/``targets`` CSR sections stay on disk:
   they are wrapped as ``memoryview('q')`` casts over the ``mmap``-ed
   file, so restoring the exploration substrate reads *no* adjacency
@@ -45,13 +47,13 @@ import os
 import struct
 import time
 import zlib
-from collections import defaultdict
 from itertools import groupby
 from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
 from repro.keyword.inverted_index import InvertedIndex
 from repro.keyword.keyword_index import KeywordIndex
+from repro.rdf.graph import DataGraph
 from repro.rdf.terms import Literal, Term, URI
 from repro.rdf.triples import Triple
 from repro.scoring.cost import COST_MODELS, CostModel, make_cost_model
@@ -85,13 +87,13 @@ from repro.storage.lazy import LazyDataGraph, LazyTripleStore
 
 MAGIC = b"RPROBNDL"
 #: Bump on any change to the section layout or encodings.  The one
-#: version this release writes is the one version it reads: version 3
+#: version this release writes is the one version it reads: version 4
 #: stores the triple indexes and the keyword index once, as the sorted
 #: runs (``store2.*``, ``kindex2.*``) — the memory tier decodes them into
-#: its dicts, the mmap tier binary-searches them in place — so every
-#: bundle serves both index tiers.  Anything else is refused with a
-#: rebuild hint.
-FORMAT_VERSION = 3
+#: its dicts, the mmap tier binary-searches them in place — and the data
+#: graph once, as ``triples`` in arrival order, so every bundle serves
+#: both index tiers.  Anything else is refused with a rebuild hint.
+FORMAT_VERSION = 4
 
 #: Conventional file extension (the CLI and docs use it; the reader only
 #: trusts the magic).
@@ -169,44 +171,6 @@ def _decode_count_pairs(reader: Reader, terms) -> Dict:
     flat = reader.ids()
     it = iter(flat)
     return {terms[k]: c for k, c in zip(it, it)}
-
-
-def _decode_pair_refs(reader: Reader, terms) -> Dict:
-    flat = reader.ids()
-    it = iter(flat)
-    return {(terms[a], terms[b]): c for a, b, c in zip(it, it, it)}
-
-
-def _decode_adjacency(reader: Reader, terms) -> Dict:
-    keys, offsets, values = decode_grouping(reader)
-    term_of = terms.__getitem__
-    value_terms = list(map(term_of, values))
-    out = defaultdict(dict)
-    for i, k in enumerate(keys):
-        segment = value_terms[offsets[i] : offsets[i + 1]]
-        out[term_of(k)] = dict.fromkeys(zip(segment[::2], segment[1::2]))
-    return out
-
-
-def _decode_triple_buckets(reader: Reader, terms, triples) -> Dict:
-    keys, offsets, values = decode_grouping(reader)
-    triple_of = triples.__getitem__
-    return {
-        terms[k]: dict.fromkeys(map(triple_of, values[offsets[i] : offsets[i + 1]]))
-        for i, k in enumerate(keys)
-    }
-
-
-def _decode_labels(reader: Reader, terms) -> Tuple[Dict, Dict]:
-    labels: Dict[Term, str] = {}
-    ranks: Dict[Term, int] = {}
-    for _ in range(reader.u64()):
-        term_id = reader.u64()
-        rank = reader.u64()
-        term = terms[term_id]
-        labels[term] = reader.string()
-        ranks[term] = rank
-    return labels, ranks
 
 
 def _decode_sorted_run(buf, terms, size: int):
@@ -574,28 +538,13 @@ def load_bundle(path, index_tier: str = "memory") -> LoadedBundle:
 
     # -- data graph + triple store (lazy) ------------------------------
     # A plain search never reads these; decoding them up front would put
-    # every stored triple back on the cold-start path.  The sections are
-    # CRC-verified above and captured by thunks; repro.storage.lazy
-    # materializes them on first maintenance / execute / filter access.
+    # every stored triple back on the cold-start path.  Their sections
+    # are captured by thunks; repro.storage.lazy runs them on first
+    # maintenance / execute / filter access.
     meta_graph = meta["graph"]
     # Existence (not integrity) of the deferred sections is established
     # up front; their thunks only defer the CRC check + decode.
-    for name in (
-        "triples",
-        "graph.entity_refs",
-        "graph.class_refs",
-        "graph.value_refs",
-        "graph.type_pairs",
-        "graph.subclass_pairs",
-        "graph.out",
-        "graph.in",
-        "graph.relation_triples",
-        "graph.attribute_triples",
-        "graph.labels",
-        "store2.spo",
-        "store2.pos",
-        "store2.osp",
-    ):
+    for name in ("triples", "store2.spo", "store2.pos", "store2.osp"):
         if name not in section_views:
             raise BundleFormatError(f"{path}: missing section {name!r}")
 
@@ -619,41 +568,23 @@ def load_bundle(path, index_tier: str = "memory") -> LoadedBundle:
         Reader(section("graph.subclass_pred_counts")), terms
     )
 
-    def graph_thunk() -> Dict[str, object]:
-        triples = decode_triples()
-        labels, label_rank = _decode_labels(Reader(section("graph.labels")), terms)
-        return {
-            "strict": meta_graph["strict"],
-            "conflicts": meta_graph["conflicts"],
-            "triples": triples,
-            "entity_refs": _decode_count_pairs(
-                Reader(section("graph.entity_refs")), terms
-            ),
-            "class_refs": _decode_count_pairs(
-                Reader(section("graph.class_refs")), terms
-            ),
-            "value_refs": _decode_count_pairs(
-                Reader(section("graph.value_refs")), terms
-            ),
-            "type_pair_refs": _decode_pair_refs(
-                Reader(section("graph.type_pairs")), terms
-            ),
-            "subclass_pair_refs": _decode_pair_refs(
-                Reader(section("graph.subclass_pairs")), terms
-            ),
-            "out": _decode_adjacency(Reader(section("graph.out")), terms),
-            "in": _decode_adjacency(Reader(section("graph.in")), terms),
-            "relation_triples": _decode_triple_buckets(
-                Reader(section("graph.relation_triples")), terms, triples
-            ),
-            "attribute_triples": _decode_triple_buckets(
-                Reader(section("graph.attribute_triples")), terms, triples
-            ),
-            "labels": labels,
-            "label_rank": label_rank,
-            "type_pred_counts": type_pred_counts,
-            "subclass_pred_counts": subclass_pred_counts,
-        }
+    def graph_thunk() -> DataGraph:
+        # The stored triples through the constructor every in-process
+        # engine uses; what it derives must be what the builder derived.
+        full = DataGraph(decode_triples(), strict=meta_graph["strict"])
+        for what, built, stored in (
+            ("stats", full.stats(), meta_graph["stats"]),
+            ("conflicts", full.conflicts, meta_graph["conflicts"]),
+            ("type predicates", full._type_pred_counts, type_pred_counts),
+            ("subclass predicates", full._subclass_pred_counts, subclass_pred_counts),
+        ):
+            if built != stored:
+                raise BundleFormatError(
+                    f"{path}: the graph rebuilt from the triples section "
+                    f"disagrees with the header on its {what} "
+                    f"({built!r} != {stored!r})"
+                )
+        return full
 
     graph = LazyDataGraph(
         graph_thunk,
@@ -849,7 +780,6 @@ def load_engine(
     replay_wal: bool = True,
     attach_wal: bool = True,
     wal_path=None,
-    lazy: bool = True,
     index_tier: str = "memory",
     guided: Optional[bool] = None,
     **overrides,
@@ -871,11 +801,10 @@ def load_engine(
     then hooked into the engine's :class:`~repro.maintenance.IndexManager`
     so every future update epoch is appended durably.
 
-    With ``lazy`` (the default) the data graph's heavy state and the
-    triple store materialize from the mmap-ed sections on first use
-    (see :mod:`repro.storage.lazy`); searching needs neither, so the
-    returned engine serves queries after O(metadata) work.  ``lazy=False``
-    forces full materialization before returning.
+    The data graph and the triple store materialize from the mmap-ed
+    sections on first use (see :mod:`repro.storage.lazy`); searching
+    needs neither, so the returned engine serves queries after
+    O(metadata) work.
 
     ``index_tier="mmap"`` goes further: the keyword index and the triple
     store are *never* materialized — lookups binary-search the bundle's
@@ -917,12 +846,6 @@ def load_engine(
         engine.guided = guided
     engine.index_manager.epoch = meta["snapshot"]["epoch"]
     engine.index_tier = index_tier
-    if not lazy:
-        loaded.graph._materialize()
-        if hasattr(loaded.store, "_materialize"):
-            # The mmap triple tier has no materialized form — it *is*
-            # the store; lazy=False only forces the graph then.
-            loaded.store._materialize()
 
     wal_path = os.fspath(wal_path) if wal_path is not None else loaded.path + ".wal"
     wal = DeltaLog(wal_path)

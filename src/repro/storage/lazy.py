@@ -13,17 +13,16 @@ So the loader hands the engine subclasses whose heavy state is a
 
 * :class:`LazyDataGraph` — predicate preferences, ``len`` and ``stats``
   are served from bundle metadata; the first touch of any other state
-  (an update batch, a filter search, ``label_of``) decodes the sections
-  in one shot and the instance becomes an ordinary
-  :class:`~repro.rdf.graph.DataGraph`;
+  (an update batch, a filter search, ``label_of``) replays the stored
+  triples through the :class:`~repro.rdf.graph.DataGraph` constructor
+  and the instance becomes that graph;
 * :class:`LazyTripleStore` — same pattern for the first ``execute``.
 
-Materialization produces exactly what the eager decode produces (one
-shared code path), so laziness is invisible to the byte-identity
-property tests — it only moves *when* the work happens.  A lock makes a
-concurrent first touch from the serving layer's worker pool safe: both
-threads would build identical state; one wins, the other's work is
-discarded.
+Both thunks return the finished object and :class:`_Deferred` adopts its
+state, so laziness is invisible to the byte-identity property tests — it
+only moves *when* the work happens.  A lock makes a concurrent first
+touch from the serving layer's worker pool safe: the second thread waits
+for the first one's result.
 """
 
 from __future__ import annotations
@@ -36,47 +35,30 @@ from repro.rdf.graph import DataGraph
 from repro.store.triple_store import TripleStore
 
 
-class LazyDataGraph(DataGraph):
-    """A :class:`DataGraph` whose heavy state decodes on first touch.
+class _Deferred:
+    """Mixin: the instance's state is ``thunk()``'s, adopted on first touch.
 
-    ``__init__`` deliberately does not chain to the base constructor:
-    only the cheap, search-relevant scalars are populated eagerly.  Any
-    access to an absent attribute funnels through ``__getattr__``, which
-    materializes the full state under a lock and then retries the
-    lookup — afterwards the instance is indistinguishable from an
-    eagerly restored graph.
+    The subclass constructors deliberately do not chain to their base
+    constructor: only cheap, search-relevant scalars are populated
+    eagerly.  Any access to an absent attribute funnels through
+    ``__getattr__``, which runs the thunk under a lock, adopts the
+    finished object's ``__dict__`` and then retries the lookup —
+    afterwards the instance is indistinguishable from that object.
     """
 
-    def __init__(
-        self,
-        thunk: Callable[[], Dict[str, object]],
-        *,
-        strict: bool,
-        conflicts,
-        type_pred_counts,
-        subclass_pred_counts,
-        stats: Dict[str, int],
-    ):
+    def __init__(self, thunk: Callable[[], object]):
         self._lazy_lock = threading.Lock()
-        self._lazy_stats = dict(stats)
         self._lazy_thunk = thunk
-        self.strict = strict
-        self.conflicts = list(conflicts)
-        self._type_pred_counts = defaultdict(int, type_pred_counts)
-        self._subclass_pred_counts = defaultdict(int, subclass_pred_counts)
 
     def _materialize(self) -> None:
         with self._lazy_lock:
             thunk = self._lazy_thunk
             if thunk is None:
                 return
-            state = thunk()
-            full = DataGraph.from_state(state)
-            # Adopt the restored graph's state wholesale; conflicts/strict
-            # and the eager predicate counters are simply overwritten with
-            # equal values.  Clearing the thunk last keeps the "am I
+            # Eagerly populated attributes are overwritten with equal
+            # values.  Clearing the thunk last keeps the "am I
             # materialized" check conservative.
-            self.__dict__.update(full.__dict__)
+            self.__dict__.update(thunk().__dict__)
             self._lazy_thunk = None
 
     def __getattr__(self, name):
@@ -87,6 +69,27 @@ class LazyDataGraph(DataGraph):
             raise AttributeError(name)
         self._materialize()
         return getattr(self, name)
+
+
+class LazyDataGraph(_Deferred, DataGraph):
+    """A :class:`DataGraph` built from its stored triples on first touch."""
+
+    def __init__(
+        self,
+        thunk: Callable[[], DataGraph],
+        *,
+        strict: bool,
+        conflicts,
+        type_pred_counts,
+        subclass_pred_counts,
+        stats: Dict[str, int],
+    ):
+        _Deferred.__init__(self, thunk)
+        self._lazy_stats = dict(stats)
+        self.strict = strict
+        self.conflicts = list(conflicts)
+        self._type_pred_counts = defaultdict(int, type_pred_counts)
+        self._subclass_pred_counts = defaultdict(int, subclass_pred_counts)
 
     def __len__(self) -> int:
         if self._lazy_thunk is not None:
@@ -99,28 +102,12 @@ class LazyDataGraph(DataGraph):
         return super().stats()
 
 
-class LazyTripleStore(TripleStore):
+class LazyTripleStore(_Deferred, TripleStore):
     """A :class:`TripleStore` whose SPO/POS/OSP nests decode on first use."""
 
     def __init__(self, thunk: Callable[[], TripleStore], size: int):
-        self._lazy_lock = threading.Lock()
+        _Deferred.__init__(self, thunk)
         self._lazy_size = size
-        self._lazy_thunk = thunk
-
-    def _materialize(self) -> None:
-        with self._lazy_lock:
-            thunk = self._lazy_thunk
-            if thunk is None:
-                return
-            full = thunk()
-            self.__dict__.update(full.__dict__)
-            self._lazy_thunk = None
-
-    def __getattr__(self, name):
-        if name.startswith("_lazy") or self.__dict__.get("_lazy_thunk") is None:
-            raise AttributeError(name)
-        self._materialize()
-        return getattr(self, name)
 
     def __len__(self) -> int:
         if self._lazy_thunk is not None:

@@ -4,10 +4,11 @@ The streaming build path (:mod:`repro.storage.stream_build`) never holds
 the corpus in memory: classified triples are appended to *segment files*
 — flat little-endian ``int64`` streams, ``arity`` values per row — and
 re-read per bundle section at write time.  Structures that must be
-emitted in an order other than arrival order (the SPO/POS/OSP indexes,
-adjacency maps, posting lists) go through :class:`ExternalSorter`, which
-keeps at most ``budget_rows`` rows resident, spills sorted runs to disk
-past that, and k-way merges the runs on read-back.
+read in an order other than arrival order (the SPO/POS/OSP indexes,
+the per-predicate edge scans, posting lists) go through
+:class:`ExternalSorter`, which keeps at most ``budget_rows`` rows
+resident, spills sorted runs to disk past that, and k-way merges the
+runs on read-back.
 
 The segment byte layout deliberately matches the bundle codec's id
 blobs (:func:`repro.storage.codec.encode_ids` without the count prefix),
@@ -213,48 +214,37 @@ class ExternalSorter:
 
 
 class GroupingSpool:
-    """A spooled ``key -> [values]`` mapping in the codec's wire shape.
+    """A spooled sequence of id groups in the mmap tier's run layout.
 
-    Keys, offsets, and flat values each go to their own segment file as
-    groups arrive; :meth:`write_to` streams the three count-prefixed
-    blobs out in ``encode_grouping`` order (keys / offsets / values), so
-    a grouping of unbounded size never materializes in memory.
+    Group ``i`` is the ``i``-th :meth:`add` (the builder's one use keys
+    the element→terms map by dense element id), so the offsets and flat
+    values spools *are* the stored sections: each streams out as a bare
+    int64 blob, and a grouping of unbounded size never materializes in
+    memory.
     """
 
     def __init__(self, directory, name: str):
         directory = os.fspath(directory)
-        self._keys = SegmentWriter(os.path.join(directory, f"{name}.keys.seg"), 1)
         self._offsets = SegmentWriter(os.path.join(directory, f"{name}.offs.seg"), 1)
         self._values = SegmentWriter(os.path.join(directory, f"{name}.vals.seg"), 1)
         self._offsets.append_value(0)
 
-    def add(self, key_id: int, value_ids: Iterable[int]) -> None:
-        self._keys.append_value(key_id)
+    def add(self, value_ids: Iterable[int]) -> None:
         append_value = self._values.append_value
         for value in value_ids:
             append_value(value)
         self._offsets.append_value(self._values.rows)
 
-    def write_to(self, section) -> None:
-        for spool in (self._keys, self._offsets, self._values):
-            spool.close()
-            write_ids_from_segment(section, spool)
-
     def write_raw_offsets(self, section) -> None:
-        """Stream just the offsets spool as a bare int64 blob.
-
-        When the grouping's keys are the dense sequence ``0..n-1`` (the
-        element→terms map), the offsets and values spools *are* the
-        mmap-tier run layout — no re-encode needed.
-        """
+        """Stream the offsets spool (``groups + 1`` entries)."""
         self._offsets.close()
         write_raw_from_segment(section, self._offsets)
 
     def write_raw_values(self, section) -> None:
-        """Stream just the flat values spool as a bare int64 blob."""
+        """Stream the flat values spool."""
         self._values.close()
         write_raw_from_segment(section, self._values)
 
     def cleanup(self) -> None:
-        for spool in (self._keys, self._offsets, self._values):
+        for spool in (self._offsets, self._values):
             spool.unlink()

@@ -14,13 +14,14 @@ resident:
 
 * **pass A** (the only pass over the input) interns terms, classifies
   and dedups each triple, appends its id row to an on-disk segment
-  spool, and maintains the *hot* aggregates: role refcounts, type/
+  spool — the ``triples`` section, the one stored form of the data
+  graph — and maintains the *hot* aggregates: role refcounts, type/
   subclass pairs, display labels, predicate counts, conflicts;
 * **pass B** re-reads the spool — with the full classification known —
-  to project the summary graph, seed the keyword class contexts, and
-  externally sort the rows into the adjacency, triple-bucket, and
-  SPO/POS/OSP sections; posting lists spill to sorted runs past the
-  in-memory budget and k-way merge at finalize.
+  and externally sorts the rows into the SPO/POS/OSP sections and by
+  predicate, to project the summary graph and seed the keyword class
+  contexts; posting lists spill to sorted runs past the in-memory
+  budget and k-way merge at finalize.
 
 Peak RSS is ``O(hot structures + spill budgets)`` instead of
 ``O(corpus)``: what stays resident is exactly what the paper calls the
@@ -37,6 +38,7 @@ import tempfile
 import time
 from array import array
 from itertools import chain, groupby, islice
+from operator import itemgetter
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from repro import __version__
@@ -87,7 +89,6 @@ from repro.storage.segments import (
 )
 
 _U64 = struct.Struct("<Q")
-_QQI = struct.Struct("<QQI")
 
 #: Default in-memory budget per spilled structure (each of the external
 #: sorters and the postings builder gets its own budget of this size).
@@ -239,13 +240,13 @@ def _build(
     kind_spool = SegmentWriter(os.path.join(tmp, "kinds.seg"), 1)
 
     seen: Set = set()
-    # Role refcounts and classification, id-keyed, insertion order
-    # matching the in-memory DataGraph's first-acquisition order.
-    entity_refs: Dict[int, int] = {}
-    class_refs: Dict[int, int] = {}
-    value_refs: Dict[int, int] = {}
+    # Classification, id-keyed.  Classes and values are dicts used as
+    # ordered sets: their insertion order is the in-memory DataGraph's
+    # first-acquisition order, which the keyword elements and the summary
+    # vertices are emitted in.
+    classes: Dict[int, None] = {}
+    values: Dict[int, None] = {}
     entities: Set[int] = set()
-    classes: Set[int] = set()
     types_of: Dict[int, List[int]] = {}
     type_pairs: Dict[Tuple[int, int], int] = {}
     subclass_pairs: Dict[Tuple[int, int], int] = {}
@@ -253,26 +254,22 @@ def _build(
     subclass_pred_counts: Dict[int, int] = {}
     rel_pred_counts: Dict[int, int] = {}
     attr_pred_counts: Dict[int, int] = {}
-    out_rank: Dict[int, int] = {}
-    in_rank: Dict[int, int] = {}
     labels: Dict[int, Tuple[int, int]] = {}
     label_rank_cache: Dict[int, Optional[int]] = {}
     conflicts: List[str] = []
     n_rows = 0
 
     def acquire_entity(tid: int, term: Term) -> None:
-        entity_refs[tid] = entity_refs.get(tid, 0) + 1
         if tid in classes:
             conflicts.append(f"term used both as class and entity: {term}")
             return
         entities.add(tid)
 
     def acquire_class(tid: int, term: Term) -> None:
-        class_refs[tid] = class_refs.get(tid, 0) + 1
         if tid in entities:
             conflicts.append(f"term used both as entity and class: {term}")
             entities.discard(tid)
-        classes.add(tid)
+        classes[tid] = None
 
     for triple in triples:
         s, p, o = triple
@@ -316,12 +313,8 @@ def _build(
                 kind = _K_SUBCLASS
         elif isinstance(o, Literal):
             acquire_entity(sid, s)
-            value_refs[oid] = value_refs.get(oid, 0) + 1
+            values[oid] = None
             attr_pred_counts[pid] = attr_pred_counts.get(pid, 0) + 1
-            if sid not in out_rank:
-                out_rank[sid] = len(out_rank)
-            if oid not in in_rank:
-                in_rank[oid] = len(in_rank)
             rank = label_rank_cache.get(pid, -1)
             if rank == -1:
                 try:
@@ -338,10 +331,6 @@ def _build(
             acquire_entity(sid, s)
             acquire_entity(oid, o)
             rel_pred_counts[pid] = rel_pred_counts.get(pid, 0) + 1
-            if sid not in out_rank:
-                out_rank[sid] = len(out_rank)
-            if oid not in in_rank:
-                in_rank[oid] = len(in_rank)
             kind = _K_REL
 
         rows_spool.append((sid, pid, oid))
@@ -361,7 +350,7 @@ def _build(
         "triples": n_rows,
         "entities": len(entities),
         "classes": len(classes),
-        "values": len(value_refs),
+        "values": len(values),
         "relation_labels": len(rel_pred_counts),
         "attribute_labels": len(attr_pred_counts),
         "relation_edges": sum(rel_pred_counts.values()),
@@ -370,7 +359,11 @@ def _build(
     }
 
     # ------------------------------------------------------------------
-    # Sections straight from pass-A state.
+    # The data graph: its triples in arrival order and nothing derived
+    # from them — the loader replays them through DataGraph() and checks
+    # the result against the header's stats and conflicts.  The two
+    # predicate-count maps are what an unmaterialized graph answers
+    # `preferred_*_predicate` from.
     # ------------------------------------------------------------------
     with writer.section("triples") as sec:
         write_ids_from_segment(sec, rows_spool)
@@ -380,19 +373,11 @@ def _build(
             yield key
             yield value
 
-    writer.add_section("graph.entity_refs", encode_ids(flat_pairs(entity_refs)))
-    writer.add_section("graph.class_refs", encode_ids(flat_pairs(class_refs)))
-    writer.add_section("graph.value_refs", encode_ids(flat_pairs(value_refs)))
-
-    def flat_triads(mapping) -> Iterable[int]:
-        for (a, b), count in mapping.items():
-            yield a
-            yield b
-            yield count
-
-    writer.add_section("graph.type_pairs", encode_ids(flat_triads(type_pairs)))
     writer.add_section(
-        "graph.subclass_pairs", encode_ids(flat_triads(subclass_pairs))
+        "graph.type_pred_counts", encode_ids(flat_pairs(type_pred_counts))
+    )
+    writer.add_section(
+        "graph.subclass_pred_counts", encode_ids(flat_pairs(subclass_pred_counts))
     )
 
     # ------------------------------------------------------------------
@@ -401,8 +386,6 @@ def _build(
     sort_spo = ExternalSorter(tmp, 3, budget_rows, "spo")
     sort_pos = ExternalSorter(tmp, 3, budget_rows, "pos")
     sort_osp = ExternalSorter(tmp, 3, budget_rows, "osp")
-    sort_out = ExternalSorter(tmp, 5, budget_rows, "out")
-    sort_in = ExternalSorter(tmp, 5, budget_rows, "in")
     sort_rel = ExternalSorter(tmp, 5, budget_rows, "rel")
     sort_attr = ExternalSorter(tmp, 5, budget_rows, "attr")
     rel_rank = {pid: i for i, pid in enumerate(rel_pred_counts)}
@@ -416,86 +399,37 @@ def _build(
         sort_pos.add((pid, oid, sid))
         sort_osp.add((oid, sid, pid))
         if kind == _K_REL:
-            sort_out.add((out_rank[sid], seq, sid, pid, oid))
-            sort_in.add((in_rank[oid], seq, oid, pid, sid))
             sort_rel.add((rel_rank[pid], seq, pid, sid, oid))
         elif kind == _K_ATTR:
-            sort_out.add((out_rank[sid], seq, sid, pid, oid))
-            sort_in.add((in_rank[oid], seq, oid, pid, sid))
             sort_attr.add((attr_rank[pid], seq, pid, sid, oid))
         seq += 1
-    del out_rank, in_rank
 
-    # Adjacency: sorted by (first-seen-as-vertex rank, insertion seq),
-    # which reproduces the in-memory dicts' insertion order exactly.
-    for name, sorter in (("graph.out", sort_out), ("graph.in", sort_in)):
-        grouping = GroupingSpool(tmp, name.replace(".", "_"))
-        for vertex, vertex_rows in groupby(
-            sorter.sorted_rows(), key=lambda row: row[2]
-        ):
-            grouping.add(
-                vertex,
-                (value for row in vertex_rows for value in (row[3], row[4])),
-            )
-        with writer.section(name) as sec:
-            grouping.write_to(sec)
-        grouping.cleanup()
-        sorter.cleanup()
-
-    # Relation buckets + summary edge projection in one sorted pass.
+    # Summary edge projection: R-edges by (predicate first seen, arrival),
+    # the order the in-memory graph's per-predicate buckets iterate in.
     types_sorted: Dict[int, Tuple[int, ...]] = {
         e: tuple(sorted(v)) for e, v in types_of.items()
     }
     edge_counts: Dict[Tuple[int, int, int], int] = {}
-    rel_bucket = GroupingSpool(tmp, "rel_buckets")
-    for pid, pred_rows in groupby(sort_rel.sorted_rows(), key=lambda row: row[2]):
-        indices: List[int] = []
-        for _, row_seq, _, sid, oid in pred_rows:
-            indices.append(row_seq)
-            for sc in types_sorted.get(sid, (-1,)):
-                for tc in types_sorted.get(oid, (-1,)):
-                    ekey = (pid, sc, tc)
-                    edge_counts[ekey] = edge_counts.get(ekey, 0) + 1
-        rel_bucket.add(pid, indices)
-    with writer.section("graph.relation_triples") as sec:
-        rel_bucket.write_to(sec)
-    rel_bucket.cleanup()
+    for _, _, pid, sid, oid in sort_rel.sorted_rows():
+        for sc in types_sorted.get(sid, (-1,)):
+            for tc in types_sorted.get(oid, (-1,)):
+                ekey = (pid, sc, tc)
+                edge_counts[ekey] = edge_counts.get(ekey, 0) + 1
     sort_rel.cleanup()
 
-    # Attribute buckets + keyword class contexts in one sorted pass
-    # (the same order KeywordIndex._build seeds its refcounts in).
+    # Keyword class contexts: A-edges in the same order
+    # (the one KeywordIndex._build seeds its refcounts in).
     attr_class_refs: Dict[int, Dict[int, int]] = {}
     value_occ_refs: Dict[int, Dict[Tuple[int, int], int]] = {}
-    attr_bucket = GroupingSpool(tmp, "attr_buckets")
-    for pid, pred_rows in groupby(sort_attr.sorted_rows(), key=lambda row: row[2]):
-        indices = []
+    for pid, pred_rows in groupby(sort_attr.sorted_rows(), key=itemgetter(2)):
         label_refs = attr_class_refs.setdefault(pid, {})
-        for _, row_seq, _, sid, oid in pred_rows:
-            indices.append(row_seq)
+        for _, _, _, sid, oid in pred_rows:
             refs = value_occ_refs.setdefault(oid, {})
             for cls in types_sorted.get(sid, (-1,)):
                 label_refs[cls] = label_refs.get(cls, 0) + 1
                 occ = (pid, cls)
                 refs[occ] = refs.get(occ, 0) + 1
-        attr_bucket.add(pid, indices)
-    with writer.section("graph.attribute_triples") as sec:
-        attr_bucket.write_to(sec)
-    attr_bucket.cleanup()
     sort_attr.cleanup()
-
-    with writer.section("graph.labels") as sec:
-        sec.write(_U64.pack(len(labels)))
-        for sid, (rank, value_id) in labels.items():
-            data = terms[value_id].lexical.encode("utf-8")
-            sec.write(_QQI.pack(sid, rank, len(data)))
-            sec.write(data)
-
-    writer.add_section(
-        "graph.type_pred_counts", encode_ids(flat_pairs(type_pred_counts))
-    )
-    writer.add_section(
-        "graph.subclass_pred_counts", encode_ids(flat_pairs(subclass_pred_counts))
-    )
 
     # Triple store indexes: three external sorts, each streamed into its
     # flat sorted run — the one stored form both index tiers read.
@@ -547,13 +481,13 @@ def _build(
             vid = vocab_id(text_term)
             term_ids.append(vid)
             postings.add(vid, eid, tf, total)
-        element_terms.add(eid, term_ids)
+        element_terms.add(term_ids)
 
     code_class = ELEMENT_CODE["class"]
     code_relation = ELEMENT_CODE["relation"]
     code_attribute = ELEMENT_CODE["attribute"]
     code_value = ELEMENT_CODE["value"]
-    for cid in class_refs:
+    for cid in classes:
         index_element(
             code_class,
             cid,
@@ -569,7 +503,7 @@ def _build(
         index_element(
             code_attribute, pid, element_label_text("attribute", terms[pid], None)
         )
-    for vid in value_refs:
+    for vid in values:
         index_element(code_value, vid, element_label_text("value", terms[vid], None))
 
     with writer.section("kindex.vocab") as sec:
@@ -675,7 +609,7 @@ def _build(
     instance_counts: Dict[int, int] = {}
     for _, cls in type_pairs:
         instance_counts[cls] = instance_counts.get(cls, 0) + 1
-    for cid in class_refs:
+    for cid in classes:
         summary.add_class_vertex(terms[cid], agg_count=instance_counts.get(cid, 0))
     if untyped_count:
         summary.ensure_thing(agg_count=untyped_count)

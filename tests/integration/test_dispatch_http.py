@@ -111,6 +111,31 @@ def test_execute_limit_rule(request, tier):
         assert "limit" in json.loads(excinfo.value.read())["error"]
 
 
+#: Bodies whose fields have the wrong JSON type, and the field the 400
+#: must name.  (They were 500s in process and 400s through the workers.)
+MALFORMED_BODIES = [
+    ("/update", {"add": 5}, "add"),
+    ("/update", {"remove": ["<a> <b> <c> ."]}, "remove"),
+    ("/search", {"q": 5}, "q"),
+    ("/search", {"q": None}, "q"),
+    ("/search", {"q": ["cimiano", 2006]}, "q"),
+    ("/execute", {"q": None}, "q"),
+    ("/execute", {"q": "publication", "rank": None}, "rank"),
+    ("/execute", {"q": "publication", "rank": "1"}, "rank"),
+    ("/execute", {"q": "publication", "rank": True}, "rank"),
+]
+
+
+@BOTH_TIERS
+@pytest.mark.parametrize("path, body, field", MALFORMED_BODIES)
+def test_malformed_body_is_a_400_naming_the_field(request, tier, path, body, field):
+    server = request.getfixturevalue(tier)
+    with pytest.raises(urllib.error.HTTPError) as excinfo:
+        _post(f"{server.url}{path}", body)
+    assert excinfo.value.code == 400
+    assert repr(field) in json.loads(excinfo.value.read())["error"]
+
+
 def test_worker_applies_the_limit_rule_itself(dispatch_service):
     """Below HTTP too: a worker treats ``None`` as unbounded, 0 as no
     rows, and refuses a negative bound as a bad request."""

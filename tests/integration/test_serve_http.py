@@ -142,6 +142,17 @@ def test_bad_requests(server):
     with pytest.raises(urllib.error.HTTPError) as excinfo:
         _post(f"{server.url}/search", {"queries": ["cimiano"], "timeout": "soon"})
     assert excinfo.value.code == 400
+    # So is a field of the wrong JSON type; the message names the field.
+    for path, body, field in (
+        ("/update", {"add": 5}, "add"),
+        ("/search", {"q": 5}, "q"),
+        ("/search", {"q": None}, "q"),
+        ("/execute", {"q": "x", "rank": None}, "rank"),
+    ):
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            _post(f"{server.url}{path}", body)
+        assert excinfo.value.code == 400, body
+        assert repr(field) in json.loads(excinfo.value.read())["error"]
 
 
 # ----------------------------------------------------------------------

@@ -129,18 +129,75 @@ def test_load_save_round_trip_identity(request, tmp_path, fixture_name, queries)
     assert loaded.index_manager.epoch == engine.index_manager.epoch
 
 
-@pytest.mark.parametrize("lazy", [True, False])
-def test_lazy_and_eager_loads_identical(dblp_small, tmp_path, lazy):
-    engine = KeywordSearchEngine(DataGraph(dblp_small.triples))
+def graph_state(graph):
+    """Every field of a data graph, dict insertion order included (a
+    dict becomes its item list, recursively; sets stay unordered)."""
+
+    def ordered(value):
+        if isinstance(value, dict):
+            return [(key, ordered(inner)) for key, inner in value.items()]
+        return value
+
+    return {
+        name: ordered(value)
+        for name, value in vars(graph).items()
+        if not name.startswith("_lazy")
+    }
+
+
+@pytest.mark.parametrize("index_tier", ["memory", "mmap"])
+def test_materialized_graph_is_the_constructors(dblp_small, tmp_path, index_tier):
+    """The data graph is not a stored structure: what a loaded engine
+    materializes is ``DataGraph(the same triples)`` field by field —
+    ``_out``, ``_in``, the refcounts, the per-predicate buckets, labels,
+    each in the constructor's insertion order — before and after a
+    replayed WAL tail; and the benchmark's traffic (``search``,
+    ``json_fragment()``, ``execute_ranked``) never materializes it."""
+    triples = list(dblp_small.triples)
     path = tmp_path / "engine.reprobundle"
+    engine = KeywordSearchEngine(DataGraph(triples))
     engine.save(path)
-    loaded = KeywordSearchEngine.load(path, lazy=lazy)
+
+    loaded = KeywordSearchEngine.load(path, index_tier=index_tier)
+    graph = loaded.graph
+    assert graph._lazy_thunk is not None
+    result = loaded.search(DBLP_QUERIES[0])
+    assert graph._lazy_thunk is not None
+    assert [c.json_fragment() for c in result.candidates] == [
+        c.json_fragment() for c in engine.search(DBLP_QUERIES[0]).candidates
+    ]
+    assert graph._lazy_thunk is not None
+    candidate, answers, _ = loaded.execute_ranked(DBLP_QUERIES[0], limit=None)
+    assert candidate is not None and answers
+    assert graph._lazy_thunk is not None
+    assert len(graph) == len(triples) and graph.stats() == engine.graph.stats()
+    assert graph._lazy_thunk is not None
     assert_engines_identical(engine, loaded, DBLP_QUERIES[:2])
-    # Structural equality of the materialized offline layer.
-    loaded.graph._materialize() if lazy else None
-    assert set(loaded.graph.triples) == set(engine.graph.triples)
-    assert loaded.graph.stats() == engine.graph.stats()
+
+    reference = DataGraph(triples)
+    assert graph.triples == reference.triples  # first touch
+    assert graph._lazy_thunk is None
+    assert graph_state(graph) == graph_state(reference)
     assert len(loaded.store) == len(engine.store)
+
+    ns = "http://example.org/graphstate/"
+    added = [
+        Triple(URI(ns + "p1"), RDF.type, URI("http://example.org/dblp/Article")),
+        Triple(URI(ns + "p1"), URI("http://purl.org/dc/elements/1.1/title"), Literal("Replayed Graph")),
+        Triple(URI(ns + "p1"), URI("http://example.org/dblp/year"), Literal("2008")),
+    ]
+    removed = triples[50:60]
+    loaded.add_triples(added)
+    loaded.remove_triples(removed)
+    loaded.delta_log.close()  # release the single-writer lock ("crash")
+    reference.add_all(added)
+    reference.remove_all(removed)
+
+    reloaded = KeywordSearchEngine.load(path, index_tier=index_tier)
+    assert reloaded.artifact["wal_epochs_replayed"] == 2
+    assert reloaded.graph._lazy_thunk is None  # the replay is an update
+    assert graph_state(reloaded.graph) == graph_state(reference)
+    assert graph_state(loaded.graph) == graph_state(reference)
 
 
 def test_wal_tail_replay_identity(dblp_small, tmp_path):

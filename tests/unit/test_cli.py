@@ -3,6 +3,7 @@
 import os
 
 import pytest
+from bundle_layout import EXPECTED_SECTIONS
 
 from repro.cli import build_parser, main
 from repro.rdf.ntriples import serialize_ntriples
@@ -254,7 +255,7 @@ class TestPersistenceCommands:
         assert main(argv + ["--stream", "-o", flagged]) == 0
         capsys.readouterr()
         a, b = header(plain), header(flagged)
-        assert len(a["sections"]) == 34
+        assert [e["name"] for e in a["sections"]] == EXPECTED_SECTIONS
         assert a["sections"] == b["sections"]
         for meta in (a, b):
             del meta["kindex"]["build_seconds"], meta["summary"]["build_seconds"]

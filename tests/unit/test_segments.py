@@ -2,15 +2,22 @@
 
 The streamed bundle build stands on three small disk-backed structures:
 segment files of int64 values, a budgeted external sorter, and a spool
-that streams the bundle's grouping wire shape, held to byte-parity with
-the codec's in-memory encoder.
+that streams a grouping's offsets and values as the mmap tier's run
+layout, held to the codec's in-memory grouping value for value.
 """
 
+import os
 import random
 
 import pytest
 
-from repro.storage.codec import encode_grouping, encode_ids
+from repro.storage.codec import (
+    Reader,
+    decode_grouping,
+    decode_raw_ids,
+    encode_grouping,
+    encode_ids,
+)
 from repro.storage.segments import (
     ExternalSorter,
     GroupingSpool,
@@ -135,27 +142,31 @@ def test_external_sorter_empty(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# GroupingSpool — byte parity with the codec
+# GroupingSpool — the run layout, value for value the codec's grouping
 # ----------------------------------------------------------------------
 
 
-def test_grouping_spool_matches_encode_grouping(tmp_path):
-    items = [(4, [1, 2, 3]), (9, []), (2, [7]), (5, list(range(50)))]
+def _spooled_runs(tmp_path, groups):
+    """``(offsets, values)`` as the two raw sections the spool streams."""
     spool = GroupingSpool(tmp_path, "g")
-    for key, values in items:
-        spool.add(key, values)
-    section = _Section()
-    spool.write_to(section)
+    for values in groups:
+        spool.add(values)
+    offsets, values = _Section(), _Section()
+    spool.write_raw_offsets(offsets)
+    spool.write_raw_values(values)
     spool.cleanup()
-    assert section.data == encode_grouping(items)
+    assert not any(name.startswith("g.") for name in os.listdir(tmp_path))
+    return decode_raw_ids(offsets.data).tolist(), decode_raw_ids(values.data).tolist()
+
+
+def test_grouping_spool_matches_encode_grouping(tmp_path):
+    groups = [[1, 2, 3], [], [7], list(range(50))]
+    _, offsets, values = decode_grouping(Reader(encode_grouping(enumerate(groups))))
+    assert _spooled_runs(tmp_path, groups) == (list(offsets), list(values))
 
 
 def test_grouping_spool_empty(tmp_path):
-    spool = GroupingSpool(tmp_path, "empty")
-    section = _Section()
-    spool.write_to(section)
-    spool.cleanup()
-    assert section.data == encode_grouping([])
+    assert _spooled_runs(tmp_path, []) == ([0], [])
 
 
 # ----------------------------------------------------------------------

@@ -5,6 +5,7 @@ import os
 import struct
 
 import pytest
+from bundle_layout import EXPECTED_SECTIONS
 
 from repro.core.engine import KeywordSearchEngine
 from repro.rdf.graph import DataGraph
@@ -170,8 +171,16 @@ def test_load_rejects_format_version_2(small_engine, tmp_path, index_tier):
     """So did v2, which stored the indexes twice (``store.*`` and four
     ``kindex.*`` sections next to the runs): its memory-tier sections are
     gone from the reader, so it is refused rather than half-read."""
-    assert FORMAT_VERSION == 3
     _assert_version_refused(small_engine, tmp_path / "a.reprobundle", 2, index_tier)
+
+
+@pytest.mark.parametrize("index_tier", ["memory", "mmap"])
+def test_load_rejects_format_version_3(small_engine, tmp_path, index_tier):
+    """And v3, which stored the data graph a second time as ten derived
+    ``graph.*`` sections: their decoders are gone, so a prelude that says
+    version 3 is refused with the rebuild hint on both tiers."""
+    assert FORMAT_VERSION == 4
+    _assert_version_refused(small_engine, tmp_path / "a.reprobundle", 3, index_tier)
 
 
 def _read_header(data):
@@ -223,54 +232,58 @@ def test_memory_tier_checksums_every_keyword_run(small_engine, tmp_path, name):
         load_bundle(path)
 
 
-EXPECTED_SECTIONS = {
-    "triples",
-    "graph.entity_refs",
-    "graph.class_refs",
-    "graph.value_refs",
-    "graph.type_pairs",
-    "graph.subclass_pairs",
-    "graph.out",
-    "graph.in",
-    "graph.relation_triples",
-    "graph.attribute_triples",
-    "graph.labels",
-    "graph.type_pred_counts",
-    "graph.subclass_pred_counts",
-    "store2.spo",
-    "store2.pos",
-    "store2.osp",
-    "kindex.vocab",
-    "kindex.elements",
-    "kindex2.vocab.offsets",
-    "kindex2.vocab.sorted",
-    "kindex2.elements.sorted",
-    "kindex2.postings.offsets",
-    "kindex2.postings.runs",
-    "kindex2.element_terms.offsets",
-    "kindex2.element_terms.runs",
-    "kindex2.attr_refs",
-    "kindex2.value_refs",
-    "summary.vertices",
-    "summary.edges",
-    "substrate.offsets",
-    "substrate.targets",
-    "terms",
-    "terms.offsets",
-    "terms.sorted",
-}
-
-
 def test_bundle_holds_exactly_the_expected_sections(small_engine, tmp_path):
-    """One stored copy of the indexes: the 34 sections, no ``store.*``
-    and none of the four ``kindex.*`` duplicates of the runs."""
+    """One stored copy of everything: the 24 sections — ``triples`` is
+    the data graph, the runs are the indexes — and no derived
+    ``graph.*`` structure beside the two predicate-count maps."""
     path = tmp_path / "a.reprobundle"
     info = small_engine.save(path)
     header, _ = _read_header(path.read_bytes())
     names = [e["name"] for e in header["sections"]]
-    assert len(names) == info["sections"] == 34
-    assert set(names) == EXPECTED_SECTIONS
-    assert not any(name.startswith("store.") for name in names)
+    assert names == EXPECTED_SECTIONS
+    assert info["sections"] == len(EXPECTED_SECTIONS) == 24
+
+
+def _rewrite_bundle(path, data, header, payload):
+    """Write ``payload`` back under a re-encoded (patched) header."""
+    encoded = json.dumps(header, separators=(",", ":"), sort_keys=True).encode()
+    path.write_bytes(
+        data[:12]
+        + struct.pack("<I", len(encoded))
+        + encoded
+        + b"\x00" * (-(16 + len(encoded)) % 8)
+        + payload
+    )
+
+
+@pytest.mark.parametrize("index_tier", ["memory", "mmap"])
+def test_duplicated_triple_row_fails_graph_materialisation(
+    small_engine, tmp_path, index_tier
+):
+    """A ``triples`` section whose last row repeats the first — same
+    length, CRC patched, so checksum and row count pass — rebuilds to a
+    graph one triple short of the header's ``graph.stats``: the first
+    touch fails, it does not serve the smaller graph."""
+    import zlib
+
+    path = tmp_path / "a.reprobundle"
+    small_engine.save(path)
+    data = path.read_bytes()
+    header, data_start = _read_header(data)
+    payload = bytearray(data[data_start:])
+    entry = _section_entry(header, "triples")
+    begin, end = entry["offset"], entry["offset"] + entry["length"]
+    payload[end - 24 : end] = payload[begin + 8 : begin + 32]
+    entry["crc32"] = zlib.crc32(payload[begin:end])
+    _rewrite_bundle(path, data, header, bytes(payload))
+
+    loaded = KeywordSearchEngine.load(path, attach_wal=False, index_tier=index_tier)
+    assert loaded.search("cimiano 2006").candidates  # never touches the graph
+    assert len(loaded.graph) == len(small_engine.graph)  # header-only
+    with pytest.raises(BundleFormatError, match="disagrees with the header"):
+        loaded.graph.triples
+    with pytest.raises(BundleFormatError, match="disagrees with the header"):
+        loaded.add_triples(list(small_engine.graph.triples)[:1])
 
 
 def test_shortened_triple_run_fails_store_materialisation(small_engine, tmp_path):
@@ -289,21 +302,15 @@ def test_shortened_triple_run_fails_store_materialisation(small_engine, tmp_path
     entry["crc32"] = zlib.crc32(
         payload[entry["offset"] : entry["offset"] + entry["length"]]
     )
-    encoded = json.dumps(header, separators=(",", ":"), sort_keys=True).encode()
-    path.write_bytes(
-        data[:12]
-        + struct.pack("<I", len(encoded))
-        + encoded
-        + b"\x00" * (-(16 + len(encoded)) % 8)
-        + payload
-    )
+    _rewrite_bundle(path, data, header, payload)
     loaded = KeywordSearchEngine.load(path, attach_wal=False)
     result = loaded.search("cimiano 2006")  # search never touches the store
     assert result.candidates
     with pytest.raises(BundleFormatError, match="sorted triple run"):
         loaded.execute(result.best())
+    fresh = KeywordSearchEngine.load(path, attach_wal=False)
     with pytest.raises(BundleFormatError, match="sorted triple run"):
-        KeywordSearchEngine.load(path, attach_wal=False, lazy=False)
+        list(fresh.store.match())
 
 
 def test_decode_sorted_run_keeps_row_order():
@@ -366,8 +373,9 @@ def test_load_overrides_engine_config(small_engine, tmp_path):
     small_engine.save(path)
     loaded = KeywordSearchEngine.load(path, k=3, guided=False, cost_model="c1")
     assert (loaded.k, loaded.guided, loaded.cost_model.name) == (3, False, "c1")
-    for unknown in ({"no_such_option": 1}, {"use_vectorized": False}):
-        with pytest.raises(TypeError):
+    # Retired options are unknown ones: there is no eager load to ask for.
+    for unknown in ({"no_such_option": 1}, {"use_vectorized": False}, {"lazy": False}):
+        with pytest.raises(TypeError, match="unknown load"):
             KeywordSearchEngine.load(path, **unknown)
 
 
