@@ -13,6 +13,10 @@ proves, on every worker, that survival and freshness hold together: the
 pre-update search, repeated after an update that touched none of its
 keywords, is served from each worker's keyword-lookup memo (``hits``
 grow, ``misses`` do not) while the updated keyword shows the new triple.
+It also holds every worker to its import budget: right after start-up a
+worker's proportional set size is under a ceiling that an HTTP stack or
+numpy inside it would blow, and at the end no worker has imported numpy
+(``kernels.loaded`` — nothing the smoke sends has a view wide enough).
 Finishes with a SIGTERM and checks the drain exits cleanly.
 
 Run under a hard ``timeout`` in CI so a deadlocked pipe fails the job in
@@ -30,6 +34,17 @@ import sys
 import threading
 import time
 from urllib.parse import urlparse
+
+#: A worker of this smoke (example bundle, 2 workers, CPython 3.11 on
+#: x86-64 Linux) reads 14,145 KB Pss at its first ``/stats``: the
+#: interpreter, the engine's modules, the frame protocol, the encoders
+#: and ``importlib.metadata`` (how ``/stats`` learns numpy's version).
+#: The ceiling is that plus 25 %.  Before the worker stopped importing
+#: what it never runs it read 27,600 KB — ``http.server`` and friends are
+#: ~10 MB of that, numpy 9-16 MB — so either one coming back fails the
+#: job.  (Pss, not RSS: the interpreter's and the bundle's shared pages
+#: are split between the processes that map them.)
+WORKER_START_PSS_CEILING_KB = 17_700
 
 
 class _KeptConnection:
@@ -136,6 +151,12 @@ def main() -> int:
         before = conn.get("/stats")
         assert before["service"]["mode"] == "dispatch", before["service"]
         assert before["service"]["live_workers"] == workers
+        for worker in before["workers"]:
+            assert 0 < worker["pss_kb"] <= WORKER_START_PSS_CEILING_KB, (
+                f"worker {worker['pid']} starts at {worker['pss_kb']} KB Pss "
+                f"> {WORKER_START_PSS_CEILING_KB} KB: something it never runs "
+                f"(an HTTP stack? numpy?) is imported again"
+            )
 
         hit = conn.get("/search?q=cimiano+2006")
         assert hit["candidates"], "pre-update search found no interpretations"
@@ -189,11 +210,17 @@ def main() -> int:
             f"epoch did not advance on all workers: {epochs} "
             f"!= {updated['epoch']}"
         )
+        assert not any(w["kernels"]["loaded"] for w in live), (
+            f"a worker imported numpy for views this small: "
+            f"{[w['kernels'] for w in live]}"
+        )
         print(
             f"# dispatch-smoke ok: {workers} workers all at epoch "
             f"{updated['epoch']}, update visible over HTTP, execute answers "
             f"on both sides of it, unrelated lookups survived it on every "
-            f"worker, {conn.requests} requests on 1 connection",
+            f"worker, {conn.requests} requests on 1 connection; workers "
+            f"started at {[w['pss_kb'] for w in before['workers']]} KB Pss "
+            f"(ceiling {WORKER_START_PSS_CEILING_KB}) and none imported numpy",
             file=sys.stderr,
         )
     finally:

@@ -29,21 +29,41 @@ or declines (``None``) and the caller runs the Dijkstra.
 Which implementation computes a table is decided in
 ``exploration._bounds_for`` from what the code can observe: numpy
 importable and the view at least :data:`MIN_BOUNDS_TOTAL` elements.
-Apart from the three status helpers, nothing here runs without numpy
+
+**numpy is imported on the first kernel use, not with this module.**  No
+shipped dataset has a view that wide, so a process that builds, serves or
+works the benchmark never runs the kernel — and should not pay numpy's
+import (~0.15 s, 9-16 MB) to find that out.  Importing this module only
+asks ``importlib.util.find_spec`` whether numpy is installed; the first
+:func:`completion_bounds` / :func:`csr_ndarrays` call of a process — the
+first wide view, or a test's ``use_vectorized=True`` — imports it through
+:func:`_numpy`, once, and logs how long that took.  An install where
+numpy is found but does not import (a broken binary wheel) logs one
+warning, reports ``kernels_enabled() == False`` from then on and keeps the
+Dijkstra tables, exactly as when the kernel declines a graph.  Apart
+from the three status helpers, nothing here runs without numpy
 (``pip install repro[fast]``).
 """
 
 from __future__ import annotations
 
 import logging
+import threading
+import time
+from importlib.util import find_spec
 from typing import Dict, List, Optional
 
 log = logging.getLogger(__name__)
 
-try:  # pragma: no cover - exercised by the no-numpy CI job
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
-    _np = None
+#: Can the kernel run: numpy is installed (asked without importing it),
+#: and — once tried — its import did not fail.
+_available = find_spec("numpy") is not None
+#: The numpy module, from the first :func:`_numpy` call on — the module
+#: object itself, bound to a local by each function that sweeps with it;
+#: no proxy stands in for it.
+_np = None
+_version: Optional[str] = None
+_import_lock = threading.Lock()
 
 _INF = float("inf")
 
@@ -55,31 +75,79 @@ _INF = float("inf")
 #: ~1.3x ahead on DBLP-8000's 28-87-element views and ties on TAP's
 #: 124-138 (per-table-set medians, table in CHANGES.md under PR 20).  No
 #: benchmark workload has a summary this large, so moving the value is a
-#: perf change that needs its own workload (see ROADMAP.md).  ``explore_top_k`` can be told to ignore it, which is how
-#: the tests run the kernel on small graphs.
+#: perf change that needs its own workload (see ROADMAP.md).  The first
+#: view this wide in a process also pays numpy's import, once (~0.15 s).
+#: ``explore_top_k`` can be told to ignore the value, which is how the
+#: tests run the kernel on small graphs.
 MIN_BOUNDS_TOTAL = 512
+
+
+def _numpy():
+    """The numpy module, imported on the first call of the process;
+    ``None`` when the install has none or its import raised."""
+    global _np, _available
+    if _np is None and _available:
+        with _import_lock:
+            if _np is None and _available:
+                started = time.perf_counter()
+                try:
+                    import numpy
+                except Exception as exc:  # ImportError, or a broken binary
+                    _available = False
+                    log.warning(
+                        "numpy is installed but its import failed (%s: %s); "
+                        "bound tables stay with the scalar Dijkstra",
+                        type(exc).__name__, exc,
+                    )
+                else:
+                    _np = numpy
+                    log.info(
+                        "imported numpy %s for the bound-table kernel in %.0f ms",
+                        numpy.__version__,
+                        1000 * (time.perf_counter() - started),
+                    )
+    return _np
+
+
+def _numpy_version() -> Optional[str]:
+    """The installed numpy's version, read from its distribution
+    metadata — asking the module would import it."""
+    global _version
+    if not _available:
+        return None
+    if _version is None:
+        from importlib import metadata
+
+        try:
+            _version = metadata.version("numpy")
+        except metadata.PackageNotFoundError:  # importable, not installed
+            _version = "unknown"
+    return _version
 
 
 def kernels_enabled() -> bool:
     """True when the bound-table kernel can run: the optional numpy
     extra is importable."""
-    return _np is not None
+    return _available
 
 
 def kernel_status() -> Dict[str, object]:
-    """Machine-readable kernel state for ``/stats`` and diagnostics."""
+    """Machine-readable kernel state for ``/stats`` and diagnostics:
+    the installed numpy, whether the kernel can run, and whether this
+    process has had a view wide enough to import it."""
     return {
-        "numpy": None if _np is None else _np.__version__,
-        "active": kernels_enabled(),
+        "numpy": _numpy_version(),
+        "active": _available,
+        "loaded": _np is not None,
     }
 
 
 def status_line() -> str:
     """One-line kernel state for ``repro --version`` and the benchmark
     harness's run header."""
-    if _np is None:
+    if not _available:
         return "kernels: off (numpy not installed; pip install repro[fast])"
-    return f"kernels: numpy {_np.__version__} (active)"
+    return f"kernels: numpy {_numpy_version()} (active)"
 
 
 # ----------------------------------------------------------------------
@@ -114,7 +182,7 @@ def csr_ndarrays(substrate):
     views share the underlying buffer — including the mmap pages of a
     bundle-adopted substrate, whose ``backing`` keeps the map alive.
     """
-    if _np is None:
+    if _numpy() is None:
         raise RuntimeError("numpy is not available")
     cached = substrate.ndarray_views()
     if cached is None:
@@ -161,7 +229,7 @@ def _relax_to_fixpoint(dist, offsets, targets, cost_rows, n, patches, max_sweeps
     Dijkstra computes, see the module docstring — is reached bit-exactly
     regardless of which steps ran; only the iteration count differs.
     """
-    np = _np
+    np = _numpy()
     n_rows, width = dist.shape
     n_edges = int(targets.shape[0])
     if n_edges:
@@ -330,9 +398,12 @@ def completion_bounds(m, seed_costs, view) -> Optional[List[List[float]]]:
     Takes exactly the inputs ``exploration._completion_bounds`` takes and
     returns the same table (list of m per-element lists, bit-identical to
     the Dijkstra), or ``None`` when the sweeps did not converge within
-    the budget — the caller recomputes with the Dijkstra.
+    the budget, or numpy turned out not to import — the caller
+    recomputes with the Dijkstra.
     """
-    np = _np
+    np = _numpy()
+    if np is None:
+        return None
     substrate = view.substrate
     offsets, targets = csr_ndarrays(substrate)
     n = substrate.n

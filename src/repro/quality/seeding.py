@@ -27,7 +27,6 @@ import time
 from typing import Dict, List, Optional, Sequence
 from urllib.error import HTTPError
 from urllib.parse import quote
-from urllib.request import Request, urlopen
 
 from repro.quality.goldens import GoldenCase
 from repro.quality.signatures import (
@@ -123,6 +122,10 @@ def seed_cases_in_process(
 
 
 def _http_json(url: str, body: Optional[dict] = None, timeout: float = 60.0):
+    # The one HTTP client in the package: imported by the call that needs
+    # it, so `repro eval check` / `run` never load http.client and ssl.
+    from urllib.request import Request, urlopen
+
     if body is None:
         request = Request(url)
     else:

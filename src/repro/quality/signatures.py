@@ -17,16 +17,15 @@ requirements drive the format:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping
+from typing import Dict, Iterable, List
 
 from repro.query.conjunctive import ConjunctiveQuery
 from repro.query.isomorphism import canonical_form
 from repro.query.presentation import form_signature
-
-
-def answer_json_signature(payload: Mapping[str, str]) -> str:
-    """Signature of an answer given as the HTTP layer's ``{var: n3}`` dict."""
-    return "|".join(f"{var}={payload[var]}" for var in sorted(payload))
+# The ``{var: n3}`` signature is the sort key of the payload it reads, so
+# it is defined beside it (a module a serving worker can import without
+# this package); it is re-exported here as part of the signature set.
+from repro.service.encoding import answer_json_signature
 
 
 def answer_signature(answer) -> str:

@@ -11,33 +11,41 @@ The multiprocess tier (``repro serve --workers N``) layers on top:
 over a pool of worker processes (:mod:`repro.service.worker`) that each
 lazily map the same ``.reprobundle``, syncing to the committed epoch
 watermark through WAL-tail replay before serving.
+
+The twelve names below are resolved on first attribute access (PEP 562):
+importing a submodule — a worker process imports ``repro.service.worker``
+and ``.encoding``, which pass through this file — does not execute
+``dispatch.py`` (``subprocess``, ``concurrent.futures``) or ``http.py``
+(``http.server``); ``from repro.service import X`` works as it always did.
 """
 
-from repro.core.snapshot import EngineSnapshot, SnapshotKey
-from repro.service.dispatch import DispatchError, DispatchService, WorkerDied
-from repro.service.http import (
-    ReproServer,
-    answers_to_json,
-    candidate_to_json,
-    result_to_json,
-)
-from repro.service.service import (
-    AdmissionError,
-    BatchOutcome,
-    EngineService,
-)
+from importlib import import_module
 
-__all__ = [
-    "AdmissionError",
-    "BatchOutcome",
-    "DispatchError",
-    "DispatchService",
-    "EngineService",
-    "EngineSnapshot",
-    "ReproServer",
-    "SnapshotKey",
-    "WorkerDied",
-    "answers_to_json",
-    "candidate_to_json",
-    "result_to_json",
-]
+_EXPORTS = {
+    "AdmissionError": "repro.service.service",
+    "BatchOutcome": "repro.service.service",
+    "DispatchError": "repro.service.dispatch",
+    "DispatchService": "repro.service.dispatch",
+    "EngineService": "repro.service.service",
+    "EngineSnapshot": "repro.core.snapshot",
+    "ReproServer": "repro.service.http",
+    "SnapshotKey": "repro.core.snapshot",
+    "WorkerDied": "repro.service.dispatch",
+    "answers_to_json": "repro.service.encoding",
+    "candidate_to_json": "repro.service.encoding",
+    "result_to_json": "repro.service.encoding",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}"
+        ) from None
+    value = globals()[name] = getattr(import_module(module), name)
+    return value
+

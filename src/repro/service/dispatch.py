@@ -10,10 +10,18 @@ breaks that wall with processes instead:
   single WAL-attached *writer* engine — every ``/update`` epoch applies
   here, is logged write-ahead, and advances the committed **watermark**;
 * N **worker processes** (:mod:`repro.service.worker`) each hold their
-  own read-only lazy load of the *same* ``.reprobundle``.  The bundle's
-  CSR sections are ``mmap`` views, so the OS page cache backs every
-  worker with one physical copy — marginal RSS per worker is near zero
-  while each gets its own GIL;
+  own read-only lazy load of the *same* ``.reprobundle``, and each gets
+  its own GIL.  What the workers share is the file: the sections a
+  worker reads in place (the CSR substrate on both tiers; the sorted
+  runs, postings and term table on the mmap tier) are ``mmap`` views
+  that the OS page cache backs with one physical copy.  What they do not
+  share is everything else — the interpreter, the imported modules and
+  whatever a worker decodes (on the memory tier, the store and the
+  keyword index): ~25 MB Pss per worker on DBLP-8000's memory tier
+  (29 MB measured alone: 7 MB interpreter, 9 MB imports, 12 MB decoded
+  engine; table in ``docs/architecture.md``).  A worker therefore
+  imports only what it runs: no HTTP stack, and numpy not before a view
+  is wide enough for the kernel;
 * ``/search`` and ``/execute`` are fanned out over the pool through a
   length-prefixed JSON frame protocol (:mod:`repro.service.protocol`)
   on each worker's stdin/stdout pipe, one in-flight request per worker.
@@ -275,14 +283,25 @@ class DispatchService:
         self._fanout = ThreadPoolExecutor(
             max_workers=max(workers, 2), thread_name_prefix="repro-dispatch"
         )
-        try:
-            for _ in range(workers):
-                handle = self._spawn_one()
-                self._handles.append(handle)
-                self._idle.append(handle)
-        except Exception:
+        # Side by side: a worker's start is an interpreter, its imports
+        # and a bundle load, and none of that waits on another worker.
+        # Every spawn is waited for before anything is decided, so a
+        # failure leaves no child behind: a handle that failed killed its
+        # own process, and close() kills the ones that started.
+        spawns = [self._fanout.submit(self._spawn_one) for _ in range(workers)]
+        first_error: Optional[Exception] = None
+        for spawn in spawns:
+            try:
+                handle = spawn.result()
+            except Exception as exc:
+                if first_error is None:
+                    first_error = exc
+                continue
+            self._handles.append(handle)
+            self._idle.append(handle)
+        if first_error is not None:
             self.close(drain_seconds=0)
-            raise
+            raise first_error
 
     # ------------------------------------------------------------------
     # Pool plumbing

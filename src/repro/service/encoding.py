@@ -1,0 +1,141 @@
+"""Response payloads: the JSON shapes of results, and their bytes.
+
+What a ``/search`` or ``/execute`` answer looks like on the wire is
+decided here and nowhere else, by both producers of such bytes: the HTTP
+front end (:mod:`repro.service.http`, which re-exports these names) and
+a ``--workers N`` worker process (:mod:`repro.service.worker`), which
+encodes at the source and never speaks HTTP.  That second reader is why
+this is its own module: it imports ``json`` and nothing else — no
+``http.server``, and not the :mod:`repro.quality` package — so a worker
+holds the encoders without holding an HTTP stack.
+
+A response body is ``json.dumps(payload)`` byte for byte, but no byte of
+it is produced twice: each :class:`~repro.core.engine.QueryCandidate`
+encodes its own fragment once
+(:meth:`~repro.core.engine.QueryCandidate.json_fragment` — one
+presentation pass over the query, :mod:`repro.query.presentation`, reads
+every term once and yields logic form, signature, SPARQL and English
+together, and the six fields are written straight to bytes),
+and :func:`encode_result` joins the fragments around a fresh
+``timings_ms``.  ``result_to_json`` / ``candidate_to_json`` /
+``answers_to_json`` build the same payloads as dicts; the encoders are
+tested against them.
+"""
+
+from __future__ import annotations
+
+import json
+from typing import Dict, List, Mapping
+
+__all__ = [
+    "answer_json_signature",
+    "answers_to_json",
+    "candidate_to_json",
+    "encode_execution",
+    "encode_result",
+    "result_to_json",
+]
+
+
+# ----------------------------------------------------------------------
+# JSON shapes: as dicts ...
+# ----------------------------------------------------------------------
+
+def candidate_to_json(candidate) -> Dict[str, object]:
+    return candidate.to_json()
+
+
+def result_to_json(result) -> Dict[str, object]:
+    return {
+        "keywords": result.keywords,
+        "ignored_keywords": result.ignored_keywords,
+        "candidates": [candidate_to_json(c) for c in result.candidates],
+        "timings_ms": _timings_ms(result.timings),
+    }
+
+
+def _timings_ms(timings: Dict[str, float]) -> Dict[str, float]:
+    return {stage: 1000 * seconds for stage, seconds in timings.items()}
+
+
+def answer_json_signature(payload: Mapping[str, str]) -> str:
+    """Signature of an answer given as the ``{var: n3}`` dict of an
+    ``/execute`` payload: the sort key of :func:`answers_to_json` and the
+    answer id of the quality goldens (:mod:`repro.quality.signatures`
+    re-exports it)."""
+    return "|".join(f"{var}={payload[var]}" for var in sorted(payload))
+
+
+def answers_to_json(answers) -> List[Dict[str, str]]:
+    # Canonical (signature-sorted) order: the evaluator enumerates hash
+    # sets, so raw answer order varies across index tiers, worker
+    # processes, and hash seeds even though the answer set is identical.
+    # Sorting here makes /execute payloads byte-comparable across tiers.
+    if answers and isinstance(answers[0], dict):
+        return sorted(answers, key=answer_json_signature)
+    return sorted(
+        (
+            {str(var): term.n3() for var, term in zip(a.variables, a.values)}
+            for a in answers
+        ),
+        key=answer_json_signature,
+    )
+
+
+# ----------------------------------------------------------------------
+# ... and as the bytes that go on the wire
+# ----------------------------------------------------------------------
+#
+# The tier seam: the multiprocess tier (repro.service.dispatch) encodes
+# at the source — a worker process runs these encoders and the dispatcher
+# hands the body on as it came off the pipe — so ``bytes`` pass through
+# and the HTTP handler stays tier-agnostic.
+
+def _dumps(payload) -> bytes:
+    return json.dumps(payload).encode("ascii")
+
+
+def encode_result(result) -> bytes:
+    """``json.dumps(result_to_json(result))``, from the candidates' cached
+    fragments.  A memo hit shares its candidates with the original
+    result, so it costs a join and the few small values encoded here."""
+    if isinstance(result, bytes):
+        return result
+    return b"".join((
+        b'{"keywords": ', _dumps(result.keywords),
+        b', "ignored_keywords": ', _dumps(result.ignored_keywords),
+        b', "candidates": [',
+        b", ".join([c.json_fragment() for c in result.candidates]),
+        b'], "timings_ms": ', _dumps(_timings_ms(result.timings)),
+        b"}",
+    ))
+
+
+def encode_execution(candidate, answers, timings) -> bytes:
+    """The ``/execute`` body: the candidate, its answers and a flat
+    ``timings_ms`` (the search's stages plus ``execute``).  A worker's
+    body arrives whole, in the candidate's place."""
+    if isinstance(candidate, bytes):
+        return candidate
+    return b"".join((
+        b'{"candidate": ', candidate.json_fragment(),
+        b', "answers": ', _dumps(answers_to_json(answers)),
+        b', "timings_ms": ', _dumps(_timings_ms(timings)),
+        b"}",
+    ))
+
+
+def _encode_outcome(outcome) -> bytes:
+    payload: Dict[str, object] = {
+        "index": outcome.index,
+        "status": outcome.status,
+        "latency_ms": 1000 * outcome.latency_seconds,
+    }
+    if outcome.ok:
+        return b"".join((
+            _dumps(payload)[:-1], b', "result": ',
+            encode_result(outcome.result), b"}",
+        ))
+    if outcome.error is not None:
+        payload["error"] = str(outcome.error)
+    return _dumps(payload)

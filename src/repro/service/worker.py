@@ -6,12 +6,20 @@ of the shared bundle::
 
     KeywordSearchEngine.load(bundle, attach_wal=False)
 
-Lazy loading means the worker's searchable state is mostly ``mmap`` views
-of the bundle's CSR sections — every worker maps the *same* file, so the
-OS page cache backs all of them with one physical copy and the marginal
-RSS of an extra worker is near zero.  That is the whole point of the
-multiprocess tier: N CPU-bound pure-Python searches stop sharing one GIL
-without paying N times the memory.
+Lazy loading means the sections a worker reads in place are ``mmap``
+views of the bundle — the CSR substrate on both index tiers, and the
+sorted runs, postings and term table on the mmap tier — and every worker
+maps the *same* file, so the OS page cache backs all of them with one
+physical copy.  The rest of a worker is its own: the interpreter, its
+imports, and what it decodes (on the memory tier, the store and the
+keyword index).  That is why this module imports the engine, the frame
+protocol and the byte encoders (:mod:`repro.service.encoding`) and
+nothing else — no ``http.server``, no ``subprocess``, no numpy until a
+view is wide enough for the kernel — and imports all of it up front, so
+that the ready frame means "every import is paid" and no request pays
+one.  The point of the multiprocess tier stands: N CPU-bound pure-Python
+searches stop sharing one GIL, at ~25 MB Pss per worker on DBLP-8000's
+memory tier (``docs/architecture.md`` has the breakdown).
 
 **Epoch propagation.**  The dispatcher owns the single WAL-attached
 writer engine; workers are followers.  Every request carries the
@@ -67,7 +75,12 @@ import sys
 import time
 from typing import Dict, Optional
 
+from repro.core import kernels
+from repro.core.engine import KeywordSearchEngine
+from repro.service.encoding import encode_execution, encode_result
 from repro.service.protocol import ProtocolError, read_frame, write_frame
+from repro.storage.errors import WalError
+from repro.storage.wal import WalCursor
 
 __all__ = ["WorkerRuntime", "main", "process_memory"]
 
@@ -108,9 +121,6 @@ class WorkerRuntime:
     """The request loop around one follower engine."""
 
     def __init__(self, bundle: str, overrides: Optional[Dict[str, object]] = None):
-        from repro.core.engine import KeywordSearchEngine
-        from repro.storage.wal import WalCursor
-
         self.bundle = os.fspath(bundle)
         self.overrides = dict(overrides or {})
         started = time.perf_counter()
@@ -145,8 +155,6 @@ class WorkerRuntime:
         """
         if min_epoch is None or self.epoch >= min_epoch:
             return
-        from repro.storage.errors import WalError
-
         try:
             self.epochs_replayed += self.cursor.replay_into(self.engine)
         except WalError:
@@ -160,9 +168,6 @@ class WorkerRuntime:
             )
 
     def _reload(self) -> None:
-        from repro.core.engine import KeywordSearchEngine
-        from repro.storage.wal import WalCursor
-
         self.engine = KeywordSearchEngine.load(
             self.bundle, attach_wal=False, **self.overrides
         )
@@ -212,8 +217,6 @@ class WorkerRuntime:
             }
 
     def _op_search(self, request: Dict[str, object]) -> Dict[str, object]:
-        from repro.service.http import encode_result
-
         self.sync_to(request.get("min_epoch"))
         result = self.engine.search(
             request["q"],
@@ -225,8 +228,6 @@ class WorkerRuntime:
         return {"ok": True, "epoch": self.epoch, "body": encode_result(result)}
 
     def _op_execute(self, request: Dict[str, object]) -> Dict[str, object]:
-        from repro.service.http import encode_execution
-
         self.sync_to(request.get("min_epoch"))
         candidate, answers, timings = self.engine.execute_ranked(
             request["q"],
@@ -254,6 +255,7 @@ class WorkerRuntime:
             "load_seconds": self.load_seconds,
             "index_tier": getattr(self.engine, "index_tier", "memory"),
             "caches": self.engine.cache_stats(),
+            "kernels": kernels.kernel_status(),
         }
         payload.update(process_memory())
         return payload

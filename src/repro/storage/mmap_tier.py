@@ -112,7 +112,10 @@ class MmapTermTable:
                 f"{len(sorted_ids)} sorted ids"
             )
         self._terms: Dict[int, Term] = {}
-        self._ids: Dict[Term, Optional[int]] = {}
+        # Found ids only, so the table bounds it.  A miss is not
+        # remembered (it is one bisect, ~17 us on 18k terms): every update
+        # batch and every client probes terms the table never interned.
+        self._ids: Dict[Term, int] = {}
 
     def __len__(self) -> int:
         return len(self._offsets) - 1
@@ -178,11 +181,9 @@ class MmapTermTable:
 
     def id_of(self, term: Term) -> Optional[int]:
         """The term's table id, or None when it is not interned."""
-        try:
-            return self._ids[term]
-        except KeyError:
-            pass
-        found: Optional[int] = None
+        found = self._ids.get(term)
+        if found is not None:
+            return found
         try:
             probe = term_order_key(term, self._datatype_id)
         except _AbsentTerm:
@@ -198,10 +199,9 @@ class MmapTermTable:
                 elif key > probe:
                     hi = mid
                 else:
-                    found = sorted_ids[mid]
-                    break
-        self._ids[term] = found
-        return found
+                    self._ids[term] = found = sorted_ids[mid]
+                    return found
+        return None
 
 
 class MmapTermDictionary:
@@ -226,7 +226,9 @@ class MmapTermDictionary:
                 f"{len(sorted_ids)} sorted ids"
             )
         self._texts: Dict[int, str] = {}
-        self._ids: Dict[str, Optional[int]] = {}
+        # As in the term table: found ids only; a miss — any word a
+        # client cares to send — is one bisect (~3 us) and not remembered.
+        self._ids: Dict[str, int] = {}
 
     def __len__(self) -> int:
         return len(self._offsets) - 1
@@ -242,13 +244,11 @@ class MmapTermDictionary:
         return text
 
     def id_of(self, text: str) -> Optional[int]:
-        try:
-            return self._ids[text]
-        except KeyError:
-            pass
+        found = self._ids.get(text)
+        if found is not None:
+            return found
         sorted_ids = self._sorted
         lo, hi = 0, len(sorted_ids)
-        found: Optional[int] = None
         while lo < hi:
             mid = (lo + hi) // 2
             candidate = self.text(sorted_ids[mid])
@@ -257,10 +257,9 @@ class MmapTermDictionary:
             elif candidate > text:
                 hi = mid
             else:
-                found = sorted_ids[mid]
-                break
-        self._ids[text] = found
-        return found
+                self._ids[text] = found = sorted_ids[mid]
+                return found
+        return None
 
     def iter_texts(self) -> Iterator[str]:
         for vid in range(len(self)):

@@ -6,6 +6,7 @@ request is retried on a healthy worker, a replacement is respawned, and
 execution; per-worker facts are merged into the dispatcher's stats.
 """
 
+import itertools
 import json
 import os
 import signal
@@ -138,6 +139,53 @@ class TestCrashRecovery:
             assert json.loads(svc.search("zzrespawn"))["candidates"]
         finally:
             svc.close()
+
+
+class TestConcurrentStart:
+    """The constructor starts its N workers side by side; what the old
+    one-after-another loop guaranteed by construction must still hold."""
+
+    def test_three_workers_start_and_serve(self, bundle):
+        svc = DispatchService(bundle, workers=3)
+        try:
+            stats = svc.stats()
+            assert len({w["pid"] for w in _live_workers(stats)}) == 3
+            assert len(svc._idle) == 3
+            assert json.loads(svc.search("cimiano 2006"))["candidates"]
+        finally:
+            svc.close()
+
+    def test_one_refusal_raises_its_error_and_leaves_no_child(
+        self, bundle, monkeypatch
+    ):
+        from repro.service import dispatch
+
+        children = []
+        spawned = itertools.count()  # next() is atomic: the spawns race
+        real_popen = dispatch.subprocess.Popen
+
+        def recording(cmd, *args, **kwargs):
+            # The second worker is pointed at a bundle that is not there:
+            # it loads nothing and sends a refusal as its ready frame.
+            if next(spawned) == 1:
+                cmd = [arg + ".missing" if arg == bundle else arg for arg in cmd]
+            proc = real_popen(cmd, *args, **kwargs)
+            children.append(proc)
+            return proc
+
+        monkeypatch.setattr(dispatch.subprocess, "Popen", recording)
+        threads_before = threading.active_count()
+        with pytest.raises(dispatch.DispatchError, match="refused to start"):
+            DispatchService(bundle, workers=3)
+        # All three were started (side by side: the refusal did not stop
+        # the third from being spawned) and all three are gone.
+        assert len(children) == 3
+        assert all(proc.poll() is not None for proc in children)
+        # The writer's delta-log lock was released with them.
+        monkeypatch.undo()
+        assert _wait_for(lambda: threading.active_count() <= threads_before)
+        svc = DispatchService(bundle, workers=1)
+        svc.close()
 
 
 class TestFrameDamage:

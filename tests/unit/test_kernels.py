@@ -8,7 +8,9 @@ the rule that selects it (numpy importable and the view large enough);
 the engine.  Only the tests that run the kernel need numpy.
 """
 
+import builtins
 import logging
+import threading
 
 import pytest
 
@@ -95,13 +97,18 @@ def _ranking(result):
 
 @needs_numpy
 def test_status_with_and_without_numpy(monkeypatch):
+    loaded = kernels._np is not None  # whether an earlier test ran the kernel
     assert kernels.kernels_enabled()
-    assert kernels.kernel_status() == {"numpy": np.__version__, "active": True}
-    assert "active" in kernels.status_line()
+    assert kernels.kernel_status() == {
+        "numpy": np.__version__, "active": True, "loaded": loaded,
+    }
+    assert kernels.status_line() == f"kernels: numpy {np.__version__} (active)"
 
-    monkeypatch.setattr(kernels, "_np", None)
+    monkeypatch.setattr(kernels, "_available", False)
     assert not kernels.kernels_enabled()
-    assert kernels.kernel_status() == {"numpy": None, "active": False}
+    assert kernels.kernel_status() == {
+        "numpy": None, "active": False, "loaded": loaded,
+    }
     assert "off" in kernels.status_line()
 
 
@@ -110,7 +117,7 @@ def test_disabled_kernels_still_explore_identically(monkeypatch, caplog):
     gives the same result, and nothing announces a "fallback"."""
     engine = KeywordSearchEngine(running_example_graph(), guided=True)
     reference = engine.search("cimiano 2006")
-    monkeypatch.setattr(kernels, "_np", None)
+    monkeypatch.setattr(kernels, "_available", False)
     engine.summary.exploration_substrate().clear_bounds()
     with caplog.at_level(logging.DEBUG):
         disabled = engine.search("cimiano 2006")
@@ -133,6 +140,9 @@ def test_small_view_never_touches_numpy(monkeypatch):
     assert _build_substrate_view(augmented, costs).total < kernels.MIN_BOUNDS_TOTAL
     expected = explore_top_k(augmented, costs, k=5, use_vectorized=False)
     monkeypatch.setattr(kernels, "_np", Poisoned())
+    monkeypatch.setattr(
+        kernels, "_numpy", lambda: pytest.fail("numpy asked for on a small view")
+    )
     got = explore_top_k(augmented, costs, k=5)
     assert [(sg.elements, sg.cost) for sg in got.subgraphs] == [
         (sg.elements, sg.cost) for sg in expected.subgraphs
@@ -142,9 +152,94 @@ def test_small_view_never_touches_numpy(monkeypatch):
 def test_forcing_the_kernel_without_numpy_is_an_error(monkeypatch):
     engine = KeywordSearchEngine(running_example_graph(), guided=True)
     augmented, costs = _augmented(engine, "cimiano aifb")
-    monkeypatch.setattr(kernels, "_np", None)
+    monkeypatch.setattr(kernels, "_available", False)
     with pytest.raises(ValueError, match="requires numpy"):
         explore_top_k(augmented, costs, use_vectorized=True)
+
+
+# ----------------------------------------------------------------------
+# The import happens on the first kernel use
+# ----------------------------------------------------------------------
+#
+# `sys.modules` is process state and this file imports numpy itself, so
+# "numpy is not loaded until ..." is asserted in fresh interpreters
+# (tests/integration/test_import_budget.py).  What can be pinned here is
+# the accessor: reset to "not imported yet", it imports once, says so
+# once, and a failing import is one warning and the Dijkstra.
+
+
+def _import_records(caplog):
+    return [
+        r for r in caplog.records
+        if r.name == kernels.log.name and "numpy" in r.getMessage()
+    ]
+
+
+@needs_numpy
+def test_eight_threads_crossing_the_threshold_import_once_and_agree(
+    monkeypatch, caplog
+):
+    engine = KeywordSearchEngine(_ring_graph(300), guided=True)
+    problem = _bound_problem(engine, "w000002 w000009")
+    assert problem[2].total >= kernels.MIN_BOUNDS_TOTAL
+    expected = _dijkstra_bounds(*problem)
+
+    monkeypatch.setattr(kernels, "_np", None)  # as in a fresh process
+    barrier = threading.Barrier(8)
+    tables = [None] * 8
+
+    def cross(i):
+        barrier.wait()
+        tables[i] = kernels.completion_bounds(*problem)
+
+    with caplog.at_level(logging.INFO, logger=kernels.log.name):
+        threads = [threading.Thread(target=cross, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    assert kernels._np is np
+    assert all(table == expected for table in tables)
+    (record,) = _import_records(caplog)
+    assert record.levelno == logging.INFO and " ms" in record.getMessage()
+
+
+def test_numpy_found_but_unimportable_is_one_warning_and_the_dijkstra(
+    monkeypatch, caplog
+):
+    """A broken install: ``find_spec`` finds numpy, importing it raises."""
+    real_import = builtins.__import__
+
+    def broken(name, *args, **kwargs):
+        if name == "numpy":
+            raise ImportError("numpy: undefined symbol (simulated)")
+        return real_import(name, *args, **kwargs)
+
+    engine = KeywordSearchEngine(running_example_graph(), guided=True)
+    augmented, costs = _augmented(engine, "cimiano aifb")
+    costs = dict(costs)
+    monkeypatch.setattr(kernels, "_available", False)
+    without = explore_top_k(augmented, dict(costs), k=5)
+
+    monkeypatch.setattr(kernels, "_available", True)
+    monkeypatch.setattr(kernels, "_np", None)
+    monkeypatch.setattr(builtins, "__import__", broken)
+    with caplog.at_level(logging.INFO, logger=kernels.log.name):
+        got = explore_top_k(augmented, costs, k=5, use_vectorized=True)
+        assert not kernels.kernels_enabled()
+        assert kernels.kernel_status() == {
+            "numpy": None, "active": False, "loaded": False,
+        }
+        # From here on the install behaves as one without numpy.
+        again = explore_top_k(augmented, dict(costs), k=5)
+    (record,) = _import_records(caplog)
+    assert record.levelno == logging.WARNING
+    assert "undefined symbol" in record.getMessage()
+    for result in (got, again):
+        assert [(sg.elements, sg.cost) for sg in result.subgraphs] == [
+            (sg.elements, sg.cost) for sg in without.subgraphs
+        ]
+        assert result.cursors_created == without.cursors_created
 
 
 # ----------------------------------------------------------------------
@@ -213,7 +308,7 @@ def test_nonconvergence_falls_back_to_scalar(monkeypatch):
 
     declined = engine.search("w000001 w000003")
     with monkeypatch.context() as without_numpy:
-        without_numpy.setattr(kernels, "_np", None)
+        without_numpy.setattr(kernels, "_available", False)
         engine.summary.exploration_substrate().clear_bounds()
         dijkstra = engine.search("w000001 w000003")
     assert _ranking(declined) == _ranking(dijkstra)

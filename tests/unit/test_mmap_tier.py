@@ -76,6 +76,55 @@ def test_term_table_absent_terms_return_none(mapped):
     assert table.id_of(Literal("hello", language="zz")) is None
 
 
+def test_miss_memos_stay_bounded_under_update_churn_and_unknown_keywords(
+    example_bundle,
+):
+    """Regression: both reverse maps used to memoize *misses* forever
+    (``_ids[term] = None``) — 20 dead terms pinned per update batch, one
+    entry per unknown keyword a client ever sent."""
+    _, path = example_bundle
+    engine = KeywordSearchEngine.load(path, index_tier="mmap", attach_wal=False)
+    table = engine.store._terms
+    vocab = engine.keyword_index._index._dict
+    ex = "http://example.org/churn/"
+
+    known = [table[i] for i in range(len(table))]
+    keys_before = [engine.store.key_of(term) for term in known]
+    lookups_before = {
+        word: sorted(map(repr, engine.keyword_index._index.lookup(word)))
+        for word in ("cimiano", "2006", "public", "hello")
+    }
+    ranked_before = [
+        (c.cost, str(c.query)) for c in engine.search("cimiano 2006").candidates
+    ]
+
+    for i in range(500):
+        batch = [
+            Triple(URI(f"{ex}s{i}"), URI(f"{ex}p{i}"), Literal(f"churnword{i}")),
+            Triple(URI(f"{ex}s{i}"), RDF.type, URI(f"{ex}Class{i}")),
+        ]
+        engine.add_triples(batch)
+        # A delta-only term is its own key, however often it is asked.
+        assert engine.store.key_of(batch[0].subject) is batch[0].subject
+        assert engine.store.key_of(batch[0].subject) is batch[0].subject
+        engine.remove_triples(batch)
+    for i in range(500):
+        assert engine.keyword_index._index.lookup(f"nosuchword{i}") == []
+        assert f"nosuchword{i}" not in engine.keyword_index._index
+
+    # What `_ids` holds is found ids only: never more than the table has,
+    # whatever was asked (1,500 absent terms and 500 absent words above).
+    assert len(table._ids) <= len(table) and None not in table._ids.values()
+    assert len(vocab._ids) <= len(vocab) and None not in vocab._ids.values()
+
+    assert [engine.store.key_of(term) for term in known] == keys_before
+    for word, rows in lookups_before.items():
+        assert sorted(map(repr, engine.keyword_index._index.lookup(word))) == rows
+    assert [
+        (c.cost, str(c.query)) for c in engine.search("cimiano 2006").candidates
+    ] == ranked_before
+
+
 def test_triple_tier_matches_every_pattern(example_bundle, mapped):
     engine, _ = example_bundle
     tier = mapped.store
