@@ -16,7 +16,9 @@ grow, ``misses`` do not) while the updated keyword shows the new triple.
 It also holds every worker to its import budget: right after start-up a
 worker's proportional set size is under a ceiling that an HTTP stack or
 numpy inside it would blow, and at the end no worker has imported numpy
-(``kernels.loaded`` — nothing the smoke sends has a view wide enough).
+(``kernels.loaded`` — nothing the smoke sends has a view wide enough) and
+none has had a seed threshold refuted (``exploration.seed_fallbacks`` — a
+second exploration behind a correct answer is what that counter is for).
 Finishes with a SIGTERM and checks the drain exits cleanly.
 
 Run under a hard ``timeout`` in CI so a deadlocked pipe fails the job in
@@ -36,14 +38,15 @@ import time
 from urllib.parse import urlparse
 
 #: A worker of this smoke (example bundle, 2 workers, CPython 3.11 on
-#: x86-64 Linux) reads 14,145 KB Pss at its first ``/stats``: the
-#: interpreter, the engine's modules, the frame protocol, the encoders
-#: and ``importlib.metadata`` (how ``/stats`` learns numpy's version).
-#: The ceiling is that plus 25 %.  Before the worker stopped importing
-#: what it never runs it read 27,600 KB — ``http.server`` and friends are
-#: ~10 MB of that, numpy 9-16 MB — so either one coming back fails the
-#: job.  (Pss, not RSS: the interpreter's and the bundle's shared pages
-#: are split between the processes that map them.)
+#: x86-64 Linux) reads 12,190 KB Pss at its first ``/stats``: the
+#: interpreter, the engine's modules, the frame protocol and the
+#: encoders.  The ceiling is 14,145 KB — the reading while ``/stats``
+#: still imported ``importlib.metadata`` for numpy's version — plus 25 %.
+#: Before the worker stopped importing what it never runs it read
+#: 27,600 KB — ``http.server`` and friends are ~10 MB of that, numpy
+#: 9-16 MB — so either one coming back fails the job.  (Pss, not RSS: the
+#: interpreter's and the bundle's shared pages are split between the
+#: processes that map them.)
 WORKER_START_PSS_CEILING_KB = 17_700
 
 
@@ -213,6 +216,13 @@ def main() -> int:
         assert not any(w["kernels"]["loaded"] for w in live), (
             f"a worker imported numpy for views this small: "
             f"{[w['kernels'] for w in live]}"
+        )
+        explored = [w["exploration"] for w in live]
+        assert all(e["seeded"] > 0 for e in explored) and not any(
+            e["seed_fallbacks"] for e in explored
+        ), (
+            f"a worker refuted a seed threshold and explored twice (or "
+            f"never ran seeded): {explored}"
         )
         print(
             f"# dispatch-smoke ok: {workers} workers all at epoch "

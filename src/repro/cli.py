@@ -980,11 +980,21 @@ def _eval_check(args) -> int:
     print(f"# goldens: {goldens_path} ({report['num_cases']} cases)")
     print(f"# config: {config}")
     print(f"# baseline: {baseline_path}")
+    exploration = engine.exploration_stats()
+    print(f"# exploration: {exploration}")
     _print_aggregates(report)
     if failures:
         print(f"FAIL: {len(failures)} metric(s) regressed vs baseline:")
         for failure in failures:
             print(f"  - {failure}")
+        return 1
+    if exploration["seed_fallbacks"]:
+        # The answers are right — a refuted seed is rerun without it — but
+        # each one is a second exploration hiding behind them.
+        print(
+            f"FAIL: {exploration['seed_fallbacks']} of {exploration['seeded']} "
+            "seeded explorations refuted their threshold and ran twice"
+        )
         return 1
     print("OK: all metrics at or above baseline")
     return 0

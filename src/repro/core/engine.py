@@ -32,6 +32,7 @@ are byte-identical either way.
 from __future__ import annotations
 
 import json
+import threading
 import time
 from json.encoder import encode_basestring_ascii
 from math import isfinite
@@ -403,6 +404,12 @@ class KeywordSearchEngine:
         self._search_cache: Optional[LruDict] = (
             LruDict(search_cache_size) if search_cache_size > 0 else None
         )
+        #: Explorations that started from a seed threshold, and those among
+        #: them that refuted it and ran a second time (``/stats``
+        #: ``exploration``; the second should stay 0).
+        self._seeded = 0
+        self._seed_fallbacks = 0
+        self._seed_lock = threading.Lock()
         #: Provenance of a bundle-loaded engine (path, format version,
         #: epoch at save, WAL state) — ``None`` for a built engine.  The
         #: serving layer surfaces it through ``/stats``.
@@ -684,6 +691,10 @@ class KeywordSearchEngine:
         step = time.perf_counter()
         exploration = _explore_stage(snapshot, augmented, costs, k, dmax, max_cursors)
         timings["exploration"] = time.perf_counter() - step
+        if isfinite(exploration.seed_threshold):
+            with self._seed_lock:
+                self._seeded += 1
+                self._seed_fallbacks += exploration.seed_fallback
 
         # Task 5: query mapping.
         step = time.perf_counter()
@@ -945,6 +956,15 @@ class KeywordSearchEngine:
             "graph_index": self.summary.stats(),
             "data_graph": {k: float(v) for k, v in self.graph.stats().items()},
         }
+
+    def exploration_stats(self) -> Dict[str, int]:
+        """How this engine's explorations started (``/stats``
+        ``exploration``): ``seeded`` ran Algorithm 2 from a threshold read
+        off the connectivity tables, ``seed_fallbacks`` of them refuted it
+        and were repeated without — correct either way, but each one is a
+        second exploration somebody should look at."""
+        with self._seed_lock:
+            return {"seeded": self._seeded, "seed_fallbacks": self._seed_fallbacks}
 
     def cache_stats(self) -> Dict[str, Dict[str, float]]:
         """Hit/miss statistics of the query-time memo layers (the numbers

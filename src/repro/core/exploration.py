@@ -61,6 +61,27 @@ Implementation notes (performance, same semantics):
   as the identity oracle).  The bound tables are cached on the substrate
   per (cost table, keyword-element sets, overlay signature), so repeated
   queries skip them entirely;
+* Algorithm 2 **starts with a threshold**.  On its own it can prune only
+  once k candidates exist, and most of a request's cursors are created
+  before that, against a k-th cost of +inf — although the per-keyword
+  distance tables the bounds are built from already describe concrete
+  matching subgraphs.  :func:`seed_witnesses` reads up to k of them off
+  the tables (no exploration: shortest paths walked back through the
+  tables, plus the cheapest sibling bindings at the cheapest connecting
+  element) and :func:`seed_threshold` takes the k-th cheapest as an upper
+  bound on the k-th cost the run will end with; both bound checks then
+  compare against ``min(k-th cost, threshold)`` from the first pop on.
+  Nothing else in the loop reads the threshold.  It is **checked, not
+  trusted**: a cursor the seed pruned had ``cost + bound >= threshold``,
+  so everything it could have completed costs at least the threshold,
+  and a run that ends with k candidates strictly below the threshold has
+  therefore lost nothing — it is the unseeded run's list, ties and all.
+  A run that ends otherwise (a witness that the per-element cap of k
+  paths, not the graph, kept the loop from assembling) is repeated
+  without the seed and counted (``ExplorationResult.seed_fallback``,
+  ``/stats`` ``exploration.seed_fallbacks``): a wrong witness can cost a
+  second exploration, never an answer.  The threshold is cached beside
+  the tables per ``(k, dmax)``; ``guided=False`` runs unseeded;
 * the loop is pure Python and runs on every install.  numpy (the
   ``repro[fast]`` extra) buys exactly one thing: a bound table over a
   view of at least ``kernels.MIN_BOUNDS_TOTAL`` elements is computed by
@@ -72,9 +93,10 @@ Implementation notes (performance, same semantics):
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 from heapq import heapify, heappop, heappush
-from operator import itemgetter, sub
+from itertools import islice
+from operator import add, itemgetter, sub
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.core import kernels
@@ -82,7 +104,7 @@ from repro.core.subgraph import MatchingSubgraph
 from repro.core.topk import CandidateList
 from repro.scoring.cost import split_cost_mapping
 from repro.summary.augmentation import AugmentedSummaryGraph
-from repro.summary.substrate import checked_cost
+from repro.summary.substrate import BoundTables, checked_cost
 
 #: Default bound on path length, counted in *elements* (a vertex→vertex hop
 #: crosses two elements: the edge and the far vertex).
@@ -102,6 +124,8 @@ class ExplorationResult:
         "candidates_offered",
         "terminated_by",
         "max_queue_size",
+        "seed_threshold",
+        "seed_fallback",
     )
 
     def __init__(
@@ -113,6 +137,8 @@ class ExplorationResult:
         candidates_offered: int,
         terminated_by: str,
         max_queue_size: int,
+        seed_threshold: float = _INF,
+        seed_fallback: bool = False,
     ):
         self.subgraphs = subgraphs
         self.cursors_created = cursors_created
@@ -121,6 +147,11 @@ class ExplorationResult:
         self.candidates_offered = candidates_offered
         self.terminated_by = terminated_by
         self.max_queue_size = max_queue_size
+        #: The threshold the run started with (+inf: it started without
+        #: one), and whether the run refuted it — in which case every
+        #: other field describes the unseeded rerun.
+        self.seed_threshold = seed_threshold
+        self.seed_fallback = seed_fallback
 
     def __repr__(self):
         return (
@@ -350,8 +381,9 @@ def _completion_bounds(
     row_of: Callable[[int], Sequence[int]],
     costs: Sequence[float],
     total: int,
-) -> List[List[float]]:
-    """Per-keyword admissible completion bounds L_i(n) (guided exploration).
+) -> Tuple[List[List[float]], List[array]]:
+    """Per-keyword admissible completion bounds L_i(n) (guided exploration),
+    and the per-keyword distance tables they were built from.
 
     ``dist_j(n)`` = cheapest path cost from keyword j to element n.  The
     raw table is a Dijkstra seeded with ``S_i(n*) = Σ_{j≠i} dist_j(n*)`` at
@@ -369,6 +401,9 @@ def _completion_bounds(
     over the same elements; that slack is why the prune compares with a
     plain ``>=`` and needs no rounding margin
     (``test_bounds_real_costs.py`` checks it on the real cost models).
+
+    Returns ``(bounds, dists)``; ``dists[j]`` is ``dist_j`` as an
+    ``array('d')`` — the table :func:`seed_witnesses` reads subgraphs off.
     """
     per_keyword_dist = [
         _dijkstra_rows(seed_costs[i], row_of, costs, total) for i in range(m)
@@ -391,21 +426,43 @@ def _completion_bounds(
         bounds.append(
             _dijkstra_rows(seeds, row_of, costs, total) if seeds else [_INF] * total
         )
-    return bounds
+    return bounds, [array("d", row) for row in per_keyword_dist]
+
+
+def _boxed_costs(view: _SubstrateView) -> List[float]:
+    """The view's costs as a list of float objects (an ``array('d')``
+    boxes a new float on every read), made once per view."""
+    costs = view.costs_list
+    if costs is None:
+        costs = view.costs_list = view.costs.tolist()
+    return costs
+
+
+def _boxed_rows(view: _SubstrateView) -> Dict[int, Tuple[int, ...]]:
+    """The adjacency-row memo of a view: a base row is sliced out of the
+    CSR arrays and boxed into a tuple once, by whoever reads it first —
+    the bound tables, the seed threshold or the exploration loop — and
+    every later reader skips both.  Concurrent searches share it safely:
+    entries are pure functions of the element id, so a racing
+    double-compute just overwrites with an equal value."""
+    rows = view.row_memo
+    if rows is None:
+        rows = view.row_memo = dict(view.rows)
+    return rows
 
 
 def _view_row_of(view: _SubstrateView):
     """The per-element adjacency accessor of a substrate view."""
-    extra_rows = view.rows
+    rows = _boxed_rows(view)
     substrate = view.substrate
     offsets = substrate.offsets
     targets = substrate.targets
 
-    def row_of(
-        element: int, _get=extra_rows.get, _t=targets, _o=offsets
-    ) -> Sequence[int]:
+    def row_of(element: int, _get=rows.get, _t=targets, _o=offsets) -> Sequence[int]:
         row = _get(element)
-        return row if row is not None else _t[_o[element] : _o[element + 1]]
+        if row is None:
+            row = rows[element] = tuple(_t[_o[element] : _o[element + 1]])
+        return row
 
     return row_of
 
@@ -415,9 +472,9 @@ def _bounds_for(
     seed_costs: List[Dict[int, float]],
     view: _SubstrateView,
     use_kernel: Optional[bool],
-) -> List[List[float]]:
-    """Completion bounds for one query, by the implementation its view's
-    size selects: the numpy relaxation kernel from
+) -> Tuple[List[List[float]], List[array]]:
+    """One query's completion bounds and distance tables, by the
+    implementation its view's size selects: the numpy relaxation kernel from
     ``kernels.MIN_BOUNDS_TOTAL`` elements up (when numpy is importable),
     the Dijkstra tables below that, without numpy, or when the kernel
     declines a pathological graph — identical values either way.
@@ -432,7 +489,7 @@ def _bounds_for(
         if computed is not None:
             return computed
     return _completion_bounds(
-        m, seed_costs, _view_row_of(view), view.costs, view.total
+        m, seed_costs, _view_row_of(view), _boxed_costs(view), view.total
     )
 
 
@@ -515,11 +572,205 @@ def iter_combinations(lists, w, cutoff):
 
 
 # ----------------------------------------------------------------------
+# The seed threshold (witness subgraphs read off the distance tables)
+# ----------------------------------------------------------------------
+
+#: Relative widening of the seed threshold.  A witness's cost is a sum of
+#: table entries, the loop's cost for the same subgraph a sum of chained
+#: path costs; both are folded in the same order here, and the widening
+#: keeps the threshold strictly above the witness whatever the last ulp
+#: of either does.  Ten orders of magnitude above double rounding, ten
+#: below any difference between two distinct subgraph costs that matters.
+_SEED_SLACK = 1e-9
+
+
+def _path_back(dist, known, node, row_of, costs):
+    """Keyword j's cheapest path to ``node`` (a tuple, keyword element
+    first), walked back through its distance table: a predecessor is any
+    neighbor ``p`` with ``dist[p] + cost[node] == dist[node]`` — exactly
+    the float the Dijkstra (or the kernel, whose fixpoint is the same)
+    stored, so the forward chain along the path reproduces ``dist[node]``
+    bit for bit.  ``known`` memoizes paths per element, starting from the
+    keyword elements themselves; shortest paths share prefixes, so each
+    element's row is scanned once per keyword."""
+    trail = []
+    path = known.get(node)
+    while path is None:
+        trail.append(node)
+        need = dist[node]
+        cost = costs[node]
+        for prev in row_of(node):
+            if dist[prev] + cost == need:
+                break
+        else:  # pragma: no cover - not a fixpoint table: no witness
+            return None
+        node = prev
+        path = known.get(node)
+    while trail:
+        node = trail.pop()
+        path = path + (node,)
+        known[node] = path
+    return path
+
+
+def _sibling_bindings(root, m, seed_costs, row_of, costs, k, dmax):
+    """Per keyword, the up to k keyword elements nearest ``root`` with
+    their tree paths: ``(lists, paths, weights)`` in the shape
+    :func:`iter_combinations` enumerates (``lists[j]`` indexes ``paths`` /
+    ``weights`` ascending in weight).  One Dijkstra outward from
+    ``root``, not expanded past ``dmax`` hops and stopped once every
+    keyword has k elements (or all it has) settled.  A path's weight is
+    chained forward from its keyword element — the float a cursor
+    walking it carries — not read off the outward distances, which add
+    the same costs in the opposite order."""
+    owners: Dict[int, List[int]] = {}
+    for j, seeds in enumerate(seed_costs):
+        for node in seeds:
+            owners.setdefault(node, []).append(j)
+    room = [min(k, len(seeds)) for seeds in seed_costs]
+    missing = sum(room)
+    settled: List[List[int]] = [[] for _ in range(m)]
+    dist = {root: costs[root]}
+    parent = {root: -1}
+    heap = [(costs[root], root, 0)]
+    while heap and missing:
+        d, node, depth = heappop(heap)
+        if d != dist[node]:
+            continue
+        for j in owners.get(node, ()):
+            if room[j]:
+                room[j] -= 1
+                missing -= 1
+                settled[j].append(node)
+        if depth == dmax:
+            continue
+        depth += 1
+        for neighbor in row_of(node):
+            nd = d + costs[neighbor]
+            if nd < dist.get(neighbor, _INF):
+                dist[neighbor] = nd
+                parent[neighbor] = node
+                heappush(heap, (nd, neighbor, depth))
+
+    paths: List[List[int]] = []
+    weights: List[float] = []
+    lists: List[List[int]] = []
+    for elements in settled:
+        first = len(paths)
+        for node in elements:
+            path = []
+            weight = 0
+            while node >= 0:
+                path.append(node)
+                weight = weight + costs[node]
+                node = parent[node]
+            paths.append(path)
+            weights.append(weight)
+        lists.append(sorted(range(first, len(paths)), key=weights.__getitem__))
+    return lists, paths, weights
+
+
+def seed_witnesses(m, dists, seed_costs, row_of, costs, k, dmax):
+    """Up to k matching subgraphs with pairwise distinct element sets,
+    read off the per-keyword distance tables without exploring:
+    ``(cost, connecting element, paths)`` triples, cheapest first.
+
+    Two families.  (1) Through each connecting element ``n``, in
+    ascending ``Σ_j dist_j(n)``, every keyword's shortest path to ``n``
+    (:func:`_path_back`); the walk stops once the sum reaches the k-th
+    witness already held.  (2) At the cheapest connecting element, the k
+    cheapest ways to bind each keyword to one of its elements near it
+    (:func:`_sibling_bindings`) — the top-k of a query are commonly
+    sibling bindings of one structure, which (1) alone sees once.
+
+    Every witness is something Algorithm 1 can assemble — one simple
+    path per keyword, from one of its elements to the connecting
+    element, at most ``dmax`` hops — and its cost is the fold, in keyword
+    order, of the chained path costs: the float the loop computes for
+    that combination.  Fewer than k come back when the tables hold fewer
+    (then the walk is skipped where a count shows it in advance).
+    """
+    found: Dict[frozenset, tuple] = {}
+    best: List[float] = []  # costs of `found`, ascending
+
+    def offer(cost, connecting, paths):
+        key = frozenset().union(*paths)
+        held = found.get(key)
+        if held is not None:
+            if held[0] <= cost:
+                return
+            del best[bisect_left(best, held[0])]
+        found[key] = (cost, connecting, paths)
+        insort(best, cost)
+
+    def kth():
+        return best[k - 1] if len(best) >= k else _INF
+
+    sums = dists[0]
+    for row in dists[1:]:
+        sums = map(add, sums, row)
+    order = [(total, node) for node, total in enumerate(sums) if total != _INF]
+    # At most one witness per connecting element plus k bindings: tables
+    # that cannot reach k are not walked at all (a large k on a small view).
+    bindings = 1
+    for seeds in seed_costs:
+        bindings *= len(seeds)
+    if not order or len(order) + min(bindings, k) < k:
+        return []
+    heapify(order)
+
+    # k == 1 needs no siblings: the cheapest connecting element's own
+    # witness is the cheapest subgraph there is.
+    if k > 1:
+        root = order[0][1]
+        lists, paths, weights = _sibling_bindings(
+            root, m, seed_costs, row_of, costs, k, dmax
+        )
+        if all(lists):
+            for combo_cost, combo in islice(
+                iter_combinations(lists, weights, kth), k
+            ):
+                if combo_cost >= kth():
+                    break
+                cost = 0
+                for ix in combo:
+                    cost = cost + weights[ix]
+                offer(cost, root, [paths[ix] for ix in combo])
+
+    known = [{node: (node,) for node in seeds} for seeds in seed_costs]
+    while order:
+        total, node = heappop(order)
+        if total >= kth():
+            break
+        walked = []
+        for j in range(m):
+            path = _path_back(dists[j], known[j], node, row_of, costs)
+            if path is None or len(path) - 1 > dmax:
+                break
+            walked.append(path)
+        else:
+            offer(total, node, walked)
+    return sorted(found.values(), key=itemgetter(0))[:k]
+
+
+def seed_threshold(m, dists, seed_costs, row_of, costs, k, dmax) -> float:
+    """An upper bound on the k-th cost Algorithm 2 will end with: the
+    k-th cheapest witness, widened by :data:`_SEED_SLACK`; +inf when the
+    tables show fewer than k witnesses."""
+    witnesses = seed_witnesses(m, dists, seed_costs, row_of, costs, k, dmax)
+    if len(witnesses) < k:
+        return _INF
+    return witnesses[k - 1][0] * (1 + _SEED_SLACK)
+
+
+# ----------------------------------------------------------------------
 # The exploration loop (Algorithm 1 pops, Algorithm 2 registrations)
 # ----------------------------------------------------------------------
 
 
-def explore_soa(seed_lists, m, view, bounds, candidates, k, dmax, max_cursors):
+def explore_soa(
+    seed_lists, m, view, bounds, candidates, k, dmax, max_cursors, threshold=_INF
+):
     """The cost-ordered pop loop on structure-of-arrays cursors.
 
     ``seed_lists[i]`` holds ``(element, cost)`` origin pairs in canonical
@@ -527,7 +778,10 @@ def explore_soa(seed_lists, m, view, bounds, candidates, k, dmax, max_cursors):
     distance)`` tuple plus a parallel cost list, indexed by creation
     order; heap entries are ``(cost, index)`` pairs, so equal costs pop
     in creation order.  ``bounds`` is the per-keyword completion table or
-    ``None`` for the unbounded oracle run.  Every counter increment,
+    ``None`` for the unbounded oracle run; ``threshold`` is the seed the
+    two bound checks start from (:func:`seed_threshold`) — they prune
+    against ``min(k-th cost, threshold)``, everything else reads the k-th
+    cost alone.  Every counter increment,
     pruning decision, offer and termination check is that of the literal
     Algorithm 1/2 in ``tests/reference_exploration.py`` — the identity
     suites assert subgraphs and diagnostics match it bit for bit.
@@ -538,11 +792,7 @@ def explore_soa(seed_lists, m, view, bounds, candidates, k, dmax, max_cursors):
     substrate = view.substrate
     offsets = substrate.offsets
     targets = substrate.targets
-    extra_rows = view.rows
-    costs = view.costs_list
-    if costs is None:
-        costs = view.costs.tolist()
-        view.costs_list = costs
+    costs = _boxed_costs(view)
     to_merged = view.to_merged
 
     cursors: List[Tuple[int, int, int, int]] = []
@@ -566,15 +816,8 @@ def explore_soa(seed_lists, m, view, bounds, candidates, k, dmax, max_cursors):
     # paper's space bound of k cheapest paths per (element, keyword).
     states: Dict[int, List[List[int]]] = {}
     states_get = states.get
-    # The adjacency-row memo lives on the view so repeated explorations
-    # skip both the CSR slice and the per-iteration int boxing of
-    # array('l') rows (base rows are boxed into tuples once).  Concurrent
-    # searches share it safely: entries are pure functions of the element
-    # id, so a racing double-compute just overwrites with an equal value.
-    rows = view.row_memo
-    if rows is None:
-        rows = dict(extra_rows)
-        view.row_memo = rows
+    # _view_row_of's lookup, inlined where a row is expanded.
+    rows = _boxed_rows(view)
     rows_get = rows.get
     # A cursor's (translated) path and its element set are fixed at
     # creation; registrations re-enumerate the same cursors many times,
@@ -615,6 +858,9 @@ def explore_soa(seed_lists, m, view, bounds, candidates, k, dmax, max_cursors):
     by_key_get = candidates._by_key.get
     srt = candidates._sorted
     kth = kth_cost()
+    # What the bound checks compare against: min(kth, threshold), kept
+    # beside kth wherever kth moves.
+    cut = kth if kth < threshold else threshold
     n_found = len(candidates)
     dup_offers = 0
 
@@ -658,7 +904,7 @@ def explore_soa(seed_lists, m, view, bounds, candidates, k, dmax, max_cursors):
         # check stays because the k-th cost may have fallen since.
         if nets is not None:
             kw_nets = nets[kw]
-            if cursor_cost + kw_nets[element] >= kth:
+            if cursor_cost + kw_nets[element] >= cut:
                 pruned += 1
                 continue
 
@@ -704,7 +950,7 @@ def explore_soa(seed_lists, m, view, bounds, candidates, k, dmax, max_cursors):
                 # here would have been discarded at its pop, and skipping
                 # its cursor, cost slot and heap entry cannot change the
                 # answer.
-                if kw_nets is not None and child_cost + kw_nets[neighbor] >= kth:
+                if kw_nets is not None and child_cost + kw_nets[neighbor] >= cut:
                     pruned += 1
                     continue
                 cur_append((neighbor, kw, ci, next_distance))
@@ -767,6 +1013,7 @@ def explore_soa(seed_lists, m, view, bounds, candidates, k, dmax, max_cursors):
                         )
                         n_found = len(srt)
                         kth = srt[k - 1][0] if n_found >= k else _INF
+                        cut = kth if kth < threshold else threshold
                     else:
                         dup_offers += 1
                     distinct_sets.add(key)
@@ -800,6 +1047,7 @@ def explore_soa(seed_lists, m, view, bounds, candidates, k, dmax, max_cursors):
                         )
                         n_found = len(srt)
                         kth = srt[k - 1][0] if n_found >= k else _INF
+                        cut = kth if kth < threshold else threshold
                     else:
                         dup_offers += 1
                     distinct_sets.add(key)
@@ -854,7 +1102,12 @@ def explore_top_k(
         exploration and returns the best candidates found so far
         (``terminated_by == "budget"``).  The budget counts cursors
         actually created: a child the bounds reject before it gets a
-        cursor is counted in ``cursors_pruned``, not here.
+        cursor is counted in ``cursors_pruned``, not here.  Since the
+        bounds compare against the seed threshold from the first pop,
+        few cursors are spent before the candidate list saturates, so a
+        given budget reaches further than it did unseeded.  A run the
+        budget stops is returned as it is — the seed is only judged on a
+        run that finished.
     guided:
         ``True`` (default): the completion bounds of Section VI-A/IX
         ("indexing connectivity") are part of the algorithm — per-keyword
@@ -862,7 +1115,12 @@ def explore_top_k(
         cached on the substrate), a child that provably cannot contribute
         a candidate better than the current k-th never gets a cursor, and
         a cursor that lost that race while queued is discarded when
-        popped.  ``False`` runs the unbounded loop.  The result is
+        popped; until k candidates exist, "the current k-th" is the seed
+        threshold read off the same tables (:func:`seed_threshold`),
+        checked when the run ends and dropped for one rerun if the run
+        refuted it (``seed_fallback`` on the result — see the module
+        docstring for why the check makes the seed safe).  ``False`` runs
+        the unbounded, unseeded loop.  The result is
         identical; only the work changes — which is the one reason
         ``False`` still exists: it is the oracle the bounds are tested
         against (``test_guided_equivalence.py``, ``repro eval check
@@ -905,25 +1163,60 @@ def explore_top_k(
     # `bounds` the loop runs unbounded — same subgraphs, several times the
     # cursors — which is what the identity tests compare against.
     bounds: Optional[List[List[float]]] = None
+    threshold = _INF
     if guided:
         seed_costs = [dict(pairs) for pairs in seed_lists]
         cache_key = None
+        tables = None
         if view.cost_token is not None:
             cache_key = (
                 view.cost_token,
                 view.extra_keys,
                 tuple(tuple(sorted(sc.items())) for sc in seed_costs),
             )
-            bounds = view.substrate.get_bounds(cache_key, view.cost_table)
-        if bounds is None:
-            bounds = _bounds_for(m, seed_costs, view, use_vectorized)
+            tables = view.substrate.get_bounds(cache_key, view.cost_table)
+        if tables is None:
+            tables = BoundTables(*_bounds_for(m, seed_costs, view, use_vectorized))
             if cache_key is not None:
-                view.substrate.store_bounds(cache_key, view.cost_table, bounds)
+                view.substrate.store_bounds(cache_key, view.cost_table, tables)
+        bounds = tables.bounds
+        # The seed: a pure function of the tables, k and dmax, so racing
+        # searches that both miss store equal floats.
+        threshold = tables.thresholds.hit((k, dmax))
+        if threshold is None:
+            threshold = seed_threshold(
+                m,
+                tables.dists,
+                seed_costs,
+                _view_row_of(view),
+                _boxed_costs(view),
+                k,
+                dmax,
+            )
+            tables.thresholds.put((k, dmax), threshold)
 
     candidates = CandidateList(k)
     created, popped, pruned, max_queue, terminated_by = explore_soa(
-        seed_lists, m, view, bounds, candidates, k, dmax, max_cursors
+        seed_lists, m, view, bounds, candidates, k, dmax, max_cursors, threshold
     )
+    # The seed is checked, not trusted.  Every cursor it pruned had
+    # cost + bound >= threshold, so whatever that cursor could have
+    # completed costs at least the threshold: a run that ends with k
+    # candidates below it lost nothing that belongs in the answer (nor
+    # anything that ties with its last entry) and is the unseeded run's
+    # list.  A run that does not — a witness the loop's per-element cap of
+    # k paths kept it from assembling — is repeated without the seed.  A
+    # budget stop is no verdict on the seed and returns what it found.
+    seed_fallback = (
+        threshold != _INF
+        and terminated_by != "budget"
+        and candidates.kth_cost() >= threshold
+    )
+    if seed_fallback:
+        candidates = CandidateList(k)
+        created, popped, pruned, max_queue, terminated_by = explore_soa(
+            seed_lists, m, view, bounds, candidates, k, dmax, max_cursors
+        )
     decode = view.decode
     return ExplorationResult(
         subgraphs=[sg.translated(decode) for sg in candidates.best()],
@@ -933,4 +1226,6 @@ def explore_top_k(
         candidates_offered=candidates.offered,
         terminated_by=terminated_by,
         max_queue_size=max_queue,
+        seed_threshold=threshold,
+        seed_fallback=seed_fallback,
     )

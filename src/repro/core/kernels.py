@@ -34,7 +34,8 @@ importable and the view at least :data:`MIN_BOUNDS_TOTAL` elements.
 shipped dataset has a view that wide, so a process that builds, serves or
 works the benchmark never runs the kernel — and should not pay numpy's
 import (~0.15 s, 9-16 MB) to find that out.  Importing this module only
-asks ``importlib.util.find_spec`` whether numpy is installed; the first
+asks ``importlib.util.find_spec`` whether numpy is installed (and the
+status helpers read its version off a directory name); the first
 :func:`completion_bounds` / :func:`csr_ndarrays` call of a process — the
 first wide view, or a test's ``use_vectorized=True`` — imports it through
 :func:`_numpy`, once, and logs how long that took.  An install where
@@ -48,8 +49,10 @@ from the three status helpers, nothing here runs without numpy
 from __future__ import annotations
 
 import logging
+import os
 import threading
 import time
+from array import array
 from importlib.util import find_spec
 from typing import Dict, List, Optional
 
@@ -110,18 +113,29 @@ def _numpy():
 
 
 def _numpy_version() -> Optional[str]:
-    """The installed numpy's version, read from its distribution
-    metadata — asking the module would import it."""
+    """The installed numpy's version, read off the name of the
+    ``numpy-<version>.dist-info`` directory beside the package — asking
+    the module would import it, and ``importlib.metadata`` would import
+    ``email.parser`` (2.4 MB) into a worker to parse a file whose one
+    needed field is already in that name.  ``"unknown"`` for an install
+    without the directory (a source checkout on ``sys.path``)."""
     global _version
     if not _available:
         return None
     if _version is None:
-        from importlib import metadata
-
-        try:
-            _version = metadata.version("numpy")
-        except metadata.PackageNotFoundError:  # importable, not installed
-            _version = "unknown"
+        version = "unknown"
+        spec = find_spec("numpy")
+        if spec is not None and spec.origin:
+            site = os.path.dirname(os.path.dirname(spec.origin))
+            try:
+                names = os.listdir(site)
+            except OSError:
+                names = []
+            for name in names:
+                if name.startswith("numpy-") and name.endswith(".dist-info"):
+                    version = name[len("numpy-") : -len(".dist-info")]
+                    break
+        _version = version
     return _version
 
 
@@ -392,12 +406,13 @@ def overlay_patch_arrays(view):
     return cached
 
 
-def completion_bounds(m, seed_costs, view) -> Optional[List[List[float]]]:
+def completion_bounds(m, seed_costs, view):
     """One query's guided completion-bound tables by relaxation.
 
     Takes exactly the inputs ``exploration._completion_bounds`` takes and
-    returns the same table (list of m per-element lists, bit-identical to
-    the Dijkstra), or ``None`` when the sweeps did not converge within
+    returns the same ``(bounds, dists)`` pair (m per-element lists and
+    the m phase-1 distance tables as ``array('d')``, bit-identical to the
+    Dijkstra's), or ``None`` when the sweeps did not converge within
     the budget, or numpy turned out not to import — the caller
     recomputes with the Dijkstra.
     """
@@ -454,7 +469,10 @@ def completion_bounds(m, seed_costs, view) -> Optional[List[List[float]]]:
     if not ok:
         _log_nonconvergence(width)
         return None
-    return [dist2[kw].tolist() for kw in range(m)]
+    return (
+        [dist2[kw].tolist() for kw in range(m)],
+        [array("d", dist1[kw].tobytes()) for kw in range(m)],
+    )
 
 
 _nonconvergence_logged = False

@@ -8,6 +8,8 @@ algorithm faithfully: measure-based condition checks and the five rule steps
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 _VOWELS = frozenset("aeiou")
 
 
@@ -94,6 +96,13 @@ _STEP4_SUFFIXES = (
 )
 
 
+#: Stems remembered per process.  A build analyses the same few thousand
+#: distinct tokens tens of thousands of times over; a server's query-time
+#: analysis goes through the same function, so the memo is bounded.
+STEM_CACHE_SIZE = 4096
+
+
+@lru_cache(maxsize=STEM_CACHE_SIZE)
 def porter_stem(word: str) -> str:
     """Stem a lowercase word with the Porter algorithm.
 

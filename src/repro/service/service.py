@@ -503,6 +503,7 @@ class EngineService:
             "index_tier": getattr(engine, "index_tier", "memory"),
             "caches": engine.cache_stats(),
             "kernels": kernels.kernel_status(),
+            "exploration": engine.exploration_stats(),
             "snapshot": {
                 "epoch": engine.index_manager.epoch,
                 "summary_version": engine.summary.snapshot_key,

@@ -256,6 +256,7 @@ class WorkerRuntime:
             "index_tier": getattr(self.engine, "index_tier", "memory"),
             "caches": self.engine.cache_stats(),
             "kernels": kernels.kernel_status(),
+            "exploration": self.engine.exploration_stats(),
         }
         payload.update(process_memory())
         return payload

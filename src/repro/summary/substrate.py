@@ -24,9 +24,11 @@ die with the substrate when ``version`` moves):
 * per-cost-table ``array('d')`` base-cost slots, keyed on the cost model's
   cached base-cost dict — turning per-query cost assembly into one memcpy
   plus O(#matches) overrides;
-* guided-mode completion-bound tables, keyed per (cost table,
-  keyword-element sets, overlay signature), so repeated queries skip the
-  per-keyword Dijkstra sweeps entirely;
+* guided-mode connectivity tables (:class:`BoundTables`: completion
+  bounds, the per-keyword distances under them, and the seed thresholds
+  read off those), keyed per (cost table, keyword-element sets, overlay
+  signature), so repeated queries skip the per-keyword Dijkstra sweeps
+  and the witness walk entirely;
 * assembled per-query substrate *views*, keyed per (overlay signature,
   cost token), so a repeated query skips the extra-id/adjacency merge
   work too (see ``repro.core.exploration._build_substrate_view``);
@@ -51,6 +53,29 @@ def checked_cost(key: Hashable, cost: Optional[float]) -> float:
     if cost <= 0:
         raise ValueError(f"element cost must be positive: {key!r} -> {cost}")
     return cost
+
+
+class BoundTables:
+    """What one entry of the bound LRU holds: a query's connectivity
+    tables and what has been derived from them.
+
+    ``bounds[i]`` is keyword i's completion-bound table (a list: the
+    exploration loop indexes it per cursor), ``dists[j]`` the per-keyword
+    distance table the bounds were built from (``array('d')``: read once
+    per ``(k, dmax)``, by ``repro.core.exploration.seed_threshold``), and
+    ``thresholds`` the seed thresholds derived so far, keyed ``(k, dmax)``
+    — a handful per entry, since a server's k and dmax rarely vary.
+    """
+
+    __slots__ = ("bounds", "dists", "thresholds")
+
+    #: Seed thresholds retained per entry (LRU).
+    MAX_THRESHOLDS = 8
+
+    def __init__(self, bounds: List[List[float]], dists: List[array]):
+        self.bounds = bounds
+        self.dists = dists
+        self.thresholds: LruDict = LruDict(self.MAX_THRESHOLDS)
 
 
 class ExplorationSubstrate:
@@ -196,8 +221,8 @@ class ExplorationSubstrate:
     # Guided completion-bound tables
     # ------------------------------------------------------------------
 
-    def get_bounds(self, key: tuple, cost_table: Mapping) -> Optional[list]:
-        """Cached bound tables for one (cost table, query signature).
+    def get_bounds(self, key: tuple, cost_table: Mapping):
+        """Cached :class:`BoundTables` for one (cost table, query signature).
 
         ``key`` embeds ``id(cost_table)``; the entry keeps a strong
         reference to the table and is served only while that exact object
@@ -209,8 +234,8 @@ class ExplorationSubstrate:
             return entry[1]
         return None
 
-    def store_bounds(self, key: tuple, cost_table: Mapping, bounds: list) -> None:
-        self._bounds_cache.put(key, (cost_table, bounds))
+    def store_bounds(self, key: tuple, cost_table: Mapping, tables) -> None:
+        self._bounds_cache.put(key, (cost_table, tables))
 
     def clear_bounds(self) -> None:
         """Drop every cached bound table (views and CSR arrays stay).

@@ -85,4 +85,26 @@ def test_exploration_diagnostics_scale_with_keywords(engines):
     engine = engines["c3"]
     small = engine.search("cimiano 2006").exploration
     large = engine.search("cimiano tran keyword 2006").exploration
-    assert large.cursors_created >= small.cursors_created
+    engine.guided = False
+    try:
+        plain_small = engine.search("cimiano 2006").exploration
+        plain_large = engine.search("cimiano tran keyword 2006").exploration
+    finally:
+        engine.guided = True
+    # What scales with the number of keywords is the frontier Algorithm 1
+    # opens — one per keyword element — and the unbounded run shows it
+    # (610 -> 2,040 cursors).
+    assert plain_large.cursors_created >= plain_small.cursors_created
+    # The run the engine serves starts from a threshold read off the
+    # connectivity tables, and what it creates is the cursors that can
+    # still complete below that threshold: the count follows how tight
+    # the threshold is, not how many frontiers are open.  Four keywords
+    # pin the structure down (threshold 15.48 against a final 10th cost of
+    # 15.24, 1.5 % above), two leave 2006's eight bindings open (8.96
+    # against 8.63, 3.8 %) — so the larger query creates fewer, 110
+    # against 214, where the bounds alone had it the other way round.
+    for seeded, plain in ((small, plain_small), (large, plain_large)):
+        assert seeded.cursors_created < plain.cursors_created
+        assert seeded.subgraphs[-1].cost < seeded.seed_threshold < float("inf")
+        assert not seeded.seed_fallback
+    assert large.cursors_created < small.cursors_created

@@ -92,6 +92,28 @@ class TestGateFires:
         assert "FAIL" in out
         assert "below baseline" in out
 
+    def test_a_refuted_seed_fails_the_gate(self, evaldir, capsys, monkeypatch):
+        """A seed threshold below the true k-th cost costs a second
+        exploration and nothing else — the metrics stay at the baseline —
+        so the gate reads the engine's fallback counter."""
+        from repro.core import exploration
+
+        cli.main(["eval", "seed", "--dataset", "example", "--bless"])
+        cli.main(["eval", "run", "--dataset", "example", "--update-baseline"])
+        assert cli.main(["eval", "check", "--dataset", "example"]) == 0
+        out = capsys.readouterr().out
+        assert "'seed_fallbacks': 0" in out and "'seeded': 0" not in out
+
+        monkeypatch.setattr(exploration, "seed_threshold", lambda *a: 1e-6)
+        assert cli.main(["eval", "check", "--dataset", "example"]) == 1
+        out = capsys.readouterr().out
+        assert "below baseline" not in out
+        assert "refuted their threshold" in out
+
+        assert cli.main(["eval", "check", "--dataset", "example", "--no-guided"]) == 0
+        assert "'seeded': 0, 'seed_fallbacks': 0" in capsys.readouterr().out
+
+
 
 class TestBundleTiers:
     def test_bundle_and_mmap_metrics_identical(self, evaldir):

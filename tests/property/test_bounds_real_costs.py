@@ -7,15 +7,27 @@ PageRank) produce costs whose sums round: the bound tables add them in
 Dijkstra order, a cursor adds them along its path, and the two can differ
 in the last ulp.  This suite therefore re-checks the identity where it is
 served: every query of the DBLP, LUBM and TAP workloads, on both cost
-models the workloads are scored with, at k = 1 / 10 / 50, on the memory
-and the mmap tier of one built bundle, before and after an add/remove
-batch.  Ranked query signatures and costs must be *equal* — not
-approximately.  Should a rounding tie ever break this, the comparison in
-the prune is what needs a margin, not this test.
+models the workloads are scored with, at k = 1 / 10 / 50 and dmax =
+2 / 4 / 10, on the memory and the mmap tier of one built bundle, before
+and after an add/remove batch.  Ranked query signatures and costs — and
+under them the explored subgraphs: elements, costs, paths, connecting
+elements, order — must be *equal*, not approximately.  Should a rounding
+tie ever break this, the comparison in the prune is what needs a margin,
+not this test.
+
+The loop as served also starts from a seed threshold read off the same
+tables (``exploration.seed_threshold``), which is a second way to be
+wrong by an ulp — a witness's table sum against the loop's chained sum —
+so there are three legs: seeded == bounded-unseeded == unbounded, and the
+seeded engine's fallback counter stays 0 throughout (a refuted seed is
+rerun without it, so equal answers alone would not show one).
 """
+
+from contextlib import contextmanager
 
 import pytest
 
+from repro.core import exploration
 from repro.core.engine import KeywordSearchEngine
 from repro.datasets import (
     DblpConfig,
@@ -67,27 +79,68 @@ def corpus(request, tmp_path_factory):
     return str(path), adds, removes, [q.keywords for q in workload()]
 
 
-def _ranking(engine, keywords, k, guided):
+@contextmanager
+def _unseeded():
+    """Bounded, not seeded: every threshold derived inside the block is
+    +inf.  Thresholds are cached beside the tables they are read off, so
+    an engine searched in here is never searched outside it."""
+    derive = exploration.seed_threshold
+    exploration.seed_threshold = lambda *args: float("inf")
+    try:
+        yield
+    finally:
+        exploration.seed_threshold = derive
+
+
+def _answer(engine, keywords, k, dmax, guided):
+    """Ranked queries, and under them the subgraphs exactly as explored:
+    connecting element, one path per keyword, element set, cost — in
+    order."""
     engine.guided = guided
-    return [(c.signature, c.cost) for c in engine.search(keywords, k=k)]
+    result = engine.search(keywords, k=k, dmax=dmax)
+    explored = result.exploration
+    return (
+        [(c.signature, c.cost) for c in result],
+        [
+            (sg.connecting_element, sg.paths, sg.elements, sg.cost)
+            for sg in (explored.subgraphs if explored is not None else ())
+        ],
+    )
 
 
-def _assert_bounds_change_nothing(engine, queries):
+def _assert_bounds_and_seed_change_nothing(seeded, bounded, queries):
     for keywords in queries:
         for k in (1, 10, 50):
-            assert _ranking(engine, keywords, k, True) == _ranking(
-                engine, keywords, k, False
-            ), (keywords, k)
+            for dmax in (2, 4, 10):
+                unbounded = _answer(seeded, keywords, k, dmax, False)
+                assert _answer(seeded, keywords, k, dmax, True) == unbounded, (
+                    "seeded", keywords, k, dmax,
+                )
+                with _unseeded():
+                    got = _answer(bounded, keywords, k, dmax, True)
+                assert got == unbounded, ("bounded, unseeded", keywords, k, dmax)
+    # Equal answers could hide a refuted seed (it is rerun without): the
+    # counter must not have moved.
+    explored = seeded.exploration_stats()
+    assert explored["seeded"] > 0 and explored["seed_fallbacks"] == 0, explored
+    assert bounded.exploration_stats() == {"seeded": 0, "seed_fallbacks": 0}
 
 
 @pytest.mark.parametrize("index_tier", ["memory", "mmap"])
 @pytest.mark.parametrize("cost_model", ["c3", "pagerank"])
 def test_bounded_equals_unbounded(corpus, cost_model, index_tier):
+    """Three legs per query x k x dmax: the loop as served (bounds, seeded
+    from the connectivity tables), the bounds alone (second engine, its
+    seeds forced to +inf), and the unbounded oracle."""
     path, adds, removes, queries = corpus
-    engine = KeywordSearchEngine.load(
-        path, cost_model=cost_model, index_tier=index_tier, attach_wal=False
+    seeded, bounded = (
+        KeywordSearchEngine.load(
+            path, cost_model=cost_model, index_tier=index_tier, attach_wal=False
+        )
+        for _ in range(2)
     )
-    _assert_bounds_change_nothing(engine, queries)
-    engine.add_triples(adds)
-    engine.remove_triples(removes)
-    _assert_bounds_change_nothing(engine, queries)
+    _assert_bounds_and_seed_change_nothing(seeded, bounded, queries)
+    for engine in (seeded, bounded):
+        engine.add_triples(adds)
+        engine.remove_triples(removes)
+    _assert_bounds_and_seed_change_nothing(seeded, bounded, queries)

@@ -11,6 +11,7 @@ which measures the work difference on the paper workloads).
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from reference_exploration import explore_top_k as reference_explore_top_k
 
 from repro.core.exploration import explore_top_k
 from repro.rdf.terms import URI
@@ -115,8 +116,23 @@ def test_bound_is_applied_before_a_cursor_is_created():
     assert _signature(guided) == _signature(plain)
     assert [sg.cost for sg in guided.subgraphs] == [4.0]
     assert plain.cursors_created == 26
-    # 2 origins + 14 children pushed while no candidate existed yet; the
-    # five children of keyword 1's hub cursor are the difference to a
-    # pop-time-only check (21).
-    assert guided.cursors_created == 16 < plain.cursors_created
-    assert guided.cursors_popped == 16
+    # 2 origins + the 4 children along hub - e:0 - leaf0 (two per
+    # keyword).  The run starts with the threshold read off the distance
+    # tables — the star's one witness, cost 4 — so keyword 0's five
+    # children towards the other leaves (cost 2, cheapest completion 3)
+    # are refused at the first pop, before any candidate exists, and
+    # keyword 1's five at the hub (cost 4, completion 1) as before: ten
+    # pruned, none created.
+    assert guided.cursors_created == 6 < plain.cursors_created
+    assert guided.cursors_popped == 6
+    assert guided.cursors_pruned == 10
+    assert guided.seed_threshold == 4.0 * (1 + 1e-9) and not guided.seed_fallback
+    # Without the seed the bounds alone give the former pin: 2 origins +
+    # 14 children pushed while no candidate existed yet; the five children
+    # of keyword 1's hub cursor are the difference to a pop-time-only
+    # check (21).
+    unseeded = reference_explore_top_k(
+        augmented, costs, k=1, guided=True, threshold=float("inf")
+    )
+    assert _signature(unseeded) == _signature(plain)
+    assert unseeded.cursors_created == 16 and unseeded.cursors_popped == 16

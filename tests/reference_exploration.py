@@ -4,8 +4,9 @@ One :class:`Cursor` object per explored path, the path recovered by walking
 parent cursors, the cycle check a walk of that chain, and every candidate
 combination of a registration built by :func:`_best_combinations` and
 offered through ``CandidateList.offer`` — the paper's pseudocode with the
-completion bounds of Section VI-A applied at push and at pop.  This was
-``explore_top_k``'s own loop (and ``repro.core.cursor``) until the
+completion bounds of Section VI-A applied at push and at pop, against the
+k-th cost or the threshold the run was seeded with, whichever is lower.
+This was ``explore_top_k``'s own loop (and ``repro.core.cursor``) until the
 structure-of-arrays loop became the only one in ``src/``; it lives on here
 because a second, plainer implementation is what "byte-identical" is
 measured against: same subgraphs, same ranking among equal costs, same six
@@ -13,7 +14,8 @@ diagnostics (``test_vectorized_identity.py``, ``test_exploration.py``).
 
 It shares with production only what is not the loop: the per-query view
 over the CSR substrate (ids anchor tie-breaking, so both sides must number
-elements alike) and the Dijkstra bound tables.  It caches nothing.
+elements alike), the Dijkstra bound tables and the seed threshold read off
+them.  It caches nothing.
 
 :func:`reference_loop` substitutes it at the one seam where the engine
 reaches exploration, ``repro.core.engine``'s call of ``explore_top_k``.
@@ -54,6 +56,7 @@ from repro.core.exploration import (
     _build_substrate_view,
     _completion_bounds,
     _view_row_of,
+    seed_threshold,
 )
 from repro.core.subgraph import MatchingSubgraph
 from repro.core.topk import CandidateList
@@ -227,38 +230,76 @@ def explore_top_k(
     dmax: int = DEFAULT_DMAX,
     max_cursors: Optional[int] = None,
     guided: bool = True,
+    threshold: Optional[float] = None,
 ) -> ExplorationResult:
     """``repro.core.exploration.explore_top_k`` on :class:`Cursor` objects
     (same parameters, minus the bound-table implementation choice: the
-    tables here are always the Dijkstra's)."""
+    tables here are always the Dijkstra's).
+
+    ``threshold`` is the seed Algorithm 2 starts from.  ``None`` derives
+    it as production does (:func:`seed_threshold` over the same tables —
+    the seed is an input of the algorithm, like the bounds, not part of
+    the loop under test); a float forces one, which is how the tests hand
+    the loop a threshold that is wrong.  Either way the seed is checked
+    as in production: a run it did not survive is repeated without it.
+    """
     ordered_sets = [ks for ks in augmented.sorted_keyword_elements() if ks]
     m = len(ordered_sets)
-    candidates = CandidateList(k)
     if m == 0:
         return ExplorationResult([], 0, 0, 0, 0, "no-keywords", 0)
 
     view = _build_substrate_view(augmented, element_costs)
     costs = view.costs
-    to_merged = view.to_merged
     row_of = _view_row_of(view)
 
-    heap: List[Tuple[float, int, Cursor]] = []
-    seed_costs: List[Dict[int, float]] = [dict() for _ in range(m)]
-    created = 0
-    for i, elements in enumerate(ordered_sets):
+    seeds: List[List[Tuple[int, float]]] = []
+    for elements in ordered_sets:
+        pairs = []
         for key in elements:
             element = view.id_of(key)
             if element is None:
                 raise KeyError(f"keyword element {key!r} not in augmented graph")
-            cost = costs[element]
-            seed_costs[i][element] = cost
+            pairs.append((element, costs[element]))
+        seeds.append(pairs)
+
+    bounds = None
+    if not guided:
+        threshold = _INF
+    else:
+        seed_costs = [dict(pairs) for pairs in seeds]
+        bounds, dists = _completion_bounds(m, seed_costs, row_of, costs, view.total)
+        if threshold is None:
+            threshold = seed_threshold(m, dists, seed_costs, row_of, costs, k, dmax)
+
+    result = _explore(view, seeds, bounds, k, dmax, max_cursors, threshold)
+    refuted = (
+        threshold != _INF
+        and result.terminated_by != "budget"
+        and (len(result.subgraphs) < k or result.subgraphs[-1].cost >= threshold)
+    )
+    if refuted:
+        result = _explore(view, seeds, bounds, k, dmax, max_cursors, _INF)
+    result.seed_threshold = threshold
+    result.seed_fallback = refuted
+    return result
+
+
+def _explore(view, seeds, bounds, k, dmax, max_cursors, threshold) -> ExplorationResult:
+    """One run of Algorithms 1 and 2; the bound checks compare against
+    ``min(k-th cost, threshold)``."""
+    m = len(seeds)
+    costs = view.costs
+    to_merged = view.to_merged
+    row_of = _view_row_of(view)
+    candidates = CandidateList(k)
+
+    heap: List[Tuple[float, int, Cursor]] = []
+    created = 0
+    for i, pairs in enumerate(seeds):
+        for element, cost in pairs:
             created += 1
             heap.append((cost, created, Cursor.origin_cursor(element, i, cost)))
     heapq.heapify(heap)
-
-    bounds = None
-    if guided:
-        bounds = _completion_bounds(m, seed_costs, row_of, costs, view.total)
 
     # Per-element registration state: ``states[element][i]`` holds the
     # cursors that reached the element from keyword i in ascending cost
@@ -284,7 +325,7 @@ def explore_top_k(
         # cursor's cost already covers it, hence the subtraction.
         if bounds is not None:
             completion = bounds[kw][element] - costs[element]
-            if cursor.cost + completion >= kth_cost():
+            if cursor.cost + completion >= min(kth_cost(), threshold):
                 pruned += 1
                 continue
 
@@ -309,7 +350,7 @@ def explore_top_k(
                 # before the cursor counts as created.
                 if bounds is not None:
                     completion = bounds[kw][neighbor] - costs[neighbor]
-                    if child.cost + completion >= kth_cost():
+                    if child.cost + completion >= min(kth_cost(), threshold):
                         pruned += 1
                         continue
                 created += 1

@@ -112,6 +112,30 @@ def test_status_with_and_without_numpy(monkeypatch):
     assert "off" in kernels.status_line()
 
 
+def test_numpy_version_is_read_off_the_dist_info_directory_name(monkeypatch, tmp_path):
+    """The version in ``/stats`` and ``repro --version`` comes from one
+    ``os.listdir`` beside the package: no numpy import, no
+    ``importlib.metadata``; an install without the directory reads
+    ``unknown``."""
+    from importlib.machinery import ModuleSpec
+
+    package = tmp_path / "site" / "numpy"
+    package.mkdir(parents=True)
+    spec = ModuleSpec("numpy", None, origin=str(package / "__init__.py"))
+    monkeypatch.setattr(kernels, "find_spec", lambda name: spec)
+    monkeypatch.setattr(kernels, "_available", True)
+
+    monkeypatch.setattr(kernels, "_version", None)
+    assert kernels._numpy_version() == "unknown"
+    assert kernels.status_line() == "kernels: numpy unknown (active)"
+
+    (tmp_path / "site" / "numpy-9.8.7rc1.dist-info").mkdir()
+    (tmp_path / "site" / "numpy_quaternion-1.0.dist-info").mkdir()
+    monkeypatch.setattr(kernels, "_version", None)
+    assert kernels._numpy_version() == "9.8.7rc1"
+    assert kernels.status_line() == "kernels: numpy 9.8.7rc1 (active)"
+
+
 def test_disabled_kernels_still_explore_identically(monkeypatch, caplog):
     """The loop never needed numpy: with it unimportable the same search
     gives the same result, and nothing announces a "fallback"."""

@@ -110,3 +110,24 @@ def test_idempotent_on_common_words():
     for word in ("database", "searching", "ranking", "indexes", "semantic"):
         once = porter_stem(word)
         assert porter_stem(once) == porter_stem(once)
+
+
+def test_memoized_stems_equal_the_algorithm():
+    """``porter_stem`` is memoized (bounded: query-time analysis calls it
+    too); a remembered stem is the computed one, before and after the
+    memo wraps around."""
+    from repro.keyword.stemmer import STEM_CACHE_SIZE
+
+    compute = porter_stem.__wrapped__
+    words = [pair[0] for pair in test_reference_pairs.pytestmark[0].args[1]]
+    words += ["Publications", "as", "queries", "databases"]
+    assert porter_stem.cache_info().maxsize == STEM_CACHE_SIZE
+    for _ in range(2):
+        for word in words:
+            assert porter_stem(word) == compute(word)
+    assert porter_stem.cache_info().hits >= len(words)
+    for i in range(STEM_CACHE_SIZE + 10):
+        porter_stem(f"filler{i}ing")
+    assert porter_stem.cache_info().currsize == STEM_CACHE_SIZE
+    for word in words:
+        assert porter_stem(word) == compute(word)
