@@ -48,17 +48,11 @@ def pytest_addoption(parser):
         help="which Fig. 4 workload --eval-bundle holds data for "
         "(default dblp)",
     )
-    parser.addoption(
-        "--eval-index-tier",
-        choices=("memory", "mmap"),
-        default="memory",
-        help="index tier for --eval-bundle loads (default memory)",
-    )
 
 
 @pytest.fixture(scope="session")
 def eval_bundle_config(pytestconfig):
-    """``(path, dataset, index_tier)`` of the bundle under evaluation,
+    """``(path, dataset)`` of the bundle under evaluation,
     or ``None`` when the study runs on freshly built engines."""
     path = pytestconfig.getoption("--eval-bundle", None)
     if not path:
@@ -66,7 +60,6 @@ def eval_bundle_config(pytestconfig):
     return (
         path,
         pytestconfig.getoption("--eval-bundle-dataset", "dblp"),
-        pytestconfig.getoption("--eval-index-tier", "memory"),
     )
 
 

@@ -22,11 +22,11 @@ from repro.eval.effectiveness import evaluate_effectiveness
 COST_MODELS = ("c1", "c2", "c3")
 
 
-def _bundle_engines(path, index_tier):
+def _bundle_engines(path):
     """One engine per cost model, all serving the same loaded bundle."""
     return {
         name: KeywordSearchEngine.load(
-            path, attach_wal=False, index_tier=index_tier, cost_model=name, k=10
+            path, attach_wal=False, cost_model=name, k=10
         )
         for name in COST_MODELS
     }
@@ -49,16 +49,14 @@ def _fresh_engines(graph):
 @pytest.fixture(scope="module")
 def dblp_engines(request, eval_bundle_config):
     if eval_bundle_config and eval_bundle_config[1] == "dblp":
-        path, _, index_tier = eval_bundle_config
-        return _bundle_engines(path, index_tier)
+        return _bundle_engines(eval_bundle_config[0])
     return _fresh_engines(request.getfixturevalue("dblp_effectiveness_graph"))
 
 
 @pytest.fixture(scope="module")
 def tap_engines(request, eval_bundle_config):
     if eval_bundle_config and eval_bundle_config[1] == "tap":
-        path, _, index_tier = eval_bundle_config
-        return _bundle_engines(path, index_tier)
+        return _bundle_engines(eval_bundle_config[0])
     return _fresh_engines(request.getfixturevalue("tap_graph"))
 
 

@@ -11,11 +11,12 @@ a blown ceiling, not just as a slow job.  The bundle's size per stored
 triple is held under a ceiling too, so a derived copy of the corpus
 cannot creep back into the format unnoticed.
 
-The same bundle is then served through the mmap tier
-(``index_tier="mmap"``) in another fresh subprocess — search, execute,
-and one update epoch — under a much lower RSS ceiling: the serving-side
-counterpart of the build contract, failing if the tier quietly
-materializes postings or triples it should be binary-searching on disk.
+The same bundle is then loaded in another fresh subprocess — a plain
+``KeywordSearchEngine.load``, which serves the runs in place — for a
+search, an execute and one update epoch under a much lower RSS ceiling:
+the serving-side counterpart of the build contract, failing if a load
+quietly materializes postings or triples it should be binary-searching
+on disk.
 
 Run under a hard ``timeout`` in CI so a wedged merge fails the job in
 minutes; any violated assertion exits nonzero.
@@ -40,13 +41,13 @@ DEFAULT_CEILING_MB = 256
 #: ~231.  200 fails the job if a derived copy of the corpus is ever
 #: stored again.
 BYTES_PER_TRIPLE_CEILING = 200
-#: The mmap tier serving the same bundle peaks near 45 MB through load +
-#: search + execute (touched pages plus the interpreter); the
-#: materialized tier needs ~230 MB for the same work.  96 MB fails the
-#: job if the tier regresses to decoding whole sections.  An update
-#: epoch then materializes the lazy data graph (the maintenance path
-#: needs it on every tier) and peaks near 115 MB — gated separately at
-#: 2x that, still well below the materialized tier.
+#: A load of the same bundle peaks near 45 MB through load + search +
+#: execute (touched pages plus the interpreter); decoding the runs into
+#: dicts, as the constructors' structures hold them, needs ~230 MB for
+#: the same work.  96 MB fails the job if a load regresses to decoding
+#: whole sections.  An update epoch then materializes the lazy data graph
+#: (the maintenance path needs it) and peaks near 115 MB — gated
+#: separately at 2x that.
 DEFAULT_SERVE_CEILING_MB = 96
 
 _SERVE_CHILD = """
@@ -57,10 +58,11 @@ from repro.rdf.terms import Literal, URI
 from repro.rdf.triples import Triple
 
 started = time.perf_counter()
-engine = KeywordSearchEngine.load({path!r}, attach_wal=False, index_tier='mmap')
+engine = KeywordSearchEngine.load({path!r}, attach_wal=False)
+assert engine.index_tier == 'mmap', 'a loaded bundle must be served in place'
 result = engine.search('professor department0')
 best = result.best()
-assert best is not None, 'mmap-tier search returned no candidates'
+assert best is not None, 'search over the loaded bundle returned no candidates'
 answers = list(engine.execute(best))
 print('COLD_MS', 1000 * (time.perf_counter() - started))
 print('CANDIDATES', len(result.candidates))
@@ -83,9 +85,9 @@ added = [
     Triple(URI(ns + 'p1'), RDF.type, URI('http://swat.cse.lehigh.edu/onto/univ-bench.owl#Article')),
     Triple(URI(ns + 'p1'), URI(ns + 'name'), Literal('Smoke Overlay Paper')),
 ]
-assert engine.add_triples(added) == len(added), 'mmap-tier update failed'
+assert engine.add_triples(added) == len(added), 'update of the loaded bundle failed'
 post = engine.search('smoke overlay')
-assert post.candidates, 'updated data not searchable through the mmap tier'
+assert post.candidates, 'updated data not searchable through the overlay'
 print('UPDATED', len(post.candidates))
 print('TOTAL_PEAK_KB', peak_kb())
 """
@@ -145,10 +147,10 @@ def main() -> int:
         return 1
     print(f"# search ok: {len(result.candidates)} candidates, best cost {result.best().cost:.2f}")
 
-    # Serving-side contract: a fresh subprocess maps the same bundle with
-    # index_tier="mmap", searches, executes, and applies one update epoch
-    # under its own (much lower) RSS ceiling.
-    print(f"# mmap-tier serve: {bundle} (ceiling {serve_ceiling_mb} MB)")
+    # Serving-side contract: a fresh subprocess loads the same bundle,
+    # searches, executes, and applies one update epoch under its own
+    # (much lower) RSS ceiling.
+    print(f"# bundle serve: {bundle} (ceiling {serve_ceiling_mb} MB)")
     out = subprocess.run(
         [sys.executable, "-c", _SERVE_CHILD.format(path=bundle)],
         env=env,
@@ -157,13 +159,13 @@ def main() -> int:
     )
     sys.stderr.write(out.stderr)
     if out.returncode != 0:
-        print("FAIL: mmap-tier serve subprocess exited nonzero")
+        print("FAIL: bundle serve subprocess exited nonzero")
         return 1
     values = dict(line.split() for line in out.stdout.split("\n") if line.strip())
     serve_peak_mb = int(values["SERVE_PEAK_KB"]) / 1024
     total_peak_mb = int(values["TOTAL_PEAK_KB"]) / 1024
     print(
-        f"# mmap serve ok: cold {float(values['COLD_MS']):.0f} ms, "
+        f"# bundle serve ok: cold {float(values['COLD_MS']):.0f} ms, "
         f"{values['CANDIDATES']} candidates, {values['ANSWERS']} answers, "
         f"{values['UPDATED']} post-update candidates, "
         f"peak RSS {serve_peak_mb:.0f} MB serving / {total_peak_mb:.0f} MB "
@@ -171,13 +173,13 @@ def main() -> int:
     )
     if serve_peak_mb > serve_ceiling_mb:
         print(
-            f"FAIL: mmap-tier serve peaked at {serve_peak_mb:.0f} MB "
+            f"FAIL: bundle serve peaked at {serve_peak_mb:.0f} MB "
             f"> {serve_ceiling_mb} MB ceiling"
         )
         return 1
     if total_peak_mb > 2 * serve_ceiling_mb:
         print(
-            f"FAIL: mmap-tier serve incl. update epoch peaked at "
+            f"FAIL: bundle serve incl. update epoch peaked at "
             f"{total_peak_mb:.0f} MB > {2 * serve_ceiling_mb} MB ceiling"
         )
         return 1

@@ -116,16 +116,13 @@ def _add_dataset_args(
 
 
 def _add_index_tier_arg(parser: argparse.ArgumentParser) -> None:
-    """``--index-tier`` goes wherever ``--bundle`` goes: it says how a
-    bundle is served, and means nothing to a build."""
+    # `--index-tier` chose between two readers of a bundle when there were
+    # two.  There is one now, so the flag changes nothing; it still parses
+    # (and still rejects anything but its two old values) only because the
+    # benchmark harness (perf/workloads.py, frozen for this change) passes
+    # it to `serve`.  ROADMAP item 2(a) drops it from both places.
     parser.add_argument(
-        "--index-tier",
-        choices=("memory", "mmap"),
-        default=None,
-        help="how --bundle serves the keyword index and triple store: "
-        "'memory' materializes them at load (default); 'mmap' reads the "
-        "queryable sections in place — cold start stays O(metadata) and "
-        "resident memory O(touched data)",
+        "--index-tier", choices=("memory", "mmap"), help=argparse.SUPPRESS
     )
 
 
@@ -171,23 +168,16 @@ def _add_engine_args(
 
 def _resolve_engine_args(args) -> None:
     """Fill unset engine flags with the stock defaults (non-bundle paths)."""
-    if getattr(args, "index_tier", None) == "mmap":
-        # The mmap tier reads bundle sections in place; there is nothing
-        # to map when the offline layer is derived fresh from triples.
-        raise SystemExit(
-            "repro: --index-tier mmap requires --bundle (build one with "
-            "`repro build` first)"
-        )
     for name, value in ENGINE_DEFAULTS.items():
         if getattr(args, name, None) is None:
             setattr(args, name, value)
 
 
 def _build_engine(
-    args, search_cache_size: int = 0, writer: bool = False
+    args, search_cache_size: int = 0, writer: bool = False, verify: bool = False
 ) -> KeywordSearchEngine:
     if args.bundle:
-        from repro.storage import BundleError, WalError
+        from repro.storage import BundleError, WalError, verify_bundle
 
         if args.data is not None or args.dataset != "example" or args.scale != 1000:
             # Silently serving the bundle while the user believes their
@@ -205,7 +195,12 @@ def _build_engine(
         # (`serve` with /update, `search` with --update/--remove-ntriples)
         # attach the WAL and take its single-writer lock; read-only
         # commands coexist with a running server on the same artifact.
+        # A load serves the sorted runs in place without checksumming
+        # them; `verify` is the full CRC pass, asked for by the one
+        # long-lived owner of the artifact (`serve`, once per start).
         try:
+            if verify:
+                verify_bundle(args.bundle)
             engine = KeywordSearchEngine.load(
                 args.bundle,
                 attach_wal=writer,
@@ -214,7 +209,6 @@ def _build_engine(
                 dmax=args.dmax,
                 guided=args.guided,
                 search_cache_size=search_cache_size,
-                index_tier=args.index_tier or "memory",
             )
         except FileNotFoundError as exc:
             raise SystemExit(f"repro: --bundle: {exc}") from exc
@@ -432,7 +426,6 @@ def _dispatch_overrides(args) -> dict:
         "dmax": args.dmax,
         "guided": args.guided,
         "search_cache_size": max(0, args.cache),
-        "index_tier": args.index_tier,
     }
 
 
@@ -490,7 +483,7 @@ def serve_command(argv) -> int:
         bundle = _stage_bundle(args)
     else:
         engine = _build_engine(
-            args, search_cache_size=max(0, args.cache), writer=True
+            args, search_cache_size=max(0, args.cache), writer=True, verify=True
         )
         bundle = args.bundle
 
@@ -837,7 +830,6 @@ def _eval_engine_from_args(args):
         return build_eval_engine(
             args.dataset,
             bundle=args.bundle,
-            index_tier=args.index_tier,
             cost_model=args.cost_model,
             k=args.k,
             dmax=args.dmax,

@@ -414,9 +414,6 @@ class KeywordSearchEngine:
         #: epoch at save, WAL state) — ``None`` for a built engine.  The
         #: serving layer surfaces it through ``/stats``.
         self.artifact: Optional[Dict[str, object]] = None
-        #: Serving tier of the keyword index / triple store ("memory" or
-        #: "mmap"); ``load(..., index_tier="mmap")`` overwrites this.
-        self.index_tier = "memory"
         #: The attached write-ahead delta log of a bundle-loaded engine
         #: (``None`` otherwise).  The log is single-writer (an exclusive
         #: lock is held while attached); ``delta_log.close()`` releases
@@ -506,9 +503,13 @@ class KeywordSearchEngine:
     ) -> "KeywordSearchEngine":
         """Reconstitute an engine from a bundle in milliseconds-not-minutes.
 
-        Loading decodes the serialized offline structures (no rebuild, no
-        re-analysis) and maps the substrate's CSR sections straight from
-        the file; the engine configuration saved in the bundle applies
+        Loading decodes the schema-sized summary graph and serves the
+        keyword index, the triple store and the substrate's CSR sections
+        in place, straight from the mapped file (no rebuild, no
+        re-analysis, :attr:`index_tier` ``"mmap"``); it does not read the
+        sorted runs end to end, so checking them is
+        :func:`repro.storage.verify_bundle`'s job, run by whoever owns
+        the artifact.  The engine configuration saved in the bundle applies
         unless overridden (``cost_model``, ``k``, ``dmax``,
         ``strict_keywords``, ``search_cache_size``); ``guided`` is not
         saved — pass it here or get the constructor's default.  A delta
@@ -527,6 +528,12 @@ class KeywordSearchEngine:
             wal_path=wal_path,
             **overrides,
         )
+
+    @property
+    def index_tier(self) -> str:
+        """Where the keyword index and triple store live: ``"mmap"`` for a
+        loaded bundle, ``"memory"`` for an engine the constructors built."""
+        return self.keyword_index.index_tier
 
     # ------------------------------------------------------------------
     # Updates (incremental offline-index maintenance)

@@ -53,22 +53,19 @@ def evaluate_effectiveness(
     workload: Sequence[WorkloadQuery],
     k: int = 10,
     dmax: Optional[int] = None,
-    index_tier: str = "memory",
     cost_model: Optional[str] = None,
 ) -> EffectivenessReport:
     """Run a workload through an engine and score every query's RR.
 
     ``engine`` may be a live :class:`KeywordSearchEngine` or a path to a
-    ``.reprobundle`` — the bundle is then loaded read-only under
-    ``index_tier`` (``"memory"`` or ``"mmap"``) with ``cost_model``
-    optionally overriding the one it was built with, so the MRR study
-    can score exactly the artifact a deployment serves.
+    ``.reprobundle`` — the bundle is then loaded read-only with
+    ``cost_model`` optionally overriding the one it was built with, so
+    the MRR study can score exactly the artifact a deployment serves.
     """
     if isinstance(engine, (str, os.PathLike)):
         engine = KeywordSearchEngine.load(
             engine,
             attach_wal=False,
-            index_tier=index_tier,
             cost_model=cost_model,
             k=k,
         )

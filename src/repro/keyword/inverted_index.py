@@ -79,24 +79,6 @@ class InvertedIndex:
         }
 
     # ------------------------------------------------------------------
-    # Persistence (used by repro.storage)
-    # ------------------------------------------------------------------
-
-    @classmethod
-    def from_state(
-        cls,
-        postings: Dict[str, Dict[Hashable, List[int]]],
-        element_terms: Dict[Hashable, set],
-    ) -> "InvertedIndex":
-        """Adopt pre-built postings; ``[tf, total]`` lists must be fresh
-        (they are mutated in place by later :meth:`index` calls)."""
-        index = cls.__new__(cls)
-        index._postings = postings
-        index._element_terms = element_terms
-        index._indexed_elements = set(element_terms)
-        return index
-
-    # ------------------------------------------------------------------
     # Lookup
     # ------------------------------------------------------------------
 

@@ -443,7 +443,7 @@ class KeywordIndex:
         when the element is gone).
 
         The comparison reads the element's own record (``posted_counts``,
-        O(|label|) on both tiers): same terms with the same counts means
+        O(|label|) on either index): same terms with the same counts means
         the same ``(tf, label_terms)`` rows, so nothing is rewritten and
         nothing is marked.
         """
@@ -578,11 +578,11 @@ class KeywordIndex:
         return getattr(self._index, "tier", "memory")
 
     def postings_cache_stats(self) -> Optional[Dict[str, float]]:
-        """Decoded-postings LRU statistics, or None on the memory tier.
+        """Decoded-postings LRU statistics, or None for a dict index.
 
-        Only the mmap-resident index decodes posting runs on demand and
-        keeps an LRU over them; the materialized tier holds everything,
-        so there is nothing to count.
+        Only a loaded bundle's mmap-resident index decodes posting runs
+        on demand and keeps an LRU over them; the constructors' dicts
+        hold everything, so there is nothing to count.
         """
         if self.index_tier != "mmap":
             return None

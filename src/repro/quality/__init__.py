@@ -23,7 +23,7 @@ Layout
     The versioned golden-case JSONL format (load/save/validate).
 ``runner``
     Engine construction from an eval configuration (fresh build, bundle,
-    mmap tier, perturbed cost model) and case/workload evaluation.
+    perturbed cost model) and case/workload evaluation.
 ``reports``
     Timestamped report files, delta computation, baseline compare.
 ``seeding``

@@ -1,7 +1,7 @@
 """Engine construction for evaluation, and the evaluation loop itself.
 
 :func:`build_eval_engine` turns an *eval configuration* — dataset name,
-optional bundle path, index tier, cost model, exploration flags — into a
+optional bundle path, cost model, exploration flags — into a
 ready engine, the same way for every entry point (CLI, CI gate, tests).
 Unlike ``repro search``, an eval run needs **both** a dataset name (it
 selects the golden file and the intent workload) and, optionally, a
@@ -82,7 +82,6 @@ class PerturbedCostModel(CostModel):
 def build_eval_engine(
     dataset: str,
     bundle: Optional[str] = None,
-    index_tier: Optional[str] = None,
     cost_model: Optional[str] = None,
     k: Optional[int] = None,
     dmax: Optional[int] = None,
@@ -98,13 +97,10 @@ def build_eval_engine(
     """
     if dataset not in DATASET_NAMES:
         raise ValueError(f"unknown dataset {dataset!r} (have: {DATASET_NAMES})")
-    if index_tier == "mmap" and not bundle:
-        raise ValueError("--index-tier mmap requires --bundle (nothing to map)")
     if bundle:
         engine = KeywordSearchEngine.load(
             bundle,
             attach_wal=False,
-            index_tier=index_tier or "memory",
             cost_model=cost_model,
             k=k,
             dmax=dmax,
@@ -126,7 +122,7 @@ def build_eval_engine(
     config = {
         "dataset": dataset,
         "bundle": bundle,
-        "index_tier": (index_tier or "memory") if bundle else "in-process",
+        "index_tier": engine.index_tier if bundle else "in-process",
         "cost_model": type(engine.cost_model).__name__,
         "k": engine.k,
         "dmax": engine.dmax,
@@ -149,8 +145,8 @@ def ranked_answer_signatures(
     the evaluator's answer order reflects store internals (hash sets,
     posting runs), so each candidate's answers are canonically sorted
     before concatenation, then deduplicated at best rank and capped at
-    ``answer_depth``.  The result is identical for every index tier that
-    serves the same data.
+    ``answer_depth``.  The result is identical for every store that
+    serves the same data (the constructors' hash nests, a loaded bundle).
     """
     ranked: List[str] = []
     for candidate in candidates:

@@ -12,16 +12,15 @@ breaks that wall with processes instead:
 * N **worker processes** (:mod:`repro.service.worker`) each hold their
   own read-only lazy load of the *same* ``.reprobundle``, and each gets
   its own GIL.  What the workers share is the file: the sections a
-  worker reads in place (the CSR substrate on both tiers; the sorted
-  runs, postings and term table on the mmap tier) are ``mmap`` views
-  that the OS page cache backs with one physical copy.  What they do not
-  share is everything else — the interpreter, the imported modules and
-  whatever a worker decodes (on the memory tier, the store and the
-  keyword index): ~25 MB Pss per worker on DBLP-8000's memory tier
-  (29 MB measured alone: 7 MB interpreter, 9 MB imports, 12 MB decoded
-  engine; table in ``docs/architecture.md``).  A worker therefore
-  imports only what it runs: no HTTP stack, and numpy not before a view
-  is wide enough for the kernel;
+  worker reads in place (the CSR substrate, the sorted runs, postings
+  and term table) are ``mmap`` views that the OS page cache backs with
+  one physical copy.  What they do not share is everything else — the
+  interpreter, the imported modules and whatever a worker decodes (the
+  summary graph, the terms and postings its requests touched): 18 MB Pss
+  per worker on DBLP-8000, measured alone (7 MB interpreter, 9 MB
+  imports, 2 MB engine; table in ``docs/architecture.md``).  A worker
+  therefore imports only what it runs: no HTTP stack, and numpy not
+  before a view is wide enough for the kernel;
 * ``/search`` and ``/execute`` are fanned out over the pool through a
   length-prefixed JSON frame protocol (:mod:`repro.service.protocol`)
   on each worker's stdin/stdout pipe, one in-flight request per worker.
@@ -660,7 +659,7 @@ class DispatchService:
         artifact = getattr(engine, "artifact", None)
         return {
             "artifact": dict(artifact) if artifact is not None else None,
-            "index_tier": getattr(engine, "index_tier", "memory"),
+            "index_tier": engine.index_tier,
             "service": {
                 "mode": "dispatch",
                 "workers": self.workers,

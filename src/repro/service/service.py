@@ -500,7 +500,7 @@ class EngineService:
                 "uptime_seconds": now - self._ledger.started_at,
             },
             "queries": self._ledger.stats(now),
-            "index_tier": getattr(engine, "index_tier", "memory"),
+            "index_tier": engine.index_tier,
             "caches": engine.cache_stats(),
             "kernels": kernels.kernel_status(),
             "exploration": engine.exploration_stats(),

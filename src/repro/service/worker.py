@@ -7,19 +7,18 @@ of the shared bundle::
     KeywordSearchEngine.load(bundle, attach_wal=False)
 
 Lazy loading means the sections a worker reads in place are ``mmap``
-views of the bundle — the CSR substrate on both index tiers, and the
-sorted runs, postings and term table on the mmap tier — and every worker
-maps the *same* file, so the OS page cache backs all of them with one
-physical copy.  The rest of a worker is its own: the interpreter, its
-imports, and what it decodes (on the memory tier, the store and the
-keyword index).  That is why this module imports the engine, the frame
-protocol and the byte encoders (:mod:`repro.service.encoding`) and
-nothing else — no ``http.server``, no ``subprocess``, no numpy until a
+views of the bundle — the CSR substrate, the sorted runs, postings and
+term table — and every worker maps the *same* file, so the OS page cache
+backs all of them with one physical copy.  The rest of a worker is its
+own: the interpreter, its imports, and what it decodes (the summary
+graph, the terms and postings its requests touched).  That is why this
+module imports the engine, the frame protocol and the byte encoders
+(:mod:`repro.service.encoding`) and nothing else — no ``http.server``, no ``subprocess``, no numpy until a
 view is wide enough for the kernel — and imports all of it up front, so
 that the ready frame means "every import is paid" and no request pays
 one.  The point of the multiprocess tier stands: N CPU-bound pure-Python
-searches stop sharing one GIL, at ~25 MB Pss per worker on DBLP-8000's
-memory tier (``docs/architecture.md`` has the breakdown).
+searches stop sharing one GIL, at 18 MB Pss per worker on DBLP-8000
+(``docs/architecture.md`` has the breakdown).
 
 **Epoch propagation.**  The dispatcher owns the single WAL-attached
 writer engine; workers are followers.  Every request carries the
@@ -253,7 +252,7 @@ class WorkerRuntime:
             "epochs_replayed": self.epochs_replayed,
             "reloads": self.reloads,
             "load_seconds": self.load_seconds,
-            "index_tier": getattr(self.engine, "index_tier", "memory"),
+            "index_tier": self.engine.index_tier,
             "caches": self.engine.cache_stats(),
             "kernels": kernels.kernel_status(),
             "exploration": self.engine.exploration_stats(),

@@ -10,17 +10,21 @@ process*.  This package provides that lifecycle:
   iterator in, bundle out, peak RSS bounded by the hot structures plus
   the spill budget instead of the corpus.  ``repro build``,
   ``KeywordSearchEngine.save`` and :func:`compact_bundle` all call it;
-* :func:`load_bundle` — the reader of that container;
+* :func:`load_bundle` — the reader of that container: the summary graph
+  decoded, everything else served in place by the disk-resident readers
+  of :mod:`repro.storage.mmap_tier` over the mapped sorted runs, so a
+  loaded engine's cold start is O(metadata) and its resident set
+  O(touched data);
 * :func:`load_engine` — bundle → ready
   :class:`~repro.core.engine.KeywordSearchEngine` (what
   ``KeywordSearchEngine.load`` and the CLI's ``--bundle`` call);
+* :func:`verify_bundle` — every section against its CRC32 through
+  buffered reads; a load never reads the runs end to end, so the process
+  that owns the artifact runs this instead (``repro serve --bundle`` once
+  per start, :func:`compact_bundle` before it folds anything);
 * :class:`DeltaLog` — the write-ahead N-Triples delta log that makes
   update epochs restart-safe;
-* :func:`compact_bundle` — folds the log back into a fresh bundle;
-* :mod:`repro.storage.mmap_tier` — the out-of-core *serving* path
-  (``load_engine(..., index_tier="mmap")``): disk-resident readers over
-  the queryable sections, so a loaded engine's cold start is
-  O(metadata) and its resident set O(touched data).
+* :func:`compact_bundle` — folds the log back into a fresh bundle.
 
 ``repro build`` / ``repro compact`` and the ``--bundle`` option of
 ``search``/``serve`` are the command-line surface.
@@ -34,6 +38,7 @@ from repro.storage.bundle import (
     compact_bundle,
     load_bundle,
     load_engine,
+    verify_bundle,
 )
 from repro.storage.mmap_tier import (
     MmapInvertedIndex,
@@ -74,4 +79,5 @@ __all__ = [
     "compact_bundle",
     "load_bundle",
     "load_engine",
+    "verify_bundle",
 ]

@@ -17,17 +17,25 @@ checksummed; a version mismatch raises
 :class:`~repro.storage.errors.BundleChecksumError` — a reader never
 produces an engine it cannot prove equivalent to the one saved.
 
-Loading is built around two cost classes:
+A loaded bundle is served in place:
 
-* the two structures a search reads (keyword index, summary graph) are
-  decoded through C-speed blob reads plus slice comprehensions — no
-  re-analysis, no re-projection; the data graph is *not* a stored
-  structure: its triples are, and the first consumer that needs the
-  graph replays them through the ``DataGraph`` constructor;
-* the substrate's flat ``offsets``/``targets`` CSR sections stay on disk:
-  they are wrapped as ``memoryview('q')`` casts over the ``mmap``-ed
-  file, so restoring the exploration substrate reads *no* adjacency
-  bytes at all — the page cache faults rows in as queries touch them.
+* the summary graph (schema-sized) is decoded through C-speed blob
+  reads plus slice comprehensions — no re-projection;
+* the keyword index and the triple indexes are the readers of
+  :mod:`repro.storage.mmap_tier` over the ``mmap``-ed sorted runs —
+  nothing is decoded at load, lookups bisect the file, updates land in
+  the readers' in-memory overlays — and the substrate's flat
+  ``offsets``/``targets`` CSR sections are ``memoryview('q')`` casts
+  over the same map: the page cache faults rows in as queries touch
+  them;
+* the data graph is *not* a stored structure: its triples are, and the
+  first consumer that needs the graph replays them through the
+  ``DataGraph`` constructor.
+
+Reading in place means a load does not pull the big sections through
+their checksums; :func:`verify_bundle` does, with buffered reads, for
+the callers that own the artifact (``repro serve --bundle`` once per
+start, ``repro compact`` before it folds anything).
 
 The loaded engine is **equivalent by construction and identical by
 test**: ``tests/property/test_persistence_identity.py`` asserts
@@ -47,17 +55,12 @@ import os
 import struct
 import time
 import zlib
-from itertools import groupby
-from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
-from repro.keyword.inverted_index import InvertedIndex
 from repro.keyword.keyword_index import KeywordIndex
 from repro.rdf.graph import DataGraph
-from repro.rdf.terms import Literal, Term, URI
 from repro.rdf.triples import Triple
 from repro.scoring.cost import COST_MODELS, CostModel, make_cost_model
-from repro.store.triple_store import TripleStore, _nested
 from repro.summary.elements import (
     THING_KEY,
     SummaryEdgeKind,
@@ -67,15 +70,8 @@ from repro.summary.elements import (
 from repro.summary.substrate import ExplorationSubstrate
 from repro.summary.summary_graph import SummaryGraph
 
-from repro.storage.codec import (
-    ELEMENT_KINDS,
-    Reader,
-    decode_grouping,
-    decode_raw_ids,
-    decode_strings,
-    decode_terms,
-    fsync_directory,
-)
+from repro.storage import mmap_tier as mt
+from repro.storage.codec import Reader, decode_raw_ids, fsync_directory
 from repro.storage.errors import (
     BundleChecksumError,
     BundleExistsError,
@@ -83,16 +79,15 @@ from repro.storage.errors import (
     UnsupportedEngineError,
     WalError,
 )
-from repro.storage.lazy import LazyDataGraph, LazyTripleStore
+from repro.storage.lazy import LazyDataGraph
 
 MAGIC = b"RPROBNDL"
 #: Bump on any change to the section layout or encodings.  The one
 #: version this release writes is the one version it reads: version 4
 #: stores the triple indexes and the keyword index once, as the sorted
-#: runs (``store2.*``, ``kindex2.*``) — the memory tier decodes them into
-#: its dicts, the mmap tier binary-searches them in place — and the data
-#: graph once, as ``triples`` in arrival order, so every bundle serves
-#: both index tiers.  Anything else is refused with a rebuild hint.
+#: runs (``store2.*``, ``kindex2.*``) the mapped readers binary-search in
+#: place, and the data graph once, as ``triples`` in arrival order.
+#: Anything else is refused with a rebuild hint.
 FORMAT_VERSION = 4
 
 #: Conventional file extension (the CLI and docs use it; the reader only
@@ -100,10 +95,9 @@ FORMAT_VERSION = 4
 BUNDLE_SUFFIX = ".reprobundle"
 
 _U32 = struct.Struct("<I")
-_FIRST, _SECOND, _THIRD = itemgetter(0), itemgetter(1), itemgetter(2)
 
 # Stable wire codes for the edge/vertex kinds (the element codes live in
-# the codec: the mmap tier decodes against them too).
+# the codec, beside the readers that decode against them).
 _VERTEX_KINDS = (
     SummaryVertexKind.CLASS,
     SummaryVertexKind.THING,
@@ -171,29 +165,6 @@ def _decode_count_pairs(reader: Reader, terms) -> Dict:
     flat = reader.ids()
     it = iter(flat)
     return {terms[k]: c for k, c in zip(it, it)}
-
-
-def _decode_sorted_run(buf, terms, size: int):
-    """One flat sorted ``(a, b, c)`` id run (``store2.*``) as the store's
-    defaultdict nesting ``a -> b -> {c}``; ``size`` is the triple count
-    the header promises for it."""
-    flat = decode_raw_ids(buf)
-    if len(flat) != 3 * size:
-        raise BundleFormatError(
-            f"sorted triple run holds {len(flat)} values, header says "
-            f"{size} triples"
-        )
-    term_of = terms.__getitem__
-    # C-level passes over the columns and group boundaries, then plain
-    # dict stores — the per-triple `add()` hashing this bypasses is the
-    # cold-start cost.
-    rows = zip(flat[::3], flat[1::3], map(term_of, flat[2::3]))
-    index = _nested()
-    for a, a_rows in groupby(rows, key=_FIRST):
-        inner_map = index[term_of(a)]
-        for b, b_rows in groupby(a_rows, key=_SECOND):
-            inner_map[term_of(b)] = set(map(_THIRD, b_rows))
-    return index
 
 
 # ----------------------------------------------------------------------
@@ -395,67 +366,103 @@ class LoadedBundle:
         "substrate",
         "meta",
         "path",
-        "format_version",
-        "index_tier",
     )
 
 
-def load_bundle(path, index_tier: str = "memory") -> LoadedBundle:
-    """Decode a bundle file into engine parts.
-
-    ``index_tier`` selects how the keyword index and triple store come
-    back: ``"memory"`` (the default) decodes them into the materialized
-    Python structures; ``"mmap"`` wraps the queryable sections
-    in disk-resident readers (:mod:`repro.storage.mmap_tier`) so neither
-    postings nor triples are materialized — cold start stays O(metadata)
-    and resident memory O(touched data).  The big queryable sections are
-    *not* CRC-verified on the mmap path (checksumming them would read
-    every byte, defeating the tier); the metadata, summary, and graph
-    sections still are.  The memory tier decodes those same sections and
-    verifies them like any other: eagerly for the keyword index, at
-    first touch for the store.
-
-    Raises :class:`BundleFormatError` on anything that is not a repro
-    bundle of exactly :data:`FORMAT_VERSION` (on either tier: an older
-    or newer layout is rebuilt, never half-read) and
-    :class:`BundleChecksumError` when a verified section's bytes do not
-    match its recorded CRC — the artifact is then unusable by definition
-    and no partial engine is produced.
-    """
-    if index_tier not in ("memory", "mmap"):
-        raise ValueError(
-            f"unknown index_tier {index_tier!r} (expected 'memory' or 'mmap')"
-        )
-    path = os.fspath(path)
-    with open(path, "rb") as fh:
-        try:
-            mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-        except ValueError as exc:  # zero-length file
-            raise BundleFormatError(f"{path}: not a repro bundle ({exc})") from exc
-    view = memoryview(mapped)
-
-    if len(view) < 16:
+def _read_header(fh, path: str) -> Tuple[Dict[str, object], int]:
+    """``(header dict, file offset of the first section)`` of an open
+    bundle, or :class:`BundleFormatError` for anything that is not a
+    bundle of exactly :data:`FORMAT_VERSION`."""
+    prelude = fh.read(16)
+    if len(prelude) < 16:
         raise BundleFormatError(
-            f"{path}: not a repro bundle (only {len(view)} bytes, prelude needs 16)"
+            f"{path}: not a repro bundle (only {len(prelude)} bytes, prelude needs 16)"
         )
-    if bytes(view[: len(MAGIC)]) != MAGIC:
+    if prelude[: len(MAGIC)] != MAGIC:
         raise BundleFormatError(f"{path}: not a repro bundle (bad magic)")
-    (format_version,) = _U32.unpack(view[8:12])
+    (format_version,) = _U32.unpack_from(prelude, 8)
     if format_version != FORMAT_VERSION:
         raise BundleFormatError(
             f"{path}: bundle format version {format_version} is not the "
             f"supported version ({FORMAT_VERSION}); rebuild the bundle with "
             "`repro build` (or read it with the matching release)"
         )
-    (header_length,) = _U32.unpack(view[12:16])
-    header_end = 16 + header_length
-    if header_end > len(view):
+    (header_length,) = _U32.unpack_from(prelude, 12)
+    header = fh.read(header_length)
+    if len(header) < header_length:
         raise BundleFormatError(f"{path}: truncated header")
     try:
-        meta = json.loads(bytes(view[16:header_end]).decode("utf-8"))
+        meta = json.loads(header.decode("utf-8"))
     except ValueError as exc:
         raise BundleFormatError(f"{path}: unreadable header ({exc})") from exc
-    data_start = header_end + (-header_end % 8)
+    header_end = 16 + header_length
+    return meta, header_end + (-header_end % 8)
+
+
+def _checksum_error(path: str, name: str) -> BundleChecksumError:
+    return BundleChecksumError(
+        f"{path}: checksum mismatch in section {name!r} — "
+        "the bundle is corrupted; rebuild it with `repro build`"
+    )
+
+
+def verify_bundle(path) -> None:
+    """Check every section of a bundle against its recorded CRC32.
+
+    :func:`load_bundle` serves the sorted runs in place and never reads
+    them end to end, so a flipped byte there would be served — and
+    folded into a fresh bundle with valid checksums by the next compact.
+    This is the full check, for the process that owns the artifact
+    (``repro serve --bundle`` once per start, :func:`compact_bundle`
+    before it folds anything; workers and one-shot commands skip it).
+    It goes through buffered ``read()``s, not the map, so the file does
+    not become resident in the caller: ~0.7 ms per MB.
+
+    Raises :class:`BundleChecksumError` naming the first bad section.
+    """
+    path = os.fspath(path)
+    buffer = memoryview(bytearray(1 << 16))  # one, reused: nothing to retain
+    with open(path, "rb") as fh:
+        meta, data_start = _read_header(fh, path)
+        for entry in meta.get("sections", ()):
+            fh.seek(data_start + entry["offset"])
+            crc, left = 0, entry["length"]
+            while left:
+                got = fh.readinto(buffer[: min(left, len(buffer))])
+                if not got:
+                    raise BundleFormatError(
+                        f"{path}: section {entry['name']!r} is truncated"
+                    )
+                crc = zlib.crc32(buffer[:got], crc)
+                left -= got
+            if crc != entry["crc32"]:
+                raise _checksum_error(path, entry["name"])
+
+
+def load_bundle(path) -> LoadedBundle:
+    """Open a bundle file as engine parts.
+
+    The keyword index and the triple store come back as the
+    disk-resident readers of :mod:`repro.storage.mmap_tier` over the
+    mapped sorted runs: neither postings nor triples are materialized,
+    so cold start is O(metadata) and resident memory O(touched data).
+    Those sections are *not* CRC-verified here (checksumming them would
+    read every byte; :func:`verify_bundle` is that pass); the metadata,
+    summary, substrate and ``triples`` sections are, when they are
+    decoded.
+
+    Raises :class:`BundleFormatError` on anything that is not a repro
+    bundle of exactly :data:`FORMAT_VERSION` (an older or newer layout
+    is rebuilt, never half-read) and :class:`BundleChecksumError` when a
+    verified section's bytes do not match its recorded CRC — the
+    artifact is then unusable by definition and no partial engine is
+    produced.
+    """
+    path = os.fspath(path)
+    with open(path, "rb") as fh:
+        meta, data_start = _read_header(fh, path)
+        mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+    view = memoryview(mapped)
 
     section_views: Dict[str, memoryview] = {}
     for entry in meta.get("sections", ()):
@@ -466,69 +473,34 @@ def load_bundle(path, index_tier: str = "memory") -> LoadedBundle:
         section_views[entry["name"]] = view[begin:end]
     checked: set = set()
 
-    def section(name: str) -> memoryview:
-        """One section's bytes, CRC-verified on first access.
-
-        Verification is *per consumer*: sections decoded at load time are
-        checked at load time, while the lazily materialized ones (graph,
-        store, triples) are checked when their thunk first runs — so a
-        lazy cold start does not pull every stored byte through the page
-        cache just to checksum it.  Either way a corrupted section fails
-        with the dedicated exception before any of its data is used.
-        """
-        try:
-            payload = section_views[name]
-        except KeyError:
-            raise BundleFormatError(f"{path}: missing section {name!r}") from None
-        if name not in checked:
-            entry = next(e for e in meta["sections"] if e["name"] == name)
-            if zlib.crc32(payload) != entry["crc32"]:
-                raise BundleChecksumError(
-                    f"{path}: checksum mismatch in section {name!r} — "
-                    "the bundle is corrupted; rebuild it with `repro build`"
-                )
-            checked.add(name)
-        return payload
-
     def section_raw(name: str) -> memoryview:
-        """One section's bytes with *no* CRC pass — the mmap tier's
-        queryable sections go through here so cold start never reads
-        them end to end; integrity of the touched rows rests on the
-        binary-search invariants instead."""
+        """One section's bytes with *no* CRC pass — the queryable runs
+        go through here so cold start never reads them end to end."""
         try:
             return section_views[name]
         except KeyError:
             raise BundleFormatError(f"{path}: missing section {name!r}") from None
 
-    mmap_tier = index_tier == "mmap"
-    if mmap_tier:
-        from repro.storage import mmap_tier as mt
+    def section(name: str) -> memoryview:
+        """One section's bytes, CRC-verified on first access: at load
+        for the sections decoded at load, when the graph thunk first
+        runs for ``triples``.  Either way a corrupted section fails with
+        the dedicated exception before any of its data is used."""
+        payload = section_raw(name)
+        if name not in checked:
+            entry = next(e for e in meta["sections"] if e["name"] == name)
+            if zlib.crc32(payload) != entry["crc32"]:
+                raise _checksum_error(path, name)
+            checked.add(name)
+        return payload
 
-        for name in (
-            "terms.offsets",
-            "terms.sorted",
-            "kindex2.vocab.offsets",
-            "kindex2.vocab.sorted",
-            "kindex2.postings.offsets",
-            "kindex2.postings.runs",
-            "kindex2.elements.sorted",
-            "kindex2.element_terms.offsets",
-            "kindex2.element_terms.runs",
-            "kindex2.attr_refs",
-            "kindex2.value_refs",
-        ):
-            if name not in section_views:
-                raise BundleFormatError(f"{path}: missing section {name!r}")
+    def ids(name: str):
+        return decode_raw_ids(section_raw(name))
 
     # -- terms ---------------------------------------------------------
-    if mmap_tier:
-        terms = mt.MmapTermTable(
-            section_raw("terms"),
-            decode_raw_ids(section_raw("terms.offsets")),
-            decode_raw_ids(section_raw("terms.sorted")),
-        )
-    else:
-        terms = decode_terms(section("terms"))
+    terms = mt.MmapTermTable(
+        section_raw("terms"), ids("terms.offsets"), ids("terms.sorted")
+    )
     counts = meta.get("counts", {})
     if counts.get("terms") is not None and counts["terms"] != len(terms):
         raise BundleFormatError(
@@ -536,17 +508,14 @@ def load_bundle(path, index_tier: str = "memory") -> LoadedBundle:
             f"{counts['terms']}"
         )
 
-    # -- data graph + triple store (lazy) ------------------------------
-    # A plain search never reads these; decoding them up front would put
-    # every stored triple back on the cold-start path.  Their sections
-    # are captured by thunks; repro.storage.lazy runs them on first
-    # maintenance / execute / filter access.
+    # -- data graph (lazy) + triple store ------------------------------
+    # A plain search never reads the graph; decoding it up front would
+    # put every stored triple back on the cold-start path.  Existence
+    # (not integrity) of its section is established here; the thunk
+    # (repro.storage.lazy) defers the CRC check + decode to the first
+    # maintenance / filter access.
     meta_graph = meta["graph"]
-    # Existence (not integrity) of the deferred sections is established
-    # up front; their thunks only defer the CRC check + decode.
-    for name in ("triples", "store2.spo", "store2.pos", "store2.osp"):
-        if name not in section_views:
-            raise BundleFormatError(f"{path}: missing section {name!r}")
+    section_raw("triples")
 
     def decode_triples() -> List[Triple]:
         triple_ids = Reader(section("triples")).ids()
@@ -594,109 +563,39 @@ def load_bundle(path, index_tier: str = "memory") -> LoadedBundle:
         subclass_pred_counts=subclass_pred_counts,
         stats=meta_graph["stats"],
     )
-
-    if mmap_tier:
-        store = mt.MmapTripleTier(
-            decode_raw_ids(section_raw("store2.spo")),
-            decode_raw_ids(section_raw("store2.pos")),
-            decode_raw_ids(section_raw("store2.osp")),
-            meta_graph["stats"]["triples"],
-            terms,
-        )
-    else:
-
-        def store_thunk() -> TripleStore:
-            size = meta_graph["stats"]["triples"]
-            return TripleStore.from_state(
-                _decode_sorted_run(section("store2.spo"), terms, size),
-                _decode_sorted_run(section("store2.pos"), terms, size),
-                _decode_sorted_run(section("store2.osp"), terms, size),
-                size,
-            )
-
-        store = LazyTripleStore(store_thunk, size=meta_graph["stats"]["triples"])
+    store = mt.MmapTripleTier(
+        ids("store2.spo"),
+        ids("store2.pos"),
+        ids("store2.osp"),
+        meta_graph["stats"]["triples"],
+        terms,
+    )
 
     # -- keyword index -------------------------------------------------
-    if mmap_tier:
-        vocab_dict = mt.MmapTermDictionary(
+    inverted = mt.MmapInvertedIndex(
+        mt.MmapTermDictionary(
             section_raw("kindex.vocab"),
-            decode_raw_ids(section_raw("kindex2.vocab.offsets")),
-            decode_raw_ids(section_raw("kindex2.vocab.sorted")),
-        )
-        inverted = mt.MmapInvertedIndex(
-            vocab_dict,
-            decode_raw_ids(section_raw("kindex2.postings.offsets")),
-            decode_raw_ids(section_raw("kindex2.postings.runs")),
-            decode_raw_ids(section_raw("kindex.elements")[8:]),
-            decode_raw_ids(section_raw("kindex2.elements.sorted")),
-            decode_raw_ids(section_raw("kindex2.element_terms.offsets")),
-            decode_raw_ids(section_raw("kindex2.element_terms.runs")),
-            terms,
-        )
-        a_keys, a_offsets, a_values = mt.grouping_views(
-            section_raw("kindex2.attr_refs")
-        )
-        attr_class_refs = mt.LazyRefMap(
-            a_keys, a_offsets, a_values, terms, mt.attr_refs_decoder(terms)
-        )
-        v_keys, v_offsets, v_values = mt.grouping_views(
-            section_raw("kindex2.value_refs")
-        )
-        value_occ_refs = mt.LazyRefMap(
-            v_keys, v_offsets, v_values, terms, mt.value_refs_decoder(terms)
-        )
-    else:
-        vocab = decode_strings(Reader(section("kindex.vocab")))
-        element_flat = Reader(section("kindex.elements")).ids()
-        it = iter(element_flat)
-        elements = [(ELEMENT_KINDS[code], terms[t]) for code, t in zip(it, it)]
-
-        # The memory tier decodes the same runs the mmap tier bisects,
-        # through the CRC-checking `section()`.
-        offsets = decode_raw_ids(section("kindex2.postings.offsets")).tolist()
-        runs = decode_raw_ids(section("kindex2.postings.runs")).tolist()
-        if len(offsets) != len(vocab) + 1 or 3 * offsets[-1] != len(runs):
-            raise BundleFormatError(
-                f"{path}: posting runs are inconsistent ({len(vocab)} vocabulary "
-                f"terms, {len(offsets)} offsets, {len(runs)} run values)"
-            )
-        postings: Dict[str, Dict] = {}
-        for vid, text in enumerate(vocab):
-            segment = iter(runs[3 * offsets[vid] : 3 * offsets[vid + 1]])
-            rows = {
-                elements[e]: [tf, total]
-                for e, tf, total in zip(segment, segment, segment)
-            }
-            if rows:
-                postings[text] = rows
-        offsets = decode_raw_ids(section("kindex2.element_terms.offsets")).tolist()
-        runs = decode_raw_ids(section("kindex2.element_terms.runs")).tolist()
-        if len(offsets) != len(elements) + 1 or offsets[-1] != len(runs):
-            raise BundleFormatError(
-                f"{path}: element-term runs are inconsistent ({len(elements)} "
-                f"elements, {len(offsets)} offsets, {len(runs)} run values)"
-            )
-        element_terms = {
-            element: {vocab[v] for v in runs[offsets[i] : offsets[i + 1]]}
-            for i, element in enumerate(elements)
-        }
-        keys, offsets, values = decode_grouping(Reader(section("kindex2.attr_refs")))
-        attr_class_refs: Dict[URI, Dict[Optional[Term], int]] = {}
-        for i, k in enumerate(keys):
-            segment = iter(values[offsets[i] : offsets[i + 1]])
-            attr_class_refs[terms[k]] = {
-                (None if cls < 0 else terms[cls]): count
-                for cls, count in zip(segment, segment)
-            }
-        keys, offsets, values = decode_grouping(Reader(section("kindex2.value_refs")))
-        value_occ_refs: Dict[Literal, Dict[Tuple[URI, Optional[Term]], int]] = {}
-        for i, k in enumerate(keys):
-            segment = iter(values[offsets[i] : offsets[i + 1]])
-            value_occ_refs[terms[k]] = {
-                (terms[label], None if cls < 0 else terms[cls]): count
-                for label, cls, count in zip(segment, segment, segment)
-            }
-        inverted = InvertedIndex.from_state(postings, element_terms)
+            ids("kindex2.vocab.offsets"),
+            ids("kindex2.vocab.sorted"),
+        ),
+        ids("kindex2.postings.offsets"),
+        ids("kindex2.postings.runs"),
+        decode_raw_ids(section_raw("kindex.elements")[8:]),
+        ids("kindex2.elements.sorted"),
+        ids("kindex2.element_terms.offsets"),
+        ids("kindex2.element_terms.runs"),
+        terms,
+    )
+    attr_class_refs = mt.LazyRefMap(
+        *mt.grouping_views(section_raw("kindex2.attr_refs")),
+        terms,
+        mt.attr_refs_decoder(terms),
+    )
+    value_occ_refs = mt.LazyRefMap(
+        *mt.grouping_views(section_raw("kindex2.value_refs")),
+        terms,
+        mt.value_refs_decoder(terms),
+    )
     kindex_meta = meta["kindex"]
     keyword_index = KeywordIndex.from_state(
         graph,
@@ -764,8 +663,6 @@ def load_bundle(path, index_tier: str = "memory") -> LoadedBundle:
     loaded.substrate = substrate
     loaded.meta = meta
     loaded.path = path
-    loaded.format_version = format_version
-    loaded.index_tier = index_tier
     return loaded
 
 
@@ -780,7 +677,7 @@ def load_engine(
     replay_wal: bool = True,
     attach_wal: bool = True,
     wal_path=None,
-    index_tier: str = "memory",
+    index_tier: Optional[str] = None,
     guided: Optional[bool] = None,
     **overrides,
 ):
@@ -801,16 +698,15 @@ def load_engine(
     then hooked into the engine's :class:`~repro.maintenance.IndexManager`
     so every future update epoch is appended durably.
 
-    The data graph and the triple store materialize from the mmap-ed
-    sections on first use (see :mod:`repro.storage.lazy`); searching
-    needs neither, so the returned engine serves queries after
-    O(metadata) work.
-
-    ``index_tier="mmap"`` goes further: the keyword index and the triple
-    store are *never* materialized — lookups binary-search the bundle's
-    queryable sections through the mmap, updates land in small
-    in-memory overlays, and serving RSS stays O(touched data) (see
-    :mod:`repro.storage.mmap_tier`).
+    The keyword index and the triple store are *never* materialized:
+    lookups binary-search the bundle's queryable sections through the
+    mmap, updates land in small in-memory overlays, and serving RSS
+    stays O(touched data) (see :mod:`repro.storage.mmap_tier`).  The data
+    graph materializes from the stored triples on first use (see
+    :mod:`repro.storage.lazy`); searching and executing need neither, so
+    the returned engine serves queries after O(metadata) work.  Nothing
+    here reads the sorted runs end to end: :func:`verify_bundle` is the
+    integrity pass, and the caller that owns the artifact runs it.
 
     The bundle + log pair is a **single-writer artifact**: attaching
     takes an exclusive lock on the log (released by
@@ -822,8 +718,16 @@ def load_engine(
     from repro.core.engine import KeywordSearchEngine
     from repro.storage.wal import DeltaLog
 
+    # A loaded bundle has one index tier.  The keyword is still accepted,
+    # checked and ignored for one reader: the frozen perf/workloads.py
+    # passes it through its `engine_config`; ROADMAP item 2(a) removes it
+    # from both places.
+    if index_tier not in (None, "memory", "mmap"):
+        raise ValueError(
+            f"unknown index_tier {index_tier!r} (expected 'memory' or 'mmap')"
+        )
     started = time.perf_counter()
-    loaded = load_bundle(path, index_tier=index_tier)
+    loaded = load_bundle(path)
     meta = loaded.meta
     engine_meta = dict(meta["engine"])
     unknown = set(overrides) - set(engine_meta)
@@ -845,7 +749,6 @@ def load_engine(
     if guided is not None:
         engine.guided = guided
     engine.index_manager.epoch = meta["snapshot"]["epoch"]
-    engine.index_tier = index_tier
 
     wal_path = os.fspath(wal_path) if wal_path is not None else loaded.path + ".wal"
     wal = DeltaLog(wal_path)
@@ -881,8 +784,8 @@ def load_engine(
 
     engine.artifact = {
         "path": os.path.abspath(loaded.path),
-        "format_version": loaded.format_version,
-        "index_tier": index_tier,
+        "format_version": FORMAT_VERSION,
+        "index_tier": engine.index_tier,
         "epoch_at_save": meta["snapshot"]["epoch"],
         "summary_version_at_save": meta["snapshot"]["summary_version"],
         "index_version_at_save": meta["snapshot"]["index_version"],
@@ -897,8 +800,11 @@ def load_engine(
 def compact_bundle(path, wal_path=None) -> Dict[str, object]:
     """Fold the delta log into a fresh bundle and truncate the log.
 
-    Loads bundle + committed WAL tail, saves the caught-up engine as a
-    new bundle (:meth:`KeywordSearchEngine.save`: a streamed rebuild from
+    Verifies every section's checksum first (:func:`verify_bundle`: a
+    corrupted run must not be laundered into a fresh bundle with valid
+    CRCs — on a mismatch neither the bundle nor the log is touched),
+    then loads bundle + committed WAL tail, saves the caught-up engine as
+    a new bundle (:meth:`KeywordSearchEngine.save`: a streamed rebuild from
     its current triples, atomic same-directory replace), then resets the
     log — the epochs it held are now part of the bundle itself.  Returns
     an info dict including how many logged epochs were folded in.
@@ -910,6 +816,7 @@ def compact_bundle(path, wal_path=None) -> Dict[str, object]:
         # Checked before the lock below, which would otherwise create a
         # stray (empty) delta log next to a bundle that never existed.
         raise FileNotFoundError(f"no such bundle: {path}")
+    verify_bundle(path)
     log = DeltaLog(wal_path if wal_path is not None else path + ".wal")
     # Take the single-writer lock *before* touching the bundle: an engine
     # attached to the log would keep appending epochs the fresh bundle

@@ -6,16 +6,18 @@ primitive shapes with explicit little-endian encodings:
 
 * a **term table**: each distinct RDF term encoded once, addressed by its
   position, with datatype URIs interned *before* the literals that carry
-  them so decoding is a single forward pass;
+  them so a literal's record only ever points backwards;
 * **id blobs**: ``int64`` arrays (term ids, triple indices, counts),
-  decoded wholesale via :meth:`array.array.frombytes` — the C-speed path
-  that makes cold start cheap;
+  viewed in place (:func:`decode_raw_ids`) or decoded wholesale via
+  :meth:`array.array.frombytes`;
 * **groupings**: a ``keys / offsets / flat values`` triple of id blobs
-  encoding one mapping ``key -> [values]``, restored with slice
-  comprehensions instead of per-entry insertion.
+  encoding one mapping ``key -> [values]``.
 
-Strings (analyzed index terms, display labels) travel in **string
-streams** with the same count-prefixed framing.
+Strings (analyzed index terms) travel in **string streams** with the
+same count-prefixed framing.  This module holds the encoders and the
+readers of the plain id blobs; the readers of the term table, the string
+streams and the groupings are the disk-resident structures of
+:mod:`repro.storage.mmap_tier`.
 """
 
 from __future__ import annotations
@@ -142,18 +144,8 @@ class Reader:
         self.pos = end
         return chunk
 
-    def u8(self) -> int:
-        return self._take(1)[0]
-
-    def u32(self) -> int:
-        return _U32.unpack(self._take(4))[0]
-
     def u64(self) -> int:
         return _U64.unpack(self._take(8))[0]
-
-    def string(self) -> str:
-        length = self.u32()
-        return bytes(self._take(length)).decode("utf-8")
 
     def ids(self) -> List[int]:
         """One count-prefixed int64 blob, as a plain list of ints."""
@@ -164,9 +156,6 @@ class Reader:
         if not _LITTLE_ENDIAN:  # pragma: no cover - big-endian hosts
             a.byteswap()
         return a.tolist()
-
-    def at_end(self) -> bool:
-        return self.pos >= len(self.buf)
 
 
 def encode_ids(seq: Iterable[int]) -> bytes:
@@ -212,16 +201,6 @@ def decode_raw_ids(buf) -> Sequence[int]:
     return a
 
 
-def encode_strings(strings: Iterable[str]) -> bytes:
-    """Count-prefixed stream of length-prefixed UTF-8 strings."""
-    items = [_pack_str(s) for s in strings]
-    return _U64.pack(len(items)) + b"".join(items)
-
-
-def decode_strings(reader: Reader) -> List[str]:
-    return [reader.string() for _ in range(reader.u64())]
-
-
 # ----------------------------------------------------------------------
 # Term table
 # ----------------------------------------------------------------------
@@ -231,8 +210,8 @@ def encode_term_record(term: Term, term_id) -> bytes:
     """Encode one term-table record (kind byte + payload).
 
     The streamed bundle builder writes the table through this in bounded
-    chunks; :func:`encode_terms` is the same records materialized at
-    once.  ``term_id`` resolves datatype URIs, which the
+    chunks; :class:`repro.storage.mmap_tier.MmapTermTable` decodes a
+    record on demand.  ``term_id`` resolves datatype URIs, which the
     :class:`TermInterner` guarantees were assigned before their literals.
     """
     if isinstance(term, URI):
@@ -255,78 +234,6 @@ def encode_term_record(term: Term, term_id) -> bytes:
         return bytes([_TERM_LITERAL]) + _pack_str(term.lexical)
     # pragma: no cover - the graph never stores Variables
     raise BundleFormatError(f"cannot encode term type {type(term).__name__}")
-
-
-def encode_terms(terms: Sequence[Term], term_id) -> bytes:
-    """Encode the interned term table (id order)."""
-    out = [_U64.pack(len(terms))]
-    for term in terms:
-        out.append(encode_term_record(term, term_id))
-    return b"".join(out)
-
-
-def decode_terms(buf) -> List[Term]:
-    """Decode the term table from its section bytes.
-
-    Implemented over one contiguous ``bytes`` object with
-    ``struct.unpack_from`` rather than the :class:`Reader` — the table is
-    the one section whose decode is a per-record Python loop over the
-    whole vocabulary, so call overhead matters for cold start.
-    """
-    data = bytes(buf)
-    if len(data) < 8:
-        raise BundleFormatError("term table truncated: missing count")
-    (count,) = _U64.unpack_from(data, 0)
-    pos = 8
-    end = len(data)
-    u32_from = _U32.unpack_from
-    u64_from = _U64.unpack_from
-    terms: List[Term] = []
-    append = terms.append
-    try:
-        for index in range(count):
-            kind = data[pos]
-            (length,) = u32_from(data, pos + 1)
-            pos += 5
-            if pos + length > end:
-                raise BundleFormatError(
-                    f"term table truncated inside term {index}"
-                )
-            text = data[pos : pos + length].decode("utf-8")
-            pos += length
-            if kind == _TERM_URI:
-                append(URI(text))
-            elif kind == _TERM_LITERAL:
-                append(Literal(text))
-            elif kind == _TERM_LITERAL_DT:
-                (dt_id,) = u64_from(data, pos)
-                pos += 8
-                if dt_id >= index:
-                    raise BundleFormatError(
-                        f"term {index}: datatype id {dt_id} is not a prior term"
-                    )
-                datatype = terms[dt_id]
-                if not isinstance(datatype, URI):
-                    raise BundleFormatError(
-                        f"term {index}: datatype id {dt_id} is not a URI"
-                    )
-                append(Literal(text, datatype=datatype))
-            elif kind == _TERM_LITERAL_LANG:
-                (length,) = u32_from(data, pos)
-                pos += 4
-                if pos + length > end:
-                    raise BundleFormatError(
-                        f"term table truncated inside term {index}"
-                    )
-                append(Literal(text, language=data[pos : pos + length].decode("utf-8")))
-                pos += length
-            elif kind == _TERM_BNODE:
-                append(BNode(text))
-            else:
-                raise BundleFormatError(f"unknown term kind {kind} at term {index}")
-    except (struct.error, IndexError) as exc:
-        raise BundleFormatError(f"term table truncated: {exc}") from exc
-    return terms
 
 
 def term_order_key(term: Term, term_id) -> Tuple[int, str, object]:
@@ -373,20 +280,3 @@ def encode_grouping(items: Iterable[Tuple[int, Iterable[int]]]) -> bytes:
         values.extend(value_ids)
         offsets.append(len(values))
     return encode_ids(keys) + encode_ids(offsets) + encode_ids(values)
-
-
-def decode_grouping(reader: Reader) -> Tuple[List[int], List[int], List[int]]:
-    """The ``(keys, offsets, flat values)`` lists of one grouping."""
-    keys = reader.ids()
-    offsets = reader.ids()
-    values = reader.ids()
-    if len(offsets) != len(keys) + 1:
-        raise BundleFormatError(
-            f"grouping offsets mismatch: {len(keys)} keys, {len(offsets)} offsets"
-        )
-    if offsets and offsets[-1] != len(values):
-        raise BundleFormatError(
-            f"grouping values mismatch: final offset {offsets[-1]}, "
-            f"{len(values)} values"
-        )
-    return keys, offsets, values

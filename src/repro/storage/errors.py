@@ -34,9 +34,7 @@ class UnsupportedEngineError(BundleError):
     """The engine holds components the bundle format cannot represent
     faithfully (a custom analyzer, lexicon, or cost model instance); a
     round-tripped engine would silently behave differently, so saving is
-    refused instead.  Also raised when a requested serving tier needs
-    sections the bundle's format version lacks (``index_tier="mmap"``
-    against a version-1 bundle) — the fix is a rebuild, never a guess."""
+    refused instead."""
 
 
 class WalError(RuntimeError):

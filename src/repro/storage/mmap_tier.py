@@ -1,14 +1,14 @@
-"""Disk-resident serving tier: binary-searchable readers over the mmap.
+"""What a loaded bundle is: binary-searchable readers over the mmap.
 
 PR 8 made *building* a million-triple bundle possible in bounded memory;
-this module is the serving half.  A bundle stores its keyword index and
-triple indexes as *queryable* layouts: byte-offset tables over the term
-table and the keyword vocabulary, order-preserving sorted permutations
-for binary search, posting lists as contiguous ``(element, tf, total)``
-int64 runs, and the full triple set as SPO/POS/OSP-sorted flat runs (the
-memory tier decodes the same sections into its dicts at load).  The
-classes here serve the exact same interfaces the materialized structures
-expose — ``InvertedIndex``'s lookup/maintenance surface,
+this module is the serving half, and the only reader
+:func:`repro.storage.load_bundle` has.  A bundle stores its keyword
+index and triple indexes as *queryable* layouts: byte-offset tables over
+the term table and the keyword vocabulary, order-preserving sorted
+permutations for binary search, posting lists as contiguous ``(element,
+tf, total)`` int64 runs, and the full triple set as SPO/POS/OSP-sorted
+flat runs.  The classes here serve the exact same interfaces the
+in-process structures expose — ``InvertedIndex``'s lookup/maintenance surface,
 ``TripleStore``'s pattern matching — by
 binary search over ``memoryview('q')`` casts of the mmap-ed sections,
 so cold start is O(metadata) and resident memory is O(touched data):
@@ -23,8 +23,8 @@ tombstones, a delta :class:`~repro.store.triple_store.TripleStore` plus
 id-triple tombstones, promoted-on-write refcount groups — maintained by
 the same incremental-maintenance calls the in-memory structures
 receive.  The overlay semantics are chosen so that a WAL-tail replay or
-a live ``/update`` epoch leaves lookup results *identical* to the
-materialized tier (property-tested in
+a live ``/update`` epoch leaves lookup results *identical* to those of
+the structures the constructors build (property-tested in
 ``tests/property/test_mmap_tier_identity.py``); the ordering argument
 rests on the maintenance invariant that an element is always unindexed
 before it is re-indexed, so base postings and delta postings never
@@ -327,7 +327,7 @@ class MmapInvertedIndex:
       tombstones) with a delta ``InvertedIndex`` holding everything
       indexed since load — appended after the base postings, which is
       exactly where a re-inserted dict key would sit in the
-      materialized tier;
+      constructors' index;
     * **unindex** of a base element records a tombstone and bumps
       per-term dead counters (via the element→terms runs), keeping
       ``document_frequency`` / ``term_count`` / ``posting_count`` O(1)

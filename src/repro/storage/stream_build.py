@@ -432,7 +432,7 @@ def _build(
     sort_attr.cleanup()
 
     # Triple store indexes: three external sorts, each streamed into its
-    # flat sorted run — the one stored form both index tiers read.
+    # flat sorted run — the one stored form of the indexes.
     for name, sorter in (
         ("store2.spo", sort_spo),
         ("store2.pos", sort_pos),

@@ -127,26 +127,6 @@ class TripleStore:
         return sum(1 for t in triples if self.remove(t))
 
     # ------------------------------------------------------------------
-    # Persistence (used by repro.storage)
-    # ------------------------------------------------------------------
-
-    @classmethod
-    def from_state(cls, spo: _Index, pos: _Index, osp: _Index, size: int) -> "TripleStore":
-        """Adopt pre-built nested indexes (the bundle loader's output).
-
-        Replaying :meth:`add` per triple would redo exactly the hashing
-        this bypasses; the caller guarantees the three indexes are the
-        SPO/POS/OSP views of one triple set of ``size`` triples, built as
-        the same ``defaultdict`` nesting :func:`_nested` produces.
-        """
-        store = cls.__new__(cls)
-        store._spo = spo
-        store._pos = pos
-        store._osp = osp
-        store._size = size
-        return store
-
-    # ------------------------------------------------------------------
     # Lookup
     # ------------------------------------------------------------------
 

@@ -1,5 +1,9 @@
-"""The section table of a format-v4 ``.reprobundle``, shared by the suites
-that pin it (``test_storage``, ``test_cli``, ``test_stream_build_identity``)."""
+"""The section table of a format-v4 ``.reprobundle`` and the raw-file
+helpers that damage one, shared by the suites that pin the format
+(``test_storage``, ``test_cli``, ``test_stream_build_identity``)."""
+
+import json
+import struct
 
 #: Format v4, in the order the builder writes them.
 EXPECTED_SECTIONS = [
@@ -28,3 +32,22 @@ EXPECTED_SECTIONS = [
     "terms.offsets",
     "terms.sorted",
 ]
+
+
+def read_header(data):
+    """``(header dict, offset of the first section)`` of raw bundle bytes."""
+    (header_length,) = struct.unpack_from("<I", data, 12)
+    header = json.loads(bytes(data[16 : 16 + header_length]))
+    return header, 16 + header_length + (-(16 + header_length) % 8)
+
+
+def section_entry(header, name):
+    return next(e for e in header["sections"] if e["name"] == name)
+
+
+def flip_byte_in_section(path, name):
+    data = bytearray(path.read_bytes())
+    header, data_start = read_header(data)
+    entry = section_entry(header, name)
+    data[data_start + entry["offset"] + entry["length"] // 2] ^= 0xFF
+    path.write_bytes(bytes(data))

@@ -8,7 +8,7 @@ Dijkstra order, a cursor adds them along its path, and the two can differ
 in the last ulp.  This suite therefore re-checks the identity where it is
 served: every query of the DBLP, LUBM and TAP workloads, on both cost
 models the workloads are scored with, at k = 1 / 10 / 50 and dmax =
-2 / 4 / 10, on the memory and the mmap tier of one built bundle, before
+2 / 4 / 10, on a loaded bundle (the configuration that is served), before
 and after an add/remove batch.  Ranked query signatures and costs — and
 under them the explored subgraphs: elements, costs, paths, connecting
 elements, order — must be *equal*, not approximately.  Should a rounding
@@ -126,17 +126,14 @@ def _assert_bounds_and_seed_change_nothing(seeded, bounded, queries):
     assert bounded.exploration_stats() == {"seeded": 0, "seed_fallbacks": 0}
 
 
-@pytest.mark.parametrize("index_tier", ["memory", "mmap"])
 @pytest.mark.parametrize("cost_model", ["c3", "pagerank"])
-def test_bounded_equals_unbounded(corpus, cost_model, index_tier):
+def test_bounded_equals_unbounded(corpus, cost_model):
     """Three legs per query x k x dmax: the loop as served (bounds, seeded
     from the connectivity tables), the bounds alone (second engine, its
     seeds forced to +inf), and the unbounded oracle."""
     path, adds, removes, queries = corpus
     seeded, bounded = (
-        KeywordSearchEngine.load(
-            path, cost_model=cost_model, index_tier=index_tier, attach_wal=False
-        )
+        KeywordSearchEngine.load(path, cost_model=cost_model, attach_wal=False)
         for _ in range(2)
     )
     _assert_bounds_and_seed_change_nothing(seeded, bounded, queries)

@@ -8,7 +8,7 @@ step of an add/remove history, for a keyword pool that covers exact,
 lexicon-related, fuzzy, multi-term and no-match keywords, the memoized
 list must equal the recomputed one — scores, order, and the class
 contexts the matches carry (which ``repr`` does not show) — on an
-in-process engine and on both serving tiers of one bundle.
+in-process engine and on the same triples served from a bundle.
 
 Random histories draw from a triple pool built so that the hazards are
 reachable; a scripted history walks each hazard by name and also pins
@@ -104,14 +104,13 @@ def describe(matches):
     return out
 
 
-def three_engines(base, tmp_path_factory):
-    """An in-process engine, and both serving tiers of one bundle."""
+def both_engines(base, tmp_path_factory):
+    """An in-process engine, and the same triples served from a bundle."""
     path = tmp_path_factory.mktemp("lookup-memo") / "g.reprobundle"
     build_bundle_streaming(iter(base), path)
     return {
         "in-process": KeywordSearchEngine(DataGraph(base)),
-        "memory": KeywordSearchEngine.load(path, attach_wal=False),
-        "mmap": KeywordSearchEngine.load(path, attach_wal=False, index_tier="mmap"),
+        "mmap": KeywordSearchEngine.load(path, attach_wal=False),
     }
 
 
@@ -136,7 +135,7 @@ def apply(engine, add, triple):
 @settings(max_examples=100, deadline=None)
 def test_memoized_lookup_equals_recomputation(tmp_path_factory, graph):
     base, history = graph
-    engines = three_engines(base, tmp_path_factory)
+    engines = both_engines(base, tmp_path_factory)
     assert engines["mmap"].keyword_index.index_tier == "mmap"
     for name, engine in engines.items():
         check(engine, (name, "base"))
@@ -178,9 +177,9 @@ def served_from_memo(engine, keyword):
     return memo_stats(engine)[:2] == (hits + 1, misses)
 
 
-@pytest.mark.parametrize("tier", ["in-process", "memory", "mmap"])
+@pytest.mark.parametrize("tier", ["in-process", "mmap"])
 def test_named_hazards(tmp_path_factory, tier):
-    engine = three_engines(SCRIPT_BASE, tmp_path_factory)[tier]
+    engine = both_engines(SCRIPT_BASE, tmp_path_factory)[tier]
     index = engine.keyword_index
     check(engine, "base")
 

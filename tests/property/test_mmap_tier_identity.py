@@ -1,14 +1,15 @@
-"""Property: the mmap serving tier ≡ the materialized tier, byte for byte.
+"""Property: a loaded bundle ≡ the in-process engine, byte for byte.
 
-``load(path, index_tier="mmap")`` serves the keyword index and triple
-store straight off the bundle's queryable sections — binary-searched
-term dictionary, contiguous posting runs, sorted triple runs — without
-ever materializing the Python dicts.  The contract is *identity*, not
+``load(path)`` serves the keyword index and triple store straight off
+the bundle's queryable sections — binary-searched term dictionary,
+contiguous posting runs, sorted triple runs — without ever
+materializing the Python dicts.  The contract is *identity*, not
 similarity: for every query, ``search()`` (candidates, costs, SPARQL/SQL
 /NL renderings, matching subgraphs, exploration diagnostics) and
-``execute()`` answer multisets must equal the materialized engine's,
-including after update epochs that overlay deltas on the read-only
-mmap postings and through a WAL-tail replay.
+``execute()`` answer multisets must equal those of the engine the
+constructors build (``KeywordSearchEngine(DataGraph(triples))``, the one
+oracle), including after update epochs that overlay deltas on the
+read-only mmap postings and through a WAL-tail replay.
 """
 
 import pytest
@@ -32,12 +33,10 @@ from repro.rdf.triples import Triple
 from repro.storage import build_bundle_streaming
 
 
-def _both_tiers(engine, path):
-    """Save the engine, load it back on both serving tiers (no WAL)."""
+def _mapped(engine, path):
+    """Save the engine, load it back served in place (no WAL)."""
     engine.save(path, force=True)
-    memory = KeywordSearchEngine.load(path, attach_wal=False)
-    mapped = KeywordSearchEngine.load(path, attach_wal=False, index_tier="mmap")
-    return memory, mapped
+    return KeywordSearchEngine.load(path, attach_wal=False)
 
 
 @pytest.mark.parametrize(
@@ -51,12 +50,10 @@ def _both_tiers(engine, path):
 def test_mmap_tier_equals_materialized(request, tmp_path, fixture_name, queries):
     graph = request.getfixturevalue(fixture_name)
     reference = KeywordSearchEngine(DataGraph(graph.triples))
-    memory, mapped = _both_tiers(reference, tmp_path / "b.reprobundle")
-    assert mapped.index_tier == "mmap"
-    assert mapped.keyword_index.index_tier == "mmap"
+    mapped = _mapped(reference, tmp_path / "b.reprobundle")
+    assert mapped.index_tier == "mmap" and reference.index_tier == "memory"
     assert len(mapped.store) == len(reference.store)
     assert_engines_identical(reference, mapped, queries)
-    assert_engines_identical(memory, mapped, queries)
 
 
 def test_mmap_tier_on_streamed_bundle(dblp_small, tmp_path):
@@ -67,17 +64,19 @@ def test_mmap_tier_on_streamed_bundle(dblp_small, tmp_path):
     path = tmp_path / "s.reprobundle"
     build_bundle_streaming(iter(triples), path, spill_budget_bytes=TINY_BUDGET)
     reference = KeywordSearchEngine(DataGraph(triples))
-    mapped = KeywordSearchEngine.load(path, attach_wal=False, index_tier="mmap")
+    mapped = KeywordSearchEngine.load(path, attach_wal=False)
     assert_engines_identical(reference, mapped, DBLP_QUERIES)
 
 
 def test_mmap_tier_update_epoch_identity(dblp_small, tmp_path):
     """Updates overlay the read-only mmap sections: after identical
-    add/remove epochs both tiers must still agree with each other *and*
-    with an engine rebuilt from scratch on the final triple set."""
+    add/remove epochs the loaded engine must still agree with the
+    in-process engine that received them through the same maintenance
+    calls *and* with an engine rebuilt from scratch on the final triple
+    set."""
     triples = list(dblp_small.triples)
     engine = KeywordSearchEngine(DataGraph(triples))
-    memory, mapped = _both_tiers(engine, tmp_path / "u.reprobundle")
+    mapped = _mapped(engine, tmp_path / "u.reprobundle")
 
     ns = "http://example.org/mmapprop/"
     added = [
@@ -90,7 +89,7 @@ def test_mmap_tier_update_epoch_identity(dblp_small, tmp_path):
         Triple(URI(ns + "p1"), URI("http://example.org/dblp/year"), Literal("2008")),
     ]
     removed = triples[40:50]
-    for eng in (memory, mapped):
+    for eng in (engine, mapped):
         assert eng.add_triples(added) == len(added)
         assert eng.remove_triples(removed) == len(removed)
 
@@ -98,14 +97,15 @@ def test_mmap_tier_update_epoch_identity(dblp_small, tmp_path):
     rebuilt = KeywordSearchEngine(DataGraph(final))
     queries = DBLP_QUERIES + ("mmap overlay paper", "2008 article")
     assert len(mapped.store) == len(rebuilt.store)
-    assert_engines_identical(memory, mapped, queries)
+    assert_engines_identical(engine, mapped, queries)
     assert_engines_identical(rebuilt, mapped, queries)
 
 
 def test_mmap_tier_wal_tail_replay_identity(dblp_small, tmp_path):
     """A WAL tail written by one engine replays identically into a fresh
-    mmap-tier load: deltas land in the overlay, the mapped base stays
-    untouched, and both tiers reconstruct the same post-crash state."""
+    load: deltas land in the overlay, the mapped base stays untouched,
+    and the post-crash state is the one the in-process engine reaches
+    through the same two epochs."""
     triples = list(dblp_small.triples)
     engine = KeywordSearchEngine(DataGraph(triples))
     path = tmp_path / "w.reprobundle"
@@ -126,12 +126,13 @@ def test_mmap_tier_wal_tail_replay_identity(dblp_small, tmp_path):
     assert writer.remove_triples(removed) == len(removed)
     writer.delta_log.close()  # release the single-writer lock ("crash")
 
-    memory = KeywordSearchEngine.load(path, attach_wal=False)
-    mapped = KeywordSearchEngine.load(path, attach_wal=False, index_tier="mmap")
+    mapped = KeywordSearchEngine.load(path, attach_wal=False)
     assert mapped.artifact["wal_epochs_replayed"] == 2
+    engine.add_triples(added)
+    engine.remove_triples(removed)
     queries = DBLP_QUERIES + ("tail replayed paper",)
     assert_engines_identical(writer, mapped, queries)
-    assert_engines_identical(memory, mapped, queries)
+    assert_engines_identical(engine, mapped, queries)
 
 
 # ----------------------------------------------------------------------
@@ -146,7 +147,7 @@ def test_mmap_identity_random_corpora(tmp_path_factory, triples):
     path = tmp / "g.reprobundle"
     reference = KeywordSearchEngine(DataGraph(triples))
     build_bundle_streaming(iter(triples), path, spill_budget_bytes=TINY_BUDGET)
-    mapped = KeywordSearchEngine.load(path, attach_wal=False, index_tier="mmap")
+    mapped = KeywordSearchEngine.load(path, attach_wal=False)
     assert len(mapped.store) == len(reference.store)
     for query in PROP_QUERIES:
         assert search_signature(mapped, query) == search_signature(reference, query), query

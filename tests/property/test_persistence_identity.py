@@ -145,8 +145,7 @@ def graph_state(graph):
     }
 
 
-@pytest.mark.parametrize("index_tier", ["memory", "mmap"])
-def test_materialized_graph_is_the_constructors(dblp_small, tmp_path, index_tier):
+def test_materialized_graph_is_the_constructors(dblp_small, tmp_path):
     """The data graph is not a stored structure: what a loaded engine
     materializes is ``DataGraph(the same triples)`` field by field —
     ``_out``, ``_in``, the refcounts, the per-predicate buckets, labels,
@@ -158,7 +157,7 @@ def test_materialized_graph_is_the_constructors(dblp_small, tmp_path, index_tier
     engine = KeywordSearchEngine(DataGraph(triples))
     engine.save(path)
 
-    loaded = KeywordSearchEngine.load(path, index_tier=index_tier)
+    loaded = KeywordSearchEngine.load(path)
     graph = loaded.graph
     assert graph._lazy_thunk is not None
     result = loaded.search(DBLP_QUERIES[0])
@@ -193,7 +192,7 @@ def test_materialized_graph_is_the_constructors(dblp_small, tmp_path, index_tier
     reference.add_all(added)
     reference.remove_all(removed)
 
-    reloaded = KeywordSearchEngine.load(path, index_tier=index_tier)
+    reloaded = KeywordSearchEngine.load(path)
     assert reloaded.artifact["wal_epochs_replayed"] == 2
     assert reloaded.graph._lazy_thunk is None  # the replay is an update
     assert graph_state(reloaded.graph) == graph_state(reference)
@@ -233,11 +232,10 @@ def test_wal_tail_replay_identity(dblp_small, tmp_path):
     assert_engines_identical(rebuilt, reloaded, queries)
 
 
-@pytest.mark.parametrize("index_tier", ["memory", "mmap"])
-def test_save_after_updates_identity(dblp_small, tmp_path, index_tier):
+def test_save_after_updates_identity(dblp_small, tmp_path):
     """``engine.save`` of a bundle-loaded engine that has applied update
-    epochs — a streamed rebuild from its current triples — on both index
-    tiers, to a new path and over the artifact the engine is attached to.
+    epochs — a streamed rebuild from its current triples — to a new path
+    and over the artifact the engine is attached to.
     The saved bundle must reload to the live engine and to a from-scratch
     one, carry the live epoch, and supersede the sibling delta log."""
     from repro.storage import BundleExistsError, DeltaLog
@@ -256,17 +254,14 @@ def test_save_after_updates_identity(dblp_small, tmp_path, index_tier):
     removed = triples[50:60]
     queries = DBLP_QUERIES + ("saved after updates", "2008 article")
 
-    live = KeywordSearchEngine.load(path, index_tier=index_tier)
-    assert live.index_tier == index_tier
+    live = KeywordSearchEngine.load(path)
     assert live.add_triples(added) == len(added)
     assert live.remove_triples(removed) == len(removed)
     assert live.index_manager.epoch == 2
     rebuilt = KeywordSearchEngine(DataGraph(live.graph.triples))
 
     def check(bundle, wal_epochs):
-        reloaded = KeywordSearchEngine.load(
-            bundle, attach_wal=False, index_tier=index_tier
-        )
+        reloaded = KeywordSearchEngine.load(bundle, attach_wal=False)
         assert reloaded.artifact["epoch_at_save"] == 2
         assert reloaded.artifact["wal_epochs_replayed"] == wal_epochs
         assert reloaded.index_manager.epoch == live.index_manager.epoch

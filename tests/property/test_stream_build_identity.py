@@ -20,6 +20,8 @@ k-way merge (asserted via the builder's run counter), so the identity
 holds *because of* the merge path, not by staying under budget.
 """
 
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -77,6 +79,7 @@ def test_streamed_equals_in_memory(request, tmp_path, fixture_name, queries):
     assert loaded.keyword_index.snapshot_key == reference.keyword_index.snapshot_key
     # Full behavioral identity, including execute() answer multisets.
     assert_engines_identical(reference, loaded, queries)
+    assert_indexes_equal(loaded, reference)
 
 
 def test_tiny_budget_actually_spills(dblp_small, tmp_path):
@@ -166,18 +169,55 @@ EPOCH_ADDS = [
 ]
 
 
+def _by_n3(triples):
+    return sorted(t.n3() for t in triples)
+
+
 def assert_indexes_equal(loaded, reference):
-    """The memory tier's decode of the sorted runs == the dicts the
-    in-process constructors build (triple indexes, postings, element
-    terms, class-context refcounts)."""
-    for name in ("_spo", "_pos", "_osp"):
-        assert getattr(loaded.store, name) == getattr(reference.store, name), name
-    assert len(loaded.store) == len(reference.store)
+    """Below the query level: everything the mapped readers of a loaded
+    bundle can enumerate == what the dicts the in-process constructors
+    build enumerate — all eight ``match()`` patterns around every stored
+    triple (and an absent one), every vocabulary term's posting rows,
+    every element's posted terms, every class-context refcount
+    group."""
+    ours, theirs = loaded.store, reference.store
+    assert len(ours) == len(theirs)
+    assert _by_n3(ours.match()) == _by_n3(theirs.match())  # no row twice
+    assert set(ours.predicates()) == set(theirs.predicates())
+    absent = Triple(URI(EX + "nobody"), URI(EX + "nothing"), Literal("nowhere"))
+    patterns = set()
+    for triple in [*theirs.match(), absent]:
+        assert (triple in ours) == (triple in theirs), triple
+        patterns.update(product(*((term, None) for term in triple)))
+    for pattern in patterns:
+        assert _by_n3(ours.match(*pattern)) == _by_n3(theirs.match(*pattern)), pattern
+        assert ours.count(*pattern) == theirs.count(*pattern), pattern
+
+    ours, theirs = loaded.keyword_index._index, reference.keyword_index._index
+    # Which term comes first, and which of two elements of one kind
+    # within a term, is the constructors' set-iteration order (hash-seed
+    # dependent): the contract is the same terms and the same rows.
+    assert sorted(ours.vocabulary) == sorted(theirs.vocabulary)
+    assert len(ours) == len(theirs) == ours.term_count
+    assert ours.element_count == theirs.element_count
+    assert ours.posting_count == theirs.posting_count
+    assert ours.lookup("no-such-term") == [] and "no-such-term" not in ours
+    elements = set()
+    for term in theirs.vocabulary:
+        assert term in ours
+        assert sorted(ours.lookup(term), key=repr) == sorted(theirs.lookup(term), key=repr), term
+        assert ours.document_frequency(term) == theirs.document_frequency(term)
+        elements.update(posting.element for posting in theirs.lookup(term))
+    assert len(elements) == theirs.element_count
+    for element in elements:
+        assert ours.posted_counts(element) == theirs.posted_counts(element), element
+
     ours, theirs = loaded.keyword_index, reference.keyword_index
-    assert ours._index._postings == theirs._index._postings
-    assert ours._index._element_terms == theirs._index._element_terms
-    assert ours._attribute_class_refs == theirs._attribute_class_refs
-    assert ours._value_occurrence_refs == theirs._value_occurrence_refs
+    for name in ("_attribute_class_refs", "_value_occurrence_refs"):
+        mapped, built = getattr(ours, name), getattr(theirs, name)
+        assert len(mapped) == len(built), name
+        assert dict(mapped.items()) == built, name
+        assert all(key in mapped for key in built), name
 
 
 @given(triples=st.lists(any_triple, min_size=1, max_size=25))
@@ -197,13 +237,15 @@ def test_streamed_identity_random_corpora(tmp_path_factory, triples):
     assert loaded.graph.stats() == reference.graph.stats()
     assert loaded.graph.triples == reference.graph.triples  # first touch
     assert graph_state(loaded.graph) == graph_state(reference.graph)
-    assert_indexes_equal(loaded, reference)
+    # On a load of its own: enumerating decodes (and, for the refcount
+    # groups, promotes into the overlay) everything it reads, and the
+    # epoch below must also find groups nothing has touched yet.
+    assert_indexes_equal(KeywordSearchEngine.load(path, attach_wal=False), reference)
     for query in PROP_QUERIES:
         assert search_signature(loaded, query) == search_signature(reference, query), query
         assert execute_signature(loaded, query) == execute_signature(reference, query), query
-    # One add/remove epoch through incremental maintenance on both: the
-    # decoded dicts must be the live structures' equals, not look-alikes
-    # (defaultdict nesting, mutable posting rows, set-valued leaves).
+    # One add/remove epoch through incremental maintenance on both: base
+    # runs + tombstones + delta must enumerate as the maintained dicts do.
     for engine in (loaded, reference):
         engine.add_triples(EPOCH_ADDS)
         engine.remove_triples(triples[:2])

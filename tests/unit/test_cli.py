@@ -3,7 +3,7 @@
 import os
 
 import pytest
-from bundle_layout import EXPECTED_SECTIONS
+from bundle_layout import EXPECTED_SECTIONS, flip_byte_in_section
 
 from repro.cli import build_parser, main
 from repro.rdf.ntriples import serialize_ntriples
@@ -276,6 +276,72 @@ class TestPersistenceCommands:
         assert excinfo.value.code == 2
         assert "unrecognized arguments: --index-tier" in capsys.readouterr().err
         assert not bundle.exists()
+
+    def test_index_tier_flag_is_a_hidden_noop(self, tmp_path, capsys):
+        """The other CLI contract the benchmark harness leans on: it
+        passes ``--index-tier mmap`` to ``serve`` for two workloads.  A
+        loaded bundle has one index tier, so the flag still parses, still
+        rejects anything but its two old values, is in no ``--help`` —
+        and changes neither the engine nor a byte of the output, which is
+        also the output of the engine the constructors build."""
+        from repro.cli import _dispatch_overrides, build_serve_parser
+
+        bundle = str(tmp_path / "example.reprobundle")
+        assert main(["build", "--dataset", "example", "-o", bundle]) == 0
+        capsys.readouterr()
+
+        def stdout(*flags):
+            assert main(["search", "cimiano 2006", "--execute", *flags]) == 0
+            return capsys.readouterr().out
+
+        constructed = stdout()
+        assert stdout("--bundle", bundle) == constructed
+        for tier in ("memory", "mmap"):
+            assert stdout("--bundle", bundle, "--index-tier", tier) == constructed
+            assert stdout("--index-tier", tier) == constructed  # nothing to require
+        with pytest.raises(SystemExit) as excinfo:
+            main(["search", "cimiano 2006", "--bundle", bundle, "--index-tier", "disk"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'disk'" in capsys.readouterr().err
+        for command in ("search", "serve"):
+            with pytest.raises(SystemExit):
+                main([command, "--help"])
+            assert "index-tier" not in capsys.readouterr().out
+        args = build_serve_parser().parse_args(
+            ["--bundle", bundle, "--workers", "2", "--index-tier", "mmap"]
+        )
+        assert "index_tier" not in _dispatch_overrides(args)
+
+    @pytest.mark.parametrize("workers", ["0", "2"])
+    def test_serve_refuses_a_corrupted_bundle_before_binding(
+        self, tmp_path, capsys, monkeypatch, workers
+    ):
+        """A load serves the sorted runs in place, unverified; the process
+        that owns the artifact checks every section once per start.  One
+        flipped byte in any of the 24 sections: ``serve`` exits non-zero
+        naming the section, before a socket, a worker or a WAL exists —
+        and ``compact`` refuses the same file."""
+        def no_server(*args, **kwargs):
+            raise AssertionError("the server must not be constructed")
+
+        monkeypatch.setattr("repro.service.ReproServer", no_server, raising=False)
+        monkeypatch.setattr("repro.service.DispatchService", no_server, raising=False)
+        bundle = tmp_path / "example.reprobundle"
+        assert main(["build", "--dataset", "example", "-o", str(bundle)]) == 0
+        pristine = bundle.read_bytes()
+        for name in EXPECTED_SECTIONS:
+            bundle.write_bytes(pristine)
+            flip_byte_in_section(bundle, name)
+            damaged = bundle.read_bytes()
+            with pytest.raises(SystemExit) as excinfo:
+                main(["serve", "--bundle", str(bundle), "--port", "0", "--workers", workers])
+            message = str(excinfo.value)
+            assert f"checksum mismatch in section {name!r}" in message
+            capsys.readouterr()
+            assert main(["compact", str(bundle)]) == 1
+            assert message.split(": ", 2)[2] in capsys.readouterr().err
+            assert bundle.read_bytes() == damaged
+        assert os.listdir(tmp_path) == ["example.reprobundle"]
 
     def test_build_from_data_file(self, tmp_path, capsys, example_graph):
         data = tmp_path / "example.nt"

@@ -50,7 +50,7 @@ def example_bundle(tmp_path_factory):
 @pytest.fixture()
 def mapped(example_bundle):
     _, path = example_bundle
-    return load_bundle(path, index_tier="mmap")
+    return load_bundle(path)
 
 
 def test_term_table_round_trips_every_term(example_bundle, mapped):
@@ -83,7 +83,7 @@ def test_miss_memos_stay_bounded_under_update_churn_and_unknown_keywords(
     (``_ids[term] = None``) — 20 dead terms pinned per update batch, one
     entry per unknown keyword a client ever sent."""
     _, path = example_bundle
-    engine = KeywordSearchEngine.load(path, index_tier="mmap", attach_wal=False)
+    engine = KeywordSearchEngine.load(path, attach_wal=False)
     table = engine.store._terms
     vocab = engine.keyword_index._index._dict
     ex = "http://example.org/churn/"
@@ -309,7 +309,7 @@ def test_counts_stay_exact_under_thousands_of_tombstones(tmp_path):
     ]
     path = tmp_path / "churn.reprobundle"
     build_bundle_streaming(iter(triples), path)
-    tier = load_bundle(path, index_tier="mmap").store
+    tier = load_bundle(path).store
     reference = TripleStore(triples)
 
     def agree():
@@ -389,7 +389,7 @@ def test_posted_counts_reads_the_elements_own_record(tmp_path):
     ]
     path = tmp_path / "tf.reprobundle"
     build_bundle_streaming(iter(triples), path)
-    inverted = load_bundle(path, index_tier="mmap").keyword_index._index
+    inverted = load_bundle(path).keyword_index._index
     reference = KeywordSearchEngine(DataGraph(triples)).keyword_index._index
 
     element = ("value", Literal(texts[2]))
@@ -418,14 +418,27 @@ def test_postings_lru_counters(mapped):
 
 
 def test_engine_stats_report_tier(example_bundle):
-    _, path = example_bundle
-    mm = KeywordSearchEngine.load(path, attach_wal=False, index_tier="mmap")
-    mem = KeywordSearchEngine.load(path, attach_wal=False)
-    assert mm.index_tier == "mmap" and mem.index_tier == "memory"
-    assert mm.artifact["index_tier"] == "mmap"
-    assert mm.keyword_index.index_tier == "mmap"
-    assert mem.keyword_index.postings_cache_stats() is None
-    mm.search("publication")
-    stats = mm.cache_stats()
+    """``index_tier`` is what the code can observe, not something to
+    set: a loaded bundle is served in place, the constructors build
+    dicts.  ``load`` still accepts (and checks, and ignores) the keyword
+    the benchmark harness passes."""
+    built, path = example_bundle
+    loaded = KeywordSearchEngine.load(path, attach_wal=False)
+    assert loaded.index_tier == loaded.keyword_index.index_tier == "mmap"
+    assert loaded.artifact["index_tier"] == "mmap"
+    assert isinstance(loaded.store, MmapTripleTier)
+    assert built.index_tier == built.keyword_index.index_tier == "memory"
+    assert built.artifact is None
+    with pytest.raises(AttributeError):
+        loaded.index_tier = "memory"
+    for accepted in ("memory", "mmap"):
+        same = KeywordSearchEngine.load(path, attach_wal=False, index_tier=accepted)
+        assert same.index_tier == "mmap" and isinstance(same.store, MmapTripleTier)
+    with pytest.raises(ValueError, match="unknown index_tier 'disk'"):
+        KeywordSearchEngine.load(path, attach_wal=False, index_tier="disk")
+
+    assert built.keyword_index.postings_cache_stats() is None
+    assert "postings" not in built.cache_stats()
+    loaded.search("publication")
+    stats = loaded.cache_stats()
     assert "postings" in stats and stats["postings"]["misses"] > 0
-    assert "postings" not in mem.cache_stats()

@@ -11,13 +11,8 @@ import random
 
 import pytest
 
-from repro.storage.codec import (
-    Reader,
-    decode_grouping,
-    decode_raw_ids,
-    encode_grouping,
-    encode_ids,
-)
+from repro.storage.codec import decode_raw_ids, encode_grouping, encode_ids
+from repro.storage.mmap_tier import grouping_views
 from repro.storage.segments import (
     ExternalSorter,
     GroupingSpool,
@@ -161,7 +156,7 @@ def _spooled_runs(tmp_path, groups):
 
 def test_grouping_spool_matches_encode_grouping(tmp_path):
     groups = [[1, 2, 3], [], [7], list(range(50))]
-    _, offsets, values = decode_grouping(Reader(encode_grouping(enumerate(groups))))
+    _, offsets, values = map(list, grouping_views(encode_grouping(enumerate(groups))))
     assert _spooled_runs(tmp_path, groups) == (list(offsets), list(values))
 
 

@@ -5,7 +5,12 @@ import os
 import struct
 
 import pytest
-from bundle_layout import EXPECTED_SECTIONS
+from bundle_layout import (
+    EXPECTED_SECTIONS,
+    flip_byte_in_section as _flip_byte_in_section,
+    read_header as _read_header,
+    section_entry as _section_entry,
+)
 
 from repro.core.engine import KeywordSearchEngine
 from repro.rdf.graph import DataGraph
@@ -24,20 +29,20 @@ from repro.storage import (
     WalError,
     compact_bundle,
     load_bundle,
+    verify_bundle,
 )
 from repro.storage.codec import (
     Reader,
     TermInterner,
-    decode_grouping,
+    _pack_str,
     decode_raw_ids,
-    decode_strings,
-    decode_terms,
     encode_grouping,
     encode_ids,
     encode_raw_ids,
-    encode_strings,
-    encode_terms,
+    encode_term_record,
+    term_order_key,
 )
+from repro.storage.mmap_tier import MmapTermDictionary, MmapTermTable, grouping_views
 
 
 # ----------------------------------------------------------------------
@@ -59,20 +64,42 @@ def test_raw_ids_round_trip_and_alignment():
         decode_raw_ids(blob[:-3])
 
 
+def _records_blob(records):
+    """A count-prefixed stream of encoded records, plus the byte-offset
+    table (one past the end last) the builder writes beside it."""
+    offsets = [8]
+    for record in records:
+        offsets.append(offsets[-1] + len(record))
+    return struct.pack("<Q", len(records)) + b"".join(records), offsets
+
+
 def test_strings_round_trip():
+    """The builder's string stream, read back by the reader a bundle's
+    vocabulary is served by."""
     strings = ["", "plain", "ünï¢ode 🚀", "tab\tand\nnewline"]
-    assert decode_strings(Reader(encode_strings(strings))) == strings
+    blob, offsets = _records_blob([_pack_str(s) for s in strings])
+    order = sorted(range(len(strings)), key=strings.__getitem__)
+    dictionary = MmapTermDictionary(blob, offsets, order)
+    assert list(dictionary.iter_texts()) == strings
+    assert [dictionary.id_of(s) for s in strings] == list(range(len(strings)))
+    assert dictionary.id_of("absent") is None
 
 
 def test_grouping_round_trip_preserves_order():
     items = [(5, [1, 2, 3]), (2, []), (9, [7])]
-    keys, offsets, values = decode_grouping(Reader(encode_grouping(iter(items))))
+    keys, offsets, values = map(list, grouping_views(encode_grouping(iter(items))))
     assert keys == [5, 2, 9]
     assert [values[offsets[i] : offsets[i + 1]] for i in range(len(keys))] == [
         [1, 2, 3],
         [],
         [7],
     ]
+
+
+def _term_table(terms, term_id):
+    blob, offsets = _records_blob([encode_term_record(t, term_id) for t in terms])
+    order = sorted(range(len(terms)), key=lambda i: term_order_key(terms[i], term_id))
+    return MmapTermTable(blob, offsets, order)
 
 
 def test_term_table_round_trip():
@@ -87,18 +114,21 @@ def test_term_table_round_trip():
     interner = TermInterner()
     for term in terms:
         interner.id(term)
-    decoded = decode_terms(encode_terms(interner.terms, interner.id))
+    table = _term_table(interner.terms, interner.id)
+    decoded = [table[i] for i in range(len(table))]
     assert decoded == interner.terms
-    # Datatype URIs are interned before their literals (single forward pass).
+    assert [table.id_of(t) for t in decoded] == list(range(len(decoded)))
+    # Datatype URIs are interned before their literals (a record only
+    # ever points backwards).
     for index, term in enumerate(decoded):
         if isinstance(term, Literal) and term.datatype is not None:
             assert decoded.index(term.datatype) < index
 
 
 def test_term_table_rejects_unknown_kind():
-    blob = struct.pack("<Q", 1) + bytes([99])
-    with pytest.raises(BundleFormatError):
-        decode_terms(blob)
+    blob, offsets = _records_blob([bytes([99]) + _pack_str("x")])
+    with pytest.raises(BundleFormatError, match="unknown term kind 99"):
+        MmapTermTable(blob, offsets, [0])[0]
 
 
 # ----------------------------------------------------------------------
@@ -150,86 +180,87 @@ def test_load_rejects_future_format_version(small_engine, tmp_path):
     assert "format version" in str(excinfo.value)
 
 
-def _assert_version_refused(engine, path, version, index_tier):
+def _assert_version_refused(engine, path, version):
     engine.save(path)
     data = bytearray(path.read_bytes())
     data[8:12] = struct.pack("<I", version)
     path.write_bytes(bytes(data))
     with pytest.raises(BundleFormatError, match="rebuild the bundle with `repro build`"):
-        KeywordSearchEngine.load(path, attach_wal=False, index_tier=index_tier)
+        KeywordSearchEngine.load(path, attach_wal=False)
+    with pytest.raises(BundleFormatError, match="rebuild the bundle with `repro build`"):
+        verify_bundle(path)
 
 
-@pytest.mark.parametrize("index_tier", ["memory", "mmap"])
-def test_load_rejects_format_version_1(small_engine, tmp_path, index_tier):
+def test_load_rejects_format_version_1(small_engine, tmp_path):
     """Format v1 went with its only writer: a prelude that says version 1
-    is refused with the rebuild hint on every tier, not half-read."""
-    _assert_version_refused(small_engine, tmp_path / "a.reprobundle", 1, index_tier)
+    is refused with the rebuild hint, not half-read."""
+    _assert_version_refused(small_engine, tmp_path / "a.reprobundle", 1)
 
 
-@pytest.mark.parametrize("index_tier", ["memory", "mmap"])
-def test_load_rejects_format_version_2(small_engine, tmp_path, index_tier):
+def test_load_rejects_format_version_2(small_engine, tmp_path):
     """So did v2, which stored the indexes twice (``store.*`` and four
-    ``kindex.*`` sections next to the runs): its memory-tier sections are
-    gone from the reader, so it is refused rather than half-read."""
-    _assert_version_refused(small_engine, tmp_path / "a.reprobundle", 2, index_tier)
+    ``kindex.*`` sections next to the runs): those sections are gone from
+    the reader, so it is refused rather than half-read."""
+    _assert_version_refused(small_engine, tmp_path / "a.reprobundle", 2)
 
 
-@pytest.mark.parametrize("index_tier", ["memory", "mmap"])
-def test_load_rejects_format_version_3(small_engine, tmp_path, index_tier):
+def test_load_rejects_format_version_3(small_engine, tmp_path):
     """And v3, which stored the data graph a second time as ten derived
     ``graph.*`` sections: their decoders are gone, so a prelude that says
-    version 3 is refused with the rebuild hint on both tiers."""
+    version 3 is refused with the rebuild hint."""
     assert FORMAT_VERSION == 4
-    _assert_version_refused(small_engine, tmp_path / "a.reprobundle", 3, index_tier)
-
-
-def _read_header(data):
-    """``(header dict, offset of the first section)`` of raw bundle bytes."""
-    (header_length,) = struct.unpack_from("<I", data, 12)
-    header = json.loads(bytes(data[16 : 16 + header_length]))
-    return header, 16 + header_length + (-(16 + header_length) % 8)
-
-
-def _section_entry(header, name):
-    return next(e for e in header["sections"] if e["name"] == name)
-
-
-def _flip_byte_in_section(path, name):
-    data = bytearray(path.read_bytes())
-    header, data_start = _read_header(data)
-    entry = _section_entry(header, name)
-    data[data_start + entry["offset"] + entry["length"] // 2] ^= 0xFF
-    path.write_bytes(bytes(data))
+    _assert_version_refused(small_engine, tmp_path / "a.reprobundle", 3)
 
 
 def test_load_rejects_corrupted_section(small_engine, tmp_path):
-    """The memory tier decodes the posting runs it shares with the mmap
-    tier at load, through the CRC check: a flipped byte fails a default
-    load with the dedicated exception."""
+    """A load serves the posting runs in place and does not read them
+    end to end; the full pass (``verify_bundle``, which ``repro serve``
+    and ``repro compact`` run) fails on a flipped byte with the
+    dedicated exception, naming the section."""
     path = tmp_path / "a.reprobundle"
     small_engine.save(path)
     assert path.read_bytes()[:8] == MAGIC
+    verify_bundle(path)  # a fresh bundle passes
     _flip_byte_in_section(path, "kindex2.postings.runs")
-    with pytest.raises(BundleChecksumError):
-        load_bundle(path)
+    with pytest.raises(BundleChecksumError, match="'kindex2.postings.runs'"):
+        verify_bundle(path)
 
 
-@pytest.mark.parametrize(
-    "name",
-    [
-        "kindex2.postings.offsets",
-        "kindex2.element_terms.offsets",
-        "kindex2.element_terms.runs",
-        "kindex2.attr_refs",
-        "kindex2.value_refs",
-    ],
-)
-def test_memory_tier_checksums_every_keyword_run(small_engine, tmp_path, name):
+@pytest.mark.parametrize("name", EXPECTED_SECTIONS)
+def test_verify_checksums_every_section(small_engine, tmp_path, name):
+    """One flipped byte in any of the 24 sections — the runs a load reads
+    in place included — fails the full pass, naming the section."""
     path = tmp_path / "a.reprobundle"
     small_engine.save(path)
     _flip_byte_in_section(path, name)
-    with pytest.raises(BundleChecksumError):
-        load_bundle(path)
+    with pytest.raises(BundleChecksumError, match=repr(name)):
+        verify_bundle(path)
+
+
+def test_verify_rejects_a_torn_tail(small_engine, tmp_path):
+    path = tmp_path / "a.reprobundle"
+    small_engine.save(path)
+    path.write_bytes(path.read_bytes()[:-16])
+    with pytest.raises(BundleFormatError, match="truncated"):
+        verify_bundle(path)
+
+
+def test_compact_refuses_a_corrupted_bundle(small_engine, tmp_path):
+    """A flipped byte in a run must not be laundered into a fresh bundle
+    with valid CRCs: compact fails before it folds anything, and leaves
+    bundle and WAL byte for byte as they were."""
+    path = tmp_path / "a.reprobundle"
+    wal = tmp_path / "a.reprobundle.wal"
+    small_engine.save(path)
+    live = KeywordSearchEngine.load(path)
+    live.add_triples([_T3])
+    live.delta_log.close()
+    _flip_byte_in_section(path, "store2.pos")
+    before = path.read_bytes(), wal.read_bytes()
+    with pytest.raises(BundleChecksumError, match="'store2.pos'"):
+        compact_bundle(path)
+    assert (path.read_bytes(), wal.read_bytes()) == before
+    assert sorted(os.listdir(tmp_path)) == ["a.reprobundle", "a.reprobundle.wal"]
 
 
 def test_bundle_holds_exactly_the_expected_sections(small_engine, tmp_path):
@@ -256,10 +287,7 @@ def _rewrite_bundle(path, data, header, payload):
     )
 
 
-@pytest.mark.parametrize("index_tier", ["memory", "mmap"])
-def test_duplicated_triple_row_fails_graph_materialisation(
-    small_engine, tmp_path, index_tier
-):
+def test_duplicated_triple_row_fails_graph_materialisation(small_engine, tmp_path):
     """A ``triples`` section whose last row repeats the first — same
     length, CRC patched, so checksum and row count pass — rebuilds to a
     graph one triple short of the header's ``graph.stats``: the first
@@ -277,7 +305,7 @@ def test_duplicated_triple_row_fails_graph_materialisation(
     entry["crc32"] = zlib.crc32(payload[begin:end])
     _rewrite_bundle(path, data, header, bytes(payload))
 
-    loaded = KeywordSearchEngine.load(path, attach_wal=False, index_tier=index_tier)
+    loaded = KeywordSearchEngine.load(path, attach_wal=False)
     assert loaded.search("cimiano 2006").candidates  # never touches the graph
     assert len(loaded.graph) == len(small_engine.graph)  # header-only
     with pytest.raises(BundleFormatError, match="disagrees with the header"):
@@ -288,8 +316,9 @@ def test_duplicated_triple_row_fails_graph_materialisation(
 
 def test_shortened_triple_run_fails_store_materialisation(small_engine, tmp_path):
     """A ``store2.pos`` entry one row short — length and CRC patched, so
-    the checksum passes — must fail the length check against the
-    header's triple count, not produce an index missing a triple."""
+    the checksum passes — must fail the mapped tier's own length check
+    against the header's triple count at load, not serve an index
+    missing a triple."""
     import zlib
 
     path = tmp_path / "a.reprobundle"
@@ -303,38 +332,13 @@ def test_shortened_triple_run_fails_store_materialisation(small_engine, tmp_path
         payload[entry["offset"] : entry["offset"] + entry["length"]]
     )
     _rewrite_bundle(path, data, header, payload)
-    loaded = KeywordSearchEngine.load(path, attach_wal=False)
-    result = loaded.search("cimiano 2006")  # search never touches the store
-    assert result.candidates
-    with pytest.raises(BundleFormatError, match="sorted triple run"):
-        loaded.execute(result.best())
-    fresh = KeywordSearchEngine.load(path, attach_wal=False)
-    with pytest.raises(BundleFormatError, match="sorted triple run"):
-        list(fresh.store.match())
-
-
-def test_decode_sorted_run_keeps_row_order():
-    """The nested index comes back with outer and inner keys in the
-    run's (sorted-row) order, which is the order the build sorted."""
-    import random
-
-    from repro.storage.bundle import _decode_sorted_run
-
-    rng = random.Random(3)
-    rows = sorted(
-        {(rng.randrange(6), rng.randrange(6), rng.randrange(20)) for _ in range(200)}
-    )
-    mapping = {}
-    for a, b, c in rows:
-        mapping.setdefault(a, {}).setdefault(b, set()).add(c)
-    flat = encode_raw_ids([v for row in rows for v in row])
-    index = _decode_sorted_run(flat, range(20), len(rows))
-    assert index == mapping
-    assert list(index) == list(mapping)
-    assert all(list(index[a]) == list(mapping[a]) for a in mapping)
-    assert _decode_sorted_run(b"", (), 0) == {}
-    with pytest.raises(BundleFormatError):
-        _decode_sorted_run(flat, range(20), len(rows) + 1)
+    verify_bundle(path)  # every checksum holds: only the length check can see it
+    size = len(small_engine.store)
+    with pytest.raises(
+        BundleFormatError,
+        match=f"store2.pos holds {3 * size - 3} values, expected {3 * size}",
+    ):
+        KeywordSearchEngine.load(path, attach_wal=False)
 
 
 def test_save_refuses_custom_cost_model(example_graph, tmp_path):
@@ -443,9 +447,9 @@ def test_lazy_graph_serves_len_and_stats_without_materializing(
     assert loaded.graph._lazy_thunk is not None  # still unmaterialized
     loaded.search("cimiano 2006")
     assert loaded.graph._lazy_thunk is not None  # search never touches it
-    # First execute materializes the store; first update the graph.
+    # The store is served in place; only the first update builds the graph.
     loaded.execute(loaded.search("cimiano 2006").best())
-    assert loaded.store._lazy_thunk is None
+    assert loaded.graph._lazy_thunk is not None
 
 
 def test_substrate_is_mmap_backed(small_engine, tmp_path):
@@ -598,19 +602,20 @@ def test_wal_torn_commit_then_reattach_survives(example_graph, tmp_path):
 
 
 def test_corrupted_lazy_section_fails_on_first_touch(small_engine, tmp_path):
-    """Graph/store sections are CRC-checked when they materialize; a
-    corrupted byte there must raise the dedicated exception at first
-    use, never decode silently wrong.  ``store2.*`` are the runs the
-    mmap tier reads unverified — the memory tier must not inherit that."""
-    for name in ("store2.spo", "store2.pos", "store2.osp"):
-        path = tmp_path / f"{name}.reprobundle"
-        small_engine.save(path)
-        _flip_byte_in_section(path, name)
-        loaded = KeywordSearchEngine.load(path)
-        result = loaded.search("cimiano 2006")  # search never touches the store
-        assert result.candidates
-        with pytest.raises(BundleChecksumError):
-            loaded.execute(result.best())
+    """The graph's ``triples`` section is CRC-checked when it
+    materializes: a corrupted byte there raises the dedicated exception
+    at first use, never decodes silently wrong.  (The ``store2.*`` runs
+    are read in place, unverified, by a load: ``verify_bundle`` is what
+    catches a flipped byte in them, see
+    ``test_verify_checksums_every_section``.)"""
+    path = tmp_path / "triples.reprobundle"
+    small_engine.save(path)
+    _flip_byte_in_section(path, "triples")
+    loaded = KeywordSearchEngine.load(path, attach_wal=False)
+    result = loaded.search("cimiano 2006")  # search never touches the graph
+    assert result.candidates
+    with pytest.raises(BundleChecksumError, match="'triples'"):
+        loaded.graph.triples
 
 
 def test_commit_hooks_run_despite_earlier_hook_failure(example_graph):
