@@ -19,7 +19,20 @@ numpy inside it would blow, and at the end no worker has imported numpy
 (``kernels.loaded`` — nothing the smoke sends has a view wide enough) and
 none has had a seed threshold refuted (``exploration.seed_fallbacks`` — a
 second exploration behind a correct answer is what that counter is for).
-Finishes with a SIGTERM and checks the drain exits cleanly.
+
+Then the crash-restart leg: ``SIGKILL`` the whole server group, append
+what a crash mid-append leaves behind — an uncommitted entry torn inside
+a multi-byte character — to ``<bundle>.wal``, and start the same command
+again.  The restarted server must bind (the loader reads the torn tail
+as "no further epoch", not as a decode error), stand at the epoch the
+killed one committed, with every worker at that epoch straight from its
+start-up load (``reloads == 0``: dispatcher and workers agree where the
+log ends), and one more ``/update`` must commit, reach every worker by
+WAL replay and be searchable.  Finishes with a SIGTERM and checks the
+drain exits cleanly.
+
+Use a bundle with no ``<bundle>.wal`` beside it: the smoke's updates are
+logged there, and a second run would replay them.
 
 Run under a hard ``timeout`` in CI so a deadlocked pipe fails the job in
 minutes; any violated assertion exits nonzero.
@@ -29,6 +42,7 @@ Usage: python scripts/dispatch_smoke.py [bundle] [workers]
 
 import http.client
 import json
+import os
 import re
 import signal
 import subprocess
@@ -121,10 +135,10 @@ def search_until(conn, query, workers, done):
     raise AssertionError(f"{query!r} never reached every worker: {counters}")
 
 
-def main() -> int:
-    bundle = sys.argv[1] if len(sys.argv) > 1 else "example.reprobundle"
-    workers = int(sys.argv[2]) if len(sys.argv) > 2 else 2
-
+def start_server(bundle, workers):
+    """``(process, url)`` of a ``repro serve --workers N`` in its own
+    process group (so the crash leg can kill dispatcher and workers in
+    one go), once it has announced its URL."""
     proc = subprocess.Popen(
         [
             sys.executable, "-m", "repro", "serve",
@@ -132,24 +146,77 @@ def main() -> int:
         ],
         stderr=subprocess.PIPE,
         text=True,
+        start_new_session=True,
     )
     url = None
-    try:
-        for line in proc.stderr:
-            print(line, end="", file=sys.stderr)
-            match = re.search(r"serving on (http://\S+)", line)
-            if match:
-                url = match.group(1)
-                break
-        assert url, "server exited before announcing its URL"
-        # Keep draining stderr so the server never blocks on a full pipe.
-        threading.Thread(
-            target=lambda: [
-                print(l, end="", file=sys.stderr) for l in proc.stderr
-            ],
-            daemon=True,
-        ).start()
+    for line in proc.stderr:
+        print(line, end="", file=sys.stderr)
+        match = re.search(r"serving on (http://\S+)", line)
+        if match:
+            url = match.group(1)
+            break
+    if url is None:
+        proc.wait()
+        raise AssertionError(
+            f"server exited {proc.returncode} before announcing its URL"
+        )
+    # Keep draining stderr so the server never blocks on a full pipe.
+    threading.Thread(
+        target=lambda: [print(l, end="", file=sys.stderr) for l in proc.stderr],
+        daemon=True,
+    ).start()
+    return proc, url
 
+
+def kill_group(proc) -> None:
+    try:
+        os.killpg(proc.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
+    proc.wait(timeout=30)
+
+
+def check_restart_after_torn_append(conn, workers, epoch) -> None:
+    """The restarted server stands where the killed one committed, its
+    workers with it, and the log takes the next epoch after the tear."""
+    stats = conn.get("/stats")
+    assert stats["snapshot"]["epoch"] == epoch, (
+        f"restarted dispatcher at epoch {stats['snapshot']['epoch']}, the "
+        f"killed one had committed {epoch}"
+    )
+
+    def workers_at(stats, epoch):
+        live = [w for w in stats["workers"] if w.get("alive")]
+        assert len(live) == workers, stats["workers"]
+        assert [(w["epoch"], w["reloads"]) for w in live] == [(epoch, 0)] * workers, (
+            f"workers disagree with the dispatcher about the log's end "
+            f"(want epoch {epoch}, no reload): "
+            f"{[(w['epoch'], w['reloads']) for w in live]}"
+        )
+
+    workers_at(stats, epoch)
+    assert conn.get("/search?q=zzdispatchsmoke")["candidates"], (
+        "the committed update did not survive the crash"
+    )
+    add = (
+        '<http://example.org/smoke/pub2> '
+        '<http://www.w3.org/2000/01/rdf-schema#label> '
+        '"zzafterthetear paper" .'
+    )
+    updated = conn.post("/update", {"add": add})
+    assert updated["changed"] == 1 and updated["epoch"] == epoch + 1, updated
+    assert updated["workers_synced"] == workers, updated
+    fresh = conn.get("/search?q=zzafterthetear")
+    assert fresh["candidates"], "update after the torn tail is not searchable"
+    workers_at(conn.get("/stats"), epoch + 1)
+
+
+def main() -> int:
+    bundle = sys.argv[1] if len(sys.argv) > 1 else "example.reprobundle"
+    workers = int(sys.argv[2]) if len(sys.argv) > 2 else 2
+
+    proc, url = start_server(bundle, workers)
+    try:
         conn = _KeptConnection(url)
         before = conn.get("/stats")
         assert before["service"]["mode"] == "dispatch", before["service"]
@@ -233,15 +300,35 @@ def main() -> int:
             f"(ceiling {WORKER_START_PSS_CEILING_KB}) and none imported numpy",
             file=sys.stderr,
         )
-    finally:
-        proc.send_signal(signal.SIGTERM)
-        try:
-            code = proc.wait(timeout=30)
-        except subprocess.TimeoutExpired:
-            proc.kill()
-            print("dispatch-smoke: server did not drain on SIGTERM",
-                  file=sys.stderr)
-            return 1
+
+        # Crash, a torn append, restart.
+        kill_group(proc)
+        with open(bundle + ".wal", "ab") as wal:
+            wal.write(
+                f"\nB {updated['epoch']}\n".encode()
+                + b'A <http://example.org/smoke/torn> '
+                b'<http://www.w3.org/2000/01/rdf-schema#label> "z\xc3'
+            )
+        proc, url = start_server(bundle, workers)
+        conn = _KeptConnection(url)
+        check_restart_after_torn_append(conn, workers, updated["epoch"])
+        conn.close()
+        print(
+            f"# dispatch-smoke ok: after SIGKILL and a torn append the server "
+            f"restarted at epoch {updated['epoch']} with no worker reload, and "
+            f"epoch {updated['epoch'] + 1} committed behind the tear",
+            file=sys.stderr,
+        )
+    except BaseException:
+        kill_group(proc)
+        raise
+    proc.send_signal(signal.SIGTERM)
+    try:
+        code = proc.wait(timeout=30)
+    except subprocess.TimeoutExpired:
+        kill_group(proc)
+        print("dispatch-smoke: server did not drain on SIGTERM", file=sys.stderr)
+        return 1
     if code != 0:
         print(f"dispatch-smoke: server exited {code}", file=sys.stderr)
         return 1
@@ -253,8 +340,6 @@ if __name__ == "__main__":
 
     def _hard_exit():  # belt and braces under CI's outer `timeout`
         print("dispatch-smoke: internal deadline exceeded", file=sys.stderr)
-        import os
-
         os._exit(2)
 
     deadline.daemon = True

@@ -387,12 +387,9 @@ def build_serve_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--workers", type=int, default=0, metavar="N",
         help="worker *processes* fanning out /search and /execute over a "
-        "shared mmap bundle (0 = classic in-process serving; each worker "
-        "gets its own GIL, so cold CPU-bound throughput scales with N)",
-    )
-    parser.add_argument(
-        "--threads", type=_positive_int, default=4,
-        help="in-process thread-pool size for batched search (workers=0 tier)",
+        "shared mmap bundle (0 = in-process serving, each request on the "
+        "thread that received it; a worker has its own GIL, so cold "
+        "CPU-bound throughput scales with N)",
     )
     parser.add_argument(
         "--max-pending", type=_positive_int, default=64,
@@ -500,7 +497,6 @@ def serve_command(argv) -> int:
     else:
         service = EngineService(
             engine,
-            workers=args.threads,
             max_pending=args.max_pending,
             default_timeout=args.timeout,
             max_queue_wait=args.max_queue_wait,

@@ -25,8 +25,8 @@ snapshot acquisition (:meth:`KeywordSearchEngine.snapshot`, an
 pipeline stages** (:func:`_match_stage`, :func:`_augment_stage`,
 :func:`_explore_stage`, :func:`_map_stage`) that read everything through
 the snapshot they are handed.  :class:`~repro.service.EngineService` runs
-the same stages from a worker pool against one shared snapshot; results
-are byte-identical either way.
+the same stages from its callers' threads, a whole batch against one
+shared snapshot; results are byte-identical either way.
 """
 
 from __future__ import annotations
@@ -223,6 +223,39 @@ class SearchResult:
         )
 
 
+def _operand_attributes(snapshot: EngineSnapshot, fk: FilterKeyword) -> frozenset:
+    """The A-edge labels a filter operand plausibly constrains.
+
+    Primary route: the operand's value matches reveal the attributes it
+    occurs under (``2005`` → ``year``).  Fallback for out-of-data
+    operands (``before 2050``): every attribute whose stored values are
+    of the same kind (numeric vs. text), judged on one sample row read
+    through the store — a loaded bundle's data graph stays a thunk.
+    """
+    labels = {
+        occurrence[0]
+        for match in snapshot.keyword_index.lookup(fk.value.lexical)
+        if isinstance(match, ValueMatch)
+        for occurrence in match.occurrences
+    }
+    if labels:
+        return frozenset(labels)
+    operand_numeric = _looks_numeric(fk.value.lexical)
+    fallback = set()
+    for label in snapshot.keyword_index.attribute_labels():
+        sample = next(
+            (
+                t.object
+                for t in snapshot.store.match(None, label, None)
+                if isinstance(t.object, Literal)
+            ),
+            None,
+        )
+        if sample is not None and _looks_numeric(sample.lexical) == operand_numeric:
+            fallback.add(label)
+    return frozenset(fallback)
+
+
 def _looks_numeric(text: str) -> bool:
     try:
         float(text.strip())
@@ -263,9 +296,9 @@ def split_keywords(query: str) -> List[str]:
 # Each stage reads *only* through the EngineSnapshot it is handed — no
 # engine attributes — so a search that pinned version (s, i) computes on
 # version (s, i) from start to finish, no matter what the engine object
-# does meanwhile.  That property is what lets the serving layer fan one
-# snapshot over a worker pool and still return results byte-identical to
-# sequential execution.
+# does meanwhile.  That property is what lets the serving layer run a
+# batch, or concurrent requests, on one snapshot and still return results
+# byte-identical to sequential execution.
 # ----------------------------------------------------------------------
 
 
@@ -776,23 +809,24 @@ class KeywordSearchEngine:
         # A-edge(s) its values occur under (an AttributeMatch), so the
         # computed subgraphs contain e.g. a `year(?x, ?value)` edge the
         # filter can then constrain.
-        plain_matches = self.keyword_index.lookup_all(plain)
+        snapshot = self.snapshot()
+        keyword_index = snapshot.keyword_index
+        plain_matches = keyword_index.lookup_all(plain)
         filter_attr_labels: List[frozenset] = []
         filter_matches: List[List[KeywordMatch]] = []
         for fk in filter_keywords:
-            labels = self._operand_attributes(fk)
+            labels = _operand_attributes(snapshot, fk)
             filter_attr_labels.append(labels)
             filter_matches.append(
                 [
-                    AttributeMatch(
-                        label, self.keyword_index.attribute_classes(label), 1.0
-                    )
+                    AttributeMatch(label, keyword_index.attribute_classes(label), 1.0)
                     for label in sorted(labels, key=lambda u: u.value)
                 ]
             )
 
         keywords = plain + [fk.source for fk in filter_keywords]
-        result = self.search(
+        result = self.search_on_snapshot(
+            snapshot,
             keywords,
             k=k,
             dmax=dmax,
@@ -807,30 +841,6 @@ class KeywordSearchEngine:
             if bound is not None:
                 out.append(bound)
         return out
-
-    def _operand_attributes(self, fk: FilterKeyword) -> frozenset:
-        """The A-edge labels a filter operand plausibly constrains.
-
-        Primary route: the operand's value matches reveal the attributes it
-        occurs under (``2005`` → ``year``).  Fallback for out-of-data
-        operands (``before 2050``): every attribute whose stored values are
-        of the same kind (numeric vs. text).
-        """
-        labels = {
-            occurrence[0]
-            for match in self.keyword_index.lookup(fk.value.lexical)
-            if isinstance(match, ValueMatch)
-            for occurrence in match.occurrences
-        }
-        if labels:
-            return frozenset(labels)
-        operand_numeric = _looks_numeric(fk.value.lexical)
-        fallback = set()
-        for label in self.keyword_index.attribute_labels():
-            sample = next(iter(self.graph.attribute_triples(label)), None)
-            if sample is not None and _looks_numeric(sample.object.lexical) == operand_numeric:
-                fallback.add(label)
-        return frozenset(fallback)
 
     def _bind_filters(
         self,

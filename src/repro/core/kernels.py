@@ -10,10 +10,8 @@ returns exactly the floats ``exploration._completion_bounds`` returns,
 or declines (``None``) and the caller runs the Dijkstra.
 
 * **CSR ndarray views** (:func:`csr_ndarrays`): ``numpy.frombuffer`` over
-  the substrate's flat ``array('l')`` rows — or, for a bundle-loaded
-  engine, over the ``memoryview('q')`` adopted zero-copy from the mmapped
-  ``.reprobundle`` section.  No copy, no translation: the kernel reads
-  the exact bytes the Dijkstra reads.
+  the substrate's flat ``array('l')`` rows.  No copy, no translation:
+  the kernel reads the exact bytes the Dijkstra reads.
 * **Relaxation sweeps** (:func:`completion_bounds`): the per-keyword
   Dijkstra sweeps become Bellman-style relaxation over all of a query's
   seed rows at once — a row gather ``dist[:, targets]``, an
@@ -170,14 +168,10 @@ def status_line() -> str:
 
 
 def _as_int64(buf):
-    """An int64 ndarray over ``buf`` — zero-copy when the buffer already
-    holds 8-byte integers (``array('l')`` on LP64, or the bundle loader's
-    mmap-backed ``memoryview('q')``), an explicit copy otherwise."""
-    if getattr(buf, "itemsize", None) == 8:
-        try:
-            return _np.frombuffer(buf, dtype=_np.int64)
-        except (ValueError, BufferError):  # pragma: no cover - odd buffers
-            pass
+    """An int64 ndarray over an ``array('l')`` — zero-copy on LP64, where
+    its items are 8 bytes, an explicit copy otherwise."""
+    if buf.itemsize == 8:
+        return _np.frombuffer(buf, dtype=_np.int64)
     return _np.array(buf, dtype=_np.int64)  # pragma: no cover - ILP32 only
 
 
@@ -193,8 +187,7 @@ def csr_ndarrays(substrate):
     """``(offsets, targets)`` int64 views of a substrate's CSR arrays.
 
     Cached on the substrate (its arrays are immutable once built); both
-    views share the underlying buffer — including the mmap pages of a
-    bundle-adopted substrate, whose ``backing`` keeps the map alive.
+    views share the underlying buffer.
     """
     if _numpy() is None:
         raise RuntimeError("numpy is not available")

@@ -3,7 +3,7 @@
 ``EngineSnapshot`` pins one (summary version, keyword-index version) pair
 for the duration of a search; ``EngineService`` coordinates lock-free
 reads against pinned snapshots with serialized, exclusive update epochs,
-fans batches over a bounded worker pool, and keeps service-level stats;
+runs a batch against one snapshot, and keeps service-level stats;
 ``ReproServer`` is the stdlib HTTP front end behind ``repro serve``.
 
 The multiprocess tier (``repro serve --workers N``) layers on top:

@@ -3,8 +3,10 @@
 :class:`DispatchService` is the process-pool sibling of
 :class:`~repro.service.EngineService`.  Exploration is CPU-bound pure
 Python, so N threads on one engine share a single GIL and cold
-throughput flat-lines (the ``fig_serving`` wall).  The dispatch tier
-breaks that wall with processes instead:
+throughput flat-lines (the ``fig_serving`` wall) — which is why the
+in-process tier runs a request, a batch included, on the one thread that
+received it and has no pool of its own.  The dispatch tier breaks that
+wall with processes instead:
 
 * the **dispatcher** (this class, living in the HTTP process) owns the
   single WAL-attached *writer* engine — every ``/update`` epoch applies
@@ -12,11 +14,12 @@ breaks that wall with processes instead:
 * N **worker processes** (:mod:`repro.service.worker`) each hold their
   own read-only lazy load of the *same* ``.reprobundle``, and each gets
   its own GIL.  What the workers share is the file: the sections a
-  worker reads in place (the CSR substrate, the sorted runs, postings
-  and term table) are ``mmap`` views that the OS page cache backs with
+  worker reads in place (the sorted runs, postings and term table) are
+  ``mmap`` views that the OS page cache backs with
   one physical copy.  What they do not share is everything else — the
   interpreter, the imported modules and whatever a worker decodes (the
-  summary graph, the terms and postings its requests touched): 18 MB Pss
+  summary graph and the substrate derived from it, the terms and
+  postings its requests touched): 18 MB Pss
   per worker on DBLP-8000, measured alone (7 MB interpreter, 9 MB
   imports, 2 MB engine; table in ``docs/architecture.md``).  A worker
   therefore imports only what it runs: no HTTP stack, and numpy not

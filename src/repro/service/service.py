@@ -19,13 +19,17 @@ consistent*.  The offline structures are mutated in place by the
   readmits readers.  Writer preference keeps a steady read stream from
   starving updates.
 
-:meth:`EngineService.search_many` fans a batch of queries over a bounded
-worker pool **under one shared snapshot**, so its results are
-byte-identical to sequential ``engine.search`` calls on that snapshot.
-Admission control bounds the number of in-flight queries
-(:class:`AdmissionError` = backpressure, HTTP 429), and per-query
-deadlines expire queued work without running it (a Python search cannot be
-preempted mid-flight; the deadline is checked at dispatch).
+:meth:`EngineService.search_many` runs a batch of queries in order on the
+calling thread **under one read hold and one pinned snapshot**, so its
+results are byte-identical to sequential ``engine.search`` calls on that
+snapshot.  There is no thread pool behind it: a search is Python
+bytecode, N threads on one engine share a single GIL, and a pool
+measured no faster than the plain loop (parallel search is the worker
+*processes* of :mod:`repro.service.dispatch`).  Admission control bounds
+the number of in-flight queries (:class:`AdmissionError` = backpressure,
+HTTP 429), and per-query deadlines expire batch members without running
+them (a Python search cannot be preempted mid-flight; the deadline is
+checked before each member starts).
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Sequence
 
 from repro.core import kernels
@@ -106,7 +109,7 @@ class BatchOutcome:
 
     ``status`` is ``"ok"`` (``result`` is the :class:`SearchResult`),
     ``"timeout"`` (the per-query deadline expired before the query was
-    dispatched), or ``"error"`` (``error`` carries the exception).
+    started), or ``"error"`` (``error`` carries the exception).
     Outcomes are returned in input order.
     """
 
@@ -146,7 +149,8 @@ class QueryLedger:
     ``admit`` / ``release`` bracket every in-flight query against
     ``max_pending``; ``record`` files its outcome (``"ok"`` with its
     latency, ``"timeout"``, anything else an error); waits — for the read
-    lock, the pool queue or an idle worker — go to ``record_queue_wait``.
+    lock, earlier batch members or an idle worker — go to
+    ``record_queue_wait``.
     All of it sits behind one lock and :meth:`stats` reads it in one
     critical section.
     """
@@ -231,8 +235,6 @@ class EngineService:
         The engine to serve.  The service registers epoch hooks on its
         ``IndexManager``; build **one** service per engine (a second
         registration would deadlock writes against itself).
-    workers:
-        Bounded worker-pool size for :meth:`search_many`.
     max_pending:
         Admission bound on concurrently in-flight queries across the whole
         service (single searches and batch members alike).  Work beyond it
@@ -243,12 +245,10 @@ class EngineService:
         ``None`` means no deadline.
     max_queue_wait:
         Bound on the time a query may spend *waiting* — for the read
-        lock (:meth:`search`) or in the pool queue (:meth:`search_many`)
-        — separately from its execution time.  Under a cold CPU-bound
-        burst the old combined deadline let dispatch debt stack behind
-        the GIL: every queued query burned its whole deadline waiting,
-        then ran anyway, blowing up p99 (the 4-client 492 ms cold wall in
-        ``fig_serving``).  Beyond the bound a query is rejected as
+        lock (:meth:`search`) or behind the earlier members of its batch
+        (:meth:`search_many`) — separately from its execution time, so a
+        cold CPU-bound burst sheds load instead of running every late
+        query anyway.  Beyond the bound a query is rejected as
         backpressure (:class:`AdmissionError` / batch ``timeout``
         outcome) **without executing**, and every wait is recorded in the
         ``queue_wait`` histogram surfaced by :meth:`stats`.  ``None``
@@ -260,25 +260,18 @@ class EngineService:
     def __init__(
         self,
         engine,
-        workers: int = 4,
         max_pending: int = 64,
         default_timeout: Optional[float] = None,
         max_queue_wait: Optional[float] = None,
         latency_window: int = 2048,
     ):
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
         if max_pending < 1:
             raise ValueError(f"max_pending must be >= 1, got {max_pending}")
         self.engine = engine
-        self.workers = workers
         self.max_pending = max_pending
         self.default_timeout = default_timeout
         self.max_queue_wait = max_queue_wait
         self._rw = _ReadWriteLock()
-        self._pool = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="repro-search"
-        )
         self._closed = False
 
         self._ledger = QueryLedger(max_pending, latency_window)
@@ -366,14 +359,13 @@ class EngineService:
         max_cursors=None,
         timeout: Optional[float] = None,
     ) -> List[BatchOutcome]:
-        """Run a batch of keyword queries over the worker pool, all against
-        **one** pinned snapshot.
+        """Run a batch of keyword queries in order on the calling thread,
+        all under one read hold against **one** pinned snapshot.
 
         The whole batch is admitted (or rejected) atomically; each query
         gets the deadline ``now + timeout`` (``default_timeout`` when
-        ``None``) checked at dispatch.  Results are byte-identical to
-        sequential ``engine.search`` calls on the same snapshot — the pool
-        only changes wall-clock, never output.
+        ``None``) checked before it starts.  Results are byte-identical
+        to sequential ``engine.search`` calls on the same snapshot.
         """
         if self._closed:
             raise RuntimeError("service is closed")
@@ -387,24 +379,15 @@ class EngineService:
             self._rw.acquire_read()
             try:
                 snapshot = self.engine.snapshot()
-                deadline = None if timeout is None else time.monotonic() + timeout
-                # Dispatch in contiguous chunks — one pool task per worker,
-                # not per query.  Submit/result handshakes cost tens of
-                # microseconds each; on an 8-query batch of sub-millisecond
-                # searches, per-query futures spend a large share of the
-                # batch in executor plumbing.  Deadline and queue-wait
-                # checks still run per query inside the chunk.
-                n_chunks = min(self.workers, len(queries))
-                step = -(-len(queries) // n_chunks)
-                futures = [
-                    self._pool.submit(
-                        self._run_chunk,
-                        snapshot, lo, queries[lo:lo + step], k, dmax,
-                        max_cursors, deadline, time.monotonic(),
+                submitted = time.monotonic()
+                deadline = None if timeout is None else submitted + timeout
+                outcomes = [
+                    self._run_one(
+                        snapshot, index, query, k, dmax, max_cursors, deadline,
+                        submitted,
                     )
-                    for lo in range(0, len(queries), step)
+                    for index, query in enumerate(queries)
                 ]
-                outcomes = [o for f in futures for o in f.result()]
             finally:
                 self._rw.release_read()
         finally:
@@ -413,25 +396,13 @@ class EngineService:
             self._ledger.record(outcome.latency_seconds, outcome.status)
         return outcomes
 
-    def _run_chunk(
-        self, snapshot, base, chunk, k, dmax, max_cursors, deadline, submitted
-    ):
-        return [
-            self._run_one(
-                snapshot, base + j, query, k, dmax, max_cursors, deadline,
-                submitted,
-            )
-            for j, query in enumerate(chunk)
-        ]
-
     def _run_one(
         self, snapshot, index, query, k, dmax, max_cursors, deadline, submitted
     ):
         started = time.monotonic()
-        # Time from submission to dispatch — pool-queue wait plus any
-        # chunk siblings that ran first — is bounded separately from
-        # execution so a cold burst sheds load instead of stacking
-        # deadline debt behind the GIL.
+        # The time a member waits behind the batch members before it is
+        # bounded separately from its execution, so a cold burst sheds
+        # load instead of running every late query anyway.
         waited = started - submitted
         self._ledger.record_queue_wait(waited)
         if self.max_queue_wait is not None and waited > self.max_queue_wait:
@@ -495,7 +466,6 @@ class EngineService:
         return {
             "artifact": dict(artifact) if artifact is not None else None,
             "service": {
-                "workers": self.workers,
                 "max_pending": self.max_pending,
                 "uptime_seconds": now - self._ledger.started_at,
             },
@@ -513,11 +483,9 @@ class EngineService:
         }
 
     def close(self) -> None:
-        """Shut the worker pool down.  The epoch hooks stay registered —
-        direct engine updates remain serialized — but no further batches
-        are accepted."""
+        """Stop accepting batches.  The epoch hooks stay registered, so
+        direct engine updates remain serialized."""
         self._closed = True
-        self._pool.shutdown(wait=True)
 
     def __enter__(self):
         return self
@@ -527,7 +495,7 @@ class EngineService:
 
     def __repr__(self):
         return (
-            f"EngineService(workers={self.workers}, "
-            f"max_pending={self.max_pending}, engine={self.engine!r})"
+            f"EngineService(max_pending={self.max_pending}, "
+            f"engine={self.engine!r})"
         )
 

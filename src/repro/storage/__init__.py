@@ -6,8 +6,7 @@ process*.  This package provides that lifecycle:
 
 * :func:`build_bundle_streaming` — the one writer of the versioned,
   pickle-free, checksummed ``.reprobundle`` container (triple store,
-  keyword index, summary graph, mmap-backed CSR substrate): triple
-  iterator in, bundle out, peak RSS bounded by the hot structures plus
+  keyword index, summary graph): triple iterator in, bundle out, peak RSS bounded by the hot structures plus
   the spill budget instead of the corpus.  ``repro build``,
   ``KeywordSearchEngine.save`` and :func:`compact_bundle` all call it;
 * :func:`load_bundle` — the reader of that container: the summary graph
@@ -23,7 +22,8 @@ process*.  This package provides that lifecycle:
   that owns the artifact runs this instead (``repro serve --bundle`` once
   per start, :func:`compact_bundle` before it folds anything);
 * :class:`DeltaLog` — the write-ahead N-Triples delta log that makes
-  update epochs restart-safe;
+  update epochs restart-safe (:class:`WalCursor` follows it from a
+  saved offset; one scanner and one damage policy serve both);
 * :func:`compact_bundle` — folds the log back into a fresh bundle.
 
 ``repro build`` / ``repro compact`` and the ``--bundle`` option of

@@ -1,8 +1,8 @@
 """The versioned on-disk index bundle: the format, its container, its loader.
 
 A ``.reprobundle`` file is the whole offline layer of one engine —
-triple store, keyword index, summary graph, and the CSR exploration
-substrate — as one self-describing artifact::
+triple store, keyword index and summary graph — as one self-describing
+artifact::
 
     magic "RPROBNDL" | format version u32 | header length u32
     header JSON  (snapshot-key pair, engine config, section table)
@@ -24,10 +24,11 @@ A loaded bundle is served in place:
 * the keyword index and the triple indexes are the readers of
   :mod:`repro.storage.mmap_tier` over the ``mmap``-ed sorted runs —
   nothing is decoded at load, lookups bisect the file, updates land in
-  the readers' in-memory overlays — and the substrate's flat
-  ``offsets``/``targets`` CSR sections are ``memoryview('q')`` casts
-  over the same map: the page cache faults rows in as queries touch
-  them;
+  the readers' in-memory overlays;
+* the CSR exploration substrate is *not* a stored structure: it is
+  derived from the decoded summary graph (schema-sized, well under a
+  millisecond) on the first ``snapshot()``, the way every other summary
+  gets one;
 * the data graph is *not* a stored structure: its triples are, and the
   first consumer that needs the graph replays them through the
   ``DataGraph`` constructor.
@@ -67,7 +68,6 @@ from repro.summary.elements import (
     SummaryVertex,
     SummaryVertexKind,
 )
-from repro.summary.substrate import ExplorationSubstrate
 from repro.summary.summary_graph import SummaryGraph
 
 from repro.storage import mmap_tier as mt
@@ -83,12 +83,14 @@ from repro.storage.lazy import LazyDataGraph
 
 MAGIC = b"RPROBNDL"
 #: Bump on any change to the section layout or encodings.  The one
-#: version this release writes is the one version it reads: version 4
+#: version this release writes is the one version it reads: version 5
 #: stores the triple indexes and the keyword index once, as the sorted
 #: runs (``store2.*``, ``kindex2.*``) the mapped readers binary-search in
-#: place, and the data graph once, as ``triples`` in arrival order.
-#: Anything else is refused with a rebuild hint.
-FORMAT_VERSION = 4
+#: place, the data graph once, as ``triples`` in arrival order, and
+#: nothing that is derived from another section (version 4 also stored
+#: the substrate's CSR rows).  Anything else is refused with a rebuild
+#: hint.
+FORMAT_VERSION = 5
 
 #: Conventional file extension (the CLI and docs use it; the reader only
 #: trusts the magic).
@@ -363,7 +365,6 @@ class LoadedBundle:
         "store",
         "keyword_index",
         "summary",
-        "substrate",
         "meta",
         "path",
     )
@@ -448,8 +449,7 @@ def load_bundle(path) -> LoadedBundle:
     so cold start is O(metadata) and resident memory O(touched data).
     Those sections are *not* CRC-verified here (checksumming them would
     read every byte; :func:`verify_bundle` is that pass); the metadata,
-    summary, substrate and ``triples`` sections are, when they are
-    decoded.
+    summary and ``triples`` sections are, when they are decoded.
 
     Raises :class:`BundleFormatError` on anything that is not a repro
     bundle of exactly :data:`FORMAT_VERSION` (an older or newer layout
@@ -513,7 +513,7 @@ def load_bundle(path) -> LoadedBundle:
     # put every stored triple back on the cold-start path.  Existence
     # (not integrity) of its section is established here; the thunk
     # (repro.storage.lazy) defers the CRC check + decode to the first
-    # maintenance / filter access.
+    # maintenance access.
     meta_graph = meta["graph"]
     section_raw("triples")
 
@@ -643,24 +643,11 @@ def load_bundle(path) -> LoadedBundle:
     ):
         raise BundleFormatError(f"{path}: summary vertex count mismatch")
 
-    # -- substrate (mmap-backed) --------------------------------------
-    try:
-        substrate = ExplorationSubstrate.from_arrays(
-            summary._canonical_pairs(),
-            decode_raw_ids(section("substrate.offsets")),
-            decode_raw_ids(section("substrate.targets")),
-            backing=mapped,
-        )
-    except ValueError as exc:
-        raise BundleFormatError(f"{path}: substrate sections inconsistent ({exc})") from exc
-    summary.adopt_substrate(substrate)
-
     loaded = LoadedBundle()
     loaded.graph = graph
     loaded.store = store
     loaded.keyword_index = keyword_index
     loaded.summary = summary
-    loaded.substrate = substrate
     loaded.meta = meta
     loaded.path = path
     return loaded
@@ -760,7 +747,7 @@ def load_engine(
             # attach, and our next update would append a duplicate of it.
             wal._lock_exclusively()
         if replay_wal:
-            replayed = wal.replay_into(engine, from_epoch=meta["snapshot"]["epoch"])
+            replayed = wal.replay_into(engine)
         if attach_wal:
             if not replay_wal and any(
                 epoch >= meta["snapshot"]["epoch"]

@@ -4,20 +4,20 @@ A keyword *search* reads the keyword index, the summary graph, its CSR
 substrate, and two scalar predicate preferences; query *processing*
 (``execute``) reads the triple store.  A loaded bundle serves all of
 those in place (:mod:`repro.storage.mmap_tier`), so neither ever touches
-the data graph's adjacency — only incremental maintenance and filter
-searches do.  Rebuilding it anyway would dominate cold start: it costs
+the data graph's adjacency — only incremental maintenance does.
+Rebuilding it anyway would dominate cold start: it costs
 one Python-level hash per stored object.
 
 So the loader hands the engine a :class:`LazyDataGraph` whose heavy
 state is a *thunk* over the stored triples: predicate preferences,
 ``len`` and ``stats`` are served from bundle metadata; the first touch
-of any other state (an update batch, a filter search, ``label_of``)
+of any other state (an update batch, ``label_of``, ``triples``)
 replays the triples through the :class:`~repro.rdf.graph.DataGraph`
 constructor and the instance becomes that graph.  Laziness is therefore
 invisible to the byte-identity property tests — it only moves *when* the
 work happens.  A lock makes a concurrent first touch from the serving
-layer's worker pool safe: the second thread waits for the first one's
-result.
+layer's request threads safe: the second thread waits for the first
+one's result.
 """
 
 from __future__ import annotations

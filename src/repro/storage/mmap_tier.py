@@ -84,6 +84,24 @@ def grouping_views(buf) -> Tuple:
     return keys, offsets, values
 
 
+def _find_sorted(permutation, key_of, probe) -> Optional[int]:
+    """The member of ``permutation`` — ids in ascending order of
+    ``key_of(id)`` — whose key is ``probe``, or None: the one binary
+    search behind every reverse lookup of this module."""
+    lo, hi = 0, len(permutation)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        member = permutation[mid]
+        key = key_of(member)
+        if key < probe:
+            lo = mid + 1
+        elif key > probe:
+            hi = mid
+        else:
+            return member
+    return None
+
+
 class _AbsentTerm(Exception):
     """Internal: a probe term references a datatype the table lacks."""
 
@@ -187,21 +205,11 @@ class MmapTermTable:
         try:
             probe = term_order_key(term, self._datatype_id)
         except _AbsentTerm:
-            probe = None
-        if probe is not None:
-            sorted_ids = self._sorted
-            lo, hi = 0, len(sorted_ids)
-            while lo < hi:
-                mid = (lo + hi) // 2
-                key = self._record_key(sorted_ids[mid])
-                if key < probe:
-                    lo = mid + 1
-                elif key > probe:
-                    hi = mid
-                else:
-                    self._ids[term] = found = sorted_ids[mid]
-                    return found
-        return None
+            return None
+        found = _find_sorted(self._sorted, self._record_key, probe)
+        if found is not None:
+            self._ids[term] = found
+        return found
 
 
 class MmapTermDictionary:
@@ -247,19 +255,10 @@ class MmapTermDictionary:
         found = self._ids.get(text)
         if found is not None:
             return found
-        sorted_ids = self._sorted
-        lo, hi = 0, len(sorted_ids)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            candidate = self.text(sorted_ids[mid])
-            if candidate < text:
-                lo = mid + 1
-            elif candidate > text:
-                hi = mid
-            else:
-                self._ids[text] = found = sorted_ids[mid]
-                return found
-        return None
+        found = _find_sorted(self._sorted, self.text, text)
+        if found is not None:
+            self._ids[text] = found
+        return found
 
     def iter_texts(self) -> Iterator[str]:
         for vid in range(len(self)):
@@ -399,21 +398,12 @@ class MmapInvertedIndex:
         tid = self._terms.id_of(term)
         if tid is None:
             return None
-        probe = (code, tid)
-        sorted_ids = self._elements_sorted
         elements = self._elements
-        lo, hi = 0, len(sorted_ids)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            eid = sorted_ids[mid]
-            key = (elements[2 * eid], elements[2 * eid + 1])
-            if key < probe:
-                lo = mid + 1
-            elif key > probe:
-                hi = mid
-            else:
-                return eid
-        return None
+        return _find_sorted(
+            self._elements_sorted,
+            lambda eid: (elements[2 * eid], elements[2 * eid + 1]),
+            (code, tid),
+        )
 
     # -- maintenance (InvertedIndex surface) ---------------------------
 
@@ -619,17 +609,7 @@ class LazyRefMap:
         if tid is None:
             return None
         keys = self._keys
-        lo, hi = 0, len(keys)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            value = keys[mid]
-            if value < tid:
-                lo = mid + 1
-            elif value > tid:
-                hi = mid
-            else:
-                return mid
-        return None
+        return _find_sorted(range(len(keys)), keys.__getitem__, tid)
 
     def __contains__(self, key) -> bool:
         if key in self._overlay:

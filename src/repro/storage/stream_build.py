@@ -663,10 +663,6 @@ def _build(
         ),
     )
 
-    substrate = summary.exploration_substrate()
-    writer.add_section("substrate.offsets", encode_raw_ids(substrate.offsets))
-    writer.add_section("substrate.targets", encode_raw_ids(substrate.targets))
-
     # Term table last: every id is assigned by now (the loader finds it
     # by name, not position).  The byte-offset table accumulates along
     # the way (8 bytes per term, marginal next to the resident interner)

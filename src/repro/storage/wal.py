@@ -25,28 +25,48 @@ and ``C`` only lands after the epoch really committed — so on restart:
 * the remaining tail replays through the normal incremental-maintenance
   path, which the maintained==rebuilt property guarantees reproduces the
   exact pre-crash engine,
-* a corrupt checksum or an epoch *gap* raises
-  :class:`~repro.storage.errors.WalError` — missing updates must never
-  be papered over.
+* an epoch *gap* — a damaged, hence uncommitted, entry with committed
+  successors — raises :class:`~repro.storage.errors.WalError`: missing
+  updates must never be papered over.
 
 ``repro compact`` folds the tail back into a fresh bundle and truncates
 the log (:func:`repro.storage.bundle.compact_bundle`).
 
-Two reader shapes exist.  :meth:`DeltaLog.committed_entries` scans the
-whole file — right for one-shot replay at load time.  :class:`WalCursor`
-is the *incremental* reader the multiprocess serving tier uses: it
-remembers the byte offset just past the last committed frame it
-consumed, so a worker process polling the log after every update
-watermark pays O(new bytes), not O(log size), per poll.  Cursors never
-lock and never write — any number of them, across processes, can follow
-the one writer.
+One scanner reads the log, :func:`_scan`, and one damage policy holds
+for every reader of it — they must agree where the log ends, or a
+restarted dispatcher and the workers that follow it disagree about the
+epoch they serve:
+
+* the log opens with this release's header line; any other first line
+  raises :class:`WalError` (a future format is refused, not misparsed),
+  except a proper prefix of it, which is an empty log whose header a
+  crash tore and the next writer rewrites;
+* lines are decoded one at a time; a line that is not UTF-8, not one of
+  ``B``/``A``/``R``/``C``, or a ``B`` without an epoch voids the entry
+  around it, and a ``C`` that names another epoch or another CRC leaves
+  its entry uncommitted — never an exception;
+* a ``C`` line whose content is complete commits its entry with or
+  without its newline: the next :meth:`DeltaLog.record` opens with a
+  newline and would complete it anyway, so counting it only then would
+  let a restarted writer log the same epoch twice;
+* any other fragment after the last newline may still be mid-write and
+  is left alone;
+* a CRC-valid entry whose N-Triples body does not parse is a writer
+  bug, not a torn write: :class:`WalError`.
+
+:meth:`DeltaLog.committed_entries` runs the scanner over the whole file
+— one-shot replay at load time.  :class:`WalCursor` runs it from the
+byte offset just past the last committed frame it consumed, so a worker
+process polling the log after every update watermark pays O(new bytes),
+not O(log size), per poll.  Cursors never lock and never write — any
+number of them, across processes, can follow the one writer.
 """
 
 from __future__ import annotations
 
 import os
 import zlib
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 try:
     import fcntl
@@ -60,6 +80,9 @@ from repro.storage.codec import fsync_directory
 from repro.storage.errors import WalError
 
 _HEADER = "# repro-wal 1"
+_HEADER_LINE = _HEADER.encode("ascii") + b"\n"
+
+Entry = Tuple[int, List[Triple], List[Triple]]
 
 
 def _parse_entry_body(
@@ -82,6 +105,103 @@ def _parse_entry_body(
                 f"(near line {line_number}): {exc}"
             ) from exc
     return adds, removes
+
+
+def _commits(rest: str, epoch: int, body: List[str]) -> bool:
+    """Whether the content of a ``C`` line commits the entry before it:
+    it names the entry's epoch and the CRC32 of its body."""
+    crc = zlib.crc32("\n".join(body).encode("utf-8"))
+    return rest.split() == [str(epoch), f"{crc:08x}"]
+
+
+def _scan(path: str, offset: int = 0) -> Tuple[List[Entry], int]:
+    """Split the log from byte ``offset`` (a line start; 0 is where the
+    header is due) into frames: ``(committed entries, bytes consumed)``.
+
+    The consumed count ends just past the last committed frame (or the
+    blank / comment lines after it): rescanning from there sees every
+    entry still open, none already returned.  A log that does not exist
+    yet holds nothing.  The damage policy is the module's.
+    """
+    try:
+        with open(path, "rb") as fh:
+            fh.seek(offset)
+            data = fh.read()
+    except FileNotFoundError:
+        return [], 0
+    at_start = offset == 0
+    if at_start and _HEADER_LINE.startswith(data):
+        return [], 0  # a header a crash tore (or nothing yet): an empty log
+    entries: List[Entry] = []
+    consumed = position = 0
+    entry: Optional[Tuple[int, List[str]]] = None
+    lines = data.split(b"\n")
+    for number, raw in enumerate(lines, start=1):
+        torn = number == len(lines)  # no newline yet: may still be mid-write
+        position = min(position + len(raw) + 1, len(data))
+        try:
+            line = raw.decode("utf-8").rstrip("\r")
+        except UnicodeDecodeError:
+            line = "\ufffd"  # no tag: voids its entry like any foreign line
+        if at_start and line:
+            if line != _HEADER:
+                raise WalError(
+                    f"{path}: unrecognized delta-log header {line!r}; this "
+                    f"release reads {_HEADER!r} — rebuild the bundle (or use "
+                    "the matching release)"
+                )
+            at_start = False
+        tag, _, rest = line.partition(" ")
+        if tag == "C":
+            if entry is not None and _commits(rest, *entry):
+                entries.append((entry[0], *_parse_entry_body(path, entry[1], number)))
+                consumed = position
+            entry = None
+        elif torn:
+            break
+        elif not line or tag.startswith("#"):
+            if entry is None:
+                consumed = position
+        elif tag == "B":
+            try:
+                entry = (int(rest), [])
+            except ValueError:
+                entry = None
+        elif tag in ("A", "R"):
+            if entry is not None:
+                entry[1].append(line)
+        else:
+            entry = None
+    return entries, consumed
+
+
+def _replay(path: str, entries: List[Entry], engine) -> int:
+    """Apply committed entries to ``engine`` in strict epoch order,
+    through ``engine.index_manager.apply_batch`` — the delta-propagation
+    path that produced them.  Entries the engine already holds are
+    skipped; an entry ahead of the engine's next epoch, or one that
+    changes nothing, raises :class:`WalError`: resuming past lost
+    updates would serve a diverged engine.  Returns the epochs applied.
+    """
+    applied = 0
+    for epoch, adds, removes in entries:
+        current = engine.index_manager.epoch
+        if epoch < current:
+            continue
+        if epoch > current:
+            raise WalError(
+                f"{path}: epoch gap — the engine is at {current}, the next "
+                f"committed log entry is {epoch}; updates were lost, reload "
+                "the bundle (and rebuild it from the source data if the gap "
+                "persists)"
+            )
+        if engine.index_manager.apply_batch(adds=adds, removes=removes) == 0:
+            raise WalError(
+                f"{path}: committed epoch {epoch} replayed as a no-op; the "
+                "log does not extend this engine"
+            )
+        applied += 1
+    return applied
 
 
 class DeltaLog:
@@ -145,9 +265,17 @@ class DeltaLog:
 
     def _file(self):
         if self._fh is None or self._fh.closed:
-            is_new = not os.path.exists(self.path) or os.path.getsize(self.path) == 0
+            try:
+                with open(self.path, "rb") as fh:
+                    head = fh.read(len(_HEADER_LINE))
+            except FileNotFoundError:
+                head = b""
             self._fh = open(self.path, "a", encoding="utf-8", newline="\n")
-            if is_new:
+            if head != _HEADER_LINE and _HEADER_LINE.startswith(head):
+                # New, or a header a crash tore (:func:`_scan` reads it
+                # as an empty log): appending after the fragment would
+                # leave a first line the next load refuses.
+                self._fh.truncate(0)
                 self._fh.write(_HEADER + "\n")
                 fsync_directory(self.path)
         return self._fh
@@ -254,116 +382,39 @@ class DeltaLog:
     # Reading / replay
     # ------------------------------------------------------------------
 
-    def committed_entries(self) -> Iterator[Tuple[int, List[Triple], List[Triple]]]:
-        """Yield ``(epoch, adds, removes)`` for every provably committed entry.
+    def committed_entries(self) -> List[Entry]:
+        """``(epoch, adds, removes)`` for every provably committed entry.
 
-        The damage policy mirrors classic WAL recovery: an entry is
-        committed only if its whole ``B``/body/``C`` frame is intact —
-        a torn or malformed line (the expected shape of a crash mid-write,
-        including a crash-torn ``C`` that a later append lands after)
-        simply makes its entry *uncommitted* and skipped.  Interior
-        damage — a dropped entry with committed successors — surfaces as
-        an epoch gap in :meth:`replay_into`, never as a silently shortened
-        history.  Two damages DO raise here: a header that is not this
-        release's ``repro-wal`` version (a future format must be refused,
-        not misparsed), and a CRC-valid entry whose N-Triples body does
-        not parse (a writer bug, not a torn write).
+        The damage policy (the module's, :func:`_scan`) mirrors classic
+        WAL recovery: an entry is committed only if its whole
+        ``B``/body/``C`` frame is intact — a torn or malformed line (the
+        expected shape of a crash mid-write, including a crash-torn ``C``
+        that a later append lands after) makes its entry *uncommitted*
+        and skipped.  Interior damage — a dropped entry with committed
+        successors — surfaces as an epoch gap in :meth:`replay_into`,
+        never as a silently shortened history.
         """
-        if not os.path.exists(self.path):
-            return
-        with open(self.path, "r", encoding="utf-8", newline="") as fh:
-            lines = fh.read().split("\n")
-        first = next((line.strip() for line in lines if line.strip()), None)
-        if first is not None and first != _HEADER:
-            raise WalError(
-                f"{self.path}: unrecognized delta-log header {first!r}; this "
-                f"release reads {_HEADER!r} — rebuild the bundle (or use the "
-                "matching release)"
-            )
-        entry: Optional[Tuple[int, List[str]]] = None
-        for number, raw in enumerate(lines, start=1):
-            line = raw.rstrip("\r")
-            if not line or line.startswith("#"):
-                continue
-            tag, _, rest = line.partition(" ")
-            if tag == "B":
-                try:
-                    entry = (int(rest), [])
-                except ValueError:
-                    entry = None  # torn framing voids the entry
-            elif tag in ("A", "R"):
-                if entry is not None:
-                    entry[1].append(line)
-            elif tag == "C":
-                if entry is None:
-                    continue
-                epoch, body = entry
-                entry = None
-                fields = rest.split()
-                if len(fields) != 2 or fields[0] != str(epoch):
-                    continue  # damaged commit marker: entry uncommitted
-                crc = zlib.crc32("\n".join(body).encode("utf-8"))
-                if fields[1] != f"{crc:08x}":
-                    continue  # damaged body or marker: entry uncommitted
-                yield (epoch, *self._parse_body(body, number))
-            else:
-                entry = None  # foreign bytes void the surrounding entry
+        return _scan(self.path)[0]
 
-    def _parse_body(
-        self, body: List[str], line_number: int
-    ) -> Tuple[List[Triple], List[Triple]]:
-        return _parse_entry_body(self.path, body, line_number)
-
-    def replay_into(self, engine, from_epoch: int) -> int:
-        """Apply the committed tail past ``from_epoch`` to an engine.
-
-        Entries are replayed through ``engine.index_manager.apply_batch``
-        — the same delta-propagation path that produced them — in strict
-        epoch order.  Entries the bundle already contains are skipped; a
-        gap (the log starts after the bundle's epoch) raises
-        :class:`WalError`, because silently resuming past lost updates
-        would serve a diverged engine.  Returns the number of epochs
-        applied.
-        """
-        applied = 0
-        expected = from_epoch
-        for epoch, adds, removes in self.committed_entries():
-            if epoch < from_epoch:
-                continue
-            if epoch != expected:
-                raise WalError(
-                    f"{self.path}: epoch gap — bundle is at {expected}, next "
-                    f"committed log entry is {epoch}; updates were lost, rebuild "
-                    "the bundle from the source data"
-                )
-            changed = engine.index_manager.apply_batch(adds=adds, removes=removes)
-            if changed == 0:
-                raise WalError(
-                    f"{self.path}: committed epoch {epoch} replayed as a no-op; "
-                    "the log does not extend this bundle"
-                )
-            expected += 1
-            applied += 1
-        return applied
+    def replay_into(self, engine) -> int:
+        """Apply the committed tail past the engine's epoch to it
+        (:func:`_replay`).  Returns the number of epochs applied."""
+        return _replay(self.path, self.committed_entries(), engine)
 
 
 class WalCursor:
     """Incremental, read-only follower of a delta log's committed tail.
 
     The cursor holds a byte ``offset`` just past the last *committed*
-    frame it has yielded (plus any leading header/blank lines consumed
-    while no frame was open).  Each :meth:`poll` reads only the bytes the
-    writer appended since, applies the same damage policy as
-    :meth:`DeltaLog.committed_entries` — a torn or incomplete frame is
-    simply *not consumed*, so the next poll retries it after the writer's
-    ``C`` line lands — and advances the offset only past provably
-    committed frames.
+    frame it has yielded (plus any header/blank lines consumed while no
+    frame was open).  Each :meth:`poll` runs :func:`_scan` over only the
+    bytes the writer appended since — a torn or incomplete frame is
+    simply *not consumed*, so the next poll retries it after the
+    writer's ``C`` line lands.
 
     Cursors take no lock and never write, so any number of follower
     processes (the ``repro serve --workers N`` pool) can trail the single
-    writer that holds the log's ``flock``.  The one raising damage is the
-    same as the full scanner's: an unrecognized header version, and a
-    committed entry whose body does not parse.
+    writer that holds the log's ``flock``.
     """
 
     def __init__(self, path):
@@ -372,96 +423,22 @@ class WalCursor:
         #: fresh cursor scans history it can then skip by epoch.
         self.offset = 0
 
-    def poll(self) -> List[Tuple[int, List[Triple], List[Triple]]]:
+    def poll(self) -> List[Entry]:
         """Return ``(epoch, adds, removes)`` for newly committed entries.
 
         Returns an empty list when the log does not exist yet or holds
         no complete committed frame past the cursor's offset.
         """
-        if not os.path.exists(self.path):
-            return []
-        with open(self.path, "rb") as fh:
-            fh.seek(self.offset)
-            data = fh.read()
-        # A trailing fragment without its newline may still be mid-write;
-        # only complete lines participate, the rest waits for the next poll.
-        end = data.rfind(b"\n")
-        if end < 0:
-            return []
-        data = data[: end + 1]
-
-        entries: List[Tuple[int, List[Triple], List[Triple]]] = []
-        consumed = 0  # bytes safely behind us: committed frames + preamble
-        position = 0
-        entry: Optional[Tuple[int, List[str]]] = None
-        for number, raw in enumerate(data.split(b"\n")[:-1], start=1):
-            line_bytes = len(raw) + 1
-            line = raw.decode("utf-8", errors="replace").rstrip("\r")
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                if self.offset + position == 0 and stripped and stripped != _HEADER:
-                    raise WalError(
-                        f"{self.path}: unrecognized delta-log header "
-                        f"{stripped!r}; this release reads {_HEADER!r}"
-                    )
-                if entry is None:
-                    # Preamble/blank between frames is safe to skip forever.
-                    consumed = position + line_bytes
-                position += line_bytes
-                continue
-            tag, _, rest = line.partition(" ")
-            if tag == "B":
-                try:
-                    entry = (int(rest), [])
-                except ValueError:
-                    entry = None
-            elif tag in ("A", "R"):
-                if entry is not None:
-                    entry[1].append(line)
-            elif tag == "C":
-                if entry is not None:
-                    epoch, body = entry
-                    entry = None
-                    fields = rest.split()
-                    if len(fields) == 2 and fields[0] == str(epoch):
-                        crc = zlib.crc32("\n".join(body).encode("utf-8"))
-                        if fields[1] == f"{crc:08x}":
-                            entries.append(
-                                (epoch, *_parse_entry_body(self.path, body, number))
-                            )
-                            consumed = position + line_bytes
-            else:
-                entry = None  # foreign bytes void the surrounding entry
-            position += line_bytes
+        entries, consumed = _scan(self.path, self.offset)
         self.offset += consumed
         return entries
 
     def replay_into(self, engine) -> int:
-        """Apply newly committed entries to a follower engine, in order.
-
-        Entries at epochs the engine already holds are skipped (the
-        startup load replayed them); an epoch *ahead* of the engine's
-        next raises :class:`WalError` — the follower missed history (a
+        """Apply newly committed entries to a follower engine, in order
+        (:func:`_replay`).  A gap means the follower missed history (a
         compaction truncated the log under it) and must reload the
         bundle rather than serve a diverged state.  On any failure the
         consumed offset may be past the unapplied entries, so the only
         safe recovery is a full reload with a fresh cursor.
         """
-        applied = 0
-        for epoch, adds, removes in self.poll():
-            current = engine.index_manager.epoch
-            if epoch < current:
-                continue
-            if epoch > current:
-                raise WalError(
-                    f"{self.path}: epoch gap — follower is at {current}, next "
-                    f"committed entry is {epoch}; reload the bundle"
-                )
-            changed = engine.index_manager.apply_batch(adds=adds, removes=removes)
-            if changed == 0:
-                raise WalError(
-                    f"{self.path}: committed epoch {epoch} replayed as a "
-                    "no-op; the log does not extend this engine"
-                )
-            applied += 1
-        return applied
+        return _replay(self.path, self.poll(), engine)

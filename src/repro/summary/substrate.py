@@ -34,8 +34,7 @@ die with the substrate when ``version`` moves):
   work too (see ``repro.core.exploration._build_substrate_view``);
 * zero-copy int64 ndarray views over ``offsets``/``targets`` for the
   vectorized kernels (:mod:`repro.core.kernels`) — built lazily on first
-  kernel use, sharing the underlying buffer (including the mmap pages of
-  a bundle-adopted substrate).
+  kernel use, sharing the underlying buffer.
 """
 
 from __future__ import annotations
@@ -97,7 +96,6 @@ class ExplorationSubstrate:
         "offsets",
         "targets",
         "n",
-        "backing",
         "_cost_arrays",
         "_bounds_cache",
         "_view_cache",
@@ -127,63 +125,11 @@ class ExplorationSubstrate:
             offsets.append(len(targets))
         self.offsets = offsets
         self.targets = targets
-        self.backing = None
 
         self._cost_arrays: Dict[int, Tuple[Mapping, array]] = {}
         self._bounds_cache: LruDict = LruDict(self.MAX_BOUNDS)
         self._view_cache: LruDict = LruDict(self.MAX_VIEWS)
         self._ndarrays = None
-
-    @classmethod
-    def from_arrays(
-        cls,
-        pairs: Iterable[Tuple[str, Hashable]],
-        offsets,
-        targets,
-        backing=None,
-    ) -> "ExplorationSubstrate":
-        """Wrap precomputed CSR sections (the bundle loader's fast path).
-
-        ``offsets`` / ``targets`` may be any int sequence supporting
-        indexing, slicing, and iteration — in particular the zero-copy
-        ``memoryview('q')`` over an mmap-ed bundle section, so restoring
-        a substrate touches no adjacency data at all (the page cache
-        faults rows in as exploration reads them).  ``backing`` pins the
-        owning buffer (the mmap) for the substrate's lifetime.
-
-        The caller guarantees the sections were produced by a substrate
-        built over the same canonical ``pairs``; the persistence property
-        tests enforce that a restored substrate explores identically to a
-        rebuilt one.
-        """
-        substrate = cls.__new__(cls)
-        pairs = tuple(pairs)
-        substrate.keys = tuple(key for _, key in pairs)
-        substrate.reprs = [text for text, _ in pairs]
-        substrate.ids = {key: i for i, key in enumerate(substrate.keys)}
-        substrate.n = len(substrate.keys)
-        if len(offsets) != substrate.n + 1:
-            raise ValueError(
-                f"substrate offsets length {len(offsets)} does not match "
-                f"{substrate.n} elements"
-            )
-        if len(offsets) and (offsets[0] != 0 or offsets[-1] != len(targets)):
-            # Individually well-formed sections can still disagree with
-            # each other; a short final offset would silently truncate
-            # adjacency rows — the "silently wrong engine" the format
-            # forbids.
-            raise ValueError(
-                f"substrate CSR sections inconsistent: offsets span "
-                f"[{offsets[0]}, {offsets[-1]}] over {len(targets)} targets"
-            )
-        substrate.offsets = offsets
-        substrate.targets = targets
-        substrate.backing = backing
-        substrate._cost_arrays = {}
-        substrate._bounds_cache = LruDict(cls.MAX_BOUNDS)
-        substrate._view_cache = LruDict(cls.MAX_VIEWS)
-        substrate._ndarrays = None
-        return substrate
 
     def row(self, element_id: int) -> array:
         """The neighbor ids of one element (ascending, canonical order)."""
@@ -273,7 +219,7 @@ class ExplorationSubstrate:
         """The int64 ``(offsets, targets)`` ndarray pair adopted by
         :func:`repro.core.kernels.csr_ndarrays`, or ``None`` before the
         first kernel use.  Kept here so the views share the substrate's
-        lifetime (and its ``backing`` mmap pin)."""
+        lifetime."""
         return self._ndarrays
 
     def adopt_ndarray_views(self, views) -> None:

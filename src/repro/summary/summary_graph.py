@@ -420,16 +420,6 @@ class SummaryGraph:
         summary.version = version
         return summary
 
-    def adopt_substrate(self, substrate: ExplorationSubstrate) -> None:
-        """Install a restored CSR substrate for the *current* version.
-
-        Used by the bundle loader right after :meth:`from_state`: the
-        mmap-backed substrate replaces the first
-        :meth:`exploration_substrate` build.  Any later mutation advances
-        :attr:`version` and drops it, exactly like a built one.
-        """
-        self._substrate_cache = (self.version, substrate)
-
     # ------------------------------------------------------------------
     # Statistics (Fig. 6b)
     # ------------------------------------------------------------------

@@ -31,8 +31,8 @@ class LruDict(OrderedDict):
     miss).
 
     The serving layer (:mod:`repro.service`) runs many searches against
-    one engine from a worker pool, so these caches are hammered from
-    several threads at once.  :meth:`hit`, :meth:`put`, and :meth:`clear`
+    one engine, one per request thread, so these caches are hammered
+    from several threads at once.  :meth:`hit`, :meth:`put`, and :meth:`clear`
     therefore hold a private lock for the duration of their (short,
     non-reentrant) critical sections: the size bound holds at every
     quiescent point, and no internal ``KeyError``/``RuntimeError`` can

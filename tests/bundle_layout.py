@@ -1,11 +1,11 @@
-"""The section table of a format-v4 ``.reprobundle`` and the raw-file
+"""The section table of a format-v5 ``.reprobundle`` and the raw-file
 helpers that damage one, shared by the suites that pin the format
 (``test_storage``, ``test_cli``, ``test_stream_build_identity``)."""
 
 import json
 import struct
 
-#: Format v4, in the order the builder writes them.
+#: Format v5, in the order the builder writes them.
 EXPECTED_SECTIONS = [
     "triples",
     "graph.type_pred_counts",
@@ -26,8 +26,6 @@ EXPECTED_SECTIONS = [
     "kindex2.value_refs",
     "summary.vertices",
     "summary.edges",
-    "substrate.offsets",
-    "substrate.targets",
     "terms",
     "terms.offsets",
     "terms.sorted",

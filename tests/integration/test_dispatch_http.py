@@ -44,7 +44,7 @@ def dispatch_server(dispatch_service):
 def inprocess_server(bundle):
     """The in-process tier over the same bundle as it was built (it does
     not see the dispatch server's later updates)."""
-    service = EngineService(KeywordSearchEngine.load(bundle, attach_wal=False), workers=2)
+    service = EngineService(KeywordSearchEngine.load(bundle, attach_wal=False))
     with ReproServer(service, port=0).start() as srv:
         yield srv
     service.close()
@@ -244,7 +244,7 @@ def test_bodies_equal_the_inprocess_tier_modulo_timing_values(
     what reaches the socket must be, byte for byte, what the in-process
     tier sends for the same data — key order and separators included."""
     engine = KeywordSearchEngine.load(bundle, attach_wal=False)
-    service = EngineService(engine, workers=2)
+    service = EngineService(engine)
     try:
         with ReproServer(service, port=0).start() as inprocess:
             expected = _bodies(inprocess)

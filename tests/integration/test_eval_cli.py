@@ -189,7 +189,7 @@ class TestEndpointSeeding:
         signatures themselves (grades differ: HTTP cannot re-run intent
         matching, so its ceiling is grade 2)."""
         engine = KeywordSearchEngine(graph_for("example"), cost_model="c3", k=10)
-        service = EngineService(engine, workers=2)
+        service = EngineService(engine)
         try:
             with ReproServer(service, port=0).start() as server:
                 assert (

@@ -30,7 +30,7 @@ def server(example_graph):
     engine = KeywordSearchEngine(
         DataGraph(example_graph.triples), k=5, search_cache_size=16
     )
-    service = EngineService(engine, workers=2)
+    service = EngineService(engine)
     with ReproServer(service, port=0).start() as srv:
         yield srv
     service.close()
@@ -116,7 +116,7 @@ def test_stats_endpoint(server):
     status, stats = _get(f"{server.url}/stats")
     assert status == 200
     assert stats["queries"]["completed"] >= 2
-    assert stats["service"]["workers"] == 2
+    assert set(stats["service"]) == {"max_pending", "uptime_seconds"}
     assert stats["caches"]["search_results"]["hits"] >= 1
     assert "summary_version" in stats["snapshot"]
 

@@ -318,6 +318,12 @@ ATTRIBUTES = [URI(EX + a) for a in ("name", "year")]
 VALUES = [Literal(v) for v in ("alice", "bob", "2006")]
 PROP_QUERIES = ("person", "alice", "knows", "name", "2006", "project bob")
 
+SEED_TRIPLES = [
+    Triple(ENTITIES[0], RDF.type, CLASSES[0]),
+    Triple(ENTITIES[0], ATTRIBUTES[0], VALUES[0]),
+    Triple(ENTITIES[0], RELATIONS[0], ENTITIES[1]),
+]
+
 any_triple = st.one_of(
     st.builds(lambda e, c: Triple(e, RDF.type, c), st.sampled_from(ENTITIES), st.sampled_from(CLASSES)),
     st.builds(lambda a, b: Triple(a, RDFS.subClassOf, b), st.sampled_from(CLASSES), st.sampled_from(CLASSES)),
@@ -357,3 +363,56 @@ def test_wal_replay_random_batches(tmp_path_factory, initial, updates):
         live_sig = search_signature(live, query)
         assert search_signature(reloaded, query) == live_sig, query
         assert search_signature(rebuilt, query) == live_sig, query
+
+
+# ----------------------------------------------------------------------
+# Hypothesis: a log cut at every byte offset
+# ----------------------------------------------------------------------
+
+non_ascii_labels = st.lists(
+    st.text(
+        alphabet=st.characters(
+            min_codepoint=0x80, max_codepoint=0x1F64F, exclude_categories=["Cs"]
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+    min_size=2,
+    max_size=3,
+    unique=True,
+)
+
+
+@given(labels=non_ascii_labels)
+@settings(max_examples=10, deadline=None)
+def test_wal_truncated_at_every_byte_loads_a_prefix(tmp_path_factory, labels):
+    """A crash can cut the log anywhere, including inside a multi-byte
+    character of a label.  At every cut the loader and a fresh follower
+    cursor read the same committed entries, those are a prefix of the
+    epochs written, and ``load`` replays exactly them — it never raises,
+    whatever the byte the cut fell on."""
+    from repro.storage import DeltaLog, WalCursor
+
+    tmp = tmp_path_factory.mktemp("wal-cut")
+    path = tmp / "engine.reprobundle"
+    KeywordSearchEngine(DataGraph(SEED_TRIPLES)).save(path)
+    wal = tmp / "engine.reprobundle.wal"
+    live = KeywordSearchEngine.load(path)
+    for i, label in enumerate(labels):
+        live.add_triples([Triple(URI(EX + f"n{i}"), ATTRIBUTES[0], Literal(label))])
+    live.delta_log.close()
+    full = wal.read_bytes()
+    written = list(DeltaLog(wal).committed_entries())
+    assert [epoch for epoch, _, _ in written] == list(range(len(labels)))
+
+    committed = 0
+    for cut in range(len(full) + 1):
+        wal.write_bytes(full[:cut])
+        entries = list(DeltaLog(wal).committed_entries())
+        assert WalCursor(wal).poll() == entries, cut
+        assert entries == written[: len(entries)], cut
+        assert len(entries) >= committed, cut  # a longer log never un-commits
+        committed = len(entries)
+        loaded = KeywordSearchEngine.load(path, attach_wal=False)
+        assert loaded.index_manager.epoch == committed, cut
+    assert committed == len(labels)

@@ -77,7 +77,7 @@ def test_racing_search_returns_pre_or_post_state_never_hybrid(batch):
     post = _reference_render(post_triples)
 
     engine = KeywordSearchEngine(DataGraph(BASE_TRIPLES))
-    service = EngineService(engine, workers=READERS + 1, max_pending=64)
+    service = EngineService(engine, max_pending=64)
     try:
         observed = []
         observed_lock = threading.Lock()
@@ -222,7 +222,7 @@ def test_search_many_is_byte_identical_to_sequential_after_update(batch):
     snapshot, including on a maintained (post-update) engine."""
     adds, removes = batch
     engine = KeywordSearchEngine(DataGraph(BASE_TRIPLES))
-    service = EngineService(engine, workers=4)
+    service = EngineService(engine)
     try:
         service.update(adds=adds, removes=removes)
         queries = [KEYWORDS, "aifb", "article 2006"]
@@ -256,7 +256,7 @@ def test_shared_frontier_batch_racing_update_is_pre_or_post_never_hybrid(batch):
     post = _reference_render(post_triples)
 
     engine = KeywordSearchEngine(DataGraph(BASE_TRIPLES), guided=True)
-    service = EngineService(engine, workers=4, max_pending=64)
+    service = EngineService(engine, max_pending=64)
     try:
         batches = []
         failures = []

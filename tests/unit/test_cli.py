@@ -166,10 +166,17 @@ class TestSubcommands:
         args = build_serve_parser().parse_args([])
         assert args.port == 8080
         assert args.workers == 0  # worker *processes*; 0 = in-process tier
-        assert args.threads == 4
         assert args.max_pending == 64
         assert args.max_queue_wait is None
         assert args.cache == 256
+
+    def test_serve_threads_flag_is_gone(self, capsys):
+        """The in-process tier has no thread pool to size: a batch runs on
+        the thread that received it."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--dataset", "example", "--port", "0", "--threads", "4"])
+        assert excinfo.value.code == 2
+        assert "--threads" in capsys.readouterr().err
 
     def test_removed_bench_is_not_a_keyword_search(self, capsys):
         """`repro bench ...` must point at the harness, not fall through
@@ -233,6 +240,50 @@ class TestPersistenceCommands:
         captured = capsys.readouterr()
         assert "[1]" in captured.out
         assert "# bundle:" in captured.err
+
+    @pytest.mark.parametrize(
+        "dataset, queries",
+        [
+            (["--dataset", "example"], ["publication before 2050", "cimiano since 2000"]),
+            (
+                ["--dataset", "dblp", "--scale", "200"],
+                ["cimiano before 2005", "cimiano before 2007", "cimiano before 2050"],
+            ),
+        ],
+    )
+    def test_filtered_search_prints_the_same_from_a_bundle(
+        self, tmp_path, capsys, dataset, queries
+    ):
+        bundle = str(tmp_path / "data.reprobundle")
+        assert main(["build", *dataset, "-o", bundle]) == 0
+        for query in queries:
+            capsys.readouterr()
+            code = main(["search", query, *dataset, "--filters"])
+            built = capsys.readouterr().out
+            assert main(["search", query, "--bundle", bundle, "--filters"]) == code
+            assert capsys.readouterr().out == built
+            assert built
+
+    @pytest.mark.parametrize("command", ["search", "serve"])
+    def test_damaged_wal_is_reported_not_traced(self, tmp_path, capsys, command):
+        """What is left of the log's raising damages reaches the user as
+        one ``repro: --bundle:`` line from either command."""
+        bundle = tmp_path / "example.reprobundle"
+        assert main(["build", "--dataset", "example", "-o", str(bundle)]) == 0
+        wal = tmp_path / "example.reprobundle.wal"
+        wal.write_bytes(b"# repro-wal 2\nB 0\n")
+        argv = {
+            "search": ["search", "aifb", "--bundle", str(bundle)],
+            "serve": ["serve", "--bundle", str(bundle), "--port", "0"],
+        }[command]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        message = str(excinfo.value)
+        assert message.startswith("repro: --bundle: ")
+        assert "unrecognized delta-log header" in message
+        # A log torn inside a multi-byte character is not damage at all.
+        wal.write_bytes(b'# repro-wal 1\n\nB 0\nA <ex:b> <ex:p> "z\xc3')
+        assert main(["search", "aifb", "--bundle", str(bundle)]) == 0
 
     def test_stream_flag_is_a_hidden_noop(self, tmp_path, capsys):
         """The CLI contract the benchmark harness leans on: it passes
@@ -318,7 +369,7 @@ class TestPersistenceCommands:
     ):
         """A load serves the sorted runs in place, unverified; the process
         that owns the artifact checks every section once per start.  One
-        flipped byte in any of the 24 sections: ``serve`` exits non-zero
+        flipped byte in any of the 22 sections: ``serve`` exits non-zero
         naming the section, before a socket, a worker or a WAL exists —
         and ``compact`` refuses the same file."""
         def no_server(*args, **kwargs):

@@ -223,13 +223,13 @@ class TestFilterSearchParameters:
     def test_dmax_and_max_cursors_threaded_to_search(self, example_graph, monkeypatch):
         engine = KeywordSearchEngine(example_graph, k=5)
         captured = {}
-        original = KeywordSearchEngine.search
+        original = KeywordSearchEngine.search_on_snapshot
 
         def spy(self, *args, **kwargs):
             captured.update(kwargs)
             return original(self, *args, **kwargs)
 
-        monkeypatch.setattr(KeywordSearchEngine, "search", spy)
+        monkeypatch.setattr(KeywordSearchEngine, "search_on_snapshot", spy)
         engine.search_with_filters("cimiano before 2007", k=3, dmax=6, max_cursors=500)
         assert captured["k"] == 3
         assert captured["dmax"] == 6

@@ -37,7 +37,7 @@ def engine(example_graph):
 
 @pytest.fixture()
 def service(engine):
-    svc = EngineService(engine, workers=4)
+    svc = EngineService(engine)
     yield svc
     svc.close()
 
@@ -76,9 +76,60 @@ class TestSearchMany:
         assert all(o.result is None for o in outcomes)
 
 
+def test_search_many_is_one_snapshot_in_order(engine):
+    """A batch runs member by member on the calling thread: outcomes in
+    input order, every member against the one snapshot pinned before the
+    first (a writer that arrives mid-batch waits for the read hold), and
+    a member whose turn comes past the deadline is ``timeout`` without
+    running."""
+    import time as _time
+
+    real = engine.search_on_snapshot
+    running = threading.Event()
+    seen = []
+
+    def recording(snapshot, query, **kwargs):
+        running.set()
+        if query == "aifb":
+            _time.sleep(0.6)  # past the batch deadline, writer queued by now
+            seen.append(("writers waiting", svc._rw._writers_waiting))
+        seen.append((query, snapshot.summary_version, snapshot.index_version))
+        return real(snapshot, query, **kwargs)
+
+    engine.search_on_snapshot = recording
+    svc = EngineService(engine)
+    pinned = (engine.summary.snapshot_key, engine.keyword_index.snapshot_key)
+
+    def writer():
+        running.wait(timeout=30)
+        svc.update(adds=[Triple(EX["pub9"], EX["title"], Literal("zzzmidbatch"))])
+
+    thread = threading.Thread(target=writer, daemon=True)
+    thread.start()
+    try:
+        queries = ["cimiano 2006", "aifb", "2006 article", "publication"]
+        outcomes = svc.search_many(queries, timeout=0.5)
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert [o.index for o in outcomes] == [0, 1, 2, 3]
+        assert [o.query for o in outcomes] == queries
+        assert [o.status for o in outcomes] == ["ok", "ok", "timeout", "timeout"]
+        assert seen == [
+            ("cimiano 2006", *pinned),
+            ("writers waiting", 1),
+            ("aifb", *pinned),
+        ]
+        # The update the batch held off committed right after it.
+        assert engine.index_manager.epoch == 1
+        assert engine.keyword_index.snapshot_key != pinned[1]
+        assert svc.search_many(["zzzmidbatch"])[0].result.candidates
+    finally:
+        svc.close()
+
+
 class TestAdmissionControl:
     def test_batch_beyond_bound_rejected(self, engine):
-        svc = EngineService(engine, workers=2, max_pending=3)
+        svc = EngineService(engine, max_pending=3)
         try:
             with pytest.raises(AdmissionError):
                 svc.search_many(QUERIES)  # 5 > 3
@@ -88,7 +139,7 @@ class TestAdmissionControl:
             svc.close()
 
     def test_rejections_counted(self, engine):
-        svc = EngineService(engine, workers=2, max_pending=1)
+        svc = EngineService(engine, max_pending=1)
         try:
             with pytest.raises(AdmissionError):
                 svc.search_many(QUERIES[:2])
@@ -109,7 +160,7 @@ class TestQueueWait:
         assert queries["queue_wait_max_ms"] >= queries["queue_wait_p99_ms"]
 
     def test_search_rejected_behind_a_writer(self, engine):
-        svc = EngineService(engine, workers=2, max_queue_wait=0.05)
+        svc = EngineService(engine, max_queue_wait=0.05)
         try:
             svc._rw.acquire_write()  # an update epoch hogging the engine
             try:
@@ -136,7 +187,7 @@ class TestQueueWait:
             return real(snapshot, query, **kwargs)
 
         engine.search_on_snapshot = slow
-        svc = EngineService(engine, workers=1, max_queue_wait=0.05)
+        svc = EngineService(engine, max_queue_wait=0.05)
         try:
             outcomes = svc.search_many(["cimiano 2006", "aifb"])
             assert outcomes[0].ok
@@ -151,7 +202,7 @@ class TestQueueWait:
             svc.close()
 
     def test_unbounded_by_default(self, engine):
-        svc = EngineService(engine, workers=4)
+        svc = EngineService(engine)
         try:
             assert svc.max_queue_wait is None
             assert all(o.ok for o in svc.search_many(QUERIES))
@@ -274,7 +325,7 @@ class TestStats:
 
     def test_search_cache_rates_reported(self, example_graph):
         engine = KeywordSearchEngine(example_graph, k=5, search_cache_size=8)
-        svc = EngineService(engine, workers=2)
+        svc = EngineService(engine)
         try:
             svc.search("cimiano 2006")
             svc.search("cimiano 2006")
@@ -343,7 +394,7 @@ class TestEpochHooks:
         from repro.rdf.graph import DataGraph, GraphIntegrityError
 
         engine = KeywordSearchEngine(DataGraph(example_graph.triples, strict=True))
-        svc = EngineService(engine, workers=1)
+        svc = EngineService(engine)
         try:
             type_pred = engine.graph.preferred_type_predicate
             with pytest.raises(GraphIntegrityError):

@@ -208,8 +208,15 @@ def test_load_rejects_format_version_3(small_engine, tmp_path):
     """And v3, which stored the data graph a second time as ten derived
     ``graph.*`` sections: their decoders are gone, so a prelude that says
     version 3 is refused with the rebuild hint."""
-    assert FORMAT_VERSION == 4
     _assert_version_refused(small_engine, tmp_path / "a.reprobundle", 3)
+
+
+def test_load_rejects_format_version_4(small_engine, tmp_path):
+    """And v4, which stored the CSR substrate beside the summary graph
+    it is derived from: a v4 file carries two sections this release
+    would ignore, so it is refused rather than half-read."""
+    assert FORMAT_VERSION == 5
+    _assert_version_refused(small_engine, tmp_path / "a.reprobundle", 4)
 
 
 def test_load_rejects_corrupted_section(small_engine, tmp_path):
@@ -228,7 +235,7 @@ def test_load_rejects_corrupted_section(small_engine, tmp_path):
 
 @pytest.mark.parametrize("name", EXPECTED_SECTIONS)
 def test_verify_checksums_every_section(small_engine, tmp_path, name):
-    """One flipped byte in any of the 24 sections — the runs a load reads
+    """One flipped byte in any of the 22 sections — the runs a load reads
     in place included — fails the full pass, naming the section."""
     path = tmp_path / "a.reprobundle"
     small_engine.save(path)
@@ -264,15 +271,16 @@ def test_compact_refuses_a_corrupted_bundle(small_engine, tmp_path):
 
 
 def test_bundle_holds_exactly_the_expected_sections(small_engine, tmp_path):
-    """One stored copy of everything: the 24 sections — ``triples`` is
-    the data graph, the runs are the indexes — and no derived
-    ``graph.*`` structure beside the two predicate-count maps."""
+    """One stored copy of everything: the 22 sections — ``triples`` is
+    the data graph, the runs are the indexes — and nothing derived: no
+    ``graph.*`` structure beside the two predicate-count maps, no
+    ``substrate.*`` rows beside the summary graph they come from."""
     path = tmp_path / "a.reprobundle"
     info = small_engine.save(path)
     header, _ = _read_header(path.read_bytes())
     names = [e["name"] for e in header["sections"]]
     assert names == EXPECTED_SECTIONS
-    assert info["sections"] == len(EXPECTED_SECTIONS) == 24
+    assert info["sections"] == len(EXPECTED_SECTIONS) == 22
 
 
 def _rewrite_bundle(path, data, header, payload):
@@ -452,15 +460,18 @@ def test_lazy_graph_serves_len_and_stats_without_materializing(
     assert loaded.graph._lazy_thunk is not None
 
 
-def test_substrate_is_mmap_backed(small_engine, tmp_path):
-    import mmap as mmap_module
-
+@pytest.mark.parametrize(
+    "dataset", ["example_graph", "dblp_small", "lubm_small", "tap_small"]
+)
+def test_loaded_substrate_equals_the_in_process_one(dataset, request, tmp_path):
+    """The substrate is not stored: a loaded engine derives it from the
+    decoded summary graph, and gets the rows an in-process engine gets."""
+    engine = KeywordSearchEngine(DataGraph(request.getfixturevalue(dataset).triples))
     path = tmp_path / "a.reprobundle"
-    small_engine.save(path)
-    loaded = KeywordSearchEngine.load(path)
-    substrate = loaded.summary.exploration_substrate()
-    assert isinstance(substrate.backing, mmap_module.mmap)
-    fresh = small_engine.summary.exploration_substrate()
+    engine.save(path)
+    loaded = KeywordSearchEngine.load(path, attach_wal=False)
+    substrate = loaded.snapshot().substrate
+    fresh = engine.snapshot().substrate
     assert list(substrate.offsets) == list(fresh.offsets)
     assert list(substrate.targets) == list(fresh.targets)
     assert substrate.keys == fresh.keys
@@ -472,7 +483,7 @@ def test_service_stats_expose_artifact(small_engine, tmp_path):
     path = tmp_path / "a.reprobundle"
     small_engine.save(path)
     loaded = KeywordSearchEngine.load(path)
-    service = EngineService(loaded, workers=1)
+    service = EngineService(loaded)
     try:
         stats = service.stats()
         assert stats["artifact"]["format_version"] == FORMAT_VERSION
@@ -480,7 +491,7 @@ def test_service_stats_expose_artifact(small_engine, tmp_path):
     finally:
         service.close()
     # A built engine reports no artifact.
-    service = EngineService(small_engine, workers=1)
+    service = EngineService(small_engine)
     try:
         assert service.stats()["artifact"] is None
     finally:
@@ -577,6 +588,152 @@ def test_wal_foreign_header_refused(tmp_path):
     with pytest.raises(WalError) as excinfo:
         list(DeltaLog(path).committed_entries())
     assert "header" in str(excinfo.value)
+
+
+# One table of damaged logs, each read by BOTH entry points — the
+# loader's whole-file scan and a fresh follower cursor.  They must agree
+# on where the log ends (a dispatcher restarts from the first, its
+# workers replay through the second) and raise nothing but WalError.
+
+_T4 = Triple(URI("ex:c"), URI("ex:p"), Literal("żółć 東京"))
+
+
+def _log_bytes(tmp_path, *batches):
+    """The bytes a writer leaves after committing ``batches`` in turn."""
+    path = tmp_path / f"make-{len(batches)}.wal"
+    log = DeltaLog(path)
+    for epoch, adds in enumerate(batches):
+        log.record(epoch, adds, [])
+        log.commit(epoch + 1)
+    log.close()
+    return path.read_bytes()
+
+
+def _read_both_ways(path):
+    """``(loader entries, cursor entries)``, or WalError from both."""
+    from repro.storage import WalCursor
+
+    outcomes = []
+    for read in (lambda: DeltaLog(path).committed_entries(), WalCursor(path).poll):
+        try:
+            outcomes.append(list(read()))
+        except WalError as exc:
+            outcomes.append(exc)
+    return outcomes
+
+
+def _log_parts(tmp_path):
+    """A one-epoch log, the two-epoch log that extends it, and the
+    second entry's pieces."""
+    from types import SimpleNamespace
+
+    one = _log_bytes(tmp_path, [_T4])
+    two = _log_bytes(tmp_path, [_T4], [_T3])
+    second = two[len(one):]  # b"\nB 1\nA ...\nC 1 <crc>\n"
+    b_line, a_line, c_line = second[1:].splitlines(keepends=True)
+    assert b_line == b"B 1\n" and c_line.startswith(b"C 1 ")
+    return SimpleNamespace(
+        one=one, two=two, second=second, b=b_line, a=a_line, c=c_line,
+        torn=one + b'\nB 1\nA <ex:b> <ex:p> "z\xc3',
+    )
+
+
+#: row -> (log bytes from the parts, committed epochs | WalError)
+_DAMAGED_LOGS = {
+    "intact": (lambda p: p.two, [0, 1]),
+    "append torn inside a multi-byte character": (lambda p: p.torn, [0]),
+    "C without its newline": (lambda p: p.two[:-1], [0, 1]),
+    "C torn inside its checksum": (lambda p: p.two[:-3], [0]),
+    "torn B": (lambda p: p.one + b"\nB", [0]),
+    "B without an epoch": (lambda p: p.one + b"\nB x\n" + p.a + p.c, [0]),
+    "foreign line mid-entry": (
+        lambda p: p.one + b"\n" + p.b + b"WHAT 1\n" + p.a + p.c, [0],
+    ),
+    "undecodable line mid-entry": (
+        lambda p: p.one + b"\n" + p.b + b"\xff\xfe\n" + p.a + p.c, [0],
+    ),
+    "torn append, then a further epoch": (lambda p: p.torn + p.second, [0, 1]),
+    "wrong CRC": (lambda p: p.two[:-9] + b"deadbeef\n", [0]),
+    "CRLF line ends": (lambda p: p.two.replace(b"\n", b"\r\n"), [0, 1]),
+    "torn header": (lambda p: p.one[:5], []),
+    "future header": (
+        lambda p: p.two.replace(b"repro-wal 1", b"repro-wal 2"), WalError,
+    ),
+    "foreign file": (lambda p: b"not a log", WalError),
+}
+
+
+@pytest.mark.parametrize("row", _DAMAGED_LOGS)
+def test_wal_damage_reads_the_same_through_both_readers(tmp_path, row):
+    build, expected = _DAMAGED_LOGS[row]
+    path = tmp_path / "x.wal"
+    path.write_bytes(build(_log_parts(tmp_path)))
+    loader, cursor = _read_both_ways(path)
+    if expected is WalError:
+        assert isinstance(loader, WalError) and isinstance(cursor, WalError)
+        return
+    assert loader == cursor
+    assert loader == [(0, [_T4], []), (1, [_T3], [])][: len(expected)]
+    assert [epoch for epoch, _, _ in loader] == expected
+
+
+def test_wal_cursor_resumes_past_a_newline_less_commit(tmp_path):
+    """A follower that consumed a ``C`` before its newline landed picks
+    the next epoch up from there: once each, no epoch twice."""
+    from repro.storage import WalCursor
+
+    two = _log_bytes(tmp_path, [_T4], [_T3])
+    one = _log_bytes(tmp_path, [_T4])
+    path = tmp_path / "x.wal"
+    path.write_bytes(one[:-1])
+    cursor = WalCursor(path)
+    assert cursor.poll() == [(0, [_T4], [])]
+    assert cursor.offset == len(one) - 1
+    assert cursor.poll() == []
+    path.write_bytes(two)
+    assert cursor.poll() == [(1, [_T3], [])]
+    assert cursor.poll() == []
+
+
+def test_wal_newline_less_commit_then_next_epoch_is_two_epochs(example_graph, tmp_path):
+    """Crash shape: the ``C`` landed, its newline did not.  The restarted
+    writer counts the epoch (it must: its next ``record()`` opens with
+    the newline that would complete the marker anyway), so the log ends
+    up with exactly one committed entry per epoch and the next load
+    replays both — no duplicate, no gap."""
+    path = tmp_path / "a.reprobundle"
+    KeywordSearchEngine(DataGraph(example_graph.triples)).save(path)
+    wal = tmp_path / "a.reprobundle.wal"
+    live = KeywordSearchEngine.load(path)
+    live.add_triples([_T4])
+    live.delta_log.close()
+    wal.write_bytes(wal.read_bytes()[:-1])
+    restarted = KeywordSearchEngine.load(path)
+    assert restarted.artifact["wal_epochs_replayed"] == 1
+    assert restarted.add_triples([_T3]) == 1
+    restarted.delta_log.close()
+    loader, cursor = _read_both_ways(wal)
+    assert loader == cursor == [(0, [_T4], []), (1, [_T3], [])]
+    final = KeywordSearchEngine.load(path, attach_wal=False)
+    assert final.artifact["wal_epochs_replayed"] == 2
+    assert final.index_manager.epoch == 2
+    assert {_T3, _T4} <= set(final.graph.triples)
+
+
+def test_wal_torn_header_is_rewritten_by_the_next_writer(example_graph, tmp_path):
+    """A crash between creating the log and flushing its header leaves a
+    fragment both readers take for an empty log; the next writer must
+    not append after it (the first line would then be refused)."""
+    path = tmp_path / "a.reprobundle"
+    KeywordSearchEngine(DataGraph(example_graph.triples)).save(path)
+    wal = tmp_path / "a.reprobundle.wal"
+    wal.write_bytes(b"# repro-w")
+    live = KeywordSearchEngine.load(path)
+    assert live.artifact["wal_epochs_replayed"] == 0
+    live.add_triples([_T4])
+    live.delta_log.close()
+    assert wal.read_bytes().startswith(b"# repro-wal 1\n")
+    assert KeywordSearchEngine.load(path, attach_wal=False).index_manager.epoch == 1
 
 
 def test_wal_torn_commit_then_reattach_survives(example_graph, tmp_path):
@@ -699,18 +856,6 @@ def test_load_rejects_truncated_prelude(tmp_path):
     path.write_bytes(MAGIC + b"\x01")
     with pytest.raises(BundleFormatError):
         load_bundle(path)
-
-
-def test_from_arrays_rejects_inconsistent_csr_sections():
-    from repro.summary.substrate import ExplorationSubstrate
-
-    pairs = [("'a'", "a"), ("'b'", "b")]
-    with pytest.raises(ValueError):  # final offset overruns targets
-        ExplorationSubstrate.from_arrays(pairs, [0, 1, 5], [1])
-    with pytest.raises(ValueError):  # final offset truncates targets
-        ExplorationSubstrate.from_arrays(pairs, [0, 0, 0], [1, 0])
-    ok = ExplorationSubstrate.from_arrays(pairs, [0, 1, 2], [1, 0])
-    assert list(ok.row(0)) == [1]
 
 
 def test_attach_without_replay_refused_on_pending_tail(example_graph, tmp_path):
