@@ -8,7 +8,8 @@ search, execute, update, search, execute — asserting the update's epoch
 propagated to *every* worker (the sync broadcast acked), the new data is
 immediately visible no matter which worker serves the follow-up search,
 and a worker's execute path answers (rows, ``timings_ms``, ``limit: 0``
--> no rows) on both sides of the update.  Around the update it also
+-> no rows, body bytes equal to ``json.dumps`` of the dict reference) on
+both sides of the update.  Around the update it also
 proves, on every worker, that survival and freshness hold together: the
 pre-update search, repeated after an update that touched none of its
 keywords, is served from each worker's keyword-lookup memo (``hits``
@@ -51,6 +52,8 @@ import threading
 import time
 from urllib.parse import urlparse
 
+from repro.service.encoding import answer_json_signature
+
 #: A worker of this smoke (example bundle, 2 workers, CPython 3.11 on
 #: x86-64 Linux) reads 12,190 KB Pss at its first ``/stats``: the
 #: interpreter, the engine's modules, the frame protocol and the
@@ -78,13 +81,14 @@ class _KeptConnection:
         self._conn.connect()
         self._conn.auto_open = 0
         self.requests = 0
+        self.last_body = b""  # the raw bytes of the latest response
 
     def _exchange(self, method, path, body=None):
         headers = {"Content-Type": "application/json"} if body else {}
         self._conn.request(method, path, body=body, headers=headers)
         self.requests += 1
         response = self._conn.getresponse()
-        payload = response.read()
+        payload = self.last_body = response.read()
         assert response.status == 200, (response.status, payload[:200])
         assert not response.will_close, (
             f"server announced it will close the connection after "
@@ -112,6 +116,11 @@ def check_execute(conn) -> None:
         isinstance(ms, float) for ms in timings.values()
     ), timings
     assert conn.post("/execute", dict(ask, limit=0))["answers"] == []
+    # The worker writes the answers straight to bytes; the dict reference
+    # (sort by signature, then json.dumps) must give the same body.
+    unbounded = conn.post("/execute", dict(ask, limit=None))
+    unbounded["answers"].sort(key=answer_json_signature)
+    assert conn.last_body == json.dumps(unbounded).encode("ascii"), conn.last_body[:200]
 
 
 def lookup_counters(conn):

@@ -1,24 +1,31 @@
 """Conjunctive-query evaluation against a triple store (Definition 3).
 
 One executor serves every store.  A query is compiled once — variables
-become slots of one list, constants are resolved to the store's *keys* —
-and joined by index nested loops in key space: the store scans a bound
-predicate for ``(subject key, object key)`` pairs
-(:meth:`~repro.store.triple_store.TripleStore.scan_keys`), and a
-``Term`` is only built for the distinguished values of an answer that is
-actually emitted.  What a key is belongs to the store: a term-table id
-on the mmap tier, the term itself on :class:`TripleStore`.
+become slots of one list, constants are resolved to the store's *keys*
+and sit in slots of their own — and joined by index nested loops in key
+space; a ``Term`` is only built for the distinguished values of an
+answer that is actually emitted.  What a key is belongs to the store: a
+term-table id on the mmap tier, the term itself on :class:`TripleStore`.
 
 Atoms are ordered most-selective-first, so highly selective constants
 (the keyword constants of computed queries) prune the search early.  The
 atom evaluated at join depth *d* is chosen with the first binding that
 reaches that depth and kept for the rest of the query: one cardinality
-count per remaining atom and depth, not per binding.
+count per remaining atom and depth, not per binding.  Choosing it also
+fixes which of its positions are bound at that depth, so the store is
+asked once for the atom's *access path* (``store.access(p, s, o)``: the
+predicate and the atom's constants narrowed once) and depth *d* keeps
+the one probe of it that it will use: ``has(s, o)`` when both positions
+are bound — a membership test, no iterator — ``objects(s)`` /
+``subjects(o)`` when one is, ``pairs()`` when neither.
 
 Answers follow Definition 3: a mapping of the distinguished variables such
 that some extension to the existential variables embeds the whole query
-pattern into the data.  Enumeration is lazy, and its order is the
-store's: which answers a truncating ``limit`` keeps is unspecified.
+pattern into the data.  Enumeration is lazy and depth-first in the
+probes' order: on a bundle at epoch 0 that is the order of the sorted
+runs, so a truncating ``limit`` keeps the first answers of the unlimited
+enumeration; rows of a delta overlay and of :class:`TripleStore` come in
+hash-set order.
 """
 
 from __future__ import annotations
@@ -29,6 +36,9 @@ from typing import Dict, Hashable, Iterator, List, Optional, Tuple
 from repro.query.conjunctive import ConjunctiveQuery
 from repro.rdf.terms import Term, Variable
 from repro.store.statistics import StoreStatistics
+
+#: Which probe of an atom's access path a join depth uses.
+_HAS, _OBJECTS, _SUBJECTS, _PAIRS = range(4)
 
 
 class Answer:
@@ -75,7 +85,7 @@ class QueryEvaluator:
         self._stats = StoreStatistics(store)
 
     def invalidate_statistics(self) -> None:
-        """Drop cached selectivity stats after the store's contents change."""
+        """Drop the cached predicate counts after the store's contents change."""
         self._stats.invalidate()
 
     def evaluate(
@@ -115,76 +125,106 @@ class QueryEvaluator:
 
     def _solve(self, query: ConjunctiveQuery) -> Iterator[List[Hashable]]:
         """Every embedding of the query pattern into the store, as keys
-        in one slot per variable (``query.variables`` order).  The list is
-        reused: read it before advancing the iterator."""
+        in one slot per variable (``query.variables`` order; the atoms'
+        constants follow).  The list is reused: read it before advancing
+        the iterator."""
         store = self._store
         key_of = store.key_of
-        scan = store.scan_keys
         slot_of = {v: i for i, v in enumerate(query.variables)}
-        slots: List[Hashable] = [None] * len(slot_of)
+        n_vars = len(slot_of)
+        slots: List[Hashable] = [None] * n_vars
 
-        # An atom compiles to (predicate key, subject slot, subject key,
-        # object slot, object key, predicate): an argument is a slot
-        # (>= 0, its key None) or a constant key (its slot -1).
+        # An atom compiles to (predicate key, subject slot, object slot,
+        # predicate); a constant is resolved here, once, into a slot of
+        # its own past the variables'.
         remaining = []
         for atom in query.atoms:
-            compiled = [key_of(atom.predicate)]
+            ends = []
             for arg in (atom.arg1, atom.arg2):
                 if isinstance(arg, Variable):
-                    compiled += (slot_of[arg], None)
+                    ends.append(slot_of[arg])
                 else:
-                    compiled += (-1, key_of(arg))
-            remaining.append((*compiled, atom.predicate))
-        order = []  # order[d]: the atom joined at depth d, once chosen
+                    ends.append(len(slots))
+                    slots.append(key_of(arg))
+            remaining.append((key_of(atom.predicate), *ends, atom.predicate))
+        # order[d]: (kind, probe, subject slot, object slot) of the atom
+        # joined at depth d, once chosen.
+        order = []
         last = len(remaining) - 1
 
         def pick() -> None:
             """Move the most selective remaining atom under the current
-            binding to the end of ``order``."""
+            binding to the end of ``order``, with the probe of its access
+            path that the positions bound at this depth call for."""
             best, best_cost = 0, float("inf")
-            joined = any(key is not None for key in slots)
-            for i, (p, s_slot, s, o_slot, o, predicate) in enumerate(remaining):
-                if s_slot >= 0:
-                    s = slots[s_slot]
-                if o_slot >= 0:
-                    o = slots[o_slot]
+            joined = any(key is not None for key in slots[:n_vars])
+            size = len(store) or 1
+            for i, (p, s_slot, o_slot, predicate) in enumerate(remaining):
+                s, o = slots[s_slot], slots[o_slot]
                 if s is None and o is None:
                     cost = self._stats.predicate_count(predicate)
                     # Prefer atoms joined to the current binding: one
                     # with no bound position creates a cross product.
                     if joined:
-                        cost *= len(self._store) or 1
+                        cost *= size
                 else:
                     cost = store.count_keys(s, p, o)
                 if cost < best_cost:
                     best, best_cost = i, cost
-            order.append(remaining.pop(best))
+            p, s_slot, o_slot, _ = remaining.pop(best)
+            s, o = slots[s_slot], slots[o_slot]
+            access = store.access(
+                p, s if s_slot >= n_vars else None, o if o_slot >= n_vars else None
+            )
+            if s is None and o is None:
+                step = (_PAIRS, access.pairs)
+            elif s is None:
+                step = (_SUBJECTS, access.subjects)
+            elif o is None:
+                step = (_OBJECTS, access.objects)
+            else:
+                step = (_HAS, access.has)
+            order.append((*step, s_slot, o_slot))
 
         def extend(depth: int) -> Iterator[List[Hashable]]:
-            if depth == len(order):
-                pick()
-            p, s_slot, s, o_slot, o, _ = order[depth]
-            if s_slot >= 0:
-                s = slots[s_slot]
-            if o_slot >= 0:
-                o = slots[o_slot]
-            bind_s = s is None
-            bind_o = o is None
-            same = bind_s and bind_o and s_slot == o_slot
-            for s_key, o_key in scan(s, p, o):
-                if same and s_key != o_key:
-                    continue
-                if bind_s:
-                    slots[s_slot] = s_key
-                if bind_o:
-                    slots[o_slot] = o_key
-                if depth == last:
-                    yield slots
+            """Bind what the atom at ``depth`` leaves open (nothing at
+            -1, the root), test the fully bound atoms that follow each
+            binding in place — a test costs no iterator — and descend
+            into the next atom that binds a variable.  Slots bound here
+            are not cleared afterwards: which positions a depth reads was
+            fixed when its atom was picked, and all of them are bound
+            above it."""
+            if depth < 0:
+                kind, rows = _HAS, (None,)
+            else:
+                kind, probe, s_slot, o_slot = order[depth]
+                if kind == _OBJECTS:
+                    rows = probe(slots[s_slot])
+                elif kind == _SUBJECTS:
+                    rows = probe(slots[o_slot])
+                elif s_slot == o_slot:  # p(?x, ?x): the loops among the pairs
+                    kind, rows = _SUBJECTS, (s for s, o in probe() if s == o)
                 else:
-                    yield from extend(depth + 1)
-            if bind_s:
-                slots[s_slot] = None
-            if bind_o:
-                slots[o_slot] = None
+                    rows = probe()
+            for row in rows:
+                if kind == _OBJECTS:
+                    slots[o_slot] = row
+                elif kind == _SUBJECTS:
+                    slots[s_slot] = row
+                elif kind == _PAIRS:
+                    slots[s_slot], slots[o_slot] = row
+                deeper = depth + 1
+                while deeper <= last:
+                    if deeper == len(order):
+                        pick()
+                    test, holds, s_test, o_test = order[deeper]
+                    if test != _HAS:
+                        yield from extend(deeper)
+                        break
+                    if not holds(slots[s_test], slots[o_test]):
+                        break
+                    deeper += 1
+                else:
+                    yield slots
 
-        return extend(0)
+        return extend(-1)

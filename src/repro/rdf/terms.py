@@ -145,7 +145,7 @@ class Literal(Term):
             .replace("\r", "\\r")
             .replace("\t", "\\t")
         )
-        if any(ch in Literal._UNSAFE for ch in escaped):
+        if not Literal._UNSAFE.isdisjoint(escaped):
             escaped = "".join(
                 f"\\u{ord(ch):04x}" if ch in Literal._UNSAFE else ch
                 for ch in escaped

@@ -17,7 +17,8 @@ presentation pass over the query, :mod:`repro.query.presentation`, reads
 every term once and yields logic form, signature, SPARQL and English
 together, and the six fields are written straight to bytes),
 and :func:`encode_result` joins the fragments around a fresh
-``timings_ms``.  ``result_to_json`` / ``candidate_to_json`` /
+``timings_ms``; an ``/execute`` body's answers go from terms to bytes
+with no dict in between.  ``result_to_json`` / ``candidate_to_json`` /
 ``answers_to_json`` build the same payloads as dicts; the encoders are
 tested against them.
 """
@@ -111,6 +112,31 @@ def encode_result(result) -> bytes:
     ))
 
 
+def _encode_answers(answers) -> bytes:
+    """``json.dumps(answers_to_json(answers))`` for the answers of one
+    query, without the dicts: all of them map the same variables, so the
+    quoted keys and the signature's variable order are worked out once,
+    and an answer is two joins over its terms' ``n3()`` — its signature
+    (the sort key) and its JSON object (``{}`` when the query
+    distinguishes no variable).  Dict answers go through the reference."""
+    if not answers or isinstance(answers[0], dict):
+        return _dumps(answers_to_json(answers))
+    names = [str(var) for var in answers[0].variables]
+    keys = [json.dumps(name) + ": " for name in names]
+    by_name = sorted(range(len(names)), key=names.__getitem__)
+    prefixes = [(i, names[i] + "=") for i in by_name]
+    quote = json.encoder.encode_basestring_ascii
+    rows = []
+    for answer in answers:
+        texts = [term.n3() for term in answer.values]
+        rows.append((
+            "|".join([prefix + texts[i] for i, prefix in prefixes]),
+            ", ".join([key + quote(text) for key, text in zip(keys, texts)]),
+        ))
+    rows.sort()  # equal signatures are equal objects
+    return ("[{" + "}, {".join([row[1] for row in rows]) + "}]").encode("ascii")
+
+
 def encode_execution(candidate, answers, timings) -> bytes:
     """The ``/execute`` body: the candidate, its answers and a flat
     ``timings_ms`` (the search's stages plus ``execute``).  A worker's
@@ -119,7 +145,7 @@ def encode_execution(candidate, answers, timings) -> bytes:
         return candidate
     return b"".join((
         b'{"candidate": ', candidate.json_fragment(),
-        b', "answers": ', _dumps(answers_to_json(answers)),
+        b', "answers": ', _encode_answers(answers),
         b', "timings_ms": ', _dumps(_timings_ms(timings)),
         b"}",
     ))

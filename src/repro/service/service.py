@@ -441,8 +441,9 @@ class EngineService:
                 )
             finally:
                 self._rw.release_read()
-            if outcome[0] is not None:
-                self._ledger.record(time.monotonic() - started, "ok")
+            # A rank past the last interpretation (the front end's 404)
+            # still ran a whole search: it completed, on both tiers.
+            self._ledger.record(time.monotonic() - started, "ok")
             return outcome
         except Exception:
             self._ledger.record(0.0, "error")

@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 import struct
 from bisect import bisect_left, bisect_right
-from itertools import filterfalse
+from itertools import chain, filterfalse
 from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Tuple
 
 from repro.rdf.terms import BNode, Literal, Term, URI
@@ -698,6 +698,119 @@ _PREFIX_RUN = (
 SCAN_CHUNK = 1024
 
 
+def _equal_range(column, key, lo: int, hi: int) -> Tuple[int, int]:
+    """The rows of sorted ``column[lo:hi]`` equal to ``key``; none for a
+    term that is its own key (it has no base rows)."""
+    if type(key) is not int:
+        return lo, lo
+    lo = bisect_left(column, key, lo, hi)
+    return lo, bisect_right(column, key, lo, hi)
+
+
+def _decoded(column, lo: int, hi: int) -> Iterable[int]:
+    """``column[lo:hi]`` as ints: one list up to ``SCAN_CHUNK`` rows,
+    else decoded a chunk at a time."""
+    if hi - lo <= SCAN_CHUNK:
+        return column[lo:hi].tolist()
+    return chain.from_iterable(
+        column[a : min(a + SCAN_CHUNK, hi)].tolist()
+        for a in range(lo, hi, SCAN_CHUNK)
+    )
+
+
+def _overlaid(rows: Iterable, is_dead, delta_rows) -> Iterable:
+    """Base ``rows`` minus the tombstoned ones, then the delta's: the
+    order of every enumerating read of the tier."""
+    if is_dead:
+        rows = filterfalse(is_dead, rows)
+    return chain(rows, delta_rows) if delta_rows else rows
+
+
+class _RunAccess:
+    """One query atom's access path over the sorted runs
+    (:meth:`MmapTripleTier.access`).
+
+    What the atom's constants determine is narrowed here, once: the
+    ``(s, p)`` range of SPO when the subject is a constant, else the
+    ``(p, o)`` range of POS when the object is, else the predicate's
+    range of POS.  A probe passes the same constants again and pays only
+    for the positions they left open: ``has`` is one ``bisect_left`` on
+    the remaining sorted column plus an equality check (after narrowing
+    the object when neither end is a constant), ``objects`` /
+    ``subjects`` decode the free position's column slice and nothing
+    else.  Every probe is base rows in run order minus the predicate's
+    tombstones, then the delta's rows; the delta is probed by term, never
+    by ``Triple``, so a literal probed as a subject finds nothing.
+    """
+
+    __slots__ = ("_tier", "_p", "_fixed_s", "_fixed_o", "_subjects",
+                 "_objects", "_lo", "_hi", "_dead", "_delta")
+
+    def __init__(self, tier: "MmapTripleTier", p, s, o):
+        self._tier = tier
+        self._p = p
+        self._fixed_s = s is not None
+        self._fixed_o = o is not None
+        if tier._all_ids(s, p, o):
+            columns, self._lo, self._hi = tier._rows(s, p, None if self._fixed_s else o)
+        else:  # a constant that is its own key: no base rows
+            columns, self._lo, self._hi = tier._runs[1][1], 0, 0
+        self._subjects, _, self._objects = columns
+        self._dead = tier._tombstones.get(p, ())
+        delta = tier._delta
+        self._delta = delta.access(tier.term_of(p)) if len(delta) else None
+
+    def has(self, s, o) -> bool:
+        lo, hi = self._lo, self._hi
+        if self._fixed_s:
+            column, key = self._objects, o
+        else:
+            column, key = self._subjects, s
+            if not self._fixed_o:
+                lo, hi = _equal_range(self._objects, o, lo, hi)
+        if lo < hi and type(key) is int:
+            i = bisect_left(column, key, lo, hi)
+            if i < hi and column[i] == key and (s, o) not in self._dead:
+                return True
+        if self._delta is None:
+            return False
+        term_of = self._tier.term_of
+        return self._delta.has(term_of(s), term_of(o))
+
+    def objects(self, s) -> Iterable[Hashable]:
+        column, lo, hi = self._objects, self._lo, self._hi
+        if lo < hi and not self._fixed_s:
+            # The predicate's POS range does not help: (s, p) of SPO.
+            subjects, predicates, column = self._tier._runs[0][0]
+            lo, hi = _equal_range(subjects, s, 0, len(subjects))
+            lo, hi = _equal_range(predicates, self._p, lo, hi)
+        tier, dead, delta = self._tier, self._dead, self._delta
+        return _overlaid(
+            _decoded(column, lo, hi),
+            dead and (lambda o: (s, o) in dead),
+            delta and map(tier.key_of, delta.objects(tier.term_of(s))),
+        )
+
+    def subjects(self, o) -> Iterable[Hashable]:
+        lo, hi = self._lo, self._hi
+        if not self._fixed_o:
+            lo, hi = _equal_range(self._objects, o, lo, hi)
+        tier, dead, delta = self._tier, self._dead, self._delta
+        return _overlaid(
+            _decoded(self._subjects, lo, hi),
+            dead and (lambda s: (s, o) in dead),
+            delta and map(tier.key_of, delta.subjects(tier.term_of(o))),
+        )
+
+    def pairs(self) -> Iterable[Tuple[Hashable, Hashable]]:
+        lo, hi, key_of = self._lo, self._hi, self._tier.key_of
+        return _overlaid(
+            zip(_decoded(self._subjects, lo, hi), _decoded(self._objects, lo, hi)),
+            self._dead and self._dead.__contains__,
+            self._delta and ((key_of(s), key_of(o)) for s, o in self._delta.pairs()),
+        )
+
+
 class MmapTripleTier:
     """A ``TripleStore``-compatible tier over SPO/POS/OSP-sorted runs.
 
@@ -712,7 +825,7 @@ class MmapTripleTier:
 
     The query evaluator works in this tier's *key space*
     (:meth:`key_of` / :meth:`term_of` / :meth:`count_keys` /
-    :meth:`scan_keys`): a key is the term-table id, and a term that
+    :meth:`access`): a key is the term-table id, and a term that
     exists only in the delta overlay is its own key, so a key identifies
     one term across base rows and overlay.
     """
@@ -751,9 +864,7 @@ class MmapTripleTier:
         columns, by_position = self._runs[run]
         lo, hi = 0, self._n
         for column, position in zip(columns, prefix):
-            key = ids[position]
-            lo = bisect_left(column, key, lo, hi)
-            hi = bisect_right(column, key, lo, hi)
+            lo, hi = _equal_range(column, ids[position], lo, hi)
         return by_position, lo, hi
 
     def _ids(self, s, p, o) -> Optional[Tuple]:
@@ -858,12 +969,10 @@ class MmapTripleTier:
             terms = self._terms
             tombstones = self._tombstones
             columns, lo, hi = self._rows(*ids)
-            for a in range(lo, hi, SCAN_CHUNK):
-                b = min(a + SCAN_CHUNK, hi)
-                for sid, pid, oid in zip(*[c[a:b].tolist() for c in columns]):
-                    if tombstones and self._is_dead(sid, pid, oid):
-                        continue
-                    yield Triple(terms[sid], terms[pid], terms[oid])
+            for sid, pid, oid in zip(*[_decoded(c, lo, hi) for c in columns]):
+                if tombstones and self._is_dead(sid, pid, oid):
+                    continue
+                yield Triple(terms[sid], terms[pid], terms[oid])
         yield from self._delta.match(subject, predicate, obj)
 
     def count(
@@ -879,14 +988,6 @@ class MmapTripleTier:
         if ids is not None:
             total += self._live_base(*ids)
         return total
-
-    def subjects(self, predicate: Term, obj: Term) -> Iterator[Term]:
-        for triple in self.match(None, predicate, obj):
-            yield triple.subject
-
-    def objects(self, subject: Term, predicate: Term) -> Iterator[Term]:
-        for triple in self.match(subject, predicate, None):
-            yield triple.object
 
     def predicates(self) -> Iterator[Term]:
         terms = self._terms
@@ -916,15 +1017,6 @@ class MmapTripleTier:
     def term_of(self, key: Hashable) -> Term:
         return self._terms[key] if type(key) is int else key
 
-    def _delta_pattern(self, s, p, o):
-        """A key pattern as the terms the delta store is probed with."""
-        term_of = self.term_of
-        return (
-            None if s is None else term_of(s),
-            term_of(p),
-            None if o is None else term_of(o),
-        )
-
     @staticmethod
     def _all_ids(s, p, o) -> bool:
         """True when every bound key is a table id (a term that is its
@@ -940,26 +1032,21 @@ class MmapTripleTier:
         object keys (None = any)."""
         total = 0
         if len(self._delta):
-            total = self._delta.count(*self._delta_pattern(s, p, o))
+            term_of = self.term_of
+            total = self._delta.count(
+                None if s is None else term_of(s),
+                term_of(p),
+                None if o is None else term_of(o),
+            )
         if self._all_ids(s, p, o):
             total += self._live_base(s, p, o)
         return total
 
-    def scan_keys(self, s, p, o) -> Iterator[Tuple[Hashable, Hashable]]:
-        """``(subject key, object key)`` of every live triple with
-        predicate key ``p`` and the given subject / object keys: base
-        rows in run order, a chunk at a time, then the delta's."""
-        if self._all_ids(s, p, o):
-            (subjects, _, objects), lo, hi = self._rows(s, p, o)
-            dead = self._tombstones.get(p)
-            for a in range(lo, hi, SCAN_CHUNK):
-                b = min(a + SCAN_CHUNK, hi)
-                chunk = zip(subjects[a:b].tolist(), objects[a:b].tolist())
-                yield from filterfalse(dead.__contains__, chunk) if dead else chunk
-        if len(self._delta):
-            key_of = self.key_of
-            for st, ot in self._delta.scan_keys(*self._delta_pattern(s, p, o)):
-                yield key_of(st), key_of(ot)
+    def access(self, p, s=None, o=None) -> "_RunAccess":
+        """The access path of one query atom: predicate key ``p`` and the
+        keys of the atom's constant ends (None = a variable), narrowed
+        once for every probe the query will make of it."""
+        return _RunAccess(self, p, s, o)
 
     def __repr__(self):
         return (

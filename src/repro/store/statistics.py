@@ -1,21 +1,22 @@
-"""Cardinality statistics over a triple store, for join ordering.
+"""Predicate cardinalities of a triple store, for join ordering.
 
-The evaluator orders query atoms most-selective-first.  Estimates here are
-exact where the indexes answer them in O(1) (bound-predicate counts) and
-uniform-assumption approximations elsewhere — the classic System-R recipe
-scaled down to a triple table.
+The evaluator orders query atoms most-selective-first.  An atom with a
+bound position is counted exactly by the store itself (``count_keys``);
+what is kept here is the one count it reuses across queries — how many
+triples carry a predicate, the cost of an atom with no bound position —
+cached until the store's contents change.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
-from repro.rdf.terms import Term, Variable
+from repro.rdf.terms import Term
 from repro.store.triple_store import TripleStore
 
 
 class StoreStatistics:
-    """Selectivity estimates for triple patterns against a store."""
+    """Cached per-predicate triple counts of a store."""
 
     def __init__(self, store: TripleStore):
         self._store = store
@@ -30,38 +31,3 @@ class StoreStatistics:
     def invalidate(self) -> None:
         """Drop cached counts (call after the store's contents change)."""
         self._pred_cache.clear()
-
-    def estimate(
-        self,
-        subject: Optional[Term],
-        predicate: Optional[Term],
-        obj: Optional[Term],
-    ) -> float:
-        """Estimated result cardinality of a pattern; ``None``/Variable = free.
-
-        Patterns with a bound predicate and one bound endpoint are answered
-        exactly from the indexes; otherwise a uniform-distribution assumption
-        divides the relevant base count by the store size.
-        """
-        s = None if isinstance(subject, Variable) else subject
-        p = None if isinstance(predicate, Variable) else predicate
-        o = None if isinstance(obj, Variable) else obj
-
-        if p is not None:
-            if s is not None or o is not None:
-                return float(self._store.count(s, p, o))
-            return float(self.predicate_count(p))
-        # Unbound predicate: exact counts are still cheap for bound endpoints.
-        if s is not None or o is not None:
-            return float(self._store.count(s, None, o))
-        return float(len(self._store))
-
-    def selectivity(
-        self,
-        subject: Optional[Term],
-        predicate: Optional[Term],
-        obj: Optional[Term],
-    ) -> float:
-        """Estimated fraction of the store matched by the pattern, in [0, 1]."""
-        total = max(len(self._store), 1)
-        return self.estimate(subject, predicate, obj) / total

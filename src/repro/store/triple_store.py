@@ -4,12 +4,13 @@ Maintains the six lookup shapes a conjunctive-query evaluator needs —
 ``(s ? ?)``, ``(? p ?)``, ``(? ? o)``, ``(s p ?)``, ``(? p o)``, ``(s ? o)`` —
 via three nested hash indexes (SPO, POS, OSP), mirroring the index layout of
 RDF engines such as Jena/Sesame the paper names as its storage substrate.
+The query evaluator joins through one atom's access path at a time
+(:meth:`TripleStore.access`): four probes, each a lookup in these nests.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from itertools import repeat
 from typing import Dict, Iterable, Iterator, Optional, Set, Tuple
 
 from repro.rdf.graph import DataGraph
@@ -34,6 +35,37 @@ def ill_typed_pattern(subject: Optional[Term], predicate: Optional[Term]) -> boo
     return isinstance(subject, Literal) or (
         predicate is not None and not isinstance(predicate, URI)
     )
+
+
+class _HashAccess:
+    """One query atom's access path over the hash nests
+    (:meth:`TripleStore.access`): the four probes the evaluator joins
+    with, one of which each join depth keeps.  A probe with an ill-typed
+    key (a literal bound from an object position, probed as a subject)
+    finds no entry; no :class:`Triple` is ever constructed."""
+
+    __slots__ = ("_p", "_spo", "_by_object")
+
+    def __init__(self, store: "TripleStore", p: Term):
+        self._p = p
+        self._spo = store._spo
+        self._by_object = store._pos.get(p, {})
+
+    def has(self, s: Term, o: Term) -> bool:
+        """Is ``(s, p, o)`` stored?"""
+        return s in self._by_object.get(o, ())
+
+    def objects(self, s: Term) -> Iterable[Term]:
+        """Every ``o`` with ``(s, p, o)`` stored."""
+        return self._spo.get(s, {}).get(self._p, ())
+
+    def subjects(self, o: Term) -> Iterable[Term]:
+        """Every ``s`` with ``(s, p, o)`` stored."""
+        return self._by_object.get(o, ())
+
+    def pairs(self) -> Iterator[Tuple[Term, Term]]:
+        """``(s, o)`` of every stored triple with predicate ``p``."""
+        return ((s, o) for o, subjects in self._by_object.items() for s in subjects)
 
 
 class TripleStore:
@@ -235,30 +267,13 @@ class TripleStore:
     def count_keys(self, s: Optional[Term], p: Term, o: Optional[Term]) -> int:
         return self.count(s, p, o)
 
-    def scan_keys(
-        self, s: Optional[Term], p: Term, o: Optional[Term]
-    ) -> Iterable[Tuple[Term, Term]]:
-        """``(subject, object)`` of every triple with predicate ``p`` and
-        the given subject / object (None = any)."""
-        if s is not None:
-            objects = self._spo.get(s, {}).get(p, ())
-            if o is None:
-                return zip(repeat(s), objects)
-            return ((s, o),) if o in objects else ()
-        by_object = self._pos.get(p, {})
-        if o is not None:
-            return zip(by_object.get(o, ()), repeat(o))
-        return (
-            (subj, obj) for obj, subjects in by_object.items() for subj in subjects
-        )
-
-    def subjects(self, predicate: Term, obj: Term) -> Iterator[Term]:
-        """Subjects s with (s, predicate, obj) stored."""
-        yield from self._pos.get(predicate, {}).get(obj, ())
-
-    def objects(self, subject: Term, predicate: Term) -> Iterator[Term]:
-        """Objects o with (subject, predicate, o) stored."""
-        yield from self._spo.get(subject, {}).get(predicate, ())
+    def access(
+        self, p: Term, s: Optional[Term] = None, o: Optional[Term] = None
+    ) -> "_HashAccess":
+        """The access path of one query atom with predicate ``p``.  The
+        atom's constant ends (``s`` / ``o``) narrow nothing here: every
+        probe is a dict lookup either way."""
+        return _HashAccess(self, p)
 
     def predicates(self) -> Iterator[Term]:
         """All distinct predicates."""

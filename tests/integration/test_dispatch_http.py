@@ -111,6 +111,23 @@ def test_execute_limit_rule(request, tier):
         assert "limit" in json.loads(excinfo.value.read())["error"]
 
 
+@BOTH_TIERS
+@pytest.mark.parametrize(
+    "ask", [{"q": "2006 cimiano aifb", "rank": 99}, {"q": "zzznointerpretation"}]
+)
+def test_an_execute_past_the_last_rank_is_a_completed_request(request, tier, ask):
+    """The 404 ran a whole search: one rule in both tiers, it completed
+    (the in-process tier used to count it nowhere)."""
+    server = request.getfixturevalue(tier)
+    before = _get(f"{server.url}/stats")[1]["queries"]
+    with pytest.raises(urllib.error.HTTPError) as excinfo:
+        _post(f"{server.url}/execute", ask)
+    assert excinfo.value.code == 404
+    after = _get(f"{server.url}/stats")[1]["queries"]
+    assert after["completed"] - before["completed"] == 1
+    assert after["errors"] == before["errors"]
+
+
 #: Bodies whose fields have the wrong JSON type, and the field the 400
 #: must name.  (They were 500s in process and 400s through the workers.)
 MALFORMED_BODIES = [

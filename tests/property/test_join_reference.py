@@ -7,11 +7,16 @@ assignment of atoms to ``store.match()`` rows.  Answer *sets* must be
 equal — on random small graphs and queries, after every step of a random
 add/remove history (which on the mmap tier walks the overlay states:
 tombstoned base rows, delta-only terms, revived rows), and on a list of
-named cases that each pin one hazard of joining in key space.
+named cases that each pin one hazard of joining in key space.  Below
+the join, every state is also checked probe by probe: the four probes of
+an atom's access path (``store.access(p, s, o)``), for every way the
+atom's ends can be constants, against ``store.match()``.
 
 Pure Python on purpose: this suite must run, not skip, where numpy does
 not exist.
 """
+
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -79,6 +84,7 @@ def check(store, live, queries):
     brute force on every query — completely, and under a limit."""
     assert set(store.match()) == live
     assert len(store) == len(live)
+    check_probes(store)
     evaluator = QueryEvaluator(store)
     for q in queries:
         expected = reference_answers(store, q)
@@ -89,9 +95,55 @@ def check(store, live, queries):
         limited = evaluator.evaluate(q, limit=2)
         assert len(limited) == min(2, len(expected)), q
         assert {a.values for a in limited} <= expected, q
+        assert limited == answers[:2], q  # lazy: a prefix of the enumeration
         assert evaluator.evaluate(q, limit=0) == []
         assert evaluator.count(q) == len(expected)
         assert evaluator.has_answer(q) == bool(expected)
+
+
+#: Every key a probe can be handed: stored terms, literals (ill-typed
+#: as subjects), a constant no triple mentions, terms only a delta holds.
+PROBE_TERMS = E + LIT + [ABSENT, URI("e:new"), Literal("new")]
+PROBES = ("has", "objects", "subjects", "pairs")
+
+
+def _ordered(items):
+    return sorted(items, key=repr)  # terms are not orderable; lists keep duplicates
+
+
+def check_probes(store, probes=PROBES, predicates=P + [ABSENT]):
+    """Each probe of each access path equals brute force over ``match()``.
+
+    An access path is asked for with any subset of the atom's ends as
+    constants (the evaluator passes those same keys to every probe again)
+    and must answer alike however much it narrowed up front.  Probes that
+    enumerate return no row twice."""
+    key, term = store.key_of, store.term_of
+    for p in predicates:
+        rows = _ordered((t.subject, t.object) for t in store.match(None, p, None))
+        for s_const, o_const in product([None] + PROBE_TERMS, repeat=2):
+            access = store.access(
+                key(p),
+                None if s_const is None else key(s_const),
+                None if o_const is None else key(o_const),
+            )
+            subjects = PROBE_TERMS if s_const is None else [s_const]
+            objects = PROBE_TERMS if o_const is None else [o_const]
+            shape = (p, s_const, o_const)
+            if "has" in probes:
+                for s, o in product(subjects, objects):
+                    assert access.has(key(s), key(o)) == ((s, o) in rows), (shape, s, o)
+            if "objects" in probes and o_const is None:
+                for s in subjects:
+                    got = _ordered(term(k) for k in access.objects(key(s)))
+                    assert got == _ordered(o for s2, o in rows if s2 == s), (shape, s)
+            if "subjects" in probes and s_const is None:
+                for o in objects:
+                    got = _ordered(term(k) for k in access.subjects(key(o)))
+                    assert got == _ordered(s for s, o2 in rows if o2 == o), (shape, o)
+            if "pairs" in probes and s_const is None and o_const is None:
+                got = _ordered((term(s), term(o)) for s, o in access.pairs())
+                assert got == rows, shape
 
 
 def run_history(store, base, history, queries):
@@ -129,7 +181,7 @@ BASE = [
     Triple(E[2], P[1], LIT[1]),
     Triple(E[3], P[2], E[4]),
 ]
-NEW_ENTITY, NEW_LITERAL = URI("e:new"), Literal("new")  # never in a base run
+NEW_ENTITY, NEW_LITERAL = PROBE_TERMS[-2:]  # never in a base run
 
 QUERIES = {
     "repeated variable in one atom": ConjunctiveQuery([Atom(P[0], X, X)]),
@@ -171,6 +223,7 @@ HISTORY = [
     (True, Triple(E[1], P[0], NEW_ENTITY)),  # delta row, delta-only object
     (True, Triple(NEW_ENTITY, P[1], NEW_LITERAL)),  # delta-only subject + literal
     (True, Triple(NEW_ENTITY, P[0], E[0])),
+    (True, Triple(NEW_ENTITY, P[0], NEW_ENTITY)),  # a loop on a delta-only term
     (True, BASE[1]),  # un-tombstone
     (False, BASE[0]),
     (True, BASE[0]),  # delete, then re-add, a base row
@@ -192,3 +245,66 @@ def test_named_cases(tmp_path_factory, make_store):
 def test_empty_store(tmp_path_factory, make_store):
     store = make_store([], tmp_path_factory)
     run_history(store, [], [(True, BASE[0]), (False, BASE[0])], list(QUERIES.values()))
+
+
+# ----------------------------------------------------------------------
+# Named cases per probe: one row in one overlay state
+# ----------------------------------------------------------------------
+
+DELTA_ROW = Triple(E[3], P[0], E[4])  # both ends in the term table, the row is not
+DELTA_TERMS = Triple(NEW_ENTITY, P[1], NEW_LITERAL)
+
+#: name -> (steps applied to BASE, (subject, predicate, object), is it live)
+PROBE_CASES = {
+    "base row": ([], BASE[1], True),
+    "tombstoned base row": ([(False, BASE[1])], BASE[1], False),
+    "revived row": ([(False, BASE[1]), (True, BASE[1])], BASE[1], True),
+    "delta-only row": ([(True, DELTA_ROW)], DELTA_ROW, True),
+    "removed delta row": ([(True, DELTA_ROW), (False, DELTA_ROW)], DELTA_ROW, False),
+    "delta-only term as its own key": ([(True, DELTA_TERMS)], DELTA_TERMS, True),
+    "constant absent from the table": ([], (ABSENT, P[0], E[0]), False),
+    "predicate absent from the table": ([], (E[0], ABSENT, E[1]), False),
+    # Not a Triple: the stores must answer it by key, never construct one.
+    "literal in subject position": ([(True, DELTA_TERMS)], (LIT[0], P[1], LIT[0]), False),
+    "delta-only literal in subject position": (
+        [(True, DELTA_TERMS)], (NEW_LITERAL, P[1], NEW_LITERAL), False,
+    ),
+}
+
+
+@STORES
+@pytest.mark.parametrize("probe", PROBES)
+@pytest.mark.parametrize("case", PROBE_CASES)
+def test_named_probe_cases(tmp_path_factory, make_store, case, probe):
+    steps, (s, p, o), live = PROBE_CASES[case]
+    store = make_store(BASE, tmp_path_factory)
+    for add, t in steps:
+        assert (store.add if add else store.remove)(t)
+    key = store.key_of
+    # The row itself, through the probe under test, however the access
+    # path was narrowed ...
+    for s_const, o_const in product((None, key(s)), (None, key(o))):
+        access = store.access(key(p), s_const, o_const)
+        if probe == "has":
+            assert access.has(key(s), key(o)) == live
+        elif probe == "objects" and o_const is None:
+            assert (key(o) in list(access.objects(key(s)))) == live
+        elif probe == "subjects" and s_const is None:
+            assert (key(s) in list(access.subjects(key(o)))) == live
+        elif probe == "pairs" and s_const is None and o_const is None:
+            assert ((key(s), key(o)) in list(access.pairs())) == live
+    # ... and everything else that probe can be asked in this state.
+    check_probes(store, probes=(probe,))
+
+
+@pytest.mark.parametrize("name", QUERIES)
+def test_a_limit_keeps_the_first_answers_of_an_epoch_0_bundle(tmp_path_factory, name):
+    """On the runs alone (no tombstone, no delta) enumeration order is
+    the sorted runs': ``limit`` n is the first n of the full list, and
+    the full list is the same on a second load of the same bytes."""
+    evaluator = QueryEvaluator(mmap_tier(BASE, tmp_path_factory))
+    again = QueryEvaluator(mmap_tier(BASE, tmp_path_factory))
+    full = evaluator.evaluate(QUERIES[name])
+    assert again.evaluate(QUERIES[name]) == full
+    for n in range(len(full) + 2):
+        assert evaluator.evaluate(QUERIES[name], limit=n) == full[:n]

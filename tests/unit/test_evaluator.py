@@ -1,5 +1,7 @@
 """Unit tests for conjunctive-query evaluation (Definition 3)."""
 
+from collections import Counter
+
 import pytest
 
 from repro.datasets.example import EX
@@ -7,6 +9,7 @@ from repro.query.conjunctive import Atom, ConjunctiveQuery
 from repro.query.evaluator import QueryEvaluator
 from repro.rdf.namespace import RDF
 from repro.rdf.terms import Literal, Variable
+from repro.rdf.triples import Triple
 from repro.store.triple_store import TripleStore
 
 x, y, z = Variable("x"), Variable("y"), Variable("z")
@@ -122,3 +125,82 @@ def test_answer_keyerror(evaluator):
     answer = evaluator.evaluate(query)[0]
     with pytest.raises(KeyError):
         answer[Variable("nope")]
+
+
+# ----------------------------------------------------------------------
+# What a join costs, by count: probes of access paths, not scans
+# ----------------------------------------------------------------------
+
+
+class CountingStore:
+    """A store that counts what the evaluator asks of it."""
+
+    def __init__(self, store):
+        self._store = store
+        self.resolved = Counter()  # term -> key_of calls
+        self.paths = []  # (p, s, o) of every access path handed out
+        self.probes = Counter()  # ((p, s, o), probe name) -> calls
+
+    def __getattr__(self, name):
+        return getattr(self._store, name)
+
+    def __len__(self):
+        return len(self._store)
+
+    def key_of(self, term):
+        self.resolved[term] += 1
+        return self._store.key_of(term)
+
+    def access(self, p, s=None, o=None):
+        self.paths.append((p, s, o))
+        return CountingAccess(self._store.access(p, s, o), (p, s, o), self.probes)
+
+
+class CountingAccess:
+    def __init__(self, access, path, probes):
+        self._access, self._path, self._probes = access, path, probes
+
+    def __getattr__(self, probe):
+        def counted(*keys):
+            self._probes[self._path, probe] += 1
+            return getattr(self._access, probe)(*keys)
+
+        return counted
+
+
+def test_a_fully_bound_atom_is_one_membership_test_per_binding():
+    """``type(?x, A) ∧ type(?y, B) ∧ r(?x, ?y)``: once ?x and ?y are
+    bound, the remaining type atom is a filter — one ``has`` per binding
+    and nothing that enumerates — and an atom's constants are resolved
+    once per query, not once per binding."""
+    A, B, r = EX.A, EX.B, EX.r
+    xs = [EX[f"x{i}"] for i in range(3)]  # fewer As than Bs: ?x is bound first
+    ys = [EX[f"y{i}"] for i in range(6)]
+    targets = ys + [EX.other0, EX.other1]
+    edges = [(s, t) for i, s in enumerate(xs) for j, t in enumerate(targets) if (i + j) % 2]
+    edges += [(EX.stranger, ys[0])]  # an r-row whose subject is no A
+    store = CountingStore(TripleStore(
+        [Triple(s, RDF.type, A) for s in xs]
+        + [Triple(o, RDF.type, B) for o in ys]
+        + [Triple(s, r, o) for s, o in edges]
+    ))
+    query = ConjunctiveQuery(
+        [Atom(RDF.type, x, A), Atom(RDF.type, y, B), Atom(r, x, y)]
+    )
+    answers = QueryEvaluator(store).evaluate(query)
+    joined = [(s, o) for s, o in edges if s in xs]
+    assert {a.values for a in answers} == {(s, o) for s, o in joined if o in ys}
+    assert 0 < len(answers) < len(joined)  # the filter rejects some bindings
+
+    # One access path per atom, asked for once, with the atom's constants.
+    assert sorted(store.paths, key=repr) == sorted(
+        [(RDF.type, None, A), (RDF.type, None, B), (r, None, None)], key=repr
+    )
+    assert store.resolved == {RDF.type: 2, A: 1, B: 1, r: 1}
+    # type(?x, A) is enumerated once, r(?x, ?y) once per ?x, and
+    # type(?y, B) — fully bound by then — is tested once per (?x, ?y).
+    assert store.probes == {
+        ((RDF.type, None, A), "subjects"): 1,
+        ((r, None, None), "objects"): len(xs),
+        ((RDF.type, None, B), "has"): len(joined),
+    }

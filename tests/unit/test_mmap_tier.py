@@ -192,6 +192,28 @@ def _id_tier(rows):
     return MmapTripleTier(*runs, len(rows), None)
 
 
+def _probe(tier, s, p, o):
+    """The ``(subject key, object key)`` rows of a key pattern (None =
+    any), through the probe of the atom's access path that the pattern
+    calls for — ``has`` / ``objects`` / ``subjects`` / ``pairs`` — asked
+    of every access path that may serve it (the bound ends narrowed up
+    front as the atom's constants, or not): all of them must agree."""
+    answers = []
+    for s_const, o_const in itertools.product({None, s}, {None, o}):
+        access = tier.access(p, s_const, o_const)
+        if s is None and o is None:
+            rows = list(access.pairs())
+        elif s is None:
+            rows = [(key, o) for key in access.subjects(o)]
+        elif o is None:
+            rows = [(s, key) for key in access.objects(s)]
+        else:
+            rows = [(s, o)] if access.has(s, o) else []
+        answers.append(sorted(rows, key=repr))
+    assert all(rows == answers[0] for rows in answers), (s, p, o)
+    return answers[0]
+
+
 def _oracle(rows, pattern):
     return sorted(
         r for r in rows if all(want in (None, got) for want, got in zip(pattern, r))
@@ -230,7 +252,7 @@ def test_range_function_on_an_empty_tier():
         assert _read(tier, pattern) == ([], 0, 0)
     assert len(tier) == 0
     assert tier.count_keys(None, 0, None) == 0
-    assert list(tier.scan_keys(None, 0, None)) == []
+    assert _probe(tier, None, 0, None) == []
 
 
 def test_scans_cross_chunk_boundaries(monkeypatch):
@@ -239,26 +261,35 @@ def test_scans_cross_chunk_boundaries(monkeypatch):
     for p in (0, 2, 4):
         rows = _oracle(ID_ROWS, (None, p, None))
         assert len(rows) > 3 * 4  # several chunks, the last one short
-        assert sorted(tier.scan_keys(None, p, None)) == [(s, o) for s, _, o in rows]
+        assert sorted(_probe(tier, None, p, None)) == [(s, o) for s, _, o in rows]
         assert tier.count_keys(None, p, None) == len(rows)
-        for s in (0, 1, 8):
-            expect = [(r[0], r[2]) for r in _oracle(ID_ROWS, (s, p, None))]
-            assert sorted(tier.scan_keys(s, p, None)) == expect
+        for key in (0, 1, 8):
+            expect = [(r[0], r[2]) for r in _oracle(ID_ROWS, (key, p, None))]
+            assert sorted(_probe(tier, key, p, None)) == expect
+            expect = [(r[0], r[2]) for r in _oracle(ID_ROWS, (None, p, key))]
+            assert sorted(_probe(tier, None, p, key)) == expect
+            for s, o in itertools.product((0, 1, 8), repeat=2):
+                assert _probe(tier, s, p, o) == [(s, o)] * ((s, p, o) in ID_ROWS)
     # Tombstones are dropped inside a chunk and at its edges alike.
     victims = _oracle(ID_ROWS, (None, 2, None))[3:9]
     for s, p, o in victims:
         tier._tombstones.setdefault(p, set()).add((s, o))
         tier._n_dead += 1
     live = [r for r in ID_ROWS if r not in victims]
-    assert sorted(tier.scan_keys(None, 2, None)) == [
+    assert sorted(_probe(tier, None, 2, None)) == [
         (s, o) for s, _, o in _oracle(live, (None, 2, None))
     ]
+    for s, p, o in victims:
+        assert _probe(tier, s, p, o) == []
+        assert (s, o) not in _probe(tier, s, p, None)
+        assert (s, o) not in _probe(tier, None, p, o)
     assert tier.count_keys(None, 2, None) == len(_oracle(live, (None, 2, None)))
 
 
 def _assert_counts_are_scan_lengths(tier, reference, probes):
-    """``count`` is ``len(match)`` and ``count_keys`` is ``len(scan_keys)``
-    for all eight patterns of every probe, and both equal the reference."""
+    """``count`` is ``len(match)`` and ``count_keys`` is the number of
+    rows the pattern's probe returns, for all eight patterns of every
+    probe triple, and both equal the reference."""
     for t in probes:
         for s, p, o in itertools.product(
             (t.subject, None), (t.predicate, None), (t.object, None)
@@ -268,7 +299,7 @@ def _assert_counts_are_scan_lengths(tier, reference, probes):
             assert set(matched) == set(reference.match(s, p, o)), (s, p, o)
             if p is not None:
                 keys = [None if x is None else tier.key_of(x) for x in (s, p, o)]
-                pairs = list(tier.scan_keys(*keys))
+                pairs = _probe(tier, *keys)
                 assert len(pairs) == tier.count_keys(*keys) == len(matched), (s, p, o)
                 assert {(tier.term_of(a), tier.term_of(b)) for a, b in pairs} == {
                     (m.subject, m.object) for m in matched

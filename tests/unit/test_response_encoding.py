@@ -17,6 +17,7 @@ bytes from the commit before ``str(query)`` / ``to_sparql`` / ``verbalize``
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from test_query_mapping import (
     build_graph,
@@ -33,11 +34,12 @@ from repro.datasets.workloads import (
 )
 from repro.quality.signatures import query_signature
 from repro.query.conjunctive import Atom, ConjunctiveQuery
+from repro.query.evaluator import Answer
 from repro.query.nlg import verbalize
 from repro.query.sparql import to_sparql
 from repro.rdf.graph import DataGraph
 from repro.rdf.namespace import Namespace
-from repro.rdf.terms import URI, Literal, Variable
+from repro.rdf.terms import BNode, URI, Literal, Variable
 from repro.service.http import (
     _encode_outcome,
     answers_to_json,
@@ -452,6 +454,106 @@ def test_execution_and_batch_outcomes_use_the_same_fragments(example_graph):
     assert json.loads(_encode_outcome(expired)) == {
         "index": 2, "status": "timeout", "latency_ms": 0.0,
     }
+
+
+# ----------------------------------------------------------------------
+# /execute answers: written straight to bytes, against the dict reference
+# ----------------------------------------------------------------------
+
+
+class _Candidate:
+    """All ``encode_execution`` reads of a candidate."""
+
+    def json_fragment(self):
+        return b'{"rank": 1}'
+
+
+def _assert_answer_bytes(answers):
+    timings = {"total": 0.0015, "execute": 0.002}
+    expected = json.dumps(
+        {"candidate": {"rank": 1}, "answers": answers_to_json(answers),
+         "timings_ms": {stage: 1000 * s for stage, s in timings.items()}}
+    ).encode("ascii")
+    assert encode_execution(_Candidate(), answers, timings) == expected
+    return expected
+
+
+def _answers(variables, *rows):
+    return [Answer(tuple(variables), tuple(row)) for row in rows]
+
+
+A, B = URI("u:a"), URI("u:b")
+
+ANSWER_CASES = {
+    "no answers": [],
+    # A naive "{" + ", ".join(...) + "}" per answer gets this one wrong
+    # first: a query that distinguishes nothing answers with one `{}`.
+    "no distinguished variable": _answers((), ()),
+    "one variable": _answers((X,), (B,), (A,)),
+    "distinguished order is not name order": _answers(
+        (Y, X), (A, B), (B, A), (A, A)
+    ),
+    "values with the signature's own separators": _answers(
+        (X, Y), (URI("u:a|?y=<u:b>"), A), (A, URI("u:b=|")), (URI("u:a|"), URI("=")),
+    ),
+    "signatures that differ only after a |": _answers(
+        (X, Y), (A, URI("u:z")), (A, URI("u:b")), (A, URI("u:b|"))
+    ),
+    "a | sorts after what a shorter value ends with": _answers(
+        (X, Y), (URI("u:a}"), A), (URI("u:a"), B), (URI("u:a!"), A)
+    ),
+    "text JSON must escape": _answers(
+        (X,), (Literal('say "hi" \\ back\\slash'),), (Literal("line\nbreak\ttab"),),
+        (Literal("caf\u00e9 \u4e2d\u6587 \U0001f600"),), (Literal("\x00\x1f\x7f\u2028"),),
+    ),
+    "language-tagged and datatyped literals": _answers(
+        (X, Y),
+        (Literal("chat", language="fr"), Literal("7", datatype=URI("u:int"))),
+        (Literal("chat"), Literal("7")),
+        (Literal("chat", language="en"), Literal("7", datatype=URI("u:long"))),
+    ),
+    "blank nodes": _answers((X, Y), (BNode("b1"), A), (BNode("b0"), BNode("b1"))),
+    "a variable name JSON must escape": _answers(
+        (Variable('q"uote'), Variable("caf\u00e9")), (A, B), (B, A)
+    ),
+    "dict answers pass through the reference": [
+        {"?y": "<u:b>", "?x": "<u:a>"}, {"?x": "<u:a>", "?y": "<u:a>"},
+    ],
+}
+
+
+@pytest.mark.parametrize("name", ANSWER_CASES)
+def test_answer_bytes_equal_the_dict_reference(name):
+    _assert_answer_bytes(ANSWER_CASES[name])
+
+
+def test_an_answer_with_no_variables_is_an_empty_object():
+    assert b'"answers": [{}]' in _assert_answer_bytes(_answers((), ()))
+    assert b'"answers": []' in _assert_answer_bytes([])
+
+
+_names = st.text(min_size=1).filter(lambda name: not name.startswith("?"))
+_terms = st.one_of(
+    st.builds(URI, st.text(min_size=1)),
+    st.builds(BNode, st.text(min_size=1)),
+    st.builds(Literal, st.text()),
+    st.builds(Literal, st.text(), language=st.sampled_from(["en", "de-CH"])),
+    st.builds(Literal, st.text(), datatype=st.builds(URI, st.text(min_size=1))),
+)
+
+
+@st.composite
+def _answer_lists(draw):
+    variables = tuple(map(Variable, draw(st.lists(_names, unique=True, max_size=4))))
+    row = st.tuples(*[_terms] * len(variables))
+    # Distinct rows, as the evaluator emits them.
+    return _answers(variables, *draw(st.lists(row, unique=True, max_size=8)))
+
+
+@given(_answer_lists())
+@settings(max_examples=200, deadline=None)
+def test_answer_bytes_equal_the_dict_reference_on_any_terms(answers):
+    _assert_answer_bytes(answers)
 
 
 def test_encoded_bytes_pass_through_the_tier_seam():

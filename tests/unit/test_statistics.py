@@ -1,7 +1,6 @@
 """Unit tests for store cardinality statistics."""
 
 from repro.rdf.namespace import Namespace
-from repro.rdf.terms import Variable
 from repro.rdf.triples import Triple
 from repro.store.statistics import StoreStatistics
 from repro.store.triple_store import TripleStore
@@ -25,31 +24,3 @@ def test_predicate_count_exact_and_cached():
     _, stats = make_stats()
     assert stats.predicate_count(EX.p) == 3
     assert stats.predicate_count(EX.p) == 3  # cached path
-
-
-def test_estimate_bound_predicate():
-    _, stats = make_stats()
-    assert stats.estimate(None, EX.p, None) == 3.0
-
-
-def test_estimate_fully_bound_pattern():
-    _, stats = make_stats()
-    assert stats.estimate(EX.a, EX.p, None) == 2.0
-    assert stats.estimate(None, EX.p, EX.c) == 2.0
-    assert stats.estimate(EX.a, EX.p, EX.b) == 1.0
-
-
-def test_variables_treated_as_free(fake=Variable("x")):
-    _, stats = make_stats()
-    assert stats.estimate(fake, EX.p, fake) == 3.0
-
-
-def test_estimate_unbound_predicate_with_endpoint():
-    _, stats = make_stats()
-    assert stats.estimate(EX.a, None, None) == 3.0
-
-
-def test_selectivity_in_unit_interval():
-    _, stats = make_stats()
-    assert 0.0 <= stats.selectivity(None, EX.p, None) <= 1.0
-    assert stats.selectivity(None, None, None) == 1.0

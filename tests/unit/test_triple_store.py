@@ -80,9 +80,19 @@ def test_count_agrees_with_match(store, pattern):
     assert store.count(*pattern) == len(list(store.match(*pattern)))
 
 
-def test_subjects_objects_helpers(store):
-    assert set(store.subjects(EX.p, EX.c)) == {EX.a, EX.b}
-    assert set(store.objects(EX.a, EX.p)) == {EX.b, EX.c}
+def test_access_path_probes(store):
+    """The evaluator's four probes of one atom's access path; the atom's
+    constants may be given up front and change nothing."""
+    for access in (store.access(EX.p), store.access(EX.p, EX.a, EX.c)):
+        assert set(access.subjects(EX.c)) == {EX.a, EX.b}
+        assert set(access.objects(EX.a)) == {EX.b, EX.c}
+        assert access.has(EX.a, EX.c) and not access.has(EX.c, EX.a)
+    assert sorted(store.access(EX.p).pairs(), key=repr) == sorted(
+        ((t.subject, t.object) for t in store.match(None, EX.p, None)), key=repr
+    )
+    absent = store.access(EX.z)
+    assert not absent.has(EX.a, EX.b) and list(absent.pairs()) == []
+    assert list(absent.objects(EX.a)) == list(absent.subjects(EX.b)) == []
 
 
 def test_predicates(store):
