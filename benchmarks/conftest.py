@@ -29,40 +29,6 @@ RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 _REPORTS = defaultdict(list)
 
 
-def pytest_addoption(parser):
-    # Only usable when benchmarks/ is on the initial command line; in a
-    # root-level `pytest` run this conftest is imported during collection,
-    # after the command line was parsed, so the options exist at their
-    # defaults only — consumers read them through
-    # `config.getoption("--eval-bundle", None)`.
-    parser.addoption(
-        "--eval-bundle",
-        default=None,
-        help="score the Fig. 4 effectiveness study against this "
-        ".reprobundle instead of building the offline layer fresh",
-    )
-    parser.addoption(
-        "--eval-bundle-dataset",
-        choices=("dblp", "tap"),
-        default="dblp",
-        help="which Fig. 4 workload --eval-bundle holds data for "
-        "(default dblp)",
-    )
-
-
-@pytest.fixture(scope="session")
-def eval_bundle_config(pytestconfig):
-    """``(path, dataset)`` of the bundle under evaluation,
-    or ``None`` when the study runs on freshly built engines."""
-    path = pytestconfig.getoption("--eval-bundle", None)
-    if not path:
-        return None
-    return (
-        path,
-        pytestconfig.getoption("--eval-bundle-dataset", "dblp"),
-    )
-
-
 class Report:
     """Accumulates printable rows for one figure reproduction."""
 

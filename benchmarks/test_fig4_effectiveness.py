@@ -17,22 +17,22 @@ from repro.datasets import (
     dblp_effectiveness_workload,
     tap_effectiveness_workload,
 )
-from repro.eval.effectiveness import evaluate_effectiveness
+from repro.quality import intent_reciprocal_rank, mean_of
 
 COST_MODELS = ("c1", "c2", "c3")
 
 
-def _bundle_engines(path):
-    """One engine per cost model, all serving the same loaded bundle."""
+def reciprocal_ranks(engine, workload):
+    """Each workload entry's RR over the engine's top 10, by qid."""
     return {
-        name: KeywordSearchEngine.load(
-            path, attach_wal=False, cost_model=name, k=10
+        entry.qid: intent_reciprocal_rank(
+            engine.search(entry.keywords, k=10).queries, entry.intent
         )
-        for name in COST_MODELS
+        for entry in workload
     }
 
 
-def _fresh_engines(graph):
+def _engines(graph):
     base = KeywordSearchEngine(graph, cost_model="c3", k=10)
     return {
         name: KeywordSearchEngine(
@@ -47,17 +47,13 @@ def _fresh_engines(graph):
 
 
 @pytest.fixture(scope="module")
-def dblp_engines(request, eval_bundle_config):
-    if eval_bundle_config and eval_bundle_config[1] == "dblp":
-        return _bundle_engines(eval_bundle_config[0])
-    return _fresh_engines(request.getfixturevalue("dblp_effectiveness_graph"))
+def dblp_engines(dblp_effectiveness_graph):
+    return _engines(dblp_effectiveness_graph)
 
 
 @pytest.fixture(scope="module")
-def tap_engines(request, eval_bundle_config):
-    if eval_bundle_config and eval_bundle_config[1] == "tap":
-        return _bundle_engines(eval_bundle_config[0])
-    return _fresh_engines(request.getfixturevalue("tap_graph"))
+def tap_engines(tap_graph):
+    return _engines(tap_graph)
 
 
 @pytest.mark.parametrize("cost_model", COST_MODELS)
@@ -65,14 +61,12 @@ def test_fig4_dblp_mrr(benchmark, dblp_engines, cost_model, report):
     workload = dblp_effectiveness_workload()
     engine = dblp_engines[cost_model]
 
-    result = benchmark.pedantic(
-        lambda: evaluate_effectiveness(engine, workload, k=10),
-        rounds=1,
-        iterations=1,
+    ranks = benchmark.pedantic(
+        lambda: reciprocal_ranks(engine, workload), rounds=1, iterations=1
     )
 
     rep = report("fig4_effectiveness")
-    rep.line(f"DBLP MRR with {cost_model.upper()}: {result.mrr:.3f}")
+    rep.line(f"DBLP MRR with {cost_model.upper()}: {mean_of(ranks.values()):.3f}")
     if cost_model == COST_MODELS[-1]:
         _emit_per_query_table(report, dblp_engines, workload, "DBLP")
 
@@ -81,27 +75,26 @@ def test_fig4_dblp_mrr(benchmark, dblp_engines, cost_model, report):
 def test_fig4_tap_mrr(benchmark, tap_engines, cost_model, report):
     workload = tap_effectiveness_workload()
     engine = tap_engines[cost_model]
-    result = benchmark.pedantic(
-        lambda: evaluate_effectiveness(engine, workload, k=10),
-        rounds=1,
-        iterations=1,
+    ranks = benchmark.pedantic(
+        lambda: reciprocal_ranks(engine, workload), rounds=1, iterations=1
     )
     report("fig4_effectiveness").line(
-        f"TAP MRR with {cost_model.upper()}: {result.mrr:.3f}"
+        f"TAP MRR with {cost_model.upper()}: {mean_of(ranks.values()):.3f}"
     )
 
 
 def test_fig4_shape_holds(benchmark, dblp_engines, report):
     """The qualitative Fig. 4 claims, asserted."""
     workload = dblp_effectiveness_workload()
-    reports = {
-        name: evaluate_effectiveness(engine, workload, k=10)
+    ranks = {
+        name: reciprocal_ranks(engine, workload)
         for name, engine in dblp_engines.items()
     }
-    assert reports["c2"].mrr >= reports["c1"].mrr
-    assert reports["c3"].mrr >= reports["c2"].mrr
+    mrr = {name: mean_of(by_qid.values()) for name, by_qid in ranks.items()}
+    assert mrr["c2"] >= mrr["c1"]
+    assert mrr["c3"] >= mrr["c2"]
     for entry in workload:
-        assert reports["c3"].rr(entry.qid) >= reports["c2"].rr(entry.qid) - 1e-9
+        assert ranks["c3"][entry.qid] >= ranks["c2"][entry.qid] - 1e-9
 
     rep = report("fig4_effectiveness")
     rep.line()
@@ -112,8 +105,8 @@ def test_fig4_shape_holds(benchmark, dblp_engines, report):
 
 
 def _emit_per_query_table(report, engines, workload, dataset):
-    reports = {
-        name: evaluate_effectiveness(engine, workload, k=10)
+    ranks = {
+        name: reciprocal_ranks(engine, workload)
         for name, engine in engines.items()
     }
     rep = report("fig4_effectiveness")
@@ -123,9 +116,9 @@ def _emit_per_query_table(report, engines, workload, dataset):
         (
             entry.qid,
             " ".join(entry.keywords),
-            f"{reports['c1'].rr(entry.qid):.2f}",
-            f"{reports['c2'].rr(entry.qid):.2f}",
-            f"{reports['c3'].rr(entry.qid):.2f}",
+            f"{ranks['c1'][entry.qid]:.2f}",
+            f"{ranks['c2'][entry.qid]:.2f}",
+            f"{ranks['c3'][entry.qid]:.2f}",
         )
         for entry in workload
     ]

@@ -26,7 +26,8 @@ Package map (mirrors the paper's architecture, Fig. 2):
 * :mod:`repro.store` — the triple store queries execute on
 * :mod:`repro.baselines` — BANKS / bidirectional / BLINKS-style comparators
 * :mod:`repro.datasets` — DBLP/LUBM/TAP-style generators + workloads
-* :mod:`repro.eval` — MRR and index statistics
+* :mod:`repro.quality` — the paper's intent MRR (Fig. 4), golden-case
+  Recall@k / MRR / nDCG@k and the ``repro eval`` regression gate
 * :mod:`repro.maintenance` — incremental index maintenance (epochs)
 * :mod:`repro.service` — snapshot-isolated concurrent serving + HTTP
 """

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.keyword.analysis import Analyzer
+from repro.keyword.analysis import DEFAULT_ANALYZER
 from repro.rdf.graph import DataGraph
 from repro.rdf.namespace import local_name
 from repro.rdf.terms import Term, URI
@@ -25,9 +25,8 @@ from repro.rdf.terms import Term, URI
 class EntityGraphView:
     """Adjacency + keyword index over the entity-level data graph."""
 
-    def __init__(self, graph: DataGraph, analyzer: Optional[Analyzer] = None):
+    def __init__(self, graph: DataGraph):
         self._graph = graph
-        self._analyzer = analyzer or Analyzer()
 
         # Node universe: entities + classes, with integer ids for speed.
         self._nodes: List[Term] = []
@@ -54,7 +53,7 @@ class EntityGraphView:
         return node_id
 
     def _index_text(self, node_id: int, text: str) -> None:
-        for term in self._analyzer.analyze_unique(text):
+        for term in DEFAULT_ANALYZER.analyze_unique(text):
             self._term_to_nodes.setdefault(term, set()).add(node_id)
 
     def _build(self) -> None:
@@ -122,7 +121,7 @@ class EntityGraphView:
 
     def keyword_nodes(self, keyword: str) -> FrozenSet[int]:
         """Nodes whose text contains every analyzed term of the keyword."""
-        terms = self._analyzer.analyze_unique(keyword)
+        terms = DEFAULT_ANALYZER.analyze_unique(keyword)
         if not terms:
             return frozenset()
         result: Optional[Set[int]] = None

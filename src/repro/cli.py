@@ -821,6 +821,7 @@ def _load_eval_goldens(args, include_unblessed: bool):
 
 def _eval_engine_from_args(args):
     from repro.quality import build_eval_engine
+    from repro.storage import BundleError, WalError
 
     try:
         return build_eval_engine(
@@ -835,6 +836,8 @@ def _eval_engine_from_args(args):
         )
     except ValueError as exc:
         raise SystemExit(f"repro eval: {exc}")
+    except (FileNotFoundError, BundleError, WalError) as exc:
+        raise SystemExit(f"repro eval: --bundle: {exc}") from exc
 
 
 def _print_aggregates(report, deltas=None) -> None:

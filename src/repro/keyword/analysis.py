@@ -74,3 +74,9 @@ class Analyzer:
     def analyze_unique(self, text: str) -> List[str]:
         """Like :meth:`analyze` but with duplicates removed, order kept."""
         return list(dict.fromkeys(self.analyze(text)))
+
+
+#: The one analysis chain every index analyzes with — the keyword index,
+#: the bundle builder and the baselines' entity view.  A bundle stores
+#: postings, not code, so it round-trips only because there is no other.
+DEFAULT_ANALYZER = Analyzer()

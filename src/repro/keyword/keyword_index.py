@@ -38,10 +38,10 @@ from typing import (
 
 from repro.util import cache_stats_shape
 
-from repro.keyword.analysis import Analyzer
+from repro.keyword.analysis import DEFAULT_ANALYZER
 from repro.keyword.inverted_index import InvertedIndex
 from repro.keyword.levenshtein import levenshtein, similarity
-from repro.keyword.synonyms import DEFAULT_LEXICON, SynonymLexicon
+from repro.keyword.synonyms import DEFAULT_LEXICON
 from repro.rdf.graph import DataGraph, VertexKind
 from repro.rdf.namespace import local_name
 from repro.rdf.terms import Literal, Term, URI
@@ -294,11 +294,10 @@ class KeywordIndex:
     ----------
     graph:
         The data graph whose C-vertices, V-vertices, and edge labels are
-        indexed.
-    analyzer:
-        Lexical analysis chain; defaults to tokenize+stopwords+Porter.
-    lexicon:
-        Synonym/hypernym table; defaults to the bundled offline lexicon.
+        indexed.  Labels and keywords go through the one analysis chain
+        (:data:`~repro.keyword.analysis.DEFAULT_ANALYZER`:
+        tokenize+stopwords+Porter) and the bundled offline lexicon
+        (:data:`~repro.keyword.synonyms.DEFAULT_LEXICON`).
     fuzzy_max_distance:
         Levenshtein bound for imprecise matching (0 disables fuzzy lookup).
     max_matches_per_keyword:
@@ -314,15 +313,11 @@ class KeywordIndex:
     def __init__(
         self,
         graph: DataGraph,
-        analyzer: Optional[Analyzer] = None,
-        lexicon: Optional[SynonymLexicon] = None,
         fuzzy_max_distance: int = 1,
         max_matches_per_keyword: int = 8,
         lookup_cache_size: int = 1024,
     ):
         self._graph = graph
-        self._analyzer = analyzer or Analyzer()
-        self._lexicon = lexicon if lexicon is not None else DEFAULT_LEXICON
         self._fuzzy_max_distance = fuzzy_max_distance
         self._max_matches = max_matches_per_keyword
 
@@ -371,7 +366,7 @@ class KeywordIndex:
             )
 
     def _label_terms(self, kind: str, element) -> List[str]:
-        return self._analyzer.analyze(
+        return DEFAULT_ANALYZER.analyze(
             element_label_text(kind, element, self._graph.label_of)
         )
 
@@ -492,22 +487,6 @@ class KeywordIndex:
     # Persistence (used by repro.storage)
     # ------------------------------------------------------------------
 
-    def uses_default_analysis(self) -> bool:
-        """True when analyzer and lexicon are the stock configuration.
-
-        The bundle format stores no code, so only the default analysis
-        chain round-trips; a custom analyzer or lexicon makes the index
-        unsaveable (the storage layer refuses loudly rather than load an
-        index whose future maintenance would analyze differently).
-        """
-        default = Analyzer()
-        analyzer = self._analyzer
-        return (
-            type(analyzer) is Analyzer
-            and analyzer.__dict__ == default.__dict__
-            and self._lexicon is DEFAULT_LEXICON
-        )
-
     def settings(self) -> Dict[str, object]:
         """The constructor settings a bundle header records, under their
         constructor names (the bundle builder takes them by the same)."""
@@ -533,16 +512,12 @@ class KeywordIndex:
     ) -> "KeywordIndex":
         """Reconstitute an index around restored postings and refcounts.
 
-        The analysis chain is the stock one (see
-        :meth:`uses_default_analysis` — the save side enforces it), the
-        mutation ``version`` is carried over so the restored index's
+        The mutation ``version`` is carried over so the restored index's
         :attr:`snapshot_key` equals the saved one, and the lookup memo
         starts cold.
         """
         index = cls.__new__(cls)
         index._graph = graph
-        index._analyzer = Analyzer()
-        index._lexicon = DEFAULT_LEXICON
         index._fuzzy_max_distance = fuzzy_max_distance
         index._max_matches = max_matches
         index.version = version
@@ -629,7 +604,7 @@ class KeywordIndex:
         terms whose posting lists the answer was read from."""
         if consulted is None:
             consulted = set()
-        terms = self._analyzer.analyze_unique(keyword)
+        terms = DEFAULT_ANALYZER.analyze_unique(keyword)
         if not terms:
             return []
 
@@ -683,7 +658,7 @@ class KeywordIndex:
         for posting in self._index.lookup(term):
             _offer(posting.element, 1.0, posting.label_terms)
 
-        for related_term, rel_factor in self._lexicon.related(term):
+        for related_term, rel_factor in DEFAULT_LEXICON.related(term):
             consulted.add(related_term)
             for posting in self._index.lookup(related_term):
                 _offer(posting.element, rel_factor, posting.label_terms)

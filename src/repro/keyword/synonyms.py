@@ -155,5 +155,5 @@ def _build_default() -> SynonymLexicon:
     return lex
 
 
-#: The lexicon used by default when building a :class:`KeywordIndex`.
+#: The lexicon every :class:`KeywordIndex` expands keywords through.
 DEFAULT_LEXICON = _build_default()

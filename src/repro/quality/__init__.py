@@ -18,7 +18,8 @@ Layout
     Canonical, JSON-storable ids for query candidates and answers —
     stable across index tiers, worker processes, and hash seeds.
 ``metrics``
-    Pure ranking metrics over signature lists and graded relevance.
+    Pure ranking metrics over signature lists and graded relevance, and
+    the paper's intent reciprocal rank (Fig. 4's MRR is its mean).
 ``goldens``
     The versioned golden-case JSONL format (load/save/validate).
 ``runner``
@@ -40,6 +41,7 @@ from repro.quality.goldens import (
     save_goldens,
 )
 from repro.quality.metrics import (
+    intent_reciprocal_rank,
     mean_of,
     ndcg_at_k,
     recall_at_k,
@@ -82,6 +84,7 @@ __all__ = [
     "compare_to_baseline",
     "diff_reports",
     "evaluate_quality",
+    "intent_reciprocal_rank",
     "load_baseline",
     "load_goldens",
     "load_report",

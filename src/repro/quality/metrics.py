@@ -1,9 +1,11 @@
 """Ranking metrics over signature lists with graded relevance.
 
-All functions take a ranked list of item signatures and a relevance
-mapping ``{signature: grade}`` with grades > 0 (a grade of 0 is treated
-as "not relevant" and dropped).  Three conventions, chosen so the
-aggregate never silently averages apples with absences:
+The graded functions take a ranked list of item signatures and a
+relevance mapping ``{signature: grade}`` with grades > 0 (a grade of 0
+is treated as "not relevant" and dropped); :func:`intent_reciprocal_rank`
+is the paper's own RR, over ranked queries and an intent spec.  Three
+conventions, chosen so the aggregate never silently averages apples
+with absences:
 
 * **Missing goldens** (no relevant items for a case) make every metric
   *undefined* — the functions return ``None`` and :func:`mean_of`
@@ -57,6 +59,23 @@ def reciprocal_rank_graded(
         return None
     for rank, sig in enumerate(dedupe_ranked(ranked), start=1):
         if sig in relevant:
+            return 1.0 / rank
+    return 0.0
+
+
+def intent_reciprocal_rank(queries: Sequence, intent) -> Optional[float]:
+    """The paper's RR (Section VII-A): 1/rank of the first query the
+    workload entry's intent spec matches; 0.0 if none of them does.
+
+    ``intent`` is an :class:`~repro.datasets.workloads.IntentSpec`, or
+    ``None`` for an entry without one — the metric is then undefined,
+    like any metric of a case without goldens.  Fig. 4's MRR and the
+    gated ``intent_mrr`` are both means of this function.
+    """
+    if intent is None:
+        return None
+    for rank, query in enumerate(queries, start=1):
+        if intent.matches(query):
             return 1.0 / rank
     return 0.0
 

@@ -12,8 +12,9 @@ exclusive here.
 scores Recall@k / MRR / nDCG@k on two levels:
 
 * **query** — the ranked candidate list against the expected query
-  signatures (plus ``intent_mrr``, the paper's Section VII-A protocol
-  via :meth:`~repro.datasets.workloads.IntentSpec.matches`);
+  signatures (plus ``intent_mrr``, the paper's Section VII-A protocol:
+  :func:`~repro.quality.metrics.intent_reciprocal_rank`, the function
+  the Fig. 4 study averages too);
 * **answer** — the executed answers, canonically ordered, against the
   expected answer signatures.
 
@@ -31,6 +32,7 @@ from repro.datasets import DATASET_NAMES, effectiveness_workload, graph_for
 from repro.quality.goldens import GoldenCase, GoldenFile
 from repro.quality.metrics import (
     dedupe_ranked,
+    intent_reciprocal_rank,
     mean_of,
     ndcg_at_k,
     recall_at_k,
@@ -171,14 +173,6 @@ def evaluate_case(
     query_rel = case.query_relevance()
     answer_rel = case.answer_relevance()
 
-    intent_rr: Optional[float] = None
-    if intent is not None:
-        intent_rr = 0.0
-        for rank, candidate in enumerate(result.candidates, start=1):
-            if intent.matches(candidate.query):
-                intent_rr = 1.0 / rank
-                break
-
     ranked_answers: List[str] = []
     if answer_rel:
         ranked_answers = ranked_answer_signatures(
@@ -203,7 +197,7 @@ def evaluate_case(
             f"answer_ndcg@{answer_depth}": ndcg_at_k(
                 ranked_answers, answer_rel, answer_depth
             ),
-            "intent_mrr": intent_rr,
+            "intent_mrr": intent_reciprocal_rank(result.queries, intent),
         },
     }
 

@@ -17,7 +17,7 @@ requirements drive the format:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List
+from typing import Iterable, List
 
 from repro.query.conjunctive import ConjunctiveQuery
 from repro.query.isomorphism import canonical_form
@@ -65,11 +65,3 @@ def query_signature(query: ConjunctiveQuery) -> str:
 def candidate_signatures(candidates) -> List[str]:
     """Ranked candidate signatures, as the metrics layer consumes them."""
     return [c.signature for c in candidates]
-
-
-def answer_payloads(answers) -> List[Dict[str, str]]:
-    """The ``{var: n3}`` JSON rendering of each answer (unsorted)."""
-    return [
-        {str(var): term.n3() for var, term in zip(a.variables, a.values)}
-        for a in answers
-    ]

@@ -478,10 +478,6 @@ class DataGraph:
         """O(1): does any stored R-edge carry this label?"""
         return label in self._relation_triples
 
-    def has_attribute_label(self, label: URI) -> bool:
-        """O(1): does any stored A-edge carry this label?"""
-        return label in self._attribute_triples
-
     def relation_triples(self, label: Optional[URI] = None) -> Iterator[Triple]:
         """All R-edge triples, optionally restricted to one label."""
         if label is not None:

@@ -31,10 +31,11 @@ class BundleExistsError(BundleError):
 
 
 class UnsupportedEngineError(BundleError):
-    """The engine holds components the bundle format cannot represent
-    faithfully (a custom analyzer, lexicon, or cost model instance); a
-    round-tripped engine would silently behave differently, so saving is
-    refused instead."""
+    """The engine holds a component the bundle format cannot represent
+    faithfully — a cost model instance that is not one of the stock
+    models (e.g. C2/C3 with ``literal_normalization``); a round-tripped
+    engine would silently behave differently, so saving is refused
+    instead.  The analysis chain needs no such check: there is only one."""
 
 
 class WalError(RuntimeError):

@@ -43,7 +43,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from repro import __version__
 from repro.core.exploration import DEFAULT_DMAX
-from repro.keyword.analysis import Analyzer
+from repro.keyword.analysis import DEFAULT_ANALYZER
 from repro.keyword.inverted_index import SpillingPostingsBuilder
 from repro.keyword.keyword_index import element_label_text
 from repro.rdf.graph import GraphIntegrityError
@@ -446,8 +446,7 @@ def _build(
     # Keyword index: elements in _build() order, postings via spill runs.
     # ------------------------------------------------------------------
     kindex_started = time.perf_counter()
-    analyzer = Analyzer()
-    analyze = analyzer.analyze
+    analyze = DEFAULT_ANALYZER.analyze
     vocab = Interner()
     vocab_id = vocab.id
     postings = SpillingPostingsBuilder(tmp, budget_rows)

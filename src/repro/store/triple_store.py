@@ -94,22 +94,6 @@ class TripleStore:
         """Build a store over all triples of a data graph."""
         return cls(graph)
 
-    @classmethod
-    def from_stream(cls, triples: Iterable[Triple]) -> "TripleStore":
-        """Build a store from a triple iterator, consumed incrementally.
-
-        Identical in result to ``TripleStore(list(triples))`` but never
-        materializes the input — the streaming ingestion paths hand file
-        and generator-backed iterators through here.  (The resulting
-        store itself is in-memory; the *bundle* streaming build in
-        ``repro.storage.stream_build`` bypasses object stores entirely
-        and writes the three index sections from external sorts.)
-        """
-        store = cls()
-        for triple in triples:
-            store.add(triple)
-        return store
-
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------

@@ -112,12 +112,6 @@ class SummaryEdge:
     def name(self) -> str:
         return local_name(self.label)
 
-    def other_endpoint(self, vertex_key: Hashable) -> Hashable:
-        """The endpoint that is not ``vertex_key`` (source for self-loops)."""
-        if vertex_key == self.source_key:
-            return self.target_key
-        return self.source_key
-
     def __eq__(self, other):
         return isinstance(other, SummaryEdge) and other.key == self.key
 

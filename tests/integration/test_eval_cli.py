@@ -7,8 +7,11 @@ relative), over the running example so the whole loop stays fast.
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
+from bundle_layout import flip_byte_in_section
 
 from repro import cli
 from repro.core.engine import KeywordSearchEngine
@@ -156,6 +159,47 @@ class TestBundle:
         assert "index-tier" not in capsys.readouterr().out
         # And the bundle-served configuration passes the in-process baseline.
         assert cli.main(["eval", "check", "--dataset", "example"] + bundle) == 0
+
+
+class TestBadBundle:
+    """A damaged artifact is reported the way ``repro search --bundle``
+    reports it: one stderr line, a non-zero exit, no traceback."""
+
+    @pytest.fixture(scope="class")
+    def bundle(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("bundle") / "example.reprobundle"
+        KeywordSearchEngine(graph_for("example")).save(path)
+        return path
+
+    @pytest.mark.parametrize("damage", ["truncated", "flipped", "wal", "missing"])
+    @pytest.mark.parametrize("command", ["run", "check"])
+    def test_damaged_bundle_is_one_line(self, bundle, tmp_path, damage, command):
+        bad = tmp_path / "bad.reprobundle"
+        if damage != "missing":
+            bad.write_bytes(bundle.read_bytes()[: 12 if damage == "truncated" else None])
+        if damage == "flipped":
+            # A section whose CRC a load checks.
+            flip_byte_in_section(bad, "summary.vertices")
+        if damage == "wal":
+            (tmp_path / "bad.reprobundle.wal").write_bytes(b"# repro-wal 2\nB 0\n")
+        eval_dir = os.path.join(os.path.dirname(__file__), "..", "..", "eval")
+        done = subprocess.run(
+            [
+                sys.executable, "-m", "repro", "eval", command,
+                "--dataset", "example",
+                "--bundle", str(bad),
+                "--goldens", os.path.join(eval_dir, "goldens", "example.jsonl"),
+                "--baseline", os.path.join(eval_dir, "baselines", "example.json"),
+                *(["--reports-dir", str(tmp_path)] if command == "run" else []),
+            ],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode != 0
+        assert "Traceback" not in done.stderr
+        assert done.stderr.startswith("repro eval: --bundle: ")
+        assert done.stderr.count("\n") == 1, done.stderr
 
 
 class TestDiff:

@@ -143,10 +143,20 @@ class TestConfiguration:
         assert len(engine.graph) == len(example_graph)
 
     def test_index_stats(self, engine):
+        """The Fig. 6b row: each index reports its own size and build
+        time, and the summary compresses the data graph."""
         stats = engine.index_stats()
-        assert stats["keyword_index"]["terms"] > 0
-        assert stats["graph_index"]["vertices"] > 0
+        keyword, summary = stats["keyword_index"], stats["graph_index"]
+        assert keyword["terms"] > 0
+        assert summary["vertices"] > 0
         assert stats["data_graph"]["triples"] == 21
+        assert keyword["build_seconds"] >= 0 and summary["build_seconds"] >= 0
+        assert keyword["terms"] == engine.keyword_index.stats()["terms"]
+        assert (summary["vertices"], summary["edges"]) == (
+            len(engine.summary.vertices),
+            len(engine.summary.edges),
+        )
+        assert summary["summary_ratio"] > 1.0
 
 
 def _memoized(first, second):

@@ -369,17 +369,6 @@ def test_save_accepts_every_stock_cost_model(example_graph, tmp_path):
         assert loaded.cost_model.name == name
 
 
-def test_save_refuses_custom_lexicon(example_graph, tmp_path):
-    from repro.keyword.keyword_index import KeywordIndex
-    from repro.keyword.synonyms import SynonymLexicon
-
-    graph = DataGraph(example_graph.triples)
-    index = KeywordIndex(graph, lexicon=SynonymLexicon())
-    engine = KeywordSearchEngine(graph, keyword_index=index)
-    with pytest.raises(UnsupportedEngineError):
-        engine.save(tmp_path / "a.reprobundle")
-
-
 def test_load_overrides_engine_config(small_engine, tmp_path):
     path = tmp_path / "a.reprobundle"
     small_engine.save(path)
