@@ -16,7 +16,9 @@ keywords, is served from each worker's keyword-lookup memo (``hits``
 grow, ``misses`` do not) while the updated keyword shows the new triple.
 It also holds every worker to its import budget: right after start-up a
 worker's proportional set size is under a ceiling that an HTTP stack or
-numpy inside it would blow, and at the end no worker has imported numpy
+numpy inside it would blow — the dispatcher's under one that
+``http.server`` would blow, with no ``_ssl`` mapped — and at the end no
+worker has imported numpy
 (``kernels.loaded`` — nothing the smoke sends has a view wide enough) and
 none has had a seed threshold refuted (``exploration.seed_fallbacks`` — a
 second exploration behind a correct answer is what that counter is for).
@@ -66,6 +68,16 @@ from repro.service.encoding import answer_json_signature
 #: processes that map them.)
 WORKER_START_PSS_CEILING_KB = 17_700
 
+#: The dispatcher of this smoke (same bundle, host and interpreter) reads
+#: 15,480 KB Pss at the same first ``/stats``: the interpreter, the writer
+#: engine, the worker pool and the HTTP front end — ``repro.service.http``'s
+#: own layer on ``socketserver``.  Same headroom rule: the reading plus
+#: 25 %.  While the front end was ``http.server`` it read 19,960 KB, most
+#: of the difference ``ssl`` (which ``http.client`` imports) and the
+#: ``email`` header parser, so ``http.server`` coming back fails the job on
+#: this ceiling, and ``ssl`` alone fails it on the ``_ssl`` mapping.
+DISPATCHER_START_PSS_CEILING_KB = 19_350
+
 
 class _KeptConnection:
     """One ``http.client`` connection for the whole smoke.  ``http.client``
@@ -104,6 +116,21 @@ class _KeptConnection:
 
     def close(self):
         self._conn.close()
+
+
+def check_dispatcher_memory(pid) -> int:
+    """The dispatcher's Pss in KB, once it is known to be under its
+    ceiling and to have no TLS library mapped."""
+    with open(f"/proc/{pid}/smaps_rollup") as fh:
+        pss_kb = next(int(l.split()[1]) for l in fh if l.startswith("Pss:"))
+    assert 0 < pss_kb <= DISPATCHER_START_PSS_CEILING_KB, (
+        f"dispatcher {pid} starts at {pss_kb} KB Pss > "
+        f"{DISPATCHER_START_PSS_CEILING_KB} KB: is http.server back?"
+    )
+    with open(f"/proc/{pid}/maps") as fh:
+        ssl = sorted({l.split()[-1] for l in fh if "_ssl" in l})
+    assert not ssl, f"the dispatcher maps {ssl}: it never speaks TLS"
+    return pss_kb
 
 
 def check_execute(conn) -> None:
@@ -236,6 +263,7 @@ def main() -> int:
                 f"> {WORKER_START_PSS_CEILING_KB} KB: something it never runs "
                 f"(an HTTP stack? numpy?) is imported again"
             )
+        dispatcher_pss_kb = check_dispatcher_memory(proc.pid)
 
         hit = conn.get("/search?q=cimiano+2006")
         assert hit["candidates"], "pre-update search found no interpretations"
@@ -306,7 +334,9 @@ def main() -> int:
             f"on both sides of it, unrelated lookups survived it on every "
             f"worker, {conn.requests} requests on 1 connection; workers "
             f"started at {[w['pss_kb'] for w in before['workers']]} KB Pss "
-            f"(ceiling {WORKER_START_PSS_CEILING_KB}) and none imported numpy",
+            f"(ceiling {WORKER_START_PSS_CEILING_KB}) and none imported numpy; "
+            f"the dispatcher at {dispatcher_pss_kb} KB Pss (ceiling "
+            f"{DISPATCHER_START_PSS_CEILING_KB}), no _ssl mapped",
             file=sys.stderr,
         )
 

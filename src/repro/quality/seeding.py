@@ -123,7 +123,7 @@ def seed_cases_in_process(
 
 def _http_json(url: str, body: Optional[dict] = None, timeout: float = 60.0):
     # The one HTTP client in the package: imported by the call that needs
-    # it, so `repro eval check` / `run` never load http.client and ssl.
+    # it, so `repro eval check` / `run` never load urllib.request and ssl.
     from urllib.request import Request, urlopen
 
     if body is None:

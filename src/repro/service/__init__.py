@@ -4,7 +4,7 @@
 for the duration of a search; ``EngineService`` coordinates lock-free
 reads against pinned snapshots with serialized, exclusive update epochs,
 runs a batch against one snapshot, and keeps service-level stats;
-``ReproServer`` is the stdlib HTTP front end behind ``repro serve``.
+``ReproServer`` is the ``socketserver`` HTTP/1.1 front end of ``repro serve``.
 
 The multiprocess tier (``repro serve --workers N``) layers on top:
 ``DispatchService`` owns the WAL-attached writer engine and fans requests
@@ -16,7 +16,7 @@ The twelve names below are resolved on first attribute access (PEP 562):
 importing a submodule — a worker process imports ``repro.service.worker``
 and ``.encoding``, which pass through this file — does not execute
 ``dispatch.py`` (``subprocess``, ``concurrent.futures``) or ``http.py``
-(``http.server``); ``from repro.service import X`` works as it always did.
+(``socketserver``); ``from repro.service import X`` works as it always did.
 """
 
 from importlib import import_module

@@ -5,8 +5,8 @@ decided here and nowhere else, by both producers of such bytes: the HTTP
 front end (:mod:`repro.service.http`, which re-exports these names) and
 a ``--workers N`` worker process (:mod:`repro.service.worker`), which
 encodes at the source and never speaks HTTP.  That second reader is why
-this is its own module: it imports ``json`` and nothing else — no
-``http.server``, and not the :mod:`repro.quality` package — so a worker
+this is its own module: it imports ``json`` and nothing else — not
+``socketserver``, and not the :mod:`repro.quality` package — so a worker
 holds the encoders without holding an HTTP stack.
 
 A response body is ``json.dumps(payload)`` byte for byte, but no byte of

@@ -1,4 +1,4 @@
-"""Stdlib-only HTTP front end: the ``repro serve`` endpoints.
+"""HTTP/1.1 front end: the ``repro serve`` endpoints.
 
 Four JSON endpoints over one :class:`~repro.service.EngineService`:
 
@@ -21,26 +21,31 @@ path        method  body / query parameters
 Error mapping: bad input → 400, unknown path → 404, admission bound → 429
 (backpressure), anything else → 500.
 
-The server speaks HTTP/1.1: a connection is kept for the client's next
-request and closed after :data:`IDLE_TIMEOUT_SECONDS` without one (or
-with half of one).  The handler threads come from ``ThreadingHTTPServer``,
-one per connection; concurrency control is entirely the service's — the
-HTTP layer holds two counters and no other state of its own.
+The HTTP/1.1 layer is this module's own, on ``socketserver``: a daemon
+thread per connection, kept for the client's next request and closed
+after :data:`IDLE_TIMEOUT_SECONDS` without one — or when a request has
+not arrived whole that long after its first byte.  A head that breaks a
+rule (``docs/architecture.md``, "Request head rules") is a JSON 400 /
+413 / 414 / 431 / 501 / 505 and a close.  Concurrency control is the
+service's; the HTTP layer holds two counters and no other state.
 
 **Response path.**  A response body is ``json.dumps(payload)`` byte for
 byte, joined from fragments each candidate encodes once; head and body
 leave in one write.  The payload shapes and their encoders live in
 :mod:`repro.service.encoding` — a worker process of the ``--workers N``
-tier runs them without importing this module's HTTP stack — and are
-re-exported here under the names they always had.
+tier runs them without importing this module — and are re-exported here
+under the names they always had.
 """
 
 from __future__ import annotations
 
 import json
+import re
+import socketserver
+import sys
 import threading
+import time
 from http import HTTPStatus
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
@@ -54,6 +59,7 @@ from repro.service.encoding import (
     encode_result,
     result_to_json,
 )
+from repro.service.protocol import MAX_FRAME_BYTES
 from repro.service.service import AdmissionError, EngineService
 
 __all__ = [
@@ -66,13 +72,49 @@ __all__ = [
     "result_to_json",
 ]
 
-#: How long a connection may stay silent — between two requests or in the
-#: middle of one — before the server closes it and its thread exits.
+#: How long a connection may stay silent between two requests — and how
+#: long one request may take to arrive, from its first byte — before the
+#: server closes it and its thread exits.
 IDLE_TIMEOUT_SECONDS = 30.0
+
+_MAX_LINE = 65536  # bytes of a request or header line, terminator included
+_MAX_HEADERS = 100
+_RECV_BYTES = 65536
+_TOKEN = re.compile(r"[!#$%&'*+.^_`|~0-9A-Za-z-]+")
+_VERSION = re.compile(r"HTTP/([0-9]{1,10})\.([0-9]{1,10})")
+_HEAD_END = re.compile(rb"\r?\n\r?\n")
+_STATUS_LINES = {  # what a response head starts with, per status
+    status: f"HTTP/1.1 {status} {HTTPStatus(status).phrase}\r\n"
+    f"Server: repro-serve Python/{sys.version.split()[0]}\r\n".encode("latin-1")
+    for status in (200, 400, 404, 413, 414, 429, 431, 500, 501, 505)
+}
+_DAYS = "Mon Tue Wed Thu Fri Sat Sun".split()
+_MONTHS = " Jan Feb Mar Apr May Jun Jul Aug Sep Oct Nov Dec".split(" ")
+# What a --verbose log line must not carry raw: a client's control bytes.
+_CONTROL_CHARS = {c: f"\\x{c:02x}" for c in (*range(0x20), *range(0x7F, 0xA0))}
+
+_date_line = (0, b"")
+
+
+def _date() -> bytes:
+    """The ``Date`` header line (RFC 9110 IMF-fixdate), formatted once per
+    second; two threads that format the same second write equal bytes."""
+    global _date_line
+    second = int(time.time())
+    if _date_line[0] != second:
+        t = time.gmtime(second)  # %a and %b would follow the locale
+        date = time.strftime(f"%d {_MONTHS[t.tm_mon]} %Y %H:%M:%S", t)
+        _date_line = (second, f"Date: {_DAYS[t.tm_wday]}, {date} GMT\r\n".encode())
+    return _date_line[1]
 
 
 def _error(message: str) -> bytes:
     return _dumps({"error": message})
+
+
+class _Refused(Exception):
+    """``(status, message)``: a request answered with an error and then the
+    connection closed, since where the next request starts is unknown."""
 
 
 # A JSON body's fields arrive with whatever type the client chose; each is
@@ -103,34 +145,47 @@ def _ntriples_field(body: Dict[str, object], name: str) -> list:
 # Handler
 # ----------------------------------------------------------------------
 
-class _Handler(BaseHTTPRequestHandler):
-    server_version = "repro-serve"
-    protocol_version = "HTTP/1.1"
+class _Handler(socketserver.StreamRequestHandler):
     timeout = IDLE_TIMEOUT_SECONDS
     # A response is one write (`_send`), and it must leave at once: on a
     # reused connection Nagle's algorithm would hold a segment back until
     # the client's delayed ACK of the one before.
     disable_nagle_algorithm = True
 
+    # Per connection: what arrived past the end of the last request (the
+    # start of a pipelined one), and whether the socket's timeout is what
+    # was left of a request's deadline rather than `timeout`.
+    _pending = b""
+    _deadline_armed = False
+
     @property
     def service(self) -> EngineService:
         return self.server.service
-
-    def log_message(self, format, *args):  # noqa: A002 - stdlib signature
-        if self.server.verbose:
-            super().log_message(format, *args)
 
     def setup(self) -> None:
         super().setup()
         self.server.count("connections")
 
+    def handle(self) -> None:
+        self.handle_one_request()
+        while not self.close_connection:
+            self.handle_one_request()
+
     # -- plumbing ------------------------------------------------------
 
-    def _answer(self) -> None:
-        self.server.count("requests")
+    def handle_one_request(self) -> None:
+        """Read and answer one request; ``close_connection`` then says
+        whether the connection carries another."""
+        self.close_connection = True
         try:
             try:
+                if not self._read_head():
+                    return
+                self.server.count("requests")
                 status, body = self._route()
+            except _Refused as exc:
+                self.close_connection = True
+                status, body = exc.args[0], _error(exc.args[1])
             except AdmissionError as exc:
                 status, body = 429, _error(str(exc))
             except (ValueError, KeyError) as exc:
@@ -142,41 +197,132 @@ class _Handler(BaseHTTPRequestHandler):
             self._send(status, body)
         except (ConnectionError, TimeoutError):
             # The client went away (reset, closed pipe) or stalled past the
-            # handler timeout, mid-request or mid-response: nobody is left
-            # to answer, and the stream is in no state to be reused.
+            # idle timeout or its request's deadline, mid-request or
+            # mid-response: nobody is left to answer, and the stream is in
+            # no state to be reused.
             self.close_connection = True
 
-    do_GET = do_POST = _answer
+    def _recv(self) -> bytes:
+        """More of the request in progress, if it comes before the
+        request's deadline: a client that trickles is cut off there."""
+        remaining = self._deadline - time.monotonic()
+        if remaining <= 0:
+            raise TimeoutError("request not complete by its deadline")
+        self.connection.settimeout(remaining)
+        self._deadline_armed = True
+        data = self.rfile.read1(_RECV_BYTES)
+        if not data:
+            raise ConnectionError("connection closed mid-request")
+        return data
 
-    def _send(self, status: int, body: bytes) -> None:
-        self.log_request(status, len(body))
-        head = (
-            f"HTTP/1.1 {status} {HTTPStatus(status).phrase}\r\n"
-            f"Server: {self.version_string()}\r\n"
-            f"Date: {self.date_time_string()}\r\n"
-            "Content-Type: application/json\r\n"
-            f"Content-Length: {len(body)}\r\n"
-            + ("Connection: close\r\n" if self.close_connection else "")
-            + "\r\n"
+    def _read_head(self) -> bool:
+        """Parse the next request head into ``command``, ``path`` and
+        ``headers`` (names lower-cased); False when the client closed the
+        connection, or sent an empty request line, instead.  The head is
+        read up to its blank line, limits checked as it grows, then split
+        into lines once."""
+        self.requestline = ""
+        if self._deadline_armed:
+            self.connection.settimeout(self.timeout)
+            self._deadline_armed = False
+        data = self._pending or self.rfile.read1(_RECV_BYTES)  # the idle wait
+        if not data:
+            return False
+        self._deadline = time.monotonic() + self.timeout
+        while not (blank := _HEAD_END.search(data)):
+            if (len(data) - data.rfind(b"\n") > _MAX_LINE
+                    or data.count(b"\n") > _MAX_HEADERS + 1):
+                break  # past a limit already: refused below
+            data += self._recv()
+        end, rest = (blank.start(), blank.end()) if blank else (len(data),) * 2
+        self._pending = data[rest:]
+        lines = data[:end].decode("latin-1").split("\n")
+        if len(lines) > _MAX_HEADERS + 1:
+            raise _Refused(431, f"more than {_MAX_HEADERS} header lines")
+        if len(lines[0]) >= _MAX_LINE:
+            raise _Refused(414, f"request line longer than {_MAX_LINE} bytes")
+
+        self.requestline = lines[0].rstrip("\r")
+        words = self.requestline.split()
+        if not words:
+            return False
+        if len(words) != 3:
+            raise _Refused(400, f"bad request line {self.requestline!r}")
+        self.command, path, version_text = words
+        version = _VERSION.fullmatch(version_text)
+        if version is None:
+            raise _Refused(400, f"bad request version {version_text!r}")
+        version = (int(version[1]), int(version[2]))
+        if version >= (2, 0):
+            raise _Refused(505, f"{version_text} is not supported")
+
+        headers: Dict[str, str] = {}
+        for line in lines[1:]:
+            if len(line) >= _MAX_LINE:
+                raise _Refused(431, f"header line longer than {_MAX_LINE} bytes")
+            name, colon, value = line.partition(":")
+            # No colon, whitespace before it, or a continuation line (a
+            # name that starts with whitespace): RFC 9112 5.1 / 5.2.
+            if not colon or not _TOKEN.fullmatch(name):
+                raise _Refused(400, "malformed header line %r" % line.rstrip("\r"))
+            name, value = name.lower(), value.strip(" \t\r")
+            if headers.setdefault(name, value) != value and name == "content-length":
+                raise _Refused(400, "two different Content-Length values")
+        connection = headers.get("connection", "").lower()
+        self.close_connection = connection == "close" or (
+            version < (1, 1) and connection != "keep-alive"
         )
-        self.wfile.write(head.encode("latin-1") + body)
+        self._expects_continue = version >= (1, 1) and (
+            headers.get("expect", "").lower() == "100-continue")
+        if self.command not in ("GET", "POST"):
+            raise _Refused(501, f"unsupported method {self.command!r}")
+        # "//host/stats" is a path here, not a netloc for `urlparse` to strip.
+        self.path = "/" + path.lstrip("/") if path.startswith("//") else path
+        self.headers = headers
+        return True
 
     def _read_body(self) -> bytes:
         """Consume the request body, whatever becomes of the request: the
         next one on this connection must start at a request line.  With a
-        length that cannot be trusted there is no finding that line, so
-        the connection closes after the 400."""
-        announced = self.headers.get("Content-Length")
-        try:
-            length = 0 if announced is None else int(announced)
-            if length < 0 or "Transfer-Encoding" in self.headers:
-                raise ValueError
-        except ValueError:
-            self.close_connection = True
-            raise ValueError(
-                f"request body needs a valid Content-Length, got {announced!r}"
-            ) from None
-        return self.rfile.read(length) if length else b""
+        length that cannot be trusted there is no finding that line, and
+        a length above the frame bound is refused unread: the connection
+        closes after the 400 / 413."""
+        announced = self.headers.get("content-length", "0")
+        if "transfer-encoding" in self.headers or not announced.isdecimal():
+            raise _Refused(400, f"request body needs a valid Content-Length, "
+                                f"got {announced!r}")
+        length = int(announced)
+        if length > MAX_FRAME_BYTES:
+            raise _Refused(
+                413, f"request body of {length} bytes exceeds {MAX_FRAME_BYTES}"
+            )
+        chunks, missing = [self._pending], length - len(self._pending)
+        if missing > 0 and self._expects_continue:
+            self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
+        while missing > 0:
+            chunks.append(self._recv())
+            missing -= len(chunks[-1])
+        data = b"".join(chunks)
+        self._pending = data[length:]
+        return data[:length]
+
+    def _send(self, status: int, body: bytes) -> None:
+        if self.server.verbose:
+            self._log(status, len(body))
+        self.wfile.write(b"".join((
+            _STATUS_LINES[status],
+            _date(),
+            b"Content-Type: application/json\r\nContent-Length: %d\r\n" % len(body),
+            b"Connection: close\r\n\r\n" if self.close_connection else b"\r\n",
+            body,
+        )))
+
+    def _log(self, status: int, size: int) -> None:
+        """A ``--verbose`` line per response, in the Common Log Format."""
+        t = time.localtime()
+        when = time.strftime(f"%d/{_MONTHS[t.tm_mon]}/%Y %H:%M:%S", t)
+        message = f'"{self.requestline}" {status} {size}'.translate(_CONTROL_CHARS)
+        sys.stderr.write(f"{self.client_address[0]} - - [{when}] {message}\n")
 
     # -- routes --------------------------------------------------------
 
@@ -264,9 +410,12 @@ class _Handler(BaseHTTPRequestHandler):
 # Server
 # ----------------------------------------------------------------------
 
-class _HTTPServer(ThreadingHTTPServer):
+class _HTTPServer(socketserver.ThreadingTCPServer):
     """The listening socket plus what every handler thread shares: the
     service and the two counters ``/stats`` reports as ``http``."""
+
+    allow_reuse_address = True
+    daemon_threads = True
 
     def __init__(self, address, service: EngineService, verbose: bool):
         super().__init__(address, _Handler)

@@ -13,7 +13,7 @@ backs all of them with one physical copy.  The rest of a worker is its
 own: the interpreter, its imports, and what it decodes (the summary
 graph, the terms and postings its requests touched).  That is why this
 module imports the engine, the frame protocol and the byte encoders
-(:mod:`repro.service.encoding`) and nothing else — no ``http.server``, no ``subprocess``, no numpy until a
+(:mod:`repro.service.encoding`) and nothing else — no HTTP layer, no ``subprocess``, no numpy until a
 view is wide enough for the kernel — and imports all of it up front, so
 that the ready frame means "every import is paid" and no request pays
 one.  The point of the multiprocess tier stands: N CPU-bound pure-Python

@@ -2,7 +2,7 @@
 
 ``sys.modules`` is process state — and this suite's own process has long
 since imported numpy, ``http.server`` and ``subprocess`` — so every case
-runs its script in a fresh interpreter and asserts there.  Three
+runs its script in a fresh interpreter and asserts there.  Four
 processes are pinned:
 
 * a ``--workers N`` **worker** reads frames from a pipe: it holds the
@@ -10,7 +10,9 @@ processes are pinned:
   numpy, and everything it will ever import is in before the ready frame;
 * a **builder / in-process server** does not import numpy to find out
   that none of its views is wide enough for the kernel;
-* the first **kernel use** is what imports numpy, on that call.
+* the first **kernel use** is what imports numpy, on that call;
+* a **serving process** answers HTTP with ``repro.service.http``'s own
+  layer: no ``http.server``, no ``http.client``, no ``ssl``.
 
 Each script computes its own expectation of numpy's presence (the
 ``tier1-no-numpy`` CI job runs these too: ``active`` is false there and
@@ -187,6 +189,67 @@ def test_forcing_the_kernel_is_what_imports_numpy():
         (record,) = records  # imported once, said once
         assert "imported numpy" in record.getMessage(), record.getMessage()
         """
+    )
+
+
+#: What the front end of a serving process needs none of: ``http.server``
+#: brought the ``email`` header parser and, through ``http.client``,
+#: ``ssl`` — a process that never speaks TLS.
+SERVER_FORBIDDEN = [
+    "http.server", "http.client", "ssl", "email.parser", "urllib.request",
+]
+
+
+def test_a_serving_front_end_imports_no_stdlib_http_stack(tmp_path):
+    from repro.core.engine import KeywordSearchEngine
+    from repro.datasets.example import running_example_graph
+
+    path = str(tmp_path / "served.reprobundle")
+    KeywordSearchEngine(running_example_graph()).save(path)
+    _fresh(
+        """
+        import json
+        import socket
+        import sys
+
+        import repro.cli
+        from repro.core.engine import KeywordSearchEngine
+        from repro.service import EngineService, ReproServer
+
+        service = EngineService(KeywordSearchEngine.load(sys.argv[1]))
+        server = ReproServer(service, port=0).start()
+        sock = socket.create_connection((server.host, server.port), timeout=30)
+        stream = sock.makefile("rb")
+
+        def exchange(method, path, payload=None):
+            body = b"" if payload is None else json.dumps(payload).encode()
+            sock.sendall(
+                f"{method} {path} HTTP/1.1\\r\\nHost: x\\r\\n"
+                f"Content-Length: {len(body)}\\r\\n\\r\\n".encode() + body
+            )
+            status = stream.readline().split()[1]
+            length = 0
+            while (line := stream.readline().strip()):
+                name, _, value = line.partition(b":")
+                if name.lower() == b"content-length":
+                    length = int(value)
+            assert status == b"200", (path, status, stream.read(length))
+            return json.loads(stream.read(length))
+
+        exchange("GET", "/search?q=cimiano+2006")
+        exchange("POST", "/execute", {"q": "cimiano 2006", "limit": 3})
+        add = '<http://example.org/b> <http://example.org/p> "budget" .'
+        exchange("POST", "/update", {"add": add})
+        assert exchange("GET", "/stats")["http"] == {"connections": 1, "requests": 4}
+        sock.close()
+        server.close()
+        service.close()
+
+        loaded = [name for name in %r if name in sys.modules]
+        assert not loaded, f"a serving process imported {loaded}"
+        """
+        % (SERVER_FORBIDDEN,),
+        path,
     )
 
 

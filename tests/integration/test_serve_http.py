@@ -350,6 +350,129 @@ def test_stalled_request_body_is_closed_after_the_timeout(server, monkeypatch):
         sock.close()
 
 
+def test_a_trickling_request_is_closed_at_its_deadline(server, monkeypatch):
+    """A byte every 0.1 s keeps every read under a 0.3 s timeout; the
+    request's own deadline, 0.3 s from its first byte, does not move."""
+    monkeypatch.setattr(http_module._Handler, "timeout", 0.3)
+    assert _wait_until(lambda: not _handler_threads())
+    sock, _ = _raw(server)
+    stop = threading.Event()
+
+    def trickle():
+        for byte in b"GET /search?q=" + b"x" * 100:
+            if stop.is_set():
+                return
+            try:
+                sock.sendall(bytes([byte]))
+            except OSError:
+                return
+            time.sleep(0.1)
+
+    sender = threading.Thread(target=trickle, daemon=True)
+    try:
+        started = time.monotonic()
+        sender.start()
+        sock.settimeout(5)
+        try:
+            assert sock.recv(1024) == b""  # closed without a response
+        except ConnectionResetError:
+            pass  # a trickled byte arrived after the close
+        assert time.monotonic() - started < 1.0
+        assert _wait_until(lambda: not _handler_threads()), "handler thread lingers"
+    finally:
+        stop.set()
+        sender.join(timeout=5)
+        sock.close()
+
+
+def _refusal(server, request_bytes):
+    """Send a request the server must refuse: (status, error message),
+    after checking the refusal's shape — a JSON body of the announced
+    length, ``Connection: close``, then the end of the stream."""
+    sock, stream = _raw(server)
+    try:
+        try:
+            sock.sendall(request_bytes)
+        except ConnectionError:
+            pass  # refused before it was all sent: the answer is still there
+        status, headers, body = _read_response(stream)
+        assert headers["content-type"] == "application/json"
+        assert headers["connection"] == "close"
+        assert len(body) == int(headers["content-length"])
+        try:
+            assert _read_response(stream) is None
+        except ConnectionError:
+            pass  # reset instead of FIN: unread bytes were pending
+        return status, json.loads(body)["error"]
+    finally:
+        sock.close()
+
+
+_BODY = b'{"q": "cimiano"}'  # 16 bytes
+
+
+@pytest.mark.parametrize(
+    "request_bytes, status",
+    [
+        # Two different lengths: either could be the body's (RFC 9112 6.3).
+        (b"POST /search HTTP/1.1\r\nContent-Length: 100\r\n"
+         b"Content-Length: 16\r\n\r\n" + _BODY, 400),
+        (b"POST /search HTTP/1.1\r\nContent-Length: 16\r\n"
+         b"Content-Length: 100\r\n\r\n" + _BODY, 400),
+        # Whitespace before the colon (RFC 9112 5.1), an obs-fold
+        # continuation line, a line with no colon at all.
+        (b"POST /search HTTP/1.1\r\nContent-Length : 16\r\n\r\n" + _BODY, 400),
+        (b"GET /stats HTTP/1.1\r\nHost: x\r\n folded\r\n\r\n", 400),
+        (b"GET /stats HTTP/1.1\r\nHost x\r\n\r\n", 400),
+        # The request line.
+        (b"GET /stats HTTP/2.0\r\nHost: x\r\n\r\n", 505),
+        (b"GET /stats HTTP/1\r\nHost: x\r\n\r\n", 400),
+        (b"GET /stats extra HTTP/1.1\r\nHost: x\r\n\r\n", 400),
+        (b"DELETE /stats HTTP/1.1\r\nHost: x\r\n\r\n", 501),
+        # The limits: a 64 KiB line, 100 header lines.
+        (b"GET /" + b"a" * 65536 + b" HTTP/1.1\r\n\r\n", 414),
+        (b"GET /stats HTTP/1.1\r\nX-Long: " + b"a" * 65536 + b"\r\n\r\n", 431),
+        (b"GET /stats HTTP/1.1\r\n" + b"X-Many: 1\r\n" * 101 + b"\r\n", 431),
+    ],
+    ids=[
+        "content-length-100-then-16", "content-length-16-then-100",
+        "space-before-colon", "obs-fold", "no-colon", "http-2.0",
+        "bad-version", "four-words", "unsupported-method",
+        "long-request-line", "long-header-line", "101-headers",
+    ],
+)
+def test_a_malformed_request_head_is_a_json_error_and_a_close(
+    server, request_bytes, status
+):
+    assert _refusal(server, request_bytes)[0] == status
+
+
+def test_a_body_above_the_frame_bound_is_refused_unread(server):
+    announced = http_module.MAX_FRAME_BYTES + 1
+    status, message = _refusal(
+        server, _raw_post("/search", _BODY, length=announced)
+    )
+    assert status == 413
+    assert str(http_module.MAX_FRAME_BYTES) in message
+
+
+def test_expect_100_continue_is_answered_before_the_body(server):
+    sock, stream = _raw(server)
+    try:
+        sock.sendall(
+            b"POST /search HTTP/1.1\r\nHost: x\r\nExpect: 100-continue\r\n"
+            b"Content-Length: 16\r\n\r\n"
+        )
+        assert stream.readline() == b"HTTP/1.1 100 Continue\r\n"
+        assert stream.readline() == b"\r\n"
+        sock.sendall(_BODY)
+        status, headers, body = _read_response(stream)
+        assert status == 200 and "connection" not in headers
+        assert json.loads(body)["keywords"] == ["cimiano"]
+    finally:
+        sock.close()
+
+
 class _Reset:
     """A response stream whose client reset the connection."""
 
