@@ -230,7 +230,7 @@ def _operand_attributes(snapshot: EngineSnapshot, fk: FilterKeyword) -> frozense
     occurs under (``2005`` → ``year``).  Fallback for out-of-data
     operands (``before 2050``): every attribute whose stored values are
     of the same kind (numeric vs. text), judged on one sample row read
-    through the store — a loaded bundle's data graph stays a thunk.
+    through the store, not the data graph.
     """
     labels = {
         occurrence[0]
@@ -983,6 +983,12 @@ class KeywordSearchEngine:
             "graph_index": graph_index,
             "data_graph": data,
         }
+
+    def data_stats(self) -> Dict[str, int]:
+        """``/stats`` ``data``: the live triples, and a loaded bundle's
+        in-memory overlay over its runs (0 for a constructed engine)."""
+        overlay = self.store.overlay_stats() if self.index_tier == "mmap" else {}
+        return {"triples": len(self.graph), "delta_triples": 0, "tombstones": 0, **overlay}
 
     def exploration_stats(self) -> Dict[str, int]:
         """How this engine's explorations started (``/stats``

@@ -86,6 +86,9 @@ class IndexManager:
         self.keyword_index = keyword_index
         self.summary = summary
         self.store = store
+        # The store mirrors the graph in a step of its own, unless the
+        # graph is a view over it (a loaded bundle's) and already did.
+        self._mirror_store = getattr(graph, "store", None) is not store
         self.evaluator = evaluator
         #: Monotone batch counter: the number of committed update epochs.
         #: Together with the summary/keyword-index version counters this
@@ -319,8 +322,9 @@ class IndexManager:
                 occurrence_events,
                 chain(attr_adds, attr_rems),
             )
-            self.store.remove_all(removes)
-            self.store.add_all(adds)
+            if self._mirror_store:
+                self.store.remove_all(removes)
+                self.store.add_all(adds)
         except Exception as exc:
             raise RuntimeError(
                 "offline-index delta propagation failed after the data graph "
@@ -364,7 +368,7 @@ class IndexManager:
         for cls in affected_classes:
             key = summary.class_key(cls)
             if graph.vertex_kind(cls) is VertexKind.CLASS:
-                agg = len(graph.instances_of(cls))
+                agg = graph.instance_count(cls)
                 if summary.has_element(key):
                     summary.set_vertex_agg_count(key, agg)
                 else:

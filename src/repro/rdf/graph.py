@@ -506,6 +506,10 @@ class DataGraph:
         """The entities directly typed with a class."""
         return frozenset(self._instances_of.get(cls, ()))
 
+    def instance_count(self, cls: Term) -> int:
+        """``len(instances_of(cls))`` without building the set."""
+        return len(self._instances_of.get(cls, ()))
+
     def superclasses_of(self, cls: Term, transitive: bool = False) -> FrozenSet[Term]:
         """Direct (or transitive) superclasses of a class."""
         if not transitive:

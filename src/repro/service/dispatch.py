@@ -683,7 +683,7 @@ class DispatchService:
                 "summary_version": engine.summary.snapshot_key,
                 "index_version": engine.keyword_index.snapshot_key,
             },
-            "data": {"triples": len(engine.graph)},
+            "data": engine.data_stats(),
         }
 
     # ------------------------------------------------------------------

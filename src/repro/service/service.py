@@ -480,7 +480,7 @@ class EngineService:
                 "summary_version": engine.summary.snapshot_key,
                 "index_version": engine.keyword_index.snapshot_key,
             },
-            "data": {"triples": len(engine.graph)},
+            "data": engine.data_stats(),
         }
 
     def close(self) -> None:

@@ -11,16 +11,17 @@ process*.  This package provides that lifecycle:
   ``KeywordSearchEngine.save`` and :func:`compact_bundle` all call it;
 * :func:`load_bundle` — the reader of that container: the summary graph
   decoded, everything else served in place by the disk-resident readers
-  of :mod:`repro.storage.mmap_tier` over the mapped sorted runs, so a
-  loaded engine's cold start is O(metadata) and its resident set
-  O(touched data);
+  of :mod:`repro.storage.mmap_tier` over the mapped sorted runs (the data
+  graph a view over them, :mod:`repro.storage.graph_view`), so a loaded
+  engine's cold start is O(metadata) and its resident set O(touched data);
 * :func:`load_engine` — bundle → ready
   :class:`~repro.core.engine.KeywordSearchEngine` (what
   ``KeywordSearchEngine.load`` and the CLI's ``--bundle`` call);
 * :func:`verify_bundle` — every section against its CRC32 through
-  buffered reads; a load never reads the runs end to end, so the process
-  that owns the artifact runs this instead (``repro serve --bundle`` once
-  per start, :func:`compact_bundle` before it folds anything);
+  buffered reads, then the header's graph counts against the runs; a load
+  never reads the runs end to end, so the process that owns the artifact
+  runs this instead (``repro serve --bundle`` once per start,
+  :func:`compact_bundle` before it folds anything);
 * :class:`DeltaLog` — the write-ahead N-Triples delta log that makes
   update epochs restart-safe (:class:`WalCursor` follows it from a
   saved offset; one scanner and one damage policy serve both);

@@ -30,8 +30,8 @@ A loaded bundle is served in place:
   millisecond) on the first ``snapshot()``, the way every other summary
   gets one;
 * the data graph is *not* a stored structure: its triples are, and the
-  first consumer that needs the graph replays them through the
-  ``DataGraph`` constructor.
+  graph is a view over the triple store's runs
+  (:mod:`repro.storage.graph_view`) that only the update path asks.
 
 Reading in place means a load does not pull the big sections through
 their checksums; :func:`verify_bundle` does, with buffered reads, for
@@ -59,8 +59,7 @@ import zlib
 from typing import Dict, List, Optional, Tuple
 
 from repro.keyword.keyword_index import KeywordIndex
-from repro.rdf.graph import DataGraph
-from repro.rdf.triples import Triple
+from repro.rdf.namespace import SUBCLASS_PREDICATES, TYPE_PREDICATES
 from repro.scoring.cost import COST_MODELS, CostModel, make_cost_model
 from repro.summary.elements import (
     THING_KEY,
@@ -79,7 +78,7 @@ from repro.storage.errors import (
     UnsupportedEngineError,
     WalError,
 )
-from repro.storage.lazy import LazyDataGraph
+from repro.storage.graph_view import MmapDataGraph
 
 MAGIC = b"RPROBNDL"
 #: Bump on any change to the section layout or encodings.  The one
@@ -419,6 +418,12 @@ def verify_bundle(path) -> None:
     It goes through buffered ``read()``s, not the map, so the file does
     not become resident in the caller: ~0.7 ms per MB.
 
+    Then, mapping the file for the length of the call, it holds the graph
+    against the runs without rebuilding it: the ``triples`` section must
+    be the SPO run reordered (same length, same sum of row hashes) and
+    each header type / subclass predicate count its POS range's rows to
+    non-literals, else :class:`BundleFormatError`.
+
     Raises :class:`BundleChecksumError` naming the first bad section.
     """
     path = os.fspath(path)
@@ -439,26 +444,34 @@ def verify_bundle(path) -> None:
             if crc != entry["crc32"]:
                 raise _checksum_error(path, entry["name"])
 
+    _, store, graph = _graph_parts(path, *_map_sections(path))  # no index
 
-def load_bundle(path) -> LoadedBundle:
-    """Open a bundle file as engine parts.
+    def edges(predicates) -> Dict:
+        counts = {
+            p: sum(not store.is_literal_key(o) for o in store.object_keys(store.key_of(p)))
+            for p in predicates
+        }
+        return {p: count for p, count in counts.items() if count}
 
-    The keyword index and the triple store come back as the
-    disk-resident readers of :mod:`repro.storage.mmap_tier` over the
-    mapped sorted runs: neither postings nor triples are materialized,
-    so cold start is O(metadata) and resident memory O(touched data).
-    Those sections are *not* CRC-verified here (checksumming them would
-    read every byte; :func:`verify_bundle` is that pass); the metadata,
-    summary and ``triples`` sections are, when they are decoded.
+    for what, stored, runs in (
+        ("triple rows", sum(map(hash, graph.section_rows())),
+         sum(map(hash, store.base_rows()))),
+        ("type predicate counts", graph._type_pred_counts, edges(TYPE_PREDICATES)),
+        ("subclass predicate counts", graph._subclass_pred_counts,
+         edges(SUBCLASS_PREDICATES)),
+    ):
+        if stored != runs:
+            raise BundleFormatError(
+                f"{path}: the graph's {what} disagree with the triple runs "
+                f"({stored!r} != {runs!r})"
+            )
 
-    Raises :class:`BundleFormatError` on anything that is not a repro
-    bundle of exactly :data:`FORMAT_VERSION` (an older or newer layout
-    is rebuilt, never half-read) and :class:`BundleChecksumError` when a
-    verified section's bytes do not match its recorded CRC — the
-    artifact is then unusable by definition and no partial engine is
-    produced.
-    """
-    path = os.fspath(path)
+
+def _map_sections(path: str):
+    """``(header, raw, section)`` of a mapped bundle: ``raw(name)`` is a
+    section's bytes unchecked (the runs, so cold start never reads them
+    end to end), ``section(name)`` the same CRC-verified on first access,
+    so a corrupted section fails before any of its data is used."""
     with open(path, "rb") as fh:
         meta, data_start = _read_header(fh, path)
         mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
@@ -473,20 +486,14 @@ def load_bundle(path) -> LoadedBundle:
         section_views[entry["name"]] = view[begin:end]
     checked: set = set()
 
-    def section_raw(name: str) -> memoryview:
-        """One section's bytes with *no* CRC pass — the queryable runs
-        go through here so cold start never reads them end to end."""
+    def raw(name: str) -> memoryview:
         try:
             return section_views[name]
         except KeyError:
             raise BundleFormatError(f"{path}: missing section {name!r}") from None
 
     def section(name: str) -> memoryview:
-        """One section's bytes, CRC-verified on first access: at load
-        for the sections decoded at load, when the graph thunk first
-        runs for ``triples``.  Either way a corrupted section fails with
-        the dedicated exception before any of its data is used."""
-        payload = section_raw(name)
+        payload = raw(name)
         if name not in checked:
             entry = next(e for e in meta["sections"] if e["name"] == name)
             if zlib.crc32(payload) != entry["crc32"]:
@@ -494,12 +501,15 @@ def load_bundle(path) -> LoadedBundle:
             checked.add(name)
         return payload
 
-    def ids(name: str):
-        return decode_raw_ids(section_raw(name))
+    return meta, raw, section
 
-    # -- terms ---------------------------------------------------------
+
+def _graph_parts(path: str, meta, raw, section):
+    """The term table, the triple tier over the sorted runs, and the data
+    graph as a view over that tier."""
     terms = mt.MmapTermTable(
-        section_raw("terms"), ids("terms.offsets"), ids("terms.sorted")
+        raw("terms"), decode_raw_ids(raw("terms.offsets")),
+        decode_raw_ids(raw("terms.sorted")),
     )
     counts = meta.get("counts", {})
     if counts.get("terms") is not None and counts["terms"] != len(terms):
@@ -507,69 +517,55 @@ def load_bundle(path) -> LoadedBundle:
             f"{path}: term table has {len(terms)} entries, header says "
             f"{counts['terms']}"
         )
-
-    # -- data graph (lazy) + triple store ------------------------------
-    # A plain search never reads the graph; decoding it up front would
-    # put every stored triple back on the cold-start path.  Existence
-    # (not integrity) of its section is established here; the thunk
-    # (repro.storage.lazy) defers the CRC check + decode to the first
-    # maintenance access.
     meta_graph = meta["graph"]
-    section_raw("triples")
-
-    def decode_triples() -> List[Triple]:
-        triple_ids = Reader(section("triples")).ids()
-        triple_terms = list(map(terms.__getitem__, triple_ids))
-        decoded = list(
-            map(Triple, triple_terms[::3], triple_terms[1::3], triple_terms[2::3])
+    n_triples = meta_graph["stats"]["triples"]
+    if raw("triples").nbytes != 8 + 24 * n_triples:
+        raise BundleFormatError(
+            f"{path}: the triples section does not hold {n_triples} rows"
         )
-        if counts.get("triples") is not None and counts["triples"] != len(decoded):
-            raise BundleFormatError(
-                f"{path}: triple section has {len(decoded)} triples, header "
-                f"says {counts['triples']}"
-            )
-        return decoded
-
-    type_pred_counts = _decode_count_pairs(
-        Reader(section("graph.type_pred_counts")), terms
-    )
-    subclass_pred_counts = _decode_count_pairs(
-        Reader(section("graph.subclass_pred_counts")), terms
-    )
-
-    def graph_thunk() -> DataGraph:
-        # The stored triples through the constructor every in-process
-        # engine uses; what it derives must be what the builder derived.
-        full = DataGraph(decode_triples(), strict=meta_graph["strict"])
-        for what, built, stored in (
-            ("stats", full.stats(), meta_graph["stats"]),
-            ("conflicts", full.conflicts, meta_graph["conflicts"]),
-            ("type predicates", full._type_pred_counts, type_pred_counts),
-            ("subclass predicates", full._subclass_pred_counts, subclass_pred_counts),
-        ):
-            if built != stored:
-                raise BundleFormatError(
-                    f"{path}: the graph rebuilt from the triples section "
-                    f"disagrees with the header on its {what} "
-                    f"({built!r} != {stored!r})"
-                )
-        return full
-
-    graph = LazyDataGraph(
-        graph_thunk,
-        strict=meta_graph["strict"],
-        conflicts=meta_graph["conflicts"],
-        type_pred_counts=type_pred_counts,
-        subclass_pred_counts=subclass_pred_counts,
-        stats=meta_graph["stats"],
-    )
     store = mt.MmapTripleTier(
-        ids("store2.spo"),
-        ids("store2.pos"),
-        ids("store2.osp"),
-        meta_graph["stats"]["triples"],
+        *(decode_raw_ids(raw(f"store2.{run}")) for run in ("spo", "pos", "osp")),
+        n_triples,
         terms,
     )
+    graph = MmapDataGraph(
+        store,
+        lambda: section("triples"),
+        meta_graph,
+        *(
+            _decode_count_pairs(Reader(section(f"graph.{name}_pred_counts")), terms)
+            for name in ("type", "subclass")
+        ),
+    )
+    return terms, store, graph
+
+
+def load_bundle(path) -> LoadedBundle:
+    """Open a bundle file as engine parts.
+
+    The keyword index and the triple store come back as the
+    disk-resident readers of :mod:`repro.storage.mmap_tier` over the
+    mapped sorted runs: neither postings nor triples are materialized,
+    so cold start is O(metadata) and resident memory O(touched data).
+    The data graph is a view over that triple store
+    (:mod:`repro.storage.graph_view`).  The runs are *not* CRC-verified
+    here (checksumming them would read every byte; :func:`verify_bundle`
+    is that pass); the metadata, summary and ``triples`` sections are,
+    when they are decoded.
+
+    Raises :class:`BundleFormatError` on anything that is not a repro
+    bundle of exactly :data:`FORMAT_VERSION` (an older or newer layout
+    is rebuilt, never half-read) and :class:`BundleChecksumError` when a
+    verified section's bytes do not match its recorded CRC — the
+    artifact is then unusable by definition and no partial engine is
+    produced.
+    """
+    path = os.fspath(path)
+    meta, section_raw, section = _map_sections(path)
+    terms, store, graph = _graph_parts(path, meta, section_raw, section)
+
+    def ids(name: str):
+        return decode_raw_ids(section_raw(name))
 
     # -- keyword index -------------------------------------------------
     inverted = mt.MmapInvertedIndex(
@@ -638,6 +634,7 @@ def load_bundle(path) -> LoadedBundle:
         build_seconds=summary_meta["build_seconds"],
         version=summary_meta["version"],
     )
+    counts = meta.get("counts", {})
     if counts.get("summary_vertices") is not None and counts["summary_vertices"] != len(
         vertices
     ):
@@ -689,9 +686,11 @@ def load_engine(
     lookups binary-search the bundle's queryable sections through the
     mmap, updates land in small in-memory overlays, and serving RSS
     stays O(touched data) (see :mod:`repro.storage.mmap_tier`).  The data
-    graph materializes from the stored triples on first use (see
-    :mod:`repro.storage.lazy`); searching and executing need neither, so
-    the returned engine serves queries after O(metadata) work.  Nothing
+    graph is a view over the same triple store (see
+    :mod:`repro.storage.graph_view`): an update probes the runs for the
+    terms it touches and decodes nothing else, so the returned engine
+    serves queries after O(metadata) work and stays O(touched data)
+    under writes.  Nothing
     here reads the sorted runs end to end: :func:`verify_bundle` is the
     integrity pass, and the caller that owns the artifact runs it.
 

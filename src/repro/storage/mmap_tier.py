@@ -60,6 +60,10 @@ _U64 = struct.Struct("<Q")
 #: undecoded runs stay on disk either way).
 DEFAULT_POSTINGS_CACHE = 4096
 
+#: How many terms the table does not hold it remembers: room for the new
+#: terms of a few dozen typical update batches.
+ABSENT_TERMS_MEMO = 1024
+
 
 def grouping_views(buf) -> Tuple:
     """Zero-copy ``(keys, offsets, values)`` int64 views of one grouping
@@ -118,7 +122,7 @@ class MmapTermTable:
     probes against keys parsed straight out of the encoded records.
     """
 
-    __slots__ = ("_records", "_offsets", "_sorted", "_terms", "_ids")
+    __slots__ = ("_records", "_offsets", "_sorted", "_terms", "_ids", "_absent")
 
     def __init__(self, records, offsets, sorted_ids):
         self._records = records
@@ -130,10 +134,10 @@ class MmapTermTable:
                 f"{len(sorted_ids)} sorted ids"
             )
         self._terms: Dict[int, Term] = {}
-        # Found ids only, so the table bounds it.  A miss is not
-        # remembered (it is one bisect, ~17 us on 18k terms): every update
-        # batch and every client probes terms the table never interned.
-        self._ids: Dict[Term, int] = {}
+        self._ids: Dict[Term, int] = {}  # found ids: the table bounds them
+        # Misses (a bisect each, ~26 us), emptied when full: an update
+        # batch probes each of its new terms many times over.
+        self._absent: Dict[Term, None] = {}
 
     def __len__(self) -> int:
         return len(self._offsets) - 1
@@ -200,15 +204,20 @@ class MmapTermTable:
     def id_of(self, term: Term) -> Optional[int]:
         """The term's table id, or None when it is not interned."""
         found = self._ids.get(term)
-        if found is not None:
+        if found is not None or term in self._absent:
             return found
         try:
-            probe = term_order_key(term, self._datatype_id)
+            found = _find_sorted(
+                self._sorted, self._record_key, term_order_key(term, self._datatype_id)
+            )
         except _AbsentTerm:
-            return None
-        found = _find_sorted(self._sorted, self._record_key, probe)
+            pass
         if found is not None:
             self._ids[term] = found
+        else:
+            if len(self._absent) >= ABSENT_TERMS_MEMO:
+                self._absent.clear()
+            self._absent[term] = None
         return found
 
 
@@ -850,6 +859,9 @@ class MmapTripleTier:
         #: Removed base rows: predicate id -> {(subject id, object id)}.
         self._tombstones: Dict[int, set] = {}
         self._n_dead = 0
+        #: The live triples added since load (to the delta, or revived
+        #: from a tombstone) in the order they came: a data graph's order.
+        self.added: Dict[Triple, None] = {}
 
     # -- the range function --------------------------------------------
 
@@ -923,16 +935,21 @@ class MmapTripleTier:
                 if not dead:
                     del self._tombstones[pid]
                 self._n_dead -= 1
+                self.added[triple] = None
                 return True
             if self._in_base(sid, pid, oid):
                 return False
-        return self._delta.add(triple)
+        if not self._delta.add(triple):
+            return False
+        self.added[triple] = None
+        return True
 
     def add_all(self, triples: Iterable[Triple]) -> int:
         return sum(1 for t in triples if self.add(t))
 
     def remove(self, triple: Triple) -> bool:
         if self._delta.remove(triple):
+            del self.added[triple]
             return True
         ids = self._ids(*triple)
         if ids is None or self._is_dead(*ids) or not self._in_base(*ids):
@@ -940,6 +957,7 @@ class MmapTripleTier:
         sid, pid, oid = ids
         self._tombstones.setdefault(pid, set()).add((sid, oid))
         self._n_dead += 1
+        self.added.pop(triple, None)
         return True
 
     def remove_all(self, triples: Iterable[Triple]) -> int:
@@ -1017,27 +1035,30 @@ class MmapTripleTier:
     def term_of(self, key: Hashable) -> Term:
         return self._terms[key] if type(key) is int else key
 
+    def is_literal_key(self, key: Hashable) -> bool:
+        """Whether the key's term is a literal, without decoding it (a
+        table record's kind byte is 2-4)."""
+        if type(key) is int:
+            return self._terms._records[self._terms._offsets[key]] >= 2
+        return isinstance(key, Literal)
+
     @staticmethod
     def _all_ids(s, p, o) -> bool:
         """True when every bound key is a table id (a term that is its
         own key has no base rows)."""
         return (
-            type(p) is int
+            (p is None or type(p) is int)
             and (s is None or type(s) is int)
             and (o is None or type(o) is int)
         )
 
     def count_keys(self, s, p, o) -> int:
-        """Live triples with predicate key ``p`` and the given subject /
-        object keys (None = any)."""
+        """Live triples with the given subject / predicate / object keys
+        (None = any)."""
         total = 0
         if len(self._delta):
-            term_of = self.term_of
-            total = self._delta.count(
-                None if s is None else term_of(s),
-                term_of(p),
-                None if o is None else term_of(o),
-            )
+            term_of = self.term_of  # None -> None
+            total = self._delta.count(term_of(s), term_of(p), term_of(o))
         if self._all_ids(s, p, o):
             total += self._live_base(s, p, o)
         return total
@@ -1047,6 +1068,28 @@ class MmapTripleTier:
         keys of the atom's constant ends (None = a variable), narrowed
         once for every probe the query will make of it."""
         return _RunAccess(self, p, s, o)
+
+    def object_keys(self, p) -> Iterator[Hashable]:
+        """The object key of every live row with predicate key ``p``, read
+        one row at a time (an early exit decodes nothing more)."""
+        if type(p) is int:
+            (subjects, _, objects), lo, hi = self._rows(None, p, None)
+            dead = self._tombstones.get(p, ())
+            for i in range(lo, hi):
+                if not dead or (subjects[i], objects[i]) not in dead:
+                    yield objects[i]
+        if len(self._delta):
+            delta_rows = self._delta.access(self.term_of(p)).pairs()
+            yield from (self.key_of(o) for _, o in delta_rows)
+
+    def base_rows(self) -> Iterator[Tuple[int, int, int]]:
+        """Every base row, tombstoned or not, as ``(s, p, o)`` ids."""
+        columns = self._runs[0][0]
+        return zip(*[_decoded(c, 0, self._n) for c in columns])
+
+    def overlay_stats(self) -> Dict[str, int]:
+        """The size of the in-memory overlay over the mapped runs."""
+        return {"delta_triples": len(self._delta), "tombstones": self._n_dead}
 
     def __repr__(self):
         return (

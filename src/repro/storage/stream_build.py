@@ -360,10 +360,9 @@ def _build(
 
     # ------------------------------------------------------------------
     # The data graph: its triples in arrival order and nothing derived
-    # from them — the loader replays them through DataGraph() and checks
-    # the result against the header's stats and conflicts.  The two
-    # predicate-count maps are what an unmaterialized graph answers
-    # `preferred_*_predicate` from.
+    # from them — a loaded graph is a view over the sorted runs, started
+    # from the header's stats and conflicts and from the two
+    # predicate-count maps, which `verify_bundle` holds against the runs.
     # ------------------------------------------------------------------
     with writer.section("triples") as sec:
         write_ids_from_segment(sec, rows_spool)
@@ -700,8 +699,7 @@ def _build(
 
     meta["writer"] = f"repro {__version__}"
     meta["snapshot"]["summary_version"] = summary.snapshot_key
-    # Cheap structural counts, so a lazily loaded graph can serve
-    # len()/stats() without materializing its heavy state.
+    # The structural counts a loaded graph keeps by delta from here on.
     meta["graph"].update(conflicts=conflicts, stats=stats)
     meta["kindex"]["build_seconds"] = kindex_seconds
     meta["summary"] = {

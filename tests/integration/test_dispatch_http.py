@@ -222,6 +222,29 @@ def test_update_epoch_advances_on_all_workers(dispatch_server):
     assert all(w["epoch"] == body["epoch"] for w in live)
 
 
+@BOTH_TIERS
+def test_stats_data_reports_the_overlay(request, tier, example_graph):
+    """`/stats` `data` keeps `triples` and shows the in-memory overlay
+    over the mapped runs: an added triple lands in the delta, a removed
+    base triple becomes a tombstone, and undoing both empties them."""
+    from repro.rdf.ntriples import serialize_ntriples
+
+    url = request.getfixturevalue(tier).url
+    before = _get(f"{url}/stats")[1]["data"]
+    assert set(before) == {"triples", "delta_triples", "tombstones"}
+    fresh = '<http://example.org/overlay> <http://example.org/p> "zzoverlay" .\n'
+    base = serialize_ntriples(example_graph.triples[:1])
+    _post(f"{url}/update", {"add": fresh, "remove": base})
+    during = _get(f"{url}/stats")[1]["data"]
+    assert during == {
+        "triples": before["triples"],
+        "delta_triples": before["delta_triples"] + 1,
+        "tombstones": before["tombstones"] + 1,
+    }
+    _post(f"{url}/update", {"add": base, "remove": fresh})
+    assert _get(f"{url}/stats")[1]["data"] == before
+
+
 #: What legitimately differs between two responses to one request.
 _TIMING_VALUES = re.compile(rb'"timings_ms": \{[^}]*\}|"latency_ms": [-+.e0-9]+')
 

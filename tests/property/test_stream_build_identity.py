@@ -28,8 +28,8 @@ from hypothesis import given, settings, strategies as st
 from bundle_layout import EXPECTED_SECTIONS
 from test_persistence_identity import (
     assert_engines_identical,
+    assert_same_graph,
     execute_signature,
-    graph_state,
     search_signature,
 )
 
@@ -230,13 +230,10 @@ def test_streamed_identity_random_corpora(tmp_path_factory, triples):
     loaded = KeywordSearchEngine.load(path)
     assert loaded.summary.snapshot_key == reference.summary.snapshot_key
     assert loaded.keyword_index.snapshot_key == reference.keyword_index.snapshot_key
-    # The header's conflicts and stats are the builder's own derivation;
-    # the first touch replays the triples through DataGraph() and raises
-    # unless the two agree, violations included.
-    assert loaded.graph.conflicts == reference.graph.conflicts
-    assert loaded.graph.stats() == reference.graph.stats()
-    assert loaded.graph.triples == reference.graph.triples  # first touch
-    assert graph_state(loaded.graph) == graph_state(reference.graph)
+    # The header's conflicts and stats are the builder's own derivation,
+    # the rest the view's probes of the runs: together they answer as
+    # the constructor's graph, violations included.
+    assert_same_graph(loaded.graph, reference.graph)
     # On a load of its own: enumerating decodes (and, for the refcount
     # groups, promotes into the overlay) everything it reads, and the
     # epoch below must also find groups nothing has touched yet.
@@ -250,5 +247,6 @@ def test_streamed_identity_random_corpora(tmp_path_factory, triples):
         engine.add_triples(EPOCH_ADDS)
         engine.remove_triples(triples[:2])
     assert_indexes_equal(loaded, reference)
+    assert_same_graph(loaded.graph, reference.graph, {t for x in triples[:2] for t in x})
     for query in PROP_QUERIES:
         assert search_signature(loaded, query) == search_signature(reference, query), query

@@ -200,18 +200,22 @@ class TestEngineFilters:
         self, engine, tmp_path
     ):
         """The kind fallback samples one row per attribute through the
-        store: on a loaded bundle the data graph stays a thunk, and the
-        queries are the in-process engine's."""
+        store: on a loaded bundle the data graph's ``triples`` section is
+        never read, and the queries are the in-process engine's."""
         from repro.core.engine import KeywordSearchEngine
 
         path = tmp_path / "dblp.reprobundle"
         engine.save(path)
         loaded = KeywordSearchEngine.load(path, attach_wal=False)
+
+        def unread():
+            raise AssertionError("the triples section was read")
+
+        loaded.graph._read_triples = unread
         for query in ("cimiano before 2050", "cimiano before 2005", "turing since 2000"):
             expected = [repr(fq) for fq in engine.search_with_filters(query, k=8)]
             assert expected
             assert [repr(fq) for fq in loaded.search_with_filters(query, k=8)] == expected
-            assert loaded.graph._lazy_thunk is not None, query
 
     def test_requires_plain_keyword(self, engine):
         with pytest.raises(ValueError):

@@ -14,7 +14,7 @@ from bundle_layout import (
 
 from repro.core.engine import KeywordSearchEngine
 from repro.rdf.graph import DataGraph
-from repro.rdf.namespace import RDF, XSD
+from repro.rdf.namespace import RDF, RDFS, XSD
 from repro.rdf.terms import BNode, Literal, URI
 from repro.rdf.triples import Triple
 from repro.scoring.cost import PopularityCost, make_cost_model
@@ -123,6 +123,30 @@ def test_term_table_round_trip():
     for index, term in enumerate(decoded):
         if isinstance(term, Literal) and term.datatype is not None:
             assert decoded.index(term.datatype) < index
+
+
+def test_term_table_resolves_a_miss_once_within_a_bound(monkeypatch):
+    """An update batch probes each of its new terms many times: a miss
+    is one bisect, remembered — in a memo the table keeps bounded."""
+    from repro.storage import mmap_tier
+
+    interner = TermInterner()
+    for term in (URI("http://example.org/a"), Literal("b")):
+        interner.id(term)
+    table = _term_table(interner.terms, interner.id)
+    bisects = []
+    find = mmap_tier._find_sorted
+    monkeypatch.setattr(
+        mmap_tier, "_find_sorted", lambda *a: bisects.append(a) or find(*a)
+    )
+    absent = URI("http://example.org/absent")
+    assert [table.id_of(absent) for _ in range(3)] == [None] * 3
+    assert len(bisects) == 1
+    monkeypatch.setattr(mmap_tier, "ABSENT_TERMS_MEMO", 4)
+    for i in range(10):
+        table.id_of(URI(f"http://example.org/new{i}"))
+        assert len(table._absent) <= 4
+    assert table.id_of(URI("http://example.org/a")) == 0
 
 
 def test_term_table_rejects_unknown_kind():
@@ -295,38 +319,62 @@ def _rewrite_bundle(path, data, header, payload):
     )
 
 
-def test_duplicated_triple_row_fails_graph_materialisation(small_engine, tmp_path):
-    """A ``triples`` section whose last row repeats the first — same
-    length, CRC patched, so checksum and row count pass — rebuilds to a
-    graph one triple short of the header's ``graph.stats``: the first
-    touch fails, it does not serve the smaller graph."""
+def _patch_section(path, name, patch):
+    """Rewrite one section's bytes in place (same length) and its CRC, so
+    only a check of what the bytes say can tell."""
     import zlib
 
-    path = tmp_path / "a.reprobundle"
-    small_engine.save(path)
     data = path.read_bytes()
     header, data_start = _read_header(data)
     payload = bytearray(data[data_start:])
-    entry = _section_entry(header, "triples")
+    entry = _section_entry(header, name)
     begin, end = entry["offset"], entry["offset"] + entry["length"]
-    payload[end - 24 : end] = payload[begin + 8 : begin + 32]
-    entry["crc32"] = zlib.crc32(payload[begin:end])
+    section = bytearray(payload[begin:end])
+    patch(section)
+    payload[begin:end] = section
+    entry["crc32"] = zlib.crc32(section)
     _rewrite_bundle(path, data, header, bytes(payload))
 
+
+def _repeat_first_row(section):
+    section[-24:] = section[8:32]
+
+
+def _one_more_type_edge(section):
+    count = struct.unpack_from("<q", section, 16)[0]  # (pid, count) after the prefix
+    struct.pack_into("<q", section, 16, count + 1)
+
+
+@pytest.mark.parametrize(
+    "name, patch, what",
+    [
+        ("triples", _repeat_first_row, "triple rows"),
+        ("graph.type_pred_counts", _one_more_type_edge, "type predicate counts"),
+    ],
+)
+def test_graph_that_disagrees_with_the_runs_fails_verification(
+    small_engine, tmp_path, name, patch, what
+):
+    """The header's graph counts and the ``triples`` section are held
+    against the sorted runs by ``verify_bundle``, which nothing serves
+    past: a ``triples`` section whose last row repeats the first, or one
+    type edge too many in the header's predicate counts — same length,
+    CRC patched, so every checksum holds — fails it, without a graph
+    being rebuilt.  The runs themselves are intact, so a load serves."""
+    path = tmp_path / "a.reprobundle"
+    small_engine.save(path)
+    _patch_section(path, name, patch)
+    with pytest.raises(BundleFormatError, match=f"graph's {what} disagree"):
+        verify_bundle(path)
     loaded = KeywordSearchEngine.load(path, attach_wal=False)
-    assert loaded.search("cimiano 2006").candidates  # never touches the graph
-    assert len(loaded.graph) == len(small_engine.graph)  # header-only
-    with pytest.raises(BundleFormatError, match="disagrees with the header"):
-        loaded.graph.triples
-    with pytest.raises(BundleFormatError, match="disagrees with the header"):
-        loaded.add_triples(list(small_engine.graph.triples)[:1])
+    assert loaded.search("cimiano 2006").candidates
 
 
 def test_shortened_triple_run_fails_store_materialisation(small_engine, tmp_path):
     """A ``store2.pos`` entry one row short — length and CRC patched, so
     the checksum passes — must fail the mapped tier's own length check
-    against the header's triple count at load, not serve an index
-    missing a triple."""
+    against the header's triple count, in ``verify_bundle`` and at load,
+    not serve an index missing a triple."""
     import zlib
 
     path = tmp_path / "a.reprobundle"
@@ -340,13 +388,13 @@ def test_shortened_triple_run_fails_store_materialisation(small_engine, tmp_path
         payload[entry["offset"] : entry["offset"] + entry["length"]]
     )
     _rewrite_bundle(path, data, header, payload)
-    verify_bundle(path)  # every checksum holds: only the length check can see it
     size = len(small_engine.store)
-    with pytest.raises(
-        BundleFormatError,
-        match=f"store2.pos holds {3 * size - 3} values, expected {3 * size}",
-    ):
-        KeywordSearchEngine.load(path, attach_wal=False)
+    for step in (verify_bundle, lambda p: KeywordSearchEngine.load(p, attach_wal=False)):
+        with pytest.raises(
+            BundleFormatError,
+            match=f"store2.pos holds {3 * size - 3} values, expected {3 * size}",
+        ):
+            step(path)
 
 
 def test_save_refuses_custom_cost_model(example_graph, tmp_path):
@@ -431,22 +479,53 @@ def test_artifact_metadata(small_engine, tmp_path):
     assert artifact["load_seconds"] >= 0
 
 
-def test_lazy_graph_serves_len_and_stats_without_materializing(
-    small_engine, tmp_path
-):
+def test_update_decodes_only_what_it_touches(dblp_small, tmp_path, monkeypatch):
+    """A loaded bundle's data graph is a view over its runs: searching,
+    executing and applying an update batch never read the ``triples``
+    section, and the batch decodes its own terms plus a schema-sized
+    handful from the term table — not the table."""
+    triples = list(dblp_small.triples)
     path = tmp_path / "a.reprobundle"
-    small_engine.save(path)
-    loaded = KeywordSearchEngine.load(path)
-    assert loaded.graph._lazy_thunk is not None
-    assert len(loaded.graph) == len(small_engine.graph)
-    assert loaded.graph.stats() == small_engine.graph.stats()
-    assert len(loaded.store) == len(small_engine.store)
-    assert loaded.graph._lazy_thunk is not None  # still unmaterialized
-    loaded.search("cimiano 2006")
-    assert loaded.graph._lazy_thunk is not None  # search never touches it
-    # The store is served in place; only the first update builds the graph.
-    loaded.execute(loaded.search("cimiano 2006").best())
-    assert loaded.graph._lazy_thunk is not None
+    KeywordSearchEngine(DataGraph(triples)).save(path)
+    loaded = KeywordSearchEngine.load(path, attach_wal=False)
+
+    def unread():
+        raise AssertionError("the triples section was read")
+
+    loaded.graph._read_triples = unread
+    decoded = []
+    decode = MmapTermTable._decode
+    monkeypatch.setattr(
+        MmapTermTable, "_decode", lambda table, i: decoded.append(i) or decode(table, i)
+    )
+    loaded.execute(loaded.search("conference 2005").best())
+
+    ns = "http://example.org/touched/"
+    article = next(t.object for t in triples if t.predicate == RDF.type)
+    author = next(
+        t for t in triples
+        if not t.object.is_literal and t.predicate not in (RDF.type, RDFS.subClassOf)
+    )
+    adds = [
+        Triple(URI(ns + "p1"), RDF.type, article),
+        Triple(URI(ns + "p1"), URI(ns + "title"), Literal("Touched Only")),
+        Triple(URI(ns + "p1"), author.predicate, author.object),
+    ]
+    removes = [next(t for t in triples if t.object.is_literal)]
+    before = len(decoded)
+    loaded.index_manager.apply_batch(adds=adds, removes=removes)
+    batch_terms = {term for t in adds + removes for term in t}
+    assert len(decoded) - before <= len(batch_terms) + 5, len(decoded) - before
+    table = loaded.store._terms
+    assert len(table._terms) < len(table) // 10  # the memo of decoded terms
+
+    reference = DataGraph(triples)
+    reference.remove_all(removes)
+    reference.add_all(adds)
+    assert loaded.graph.stats() == reference.stats()
+    assert loaded.data_stats() == {
+        "triples": len(reference), "delta_triples": 3, "tombstones": 1
+    }
 
 
 @pytest.mark.parametrize(
