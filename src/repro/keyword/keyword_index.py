@@ -42,6 +42,15 @@ from repro.keyword.analysis import DEFAULT_ANALYZER
 from repro.keyword.inverted_index import InvertedIndex
 from repro.keyword.levenshtein import levenshtein, similarity
 from repro.keyword.synonyms import DEFAULT_LEXICON
+from repro.rdf.derivation import (
+    ATTRIBUTE,
+    CLASS,
+    RELATION,
+    VALUE,
+    adjust_contexts,
+    element_text,
+    indexed_elements,
+)
 from repro.rdf.graph import DataGraph, VertexKind
 from repro.rdf.namespace import local_name
 from repro.rdf.terms import Literal, Term, URI
@@ -160,30 +169,6 @@ class ValueMatch(KeywordMatch):
 
     def __repr__(self):
         return f"ValueMatch({self.value.lexical!r}, score={self.score:.3f})"
-
-
-# Internal element-key kinds stored in the inverted index.
-_KIND_CLASS = "class"
-_KIND_RELATION = "relation"
-_KIND_ATTRIBUTE = "attribute"
-_KIND_VALUE = "value"
-
-
-def element_label_text(kind: str, term, label_of) -> str:
-    """The label text one index element is analyzed under.
-
-    Shared between :meth:`KeywordIndex._build` and the out-of-core
-    streaming build (``repro.storage.stream_build``) so both paths feed
-    the analyzer byte-identical input: classes use the graph's display
-    label, edge labels their URI local name, values their lexical form.
-    ``label_of`` is only consulted for classes, so streamed callers can
-    pass a resident-aggregate implementation.
-    """
-    if kind == _KIND_CLASS:
-        return label_of(term)
-    if kind == _KIND_VALUE:
-        return term.lexical
-    return local_name(term)
 
 
 #: The dependency of a lookup that scanned the vocabulary (a fuzzy match,
@@ -338,75 +323,24 @@ class KeywordIndex:
         ] = {}
 
         started = time.perf_counter()
-        self._build()
-        self.build_seconds = time.perf_counter() - started
-
-    # ------------------------------------------------------------------
-    # Construction
-    # ------------------------------------------------------------------
-
-    def _build(self) -> None:
-        graph = self._graph
-        for kind, elements in (
-            (_KIND_CLASS, graph.classes),
-            (_KIND_RELATION, graph.relation_labels),
-            (_KIND_ATTRIBUTE, graph.attribute_labels),
-            (_KIND_VALUE, graph.values),
+        for kind, element, text in indexed_elements(
+            graph.classes,
+            graph.relation_labels,
+            graph.attribute_labels,
+            graph.values,
+            graph.label_of,
         ):
-            for element in elements:
-                self._index.index((kind, element), self._label_terms(kind, element))
-
+            self._index.index((kind, element), DEFAULT_ANALYZER.analyze(text))
         # One pass over all A-edges seeds the class-context refcounts.
-        for triple in graph.attribute_triples():
-            self._adjust_occurrence_refs(
-                triple.predicate,
-                triple.object,
-                graph.types_of(triple.subject),
-                +1,
-            )
+        refs = self._attribute_class_refs, self._value_occurrence_refs
+        for t in graph.attribute_triples():
+            adjust_contexts(*refs, t.predicate, t.object, graph.types_of(t.subject), +1)
+        self.build_seconds = time.perf_counter() - started
 
     def _label_terms(self, kind: str, element) -> List[str]:
         return DEFAULT_ANALYZER.analyze(
-            element_label_text(kind, element, self._graph.label_of)
+            element_text(kind, element, self._graph.label_of)
         )
-
-    def _adjust_occurrence_refs(
-        self, label, value, classes, delta: int
-    ) -> List[Tuple[Hashable, bool, bool]]:
-        """Apply one incidence's refcount delta to both class-context maps.
-
-        Returns ``(element key, existed, exists)`` for each of the two
-        elements whose context *key set* changed — a count moving between
-        two positive values changes nothing a match carries, and an
-        element cannot appear or disappear without its key set changing.
-        """
-        classes = classes or (None,)
-        changed = []
-        for kind, refs, element, members in (
-            (_KIND_ATTRIBUTE, self._attribute_class_refs, label, classes),
-            (
-                _KIND_VALUE,
-                self._value_occurrence_refs,
-                value,
-                [(label, cls) for cls in classes],
-            ),
-        ):
-            group = refs.setdefault(element, {})
-            existed = bool(group)
-            moved = False
-            for member in members:
-                before = group.get(member, 0)
-                count = before + delta
-                if count > 0:
-                    group[member] = count
-                else:
-                    group.pop(member, None)
-                moved |= (before > 0) != (count > 0)
-            if not group:
-                del refs[element]
-            if moved:
-                changed.append(((kind, element), existed, bool(group)))
-        return changed
 
     # ------------------------------------------------------------------
     # Incremental maintenance (used by repro.maintenance.IndexManager)
@@ -427,11 +361,11 @@ class KeywordIndex:
 
     def refresh_class(self, cls: Term) -> None:
         self._refresh(
-            (_KIND_CLASS, cls), self._graph.vertex_kind(cls) is VertexKind.CLASS
+            (CLASS, cls), self._graph.vertex_kind(cls) is VertexKind.CLASS
         )
 
     def refresh_relation_label(self, label: URI) -> None:
-        self._refresh((_KIND_RELATION, label), self._graph.has_relation_label(label))
+        self._refresh((RELATION, label), self._graph.has_relation_label(label))
 
     def _refresh(self, key: Hashable, exists: bool) -> None:
         """Make ``key``'s postings what its label analyzes to now (none
@@ -470,9 +404,8 @@ class KeywordIndex:
         self.version += 1
         terms: Set[str] = set()
         elements = []
-        for key, existed, exists in self._adjust_occurrence_refs(
-            label, value, classes, delta
-        ):
+        refs = self._attribute_class_refs, self._value_occurrence_refs
+        for key, existed, exists in adjust_contexts(*refs, label, value, classes, delta):
             elements.append(key)
             if exists and not existed:
                 label_terms = self._label_terms(*key)
@@ -677,14 +610,14 @@ class KeywordIndex:
 
     def _materialize(self, key: Hashable, score: float) -> KeywordMatch:
         kind, element = key
-        if kind == _KIND_CLASS:
+        if kind == CLASS:
             return ClassMatch(element, score)
-        if kind == _KIND_RELATION:
+        if kind == RELATION:
             return RelationMatch(element, score)
-        if kind == _KIND_ATTRIBUTE:
+        if kind == ATTRIBUTE:
             classes = frozenset(self._attribute_class_refs.get(element) or {None})
             return AttributeMatch(element, classes, score)
-        if kind == _KIND_VALUE:
+        if kind == VALUE:
             occurrences = frozenset(self._value_occurrence_refs.get(element, ()))
             return ValueMatch(element, occurrences, score)
         raise ValueError(f"unknown element kind {kind!r}")  # pragma: no cover

@@ -16,6 +16,8 @@ it computes the affected derived facts — classes whose instance sets
 change, summary-edge projections of relation triples whose endpoint types
 change, attribute-occurrence incidences whose class context changes — and
 applies exactly those as counter adjustments and targeted re-indexing.
+The adjustments are the constructors' own derivation
+(:mod:`repro.rdf.derivation`) applied with a delta of -1 or +1.
 Work is proportional to the delta and its neighborhood (the incident
 edges of retyped entities), never to the size of the graph or its
 indexes, and in particular never to how many triples share a predicate or
@@ -37,23 +39,23 @@ are dropped.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from itertools import chain
-from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.keyword.keyword_index import KeywordIndex
 from repro.query.evaluator import QueryEvaluator
+from repro.rdf.derivation import count_projections
 from repro.rdf.graph import DataGraph, EdgeKind, VertexKind
 from repro.rdf.namespace import LABEL_PREDICATES
 from repro.rdf.terms import Literal, Term, URI
 from repro.rdf.triples import Triple
 from repro.store.triple_store import TripleStore
-from repro.summary.elements import THING_KEY, SummaryEdgeKind
+from repro.summary.elements import THING_KEY, SummaryEdgeKind, edge_key
 from repro.summary.summary_graph import _SUBCLASS_LABEL, SummaryGraph
 
-#: (edge label, source vertex key, target vertex key) — one class-level
-#: projection of a relation triple.
-_Projection = Tuple[URI, Hashable, Hashable]
+#: (edge label, source class, target class; None = Thing) — one
+#: class-level projection of a relation triple.
+_Projection = Tuple[URI, Optional[Term], Optional[Term]]
 
 
 class IndexManager:
@@ -272,15 +274,22 @@ class IndexManager:
         reattribute.difference_update(attr_rems)
 
         # -- decrements under OLD types (snapshotted pre-mutation) ------
-        edge_delta: Dict[_Projection, int] = defaultdict(int)
-        for t in chain(rel_rems, reproject):
-            for projection in self._projections(t):
-                edge_delta[projection] -= 1
-        # (label, value, classes, delta) events for the keyword index.
-        occurrence_events: List[Tuple] = [
-            (t.predicate, t.object, graph.types_of(t.subject), -1)
-            for t in chain(attr_rems, reattribute)
-        ]
+        # Summary projections, and (label, value, classes, delta) events
+        # for the keyword index's class contexts.
+        edge_delta: Dict[_Projection, int] = {}
+        occurrence_events: List[Tuple] = []
+
+        def contribute(relations, attributes, delta: int) -> None:
+            types = graph.types_of
+            for t in relations:
+                count_projections(
+                    edge_delta, t.predicate, types(t.subject), types(t.object), delta
+                )
+            occurrence_events.extend(
+                (t.predicate, t.object, types(t.subject), delta) for t in attributes
+            )
+
+        contribute(chain(rel_rems, reproject), chain(attr_rems, reattribute), -1)
 
         # -- mutate the data graph -------------------------------------
         # All-or-nothing: if any triple is rejected (strict-mode
@@ -303,13 +312,7 @@ class IndexManager:
             raise
 
         # -- increments under NEW types --------------------------------
-        for t in chain(rel_adds, reproject):
-            for projection in self._projections(t):
-                edge_delta[projection] += 1
-        occurrence_events.extend(
-            (t.predicate, t.object, graph.types_of(t.subject), +1)
-            for t in chain(attr_adds, reattribute)
-        )
+        contribute(chain(rel_adds, reproject), chain(attr_adds, reattribute), +1)
 
         # Propagation failures past this point would be internal invariant
         # bugs; surface them with an explicit recovery instruction instead
@@ -337,19 +340,6 @@ class IndexManager:
             callback()
 
         return len(adds) + len(removes)
-
-    def _projections(self, triple: Triple) -> List[_Projection]:
-        """Class-level summary projections of one relation triple, under the
-        data graph's *current* types (Definition 4's aggregation rule)."""
-        graph = self.graph
-        class_key = self.summary.class_key
-        source_classes = graph.types_of(triple.subject) or (None,)
-        target_classes = graph.types_of(triple.object) or (None,)
-        return [
-            (triple.predicate, class_key(sc), class_key(tc))
-            for sc in source_classes
-            for tc in target_classes
-        ]
 
     # ------------------------------------------------------------------
     # Summary graph
@@ -381,19 +371,23 @@ class IndexManager:
             summary.ensure_thing(agg_count=untyped)
 
         # Relation-edge projections.
-        for (label, sk, tk), delta in edge_delta.items():
+        for (label, sc, tc), delta in edge_delta.items():
             if delta == 0:
                 continue
-            if delta > 0 and (sk == THING_KEY or tk == THING_KEY):
+            if delta > 0 and (sc is None or tc is None):
                 summary.ensure_thing(agg_count=graph.untyped_entity_count)
             summary.adjust_edge_agg_count(
-                label, SummaryEdgeKind.RELATION, sk, tk, delta
+                label,
+                SummaryEdgeKind.RELATION,
+                summary.class_key(sc),
+                summary.class_key(tc),
+                delta,
             )
 
         # Subclass edges mirror the direct subclass pairs.
         for t in sub_rems:
             sub, sup = t.subject, t.object
-            key = summary.edge_key(
+            key = edge_key(
                 _SUBCLASS_LABEL, summary.class_key(sub), summary.class_key(sup)
             )
             if sup not in graph.superclasses_of(sub) and summary.has_element(key):

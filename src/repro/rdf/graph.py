@@ -33,13 +33,9 @@ from collections import defaultdict
 from enum import Enum
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
-from repro.rdf.namespace import (
-    LABEL_PREDICATES,
-    SUBCLASS_PREDICATES,
-    TYPE_PREDICATES,
-    local_name,
-)
-from repro.rdf.terms import BNode, Literal, Term, URI
+from repro.rdf.derivation import display_label
+from repro.rdf.namespace import LABEL_PREDICATES, SUBCLASS_PREDICATES, TYPE_PREDICATES
+from repro.rdf.terms import Literal, Term, URI
 from repro.rdf.triples import Triple
 
 
@@ -603,13 +599,7 @@ class DataGraph:
     def label_of(self, term: Term) -> str:
         """A human-readable label: the entity's name/title/label attribute,
         a literal's lexical form, or the URI's local name."""
-        if isinstance(term, Literal):
-            return term.lexical
-        if term in self._labels:
-            return self._labels[term]
-        if isinstance(term, URI):
-            return local_name(term)
-        return str(term)
+        return display_label(term, self._labels.get(term))
 
     # ------------------------------------------------------------------
     # Statistics

@@ -25,14 +25,16 @@ def pagerank(
     """Power-iteration PageRank over the summary graph's vertices.
 
     Edges are followed from source to target; dangling mass is redistributed
-    uniformly, the standard treatment.
+    uniformly, the standard treatment.  Vertices and edges are summed in
+    canonical (``repr``) order, the substrate's, so the ranks are the same
+    bits whatever order the graph was built or maintained in.
     """
-    vertices = [v.key for v in graph.vertices]
+    vertices = sorted((v.key for v in graph.vertices), key=repr)
     if not vertices:
         return {}
     n = len(vertices)
     out_edges: Dict[Hashable, list] = {key: [] for key in vertices}
-    for edge in graph.edges:
+    for edge in sorted(graph.edges, key=lambda e: repr(e.key)):
         out_edges[edge.source_key].append(edge.target_key)
 
     rank = {key: 1.0 / n for key in vertices}

@@ -28,6 +28,7 @@ import sys
 from array import array
 from typing import Dict, Iterable, List, Sequence, Tuple
 
+from repro.rdf.derivation import ATTRIBUTE, CLASS, RELATION, VALUE
 from repro.rdf.terms import BNode, Literal, Term, URI
 
 from repro.storage.errors import BundleFormatError
@@ -68,7 +69,7 @@ _TERM_LITERAL_LANG = 4
 #: Keyword-index element kinds in wire-code order: an element reference is
 #: encoded as ``(code, term-id)``, and ``ELEMENT_KINDS[code]`` restores the
 #: kind string of the element key.
-ELEMENT_KINDS = ("class", "relation", "attribute", "value")
+ELEMENT_KINDS = (CLASS, RELATION, ATTRIBUTE, VALUE)
 ELEMENT_CODE = {kind: code for code, kind in enumerate(ELEMENT_KINDS)}
 
 

@@ -15,13 +15,9 @@ from __future__ import annotations
 from itertools import chain
 from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
+from repro.rdf.derivation import display_label
 from repro.rdf.graph import DataGraph, GraphIntegrityError, VertexKind
-from repro.rdf.namespace import (
-    LABEL_PREDICATES,
-    SUBCLASS_PREDICATES,
-    TYPE_PREDICATES,
-    local_name,
-)
+from repro.rdf.namespace import LABEL_PREDICATES, SUBCLASS_PREDICATES, TYPE_PREDICATES
 from repro.rdf.terms import Literal, Term, URI
 from repro.rdf.triples import Triple
 
@@ -282,7 +278,7 @@ class MmapDataGraph:
                 found = {next(o for o in order if o in found)}
             if found:
                 return found.pop().lexical
-        return local_name(term) if isinstance(term, URI) else str(term)
+        return display_label(term)
 
     # -- O(1) state --------------------------------------------------------
 

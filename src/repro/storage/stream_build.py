@@ -18,10 +18,12 @@ resident:
   graph — and maintains the *hot* aggregates: role refcounts, type/
   subclass pairs, display labels, predicate counts, conflicts;
 * **pass B** re-reads the spool — with the full classification known —
-  and externally sorts the rows into the SPO/POS/OSP sections and by
-  predicate, to project the summary graph and seed the keyword class
-  contexts; posting lists spill to sorted runs past the in-memory
-  budget and k-way merge at finalize.
+  and feeds three external sorts, into the SPO/POS/OSP sections; the
+  same loop counts each R-edge's summary projections and each A-edge's
+  keyword class contexts through :mod:`repro.rdf.derivation`, the one
+  derivation the constructors and maintenance share, in arrival order
+  (no reader depends on it); posting lists spill to sorted runs past
+  the in-memory budget and k-way merge at finalize.
 
 Peak RSS is ``O(hot structures + spill budgets)`` instead of
 ``O(corpus)``: what stays resident is exactly what the paper calls the
@@ -37,27 +39,20 @@ import struct
 import tempfile
 import time
 from array import array
-from itertools import chain, groupby, islice
-from operator import itemgetter
+from itertools import chain, islice
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from repro import __version__
 from repro.core.exploration import DEFAULT_DMAX
 from repro.keyword.analysis import DEFAULT_ANALYZER
 from repro.keyword.inverted_index import SpillingPostingsBuilder
-from repro.keyword.keyword_index import element_label_text
+from repro.rdf.derivation import adjust_contexts, count_projections, indexed_elements
 from repro.rdf.graph import GraphIntegrityError
-from repro.rdf.namespace import (
-    LABEL_PREDICATES,
-    SUBCLASS_PREDICATES,
-    TYPE_PREDICATES,
-    local_name,
-)
-from repro.rdf.terms import Literal, Term, URI
+from repro.rdf.namespace import LABEL_PREDICATES, SUBCLASS_PREDICATES, TYPE_PREDICATES
+from repro.rdf.terms import Literal, Term
 from repro.rdf.triples import Triple
 from repro.scoring.cost import COST_MODELS, CostModel
-from repro.summary.elements import THING_KEY, SummaryEdgeKind
-from repro.summary.summary_graph import _SUBCLASS_LABEL, SummaryGraph
+from repro.summary.summary_graph import SummaryGraph
 
 from repro.storage.bundle import (
     _EDGE_CODE,
@@ -241,9 +236,9 @@ def _build(
 
     seen: Set = set()
     # Classification, id-keyed.  Classes and values are dicts used as
-    # ordered sets: their insertion order is the in-memory DataGraph's
-    # first-acquisition order, which the keyword elements and the summary
-    # vertices are emitted in.
+    # ordered sets, so the keyword elements and the summary vertices are
+    # emitted in first-acquisition order and a bundle's bytes are a
+    # function of its input.
     classes: Dict[int, None] = {}
     values: Dict[int, None] = {}
     entities: Set[int] = set()
@@ -380,17 +375,18 @@ def _build(
     )
 
     # ------------------------------------------------------------------
-    # Pass B: one pass over the spool feeds every external sort.
+    # Pass B: one pass over the spool, with every type known, feeds the
+    # three external sorts and counts what each R- and A-edge contributes
+    # (repro.rdf.derivation, keyed by term id; an untyped entity's class
+    # is Thing's id in the sections, -1).
     # ------------------------------------------------------------------
     sort_spo = ExternalSorter(tmp, 3, budget_rows, "spo")
     sort_pos = ExternalSorter(tmp, 3, budget_rows, "pos")
     sort_osp = ExternalSorter(tmp, 3, budget_rows, "osp")
-    sort_rel = ExternalSorter(tmp, 5, budget_rows, "rel")
-    sort_attr = ExternalSorter(tmp, 5, budget_rows, "attr")
-    rel_rank = {pid: i for i, pid in enumerate(rel_pred_counts)}
-    attr_rank = {pid: i for i, pid in enumerate(attr_pred_counts)}
-
-    seq = 0
+    thing = (-1,)
+    edge_counts: Dict[Tuple[int, int, int], int] = {}
+    attr_class_refs: Dict[int, Dict[int, int]] = {}
+    value_occ_refs: Dict[int, Dict[Tuple[int, int], int]] = {}
     kind_iter = iter_rows(kind_spool.path, 1)
     for sid, pid, oid in iter_rows(rows_spool.path, 3):
         (kind,) = next(kind_iter)
@@ -398,37 +394,13 @@ def _build(
         sort_pos.add((pid, oid, sid))
         sort_osp.add((oid, sid, pid))
         if kind == _K_REL:
-            sort_rel.add((rel_rank[pid], seq, pid, sid, oid))
+            count_projections(
+                edge_counts, pid, types_of.get(sid, thing), types_of.get(oid, thing)
+            )
         elif kind == _K_ATTR:
-            sort_attr.add((attr_rank[pid], seq, pid, sid, oid))
-        seq += 1
-
-    # Summary edge projection: R-edges by (predicate first seen, arrival),
-    # the order the in-memory graph's per-predicate buckets iterate in.
-    types_sorted: Dict[int, Tuple[int, ...]] = {
-        e: tuple(sorted(v)) for e, v in types_of.items()
-    }
-    edge_counts: Dict[Tuple[int, int, int], int] = {}
-    for _, _, pid, sid, oid in sort_rel.sorted_rows():
-        for sc in types_sorted.get(sid, (-1,)):
-            for tc in types_sorted.get(oid, (-1,)):
-                ekey = (pid, sc, tc)
-                edge_counts[ekey] = edge_counts.get(ekey, 0) + 1
-    sort_rel.cleanup()
-
-    # Keyword class contexts: A-edges in the same order
-    # (the one KeywordIndex._build seeds its refcounts in).
-    attr_class_refs: Dict[int, Dict[int, int]] = {}
-    value_occ_refs: Dict[int, Dict[Tuple[int, int], int]] = {}
-    for pid, pred_rows in groupby(sort_attr.sorted_rows(), key=itemgetter(2)):
-        label_refs = attr_class_refs.setdefault(pid, {})
-        for _, _, _, sid, oid in pred_rows:
-            refs = value_occ_refs.setdefault(oid, {})
-            for cls in types_sorted.get(sid, (-1,)):
-                label_refs[cls] = label_refs.get(cls, 0) + 1
-                occ = (pid, cls)
-                refs[occ] = refs.get(occ, 0) + 1
-    sort_attr.cleanup()
+            adjust_contexts(
+                attr_class_refs, value_occ_refs, pid, oid, types_of.get(sid, thing), 1
+            )
 
     # Triple store indexes: three external sorts, each streamed into its
     # flat sorted run — the one stored form of the indexes.
@@ -442,7 +414,8 @@ def _build(
         sorter.cleanup()
 
     # ------------------------------------------------------------------
-    # Keyword index: elements in _build() order, postings via spill runs.
+    # Keyword index: elements in indexed_elements() order, postings via
+    # spill runs.
     # ------------------------------------------------------------------
     kindex_started = time.perf_counter()
     analyze = DEFAULT_ANALYZER.analyze
@@ -453,56 +426,33 @@ def _build(
     element_terms = GroupingSpool(tmp, "element_terms")
     element_count = 0
 
-    def class_label_text(tid: int) -> str:
-        entry = labels.get(tid)
-        if entry is not None:
-            return terms[entry[1]].lexical
-        term = terms[tid]
-        if isinstance(term, URI):
-            return local_name(term)
-        return str(term)
+    def label_of(term: Term) -> Optional[str]:
+        entry = labels.get(term_id(term))
+        return None if entry is None else terms[entry[1]].lexical
 
-    def index_element(code: int, tid: int, text: str) -> None:
-        nonlocal element_count
+    for kind, term, text in indexed_elements(
+        map(terms.__getitem__, classes),
+        map(terms.__getitem__, rel_pred_counts),
+        map(terms.__getitem__, attr_pred_counts),
+        map(terms.__getitem__, values),
+        label_of,
+    ):
         analyzed = analyze(text)
         if not analyzed:
-            return
+            continue
         counts: Dict[str, int] = {}
         for t in analyzed:
             counts[t] = counts.get(t, 0) + 1
         total = len(analyzed)
         eid = element_count
         element_count += 1
-        elements_spool.append((code, tid))
+        elements_spool.append((ELEMENT_CODE[kind], term_id(term)))
         term_ids = []
         for text_term, tf in counts.items():
             vid = vocab_id(text_term)
             term_ids.append(vid)
             postings.add(vid, eid, tf, total)
         element_terms.add(term_ids)
-
-    code_class = ELEMENT_CODE["class"]
-    code_relation = ELEMENT_CODE["relation"]
-    code_attribute = ELEMENT_CODE["attribute"]
-    code_value = ELEMENT_CODE["value"]
-    for cid in classes:
-        index_element(
-            code_class,
-            cid,
-            element_label_text(
-                "class", terms[cid], lambda term: class_label_text(term_id(term))
-            ),
-        )
-    for pid in rel_pred_counts:
-        index_element(
-            code_relation, pid, element_label_text("relation", terms[pid], None)
-        )
-    for pid in attr_pred_counts:
-        index_element(
-            code_attribute, pid, element_label_text("attribute", terms[pid], None)
-        )
-    for vid in values:
-        index_element(code_value, vid, element_label_text("value", terms[vid], None))
 
     with writer.section("kindex.vocab") as sec:
         sec.write(_U64.pack(len(vocab.items)))
@@ -596,37 +546,26 @@ def _build(
     kindex_seconds = time.perf_counter() - kindex_started
 
     # ------------------------------------------------------------------
-    # Summary graph: replay the Definition 4 projection from aggregates.
+    # Summary graph: Definition 4 replayed from pass A's and pass B's counts.
     # ------------------------------------------------------------------
     summary_started = time.perf_counter()
-    summary = SummaryGraph()
-    summary.total_entities = max(stats["entities"], 1)
-    summary.total_relation_edges = max(stats["relation_edges"], 1)
-    summary.total_attribute_edges = max(stats["attribute_edges"], 1)
-
     instance_counts: Dict[int, int] = {}
     for _, cls in type_pairs:
         instance_counts[cls] = instance_counts.get(cls, 0) + 1
-    for cid in classes:
-        summary.add_class_vertex(terms[cid], agg_count=instance_counts.get(cid, 0))
-    if untyped_count:
-        summary.ensure_thing(agg_count=untyped_count)
-    for (pid, sc, tc), count in edge_counts.items():
-        sk = THING_KEY if sc == -1 else ("class", terms[sc])
-        tk = THING_KEY if tc == -1 else ("class", terms[tc])
-        if sk == THING_KEY or tk == THING_KEY:
-            summary.ensure_thing()
-        summary.add_edge(
-            terms[pid], SummaryEdgeKind.RELATION, sk, tk, agg_count=count
-        )
-    for sub, sup in subclass_pairs:
-        summary.add_edge(
-            _SUBCLASS_LABEL,
-            SummaryEdgeKind.SUBCLASS,
-            ("class", terms[sub]),
-            ("class", terms[sup]),
-            agg_count=1,
-        )
+
+    def term_or_thing(tid: int) -> Optional[Term]:
+        return None if tid == -1 else terms[tid]
+
+    summary = SummaryGraph.from_counts(
+        ((terms[cid], instance_counts.get(cid, 0)) for cid in classes),
+        untyped_count,
+        {
+            (terms[pid], term_or_thing(sc), term_or_thing(tc)): count
+            for (pid, sc, tc), count in edge_counts.items()
+        },
+        ((terms[sub], terms[sup]) for sub, sup in subclass_pairs),
+        (stats["entities"], stats["relation_edges"], stats["attribute_edges"]),
+    )
     summary.build_seconds = time.perf_counter() - summary_started
 
     summary_state = summary.state_for_persistence()

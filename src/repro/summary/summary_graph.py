@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import time
 from itertools import chain
-from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 
+from repro.rdf.derivation import count_projections
 from repro.rdf.graph import DataGraph
 from repro.rdf.terms import Term, URI
 from repro.summary.elements import (
@@ -66,37 +67,55 @@ class SummaryGraph:
     def from_data_graph(cls, graph: DataGraph) -> "SummaryGraph":
         """Apply the aggregation rules of Definition 4."""
         started = time.perf_counter()
-        summary = cls()
+        counts: Dict[Tuple[URI, Optional[Term], Optional[Term]], int] = {}
+        types = graph.types_of
+        for t in graph.relation_triples():
+            count_projections(counts, t.predicate, types(t.subject), types(t.object))
         stats = graph.stats()
-        summary.total_entities = max(stats["entities"], 1)
-        summary.total_relation_edges = max(stats["relation_edges"], 1)
-        summary.total_attribute_edges = max(stats["attribute_edges"], 1)
+        summary = cls.from_counts(
+            ((c, graph.instance_count(c)) for c in graph.classes),
+            graph.untyped_entity_count,
+            counts,
+            graph.subclass_pairs(),
+            (stats["entities"], stats["relation_edges"], stats["attribute_edges"]),
+        )
+        summary.build_seconds = time.perf_counter() - started
+        return summary
 
-        for class_term in graph.classes:
-            summary.add_class_vertex(class_term, agg_count=len(graph.instances_of(class_term)))
-
-        untyped = len(graph.untyped_entities)
+    @classmethod
+    def from_counts(
+        cls,
+        class_counts: Iterable[Tuple[Term, int]],
+        untyped: int,
+        edge_counts: Dict[Tuple[URI, Optional[Term], Optional[Term]], int],
+        subclass_pairs: Iterable[Tuple[Term, Term]],
+        totals: Tuple[int, int, int],
+    ) -> "SummaryGraph":
+        """Definition 4 replayed from counts: a vertex per ``(class,
+        instances)``, Thing for ``untyped`` entities, an edge per counted
+        projection (``count_projections``, ``None`` = Thing) and per direct
+        subclass pair, and the cost models' ``(entities, relation edges,
+        attribute edges)`` totals."""
+        summary = cls()
+        entities, relation_edges, attribute_edges = totals
+        summary.total_entities = max(entities, 1)
+        summary.total_relation_edges = max(relation_edges, 1)
+        summary.total_attribute_edges = max(attribute_edges, 1)
+        for class_term, count in class_counts:
+            summary.add_class_vertex(class_term, agg_count=count)
         if untyped:
             summary.ensure_thing(agg_count=untyped)
-
-        # Project every R-edge to class level; count aggregated originals.
-        edge_counts: Dict[Tuple[URI, Hashable, Hashable], int] = {}
-        for triple in graph.relation_triples():
-            source_classes = graph.types_of(triple.subject) or (None,)
-            target_classes = graph.types_of(triple.object) or (None,)
-            for sc in source_classes:
-                for tc in target_classes:
-                    sk = summary.class_key(sc)
-                    tk = summary.class_key(tc)
-                    edge_counts[(triple.predicate, sk, tk)] = (
-                        edge_counts.get((triple.predicate, sk, tk), 0) + 1
-                    )
-        for (label, sk, tk), count in edge_counts.items():
-            if sk == THING_KEY or tk == THING_KEY:
+        for (label, sc, tc), count in edge_counts.items():
+            if sc is None or tc is None:
                 summary.ensure_thing()
-            summary.add_edge(label, SummaryEdgeKind.RELATION, sk, tk, agg_count=count)
-
-        for sub, sup in graph.subclass_pairs():
+            summary.add_edge(
+                label,
+                SummaryEdgeKind.RELATION,
+                summary.class_key(sc),
+                summary.class_key(tc),
+                agg_count=count,
+            )
+        for sub, sup in subclass_pairs:
             summary.add_edge(
                 _SUBCLASS_LABEL,
                 SummaryEdgeKind.SUBCLASS,
@@ -104,20 +123,11 @@ class SummaryGraph:
                 ("class", sup),
                 agg_count=1,
             )
-
-        summary.build_seconds = time.perf_counter() - started
         return summary
 
     def class_key(self, class_term: Optional[Term]) -> Hashable:
         """The vertex key for a class term; ``None`` maps to Thing."""
         return THING_KEY if class_term is None else ("class", class_term)
-
-    @staticmethod
-    def edge_key(
-        label: URI, source_key: Hashable, target_key: Hashable
-    ) -> Hashable:
-        """The key an edge with these endpoints is stored under."""
-        return edge_key(label, source_key, target_key)
 
     def add_class_vertex(self, class_term: Term, agg_count: int = 0) -> SummaryVertex:
         key = ("class", class_term)
@@ -242,7 +252,7 @@ class SummaryGraph:
         removes it when the count drops to zero.  Returns the resulting
         edge, or ``None`` if it was (or stayed) removed.
         """
-        key = self.edge_key(label, source_key, target_key)
+        key = edge_key(label, source_key, target_key)
         existing = self._edges.get(key)
         if existing is None:
             if delta <= 0:

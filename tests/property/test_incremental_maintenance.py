@@ -8,7 +8,11 @@ return *identical* top-k candidates — same canonical query forms, same
 costs, same ranks — as a fresh engine rebuilt over the final triple set.
 
 This is the correctness contract that makes live updates safe: no derived
-structure may drift from what a full offline rebuild would produce.
+structure may drift from what a full offline rebuild would produce.  It
+is also the check on maintenance as the third consumer of
+:mod:`repro.rdf.derivation`: below the search level, the maintained
+summary counts, class contexts and posting rows equal the rebuild's,
+Definition 1 violations included.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -53,8 +57,33 @@ attribute_triples = st.builds(
     st.sampled_from(ATTRIBUTES),
     st.sampled_from(VALUES),
 )
+# Definition 1 violations the data graph records as conflicts: a type
+# edge to a literal, an R-edge to a class, an attribute on a class.
+literal_type_triples = st.builds(
+    lambda e, v: Triple(e, RDF.type, v),
+    st.sampled_from(ENTITIES),
+    st.sampled_from(VALUES),
+)
+class_relation_triples = st.builds(
+    Triple,
+    st.sampled_from(ENTITIES),
+    st.sampled_from(RELATIONS),
+    st.sampled_from(CLASSES),
+)
+class_attribute_triples = st.builds(
+    Triple,
+    st.sampled_from(CLASSES),
+    st.sampled_from(ATTRIBUTES),
+    st.sampled_from(VALUES),
+)
 any_triple = st.one_of(
-    type_triples, subclass_triples, relation_triples, attribute_triples
+    type_triples,
+    subclass_triples,
+    relation_triples,
+    attribute_triples,
+    literal_type_triples,
+    class_relation_triples,
+    class_attribute_triples,
 )
 
 #: An update batch: add or remove a handful of triples at once.
@@ -77,6 +106,30 @@ def _assert_equivalent(maintained, rebuilt):
         assert _signature(maintained, query) == _signature(rebuilt, query), query
 
 
+def _assert_derived_equal(maintained, rebuilt):
+    """Below the search level: every summary vertex's and edge's
+    aggregation count, the totals, both class-context refcount groups and
+    every vocabulary term's posting rows."""
+    ours, theirs = maintained.summary, rebuilt.summary
+    assert {v.key: v.agg_count for v in ours.vertices} == {
+        v.key: v.agg_count for v in theirs.vertices
+    }
+    assert {e.key: (e.kind, e.agg_count) for e in ours.edges} == {
+        e.key: (e.kind, e.agg_count) for e in theirs.edges
+    }
+    for name in ("total_entities", "total_relation_edges", "total_attribute_edges"):
+        assert getattr(ours, name) == getattr(theirs, name), name
+    ours, theirs = maintained.keyword_index, rebuilt.keyword_index
+    assert ours._attribute_class_refs == theirs._attribute_class_refs
+    assert ours._value_occurrence_refs == theirs._value_occurrence_refs
+    ours, theirs = ours._index, theirs._index
+    assert sorted(ours.vocabulary) == sorted(theirs.vocabulary)
+    for term in theirs.vocabulary:
+        assert sorted(ours.lookup(term), key=repr) == sorted(
+            theirs.lookup(term), key=repr
+        ), term
+
+
 @given(initial=st.lists(any_triple, max_size=15), batches=batches)
 @settings(max_examples=75, deadline=None)
 def test_incremental_maintenance_matches_rebuild(initial, batches):
@@ -94,6 +147,7 @@ def test_incremental_maintenance_matches_rebuild(initial, batches):
 
     rebuilt = KeywordSearchEngine(DataGraph(current), cost_model="c3", k=5)
     _assert_equivalent(engine, rebuilt)
+    _assert_derived_equal(engine, rebuilt)
 
     # The mirrored triple store must match exactly as well.
     assert len(engine.store) == len(rebuilt.store)

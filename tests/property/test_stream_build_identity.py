@@ -1,12 +1,15 @@
 """Property: the bundle builder ≡ the in-process engine.
 
-Two derivations of the offline layer remain and this suite is the seam
-where they meet: the in-process constructors
-(``KeywordSearchEngine(DataGraph(triples))`` — the library API and the
-oracle of every identity suite) and the streaming builder
-(storage.stream_build — the only code that writes a ``.reprobundle``,
-from a triple iterator with external sorts and disk spills, never
-holding the corpus or its index in memory at once).  The contract is
+The offline layer has one derivation (``repro.rdf.derivation``) and
+this suite is where two of its consumers meet: the in-process
+constructors (``KeywordSearchEngine(DataGraph(triples))`` — the library
+API and the oracle of every identity suite), which feed it in set
+order, and the streaming builder (storage.stream_build — the only code
+that writes a ``.reprobundle``, from a triple iterator with external
+sorts and disk spills, never holding the corpus or its index in memory
+at once), which feeds it in arrival order.  That the two orders differ
+is safe because no search reads insertion order
+(``test_insertion_order_is_not_a_contract``).  The contract is
 *identity*, not similarity: for the same triples the built bundle must
 load to an engine whose formal snapshot keys
 ``(SummaryGraph.snapshot_key, KeywordIndex.snapshot_key)`` and whose
@@ -34,11 +37,13 @@ from test_persistence_identity import (
 )
 
 from repro.core.engine import KeywordSearchEngine
+from repro.keyword.keyword_index import KeywordIndex
 from repro.rdf.graph import DataGraph
 from repro.rdf.namespace import RDF, RDFS
 from repro.rdf.terms import Literal, URI
 from repro.rdf.triples import Triple
 from repro.storage import build_bundle_streaming
+from repro.summary.summary_graph import SummaryGraph
 
 #: Small enough that any non-trivial corpus spills (~42 rows per sorter).
 TINY_BUDGET = 4096
@@ -250,3 +255,65 @@ def test_streamed_identity_random_corpora(tmp_path_factory, triples):
     assert_same_graph(loaded.graph, reference.graph, {t for x in triples[:2] for t in x})
     for query in PROP_QUERIES:
         assert search_signature(loaded, query) == search_signature(reference, query), query
+
+
+def _shuffled_refs(refs, rng):
+    """A refcount map with its elements and each group's members in a
+    random order."""
+    groups = [(element, list(group.items())) for element, group in refs.items()]
+    rng.shuffle(groups)
+    for _, members in groups:
+        rng.shuffle(members)
+    return {element: dict(members) for element, members in groups}
+
+
+@given(triples=st.lists(any_triple, min_size=10, max_size=40), rng=st.randoms())
+@settings(max_examples=25, deadline=None)
+def test_insertion_order_is_not_a_contract(triples, rng):
+    """The builder counts in arrival order, the constructors in set
+    order and maintenance in batch order, so no search may depend on the
+    order summary vertices, summary edges or class-context members were
+    inserted in: a summary replayed permuted, with the refcount groups
+    shuffled, searches exactly as the original under every cost model."""
+    graph = DataGraph(triples)
+    built = KeywordSearchEngine(graph)
+    state = built.summary.state_for_persistence()
+    vertices = list(state["vertices"].values())
+    edges = [
+        (e.label, e.kind, e.source_key, e.target_key, e.agg_count)
+        for e in state["edges"].values()
+    ]
+    rng.shuffle(vertices)
+    rng.shuffle(edges)
+    summary = SummaryGraph.from_state(
+        vertices,
+        edges,
+        total_entities=state["total_entities"],
+        total_relation_edges=state["total_relation_edges"],
+        total_attribute_edges=state["total_attribute_edges"],
+        build_seconds=state["build_seconds"],
+        version=state["version"],
+    )
+    index = built.keyword_index
+    keyword_index = KeywordIndex.from_state(
+        graph,
+        index._index,
+        _shuffled_refs(index._attribute_class_refs, rng),
+        _shuffled_refs(index._value_occurrence_refs, rng),
+        version=index.version,
+        fuzzy_max_distance=1,
+        max_matches=8,
+        lookup_cache_size=1024,
+        build_seconds=index.build_seconds,
+    )
+    for cost_model in ("c1", "c2", "c3", "pagerank"):
+        reference = KeywordSearchEngine(
+            graph, cost_model=cost_model, keyword_index=index, summary=built.summary
+        )
+        permuted = KeywordSearchEngine(
+            graph, cost_model=cost_model, keyword_index=keyword_index, summary=summary
+        )
+        for query in PROP_QUERIES:
+            assert search_signature(permuted, query) == search_signature(
+                reference, query
+            ), (cost_model, query)

@@ -2,7 +2,10 @@
 
 import pytest
 
+from repro.core.engine import KeywordSearchEngine
 from repro.datasets.example import EX
+from repro.query.isomorphism import canonical_form
+from repro.rdf.graph import DataGraph
 from repro.scoring.pagerank import PageRankCost, pagerank
 from repro.summary.augmentation import augment
 from repro.summary.summary_graph import SummaryGraph
@@ -47,3 +50,37 @@ def test_highest_ranked_vertex_is_cheapest(summary):
     best = max(ranks, key=ranks.get)
     vertex_costs = {v.key: costs[v.key] for v in summary.vertices}
     assert vertex_costs[best] == min(vertex_costs.values())
+
+
+TAP_QUERIES = ("musician album", "city country", "person name", "company product")
+DBLP_QUERIES = (
+    "conference 2005", "article john", "proceedings title", "journal 2003 author"
+)
+
+
+@pytest.mark.parametrize(
+    "fixture_name, queries",
+    [("tap_small", TAP_QUERIES), ("dblp_small", DBLP_QUERIES)],
+)
+def test_costs_do_not_depend_on_how_the_summary_was_built(
+    request, tmp_path, fixture_name, queries
+):
+    """Constructed, loaded and maintained engines over the same triples
+    hold their summaries in different insertion orders; PageRank sums in
+    canonical order, so every candidate costs the same bits on all three."""
+    triples = request.getfixturevalue(fixture_name).triples
+    constructed = KeywordSearchEngine(DataGraph(triples), cost_model="pagerank")
+    constructed.save(tmp_path / "b.reprobundle")
+    loaded = KeywordSearchEngine.load(tmp_path / "b.reprobundle", attach_wal=False)
+    half = len(triples) // 2
+    maintained = KeywordSearchEngine(DataGraph(triples[:half]), cost_model="pagerank")
+    maintained.add_triples(triples[half:])
+
+    def costs(engine, query):
+        return [(canonical_form(c.query), c.cost) for c in engine.search(query).candidates]
+
+    for query in queries:
+        expected = costs(constructed, query)
+        assert expected, query
+        assert costs(loaded, query) == expected, query
+        assert costs(maintained, query) == expected, query
