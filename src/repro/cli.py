@@ -406,7 +406,8 @@ def build_serve_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--timeout", type=float, default=None,
-        help="default per-query deadline, seconds, for batched search",
+        help="default per-query deadline, seconds, for batched search "
+        "(in-process serving only: refused with --workers)",
     )
     parser.add_argument(
         "--verbose", action="store_true", help="log every HTTP request"
@@ -443,21 +444,17 @@ def _stream_bundle(args, path, **options) -> dict:
         )
 
 
-def _stage_bundle(args) -> str:
-    """Build the temp bundle the worker processes will mmap.
+def _stage_bundle(args, directory: str) -> str:
+    """Build the bundle the worker processes will mmap, in ``directory``.
 
     ``--workers N`` without ``--bundle`` still works: the triple source
     is streamed into a staged bundle once and every worker maps that
     artifact — the same shared-page-cache shape as a prebuilt one.
     """
-    import tempfile
-
-    directory = tempfile.mkdtemp(prefix="repro-serve-")
     path = f"{directory}/staged.reprobundle"
     info = _stream_bundle(args, path, search_cache_size=max(0, args.cache))
     print(
-        f"# staged bundle for worker processes: {path} "
-        f"({info['bytes']} bytes)",
+        f"# staged bundle for worker processes: {path} ({info['bytes']} bytes)",
         file=sys.stderr,
     )
     return path
@@ -465,6 +462,7 @@ def _stage_bundle(args) -> str:
 
 def serve_command(argv) -> int:
     import signal
+    import tempfile
     import threading
 
     from repro.service import DispatchService, EngineService, ReproServer
@@ -472,54 +470,64 @@ def serve_command(argv) -> int:
     args = build_serve_parser().parse_args(argv)
     if args.workers < 0:
         raise SystemExit(f"repro serve: --workers must be >= 0, got {args.workers}")
-    if args.workers > 0 and not args.bundle:
-        # No engine is built here: the dispatcher loads its writer from
-        # the staged bundle, so /update epochs are logged durably where
-        # the workers can replay them.
-        engine = None
-        bundle = _stage_bundle(args)
-    else:
-        engine = _build_engine(
-            args, search_cache_size=max(0, args.cache), writer=True, verify=True
+    if args.workers > 0 and args.timeout is not None:
+        raise SystemExit(  # the worker tier has no per-query deadline
+            "repro: --timeout conflicts with --workers — the deadline applies "
+            "to in-process serving only"
         )
-        bundle = args.bundle
+    with contextlib.ExitStack() as staging:
+        if args.workers > 0 and not args.bundle:
+            # No engine is built here: the dispatcher loads its writer from
+            # the staged bundle, so /update epochs are logged durably where
+            # the workers can replay them.  Bundle and WAL live in a
+            # directory of their own, removed once the server has stopped
+            # and the dispatcher has released the log.
+            engine = None
+            bundle = _stage_bundle(args, staging.enter_context(
+                tempfile.TemporaryDirectory(prefix="repro-serve-")
+            ))
+        else:
+            engine = _build_engine(
+                args, search_cache_size=max(0, args.cache), writer=True, verify=True
+            )
+            bundle = args.bundle
 
-    if args.workers > 0:
-        service = DispatchService(
-            bundle,
-            workers=args.workers,
-            engine=engine,
-            overrides=_dispatch_overrides(args),
-            max_pending=args.max_pending,
-            max_queue_wait=args.max_queue_wait,
+        if args.workers > 0:
+            service = DispatchService(
+                bundle,
+                workers=args.workers,
+                engine=engine,
+                overrides=_dispatch_overrides(args),
+                max_pending=args.max_pending,
+                max_queue_wait=args.max_queue_wait,
+            )
+            print(f"# dispatch tier: {args.workers} worker processes", file=sys.stderr)
+        else:
+            service = EngineService(
+                engine,
+                max_pending=args.max_pending,
+                default_timeout=args.timeout,
+                max_queue_wait=args.max_queue_wait,
+            )
+        server = ReproServer(
+            service, host=args.host, port=args.port, verbose=args.verbose
         )
-        print(f"# dispatch tier: {args.workers} worker processes", file=sys.stderr)
-    else:
-        service = EngineService(
-            engine,
-            max_pending=args.max_pending,
-            default_timeout=args.timeout,
-            max_queue_wait=args.max_queue_wait,
-        )
-    server = ReproServer(
-        service, host=args.host, port=args.port, verbose=args.verbose
-    )
-    # Graceful drain: SIGTERM stops accepting, finishes in-flight work,
-    # then shuts the worker pool down cleanly (shutdown() must run off
-    # the serving thread, so hand it to a helper).
-    def _drain(signum, frame):
-        print("# SIGTERM: draining", file=sys.stderr)
-        threading.Thread(target=server._httpd.shutdown, daemon=True).start()
+        # Graceful drain: SIGTERM stops accepting, finishes in-flight work,
+        # then shuts the worker pool down cleanly (shutdown() must run off
+        # the serving thread, so hand it to a helper).
+        def _drain(signum, frame):
+            print("# SIGTERM: draining", file=sys.stderr)
+            threading.Thread(target=server._httpd.shutdown, daemon=True).start()
 
-    signal.signal(signal.SIGTERM, _drain)
-    print(f"# serving on {server.url}", file=sys.stderr)
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        print("# shutting down", file=sys.stderr)
-    finally:
-        server.close()
-        service.close()
+        signal.signal(signal.SIGTERM, _drain)
+        print(f"# serving on {server.url}", file=sys.stderr)
+        try:
+            server.serve_forever()
+        except KeyboardInterrupt:
+            print("# shutting down", file=sys.stderr)
+        finally:
+            server.close()
+            service.close()
     return 0
 
 

@@ -12,13 +12,31 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Tuple
 
-from repro.rdf.namespace import local_name
+from repro.rdf.namespace import LABEL_PREDICATES, local_name
 from repro.rdf.terms import Literal, URI
 
 #: The keyword index's element kinds, the first half of an element key.
 CLASS, RELATION, ATTRIBUTE, VALUE = "class", "relation", "attribute", "value"
 
 _THING = (None,)
+_LABEL_RANK = {predicate: rank for rank, predicate in enumerate(LABEL_PREDICATES)}
+
+
+def label_key(predicate, value) -> Optional[Tuple[int, str]]:
+    """What an A-edge offers as its subject's label — ``(rank, lexical
+    form)``, ``None`` unless its predicate is a label predicate.  The
+    smallest key is the label: the literal of the best-ranked label
+    predicate, a tie going to the smallest lexical form, whatever order
+    the triples came in."""
+    rank = _LABEL_RANK.get(predicate)
+    return None if rank is None else (rank, value.lexical)
+
+
+def best_label(edges: Iterable[Tuple[object, Literal]]) -> Optional[str]:
+    """The label one subject's ``(predicate, literal)`` A-edges give it
+    under :func:`label_key`, or ``None``."""
+    key = min(filter(None, (label_key(p, o) for p, o in edges)), default=None)
+    return None if key is None else key[1]
 
 
 def count_projections(counts: Dict, predicate, source_types, target_types, delta=1) -> None:

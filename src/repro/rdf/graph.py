@@ -33,8 +33,8 @@ from collections import defaultdict
 from enum import Enum
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
-from repro.rdf.derivation import display_label
-from repro.rdf.namespace import LABEL_PREDICATES, SUBCLASS_PREDICATES, TYPE_PREDICATES
+from repro.rdf.derivation import best_label, display_label, label_key
+from repro.rdf.namespace import SUBCLASS_PREDICATES, TYPE_PREDICATES
 from repro.rdf.terms import Literal, Term, URI
 from repro.rdf.triples import Triple
 
@@ -112,9 +112,8 @@ class DataGraph:
         self._relation_triples: Dict[URI, Dict[Triple, None]] = defaultdict(dict)
         self._attribute_triples: Dict[URI, Dict[Triple, None]] = defaultdict(dict)
 
-        # Labels: entity -> preferred human-readable label.
+        # Labels: subject -> its derivation.best_label.
         self._labels: Dict[Term, str] = {}
-        self._label_rank: Dict[Term, int] = {}
 
         # Which concrete type/subclass predicate variants the data uses,
         # so generated queries stay evaluable against this graph.
@@ -168,11 +167,11 @@ class DataGraph:
         if p in TYPE_PREDICATES:
             if isinstance(o, Literal):
                 raise GraphIntegrityError(f"type edge with literal object: {triple.n3()}")
-            if s == o:
-                raise GraphIntegrityError(f"term used both as entity and class: {s}")
+            # Acquisition's order: the subject as an entity, then the
+            # object as a class (a self-typed subject is an entity by then).
             if s in self._classes:
                 raise GraphIntegrityError(f"term used both as class and entity: {s}")
-            if o in self._entities:
+            if s == o or o in self._entities:
                 raise GraphIntegrityError(f"term used both as entity and class: {o}")
         elif p in SUBCLASS_PREDICATES:
             if isinstance(s, Literal) or isinstance(o, Literal):
@@ -293,7 +292,8 @@ class DataGraph:
         self._attribute_triples[p][triple] = None
         self._out[s][(p, o)] = None
         self._in[o][(p, s)] = None
-        self._maybe_label(s, p, o)
+        if label_key(p, o) is not None:
+            self._relabel(s)
 
     def _remove_attribute(self, triple: Triple) -> None:
         s, p, o = triple
@@ -303,8 +303,8 @@ class DataGraph:
             del self._attribute_triples[p]
         del self._out[s][(p, o)]
         del self._in[o][(p, s)]
-        if p in LABEL_PREDICATES and self._labels.get(s) == o.lexical:
-            self._recompute_label(s)
+        if label_key(p, o) is not None:
+            self._relabel(s)
         self._release_value(o)
         self._release_entity(s)
 
@@ -378,22 +378,16 @@ class DataGraph:
 
     # -- labels ---------------------------------------------------------
 
-    def _maybe_label(self, s: Term, p: URI, o: Literal) -> None:
-        try:
-            rank = LABEL_PREDICATES.index(p)
-        except ValueError:
-            return
-        if s not in self._labels or rank < self._label_rank[s]:
-            self._labels[s] = o.lexical
-            self._label_rank[s] = rank
-
-    def _recompute_label(self, s: Term) -> None:
-        """Re-derive a subject's preferred label after a label triple left."""
-        self._labels.pop(s, None)
-        self._label_rank.pop(s, None)
-        for p, o in self._out.get(s, ()):
-            if isinstance(o, Literal):
-                self._maybe_label(s, p, o)
+    def _relabel(self, s: Term) -> None:
+        """Re-derive a subject's label after one of its label edges came
+        or went."""
+        label = best_label(
+            (p, o) for p, o in self._out.get(s, ()) if isinstance(o, Literal)
+        )
+        if label is None:
+            self._labels.pop(s, None)
+        else:
+            self._labels[s] = label
 
     def _violation(self, message: str) -> None:
         if self.strict:

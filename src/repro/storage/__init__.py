@@ -11,14 +11,15 @@ process*.  This package provides that lifecycle:
   ``KeywordSearchEngine.save`` and :func:`compact_bundle` all call it;
 * :func:`load_bundle` — the reader of that container: the summary graph
   decoded, everything else served in place by the disk-resident readers
-  of :mod:`repro.storage.mmap_tier` over the mapped sorted runs (the data
-  graph a view over them, :mod:`repro.storage.graph_view`), so a loaded
-  engine's cold start is O(metadata) and its resident set O(touched data);
+  of :mod:`repro.storage.mmap_tier` over the mapped sorted runs, the one
+  stored triple set (the data graph a view over them, :mod:`.graph_view`),
+  so a loaded engine's cold start is O(metadata), its resident set O(touched data);
 * :func:`load_engine` — bundle → ready
   :class:`~repro.core.engine.KeywordSearchEngine` (what
   ``KeywordSearchEngine.load`` and the CLI's ``--bundle`` call);
 * :func:`verify_bundle` — every section against its CRC32 through
-  buffered reads, then the header's graph counts against the runs; a load
+  buffered reads, then the runs against each other and the header's graph
+  counts against them; a load
   never reads the runs end to end, so the process that owns the artifact
   runs this instead (``repro serve --bundle`` once per start,
   :func:`compact_bundle` before it folds anything);

@@ -29,8 +29,8 @@ A loaded bundle is served in place:
   derived from the decoded summary graph (schema-sized, well under a
   millisecond) on the first ``snapshot()``, the way every other summary
   gets one;
-* the data graph is *not* a stored structure: its triples are, and the
-  graph is a view over the triple store's runs
+* the data graph is *not* a stored structure: its triples are the
+  triple store's runs, and the graph is a view over them
   (:mod:`repro.storage.graph_view`) that only the update path asks.
 
 Reading in place means a load does not pull the big sections through
@@ -82,14 +82,13 @@ from repro.storage.graph_view import MmapDataGraph
 
 MAGIC = b"RPROBNDL"
 #: Bump on any change to the section layout or encodings.  The one
-#: version this release writes is the one version it reads: version 5
-#: stores the triple indexes and the keyword index once, as the sorted
-#: runs (``store2.*``, ``kindex2.*``) the mapped readers binary-search in
-#: place, the data graph once, as ``triples`` in arrival order, and
-#: nothing that is derived from another section (version 4 also stored
-#: the substrate's CSR rows).  Anything else is refused with a rebuild
-#: hint.
-FORMAT_VERSION = 5
+#: version this release writes is the one version it reads: version 6
+#: stores the triple set and the keyword index once, as the sorted runs
+#: (``store2.*``, ``kindex2.*``) the mapped readers binary-search in
+#: place, and nothing that is derived from another section (version 5
+#: also stored the triples in arrival order, version 4 the substrate's
+#: CSR rows).  Anything else is refused with a rebuild hint.
+FORMAT_VERSION = 6
 
 #: Conventional file extension (the CLI and docs use it; the reader only
 #: trusts the magic).
@@ -418,11 +417,12 @@ def verify_bundle(path) -> None:
     It goes through buffered ``read()``s, not the map, so the file does
     not become resident in the caller: ~0.7 ms per MB.
 
-    Then, mapping the file for the length of the call, it holds the graph
-    against the runs without rebuilding it: the ``triples`` section must
-    be the SPO run reordered (same length, same sum of row hashes) and
-    each header type / subclass predicate count its POS range's rows to
-    non-literals, else :class:`BundleFormatError`.
+    Then, mapping the file for the length of the call, it holds the runs
+    against each other and the header against the runs, without
+    rebuilding the graph: the POS and OSP runs must hold the SPO run's
+    rows (the same sum of row hashes, columns put back in ``(s, p, o)``
+    order) and each header type / subclass predicate count its POS
+    range's rows to non-literals, else :class:`BundleFormatError`.
 
     Raises :class:`BundleChecksumError` naming the first bad section.
     """
@@ -453,17 +453,17 @@ def verify_bundle(path) -> None:
         }
         return {p: count for p, count in counts.items() if count}
 
+    spo, pos, osp = (sum(map(hash, store.base_rows(run))) for run in range(3))
     for what, stored, runs in (
-        ("triple rows", sum(map(hash, graph.section_rows())),
-         sum(map(hash, store.base_rows()))),
+        ("store2.pos rows", pos, spo),
+        ("store2.osp rows", osp, spo),
         ("type predicate counts", graph._type_pred_counts, edges(TYPE_PREDICATES)),
         ("subclass predicate counts", graph._subclass_pred_counts,
          edges(SUBCLASS_PREDICATES)),
     ):
         if stored != runs:
             raise BundleFormatError(
-                f"{path}: the graph's {what} disagree with the triple runs "
-                f"({stored!r} != {runs!r})"
+                f"{path}: the {what} disagree with the runs ({stored!r} != {runs!r})"
             )
 
 
@@ -518,19 +518,13 @@ def _graph_parts(path: str, meta, raw, section):
             f"{counts['terms']}"
         )
     meta_graph = meta["graph"]
-    n_triples = meta_graph["stats"]["triples"]
-    if raw("triples").nbytes != 8 + 24 * n_triples:
-        raise BundleFormatError(
-            f"{path}: the triples section does not hold {n_triples} rows"
-        )
     store = mt.MmapTripleTier(
         *(decode_raw_ids(raw(f"store2.{run}")) for run in ("spo", "pos", "osp")),
-        n_triples,
+        meta_graph["stats"]["triples"],
         terms,
     )
     graph = MmapDataGraph(
         store,
-        lambda: section("triples"),
         meta_graph,
         *(
             _decode_count_pairs(Reader(section(f"graph.{name}_pred_counts")), terms)
@@ -550,8 +544,8 @@ def load_bundle(path) -> LoadedBundle:
     The data graph is a view over that triple store
     (:mod:`repro.storage.graph_view`).  The runs are *not* CRC-verified
     here (checksumming them would read every byte; :func:`verify_bundle`
-    is that pass); the metadata, summary and ``triples`` sections are,
-    when they are decoded.
+    is that pass); the metadata and summary sections are, when they are
+    decoded.
 
     Raises :class:`BundleFormatError` on anything that is not a repro
     bundle of exactly :data:`FORMAT_VERSION` (an older or newer layout

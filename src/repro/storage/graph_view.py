@@ -8,21 +8,24 @@ ways.  So :class:`MmapDataGraph` holds no adjacency, refcounts or
 buckets: it probes the tier, derives ``vertex_kind`` by Definition 1's
 role rules (class wins, as in :class:`~repro.rdf.graph.DataGraph`, its
 oracle) and keeps only O(1) state, by delta from the bundle header.
+
+The runs are the only stored form of the triple set, so the graph
+enumerates them: its triples come in the tier's order, not in the order
+they arrived, and nothing it answers depends on that order (a label tie
+goes to the smallest lexical form, :func:`repro.rdf.derivation.label_key`).
 """
 
 from __future__ import annotations
 
-from itertools import chain
-from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
-from repro.rdf.derivation import display_label
+from repro.rdf.derivation import best_label, display_label
 from repro.rdf.graph import DataGraph, GraphIntegrityError, VertexKind
 from repro.rdf.namespace import LABEL_PREDICATES, SUBCLASS_PREDICATES, TYPE_PREDICATES
 from repro.rdf.terms import Literal, Term, URI
 from repro.rdf.triples import Triple
 
-from repro.storage.codec import decode_raw_ids
-from repro.storage.mmap_tier import SCAN_CHUNK, MmapTripleTier
+from repro.storage.mmap_tier import MmapTripleTier
 
 _SPECIAL = TYPE_PREDICATES | SUBCLASS_PREDICATES
 _STAT_OF_KIND = {VertexKind.CLASS: "classes", VertexKind.ENTITY: "entities",
@@ -92,9 +95,9 @@ class _Roles(dict):
 
 
 class MmapDataGraph:
-    """The data graph of a loaded bundle, served from its triple tier:
-    ``read_triples`` returns the CRC-checked ``triples`` section, the rest
-    comes from the header (its ``graph`` block, the two count sections)."""
+    """The data graph of a loaded bundle, served from its triple tier;
+    the rest comes from the header (its ``graph`` block, the two count
+    sections)."""
 
     edge_kind = DataGraph.edge_kind
     preferred_type_predicate = DataGraph.preferred_type_predicate
@@ -102,10 +105,9 @@ class MmapDataGraph:
     add_all = DataGraph.add_all
     remove_all = DataGraph.remove_all
 
-    def __init__(self, store: MmapTripleTier, read_triples: Callable[[], memoryview],
-                 header: Dict, type_pred_counts: Dict, subclass_pred_counts: Dict):
+    def __init__(self, store: MmapTripleTier, header: Dict, type_pred_counts: Dict,
+                 subclass_pred_counts: Dict):
         self.store = store
-        self._read_triples = read_triples
         self.strict = header["strict"]
         self.conflicts = list(header["conflicts"])
         self._stats = dict(header["stats"])
@@ -257,28 +259,16 @@ class MmapDataGraph:
         return self._has_edge(label, literal=False)
 
     def label_of(self, term: Term) -> str:
-        """As ``DataGraph.label_of``: the literal of the term's
-        best-ranked label predicate; on a tie, of the first such triple
-        in ``DataGraph``'s order — base rows by their place in the
-        ``triples`` section, then those added since load — which only a
-        tie pays a scan for."""
-        if isinstance(term, Literal):
-            return term.lexical
+        """As ``DataGraph.label_of``: the term's ``best_label`` over its
+        live label-predicate rows."""
         store = self.store
-        key, added, term_of = store.key_of(term), store.added, store.term_of
-        for p in LABEL_PREDICATES:
-            found = set(map(term_of, self._objects(key, [store.key_of(p)], True)))
-            if len(found) > 1:
-                row = (key, store.key_of(p))
-                base = (term_of(o) for s, q, o in self.section_rows() if (s, q) == row)
-                order = chain(
-                    (o for o in base if Triple(term, p, o) not in added),
-                    (t.object for t in added if t.subject == term and t.predicate == p),
-                )
-                found = {next(o for o in order if o in found)}
-            if found:
-                return found.pop().lexical
-        return display_label(term)
+        key = store.key_of(term)
+        label = best_label(
+            (p, store.term_of(o))
+            for p in LABEL_PREDICATES
+            for o in self._objects(key, [store.key_of(p)], literal=True)
+        )
+        return display_label(term, label)
 
     # -- O(1) state --------------------------------------------------------
 
@@ -291,24 +281,10 @@ class MmapDataGraph:
 
     # -- whole-graph enumerations: streamed, never kept --------------------
 
-    def section_rows(self) -> Iterator[Tuple[int, int, int]]:
-        """The ``triples`` section's id rows, decoded a chunk at a time."""
-        rows = decode_raw_ids(self._read_triples()[8:])
-        for start in range(0, len(rows), 3 * SCAN_CHUNK):
-            flat = iter(rows[start : start + 3 * SCAN_CHUNK].tolist())
-            yield from zip(flat, flat, flat)
-
     def __iter__(self) -> Iterator[Triple]:
-        """``DataGraph``'s order: the live base rows in arrival order, then
-        the triples added since load (a revived base row among them)."""
-        store = self.store
-        term_of, added = store.term_of, store.added
-        for sid, pid, oid in self.section_rows():
-            if not store._is_dead(sid, pid, oid):
-                triple = Triple(term_of(sid), term_of(pid), term_of(oid))
-                if triple not in added:
-                    yield triple
-        yield from tuple(added)
+        """The tier's order, not ``DataGraph``'s: the live base rows in
+        SPO-run order (a revived one in its place), then the delta's."""
+        return self.store.match()
 
     @property
     def triples(self) -> Tuple[Triple, ...]:

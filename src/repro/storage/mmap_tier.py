@@ -859,9 +859,6 @@ class MmapTripleTier:
         #: Removed base rows: predicate id -> {(subject id, object id)}.
         self._tombstones: Dict[int, set] = {}
         self._n_dead = 0
-        #: The live triples added since load (to the delta, or revived
-        #: from a tombstone) in the order they came: a data graph's order.
-        self.added: Dict[Triple, None] = {}
 
     # -- the range function --------------------------------------------
 
@@ -935,21 +932,16 @@ class MmapTripleTier:
                 if not dead:
                     del self._tombstones[pid]
                 self._n_dead -= 1
-                self.added[triple] = None
                 return True
             if self._in_base(sid, pid, oid):
                 return False
-        if not self._delta.add(triple):
-            return False
-        self.added[triple] = None
-        return True
+        return self._delta.add(triple)
 
     def add_all(self, triples: Iterable[Triple]) -> int:
         return sum(1 for t in triples if self.add(t))
 
     def remove(self, triple: Triple) -> bool:
         if self._delta.remove(triple):
-            del self.added[triple]
             return True
         ids = self._ids(*triple)
         if ids is None or self._is_dead(*ids) or not self._in_base(*ids):
@@ -957,7 +949,6 @@ class MmapTripleTier:
         sid, pid, oid = ids
         self._tombstones.setdefault(pid, set()).add((sid, oid))
         self._n_dead += 1
-        self.added.pop(triple, None)
         return True
 
     def remove_all(self, triples: Iterable[Triple]) -> int:
@@ -1082,9 +1073,10 @@ class MmapTripleTier:
             delta_rows = self._delta.access(self.term_of(p)).pairs()
             yield from (self.key_of(o) for _, o in delta_rows)
 
-    def base_rows(self) -> Iterator[Tuple[int, int, int]]:
-        """Every base row, tombstoned or not, as ``(s, p, o)`` ids."""
-        columns = self._runs[0][0]
+    def base_rows(self, run: int) -> Iterator[Tuple[int, int, int]]:
+        """Every row of one run (0 SPO, 1 POS, 2 OSP), tombstoned or not,
+        as ``(s, p, o)`` ids."""
+        columns = self._runs[run][1]
         return zip(*[_decoded(c, 0, self._n) for c in columns])
 
     def overlay_stats(self) -> Dict[str, int]:

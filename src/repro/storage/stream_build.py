@@ -14,11 +14,11 @@ resident:
 
 * **pass A** (the only pass over the input) interns terms, classifies
   and dedups each triple, appends its id row to an on-disk segment
-  spool — the ``triples`` section, the one stored form of the data
-  graph — and maintains the *hot* aggregates: role refcounts, type/
+  spool and maintains the *hot* aggregates: role refcounts, type/
   subclass pairs, display labels, predicate counts, conflicts;
 * **pass B** re-reads the spool — with the full classification known —
-  and feeds three external sorts, into the SPO/POS/OSP sections; the
+  and feeds three external sorts, into the SPO/POS/OSP sections (the
+  one stored form of the triple set, and so of the data graph); the
   same loop counts each R-edge's summary projections and each A-edge's
   keyword class contexts through :mod:`repro.rdf.derivation`, the one
   derivation the constructors and maintenance share, in arrival order
@@ -46,9 +46,11 @@ from repro import __version__
 from repro.core.exploration import DEFAULT_DMAX
 from repro.keyword.analysis import DEFAULT_ANALYZER
 from repro.keyword.inverted_index import SpillingPostingsBuilder
-from repro.rdf.derivation import adjust_contexts, count_projections, indexed_elements
+from repro.rdf.derivation import (
+    adjust_contexts, count_projections, indexed_elements, label_key,
+)
 from repro.rdf.graph import GraphIntegrityError
-from repro.rdf.namespace import LABEL_PREDICATES, SUBCLASS_PREDICATES, TYPE_PREDICATES
+from repro.rdf.namespace import SUBCLASS_PREDICATES, TYPE_PREDICATES
 from repro.rdf.terms import Literal, Term
 from repro.rdf.triples import Triple
 from repro.scoring.cost import COST_MODELS, CostModel
@@ -96,7 +98,7 @@ _BYTES_PER_ROW = 96
 # Row classification codes in the kind spool.  "Bad" rows are Definition
 # 1 violations the in-memory DataGraph stores but excludes from every
 # derived structure; they occupy a triple index (and appear in the
-# triples + store sections) without contributing refs or buckets.
+# store sections) without contributing refs or buckets.
 _K_TYPE = 0
 _K_SUBCLASS = 1
 _K_ATTR = 2
@@ -249,8 +251,7 @@ def _build(
     subclass_pred_counts: Dict[int, int] = {}
     rel_pred_counts: Dict[int, int] = {}
     attr_pred_counts: Dict[int, int] = {}
-    labels: Dict[int, Tuple[int, int]] = {}
-    label_rank_cache: Dict[int, Optional[int]] = {}
+    labels: Dict[int, Tuple[int, str]] = {}  # subject id -> its least label_key
     conflicts: List[str] = []
     n_rows = 0
 
@@ -310,17 +311,9 @@ def _build(
             acquire_entity(sid, s)
             values[oid] = None
             attr_pred_counts[pid] = attr_pred_counts.get(pid, 0) + 1
-            rank = label_rank_cache.get(pid, -1)
-            if rank == -1:
-                try:
-                    rank = LABEL_PREDICATES.index(p)
-                except ValueError:
-                    rank = None
-                label_rank_cache[pid] = rank
-            if rank is not None:
-                entry = labels.get(sid)
-                if entry is None or rank < entry[0]:
-                    labels[sid] = (rank, oid)
+            label = label_key(p, o)
+            if label is not None and (sid not in labels or label < labels[sid]):
+                labels[sid] = label
             kind = _K_ATTR
         else:
             acquire_entity(sid, s)
@@ -354,14 +347,11 @@ def _build(
     }
 
     # ------------------------------------------------------------------
-    # The data graph: its triples in arrival order and nothing derived
-    # from them — a loaded graph is a view over the sorted runs, started
-    # from the header's stats and conflicts and from the two
-    # predicate-count maps, which `verify_bundle` holds against the runs.
+    # The data graph is not stored: its triples are the sorted runs below,
+    # and a loaded graph is a view over them, started from the header's
+    # stats and conflicts and from the two predicate-count maps, which
+    # `verify_bundle` holds against the runs.
     # ------------------------------------------------------------------
-    with writer.section("triples") as sec:
-        write_ids_from_segment(sec, rows_spool)
-
     def flat_pairs(mapping) -> Iterable[int]:
         for key, value in mapping.items():
             yield key
@@ -428,7 +418,7 @@ def _build(
 
     def label_of(term: Term) -> Optional[str]:
         entry = labels.get(term_id(term))
-        return None if entry is None else terms[entry[1]].lexical
+        return None if entry is None else entry[1]
 
     for kind, term, text in indexed_elements(
         map(terms.__getitem__, classes),

@@ -11,17 +11,19 @@ The query evaluator joins through one atom's access path at a time
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Iterable, Iterator, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, Optional, Tuple
 
 from repro.rdf.graph import DataGraph
 from repro.rdf.terms import Literal, Term, URI
 from repro.rdf.triples import Triple
 
-_Index = Dict[Term, Dict[Term, Set[Term]]]
+#: Leaves are insertion-ordered dicts used as sets, so an enumeration
+#: follows the order the triples came in, never the hash seed.
+_Index = Dict[Term, Dict[Term, Dict[Term, None]]]
 
 
 def _nested() -> _Index:
-    return defaultdict(lambda: defaultdict(set))
+    return defaultdict(lambda: defaultdict(dict))
 
 
 def ill_typed_pattern(subject: Optional[Term], predicate: Optional[Term]) -> bool:
@@ -104,9 +106,9 @@ class TripleStore:
         objects = self._spo[s][p]
         if o in objects:
             return False
-        objects.add(o)
-        self._pos[p][o].add(s)
-        self._osp[o][s].add(p)
+        objects[o] = None
+        self._pos[p][o][s] = None
+        self._osp[o][s][p] = None
         self._size += 1
         return True
 
@@ -119,19 +121,19 @@ class TripleStore:
         objects = self._spo.get(s, {}).get(p)
         if objects is None or o not in objects:
             return False
-        objects.discard(o)
+        del objects[o]
         if not objects:
             del self._spo[s][p]
             if not self._spo[s]:
                 del self._spo[s]
         subjects = self._pos[p][o]
-        subjects.discard(s)
+        del subjects[s]
         if not subjects:
             del self._pos[p][o]
             if not self._pos[p]:
                 del self._pos[p]
         predicates = self._osp[o][s]
-        predicates.discard(p)
+        del predicates[p]
         if not predicates:
             del self._osp[o][s]
             if not self._osp[o]:

@@ -1,13 +1,15 @@
 """Which answers a truncating ``limit`` returns does not depend on the hash seed.
 
 ``/execute`` with ``limit=5`` on a query that has 200 answers returns
-*some* five.  A loaded bundle enumerates base rows in run order — sorted
-by term-table id, a property of the file — so for an epoch-0 bundle the
+*some* five.  Which five is a property of the data and its history, never
+of the process: a loaded bundle enumerates base rows in run order —
+sorted by term-table id, a property of the file — and the hash-nested
+``TripleStore`` (the constructors' store, and a loaded engine's delta)
+keeps its leaves as insertion-ordered dicts, so rows added since load, and
+every row of a constructed engine, come in the order they arrived.  So the
 five are the same five in every process, whatever ``PYTHONHASHSEED`` it
-drew.  (The hash-nested ``TripleStore`` the constructors build iterates
-sets of terms, whose order moves with the seed; rows that live in a
-loaded engine's delta store after an update epoch inherit that, which is
-what remains of ROADMAP item 6(b).)
+drew: for an epoch-0 bundle, after an update epoch whose answers are delta
+rows, and for an engine the constructors built.
 
 A hash seed is process state fixed at start-up, so each leg is a fresh
 interpreter over the same file.
@@ -23,20 +25,52 @@ import pytest
 
 from repro.core.engine import KeywordSearchEngine
 from repro.rdf.graph import DataGraph
+from repro.rdf.namespace import RDF
+from repro.rdf.ntriples import serialize_ntriples
+from repro.rdf.terms import Literal, URI
+from repro.rdf.triples import Triple
 
 QUERIES = {
     "example_graph": ("cimiano 2006", "aifb publication", "article proceedings 2006"),
     "dblp_small": ("conference 2005", "article john", "proceedings title"),
 }
 
+#: One update epoch: a class all of whose instances arrive in it, so on a
+#: loaded bundle every answer to it is a delta row.
+ZOO = "http://example.org/zoo/"
+UPDATE = serialize_ntriples(
+    triple
+    for i in range(20)
+    for triple in (
+        Triple(URI(f"{ZOO}z{i}"), RDF.type, URI(ZOO + "Zebra")),
+        Triple(URI(f"{ZOO}z{i}"), URI(ZOO + "stripes"), Literal(str(i))),
+    )
+)
+
+#: Leg -> (what the child serves, whether it applies ``UPDATE`` first).
+LEGS = {
+    "epoch-0 bundle": ("bundle", False),
+    "updated bundle": ("bundle", True),
+    "constructed engine": ("ntriples", True),
+}
+
 _CHILD = """
     import json, sys
     from repro.core.engine import KeywordSearchEngine
+    from repro.rdf.graph import DataGraph
+    from repro.rdf.ntriples import parse_ntriples
     from repro.service.encoding import answers_to_json
 
-    engine = KeywordSearchEngine.load(sys.argv[1], attach_wal=False)
+    source, path, queries, update = sys.argv[1:]
+    if source == "bundle":
+        engine = KeywordSearchEngine.load(path, attach_wal=False)
+    else:
+        with open(path, encoding="utf-8") as fh:
+            engine = KeywordSearchEngine(DataGraph(parse_ntriples(fh)))
+    if update:
+        engine.add_triples(list(parse_ntriples(update)))
     out = []
-    for query in json.loads(sys.argv[2]):
+    for query in json.loads(queries):
         for rank in (1, 2, 3):
             for limit in (1, 5, None):
                 candidate, answers, _ = engine.execute_ranked(query, rank=rank, limit=limit)
@@ -45,9 +79,9 @@ _CHILD = """
 """
 
 
-def _answers_under(seed: int, bundle, queries) -> str:
+def _answers_under(seed: int, *argv: str) -> str:
     done = subprocess.run(
-        [sys.executable, "-c", textwrap.dedent(_CHILD), str(bundle), json.dumps(queries)],
+        [sys.executable, "-c", textwrap.dedent(_CHILD), *argv],
         env=dict(os.environ, PYTHONHASHSEED=str(seed)),
         capture_output=True,
         text=True,
@@ -57,20 +91,27 @@ def _answers_under(seed: int, bundle, queries) -> str:
     return done.stdout
 
 
+@pytest.mark.parametrize("leg", sorted(LEGS))
 @pytest.mark.parametrize("fixture_name", sorted(QUERIES))
-def test_truncated_answers_are_hash_seed_independent(request, tmp_path, fixture_name):
+def test_truncated_answers_are_hash_seed_independent(request, tmp_path, fixture_name, leg):
     graph = request.getfixturevalue(fixture_name)
-    bundle = tmp_path / "g.reprobundle"
-    KeywordSearchEngine(DataGraph(graph.triples)).save(bundle)
-    queries = QUERIES[fixture_name]
+    source, updated = LEGS[leg]
+    path = tmp_path / "g"
+    if source == "bundle":
+        KeywordSearchEngine(DataGraph(graph.triples)).save(path)
+    else:
+        path.write_text(serialize_ntriples(graph.triples), encoding="utf-8")
+    queries = QUERIES[fixture_name] + (("zebra",) if updated else ())
+    argv = (source, str(path), json.dumps(queries), UPDATE if updated else "")
 
-    first, *others = (_answers_under(seed, bundle, queries) for seed in (0, 1, 2))
+    first, *others = (_answers_under(seed, *argv) for seed in (0, 1, 2))
     assert others == [first, first]  # byte for byte, order included
 
     # The claim is about truncation, so make sure it happened: a limit
-    # cut a larger complete set, and what came back is a subset of it.
+    # cut a larger complete set, and what came back is a subset of it —
+    # of the update's own rows, too, when there was one.
     complete = {}
-    truncated = 0
+    truncated = set()
     for query, rank, limit, answers in reversed(json.loads(first)):
         rows = [json.dumps(a, sort_keys=True) for a in answers]
         if limit is None:
@@ -78,5 +119,7 @@ def test_truncated_answers_are_hash_seed_independent(request, tmp_path, fixture_
             continue
         assert len(rows) == min(limit, len(complete[query, rank]))
         assert set(rows) <= complete[query, rank] and len(set(rows)) == len(rows)
-        truncated += len(rows) < len(complete[query, rank])
+        if len(rows) < len(complete[query, rank]):
+            truncated.add(query)
     assert truncated
+    assert ("zebra" in truncated) is updated

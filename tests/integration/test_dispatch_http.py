@@ -310,3 +310,37 @@ def test_stats_merges_dispatch_counters(dispatch_server):
         assert set(worker["caches"]["keyword_lookups"]) == {
             "size", "maxsize", "hits", "misses", "hit_rate", "invalidated",
         }
+
+
+def test_a_staged_bundle_is_removed_when_the_server_stops(tmp_path):
+    """``serve --workers N`` without ``--bundle`` stages the workers'
+    bundle and its WAL in a ``repro-serve-*`` directory; once a SIGTERM
+    has drained the server, none is left in the temp dir."""
+    import os
+    import signal
+    import subprocess
+    import sys
+
+    def staged():
+        return [p.name for p in tmp_path.iterdir() if p.name.startswith("repro-serve-")]
+
+    server = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--workers", "1",
+         "--dataset", "example", "--port", "0"],
+        env=dict(os.environ, TMPDIR=str(tmp_path)),
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    try:
+        for line in server.stderr:
+            if line.startswith("# serving on"):
+                break
+        assert len(staged()) == 1  # staged while it serves
+        server.send_signal(signal.SIGTERM)
+        server.stderr.read()
+        assert server.wait(timeout=60) == 0
+    finally:
+        if server.poll() is None:
+            server.kill()
+            server.wait()
+    assert staged() == []

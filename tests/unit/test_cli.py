@@ -544,21 +544,33 @@ class TestBundleConflicts:
             assert "conflicts" in str(excinfo.value)
 
 
-def test_stage_bundle_streams_the_source(tmp_path, capsys, monkeypatch):
+def test_stage_bundle_streams_the_source(tmp_path, capsys):
     """``serve --workers N`` without ``--bundle`` stages the worker
     bundle straight from the parsed flags — no throw-away engine."""
-    import tempfile
-
     from repro.cli import _stage_bundle, build_serve_parser
     from repro.core.engine import KeywordSearchEngine
 
-    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     args = build_serve_parser().parse_args(
         ["--dataset", "example", "--workers", "2", "-k", "3", "--cache", "7"]
     )
-    path = _stage_bundle(args)
+    path = _stage_bundle(args, str(tmp_path))
     assert path.startswith(str(tmp_path))
     assert "# staged bundle for worker processes" in capsys.readouterr().err
     staged = KeywordSearchEngine.load(path, attach_wal=False)
     assert (staged.k, staged.dmax, staged._search_cache.maxsize) == (3, 10, 7)
     assert len(staged.graph) == 21
+
+
+def test_serve_refuses_timeout_with_workers(monkeypatch):
+    """``--timeout`` is the in-process tier's per-query deadline and the
+    worker tier has none: asking for both is refused, not ignored."""
+    import repro.service
+
+    def no_tier(*args, **kwargs):
+        raise AssertionError("a worker tier was started")
+
+    monkeypatch.setattr(repro.service, "DispatchService", no_tier)
+    with pytest.raises(SystemExit) as excinfo:
+        main(["serve", "--dataset", "example", "--port", "0", "--workers", "2",
+              "--timeout", "5"])
+    assert "--timeout conflicts with --workers" in str(excinfo.value)

@@ -197,21 +197,22 @@ class TestEngineFilters:
         assert filtered  # 2050 has no V-vertex; numeric-kind fallback applies
 
     def test_loaded_bundle_filters_without_materialising_the_graph(
-        self, engine, tmp_path
+        self, engine, tmp_path, monkeypatch
     ):
         """The kind fallback samples one row per attribute through the
-        store: on a loaded bundle the data graph's ``triples`` section is
-        never read, and the queries are the in-process engine's."""
+        store: on a loaded bundle the data graph is never enumerated, and
+        the queries are the in-process engine's."""
         from repro.core.engine import KeywordSearchEngine
+        from repro.storage.graph_view import MmapDataGraph
 
         path = tmp_path / "dblp.reprobundle"
         engine.save(path)
         loaded = KeywordSearchEngine.load(path, attach_wal=False)
 
-        def unread():
-            raise AssertionError("the triples section was read")
+        def unread(graph):
+            raise AssertionError("the data graph was enumerated")
 
-        loaded.graph._read_triples = unread
+        monkeypatch.setattr(MmapDataGraph, "__iter__", unread)
         for query in ("cimiano before 2050", "cimiano before 2005", "turing since 2000"):
             expected = [repr(fq) for fq in engine.search_with_filters(query, k=8)]
             assert expected

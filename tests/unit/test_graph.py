@@ -133,6 +133,14 @@ class TestLabels:
         )
         assert g.label_of(EX.e1) == "preferred"
 
+    def test_a_tie_goes_to_the_smallest_lexical_form(self):
+        ties = [Triple(EX.e1, RDFS.label, Literal(v)) for v in ("b", "a", "c")]
+        for order in (ties, ties[::-1]):
+            g = DataGraph([Triple(EX.e1, URI("name"), Literal("0")), *order])
+            assert g.label_of(EX.e1) == "a"
+            g.remove(ties[1])
+            assert g.label_of(EX.e1) == "b"
+
     def test_label_falls_back_to_local_name(self):
         g = DataGraph([Triple(EX.e1, EX.rel, EX.e2)])
         assert g.label_of(EX.e1) == "e1"
@@ -188,3 +196,40 @@ class TestIntegrity:
         assert stats["triples"] == len(example_graph)
         assert stats["classes"] == 6
         assert stats["entities"] == 8
+
+
+#: A graph without violations, and one triple per Definition 1 violation
+#: kind that it makes the next triple commit.
+_CLEAN = [
+    Triple(EX.e1, RDF.type, EX.C1),
+    Triple(EX.e2, EX.rel, EX.e3),
+]
+_VIOLATIONS = {
+    "self-typed class": Triple(EX.C1, RDF.type, EX.C1),
+    "self-typed fresh term": Triple(EX.x, RDF.type, EX.x),
+    "class used as an entity": Triple(EX.C1, EX.rel, EX.e1),
+    "entity used as a class": Triple(EX.e2, RDFS.subClassOf, EX.C1),
+    "entity typed by an entity": Triple(EX.e2, RDF.type, EX.e3),
+    "type edge to a literal": Triple(EX.e1, RDF.type, Literal("x")),
+    "subclass edge to a literal": Triple(EX.C1, RDFS.subClassOf, Literal("x")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_VIOLATIONS))
+def test_every_path_names_a_violation_alike(case, tmp_path):
+    """The strict graph raises the conflict the non-strict one records
+    first, and so does a loaded strict graph: each checks the roles a
+    triple acquires in the order acquisition takes them."""
+    from repro.storage import build_bundle_streaming, load_bundle
+
+    triple = _VIOLATIONS[case]
+    relaxed = DataGraph(_CLEAN)
+    relaxed.add(triple)
+    first = relaxed.conflicts[0]
+    with pytest.raises(GraphIntegrityError) as strict:
+        DataGraph(_CLEAN, strict=True).add(triple)
+    path = tmp_path / "clean.reprobundle"
+    build_bundle_streaming(_CLEAN, path, graph_strict=True)
+    with pytest.raises(GraphIntegrityError) as loaded:
+        load_bundle(path).graph.add(triple)
+    assert str(strict.value) == first == str(loaded.value)

@@ -239,8 +239,15 @@ def test_load_rejects_format_version_4(small_engine, tmp_path):
     """And v4, which stored the CSR substrate beside the summary graph
     it is derived from: a v4 file carries two sections this release
     would ignore, so it is refused rather than half-read."""
-    assert FORMAT_VERSION == 5
     _assert_version_refused(small_engine, tmp_path / "a.reprobundle", 4)
+
+
+def test_load_rejects_format_version_5(small_engine, tmp_path):
+    """And v5, which stored the triple set a fourth time, as a
+    ``triples`` section in arrival order beside the three sorted runs:
+    its loader read that section, so a v5 file is rebuilt, not read."""
+    assert FORMAT_VERSION == 6
+    _assert_version_refused(small_engine, tmp_path / "a.reprobundle", 5)
 
 
 def test_load_rejects_corrupted_section(small_engine, tmp_path):
@@ -259,7 +266,7 @@ def test_load_rejects_corrupted_section(small_engine, tmp_path):
 
 @pytest.mark.parametrize("name", EXPECTED_SECTIONS)
 def test_verify_checksums_every_section(small_engine, tmp_path, name):
-    """One flipped byte in any of the 22 sections — the runs a load reads
+    """One flipped byte in any of the 21 sections — the runs a load reads
     in place included — fails the full pass, naming the section."""
     path = tmp_path / "a.reprobundle"
     small_engine.save(path)
@@ -295,16 +302,17 @@ def test_compact_refuses_a_corrupted_bundle(small_engine, tmp_path):
 
 
 def test_bundle_holds_exactly_the_expected_sections(small_engine, tmp_path):
-    """One stored copy of everything: the 22 sections — ``triples`` is
-    the data graph, the runs are the indexes — and nothing derived: no
-    ``graph.*`` structure beside the two predicate-count maps, no
-    ``substrate.*`` rows beside the summary graph they come from."""
+    """One stored copy of everything: the 21 sections — the runs are the
+    triple set and the indexes — and nothing derived: no ``triples`` copy
+    of the runs in arrival order, no ``graph.*`` structure beside the two
+    predicate-count maps, no ``substrate.*`` rows beside the summary
+    graph they come from."""
     path = tmp_path / "a.reprobundle"
     info = small_engine.save(path)
     header, _ = _read_header(path.read_bytes())
     names = [e["name"] for e in header["sections"]]
-    assert names == EXPECTED_SECTIONS
-    assert info["sections"] == len(EXPECTED_SECTIONS) == 22
+    assert names == EXPECTED_SECTIONS and "triples" not in names
+    assert info["sections"] == len(EXPECTED_SECTIONS) == 21
 
 
 def _rewrite_bundle(path, data, header, payload):
@@ -337,7 +345,7 @@ def _patch_section(path, name, patch):
 
 
 def _repeat_first_row(section):
-    section[-24:] = section[8:32]
+    section[-24:] = section[:24]  # a run is bare (a, b, c) int64 rows
 
 
 def _one_more_type_edge(section):
@@ -348,23 +356,24 @@ def _one_more_type_edge(section):
 @pytest.mark.parametrize(
     "name, patch, what",
     [
-        ("triples", _repeat_first_row, "triple rows"),
+        ("store2.pos", _repeat_first_row, "store2.pos rows"),
+        ("store2.osp", _repeat_first_row, "store2.osp rows"),
         ("graph.type_pred_counts", _one_more_type_edge, "type predicate counts"),
     ],
 )
 def test_graph_that_disagrees_with_the_runs_fails_verification(
     small_engine, tmp_path, name, patch, what
 ):
-    """The header's graph counts and the ``triples`` section are held
-    against the sorted runs by ``verify_bundle``, which nothing serves
-    past: a ``triples`` section whose last row repeats the first, or one
-    type edge too many in the header's predicate counts — same length,
-    CRC patched, so every checksum holds — fails it, without a graph
-    being rebuilt.  The runs themselves are intact, so a load serves."""
+    """The runs are held against each other, and the header's graph
+    counts against the runs, by ``verify_bundle``, which nothing serves
+    past: a POS or OSP run whose last row repeats the first, or one type
+    edge too many in the header's predicate counts — same length, CRC
+    patched, so every checksum holds — fails it, without a graph being
+    rebuilt.  A load does not check, and still serves a search."""
     path = tmp_path / "a.reprobundle"
     small_engine.save(path)
     _patch_section(path, name, patch)
-    with pytest.raises(BundleFormatError, match=f"graph's {what} disagree"):
+    with pytest.raises(BundleFormatError, match=f"the {what} disagree"):
         verify_bundle(path)
     loaded = KeywordSearchEngine.load(path, attach_wal=False)
     assert loaded.search("cimiano 2006").candidates
@@ -480,19 +489,14 @@ def test_artifact_metadata(small_engine, tmp_path):
 
 
 def test_update_decodes_only_what_it_touches(dblp_small, tmp_path, monkeypatch):
-    """A loaded bundle's data graph is a view over its runs: searching,
-    executing and applying an update batch never read the ``triples``
-    section, and the batch decodes its own terms plus a schema-sized
-    handful from the term table — not the table."""
+    """A loaded bundle's data graph is a view over its runs: applying an
+    update batch after a search and an execution decodes the batch's own
+    terms plus a schema-sized handful from the term table — not the
+    table."""
     triples = list(dblp_small.triples)
     path = tmp_path / "a.reprobundle"
     KeywordSearchEngine(DataGraph(triples)).save(path)
     loaded = KeywordSearchEngine.load(path, attach_wal=False)
-
-    def unread():
-        raise AssertionError("the triples section was read")
-
-    loaded.graph._read_triples = unread
     decoded = []
     decode = MmapTermTable._decode
     monkeypatch.setattr(
@@ -824,23 +828,6 @@ def test_wal_torn_commit_then_reattach_survives(example_graph, tmp_path):
     final = KeywordSearchEngine.load(path, attach_wal=False)
     assert final.index_manager.epoch == 1
     assert _T1 in set(final.graph.triples)
-
-
-def test_corrupted_lazy_section_fails_on_first_touch(small_engine, tmp_path):
-    """The graph's ``triples`` section is CRC-checked when it
-    materializes: a corrupted byte there raises the dedicated exception
-    at first use, never decodes silently wrong.  (The ``store2.*`` runs
-    are read in place, unverified, by a load: ``verify_bundle`` is what
-    catches a flipped byte in them, see
-    ``test_verify_checksums_every_section``.)"""
-    path = tmp_path / "triples.reprobundle"
-    small_engine.save(path)
-    _flip_byte_in_section(path, "triples")
-    loaded = KeywordSearchEngine.load(path, attach_wal=False)
-    result = loaded.search("cimiano 2006")  # search never touches the graph
-    assert result.candidates
-    with pytest.raises(BundleChecksumError, match="'triples'"):
-        loaded.graph.triples
 
 
 def test_commit_hooks_run_despite_earlier_hook_failure(example_graph):
