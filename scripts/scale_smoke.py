@@ -35,7 +35,7 @@ DEFAULT_UNIVERSITIES = 37
 #: ~1.5x headroom, so a pass-B change that keeps triple-shaped rows
 #: resident, not only one that materializes the corpus, fails the job.
 DEFAULT_CEILING_MB = 128
-#: Format v6 stores this corpus in ~154 bytes per triple (three sorted
+#: Format v7 (as v6) stores this corpus in ~154 bytes per triple (three sorted
 #: runs, the keyword runs, the term table); v4/v5, which also stored the
 #: triples once more in arrival order (24 bytes each), took ~178, and
 #: v3, which stored the data graph's adjacency, refcounts and buckets

@@ -44,31 +44,6 @@ from repro.rdf.ntriples import parse_ntriples
 SUBCOMMANDS = ("search", "serve", "build", "compact", "eval")
 
 
-def _progress_lines(lines, every: int):
-    """Pass lines through, reporting throughput to stderr every ``every``.
-
-    Zero (the default for commands without ``--progress-every``) disables
-    reporting — the generator then adds nothing but a loop over its input.
-    """
-    if not every:
-        yield from lines
-        return
-    import time
-
-    started = time.perf_counter()
-    count = 0
-    for line in lines:
-        count += 1
-        if count % every == 0:
-            elapsed = time.perf_counter() - started
-            rate = count / elapsed if elapsed > 0 else 0.0
-            print(
-                f"# parse: {count:,} lines in {elapsed:.1f}s ({rate:,.0f}/s)",
-                file=sys.stderr,
-            )
-        yield line
-
-
 @contextlib.contextmanager
 def _triple_source(args):
     """The triples ``--data`` / ``--dataset --scale`` name, as a lazy
@@ -77,9 +52,7 @@ def _triple_source(args):
     derives the offline layer from triples reads them through here."""
     if args.data is not None:
         with open(args.data) as fh:
-            yield parse_ntriples(
-                _progress_lines(fh, getattr(args, "progress_every", 0))
-            )
+            yield parse_ntriples(fh)
     else:
         from repro.datasets import triples_for
 
@@ -126,9 +99,7 @@ def _add_index_tier_arg(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_engine_args(
-    parser: argparse.ArgumentParser, execution: bool = True
-) -> None:
+def _add_engine_args(parser: argparse.ArgumentParser) -> None:
     # The parser defaults are ``None``, not `ENGINE_DEFAULTS`, so `--bundle`
     # can distinguish "user asked for this" (flag wins) from "unspecified"
     # (the config the bundle was built with wins — overriding it silently
@@ -152,17 +123,6 @@ def _add_engine_args(
         "--dmax", type=int, default=None,
         help="exploration depth bound (default 10, or the bundle's setting "
         "with --bundle)",
-    )
-    if not execution:
-        return
-    # An execution strategy: same results either way, so a bundle does
-    # not record it and `repro build` does not register it.
-    parser.add_argument(
-        "--guided", action=argparse.BooleanOptionalAction, default=None,
-        help="Algorithm 2's completion bounds (default: on).  "
-        "--no-guided runs the unbounded loop: same results, several "
-        "times the work — it exists to check the bounds against.  An "
-        "execution strategy, not stored in bundles",
     )
 
 
@@ -207,7 +167,6 @@ def _build_engine(
                 cost_model=args.cost_model,
                 k=args.k,
                 dmax=args.dmax,
-                guided=args.guided,
                 search_cache_size=search_cache_size,
             )
         except FileNotFoundError as exc:
@@ -221,8 +180,6 @@ def _build_engine(
             args.k = engine.k
         if args.dmax is None:
             args.dmax = engine.dmax
-        if args.guided is None:
-            args.guided = engine.guided
         if args.cost_model is None:
             args.cost_model = engine.cost_model.name
         artifact = engine.artifact
@@ -242,7 +199,6 @@ def _build_engine(
         cost_model=args.cost_model,
         k=args.k,
         dmax=args.dmax,
-        guided=args.guided,
         search_cache_size=search_cache_size,
     )
 
@@ -422,7 +378,6 @@ def _dispatch_overrides(args) -> dict:
         "k": args.k,
         "cost_model": args.cost_model,
         "dmax": args.dmax,
-        "guided": args.guided,
         "search_cache_size": max(0, args.cache),
     }
 
@@ -542,9 +497,7 @@ def build_build_parser() -> argparse.ArgumentParser:
         "index bundle that `search`/`serve --bundle` warm-start from.",
     )
     _add_dataset_args(parser, bundle=False)
-    # No --guided: an execution strategy a bundle does not record, so the
-    # flag would have nothing to act on here.
-    _add_engine_args(parser, execution=False)
+    _add_engine_args(parser)
     parser.add_argument(
         "-o",
         "--output",
@@ -577,7 +530,7 @@ def build_build_parser() -> argparse.ArgumentParser:
         type=_positive_int,
         default=100_000,
         metavar="N",
-        help="log an ingestion throughput line every N triples/lines "
+        help="log an ingestion throughput line every N triples "
         "(default 100000)",
     )
     return parser
@@ -838,7 +791,6 @@ def _eval_engine_from_args(args):
             cost_model=args.cost_model,
             k=args.k,
             dmax=args.dmax,
-            guided=args.guided,
             scale=args.scale,
             perturb_costs=args.perturb_costs,
         )

@@ -370,7 +370,7 @@ def _map_stage(
 #: flag is not given.  One table, read by :mod:`repro.cli` and
 #: :func:`repro.quality.runner.build_eval_engine`, so the entry points
 #: cannot drift apart.
-ENGINE_DEFAULTS = {"k": 5, "cost_model": "c3", "dmax": DEFAULT_DMAX, "guided": True}
+ENGINE_DEFAULTS = {"k": 5, "cost_model": "c3", "dmax": DEFAULT_DMAX}
 
 
 class KeywordSearchEngine:
@@ -388,17 +388,12 @@ class KeywordSearchEngine:
         Default number of queries to compute.
     dmax:
         Default exploration depth, in elements.
-    max_matches_per_keyword:
-        Branching bound handed to the keyword index.
-    strict_keywords:
-        If true, a keyword with no matching element fails the search; if
-        false (default) such keywords are ignored and reported in
-        ``SearchResult.ignored_keywords``.
     guided:
         ``True`` (default) runs Algorithm 2 with its completion bounds;
-        ``False`` runs the unbounded loop, which returns the same results
-        and exists as the identity oracle for the bounds (see
-        :func:`~repro.core.exploration.explore_top_k`).
+        ``False`` runs the unbounded loop of the Section VI-C ablation
+        (``benchmarks/test_ablation_guarantee.py``), which returns the
+        same results (see :func:`~repro.core.exploration.explore_top_k`).
+        No entry point sets it.
     search_cache_size:
         When positive, completed :class:`SearchResult` objects are
         memoized (LRU) keyed on the keyword tuple, the effective search
@@ -410,6 +405,11 @@ class KeywordSearchEngine:
         memoized result (shared candidates and the *original* ``timings``),
         so in-place mutation of a result cannot poison the cache.
         Disabled by default.
+
+    A keyword with no matching element is ignored and reported in
+    ``SearchResult.ignored_keywords``; the keyword index bounds how many
+    elements one keyword matches
+    (:data:`~repro.keyword.keyword_index.MAX_MATCHES_PER_KEYWORD`).
     """
 
     def __init__(
@@ -418,8 +418,6 @@ class KeywordSearchEngine:
         cost_model: Union[str, CostModel] = "c3",
         k: int = 10,
         dmax: int = DEFAULT_DMAX,
-        max_matches_per_keyword: int = 8,
-        strict_keywords: bool = False,
         guided: bool = True,
         keyword_index: Optional[KeywordIndex] = None,
         summary: Optional[SummaryGraph] = None,
@@ -432,7 +430,6 @@ class KeywordSearchEngine:
         )
         self.k = k
         self.dmax = dmax
-        self.strict_keywords = strict_keywords
         self.guided = guided
         self._search_cache: Optional[LruDict] = (
             LruDict(search_cache_size) if search_cache_size > 0 else None
@@ -461,9 +458,7 @@ class KeywordSearchEngine:
             summary if summary is not None else SummaryGraph.from_data_graph(graph)
         )
         self.keyword_index = (
-            keyword_index
-            if keyword_index is not None
-            else KeywordIndex(graph, max_matches_per_keyword=max_matches_per_keyword)
+            keyword_index if keyword_index is not None else KeywordIndex(graph)
         )
         self.store = store if store is not None else TripleStore.from_graph(graph)
         self.evaluator = QueryEvaluator(self.store)
@@ -511,12 +506,10 @@ class KeywordSearchEngine:
             cost_model=self.cost_model,
             k=self.k,
             dmax=self.dmax,
-            strict_keywords=self.strict_keywords,
             search_cache_size=cache.maxsize if cache is not None else 0,
             graph_strict=self.graph.strict,
             epoch=self.index_manager.epoch,
             delta_log=self.delta_log,
-            **self.keyword_index.settings(),
         )
 
     @classmethod
@@ -539,8 +532,7 @@ class KeywordSearchEngine:
         :func:`repro.storage.verify_bundle`'s job, run by whoever owns
         the artifact.  The engine configuration saved in the bundle applies
         unless overridden (``cost_model``, ``k``, ``dmax``,
-        ``strict_keywords``, ``search_cache_size``); ``guided`` is not
-        saved — pass it here or get the constructor's default.  A delta
+        ``search_cache_size``; anything else is a ``TypeError``).  A delta
         log next to the bundle has its committed tail replayed through
         incremental maintenance (``replay_wal``) and is then kept
         attached (``attach_wal``) so future :meth:`add_triples` /
@@ -621,7 +613,6 @@ class KeywordSearchEngine:
             epoch=self.index_manager.epoch,
             k=self.k,
             dmax=self.dmax,
-            strict_keywords=self.strict_keywords,
             guided=self.guided,
         )
 
@@ -708,8 +699,6 @@ class KeywordSearchEngine:
         timings["keyword_mapping"] = time.perf_counter() - step
 
         ignored = [kw for kw, m in zip(keywords, matches) if not m]
-        if ignored and snapshot.strict_keywords:
-            raise KeyError(f"keywords with no matching element: {ignored}")
         effective = [m for m in matches if m]
 
         if not effective:

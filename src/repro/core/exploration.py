@@ -1123,8 +1123,8 @@ def explore_top_k(
         the unbounded, unseeded loop.  The result is
         identical; only the work changes — which is the one reason
         ``False`` still exists: it is the oracle the bounds are tested
-        against (``test_guided_equivalence.py``, ``repro eval check
-        --no-guided``).
+        against (``test_guided_equivalence.py``) and the Section VI-C
+        ablation (``benchmarks/test_ablation_guarantee.py``).
     use_vectorized:
         Which implementation computes a missing bound table — nothing
         else; the loop is the same on every install.  ``None`` (default)

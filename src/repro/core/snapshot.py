@@ -57,7 +57,6 @@ class EngineSnapshot:
         "epoch",
         "k",
         "dmax",
-        "strict_keywords",
         "guided",
     )
 
@@ -80,7 +79,6 @@ class EngineSnapshot:
         epoch: int,
         k: int,
         dmax: int,
-        strict_keywords: bool,
         guided: bool,
     ):
         self.graph = graph
@@ -99,7 +97,6 @@ class EngineSnapshot:
         self.epoch = epoch
         self.k = k
         self.dmax = dmax
-        self.strict_keywords = strict_keywords
         self.guided = guided
 
     @property

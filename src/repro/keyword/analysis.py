@@ -42,34 +42,18 @@ def tokenize(text: str) -> List[str]:
 
 
 class Analyzer:
-    """The full analysis chain: tokenize → drop stopwords → stem.
-
-    ``min_token_length`` drops single-character noise tokens (but never
-    digit tokens, since years like "2006" matter to the workloads).
-    """
-
-    def __init__(
-        self,
-        stem: bool = True,
-        stopwords: frozenset = STOPWORDS,
-        min_token_length: int = 1,
-    ):
-        self._stem = stem
-        self._stopwords = stopwords
-        self._min_len = min_token_length
+    """The full analysis chain: tokenize → drop :data:`STOPWORDS` →
+    Porter-stem every token that is not a number (years like "2006"
+    matter to the workloads).  It has no settings: a bundle stores the
+    chain's output, not the chain."""
 
     def analyze(self, text: str) -> List[str]:
         """Terms for indexing or querying, in occurrence order."""
-        terms = []
-        for token in tokenize(text):
-            if token in self._stopwords:
-                continue
-            if len(token) < self._min_len and not token.isdigit():
-                continue
-            if self._stem and not token.isdigit():
-                token = porter_stem(token)
-            terms.append(token)
-        return terms
+        return [
+            token if token.isdigit() else porter_stem(token)
+            for token in tokenize(text)
+            if token not in STOPWORDS
+        ]
 
     def analyze_unique(self, text: str) -> List[str]:
         """Like :meth:`analyze` but with duplicates removed, order kept."""

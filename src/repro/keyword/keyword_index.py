@@ -171,6 +171,17 @@ class ValueMatch(KeywordMatch):
         return f"ValueMatch({self.value.lexical!r}, score={self.score:.3f})"
 
 
+#: The best-scoring elements a lookup keeps per keyword: the branching
+#: factor of the exploration that follows.
+MAX_MATCHES_PER_KEYWORD = 8
+
+#: The Levenshtein bound of the fuzzy fallback a keyword with no exact or
+#: lexicon match gets.
+FUZZY_MAX_DISTANCE = 1
+
+#: How many keywords' matches the lookup memo keeps (LRU).
+LOOKUP_CACHE_SIZE = 1024
+
 #: The dependency of a lookup that scanned the vocabulary (a fuzzy match,
 #: or no match at all): any posting change may alter its answer.
 _ANY_POSTING = object()
@@ -283,33 +294,21 @@ class KeywordIndex:
         (:data:`~repro.keyword.analysis.DEFAULT_ANALYZER`:
         tokenize+stopwords+Porter) and the bundled offline lexicon
         (:data:`~repro.keyword.synonyms.DEFAULT_LEXICON`).
-    fuzzy_max_distance:
-        Levenshtein bound for imprecise matching (0 disables fuzzy lookup).
-    max_matches_per_keyword:
-        Keeps only the best-scoring elements per keyword; bounds the
-        branching factor of the subsequent graph exploration.
-    lookup_cache_size:
-        LRU bound for memoized :meth:`lookup` results.  An entry is
-        dropped when incremental maintenance changes a posting list or a
-        class context its result was computed from (:class:`LookupMemo`),
-        and only then.  ``0`` disables the cache.
+
+    A lookup keeps the :data:`MAX_MATCHES_PER_KEYWORD` best elements,
+    falls back to vocabulary terms within :data:`FUZZY_MAX_DISTANCE`
+    edits when nothing else matches, and is memoized in a
+    :class:`LookupMemo` of :data:`LOOKUP_CACHE_SIZE` keywords.  None of
+    the three is a setting: a bundle records none of them.
     """
 
-    def __init__(
-        self,
-        graph: DataGraph,
-        fuzzy_max_distance: int = 1,
-        max_matches_per_keyword: int = 8,
-        lookup_cache_size: int = 1024,
-    ):
+    def __init__(self, graph: DataGraph):
         self._graph = graph
-        self._fuzzy_max_distance = fuzzy_max_distance
-        self._max_matches = max_matches_per_keyword
 
         #: Monotone mutation counter: the index half of the snapshot key
         #: (and so of the engine's result-memo key).
         self.version: int = 0
-        self._lookup_cache = LookupMemo(lookup_cache_size)
+        self._lookup_cache = LookupMemo(LOOKUP_CACHE_SIZE)
 
         self._index = InvertedIndex()
         # Attribute label -> {subject class (None = untyped): refcount}.
@@ -420,15 +419,6 @@ class KeywordIndex:
     # Persistence (used by repro.storage)
     # ------------------------------------------------------------------
 
-    def settings(self) -> Dict[str, object]:
-        """The constructor settings a bundle header records, under their
-        constructor names (the bundle builder takes them by the same)."""
-        return {
-            "fuzzy_max_distance": self._fuzzy_max_distance,
-            "max_matches_per_keyword": self._max_matches,
-            "lookup_cache_size": self._lookup_cache.maxsize,
-        }
-
     @classmethod
     def from_state(
         cls,
@@ -438,9 +428,6 @@ class KeywordIndex:
         value_occurrence_refs: Dict[Literal, Dict[Tuple[URI, Optional[Term]], int]],
         *,
         version: int,
-        fuzzy_max_distance: int,
-        max_matches: Optional[int],
-        lookup_cache_size: int,
         build_seconds: float,
     ) -> "KeywordIndex":
         """Reconstitute an index around restored postings and refcounts.
@@ -451,10 +438,8 @@ class KeywordIndex:
         """
         index = cls.__new__(cls)
         index._graph = graph
-        index._fuzzy_max_distance = fuzzy_max_distance
-        index._max_matches = max_matches
         index.version = version
-        index._lookup_cache = LookupMemo(lookup_cache_size)
+        index._lookup_cache = LookupMemo(LOOKUP_CACHE_SIZE)
         index._index = inverted_index
         index._attribute_class_refs = attribute_class_refs
         index._value_occurrence_refs = value_occurrence_refs
@@ -504,7 +489,7 @@ class KeywordIndex:
         the score combines per-term match quality with a coverage penalty
         for labels longer than the keyword (the paper's TF/IDF remark).
 
-        Results are memoized per keyword (LRU, ``lookup_cache_size``
+        Results are memoized per keyword (LRU, :data:`LOOKUP_CACHE_SIZE`
         entries) together with what they were computed from — the terms
         consulted and the elements returned — and incremental maintenance
         drops exactly the entries that depend on something it changed
@@ -513,8 +498,6 @@ class KeywordIndex:
         call returns a fresh list of the shared match objects.
         """
         memo = self._lookup_cache
-        if memo.maxsize <= 0:
-            return self._lookup_uncached(keyword)
         hit = memo.hit(keyword)
         if hit is not None:
             return list(hit)
@@ -563,11 +546,11 @@ class KeywordIndex:
 
         # Select, then materialize only what is kept.  Equal scores
         # tie-break canonically (by element-key repr) so the result — and
-        # the max_matches cutoff — does not depend on index insertion
-        # order; incremental maintenance and a fresh rebuild must rank
+        # the cutoff — does not depend on index insertion order;
+        # incremental maintenance and a fresh rebuild must rank
         # identically.
-        limit = self._max_matches
-        if limit is not None and len(scored) > limit:
+        limit = MAX_MATCHES_PER_KEYWORD
+        if len(scored) > limit:
             # Only what scores at least the limit-th best can be kept;
             # the rest need no repr.
             floor = heapq.nlargest(limit, (score for score, _ in scored))[-1]
@@ -596,9 +579,9 @@ class KeywordIndex:
             for posting in self._index.lookup(related_term):
                 _offer(posting.element, rel_factor, posting.label_terms)
 
-        if not out and self._fuzzy_max_distance > 0:
+        if not out:
             consulted.add(_ANY_POSTING)
-            bound = self._fuzzy_max_distance
+            bound = FUZZY_MAX_DISTANCE
             for vocab_term in self._index.iter_terms():
                 if abs(len(vocab_term) - len(term)) > bound:
                     continue

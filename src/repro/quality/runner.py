@@ -1,7 +1,7 @@
 """Engine construction for evaluation, and the evaluation loop itself.
 
 :func:`build_eval_engine` turns an *eval configuration* — dataset name,
-optional bundle path, cost model, exploration flags — into a
+optional bundle path, cost model, ``k`` and ``dmax`` — into a
 ready engine, the same way for every entry point (CLI, CI gate, tests).
 Unlike ``repro search``, an eval run needs **both** a dataset name (it
 selects the golden file and the intent workload) and, optionally, a
@@ -87,7 +87,6 @@ def build_eval_engine(
     cost_model: Optional[str] = None,
     k: Optional[int] = None,
     dmax: Optional[int] = None,
-    guided: Optional[bool] = None,
     scale: int = 1000,
     perturb_costs: bool = False,
 ):
@@ -106,14 +105,13 @@ def build_eval_engine(
             cost_model=cost_model,
             k=k,
             dmax=dmax,
-            guided=guided,
         )
     else:
         # The one table of entry-point defaults, so a fresh eval build
         # and a `repro build` bundle describe the same engine — the gate
         # must not drift just because the offline layer came from a
         # different entry point.
-        given = {"cost_model": cost_model, "k": k, "dmax": dmax, "guided": guided}
+        given = {"cost_model": cost_model, "k": k, "dmax": dmax}
         given = {name: value for name, value in given.items() if value is not None}
         engine = KeywordSearchEngine(
             graph_for(dataset, scale=scale),
@@ -128,7 +126,6 @@ def build_eval_engine(
         "cost_model": type(engine.cost_model).__name__,
         "k": engine.k,
         "dmax": engine.dmax,
-        "guided": engine.guided,
         "scale": None if bundle else scale,
         "perturb_costs": perturb_costs,
     }

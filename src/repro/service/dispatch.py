@@ -45,11 +45,13 @@ workers at *different* committed epochs if updates race the batch — each
 outcome is individually snapshot-consistent, the batch as a whole is not
 one snapshot.
 
-**Supervision.**  A worker that dies (crash, OOM kill) or wedges past
-the request deadline is retired, its in-flight request is retried on a
-healthy worker (all dispatched ops are read-only, so retry is safe), and
-a replacement is spawned in the background — the replacement's load
-replays the WAL, so it joins at the current watermark.  ``stats()``
+**Supervision.**  A worker that dies (crash, OOM kill) is retired, its
+in-flight request is retried on a healthy worker (all dispatched ops are
+read-only, so retry is safe), and a replacement is spawned in the
+background — the replacement's load replays the WAL, so it joins at the
+current watermark.  A worker that is alive but never answers is not
+detected: a request waits on it for as long as it takes (a ``sync`` or
+``stats`` exchange gives up after :data:`SYNC_TIMEOUT`).  ``stats()``
 merges dispatcher counters (including the queue-wait histogram) with
 per-worker epoch/RSS/PSS/cache numbers and counts every restart.
 """
@@ -75,6 +77,13 @@ __all__ = ["DispatchError", "DispatchService", "WorkerDied"]
 #: bound is configured — long enough to ride out a respawn, short enough
 #: that a fully wedged pool surfaces as backpressure, not a hang.
 _DEFAULT_QUEUE_WAIT = 60.0
+
+#: How long a worker has to load its bundle and send its ready frame.
+SPAWN_TIMEOUT = 120.0
+
+#: How long a ``sync`` or ``stats`` exchange waits for a worker (to be
+#: idle, then to answer) before it is retired.
+SYNC_TIMEOUT = 30.0
 
 
 class DispatchError(RuntimeError):
@@ -118,7 +127,7 @@ class _FdReader:
 class _WorkerHandle:
     """One worker subprocess plus its strictly serialized request pipe."""
 
-    def __init__(self, bundle: str, overrides: Dict[str, object], spawn_timeout: float):
+    def __init__(self, bundle: str, overrides: Dict[str, object]):
         package_root = os.path.dirname(
             os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         )
@@ -135,7 +144,7 @@ class _WorkerHandle:
             cmd, stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env
         )
         self.reader = _FdReader(self.proc.stdout.fileno())
-        self.reader.deadline = time.monotonic() + spawn_timeout
+        self.reader.deadline = time.monotonic() + SPAWN_TIMEOUT
         try:
             ready = read_frame(self.reader)
         except (ProtocolError, WorkerDied) as exc:
@@ -225,10 +234,6 @@ class DispatchService:
         separately from its execution time; beyond it the request is
         rejected with :class:`AdmissionError` (backpressure) instead of
         stacking deadline debt behind a busy pool.
-    request_timeout:
-        Per-request response deadline; a worker that exceeds it is
-        treated as dead (retired, request retried).  ``None`` = wait
-        forever.
     """
 
     def __init__(
@@ -239,10 +244,6 @@ class DispatchService:
         overrides: Optional[Dict[str, object]] = None,
         max_pending: int = 64,
         max_queue_wait: Optional[float] = None,
-        request_timeout: Optional[float] = None,
-        sync_timeout: float = 30.0,
-        spawn_timeout: float = 120.0,
-        latency_window: int = 2048,
     ):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
@@ -252,9 +253,6 @@ class DispatchService:
         self.workers = workers
         self.max_pending = max_pending
         self.max_queue_wait = max_queue_wait
-        self.request_timeout = request_timeout
-        self.sync_timeout = sync_timeout
-        self.spawn_timeout = spawn_timeout
         self._overrides = {
             k: v for k, v in (overrides or {}).items() if v is not None
         }
@@ -273,7 +271,7 @@ class DispatchService:
         self._spawning = 0
         self._closed = False
 
-        self._ledger = QueryLedger(max_pending, latency_window)
+        self._ledger = QueryLedger(max_pending)
         # The dispatcher's own counters (the ledger has its own lock).
         self._stats_lock = threading.Lock()
         self._retries = 0
@@ -310,7 +308,7 @@ class DispatchService:
     # ------------------------------------------------------------------
 
     def _spawn_one(self) -> _WorkerHandle:
-        return _WorkerHandle(self.bundle, self._overrides, self.spawn_timeout)
+        return _WorkerHandle(self.bundle, self._overrides)
 
     def _borrow(self, max_wait: Optional[float]) -> Tuple[_WorkerHandle, float]:
         """Take an idle worker, waiting up to the queue bound.
@@ -444,7 +442,7 @@ class DispatchService:
                 handle, waited = self._borrow(max_wait)
                 self._ledger.record_queue_wait(waited)
                 try:
-                    response = handle.request(payload, self.request_timeout)
+                    response = handle.request(payload, None)
                 except WorkerDied:
                     self._retire(handle)
                     attempts += 1
@@ -471,7 +469,7 @@ class DispatchService:
         finally:
             self._ledger.release(1)
 
-    def search(self, query, k=None, dmax=None, max_cursors=None):
+    def search(self, query, k=None, dmax=None):
         """One search on some worker, at or past the current watermark.
 
         Returns the *encoded* result — the HTTP response body, as
@@ -486,7 +484,6 @@ class DispatchService:
                 "q": query,
                 "k": k,
                 "dmax": dmax,
-                "max_cursors": max_cursors,
                 "min_epoch": self._watermark,
             }
         )
@@ -497,7 +494,6 @@ class DispatchService:
         queries: Sequence,
         k=None,
         dmax=None,
-        max_cursors=None,
         timeout: Optional[float] = None,
     ) -> List[BatchOutcome]:
         """Fan a batch over the pool, one watermark pinned for the batch.
@@ -519,7 +515,6 @@ class DispatchService:
                         "q": query,
                         "k": k,
                         "dmax": dmax,
-                        "max_cursors": max_cursors,
                         "min_epoch": watermark,
                     },
                     max_wait=timeout,
@@ -570,7 +565,7 @@ class DispatchService:
         write-ahead entry is what followers replay), the watermark
         advances, and a ``sync`` is broadcast to all workers in parallel
         — each ack means that worker is at the new epoch.  A worker that
-        cannot ack within ``sync_timeout`` is retired and respawned (the
+        cannot ack within :data:`SYNC_TIMEOUT` is retired and respawned (the
         respawn replays the WAL, landing at the watermark), so when this
         method returns every live worker serves the committed state.
         """
@@ -600,11 +595,11 @@ class DispatchService:
             targets = list(self._handles)
 
         def sync_one(handle: _WorkerHandle) -> bool:
-            if not self._checkout_specific(handle, self.sync_timeout):
+            if not self._checkout_specific(handle, SYNC_TIMEOUT):
                 return False
             try:
                 response = handle.request(
-                    {"op": "sync", "min_epoch": epoch}, self.sync_timeout
+                    {"op": "sync", "min_epoch": epoch}, SYNC_TIMEOUT
                 )
             except WorkerDied:
                 self._retire(handle)
@@ -648,7 +643,7 @@ class DispatchService:
                 )
                 continue
             try:
-                payload = handle.request({"op": "stats"}, self.sync_timeout)
+                payload = handle.request({"op": "stats"}, SYNC_TIMEOUT)
             except WorkerDied:
                 self._retire(handle)
                 workers.append({"pid": handle.pid, "alive": False})

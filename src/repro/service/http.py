@@ -125,6 +125,13 @@ def _is_integer(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _optional_integer_field(body: Dict[str, object], name: str):
+    value = body.get(name)
+    if value is not None and not _is_integer(value):
+        raise ValueError(f"{name!r} must be an integer or null, got {value!r}")
+    return value
+
+
 def _query_field(body: Dict[str, object]):
     q = body["q"]
     if isinstance(q, str) or (
@@ -358,10 +365,10 @@ class _Handler(socketserver.StreamRequestHandler):
         return 200, encode_result(result)
 
     def _post_search(self, body: Dict[str, object]) -> Tuple[int, bytes]:
-        # Coerce numeric knobs up front: a malformed value is the client's
-        # mistake (400), not a server bug (500).
-        k = int(body["k"]) if body.get("k") is not None else None
-        dmax = int(body["dmax"]) if body.get("dmax") is not None else None
+        k = _optional_integer_field(body, "k")
+        dmax = _optional_integer_field(body, "dmax")
+        # A malformed deadline is the client's mistake (400), not a
+        # server bug (500).
         timeout = float(body["timeout"]) if body.get("timeout") is not None else None
         if "queries" in body:
             queries = body["queries"]

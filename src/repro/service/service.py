@@ -37,6 +37,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
+from contextlib import contextmanager
 from typing import Dict, List, Optional, Sequence
 
 from repro.core import kernels
@@ -134,6 +135,11 @@ class BatchOutcome:
         )
 
 
+#: How many recent latencies and queue waits feed the ``/stats``
+#: percentiles.
+LATENCY_WINDOW = 2048
+
+
 def _percentile(sorted_values: Sequence[float], q: float) -> float:
     """Nearest-rank percentile over an ascending sequence (0 on empty)."""
     if not sorted_values:
@@ -155,7 +161,7 @@ class QueryLedger:
     critical section.
     """
 
-    def __init__(self, max_pending: int, latency_window: int):
+    def __init__(self, max_pending: int):
         self.max_pending = max_pending
         self.started_at = time.monotonic()
         self._lock = threading.Lock()
@@ -163,8 +169,8 @@ class QueryLedger:
         self._counts = dict.fromkeys(
             ("completed", "errors", "timeouts", "rejected", "updates"), 0
         )
-        self._latencies: deque = deque(maxlen=latency_window)  # (end time, seconds)
-        self._queue_waits: deque = deque(maxlen=latency_window)  # seconds
+        self._latencies: deque = deque(maxlen=LATENCY_WINDOW)  # (end time, seconds)
+        self._queue_waits: deque = deque(maxlen=LATENCY_WINDOW)  # seconds
 
     def admit(self, count: int) -> None:
         with self._lock:
@@ -185,10 +191,11 @@ class QueryLedger:
         with self._lock:
             return self._inflight
 
-    def count(self, what: str) -> None:
-        """One more ``"rejected"`` (a wait past its bound) or ``"updates"``."""
+    def count(self, what: str, n: int = 1) -> None:
+        """``n`` more ``"rejected"`` (queries that waited past their
+        bound) or ``"updates"``."""
         with self._lock:
-            self._counts[what] += 1
+            self._counts[what] += n
 
     def record(self, latency: float, status: str) -> None:
         with self._lock:
@@ -245,16 +252,16 @@ class EngineService:
         ``None`` means no deadline.
     max_queue_wait:
         Bound on the time a query may spend *waiting* — for the read
-        lock (:meth:`search`) or behind the earlier members of its batch
-        (:meth:`search_many`) — separately from its execution time, so a
-        cold CPU-bound burst sheds load instead of running every late
-        query anyway.  Beyond the bound a query is rejected as
-        backpressure (:class:`AdmissionError` / batch ``timeout``
-        outcome) **without executing**, and every wait is recorded in the
-        ``queue_wait`` histogram surfaced by :meth:`stats`.  ``None``
-        means waits are recorded but unbounded.
-    latency_window:
-        How many recent per-query latencies feed the p50/p99 stats.
+        lock (every request, behind an update epoch) and behind the
+        earlier members of its batch (:meth:`search_many`) — separately
+        from its execution time, so a cold CPU-bound burst sheds load
+        instead of running every late query anyway.  A read hold that
+        waits past the bound is rejected as backpressure
+        (:class:`AdmissionError`, the whole batch at once), a batch
+        member that does gets a ``timeout`` outcome, either **without
+        executing**; every wait is recorded in the ``queue_wait``
+        histogram surfaced by :meth:`stats`.  ``None`` means waits are
+        recorded but unbounded.
     """
 
     def __init__(
@@ -263,7 +270,6 @@ class EngineService:
         max_pending: int = 64,
         default_timeout: Optional[float] = None,
         max_queue_wait: Optional[float] = None,
-        latency_window: int = 2048,
     ):
         if max_pending < 1:
             raise ValueError(f"max_pending must be >= 1, got {max_pending}")
@@ -274,7 +280,7 @@ class EngineService:
         self._rw = _ReadWriteLock()
         self._closed = False
 
-        self._ledger = QueryLedger(max_pending, latency_window)
+        self._ledger = QueryLedger(max_pending)
         self._epoch_at_begin = -1
 
         # Every update batch — whichever path issues it — excludes readers
@@ -318,101 +324,100 @@ class EngineService:
     # Read path (shared, lock-free against the pinned snapshot)
     # ------------------------------------------------------------------
 
-    def search(self, query, k=None, dmax=None, max_cursors=None):
-        """One search under a fresh read hold; the concurrent-safe analogue
-        of ``engine.search``.  Raises :class:`AdmissionError` at the
-        in-flight bound, and — when ``max_queue_wait`` is set — when the
-        read lock cannot be acquired within that bound (an update epoch,
-        or writers queued behind readers, is hogging the engine)."""
-        self._ledger.admit(1)
+    @contextmanager
+    def _read_hold(self, count: int):
+        """The bracket every read runs in: admit ``count`` queries, take
+        the read lock within ``max_queue_wait`` and record that wait,
+        release both afterwards.  Yields the time the request arrived.
+        Raises :class:`AdmissionError` at the in-flight bound or when an
+        update epoch holds the lock past the wait bound."""
+        if self._closed:
+            raise RuntimeError("service is closed")
+        self._ledger.admit(count)
         try:
-            started = time.monotonic()
+            submitted = time.monotonic()
             if not self._rw.acquire_read(timeout=self.max_queue_wait):
-                self._ledger.count("rejected")
+                self._ledger.count("rejected", count)
                 raise AdmissionError(
                     f"read admission waited past max_queue_wait="
                     f"{self.max_queue_wait:.3f}s behind an update epoch"
                 )
-            self._ledger.record_queue_wait(time.monotonic() - started)
+            self._ledger.record_queue_wait(time.monotonic() - submitted)
             try:
-                snapshot = self.engine.snapshot()
-                result = self.engine.search_on_snapshot(
-                    snapshot, query, k=k, dmax=dmax, max_cursors=max_cursors
-                )
+                yield submitted
             finally:
                 self._rw.release_read()
-            self._ledger.record(time.monotonic() - started, "ok")
-            return result
-        except AdmissionError:
-            raise
-        except Exception:
-            self._ledger.record(0.0, "error")
-            raise
         finally:
-            self._ledger.release(1)
+            self._ledger.release(count)
+
+    def _read_one(self, run):
+        """``run(snapshot)`` for one request under its own read hold; its
+        latency, from arrival, goes to the ledger."""
+        with self._read_hold(1) as submitted:
+            try:
+                outcome = run(self.engine.snapshot())
+            except Exception:
+                self._ledger.record(0.0, "error")
+                raise
+        self._ledger.record(time.monotonic() - submitted, "ok")
+        return outcome
+
+    def search(self, query, k=None, dmax=None):
+        """One search under a fresh read hold; the concurrent-safe analogue
+        of ``engine.search`` (:meth:`_read_hold` says when it is refused)."""
+        return self._read_one(
+            lambda snapshot: self.engine.search_on_snapshot(
+                snapshot, query, k=k, dmax=dmax
+            )
+        )
 
     def search_many(
         self,
         queries: Sequence,
         k=None,
         dmax=None,
-        max_cursors=None,
         timeout: Optional[float] = None,
     ) -> List[BatchOutcome]:
         """Run a batch of keyword queries in order on the calling thread,
         all under one read hold against **one** pinned snapshot.
 
         The whole batch is admitted (or rejected) atomically; each query
-        gets the deadline ``now + timeout`` (``default_timeout`` when
+        gets the deadline ``arrival + timeout`` (``default_timeout`` when
         ``None``) checked before it starts.  Results are byte-identical
         to sequential ``engine.search`` calls on the same snapshot.
         """
-        if self._closed:
-            raise RuntimeError("service is closed")
         queries = list(queries)
         if not queries:
             return []
         if timeout is None:
             timeout = self.default_timeout
-        self._ledger.admit(len(queries))
-        try:
-            self._rw.acquire_read()
-            try:
-                snapshot = self.engine.snapshot()
-                submitted = time.monotonic()
-                deadline = None if timeout is None else submitted + timeout
-                outcomes = [
-                    self._run_one(
-                        snapshot, index, query, k, dmax, max_cursors, deadline,
-                        submitted,
-                    )
-                    for index, query in enumerate(queries)
-                ]
-            finally:
-                self._rw.release_read()
-        finally:
-            self._ledger.release(len(queries))
+        with self._read_hold(len(queries)) as submitted:
+            acquired = time.monotonic()
+            snapshot = self.engine.snapshot()
+            deadline = None if timeout is None else submitted + timeout
+            outcomes = [
+                self._run_one(snapshot, index, query, k, dmax, deadline,
+                              submitted, acquired)
+                for index, query in enumerate(queries)
+            ]
         for outcome in outcomes:
             self._ledger.record(outcome.latency_seconds, outcome.status)
         return outcomes
 
     def _run_one(
-        self, snapshot, index, query, k, dmax, max_cursors, deadline, submitted
+        self, snapshot, index, query, k, dmax, deadline, submitted, acquired
     ):
         started = time.monotonic()
-        # The time a member waits behind the batch members before it is
-        # bounded separately from its execution, so a cold burst sheds
-        # load instead of running every late query anyway.
-        waited = started - submitted
-        self._ledger.record_queue_wait(waited)
-        if self.max_queue_wait is not None and waited > self.max_queue_wait:
+        # A member's wait behind the earlier members is recorded beside
+        # the hold's lock wait; the bound applies to the two together.
+        self._ledger.record_queue_wait(started - acquired)
+        bound = self.max_queue_wait
+        if bound is not None and started - submitted > bound:
             return BatchOutcome(index, query, "timeout")
         if deadline is not None and started >= deadline:
             return BatchOutcome(index, query, "timeout")
         try:
-            result = self.engine.search_on_snapshot(
-                snapshot, query, k=k, dmax=dmax, max_cursors=max_cursors
-            )
+            result = self.engine.search_on_snapshot(snapshot, query, k=k, dmax=dmax)
         except Exception as exc:  # per-query isolation: one bad query
             return BatchOutcome(  # never poisons its batch siblings
                 index, query, "error", error=exc,
@@ -429,27 +434,14 @@ class EngineService:
         interpretation.  Returns ``(candidate, answers, timings)``
         (:meth:`~repro.core.engine.KeywordSearchEngine.execute_ranked`);
         candidate is ``None`` when the search has fewer than ``rank``
-        interpretations.
+        interpretations — a whole search that ran, so it completed, on
+        both tiers (the front end's 404).
         """
-        self._ledger.admit(1)
-        try:
-            started = time.monotonic()
-            self._rw.acquire_read()
-            try:
-                outcome = self.engine.execute_ranked(
-                    query, rank=rank, limit=limit, snapshot=self.engine.snapshot()
-                )
-            finally:
-                self._rw.release_read()
-            # A rank past the last interpretation (the front end's 404)
-            # still ran a whole search: it completed, on both tiers.
-            self._ledger.record(time.monotonic() - started, "ok")
-            return outcome
-        except Exception:
-            self._ledger.record(0.0, "error")
-            raise
-        finally:
-            self._ledger.release(1)
+        return self._read_one(
+            lambda snapshot: self.engine.execute_ranked(
+                query, rank=rank, limit=limit, snapshot=snapshot
+            )
+        )
 
     # ------------------------------------------------------------------
     # Introspection

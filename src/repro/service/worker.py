@@ -218,10 +218,7 @@ class WorkerRuntime:
     def _op_search(self, request: Dict[str, object]) -> Dict[str, object]:
         self.sync_to(request.get("min_epoch"))
         result = self.engine.search(
-            request["q"],
-            k=request.get("k"),
-            dmax=request.get("dmax"),
-            max_cursors=request.get("max_cursors"),
+            request["q"], k=request.get("k"), dmax=request.get("dmax")
         )
         self.completed += 1
         return {"ok": True, "epoch": self.epoch, "body": encode_result(result)}

@@ -81,14 +81,18 @@ from repro.storage.errors import (
 from repro.storage.graph_view import MmapDataGraph
 
 MAGIC = b"RPROBNDL"
-#: Bump on any change to the section layout or encodings.  The one
-#: version this release writes is the one version it reads: version 6
-#: stores the triple set and the keyword index once, as the sorted runs
-#: (``store2.*``, ``kindex2.*``) the mapped readers binary-search in
-#: place, and nothing that is derived from another section (version 5
-#: also stored the triples in arrival order, version 4 the substrate's
-#: CSR rows).  Anything else is refused with a rebuild hint.
-FORMAT_VERSION = 6
+#: Bump on any change to the section layout, the encodings or what the
+#: header records.  The one version this release writes is the one
+#: version it reads: version 7 stores the triple set and the keyword
+#: index once, as the sorted runs (``store2.*``, ``kindex2.*``) the
+#: mapped readers binary-search in place, nothing that is derived from
+#: another section, and in its header only the configuration a caller
+#: varies — ``engine: {cost_model, k, dmax, search_cache_size}`` and
+#: ``kindex: {version, build_seconds}`` (version 6 also recorded
+#: ``strict_keywords`` and three keyword-index settings, version 5 the
+#: triples in arrival order, version 4 the substrate's CSR rows).
+#: Anything else is refused with a rebuild hint.
+FORMAT_VERSION = 7
 
 #: Conventional file extension (the CLI and docs use it; the reader only
 #: trusts the magic).
@@ -593,9 +597,6 @@ def load_bundle(path) -> LoadedBundle:
         attr_class_refs,
         value_occ_refs,
         version=kindex_meta["version"],
-        fuzzy_max_distance=kindex_meta["fuzzy_max_distance"],
-        max_matches=kindex_meta["max_matches"],
-        lookup_cache_size=kindex_meta["lookup_cache_size"],
         build_seconds=kindex_meta["build_seconds"],
     )
 
@@ -656,18 +657,14 @@ def load_engine(
     attach_wal: bool = True,
     wal_path=None,
     index_tier: Optional[str] = None,
-    guided: Optional[bool] = None,
     **overrides,
 ):
     """Reconstitute a :class:`~repro.core.engine.KeywordSearchEngine`.
 
     The engine is assembled from the bundle's decoded parts with the
     engine configuration saved in the header; keyword arguments
-    (``cost_model``, ``k``, ``dmax``, ``strict_keywords``,
-    ``search_cache_size``) override it.  ``guided`` is a load-time
-    argument, not part of that configuration: bounded and unbounded
-    exploration return identical results, so a bundle does not record it
-    and leaving it unspecified means the engine's default.
+    (``cost_model``, ``k``, ``dmax``, ``search_cache_size``) override
+    it, and anything else is a ``TypeError``.
 
     When a delta log exists next to
     the bundle (``<path>.wal`` unless ``wal_path`` says otherwise), its
@@ -720,14 +717,11 @@ def load_engine(
         cost_model=engine_meta["cost_model"],
         k=engine_meta["k"],
         dmax=engine_meta["dmax"],
-        strict_keywords=engine_meta["strict_keywords"],
         keyword_index=loaded.keyword_index,
         summary=loaded.summary,
         store=loaded.store,
         search_cache_size=engine_meta["search_cache_size"],
     )
-    if guided is not None:
-        engine.guided = guided
     engine.index_manager.epoch = meta["snapshot"]["epoch"]
 
     wal_path = os.fspath(wal_path) if wal_path is not None else loaded.path + ".wal"

@@ -42,7 +42,7 @@ from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Tuple
 from repro.rdf.terms import BNode, Literal, Term, URI
 from repro.rdf.triples import Triple
 from repro.store.triple_store import TripleStore, ill_typed_pattern
-from repro.util import LruDict, cache_stats_shape
+from repro.util import LruDict
 
 from repro.storage.codec import (
     ELEMENT_CODE,
@@ -56,9 +56,9 @@ from repro.keyword.inverted_index import InvertedIndex, Posting
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
 
-#: Default LRU bound for decoded posting lists (lists, not bytes — the
-#: undecoded runs stay on disk either way).
-DEFAULT_POSTINGS_CACHE = 4096
+#: LRU bound for decoded posting lists (lists, not bytes — the undecoded
+#: runs stay on disk either way).
+POSTINGS_CACHE_SIZE = 4096
 
 #: How many terms the table does not hold it remembers: room for the new
 #: terms of a few dozen typical update batches.
@@ -285,12 +285,12 @@ class MmapPostingsReader:
 
     __slots__ = ("_offsets", "_runs", "_eids", "_resolve", "_cache")
 
-    def __init__(self, offsets, runs, resolve_element, cache_size: int):
+    def __init__(self, offsets, runs, resolve_element):
         self._offsets = offsets
         self._runs = runs
         self._eids = runs[0::3]  # the element-id column, still a view
         self._resolve = resolve_element
-        self._cache = LruDict(cache_size) if cache_size > 0 else None
+        self._cache = LruDict(POSTINGS_CACHE_SIZE)
 
     def df(self, vid: int) -> int:
         return self._offsets[vid + 1] - self._offsets[vid]
@@ -302,11 +302,9 @@ class MmapPostingsReader:
         return self._runs[3 * row + 1]
 
     def rows(self, vid: int) -> Tuple[Tuple[Hashable, int, int], ...]:
-        cache = self._cache
-        if cache is not None:
-            hit = cache.hit(vid)
-            if hit is not None:
-                return hit
+        hit = self._cache.hit(vid)
+        if hit is not None:
+            return hit
         runs = self._runs
         resolve = self._resolve
         start = 3 * self._offsets[vid]
@@ -315,13 +313,10 @@ class MmapPostingsReader:
             (resolve(runs[i]), runs[i + 1], runs[i + 2])
             for i in range(start, end, 3)
         )
-        if cache is not None:
-            cache.put(vid, rows)
+        self._cache.put(vid, rows)
         return rows
 
     def cache_stats(self) -> Dict[str, float]:
-        if self._cache is None:
-            return cache_stats_shape(0, 0, 0, 0)
         return self._cache.cache_stats()
 
 
@@ -357,7 +352,6 @@ class MmapInvertedIndex:
         element_terms_offsets,
         element_terms_runs,
         term_table: MmapTermTable,
-        postings_cache_size: int = DEFAULT_POSTINGS_CACHE,
     ):
         self._dict = dictionary
         self._elements = elements  # flat (code, term-id) pairs
@@ -379,7 +373,7 @@ class MmapInvertedIndex:
         self._base_rows = len(postings_runs) // 3
         self._element_keys: Dict[int, Hashable] = {}
         self._postings = MmapPostingsReader(
-            postings_offsets, postings_runs, self._element_key, postings_cache_size
+            postings_offsets, postings_runs, self._element_key
         )
         # Update overlay.
         self._delta = InvertedIndex()

@@ -130,32 +130,30 @@ def build_bundle_streaming(
     cost_model: Union[str, CostModel] = "c3",
     k: int = 10,
     dmax: int = DEFAULT_DMAX,
-    strict_keywords: bool = False,
     search_cache_size: int = 0,
-    fuzzy_max_distance: int = 1,
-    max_matches_per_keyword: int = 8,
-    lookup_cache_size: int = 1024,
     graph_strict: bool = False,
     epoch: int = 0,
     delta_log=None,
     spill_budget_bytes: int = DEFAULT_SPILL_BUDGET,
     progress: Optional[Callable[[int, float], None]] = None,
     progress_every: int = 100_000,
-    tmp_dir=None,
 ) -> Dict[str, object]:
     """Build a bundle from a triple iterator without materializing it.
 
-    Parameters mirror the engine/CLI configuration persisted in the
-    bundle header.  ``cost_model`` is a stock model's name or an instance
-    configured exactly like one (bundles store the name, so anything
-    else is refused).  ``graph_strict``, ``epoch`` and ``delta_log`` are
+    ``cost_model``, ``k``, ``dmax`` and ``search_cache_size`` are the
+    engine configuration the header records (its ``engine`` block), the
+    one a load applies unless told otherwise.  ``cost_model`` is a stock
+    model's name or an instance configured exactly like one (bundles
+    store the name, so anything else is refused).  ``graph_strict``, ``epoch`` and ``delta_log`` are
     what a live engine hands over when it saves itself: its graph's
     Definition 1 mode (a violation among the triples then fails the
     build), the update epoch its triples stand at, and its attached
     delta log, which :meth:`BundleWriter.finish` resets once the bundle
     is in place.  ``spill_budget_bytes`` bounds each external sort's
     resident buffer, ``progress(n_triples, elapsed_seconds)`` is invoked
-    every ``progress_every`` input triples.  Returns the
+    every ``progress_every`` input triples.  The spools live in a
+    temporary directory beside ``path``, so they share its file system
+    and never outlive the build.  Returns the
     :meth:`BundleWriter.finish` info dict extended with build statistics
     (triple/term counts, seconds, spill-run counts).
     """
@@ -176,25 +174,16 @@ def build_bundle_streaming(
             "cost_model": cost_model,
             "k": k,
             "dmax": dmax,
-            "strict_keywords": strict_keywords,
             "search_cache_size": search_cache_size,
         },
         "graph": {"strict": graph_strict},
-        "kindex": {
-            "version": 0,
-            "fuzzy_max_distance": fuzzy_max_distance,
-            "max_matches": max_matches_per_keyword,
-            "lookup_cache_size": lookup_cache_size,
-        },
+        "kindex": {"version": 0},
     }
 
     writer = BundleWriter(path, force=force)
-    spool_parent = tmp_dir if tmp_dir is not None else (
-        os.path.dirname(os.path.abspath(path)) or "."
-    )
     try:
         with tempfile.TemporaryDirectory(
-            prefix="repro-stream-", dir=spool_parent
+            prefix="repro-stream-", dir=os.path.dirname(os.path.abspath(path))
         ) as tmp:
             info = _build(
                 triples,

@@ -1,13 +1,14 @@
-"""The section table of a format-v6 ``.reprobundle`` and the raw-file
+"""The section table of a format-v7 ``.reprobundle`` and the raw-file
 helpers that damage one, shared by the suites that pin the format
 (``test_storage``, ``test_cli``, ``test_stream_build_identity``)."""
 
 import json
 import struct
 
-#: Format v6, in the order the builder writes them: the ``store2.*`` runs
-#: are the one stored form of the triple set (v5 also had a ``triples``
-#: section, the same rows in arrival order).
+#: Format v7 (v6's sections, under a header that records less), in the
+#: order the builder writes them: the ``store2.*`` runs are the one
+#: stored form of the triple set (v5 also had a ``triples`` section, the
+#: same rows in arrival order).
 EXPECTED_SECTIONS = [
     "graph.type_pred_counts",
     "graph.subclass_pred_counts",

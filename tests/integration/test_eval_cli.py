@@ -113,9 +113,6 @@ class TestGateFires:
         assert "below baseline" not in out
         assert "refuted their threshold" in out
 
-        assert cli.main(["eval", "check", "--dataset", "example", "--no-guided"]) == 0
-        assert "'seeded': 0, 'seed_fallbacks': 0" in capsys.readouterr().out
-
 
 
 class TestBundle:

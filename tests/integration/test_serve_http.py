@@ -148,11 +148,43 @@ def test_bad_requests(server):
         ("/search", {"q": 5}, "q"),
         ("/search", {"q": None}, "q"),
         ("/execute", {"q": "x", "rank": None}, "rank"),
+        # Neither truncated nor coerced: 2.7 is not k=2, true not k=1.
+        ("/search", {"q": "cimiano", "k": 2.7}, "k"),
+        ("/search", {"q": "cimiano", "k": True}, "k"),
+        ("/search", {"q": "cimiano", "k": "3"}, "k"),
+        ("/search", {"queries": ["cimiano"], "dmax": 4.5}, "dmax"),
+        ("/search", {"q": "cimiano", "dmax": False}, "dmax"),
     ):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             _post(f"{server.url}{path}", body)
         assert excinfo.value.code == 400, body
         assert repr(field) in json.loads(excinfo.value.read())["error"]
+
+
+def test_execute_behind_an_update_epoch_is_429(example_graph):
+    """`--max-queue-wait` bounds the read lock for `/execute` as it does
+    for `/search`: an epoch that holds the engine past it is
+    backpressure, not a request served late."""
+    service = EngineService(
+        KeywordSearchEngine(DataGraph(example_graph.triples)), max_queue_wait=0.05
+    )
+    with ReproServer(service, port=0).start() as srv:
+        service._rw.acquire_write()
+        try:
+            for path, body in (
+                ("/execute", {"q": "cimiano 2006"}),
+                ("/search", {"queries": ["cimiano 2006", "aifb"]}),
+            ):
+                with pytest.raises(urllib.error.HTTPError) as excinfo:
+                    _post(f"{srv.url}{path}", body)
+                assert excinfo.value.code == 429, path
+                assert "max_queue_wait" in json.loads(excinfo.value.read())["error"]
+        finally:
+            service._rw.release_write()
+        assert _post(f"{srv.url}/execute", {"q": "cimiano 2006"})[0] == 200
+        _, stats = _get(f"{srv.url}/stats")
+        assert stats["queries"]["rejected"] == 3
+    service.close()
 
 
 # ----------------------------------------------------------------------

@@ -23,6 +23,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.engine import KeywordSearchEngine
+from repro.keyword import keyword_index
 from repro.keyword.keyword_index import AttributeMatch, KeywordIndex, ValueMatch
 from repro.rdf.graph import DataGraph
 from repro.rdf.namespace import LABEL_PREDICATES, RDF, RDFS, Namespace
@@ -247,9 +248,10 @@ def test_named_hazards(tmp_path_factory, tier):
 # ----------------------------------------------------------------------
 
 
-def test_bookkeeping_is_bounded_by_the_memo_under_value_churn():
+def test_bookkeeping_is_bounded_by_the_memo_under_value_churn(monkeypatch):
     size = 8
-    index = KeywordIndex(DataGraph(SCRIPT_BASE), lookup_cache_size=size)
+    monkeypatch.setattr(keyword_index, "LOOKUP_CACHE_SIZE", size)
+    index = KeywordIndex(DataGraph(SCRIPT_BASE))
     memo = index._lookup_cache
     student = frozenset({N.Student})
     peak_links = peak_dependencies = 0

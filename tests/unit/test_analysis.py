@@ -1,5 +1,7 @@
 """Unit tests for lexical analysis."""
 
+import pytest
+
 from repro.keyword.analysis import Analyzer, STOPWORDS, tokenize
 
 
@@ -43,13 +45,10 @@ class TestAnalyzer:
         analyzer = Analyzer()
         assert analyzer.analyze("2006") == ["2006"]
 
-    def test_no_stemming_option(self):
-        analyzer = Analyzer(stem=False)
-        assert analyzer.analyze("publications") == ["publications"]
-
-    def test_min_token_length_keeps_digits(self):
-        analyzer = Analyzer(min_token_length=2)
-        assert analyzer.analyze("a 5 word") == ["5", "word"]
+    def test_takes_no_settings(self):
+        for setting in ("stem", "stopwords", "min_token_length"):
+            with pytest.raises(TypeError):
+                Analyzer(**{setting: None})
 
     def test_analyze_unique_preserves_order(self):
         analyzer = Analyzer()

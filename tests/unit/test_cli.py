@@ -66,13 +66,6 @@ def test_filters_mode(capsys):
     assert "Filter" in out or "FILTER" in out
 
 
-def test_guided_flag(capsys):
-    assert main(["aifb 2006", "--guided"]) == 0
-    bounded = capsys.readouterr().out
-    assert main(["aifb 2006", "--no-guided"]) == 0
-    assert capsys.readouterr().out == bounded
-
-
 def test_cost_model_flag(capsys):
     assert main(["aifb 2006", "--cost-model", "c1"]) == 0
 
@@ -402,7 +395,9 @@ class TestPersistenceCommands:
         assert main(argv) == 0
         err = capsys.readouterr().err
         assert "# wrote" in err
-        assert "# build:" in err  # progress lines reached stderr
+        # One reporter for one stream: the builder's, every 10 triples.
+        assert err.count("# build:") == len(example_graph.triples) // 10
+        assert "# parse:" not in err
         assert main(["search", "2006 cimiano aifb", "--bundle", bundle]) == 0
 
     def test_build_refuses_overwrite_without_force(self, tmp_path, capsys):
@@ -456,47 +451,32 @@ class TestPersistenceCommands:
         assert args.k == 7  # post-load resolution for downstream readers
 
     def test_bundle_does_not_pin_guided(self, tmp_path, capsys):
-        """The bounds are an execution strategy, not part of the artifact:
-        `repro build` does not offer the flag, and a load explores bounded
-        unless this invocation says otherwise.  Which implementation
-        computes a bound table is nobody's flag: the code picks it from
-        the view's size."""
-        from repro.cli import (
-            _build_engine,
-            build_eval_parser,
-            build_parser,
-            build_serve_parser,
-        )
+        """The bounds are not an option of any entry point: every
+        subcommand explores bounded, a bundle does not record how, and
+        `--guided` / `--no-guided` are as unknown as `--vectorized`
+        (which implementation computes a bound table is picked from the
+        view's size)."""
+        from repro.cli import _build_engine, build_parser
 
         bundle = str(tmp_path / "g.reprobundle")
         argv = ["build", "--dataset", "example", "-o", bundle]
-        for flag in ("--no-guided", "--guided", "--no-vectorized", "--vectorized"):
-            with pytest.raises(SystemExit) as excinfo:
-                main(argv + [flag])
-            assert excinfo.value.code == 2
-            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
         for argv_of in (
+            lambda flag: argv + [flag],
             lambda flag: ["search", "q", flag],
             lambda flag: ["serve", flag],
+            lambda flag: ["eval", "run", "--dataset", "example", flag],
+            lambda flag: ["eval", "seed", "--dataset", "example", flag],
             lambda flag: ["eval", "check", "--dataset", "example", flag],
         ):
-            for flag in ("--no-vectorized", "--vectorized"):
+            for flag in ("--no-guided", "--guided", "--no-vectorized", "--vectorized"):
                 with pytest.raises(SystemExit) as excinfo:
                     main(argv_of(flag))
                 assert excinfo.value.code == 2
                 assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
-        assert build_serve_parser().parse_args(["--no-guided"]).guided is False
-        eval_args = build_eval_parser().parse_args(
-            ["check", "--dataset", "example", "--guided"]
-        )
-        assert eval_args.guided is True
         assert main(argv) == 0
         capsys.readouterr()
         args = build_parser().parse_args(["q", "--bundle", bundle])
         assert _build_engine(args).guided is True
-        assert args.guided is True  # post-load resolution for downstream readers
-        args = build_parser().parse_args(["q", "--bundle", bundle, "--no-guided"])
-        assert _build_engine(args).guided is False
 
     def test_readonly_search_coexists_with_attached_writer(self, tmp_path, capsys):
         from repro.core.engine import KeywordSearchEngine

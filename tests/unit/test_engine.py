@@ -69,10 +69,10 @@ class TestSearch:
         assert result.ignored_keywords == ["zzzunknownzzz"]
         assert len(result) >= 1
 
-    def test_strict_mode_raises_on_unknown(self, example_graph):
-        engine = KeywordSearchEngine(example_graph, strict_keywords=True)
-        with pytest.raises(KeyError):
-            engine.search("aifb zzzunknownzzz")
+    def test_removed_settings_are_type_errors(self, example_graph):
+        for setting in ("strict_keywords", "max_matches_per_keyword"):
+            with pytest.raises(TypeError):
+                KeywordSearchEngine(example_graph, **{setting: 1})
 
     def test_no_keywords_matched(self, engine):
         result = engine.search("zzz yyy", k=3)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.datasets.example import EX, running_example_graph
+from repro.keyword import keyword_index
 from repro.keyword.keyword_index import (
     AttributeMatch,
     ClassMatch,
@@ -81,10 +82,6 @@ class TestImpreciseMatching:
         assert any(m.value == Literal("P. Cimiano") for m in values)
         assert all(m.score < 1.0 for m in values)
 
-    def test_fuzzy_disabled(self, example_graph):
-        index = KeywordIndex(example_graph, fuzzy_max_distance=0)
-        assert index.lookup("cimano") == []
-
     def test_synonym_match_scores_below_exact(self, index):
         # "paper" reaches class Publication through the lexicon.
         matches = matches_of_type(index.lookup("paper"), ClassMatch)
@@ -120,8 +117,9 @@ class TestRanking:
         scores = [m.score for m in matches]
         assert scores == sorted(scores, reverse=True)
 
-    def test_cap_respected(self, example_graph):
-        index = KeywordIndex(example_graph, max_matches_per_keyword=1)
+    def test_cap_respected(self, example_graph, monkeypatch):
+        monkeypatch.setattr(keyword_index, "MAX_MATCHES_PER_KEYWORD", 1)
+        index = KeywordIndex(example_graph)
         assert len(index.lookup("name")) == 1
 
     def test_lookup_all(self, index):
@@ -257,18 +255,6 @@ class TestLookupCache:
         (match,) = matches_of_type(index.lookup("aifb"), ValueMatch)
         assert match.occurrences == {(EX.name, EX.Institute)}
 
-    def test_no_match_entry_without_a_fuzzy_scan_depends_on_its_term(self):
-        graph = running_example_graph()
-        index = KeywordIndex(graph, fuzzy_max_distance=0)
-        assert index.lookup("zebra") == [] and index.lookup("zebra") == []
-        assert index.cache_stats()["hits"] == 1
-        # Another new value leaves it alone, one named so does not.
-        index.adjust_attribute_occurrence(EX.name, Literal("Okapi"), frozenset(), +1)
-        assert index.cache_stats()["invalidated"] == 0
-        index.adjust_attribute_occurrence(EX.name, Literal("Zebra"), frozenset(), +1)
-        assert index.cache_stats()["invalidated"] == 1
-        assert [m.value for m in index.lookup("zebra")] == [Literal("Zebra")]
-
     def test_result_computed_before_an_invalidation_is_not_stored(self):
         memo = LookupMemo(4)
         generation = memo.generation
@@ -291,14 +277,17 @@ class TestLookupCache:
         assert memo.cache_stats()["invalidated"] == 1
         assert links(memo) == 1
 
-    def test_lru_bound_respected(self, example_graph):
-        index = KeywordIndex(example_graph, lookup_cache_size=2)
+    def test_lru_bound_respected(self, example_graph, monkeypatch):
+        monkeypatch.setattr(keyword_index, "LOOKUP_CACHE_SIZE", 2)
+        index = KeywordIndex(example_graph)
         index.lookup("publication")
         index.lookup("person")
         index.lookup("article")
         assert len(index._lookup_cache) == 2
 
-    def test_cache_disabled(self, example_graph):
-        index = KeywordIndex(example_graph, lookup_cache_size=0)
-        index.lookup("publication")
-        assert len(index._lookup_cache) == 0
+    def test_settings_are_not_parameters(self, example_graph):
+        for setting in (
+            "fuzzy_max_distance", "max_matches_per_keyword", "lookup_cache_size"
+        ):
+            with pytest.raises(TypeError):
+                KeywordIndex(example_graph, **{setting: 1})

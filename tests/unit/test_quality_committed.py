@@ -10,6 +10,9 @@ import os
 
 import pytest
 
+from reference_exploration import explore_top_k as reference_explore_top_k
+
+from repro.core import engine as engine_module
 from repro.datasets import DATASET_NAMES, effectiveness_workload
 from repro.quality import load_baseline, load_goldens
 
@@ -60,21 +63,41 @@ def test_goldens_and_baseline_case_counts_agree(dataset):
     assert baseline["num_cases"] == len(goldens)
 
 
-@pytest.mark.parametrize("dataset", ["example", "tap"])
-def test_baseline_metrics_do_not_depend_on_the_bounds(dataset):
-    """What the CI quality gate runs twice, held to equality: the default
-    (bounded) exploration and the unbounded ``--no-guided`` oracle score
-    the committed goldens to the same aggregates, bit for bit, and those
-    are the committed baseline's — only the recorded ``config.guided``
-    differs between the two runs."""
+def _unbounded(*args, guided, **kwargs):
+    """The literal, unbounded Algorithm 1 loop in place of the engine's."""
+    return reference_explore_top_k(*args, guided=False, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "dataset, bundled",
+    [("example", False), ("tap", False), ("example", True)],
+    ids=["example", "tap", "example-bundle"],
+)
+def test_baseline_metrics_do_not_depend_on_the_bounds(
+    dataset, bundled, tmp_path, monkeypatch
+):
+    """The bounded exploration every entry point runs and the unbounded
+    reference loop (``tests/reference_exploration.py``, substituted at
+    the engine's call) score the committed goldens to the same
+    aggregates, bit for bit, and those are the committed baseline's —
+    on a fresh build and, for the example, on an engine loaded from the
+    bundle `repro build` writes."""
+    from repro.cli import main
     from repro.quality import build_eval_engine, evaluate_quality
 
+    bundle = None
+    if bundled:
+        bundle = str(tmp_path / f"{dataset}.reprobundle")
+        assert main(["build", "--dataset", dataset, "-o", bundle]) == 0
     goldens = load_goldens(os.path.join(EVAL_DIR, "goldens", f"{dataset}.jsonl"))
     baseline = load_baseline(os.path.join(EVAL_DIR, "baselines", f"{dataset}.json"))
-    engine, config = build_eval_engine(dataset)
-    assert config["guided"] is True
+    engine, config = build_eval_engine(dataset, bundle=bundle)
+    assert config["index_tier"] == ("mmap" if bundled else "in-process")
     bounded = evaluate_quality(engine, goldens)
-    engine.guided = False
+    assert engine.exploration_stats()["seed_fallbacks"] == 0
+    monkeypatch.setattr(engine_module, "explore_top_k", _unbounded)
+    engine, _ = build_eval_engine(dataset, bundle=bundle)
     unbounded = evaluate_quality(engine, goldens)
+    assert engine.exploration_stats()["seeded"] == 0
     assert bounded["aggregates"] == unbounded["aggregates"] == baseline["aggregates"]
     assert bounded["counts"] == unbounded["counts"] == baseline["counts"]

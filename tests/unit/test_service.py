@@ -174,6 +174,55 @@ class TestQueueWait:
         finally:
             svc.close()
 
+    def test_every_read_is_bounded_and_recorded_behind_a_writer(self, engine):
+        """`/execute` and batch `/search` wait for the read lock under
+        the same bound as a single search, and the wait is recorded."""
+        import time as _time
+
+        svc = EngineService(engine, max_queue_wait=0.05)
+        reads = (
+            lambda: svc.search("cimiano 2006"),
+            lambda: svc.execute_ranked("cimiano 2006"),
+            lambda: svc.search_many(["cimiano 2006", "aifb"]),
+        )
+        try:
+            svc._rw.acquire_write()  # an update epoch hogging the engine
+            try:
+                for read in reads:
+                    started = _time.monotonic()
+                    with pytest.raises(AdmissionError):
+                        read()
+                    assert _time.monotonic() - started < 0.5
+            finally:
+                svc._rw.release_write()
+            queries = svc.stats()["queries"]
+            assert queries["rejected"] == 4  # the batch's two queries count
+            assert queries["completed"] == queries["errors"] == 0
+
+            held = threading.Event()
+
+            def hold_write():
+                svc._rw.acquire_write()
+                held.set()
+                _time.sleep(0.1)
+                svc._rw.release_write()
+
+            # Unbounded, the reads wait the epoch out, and the wait is
+            # recorded from arrival.
+            svc.max_queue_wait = None
+            writer = threading.Thread(target=hold_write)
+            writer.start()
+            assert held.wait(timeout=5)
+            for read in reads:
+                assert read() is not None
+            writer.join()
+            assert svc.stats()["queries"]["queue_wait_max_ms"] >= 50
+        finally:
+            svc.close()
+        for read in reads:
+            with pytest.raises(RuntimeError, match="closed"):
+                read()
+
     def test_pool_queue_wait_sheds_without_execution(self, engine):
         import time as _time
 

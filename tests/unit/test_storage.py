@@ -246,8 +246,15 @@ def test_load_rejects_format_version_5(small_engine, tmp_path):
     """And v5, which stored the triple set a fourth time, as a
     ``triples`` section in arrival order beside the three sorted runs:
     its loader read that section, so a v5 file is rebuilt, not read."""
-    assert FORMAT_VERSION == 6
     _assert_version_refused(small_engine, tmp_path / "a.reprobundle", 5)
+
+
+def test_load_rejects_format_version_6(small_engine, tmp_path):
+    """And v6, whose header also recorded ``strict_keywords`` and three
+    keyword-index settings: a v6 file can carry a value this release
+    would silently drop, so it is rebuilt, not read."""
+    assert FORMAT_VERSION == 7
+    _assert_version_refused(small_engine, tmp_path / "a.reprobundle", 6)
 
 
 def test_load_rejects_corrupted_section(small_engine, tmp_path):
@@ -429,10 +436,14 @@ def test_save_accepts_every_stock_cost_model(example_graph, tmp_path):
 def test_load_overrides_engine_config(small_engine, tmp_path):
     path = tmp_path / "a.reprobundle"
     small_engine.save(path)
-    loaded = KeywordSearchEngine.load(path, k=3, guided=False, cost_model="c1")
-    assert (loaded.k, loaded.guided, loaded.cost_model.name) == (3, False, "c1")
-    # Retired options are unknown ones: there is no eager load to ask for.
-    for unknown in ({"no_such_option": 1}, {"use_vectorized": False}, {"lazy": False}):
+    loaded = KeywordSearchEngine.load(path, k=3, cost_model="c1")
+    assert (loaded.k, loaded.cost_model.name) == (3, "c1")
+    # Retired options are unknown ones: there is no eager load to ask
+    # for, and no entry point chooses the loop or a strict keyword mode.
+    for unknown in (
+        {"no_such_option": 1}, {"use_vectorized": False}, {"lazy": False},
+        {"guided": False}, {"strict_keywords": True},
+    ):
         with pytest.raises(TypeError, match="unknown load"):
             KeywordSearchEngine.load(path, **unknown)
 
@@ -443,18 +454,14 @@ def test_engine_config_round_trips(example_graph, tmp_path):
         cost_model="c2",
         k=7,
         dmax=6,
-        guided=False,
-        strict_keywords=True,
         search_cache_size=32,
     )
     path = tmp_path / "a.reprobundle"
     engine.save(path)
     loaded = KeywordSearchEngine.load(path)
     assert loaded.cost_model.name == "c2"
-    assert (loaded.k, loaded.dmax, loaded.strict_keywords) == (7, 6, True)
+    assert (loaded.k, loaded.dmax) == (7, 6)
     assert loaded._search_cache is not None and loaded._search_cache.maxsize == 32
-    # How the saving engine explored is not a property of the artifact.
-    assert loaded.guided is True
 
 
 def test_strict_graph_round_trips_and_fails_a_violating_build(example_graph, tmp_path):
