@@ -18,6 +18,14 @@ the serving-side counterpart of the build contract, failing if a load or
 an update quietly materializes postings, triples or the data graph it
 should be binary-searching on disk.
 
+Last, a third fresh subprocess builds the engine the library API and
+``repro search`` without ``--bundle`` build —
+``KeywordSearchEngine(DataGraph(triples))`` over the same corpus — and
+runs the same search, execute and update epoch under a ceiling of its
+own, failing if a second copy of the triples (a separate triple store
+beside the data graph, or adjacency and per-label buckets inside it)
+comes back.
+
 Run under a hard ``timeout`` in CI so a wedged merge fails the job in
 minutes; any violated assertion exits nonzero.
 
@@ -51,20 +59,30 @@ BYTES_PER_TRIPLE_CEILING = 165
 #: an update decodes what it touches, and a regression that rebuilds the
 #: graph from the stored triples (~115 MB) fails the job.
 DEFAULT_SERVE_CEILING_MB = 96
+#: A constructed engine over the same corpus peaks near 174 MB through
+#: construction, search, execute and the update epoch: the data graph
+#: keeps each triple once, in the TripleStore the engine executes on
+#: (plus its arrival order), beside the summary graph and the keyword
+#: index.  With a second store and the graph's own adjacency and
+#: per-label buckets, as before, it peaked near 208 MB.  190 MB is ~9 %
+#: headroom and fails the job if either copy comes back.
+CONSTRUCTED_CEILING_MB = 190
 
-_SERVE_CHILD = """
+_CHILD = """
 import resource, time
 from repro.core.engine import KeywordSearchEngine
+from repro.datasets import triples_for
+from repro.rdf.graph import DataGraph
 from repro.rdf.namespace import RDF
 from repro.rdf.terms import Literal, URI
 from repro.rdf.triples import Triple
 
 started = time.perf_counter()
-engine = KeywordSearchEngine.load({path!r}, attach_wal=False)
-assert engine.index_tier == 'mmap', 'a loaded bundle must be served in place'
+engine = {engine}
+assert engine.index_tier == {tier!r}, 'engine on the wrong index tier'
 result = engine.search('professor department0')
 best = result.best()
-assert best is not None, 'search over the loaded bundle returned no candidates'
+assert best is not None, 'search returned no candidates'
 answers = list(engine.execute(best))
 print('COLD_MS', 1000 * (time.perf_counter() - started))
 print('CANDIDATES', len(result.candidates))
@@ -87,12 +105,27 @@ added = [
     Triple(URI(ns + 'p1'), RDF.type, URI('http://swat.cse.lehigh.edu/onto/univ-bench.owl#Article')),
     Triple(URI(ns + 'p1'), URI(ns + 'name'), Literal('Smoke Overlay Paper')),
 ]
-assert engine.add_triples(added) == len(added), 'update of the loaded bundle failed'
+assert engine.add_triples(added) == len(added), 'update failed'
 post = engine.search('smoke overlay')
 assert post.candidates, 'updated data not searchable through the overlay'
 print('UPDATED', len(post.candidates))
 print('TOTAL_PEAK_KB', peak_kb())
 """
+
+
+def _run_child(engine: str, tier: str, env):
+    """Run the search / execute / update child on the engine ``engine``
+    builds; its ``NAME value`` lines as a dict, or None if it failed."""
+    out = subprocess.run(
+        [sys.executable, "-c", _CHILD.format(engine=engine, tier=tier)],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    sys.stderr.write(out.stderr)
+    if out.returncode != 0:
+        return None
+    return dict(line.split() for line in out.stdout.split("\n") if line.strip())
 
 
 def main() -> int:
@@ -153,17 +186,12 @@ def main() -> int:
     # searches, executes, and applies one update epoch under its own
     # (much lower) RSS ceiling.
     print(f"# bundle serve: {bundle} (ceiling {serve_ceiling_mb} MB)")
-    out = subprocess.run(
-        [sys.executable, "-c", _SERVE_CHILD.format(path=bundle)],
-        env=env,
-        capture_output=True,
-        text=True,
+    values = _run_child(
+        f"KeywordSearchEngine.load({bundle!r}, attach_wal=False)", "mmap", env
     )
-    sys.stderr.write(out.stderr)
-    if out.returncode != 0:
+    if values is None:
         print("FAIL: bundle serve subprocess exited nonzero")
         return 1
-    values = dict(line.split() for line in out.stdout.split("\n") if line.strip())
     serve_peak_mb = int(values["SERVE_PEAK_KB"]) / 1024
     total_peak_mb = int(values["TOTAL_PEAK_KB"]) / 1024
     print(
@@ -183,6 +211,30 @@ def main() -> int:
         print(
             f"FAIL: bundle serve incl. update epoch peaked at "
             f"{total_peak_mb:.0f} MB > {serve_ceiling_mb} MB ceiling"
+        )
+        return 1
+
+    # The constructors' contract: the same corpus and the same work,
+    # through KeywordSearchEngine(DataGraph(triples)).
+    print(f"# constructed engine (ceiling {CONSTRUCTED_CEILING_MB} MB)")
+    values = _run_child(
+        f"KeywordSearchEngine(DataGraph(triples_for('lubm', {1000 * universities})))",
+        "memory",
+        env,
+    )
+    if values is None:
+        print("FAIL: constructed-engine subprocess exited nonzero")
+        return 1
+    constructed_peak_mb = int(values["TOTAL_PEAK_KB"]) / 1024
+    print(
+        f"# constructed engine ok: {float(values['COLD_MS']) / 1000:.1f} s to "
+        f"construct, search and execute, {values['CANDIDATES']} candidates, "
+        f"peak RSS {constructed_peak_mb:.0f} MB incl. update epoch"
+    )
+    if constructed_peak_mb > CONSTRUCTED_CEILING_MB:
+        print(
+            f"FAIL: constructed engine peaked at {constructed_peak_mb:.0f} MB "
+            f"> {CONSTRUCTED_CEILING_MB} MB ceiling"
         )
         return 1
     print("PASS")

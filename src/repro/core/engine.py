@@ -1,8 +1,9 @@
 """The end-to-end keyword-search engine (Fig. 2's full pipeline).
 
-Offline, the constructor builds the keyword index, the summary graph, and
-the triple store; :meth:`KeywordSearchEngine.add_triples` and
-:meth:`KeywordSearchEngine.remove_triples` keep all three consistent under
+Offline, the constructor builds the keyword index and the summary graph
+over the data graph, and queries execute on the data graph's own triple
+store (``graph.store``); :meth:`KeywordSearchEngine.add_triples` and
+:meth:`KeywordSearchEngine.remove_triples` keep them consistent under
 data changes through the :class:`~repro.maintenance.IndexManager` — no
 rebuild, and query-time caches (cost tables, selectivity statistics) are
 invalidated automatically.
@@ -69,7 +70,6 @@ from repro.rdf.graph import DataGraph
 from repro.rdf.triples import Triple
 from repro.core.snapshot import EngineSnapshot
 from repro.scoring.cost import CostModel, make_cost_model
-from repro.store.triple_store import TripleStore
 from repro.summary.augmentation import augment
 from repro.summary.summary_graph import SummaryGraph
 
@@ -421,7 +421,6 @@ class KeywordSearchEngine:
         guided: bool = True,
         keyword_index: Optional[KeywordIndex] = None,
         summary: Optional[SummaryGraph] = None,
-        store: Optional[TripleStore] = None,
         search_cache_size: int = 0,
     ):
         self.graph = graph
@@ -452,7 +451,7 @@ class KeywordSearchEngine:
 
         started = time.perf_counter()
         # `is None`, not truthiness: a supplied-but-empty component (e.g. a
-        # zero-triple bundle's lazy store) must be adopted, not silently
+        # zero-triple bundle's keyword index) must be adopted, not silently
         # rebuilt.
         self.summary = (
             summary if summary is not None else SummaryGraph.from_data_graph(graph)
@@ -460,13 +459,15 @@ class KeywordSearchEngine:
         self.keyword_index = (
             keyword_index if keyword_index is not None else KeywordIndex(graph)
         )
-        self.store = store if store is not None else TripleStore.from_graph(graph)
+        # The graph's own store, on both tiers: a constructed graph keeps
+        # its triples in a TripleStore, a loaded one is a view over its
+        # MmapTripleTier.  Maintenance updates it through the graph.
+        self.store = graph.store
         self.evaluator = QueryEvaluator(self.store)
         self.index_manager = IndexManager(
             graph=graph,
             keyword_index=self.keyword_index,
             summary=self.summary,
-            store=self.store,
             evaluator=self.evaluator,
         )
         self.index_manager.add_listener(self._invalidate_query_caches)
@@ -562,10 +563,11 @@ class KeywordSearchEngine:
     def add_triples(self, triples: Sequence[Triple]) -> int:
         """Insert triples, updating every offline index incrementally.
 
-        Propagates deltas through the data graph, the keyword index, the
-        summary graph, and the triple store without rebuilding any of
-        them; cached per-element costs and selectivity statistics are
-        invalidated.  Returns the number of triples actually added.
+        Propagates deltas through the data graph (and so the triple store
+        it keeps its triples in), the keyword index and the summary graph
+        without rebuilding any of them; cached per-element costs and
+        selectivity statistics are invalidated.  Returns the number of
+        triples actually added.
         """
         return self.index_manager.add_triples(triples)
 

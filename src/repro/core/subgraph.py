@@ -97,11 +97,6 @@ class MatchingSubgraph:
             object.__setattr__(self, "_order_key", cached)
         return cached
 
-    @property
-    def keyword_origins(self) -> Tuple[Hashable, ...]:
-        """The origin element per merged path, in keyword order."""
-        return tuple(p[0] for p in self.paths)
-
     def translated(self, decode: Callable[[Hashable], Hashable]) -> "MatchingSubgraph":
         """A copy with every element mapped through ``decode``."""
         return MatchingSubgraph(

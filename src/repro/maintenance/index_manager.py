@@ -1,16 +1,18 @@
 """Delta propagation through the offline layer (keyword index, summary
-graph, triple store).
+graph).
 
-The offline structures are all *derived* from the data graph:
+The offline structures are *derived* from the data graph:
 
 * the **summary graph** aggregates instances into class vertices and
   projects every R-edge to class level (Definition 4);
 * the **keyword index** maps analyzed labels of classes, edge labels, and
   values to elements, carrying the ``[V-vertex, A-edge, (C-vertex_1..n)]``
-  neighbor structures (Section IV-A);
-* the **triple store** mirrors the triples for query processing.
+  neighbor structures (Section IV-A).
 
-:class:`IndexManager` maintains all three under ``add_triples`` /
+The triple store queries execute on is not among them: it is the data
+graph's own (``graph.store``), so mutating the graph updates it.
+
+:class:`IndexManager` maintains both under ``add_triples`` /
 ``remove_triples`` by *delta propagation*: from a batch of triple deltas
 it computes the affected derived facts — classes whose instance sets
 change, summary-edge projections of relation triples whose endpoint types
@@ -49,7 +51,6 @@ from repro.rdf.graph import DataGraph, EdgeKind, VertexKind
 from repro.rdf.namespace import LABEL_PREDICATES
 from repro.rdf.terms import Literal, Term, URI
 from repro.rdf.triples import Triple
-from repro.store.triple_store import TripleStore
 from repro.summary.elements import THING_KEY, SummaryEdgeKind, edge_key
 from repro.summary.summary_graph import _SUBCLASS_LABEL, SummaryGraph
 
@@ -69,8 +70,6 @@ class IndexManager:
         The keyword index built over ``graph``.
     summary:
         The summary graph built over ``graph``.
-    store:
-        The triple store mirroring ``graph``.
     evaluator:
         Optional query evaluator whose cached statistics are invalidated
         after every update batch.
@@ -81,16 +80,11 @@ class IndexManager:
         graph: DataGraph,
         keyword_index: KeywordIndex,
         summary: SummaryGraph,
-        store: TripleStore,
         evaluator: Optional[QueryEvaluator] = None,
     ):
         self.graph = graph
         self.keyword_index = keyword_index
         self.summary = summary
-        self.store = store
-        # The store mirrors the graph in a step of its own, unless the
-        # graph is a view over it (a loaded bundle's) and already did.
-        self._mirror_store = getattr(graph, "store", None) is not store
         self.evaluator = evaluator
         #: Monotone batch counter: the number of committed update epochs.
         #: Together with the summary/keyword-index version counters this
@@ -119,8 +113,8 @@ class IndexManager:
         the callback lets them release memory eagerly as well.
 
         Ordering guarantees: listeners run only after *every* structure
-        (data graph, keyword index, summary graph, triple store) reflects
-        the batch and the version counters have advanced; they run in
+        (data graph and its triple store, keyword index, summary graph)
+        reflects the batch and the version counters have advanced; they run in
         ascending ``priority``, ties in registration order, so cache
         invalidation (priority 0, registered by the engine constructor)
         always precedes later-registered observers such as service stats.
@@ -325,9 +319,6 @@ class IndexManager:
                 occurrence_events,
                 chain(attr_adds, attr_rems),
             )
-            if self._mirror_store:
-                self.store.remove_all(removes)
-                self.store.add_all(adds)
         except Exception as exc:
             raise RuntimeError(
                 "offline-index delta propagation failed after the data graph "

@@ -84,9 +84,6 @@ class Filter:
             return actual != bound
         return bound <= actual <= _comparable(self.upper)
 
-    def rebind(self, variable: Variable) -> "Filter":
-        return Filter(variable, self.op, self.value, self.upper)
-
     def to_sparql(self) -> str:
         if self.op == "range":
             return (

@@ -13,13 +13,27 @@ derived, not declared: any URI that occurs as the object of a ``type`` edge
 or on either side of a ``subclass`` edge is a C-vertex; literals are
 V-vertices; remaining URIs/blank nodes are E-vertices.
 
+The triples themselves live in one place, the graph's
+:class:`~repro.store.triple_store.TripleStore` (:attr:`DataGraph.store`),
+which is also the store an engine executes its queries on.  The graph is a
+view over it: adjacency, edges by label, types and subclasses are read
+through the store's public probes (``match``, ``access``, ``objects``,
+``subjects``), and the graph keeps only the triples' order of arrival and
+per-term / per-predicate state (role refcounts and the vertex sets they
+derive, labels, edge counts per label).
+
 The graph is fully dynamic: triples may be added *and removed*, and the
 derived classification is maintained incrementally through per-term role
 reference counts — a term is a class while any type/subclass triple
 supports that role, an entity while it occurs in an entity position and is
 not a class, and so on.  This is what lets the offline indexes (keyword
-index, summary graph, triple store) be maintained by deltas instead of
-rebuilt (see :mod:`repro.maintenance`).
+index, summary graph) be maintained by deltas instead of rebuilt (see
+:mod:`repro.maintenance`).
+
+Iteration follows first arrival, duplicates dropped: a triple added again
+after its removal goes to the end.  That order is a contract — it is the
+order :meth:`KeywordSearchEngine.save` streams to the bundle builder and
+the order a corpus is cut in (``perf/workloads.py``).
 
 Real-world RDF violates the disjointness Definition 1 assumes (a URI may be
 used both as a class and as an entity).  The constructor resolves such
@@ -34,9 +48,12 @@ from enum import Enum
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.rdf.derivation import best_label, display_label, label_key
-from repro.rdf.namespace import SUBCLASS_PREDICATES, TYPE_PREDICATES
+from repro.rdf.namespace import LABEL_PREDICATES, SUBCLASS_PREDICATES, TYPE_PREDICATES
 from repro.rdf.terms import Literal, Term, URI
 from repro.rdf.triples import Triple
+from repro.store.triple_store import TripleStore
+
+_SPECIAL = TYPE_PREDICATES | SUBCLASS_PREDICATES
 
 
 class VertexKind(Enum):
@@ -77,7 +94,10 @@ class DataGraph:
 
     def __init__(self, triples: Optional[Iterable[Triple]] = None, strict: bool = False):
         self.strict = strict
-        # Insertion-ordered triple set (dict keys preserve order, O(1) remove).
+        #: The only per-triple index: the graph's accessors probe it, and
+        #: an engine over this graph executes its queries on it.
+        self.store = TripleStore()
+        # The triples in order of first arrival (dict keys, O(1) remove).
         self._triples: Dict[Triple, None] = {}
 
         # Role reference counts: how many stored triples support each role.
@@ -91,26 +111,9 @@ class DataGraph:
         self._values: Set[Literal] = set()
         self._untyped: Set[Term] = set()
 
-        # type / subclass structure, with per-pair refcounts so the same
-        # (subject, object) pair asserted through several predicate
-        # variants survives partial removal.
-        self._type_pair_refs: Dict[Tuple[Term, Term], int] = defaultdict(int)
-        self._subclass_pair_refs: Dict[Tuple[Term, Term], int] = defaultdict(int)
-        self._types_of: Dict[Term, Set[Term]] = defaultdict(set)
-        self._instances_of: Dict[Term, Set[Term]] = defaultdict(set)
-        self._superclasses: Dict[Term, Set[Term]] = defaultdict(set)
-        self._subclasses: Dict[Term, Set[Term]] = defaultdict(set)
-
-        # Adjacency over non-type edges: subject -> {(predicate, object)} and
-        # object -> {(predicate, subject)} as insertion-ordered dicts, so a
-        # single removal is O(1) instead of an O(degree) list scan (pairs
-        # are unique per vertex because triples are deduplicated).
-        self._out: Dict[Term, Dict[Tuple[URI, Term], None]] = defaultdict(dict)
-        self._in: Dict[Term, Dict[Tuple[URI, Term], None]] = defaultdict(dict)
-
-        # Per-predicate triple sets (insertion-ordered), bucketed by kind.
-        self._relation_triples: Dict[URI, Dict[Triple, None]] = defaultdict(dict)
-        self._attribute_triples: Dict[URI, Dict[Triple, None]] = defaultdict(dict)
+        # R- and A-edges per label: the labels L_R / L_A are the keys.
+        self._relation_counts: Dict[URI, int] = defaultdict(int)
+        self._attribute_counts: Dict[URI, int] = defaultdict(int)
 
         # Labels: subject -> its derivation.best_label.
         self._labels: Dict[Term, str] = {}
@@ -135,12 +138,15 @@ class DataGraph:
 
         In strict mode, Definition 1 violations are detected *before* any
         state is touched, so a raised :class:`GraphIntegrityError` leaves
-        the graph exactly as it was (no partial role refcounts).
+        the graph and its store exactly as they were.
         """
         if triple in self._triples:
             return False
         if self.strict:
             self._check_strict(triple)
+        # Stored first: the role and label updates below read the store.
+        self.store.add(triple)
+        self._triples[triple] = None
 
         s, p, o = triple
         if p in TYPE_PREDICATES:
@@ -148,11 +154,15 @@ class DataGraph:
         elif p in SUBCLASS_PREDICATES:
             self._add_subclass(triple)
         elif isinstance(o, Literal):
-            self._add_attribute(triple)
+            self._acquire_entity(s)
+            self._acquire_value(o)
+            self._attribute_counts[p] += 1
+            if label_key(p, o) is not None:
+                self._relabel(s)
         else:
-            self._add_relation(triple)
-
-        self._triples[triple] = None
+            self._acquire_entity(s)
+            self._acquire_entity(o)
+            self._relation_counts[p] += 1
         return True
 
     def add_all(self, triples: Iterable[Triple]) -> int:
@@ -202,6 +212,9 @@ class DataGraph:
         """
         if triple not in self._triples:
             return False
+        # Unstored first: the role and label updates below read the store.
+        self.store.remove(triple)
+        del self._triples[triple]
 
         s, p, o = triple
         if p in TYPE_PREDICATES:
@@ -209,18 +222,22 @@ class DataGraph:
         elif p in SUBCLASS_PREDICATES:
             self._remove_subclass(triple)
         elif isinstance(o, Literal):
-            self._remove_attribute(triple)
+            _decrement(self._attribute_counts, p)
+            if label_key(p, o) is not None:
+                self._relabel(s)
+            self._release_value(o)
+            self._release_entity(s)
         else:
-            self._remove_relation(triple)
-
-        del self._triples[triple]
+            _decrement(self._relation_counts, p)
+            self._release_entity(o)
+            self._release_entity(s)
         return True
 
     def remove_all(self, triples: Iterable[Triple]) -> int:
         """Remove many triples; returns the number actually removed."""
         return sum(1 for t in triples if self.remove(t))
 
-    # -- per-kind add/remove -------------------------------------------
+    # -- type / subclass add/remove ------------------------------------
 
     def _add_type(self, triple: Triple) -> None:
         s, p, o = triple
@@ -229,29 +246,16 @@ class DataGraph:
             return
         self._acquire_entity(s)
         self._acquire_class(o)
-        pair = (s, o)
-        self._type_pair_refs[pair] += 1
-        if self._type_pair_refs[pair] == 1:
-            self._types_of[s].add(o)
-            self._instances_of[o].add(s)
-            self._untyped.discard(s)
+        self._untyped.discard(s)
         self._type_pred_counts[p] += 1
 
     def _remove_type(self, triple: Triple) -> None:
         s, p, o = triple
         if isinstance(o, Literal):
             return  # was never classified
-        pair = (s, o)
-        self._type_pair_refs[pair] -= 1
-        if self._type_pair_refs[pair] == 0:
-            del self._type_pair_refs[pair]
-            self._types_of[s].discard(o)
-            self._instances_of[o].discard(s)
-            if s in self._entities and not self._types_of.get(s):
-                self._untyped.add(s)
-        self._type_pred_counts[p] -= 1
-        if self._type_pred_counts[p] == 0:
-            del self._type_pred_counts[p]
+        if s in self._entities and not self._typed(s):
+            self._untyped.add(s)
+        _decrement(self._type_pred_counts, p)
         self._release_class(o)
         self._release_entity(s)
 
@@ -262,70 +266,15 @@ class DataGraph:
             return
         self._acquire_class(s)
         self._acquire_class(o)
-        pair = (s, o)
-        self._subclass_pair_refs[pair] += 1
-        if self._subclass_pair_refs[pair] == 1:
-            self._superclasses[s].add(o)
-            self._subclasses[o].add(s)
         self._subclass_pred_counts[p] += 1
 
     def _remove_subclass(self, triple: Triple) -> None:
         s, p, o = triple
         if isinstance(s, Literal) or isinstance(o, Literal):
             return
-        pair = (s, o)
-        self._subclass_pair_refs[pair] -= 1
-        if self._subclass_pair_refs[pair] == 0:
-            del self._subclass_pair_refs[pair]
-            self._superclasses[s].discard(o)
-            self._subclasses[o].discard(s)
-        self._subclass_pred_counts[p] -= 1
-        if self._subclass_pred_counts[p] == 0:
-            del self._subclass_pred_counts[p]
+        _decrement(self._subclass_pred_counts, p)
         self._release_class(o)
         self._release_class(s)
-
-    def _add_attribute(self, triple: Triple) -> None:
-        s, p, o = triple
-        self._acquire_entity(s)
-        self._acquire_value(o)
-        self._attribute_triples[p][triple] = None
-        self._out[s][(p, o)] = None
-        self._in[o][(p, s)] = None
-        if label_key(p, o) is not None:
-            self._relabel(s)
-
-    def _remove_attribute(self, triple: Triple) -> None:
-        s, p, o = triple
-        bucket = self._attribute_triples[p]
-        del bucket[triple]
-        if not bucket:
-            del self._attribute_triples[p]
-        del self._out[s][(p, o)]
-        del self._in[o][(p, s)]
-        if label_key(p, o) is not None:
-            self._relabel(s)
-        self._release_value(o)
-        self._release_entity(s)
-
-    def _add_relation(self, triple: Triple) -> None:
-        s, p, o = triple
-        self._acquire_entity(s)
-        self._acquire_entity(o)
-        self._relation_triples[p][triple] = None
-        self._out[s][(p, o)] = None
-        self._in[o][(p, s)] = None
-
-    def _remove_relation(self, triple: Triple) -> None:
-        s, p, o = triple
-        bucket = self._relation_triples[p]
-        del bucket[triple]
-        if not bucket:
-            del self._relation_triples[p]
-        del self._out[s][(p, o)]
-        del self._in[o][(p, s)]
-        self._release_entity(o)
-        self._release_entity(s)
 
     # -- role reference counting ---------------------------------------
 
@@ -337,7 +286,7 @@ class DataGraph:
             return
         if term not in self._entities:
             self._entities.add(term)
-            if not self._types_of.get(term):
+            if not self._typed(term):
                 self._untyped.add(term)
 
     def _release_entity(self, term: Term) -> None:
@@ -363,7 +312,7 @@ class DataGraph:
             if self._entity_refs.get(term, 0) > 0:
                 # The entity role resurfaces once the class role is gone.
                 self._entities.add(term)
-                if not self._types_of.get(term):
+                if not self._typed(term):
                     self._untyped.add(term)
 
     def _acquire_value(self, literal: Literal) -> None:
@@ -381,8 +330,10 @@ class DataGraph:
     def _relabel(self, s: Term) -> None:
         """Re-derive a subject's label after one of its label edges came
         or went."""
+        objects = self.store.objects
         label = best_label(
-            (p, o) for p, o in self._out.get(s, ()) if isinstance(o, Literal)
+            (p, o) for p in LABEL_PREDICATES for o in objects(s, p)
+            if isinstance(o, Literal)
         )
         if label is None:
             self._labels.pop(s, None)
@@ -457,82 +408,86 @@ class DataGraph:
     @property
     def relation_labels(self) -> FrozenSet[URI]:
         """The edge labels L_R."""
-        return frozenset(self._relation_triples)
+        return frozenset(self._relation_counts)
 
     @property
     def attribute_labels(self) -> FrozenSet[URI]:
         """The edge labels L_A."""
-        return frozenset(self._attribute_triples)
+        return frozenset(self._attribute_counts)
 
     def has_relation_label(self, label: URI) -> bool:
         """O(1): does any stored R-edge carry this label?"""
-        return label in self._relation_triples
+        return label in self._relation_counts
 
     def relation_triples(self, label: Optional[URI] = None) -> Iterator[Triple]:
         """All R-edge triples, optionally restricted to one label."""
-        if label is not None:
-            yield from self._relation_triples.get(label, ())
-        else:
-            for triples in self._relation_triples.values():
-                yield from triples
+        return self._edges(self._relation_counts, label, literal=False)
 
     def attribute_triples(self, label: Optional[URI] = None) -> Iterator[Triple]:
         """All A-edge triples, optionally restricted to one label."""
-        if label is not None:
-            yield from self._attribute_triples.get(label, ())
-        else:
-            for triples in self._attribute_triples.values():
-                yield from triples
+        return self._edges(self._attribute_counts, label, literal=True)
+
+    def _edges(self, counts: Dict[URI, int], label: Optional[URI], literal: bool):
+        # A label may carry R- and A-edges alike: its POS entry holds both.
+        labels = counts if label is None else [label] if label in counts else ()
+        for p in labels:
+            for s, o in self.store.access(p).pairs():
+                if isinstance(o, Literal) == literal:
+                    yield Triple(s, p, o)
 
     # ------------------------------------------------------------------
     # type / subclass structure
     # ------------------------------------------------------------------
 
+    def _class_objects(self, term: Term, predicates: Iterable[URI]) -> List[Term]:
+        """The non-literal objects of ``term``'s edges over ``predicates``
+        (a type or subclass edge to a literal classifies nothing).  Callers
+        pass the variants in use (the keys of ``_type_pred_counts`` /
+        ``_subclass_pred_counts``), usually one, not every variant."""
+        objects = self.store.objects
+        return [
+            o for p in predicates for o in objects(term, p) if not isinstance(o, Literal)
+        ]
+
+    def _typed(self, term: Term) -> bool:
+        return bool(self._class_objects(term, self._type_pred_counts))
+
+    def _instance_buckets(self, cls: Term) -> List[Iterable[Term]]:
+        if isinstance(cls, Literal):
+            return []
+        subjects = self.store.subjects
+        buckets = (subjects(p, cls) for p in self._type_pred_counts)
+        return [bucket for bucket in buckets if bucket]
+
     def types_of(self, entity: Term) -> FrozenSet[Term]:
         """The classes an entity is directly typed with (may be empty)."""
-        return frozenset(self._types_of.get(entity, ()))
+        return frozenset(self._class_objects(entity, self._type_pred_counts))
 
     def instances_of(self, cls: Term) -> FrozenSet[Term]:
         """The entities directly typed with a class."""
-        return frozenset(self._instances_of.get(cls, ()))
+        return frozenset().union(*self._instance_buckets(cls))
 
     def instance_count(self, cls: Term) -> int:
-        """``len(instances_of(cls))`` without building the set."""
-        return len(self._instances_of.get(cls, ()))
+        """``len(instances_of(cls))`` without building the set unless two
+        ``type`` variants both type instances of ``cls``."""
+        buckets = self._instance_buckets(cls)
+        return len(buckets[0]) if len(buckets) == 1 else len(set().union(*buckets))
 
-    def superclasses_of(self, cls: Term, transitive: bool = False) -> FrozenSet[Term]:
-        """Direct (or transitive) superclasses of a class."""
-        if not transitive:
-            return frozenset(self._superclasses.get(cls, ()))
-        seen: Set[Term] = set()
-        stack = list(self._superclasses.get(cls, ()))
-        while stack:
-            c = stack.pop()
-            if c in seen:
-                continue
-            seen.add(c)
-            stack.extend(self._superclasses.get(c, ()))
-        return frozenset(seen)
-
-    def subclasses_of(self, cls: Term, transitive: bool = False) -> FrozenSet[Term]:
-        """Direct (or transitive) subclasses of a class."""
-        if not transitive:
-            return frozenset(self._subclasses.get(cls, ()))
-        seen: Set[Term] = set()
-        stack = list(self._subclasses.get(cls, ()))
-        while stack:
-            c = stack.pop()
-            if c in seen:
-                continue
-            seen.add(c)
-            stack.extend(self._subclasses.get(c, ()))
-        return frozenset(seen)
+    def superclasses_of(self, cls: Term) -> FrozenSet[Term]:
+        """The direct superclasses of a class."""
+        return frozenset(self._class_objects(cls, self._subclass_pred_counts))
 
     def subclass_pairs(self) -> Iterator[Tuple[Term, Term]]:
-        """All direct ``(subclass, superclass)`` pairs."""
-        for sub, supers in self._superclasses.items():
-            for sup in supers:
-                yield sub, sup
+        """All direct ``(subclass, superclass)`` pairs, each once."""
+        seen: Set[Tuple[Term, Term]] = set()
+        store = self.store
+        for p in store.predicates():
+            if p not in SUBCLASS_PREDICATES:
+                continue
+            for pair in store.access(p).pairs():
+                if not isinstance(pair[1], Literal) and pair not in seen:
+                    seen.add(pair)
+                    yield pair
 
     @property
     def preferred_type_predicate(self) -> URI:
@@ -573,22 +528,11 @@ class DataGraph:
 
     def outgoing(self, vertex: Term) -> Tuple[Tuple[URI, Term], ...]:
         """Outgoing (predicate, object) pairs over R- and A-edges."""
-        return tuple(self._out.get(vertex, ()))
+        return tuple((p, o) for _, p, o in self.store.match(vertex) if p not in _SPECIAL)
 
     def incoming(self, vertex: Term) -> Tuple[Tuple[URI, Term], ...]:
         """Incoming (predicate, subject) pairs over R- and A-edges."""
-        return tuple(self._in.get(vertex, ()))
-
-    def attribute_occurrences(
-        self, value: Literal
-    ) -> Iterator[Tuple[URI, Term, FrozenSet[Term]]]:
-        """For a V-vertex: its ``(A-edge label, entity, entity classes)`` uses.
-
-        This is the raw material for the keyword index's
-        ``[V-vertex, A-edge, (C-vertex_1..n)]`` structure (Section IV-A).
-        """
-        for p, s in self._in.get(value, ()):
-            yield p, s, self.types_of(s)
+        return tuple((p, s) for s, p, _ in self.store.match(obj=vertex) if p not in _SPECIAL)
 
     def label_of(self, term: Term) -> str:
         """A human-readable label: the entity's name/title/label attribute,
@@ -606,10 +550,10 @@ class DataGraph:
             "entities": len(self._entities),
             "classes": len(self._classes),
             "values": len(self._values),
-            "relation_labels": len(self._relation_triples),
-            "attribute_labels": len(self._attribute_triples),
-            "relation_edges": sum(len(v) for v in self._relation_triples.values()),
-            "attribute_edges": sum(len(v) for v in self._attribute_triples.values()),
+            "relation_labels": len(self._relation_counts),
+            "attribute_labels": len(self._attribute_counts),
+            "relation_edges": sum(self._relation_counts.values()),
+            "attribute_edges": sum(self._attribute_counts.values()),
             "untyped_entities": len(self._untyped),
         }
 
@@ -619,3 +563,9 @@ class DataGraph:
             f"DataGraph(triples={s['triples']}, entities={s['entities']}, "
             f"classes={s['classes']}, values={s['values']})"
         )
+
+
+def _decrement(counts: Dict[URI, int], key: URI) -> None:
+    counts[key] -= 1
+    if not counts[key]:
+        del counts[key]

@@ -446,13 +446,13 @@ class DispatchService:
                 except WorkerDied:
                     self._retire(handle)
                     attempts += 1
-                    with self._stats_lock:
-                        self._retries += 1
-                    if attempts > self.workers + 1:
+                    if attempts > self.workers:  # the budget: workers + 1
                         self._ledger.record(0.0, "error")
                         raise DispatchError(
                             f"request failed on {attempts} workers in a row"
                         )
+                    with self._stats_lock:
+                        self._retries += 1
                     continue
                 self._checkin(handle)
                 if response.get("ok"):

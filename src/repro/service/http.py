@@ -132,6 +132,21 @@ def _optional_integer_field(body: Dict[str, object], name: str):
     return value
 
 
+#: A query-string integer: ASCII digits, optionally negative — what
+#: int() would also take (``1_0``, ``+3``, `` 7``, non-ASCII digits) is
+#: refused, as a JSON body's non-integer is.
+_INTEGER_PARAM = re.compile(r"-?[0-9]+")
+
+
+def _optional_integer_param(params: Dict[str, List[str]], name: str):
+    if name not in params:
+        return None
+    value = params[name][0]
+    if not _INTEGER_PARAM.fullmatch(value):
+        raise ValueError(f"{name!r} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _query_field(body: Dict[str, object]):
     q = body["q"]
     if isinstance(q, str) or (
@@ -359,8 +374,8 @@ class _Handler(socketserver.StreamRequestHandler):
     def _get_search(self, params: Dict[str, List[str]]) -> Tuple[int, bytes]:
         if "q" not in params:
             raise ValueError("missing query parameter 'q'")
-        k = int(params["k"][0]) if "k" in params else None
-        dmax = int(params["dmax"][0]) if "dmax" in params else None
+        k = _optional_integer_param(params, "k")
+        dmax = _optional_integer_param(params, "dmax")
         result = self.service.search(params["q"][0], k=k, dmax=dmax)
         return 200, encode_result(result)
 

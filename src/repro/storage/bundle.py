@@ -364,7 +364,6 @@ class LoadedBundle:
 
     __slots__ = (
         "graph",
-        "store",
         "keyword_index",
         "summary",
         "meta",
@@ -448,7 +447,8 @@ def verify_bundle(path) -> None:
             if crc != entry["crc32"]:
                 raise _checksum_error(path, entry["name"])
 
-    _, store, graph = _graph_parts(path, *_map_sections(path))  # no index
+    _, graph = _graph_parts(path, *_map_sections(path))  # no index
+    store = graph.store
 
     def edges(predicates) -> Dict:
         counts = {
@@ -509,8 +509,8 @@ def _map_sections(path: str):
 
 
 def _graph_parts(path: str, meta, raw, section):
-    """The term table, the triple tier over the sorted runs, and the data
-    graph as a view over that tier."""
+    """The term table, and the data graph as a view over the triple tier
+    of the sorted runs (``graph.store``)."""
     terms = mt.MmapTermTable(
         raw("terms"), decode_raw_ids(raw("terms.offsets")),
         decode_raw_ids(raw("terms.sorted")),
@@ -535,7 +535,7 @@ def _graph_parts(path: str, meta, raw, section):
             for name in ("type", "subclass")
         ),
     )
-    return terms, store, graph
+    return terms, graph
 
 
 def load_bundle(path) -> LoadedBundle:
@@ -545,11 +545,11 @@ def load_bundle(path) -> LoadedBundle:
     disk-resident readers of :mod:`repro.storage.mmap_tier` over the
     mapped sorted runs: neither postings nor triples are materialized,
     so cold start is O(metadata) and resident memory O(touched data).
-    The data graph is a view over that triple store
-    (:mod:`repro.storage.graph_view`).  The runs are *not* CRC-verified
-    here (checksumming them would read every byte; :func:`verify_bundle`
-    is that pass); the metadata and summary sections are, when they are
-    decoded.
+    The data graph is a view over that triple store, which it holds as
+    ``graph.store`` (:mod:`repro.storage.graph_view`).  The runs are
+    *not* CRC-verified here (checksumming them would read every byte;
+    :func:`verify_bundle` is that pass); the metadata and summary
+    sections are, when they are decoded.
 
     Raises :class:`BundleFormatError` on anything that is not a repro
     bundle of exactly :data:`FORMAT_VERSION` (an older or newer layout
@@ -560,7 +560,7 @@ def load_bundle(path) -> LoadedBundle:
     """
     path = os.fspath(path)
     meta, section_raw, section = _map_sections(path)
-    terms, store, graph = _graph_parts(path, meta, section_raw, section)
+    terms, graph = _graph_parts(path, meta, section_raw, section)
 
     def ids(name: str):
         return decode_raw_ids(section_raw(name))
@@ -637,7 +637,6 @@ def load_bundle(path) -> LoadedBundle:
 
     loaded = LoadedBundle()
     loaded.graph = graph
-    loaded.store = store
     loaded.keyword_index = keyword_index
     loaded.summary = summary
     loaded.meta = meta
@@ -719,7 +718,6 @@ def load_engine(
         dmax=engine_meta["dmax"],
         keyword_index=loaded.keyword_index,
         summary=loaded.summary,
-        store=loaded.store,
         search_cache_size=engine_meta["search_cache_size"],
     )
     engine.index_manager.epoch = meta["snapshot"]["epoch"]

@@ -20,14 +20,12 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from repro.rdf.derivation import best_label, display_label
-from repro.rdf.graph import DataGraph, GraphIntegrityError, VertexKind
+from repro.rdf.graph import _SPECIAL, DataGraph, GraphIntegrityError, VertexKind
 from repro.rdf.namespace import LABEL_PREDICATES, SUBCLASS_PREDICATES, TYPE_PREDICATES
 from repro.rdf.terms import Literal, Term, URI
 from repro.rdf.triples import Triple
 
 from repro.storage.mmap_tier import MmapTripleTier
-
-_SPECIAL = TYPE_PREDICATES | SUBCLASS_PREDICATES
 _STAT_OF_KIND = {VertexKind.CLASS: "classes", VertexKind.ENTITY: "entities",
                  VertexKind.VALUE: "values"}
 
@@ -100,6 +98,8 @@ class MmapDataGraph:
     sections)."""
 
     edge_kind = DataGraph.edge_kind
+    outgoing = DataGraph.outgoing
+    incoming = DataGraph.incoming
     preferred_type_predicate = DataGraph.preferred_type_predicate
     preferred_subclass_predicate = DataGraph.preferred_subclass_predicate
     add_all = DataGraph.add_all
@@ -248,12 +248,6 @@ class MmapDataGraph:
     def superclasses_of(self, cls: Term) -> FrozenSet[Term]:
         keys = self._objects(self.store.key_of(cls), self._subclass, literal=False)
         return frozenset(map(self.store.term_of, keys))
-
-    def outgoing(self, vertex: Term) -> Tuple[Tuple[URI, Term], ...]:
-        return tuple((p, o) for _, p, o in self.store.match(vertex) if p not in _SPECIAL)
-
-    def incoming(self, vertex: Term) -> Tuple[Tuple[URI, Term], ...]:
-        return tuple((p, s) for s, p, _ in self.store.match(obj=vertex) if p not in _SPECIAL)
 
     def has_relation_label(self, label: URI) -> bool:
         return self._has_edge(label, literal=False)

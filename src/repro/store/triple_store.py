@@ -6,6 +6,10 @@ via three nested hash indexes (SPO, POS, OSP), mirroring the index layout of
 RDF engines such as Jena/Sesame the paper names as its storage substrate.
 The query evaluator joins through one atom's access path at a time
 (:meth:`TripleStore.access`): four probes, each a lookup in these nests.
+A constructed :class:`~repro.rdf.graph.DataGraph` holds its triples in
+one of these stores and answers its adjacency, edge, type and subclass
+accessors through :meth:`match`, :meth:`access`, :meth:`objects` and
+:meth:`subjects`, so an engine keeps each triple once.
 """
 
 from __future__ import annotations
@@ -13,7 +17,6 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Dict, Iterable, Iterator, Optional, Tuple
 
-from repro.rdf.graph import DataGraph
 from repro.rdf.terms import Literal, Term, URI
 from repro.rdf.triples import Triple
 
@@ -73,9 +76,10 @@ class _HashAccess:
 class TripleStore:
     """Triple storage with SPO/POS/OSP hash indexes.
 
-    The store accepts the same triples as :class:`~repro.rdf.graph.DataGraph`
-    but serves a different role: the data graph classifies (for index
-    construction), the store retrieves (for query processing).
+    Each constructed :class:`~repro.rdf.graph.DataGraph` owns one
+    (``graph.store``) and is a view over it: the graph classifies what the store holds (for
+    index construction and maintenance), the store retrieves it (for query
+    processing), and a loaded bundle's delta overlay keeps one of its own.
 
     >>> store = TripleStore()
     >>> _ = store.add(Triple(URI("e:a"), URI("e:p"), URI("e:b")))
@@ -90,11 +94,6 @@ class TripleStore:
         self._size = 0
         if triples is not None:
             self.add_all(triples)
-
-    @classmethod
-    def from_graph(cls, graph: DataGraph) -> "TripleStore":
-        """Build a store over all triples of a data graph."""
-        return cls(graph)
 
     # ------------------------------------------------------------------
     # Mutation
@@ -260,6 +259,15 @@ class TripleStore:
         atom's constant ends (``s`` / ``o``) narrow nothing here: every
         probe is a dict lookup either way."""
         return _HashAccess(self, p)
+
+    def objects(self, s: Term, p: Term) -> Iterable[Term]:
+        """Every ``o`` with ``(s, p, o)`` stored: ``match(s, p)`` without
+        building a triple per row, for the data graph's per-term reads."""
+        return self._spo.get(s, {}).get(p, ())
+
+    def subjects(self, p: Term, o: Term) -> Iterable[Term]:
+        """Every ``s`` with ``(s, p, o)`` stored."""
+        return self._pos.get(p, {}).get(o, ())
 
     def predicates(self) -> Iterator[Term]:
         """All distinct predicates."""

@@ -64,10 +64,6 @@ class AugmentedSummaryGraph:
         self.match_scores = match_scores
         self._sorted_elements: Optional[Tuple[Tuple[Hashable, ...], ...]] = None
 
-    @property
-    def keyword_count(self) -> int:
-        return len(self.keyword_elements)
-
     def sorted_keyword_elements(self) -> Tuple[Tuple[Hashable, ...], ...]:
         """``keyword_elements`` with each K_i in canonical (repr-sorted)
         order, cached — the deterministic cursor-seeding order of the
@@ -83,10 +79,6 @@ class AugmentedSummaryGraph:
 
     def matching_score(self, element_key: Hashable) -> float:
         return self.match_scores.get(element_key, 1.0)
-
-    def unmatched_keywords(self) -> List[int]:
-        """Indices of keywords that matched nothing (uninterpretable)."""
-        return [i for i, ks in enumerate(self.keyword_elements) if not ks]
 
     def __repr__(self):
         sizes = [len(k) for k in self.keyword_elements]

@@ -153,6 +153,29 @@ def test_malformed_body_is_a_400_naming_the_field(request, tier, path, body, fie
     assert repr(field) in json.loads(excinfo.value.read())["error"]
 
 
+#: ``GET /search`` integers that int() would take or misread, and the
+#: field the 400 must name.
+MALFORMED_QUERY_INTEGERS = [
+    ("k=1_0", "k"),
+    ("k=%2B3", "k"),
+    ("k=%207", "k"),
+    ("k=%D9%A3", "k"),  # ARABIC-INDIC DIGIT THREE
+    ("k=abc", "k"),
+    ("dmax=1_0", "dmax"),
+]
+
+
+@BOTH_TIERS
+@pytest.mark.parametrize("param, field", MALFORMED_QUERY_INTEGERS)
+def test_malformed_query_integer_is_a_400_naming_the_field(request, tier, param, field):
+    server = request.getfixturevalue(tier)
+    with pytest.raises(urllib.error.HTTPError) as excinfo:
+        _get(f"{server.url}/search?q=cimiano&{param}")
+    assert excinfo.value.code == 400
+    assert repr(field) in json.loads(excinfo.value.read())["error"]
+    assert _get(f"{server.url}/search?q=cimiano&k=03&dmax=-0")[0] == 200
+
+
 def test_worker_applies_the_limit_rule_itself(dispatch_service):
     """Below HTTP too: a worker treats ``None`` as unbounded, 0 as no
     rows, and refuses a negative bound as a bad request."""

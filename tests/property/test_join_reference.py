@@ -71,7 +71,7 @@ def triple_store(base, tmp_path_factory):
 def mmap_tier(base, tmp_path_factory):
     path = tmp_path_factory.mktemp("join-ref") / "g.reprobundle"
     build_bundle_streaming(iter(base), path)
-    tier = load_bundle(path).store
+    tier = load_bundle(path).graph.store
     assert isinstance(tier, MmapTripleTier)
     return tier
 

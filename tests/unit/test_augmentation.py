@@ -120,10 +120,3 @@ class TestGeneral:
         augmented = augment(summary, [[]])
         assert augmented.matching_score(("class", EX.Publication)) == 1.0
 
-    def test_unmatched_keywords_reported(self, summary):
-        augmented = augment(summary, [[], [ClassMatch(EX.Publication, 1.0)]])
-        assert augmented.unmatched_keywords() == [0]
-
-    def test_keyword_count(self, summary):
-        augmented = augment(summary, [[], [], []])
-        assert augmented.keyword_count == 3

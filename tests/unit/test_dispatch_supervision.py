@@ -109,6 +109,36 @@ class TestCrashRecovery:
         assert stats, "killed worker never respawned"
         assert stats["queries"]["retries"] >= 1
 
+    def test_every_exchange_dying_exhausts_the_retry_budget(
+        self, service, monkeypatch
+    ):
+        """A request that every worker dies on fails after ``workers + 1``
+        attempts instead of looping: one DispatchError, ``workers``
+        retries and one error counted, and the pool heals."""
+        from repro.service import dispatch
+
+        before = service.stats()["queries"]
+        attempts = []
+
+        def dies(handle, payload, timeout):
+            attempts.append(handle.pid)
+            raise dispatch.WorkerDied("worker closed its pipe")
+
+        monkeypatch.setattr(dispatch._WorkerHandle, "request", dies)
+        started = time.monotonic()
+        with pytest.raises(dispatch.DispatchError, match="failed on 3 workers"):
+            service.search("cimiano 2006")
+        assert time.monotonic() - started < 30
+        monkeypatch.undo()
+        assert len(attempts) == len(set(attempts)) == service.workers + 1
+
+        stats = _wait_for(lambda: _recovered_stats(service, restarts=3))
+        assert stats, "retired workers never replaced"
+        queries = stats["queries"]
+        assert queries["retries"] - before["retries"] == service.workers
+        assert queries["errors"] - before["errors"] == 1
+        assert json.loads(service.search("cimiano 2006"))["candidates"]
+
     def test_respawned_worker_joins_at_the_watermark(self, bundle):
         from repro.rdf.namespace import LABEL_PREDICATES
         from repro.rdf.terms import Literal, URI

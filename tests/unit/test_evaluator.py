@@ -17,7 +17,7 @@ x, y, z = Variable("x"), Variable("y"), Variable("z")
 
 @pytest.fixture(scope="module")
 def evaluator(example_graph):
-    return QueryEvaluator(TripleStore.from_graph(example_graph))
+    return QueryEvaluator(example_graph.store)
 
 
 def fig1c_query():

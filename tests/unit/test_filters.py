@@ -61,10 +61,6 @@ class TestFilter:
         with pytest.raises(ValueError):
             Filter(x, "~", Literal("1"))
 
-    def test_rebind(self):
-        f = Filter(x, "<", Literal("5")).rebind(y)
-        assert f.variable == y
-
     def test_sparql_rendering(self):
         assert Filter(x, "<", Literal("2005")).to_sparql() == 'FILTER(?x < "2005")'
         range_clause = Filter(x, "range", Literal("1"), Literal("2")).to_sparql()

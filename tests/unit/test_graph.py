@@ -82,7 +82,7 @@ class TestTypeStructure:
         g = small_graph()
         assert g.untyped_entities == {EX.e3}
 
-    def test_subclass_direct_and_transitive(self):
+    def test_superclasses_are_direct(self):
         g = DataGraph(
             [
                 Triple(EX.A, RDFS.subClassOf, EX.B),
@@ -90,17 +90,32 @@ class TestTypeStructure:
             ]
         )
         assert g.superclasses_of(EX.A) == {EX.B}
-        assert g.superclasses_of(EX.A, transitive=True) == {EX.B, EX.C}
-        assert g.subclasses_of(EX.C, transitive=True) == {EX.A, EX.B}
+        assert g.superclasses_of(EX.C) == frozenset()
 
-    def test_subclass_cycle_terminates(self):
+    def test_a_pair_asserted_through_two_variants_counts_once(self):
         g = DataGraph(
             [
-                Triple(EX.A, RDFS.subClassOf, EX.B),
-                Triple(EX.B, RDFS.subClassOf, EX.A),
+                Triple(EX.e1, RDF.type, EX.C1),
+                Triple(EX.e1, URI("type"), EX.C1),
+                Triple(EX.e2, URI("type"), EX.C1),
+                Triple(EX.C1, RDFS.subClassOf, EX.C2),
+                Triple(EX.C1, URI("subclass"), EX.C2),
             ]
         )
-        assert g.superclasses_of(EX.A, transitive=True) == {EX.A, EX.B}
+        assert g.instances_of(EX.C1) == {EX.e1, EX.e2}
+        assert g.instance_count(EX.C1) == 2
+        assert list(g.subclass_pairs()) == [(EX.C1, EX.C2)]
+        g.remove(Triple(EX.e1, RDF.type, EX.C1))
+        g.remove(Triple(EX.C1, RDFS.subClassOf, EX.C2))
+        assert g.types_of(EX.e1) == {EX.C1} and g.untyped_entities == frozenset()
+        assert g.superclasses_of(EX.C1) == {EX.C2}
+
+    def test_an_edge_to_a_literal_types_nothing(self):
+        g = DataGraph([Triple(EX.e1, RDF.type, Literal("C"))])
+        assert g.types_of(EX.e1) == frozenset()
+        assert g.instances_of(Literal("C")) == frozenset()
+        assert g.instance_count(Literal("C")) == 0
+        assert Triple(EX.e1, RDF.type, Literal("C")) in g.store
 
     def test_subclass_pairs(self):
         g = small_graph()
@@ -113,10 +128,55 @@ class TestNavigation:
         assert (EX.rel, EX.e2) in g.outgoing(EX.e1)
         assert (EX.rel, EX.e3) in g.incoming(EX.e1)
 
-    def test_attribute_occurrences(self):
+    def test_type_and_subclass_edges_are_not_adjacency(self):
         g = small_graph()
-        occurrences = list(g.attribute_occurrences(Literal("v1")))
-        assert occurrences == [(EX.attr, EX.e1, frozenset({EX.C1}))]
+        assert set(g.outgoing(EX.e1)) == {(EX.rel, EX.e2), (EX.attr, Literal("v1"))}
+        assert g.incoming(EX.C1) == ()
+        assert g.outgoing(EX.C1) == ()
+        assert g.incoming(Literal("v1")) == ((EX.attr, EX.e1),)
+
+
+class TestArrivalOrder:
+    """Iteration follows first arrival with duplicates dropped.  That
+    order is a contract: ``save()`` streams it to the bundle builder, and
+    ``perf/workloads.py::dataset_triples`` cuts a generated corpus in it."""
+
+    def test_first_arrival_duplicates_dropped(self):
+        t1, t2, t3 = (Triple(EX.e1, EX.rel, EX[f"e{i}"]) for i in (2, 3, 4))
+        g = DataGraph([t2, t1, t2, t3, t1])
+        assert list(g) == [t2, t1, t3] == list(g.triples)
+
+    def test_a_removed_and_re_added_triple_goes_to_the_end(self):
+        t1, t2, t3 = (Triple(EX.e1, EX.rel, EX[f"e{i}"]) for i in (2, 3, 4))
+        g = DataGraph([t1, t2, t3])
+        g.remove(t1)
+        g.add(t1)
+        assert g.triples == (t2, t3, t1)
+        assert g.add(t2) is False and g.triples == (t2, t3, t1)
+
+    def test_a_generated_corpus_is_its_stream_in_first_arrival_order(self):
+        from repro.datasets.dblp import DblpConfig, dblp_triples, generate_dblp
+
+        config = DblpConfig(publications=40)
+        stream = list(dblp_triples(config))
+        triples = generate_dblp(config).triples
+        assert triples == tuple(dict.fromkeys(stream))
+        assert DataGraph(triples[::-1]).triples == triples[::-1]
+
+
+def test_per_triple_facts_live_only_in_the_store():
+    """Every structure the graph keeps beside its store and its arrival
+    order is per term or per predicate: 380 triples over 21 terms leave
+    none of them above 21 entries."""
+    entities = [EX[f"e{i}"] for i in range(20)]
+    g = DataGraph(
+        Triple(a, EX.knows, b) for a in entities for b in entities if a is not b
+    )
+    assert len(g) == len(g.store) == 380
+    per_triple = {id(g._triples), id(g.store)}
+    for name, value in vars(g).items():
+        if id(value) not in per_triple and isinstance(value, (dict, set, list)):
+            assert len(value) <= 21, name
 
 
 class TestLabels:

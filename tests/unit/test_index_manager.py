@@ -163,17 +163,46 @@ def test_strict_mode_batch_failure_rolls_back(engine):
     assert good in strict_engine.store
 
 
+def test_an_engine_serves_its_graphs_one_store(engine, tmp_path):
+    """Constructed, loaded and maintained alike, the store queries run on
+    is the data graph's own: an update reaches it through the graph, and
+    there is no second copy to keep in step."""
+    path = tmp_path / "ex.reprobundle"
+    engine.save(path)
+    loaded = KeywordSearchEngine.load(path, attach_wal=False)
+    added = [
+        Triple(URI("http://example.org/aifb/newPub"), RDF.type, EX.Publication),
+        Triple(URI("http://example.org/aifb/newPub"), EX.author, EX.re2URI),
+    ]
+    for subject in (engine, loaded):
+        assert subject.store is subject.graph.store is subject.snapshot().store
+        assert subject.evaluator._store is subject.store
+        subject.add_triples(added)
+        assert subject.store is subject.graph.store is subject.snapshot().store
+        assert all(t in subject.store for t in added)
+        assert len(subject.store) == len(subject.graph) == len(engine.graph)
+        assert subject.execute(subject.search("cimiano publication").candidates[0].query)
+    engine.remove_triples(added)
+    assert not any(t in engine.store for t in added)
+    assert len(engine.store) == len(engine.graph)
+
+
 def test_strict_add_is_atomic():
-    """A rejected strict add leaves no partial role refcounts behind."""
+    """A rejected strict add leaves no partial role refcounts behind,
+    and the graph's store does not hold the refused triple."""
     from repro.rdf.graph import GraphIntegrityError
 
     graph = DataGraph(strict=True)
     graph.add(Triple(URI("e:a"), RDF.type, URI("e:C")))
+    refused = Triple(URI("e:b"), URI("e:knows"), URI("e:C"))  # class as entity
     with pytest.raises(GraphIntegrityError):
-        graph.add(Triple(URI("e:b"), URI("e:knows"), URI("e:C")))  # class as entity
+        graph.add(refused)
     assert URI("e:b") not in graph.entities
     assert not graph._entity_refs.get(URI("e:b"))
     assert not graph._entity_refs.get(URI("e:C"))
+    assert refused not in graph.store and len(graph.store) == 1
+    assert list(graph.store.match()) == [Triple(URI("e:a"), RDF.type, URI("e:C"))]
+    assert graph.store.count(None, URI("e:knows"), None) == 0
 
 
 def test_search_rejects_invalid_k(engine):

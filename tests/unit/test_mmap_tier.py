@@ -55,7 +55,7 @@ def mapped(example_bundle):
 
 def test_term_table_round_trips_every_term(example_bundle, mapped):
     engine, _ = example_bundle
-    table = mapped.store._terms
+    table = mapped.graph.store._terms
     seen = set()
     for i in range(len(table)):
         term = table[i]
@@ -69,7 +69,7 @@ def test_term_table_round_trips_every_term(example_bundle, mapped):
 
 
 def test_term_table_absent_terms_return_none(mapped):
-    table = mapped.store._terms
+    table = mapped.graph.store._terms
     assert table.id_of(URI("http://example.org/absent")) is None
     assert table.id_of(Literal("no-such-lexical-form")) is None
     assert table.id_of(Literal("42", datatype=URI("http://example.org/noDT"))) is None
@@ -127,7 +127,7 @@ def test_miss_memos_stay_bounded_under_update_churn_and_unknown_keywords(
 
 def test_triple_tier_matches_every_pattern(example_bundle, mapped):
     engine, _ = example_bundle
-    tier = mapped.store
+    tier = mapped.graph.store
     assert isinstance(tier, MmapTripleTier)
     reference = TripleStore(engine.graph.triples)
     assert len(tier) == len(reference)
@@ -154,7 +154,7 @@ def test_triple_tier_matches_every_pattern(example_bundle, mapped):
 
 def test_triple_tier_overlay_add_remove(example_bundle, mapped):
     engine, _ = example_bundle
-    tier = mapped.store
+    tier = mapped.graph.store
     reference = TripleStore(engine.graph.triples)
     base = list(engine.graph.triples)
     fresh = Triple(URI("http://example.org/new"), URI("http://example.org/p"), Literal("v"))
@@ -310,7 +310,7 @@ def _assert_counts_are_scan_lengths(tier, reference, probes):
 
 def test_counts_are_scan_lengths_through_overlay_updates(example_bundle, mapped):
     engine, _ = example_bundle
-    tier = mapped.store
+    tier = mapped.graph.store
     reference = TripleStore(engine.graph.triples)
     base = list(engine.graph.triples)
     victim, other = base[3], base[-1]
@@ -340,7 +340,7 @@ def test_counts_stay_exact_under_thousands_of_tombstones(tmp_path):
     ]
     path = tmp_path / "churn.reprobundle"
     build_bundle_streaming(iter(triples), path)
-    tier = load_bundle(path).store
+    tier = load_bundle(path).graph.store
     reference = TripleStore(triples)
 
     def agree():

@@ -34,11 +34,6 @@ def test_canonical_key_is_element_set():
     assert sg1.canonical_key == sg2.canonical_key
 
 
-def test_keyword_origins():
-    sg = MatchingSubgraph("n", [["k1", "n"], ["k2", "e", "n"]], 5.0)
-    assert sg.keyword_origins == ("k1", "k2")
-
-
 def test_translated():
     sg = MatchingSubgraph(1, [[0, 1], [2, 1]], 3.0)
     decoded = sg.translated(lambda i: f"el{i}")

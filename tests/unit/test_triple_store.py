@@ -32,6 +32,17 @@ def test_contains(store):
     assert Triple(EX.a, EX.p, EX.z) not in store
 
 
+def test_objects_and_subjects_are_the_two_bound_match_patterns(store):
+    for s in (EX.a, EX.b, EX.z):
+        for p in (EX.p, EX.q, EX.r, EX.z):
+            assert list(store.objects(s, p)) == [t.object for t in store.match(s, p)]
+    for p in (EX.p, EX.r, EX.z):
+        for o in (EX.b, EX.c, Literal("v")):
+            assert list(store.subjects(p, o)) == [t.subject for t in store.match(None, p, o)]
+    store.remove(Triple(EX.a, EX.q, EX.b))
+    assert list(store.objects(EX.a, EX.q)) == []
+
+
 def test_duplicate_insert_returns_false(store):
     assert store.add(Triple(EX.a, EX.p, EX.b)) is False
     assert len(store) == 5
@@ -104,6 +115,8 @@ def test_predicate_cardinality(store):
     assert store.predicate_cardinality(EX.z) == 0
 
 
-def test_from_graph(example_graph):
-    store = TripleStore.from_graph(example_graph)
+def test_a_data_graph_keeps_its_triples_in_its_store(example_graph):
+    store = example_graph.store
+    assert isinstance(store, TripleStore)
     assert len(store) == len(example_graph)
+    assert set(store.match()) == set(example_graph)
