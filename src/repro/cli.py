@@ -291,7 +291,7 @@ def search_command(argv) -> int:
             print(f"[{rank}] {fq.to_sparql() if args.sparql else fq}")
         if args.execute:
             print()
-            for answer in engine.execute_filtered(filtered[0], limit=args.limit):
+            for answer in filtered[0].evaluate(engine.evaluator, limit=args.limit):
                 print(" ", {str(v): graph.label_of(t) for v, t in answer.as_dict().items()})
         return 0
 

@@ -22,12 +22,12 @@ user pick, let the database answer*.
 The online pipeline is factored for concurrent serving: ``search`` is
 snapshot acquisition (:meth:`KeywordSearchEngine.snapshot`, an
 :class:`~repro.core.snapshot.EngineSnapshot` pinning the formal
-``(summary version, keyword-index version)`` key) followed by **pure
-pipeline stages** (:func:`_match_stage`, :func:`_augment_stage`,
-:func:`_explore_stage`, :func:`_map_stage`) that read everything through
-the snapshot they are handed.  :class:`~repro.service.EngineService` runs
-the same stages from its callers' threads, a whole batch against one
-shared snapshot; results are byte-identical either way.
+``(summary version, keyword-index version)`` key) followed by
+:meth:`KeywordSearchEngine.search_on_snapshot`, the one place that runs
+the five steps in order, each reading only through the snapshot it is
+handed.  :class:`~repro.service.EngineService` runs it from its callers'
+threads, a whole batch against one shared snapshot; results are
+byte-identical either way.
 """
 
 from __future__ import annotations
@@ -51,15 +51,14 @@ from repro.keyword.keyword_index import (
     KeywordMatch,
     ValueMatch,
 )
-from repro.query.conjunctive import Atom, ConjunctiveQuery
+from repro.query.conjunctive import ConjunctiveQuery
 from repro.query.filters import (
-    _COMPARISON_WORDS,
-    Filter,
     FilteredQuery,
     FilterKeyword,
-    parse_filter_keyword,
+    bind_filters,
+    split_filter_keywords,
 )
-from repro.rdf.terms import Literal, Variable
+from repro.rdf.terms import Literal
 from repro.query.evaluator import Answer, QueryEvaluator
 from repro.query.isomorphism import canonical_form
 from repro.query.nlg import verbalize
@@ -290,51 +289,6 @@ def split_keywords(query: str) -> List[str]:
     return out
 
 
-# ----------------------------------------------------------------------
-# The pure pipeline stages (Section VI's five tasks).
-#
-# Each stage reads *only* through the EngineSnapshot it is handed — no
-# engine attributes — so a search that pinned version (s, i) computes on
-# version (s, i) from start to finish, no matter what the engine object
-# does meanwhile.  That property is what lets the serving layer run a
-# batch, or concurrent requests, on one snapshot and still return results
-# byte-identical to sequential execution.
-# ----------------------------------------------------------------------
-
-
-def _match_stage(
-    snapshot: EngineSnapshot, keywords: Sequence[str]
-) -> List[List[KeywordMatch]]:
-    """Task 1: keyword-to-element mapping through the pinned index."""
-    return snapshot.keyword_index.lookup_all(keywords)
-
-
-def _augment_stage(snapshot: EngineSnapshot, effective):
-    """Task 2: zero-copy augmentation + element costs on the pinned summary."""
-    augmented = augment(snapshot.summary, effective)
-    costs = snapshot.cost_model.element_costs(augmented)
-    return augmented, costs
-
-
-def _explore_stage(
-    snapshot: EngineSnapshot,
-    augmented,
-    costs,
-    k: int,
-    dmax: int,
-    max_cursors: Optional[int],
-) -> ExplorationResult:
-    """Tasks 3+4: exploration and top-k on the pinned CSR substrate."""
-    return explore_top_k(
-        augmented,
-        costs,
-        k=k,
-        dmax=dmax,
-        max_cursors=max_cursors,
-        guided=snapshot.guided,
-    )
-
-
 def _map_stage(
     snapshot: EngineSnapshot, subgraphs, augmented_graph
 ) -> List[QueryCandidate]:
@@ -449,7 +403,6 @@ class KeywordSearchEngine:
         #: it so another engine may take over the artifact.
         self.delta_log = None
 
-        started = time.perf_counter()
         # `is None`, not truthiness: a supplied-but-empty component (e.g. a
         # zero-triple bundle's keyword index) must be adopted, not silently
         # rebuilt.
@@ -471,11 +424,6 @@ class KeywordSearchEngine:
             evaluator=self.evaluator,
         )
         self.index_manager.add_listener(self._invalidate_query_caches)
-        self.preprocessing_seconds = time.perf_counter() - started
-
-    @classmethod
-    def from_triples(cls, triples: Sequence[Triple], **kwargs) -> "KeywordSearchEngine":
-        return cls(DataGraph(triples), **kwargs)
 
     # ------------------------------------------------------------------
     # Persistence (the offline layer as a durable artifact)
@@ -586,15 +534,15 @@ class KeywordSearchEngine:
             self._search_cache.clear()
 
     # ------------------------------------------------------------------
-    # Search (Fig. 2, online part): snapshot acquisition + pure stages
+    # Search (Fig. 2, online part): snapshot acquisition + the five steps
     # ------------------------------------------------------------------
 
     def snapshot(self) -> EngineSnapshot:
         """Pin the current engine state as an immutable read view.
 
         The snapshot records the formal ``(summary version, keyword-index
-        version)`` key and references every structure the pipeline stages
-        read — including the version-keyed CSR substrate and the cost
+        version)`` key and references every structure the pipeline
+        reads — including the version-keyed CSR substrate and the cost
         model whose base table is keyed on the pinned summary version.
         Consistency across a racing update is the serving layer's job
         (:class:`~repro.service.EngineService` excludes writers while any
@@ -623,24 +571,16 @@ class KeywordSearchEngine:
         query: Union[str, Sequence[str]],
         k: Optional[int] = None,
         dmax: Optional[int] = None,
-        max_cursors: Optional[int] = None,
-        matches: Optional[List[List[KeywordMatch]]] = None,
     ) -> SearchResult:
-        """Compute the top-k conjunctive queries for a keyword query.
-
-        ``matches`` overrides the keyword-to-element mapping (one match
-        list per keyword) — used by extensions such as the filter operator
-        support, which inject attribute-level interpretations.
+        """Compute the top-k conjunctive queries for a keyword query:
+        :meth:`snapshot`, then :meth:`search_on_snapshot` on it.
 
         An empty keyword query (no keywords, or only whitespace) raises
         ``ValueError``: there is nothing to explore, and silently
         returning zero candidates reads like "no interpretation exists"
         when the real problem is upstream input handling.
         """
-        return self.search_on_snapshot(
-            self.snapshot(), query, k=k, dmax=dmax, max_cursors=max_cursors,
-            matches=matches,
-        )
+        return self.search_on_snapshot(self.snapshot(), query, k=k, dmax=dmax)
 
     def search_on_snapshot(
         self,
@@ -648,14 +588,22 @@ class KeywordSearchEngine:
         query: Union[str, Sequence[str]],
         k: Optional[int] = None,
         dmax: Optional[int] = None,
-        max_cursors: Optional[int] = None,
         matches: Optional[List[List[KeywordMatch]]] = None,
     ) -> SearchResult:
-        """Run the five pipeline stages against a pinned snapshot.
+        """Run Section VI's five steps in order against a pinned snapshot.
 
-        This is :meth:`search` minus the snapshot acquisition — the entry
-        point the serving layer uses to run a whole batch against one
-        consistent ``(summary version, index version)`` pair.
+        Keyword mapping, augmentation (plus element costs), exploration
+        with top-k, and query mapping each read only through ``snapshot``,
+        so a search that pinned version *(s, i)* computes on *(s, i)* from
+        start to finish — what lets the serving layer run a batch, or
+        concurrent requests, on one snapshot.  ``timings`` holds the
+        seconds between consecutive step boundaries, in step order, and
+        ``total``; a query no keyword matched stops after the first step.
+
+        ``matches`` replaces the keyword mapping (one match list per
+        keyword); the filtered search passes its attribute-level
+        interpretations this way, and such a search neither reads nor
+        fills the result memo.
         """
         keywords = split_keywords(query) if isinstance(query, str) else list(query)
         if not keywords or all(not kw.strip() for kw in keywords):
@@ -670,64 +618,57 @@ class KeywordSearchEngine:
             raise ValueError(f"k must be >= 1, got {k}")
         if dmax < 0:
             raise ValueError(f"dmax must be >= 0, got {dmax}")
+        if matches is not None and len(matches) != len(keywords):
+            raise ValueError("matches must align one list per keyword")
 
-        # Result memo: only uncustomized lookups (matches is None) are
-        # cacheable, and the pinned version counters keep keys from ever
-        # matching across data updates.
+        # The pinned version counters keep memo keys from ever matching
+        # across data updates.
         cache = self._search_cache
         cache_key = None
         if cache is not None and matches is None:
             cache_key = (
-                tuple(keywords),
-                k,
-                dmax,
-                max_cursors,
-                snapshot.summary_version,
-                snapshot.index_version,
+                tuple(keywords), k, dmax,
+                snapshot.summary_version, snapshot.index_version,
             )
             cached = cache.hit(cache_key)
             if cached is not None:
                 return cached.copy()
 
-        timings: Dict[str, float] = {}
-        total_started = time.perf_counter()
-
+        clock = time.perf_counter
+        started = clock()
         # Task 1: keyword-to-element mapping.
-        step = time.perf_counter()
         if matches is None:
-            matches = _match_stage(snapshot, keywords)
-        elif len(matches) != len(keywords):
-            raise ValueError("matches must align one list per keyword")
-        timings["keyword_mapping"] = time.perf_counter() - step
-
+            matches = snapshot.keyword_index.lookup_all(keywords)
+        mapped = clock()
+        timings = {"keyword_mapping": mapped - started}
         ignored = [kw for kw, m in zip(keywords, matches) if not m]
         effective = [m for m in matches if m]
-
         if not effective:
-            timings["total"] = time.perf_counter() - total_started
+            timings["total"] = clock() - started
             result = SearchResult(keywords, [], matches, ignored, None, timings)
             return self._cache_result(cache_key, result)
 
-        # Task 2: augmentation of the graph index.
-        step = time.perf_counter()
-        augmented, costs = _augment_stage(snapshot, effective)
-        timings["augmentation"] = time.perf_counter() - step
-
+        # Task 2: zero-copy augmentation of the summary, and element costs.
+        augmented = augment(snapshot.summary, effective)
+        costs = snapshot.cost_model.element_costs(augmented)
+        augmented_at = clock()
         # Tasks 3+4: exploration and top-k.
-        step = time.perf_counter()
-        exploration = _explore_stage(snapshot, augmented, costs, k, dmax, max_cursors)
-        timings["exploration"] = time.perf_counter() - step
+        exploration = explore_top_k(
+            augmented, costs, k=k, dmax=dmax, guided=snapshot.guided
+        )
         if isfinite(exploration.seed_threshold):
             with self._seed_lock:
                 self._seeded += 1
                 self._seed_fallbacks += exploration.seed_fallback
-
+        explored = clock()
         # Task 5: query mapping.
-        step = time.perf_counter()
         candidates = _map_stage(snapshot, exploration.subgraphs, augmented.graph)
-        timings["query_mapping"] = time.perf_counter() - step
+        finished = clock()
 
-        timings["total"] = time.perf_counter() - total_started
+        timings["augmentation"] = augmented_at - mapped
+        timings["exploration"] = explored - augmented_at
+        timings["query_mapping"] = finished - explored
+        timings["total"] = finished - started
         result = SearchResult(keywords, candidates, matches, ignored, exploration, timings)
         return self._cache_result(cache_key, result)
 
@@ -749,45 +690,22 @@ class KeywordSearchEngine:
         query: Union[str, Sequence[str]],
         k: Optional[int] = None,
         dmax: Optional[int] = None,
-        max_cursors: Optional[int] = None,
     ) -> List[FilteredQuery]:
         """Keyword search where comparison keywords become FILTER operators.
 
         Keywords like ``"before 2005"``, ``"since 2000"`` or ``"2000-2005"``
-        are recognized as operators (``repro.query.filters``), the remaining
+        are recognized as operators
+        (:func:`repro.query.filters.split_filter_keywords`), the remaining
         keywords are interpreted as usual, and each computed query gets the
-        filters bound to the matching attribute's variable — generalizing a
-        pinned constant to a constrained variable where needed.
-
-        ``k``, ``dmax``, and ``max_cursors`` carry the same meaning as in
-        :meth:`search` and are forwarded to the underlying exploration.
+        filters bound to the matching attribute's variable
+        (:func:`repro.query.filters.bind_filters`).  ``k`` and ``dmax``
+        mean what they mean in :meth:`search`.
 
         Returns the ranked filtered queries (candidates where a filter
         could not be bound to any attribute are dropped).
         """
         keywords = split_keywords(query) if isinstance(query, str) else list(query)
-        # Merge a bare comparison word with its operand ("before", "2005" →
-        # "before 2005") so whitespace splitting doesn't hide the operator.
-        merged: List[str] = []
-        skip = False
-        for i, keyword in enumerate(keywords):
-            if skip:
-                skip = False
-                continue
-            if keyword.lower() in _COMPARISON_WORDS and i + 1 < len(keywords):
-                merged.append(f"{keyword} {keywords[i + 1]}")
-                skip = True
-            else:
-                merged.append(keyword)
-
-        filter_keywords: List[FilterKeyword] = []
-        plain: List[str] = []
-        for keyword in merged:
-            recognized = parse_filter_keyword(keyword)
-            if recognized is not None:
-                filter_keywords.append(recognized)
-            else:
-                plain.append(keyword)
+        plain, filter_keywords = split_filter_keywords(keywords)
         if not plain:
             raise ValueError("a filtered search needs at least one plain keyword")
 
@@ -798,79 +716,26 @@ class KeywordSearchEngine:
         snapshot = self.snapshot()
         keyword_index = snapshot.keyword_index
         plain_matches = keyword_index.lookup_all(plain)
-        filter_attr_labels: List[frozenset] = []
-        filter_matches: List[List[KeywordMatch]] = []
-        for fk in filter_keywords:
-            labels = _operand_attributes(snapshot, fk)
-            filter_attr_labels.append(labels)
-            filter_matches.append(
-                [
-                    AttributeMatch(label, keyword_index.attribute_classes(label), 1.0)
-                    for label in sorted(labels, key=lambda u: u.value)
-                ]
-            )
-
-        keywords = plain + [fk.source for fk in filter_keywords]
+        attr_labels = [_operand_attributes(snapshot, fk) for fk in filter_keywords]
+        filter_matches = [
+            [
+                AttributeMatch(label, keyword_index.attribute_classes(label), 1.0)
+                for label in sorted(labels, key=lambda u: u.value)
+            ]
+            for labels in attr_labels
+        ]
         result = self.search_on_snapshot(
             snapshot,
-            keywords,
+            plain + [fk.source for fk in filter_keywords],
             k=k,
             dmax=dmax,
-            max_cursors=max_cursors,
             matches=plain_matches + filter_matches,
         )
-        out: List[FilteredQuery] = []
-        for candidate in result.candidates:
-            bound = self._bind_filters(
-                candidate.query, filter_keywords, filter_attr_labels
-            )
-            if bound is not None:
-                out.append(bound)
-        return out
-
-    def _bind_filters(
-        self,
-        query: ConjunctiveQuery,
-        filter_keywords: List[FilterKeyword],
-        filter_attr_labels: List[frozenset],
-    ) -> Optional[FilteredQuery]:
-        """Attach every filter to the matching attribute variable, creating
-        one (by generalizing a pinned constant) when necessary."""
-        atoms = list(query.atoms)
-        filters: List[Filter] = []
-        fresh = 0
-
-        for fk, attr_labels in zip(filter_keywords, filter_attr_labels):
-            target_index = None
-            # Prefer an atom with a free (artificial-value) variable.
-            for i, atom in enumerate(atoms):
-                if atom.predicate in attr_labels and isinstance(atom.arg2, Variable):
-                    target_index = i
-                    break
-            if target_index is None:
-                for i, atom in enumerate(atoms):
-                    if atom.predicate in attr_labels:
-                        target_index = i
-                        break
-            if target_index is None:
-                return None
-
-            atom = atoms[target_index]
-            if isinstance(atom.arg2, Variable):
-                filters.append(fk.bind(atom.arg2))
-            else:
-                fresh += 1
-                variable = Variable(f"f{fresh}")
-                atoms[target_index] = Atom(atom.predicate, atom.arg1, variable)
-                filters.append(fk.bind(variable))
-
-        return FilteredQuery(ConjunctiveQuery(atoms), filters)
-
-    def execute_filtered(
-        self, filtered: FilteredQuery, limit: Optional[int] = None
-    ):
-        """Run a filtered query on the underlying store."""
-        return filtered.evaluate(self.evaluator, limit=limit)
+        bound = (
+            bind_filters(candidate.query, filter_keywords, attr_labels)
+            for candidate in result.candidates
+        )
+        return [filtered for filtered in bound if filtered is not None]
 
     # ------------------------------------------------------------------
     # Query processing (the database side of the paradigm)

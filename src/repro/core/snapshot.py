@@ -2,8 +2,9 @@
 
 This lives in :mod:`repro.core` (not the serving layer) because the
 engine's own search path is built on it — ``search`` is snapshot
-acquisition plus pure stages — and the core must stay importable without
-dragging in the HTTP/threading serving stack.  :mod:`repro.service`
+acquisition plus ``search_on_snapshot``, which runs the five steps of
+Section VI reading only through the pin — and the core must stay
+importable without dragging in the HTTP/threading serving stack.  :mod:`repro.service`
 re-exports it as part of its public API.
 
 The offline layer is mutated *in place* by the
@@ -11,7 +12,7 @@ The offline layer is mutated *in place* by the
 delta-bounded), so a "snapshot" here is not a copy: it is a pin.  An
 :class:`EngineSnapshot` records the exact ``(summary version, keyword-index
 version)`` pair — the formal snapshot key — together with direct references
-to every structure a search pipeline stage reads: the summary graph, the
+to every structure a search step reads: the summary graph, the
 keyword index, the CSR exploration substrate, the cost model (whose base
 cost table is keyed on the pinned summary version), the data graph, the
 triple store, and the evaluator.
@@ -37,11 +38,10 @@ class EngineSnapshot:
 
     Instances are cheap (no copying — the referenced structures are shared
     and, under the service's reader/writer coordination, immutable for the
-    lifetime of the read hold).  All search pipeline stages in
-    :mod:`repro.core.engine` take the snapshot explicitly instead of
-    reading engine attributes, so a search that started on version *(s, i)*
-    finishes on version *(s, i)* even if the engine object has since moved
-    on.
+    lifetime of the read hold).  ``KeywordSearchEngine.search_on_snapshot``
+    reads through the snapshot instead of engine attributes, so a search
+    that started on version *(s, i)* finishes on version *(s, i)* even if
+    the engine object has since moved on.
     """
 
     __slots__ = (

@@ -9,13 +9,16 @@ implements that extension end to end:
   (``<``, ``≤``, ``>``, ``≥``, ``≠``, range), with numeric-aware ordering;
 * :class:`FilteredQuery` — a conjunctive query plus filters, renderable as
   SPARQL ``FILTER`` clauses and evaluable on the store;
-* :func:`parse_filter_keyword` — the keyword-side recognizer: ``before
-  2005``, ``after 2000``, ``2000-2005``, ``under 300`` become filter
-  operators instead of plain value keywords.
+* the keyword-side grammar: :func:`parse_filter_keyword` recognizes
+  ``before 2005``, ``after 2000``, ``2000-2005``, ``under 300`` as filter
+  operators instead of plain value keywords, and
+  :func:`split_filter_keywords` first merges a bare comparison word with
+  the keyword after it, then separates plain keywords from operators;
+* :func:`bind_filters` — attaching the operators to a computed query's
+  attribute variables.
 
-The engine applies recognized filter keywords to the attribute variable
-the remaining keywords' best interpretation binds (see
-``KeywordSearchEngine.search_with_filters``).
+What needs the data (which attributes an operand constrains) and the
+search itself stay in ``KeywordSearchEngine.search_with_filters``.
 """
 
 from __future__ import annotations
@@ -164,8 +167,9 @@ _COMPARISON_WORDS = {
     "except": "!=",
 }
 
-_RANGE_RE = re.compile(r"^(\d{1,9})\s*(?:-|–|\.\.|to)\s*(\d{1,9})$")
-_COMPARISON_RE = re.compile(r"^([a-z]+)\s+(\S.*)$")
+# Both match case-insensitively; the operand keeps its text as typed.
+_RANGE_RE = re.compile(r"^(\d{1,9})\s*(?:-|–|\.\.|to)\s*(\d{1,9})$", re.IGNORECASE)
+_COMPARISON_RE = re.compile(r"^([a-z]+)\s+(\S.*)$", re.IGNORECASE)
 
 
 class FilterKeyword:
@@ -197,8 +201,10 @@ def parse_filter_keyword(keyword: str) -> Optional[FilterKeyword]:
     'range'
     >>> parse_filter_keyword("cimiano") is None
     True
+    >>> parse_filter_keyword("Not P. Cimiano").value
+    Literal('P. Cimiano')
     """
-    text = keyword.strip().lower()
+    text = keyword.strip()
     range_match = _RANGE_RE.match(text)
     if range_match:
         low, high = range_match.groups()
@@ -208,7 +214,67 @@ def parse_filter_keyword(keyword: str) -> Optional[FilterKeyword]:
     comparison = _COMPARISON_RE.match(text)
     if comparison:
         word, operand = comparison.groups()
-        op = _COMPARISON_WORDS.get(word)
+        op = _COMPARISON_WORDS.get(word.lower())
         if op is not None:
             return FilterKeyword(op, Literal(operand.strip()), None, keyword)
     return None
+
+
+def split_filter_keywords(
+    keywords: Sequence[str],
+) -> Tuple[List[str], List[FilterKeyword]]:
+    """Separate plain keywords from filter operators.
+
+    A bare comparison word is merged with the keyword after it first, so
+    whitespace splitting does not hide the operator.
+
+    >>> split_filter_keywords(["cimiano", "before", "2005"])
+    (['cimiano'], [FilterKeyword(< 2005)])
+    """
+    plain: List[str] = []
+    filters: List[FilterKeyword] = []
+    i = 0
+    while i < len(keywords):
+        keyword = keywords[i]
+        if keyword.lower() in _COMPARISON_WORDS and i + 1 < len(keywords):
+            i += 1
+            keyword = f"{keyword} {keywords[i]}"
+        i += 1
+        recognized = parse_filter_keyword(keyword)
+        if recognized is None:
+            plain.append(keyword)
+        else:
+            filters.append(recognized)
+    return plain, filters
+
+
+def bind_filters(
+    query: ConjunctiveQuery,
+    filter_keywords: Sequence[FilterKeyword],
+    filter_attr_labels: Sequence[frozenset],
+) -> Optional[FilteredQuery]:
+    """Attach every filter to an atom whose predicate is one of its
+    attribute labels, or return None when some filter finds none.
+
+    An atom with a variable value is preferred; otherwise the first
+    matching atom's pinned constant is generalized to a fresh variable
+    (``?f1``, ``?f2``, ...) that the filter then constrains.
+    """
+    atoms = list(query.atoms)
+    filters: List[Filter] = []
+    fresh = 0
+    for fk, attr_labels in zip(filter_keywords, filter_attr_labels):
+        candidates = [i for i, atom in enumerate(atoms) if atom.predicate in attr_labels]
+        if not candidates:
+            return None
+        target = next(
+            (i for i in candidates if isinstance(atoms[i].arg2, Variable)), candidates[0]
+        )
+        atom = atoms[target]
+        variable = atom.arg2
+        if not isinstance(variable, Variable):
+            fresh += 1
+            variable = Variable(f"f{fresh}")
+            atoms[target] = Atom(atom.predicate, atom.arg1, variable)
+        filters.append(fk.bind(variable))
+    return FilteredQuery(ConjunctiveQuery(atoms), filters)

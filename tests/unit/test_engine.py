@@ -79,11 +79,27 @@ class TestSearch:
         assert len(result) == 0
         assert result.exploration is None
 
-    def test_timings_populated(self, engine):
+    def test_timings_populated(self, example_graph):
+        """The timings contract ``perf/`` and ``/search``'s ``timings_ms``
+        read: the step keys in pipeline order, then ``total``, which spans
+        every step; the no-match exit times the mapping alone; a memo hit
+        hands back the timings of the search it memoized."""
+        engine = KeywordSearchEngine(example_graph, k=5, search_cache_size=4)
         result = engine.search("aifb 2006")
-        for key in ("keyword_mapping", "augmentation", "exploration",
-                    "query_mapping", "total"):
-            assert result.timings[key] >= 0
+        stages = ["keyword_mapping", "augmentation", "exploration", "query_mapping"]
+        assert list(result.timings) == stages + ["total"]
+        assert all(value >= 0 for value in result.timings.values())
+        # Allow for float rounding only: total covers each step's interval.
+        assert result.timings["total"] >= (
+            sum(result.timings[stage] for stage in stages) - 1e-9
+        )
+
+        unmatched = engine.search("zzz yyy")
+        assert list(unmatched.timings) == ["keyword_mapping", "total"]
+        assert unmatched.timings["total"] >= unmatched.timings["keyword_mapping"]
+
+        assert engine.search("aifb 2006").timings == result.timings
+        assert engine.search("zzz yyy").timings == unmatched.timings
 
     def test_queries_deduplicated(self, engine):
         result = engine.search("2006 cimiano aifb", k=5)
@@ -138,10 +154,6 @@ class TestConfiguration:
         assert other.summary is engine.summary
         assert other.keyword_index is engine.keyword_index
 
-    def test_from_triples(self, example_graph):
-        engine = KeywordSearchEngine.from_triples(list(example_graph))
-        assert len(engine.graph) == len(example_graph)
-
     def test_index_stats(self, engine):
         """The Fig. 6b row: each index reports its own size and build
         time, and the summary compresses the data graph."""
@@ -192,9 +204,14 @@ class TestSearchResultCache:
         engine = KeywordSearchEngine(example_graph, k=5, search_cache_size=8)
         first = engine.search("aifb")
         override = engine.keyword_index.lookup_all(["aifb"])
-        assert not _memoized(first, engine.search("aifb", matches=override))
+        supplied = engine.search_on_snapshot(
+            engine.snapshot(), "aifb", matches=override
+        )
+        assert not _memoized(first, supplied)
         # ... and never pollute it.
         assert _memoized(first, engine.search("aifb"))
+        stats = engine.cache_stats()["search_results"]
+        assert (stats["hits"], stats["misses"]) == (1, 1)
 
     def test_caller_mutation_cannot_poison_the_cache(self, example_graph):
         engine = KeywordSearchEngine(example_graph, k=5, search_cache_size=8)
@@ -230,7 +247,7 @@ class TestSearchResultCache:
 
 
 class TestFilterSearchParameters:
-    def test_dmax_and_max_cursors_threaded_to_search(self, example_graph, monkeypatch):
+    def test_k_and_dmax_threaded_to_search(self, example_graph, monkeypatch):
         engine = KeywordSearchEngine(example_graph, k=5)
         captured = {}
         original = KeywordSearchEngine.search_on_snapshot
@@ -240,10 +257,9 @@ class TestFilterSearchParameters:
             return original(self, *args, **kwargs)
 
         monkeypatch.setattr(KeywordSearchEngine, "search_on_snapshot", spy)
-        engine.search_with_filters("cimiano before 2007", k=3, dmax=6, max_cursors=500)
+        engine.search_with_filters("cimiano before 2007", k=3, dmax=6)
         assert captured["k"] == 3
         assert captured["dmax"] == 6
-        assert captured["max_cursors"] == 500
 
     def test_tight_dmax_constrains_filtered_search(self, example_graph):
         engine = KeywordSearchEngine(example_graph, k=5)

@@ -7,7 +7,9 @@ from repro.query.evaluator import QueryEvaluator
 from repro.query.filters import (
     Filter,
     FilteredQuery,
+    bind_filters,
     parse_filter_keyword,
+    split_filter_keywords,
 )
 from repro.rdf.namespace import Namespace
 from repro.rdf.terms import Literal, URI, Variable
@@ -122,6 +124,8 @@ class TestParseFilterKeyword:
             ("over 10", ">", "10"),
             ("not 2003", "!=", "2003"),
             ("BEFORE 2005", "<", "2005"),
+            ("not P. Cimiano", "!=", "P. Cimiano"),
+            ("NOT P. Cimiano", "!=", "P. Cimiano"),
         ],
     )
     def test_comparison_words(self, text, op, value):
@@ -130,7 +134,9 @@ class TestParseFilterKeyword:
         assert fk.op == op
         assert fk.value == Literal(value)
 
-    @pytest.mark.parametrize("text", ["2000-2005", "2000..2005", "2000 to 2005"])
+    @pytest.mark.parametrize(
+        "text", ["2000-2005", "2000..2005", "2000 to 2005", "2000 TO 2005"]
+    )
     def test_range_syntaxes(self, text):
         fk = parse_filter_keyword(text)
         assert fk.op == "range"
@@ -148,6 +154,44 @@ class TestParseFilterKeyword:
         fk = parse_filter_keyword("before 2005")
         f = fk.bind(x)
         assert f.variable == x and f.op == "<"
+
+
+class TestSplitFilterKeywords:
+    def test_bare_comparison_word_merges_with_next_keyword(self):
+        plain, filters = split_filter_keywords(["cimiano", "Before", "2005", "aifb"])
+        assert plain == ["cimiano", "aifb"]
+        assert [(f.op, f.value, f.source) for f in filters] == [
+            ("<", Literal("2005"), "Before 2005")
+        ]
+
+    def test_trailing_comparison_word_stays_plain(self):
+        assert split_filter_keywords(["cimiano", "before"]) == (["cimiano", "before"], [])
+
+    def test_quoted_operator_and_range(self):
+        plain, filters = split_filter_keywords(["researcher", "since 2000", "1990-1995"])
+        assert plain == ["researcher"]
+        assert [f.op for f in filters] == [">=", "range"]
+
+
+class TestBindFilters:
+    def test_prefers_a_variable_value(self):
+        query = ConjunctiveQuery(
+            [Atom(EX.year, x, Literal("2004")), Atom(EX.year, x, y)]
+        )
+        bound = bind_filters(query, [parse_filter_keyword("before 2005")], [{EX.year}])
+        assert bound.filters == (Filter(y, "<", Literal("2005")),)
+        assert bound.query == query
+
+    def test_generalizes_a_pinned_constant(self):
+        query = ConjunctiveQuery([Atom(EX.year, x, Literal("2004"))])
+        bound = bind_filters(query, [parse_filter_keyword("before 2005")], [{EX.year}])
+        fresh = Variable("f1")
+        assert bound.query == ConjunctiveQuery([Atom(EX.year, x, fresh)])
+        assert bound.filters == (Filter(fresh, "<", Literal("2005")),)
+
+    def test_unbindable_filter_drops_the_query(self):
+        query = ConjunctiveQuery([Atom(EX.name, x, y)])
+        assert bind_filters(query, [parse_filter_keyword("before 2005")], [{EX.year}]) is None
 
 
 class TestEngineFilters:
@@ -177,7 +221,7 @@ class TestEngineFilters:
         filtered = engine.search_with_filters("turing since 2000", k=8)
         found_any = False
         for fq in filtered[:3]:
-            for answer in engine.execute_filtered(fq, limit=10):
+            for answer in fq.evaluate(engine.evaluator, limit=10):
                 found_any = True
                 for f in fq.filters:
                     assert f.accepts(answer.as_dict()[f.variable])
@@ -213,6 +257,22 @@ class TestEngineFilters:
             expected = [repr(fq) for fq in engine.search_with_filters(query, k=8)]
             assert expected
             assert [repr(fq) for fq in loaded.search_with_filters(query, k=8)] == expected
+
+    def test_negated_operand_keeps_its_case(self, example_graph):
+        """``not P. Cimiano`` filters out P. Cimiano: the operand the
+        evaluation compares is the one ``to_sparql`` prints."""
+        from repro.core.engine import KeywordSearchEngine
+
+        engine = KeywordSearchEngine(example_graph, k=5)
+        top = engine.search_with_filters('researcher "not P. Cimiano"')[0]
+        assert top.filters[0].value == Literal("P. Cimiano")
+        variable = top.filters[0].variable
+        assert f'FILTER({variable} != "P. Cimiano")' in top.to_sparql()
+        names = {
+            example_graph.label_of(answer.as_dict()[variable])
+            for answer in top.evaluate(engine.evaluator)
+        }
+        assert names and "P. Cimiano" not in names
 
     def test_requires_plain_keyword(self, engine):
         with pytest.raises(ValueError):
