@@ -25,6 +25,7 @@ import threading
 import time
 from collections import Counter, OrderedDict
 from typing import (
+    Callable,
     Dict,
     FrozenSet,
     Hashable,
@@ -190,14 +191,27 @@ _ANY_POSTING = object()
 class LookupMemo:
     """keyword → match tuple, LRU-bounded, invalidated by dependency.
 
-    An entry records what its result was computed from: analyzed terms
-    (strings), element keys (tuples) and possibly :data:`_ANY_POSTING`.
-    :meth:`invalidate` drops exactly the entries that depend on a marked
-    term or element, through a dependency → keywords reverse map.  The
-    reverse map only ever names dependencies of live entries — eviction
-    and invalidation unlink what they drop — so its size is bounded by
-    ``maxsize`` × dependencies per entry however many terms the index has
-    seen come and go.
+    An entry records what its result was computed from: per keyword term
+    its *acceptance set* (the term and its lexicon relatives, the posting
+    lists the term's candidates were read from, plus
+    :data:`_ANY_POSTING` when it scanned the vocabulary), and the element
+    keys whose class contexts its matches carry.  A score reads only
+    per-term match factors and label lengths, so a posting change can
+    move an entry only through the one element whose postings changed.
+    :meth:`invalidate` therefore drops an entry that read a changed
+    posting list only when
+
+    (a) the element's label terms (old ∪ new) meet every acceptance set:
+        the element is, or was, in the keyword's intersection;
+    (b) the changed term has no live posting left: a keyword term may
+        have lost its last candidate, and its fuzzy fallback may now run;
+    (c) the entry scanned the vocabulary.
+
+    An element (class-context) mark drops every entry that depends on
+    it.  The dependency → keywords reverse map only ever names
+    dependencies of live entries — eviction and invalidation unlink what
+    they drop — so its size is bounded by ``maxsize`` × dependencies per
+    entry however many terms the index has seen come and go.
 
     A *hit* is a list served without recomputation, a *miss* a
     recomputation, ``invalidated`` counts entries dropped by updates
@@ -206,7 +220,8 @@ class LookupMemo:
 
     def __init__(self, maxsize: int):
         self._lock = threading.Lock()
-        self._entries: "OrderedDict[str, Tuple[tuple, tuple]]" = OrderedDict()
+        #: keyword -> (matches, dependencies, acceptance sets)
+        self._entries: "OrderedDict[str, Tuple[tuple, tuple, tuple]]" = OrderedDict()
         self._dependents: Dict[Hashable, Set[str]] = {}
         self.maxsize = maxsize
         #: Advances with every invalidation; :meth:`put` refuses a result
@@ -231,36 +246,66 @@ class LookupMemo:
             return entry[0]
 
     def put(
-        self, keyword: str, matches: tuple, dependencies: tuple, generation: int
+        self,
+        keyword: str,
+        matches: tuple,
+        accepted: Sequence[FrozenSet],
+        elements: Iterable[Hashable],
+        generation: int,
     ) -> None:
-        """Memoize a result computed at ``generation``, with what it
-        depends on; evicts least-recently-used entries beyond the bound."""
+        """Memoize a result computed at ``generation`` from the posting
+        lists of the ``accepted`` sets (one per keyword term) and the
+        class contexts of ``elements``; evicts least-recently-used
+        entries beyond the bound."""
+        dependencies = (*frozenset().union(*accepted), *elements)
         with self._lock:
             if generation != self.generation:
                 return
             self._drop(keyword)  # two threads may have computed it at once
-            self._entries[keyword] = (matches, dependencies)
+            self._entries[keyword] = (matches, dependencies, tuple(accepted))
             for dependency in dependencies:
                 self._dependents.setdefault(dependency, set()).add(keyword)
             while len(self._entries) > self.maxsize:
                 self._drop(next(iter(self._entries)))
 
     def invalidate(
-        self, terms: Iterable[str] = (), elements: Iterable[Hashable] = ()
+        self,
+        labels: Iterable[FrozenSet[str]],
+        elements: Iterable[Hashable],
+        live: Callable[[str], bool],
     ) -> None:
-        """Drop the entries that read the posting list of one of ``terms``
-        (and, if there is one, those that scanned the vocabulary) or that
-        carry the class context of one of ``elements``."""
-        marks = list(terms)
-        if marks:
-            marks.append(_ANY_POSTING)
-        marks.extend(elements)
+        """Drop what one maintenance step may have changed: ``labels``
+        holds, per element whose postings changed, its label terms old ∪
+        new (each names a changed posting list), ``elements`` the
+        elements whose class contexts changed, and ``live(term)`` says
+        whether a term still has a live posting.  The drop rule is the
+        class docstring's (a)-(c)."""
         with self._lock:
             self.generation += 1
-            for mark in marks:
-                for keyword in tuple(self._dependents.get(mark, ())):
-                    self._drop(keyword)
-                    self.invalidated += 1
+            dependents, entries = self._dependents, self._entries
+            doomed: Set[str] = set()
+            for label in labels:
+                if label:
+                    doomed.update(dependents.get(_ANY_POSTING, ()))
+                for term in label:
+                    keywords = dependents.get(term)
+                    if not keywords:
+                        continue
+                    if not live(term):
+                        doomed.update(keywords)
+                        continue
+                    doomed.update(
+                        keyword
+                        for keyword in keywords
+                        if not any(
+                            accepted.isdisjoint(label) for accepted in entries[keyword][2]
+                        )
+                    )
+            for element in elements:
+                doomed.update(dependents.get(element, ()))
+            for keyword in doomed:
+                self._drop(keyword)
+            self.invalidated += len(doomed)
 
     def _drop(self, keyword: str) -> None:
         entry = self._entries.pop(keyword, None)
@@ -355,8 +400,9 @@ class KeywordIndex:
     #
     # Every call advances ``version`` (the snapshot key must move with
     # every applied batch) but marks for the lookup memo only what it
-    # changed: the terms whose posting lists differ, and the elements
-    # whose class-context key set differs.
+    # changed: per element whose postings differ, its label terms old ∪
+    # new (the posting lists that changed), and the elements whose
+    # class-context key set differs.
 
     def refresh_class(self, cls: Term) -> None:
         self._refresh(
@@ -384,7 +430,7 @@ class KeywordIndex:
             self._index.unindex(key)
         if terms:
             self._index.index(key, terms)
-        self._lookup_cache.invalidate(terms={*posted, *terms})
+        self._invalidate([frozenset({*posted, *terms})])
 
     def adjust_attribute_occurrence(
         self,
@@ -401,7 +447,7 @@ class KeywordIndex:
         attribute label and the value toggle with their existence.
         """
         self.version += 1
-        terms: Set[str] = set()
+        labels = []
         elements = []
         refs = self._attribute_class_refs, self._value_occurrence_refs
         for key, existed, exists in adjust_contexts(*refs, label, value, classes, delta):
@@ -409,11 +455,15 @@ class KeywordIndex:
             if exists and not existed:
                 label_terms = self._label_terms(*key)
                 self._index.index(key, label_terms)
-                terms.update(label_terms)
+                labels.append(frozenset(label_terms))
             elif existed and not exists:
-                terms.update(self._index.posted_counts(key))
+                labels.append(frozenset(self._index.posted_counts(key)))
                 self._index.unindex(key)
-        self._lookup_cache.invalidate(terms, elements)
+        self._invalidate(labels, elements)
+
+    def _invalidate(self, labels: List[FrozenSet[str]], elements=()) -> None:
+        """Tell the lookup memo which postings and class contexts changed."""
+        self._lookup_cache.invalidate(labels, elements, self._index.__contains__)
 
     # ------------------------------------------------------------------
     # Persistence (used by repro.storage)
@@ -490,42 +540,50 @@ class KeywordIndex:
         for labels longer than the keyword (the paper's TF/IDF remark).
 
         Results are memoized per keyword (LRU, :data:`LOOKUP_CACHE_SIZE`
-        entries) together with what they were computed from — the terms
-        consulted and the elements returned — and incremental maintenance
-        drops exactly the entries that depend on something it changed
-        (:class:`LookupMemo`), so a stale list is never served and an
-        unrelated update costs nothing here.  Matches are immutable; each
-        call returns a fresh list of the shared match objects.
+        entries) together with what they were computed from — per keyword
+        term its acceptance set (the term and its lexicon relatives, and
+        the whole vocabulary when the fuzzy fallback ran), and the
+        elements whose class contexts the matches carry.  Incremental
+        maintenance drops an entry only when a change can reach its
+        answer (:class:`LookupMemo`): a changed element whose label terms
+        meet every acceptance set, a read term left with no live
+        posting, a vocabulary scan, or a changed class context.  So a
+        stale list is never served, and an update that adds a value
+        sharing one term with a multi-term keyword costs that keyword
+        nothing.  Matches are immutable; each call returns a fresh list
+        of the shared match objects.
         """
         memo = self._lookup_cache
         hit = memo.hit(keyword)
         if hit is not None:
             return list(hit)
         generation = memo.generation
-        consulted: Set[Hashable] = set()
-        matches = self._lookup_uncached(keyword, consulted)
+        accepted: List[FrozenSet] = []
+        matches = self._lookup_uncached(keyword, accepted)
         # Only A-edge and V-vertex matches read a class context.
-        consulted.update(
+        elements = [
             match.element_key
             for match in matches
             if isinstance(match, (AttributeMatch, ValueMatch))
-        )
-        memo.put(keyword, tuple(matches), tuple(consulted), generation)
+        ]
+        memo.put(keyword, tuple(matches), accepted, elements, generation)
         return matches
 
     def _lookup_uncached(
-        self, keyword: str, consulted: Optional[Set[Hashable]] = None
+        self, keyword: str, accepted: Optional[List[FrozenSet]] = None
     ) -> List[KeywordMatch]:
-        """Compute the matches; ``consulted`` (when given) collects the
-        terms whose posting lists the answer was read from."""
-        if consulted is None:
-            consulted = set()
+        """Compute the matches; ``accepted`` (when given) collects each
+        keyword term's acceptance set: the terms whose posting lists its
+        candidates were read from, and :data:`_ANY_POSTING` when it
+        scanned the vocabulary."""
+        if accepted is None:
+            accepted = []
         terms = DEFAULT_ANALYZER.analyze_unique(keyword)
         if not terms:
             return []
 
         # element_key -> (best factor, label length), per keyword term.
-        per_term = [self._term_candidates(term, consulted) for term in terms]
+        per_term = [self._term_candidates(term, accepted) for term in terms]
 
         # Intersect: every term must match.
         common = set(per_term[0])
@@ -559,10 +617,10 @@ class KeywordIndex:
         return [self._materialize(key, score) for score, key in scored[:limit]]
 
     def _term_candidates(
-        self, term: str, consulted: Set[Hashable]
+        self, term: str, accepted: List[FrozenSet]
     ) -> Dict[Hashable, Tuple[float, int]]:
         """element_key -> (best factor, label length) for one analyzed
-        term; every term looked up on the way is added to ``consulted``."""
+        term; its acceptance set is appended to ``accepted``."""
         out: Dict[Hashable, Tuple[float, int]] = {}
 
         def _offer(key: Hashable, factor: float, label_len: int) -> None:
@@ -570,17 +628,17 @@ class KeywordIndex:
             if current is None or factor > current[0]:
                 out[key] = (factor, label_len)
 
-        consulted.add(term)
+        read: Set[Hashable] = {term}
         for posting in self._index.lookup(term):
             _offer(posting.element, 1.0, posting.label_terms)
 
         for related_term, rel_factor in DEFAULT_LEXICON.related(term):
-            consulted.add(related_term)
+            read.add(related_term)
             for posting in self._index.lookup(related_term):
                 _offer(posting.element, rel_factor, posting.label_terms)
 
+        accepted.append(frozenset(read) if out else frozenset({*read, _ANY_POSTING}))
         if not out:
-            consulted.add(_ANY_POSTING)
             bound = FUZZY_MAX_DISTANCE
             for vocab_term in self._index.iter_terms():
                 if abs(len(vocab_term) - len(term)) > bound:

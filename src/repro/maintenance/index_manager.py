@@ -42,7 +42,7 @@ are dropped.
 from __future__ import annotations
 
 from itertools import chain
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.keyword.keyword_index import KeywordIndex
 from repro.query.evaluator import QueryEvaluator
@@ -212,8 +212,7 @@ class IndexManager:
     def _apply(self, adds: Iterable[Triple], removes: Iterable[Triple]) -> int:
         graph = self.graph
         # Deduplicate and drop no-ops so every batch triple really toggles.
-        adds = [t for t in dict.fromkeys(adds) if t not in graph]
-        removes = [t for t in dict.fromkeys(removes) if t in graph]
+        adds, removes = graph.effective(adds, removes)
         if not adds and not removes:
             return 0
 
@@ -224,15 +223,17 @@ class IndexManager:
             if record is not None:
                 record(self.epoch, adds, removes)
 
-        kind = graph.edge_kind
-        type_adds = [t for t in adds if kind(t) is EdgeKind.TYPE]
-        type_rems = [t for t in removes if kind(t) is EdgeKind.TYPE]
-        sub_adds = [t for t in adds if kind(t) is EdgeKind.SUBCLASS]
-        sub_rems = [t for t in removes if kind(t) is EdgeKind.SUBCLASS]
-        attr_adds = [t for t in adds if kind(t) is EdgeKind.ATTRIBUTE]
-        attr_rems = [t for t in removes if kind(t) is EdgeKind.ATTRIBUTE]
-        rel_adds = [t for t in adds if kind(t) is EdgeKind.RELATION]
-        rel_rems = [t for t in removes if kind(t) is EdgeKind.RELATION]
+        # Added and removed triples by edge kind, in batch order.
+        by_kind: Dict[EdgeKind, Tuple[List[Triple], List[Triple]]] = {
+            kind: ([], []) for kind in EdgeKind
+        }
+        for side, triples in enumerate((adds, removes)):
+            for t in triples:
+                by_kind[graph.edge_kind(t)][side].append(t)
+        type_adds, type_rems = by_kind[EdgeKind.TYPE]
+        sub_adds, sub_rems = by_kind[EdgeKind.SUBCLASS]
+        attr_adds, attr_rems = by_kind[EdgeKind.ATTRIBUTE]
+        rel_adds, rel_rems = by_kind[EdgeKind.RELATION]
 
         # -- affected derived facts ------------------------------------
         type_changed: Set[Term] = {
@@ -274,7 +275,15 @@ class IndexManager:
         occurrence_events: List[Tuple] = []
 
         def contribute(relations, attributes, delta: int) -> None:
-            types = graph.types_of
+            # Each subject's types once per side of the mutation.
+            memo: Dict[Term, FrozenSet[Term]] = {}
+
+            def types(subject: Term) -> FrozenSet[Term]:
+                found = memo.get(subject)
+                if found is None:
+                    found = memo[subject] = graph.types_of(subject)
+                return found
+
             for t in relations:
                 count_projections(
                     edge_delta, t.predicate, types(t.subject), types(t.object), delta
@@ -286,24 +295,10 @@ class IndexManager:
         contribute(chain(rel_rems, reproject), chain(attr_rems, reattribute), -1)
 
         # -- mutate the data graph -------------------------------------
-        # All-or-nothing: if any triple is rejected (strict-mode
-        # violation), the already-applied prefix is rolled back so the
-        # data graph never drifts from the not-yet-updated indexes.
-        applied_removes: List[Triple] = []
-        applied_adds: List[Triple] = []
-        try:
-            for t in removes:
-                graph.remove(t)
-                applied_removes.append(t)
-            for t in adds:
-                graph.add(t)
-                applied_adds.append(t)
-        except Exception:
-            for t in reversed(applied_adds):
-                graph.remove(t)
-            for t in reversed(applied_removes):
-                graph.add(t)
-            raise
+        # All-or-nothing: a rejected triple (strict-mode violation) leaves
+        # the data graph as it was, so it never drifts from the
+        # not-yet-updated indexes.
+        graph.apply(adds, removes)
 
         # -- increments under NEW types --------------------------------
         contribute(chain(rel_adds, reproject), chain(attr_adds, reattribute), +1)

@@ -24,9 +24,11 @@ derive, labels, edge counts per label).
 
 The graph is fully dynamic: triples may be added *and removed*, and the
 derived classification is maintained incrementally through per-term role
-reference counts — a term is a class while any type/subclass triple
-supports that role, an entity while it occurs in an entity position and is
-not a class, and so on.  This is what lets the offline indexes (keyword
+counts (:class:`RoleLedger`) — a term is a class while any type/subclass
+triple supports that role, an entity while it occurs in an entity position
+and is not a class, and so on.  A loaded bundle's graph
+(:class:`repro.storage.graph_view.MmapDataGraph`) counts an update batch's
+roles with the same ledger.  This is what lets the offline indexes (keyword
 index, summary graph) be maintained by deltas instead of rebuilt (see
 :mod:`repro.maintenance`).
 
@@ -45,7 +47,9 @@ from __future__ import annotations
 
 from collections import defaultdict
 from enum import Enum
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import (
+    Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple,
+)
 
 from repro.rdf.derivation import best_label, display_label, label_key
 from repro.rdf.namespace import LABEL_PREDICATES, SUBCLASS_PREDICATES, TYPE_PREDICATES
@@ -77,6 +81,161 @@ class GraphIntegrityError(ValueError):
     """Raised in strict mode when triples violate Definition 1."""
 
 
+#: The three role counts of a term (:class:`RoleLedger`), by index.
+CLS, TYPED, PLAIN = range(3)
+_NO_ROLES = (0, 0, 0)
+
+# Where a term's counts place it: none, class, typed entity, untyped
+# entity, value; and the vertex kind of each place.
+_NONE, _CLASS, _TYPED_ENTITY, _UNTYPED_ENTITY, _VALUE = range(5)
+_KIND_OF_PLACE = (
+    None, VertexKind.CLASS, VertexKind.ENTITY, VertexKind.ENTITY, VertexKind.VALUE
+)
+
+
+def _place(counts: Sequence[int], literal: bool) -> int:
+    cls, typed, plain = counts
+    if literal:  # only ever plain
+        return _VALUE if plain else _NONE
+    if cls:
+        return _CLASS  # class wins
+    if typed:
+        return _TYPED_ENTITY
+    return _UNTYPED_ENTITY if plain else _NONE
+
+
+class RoleLedger:
+    """How many live triples give each term each role Definition 1's
+    classification reads, and the vertex sets the counts derive.
+
+    A term's counts are ``cls``, ``typed`` and ``plain``: the triples that
+    make it a class (the object of a ``type`` edge, either end of a
+    ``subclass`` edge), the ``type`` edges that type it, and the R- and
+    A-edges it is an end of.  A literal is a V-vertex while ``plain``;
+    any other term is a C-vertex while ``cls`` (class wins), else an
+    E-vertex while ``typed`` or ``plain``, untyped without ``typed``.  A
+    ``type`` or ``subclass`` edge to a literal gives no role.
+
+    :meth:`account` counts one triple in or out, a role at a time in the
+    order ``DataGraph`` has always acquired them, and returns the
+    Definition 1 conflicts an added triple commits, each judged on the
+    kinds just before its step.
+
+    A constructed graph's ledger holds every term and has no ``probe``:
+    a term it does not hold has no role.  A loaded bundle's holds the
+    terms of one update batch: ``probe(term)`` reads a term's
+    ``(cls, typed, plain)`` from the runs the first time the batch
+    touches it, and :meth:`stats_change` is what the batch did to the
+    vertex counts.
+    """
+
+    def __init__(self, probe: Optional[Callable[[Term], Tuple[int, int, int]]] = None):
+        self._probe = probe
+        #: ``[cls, typed, plain]`` of each held term.
+        self._counts: Dict[Term, List[int]] = {}
+        #: The counts each probed term came in with.
+        self._probed: Dict[Term, Tuple[int, int, int]] = {}
+        self.classes: Set[Term] = set()
+        self.entities: Set[Term] = set()
+        self.values: Set[Literal] = set()
+        self.untyped: Set[Term] = set()
+        #: The sets a term is in, by place.
+        self._sets = (
+            (), (self.classes,), (self.entities,), (self.entities, self.untyped),
+            (self.values,),
+        )
+
+    def counts(self, term: Term) -> Tuple[int, int, int]:
+        """``(cls, typed, plain)``."""
+        return tuple(self._held(term))
+
+    def kind(self, term: Term) -> Optional[VertexKind]:
+        return _KIND_OF_PLACE[_place(self._held(term), isinstance(term, Literal))]
+
+    def _held(self, term: Term) -> Sequence[int]:
+        counts = self._counts.get(term)
+        if counts is None:
+            if self._probe is None:
+                return _NO_ROLES
+            counts = self._probed[term] = self._probe(term)
+            counts = self._hold(term, counts)
+        return counts
+
+    def _hold(self, term: Term, counts: Sequence[int]) -> List[int]:
+        held = self._counts[term] = list(counts)
+        for members in self._sets[_place(held, isinstance(term, Literal))]:
+            members.add(term)
+        return held
+
+    def account(self, triple: Triple, sign: int) -> List[str]:
+        """Count ``triple`` in (``sign`` +1) or out (-1); the conflicts
+        it commits, when added."""
+        s, p, o = triple.subject, triple.predicate, triple.object
+        if p in _SPECIAL:
+            if isinstance(o, Literal):
+                if sign < 0:
+                    return []
+                edge = "type edge with literal object" if p in TYPE_PREDICATES else (
+                    "subclass edge with literal endpoint"
+                )
+                return [f"{edge}: {triple.n3()}"]
+            first, second, literal = (TYPED if p in TYPE_PREDICATES else CLS), CLS, False
+        else:
+            first, second, literal = PLAIN, PLAIN, isinstance(o, Literal)
+        if sign < 0:
+            self._step(s, first, -1, False)
+            self._step(o, second, -1, literal)
+            return []
+        conflicts = []
+        for term, role, before in (
+            (s, first, self._step(s, first, +1, False)),
+            (o, second, self._step(o, second, +1, literal)),
+        ):
+            if role == CLS:
+                if before == _TYPED_ENTITY or before == _UNTYPED_ENTITY:
+                    conflicts.append(f"term used both as entity and class: {term}")
+            elif before == _CLASS:
+                conflicts.append(f"term used both as class and entity: {term}")
+        return conflicts
+
+    def _step(self, term: Term, role: int, change: int, literal: bool) -> int:
+        """Move ``term``'s ``role`` count by ``change``; returns its place
+        before."""
+        counts = self._counts.get(term)
+        if counts is None:
+            counts = self._held(term)
+            if counts is _NO_ROLES:
+                counts = self._counts[term] = [0, 0, 0]
+        before = _place(counts, literal)
+        counts[role] += change
+        after = _place(counts, literal)
+        if after != before:
+            for members in self._sets[before]:
+                members.discard(term)
+            for members in self._sets[after]:
+                members.add(term)
+            if after == _NONE and self._probe is None:
+                del self._counts[term]  # every term is held: none is no entry
+        return before
+
+    def stats(self) -> Dict[str, int]:
+        """The vertex counts of ``DataGraph.stats``, over the held terms."""
+        return {
+            "entities": len(self.entities),
+            "classes": len(self.classes),
+            "values": len(self.values),
+            "untyped_entities": len(self.untyped),
+        }
+
+    def stats_change(self) -> Dict[str, int]:
+        """:meth:`stats` now minus :meth:`stats` when each term was probed."""
+        then = RoleLedger()
+        for term, counts in self._probed.items():
+            then._hold(term, counts)
+        now, then = self.stats(), then.stats()
+        return {name: now[name] - then[name] for name in now}
+
+
 class DataGraph:
     """An RDF data graph with the vertex/edge classification of Definition 1.
 
@@ -100,16 +259,8 @@ class DataGraph:
         # The triples in order of first arrival (dict keys, O(1) remove).
         self._triples: Dict[Triple, None] = {}
 
-        # Role reference counts: how many stored triples support each role.
-        self._entity_refs: Dict[Term, int] = defaultdict(int)
-        self._class_refs: Dict[Term, int] = defaultdict(int)
-        self._value_refs: Dict[Literal, int] = defaultdict(int)
-
-        # Vertex classification, derived from the refcounts (class wins).
-        self._classes: Set[Term] = set()
-        self._entities: Set[Term] = set()
-        self._values: Set[Literal] = set()
-        self._untyped: Set[Term] = set()
+        # Role counts of every term, and the vertex sets they derive.
+        self._roles = RoleLedger()
 
         # R- and A-edges per label: the labels L_R / L_A are the keys.
         self._relation_counts: Dict[URI, int] = defaultdict(int)
@@ -136,194 +287,100 @@ class DataGraph:
     def add(self, triple: Triple) -> bool:
         """Add a triple; returns False if it was already present.
 
-        In strict mode, Definition 1 violations are detected *before* any
-        state is touched, so a raised :class:`GraphIntegrityError` leaves
-        the graph and its store exactly as they were.
+        In strict mode, the first Definition 1 violation raises
+        :class:`GraphIntegrityError` and leaves the graph and its store
+        exactly as they were.
         """
         if triple in self._triples:
             return False
-        if self.strict:
-            self._check_strict(triple)
-        # Stored first: the role and label updates below read the store.
+        conflicts = self._roles.account(triple, +1)
+        if conflicts:
+            if self.strict:
+                self._roles.account(triple, -1)
+                raise GraphIntegrityError(conflicts[0])
+            self.conflicts.extend(conflicts)
+        # Stored first: the label update below reads the store.
         self.store.add(triple)
         self._triples[triple] = None
-
-        s, p, o = triple
-        if p in TYPE_PREDICATES:
-            self._add_type(triple)
-        elif p in SUBCLASS_PREDICATES:
-            self._add_subclass(triple)
-        elif isinstance(o, Literal):
-            self._acquire_entity(s)
-            self._acquire_value(o)
-            self._attribute_counts[p] += 1
-            if label_key(p, o) is not None:
-                self._relabel(s)
-        else:
-            self._acquire_entity(s)
-            self._acquire_entity(o)
-            self._relation_counts[p] += 1
+        self._count_edge(triple, +1)
         return True
 
     def add_all(self, triples: Iterable[Triple]) -> int:
         """Add many triples; returns the number actually inserted."""
         return sum(1 for t in triples if self.add(t))
 
-    def _check_strict(self, triple: Triple) -> None:
-        """Raise on any Definition 1 violation this triple would commit,
-        without mutating — mirrors the conflict rules of the ``_acquire_*``
-        helpers so strict adds are atomic."""
-        s, p, o = triple
-        if p in TYPE_PREDICATES:
-            if isinstance(o, Literal):
-                raise GraphIntegrityError(f"type edge with literal object: {triple.n3()}")
-            # Acquisition's order: the subject as an entity, then the
-            # object as a class (a self-typed subject is an entity by then).
-            if s in self._classes:
-                raise GraphIntegrityError(f"term used both as class and entity: {s}")
-            if s == o or o in self._entities:
-                raise GraphIntegrityError(f"term used both as entity and class: {o}")
-        elif p in SUBCLASS_PREDICATES:
-            if isinstance(s, Literal) or isinstance(o, Literal):
-                raise GraphIntegrityError(
-                    f"subclass edge with literal endpoint: {triple.n3()}"
-                )
-            for term in (s, o):
-                if term in self._entities:
-                    raise GraphIntegrityError(
-                        f"term used both as entity and class: {term}"
-                    )
-        elif isinstance(o, Literal):
-            if s in self._classes:
-                raise GraphIntegrityError(f"term used both as class and entity: {s}")
-        else:
-            for term in (s, o):
-                if term in self._classes:
-                    raise GraphIntegrityError(
-                        f"term used both as class and entity: {term}"
-                    )
-
     def remove(self, triple: Triple) -> bool:
         """Remove a triple; returns False if it was not present.
 
         The derived classification is unwound incrementally: roles lose one
-        reference each, and a term whose class role disappears falls back
-        to being an entity if entity-positioned triples still mention it.
+        count each, and a term whose class role disappears falls back to
+        being an entity if entity-positioned triples still mention it.
         """
         if triple not in self._triples:
             return False
-        # Unstored first: the role and label updates below read the store.
+        # Unstored first: the label update below reads the store.
         self.store.remove(triple)
         del self._triples[triple]
-
-        s, p, o = triple
-        if p in TYPE_PREDICATES:
-            self._remove_type(triple)
-        elif p in SUBCLASS_PREDICATES:
-            self._remove_subclass(triple)
-        elif isinstance(o, Literal):
-            _decrement(self._attribute_counts, p)
-            if label_key(p, o) is not None:
-                self._relabel(s)
-            self._release_value(o)
-            self._release_entity(s)
-        else:
-            _decrement(self._relation_counts, p)
-            self._release_entity(o)
-            self._release_entity(s)
+        self._roles.account(triple, -1)
+        self._count_edge(triple, -1)
         return True
 
     def remove_all(self, triples: Iterable[Triple]) -> int:
         """Remove many triples; returns the number actually removed."""
         return sum(1 for t in triples if self.remove(t))
 
-    # -- type / subclass add/remove ------------------------------------
+    def effective(
+        self, adds: Iterable[Triple], removes: Iterable[Triple]
+    ) -> Tuple[List[Triple], List[Triple]]:
+        """An update batch's triples that toggle, each once: the adds that
+        are absent and the removes that are present."""
+        triples = self._triples
+        return (
+            [t for t in dict.fromkeys(adds) if t not in triples],
+            [t for t in dict.fromkeys(removes) if t in triples],
+        )
 
-    def _add_type(self, triple: Triple) -> None:
-        s, p, o = triple
-        if isinstance(o, Literal):
-            self._violation(f"type edge with literal object: {triple.n3()}")
-            return
-        self._acquire_entity(s)
-        self._acquire_class(o)
-        self._untyped.discard(s)
-        self._type_pred_counts[p] += 1
+    def apply(self, adds: Sequence[Triple], removes: Sequence[Triple]) -> None:
+        """Apply a batch :meth:`effective` returned: removes, then adds.
+        All or nothing: if an add is rejected (strict mode), the applied
+        prefix is rolled back before the error propagates."""
+        applied_removes: List[Triple] = []
+        applied_adds: List[Triple] = []
+        try:
+            for t in removes:
+                self.remove(t)
+                applied_removes.append(t)
+            for t in adds:
+                self.add(t)
+                applied_adds.append(t)
+        except Exception:
+            for t in reversed(applied_adds):
+                self.remove(t)
+            for t in reversed(applied_removes):
+                self.add(t)
+            raise
 
-    def _remove_type(self, triple: Triple) -> None:
-        s, p, o = triple
-        if isinstance(o, Literal):
-            return  # was never classified
-        if s in self._entities and not self._typed(s):
-            self._untyped.add(s)
-        _decrement(self._type_pred_counts, p)
-        self._release_class(o)
-        self._release_entity(s)
-
-    def _add_subclass(self, triple: Triple) -> None:
-        s, p, o = triple
-        if isinstance(s, Literal) or isinstance(o, Literal):
-            self._violation(f"subclass edge with literal endpoint: {triple.n3()}")
-            return
-        self._acquire_class(s)
-        self._acquire_class(o)
-        self._subclass_pred_counts[p] += 1
-
-    def _remove_subclass(self, triple: Triple) -> None:
-        s, p, o = triple
-        if isinstance(s, Literal) or isinstance(o, Literal):
-            return
-        _decrement(self._subclass_pred_counts, p)
-        self._release_class(o)
-        self._release_class(s)
-
-    # -- role reference counting ---------------------------------------
-
-    def _acquire_entity(self, term: Term) -> None:
-        self._entity_refs[term] += 1
-        if term in self._classes:
-            # Class role wins; keep the term out of the entity set.
-            self._violation(f"term used both as class and entity: {term}")
-            return
-        if term not in self._entities:
-            self._entities.add(term)
-            if not self._typed(term):
-                self._untyped.add(term)
-
-    def _release_entity(self, term: Term) -> None:
-        self._entity_refs[term] -= 1
-        if self._entity_refs[term] == 0:
-            del self._entity_refs[term]
-            self._entities.discard(term)
-            self._untyped.discard(term)
-
-    def _acquire_class(self, term: Term) -> None:
-        self._class_refs[term] += 1
-        if term in self._entities:
-            self._violation(f"term used both as entity and class: {term}")
-            self._entities.discard(term)
-            self._untyped.discard(term)
-        self._classes.add(term)
-
-    def _release_class(self, term: Term) -> None:
-        self._class_refs[term] -= 1
-        if self._class_refs[term] == 0:
-            del self._class_refs[term]
-            self._classes.discard(term)
-            if self._entity_refs.get(term, 0) > 0:
-                # The entity role resurfaces once the class role is gone.
-                self._entities.add(term)
-                if not self._typed(term):
-                    self._untyped.add(term)
-
-    def _acquire_value(self, literal: Literal) -> None:
-        self._value_refs[literal] += 1
-        self._values.add(literal)
-
-    def _release_value(self, literal: Literal) -> None:
-        self._value_refs[literal] -= 1
-        if self._value_refs[literal] == 0:
-            del self._value_refs[literal]
-            self._values.discard(literal)
+    def _count_edge(self, triple: Triple, sign: int) -> None:
+        """The per-predicate counts and the subject's label, for one
+        stored (+1) or unstored (-1) triple."""
+        p, o = triple.predicate, triple.object
+        literal = isinstance(o, Literal)
+        if p in _SPECIAL:
+            if literal:
+                return
+            counts = (
+                self._type_pred_counts if p in TYPE_PREDICATES
+                else self._subclass_pred_counts
+            )
+        elif literal:
+            counts = self._attribute_counts
+            if label_key(p, o) is not None:
+                self._relabel(triple.subject)
+        else:
+            counts = self._relation_counts
+        counts[p] += sign
+        if not counts[p]:
+            del counts[p]
 
     # -- labels ---------------------------------------------------------
 
@@ -339,11 +396,6 @@ class DataGraph:
             self._labels.pop(s, None)
         else:
             self._labels[s] = label
-
-    def _violation(self, message: str) -> None:
-        if self.strict:
-            raise GraphIntegrityError(message)
-        self.conflicts.append(message)
 
     # ------------------------------------------------------------------
     # Size / membership
@@ -368,28 +420,22 @@ class DataGraph:
 
     def vertex_kind(self, term: Term) -> Optional[VertexKind]:
         """Classify a term, or None if it does not occur as a vertex."""
-        if term in self._classes:
-            return VertexKind.CLASS
-        if term in self._entities:
-            return VertexKind.ENTITY
-        if isinstance(term, Literal) and term in self._values:
-            return VertexKind.VALUE
-        return None
+        return self._roles.kind(term)
 
     @property
     def classes(self) -> FrozenSet[Term]:
         """The C-vertices."""
-        return frozenset(self._classes)
+        return frozenset(self._roles.classes)
 
     @property
     def entities(self) -> FrozenSet[Term]:
         """The E-vertices."""
-        return frozenset(self._entities)
+        return frozenset(self._roles.entities)
 
     @property
     def values(self) -> FrozenSet[Literal]:
         """The V-vertices (shared literal nodes)."""
-        return frozenset(self._values)
+        return frozenset(self._roles.values)
 
     # ------------------------------------------------------------------
     # Edge classification (Definition 1)
@@ -448,9 +494,6 @@ class DataGraph:
         return [
             o for p in predicates for o in objects(term, p) if not isinstance(o, Literal)
         ]
-
-    def _typed(self, term: Term) -> bool:
-        return bool(self._class_objects(term, self._type_pred_counts))
 
     def _instance_buckets(self, cls: Term) -> List[Iterable[Term]]:
         if isinstance(cls, Literal):
@@ -515,12 +558,12 @@ class DataGraph:
     @property
     def untyped_entities(self) -> FrozenSet[Term]:
         """Entities with no ``type`` edge — aggregated into ``Thing``."""
-        return frozenset(self._untyped)
+        return frozenset(self._roles.untyped)
 
     @property
     def untyped_entity_count(self) -> int:
         """O(1) count of untyped entities (the ``Thing`` aggregation)."""
-        return len(self._untyped)
+        return len(self._roles.untyped)
 
     # ------------------------------------------------------------------
     # Navigation
@@ -545,16 +588,17 @@ class DataGraph:
 
     def stats(self) -> Dict[str, int]:
         """Structural counts used in the paper's Fig. 6b discussion."""
+        roles = self._roles
         return {
             "triples": len(self._triples),
-            "entities": len(self._entities),
-            "classes": len(self._classes),
-            "values": len(self._values),
+            "entities": len(roles.entities),
+            "classes": len(roles.classes),
+            "values": len(roles.values),
             "relation_labels": len(self._relation_counts),
             "attribute_labels": len(self._attribute_counts),
             "relation_edges": sum(self._relation_counts.values()),
             "attribute_edges": sum(self._attribute_counts.values()),
-            "untyped_entities": len(self._untyped),
+            "untyped_entities": len(roles.untyped),
         }
 
     def __repr__(self):
@@ -563,9 +607,3 @@ class DataGraph:
             f"DataGraph(triples={s['triples']}, entities={s['entities']}, "
             f"classes={s['classes']}, values={s['values']})"
         )
-
-
-def _decrement(counts: Dict[URI, int], key: URI) -> None:
-    counts[key] -= 1
-    if not counts[key]:
-        del counts[key]

@@ -43,9 +43,7 @@ class Triple:
         raise AttributeError("Triple is immutable")
 
     def __iter__(self) -> Iterator[Term]:
-        yield self.subject
-        yield self.predicate
-        yield self.object
+        return iter((self.subject, self.predicate, self.object))
 
     def __eq__(self, other):
         return (

@@ -5,9 +5,17 @@ offline indexes under updates, and every per-term fact that path reads is
 a count or a range over the live triples, which the
 :class:`~repro.storage.mmap_tier.MmapTripleTier` already indexes three
 ways.  So :class:`MmapDataGraph` holds no adjacency, refcounts or
-buckets: it probes the tier, derives ``vertex_kind`` by Definition 1's
-role rules (class wins, as in :class:`~repro.rdf.graph.DataGraph`, its
-oracle) and keeps only O(1) state, by delta from the bundle header.
+buckets, and keeps only O(1) state by delta from the bundle header.
+
+An update batch is accounted once.  :meth:`MmapDataGraph.apply` counts
+the batch's role changes in a :class:`~repro.rdf.graph.RoleLedger` — the
+routine a constructed :class:`~repro.rdf.graph.DataGraph`, its oracle,
+keeps its refcounts with — probing each touched term's roles from the
+runs the first time the batch touches it, and walking the batch a triple
+at a time for the conflicts and the ``stats()`` delta before the tier
+changes.  The ledger then answers ``vertex_kind`` for the batch's terms
+for the rest of the batch.  A term resolves to its tier key through the
+term table, which remembers the terms it found and its recent misses.
 
 The runs are the only stored form of the triple set, so the graph
 enumerates them: its triples come in the tier's order, not in the order
@@ -17,79 +25,20 @@ goes to the smallest lexical form, :func:`repro.rdf.derivation.label_key`).
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.rdf.derivation import best_label, display_label
-from repro.rdf.graph import _SPECIAL, DataGraph, GraphIntegrityError, VertexKind
+from repro.rdf.graph import (
+    _SPECIAL, DataGraph, GraphIntegrityError, RoleLedger, VertexKind,
+)
 from repro.rdf.namespace import LABEL_PREDICATES, SUBCLASS_PREDICATES, TYPE_PREDICATES
 from repro.rdf.terms import Literal, Term, URI
 from repro.rdf.triples import Triple
-
 from repro.storage.mmap_tier import MmapTripleTier
-_STAT_OF_KIND = {VertexKind.CLASS: "classes", VertexKind.ENTITY: "entities",
-                 VertexKind.VALUE: "values"}
 
 
-def _steps(triple: Triple) -> List[Tuple[Term, str]]:
-    """The roles ``DataGraph.add`` acquires for a triple, in its order:
-    ``ent`` / ``cls`` / ``val``, and ``typed`` for a type edge's subject.
-    A type or subclass edge to a literal acquires none."""
-    s, p, o = triple
-    literal = isinstance(o, Literal)
-    if p in TYPE_PREDICATES:
-        return [] if literal else [(s, "ent"), (s, "typed"), (o, "cls")]
-    if p in SUBCLASS_PREDICATES:
-        return [] if literal else [(s, "cls"), (o, "cls")]
-    return [(s, "ent"), (o, "val" if literal else "ent")]
-
-
-class _Roles(dict):
-    """The roles the live triples give one term, as ``DataGraph``'s
-    refcounts would: ``cls``, ``typed``, ``plain`` (an end of an R- or
-    A-edge), each probed on first lookup — as are the counts of rows with
-    the term at either end (``out`` / ``into``) that can rule them out."""
-
-    def __init__(self, graph: "MmapDataGraph", term: Term, predicates):
-        super().__init__()
-        self.graph, self.predicates = graph, predicates  # (type, subclass) keys
-        self.key = graph.store.key_of(term)
-        self.literal = isinstance(term, Literal)
-
-    def __missing__(self, role: str) -> int:
-        graph, key = self.graph, self.key
-        count = graph.store.count_keys
-        types, subclasses = self.predicates
-        special = types + subclasses
-        if role == "out":
-            found = 0 if self.literal else count(key, None, None)
-        elif role == "into":
-            found = count(None, None, key)
-        elif role == "cls":
-            found = any(count(None, p, key) for p in special) or bool(
-                self["out"]
-                and any(count(key, p, None) for p in subclasses)
-                and graph._objects(key, subclasses, literal=False)
-            )
-        elif role == "typed":
-            found = bool(self["out"] and graph._objects(key, types, literal=False))
-        else:  # plain
-            into, out = self["into"], self["out"]
-            found = bool(
-                into and into > sum(count(None, p, key) for p in special)
-                or out and out > sum(count(key, p, None) for p in special)
-            )
-        self[role] = found
-        return found
-
-    def kind(self, gained=()) -> Optional[VertexKind]:
-        """The term's vertex kind, with the roles ``gained`` added."""
-        if self.literal:
-            return VertexKind.VALUE if "val" in gained or self["plain"] else None
-        if "cls" in gained or self["cls"]:
-            return VertexKind.CLASS
-        if "ent" in gained or self["typed"] or self["plain"]:
-            return VertexKind.ENTITY
-        return None
+def _nonliteral(objects: List[Term]) -> int:
+    return sum(not isinstance(o, Literal) for o in objects)
 
 
 class MmapDataGraph:
@@ -113,107 +62,151 @@ class MmapDataGraph:
         self._stats = dict(header["stats"])
         self._type_pred_counts = dict(type_pred_counts)
         self._subclass_pred_counts = dict(subclass_pred_counts)
-        # Predicate keys: the term table never changes, so neither do they.
-        self._type = [store.key_of(p) for p in TYPE_PREDICATES]
-        self._subclass = [store.key_of(p) for p in SUBCLASS_PREDICATES]
+        self._new_batch()
 
-    # -- probes over the tier, in its key space -------------------------
+    def _new_batch(self) -> None:
+        #: The roles of the terms the batch touched, counted through it.
+        self._roles = RoleLedger(self._probe)
+        #: The type / subclass predicates with live rows, until a mutation.
+        self._special: Optional[Tuple[List[URI], List[URI]]] = None
 
-    def _roles(self, *terms: Term) -> Dict[Term, _Roles]:
-        # The type / subclass predicates that can have live rows: those the
-        # term table holds, and the others while the delta has rows of them.
-        count = self.store.count_keys
-        predicates = tuple(
-            [p for p in keys if type(p) is int or count(None, p, None)]
-            for keys in (self._type, self._subclass)
-        )
-        return {term: _Roles(self, term, predicates) for term in terms}
+    # -- probes over the tier -------------------------------------------
 
-    def _objects(self, key, predicates, literal: bool) -> List:
-        """Keys of the live (non-)literal objects of ``key`` over ``predicates``."""
-        store = self.store
+    def _live_special(self) -> Tuple[List[URI], List[URI]]:
+        """The type and the subclass predicates that can have live rows:
+        those the term table holds, and the others while the delta has
+        rows of them."""
+        if self._special is None:
+            count, key = self.store.count_keys, self.store.key_of
+            self._special = tuple(
+                [p for p in predicates if type(key(p)) is int or count(None, key(p), None)]
+                for predicates in (TYPE_PREDICATES, SUBCLASS_PREDICATES)
+            )
+        return self._special
+
+    def _objects(self, term: Term, predicates, literal: bool = False) -> List[Term]:
+        """The live (non-)literal objects of ``term`` over ``predicates``."""
         return [
-            o
-            for p in predicates
-            for o in store.access(p, s=key).objects(key)
-            if store.is_literal_key(o) == literal
+            o for p in predicates for _, _, o in self.store.match(term, p)
+            if isinstance(o, Literal) == literal
         ]
 
-    def _has_edge(self, p: URI, literal: bool) -> bool:
-        """Is there a live ``p`` A-edge (to a literal) / R-edge (not)?"""
+    def _probe(self, term: Term) -> Tuple[int, int, int]:
+        """The term's :class:`RoleLedger` counts, read from the live rows."""
         store = self.store
-        keys = store.object_keys(store.key_of(p))
-        return p not in _SPECIAL and any(store.is_literal_key(o) == literal for o in keys)
+        count, key, k = store.count_keys, store.key_of, store.key_of(term)
+        types, subclasses = self._live_special()
+        into = count(None, None, k)
+        special_into = sum(count(None, key(p), k) for p in types + subclasses) if into else 0
+        if isinstance(term, Literal):  # never a subject, never a class
+            return (0, 0, into - special_into)
+        out = count(k, None, None)
+        typing, subclassing = (
+            [o for p in predicates for _, _, o in store.match(term, p)] if out else []
+            for predicates in (types, subclasses)
+        )
+        return (
+            special_into + _nonliteral(subclassing),
+            _nonliteral(typing),
+            into - special_into + out - len(typing) - len(subclassing),
+        )
 
-    # -- mutation: the tier's, plus the header's counters by delta -------
+    def _edge_count(self, p: URI, literal: bool, cap: int) -> int:
+        """The live ``p`` A-edges (to a literal) / R-edges (not), counted
+        up to ``cap``."""
+        if p in _SPECIAL:
+            return 0
+        store, found = self.store, 0
+        for o in store.object_keys(store.key_of(p)):
+            if store.is_literal_key(o) == literal:
+                found += 1
+                if found == cap:
+                    break
+        return found
+
+    # -- mutation: one batch accounted once --------------------------------
+
+    def effective(
+        self, adds: Iterable[Triple], removes: Iterable[Triple]
+    ) -> Tuple[List[Triple], List[Triple]]:
+        """As ``DataGraph.effective``; starts a batch."""
+        self._new_batch()
+        store = self.store
+        return (
+            [t for t in dict.fromkeys(adds) if t not in store],
+            [t for t in dict.fromkeys(removes) if t in store],
+        )
+
+    def apply(self, adds: Sequence[Triple], removes: Sequence[Triple]) -> None:
+        """Apply a batch :meth:`effective` returned: removes, then adds.
+
+        The batch is accounted before anything changes: the batch's
+        :class:`RoleLedger` probes each term it touches once and walks
+        its role changes a triple at a time, as a ``DataGraph`` would, for
+        the conflicts — in strict mode the first one raises, and nothing
+        has changed — and the ``stats()`` delta.  Then the tier takes the
+        triples."""
+        roles = RoleLedger(self._probe)
+        for t in removes:
+            roles.account(t, -1)
+        conflicts = [c for t in adds for c in roles.account(t, +1)]
+        if conflicts and self.strict:
+            raise GraphIntegrityError(conflicts[0])
+        delta = self._edge_delta(adds, removes)
+        delta.update(roles.stats_change())
+
+        store = self.store
+        for t in removes:
+            store.remove(t)
+        for t in adds:
+            store.add(t)
+        # The ledger holds the rest of the batch's vertex kinds.
+        self._roles, self._special = roles, None
+        self.conflicts.extend(conflicts)
+        for name, change in delta.items():
+            self._stats[name] += change
+        for sign, triples in ((-1, removes), (1, adds)):
+            for _, p, o in triples:
+                if p in _SPECIAL and not isinstance(o, Literal):
+                    counts = (
+                        self._type_pred_counts if p in TYPE_PREDICATES
+                        else self._subclass_pred_counts
+                    )
+                    counts[p] = counts.get(p, 0) + sign
+                    if not counts[p]:
+                        del counts[p]
+
+    def _edge_delta(self, adds: Sequence[Triple], removes: Sequence[Triple]) -> Dict[str, int]:
+        """The batch's change to the triple, edge and edge-label counts."""
+        delta = dict.fromkeys(self._stats, 0)
+        delta["triples"] = len(adds) - len(removes)
+        net: Dict[Tuple[URI, bool], int] = {}
+        for sign, triples in ((-1, removes), (1, adds)):
+            for _, p, o in triples:
+                if p not in _SPECIAL:
+                    literal = isinstance(o, Literal)
+                    net[p, literal] = net.get((p, literal), 0) + sign
+        for (p, literal), change in net.items():
+            edge = "attribute" if literal else "relation"
+            delta[f"{edge}_edges"] += change
+            # Enough rows to tell whether the label outlives the batch.
+            had = self._edge_count(p, literal, cap=1 - change if change < 0 else 1)
+            delta[f"{edge}_labels"] += (had + change > 0) - (had > 0)
+        return delta
 
     def add(self, triple: Triple) -> bool:
         """Add a triple; False if it is present.  In strict mode the first
         Definition 1 conflict it would record raises, before anything
         changes."""
-        if triple in self.store:
-            return False
-        delta, conflicts = self._account(triple)
-        if conflicts and self.strict:
-            raise GraphIntegrityError(conflicts[0])
-        self.store.add(triple)
-        self.conflicts.extend(conflicts)
-        self._apply(triple, delta, +1)
-        return True
+        adds, _ = self.effective([triple], ())
+        self.apply(adds, ())
+        return bool(adds)
 
     def remove(self, triple: Triple) -> bool:
         """Remove a triple; False if it is absent."""
-        if not self.store.remove(triple):
-            return False
-        self._apply(triple, self._account(triple)[0], -1)
-        return True
-
-    def _account(self, triple: Triple) -> Tuple[Dict[str, int], List[str]]:
-        """Probed in the graph without the triple: ``stats()`` with it
-        minus ``stats()`` without it, and the conflicts ``DataGraph.add``
-        records for it (each role step judged on the kinds before it)."""
-        s, p, o = triple
-        roles = self._roles(s, o)
-        delta = dict.fromkeys(self._stats, 0)
-        delta["triples"] = 1
-        conflicts: List[str] = []
-        if p in _SPECIAL and isinstance(o, Literal):
-            edge = "type edge with literal object" if p in TYPE_PREDICATES else (
-                "subclass edge with literal endpoint"
-            )
-            conflicts.append(f"{edge}: {triple.n3()}")
-        gains: Dict[Term, Set[str]] = {}
-        for term, role in _steps(triple):
-            kind = roles[term].kind(gains.setdefault(term, set()))
-            if role == "ent" and kind is VertexKind.CLASS:
-                conflicts.append(f"term used both as class and entity: {term}")
-            elif role == "cls" and kind is VertexKind.ENTITY:
-                conflicts.append(f"term used both as entity and class: {term}")
-            gains[term].add(role)
-        for term, gained in gains.items():
-            role = roles[term]
-            for extra, sign in ((gained, 1), ((), -1)):
-                kind = role.kind(extra)
-                if kind is not None:
-                    delta[_STAT_OF_KIND[kind]] += sign
-                if kind is VertexKind.ENTITY and not ("typed" in extra or role["typed"]):
-                    delta["untyped_entities"] += sign
-        if p not in _SPECIAL:
-            edge = "attribute" if isinstance(o, Literal) else "relation"
-            delta[f"{edge}_edges"] = 1
-            delta[f"{edge}_labels"] = int(not self._has_edge(p, edge == "attribute"))
-        return delta, conflicts
-
-    def _apply(self, triple: Triple, delta: Dict[str, int], sign: int) -> None:
-        for name, change in delta.items():
-            self._stats[name] += sign * change
-        s, p, o = triple
-        typed = p in TYPE_PREDICATES
-        if (typed or p in SUBCLASS_PREDICATES) and not isinstance(o, Literal):
-            counts = self._type_pred_counts if typed else self._subclass_pred_counts
-            counts[p] = counts.get(p, 0) + sign
-            if not counts[p]:
-                del counts[p]
+        _, removes = self.effective((), [triple])
+        self.apply((), removes)
+        return bool(removes)
 
     # -- per-term facts --------------------------------------------------
 
@@ -224,43 +217,36 @@ class MmapDataGraph:
         return triple in self.store
 
     def vertex_kind(self, term: Term) -> Optional[VertexKind]:
-        return self._roles(term)[term].kind()
+        return self._roles.kind(term)
 
     def types_of(self, entity: Term) -> FrozenSet[Term]:
-        keys = self._objects(self.store.key_of(entity), self._type, literal=False)
-        return frozenset(map(self.store.term_of, keys))
+        return frozenset(self._objects(entity, self._live_special()[0]))
 
     def instances_of(self, cls: Term) -> FrozenSet[Term]:
         if isinstance(cls, Literal):  # a type edge to a literal types nothing
             return frozenset()
-        store = self.store
-        key = store.key_of(cls)
-        subjects = (s for p in self._type for s in store.access(p, o=key).subjects(key))
-        return frozenset(map(store.term_of, subjects))
+        types = self._live_special()[0]
+        return frozenset(s for p in types for s, _, _ in self.store.match(None, p, cls))
 
     def instance_count(self, cls: Term) -> int:
-        key = self.store.key_of(cls)
-        counts = [self.store.count_keys(None, p, key) for p in self._type]
+        store = self.store
+        key, count = store.key_of(cls), store.count_keys
+        counts = [count(None, store.key_of(p), key) for p in self._live_special()[0]]
         if isinstance(cls, Literal) or sum(map(bool, counts)) > 1:
             return len(self.instances_of(cls))  # none, or typed twice over
         return sum(counts)
 
     def superclasses_of(self, cls: Term) -> FrozenSet[Term]:
-        keys = self._objects(self.store.key_of(cls), self._subclass, literal=False)
-        return frozenset(map(self.store.term_of, keys))
+        return frozenset(self._objects(cls, self._live_special()[1]))
 
     def has_relation_label(self, label: URI) -> bool:
-        return self._has_edge(label, literal=False)
+        return self._edge_count(label, literal=False, cap=1) > 0
 
     def label_of(self, term: Term) -> str:
         """As ``DataGraph.label_of``: the term's ``best_label`` over its
         live label-predicate rows."""
-        store = self.store
-        key = store.key_of(term)
         label = best_label(
-            (p, store.term_of(o))
-            for p in LABEL_PREDICATES
-            for o in self._objects(key, [store.key_of(p)], literal=True)
+            (p, o) for p in LABEL_PREDICATES for o in self._objects(term, [p], literal=True)
         )
         return display_label(term, label)
 

@@ -237,6 +237,49 @@ def test_named_hazards(tmp_path_factory, tier):
     check(engine, "no-op refresh")
     assert memo_stats(engine) == (hits + 2 * len(KEYWORDS), misses, invalidated)
 
+    # A value sharing one term with a multi-term keyword: "student council"
+    # is posted under "student" but not under "graduat", so it is not, and
+    # never was, in the intersection of "graduate student".
+    council = Triple(N.e3, N.name, Literal("student council"))
+    assert index.lookup("council professor") == []  # no element has both
+    engine.remove_triples([council])
+    assert served_from_memo(engine, "graduate student")
+    # But "council" lost its last posting: that keyword term now falls
+    # back to the fuzzy scan, whatever the other term matches.
+    assert not served_from_memo(engine, "council professor")
+    check(engine, "council gone")
+    engine.add_triples([council])
+    assert served_from_memo(engine, "graduate student")
+    check(engine, "council back")
+
+    # A value covering every term of the keyword is in its intersection.
+    handbook = Triple(N.e2, N.title, Literal("graduate student handbook"))
+    engine.add_triples([handbook])
+    assert not served_from_memo(engine, "graduate student")
+    check(engine, "handbook")
+    engine.remove_triples([handbook])
+    assert not served_from_memo(engine, "graduate student")
+    check(engine, "handbook gone")
+
+    # A value matching "student" only through the lexicon covers the
+    # single-term keyword, not "graduate student".
+    pupil = Triple(N.e1, N.title, Literal("pupil"))
+    engine.add_triples([pupil])
+    assert not served_from_memo(engine, "student")
+    assert served_from_memo(engine, "graduate student")
+    check(engine, "pupil")
+
+    # The last live posting of one term of a multi-term keyword goes:
+    # nothing in the (empty) intersection changed, but "studet" now takes
+    # its candidates from the fuzzy fallback, which finds "student".
+    multi = "studet student"
+    assert index.lookup(multi) == []
+    engine.remove_triples([Triple(N.e1, N.title, Literal("studet"))])
+    assert not served_from_memo(engine, multi)
+    assert describe(index.lookup(multi)) == describe(index._lookup_uncached(multi))
+    assert index.lookup(multi)
+    check(engine, "studet gone")
+
     # And the incrementally maintained index still answers like a fresh one.
     fresh = KeywordIndex(DataGraph(engine.graph.triples))
     for keyword in KEYWORDS:

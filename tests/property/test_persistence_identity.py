@@ -385,6 +385,46 @@ def test_wal_replay_random_batches(tmp_path_factory, initial, updates):
 
 
 @given(
+    initial=st.lists(any_triple, min_size=3, max_size=15),
+    updates=st.lists(
+        st.tuples(st.lists(any_triple, max_size=4), st.lists(any_triple, max_size=4)),
+        min_size=1,
+        max_size=5,
+    ),
+    strict=st.booleans(),
+)
+@settings(max_examples=40, deadline=None)
+def test_a_mixed_batch_accounts_as_the_constructor(tmp_path_factory, initial, updates, strict):
+    """A loaded graph accounts a batch of removes and adds at once; a
+    ``DataGraph`` applies the same batch a triple at a time.  Both come
+    out with the same stats and the same conflicts in the same order,
+    and a strict pair raises the same first conflict and changes
+    nothing."""
+    from hypothesis import assume
+    from repro.rdf.graph import GraphIntegrityError
+
+    try:
+        reference = DataGraph(initial, strict=strict)
+    except GraphIntegrityError:
+        assume(False)
+    path = tmp_path_factory.mktemp("mixed") / "engine.reprobundle"
+    KeywordSearchEngine(DataGraph(initial, strict=strict)).save(path)
+    live = KeywordSearchEngine.load(path, attach_wal=False)
+    for adds, removes in updates:
+        expected = got = None
+        try:
+            reference.apply(*reference.effective(adds, removes))
+        except GraphIntegrityError as exc:
+            expected = str(exc)
+        try:
+            live.index_manager.apply_batch(adds=adds, removes=removes)
+        except GraphIntegrityError as exc:
+            got = str(exc)
+        assert got == expected
+        assert_same_graph(live.graph, reference, UNIVERSE)
+
+
+@given(
     values=st.lists(st.sampled_from(VALUES), min_size=2, max_size=3, unique=True),
     data=st.data(),
 )

@@ -163,6 +163,94 @@ def test_strict_mode_batch_failure_rolls_back(engine):
     assert good in strict_engine.store
 
 
+def test_strict_loaded_bundle_rejects_a_batch_atomically(tmp_path):
+    """The loaded twin of the test above: a bundle saved from a strict
+    graph, served with its delta log, refuses a ``[good, bad]`` batch
+    whole — the first conflict raises, and the graph, its store, the
+    epoch and the log are as they were."""
+    from repro.rdf.graph import GraphIntegrityError
+
+    path = tmp_path / "strict.reprobundle"
+    KeywordSearchEngine(DataGraph(running_example_graph().triples, strict=True)).save(path)
+    loaded = KeywordSearchEngine.load(path)
+    graph, log = loaded.graph, loaded.delta_log
+    assert graph.strict and log is not None
+    first = Triple(URI("e:first"), URI("e:knows"), URI("e:other"))
+    assert loaded.add_triples([first]) == 1  # the log holds a committed entry
+
+    good = Triple(URI("e:new"), URI("e:knows"), URI("e:other"))
+    bad = Triple(URI("e:new"), URI("e:knows"), EX.Publication)  # a class as object
+    relaxed = DataGraph([*running_example_graph().triples, first, good])
+    relaxed.add(bad)
+    expected = relaxed.conflicts[-1]
+
+    def state():
+        return (
+            graph.stats(), list(graph.conflicts), len(loaded.store),
+            loaded.index_manager.epoch, log.committed_entries(),
+        )
+
+    before = state()
+    with pytest.raises(GraphIntegrityError) as raised:
+        loaded.add_triples([good, bad])
+    assert str(raised.value) == expected
+    assert state() == before
+    assert good not in loaded.store and good not in graph
+    assert loaded.add_triples([good]) == 1
+    assert good in loaded.store
+    assert len(log.committed_entries()) == len(before[-1]) + 1
+    assert loaded.index_manager.epoch == before[3] + 1
+
+
+def test_a_loaded_batch_does_work_in_proportion_to_its_terms(tmp_path, monkeypatch):
+    """A steady update batch on a loaded bundle (ten new entities typed
+    and named in, the ten of five batches ago out) bisects the term table
+    about once per distinct term (the table remembers what it looked up),
+    probes the runs a few times per term, and never enumerates the graph."""
+    from repro.datasets.lubm import UB, LubmConfig, iter_lubm_triples
+    from repro.storage import mmap_tier
+    from repro.storage.graph_view import MmapDataGraph
+    from repro.storage.mmap_tier import MmapTermTable, MmapTripleTier
+
+    def batch(index):
+        entities = [URI(f"http://example.org/steady/e{index}x{j}") for j in range(10)]
+        return [
+            t for j, e in enumerate(entities)
+            for t in (Triple(e, RDF.type, UB.GraduateStudent),
+                      Triple(e, UB.name, Literal(f"zqx{index}n{j}")))
+        ]
+
+    path = tmp_path / "lubm.reprobundle"
+    KeywordSearchEngine(DataGraph(iter_lubm_triples(LubmConfig(universities=1)))).save(path)
+    loaded = KeywordSearchEngine.load(path, attach_wal=False)
+    for index in range(6):
+        loaded.index_manager.apply_batch(adds=batch(index), removes=batch(index - 5))
+
+    calls = {"term_bisects": 0, "count_keys": 0}
+    find_sorted, count_keys = mmap_tier._find_sorted, MmapTripleTier.count_keys
+
+    def counted_find(permutation, key_of, probe):
+        if getattr(key_of, "__func__", None) is MmapTermTable._record_key:
+            calls["term_bisects"] += 1
+        return find_sorted(permutation, key_of, probe)
+
+    def counted_count(self, *keys):
+        calls["count_keys"] += 1
+        return count_keys(self, *keys)
+
+    def no_enumeration(self):
+        raise AssertionError("an update enumerated the graph")
+
+    monkeypatch.setattr(mmap_tier, "_find_sorted", counted_find)
+    monkeypatch.setattr(MmapTripleTier, "count_keys", counted_count)
+    monkeypatch.setattr(MmapDataGraph, "__iter__", no_enumeration)
+    adds, removes = batch(6), batch(1)
+    assert loaded.index_manager.apply_batch(adds=adds, removes=removes) == 40
+    terms = {term for t in adds + removes for term in t}  # 43
+    assert calls["term_bisects"] <= len(terms) + 10, calls
+    assert calls["count_keys"] <= 3 * len(terms), calls
+
+
 def test_an_engine_serves_its_graphs_one_store(engine, tmp_path):
     """Constructed, loaded and maintained alike, the store queries run on
     is the data graph's own: an update reaches it through the graph, and
@@ -198,8 +286,9 @@ def test_strict_add_is_atomic():
     with pytest.raises(GraphIntegrityError):
         graph.add(refused)
     assert URI("e:b") not in graph.entities
-    assert not graph._entity_refs.get(URI("e:b"))
-    assert not graph._entity_refs.get(URI("e:C"))
+    # No role count moved: e:b holds none, e:C only its class role.
+    assert graph._roles.counts(URI("e:b")) == (0, 0, 0)
+    assert graph._roles.counts(URI("e:C")) == (1, 0, 0)
     assert refused not in graph.store and len(graph.store) == 1
     assert list(graph.store.match()) == [Triple(URI("e:a"), RDF.type, URI("e:C"))]
     assert graph.store.count(None, URI("e:knows"), None) == 0

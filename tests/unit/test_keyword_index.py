@@ -151,6 +151,11 @@ class TestMatchObjects:
             m.score = 1.0
 
 
+def live(term):
+    """Every term keeps a posting: only the acceptance sets decide."""
+    return True
+
+
 def links(memo):
     """(dependency, keyword) pairs the memo's reverse map holds."""
     return sum(len(keywords) for keywords in memo._dependents.values())
@@ -258,21 +263,22 @@ class TestLookupCache:
     def test_result_computed_before_an_invalidation_is_not_stored(self):
         memo = LookupMemo(4)
         generation = memo.generation
-        memo.invalidate(terms=["student"])  # an update lands while it is computed
-        memo.put("student", ("stale",), ("student",), generation)
+        # An update lands while it is computed.
+        memo.invalidate([frozenset({"student"})], (), live)
+        memo.put("student", ("stale",), [frozenset({"student"})], (), generation)
         assert memo.hit("student") is None
         assert links(memo) == 0
 
     def test_eviction_and_invalidation_unlink_their_dependencies(self):
         memo = LookupMemo(2)
-        memo.put("a", (1,), ("t1", "shared"), memo.generation)
-        memo.put("b", (2,), ("t2", "shared"), memo.generation)
-        memo.put("c", (3,), ("t3",), memo.generation)  # evicts "a"
+        memo.put("a", (1,), [frozenset({"t1", "shared"})], (), memo.generation)
+        memo.put("b", (2,), [frozenset({"t2", "shared"})], (), memo.generation)
+        memo.put("c", (3,), [frozenset({"t3"})], (), memo.generation)  # evicts "a"
         assert memo.hit("a") is None
         assert links(memo) == 3
-        memo.invalidate(terms=["t1"])  # names nothing live any more
+        memo.invalidate([frozenset({"t1"})], (), live)  # names nothing live any more
         assert memo.cache_stats()["invalidated"] == 0
-        memo.invalidate(terms=["shared"])
+        memo.invalidate([frozenset({"shared"})], (), live)
         assert memo.hit("b") is None and memo.hit("c") == (3,)
         assert memo.cache_stats()["invalidated"] == 1
         assert links(memo) == 1

@@ -73,10 +73,10 @@ def _hammer_memo(memo, seed, failures, barrier):
             if op < 0.45:
                 memo.hit(f"kw{key}")
             elif op < 0.90:
-                terms = tuple(f"t{(key + j) % KEYSPACE}" for j in range(3))
-                memo.put(f"kw{key}", (key,), terms, memo.generation)
+                terms = frozenset(f"t{(key + j) % KEYSPACE}" for j in range(3))
+                memo.put(f"kw{key}", (key,), [terms], (), memo.generation)
             else:
-                memo.invalidate(terms=[f"t{key}"], elements=[("value", key)])
+                memo.invalidate([frozenset({f"t{key}"})], [("value", key)], lambda term: True)
     except BaseException as exc:  # noqa: BLE001 - the assertion target
         failures.append(exc)
 
@@ -113,7 +113,7 @@ def test_lookup_memo_reverse_map_stays_consistent_under_contention():
     }
     assert links == {
         (dependency, keyword)
-        for keyword, (_, dependencies) in memo._entries.items()
+        for keyword, (_, dependencies, _) in memo._entries.items()
         for dependency in dependencies
     }
     stats = memo.cache_stats()

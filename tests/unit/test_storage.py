@@ -125,6 +125,28 @@ def test_term_table_round_trip():
             assert decoded.index(term.datatype) < index
 
 
+def test_term_table_tells_apart_literals_sharing_their_text():
+    """Literals that differ only in datatype or language, or share a
+    prefix, are distinct records; a term the table lacks is absent,
+    whatever its text (a lone surrogate included)."""
+    integer = URI("http://www.w3.org/2001/XMLSchema#integer")
+    decimal = URI("http://www.w3.org/2001/XMLSchema#decimal")
+    terms = [
+        Literal("1"), Literal("1", datatype=integer), Literal("1", datatype=decimal),
+        Literal("1", language="en"), Literal("1", language="de"), URI("1"),
+        Literal("10"), Literal("ü"), Literal("z"),
+    ]
+    interner = TermInterner()
+    for term in terms:
+        interner.id(term)
+    table = _term_table(interner.terms, interner.id)
+    assert [table.id_of(t) for t in interner.terms] == list(range(len(interner.terms)))
+    for absent in (
+        Literal("1", language="fr"), Literal("2"), BNode("1"), Literal("y"), Literal("\ud800"),
+    ):
+        assert table.id_of(absent) is None
+
+
 def test_term_table_resolves_a_miss_once_within_a_bound(monkeypatch):
     """An update batch probes each of its new terms many times: a miss
     is one bisect, remembered — in a memo the table keeps bounded."""
