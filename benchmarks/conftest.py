@@ -9,6 +9,7 @@ figure-shaped outputs behind.
 """
 
 import os
+import sys
 from collections import defaultdict
 
 import pytest
@@ -25,6 +26,15 @@ from repro.datasets import (
 )
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
+
+# The reference loops live in tests/ (the Section VI-C ablation truncates
+# the reference exploration); `pytest benchmarks/` alone would not put
+# that directory on the path.
+_TESTS_DIR = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tests"
+)
+if _TESTS_DIR not in sys.path:
+    sys.path.insert(0, _TESTS_DIR)
 
 _REPORTS = defaultdict(list)
 

@@ -7,7 +7,7 @@ itself is unavailable offline, so :func:`metis_like_partition` implements
 the same recipe METIS popularized — multilevel coarsening by heavy-edge
 matching, greedy partitioning of the coarse graph, Kernighan–Lin-style
 boundary refinement — at the quality level this workload needs
-(DESIGN.md §4).
+(docs/architecture.md "Documented deviations").
 """
 
 from __future__ import annotations

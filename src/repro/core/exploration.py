@@ -768,9 +768,7 @@ def seed_threshold(m, dists, seed_costs, row_of, costs, k, dmax) -> float:
 # ----------------------------------------------------------------------
 
 
-def explore_soa(
-    seed_lists, m, view, bounds, candidates, k, dmax, max_cursors, threshold=_INF
-):
+def explore_soa(seed_lists, m, view, bounds, candidates, k, dmax, threshold=_INF):
     """The cost-ordered pop loop on structure-of-arrays cursors.
 
     ``seed_lists[i]`` holds ``(element, cost)`` origin pairs in canonical
@@ -883,7 +881,6 @@ def explore_soa(
     pruned = 0
     max_queue = 0
     terminated_by = "exhausted"
-    budget = _INF if max_cursors is None else max_cursors
     hpop = heappop
     hpush = heappush
 
@@ -1061,10 +1058,6 @@ def explore_soa(
             terminated_by = "threshold"
             break
 
-        if created >= budget:
-            terminated_by = "budget"
-            break
-
     if dup_offers:
         # Duplicate offers rejected by the inline pre-check are still
         # offers: the counter is flushed once.
@@ -1078,7 +1071,6 @@ def explore_top_k(
     element_costs,
     k: int = 10,
     dmax: int = DEFAULT_DMAX,
-    max_cursors: Optional[int] = None,
     guided: bool = True,
     use_vectorized: Optional[bool] = None,
 ) -> ExplorationResult:
@@ -1097,17 +1089,6 @@ def explore_top_k(
     dmax:
         Maximum path length in elements; cursors at distance ``dmax`` are
         registered but not expanded.
-    max_cursors:
-        Optional safety bound on total cursor creations; exceeding it stops
-        exploration and returns the best candidates found so far
-        (``terminated_by == "budget"``).  The budget counts cursors
-        actually created: a child the bounds reject before it gets a
-        cursor is counted in ``cursors_pruned``, not here.  Since the
-        bounds compare against the seed threshold from the first pop,
-        few cursors are spent before the candidate list saturates, so a
-        given budget reaches further than it did unseeded.  A run the
-        budget stops is returned as it is — the seed is only judged on a
-        run that finished.
     guided:
         ``True`` (default): the completion bounds of Section VI-A/IX
         ("indexing connectivity") are part of the algorithm — per-keyword
@@ -1197,7 +1178,7 @@ def explore_top_k(
 
     candidates = CandidateList(k)
     created, popped, pruned, max_queue, terminated_by = explore_soa(
-        seed_lists, m, view, bounds, candidates, k, dmax, max_cursors, threshold
+        seed_lists, m, view, bounds, candidates, k, dmax, threshold
     )
     # The seed is checked, not trusted.  Every cursor it pruned had
     # cost + bound >= threshold, so whatever that cursor could have
@@ -1205,17 +1186,12 @@ def explore_top_k(
     # candidates below it lost nothing that belongs in the answer (nor
     # anything that ties with its last entry) and is the unseeded run's
     # list.  A run that does not — a witness the loop's per-element cap of
-    # k paths kept it from assembling — is repeated without the seed.  A
-    # budget stop is no verdict on the seed and returns what it found.
-    seed_fallback = (
-        threshold != _INF
-        and terminated_by != "budget"
-        and candidates.kth_cost() >= threshold
-    )
+    # k paths kept it from assembling — is repeated without the seed.
+    seed_fallback = threshold != _INF and candidates.kth_cost() >= threshold
     if seed_fallback:
         candidates = CandidateList(k)
         created, popped, pruned, max_queue, terminated_by = explore_soa(
-            seed_lists, m, view, bounds, candidates, k, dmax, max_cursors
+            seed_lists, m, view, bounds, candidates, k, dmax
         )
     decode = view.decode
     return ExplorationResult(

@@ -10,9 +10,10 @@ constant.  The paper's mapping rules are applied exhaustively:
 * **R-edge** → ``type`` atoms for both endpoints plus
   ``e(var(v1), var(v2))``.
 
-Documented deviations (DESIGN.md §5): ``type(x, Thing)`` atoms are dropped
-(Thing aggregates exactly the *untyped* entities, so the atom would never
-hold in the data), and subclass edges map to the ground atom
+Documented deviations (docs/architecture.md "Documented deviations"):
+``type(x, Thing)`` atoms are dropped (Thing aggregates exactly the
+*untyped* entities, so the atom would never hold in the data), and
+subclass edges map to the ground atom
 ``subclass(constant(v1), constant(v2))`` — the paper omits their rule, and
 the instance-level reading would be unsatisfiable.
 """
@@ -114,7 +115,7 @@ def map_to_query(
                 # A class-level self-loop stands for instance pairs *within*
                 # one class (a publication citing another publication), not
                 # self-relations — give the target a fresh variable
-                # (documented deviation, DESIGN.md §5).
+                # (a documented deviation, docs/architecture.md).
                 target_key = ("loop-target", edge_key)
             if target.kind is CLASS:
                 obj = _variable(variables, target_key)

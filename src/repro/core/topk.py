@@ -43,42 +43,23 @@ class CandidateList:
         self.accepted = 0
 
     def offer(self, subgraph: MatchingSubgraph) -> bool:
-        """Insert a candidate; returns True if the list changed."""
-        return self.offer_lazy(
-            subgraph.canonical_key, subgraph.cost, lambda: subgraph
-        )
-
-    def offer_lazy(self, key, cost: float, build) -> bool:
-        """:meth:`offer` with deferred subgraph construction.
-
-        The vectorized exploration loop knows a combination's element set
-        and cost before materializing the :class:`MatchingSubgraph`;
-        passing them with a ``build`` thunk lets the (frequent) duplicate
-        offers — same element set at equal-or-higher cost — return without
-        constructing anything.  Semantics, counters and ordering are
-        exactly :meth:`offer`'s.
-        """
-        self.offered += 1
+        """Insert a candidate; returns True if the list changed.  A
+        duplicate — same element set at equal-or-higher cost — is counted
+        as offered and rejected."""
+        key = subgraph.canonical_key
         existing = self._by_key.get(key)
-        if existing is not None and cost >= existing.cost:
+        if existing is not None and subgraph.cost >= existing.cost:
+            self.offered += 1
             return False
-        subgraph = build()
-        if existing is not None:
-            self._remove(existing)
-        self._by_key[key] = subgraph
-        self._seq += 1
-        insort(self._sorted, (subgraph.cost, subgraph.order_key, self._seq, subgraph))
-        self.accepted += 1
-        self._trim()
+        self.accept(key, existing, subgraph)
         return True
 
     def accept(self, key, existing, subgraph: MatchingSubgraph) -> None:
-        """:meth:`offer_lazy`'s accept path for callers that performed
-        the duplicate pre-check themselves (the vectorized exploration
-        loop): ``existing`` is the current holder of ``key`` (or None),
-        already known to cost more.  Counters and ordering are exactly
-        :meth:`offer`'s; rejected duplicates must be added to
-        :attr:`offered` separately by the caller."""
+        """:meth:`offer`'s accept path, which the exploration loop calls
+        directly after its own inline duplicate pre-check: ``existing`` is
+        the current holder of ``key`` (or None), already known to cost
+        more.  Rejected duplicates must be added to :attr:`offered`
+        separately by such a caller."""
         self.offered += 1
         if existing is not None:
             self._remove(existing)

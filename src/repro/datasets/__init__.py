@@ -3,7 +3,8 @@
 The paper evaluates on DBLP (26M triples), TAP (220k triples), and
 LUBM(50,0).  None of those dumps is available offline, so this package
 generates structurally equivalent data at configurable scale — see
-DESIGN.md §4 for the substitution argument — plus the keyword-query
+docs/architecture.md "Documented deviations" for the substitution
+argument — plus the keyword-query
 workloads with ground-truth intent used by the Fig. 4/5/6 benchmarks.
 """
 

@@ -2,7 +2,8 @@
 
 The paper's DBLP dump (26M triples) is neither redistributable nor
 laptop-sized; this generator reproduces the *structural regime* the paper's
-algorithms are sensitive to (DESIGN.md §4):
+algorithms are sensitive to (docs/architecture.md "Documented
+deviations"):
 
 * very few classes and relations → tiny summary graph;
 * very many V-vertices (titles, names, years) → large keyword index;

@@ -8,7 +8,6 @@ improving the keyword-to-element mapping.
 
 from __future__ import annotations
 
-import math
 from typing import Dict, Hashable, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 
@@ -106,12 +105,6 @@ class InvertedIndex:
 
     def document_frequency(self, term: str) -> int:
         return len(self._postings.get(term, ()))
-
-    def idf(self, term: str) -> float:
-        """Smoothed inverse document frequency."""
-        n = max(len(self._indexed_elements), 1)
-        df = self.document_frequency(term)
-        return math.log((n + 1) / (df + 1)) + 1.0
 
     @property
     def element_count(self) -> int:

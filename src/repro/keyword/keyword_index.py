@@ -73,9 +73,6 @@ class KeywordMatch:
         """A hashable identity for the matched graph element."""
         raise NotImplementedError
 
-    def with_score(self, score: float) -> "KeywordMatch":
-        raise NotImplementedError
-
 
 class ClassMatch(KeywordMatch):
     """The keyword names a C-vertex (a class)."""
@@ -89,9 +86,6 @@ class ClassMatch(KeywordMatch):
     @property
     def element_key(self) -> Hashable:
         return ("class", self.cls)
-
-    def with_score(self, score: float) -> "ClassMatch":
-        return ClassMatch(self.cls, score)
 
     def __repr__(self):
         return f"ClassMatch({self.cls}, score={self.score:.3f})"
@@ -109,9 +103,6 @@ class RelationMatch(KeywordMatch):
     @property
     def element_key(self) -> Hashable:
         return ("relation", self.label)
-
-    def with_score(self, score: float) -> "RelationMatch":
-        return RelationMatch(self.label, score)
 
     def __repr__(self):
         return f"RelationMatch({local_name(self.label)}, score={self.score:.3f})"
@@ -134,9 +125,6 @@ class AttributeMatch(KeywordMatch):
     @property
     def element_key(self) -> Hashable:
         return ("attribute", self.label)
-
-    def with_score(self, score: float) -> "AttributeMatch":
-        return AttributeMatch(self.label, self.classes, score)
 
     def __repr__(self):
         return f"AttributeMatch({local_name(self.label)}, score={self.score:.3f})"
@@ -164,9 +152,6 @@ class ValueMatch(KeywordMatch):
     @property
     def element_key(self) -> Hashable:
         return ("value", self.value)
-
-    def with_score(self, score: float) -> "ValueMatch":
-        return ValueMatch(self.value, self.occurrences, score)
 
     def __repr__(self):
         return f"ValueMatch({self.value.lexical!r}, score={self.score:.3f})"

@@ -7,7 +7,8 @@ covering the vocabulary of the bundled datasets (bibliographic, academic,
 and the TAP-style domains) — the *code path* (semantic expansion with a
 relation-dependent score factor) is identical, only the coverage is smaller.
 Entries are stored over **stemmed** terms so expansion composes with the
-analyzer.  See DESIGN.md §4 for the substitution rationale.
+analyzer.  See docs/architecture.md "Documented deviations" for the
+substitution rationale.
 """
 
 from __future__ import annotations

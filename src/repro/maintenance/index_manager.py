@@ -90,7 +90,7 @@ class IndexManager:
         #: Together with the summary/keyword-index version counters this
         #: is the serving layer's notion of "which state am I reading".
         self.epoch: int = 0
-        self._listeners: List[Tuple[int, int, Callable[[], None]]] = []
+        self._listeners: List[Callable[[], None]] = []
         self._epoch_hooks: List[
             Tuple[
                 Optional[Callable[[int], None]],
@@ -103,7 +103,7 @@ class IndexManager:
     # Public API
     # ------------------------------------------------------------------
 
-    def add_listener(self, callback: Callable[[], None], priority: int = 0) -> None:
+    def add_listener(self, callback: Callable[[], None]) -> None:
         """Register a callable invoked after every applied update batch.
 
         This is the invalidation hook for query-time caches that live
@@ -115,16 +115,14 @@ class IndexManager:
         Ordering guarantees: listeners run only after *every* structure
         (data graph and its triple store, keyword index, summary graph)
         reflects the batch and the version counters have advanced; they run in
-        ascending ``priority``, ties in registration order, so cache
-        invalidation (priority 0, registered by the engine constructor)
-        always precedes later-registered observers such as service stats.
+        registration order, so cache invalidation (registered by the engine
+        constructor) precedes any later-registered observer.
         Listeners run inside the update epoch — before the commit hooks —
         so a coordinator that excludes readers for the epoch's span
         guarantees no search ever observes a mutated structure whose
         dependent caches have not been invalidated yet.
         """
-        self._listeners.append((priority, len(self._listeners), callback))
-        self._listeners.sort(key=lambda entry: (entry[0], entry[1]))
+        self._listeners.append(callback)
 
     def add_epoch_hooks(
         self,
@@ -322,7 +320,7 @@ class IndexManager:
             ) from exc
         if self.evaluator is not None:
             self.evaluator.invalidate_statistics()
-        for _, _, callback in self._listeners:
+        for callback in self._listeners:
             callback()
 
         return len(adds) + len(removes)

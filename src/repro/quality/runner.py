@@ -63,12 +63,10 @@ class PerturbedCostModel(CostModel):
     """Wraps a cost model and inverts its ranking (cheap becomes dear).
 
     ``1 / (cost + eps)`` maps low-cost (good) elements to high cost and
-    vice versa, so top-ranked interpretations sink.  Marked
-    non-cacheable: the perturbation is a diagnostic, not a model worth
-    caching base costs for.
+    vice versa, so top-ranked interpretations sink.  It recomputes every
+    element per query: the perturbation is a diagnostic, not a model
+    worth caching base costs for.
     """
-
-    cacheable = False
 
     def __init__(self, base: CostModel):
         self._base = base

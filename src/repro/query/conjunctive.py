@@ -80,12 +80,6 @@ class Atom:
             out.append(self.arg2)
         return tuple(out)
 
-    def substitute(self, binding) -> "Atom":
-        """Apply a variable binding, leaving unbound variables in place."""
-        a1 = binding.get(self.arg1, self.arg1) if isinstance(self.arg1, Variable) else self.arg1
-        a2 = binding.get(self.arg2, self.arg2) if isinstance(self.arg2, Variable) else self.arg2
-        return Atom(self.predicate, a1, a2)
-
 
 class ConjunctiveQuery:
     """A conjunctive query: atoms plus the distinguished-variable tuple.
@@ -149,12 +143,6 @@ class ConjunctiveQuery:
     def variables(self) -> Tuple[Variable, ...]:
         """All variables, in first-occurrence order."""
         return _ordered_variables(self.atoms)
-
-    @property
-    def undistinguished(self) -> Tuple[Variable, ...]:
-        """The existential variables."""
-        chosen = set(self.distinguished)
-        return tuple(v for v in self.variables if v not in chosen)
 
     @property
     def constants(self) -> FrozenSet[Term]:

@@ -115,10 +115,6 @@ class QueryEvaluator:
         """Number of distinct answers."""
         return sum(1 for _ in self.iter_answers(query))
 
-    def has_answer(self, query: ConjunctiveQuery) -> bool:
-        """True if the query is non-empty over the store."""
-        return next(self.iter_answers(query), None) is not None
-
     # ------------------------------------------------------------------
     # The join
     # ------------------------------------------------------------------

@@ -248,7 +248,7 @@ class DataGraph:
         ``type`` edge, or a term used both as class and entity) raise
         :class:`GraphIntegrityError`.  If false (default), conflicts are
         resolved by precedence — class beats entity — and recorded in
-        :attr:`conflicts`.
+        :attr:`conflicts`, each message once.
     """
 
     def __init__(self, triples: Optional[Iterable[Triple]] = None, strict: bool = False):
@@ -274,7 +274,8 @@ class DataGraph:
         self._type_pred_counts: Dict[URI, int] = defaultdict(int)
         self._subclass_pred_counts: Dict[URI, int] = defaultdict(int)
 
-        self.conflicts: List[str] = []
+        # Definition 1 conflict messages, first occurrence first.
+        self._conflicts: Dict[str, None] = {}
 
         if triples is not None:
             for t in triples:
@@ -298,7 +299,7 @@ class DataGraph:
             if self.strict:
                 self._roles.account(triple, -1)
                 raise GraphIntegrityError(conflicts[0])
-            self.conflicts.extend(conflicts)
+            self._conflicts.update(dict.fromkeys(conflicts))
         # Stored first: the label update below reads the store.
         self.store.add(triple)
         self._triples[triple] = None
@@ -421,6 +422,13 @@ class DataGraph:
     def vertex_kind(self, term: Term) -> Optional[VertexKind]:
         """Classify a term, or None if it does not occur as a vertex."""
         return self._roles.kind(term)
+
+    @property
+    def conflicts(self) -> List[str]:
+        """The distinct Definition 1 conflicts the graph resolved, in
+        order of first occurrence.  A message stays once recorded: a
+        remove does not take it back, and a re-add does not repeat it."""
+        return list(self._conflicts)
 
     @property
     def classes(self) -> FrozenSet[Term]:

@@ -156,18 +156,6 @@ class Literal(Term):
             return f'"{escaped}"^^{self.datatype.n3()}'
         return f'"{escaped}"'
 
-    def as_python(self):
-        """Best-effort conversion to a Python value based on the datatype."""
-        if self.datatype is not None:
-            dt = self.datatype.value
-            if dt.endswith(("#integer", "#int", "#long")):
-                return int(self.lexical)
-            if dt.endswith(("#decimal", "#double", "#float")):
-                return float(self.lexical)
-            if dt.endswith("#boolean"):
-                return self.lexical in ("true", "1")
-        return self.lexical
-
 
 class BNode(Term):
     """A blank node: an entity without a global identifier."""

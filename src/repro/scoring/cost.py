@@ -5,13 +5,13 @@ cost.  Exploration and top-k only require that costs are positive and that
 graph cost aggregates monotonically — which a sum of positive path costs
 guarantees — so all models plug into the same Algorithm 1/2 machinery.
 
-Normalization note (documented deviation, DESIGN.md §5): the paper divides
-|v_agg| by "the total number of vertices in the summary graph", which can
-produce negative costs.  We divide by the number of aggregated *data*
-elements (entities for vertices, R-edges for edges), keeping costs in
-(0, 1] while preserving the intent that more-representative elements are
-cheaper.  ``literal_normalization=True`` restores the paper's literal
-formula (costs are then clamped at ``min_cost``).
+Normalization note (documented deviation, docs/architecture.md
+"Documented deviations"): the paper divides |v_agg| by "the total number
+of vertices in the summary graph", which can produce negative costs.  We
+divide by the number of aggregated *data* elements (entities for
+vertices, R-edges for edges), keeping costs in (0, 1] while preserving
+the intent that more-representative elements are cheaper.  The paper's
+literal formula is not offered.
 """
 
 from __future__ import annotations
@@ -31,7 +31,11 @@ from repro.summary.elements import (
 
 #: Elements never cost less than this — keeps Theorem 1's strictly-positive
 #: path-cost growth and avoids zero-cost cycles.
-DEFAULT_MIN_COST = 0.01
+MIN_COST = 0.01
+
+#: C3's floor on a matching score, so a near-zero score cannot blow a
+#: keyword element's cost up without bound.
+MIN_SCORE = 1e-3
 
 
 def split_cost_mapping(
@@ -47,9 +51,11 @@ def split_cost_mapping(
     substrate keys its ``array('d')`` cost slots on that base table's
     identity, so it needs the layers apart.
 
-    Any other mapping shape — a plain dict from tests, a non-cacheable
-    model's full recomputation — yields ``(costs, None)``: every element
-    must then be read through ``costs`` directly.
+    Any other mapping shape — a plain dict from tests, the costs of a
+    model that overrides :meth:`~CostModel.element_costs` (PageRank, the
+    eval's perturbed model) or of a graph with no base — yields
+    ``(costs, None)``: every element must then be read through ``costs``
+    directly.
     """
     if isinstance(costs, ChainMap) and len(costs.maps) == 2:
         overrides, base = costs.maps
@@ -66,21 +72,16 @@ class CostModel:
     overlay-added elements and the keyword-matched elements get fresh
     costs, layered over the cached table with a :class:`~collections.ChainMap`.
     The cache keys on the base graph's mutation ``version``, so incremental
-    index maintenance invalidates it automatically; ``invalidate_cache()``
-    drops it explicitly.
+    index maintenance invalidates it automatically.
     """
 
     name = "abstract"
-    #: False for models whose base-element costs depend on per-query state
-    #: (e.g. C2's literal normalization divides by the *augmented* graph
-    #: size); such models recompute every element each query.
-    cacheable = True
 
     def element_costs(self, augmented: AugmentedSummaryGraph) -> Mapping[Hashable, float]:
         """Cost for every element key in the augmented graph."""
         graph = augmented.graph
         base = getattr(graph, "base", None)
-        if base is None or not self.cacheable:
+        if base is None:
             costs: Dict[Hashable, float] = {}
             for vertex in graph.vertices:
                 costs[vertex.key] = self.vertex_cost(vertex, augmented)
@@ -120,10 +121,6 @@ class CostModel:
         self._base_cost_cache = (weakref.ref(base), base.version, costs)
         return costs
 
-    def invalidate_cache(self) -> None:
-        """Drop cached per-element base costs (e.g. after graph updates)."""
-        self._base_cost_cache = None
-
     def vertex_cost(self, vertex: SummaryVertex, augmented: AugmentedSummaryGraph) -> float:
         raise NotImplementedError
 
@@ -155,62 +152,40 @@ class PopularityCost(CostModel):
 
     name = "c2"
 
-    def __init__(
-        self,
-        min_cost: float = DEFAULT_MIN_COST,
-        literal_normalization: bool = False,
-    ):
-        self._min_cost = min_cost
-        self._literal = literal_normalization
-        # The literal formula divides by the augmented graph's element
-        # counts, which vary per query — base costs cannot be cached then.
-        self.cacheable = not literal_normalization
-
     def vertex_cost(self, vertex, augmented) -> float:
         if vertex.kind in (SummaryVertexKind.VALUE, SummaryVertexKind.ARTIFICIAL):
             return 1.0
-        if self._literal:
-            total = max(len(augmented.graph.vertices), 1)
-        else:
-            total = max(augmented.graph.total_entities, 1)
-        return max(self._min_cost, 1.0 - vertex.agg_count / total)
+        total = max(augmented.graph.total_entities, 1)
+        return max(MIN_COST, 1.0 - vertex.agg_count / total)
 
     def edge_cost(self, edge, augmented) -> float:
         if edge.kind is not SummaryEdgeKind.RELATION:
             return 1.0
-        if self._literal:
-            total = max(len(augmented.graph.edges), 1)
-        else:
-            total = max(augmented.graph.total_relation_edges, 1)
-        return max(self._min_cost, 1.0 - edge.agg_count / total)
+        total = max(augmented.graph.total_relation_edges, 1)
+        return max(MIN_COST, 1.0 - edge.agg_count / total)
 
 
-class KeywordMatchCost(CostModel):
-    """C3: ``c(n) / sm(n)`` — a base cost divided by the matching score.
+class KeywordMatchCost(PopularityCost):
+    """C3: ``c(n) / sm(n)`` — C2's cost divided by the matching score.
 
     ``sm(n) ∈ (0, 1]`` for keyword elements and 1 otherwise, so well-matching
     keyword elements get cheaper relative to poorly matching ones while
-    non-keyword elements keep their base cost.  The base defaults to C2,
-    matching the paper's presentation of C3 as a refinement of C2.
+    non-keyword elements keep their C2 cost — the paper's presentation of
+    C3 as a refinement of C2.
     """
 
     name = "c3"
 
-    def __init__(self, base: Optional[CostModel] = None, min_score: float = 1e-3):
-        self._base = base or PopularityCost()
-        self._min_score = min_score
-        self.cacheable = getattr(self._base, "cacheable", True)
-
     def vertex_cost(self, vertex, augmented) -> float:
-        base = self._base.vertex_cost(vertex, augmented)
+        base = super().vertex_cost(vertex, augmented)
         return base / self._score(vertex.key, augmented)
 
     def edge_cost(self, edge, augmented) -> float:
-        base = self._base.edge_cost(edge, augmented)
+        base = super().edge_cost(edge, augmented)
         return base / self._score(edge.key, augmented)
 
     def _score(self, key: Hashable, augmented: AugmentedSummaryGraph) -> float:
-        return max(self._min_score, augmented.matching_score(key))
+        return max(MIN_SCORE, augmented.matching_score(key))
 
 
 def make_cost_model(name: str) -> CostModel:

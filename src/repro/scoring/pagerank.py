@@ -11,17 +11,18 @@ from __future__ import annotations
 
 from typing import Dict, Hashable
 
-from repro.scoring.cost import CostModel, DEFAULT_MIN_COST
+from repro.scoring.cost import MIN_COST, CostModel
 from repro.summary.augmentation import AugmentedSummaryGraph
 from repro.summary.summary_graph import SummaryGraph
 
 
-def pagerank(
-    graph: SummaryGraph,
-    damping: float = 0.85,
-    max_iterations: int = 100,
-    tolerance: float = 1e-9,
-) -> Dict[Hashable, float]:
+#: The standard damping factor, iteration cap and convergence tolerance.
+DAMPING = 0.85
+MAX_ITERATIONS = 100
+TOLERANCE = 1e-9
+
+
+def pagerank(graph: SummaryGraph) -> Dict[Hashable, float]:
     """Power-iteration PageRank over the summary graph's vertices.
 
     Edges are followed from source to target; dangling mass is redistributed
@@ -38,21 +39,21 @@ def pagerank(
         out_edges[edge.source_key].append(edge.target_key)
 
     rank = {key: 1.0 / n for key in vertices}
-    for _ in range(max_iterations):
+    for _ in range(MAX_ITERATIONS):
         dangling_mass = sum(rank[k] for k in vertices if not out_edges[k])
         next_rank = {
-            key: (1.0 - damping) / n + damping * dangling_mass / n for key in vertices
+            key: (1.0 - DAMPING) / n + DAMPING * dangling_mass / n for key in vertices
         }
         for key in vertices:
             targets = out_edges[key]
             if not targets:
                 continue
-            share = damping * rank[key] / len(targets)
+            share = DAMPING * rank[key] / len(targets)
             for target in targets:
                 next_rank[target] += share
         delta = sum(abs(next_rank[k] - rank[k]) for k in vertices)
         rank = next_rank
-        if delta < tolerance:
+        if delta < TOLERANCE:
             break
     return rank
 
@@ -67,20 +68,16 @@ class PageRankCost(CostModel):
 
     name = "pagerank"
 
-    def __init__(self, min_cost: float = DEFAULT_MIN_COST):
-        self._min_cost = min_cost
-        self._ranks: Dict[int, Dict[Hashable, float]] = {}
-
     def element_costs(self, augmented: AugmentedSummaryGraph) -> Dict[Hashable, float]:
         ranks = pagerank(augmented.graph)
         top = max(ranks.values(), default=1.0) or 1.0
         costs: Dict[Hashable, float] = {}
         for vertex in augmented.graph.vertices:
-            costs[vertex.key] = max(self._min_cost, 1.0 - ranks[vertex.key] / top)
+            costs[vertex.key] = max(MIN_COST, 1.0 - ranks[vertex.key] / top)
         for edge in augmented.graph.edges:
             source_cost = costs[edge.source_key]
             target_cost = costs[edge.target_key]
-            costs[edge.key] = max(self._min_cost, (source_cost + target_cost) / 2.0)
+            costs[edge.key] = max(MIN_COST, (source_cost + target_cost) / 2.0)
         return costs
 
     def vertex_cost(self, vertex, augmented):  # pragma: no cover - unused path

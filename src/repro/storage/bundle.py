@@ -56,7 +56,7 @@ import os
 import struct
 import time
 import zlib
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.keyword.keyword_index import KeywordIndex
 from repro.rdf.namespace import SUBCLASS_PREDICATES, TYPE_PREDICATES
@@ -122,41 +122,24 @@ _EDGE_CODE = {kind: code for code, kind in enumerate(_EDGE_KINDS)}
 # ----------------------------------------------------------------------
 
 
-def _config_equivalent(a, b) -> bool:
-    """True when two cost models are configured identically (recursing
-    through composed models, ignoring their runtime caches)."""
-    if type(a) is not type(b):
-        return False
-    skip = {"_base_cost_cache", "_ranks"}
-    da = {k: v for k, v in vars(a).items() if k not in skip}
-    db = {k: v for k, v in vars(b).items() if k not in skip}
-    if da.keys() != db.keys():
-        return False
-    for key, value in da.items():
-        other = db[key]
-        if isinstance(value, CostModel) or isinstance(other, CostModel):
-            if not _config_equivalent(value, other):
-                return False
-        elif value != other:
-            return False
-    return True
-
-
-def persistable_cost_model_name(model: CostModel) -> str:
+def persistable_cost_model_name(model: Union[str, CostModel]) -> str:
     """The factory name that reproduces ``model``, or a loud refusal.
 
-    The bundle stores a *name*, not code; a customized instance (non-stock
-    parameters, a composed base, a bespoke subclass) would come back as
-    the stock model and silently rank differently — exactly the failure
-    mode the format forbids.
+    The bundle stores a *name*, not code: ``model`` is a stock name, or
+    an instance whose class is exactly the class that name makes.  A
+    bespoke subclass or a wrapping model would come back as the stock
+    model and silently rank differently — exactly the failure mode the
+    format forbids.
     """
-    name = getattr(model, "name", None)
-    if name in COST_MODELS and _config_equivalent(model, make_cost_model(name)):
+    name = model if isinstance(model, str) else getattr(model, "name", None)
+    if name in COST_MODELS and (
+        isinstance(model, str) or type(model) is type(make_cost_model(name))
+    ):
         return name
     raise UnsupportedEngineError(
-        f"cost model {model!r} is not a stock configuration "
-        f"({sorted(COST_MODELS)}); bundles store the model by name, so a "
-        "customized instance cannot be persisted faithfully"
+        f"cost model {model!r} is not a stock model {sorted(COST_MODELS)}; "
+        "bundles store the model by name, so anything else cannot be "
+        "persisted faithfully"
     )
 
 

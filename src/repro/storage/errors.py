@@ -32,10 +32,9 @@ class BundleExistsError(BundleError):
 
 class UnsupportedEngineError(BundleError):
     """The engine holds a component the bundle format cannot represent
-    faithfully — a cost model instance that is not one of the stock
-    models (e.g. C2/C3 with ``literal_normalization``); a round-tripped
-    engine would silently behave differently, so saving is refused
-    instead.  The analysis chain needs no such check: there is only one."""
+    faithfully — a cost model whose class is not exactly a stock model's
+    (a subclass, or the eval's perturbed wrapper); a round-tripped engine
+    would silently behave differently, so saving is refused instead.  The analysis chain needs no such check: there is only one."""
 
 
 class WalError(RuntimeError):

@@ -47,6 +47,7 @@ class MmapDataGraph:
     sections)."""
 
     edge_kind = DataGraph.edge_kind
+    conflicts = DataGraph.conflicts
     outgoing = DataGraph.outgoing
     incoming = DataGraph.incoming
     preferred_type_predicate = DataGraph.preferred_type_predicate
@@ -58,7 +59,7 @@ class MmapDataGraph:
                  subclass_pred_counts: Dict):
         self.store = store
         self.strict = header["strict"]
-        self.conflicts = list(header["conflicts"])
+        self._conflicts = dict.fromkeys(header["conflicts"])
         self._stats = dict(header["stats"])
         self._type_pred_counts = dict(type_pred_counts)
         self._subclass_pred_counts = dict(subclass_pred_counts)
@@ -162,7 +163,7 @@ class MmapDataGraph:
             store.add(t)
         # The ledger holds the rest of the batch's vertex kinds.
         self._roles, self._special = roles, None
-        self.conflicts.extend(conflicts)
+        self._conflicts.update(dict.fromkeys(conflicts))
         for name, change in delta.items():
             self._stats[name] += change
         for sign, triples in ((-1, removes), (1, adds)):

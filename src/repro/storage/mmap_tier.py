@@ -33,7 +33,6 @@ overlap for a live element.
 
 from __future__ import annotations
 
-import math
 import struct
 from bisect import bisect_left, bisect_right
 from itertools import chain, filterfalse
@@ -499,11 +498,6 @@ class MmapInvertedIndex:
         if vid is not None:
             df += self._postings.df(vid) - self._dead_df.get(vid, 0)
         return df
-
-    def idf(self, term: str) -> float:
-        n = max(self.element_count, 1)
-        df = self.document_frequency(term)
-        return math.log((n + 1) / (df + 1)) + 1.0
 
     @property
     def element_count(self) -> int:

@@ -53,7 +53,7 @@ from repro.rdf.graph import GraphIntegrityError
 from repro.rdf.namespace import SUBCLASS_PREDICATES, TYPE_PREDICATES
 from repro.rdf.terms import Literal, Term
 from repro.rdf.triples import Triple
-from repro.scoring.cost import COST_MODELS, CostModel
+from repro.scoring.cost import CostModel
 from repro.summary.summary_graph import SummaryGraph
 
 from repro.storage.bundle import (
@@ -74,7 +74,6 @@ from repro.storage.codec import (
     encode_term_record,
     term_order_key,
 )
-from repro.storage.errors import UnsupportedEngineError
 from repro.storage.segments import (
     DEFAULT_BUFFER_ROWS,
     ExternalSorter,
@@ -143,7 +142,7 @@ def build_bundle_streaming(
     ``cost_model``, ``k``, ``dmax`` and ``search_cache_size`` are the
     engine configuration the header records (its ``engine`` block), the
     one a load applies unless told otherwise.  ``cost_model`` is a stock
-    model's name or an instance configured exactly like one (bundles
+    model's name or an instance of exactly that model's class (bundles
     store the name, so anything else is refused).  ``graph_strict``, ``epoch`` and ``delta_log`` are
     what a live engine hands over when it saves itself: its graph's
     Definition 1 mode (a violation among the triples then fails the
@@ -157,13 +156,7 @@ def build_bundle_streaming(
     :meth:`BundleWriter.finish` info dict extended with build statistics
     (triple/term counts, seconds, spill-run counts).
     """
-    if not isinstance(cost_model, str):
-        cost_model = persistable_cost_model_name(cost_model)
-    elif cost_model not in COST_MODELS:
-        raise UnsupportedEngineError(
-            f"unknown cost model {cost_model!r}; bundles persist only the "
-            f"stock models {sorted(COST_MODELS)}"
-        )
+    cost_model = persistable_cost_model_name(cost_model)
     path = os.fspath(path)
     budget_rows = max(4, spill_budget_bytes // _BYTES_PER_ROW)
     started = time.perf_counter()
@@ -241,18 +234,19 @@ def _build(
     rel_pred_counts: Dict[int, int] = {}
     attr_pred_counts: Dict[int, int] = {}
     labels: Dict[int, Tuple[int, str]] = {}  # subject id -> its least label_key
-    conflicts: List[str] = []
+    # Definition 1 conflict messages, each once, first occurrence first.
+    conflicts: Dict[str, None] = {}
     n_rows = 0
 
     def acquire_entity(tid: int, term: Term) -> None:
         if tid in classes:
-            conflicts.append(f"term used both as class and entity: {term}")
+            conflicts[f"term used both as class and entity: {term}"] = None
             return
         entities.add(tid)
 
     def acquire_class(tid: int, term: Term) -> None:
         if tid in entities:
-            conflicts.append(f"term used both as entity and class: {term}")
+            conflicts[f"term used both as entity and class: {term}"] = None
             entities.discard(tid)
         classes[tid] = None
 
@@ -271,7 +265,7 @@ def _build(
 
         if p in TYPE_PREDICATES:
             if isinstance(o, Literal):
-                conflicts.append(f"type edge with literal object: {triple.n3()}")
+                conflicts[f"type edge with literal object: {triple.n3()}"] = None
                 kind = _K_TYPE_BAD
             else:
                 acquire_entity(sid, s)
@@ -285,9 +279,7 @@ def _build(
                 kind = _K_TYPE
         elif p in SUBCLASS_PREDICATES:
             if isinstance(o, Literal):
-                conflicts.append(
-                    f"subclass edge with literal endpoint: {triple.n3()}"
-                )
+                conflicts[f"subclass edge with literal endpoint: {triple.n3()}"] = None
                 kind = _K_SUBCLASS_BAD
             else:
                 acquire_class(sid, s)
@@ -320,7 +312,7 @@ def _build(
     kind_spool.close()
     del seen  # the largest pass-A structure; done deduping
     if meta["graph"]["strict"] and conflicts:
-        raise GraphIntegrityError(conflicts[0])
+        raise GraphIntegrityError(next(iter(conflicts)))
 
     untyped_count = sum(1 for e in entities if e not in types_of)
     stats = {
@@ -618,7 +610,7 @@ def _build(
     meta["writer"] = f"repro {__version__}"
     meta["snapshot"]["summary_version"] = summary.snapshot_key
     # The structural counts a loaded graph keeps by delta from here on.
-    meta["graph"].update(conflicts=conflicts, stats=stats)
+    meta["graph"].update(conflicts=list(conflicts), stats=stats)
     meta["kindex"]["build_seconds"] = kindex_seconds
     meta["summary"] = {
         key: summary_state[key]

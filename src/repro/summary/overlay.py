@@ -102,6 +102,7 @@ class OverlaySummaryGraph:
         return vertex
 
     def add_value_vertex(self, literal, agg_count: int = 1) -> SummaryVertex:
+        """An augmentation-time V-vertex (Definition 5, first bullet)."""
         key = ("value", literal)
         existing = self._added_vertices.get(key)
         if existing is not None:
@@ -111,6 +112,7 @@ class OverlaySummaryGraph:
         return vertex
 
     def add_artificial_value_vertex(self, label: URI) -> SummaryVertex:
+        """The artificial ``value`` node of Definition 5 (second bullet)."""
         key = ("avalue", label)
         existing = self._added_vertices.get(key)
         if existing is not None:

@@ -150,26 +150,6 @@ class SummaryGraph:
         self._add_vertex(vertex)
         return vertex
 
-    def add_value_vertex(self, literal, agg_count: int = 1) -> SummaryVertex:
-        """An augmentation-time V-vertex (Definition 5, first bullet)."""
-        key = ("value", literal)
-        existing = self._vertices.get(key)
-        if existing is not None:
-            return existing
-        vertex = SummaryVertex(key, SummaryVertexKind.VALUE, literal, agg_count)
-        self._add_vertex(vertex)
-        return vertex
-
-    def add_artificial_value_vertex(self, label: URI) -> SummaryVertex:
-        """The artificial ``value`` node of Definition 5 (second bullet)."""
-        key = ("avalue", label)
-        existing = self._vertices.get(key)
-        if existing is not None:
-            return existing
-        vertex = SummaryVertex(key, SummaryVertexKind.ARTIFICIAL, None, 0)
-        self._add_vertex(vertex)
-        return vertex
-
     def _add_vertex(self, vertex: SummaryVertex) -> None:
         if vertex.key in self._vertices:
             return

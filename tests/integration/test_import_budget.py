@@ -42,6 +42,7 @@ WORKER_FORBIDDEN = [
     "repro.service.http",
     "repro.service.dispatch",
     "repro.quality",
+    "repro.baselines",
 ]
 
 

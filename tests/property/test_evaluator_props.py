@@ -76,5 +76,5 @@ def test_answers_satisfy_query(triples, query):
         # All variables are distinguished by default, so the substitution
         # must be fully ground and every atom present in the store.
         for atom in query.atoms:
-            ground = atom.substitute(binding)
-            assert Triple(ground.arg1, ground.predicate, ground.arg2) in store
+            subject, obj = (binding.get(arg, arg) for arg in (atom.arg1, atom.arg2))
+            assert Triple(subject, atom.predicate, obj) in store

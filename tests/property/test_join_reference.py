@@ -98,7 +98,6 @@ def check(store, live, queries):
         assert limited == answers[:2], q  # lazy: a prefix of the enumeration
         assert evaluator.evaluate(q, limit=0) == []
         assert evaluator.count(q) == len(expected)
-        assert evaluator.has_answer(q) == bool(expected)
 
 
 #: Every key a probe can be handed: stored terms, literals (ill-typed

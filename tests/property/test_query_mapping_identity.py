@@ -39,6 +39,7 @@ from repro.datasets.workloads import (
 )
 from repro.rdf.graph import DataGraph
 from repro.rdf.terms import Literal, URI
+from repro.summary.overlay import OverlaySummaryGraph
 from repro.summary.summary_graph import SummaryGraph
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "unit"))
@@ -145,7 +146,7 @@ def test_flat_mapper_equals_the_reference_on_the_named_shapes(names):
 
 
 def test_dangling_value_and_numbered_variables():
-    orphaned = SummaryGraph()
+    orphaned = OverlaySummaryGraph(SummaryGraph())
     orphan = orphaned.add_value_vertex(Literal("x")).key
     lone = MatchingSubgraph(orphan, [[orphan]], 1.0)
     assert outcome(map_to_query, lone, orphaned) == outcome(

@@ -24,7 +24,10 @@ queries = st.builds(ConjunctiveQuery, st.lists(atoms, min_size=1, max_size=4))
 
 def rename(query: ConjunctiveQuery, suffix: str) -> ConjunctiveQuery:
     mapping = {v: Variable(v.name + suffix) for v in query.variables}
-    new_atoms = [a.substitute(mapping) for a in query.atoms]
+    new_atoms = [
+        Atom(a.predicate, mapping.get(a.arg1, a.arg1), mapping.get(a.arg2, a.arg2))
+        for a in query.atoms
+    ]
     return ConjunctiveQuery(
         new_atoms, distinguished=[mapping[v] for v in query.distinguished]
     )
@@ -70,4 +73,3 @@ def test_sparql_round_trip_isomorphic(query):
 @settings(max_examples=100)
 def test_variables_superset_of_distinguished(query):
     assert set(query.distinguished) <= set(query.variables)
-    assert set(query.undistinguished) == set(query.variables) - set(query.distinguished)

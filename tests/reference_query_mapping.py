@@ -124,7 +124,7 @@ def map_to_query(
                 # A class-level self-loop stands for instance pairs *within*
                 # one class (a publication citing another publication), not
                 # self-relations — give the target a fresh variable
-                # (documented deviation, DESIGN.md §5).
+                # (a documented deviation, docs/architecture.md).
                 loop_key = ("loop-target", edge_key)
                 _emit_type_atom(edge.target_key, var_key=loop_key)
                 _emit(Atom(edge.label, namer.var(edge.source_key), namer.var(loop_key)))

@@ -27,15 +27,6 @@ class TestAtom:
         with pytest.raises(QueryValidationError):
             Atom("p", x, y)
 
-    def test_substitute(self):
-        atom = Atom(EX.p, x, y)
-        ground = atom.substitute({x: EX.a, y: Literal("v")})
-        assert ground == Atom(EX.p, EX.a, Literal("v"))
-
-    def test_substitute_partial(self):
-        atom = Atom(EX.p, x, y)
-        assert atom.substitute({x: EX.a}) == Atom(EX.p, EX.a, y)
-
     def test_str(self):
         assert str(Atom(EX.p, x, Literal("v"))) == "p(?x, 'v')"
 
@@ -48,12 +39,10 @@ class TestConjunctiveQuery:
     def test_all_variables_distinguished_by_default(self):
         q = ConjunctiveQuery([Atom(EX.p, x, y), Atom(EX.q, y, z)])
         assert q.distinguished == (x, y, z)
-        assert q.undistinguished == ()
 
     def test_explicit_projection(self):
         q = ConjunctiveQuery([Atom(EX.p, x, y)], distinguished=[x])
         assert q.distinguished == (x,)
-        assert q.undistinguished == (y,)
 
     def test_unknown_distinguished_rejected(self):
         with pytest.raises(QueryValidationError):

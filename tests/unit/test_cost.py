@@ -5,6 +5,7 @@ import pytest
 from repro.datasets.example import EX
 from repro.keyword.keyword_index import ClassMatch, ValueMatch
 from repro.rdf.terms import Literal
+from repro.scoring import cost
 from repro.scoring.cost import (
     KeywordMatchCost,
     PathLengthCost,
@@ -67,27 +68,19 @@ class TestPopularity:
         costs = PopularityCost().element_costs(augmented)
         assert all(c > 0 for c in costs.values())
 
-    def test_literal_normalization_variant(self, augmented):
-        costs = PopularityCost(literal_normalization=True).element_costs(augmented)
-        assert all(c > 0 for c in costs.values())
-
 
 class TestKeywordMatch:
     def test_keyword_elements_divided_by_score(self, augmented):
-        base = PopularityCost()
-        c3 = KeywordMatchCost(base=base)
-        base_costs = base.element_costs(augmented)
-        c3_costs = c3.element_costs(augmented)
+        base_costs = PopularityCost().element_costs(augmented)
+        c3_costs = KeywordMatchCost().element_costs(augmented)
         value_key = ("value", Literal("AIFB"))
         assert c3_costs[value_key] == pytest.approx(base_costs[value_key] / 0.5)
         class_key = ("class", EX.Publication)
         assert c3_costs[class_key] == pytest.approx(base_costs[class_key] / 0.8)
 
     def test_non_keyword_elements_unchanged(self, augmented):
-        base = PopularityCost()
-        c3 = KeywordMatchCost(base=base)
-        base_costs = base.element_costs(augmented)
-        c3_costs = c3.element_costs(augmented)
+        base_costs = PopularityCost().element_costs(augmented)
+        c3_costs = KeywordMatchCost().element_costs(augmented)
         key = ("class", EX.Researcher)
         assert c3_costs[key] == pytest.approx(base_costs[key])
 
@@ -97,10 +90,10 @@ class TestKeywordMatch:
         value_key = ("value", Literal("AIFB"))  # sm=0.5, base 1.0
         assert c3_costs[value_key] == pytest.approx(2.0)
 
-    def test_min_score_floor(self, augmented):
-        c3 = KeywordMatchCost(min_score=0.5)
+    def test_min_score_floor(self, augmented, monkeypatch):
+        monkeypatch.setattr(cost, "MIN_SCORE", 0.5)
         # A score below the floor is clamped; costs stay bounded.
-        costs = c3.element_costs(augmented)
+        costs = KeywordMatchCost().element_costs(augmented)
         assert all(c <= 2.5 for c in costs.values())
 
 

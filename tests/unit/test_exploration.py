@@ -143,12 +143,6 @@ class TestTermination:
         result = explore_top_k(augmented, uniform_costs(graph), k=1)
         assert result.terminated_by == "threshold"
 
-    def test_budget_termination(self):
-        graph, keys, _ = build_line_graph(8)
-        augmented = augmented_for(graph, [[keys[0]], [keys[7]]])
-        result = explore_top_k(augmented, uniform_costs(graph), k=5, max_cursors=3)
-        assert result.terminated_by == "budget"
-
     def test_missing_cost_raises(self):
         graph, keys, _ = build_line_graph(2)
         augmented = augmented_for(graph, [[keys[0]]])

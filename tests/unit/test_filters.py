@@ -11,7 +11,7 @@ from repro.query.filters import (
     parse_filter_keyword,
     split_filter_keywords,
 )
-from repro.rdf.namespace import Namespace
+from repro.rdf.namespace import XSD, Namespace
 from repro.rdf.terms import Literal, URI, Variable
 from repro.rdf.triples import Triple
 from repro.store.triple_store import TripleStore
@@ -46,6 +46,22 @@ class TestFilter:
         f = Filter(x, "<", Literal("m"))
         assert f.accepts(Literal("alpha"))
         assert not f.accepts(Literal("zulu"))
+
+    def test_typed_number_compares_by_value(self):
+        # The datatype is not read: the lexical form decides.
+        assert Filter(x, ">", Literal("9")).accepts(Literal("42", datatype=XSD.integer))
+        assert not Filter(x, "!=", Literal("1.50")).accepts(
+            Literal("1.5", datatype=XSD.double)
+        )
+
+    def test_numbers_sort_before_text(self):
+        assert Filter(x, "<", Literal("abc")).accepts(Literal("42"))
+        assert Filter(x, ">", Literal("1e9")).accepts(Literal("true", datatype=XSD.boolean))
+
+    def test_non_literal_compares_by_its_string(self):
+        f = Filter(x, "range", Literal("http://t/a"), Literal("http://t/m"))
+        assert f.accepts(EX.b)
+        assert not f.accepts(EX.z)
 
     def test_range(self):
         f = Filter(x, "range", Literal("2000"), Literal("2005"))

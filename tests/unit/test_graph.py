@@ -293,3 +293,39 @@ def test_every_path_names_a_violation_alike(case, tmp_path):
     with pytest.raises(GraphIntegrityError) as loaded:
         load_bundle(path).graph.add(triple)
     assert str(strict.value) == first == str(loaded.value)
+
+
+@pytest.mark.parametrize("tier", ["memory", "mmap"])
+def test_a_conflict_is_recorded_once(tier, tmp_path):
+    """Re-adding a conflicting triple does not repeat its message, on a
+    constructed graph and on a loaded one."""
+    from repro.storage import build_bundle_streaming, load_bundle
+
+    triple = _VIOLATIONS["class used as an entity"]
+    path = tmp_path / "clean.reprobundle"
+    if tier == "memory":
+        graph = DataGraph(_CLEAN)
+    else:
+        build_bundle_streaming(_CLEAN, path)
+        graph = load_bundle(path).graph
+    graph.add(triple)
+    logged = graph.conflicts
+    assert len(logged) == 1
+    for _ in range(100):
+        graph.remove(triple)
+        graph.add(triple)
+    assert graph.conflicts == logged
+
+
+def test_the_builder_records_a_conflict_once(tmp_path):
+    """Two triples that commit the same violation leave one message, in
+    the streaming builder's header as in a constructed graph."""
+    from repro.storage import build_bundle_streaming, load_bundle
+
+    triple = _VIOLATIONS["class used as an entity"]
+    once = DataGraph([*_CLEAN, triple]).conflicts
+    assert len(once) == 1
+    twice = [*_CLEAN, triple, Triple(EX.C1, EX.rel, EX.e2)]
+    path = tmp_path / "twice.reprobundle"
+    build_bundle_streaming(twice, path)
+    assert load_bundle(path).graph.conflicts == DataGraph(twice).conflicts == once

@@ -36,11 +36,6 @@ def test_document_frequency():
     assert index.document_frequency("nope") == 0
 
 
-def test_idf_monotone_in_rarity():
-    index = make_index()
-    assert index.idf("ranking") > index.idf("graph")
-
-
 def test_counts():
     index = make_index()
     assert index.element_count == 3

@@ -137,11 +137,6 @@ class TestStats:
 
 
 class TestMatchObjects:
-    def test_with_score(self):
-        m = ClassMatch(EX.Publication, 0.5)
-        assert m.with_score(0.9).score == 0.9
-        assert m.with_score(0.9).cls == EX.Publication
-
     def test_element_keys_distinct_across_kinds(self):
         assert ClassMatch(EX.x, 1).element_key != RelationMatch(EX.x, 1).element_key
 

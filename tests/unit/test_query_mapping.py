@@ -8,27 +8,31 @@ from repro.datasets.example import EX
 from repro.rdf.namespace import RDF, RDFS
 from repro.rdf.terms import Literal, URI, Variable
 from repro.summary.elements import SummaryEdgeKind, THING_KEY
+from repro.summary.overlay import OverlaySummaryGraph
 from repro.summary.summary_graph import SummaryGraph
 
 _SUBCLASS = URI("http://www.w3.org/2000/01/rdf-schema#subClassOf")
 
 
 def build_graph():
-    """A small augmented summary graph with every edge kind."""
-    graph = SummaryGraph()
-    pub = graph.add_class_vertex(EX.Publication, agg_count=2).key
-    res = graph.add_class_vertex(EX.Researcher, agg_count=2).key
-    person = graph.add_class_vertex(EX.Person).key
-    thing = graph.ensure_thing(agg_count=1).key
+    """A small augmented summary graph with every edge kind: classes,
+    relations and the subclass edge in the base summary graph, the value
+    vertices and their A-edges in an overlay, as augmentation adds them."""
+    base = SummaryGraph()
+    pub = base.add_class_vertex(EX.Publication, agg_count=2).key
+    res = base.add_class_vertex(EX.Researcher, agg_count=2).key
+    person = base.add_class_vertex(EX.Person).key
+    thing = base.ensure_thing(agg_count=1).key
+    author = base.add_edge(EX.author, SummaryEdgeKind.RELATION, pub, res).key
+    subclass = base.add_edge(_SUBCLASS, SummaryEdgeKind.SUBCLASS, res, person).key
+    thing_rel = base.add_edge(EX.knows, SummaryEdgeKind.RELATION, res, thing).key
+    loop = base.add_edge(EX.cites, SummaryEdgeKind.RELATION, pub, pub).key
+
+    graph = OverlaySummaryGraph(base)
     value = graph.add_value_vertex(Literal("2006")).key
     artificial = graph.add_artificial_value_vertex(EX.name).key
-
-    author = graph.add_edge(EX.author, SummaryEdgeKind.RELATION, pub, res).key
     year = graph.add_edge(EX.year, SummaryEdgeKind.ATTRIBUTE, pub, value).key
     name = graph.add_edge(EX.name, SummaryEdgeKind.ATTRIBUTE, res, artificial).key
-    subclass = graph.add_edge(_SUBCLASS, SummaryEdgeKind.SUBCLASS, res, person).key
-    thing_rel = graph.add_edge(EX.knows, SummaryEdgeKind.RELATION, res, thing).key
-    loop = graph.add_edge(EX.cites, SummaryEdgeKind.RELATION, pub, pub).key
     return graph, {
         "pub": pub, "res": res, "person": person, "thing": thing,
         "value": value, "artificial": artificial, "author": author,
@@ -149,7 +153,7 @@ class TestIsolatedVertices:
             map_to_query(sg, graph)
 
     def test_dangling_value_vertex_fails(self):
-        graph = SummaryGraph()
+        graph = OverlaySummaryGraph(SummaryGraph())
         orphan = graph.add_value_vertex(Literal("x")).key
         sg = single_path_subgraph([orphan])
         with pytest.raises(QueryMappingError):

@@ -13,11 +13,12 @@ from bundle_layout import (
 )
 
 from repro.core.engine import KeywordSearchEngine
+from repro.quality.runner import PerturbedCostModel
 from repro.rdf.graph import DataGraph
 from repro.rdf.namespace import RDF, RDFS, XSD
 from repro.rdf.terms import BNode, Literal, URI
 from repro.rdf.triples import Triple
-from repro.scoring.cost import PopularityCost, make_cost_model
+from repro.scoring.cost import KeywordMatchCost, make_cost_model
 from repro.storage import (
     BundleChecksumError,
     BundleExistsError,
@@ -435,24 +436,35 @@ def test_shortened_triple_run_fails_store_materialisation(small_engine, tmp_path
             step(path)
 
 
-def test_save_refuses_custom_cost_model(example_graph, tmp_path):
-    engine = KeywordSearchEngine(
-        DataGraph(example_graph.triples),
-        cost_model=PopularityCost(literal_normalization=True),
-    )
+class _TunedC3(KeywordMatchCost):
+    """Carries C3's name, but is not C3."""
+
+    def vertex_cost(self, vertex, augmented) -> float:
+        return 2 * super().vertex_cost(vertex, augmented)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [_TunedC3(), PerturbedCostModel(make_cost_model("c3"))],
+    ids=["c3-subclass", "perturbed"],
+)
+def test_save_refuses_custom_cost_model(example_graph, tmp_path, model):
+    engine = KeywordSearchEngine(DataGraph(example_graph.triples), cost_model=model)
     with pytest.raises(UnsupportedEngineError):
         engine.save(tmp_path / "a.reprobundle")
+    assert list(tmp_path.iterdir()) == []
 
 
-def test_save_accepts_every_stock_cost_model(example_graph, tmp_path):
-    for name in ("c1", "c2", "c3", "pagerank"):
-        engine = KeywordSearchEngine(
-            DataGraph(example_graph.triples), cost_model=make_cost_model(name)
-        )
-        path = tmp_path / f"{name}.reprobundle"
-        engine.save(path)
-        loaded = KeywordSearchEngine.load(path)
-        assert loaded.cost_model.name == name
+@pytest.mark.parametrize("name", ["c1", "c2", "c3", "pagerank"])
+def test_save_accepts_every_stock_cost_model(example_graph, tmp_path, name):
+    engine = KeywordSearchEngine(
+        DataGraph(example_graph.triples), cost_model=make_cost_model(name)
+    )
+    path = tmp_path / f"{name}.reprobundle"
+    engine.save(path)
+    loaded = KeywordSearchEngine.load(path)
+    assert loaded.cost_model.name == name
+    assert type(loaded.cost_model) is type(make_cost_model(name))
 
 
 def test_load_overrides_engine_config(small_engine, tmp_path):

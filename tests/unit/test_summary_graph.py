@@ -5,7 +5,6 @@ import pytest
 from repro.datasets.example import EX
 from repro.rdf.graph import DataGraph
 from repro.rdf.namespace import RDF
-from repro.rdf.terms import Literal
 from repro.rdf.triples import Triple
 from repro.summary.elements import (
     THING_KEY,
@@ -156,9 +155,9 @@ class TestMutators:
 
     def test_add_edge_idempotent(self, example_graph):
         own = SummaryGraph.from_data_graph(example_graph)
-        v = own.add_value_vertex(Literal("v"))
-        e1 = own.add_edge(EX.name, SummaryEdgeKind.ATTRIBUTE, ("class", EX.Project), v.key)
-        e2 = own.add_edge(EX.name, SummaryEdgeKind.ATTRIBUTE, ("class", EX.Project), v.key)
+        ends = (("class", EX.Project), ("class", EX.Researcher))
+        e1 = own.add_edge(EX.rel, SummaryEdgeKind.RELATION, *ends)
+        e2 = own.add_edge(EX.rel, SummaryEdgeKind.RELATION, *ends)
         assert e1 is e2
 
     def test_stats(self, summary):

@@ -78,19 +78,6 @@ class TestLiteral:
         rendered = Literal("1", datatype=XSD.integer).n3()
         assert rendered.startswith('"1"^^<')
 
-    def test_as_python_integer(self):
-        assert Literal("42", datatype=XSD.integer).as_python() == 42
-
-    def test_as_python_float(self):
-        assert Literal("1.5", datatype=XSD.double).as_python() == 1.5
-
-    def test_as_python_boolean(self):
-        assert Literal("true", datatype=XSD.boolean).as_python() is True
-        assert Literal("false", datatype=XSD.boolean).as_python() is False
-
-    def test_as_python_plain_is_string(self):
-        assert Literal("plain").as_python() == "plain"
-
     def test_immutable(self):
         lit = Literal("x")
         with pytest.raises(AttributeError):

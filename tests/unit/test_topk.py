@@ -56,6 +56,43 @@ def test_worse_duplicate_rejected():
     assert lst.best()[0].cost == 3.0
 
 
+def test_equal_cost_duplicate_rejected():
+    lst = CandidateList(3)
+    first = subgraph(["a", "b"], 3.0)
+    lst.offer(first)
+    assert lst.offer(subgraph(["b", "a"], 3.0)) is False
+    assert lst.best() == [first]
+    assert (lst.offered, lst.accepted) == (2, 1)
+
+
+def test_offer_agrees_with_the_inline_accept_path():
+    """The exploration loop pre-checks duplicates itself and calls
+    ``accept``; the oracle calls ``offer``.  Both build the same list."""
+    offers = [
+        subgraph(["a"], 4.0),
+        subgraph(["b"], 2.0),
+        subgraph(["a"], 1.0),  # cheaper duplicate replaces
+        subgraph(["b"], 2.0),  # equal duplicate rejected
+        subgraph(["c"], 3.0),
+        subgraph(["d"], 0.5),  # pushes the costliest out of the top 3
+    ]
+    via_offer, via_accept = CandidateList(3), CandidateList(3)
+    for sg in offers:
+        via_offer.offer(sg)
+        key = sg.canonical_key
+        existing = via_accept._by_key.get(key)
+        if existing is not None and sg.cost >= existing.cost:
+            via_accept.offered += 1
+        else:
+            via_accept.accept(key, existing, sg)
+    assert [sg.cost for sg in via_offer.best()] == [0.5, 1.0, 2.0]
+    assert via_offer.best() == via_accept.best()
+    assert (via_offer.offered, via_offer.accepted) == (
+        via_accept.offered,
+        via_accept.accepted,
+    )
+
+
 def test_should_terminate_strict():
     lst = CandidateList(1)
     lst.offer(subgraph(["a"], 2.0))
