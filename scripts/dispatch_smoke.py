@@ -21,7 +21,9 @@ numpy inside it would blow — the dispatcher's under one that
 worker has imported numpy
 (``kernels.loaded`` — nothing the smoke sends has a view wide enough) and
 none has had a seed threshold refuted (``exploration.seed_fallbacks`` — a
-second exploration behind a correct answer is what that counter is for).
+second exploration behind a correct answer is what that counter is for),
+and every worker reports a query plan in its plan LRU (``caches.plans``,
+``0 < size <= maxsize``).
 
 Then the crash-restart leg: ``SIGKILL`` the whole server group, append
 what a crash mid-append leaves behind — an uncommitted entry torn inside
@@ -327,6 +329,10 @@ def main() -> int:
         ), (
             f"a worker refuted a seed threshold and explored twice (or "
             f"never ran seeded): {explored}"
+        )
+        plans = [w["caches"]["plans"] for w in live]
+        assert all(0 < p["size"] <= p["maxsize"] for p in plans), (
+            f"a worker reports no query plan (or more than its LRU holds): {plans}"
         )
         print(
             f"# dispatch-smoke ok: {workers} workers all at epoch "

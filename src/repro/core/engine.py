@@ -39,7 +39,7 @@ from json.encoder import encode_basestring_ascii
 from math import isfinite
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.util import LruDict
+from repro.util import LruDict, cache_stats_shape
 
 from repro.core.exploration import DEFAULT_DMAX, ExplorationResult, explore_top_k
 from repro.core.query_mapping import QueryMappingError, map_to_query
@@ -70,6 +70,7 @@ from repro.rdf.triples import Triple
 from repro.core.snapshot import EngineSnapshot
 from repro.scoring.cost import CostModel, make_cost_model
 from repro.summary.augmentation import augment
+from repro.summary.substrate import ExplorationSubstrate
 from repro.summary.summary_graph import SummaryGraph
 
 
@@ -603,7 +604,9 @@ class KeywordSearchEngine:
         ``matches`` replaces the keyword mapping (one match list per
         keyword); the filtered search passes its attribute-level
         interpretations this way, and such a search neither reads nor
-        fills the result memo.
+        fills the result memo.  Its matches are built afresh on every
+        call, so it never finds its plan in the plan LRU either
+        (:func:`~repro.summary.augmentation.augment`).
         """
         keywords = split_keywords(query) if isinstance(query, str) else list(query)
         if not keywords or all(not kw.strip() for kw in keywords):
@@ -864,6 +867,14 @@ class KeywordSearchEngine:
             stats["postings"] = postings
         if self._search_cache is not None:
             stats["search_results"] = self._search_cache.cache_stats()
+        # The plan LRU of the current summary version (its counters start
+        # over when the version moves; empty until a search built one).
+        substrate = self.summary.built_substrate()
+        stats["plans"] = (
+            substrate.plans.cache_stats()
+            if substrate is not None
+            else cache_stats_shape(0, ExplorationSubstrate.MAX_PLANS, 0, 0)
+        )
         return stats
 
     def __repr__(self):

@@ -58,9 +58,8 @@ Implementation notes (performance, same semantics):
   discarded when popped.  The k-th cost only ever falls, so the push-time
   check drops a subset of what the pop-time check would, and neither can
   change the answer (``guided=False`` switches both off and is kept only
-  as the identity oracle).  The bound tables are cached on the substrate
-  per (cost table, keyword-element sets, overlay signature), so repeated
-  queries skip them entirely;
+  as the identity oracle).  The bound tables are kept on the query
+  plan's view, so a repeated query skips them entirely;
 * Algorithm 2 **starts with a threshold**.  On its own it can prune only
   once k candidates exist, and most of a request's cursors are created
   before that, against a k-th cost of +inf — although the per-keyword
@@ -177,8 +176,6 @@ class _SubstrateView:
         "extra_keys",
         "rows",
         "costs",
-        "cost_token",
-        "cost_table",
         "id_of",
         "to_merged",
         "decode",
@@ -194,13 +191,26 @@ class _SubstrateView:
         # tables precomputed for the pop-time prune check, keyed on the
         # identity of the bounds object they were folded from.
         "net_bounds",
+        # The plan's BoundTables (None until a guided run built them).
+        "tables",
     )
 
 
 def _build_substrate_view(
     augmented: AugmentedSummaryGraph, element_costs
 ) -> _SubstrateView:
-    """Assemble the per-query view over the graph's cached substrate."""
+    """The per-query view over the graph's cached substrate.
+
+    A view is a function of the augmented graph and the costs, and is never
+    mutated after assembly (its lazy caches only ever store equal values),
+    so the view of costs the graph memoized — the ones
+    :meth:`~repro.scoring.cost.CostModel.element_costs` returns — is kept
+    on the graph and shared by every search of that plan.  Any other costs
+    object (a test's plain dict) gets a view of its own per call.
+    """
+    cached = augmented.view_memo.get(id(element_costs))
+    if cached is not None and cached[0] is element_costs:
+        return cached[1]
     graph = augmented.graph
     owner = getattr(graph, "base", graph)
     factory = getattr(owner, "exploration_substrate", None)
@@ -217,12 +227,6 @@ def _build_substrate_view(
         added_incident = graph.added_incident_map()
     substrate = factory()
 
-    # Cost token first: it is both the cost-slot recipe and half of the
-    # view-cache key.  A view's content is fully determined by (overlay
-    # element keys, overlay incident map, cost token) over one substrate —
-    # edge keys encode their endpoints, so the extras' adjacency follows
-    # from the keys — which makes cached views safe to share across
-    # repeated queries (they are never mutated after assembly).
     overrides, base_table = split_cost_mapping(element_costs)
     base_array = None
     if base_table is not None:
@@ -234,17 +238,6 @@ def _build_substrate_view(
             # per-query override) — read every element through the full
             # mapping instead, which re-validates with reference semantics.
             base_table = None
-    view_key = None
-    if base_table is not None:
-        cost_token = (id(base_table), frozenset(overrides.items()))
-        view_key = (
-            added_keys,
-            tuple((key, tuple(edges)) for key, edges in added_incident.items()),
-            cost_token,
-        )
-        cached = substrate.get_view(view_key, base_table)
-        if cached is not None:
-            return cached
 
     n = substrate.n
     ids = substrate.ids
@@ -257,6 +250,7 @@ def _build_substrate_view(
     view.np_patches = False
     view.row_memo = None
     view.net_bounds = None
+    view.tables = None
 
     if m:
         # Stable repr-only sort: elements with equal reprs keep overlay
@@ -334,13 +328,10 @@ def _build_substrate_view(
             sid = ids_get(key)
             if sid is not None:
                 costs[sid] = checked_cost(key, value)
-        view.cost_token = view_key[2]
-    else:
-        view.cost_token = None
-    view.cost_table = base_table
     view.costs = costs
-    if view_key is not None:
-        substrate.store_view(view_key, base_table, view)
+    if any(memoized is element_costs for memoized in augmented.cost_memo.values()):
+        # Racing first builds agree on whichever view landed first.
+        view = augmented.view_memo.setdefault(id(element_costs), (element_costs, view))[1]
     return view
 
 
@@ -1093,7 +1084,7 @@ def explore_top_k(
         ``True`` (default): the completion bounds of Section VI-A/IX
         ("indexing connectivity") are part of the algorithm — per-keyword
         cheapest-completion tables are looked up (or computed once and
-        cached on the substrate), a child that provably cannot contribute
+        kept on the query plan's view), a child that provably cannot contribute
         a candidate better than the current k-th never gets a cursor, and
         a cursor that lost that race while queued is discarded when
         popped; until k candidates exist, "the current k-th" is the seed
@@ -1107,13 +1098,15 @@ def explore_top_k(
         against (``test_guided_equivalence.py``) and the Section VI-C
         ablation (``benchmarks/test_ablation_guarantee.py``).
     use_vectorized:
-        Which implementation computes a missing bound table — nothing
-        else; the loop is the same on every install.  ``None`` (default)
-        selects by the view's size (see :func:`_bounds_for`); ``True``
-        forces the numpy relaxation kernel regardless of size (how the
-        tests exercise it on tiny graphs) and raises without numpy;
-        ``False`` forces the Dijkstra tables.  The tables are
-        bit-identical either way.
+        Which implementation computes the bound tables — nothing else;
+        the loop is the same on every install.  ``None`` (default)
+        selects by the view's size (see :func:`_bounds_for`) and keeps
+        the tables on the plan's view, so a repeated query reuses them;
+        ``True`` forces the numpy relaxation kernel regardless of size
+        (how the tests exercise it on tiny graphs) and raises without
+        numpy; ``False`` forces the Dijkstra tables.  A pinned call
+        computes its own tables and neither reads nor stores the plan's.
+        The tables are bit-identical either way.
     """
     if use_vectorized and not kernels.kernels_enabled():
         raise ValueError(
@@ -1147,19 +1140,14 @@ def explore_top_k(
     threshold = _INF
     if guided:
         seed_costs = [dict(pairs) for pairs in seed_lists]
-        cache_key = None
-        tables = None
-        if view.cost_token is not None:
-            cache_key = (
-                view.cost_token,
-                view.extra_keys,
-                tuple(tuple(sorted(sc.items())) for sc in seed_costs),
-            )
-            tables = view.substrate.get_bounds(cache_key, view.cost_table)
+        # The tables are a function of the view (its costs and adjacency)
+        # and of the plan's keyword elements, so they live on the view;
+        # racing searches that both miss store equal tables.
+        tables = view.tables if use_vectorized is None else None
         if tables is None:
             tables = BoundTables(*_bounds_for(m, seed_costs, view, use_vectorized))
-            if cache_key is not None:
-                view.substrate.store_bounds(cache_key, view.cost_table, tables)
+            if use_vectorized is None:
+                view.tables = tables
         bounds = tables.bounds
         # The seed: a pure function of the tables, k and dmax, so racing
         # searches that both miss store equal floats.

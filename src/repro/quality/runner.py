@@ -64,14 +64,14 @@ class PerturbedCostModel(CostModel):
 
     ``1 / (cost + eps)`` maps low-cost (good) elements to high cost and
     vice versa, so top-ranked interpretations sink.  It recomputes every
-    element per query: the perturbation is a diagnostic, not a model
+    element of a new plan: the perturbation is a diagnostic, not a model
     worth caching base costs for.
     """
 
     def __init__(self, base: CostModel):
         self._base = base
 
-    def element_costs(self, augmented) -> Dict:
+    def compute_costs(self, augmented) -> Dict:
         base_costs = self._base.element_costs(augmented)
         return {key: 1.0 / (base_costs[key] + 0.01) for key in base_costs}
 

@@ -52,7 +52,7 @@ def split_cost_mapping(
     identity, so it needs the layers apart.
 
     Any other mapping shape — a plain dict from tests, the costs of a
-    model that overrides :meth:`~CostModel.element_costs` (PageRank, the
+    model that overrides :meth:`~CostModel.compute_costs` (PageRank, the
     eval's perturbed model) or of a graph with no base — yields
     ``(costs, None)``: every element must then be read through ``costs``
     directly.
@@ -73,12 +73,27 @@ class CostModel:
     costs, layered over the cached table with a :class:`~collections.ChainMap`.
     The cache keys on the base graph's mutation ``version``, so incremental
     index maintenance invalidates it automatically.
+
+    A model's costs are a pure function of the augmented graph, so
+    :meth:`element_costs` keeps them on it, per model
+    (:attr:`~repro.summary.augmentation.AugmentedSummaryGraph.cost_memo`):
+    a query whose plan is still in the plan LRU costs nothing to score.
+    A model computes them in :meth:`compute_costs`.
     """
 
     name = "abstract"
 
     def element_costs(self, augmented: AugmentedSummaryGraph) -> Mapping[Hashable, float]:
-        """Cost for every element key in the augmented graph."""
+        """Cost for every element key in the augmented graph (memoized on
+        the graph; callers must not mutate the returned mapping)."""
+        costs = augmented.cost_memo.get(self)
+        if costs is None:
+            # Racing first calls agree on whichever result landed first.
+            costs = augmented.cost_memo.setdefault(self, self.compute_costs(augmented))
+        return costs
+
+    def compute_costs(self, augmented: AugmentedSummaryGraph) -> Mapping[Hashable, float]:
+        """:meth:`element_costs` without the memo."""
         graph = augmented.graph
         base = getattr(graph, "base", None)
         if base is None:

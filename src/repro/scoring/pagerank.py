@@ -63,12 +63,13 @@ class PageRankCost(CostModel):
 
     Ranks are computed per augmented graph (augmentation adds vertices), so
     this model is strictly more expensive than C2 — which is the trade-off
-    the paper's Section V remark is about.
+    the paper's Section V remark is about.  They are a pure function of
+    that graph, so a query whose plan is still cached does not rank again.
     """
 
     name = "pagerank"
 
-    def element_costs(self, augmented: AugmentedSummaryGraph) -> Dict[Hashable, float]:
+    def compute_costs(self, augmented: AugmentedSummaryGraph) -> Dict[Hashable, float]:
         ranks = pagerank(augmented.graph)
         top = max(ranks.values(), default=1.0) or 1.0
         costs: Dict[Hashable, float] = {}

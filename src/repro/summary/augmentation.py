@@ -18,11 +18,20 @@ query, the added vertices and edges are layered onto the shared base graph
 through an :class:`~repro.summary.overlay.OverlaySummaryGraph` view, so
 augmentation allocates work proportional to the number of keyword matches,
 not to |summary graph|.  The base graph is never mutated.
+
+Augmentation is also where a query's **plan** starts: the augmented graph
+is a pure function of the summary version and the keyword matches, so
+:func:`augment` keeps it in the version-keyed substrate's plan LRU, keyed
+by the match objects, and the stages after it keep what they derive from
+it on it (:attr:`AugmentedSummaryGraph.cost_memo`,
+:attr:`AugmentedSummaryGraph.view_memo`).  A plan is never invalidated:
+it dies with the substrate when the summary version moves, and a keyword
+whose lookup is recomputed comes back as new match objects — a new key.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.keyword.keyword_index import (
     AttributeMatch,
@@ -51,6 +60,19 @@ class AugmentedSummaryGraph:
     match_scores:
         element key → best ``sm(n)`` over all keywords that matched it;
         elements absent from the map score 1 (Section V).
+    cost_memo:
+        cost model → the element costs it assigned this graph
+        (:meth:`~repro.scoring.cost.CostModel.element_costs`).
+    view_memo:
+        ``id(costs)`` → ``(costs, view)``: the exploration's per-query
+        view (``repro.core.exploration._build_substrate_view``) of each
+        costs object in :attr:`cost_memo`; the entry holds the costs, so a
+        recycled ``id()`` can never alias it.
+
+    The graph and everything in the two memos are read-only once built:
+    :func:`augment` hands the same instance to every search of the same
+    matches, concurrently too.  Racing first computations store equal
+    values, so the memos need no lock.
     """
 
     def __init__(
@@ -62,6 +84,8 @@ class AugmentedSummaryGraph:
         self.graph = graph
         self.keyword_elements = keyword_elements
         self.match_scores = match_scores
+        self.cost_memo: Dict[object, Mapping[Hashable, float]] = {}
+        self.view_memo: Dict[int, Tuple[Mapping[Hashable, float], object]] = {}
         self._sorted_elements: Optional[Tuple[Tuple[Hashable, ...], ...]] = None
 
     def sorted_keyword_elements(self) -> Tuple[Tuple[Hashable, ...], ...]:
@@ -107,7 +131,29 @@ def augment(
     summary: SummaryGraph,
     matches_per_keyword: Sequence[Sequence[KeywordMatch]],
 ) -> AugmentedSummaryGraph:
-    """Build the augmented summary graph G'_K for one query.
+    """The augmented summary graph G'_K for one query — the query's plan.
+
+    Looked up in the plan LRU of ``summary``'s current substrate
+    (:attr:`~repro.summary.substrate.ExplorationSubstrate.plans`) by the
+    match objects themselves: the keyword index's lookup memo hands a
+    repeated keyword the same objects, so a repeated query gets the same
+    instance back, costs, view and bound tables included.  Matches built
+    afresh — equal in content or not — miss, and get a plan of their own.
+    """
+    key = tuple(tuple(matches) for matches in matches_per_keyword)
+    plans = summary.exploration_substrate().plans
+    plan = plans.hit(key)
+    if plan is None:
+        plan = _build_augmented(summary, matches_per_keyword)
+        plans.put(key, plan)
+    return plan
+
+
+def _build_augmented(
+    summary: SummaryGraph,
+    matches_per_keyword: Sequence[Sequence[KeywordMatch]],
+) -> AugmentedSummaryGraph:
+    """Build the augmented summary graph G'_K for one query (uncached).
 
     Match kinds are handled per Definition 5 and Section IV-B:
 

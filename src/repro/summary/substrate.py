@@ -24,14 +24,14 @@ die with the substrate when ``version`` moves):
 * per-cost-table ``array('d')`` base-cost slots, keyed on the cost model's
   cached base-cost dict — turning per-query cost assembly into one memcpy
   plus O(#matches) overrides;
-* guided-mode connectivity tables (:class:`BoundTables`: completion
-  bounds, the per-keyword distances under them, and the seed thresholds
-  read off those), keyed per (cost table, keyword-element sets, overlay
-  signature), so repeated queries skip the per-keyword Dijkstra sweeps
-  and the witness walk entirely;
-* assembled per-query substrate *views*, keyed per (overlay signature,
-  cost token), so a repeated query skips the extra-id/adjacency merge
-  work too (see ``repro.core.exploration._build_substrate_view``);
+* the **query plans** (:attr:`ExplorationSubstrate.plans`): an LRU of
+  augmented graphs keyed by the keyword matches they were built from
+  (:func:`repro.summary.augmentation.augment`).  Each plan carries what
+  the stages after augmentation derive from it — per cost model its
+  element costs, per costs object its assembled view (see
+  ``repro.core.exploration._build_substrate_view``), and on the view its
+  :class:`BoundTables` — so a repeated query skips all of them and runs
+  only Algorithm 1/2's loop;
 * zero-copy int64 ndarray views over ``offsets``/``targets`` for the
   vectorized kernels (:mod:`repro.core.kernels`) — built lazily on first
   kernel use, sharing the underlying buffer.
@@ -55,20 +55,20 @@ def checked_cost(key: Hashable, cost: Optional[float]) -> float:
 
 
 class BoundTables:
-    """What one entry of the bound LRU holds: a query's connectivity
-    tables and what has been derived from them.
+    """What a query plan's view holds: the query's connectivity tables
+    and what has been derived from them.
 
     ``bounds[i]`` is keyword i's completion-bound table (a list: the
     exploration loop indexes it per cursor), ``dists[j]`` the per-keyword
     distance table the bounds were built from (``array('d')``: read once
     per ``(k, dmax)``, by ``repro.core.exploration.seed_threshold``), and
     ``thresholds`` the seed thresholds derived so far, keyed ``(k, dmax)``
-    — a handful per entry, since a server's k and dmax rarely vary.
+    — a handful per plan, since a server's k and dmax rarely vary.
     """
 
     __slots__ = ("bounds", "dists", "thresholds")
 
-    #: Seed thresholds retained per entry (LRU).
+    #: Seed thresholds retained per plan (LRU).
     MAX_THRESHOLDS = 8
 
     def __init__(self, bounds: List[List[float]], dists: List[array]):
@@ -97,17 +97,14 @@ class ExplorationSubstrate:
         "targets",
         "n",
         "_cost_arrays",
-        "_bounds_cache",
-        "_view_cache",
+        "plans",
         "_ndarrays",
     )
 
     #: Base-cost arrays retained per substrate (one per live cost model).
     MAX_COST_TABLES = 4
-    #: Guided completion-bound tables retained per substrate (LRU).
-    MAX_BOUNDS = 32
-    #: Assembled per-query views retained per substrate (LRU).
-    MAX_VIEWS = 32
+    #: Query plans retained per substrate (LRU).
+    MAX_PLANS = 32
 
     def __init__(self, pairs: Iterable[Tuple[str, Hashable]], neighbors_of):
         pairs = tuple(pairs)
@@ -127,8 +124,9 @@ class ExplorationSubstrate:
         self.targets = targets
 
         self._cost_arrays: Dict[int, Tuple[Mapping, array]] = {}
-        self._bounds_cache: LruDict = LruDict(self.MAX_BOUNDS)
-        self._view_cache: LruDict = LruDict(self.MAX_VIEWS)
+        #: keyword matches (per keyword, the match objects themselves,
+        #: which compare by identity) -> AugmentedSummaryGraph.
+        self.plans: LruDict = LruDict(self.MAX_PLANS)
         self._ndarrays = None
 
     def row(self, element_id: int) -> array:
@@ -162,54 +160,6 @@ class ExplorationSubstrate:
         """Uncached cost slots for an arbitrary per-query cost mapping."""
         get = mapping.get
         return array("d", (checked_cost(key, get(key)) for key in self.keys))
-
-    # ------------------------------------------------------------------
-    # Guided completion-bound tables
-    # ------------------------------------------------------------------
-
-    def get_bounds(self, key: tuple, cost_table: Mapping):
-        """Cached :class:`BoundTables` for one (cost table, query signature).
-
-        ``key`` embeds ``id(cost_table)``; the entry keeps a strong
-        reference to the table and is served only while that exact object
-        is the one being keyed on, so a recycled ``id()`` of a dead table
-        can never alias stale bounds (same defense as :meth:`cost_array`).
-        """
-        entry = self._bounds_cache.hit(key)
-        if entry is not None and entry[0] is cost_table:
-            return entry[1]
-        return None
-
-    def store_bounds(self, key: tuple, cost_table: Mapping, tables) -> None:
-        self._bounds_cache.put(key, (cost_table, tables))
-
-    def clear_bounds(self) -> None:
-        """Drop every cached bound table (views and CSR arrays stay).
-
-        For tests that need cold-bounds rounds without
-        rebuilding the substrate; production code never needs this —
-        entries age out of the LRU on their own.
-        """
-        self._bounds_cache = LruDict(self.MAX_BOUNDS)
-
-    # ------------------------------------------------------------------
-    # Assembled per-query views
-    # ------------------------------------------------------------------
-
-    def get_view(self, key: tuple, cost_table: Mapping):
-        """Cached per-query view for one (overlay signature, cost token).
-
-        Same ``id()``-aliasing defense as :meth:`cost_array`: the entry
-        holds the cost table whose identity the key embeds, so it can only
-        hit while that exact object is alive.
-        """
-        entry = self._view_cache.hit(key)
-        if entry is not None and entry[0] is cost_table:
-            return entry[1]
-        return None
-
-    def store_view(self, key: tuple, cost_table: Mapping, view) -> None:
-        self._view_cache.put(key, (cost_table, view))
 
     # ------------------------------------------------------------------
     # ndarray views (vectorized kernels)

@@ -335,12 +335,19 @@ class SummaryGraph:
         automatically — including every delta the
         :class:`~repro.maintenance.IndexManager` propagates.
         """
+        substrate = self.built_substrate()
+        if substrate is None:
+            substrate = ExplorationSubstrate(self._canonical_pairs(), self.neighbors)
+            self._substrate_cache = (self.version, substrate)
+        return substrate
+
+    def built_substrate(self) -> Optional[ExplorationSubstrate]:
+        """The current version's substrate if a search has built it, else
+        ``None`` — for statistics, which must not build one."""
         cached = self._substrate_cache
         if cached is not None and cached[0] == self.version:
             return cached[1]
-        substrate = ExplorationSubstrate(self._canonical_pairs(), self.neighbors)
-        self._substrate_cache = (self.version, substrate)
-        return substrate
+        return None
 
     def neighbors(self, key: Hashable) -> Tuple[Hashable, ...]:
         """Neighbor *elements*: incident edges of a vertex, or endpoints of

@@ -25,7 +25,7 @@ class LruDict(OrderedDict):
     """A bounded, thread-safe mapping with least-recently-used eviction.
 
     The query-time memo layers (engine search results, keyword lookups,
-    guided bound tables) all share this shape: :meth:`hit` returns a value
+    query plans) all share this shape: :meth:`hit` returns a value
     and refreshes its recency, :meth:`put` inserts and evicts the oldest
     entries beyond ``maxsize``.  ``None`` is not a valid value (it marks a
     miss).

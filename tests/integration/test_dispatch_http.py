@@ -335,6 +335,22 @@ def test_stats_merges_dispatch_counters(dispatch_server):
         }
 
 
+def test_stats_reports_each_workers_plan_lru(dispatch_server):
+    """Per worker under ``workers[i].caches``: a query repeated more
+    often than there are workers is a plan hit on at least one."""
+    def plan_hits():
+        stats = _get(f"{dispatch_server.url}/stats")[1]
+        plans = [worker["caches"]["plans"] for worker in stats["workers"]]
+        for block in plans:
+            assert set(block) == {"size", "maxsize", "hits", "misses", "hit_rate"}
+        return sum(block["hits"] for block in plans)
+
+    before = plan_hits()
+    for k in range(1, 5):
+        _get(f"{dispatch_server.url}/search?q=project+aifb&k={k}")
+    assert plan_hits() > before
+
+
 def test_a_staged_bundle_is_removed_when_the_server_stops(tmp_path):
     """``serve --workers N`` without ``--bundle`` stages the workers'
     bundle and its WAL in a ``repro-serve-*`` directory; once a SIGTERM

@@ -121,6 +121,18 @@ def test_stats_endpoint(server):
     assert "summary_version" in stats["snapshot"]
 
 
+def test_stats_reports_the_plan_lru(server):
+    """The same keywords at another k miss the result memo but find
+    their query plan."""
+    _get(f"{server.url}/search?q=aifb+2006&k=2")
+    before = _get(f"{server.url}/stats")[1]["caches"]["plans"]
+    _get(f"{server.url}/search?q=aifb+2006&k=3")
+    after = _get(f"{server.url}/stats")[1]["caches"]["plans"]
+    assert set(after) == {"size", "maxsize", "hits", "misses", "hit_rate"}
+    assert after["hits"] == before["hits"] + 1
+    assert 0 < after["size"] <= after["maxsize"]
+
+
 def test_bad_requests(server):
     with pytest.raises(urllib.error.HTTPError) as excinfo:
         _get(f"{server.url}/search")  # missing q

@@ -232,17 +232,26 @@ def test_fewer_than_k_witnesses_leave_the_run_unseeded(monkeypatch):
 # ----------------------------------------------------------------------
 
 
+def _plan_tables(engine):
+    """The bound tables of every plan in the engine's plan LRU."""
+    plans = engine.summary.exploration_substrate().plans.values()
+    return [
+        plan.view_memo[id(costs)][1].tables
+        for plan in plans
+        for costs in plan.cost_memo.values()
+    ]
+
+
 def test_threads_deriving_one_threshold_together_agree():
-    """Eight searches cross an entry whose thresholds were just dropped:
-    whoever derives it, all run from the same float, and the entry keeps
-    one value for the ``(k, dmax)`` they share."""
+    """Eight searches race to build one plan that was just dropped:
+    whoever derives its tables and threshold, all run from the same
+    float, and the plan left behind keeps one value for the ``(k, dmax)``
+    they share."""
     engine = KeywordSearchEngine(running_example_graph(), search_cache_size=0)
     expected = engine.search("cimiano 2006").exploration.seed_threshold
     assert expected < INF
-    entries = [tables for _, tables in engine.summary.exploration_substrate()
-               ._bounds_cache.values()]
-    assert len(entries) == 1
-    (tables,) = entries
+    plans = engine.summary.exploration_substrate().plans
+    assert len(plans) == 1
 
     threads = 8
     barrier = threading.Barrier(threads)
@@ -261,7 +270,7 @@ def test_threads_deriving_one_threshold_together_agree():
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(5):
-            tables.thresholds.clear()
+            plans.clear()
             workers = [threading.Thread(target=search) for _ in range(threads)]
             for worker in workers:
                 worker.start()
@@ -272,6 +281,8 @@ def test_threads_deriving_one_threshold_together_agree():
         sys.setswitchinterval(interval)
     assert not errors, errors
     assert seen == [(expected, False)] * (5 * threads)
+    assert len(plans) == 1
+    (tables,) = _plan_tables(engine)
     assert dict(tables.thresholds) == {(engine.k, engine.dmax): expected}
     assert engine.exploration_stats() == {
         "seeded": 1 + 5 * threads, "seed_fallbacks": 0,
@@ -282,7 +293,7 @@ def test_thresholds_kept_per_entry_are_bounded():
     engine = KeywordSearchEngine(running_example_graph(), search_cache_size=0)
     for k in range(1, 30):
         engine.search("cimiano 2006", k=k)
-    ((_, tables),) = engine.summary.exploration_substrate()._bounds_cache.values()
+    (tables,) = _plan_tables(engine)
     assert len(tables.thresholds) == tables.MAX_THRESHOLDS < 29
 
 

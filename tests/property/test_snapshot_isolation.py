@@ -246,7 +246,7 @@ def test_search_many_is_byte_identical_to_sequential_after_update(batch):
 def test_shared_frontier_batch_racing_update_is_pre_or_post_never_hybrid(batch):
     """A ``search_many`` batch racing an update epoch: the whole batch
     runs against one pinned snapshot, and its queries share the
-    substrate's view and bound-table caches, so every query in the batch
+    substrate's plan LRU, so every query in the batch
     must see *one* engine state — all-pre or all-post, never a hybrid,
     and never bounds from one epoch applied to the other."""
     adds, removes = batch

@@ -18,8 +18,11 @@ version bumps must invalidate the substrate.  After every batch the
 incrementally maintained engine must explore *byte-identically* — same
 costs, same connecting elements, same per-keyword path tuples, same
 ranking among equal-cost candidates, same diagnostics — to an engine
-built from scratch over the current triples: a stale substrate (or a view
-or bound table surviving on it) is exactly what would make the two differ.
+built from scratch over the current triples: a stale substrate (or a
+query plan surviving on it) is exactly what would make the two differ.
+Part 3 runs the same comparison with the plan LRU in play: every query
+explored again while its plan is cached, again after the LRU is cleared,
+and after every batch.
 """
 
 import pytest
@@ -201,3 +204,45 @@ def test_substrate_matches_reference_through_maintenance(initial, batches, mode)
         # maintained engine explores the *updated* graph, including
         # overlay augmentation, exactly as a fresh one does.
         _assert_engine_identity(engine, mode)
+
+
+# ----------------------------------------------------------------------
+# Part 3: query plans reused, dropped and outlived
+# ----------------------------------------------------------------------
+
+
+def _plans(engine):
+    return engine.summary.exploration_substrate().plans
+
+
+@given(
+    initial=st.lists(any_triple, min_size=3, max_size=15),
+    batches=batches,
+    mode=modes,
+)
+@settings(max_examples=25, deadline=None)
+def test_cached_and_rebuilt_plans_match_reference(initial, batches, mode):
+    """Inputs for Part 2's comparison: a second pass whose every plan is
+    a hit, a pass after ``plans.clear()``, and each batch followed by a
+    pass that finds no plan if the batch moved the summary version (a
+    class count changed) and then a pass that hits the plans it built."""
+    engine = KeywordSearchEngine(DataGraph(initial), cost_model="c3", k=5)
+    _assert_engine_identity(engine, mode)
+    misses = _plans(engine).misses
+    _assert_engine_identity(engine, mode)
+    assert _plans(engine).misses == misses
+    _plans(engine).clear()
+    _assert_engine_identity(engine, mode)
+
+    for op, triples in batches:
+        version = engine.summary.version
+        if op == "add":
+            engine.add_triples(triples)
+        else:
+            engine.remove_triples(triples)
+        if engine.summary.version != version:
+            assert len(_plans(engine)) == 0
+        _assert_engine_identity(engine, mode)
+        misses = _plans(engine).misses
+        _assert_engine_identity(engine, mode)
+        assert _plans(engine).misses == misses

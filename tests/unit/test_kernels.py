@@ -142,7 +142,7 @@ def test_disabled_kernels_still_explore_identically(monkeypatch, caplog):
     engine = KeywordSearchEngine(running_example_graph(), guided=True)
     reference = engine.search("cimiano 2006")
     monkeypatch.setattr(kernels, "_available", False)
-    engine.summary.exploration_substrate().clear_bounds()
+    engine.summary.exploration_substrate().plans.clear()
     with caplog.at_level(logging.DEBUG):
         disabled = engine.search("cimiano 2006")
     assert _ranking(disabled) == _ranking(reference)
@@ -333,7 +333,7 @@ def test_nonconvergence_falls_back_to_scalar(monkeypatch):
     declined = engine.search("w000001 w000003")
     with monkeypatch.context() as without_numpy:
         without_numpy.setattr(kernels, "_available", False)
-        engine.summary.exploration_substrate().clear_bounds()
+        engine.summary.exploration_substrate().plans.clear()
         dijkstra = engine.search("w000001 w000003")
     assert _ranking(declined) == _ranking(dijkstra)
 
@@ -411,8 +411,7 @@ def test_relax_to_fixpoint_with_trailing_empty_row():
 def test_forced_vectorized_explores_identically_below_threshold():
     """``use_vectorized=True`` overrides MIN_BOUNDS_TOTAL: even on a tiny
     graph, exploring on the kernel's tables must match exploring on the
-    Dijkstra's exactly.  (The element costs are a plain-dict copy so
-    neither run finds the other's table in the substrate cache.)"""
+    Dijkstra's exactly."""
     engine = KeywordSearchEngine(running_example_graph(), guided=True)
     augmented, costs = _augmented(engine, "cimiano aifb")
     costs = dict(costs)
@@ -427,3 +426,34 @@ def test_forced_vectorized_explores_identically_below_threshold():
     assert vec.candidates_offered == ref.candidates_offered
     assert vec.terminated_by == ref.terminated_by
     assert vec.max_queue_size == ref.max_queue_size
+
+
+@needs_numpy
+def test_pinned_call_computes_its_own_tables(monkeypatch):
+    """A pinned call neither reads nor stores the plan's tables: with the
+    engine's own costs, after a default call has kept the Dijkstra's
+    tables on the plan, ``use_vectorized=True`` still runs the kernel,
+    and the plan keeps the tables it had."""
+    engine = KeywordSearchEngine(running_example_graph(), guided=True)
+    augmented, costs = _augmented(engine, "cimiano aifb")
+    assert augmented.cost_memo  # the engine-shaped, memoized costs
+    default = explore_top_k(augmented, costs, k=5)
+    view = _build_substrate_view(augmented, costs)
+    kept = view.tables
+    assert kept is not None
+
+    calls = []
+    original = kernels.completion_bounds
+
+    def spying(m, seed_costs, view):
+        calls.append(view.total)
+        return original(m, seed_costs, view)
+
+    monkeypatch.setattr(kernels, "completion_bounds", spying)
+    pinned = explore_top_k(augmented, costs, k=5, use_vectorized=True)
+    assert len(calls) == 1
+    assert view.tables is kept
+    assert [sg.elements for sg in pinned.subgraphs] == [
+        sg.elements for sg in default.subgraphs
+    ]
+    assert pinned.cursors_created == default.cursors_created

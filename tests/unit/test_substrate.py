@@ -87,31 +87,38 @@ class TestCostSlots:
         assert checked_cost("x", 0.5) == 0.5
 
 
-class TestBoundsCache:
-    def test_bounds_served_only_for_the_same_table_object(self):
-        """Guided bound entries verify the cost table by identity, so a
-        recycled ``id()`` of a dead table can never alias stale bounds."""
-        graph, _, _ = line_graph()
-        substrate = graph.exploration_substrate()
-        table_a = {key: 1.0 for key in substrate.keys}
-        table_b = {key: 2.0 for key in substrate.keys}
-        key = ((id(table_a), frozenset()), (), ((0, 1.0),))
-        substrate.store_bounds(key, table_a, [[1.0]])
-        assert substrate.get_bounds(key, table_a) == [[1.0]]
-        # Same cache key (as after id() reuse), different table object.
-        assert substrate.get_bounds(key, table_b) is None
+def _value_match(value="v"):
+    from repro.keyword.keyword_index import ValueMatch
 
-    def test_bounds_cache_is_lru_bounded(self):
+    return ValueMatch(Literal(value), frozenset([(URI("a:attr"), URI("c:0"))]), 1.0)
+
+
+class TestPlanCache:
+    def test_plan_served_only_for_the_same_match_objects(self):
+        """A plan is keyed by the match objects themselves: the same
+        objects (in a new list) are a hit, fresh matches with equal
+        content are a miss and a plan of their own."""
         graph, _, _ = line_graph()
         substrate = graph.exploration_substrate()
-        table = {}
-        for i in range(substrate.MAX_BOUNDS + 5):
-            substrate.store_bounds((i,), table, [[float(i)]])
-        assert len(substrate._bounds_cache) == substrate.MAX_BOUNDS
+        match = _value_match()
+        first = augment(graph, [[match]])
+        assert augment(graph, [[match]]) is first
+        twin = augment(graph, [[_value_match()]])
+        assert twin is not first
+        assert twin.graph.added_element_keys() == first.graph.added_element_keys()
+        assert (substrate.plans.hits, substrate.plans.misses) == (1, 2)
+        assert len(substrate.plans) == 2
+
+    def test_plan_lru_is_bounded(self):
+        graph, _, _ = line_graph()
+        substrate = graph.exploration_substrate()
+        for i in range(substrate.MAX_PLANS + 5):
+            augment(graph, [[_value_match(f"v{i}")]])
+        assert len(substrate.plans) == substrate.MAX_PLANS
 
 
 class TestExplorationIntegration:
-    """Exploration over a warm (cached views/bounds) substrate against the
+    """Exploration over a warm (cached plan) substrate against the
     same exploration over a second, freshly built ``SummaryGraph``."""
 
     def _costs(self, graph):
@@ -123,7 +130,7 @@ class TestExplorationIntegration:
         graph, keys, edges = line_graph(4)
         augmented = AugmentedSummaryGraph(graph, [{keys[0]}, {keys[3]}], {})
         costs = self._costs(graph)
-        explore_top_k(augmented, costs, k=3)  # warm the view/bounds caches
+        explore_top_k(augmented, costs, k=3)  # warm the substrate
         a = explore_top_k(augmented, costs, k=3)
         fresh, _, _ = line_graph(4)
         b = explore_top_k(
