@@ -8,7 +8,8 @@ search, execute, update, search, execute — asserting the update's epoch
 propagated to *every* worker (the sync broadcast acked), the new data is
 immediately visible no matter which worker serves the follow-up search,
 and a worker's execute path answers (rows, ``timings_ms``, ``limit: 0``
--> no rows, body bytes equal to ``json.dumps`` of the dict reference) on
+-> no rows, body bytes equal to ``json.dumps`` of the dict reference, the
+rank-2 candidate equal to ``/search``'s, a 404 past the last rank) on
 both sides of the update.  Around the update it also
 proves, on every worker, that survival and freshness hold together: the
 pre-update search, repeated after an update that touched none of its
@@ -97,13 +98,13 @@ class _KeptConnection:
         self.requests = 0
         self.last_body = b""  # the raw bytes of the latest response
 
-    def _exchange(self, method, path, body=None):
+    def _exchange(self, method, path, body=None, status=200):
         headers = {"Content-Type": "application/json"} if body else {}
         self._conn.request(method, path, body=body, headers=headers)
         self.requests += 1
         response = self._conn.getresponse()
         payload = self.last_body = response.read()
-        assert response.status == 200, (response.status, payload[:200])
+        assert response.status == status, (response.status, payload[:200])
         assert not response.will_close, (
             f"server announced it will close the connection after "
             f"{method} {path}"
@@ -113,8 +114,8 @@ class _KeptConnection:
     def get(self, path):
         return self._exchange("GET", path)
 
-    def post(self, path, payload):
-        return self._exchange("POST", path, json.dumps(payload))
+    def post(self, path, payload, status=200):
+        return self._exchange("POST", path, json.dumps(payload), status)
 
     def close(self):
         self._conn.close()
@@ -136,7 +137,8 @@ def check_dispatcher_memory(pid) -> int:
 
 
 def check_execute(conn) -> None:
-    """A worker evaluates a query: rows, flat timings, and ``limit`` 0."""
+    """A worker evaluates a query: rows, flat timings, ``limit`` 0, the
+    candidate ``/search`` ranks there, and a 404 past the last rank."""
     ask = {"q": "cimiano 2006", "rank": 1}
     executed = conn.post("/execute", ask)
     assert executed["answers"], "execute returned no answers"
@@ -150,6 +152,14 @@ def check_execute(conn) -> None:
     unbounded = conn.post("/execute", dict(ask, limit=None))
     unbounded["answers"].sort(key=answer_json_signature)
     assert conn.last_body == json.dumps(unbounded).encode("ascii"), conn.last_body[:200]
+    # A worker maps subgraphs only up to the rank asked for: the rank-2
+    # candidate is the one the whole search ranks second, and a rank past
+    # the last candidate (k+1 when the search finds k) is a 404.
+    candidates = conn.get("/search?q=cimiano+2006")["candidates"]
+    assert len(candidates) >= 2, candidates
+    second = conn.post("/execute", dict(ask, rank=2))["candidate"]
+    assert second == candidates[1], (second, candidates[1])
+    conn.post("/execute", dict(ask, rank=len(candidates) + 1), status=404)
 
 
 def lookup_counters(conn):

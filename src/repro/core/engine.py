@@ -59,7 +59,7 @@ from repro.query.filters import (
     split_filter_keywords,
 )
 from repro.rdf.terms import Literal
-from repro.query.evaluator import Answer, QueryEvaluator
+from repro.query.evaluator import Answer, AnswerRows, QueryEvaluator
 from repro.query.isomorphism import canonical_form
 from repro.query.nlg import verbalize
 from repro.query.presentation import form_signature, present
@@ -291,9 +291,11 @@ def split_keywords(query: str) -> List[str]:
 
 
 def _map_stage(
-    snapshot: EngineSnapshot, subgraphs, augmented_graph
+    snapshot: EngineSnapshot, subgraphs, augmented_graph,
+    stop_at_rank: Optional[int] = None,
 ) -> List[QueryCandidate]:
-    """Task 5: map matching subgraphs to deduplicated, ranked queries."""
+    """Task 5: map matching subgraphs to deduplicated, ranked queries —
+    all of them, or only until ``stop_at_rank`` candidates are held."""
     type_pred = snapshot.graph.preferred_type_predicate
     subclass_pred = snapshot.graph.preferred_subclass_predicate
     candidates: List[QueryCandidate] = []
@@ -317,6 +319,8 @@ def _map_stage(
                 query, subgraph.cost, subgraph, rank=len(candidates) + 1, form=form
             )
         )
+        if len(candidates) == stop_at_rank:
+            break
     return candidates
 
 
@@ -590,6 +594,7 @@ class KeywordSearchEngine:
         k: Optional[int] = None,
         dmax: Optional[int] = None,
         matches: Optional[List[List[KeywordMatch]]] = None,
+        stop_at_rank: Optional[int] = None,
     ) -> SearchResult:
         """Run Section VI's five steps in order against a pinned snapshot.
 
@@ -607,6 +612,12 @@ class KeywordSearchEngine:
         fills the result memo.  Its matches are built afresh on every
         call, so it never finds its plan in the plan LRU either
         (:func:`~repro.summary.augmentation.augment`).
+
+        ``stop_at_rank`` ends query mapping once that many candidates
+        are held (``/execute`` reads only its rank-th), so the result
+        holds at most that many and ``query_mapping`` times only the
+        subgraphs mapped up to it.  Such a result neither reads nor fills
+        the result memo, which only ever holds whole results.
         """
         keywords = split_keywords(query) if isinstance(query, str) else list(query)
         if not keywords or all(not kw.strip() for kw in keywords):
@@ -628,7 +639,7 @@ class KeywordSearchEngine:
         # across data updates.
         cache = self._search_cache
         cache_key = None
-        if cache is not None and matches is None:
+        if cache is not None and matches is None and stop_at_rank is None:
             cache_key = (
                 tuple(keywords), k, dmax,
                 snapshot.summary_version, snapshot.index_version,
@@ -665,7 +676,9 @@ class KeywordSearchEngine:
                 self._seed_fallbacks += exploration.seed_fallback
         explored = clock()
         # Task 5: query mapping.
-        candidates = _map_stage(snapshot, exploration.subgraphs, augmented.graph)
+        candidates = _map_stage(
+            snapshot, exploration.subgraphs, augmented.graph, stop_at_rank
+        )
         finished = clock()
 
         timings["augmentation"] = augmented_at - mapped
@@ -748,7 +761,7 @@ class KeywordSearchEngine:
         self,
         candidate: Union[QueryCandidate, ConjunctiveQuery],
         limit: Optional[int] = None,
-    ) -> List[Answer]:
+    ) -> AnswerRows:
         """Run one computed query on the underlying store."""
         query = candidate.query if isinstance(candidate, QueryCandidate) else candidate
         return self.evaluator.evaluate(query, limit=limit)
@@ -759,18 +772,26 @@ class KeywordSearchEngine:
         rank: int = 1,
         limit: Optional[int] = 10,
         snapshot: Optional[EngineSnapshot] = None,
-    ) -> Tuple[Optional[QueryCandidate], List[Answer], Dict[str, float]]:
+    ) -> Tuple[Optional[QueryCandidate], Sequence[Answer], Dict[str, float]]:
         """Search, then run the rank-th interpretation on the store — the
         ``/execute`` request.  Returns ``(candidate, answers, timings)``:
         the search's stage timings plus ``execute``, in seconds.
         ``candidate`` is ``None`` when the search has fewer than ``rank``
         interpretations.
+
+        Without a result memo, query mapping stops at the rank-th
+        candidate, so ``timings["query_mapping"]`` covers only the
+        subgraphs mapped up to it.  With one, all k are mapped and the
+        whole result is memoized for the searches that follow.
         """
         if rank < 1:
             raise ValueError(f"rank must be >= 1, got {rank}")
         if snapshot is None:
             snapshot = self.snapshot()
-        result = self.search_on_snapshot(snapshot, query)
+        result = self.search_on_snapshot(
+            snapshot, query,
+            stop_at_rank=rank if self._search_cache is None else None,
+        )
         if len(result.candidates) < rank:
             return None, [], result.timings
         candidate = result.candidates[rank - 1]

@@ -139,8 +139,8 @@ def ranked_answer_signatures(
     """Execute candidates best-first and rank their canonical answers.
 
     Candidate order carries the ranking signal; *within* one candidate
-    the evaluator's answer order reflects store internals (hash sets,
-    posting runs), so each candidate's answers are canonically sorted
+    the evaluator's answer order reflects store internals (insertion
+    order, sorted runs), so each candidate's answers are canonically sorted
     before concatenation, then deduplicated at best rank and capped at
     ``answer_depth``.  The result is identical for every store that
     serves the same data (the constructors' hash nests, a loaded bundle).

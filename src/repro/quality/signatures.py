@@ -43,8 +43,8 @@ def answer_signature(answer) -> str:
 def sort_answers(answers: Iterable) -> List:
     """Answers in canonical (signature) order.
 
-    Answer iteration order reflects store internals (hash sets, posting
-    runs, mmap ranges) and differs across index tiers and epochs even
+    Answer iteration order reflects store internals (insertion order,
+    sorted runs, a delta after its base rows) and differs across index tiers and epochs even
     though the answer *set* is identical; sorting by signature is the
     canonical presentation every tier shares.
     """

@@ -3,7 +3,7 @@ and surface renderings (SPARQL, single-table SQL, natural language).
 """
 
 from repro.query.conjunctive import Atom, ConjunctiveQuery, QueryValidationError
-from repro.query.evaluator import QueryEvaluator, Answer
+from repro.query.evaluator import QueryEvaluator, Answer, AnswerRows
 from repro.query.sparql import to_sparql, parse_sparql, SparqlParseError
 from repro.query.sql import to_sql
 from repro.query.nlg import verbalize
@@ -15,6 +15,7 @@ __all__ = [
     "QueryValidationError",
     "QueryEvaluator",
     "Answer",
+    "AnswerRows",
     "to_sparql",
     "parse_sparql",
     "SparqlParseError",

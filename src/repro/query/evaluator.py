@@ -23,13 +23,20 @@ Answers follow Definition 3: a mapping of the distinguished variables such
 that some extension to the existential variables embeds the whole query
 pattern into the data.  Enumeration is lazy and depth-first in the
 probes' order: on a bundle at epoch 0 that is the order of the sorted
-runs, so a truncating ``limit`` keeps the first answers of the unlimited
-enumeration; rows of a delta overlay and of :class:`TripleStore` come in
-hash-set order.
+runs, and on :class:`TripleStore` (and a bundle's delta overlay, after
+its base rows) the order the triples were inserted, so a truncating
+``limit`` keeps the first answers of the unlimited enumeration.
+
+One generator yields the answers, as distinct tuples of the
+distinguished variables' keys.  :meth:`QueryEvaluator.evaluate` keeps
+them as keys (:class:`AnswerRows`): an ``/execute`` body is written
+from the keys' terms' N3, and an :class:`Answer` is built only for an
+answer that is read as one.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from itertools import islice
 from typing import Dict, Hashable, Iterator, List, Optional, Tuple
 
@@ -77,6 +84,53 @@ class Answer:
         return f"Answer({pairs})"
 
 
+class AnswerRows(Sequence):
+    """The answers of one query, kept as the store's keys.
+
+    ``rows`` holds one tuple of keys per answer, in the order of
+    ``variables`` (the query's distinguished variables); ``store`` turns
+    a key into its term (``term_of``).
+    Indexing and iteration build an :class:`Answer` per answer read, and
+    the sequence equals a list of those answers.  A key of a base term
+    names the same term at every epoch, and a term only the delta holds
+    is its own key, so the rows read the same after a later update.
+    """
+
+    __slots__ = ("variables", "rows", "store")
+
+    def __init__(self, variables: Tuple[Variable, ...], rows: Tuple[tuple, ...], store):
+        object.__setattr__(self, "variables", variables)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "store", store)
+
+    def __setattr__(self, name, value):  # pragma: no cover - guard
+        raise AttributeError("AnswerRows is immutable")
+
+    def _answer(self, keys: tuple) -> Answer:
+        return Answer(self.variables, tuple(map(self.store.term_of, keys)))
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self._answer(keys) for keys in self.rows[index]]
+        return self._answer(self.rows[index])
+
+    def __iter__(self) -> Iterator[Answer]:
+        return map(self._answer, self.rows)
+
+    def __eq__(self, other):
+        if isinstance(other, (AnswerRows, list)):
+            return len(self) == len(other) and list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"AnswerRows({list(self)!r})"
+
+
 class QueryEvaluator:
     """Evaluates conjunctive queries over a triple store."""
 
@@ -92,28 +146,35 @@ class QueryEvaluator:
         self,
         query: ConjunctiveQuery,
         limit: Optional[int] = None,
-    ) -> List[Answer]:
+    ) -> AnswerRows:
         """All (or the first ``limit``) distinct answers to the query."""
-        return list(islice(self.iter_answers(query), limit))
+        rows = tuple(islice(self._rows(query), limit))
+        return AnswerRows(query.distinguished, rows, self._store)
 
     def iter_answers(self, query: ConjunctiveQuery) -> Iterator[Answer]:
         """Lazily yield distinct answers — supports the paper's 'process the
         top queries until ≥10 answers are found' loop without full evaluation.
         """
         distinguished = query.distinguished
-        variables = query.variables
-        picks = [variables.index(v) for v in distinguished]
         term_of = self._store.term_of
+        for keys in self._rows(query):
+            yield Answer(distinguished, tuple(map(term_of, keys)))
+
+    def count(self, query: ConjunctiveQuery) -> int:
+        """Number of distinct answers."""
+        return sum(1 for _ in self._rows(query))
+
+    def _rows(self, query: ConjunctiveQuery) -> Iterator[Tuple[Hashable, ...]]:
+        """Each distinct answer once, as the keys of the distinguished
+        variables, in enumeration order."""
+        variables = query.variables
+        picks = [variables.index(v) for v in query.distinguished]
         seen = set()
         for slots in self._solve(query):
             keys = tuple([slots[i] for i in picks])
             if keys not in seen:
                 seen.add(keys)
-                yield Answer(distinguished, tuple(map(term_of, keys)))
-
-    def count(self, query: ConjunctiveQuery) -> int:
-        """Number of distinct answers."""
-        return sum(1 for _ in self.iter_answers(query))
+                yield keys
 
     # ------------------------------------------------------------------
     # The join

@@ -17,10 +17,10 @@ presentation pass over the query, :mod:`repro.query.presentation`, reads
 every term once and yields logic form, signature, SPARQL and English
 together, and the six fields are written straight to bytes),
 and :func:`encode_result` joins the fragments around a fresh
-``timings_ms``; an ``/execute`` body's answers go from terms to bytes
-with no dict in between.  ``result_to_json`` / ``candidate_to_json`` /
-``answers_to_json`` build the same payloads as dicts; the encoders are
-tested against them.
+``timings_ms``; an ``/execute`` body's answers go from the evaluator's
+key rows to bytes with no ``Answer`` or dict in between.
+``result_to_json`` / ``candidate_to_json`` / ``answers_to_json`` build
+the same payloads as dicts; the encoders are tested against them.
 """
 
 from __future__ import annotations
@@ -68,10 +68,12 @@ def answer_json_signature(payload: Mapping[str, str]) -> str:
 
 
 def answers_to_json(answers) -> List[Dict[str, str]]:
-    # Canonical (signature-sorted) order: the evaluator enumerates hash
-    # sets, so raw answer order varies across index tiers, worker
-    # processes, and hash seeds even though the answer set is identical.
-    # Sorting here makes /execute payloads byte-comparable across tiers.
+    # Canonical (signature-sorted) order: the evaluator enumerates in
+    # its stores' order — sorted runs on a bundle, insertion order in a
+    # TripleStore and in a bundle's delta — so raw answer order differs
+    # between a loaded and a constructed engine, and between a maintained
+    # and a rebuilt one, even though the answer set is identical.
+    # Sorting here makes /execute payloads byte-comparable across them.
     if answers and isinstance(answers[0], dict):
         return sorted(answers, key=answer_json_signature)
     return sorted(
@@ -114,27 +116,36 @@ def encode_result(result) -> bytes:
 
 def _encode_answers(answers) -> bytes:
     """``json.dumps(answers_to_json(answers))`` for the answers of one
-    query, without the dicts: all of them map the same variables, so the
-    quoted keys and the signature's variable order are worked out once,
-    and an answer is two joins over its terms' ``n3()`` — its signature
-    (the sort key) and its JSON object (``{}`` when the query
-    distinguishes no variable).  Dict answers go through the reference."""
-    if not answers or isinstance(answers[0], dict):
+    query, straight from its key rows
+    (:class:`~repro.query.evaluator.AnswerRows`): no ``Answer`` or dict
+    is built.  Every row maps the same variables, so the work goes
+    a column at a time: a column's keys are rendered to N3 (through
+    ``store.term_of``, whose terms the store already holds), and the
+    N3 and its JSON string are prefixed with the variable's ``name=``
+    and quoted ``"name": `` once each; a row is then two joins — its
+    signature (the sort key, variables in name order) and its JSON
+    object.  Anything else (dict answers, a list of ``Answer``) goes
+    through the reference."""
+    rows = getattr(answers, "rows", None)
+    if rows is None:
         return _dumps(answers_to_json(answers))
-    names = [str(var) for var in answers[0].variables]
-    keys = [json.dumps(name) + ": " for name in names]
-    by_name = sorted(range(len(names)), key=names.__getitem__)
-    prefixes = [(i, names[i] + "=") for i in by_name]
+    names = [str(var) for var in answers.variables]
+    if not rows or not names:  # a query distinguishing nothing: {} rows
+        return ("[" + ", ".join(["{}"] * len(rows)) + "]").encode("ascii")
+    term_of = answers.store.term_of
     quote = json.encoder.encode_basestring_ascii
-    rows = []
-    for answer in answers:
-        texts = [term.n3() for term in answer.values]
-        rows.append((
-            "|".join([prefix + texts[i] for i, prefix in prefixes]),
-            ", ".join([key + quote(text) for key, text in zip(keys, texts)]),
-        ))
-    rows.sort()  # equal signatures are equal objects
-    return ("[{" + "}, {".join([row[1] for row in rows]) + "}]").encode("ascii")
+    signature_columns, object_columns = [], []
+    for name, column in zip(names, zip(*rows)):
+        n3s = [term_of(key).n3() for key in column]
+        signature_columns.append(list(map((name + "=").__add__, n3s)))
+        object_columns.append(
+            list(map((json.dumps(name) + ": ").__add__, map(quote, n3s)))
+        )
+    by_name = sorted(range(len(names)), key=names.__getitem__)
+    signatures = map("|".join, zip(*[signature_columns[i] for i in by_name]))
+    objects = map(", ".join, zip(*object_columns))
+    encoded = sorted(zip(signatures, objects))  # equal signatures: equal objects
+    return ("[{" + "}, {".join([row[1] for row in encoded]) + "}]").encode("ascii")
 
 
 def encode_execution(candidate, answers, timings) -> bytes:

@@ -8,7 +8,8 @@ path        method  body / query parameters
 /search     GET     ``q`` (keywords), optional ``k``, ``dmax``
 /search     POST    ``{"q": "..."}`` or ``{"queries": [...]}`` (batch →
                     ``search_many`` under one snapshot), optional ``k``,
-                    ``dmax``, ``timeout``
+                    ``dmax``, ``timeout`` (seconds: a finite number > 0,
+                    or ``null`` for none)
 /execute    POST    ``{"q": "...", "rank": 1, "limit": 10}`` — search,
                     run the rank-th interpretation, return its answers;
                     ``limit`` is an integer >= 0 or ``null`` (unbounded)
@@ -40,6 +41,7 @@ under the names they always had.
 from __future__ import annotations
 
 import json
+import math
 import re
 import socketserver
 import sys
@@ -130,6 +132,25 @@ def _optional_integer_field(body: Dict[str, object], name: str):
     if value is not None and not _is_integer(value):
         raise ValueError(f"{name!r} must be an integer or null, got {value!r}")
     return value
+
+
+def _timeout_field(body: Dict[str, object]) -> Optional[float]:
+    """A batch deadline in seconds: a finite JSON number > 0, or null for
+    none.  What ``float()`` would also take — ``"nan"``, ``"inf"``, a
+    JSON ``NaN``, ``true`` — is refused, as is a deadline already past."""
+    value = body.get("timeout")
+    if value is None:
+        return None
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            seconds = float(value)
+        except OverflowError:  # an integer no float holds
+            seconds = math.inf
+        if math.isfinite(seconds) and seconds > 0:
+            return seconds
+    raise ValueError(
+        f"'timeout' must be null or a finite number of seconds > 0, got {value!r}"
+    )
 
 
 #: A query-string integer: ASCII digits, optionally negative — what
@@ -382,9 +403,7 @@ class _Handler(socketserver.StreamRequestHandler):
     def _post_search(self, body: Dict[str, object]) -> Tuple[int, bytes]:
         k = _optional_integer_field(body, "k")
         dmax = _optional_integer_field(body, "dmax")
-        # A malformed deadline is the client's mistake (400), not a
-        # server bug (500).
-        timeout = float(body["timeout"]) if body.get("timeout") is not None else None
+        timeout = _timeout_field(body)
         if "queries" in body:
             queries = body["queries"]
             if not isinstance(queries, list):

@@ -173,6 +173,30 @@ def test_bad_requests(server):
         assert repr(field) in json.loads(excinfo.value.read())["error"]
 
 
+@pytest.mark.parametrize(
+    "timeout",
+    # What float() takes but a deadline is not: no deadline at all
+    # (NaN, infinity), a bool, or one that has already passed.
+    ["nan", "inf", float("nan"), float("inf"), -float("inf"), True, False,
+     -1, 0, 0.0, 10 ** 400, "2.0", [2.0]],
+    ids=repr,
+)
+def test_a_batch_timeout_is_a_finite_positive_number(server, timeout):
+    with pytest.raises(urllib.error.HTTPError) as excinfo:
+        _post(f"{server.url}/search", {"queries": ["cimiano"], "timeout": timeout})
+    assert excinfo.value.code == 400
+    assert "'timeout'" in json.loads(excinfo.value.read())["error"]
+
+
+def test_a_batch_timeout_accepts_null_and_positive_numbers(server):
+    for accepted in (None, 30, 2.5):
+        status, body = _post(
+            f"{server.url}/search", {"queries": ["cimiano"], "timeout": accepted}
+        )
+        assert status == 200
+        assert [o["status"] for o in body["outcomes"]] == ["ok"]
+
+
 def test_execute_behind_an_update_epoch_is_429(example_graph):
     """`--max-queue-wait` bounds the read lock for `/execute` as it does
     for `/search`: an epoch that holds the engine past it is

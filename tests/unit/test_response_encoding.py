@@ -34,7 +34,7 @@ from repro.datasets.workloads import (
 )
 from repro.quality.signatures import query_signature
 from repro.query.conjunctive import Atom, ConjunctiveQuery
-from repro.query.evaluator import Answer
+from repro.query.evaluator import AnswerRows
 from repro.query.nlg import verbalize
 from repro.query.sparql import to_sparql
 from repro.rdf.graph import DataGraph
@@ -49,6 +49,7 @@ from repro.service.http import (
     result_to_json,
 )
 from repro.service.service import BatchOutcome
+from repro.store.triple_store import TripleStore
 
 X, Y, Z = Variable("x"), Variable("y"), Variable("z")
 P, T, C = URI("u:p"), URI("u:t"), URI("u:C")
@@ -479,13 +480,15 @@ def _assert_answer_bytes(answers):
 
 
 def _answers(variables, *rows):
-    return [Answer(tuple(variables), tuple(row)) for row in rows]
+    """Key rows over a ``TripleStore``, where a key is its term: the
+    evaluator's output, as ``encode_execution`` reads it."""
+    return AnswerRows(tuple(variables), tuple(map(tuple, rows)), TripleStore())
 
 
 A, B = URI("u:a"), URI("u:b")
 
 ANSWER_CASES = {
-    "no answers": [],
+    "no answers": _answers((X,)),
     # A naive "{" + ", ".join(...) + "}" per answer gets this one wrong
     # first: a query that distinguishes nothing answers with one `{}`.
     "no distinguished variable": _answers((), ()),
@@ -529,7 +532,7 @@ def test_answer_bytes_equal_the_dict_reference(name):
 
 def test_an_answer_with_no_variables_is_an_empty_object():
     assert b'"answers": [{}]' in _assert_answer_bytes(_answers((), ()))
-    assert b'"answers": []' in _assert_answer_bytes([])
+    assert b'"answers": []' in _assert_answer_bytes(_answers((X,)))
 
 
 _names = st.text(min_size=1).filter(lambda name: not name.startswith("?"))
