@@ -1,9 +1,11 @@
 #!/usr/bin/env python
 """CI dispatch-smoke: prove the multiprocess serving tier is alive.
 
-Boots a real ``repro serve --workers N --bundle ...`` as a subprocess,
-waits for its URL announcement, then over HTTP — every request on **one**
-kept connection, and it is a failure if the server closes it in between:
+Boots a real ``repro serve --workers N --timeout 30 --bundle ...`` as a
+subprocess, waits for its URL announcement, then over HTTP — every
+request on **one** kept connection, and it is a failure if the server
+closes it in between, or if a response, the 404 included, lacks an
+``X-Request-Id`` or repeats one another response carried:
 search, execute, update, search, execute — asserting the update's epoch
 propagated to *every* worker (the sync broadcast acked), the new data is
 immediately visible no matter which worker serves the follow-up search,
@@ -86,7 +88,11 @@ class _KeptConnection:
     """One ``http.client`` connection for the whole smoke.  ``http.client``
     reconnects silently when ``auto_open`` is left on, so it is switched
     off after the first connect: a server that closed the connection
-    between two requests makes the next one raise."""
+    between two requests makes the next one raise.  Every response must
+    name its request in ``X-Request-Id``, each one a different id — across
+    connections and server restarts too."""
+
+    ids = set()
 
     def __init__(self, url):
         parsed = urlparse(url)
@@ -105,6 +111,10 @@ class _KeptConnection:
         response = self._conn.getresponse()
         payload = self.last_body = response.read()
         assert response.status == status, (response.status, payload[:200])
+        request_id = response.getheader("X-Request-Id")
+        assert request_id, f"{method} {path}: {status} without an X-Request-Id"
+        assert request_id not in self.ids, f"{method} {path}: {request_id} again"
+        self.ids.add(request_id)
         assert not response.will_close, (
             f"server announced it will close the connection after "
             f"{method} {path}"
@@ -191,6 +201,7 @@ def start_server(bundle, workers):
         [
             sys.executable, "-m", "repro", "serve",
             "--bundle", bundle, "--workers", str(workers), "--port", "0",
+            "--timeout", "30",
         ],
         stderr=subprocess.PIPE,
         text=True,
@@ -371,7 +382,8 @@ def main() -> int:
         print(
             f"# dispatch-smoke ok: after SIGKILL and a torn append the server "
             f"restarted at epoch {updated['epoch']} with no worker reload, and "
-            f"epoch {updated['epoch'] + 1} committed behind the tear",
+            f"epoch {updated['epoch'] + 1} committed behind the tear; "
+            f"{len(_KeptConnection.ids)} responses, as many request ids",
             file=sys.stderr,
         )
     except BaseException:

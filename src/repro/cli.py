@@ -361,9 +361,11 @@ def build_serve_parser() -> argparse.ArgumentParser:
         help="search-result memo size (0 disables)",
     )
     parser.add_argument(
-        "--timeout", type=float, default=None,
-        help="default per-query deadline, seconds, for batched search "
-        "(in-process serving only: refused with --workers)",
+        "--timeout", type=float, default=None, metavar="SECONDS",
+        help="deadline of every /search and /execute request, seconds from "
+        "its arrival, on either tier (a batch's 'timeout' field overrides "
+        "it): a request whose wait outlasts it gets HTTP 504, a batch member "
+        "whose turn comes after it a 'timeout' outcome",
     )
     parser.add_argument(
         "--verbose", action="store_true", help="log every HTTP request"
@@ -425,11 +427,6 @@ def serve_command(argv) -> int:
     args = build_serve_parser().parse_args(argv)
     if args.workers < 0:
         raise SystemExit(f"repro serve: --workers must be >= 0, got {args.workers}")
-    if args.workers > 0 and args.timeout is not None:
-        raise SystemExit(  # the worker tier has no per-query deadline
-            "repro: --timeout conflicts with --workers — the deadline applies "
-            "to in-process serving only"
-        )
     with contextlib.ExitStack() as staging:
         if args.workers > 0 and not args.bundle:
             # No engine is built here: the dispatcher loads its writer from
@@ -461,11 +458,14 @@ def serve_command(argv) -> int:
             service = EngineService(
                 engine,
                 max_pending=args.max_pending,
-                default_timeout=args.timeout,
                 max_queue_wait=args.max_queue_wait,
             )
         server = ReproServer(
-            service, host=args.host, port=args.port, verbose=args.verbose
+            service,
+            host=args.host,
+            port=args.port,
+            verbose=args.verbose,
+            timeout=args.timeout,
         )
         # Graceful drain: SIGTERM stops accepting, finishes in-flight work,
         # then shuts the worker pool down cleanly (shutdown() must run off

@@ -12,7 +12,7 @@ over a pool of worker processes (:mod:`repro.service.worker`) that each
 lazily map the same ``.reprobundle``, syncing to the committed epoch
 watermark through WAL-tail replay before serving.
 
-The twelve names below are resolved on first attribute access (PEP 562):
+The fourteen names below are resolved on first attribute access (PEP 562):
 importing a submodule — a worker process imports ``repro.service.worker``
 and ``.encoding``, which pass through this file — does not execute
 ``dispatch.py`` (``subprocess``, ``concurrent.futures``) or ``http.py``
@@ -24,11 +24,13 @@ from importlib import import_module
 _EXPORTS = {
     "AdmissionError": "repro.service.service",
     "BatchOutcome": "repro.service.service",
+    "DeadlineExceeded": "repro.service.protocol",
     "DispatchError": "repro.service.dispatch",
     "DispatchService": "repro.service.dispatch",
     "EngineService": "repro.service.service",
     "EngineSnapshot": "repro.core.snapshot",
     "ReproServer": "repro.service.http",
+    "Request": "repro.service.protocol",
     "SnapshotKey": "repro.core.snapshot",
     "WorkerDied": "repro.service.dispatch",
     "answers_to_json": "repro.service.encoding",

@@ -45,15 +45,29 @@ workers at *different* committed epochs if updates race the batch — each
 outcome is individually snapshot-consistent, the batch as a whole is not
 one snapshot.
 
+**Deadlines.**  Every ``search`` / ``execute`` serves one
+:class:`~repro.service.protocol.Request`: its frame carries the id and
+the seconds left, the worker refuses it once the deadline has passed
+and echoes the id.  Waiting for an idle worker ends at ``max_queue_wait``
+(HTTP 429) or at the deadline (:class:`DeadlineExceeded`, HTTP 504),
+whichever comes first; a batch is admitted whole and each member's turn
+is measured from the batch's start.
+
 **Supervision.**  A worker that dies (crash, OOM kill) is retired, its
 in-flight request is retried on a healthy worker (all dispatched ops are
-read-only, so retry is safe), and a replacement is spawned in the
-background — the replacement's load replays the WAL, so it joins at the
-current watermark.  A worker that is alive but never answers is not
-detected: a request waits on it for as long as it takes (a ``sync`` or
-``stats`` exchange gives up after :data:`SYNC_TIMEOUT`).  ``stats()``
-merges dispatcher counters (including the queue-wait histogram) with
-per-worker epoch/RSS/PSS/cache numbers and counts every restart.
+read-only, so retry is safe; the retry keeps the request's id and
+deadline), and a replacement is spawned in the background — the
+replacement's load replays the WAL, so it joins at the current
+watermark.  A worker that is alive but still silent
+:data:`WEDGE_GRACE` seconds past the request's deadline is **wedged**:
+it is killed and replaced the same way, counted, and the request is a
+504 without a retry (with no deadline there is no wedge to detect; a
+``sync`` or ``stats`` exchange gives up after :data:`SYNC_TIMEOUT`).  An
+answer whose echoed id is not the request's means the stream is out of
+step, and is handled like a death.  Each retirement mid-request is one
+stderr line naming the request's id.  ``stats()`` merges dispatcher
+counters (including the queue-wait histogram) with per-worker
+epoch/RSS/PSS/cache numbers and counts every restart.
 """
 
 from __future__ import annotations
@@ -68,7 +82,13 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.service.protocol import ProtocolError, read_frame, write_frame
+from repro.service.protocol import (
+    DeadlineExceeded,
+    ProtocolError,
+    Request,
+    read_frame,
+    write_frame,
+)
 from repro.service.service import AdmissionError, BatchOutcome, QueryLedger
 
 __all__ = ["DispatchError", "DispatchService", "WorkerDied"]
@@ -85,6 +105,15 @@ SPAWN_TIMEOUT = 120.0
 #: idle, then to answer) before it is retired.
 SYNC_TIMEOUT = 30.0
 
+#: How long past a request's deadline a worker may stay silent before it
+#: is killed as wedged.  A search that started in time is never
+#: preempted, so it has this long to finish and its answer is still sent.
+WEDGE_GRACE = 10.0
+
+
+def _log(message: str) -> None:
+    print(f"# dispatch: {message}", file=sys.stderr)
+
 
 class DispatchError(RuntimeError):
     """A dispatch-tier failure that is not the client's fault (HTTP 500)."""
@@ -94,13 +123,17 @@ class WorkerDied(RuntimeError):
     """The worker's pipe broke or its response never arrived."""
 
 
+class WorkerWedged(WorkerDied):
+    """The worker is alive but its response did not arrive in time."""
+
+
 class _FdReader:
     """Deadline-aware exact reads over a pipe file descriptor.
 
     ``read`` blocks in ``select`` until bytes arrive or ``deadline``
     (monotonic seconds, set per request) passes — the latter raises
-    :class:`WorkerDied`, because a worker that stops answering is
-    indistinguishable from a dead one and is handled the same way.
+    :class:`WorkerWedged`, a :class:`WorkerDied`: a worker that stops
+    answering is retired like a dead one.
     """
 
     def __init__(self, fd: int):
@@ -113,10 +146,10 @@ class _FdReader:
             if self.deadline is not None:
                 timeout = self.deadline - time.monotonic()
                 if timeout <= 0:
-                    raise WorkerDied("worker response deadline exceeded")
+                    raise WorkerWedged("worker response deadline exceeded")
             ready, _, _ = select.select([self._fd], [], [], timeout)
             if not ready:
-                raise WorkerDied("worker response deadline exceeded")
+                raise WorkerWedged("worker response deadline exceeded")
             try:
                 chunk = os.read(self._fd, count)
             except OSError as exc:
@@ -160,6 +193,9 @@ class _WorkerHandle:
         self.epoch: int = ready.get("epoch", 0)
         self.load_seconds: float = ready.get("load_seconds", 0.0)
         self.busy = False
+        #: Exchanges waiting for this very worker (a sync, a stats poll):
+        #: while there are any, `_borrow` leaves it for them.
+        self.claims = 0
 
     @property
     def alive(self) -> bool:
@@ -169,8 +205,9 @@ class _WorkerHandle:
         self, payload: Dict[str, object], timeout: Optional[float]
     ) -> Dict[str, object]:
         """One request/response exchange.  Raises :class:`WorkerDied` on a
-        broken pipe, EOF, corrupt frame, or deadline — the caller retires
-        this handle and retries elsewhere."""
+        broken pipe, EOF, corrupt frame, an answer to another request id,
+        or deadline (:class:`WorkerWedged`) — the caller retires this
+        handle."""
         try:
             write_frame(self.proc.stdin, payload)
         except (BrokenPipeError, OSError) as exc:
@@ -184,6 +221,11 @@ class _WorkerHandle:
             raise WorkerDied(f"worker stream corrupt: {exc}") from exc
         if response is None:
             raise WorkerDied("worker closed its pipe")
+        if response.get("id") != payload.get("id"):
+            raise WorkerDied(
+                f"worker answered request {response.get('id')!r} to "
+                f"{payload.get('id')!r}: stream out of step"
+            )
         if "epoch" in response:
             self.epoch = response["epoch"]
         return response
@@ -233,7 +275,8 @@ class DispatchService:
         Bound on the time a request may wait for an idle worker,
         separately from its execution time; beyond it the request is
         rejected with :class:`AdmissionError` (backpressure) instead of
-        stacking deadline debt behind a busy pool.
+        stacking deadline debt behind a busy pool.  A request's deadline
+        ends the wait if it comes first (:class:`DeadlineExceeded`).
     """
 
     def __init__(
@@ -276,6 +319,7 @@ class DispatchService:
         self._stats_lock = threading.Lock()
         self._retries = 0
         self._restarts = 0
+        self._wedged = 0
         self._spawn_failures = 0
         #: The committed epoch every response must be at or past.
         self._watermark = engine.index_manager.epoch
@@ -310,27 +354,42 @@ class DispatchService:
     def _spawn_one(self) -> _WorkerHandle:
         return _WorkerHandle(self.bundle, self._overrides)
 
-    def _borrow(self, max_wait: Optional[float]) -> Tuple[_WorkerHandle, float]:
-        """Take an idle worker, waiting up to the queue bound.
+    def _borrow(
+        self, request: Request, since: float
+    ) -> Tuple[_WorkerHandle, float]:
+        """Take an idle worker for ``request``, waiting until
+        ``max_queue_wait`` after ``since`` (without one,
+        ``_DEFAULT_QUEUE_WAIT`` after now) or the request's deadline,
+        whichever comes first: :class:`AdmissionError` at the bound,
+        :class:`DeadlineExceeded` at the deadline — also when it has
+        passed before the wait begins.
 
         Returns ``(handle, seconds_waited)``.  Dead handles found in the
         idle list are retired (with respawn) on the way — a worker killed
-        while idle is discovered here, not by a failed request.
+        while idle is discovered here, not by a failed request — and a
+        worker some exchange is waiting for (``claims``) is left to it.
         """
-        if max_wait is None:
-            max_wait = (
-                self.max_queue_wait
-                if self.max_queue_wait is not None
-                else _DEFAULT_QUEUE_WAIT
-            )
         started = time.monotonic()
-        deadline = started + max_wait
+        bound = self.max_queue_wait
+        if bound is None:
+            bound, since = _DEFAULT_QUEUE_WAIT, started
+        until = request.wait_until(since + bound)
         with self._cond:
             while True:
                 if self._closed:
                     raise RuntimeError("service is closed")
-                while self._idle:
-                    handle = self._idle.pop()
+                if request.expired():
+                    raise DeadlineExceeded(
+                        f"request {request.id} reached its deadline waiting "
+                        f"for an idle worker"
+                    )
+                position = len(self._idle)
+                while position:
+                    position -= 1
+                    handle = self._idle[position]
+                    if handle.claims:
+                        continue
+                    del self._idle[position]
                     if handle.alive:
                         handle.busy = True
                         return handle, time.monotonic() - started
@@ -339,14 +398,13 @@ class DispatchService:
                     raise DispatchError(
                         "no live workers and no respawn in progress"
                     )
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    self._ledger.count("rejected")
+                remaining = until - time.monotonic()
+                if remaining <= 0 and not request.expired():
                     raise AdmissionError(
-                        f"no idle worker within max_queue_wait={max_wait:.3f}s "
+                        f"no idle worker within max_queue_wait={bound:.3f}s "
                         f"({len(self._handles)} live, all busy)"
                     )
-                self._cond.wait(remaining)
+                self._cond.wait(remaining)  # at the deadline: refused above
 
     def _checkin(self, handle: _WorkerHandle) -> None:
         with self._cond:
@@ -381,11 +439,7 @@ class DispatchService:
                 try:
                     handle = self._spawn_one()
                 except Exception as exc:
-                    print(
-                        f"# dispatch: worker respawn attempt {attempt + 1} "
-                        f"failed: {exc}",
-                        file=sys.stderr,
-                    )
+                    _log(f"worker respawn attempt {attempt + 1} failed: {exc}")
                     time.sleep(0.3)
                     continue
                 with self._cond:
@@ -412,64 +466,104 @@ class DispatchService:
         died/was retired meanwhile or the wait timed out."""
         deadline = time.monotonic() + timeout
         with self._cond:
-            while True:
-                if self._closed or handle not in self._handles:
-                    return False
-                if handle in self._idle:
-                    self._idle.remove(handle)
-                    handle.busy = True
-                    return True
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return False
-                self._cond.wait(remaining)
+            handle.claims += 1
+            try:
+                while True:
+                    if self._closed or handle not in self._handles:
+                        return False
+                    if handle in self._idle:
+                        self._idle.remove(handle)
+                        handle.busy = True
+                        return True
+                    remaining = deadline - time.monotonic()
+                    if remaining <= 0:
+                        return False
+                    self._cond.wait(remaining)
+            finally:
+                handle.claims -= 1
 
     # ------------------------------------------------------------------
     # The request path
     # ------------------------------------------------------------------
 
     def _roundtrip(
-        self, payload: Dict[str, object], max_wait: Optional[float] = None
+        self, payload: Dict[str, object], request: Optional[Request] = None
     ) -> Dict[str, object]:
-        """Admit, borrow, exchange, retry-on-death; returns the ok frame."""
+        """Admit one request and :meth:`_exchange` it; the outcome goes to
+        the ledger.  Without ``request``, one with no deadline."""
         if self._closed:
             raise RuntimeError("service is closed")
+        request = Request.new() if request is None else request
         self._ledger.admit(1)
         started = time.monotonic()
-        attempts = 0
         try:
-            while True:
-                handle, waited = self._borrow(max_wait)
-                self._ledger.record_queue_wait(waited)
-                try:
-                    response = handle.request(payload, None)
-                except WorkerDied:
-                    self._retire(handle)
-                    attempts += 1
-                    if attempts > self.workers:  # the budget: workers + 1
-                        self._ledger.record(0.0, "error")
-                        raise DispatchError(
-                            f"request failed on {attempts} workers in a row"
-                        )
-                    with self._stats_lock:
-                        self._retries += 1
-                    continue
-                self._checkin(handle)
-                if response.get("ok"):
-                    self._ledger.record(time.monotonic() - started, "ok")
-                    return response
-                self._ledger.record(0.0, "error")
-                kind = response.get("kind")
-                message = str(response.get("error"))
-                if kind == "bad_request":
-                    raise ValueError(message)
-                raise DispatchError(message)
+            response = self._exchange(payload, request, started)
         except AdmissionError:
+            self._ledger.count("rejected")
+            raise
+        except DeadlineExceeded:
+            self._ledger.record(0.0, "timeout")
+            raise
+        except Exception:
+            self._ledger.record(0.0, "error")
             raise
         finally:
             self._ledger.release(1)
+        self._ledger.record(time.monotonic() - started, "ok")
+        return response
 
-    def search(self, query, k=None, dmax=None):
+    def _exchange(
+        self, payload: Dict[str, object], request: Request, since: float
+    ) -> Dict[str, object]:
+        """Borrow (:meth:`_borrow`), exchange, retry on a death; returns
+        the ok frame.  A worker wedged past the deadline is killed and
+        the request is a :class:`DeadlineExceeded`, not retried."""
+        attempts = 0
+        while True:
+            handle, waited = self._borrow(request, since)
+            self._ledger.record_queue_wait(waited)
+            patience = (
+                None
+                if request.deadline is None
+                else request.deadline + WEDGE_GRACE - time.monotonic()
+            )
+            try:
+                response = handle.request(
+                    dict(payload, **request.to_frame()), patience
+                )
+            except WorkerWedged:
+                self._retire(handle)
+                with self._stats_lock:
+                    self._wedged += 1
+                _log(f"worker {handle.pid} wedged on request {request.id}: "
+                     f"silent {WEDGE_GRACE:g}s past its deadline, killed")
+                raise DeadlineExceeded(
+                    f"request {request.id} reached its deadline on a wedged worker"
+                )
+            except WorkerDied as exc:
+                self._retire(handle)
+                _log(f"worker {handle.pid} retired during request "
+                     f"{request.id}: {exc}")
+                attempts += 1
+                if attempts > self.workers:  # the budget: workers + 1
+                    raise DispatchError(
+                        f"request failed on {attempts} workers in a row"
+                    )
+                with self._stats_lock:
+                    self._retries += 1
+                continue
+            self._checkin(handle)
+            if response.get("ok"):
+                return response
+            kind = response.get("kind")
+            message = str(response.get("error"))
+            if kind == "bad_request":
+                raise ValueError(message)
+            if kind == "deadline":
+                raise DeadlineExceeded(message)
+            raise DispatchError(message)
+
+    def search(self, query, k=None, dmax=None, request: Optional[Request] = None):
         """One search on some worker, at or past the current watermark.
 
         Returns the *encoded* result — the HTTP response body, as
@@ -485,7 +579,8 @@ class DispatchService:
                 "k": k,
                 "dmax": dmax,
                 "min_epoch": self._watermark,
-            }
+            },
+            request,
         )
         return response["body"]
 
@@ -494,22 +589,32 @@ class DispatchService:
         queries: Sequence,
         k=None,
         dmax=None,
-        timeout: Optional[float] = None,
+        request: Optional[Request] = None,
     ) -> List[BatchOutcome]:
         """Fan a batch over the pool, one watermark pinned for the batch.
 
-        Unlike the in-process tier the batch is *not* one snapshot: each
-        outcome is individually consistent at some epoch >= the pinned
-        watermark.  ``timeout`` bounds each member's queue wait."""
+        The batch is admitted (or rejected) whole, as in process.  Unlike
+        the in-process tier it is *not* one snapshot: each outcome is
+        individually consistent at some epoch >= the pinned watermark.  A
+        member whose turn comes past ``request``'s deadline, or past the
+        queue bound after the batch started, is a ``timeout``."""
         queries = list(queries)
         if not queries:
             return []
+        if self._closed:
+            raise RuntimeError("service is closed")
+        request = Request.new() if request is None else request
+        self._ledger.admit(len(queries))
+        started = time.monotonic()
         watermark = self._watermark
 
         def one(index: int, query) -> BatchOutcome:
-            started = time.monotonic()
+            begun = time.monotonic()
+            bound = self.max_queue_wait
+            if bound is not None and begun - started > bound:
+                return BatchOutcome(index, query, "timeout")  # as in process
             try:
-                response = self._roundtrip(
+                response = self._exchange(
                     {
                         "op": "search",
                         "q": query,
@@ -517,26 +622,39 @@ class DispatchService:
                         "dmax": dmax,
                         "min_epoch": watermark,
                     },
-                    max_wait=timeout,
+                    request,
+                    started,
                 )
-            except AdmissionError:
+            except (AdmissionError, DeadlineExceeded):
                 return BatchOutcome(index, query, "timeout")
             except Exception as exc:
                 return BatchOutcome(
                     index, query, "error", error=exc,
-                    latency_seconds=time.monotonic() - started,
+                    latency_seconds=time.monotonic() - begun,
                 )
             return BatchOutcome(
                 index, query, "ok", result=response["body"],
-                latency_seconds=time.monotonic() - started,
+                latency_seconds=time.monotonic() - begun,
             )
 
-        futures = [
-            self._fanout.submit(one, i, q) for i, q in enumerate(queries)
-        ]
-        return [f.result() for f in futures]
+        try:
+            futures = [
+                self._fanout.submit(one, i, q) for i, q in enumerate(queries)
+            ]
+            outcomes = [f.result() for f in futures]
+        finally:
+            self._ledger.release(len(queries))
+        for outcome in outcomes:
+            self._ledger.record(outcome.latency_seconds, outcome.status)
+        return outcomes
 
-    def execute_ranked(self, query, rank: int = 1, limit: Optional[int] = 10):
+    def execute_ranked(
+        self,
+        query,
+        rank: int = 1,
+        limit: Optional[int] = 10,
+        request: Optional[Request] = None,
+    ):
         """Search + evaluate the rank-th candidate on one worker.
 
         Returns ``(body, None, None)`` — the whole ``/execute`` response
@@ -549,7 +667,8 @@ class DispatchService:
                 "rank": rank,
                 "limit": limit,
                 "min_epoch": self._watermark,
-            }
+            },
+            request,
         )
         body = response.get("body")
         return (None, [], None) if body is None else (body, None, None)
@@ -591,24 +710,39 @@ class DispatchService:
         }
 
     def _broadcast_sync(self, epoch: int) -> int:
+        """Sync every worker to ``epoch``, each on a thread of its own: an
+        update does not queue behind a batch's members in ``_fanout``,
+        and ``claims`` keeps a busy worker from going back to them."""
         with self._cond:
             targets = list(self._handles)
+        acked: List[_WorkerHandle] = []
 
-        def sync_one(handle: _WorkerHandle) -> bool:
+        def sync_one(handle: _WorkerHandle) -> None:
             if not self._checkout_specific(handle, SYNC_TIMEOUT):
-                return False
+                return
             try:
                 response = handle.request(
                     {"op": "sync", "min_epoch": epoch}, SYNC_TIMEOUT
                 )
             except WorkerDied:
                 self._retire(handle)
-                return False
+                return
             self._checkin(handle)
-            return bool(response.get("ok")) and response.get("epoch", -1) >= epoch
+            if response.get("ok") and response.get("epoch", -1) >= epoch:
+                acked.append(handle)
 
-        futures = [self._fanout.submit(sync_one, h) for h in targets]
-        return sum(1 for f in futures if f.result())
+        threads = [
+            threading.Thread(
+                target=sync_one, args=(handle,), name="repro-dispatch-sync",
+                daemon=True,
+            )
+            for handle in targets
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        return len(acked)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -627,6 +761,7 @@ class DispatchService:
             queries["retries"] = self._retries
             restarts = self._restarts
             spawn_failures = self._spawn_failures
+            wedged = self._wedged
 
         workers: List[Dict[str, object]] = []
         with self._cond:
@@ -670,6 +805,7 @@ class DispatchService:
                 "watermark": self._watermark,
                 "restarts": restarts,
                 "spawn_failures": spawn_failures,
+                "wedged": wedged,
             },
             "workers": workers,
             "caches": engine.cache_stats(),

@@ -8,8 +8,9 @@ path        method  body / query parameters
 /search     GET     ``q`` (keywords), optional ``k``, ``dmax``
 /search     POST    ``{"q": "..."}`` or ``{"queries": [...]}`` (batch →
                     ``search_many`` under one snapshot), optional ``k``,
-                    ``dmax``, ``timeout`` (seconds: a finite number > 0,
-                    or ``null`` for none)
+                    ``dmax``, ``timeout`` (the batch's deadline, seconds
+                    from arrival: a finite number > 0, or ``null`` for
+                    the server's)
 /execute    POST    ``{"q": "...", "rank": 1, "limit": 10}`` — search,
                     run the rank-th interpretation, return its answers;
                     ``limit`` is an integer >= 0 or ``null`` (unbounded)
@@ -20,7 +21,16 @@ path        method  body / query parameters
 ==========  ======  =====================================================
 
 Error mapping: bad input → 400, unknown path → 404, admission bound → 429
-(backpressure), anything else → 500.
+(backpressure), deadline passed before the work could start → 504,
+anything else → 500.
+
+**Requests.**  Each request is one :class:`~repro.service.protocol.Request`,
+minted when its head's first byte arrives: an id, that arrival time and
+a deadline ``timeout`` seconds later (``ReproServer(timeout=)``, ``repro
+serve --timeout``; none by default).  ``/search`` and ``/execute`` hand
+it to the service on either tier; ``/update`` and ``/stats`` take no
+deadline.  Every response — errors and refusals included — names it in
+``X-Request-Id``, and so does the ``--verbose`` access line.
 
 The HTTP/1.1 layer is this module's own, on ``socketserver``: a daemon
 thread per connection, kept for the client's next request and closed
@@ -61,7 +71,7 @@ from repro.service.encoding import (
     encode_result,
     result_to_json,
 )
-from repro.service.protocol import MAX_FRAME_BYTES
+from repro.service.protocol import MAX_FRAME_BYTES, DeadlineExceeded, Request
 from repro.service.service import AdmissionError, EngineService
 
 __all__ = [
@@ -88,7 +98,7 @@ _HEAD_END = re.compile(rb"\r?\n\r?\n")
 _STATUS_LINES = {  # what a response head starts with, per status
     status: f"HTTP/1.1 {status} {HTTPStatus(status).phrase}\r\n"
     f"Server: repro-serve Python/{sys.version.split()[0]}\r\n".encode("latin-1")
-    for status in (200, 400, 404, 413, 414, 429, 431, 500, 501, 505)
+    for status in (200, 400, 404, 413, 414, 429, 431, 500, 501, 504, 505)
 }
 _DAYS = "Mon Tue Wed Thu Fri Sat Sun".split()
 _MONTHS = " Jan Feb Mar Apr May Jun Jul Aug Sep Oct Nov Dec".split(" ")
@@ -231,6 +241,8 @@ class _Handler(socketserver.StreamRequestHandler):
                 status, body = exc.args[0], _error(exc.args[1])
             except AdmissionError as exc:
                 status, body = 429, _error(str(exc))
+            except DeadlineExceeded as exc:
+                status, body = 504, _error(str(exc))
             except (ValueError, KeyError) as exc:
                 status, body = 400, _error(str(exc))
             except (ConnectionError, TimeoutError):
@@ -271,7 +283,9 @@ class _Handler(socketserver.StreamRequestHandler):
         data = self._pending or self.rfile.read1(_RECV_BYTES)  # the idle wait
         if not data:
             return False
-        self._deadline = time.monotonic() + self.timeout
+        arrived = time.monotonic()
+        self._deadline = arrived + self.timeout
+        self.request_value = Request.new(self.server.request_timeout, arrived)
         while not (blank := _HEAD_END.search(data)):
             if (len(data) - data.rfind(b"\n") > _MAX_LINE
                     or data.count(b"\n") > _MAX_HEADERS + 1):
@@ -355,16 +369,19 @@ class _Handler(socketserver.StreamRequestHandler):
         self.wfile.write(b"".join((
             _STATUS_LINES[status],
             _date(),
-            b"Content-Type: application/json\r\nContent-Length: %d\r\n" % len(body),
+            b"Content-Type: application/json\r\nContent-Length: %d\r\n"
+            b"X-Request-Id: %s\r\n" % (len(body), self.request_value.id.encode()),
             b"Connection: close\r\n\r\n" if self.close_connection else b"\r\n",
             body,
         )))
 
     def _log(self, status: int, size: int) -> None:
-        """A ``--verbose`` line per response, in the Common Log Format."""
+        """A ``--verbose`` line per response, in the Common Log Format and
+        then the request's id."""
         t = time.localtime()
         when = time.strftime(f"%d/{_MONTHS[t.tm_mon]}/%Y %H:%M:%S", t)
-        message = f'"{self.requestline}" {status} {size}'.translate(_CONTROL_CHARS)
+        message = f'"{self.requestline}" {status} {size} {self.request_value.id}'
+        message = message.translate(_CONTROL_CHARS)
         sys.stderr.write(f"{self.client_address[0]} - - [{when}] {message}\n")
 
     # -- routes --------------------------------------------------------
@@ -397,19 +414,24 @@ class _Handler(socketserver.StreamRequestHandler):
             raise ValueError("missing query parameter 'q'")
         k = _optional_integer_param(params, "k")
         dmax = _optional_integer_param(params, "dmax")
-        result = self.service.search(params["q"][0], k=k, dmax=dmax)
+        result = self.service.search(
+            params["q"][0], k=k, dmax=dmax, request=self.request_value
+        )
         return 200, encode_result(result)
 
     def _post_search(self, body: Dict[str, object]) -> Tuple[int, bytes]:
         k = _optional_integer_field(body, "k")
         dmax = _optional_integer_field(body, "dmax")
         timeout = _timeout_field(body)
+        request = self.request_value
         if "queries" in body:
             queries = body["queries"]
             if not isinstance(queries, list):
                 raise ValueError("'queries' must be a list")
+            if timeout is not None:
+                request = request.with_timeout(timeout)
             outcomes = self.service.search_many(
-                queries, k=k, dmax=dmax, timeout=timeout
+                queries, k=k, dmax=dmax, request=request
             )
             return 200, b"".join((
                 b'{"outcomes": [',
@@ -418,7 +440,9 @@ class _Handler(socketserver.StreamRequestHandler):
             ))
         if "q" not in body:
             raise ValueError("provide 'q' (one query) or 'queries' (a batch)")
-        result = self.service.search(_query_field(body), k=k, dmax=dmax)
+        result = self.service.search(
+            _query_field(body), k=k, dmax=dmax, request=request
+        )
         return 200, encode_result(result)
 
     def _post_execute(self, body: Dict[str, object]) -> Tuple[int, bytes]:
@@ -433,7 +457,7 @@ class _Handler(socketserver.StreamRequestHandler):
         if not _is_integer(rank):
             raise ValueError(f"'rank' must be an integer, got {rank!r}")
         candidate, answers, timings = self.service.execute_ranked(
-            _query_field(body), rank=rank, limit=limit
+            _query_field(body), rank=rank, limit=limit, request=self.request_value
         )
         if candidate is None:
             return 404, _error("no interpretation at that rank")
@@ -453,15 +477,23 @@ class _Handler(socketserver.StreamRequestHandler):
 
 class _HTTPServer(socketserver.ThreadingTCPServer):
     """The listening socket plus what every handler thread shares: the
-    service and the two counters ``/stats`` reports as ``http``."""
+    service, the request deadline and the two counters ``/stats``
+    reports as ``http``."""
 
     allow_reuse_address = True
     daemon_threads = True
 
-    def __init__(self, address, service: EngineService, verbose: bool):
+    def __init__(
+        self,
+        address,
+        service: EngineService,
+        verbose: bool,
+        request_timeout: Optional[float],
+    ):
         super().__init__(address, _Handler)
         self.service = service
         self.verbose = verbose
+        self.request_timeout = request_timeout
         self._counts_lock = threading.Lock()
         self._counts = {"connections": 0, "requests": 0}
 
@@ -477,10 +509,13 @@ class _HTTPServer(socketserver.ThreadingTCPServer):
 
 
 class ReproServer:
-    """A threading HTTP server bound to one :class:`EngineService`.
+    """A threading HTTP server bound to one :class:`EngineService` or
+    :class:`~repro.service.DispatchService`.
 
     ``port=0`` binds an ephemeral port (read it back via :attr:`port`) —
-    the shape the integration tests and embedded uses want.  ``start()``
+    the shape the integration tests and embedded uses want.  ``timeout``
+    is each ``/search`` and ``/execute`` request's deadline, seconds
+    from its arrival (``None``: none), on either tier.  ``start()``
     serves from a daemon thread; ``serve_forever()`` serves inline (the
     CLI path).
     """
@@ -491,8 +526,9 @@ class ReproServer:
         host: str = "127.0.0.1",
         port: int = 0,
         verbose: bool = False,
+        timeout: Optional[float] = None,
     ):
-        self._httpd = _HTTPServer((host, port), service, verbose)
+        self._httpd = _HTTPServer((host, port), service, verbose, timeout)
         self._thread: Optional[threading.Thread] = None
 
     @property

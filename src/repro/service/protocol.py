@@ -17,15 +17,31 @@ both is the same (retire the worker, retry elsewhere).
 return *up to* ``n`` bytes (a raw pipe read), so the dispatcher can wrap
 a file descriptor with deadline-aware reads while the worker uses plain
 buffered stdin.
+
+A ``search`` or ``execute`` envelope also names the :class:`Request` it
+serves: ``"id"`` and ``"left"``, the seconds to its deadline (``null``
+for none).  The worker rebuilds the value from them and echoes the id,
+so a response that answers another request shows as what it is: a
+stream out of step.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+import os
 import struct
-from typing import Dict, Optional
+import time
+from typing import Dict, NamedTuple, Optional
 
-__all__ = ["ProtocolError", "read_frame", "write_frame", "MAX_FRAME_BYTES"]
+__all__ = [
+    "DeadlineExceeded",
+    "MAX_FRAME_BYTES",
+    "ProtocolError",
+    "Request",
+    "read_frame",
+    "write_frame",
+]
 
 #: Upper bound on one frame, envelope and body together.  A result is the
 #: top-k query candidates with their renderings — 31 KB at k=10 on DBLP,
@@ -38,6 +54,75 @@ _LEN = struct.Struct(">I")
 
 class ProtocolError(RuntimeError):
     """The peer sent bytes that are not a well-formed frame."""
+
+
+class DeadlineExceeded(RuntimeError):
+    """A request reached its deadline before it could run (HTTP 504).
+
+    Not a ``TimeoutError``: the HTTP layer reads that one as a client
+    that stalled, and closes the connection without an answer."""
+
+
+# Ids are unique across the processes of one server and its restarts: a
+# random per-process prefix, then a counter (`next` on it is atomic).
+_ID_PREFIX = os.urandom(4).hex()
+_ids = itertools.count(1)
+
+
+def _next_id() -> str:
+    return f"{_ID_PREFIX}-{next(_ids)}"
+
+
+class Request(NamedTuple):
+    """One request from the front end to the worker: its ``id``, when it
+    ``arrived`` and its ``deadline`` (``time.monotonic()`` seconds;
+    ``None`` for no deadline).  A value, not a handle: a retry sends the
+    same one again."""
+
+    id: str
+    arrived: float
+    deadline: Optional[float]
+
+    @classmethod
+    def new(
+        cls, timeout: Optional[float] = None, arrived: Optional[float] = None
+    ) -> "Request":
+        """A fresh id; the deadline ``timeout`` seconds after arrival (now,
+        unless given)."""
+        if arrived is None:
+            arrived = time.monotonic()
+        deadline = None if timeout is None else arrived + timeout
+        return cls(_next_id(), arrived, deadline)
+
+    def with_timeout(self, timeout: float) -> "Request":
+        """The same request with its deadline ``timeout`` seconds after
+        arrival."""
+        return self._replace(deadline=self.arrived + timeout)
+
+    def wait_until(self, limit: Optional[float]) -> Optional[float]:
+        """When a wait on this request's behalf gives up: at ``limit`` (a
+        queue bound) or at the deadline, whichever comes first; ``None``
+        for never."""
+        if limit is None or (self.deadline is not None and self.deadline < limit):
+            return self.deadline
+        return limit
+
+    def expired(self) -> bool:
+        return self.deadline is not None and time.monotonic() >= self.deadline
+
+    def to_frame(self) -> Dict[str, object]:
+        """The envelope fields that carry this request to a worker."""
+        left = None if self.deadline is None else self.deadline - time.monotonic()
+        return {"id": self.id, "left": left}
+
+    @classmethod
+    def from_frame(cls, envelope: Dict[str, object]) -> "Request":
+        """The request an envelope carries, as of its receipt; a fresh id
+        when it names none."""
+        now = time.monotonic()
+        left = envelope.get("left")
+        deadline = None if left is None else now + left
+        return cls(envelope.get("id") or _next_id(), now, deadline)
 
 
 def write_frame(

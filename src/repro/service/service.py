@@ -27,9 +27,12 @@ bytecode, N threads on one engine share a single GIL, and a pool
 measured no faster than the plain loop (parallel search is the worker
 *processes* of :mod:`repro.service.dispatch`).  Admission control bounds
 the number of in-flight queries (:class:`AdmissionError` = backpressure,
-HTTP 429), and per-query deadlines expire batch members without running
-them (a Python search cannot be preempted mid-flight; the deadline is
-checked before each member starts).
+HTTP 429).  Every read serves one :class:`~repro.service.protocol.Request`
+— the front end mints it, a library call gets one with no deadline — and
+its deadline ends a wait for the read lock (:class:`DeadlineExceeded`,
+HTTP 504) and expires batch members without running them (a Python
+search cannot be preempted mid-flight; the deadline is checked before
+each member starts, and an answer that runs past it is still sent).
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from contextlib import contextmanager
 from typing import Dict, List, Optional, Sequence
 
 from repro.core import kernels
+from repro.service.protocol import DeadlineExceeded, Request
 
 __all__ = [
     "AdmissionError",
@@ -68,15 +72,15 @@ class _ReadWriteLock:
         self._writer = False
         self._writers_waiting = 0
 
-    def acquire_read(self, timeout: Optional[float] = None) -> bool:
-        """Returns False iff ``timeout`` elapsed before admission."""
-        deadline = None if timeout is None else time.monotonic() + timeout
+    def acquire_read(self, until: Optional[float] = None) -> bool:
+        """Returns False iff ``until`` (a ``time.monotonic()``) passed
+        before admission."""
         with self._cond:
             while self._writer or self._writers_waiting:
-                if deadline is None:
+                if until is None:
                     self._cond.wait()
                     continue
-                remaining = deadline - time.monotonic()
+                remaining = until - time.monotonic()
                 if remaining <= 0:
                     return False
                 self._cond.wait(remaining)
@@ -109,8 +113,9 @@ class BatchOutcome:
     """One query's fate inside a :meth:`EngineService.search_many` batch.
 
     ``status`` is ``"ok"`` (``result`` is the :class:`SearchResult`),
-    ``"timeout"`` (the per-query deadline expired before the query was
-    started), or ``"error"`` (``error`` carries the exception).
+    ``"timeout"`` (its turn came past the request's deadline or the
+    queue bound, so it never started), or ``"error"`` (``error``
+    carries the exception).
     Outcomes are returned in input order.
     """
 
@@ -193,7 +198,7 @@ class QueryLedger:
 
     def count(self, what: str, n: int = 1) -> None:
         """``n`` more ``"rejected"`` (queries that waited past their
-        bound) or ``"updates"``."""
+        bound), ``"timeouts"`` (past their deadline) or ``"updates"``."""
         with self._lock:
             self._counts[what] += n
 
@@ -247,9 +252,6 @@ class EngineService:
         service (single searches and batch members alike).  Work beyond it
         is rejected with :class:`AdmissionError` instead of queuing without
         bound.
-    default_timeout:
-        Default per-query deadline (seconds) for :meth:`search_many`;
-        ``None`` means no deadline.
     max_queue_wait:
         Bound on the time a query may spend *waiting* — for the read
         lock (every request, behind an update epoch) and behind the
@@ -261,21 +263,21 @@ class EngineService:
         member that does gets a ``timeout`` outcome, either **without
         executing**; every wait is recorded in the ``queue_wait``
         histogram surfaced by :meth:`stats`.  ``None`` means waits are
-        recorded but unbounded.
+        recorded but unbounded.  A request's deadline ends the same waits
+        if it comes first: :class:`DeadlineExceeded` for the read lock, a
+        ``timeout`` outcome for a batch member.
     """
 
     def __init__(
         self,
         engine,
         max_pending: int = 64,
-        default_timeout: Optional[float] = None,
         max_queue_wait: Optional[float] = None,
     ):
         if max_pending < 1:
             raise ValueError(f"max_pending must be >= 1, got {max_pending}")
         self.engine = engine
         self.max_pending = max_pending
-        self.default_timeout = default_timeout
         self.max_queue_wait = max_queue_wait
         self._rw = _ReadWriteLock()
         self._closed = False
@@ -325,22 +327,32 @@ class EngineService:
     # ------------------------------------------------------------------
 
     @contextmanager
-    def _read_hold(self, count: int):
+    def _read_hold(self, count: int, request: Request):
         """The bracket every read runs in: admit ``count`` queries, take
-        the read lock within ``max_queue_wait`` and record that wait,
-        release both afterwards.  Yields the time the request arrived.
-        Raises :class:`AdmissionError` at the in-flight bound or when an
-        update epoch holds the lock past the wait bound."""
+        the read lock within ``max_queue_wait`` and before the request's
+        deadline and record that wait, release both afterwards.  Yields
+        the time the wait began.  Raises :class:`AdmissionError` at the
+        in-flight bound or when an update epoch holds the lock past the
+        wait bound, :class:`DeadlineExceeded` when it holds it past the
+        deadline."""
         if self._closed:
             raise RuntimeError("service is closed")
         self._ledger.admit(count)
         try:
             submitted = time.monotonic()
-            if not self._rw.acquire_read(timeout=self.max_queue_wait):
+            bound = self.max_queue_wait
+            until = request.wait_until(None if bound is None else submitted + bound)
+            if not self._rw.acquire_read(until):
+                if request.expired():
+                    self._ledger.count("timeouts", count)
+                    raise DeadlineExceeded(
+                        f"request {request.id} reached its deadline behind "
+                        f"an update epoch"
+                    )
                 self._ledger.count("rejected", count)
                 raise AdmissionError(
                     f"read admission waited past max_queue_wait="
-                    f"{self.max_queue_wait:.3f}s behind an update epoch"
+                    f"{bound:.3f}s behind an update epoch"
                 )
             self._ledger.record_queue_wait(time.monotonic() - submitted)
             try:
@@ -350,10 +362,12 @@ class EngineService:
         finally:
             self._ledger.release(count)
 
-    def _read_one(self, run):
+    def _read_one(self, run, request: Optional[Request]):
         """``run(snapshot)`` for one request under its own read hold; its
-        latency, from arrival, goes to the ledger."""
-        with self._read_hold(1) as submitted:
+        latency, from the start of the wait, goes to the ledger."""
+        if request is None:
+            request = Request.new()
+        with self._read_hold(1, request) as submitted:
             try:
                 outcome = run(self.engine.snapshot())
             except Exception:
@@ -362,13 +376,14 @@ class EngineService:
         self._ledger.record(time.monotonic() - submitted, "ok")
         return outcome
 
-    def search(self, query, k=None, dmax=None):
+    def search(self, query, k=None, dmax=None, request: Optional[Request] = None):
         """One search under a fresh read hold; the concurrent-safe analogue
         of ``engine.search`` (:meth:`_read_hold` says when it is refused)."""
         return self._read_one(
             lambda snapshot: self.engine.search_on_snapshot(
                 snapshot, query, k=k, dmax=dmax
-            )
+            ),
+            request,
         )
 
     def search_many(
@@ -376,27 +391,26 @@ class EngineService:
         queries: Sequence,
         k=None,
         dmax=None,
-        timeout: Optional[float] = None,
+        request: Optional[Request] = None,
     ) -> List[BatchOutcome]:
         """Run a batch of keyword queries in order on the calling thread,
         all under one read hold against **one** pinned snapshot.
 
-        The whole batch is admitted (or rejected) atomically; each query
-        gets the deadline ``arrival + timeout`` (``default_timeout`` when
-        ``None``) checked before it starts.  Results are byte-identical
-        to sequential ``engine.search`` calls on the same snapshot.
+        The whole batch is admitted (or rejected) atomically; a member
+        whose turn comes past ``request``'s deadline is a ``timeout``.
+        Results are byte-identical to sequential ``engine.search`` calls
+        on the same snapshot.
         """
         queries = list(queries)
         if not queries:
             return []
-        if timeout is None:
-            timeout = self.default_timeout
-        with self._read_hold(len(queries)) as submitted:
+        if request is None:
+            request = Request.new()
+        with self._read_hold(len(queries), request) as submitted:
             acquired = time.monotonic()
             snapshot = self.engine.snapshot()
-            deadline = None if timeout is None else submitted + timeout
             outcomes = [
-                self._run_one(snapshot, index, query, k, dmax, deadline,
+                self._run_one(snapshot, index, query, k, dmax, request.deadline,
                               submitted, acquired)
                 for index, query in enumerate(queries)
             ]
@@ -428,7 +442,13 @@ class EngineService:
             latency_seconds=time.monotonic() - started,
         )
 
-    def execute_ranked(self, query, rank: int = 1, limit: Optional[int] = 10):
+    def execute_ranked(
+        self,
+        query,
+        rank: int = 1,
+        limit: Optional[int] = 10,
+        request: Optional[Request] = None,
+    ):
         """Search, then run the rank-th candidate on the store — both under
         one read hold, so the answers come from the same epoch as the
         interpretation.  Returns ``(candidate, answers, timings)``
@@ -440,7 +460,8 @@ class EngineService:
         return self._read_one(
             lambda snapshot: self.engine.execute_ranked(
                 query, rank=rank, limit=limit, snapshot=snapshot
-            )
+            ),
+            request,
         )
 
     # ------------------------------------------------------------------

@@ -37,11 +37,14 @@ strictly serialized, which is what makes "sync, then serve" a complete
 consistency argument.  Parallelism lives in the *number* of workers, not
 inside one.
 
-Frame protocol (all ops reply with one frame; ``ok: false`` carries
-``kind`` = ``bad_request`` | ``stale`` | ``internal`` and ``error``).
-``search`` and ``execute`` encode the HTTP response body here, at the
-source, and send it as the frame's opaque body: the dispatcher forwards
-those bytes to the socket without parsing them.
+Frame protocol (all ops reply with one frame, which echoes the
+request's ``id``; ``ok: false`` carries ``kind`` = ``bad_request`` |
+``stale`` | ``deadline`` | ``internal`` and ``error``).  ``search`` and
+``execute`` rebuild the :class:`~repro.service.protocol.Request` from
+``id`` and ``left`` and refuse it (``deadline``) once it is past its
+deadline; they encode the HTTP response body here, at the source, and
+send it as the frame's opaque body: the dispatcher forwards those bytes
+to the socket without parsing them.
 
 ==========  ===========================================================
 op          behavior
@@ -77,7 +80,13 @@ from typing import Dict, Optional
 from repro.core import kernels
 from repro.core.engine import KeywordSearchEngine
 from repro.service.encoding import encode_execution, encode_result
-from repro.service.protocol import ProtocolError, read_frame, write_frame
+from repro.service.protocol import (
+    DeadlineExceeded,
+    ProtocolError,
+    Request,
+    read_frame,
+    write_frame,
+)
 from repro.storage.errors import WalError
 from repro.storage.wal import WalCursor
 
@@ -204,6 +213,8 @@ class WorkerRuntime:
         except StaleWorkerError as exc:
             self.errors += 1
             return {"ok": False, "kind": "stale", "error": str(exc)}
+        except DeadlineExceeded as exc:
+            return {"ok": False, "kind": "deadline", "error": str(exc)}
         except (ValueError, KeyError, TypeError) as exc:
             self.errors += 1
             return {"ok": False, "kind": "bad_request", "error": str(exc)}
@@ -215,8 +226,18 @@ class WorkerRuntime:
                 "error": f"{type(exc).__name__}: {exc}",
             }
 
-    def _op_search(self, request: Dict[str, object]) -> Dict[str, object]:
+    def _begin(self, request: Dict[str, object]) -> None:
+        """Sync for a ``search`` / ``execute``, then refuse it if it is
+        past its deadline by now."""
+        served = Request.from_frame(request)
         self.sync_to(request.get("min_epoch"))
+        if served.expired():
+            raise DeadlineExceeded(
+                f"request {served.id} reached its deadline before its search"
+            )
+
+    def _op_search(self, request: Dict[str, object]) -> Dict[str, object]:
+        self._begin(request)
         result = self.engine.search(
             request["q"], k=request.get("k"), dmax=request.get("dmax")
         )
@@ -224,7 +245,7 @@ class WorkerRuntime:
         return {"ok": True, "epoch": self.epoch, "body": encode_result(result)}
 
     def _op_execute(self, request: Dict[str, object]) -> Dict[str, object]:
-        self.sync_to(request.get("min_epoch"))
+        self._begin(request)
         candidate, answers, timings = self.engine.execute_ranked(
             request["q"],
             rank=int(request.get("rank", 1)),
@@ -278,6 +299,8 @@ class WorkerRuntime:
             if request is None:
                 return 0  # dispatcher hung up: clean exit
             response = self.handle(request)
+            if "id" in request:
+                response["id"] = request["id"]
             body = response.pop("body", None)
             try:
                 write_frame(out_stream, response, body)

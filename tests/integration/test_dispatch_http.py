@@ -214,6 +214,26 @@ def test_batch_search_endpoint(dispatch_server):
     assert outcomes[0]["result"]["keywords"] == ["cimiano", "2006"]
 
 
+@BOTH_TIERS
+def test_a_batch_beyond_max_pending_is_refused_whole(request, tier):
+    """A batch is admitted whole or not at all on either tier: one query
+    past ``max_pending`` is a 429 that counts every member rejected and
+    runs none of them."""
+    server = request.getfixturevalue(tier)
+    _, before = _get(f"{server.url}/stats")
+    queries = ["cimiano 2006"] * 65  # max_pending is 64
+    with pytest.raises(urllib.error.HTTPError) as excinfo:
+        _post(f"{server.url}/search", {"queries": queries})
+    assert excinfo.value.code == 429
+    assert "max_pending=64" in json.loads(excinfo.value.read())["error"]
+    _, after = _get(f"{server.url}/stats")
+    counted = {
+        key: after["queries"][key] - before["queries"][key]
+        for key in ("rejected", "completed", "timeouts", "errors")
+    }
+    assert counted == {"rejected": 65, "completed": 0, "timeouts": 0, "errors": 0}
+
+
 def test_update_epoch_advances_on_all_workers(dispatch_server):
     _, stats_before = _get(f"{dispatch_server.url}/stats")
     epoch_before = stats_before["snapshot"]["epoch"]

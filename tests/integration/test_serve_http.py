@@ -569,3 +569,104 @@ def test_client_reset_mid_response_is_not_a_server_error(server, request_line):
     handler.handle_one_request()
     assert handler.wfile.writes == 1
     assert handler.close_connection is True
+
+
+# ----------------------------------------------------------------------
+# One request value: X-Request-Id, the deadline, the access log
+# ----------------------------------------------------------------------
+
+def _status_and_id(conn, method, path, body=None):
+    conn.request(method, path, body=None if body is None else json.dumps(body))
+    response = conn.getresponse()
+    response.read()
+    return response.status, response.getheader("X-Request-Id")
+
+
+def test_every_response_names_its_request(example_graph):
+    """200, 400, 404, 429 (the queue bound comes first), 504 (the
+    deadline does) and a refused head each carry an ``X-Request-Id``,
+    none the same."""
+    service = EngineService(
+        KeywordSearchEngine(DataGraph(example_graph.triples)), max_queue_wait=0.3
+    )
+    with ReproServer(service, port=0).start() as srv:
+        conn = http.client.HTTPConnection(srv.host, srv.port, timeout=10)
+        try:
+            seen = [
+                _status_and_id(conn, "GET", "/search?q=cimiano"),
+                _status_and_id(conn, "GET", "/search?k=1"),
+                _status_and_id(conn, "GET", "/nope"),
+            ]
+            service._rw.acquire_write()  # an update epoch hogging the engine
+            try:
+                seen.append(_status_and_id(conn, "GET", "/search?q=cimiano"))
+                started = time.monotonic()
+                seen.append(_status_and_id(
+                    conn, "POST", "/search", {"queries": ["aifb"], "timeout": 0.05}
+                ))
+                assert time.monotonic() - started < 0.3
+            finally:
+                service._rw.release_write()
+        finally:
+            conn.close()
+        sock, stream = _raw(srv)
+        try:
+            sock.sendall(b"DELETE /stats HTTP/1.1\r\nHost: x\r\n\r\n")
+            status, headers, _ = _read_response(stream)
+        finally:
+            sock.close()
+        seen.append((status, headers.get("x-request-id")))
+        _, stats = _get(f"{srv.url}/stats")
+    service.close()
+    assert [status for status, _ in seen] == [200, 400, 404, 429, 504, 501]
+    ids = [request_id for _, request_id in seen]
+    assert all(ids) and len(set(ids)) == len(ids), ids
+    assert (stats["queries"]["rejected"], stats["queries"]["timeouts"]) == (1, 1)
+
+
+def test_request_ids_are_distinct_across_threads(server):
+    def client(ids):
+        conn = http.client.HTTPConnection(server.host, server.port, timeout=10)
+        try:
+            for i in range(125):
+                path = "/search?q=cimiano" if i % 5 == 0 else "/nope"
+                ids.append(_status_and_id(conn, "GET", path)[1])
+        finally:
+            conn.close()
+
+    per_thread = [[] for _ in range(8)]
+    threads = [
+        threading.Thread(target=client, args=(ids,)) for ids in per_thread
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    ids = [request_id for ids in per_thread for request_id in ids]
+    assert len(ids) == 1000 and all(ids)
+    assert len(set(ids)) == 1000
+
+
+def test_the_verbose_access_log_escapes_and_names_each_request(
+    example_graph, capsys
+):
+    service = EngineService(KeywordSearchEngine(DataGraph(example_graph.triples)))
+    with ReproServer(service, port=0, verbose=True).start() as srv:
+        sock, stream = _raw(srv)
+        try:
+            sock.sendall(
+                b"GET /st\x01ats\x1b[2J HTTP/1.1\r\nHost: x\r\n\r\n"
+                b"GET /search?q=\x7fcimiano HTTP/1.1\r\nHost: x\r\n\r\n"
+            )
+            responses = [_read_response(stream) for _ in range(2)]
+        finally:
+            sock.close()
+    service.close()
+    lines = capsys.readouterr().err.splitlines()
+    assert [status for status, _, _ in responses] == [404, 200]
+    assert len(lines) == 2
+    for line, (status, headers, body) in zip(lines, responses):
+        assert line.endswith(f" {status} {len(body)} {headers['x-request-id']}")
+        assert not any(ord(c) < 0x20 or 0x7F <= ord(c) < 0xA0 for c in line)
+    assert '"GET /st\\x01ats\\x1b[2J HTTP/1.1"' in lines[0]
+    assert '"GET /search?q=\\x7fcimiano HTTP/1.1"' in lines[1]

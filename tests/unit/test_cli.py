@@ -541,16 +541,42 @@ def test_stage_bundle_streams_the_source(tmp_path, capsys):
     assert len(staged.graph) == 21
 
 
-def test_serve_refuses_timeout_with_workers(monkeypatch):
-    """``--timeout`` is the in-process tier's per-query deadline and the
-    worker tier has none: asking for both is refused, not ignored."""
+def test_serve_hands_timeout_to_the_server_with_workers(monkeypatch):
+    """``--timeout`` is every request's deadline on either tier: with
+    ``--workers`` it reaches the one place that mints requests, the
+    server, and the dispatch tier starts as it would without it."""
+    import signal
+
     import repro.service
 
-    def no_tier(*args, **kwargs):
-        raise AssertionError("a worker tier was started")
+    seen = {}
 
-    monkeypatch.setattr(repro.service, "DispatchService", no_tier)
-    with pytest.raises(SystemExit) as excinfo:
-        main(["serve", "--dataset", "example", "--port", "0", "--workers", "2",
-              "--timeout", "5"])
-    assert "--timeout conflicts with --workers" in str(excinfo.value)
+    class FakeTier:
+        def __init__(self, bundle, **kwargs):
+            seen["workers"] = kwargs["workers"]
+
+        def close(self):
+            seen["tier closed"] = True
+
+    class FakeServer:
+        url = "http://fake"
+
+        def __init__(self, service, **kwargs):
+            seen["service"] = service
+            seen["timeout"] = kwargs["timeout"]
+
+        def serve_forever(self):
+            pass
+
+        def close(self):
+            pass
+
+    monkeypatch.setattr(repro.service, "DispatchService", FakeTier)
+    monkeypatch.setattr(repro.service, "ReproServer", FakeServer)
+    monkeypatch.setattr(signal, "signal", lambda *args: None)
+    assert main(["serve", "--dataset", "example", "--port", "0", "--workers", "2",
+                 "--timeout", "5"]) == 0
+    assert seen["workers"] == 2
+    assert isinstance(seen["service"], FakeTier)
+    assert seen["timeout"] == 5.0
+    assert seen["tier closed"]

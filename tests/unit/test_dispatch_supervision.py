@@ -1,9 +1,12 @@
 """Supervision tests for the multiprocess dispatch tier.
 
 The claims under test: a worker that dies mid-request is retired, its
-request is retried on a healthy worker, a replacement is respawned, and
-`stats()` counts the restart; queue wait is bounded separately from
-execution; per-worker facts are merged into the dispatcher's stats.
+request is retried on a healthy worker under the same id, a replacement
+is respawned, and `stats()` counts the restart; a worker still silent
+past a request's deadline plus the grace is killed as wedged and the
+request is a 504; queue wait is bounded separately from execution, and
+a batch's deadline is measured from its start; an update does not queue
+behind a batch; per-worker facts are merged into the dispatcher's stats.
 """
 
 import itertools
@@ -12,11 +15,13 @@ import os
 import signal
 import threading
 import time
+import urllib.error
+import urllib.request
 
 import pytest
 
 from repro.core.engine import KeywordSearchEngine
-from repro.service import AdmissionError, DispatchService
+from repro.service import AdmissionError, DispatchService, ReproServer, Request
 
 
 @pytest.fixture(scope="module")
@@ -171,6 +176,121 @@ class TestCrashRecovery:
             svc.close()
 
 
+def _next_worker(service):
+    """The handle `_borrow` takes next: the last idle one."""
+    with service._cond:
+        return service._idle[-1]
+
+
+def _http_search(server, query):
+    """``(status, X-Request-Id)`` of one GET /search."""
+    url = f"{server.url}/search?q={query.replace(' ', '+')}"
+    try:
+        with urllib.request.urlopen(url, timeout=60) as resp:
+            return resp.status, resp.headers["X-Request-Id"]
+    except urllib.error.HTTPError as exc:
+        return exc.code, exc.headers["X-Request-Id"]
+
+
+class TestWedgedWorker:
+    def test_a_stopped_worker_is_a_bounded_504_and_the_pool_heals(
+        self, bundle, monkeypatch
+    ):
+        from repro.service import dispatch
+
+        monkeypatch.setattr(dispatch, "WEDGE_GRACE", 0.5)
+        svc = DispatchService(bundle, workers=2)
+        try:
+            with ReproServer(svc, port=0, timeout=0.3).start() as server:
+                victim = _next_worker(svc)
+                os.kill(victim.pid, signal.SIGSTOP)
+                started = time.monotonic()
+                status, _ = _http_search(server, "cimiano 2006")
+                elapsed = time.monotonic() - started
+                assert status == 504
+                assert elapsed < 0.3 + 0.5 + 1.0
+                assert victim.proc.wait(timeout=5) == -signal.SIGKILL
+
+                stats = _wait_for(lambda: _recovered_stats(svc))
+                assert stats, "wedged worker never replaced"
+                assert stats["dispatch"]["wedged"] == 1
+                assert stats["dispatch"]["restarts"] == 1
+                assert stats["service"]["live_workers"] == 2
+                assert stats["queries"]["timeouts"] == 1
+                assert victim.pid not in {w["pid"] for w in _live_workers(stats)}
+                assert _http_search(server, "cimiano 2006")[0] == 200
+        finally:
+            svc.close()
+
+    def test_a_killed_worker_is_retried_under_the_same_id(self, bundle, capsys):
+        svc = DispatchService(bundle, workers=2)
+        try:
+            with ReproServer(svc, port=0).start() as server:
+                # Stopped first, so the request is surely on it when it dies.
+                victim = _next_worker(svc)
+                os.kill(victim.pid, signal.SIGSTOP)
+                answer = {}
+                thread = threading.Thread(
+                    target=lambda: answer.update(
+                        reply=_http_search(server, "cimiano 2006")
+                    ),
+                    daemon=True,
+                )
+                thread.start()
+                assert _wait_for(lambda: victim.busy, timeout=5.0)
+                os.kill(victim.pid, signal.SIGKILL)
+                thread.join(timeout=30)
+                assert not thread.is_alive(), "retry never completed"
+            status, request_id = answer["reply"]
+            assert status == 200
+            retire_lines = [
+                line for line in capsys.readouterr().err.splitlines()
+                if "retired during request" in line
+            ]
+            assert len(retire_lines) == 1
+            assert f"worker {victim.pid} " in retire_lines[0]
+            assert f"request {request_id}:" in retire_lines[0]
+            assert svc.stats()["queries"]["retries"] == 1
+        finally:
+            svc.close()
+
+    def test_an_answer_to_another_request_is_a_stream_out_of_step(self):
+        import io
+        import types
+
+        from repro.service.dispatch import WorkerDied, _FdReader, _WorkerHandle
+        from repro.service.protocol import write_frame
+
+        frame = io.BytesIO()
+        write_frame(frame, {"ok": True, "epoch": 0, "id": "other-1"})
+        read_fd, write_fd = os.pipe()
+        try:
+            os.write(write_fd, frame.getvalue())
+            handle = _WorkerHandle.__new__(_WorkerHandle)
+            handle.proc = types.SimpleNamespace(stdin=io.BytesIO())
+            handle.reader = _FdReader(read_fd)
+            with pytest.raises(WorkerDied, match="out of step"):
+                handle.request({"op": "search", "id": "mine-1"}, 5.0)
+        finally:
+            os.close(read_fd)
+            os.close(write_fd)
+
+    def test_a_worker_refuses_a_request_past_its_deadline(self, bundle):
+        from repro.service.worker import WorkerRuntime
+
+        runtime = WorkerRuntime(bundle)
+        for op in ("search", "execute"):
+            late = runtime.handle(
+                {"op": op, "q": "cimiano 2006", "id": "late-1", "left": -0.1}
+            )
+            assert (late["ok"], late["kind"]) == (False, "deadline")
+            assert "late-1" in late["error"]
+            assert runtime.handle(
+                {"op": op, "q": "cimiano 2006", "id": "on-time-1", "left": 30.0}
+            )["ok"]
+        assert runtime.errors == 0
+
+
 class TestConcurrentStart:
     """The constructor starts its N workers side by side; what the old
     one-after-another loop guaranteed by construction must still hold."""
@@ -262,6 +382,73 @@ class TestQueueWait:
             assert queries["rejected"] >= 1
             # The held request still completed; the shed one never ran.
             assert queries["completed"] >= 1
+        finally:
+            svc.close()
+
+
+    def test_a_batch_deadline_counts_from_the_batch_start(self, bundle):
+        """With its one worker held past the deadline, every member of a
+        batch is a ``timeout`` at the deadline — the members queued in the
+        fan-out pool do not each wait their own bound."""
+        svc = DispatchService(bundle, workers=1)
+        try:
+            hold = threading.Thread(
+                target=lambda: svc._roundtrip({"op": "sleep", "seconds": 1.0}),
+                daemon=True,
+            )
+            hold.start()
+            _wait_for(lambda: any(h.busy for h in svc._handles), timeout=5.0)
+            started = time.monotonic()
+            outcomes = svc.search_many(
+                ["cimiano 2006"] * 10, request=Request.new(timeout=0.2)
+            )
+            assert time.monotonic() - started < 0.2 + 0.3
+            assert [o.status for o in outcomes] == ["timeout"] * 10
+            hold.join(timeout=10)
+            assert svc.stats()["queries"]["timeouts"] == 10
+        finally:
+            svc.close()
+
+
+class TestUpdateDuringBatch:
+    def test_an_update_does_not_wait_for_a_running_batch(self, bundle):
+        """Each ``sync`` waits only for the member its worker is running:
+        it does not queue behind the batch's members, and a worker it
+        waits for is not handed to the next member instead."""
+        from repro.rdf.namespace import LABEL_PREDICATES
+        from repro.rdf.terms import Literal, URI
+        from repro.rdf.triples import Triple
+
+        svc = DispatchService(
+            bundle, workers=2, max_pending=2000,
+            overrides={"search_cache_size": 0},
+        )
+        try:
+            done = threading.Event()
+            batch = threading.Thread(
+                target=lambda: (
+                    svc.search_many(["cimiano 2006", "aifb"] * 750), done.set()
+                ),
+                daemon=True,
+            )
+            batch.start()
+            _wait_for(lambda: svc._ledger.inflight, timeout=5.0)
+            time.sleep(0.02)
+            waits = []
+            for i in range(3):
+                started = time.monotonic()
+                out = svc.update(adds=[Triple(
+                    URI(f"http://example.org/sup/mid-batch-{i}"),
+                    next(iter(LABEL_PREDICATES)),
+                    Literal(f"zzmidbatch{i}"),
+                )])
+                waits.append(time.monotonic() - started)
+                assert out["workers_synced"] == 2
+            assert not done.is_set(), "an update waited for the whole batch"
+            assert max(waits) < 0.25, waits
+            batch.join(timeout=60)
+            assert done.is_set()
+            assert json.loads(svc.search("zzmidbatch2"))["candidates"]
         finally:
             svc.close()
 

@@ -112,3 +112,47 @@ def test_non_object_envelope_is_a_protocol_error():
     for encoded in (b"[1,2]", b"not json", b"\xff\xfe"):
         with pytest.raises(ProtocolError):
             read_frame(io.BytesIO(struct.pack(">I", len(encoded)) + encoded))
+
+
+# ----------------------------------------------------------------------
+# The request value a frame carries
+# ----------------------------------------------------------------------
+
+def test_a_request_without_a_timeout_has_no_deadline():
+    request = protocol.Request.new()
+    assert request.deadline is None
+    assert not request.expired()
+    assert request.wait_until(None) is None
+    assert request.wait_until(5.0) == 5.0
+    assert request.to_frame() == {"id": request.id, "left": None}
+
+
+def test_request_ids_are_distinct_and_share_the_process_prefix():
+    ids = [protocol.Request.new().id for _ in range(1000)]
+    assert len(set(ids)) == 1000
+    assert len({request_id.split("-")[0] for request_id in ids}) == 1
+
+
+def test_a_frame_carries_the_id_and_the_time_left():
+    sent = protocol.Request.new(timeout=30.0)
+    frame = json.loads(json.dumps(sent.to_frame()))
+    received = protocol.Request.from_frame(frame)
+    assert received.id == sent.id
+    assert abs(received.deadline - sent.deadline) < 0.5
+    assert received.wait_until(received.deadline + 1) == received.deadline
+    late = protocol.Request.from_frame({"id": sent.id, "left": -0.1})
+    assert late.expired()
+    # A frame that names no request (a test's, a tool's) gets a fresh id.
+    assert protocol.Request.from_frame({}).id not in ("", None, sent.id)
+
+
+def test_a_batch_timeout_keeps_the_id_and_moves_the_deadline():
+    request = protocol.Request.new(timeout=30.0, arrived=100.0)
+    batch = request.with_timeout(0.5)
+    assert (batch.id, batch.arrived, batch.deadline) == (request.id, 100.0, 100.5)
+
+
+def test_a_passed_deadline_is_not_a_timeout_error():
+    # The HTTP layer reads TimeoutError as a stalled client and closes the
+    # connection without an answer; a 504 must be answered.
+    assert not issubclass(protocol.DeadlineExceeded, TimeoutError)

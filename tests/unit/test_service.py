@@ -14,7 +14,7 @@ from repro.core.engine import KeywordSearchEngine
 from repro.datasets.example import EX
 from repro.rdf.terms import Literal, URI
 from repro.rdf.triples import Triple
-from repro.service import AdmissionError, EngineService
+from repro.service import AdmissionError, EngineService, Request
 
 
 def _render(result):
@@ -71,7 +71,7 @@ class TestSearchMany:
         assert isinstance(outcomes[1].error, ValueError)
 
     def test_expired_deadline_skips_dispatch(self, service):
-        outcomes = service.search_many(QUERIES, timeout=0.0)
+        outcomes = service.search_many(QUERIES, request=Request.new(timeout=0.0))
         assert {o.status for o in outcomes} == {"timeout"}
         assert all(o.result is None for o in outcomes)
 
@@ -108,7 +108,7 @@ def test_search_many_is_one_snapshot_in_order(engine):
     thread.start()
     try:
         queries = ["cimiano 2006", "aifb", "2006 article", "publication"]
-        outcomes = svc.search_many(queries, timeout=0.5)
+        outcomes = svc.search_many(queries, request=Request.new(timeout=0.5))
         thread.join(timeout=30)
         assert not thread.is_alive()
         assert [o.index for o in outcomes] == [0, 1, 2, 3]
