@@ -66,6 +66,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _add_dataset_args(
     parser: argparse.ArgumentParser, bundle: bool = True
 ) -> None:
@@ -357,8 +364,9 @@ def build_serve_parser() -> argparse.ArgumentParser:
         "separately from execution (excess gets HTTP 429)",
     )
     parser.add_argument(
-        "--cache", type=int, default=256, metavar="N",
-        help="search-result memo size (0 disables)",
+        "--cache", type=_non_negative_int, default=256, metavar="N",
+        help="finished searches the query plans keep, at most N in all, and "
+        "at least N plans kept (0: plans keep no results)",
     )
     parser.add_argument(
         "--timeout", type=float, default=None, metavar="SECONDS",
@@ -380,7 +388,7 @@ def _dispatch_overrides(args) -> dict:
         "k": args.k,
         "cost_model": args.cost_model,
         "dmax": args.dmax,
-        "search_cache_size": max(0, args.cache),
+        "search_cache_size": args.cache,
     }
 
 
@@ -409,7 +417,7 @@ def _stage_bundle(args, directory: str) -> str:
     artifact — the same shared-page-cache shape as a prebuilt one.
     """
     path = f"{directory}/staged.reprobundle"
-    info = _stream_bundle(args, path, search_cache_size=max(0, args.cache))
+    info = _stream_bundle(args, path, search_cache_size=args.cache)
     print(
         f"# staged bundle for worker processes: {path} ({info['bytes']} bytes)",
         file=sys.stderr,
@@ -440,7 +448,7 @@ def serve_command(argv) -> int:
             ))
         else:
             engine = _build_engine(
-                args, search_cache_size=max(0, args.cache), writer=True, verify=True
+                args, search_cache_size=args.cache, writer=True, verify=True
             )
             bundle = args.bundle
 

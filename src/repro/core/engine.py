@@ -5,8 +5,8 @@ over the data graph, and queries execute on the data graph's own triple
 store (``graph.store``); :meth:`KeywordSearchEngine.add_triples` and
 :meth:`KeywordSearchEngine.remove_triples` keep them consistent under
 data changes through the :class:`~repro.maintenance.IndexManager` — no
-rebuild, and query-time caches (cost tables, selectivity statistics) are
-invalidated automatically.
+rebuild, and nothing query-time to invalidate: every query-time cache
+lives on what it was computed from and dies with it.
 
 Per query, :meth:`KeywordSearchEngine.search` performs the five tasks of
 Section VI — keyword-to-element mapping, augmentation, exploration, top-k,
@@ -28,6 +28,11 @@ the five steps in order, each reading only through the snapshot it is
 handed.  :class:`~repro.service.EngineService` runs it from its callers'
 threads, a whole batch against one shared snapshot; results are
 byte-identical either way.
+
+A query's plan (:func:`~repro.summary.augmentation.augment`) keeps what
+the steps after augmentation derive, finished searches included when
+``search_cache_size`` is set; their candidates are mapped only as far as
+a reader asked (``/search`` all k, ``/execute`` up to its rank).
 """
 
 from __future__ import annotations
@@ -84,11 +89,11 @@ def _json_number(value) -> str:
 class QueryCandidate:
     """One computed interpretation: a ranked conjunctive query.
 
-    A candidate is immutable once built and shared by every copy of a
-    memoized :class:`SearchResult`, so its encoded presentation
+    A candidate is immutable once built and shared by every search its
+    plan's result serves, so its encoded presentation
     (:meth:`json_fragment`: signature, SPARQL and natural-language
     renderings, as the serving layer sends them) is produced on first use
-    and kept *here*: a memo hit finds it ready, and there is nothing to
+    and kept *here*: a result hit finds it ready, and there is nothing to
     invalidate.  Two threads racing on the first use compute equal bytes;
     the later store wins harmlessly.
 
@@ -157,8 +162,8 @@ class QueryCandidate:
                 for name, text in present(self.query, self._canonical_form()).items()
             )
             fragment = self._json = ("{" + ", ".join(fields) + "}").encode("ascii")
-            # The fragment carries the signature: of a memoized candidate
-            # only these bytes need to stay, not the form as well.
+            # The fragment carries the signature: of a kept candidate only
+            # these bytes need to stay, not the form as well.
             self._form = None
         return fragment
 
@@ -197,23 +202,6 @@ class SearchResult:
 
     def __iter__(self):
         return iter(self.candidates)
-
-    def copy(self) -> "SearchResult":
-        """A shallow copy with fresh list/dict containers.
-
-        Candidates, matches, and the exploration diagnostics are shared
-        (immutable in practice); the containers are fresh so a caller
-        sorting or trimming a result in place cannot poison the engine's
-        result cache.
-        """
-        return SearchResult(
-            self.keywords,
-            list(self.candidates),
-            [list(m) for m in self.matches],
-            list(self.ignored_keywords),
-            self.exploration,
-            dict(self.timings),
-        )
 
     def __repr__(self):
         return (
@@ -290,38 +278,58 @@ def split_keywords(query: str) -> List[str]:
     return out
 
 
-def _map_stage(
-    snapshot: EngineSnapshot, subgraphs, augmented_graph,
-    stop_at_rank: Optional[int] = None,
-) -> List[QueryCandidate]:
-    """Task 5: map matching subgraphs to deduplicated, ranked queries —
-    all of them, or only until ``stop_at_rank`` candidates are held."""
-    type_pred = snapshot.graph.preferred_type_predicate
-    subclass_pred = snapshot.graph.preferred_subclass_predicate
-    candidates: List[QueryCandidate] = []
-    seen_forms = {}
-    for subgraph in subgraphs:
-        try:
-            query = map_to_query(
-                subgraph,
-                augmented_graph,
-                type_predicate=type_pred,
-                subclass_predicate=subclass_pred,
-            )
-        except QueryMappingError:
-            continue
-        form = canonical_form(query)
-        if form in seen_forms:  # cheaper duplicate already ranked
-            continue
-        seen_forms[form] = True
-        candidates.append(
-            QueryCandidate(
-                query, subgraph.cost, subgraph, rank=len(candidates) + 1, form=form
-            )
-        )
-        if len(candidates) == stop_at_rank:
-            break
-    return candidates
+class _PlanResult:
+    """One finished search of a plan: its exploration, the ``timings`` of
+    the search that ran it, and its candidates, mapped in rank order only
+    as far as a reader asked.  Readers extend a kept result under its lock
+    (mapping holds the GIL anyway; an idempotent append would have racing
+    readers map the same subgraphs twice); ranks already mapped are read
+    without it, since candidates are only ever appended."""
+
+    __slots__ = ("exploration", "timings", "candidates", "_pending", "_forms",
+                 "_mapping", "_lock")
+
+    def __init__(self, exploration: Optional[ExplorationResult], plan_graph, data_graph):
+        self.exploration = exploration
+        self.timings: Dict[str, float] = {}
+        self.candidates: List[QueryCandidate] = []
+        self._pending = iter(exploration.subgraphs) if exploration else None
+        self._forms = set()
+        # A change to the preferred predicates moves the summary version.
+        self._mapping = (plan_graph, data_graph.preferred_type_predicate,
+                         data_graph.preferred_subclass_predicate)
+        self._lock = threading.Lock()
+
+    def up_to(self, rank: Optional[int]) -> List[QueryCandidate]:
+        """A fresh list of the first ``rank`` candidates (all for ``None``).
+        Task 5: each subgraph maps to a query, and a query whose canonical
+        form a cheaper one already has is dropped."""
+        candidates = self.candidates
+        if self._pending is not None and (rank is None or len(candidates) < rank):
+            with self._lock:
+                graph, type_pred, subclass_pred = self._mapping
+                while self._pending is not None and (
+                    rank is None or len(candidates) < rank
+                ):
+                    subgraph = next(self._pending, None)
+                    if subgraph is None:
+                        self._pending = self._forms = None
+                        break
+                    try:
+                        query = map_to_query(
+                            subgraph, graph,
+                            type_predicate=type_pred, subclass_predicate=subclass_pred,
+                        )
+                    except QueryMappingError:
+                        continue
+                    form = canonical_form(query)
+                    if form not in self._forms:
+                        self._forms.add(form)
+                        candidates.append(QueryCandidate(
+                            query, subgraph.cost, subgraph,
+                            rank=len(candidates) + 1, form=form,
+                        ))
+        return candidates[:rank]
 
 
 #: The engine configuration every command-line entry point (``repro
@@ -354,16 +362,13 @@ class KeywordSearchEngine:
         same results (see :func:`~repro.core.exploration.explore_top_k`).
         No entry point sets it.
     search_cache_size:
-        When positive, completed :class:`SearchResult` objects are
-        memoized (LRU) keyed on the keyword tuple, the effective search
-        parameters, and the summary/keyword-index version counters — so a
-        repeated query against unchanged data is served without touching
-        the pipeline.  :meth:`add_triples` / :meth:`remove_triples`
-        invalidate the cache through the :class:`~repro.maintenance.IndexManager`.
-        Every caller receives a container-fresh shallow copy of the
-        memoized result (shared candidates and the *original* ``timings``),
-        so in-place mutation of a result cannot poison the cache.
-        Disabled by default.
+        When positive, query plans keep up to this many finished searches
+        in all (and the plan LRU holds at least this many plans), keyed on
+        cost model, k, dmax and ``guided``, so a repeated query runs
+        neither exploration nor mapping already done.  A result dies with its plan — when the
+        summary version moves, or an update recomputes a keyword's matches
+        — and a hit returns the ``timings`` of the search that ran it.
+        0 (the default): plans keep no results.
 
     A keyword with no matching element is ignored and reported in
     ``SearchResult.ignored_keywords``; the keyword index bounds how many
@@ -389,9 +394,7 @@ class KeywordSearchEngine:
         self.k = k
         self.dmax = dmax
         self.guided = guided
-        self._search_cache: Optional[LruDict] = (
-            LruDict(search_cache_size) if search_cache_size > 0 else None
-        )
+        self.search_cache_size = search_cache_size
         #: Explorations that started from a seed threshold, and those among
         #: them that refuted it and ran a second time (``/stats``
         #: ``exploration``; the second should stay 0).
@@ -428,7 +431,6 @@ class KeywordSearchEngine:
             summary=self.summary,
             evaluator=self.evaluator,
         )
-        self.index_manager.add_listener(self._invalidate_query_caches)
 
     # ------------------------------------------------------------------
     # Persistence (the offline layer as a durable artifact)
@@ -452,7 +454,6 @@ class KeywordSearchEngine:
         """
         from repro.storage import build_bundle_streaming
 
-        cache = self._search_cache
         return build_bundle_streaming(
             self.graph.triples,
             path,
@@ -460,7 +461,7 @@ class KeywordSearchEngine:
             cost_model=self.cost_model,
             k=self.k,
             dmax=self.dmax,
-            search_cache_size=cache.maxsize if cache is not None else 0,
+            search_cache_size=self.search_cache_size,
             graph_strict=self.graph.strict,
             epoch=self.index_manager.epoch,
             delta_log=self.delta_log,
@@ -528,16 +529,6 @@ class KeywordSearchEngine:
         """Remove triples; the incremental counterpart of :meth:`add_triples`."""
         return self.index_manager.remove_triples(triples)
 
-    def _invalidate_query_caches(self) -> None:
-        """Hooked into the IndexManager: runs after every applied batch.
-
-        The version counters baked into every cache key (summary graph,
-        keyword index) already prevent stale hits; clearing eagerly simply
-        releases the memory of results that can never be served again.
-        """
-        if self._search_cache is not None:
-            self._search_cache.clear()
-
     # ------------------------------------------------------------------
     # Search (Fig. 2, online part): snapshot acquisition + the five steps
     # ------------------------------------------------------------------
@@ -555,6 +546,9 @@ class KeywordSearchEngine:
         coordination because nothing mutates mid-search.
         """
         summary = self.summary
+        substrate = summary.exploration_substrate()
+        # Kept results live on plans: room for as many plans.
+        substrate.plans.maxsize = max(substrate.plans.maxsize, self.search_cache_size)
         return EngineSnapshot(
             graph=self.graph,
             summary=summary,
@@ -562,7 +556,7 @@ class KeywordSearchEngine:
             store=self.store,
             evaluator=self.evaluator,
             cost_model=self.cost_model,
-            substrate=summary.exploration_substrate(),
+            substrate=substrate,
             summary_version=summary.snapshot_key,
             index_version=self.keyword_index.snapshot_key,
             epoch=self.index_manager.epoch,
@@ -594,7 +588,6 @@ class KeywordSearchEngine:
         k: Optional[int] = None,
         dmax: Optional[int] = None,
         matches: Optional[List[List[KeywordMatch]]] = None,
-        stop_at_rank: Optional[int] = None,
     ) -> SearchResult:
         """Run Section VI's five steps in order against a pinned snapshot.
 
@@ -608,17 +601,13 @@ class KeywordSearchEngine:
 
         ``matches`` replaces the keyword mapping (one match list per
         keyword); the filtered search passes its attribute-level
-        interpretations this way, and such a search neither reads nor
-        fills the result memo.  Its matches are built afresh on every
-        call, so it never finds its plan in the plan LRU either
-        (:func:`~repro.summary.augmentation.augment`).
-
-        ``stop_at_rank`` ends query mapping once that many candidates
-        are held (``/execute`` reads only its rank-th), so the result
-        holds at most that many and ``query_mapping`` times only the
-        subgraphs mapped up to it.  Such a result neither reads nor fills
-        the result memo, which only ever holds whole results.
+        interpretations this way.  Such a search neither reads nor fills
+        kept results, even when its matches find a plan.
         """
+        return self._search(snapshot, query, k, dmax, matches, None)
+
+    def _search(self, snapshot, query, k, dmax, matches, rank) -> SearchResult:
+        """:meth:`search_on_snapshot`, with candidates up to ``rank`` (None: all)."""
         keywords = split_keywords(query) if isinstance(query, str) else list(query)
         if not keywords or all(not kw.strip() for kw in keywords):
             raise ValueError(
@@ -634,19 +623,7 @@ class KeywordSearchEngine:
             raise ValueError(f"dmax must be >= 0, got {dmax}")
         if matches is not None and len(matches) != len(keywords):
             raise ValueError("matches must align one list per keyword")
-
-        # The pinned version counters keep memo keys from ever matching
-        # across data updates.
-        cache = self._search_cache
-        cache_key = None
-        if cache is not None and matches is None and stop_at_rank is None:
-            cache_key = (
-                tuple(keywords), k, dmax,
-                snapshot.summary_version, snapshot.index_version,
-            )
-            cached = cache.hit(cache_key)
-            if cached is not None:
-                return cached.copy()
+        keep = matches is None and self.search_cache_size > 0
 
         clock = time.perf_counter
         started = clock()
@@ -654,48 +631,50 @@ class KeywordSearchEngine:
         if matches is None:
             matches = snapshot.keyword_index.lookup_all(keywords)
         mapped = clock()
-        timings = {"keyword_mapping": mapped - started}
         ignored = [kw for kw, m in zip(keywords, matches) if not m]
         effective = [m for m in matches if m]
-        if not effective:
-            timings["total"] = clock() - started
-            result = SearchResult(keywords, [], matches, ignored, None, timings)
-            return self._cache_result(cache_key, result)
+        if not effective and not keep:
+            timings = {"keyword_mapping": mapped - started, "total": clock() - started}
+            return SearchResult(keywords, [], matches, ignored, None, timings)
 
-        # Task 2: zero-copy augmentation of the summary, and element costs.
-        augmented = augment(snapshot.summary, effective)
-        costs = snapshot.cost_model.element_costs(augmented)
-        augmented_at = clock()
-        # Tasks 3+4: exploration and top-k.
-        exploration = explore_top_k(
-            augmented, costs, k=k, dmax=dmax, guided=snapshot.guided
+        # Task 2: zero-copy augmentation — the query's plan, where its result
+        # is kept (no matches: the plan of none) — and element costs.
+        plan = augment(snapshot.summary, effective)
+        key = (snapshot.cost_model, k, dmax, snapshot.guided)
+        result = plan.results.hit(key) if keep else None
+        if result is not None:
+            candidates = result.up_to(rank)
+        else:
+            timings = {"keyword_mapping": mapped - started}
+            exploration = None
+            if effective:
+                costs = snapshot.cost_model.element_costs(plan)
+                augmented_at = clock()
+                # Tasks 3+4: exploration and top-k.
+                exploration = explore_top_k(
+                    plan, costs, k=k, dmax=dmax, guided=snapshot.guided
+                )
+                if isfinite(exploration.seed_threshold):
+                    with self._seed_lock:
+                        self._seeded += 1
+                        self._seed_fallbacks += exploration.seed_fallback
+                explored = clock()
+                timings["augmentation"] = augmented_at - mapped
+                timings["exploration"] = explored - augmented_at
+            # Task 5: query mapping, as far as this search reads.
+            result = _PlanResult(exploration, plan.graph, snapshot.graph)
+            candidates = result.up_to(rank)
+            finished = clock()
+            if exploration is not None:
+                timings["query_mapping"] = finished - explored
+            timings["total"] = finished - started
+            result.timings = timings
+            if keep:
+                plan.results.put(key, result)
+                snapshot.substrate.trim_results(self.search_cache_size)
+        return SearchResult(
+            keywords, candidates, matches, ignored, result.exploration, dict(result.timings)
         )
-        if isfinite(exploration.seed_threshold):
-            with self._seed_lock:
-                self._seeded += 1
-                self._seed_fallbacks += exploration.seed_fallback
-        explored = clock()
-        # Task 5: query mapping.
-        candidates = _map_stage(
-            snapshot, exploration.subgraphs, augmented.graph, stop_at_rank
-        )
-        finished = clock()
-
-        timings["augmentation"] = augmented_at - mapped
-        timings["exploration"] = explored - augmented_at
-        timings["query_mapping"] = finished - explored
-        timings["total"] = finished - started
-        result = SearchResult(keywords, candidates, matches, ignored, exploration, timings)
-        return self._cache_result(cache_key, result)
-
-    def _cache_result(self, cache_key, result: SearchResult) -> SearchResult:
-        if cache_key is not None:
-            # The cache keeps the pristine instance; every caller —
-            # including this first one — gets a container-fresh copy, so
-            # in-place mutations of a returned result never leak back.
-            self._search_cache.put(cache_key, result)
-            return result.copy()
-        return result
 
     # ------------------------------------------------------------------
     # Filter extension (the paper's Section IX future work)
@@ -779,19 +758,15 @@ class KeywordSearchEngine:
         ``candidate`` is ``None`` when the search has fewer than ``rank``
         interpretations.
 
-        Without a result memo, query mapping stops at the rank-th
-        candidate, so ``timings["query_mapping"]`` covers only the
-        subgraphs mapped up to it.  With one, all k are mapped and the
-        whole result is memoized for the searches that follow.
+        Query mapping stops at the rank-th candidate: ``query_mapping``
+        times the subgraphs mapped up to it, and a kept result maps the
+        rest when a later reader asks.
         """
         if rank < 1:
             raise ValueError(f"rank must be >= 1, got {rank}")
         if snapshot is None:
             snapshot = self.snapshot()
-        result = self.search_on_snapshot(
-            snapshot, query,
-            stop_at_rank=rank if self._search_cache is None else None,
-        )
+        result = self._search(snapshot, query, None, None, None, rank)
         if len(result.candidates) < rank:
             return None, [], result.timings
         candidate = result.candidates[rank - 1]
@@ -886,16 +861,20 @@ class KeywordSearchEngine:
         postings = self.keyword_index.postings_cache_stats()
         if postings is not None:
             stats["postings"] = postings
-        if self._search_cache is not None:
-            stats["search_results"] = self._search_cache.cache_stats()
-        # The plan LRU of the current summary version (its counters start
-        # over when the version moves; empty until a search built one).
+        # The plan LRU of the current summary version and the results its
+        # plans keep (their counters start over when the version moves).
         substrate = self.summary.built_substrate()
-        stats["plans"] = (
-            substrate.plans.cache_stats()
-            if substrate is not None
-            else cache_stats_shape(0, ExplorationSubstrate.MAX_PLANS, 0, 0)
+        kept = self.search_cache_size
+        plans = substrate.plans if substrate is not None else LruDict(
+            max(ExplorationSubstrate.MAX_PLANS, kept)
         )
+        if kept > 0:
+            held = [plan.results for plan in plans.oldest_first()]
+            stats["search_results"] = cache_stats_shape(
+                sum(map(len, held)), kept,
+                sum(r.hits for r in held), sum(r.misses for r in held),
+            )
+        stats["plans"] = plans.cache_stats()
         return stats
 
     def __repr__(self):

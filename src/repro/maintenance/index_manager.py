@@ -90,7 +90,6 @@ class IndexManager:
         #: Together with the summary/keyword-index version counters this
         #: is the serving layer's notion of "which state am I reading".
         self.epoch: int = 0
-        self._listeners: List[Callable[[], None]] = []
         self._epoch_hooks: List[
             Tuple[
                 Optional[Callable[[int], None]],
@@ -102,27 +101,6 @@ class IndexManager:
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
-
-    def add_listener(self, callback: Callable[[], None]) -> None:
-        """Register a callable invoked after every applied update batch.
-
-        This is the invalidation hook for query-time caches that live
-        outside the structures the manager mutates directly (e.g. the
-        engine's memoized search results).  Caches keyed on the summary
-        graph's or keyword index's version counters expire without it;
-        the callback lets them release memory eagerly as well.
-
-        Ordering guarantees: listeners run only after *every* structure
-        (data graph and its triple store, keyword index, summary graph)
-        reflects the batch and the version counters have advanced; they run in
-        registration order, so cache invalidation (registered by the engine
-        constructor) precedes any later-registered observer.
-        Listeners run inside the update epoch — before the commit hooks —
-        so a coordinator that excludes readers for the epoch's span
-        guarantees no search ever observes a mutated structure whose
-        dependent caches have not been invalidated yet.
-        """
-        self._listeners.append(callback)
 
     def add_epoch_hooks(
         self,
@@ -136,7 +114,7 @@ class IndexManager:
 
         ``begin(epoch)`` runs before the batch touches *any* structure
         (even before the dedup read of the data graph); ``commit(epoch)``
-        runs in a ``finally`` — after listeners on success, and on failure
+        runs in a ``finally`` — after the batch on success, and on failure
         too — so a hook pair acquiring and releasing a writer lock can
         never deadlock the manager.  The serving layer uses exactly that
         to serialize writes and drain readers around each epoch, which
@@ -296,6 +274,7 @@ class IndexManager:
         # All-or-nothing: a rejected triple (strict-mode violation) leaves
         # the data graph as it was, so it never drifts from the
         # not-yet-updated indexes.
+        before = graph.preferred_type_predicate, graph.preferred_subclass_predicate
         graph.apply(adds, removes)
 
         # -- increments under NEW types --------------------------------
@@ -318,10 +297,13 @@ class IndexManager:
                 "was updated; the derived indexes may have diverged — rebuild "
                 "the engine from the data graph"
             ) from exc
+        # Query mapping writes the preferred type and subclass predicates:
+        # changing one moves the summary version, so the plans mapped with it.
+        after = graph.preferred_type_predicate, graph.preferred_subclass_predicate
+        if after != before:
+            self.summary.version += 1
         if self.evaluator is not None:
             self.evaluator.invalidate_statistics()
-        for callback in self._listeners:
-            callback()
 
         return len(adds) + len(removes)
 

@@ -333,12 +333,12 @@ class DataGraph:
     def effective(
         self, adds: Iterable[Triple], removes: Iterable[Triple]
     ) -> Tuple[List[Triple], List[Triple]]:
-        """An update batch's triples that toggle, each once: the adds that
-        are absent and the removes that are present."""
-        triples = self._triples
+        """An update batch's triples that toggle, each once: the absent adds,
+        and the present removes the batch does not re-add (removes go first)."""
+        triples, adds = self._triples, dict.fromkeys(adds)
         return (
-            [t for t in dict.fromkeys(adds) if t not in triples],
-            [t for t in dict.fromkeys(removes) if t in triples],
+            [t for t in adds if t not in triples],
+            [t for t in dict.fromkeys(removes) if t in triples and t not in adds],
         )
 
     def apply(self, adds: Sequence[Triple], removes: Sequence[Triple]) -> None:

@@ -100,8 +100,8 @@ def _dumps(payload) -> bytes:
 
 def encode_result(result) -> bytes:
     """``json.dumps(result_to_json(result))``, from the candidates' cached
-    fragments.  A memo hit shares its candidates with the original
-    result, so it costs a join and the few small values encoded here."""
+    fragments.  A kept result's hit shares its candidates with the search
+    that ran it, so it costs a join and the few small values encoded here."""
     if isinstance(result, bytes):
         return result
     return b"".join((

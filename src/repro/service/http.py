@@ -178,13 +178,12 @@ def _optional_integer_param(params: Dict[str, List[str]], name: str):
     return int(value)
 
 
-def _query_field(body: Dict[str, object]):
-    q = body["q"]
+def _query(q, name: str):
     if isinstance(q, str) or (
         isinstance(q, list) and all(isinstance(word, str) for word in q)
     ):
         return q
-    raise ValueError(f"'q' must be a string or a list of strings, got {q!r}")
+    raise ValueError(f"{name!r} must be a string or a list of strings, got {q!r}")
 
 
 def _ntriples_field(body: Dict[str, object], name: str) -> list:
@@ -428,6 +427,7 @@ class _Handler(socketserver.StreamRequestHandler):
             queries = body["queries"]
             if not isinstance(queries, list):
                 raise ValueError("'queries' must be a list")
+            queries = [_query(q, f"queries[{i}]") for i, q in enumerate(queries)]
             if timeout is not None:
                 request = request.with_timeout(timeout)
             outcomes = self.service.search_many(
@@ -441,7 +441,7 @@ class _Handler(socketserver.StreamRequestHandler):
         if "q" not in body:
             raise ValueError("provide 'q' (one query) or 'queries' (a batch)")
         result = self.service.search(
-            _query_field(body), k=k, dmax=dmax, request=request
+            _query(body["q"], "q"), k=k, dmax=dmax, request=request
         )
         return 200, encode_result(result)
 
@@ -449,15 +449,14 @@ class _Handler(socketserver.StreamRequestHandler):
         if "q" not in body:
             raise ValueError("missing 'q'")
         limit = body.get("limit", 10)
-        if limit is not None and (not _is_integer(limit) or limit < 0):
-            raise ValueError(
-                f"'limit' must be null (unbounded) or an integer >= 0, got {limit!r}"
-            )
+        if limit is not None and not (_is_integer(limit) and 0 <= limit <= sys.maxsize):
+            raise ValueError(f"'limit' must be null (unbounded) or an integer from 0 "
+                             f"to {sys.maxsize}, got {limit!r}")
         rank = body.get("rank", 1)
         if not _is_integer(rank):
             raise ValueError(f"'rank' must be an integer, got {rank!r}")
         candidate, answers, timings = self.service.execute_ranked(
-            _query_field(body), rank=rank, limit=limit, request=self.request_value
+            _query(body["q"], "q"), rank=rank, limit=limit, request=self.request_value
         )
         if candidate is None:
             return 404, _error("no interpretation at that rank")

@@ -132,10 +132,10 @@ class MmapDataGraph:
     ) -> Tuple[List[Triple], List[Triple]]:
         """As ``DataGraph.effective``; starts a batch."""
         self._new_batch()
-        store = self.store
+        store, adds = self.store, dict.fromkeys(adds)
         return (
-            [t for t in dict.fromkeys(adds) if t not in store],
-            [t for t in dict.fromkeys(removes) if t in store],
+            [t for t in adds if t not in store],
+            [t for t in dict.fromkeys(removes) if t in store and t not in adds],
         )
 
     def apply(self, adds: Sequence[Triple], removes: Sequence[Triple]) -> None:

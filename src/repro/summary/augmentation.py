@@ -24,8 +24,9 @@ is a pure function of the summary version and the keyword matches, so
 :func:`augment` keeps it in the version-keyed substrate's plan LRU, keyed
 by the match objects, and the stages after it keep what they derive from
 it on it (:attr:`AugmentedSummaryGraph.cost_memo`,
-:attr:`AugmentedSummaryGraph.view_memo`).  A plan is never invalidated:
-it dies with the substrate when the summary version moves, and a keyword
+:attr:`AugmentedSummaryGraph.view_memo`, and the finished searches of
+:attr:`AugmentedSummaryGraph.results`).  A plan is never invalidated: it
+dies with the substrate when the summary version moves, and a keyword
 whose lookup is recomputed comes back as new match objects — a new key.
 """
 
@@ -43,6 +44,7 @@ from repro.keyword.keyword_index import (
 from repro.summary.elements import SummaryEdgeKind
 from repro.summary.overlay import OverlaySummaryGraph
 from repro.summary.summary_graph import SummaryGraph
+from repro.util import LruDict
 
 
 class AugmentedSummaryGraph:
@@ -68,12 +70,19 @@ class AugmentedSummaryGraph:
         view (``repro.core.exploration._build_substrate_view``) of each
         costs object in :attr:`cost_memo`; the entry holds the costs, so a
         recycled ``id()`` can never alias it.
+    results:
+        The finished searches of this plan an engine keeps, keyed on what
+        else a search reads (``repro.core.engine``); a small LRU, so a
+        client sweeping k cannot grow it.
 
     The graph and everything in the two memos are read-only once built:
     :func:`augment` hands the same instance to every search of the same
     matches, concurrently too.  Racing first computations store equal
     values, so the memos need no lock.
     """
+
+    #: Finished searches retained per plan (LRU).
+    MAX_RESULTS = 8
 
     def __init__(
         self,
@@ -86,6 +95,7 @@ class AugmentedSummaryGraph:
         self.match_scores = match_scores
         self.cost_memo: Dict[object, Mapping[Hashable, float]] = {}
         self.view_memo: Dict[int, Tuple[Mapping[Hashable, float], object]] = {}
+        self.results: LruDict = LruDict(self.MAX_RESULTS)
         self._sorted_elements: Optional[Tuple[Tuple[Hashable, ...], ...]] = None
 
     def sorted_keyword_elements(self) -> Tuple[Tuple[Hashable, ...], ...]:

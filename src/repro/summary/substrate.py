@@ -29,9 +29,10 @@ die with the substrate when ``version`` moves):
   (:func:`repro.summary.augmentation.augment`).  Each plan carries what
   the stages after augmentation derive from it — per cost model its
   element costs, per costs object its assembled view (see
-  ``repro.core.exploration._build_substrate_view``), and on the view its
-  :class:`BoundTables` — so a repeated query skips all of them and runs
-  only Algorithm 1/2's loop;
+  ``repro.core.exploration._build_substrate_view``), on the view its
+  :class:`BoundTables`, and the finished searches an engine keeps — so a
+  repeated query skips all of them and runs only Algorithm 1/2's loop,
+  or, when its result is kept, none of it;
 * zero-copy int64 ndarray views over ``offsets``/``targets`` for the
   vectorized kernels (:mod:`repro.core.kernels`) — built lazily on first
   kernel use, sharing the underlying buffer.
@@ -160,6 +161,15 @@ class ExplorationSubstrate:
         """Uncached cost slots for an arbitrary per-query cost mapping."""
         get = mapping.get
         return array("d", (checked_cost(key, get(key)) for key in self.keys))
+
+    def trim_results(self, maxsize: int) -> None:
+        """Drop kept results, least recently used plan's oldest first, to ``maxsize``."""
+        plans = self.plans.oldest_first()
+        excess = sum(len(plan.results) for plan in plans) - maxsize
+        for plan in plans:
+            while excess > 0 and plan.results:
+                plan.results.drop_oldest()
+                excess -= 1
 
     # ------------------------------------------------------------------
     # ndarray views (vectorized kernels)

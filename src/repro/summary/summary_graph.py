@@ -302,7 +302,7 @@ class SummaryGraph:
         """The formal snapshot key of this graph: its mutation version.
 
         Every cache derived from the summary graph (canonical order,
-        exploration substrate, cost base tables, memoized search results)
+        exploration substrate, cost base tables, query plans and their results)
         keys validity on this value, and
         :class:`~repro.core.snapshot.EngineSnapshot` pins it for the
         duration of a search.  It is :attr:`version` by another name — the

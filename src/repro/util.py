@@ -24,17 +24,17 @@ def cache_stats_shape(
 class LruDict(OrderedDict):
     """A bounded, thread-safe mapping with least-recently-used eviction.
 
-    The query-time memo layers (engine search results, keyword lookups,
-    query plans) all share this shape: :meth:`hit` returns a value
+    The query-time memo layers (keyword lookups, query plans and the
+    results they keep) all share this shape: :meth:`hit` returns a value
     and refreshes its recency, :meth:`put` inserts and evicts the oldest
     entries beyond ``maxsize``.  ``None`` is not a valid value (it marks a
     miss).
 
     The serving layer (:mod:`repro.service`) runs many searches against
     one engine, one per request thread, so these caches are hammered
-    from several threads at once.  :meth:`hit`, :meth:`put`, and :meth:`clear`
-    therefore hold a private lock for the duration of their (short,
-    non-reentrant) critical sections: the size bound holds at every
+    from several threads at once.  Every method below therefore holds a
+    private lock for the duration of its (short, non-reentrant) critical
+    section: the size bound holds at every
     quiescent point, and no internal ``KeyError``/``RuntimeError`` can
     escape from interleaved eviction, overwrite, and clear.
 
@@ -73,6 +73,17 @@ class LruDict(OrderedDict):
     def clear(self) -> None:  # type: ignore[override]
         with self._lock:
             super().clear()
+
+    def drop_oldest(self) -> None:
+        """Evict the least recently used entry, if there is one."""
+        with self._lock:
+            if self:
+                self.popitem(last=False)
+
+    def oldest_first(self) -> list:
+        """The values, least recently used first (a copy)."""
+        with self._lock:
+            return list(self.values())
 
     def cache_stats(self) -> Dict[str, float]:
         """Size, bound, and hit/miss counts — the service ``/stats`` shape."""

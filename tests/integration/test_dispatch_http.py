@@ -104,7 +104,7 @@ def test_execute_limit_rule(request, tier):
     assert len(_post(url, dict(ask, limit=1))[1]["answers"]) == 1
     assert _post(url, dict(ask, limit=total + 5))[1]["answers"] == unbounded["answers"]
     assert len(_post(url, ask)[1]["answers"]) == min(total, 10)  # the default
-    for bad in (-1, "5", 2.5, True, [3]):
+    for bad in (-1, "5", 2.5, True, [3], 10 ** 30):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             _post(url, dict(ask, limit=bad))
         assert excinfo.value.code == 400, bad
@@ -140,6 +140,12 @@ MALFORMED_BODIES = [
     ("/execute", {"q": "publication", "rank": None}, "rank"),
     ("/execute", {"q": "publication", "rank": "1"}, "rank"),
     ("/execute", {"q": "publication", "rank": True}, "rank"),
+    # A batch member is a query as 'q' is; one bad member refuses the batch.
+    ("/search", {"queries": [{"a": 1}]}, "queries[0]"),
+    ("/search", {"queries": ["cimiano", 1]}, "queries[1]"),
+    ("/search", {"queries": [None]}, "queries[0]"),
+    ("/search", {"queries": [3.5]}, "queries[0]"),
+    ("/search", {"queries": [["cimiano", 2006]]}, "queries[0]"),
 ]
 
 

@@ -64,7 +64,7 @@ def outcome(mapper, *args, **kwargs):
 
 @contextmanager
 def checked_mapping(seen):
-    """Every subgraph ``_map_stage`` maps inside the block goes through both
+    """Every subgraph the engine maps inside the block goes through both
     mappers; ``seen`` counts them by outcome kind."""
 
     def both(subgraph, graph, **kwargs):

@@ -537,8 +537,21 @@ def test_stage_bundle_streams_the_source(tmp_path, capsys):
     assert path.startswith(str(tmp_path))
     assert "# staged bundle for worker processes" in capsys.readouterr().err
     staged = KeywordSearchEngine.load(path, attach_wal=False)
-    assert (staged.k, staged.dmax, staged._search_cache.maxsize) == (3, 10, 7)
+    assert (staged.k, staged.dmax) == (3, 10)
+    assert staged.cache_stats()["search_results"]["maxsize"] == 7
     assert len(staged.graph) == 21
+
+
+def test_serve_cache_is_a_non_negative_count(capsys):
+    """``--cache 0`` keeps no results; a negative count is refused by
+    the parser, not clamped to 0."""
+    from repro.cli import build_serve_parser
+
+    assert build_serve_parser().parse_args(["--cache", "0"]).cache == 0
+    with pytest.raises(SystemExit) as excinfo:
+        build_serve_parser().parse_args(["--cache", "-1"])
+    assert excinfo.value.code == 2
+    assert "--cache: must be >= 0, got -1" in capsys.readouterr().err
 
 
 def test_serve_hands_timeout_to_the_server_with_workers(monkeypatch):

@@ -246,6 +246,98 @@ class TestSearchResultCache:
         assert not _memoized(first, engine.search("aifb"))
 
 
+class TestPlanResults:
+    """Finished searches live on their plans, mapped as far as asked."""
+
+    def test_concurrent_readers_extend_one_result(self, example_graph):
+        """Eight threads mix ``execute_ranked`` at every rank (and one
+        past the last) with whole searches of one query.  Each round
+        starts from a fresh kept result mapped to rank 1 only, so the
+        readers race to extend the same one: every candidate is the one
+        a fresh engine ranks there."""
+        import random
+        import sys
+        import threading
+
+        query, k = "2006 cimiano aifb", 5
+        engine = KeywordSearchEngine(example_graph, k=k, search_cache_size=16)
+        want = [c.json_fragment() for c in KeywordSearchEngine(example_graph, k=k).search(query)]
+        assert len(want) > 1
+        plans = engine.summary.exploration_substrate().plans
+        rounds = 20
+
+        def fresh_result():
+            plans.clear()
+            engine.execute_ranked(query, rank=1, limit=0)
+
+        barrier = threading.Barrier(8, action=fresh_result, timeout=60)
+        wrong = []
+
+        def reader(seed):
+            rng = random.Random(seed)
+            try:
+                for _ in range(rounds):
+                    barrier.wait()
+                    for _ in range(10):
+                        rank = rng.randint(0, k + 1)
+                        if rank == 0:
+                            got = [c.json_fragment() for c in engine.search(query)]
+                            if got != want:
+                                wrong.append(("search", got))
+                            continue
+                        candidate, _, _ = engine.execute_ranked(query, rank=rank, limit=1)
+                        expected = want[rank - 1] if rank <= len(want) else None
+                        if (candidate and candidate.json_fragment()) != expected:
+                            wrong.append((rank, candidate))
+            except Exception as exc:  # a reader that dies breaks the barrier
+                wrong.append(exc)
+                barrier.abort()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=reader, args=(i,)) for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+        stats = engine.cache_stats()["search_results"]
+        assert stats["hits"] > 0 and stats["size"] <= stats["maxsize"]
+
+    def test_preferred_predicate_changes_move_the_summary_version(self, example_graph):
+        """The queries a result holds are written with the data's
+        preferred type and subclass predicates.  A second spelling of
+        every type and subclass fact changes both and nothing the summary
+        aggregates (nor any match); the summary version moves anyway, so
+        the kept result, mapped with the old ones, is not served."""
+        from repro.rdf.graph import DataGraph
+        from repro.rdf.namespace import RDFS
+        from repro.rdf.terms import URI
+        from repro.rdf.triples import Triple
+
+        engine = KeywordSearchEngine(
+            DataGraph(example_graph.triples), k=5, search_cache_size=16
+        )
+        query = "publication researcher"
+        before = [c.json_fragment() for c in engine.search(query)]
+        version = engine.summary.snapshot_key
+        variants = {RDF.type: URI("type"), RDFS.subClassOf: URI("subclass")}
+        engine.add_triples([
+            Triple(t.subject, variants[t.predicate], t.object)
+            for t in example_graph.triples
+            if t.predicate in variants
+        ])
+        assert engine.graph.preferred_type_predicate == URI("type")
+        assert engine.summary.snapshot_key != version
+        fresh = KeywordSearchEngine(DataGraph(engine.graph.triples), k=5)
+        after = [c.json_fragment() for c in engine.search(query)]
+        assert after == [c.json_fragment() for c in fresh.search(query)] != before
+
+
 class TestFilterSearchParameters:
     def test_k_and_dmax_threaded_to_search(self, example_graph, monkeypatch):
         engine = KeywordSearchEngine(example_graph, k=5)

@@ -108,6 +108,29 @@ def test_duplicate_adds_and_absent_removes_are_noops(engine):
     assert engine.summary.version == version
 
 
+@pytest.mark.parametrize("source", ["constructed", "loaded"])
+def test_a_batch_that_removes_and_re_adds_a_triple_keeps_it(source, tmp_path):
+    """Removes come first: a present triple a batch both removes and adds
+    is still there afterwards, and the batch toggled nothing for it; an
+    absent one it both removes and adds is added."""
+    engine = KeywordSearchEngine(running_example_graph(), k=10)
+    if source == "loaded":
+        engine.save(tmp_path / "a.reprobundle")
+        engine = KeywordSearchEngine.load(tmp_path / "a.reprobundle", attach_wal=False)
+    present = next(t for t in engine.graph.triples if "2006" in t.n3())
+    absent = Triple(EX.pub2URI, EX.year, Literal("2007"))
+    changed = engine.index_manager.apply_batch(
+        adds=[present, absent], removes=[present, absent]
+    )
+    assert changed == 1
+    assert present in set(engine.graph.triples) and absent in set(engine.graph.triples)
+    fresh = KeywordSearchEngine(DataGraph(engine.graph.triples), k=10)
+    for query in ("2006", "2007"):
+        assert [c.json_fragment() for c in engine.search(query)] == [
+            c.json_fragment() for c in fresh.search(query)
+        ], query
+
+
 def test_cost_cache_invalidated_on_update(engine):
     """Search → update → search must use fresh costs, not the cached table."""
     before = engine.search("publication")

@@ -458,12 +458,3 @@ class TestEpochHooks:
         finally:
             svc.close()
 
-    def test_listeners_run_in_registration_order(self, engine):
-        order = []
-        engine.index_manager.add_listener(lambda: order.append("early"))
-        engine.index_manager.add_listener(lambda: order.append("mid"))
-        engine.index_manager.add_listener(lambda: order.append("late"))
-        pub = URI("http://example.org/pubOrder")
-        label = URI("http://www.w3.org/2000/01/rdf-schema#label")
-        engine.add_triples([Triple(pub, label, Literal("ordered"))])
-        assert order == ["early", "mid", "late"]

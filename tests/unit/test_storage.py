@@ -495,7 +495,7 @@ def test_engine_config_round_trips(example_graph, tmp_path):
     loaded = KeywordSearchEngine.load(path)
     assert loaded.cost_model.name == "c2"
     assert (loaded.k, loaded.dmax) == (7, 6)
-    assert loaded._search_cache is not None and loaded._search_cache.maxsize == 32
+    assert loaded.cache_stats()["search_results"]["maxsize"] == 32
 
 
 def test_strict_graph_round_trips_and_fails_a_violating_build(example_graph, tmp_path):
