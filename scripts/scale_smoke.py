@@ -1,15 +1,16 @@
 #!/usr/bin/env python
 """CI scale-smoke: prove the out-of-core build path works at real size.
 
-Builds a ~10^5-triple LUBM corpus with a plain ``repro build`` in a
-fresh subprocess, asserts the build's peak RSS (the child's own
-``ru_maxrss``) stays under a hard ceiling, then loads the resulting
-bundle and runs one search against it.  The point is liveness *and* the
-memory contract of the default path: a regression that quietly
-materializes the corpus (or an index) during the build shows up here as
-a blown ceiling, not just as a slow job.  The bundle's size per stored
-triple is held under a ceiling too, so a derived copy of the corpus
-cannot creep back into the format unnoticed.
+Writes a ~10^5-triple LUBM corpus to an N-Triples file and builds it
+with a plain ``repro build --data`` in a fresh subprocess — the path a
+user's data takes, N-Triples parser included — asserts the build's
+peak RSS (the child's own ``ru_maxrss``) stays under a hard ceiling,
+then loads the resulting bundle and runs one search against it.  The
+point is liveness *and* the memory contract of the default path: a
+regression that quietly materializes the corpus (or an index) during
+the build shows up here as a blown ceiling, not just as a slow job.
+The bundle's size per stored triple is held under a ceiling too, so a
+derived copy of the corpus cannot creep back into the format unnoticed.
 
 The same bundle is then loaded in another fresh subprocess — a plain
 ``KeywordSearchEngine.load``, which serves the runs in place — for a
@@ -135,15 +136,22 @@ def main() -> int:
         int(sys.argv[3]) if len(sys.argv) > 3 else DEFAULT_SERVE_CEILING_MB
     )
     bundle = os.path.abspath("scale-smoke.reprobundle")
+    data = os.path.abspath("scale-smoke.nt")
 
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
 
-    print(f"# repro build: {universities} universities -> {bundle}")
+    from repro.datasets import triples_for
+
+    with open(data, "w", encoding="utf-8") as fh:
+        for triple in triples_for("lubm", 1000 * universities):
+            fh.write(triple.n3())
+            fh.write("\n")
+    print(f"# repro build: {universities} universities, {data} -> {bundle}")
     proc = subprocess.Popen(
-        [sys.executable, "-m", "repro", "build", "--dataset", "lubm",
-         "--scale", str(1000 * universities), "-o", bundle, "--force"],
+        [sys.executable, "-m", "repro", "build", "--data", data,
+         "-o", bundle, "--force"],
         env=env,
     )
     # wait4 (not Popen.wait) so the peak RSS is this child's own.

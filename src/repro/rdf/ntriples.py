@@ -3,12 +3,19 @@
 Supports the W3C N-Triples grammar subset needed for dataset I/O: URI refs,
 blank nodes, plain/typed/language-tagged literals with the standard string
 escapes, comments, and blank lines.
+
+A line is read one of two ways, with one result.  Most lines — no escape,
+ASCII blank-node labels and language tags — match :data:`_TRIPLE_LINE`
+whole and become terms straight from its groups.  Every other line goes
+through :class:`_LineScanner`, the one place that decodes escapes and
+non-ASCII labels and that reports an error with its line and column.
 """
 
 from __future__ import annotations
 
 import io
-from typing import Iterable, Iterator, TextIO, Union
+import re
+from typing import Dict, Iterable, Iterator, Optional, TextIO, Union
 
 from repro.rdf.terms import BNode, Literal, Term, URI
 from repro.rdf.triples import Triple
@@ -31,6 +38,26 @@ _ESCAPES = {
 }
 
 
+_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
+
+#: A whole stripped line of the escape-free shape, tokens separated by
+#: optional spaces or tabs.  Groups: subject URI | subject label,
+#: predicate URI, object URI | object label | (lexical form, language |
+#: datatype URI).  A URI is any non-empty text up to the first ``>``,
+#: as the scanner reads it; a label or a language tag here is ASCII, so
+#: the character after it ends it for the scanner too.
+_TRIPLE_LINE = re.compile(
+    r"(?:<([^>]+)>|_:([A-Za-z0-9_-]+))[ \t]*"
+    r"<([^>]+)>[ \t]*"
+    r'(?:<([^>]+)>|_:([A-Za-z0-9_-]+)|"([^"\\]*)"(?:@([A-Za-z0-9-]+)|\^\^<([^>]+)>)?)'
+    r"[ \t]*\.(?:[ \t]*#.*)?"
+)
+
+#: Distinct URI texts one parse keeps shared before it starts afresh, so
+#: a stream of any size parses in bounded memory.
+URI_MEMO_SIZE = 1 << 16
+
+
 class _LineScanner:
     """Single-line tokenizer for the N-Triples grammar."""
 
@@ -39,8 +66,10 @@ class _LineScanner:
         self.pos = 0
         self.line_number = line_number
 
-    def error(self, message: str) -> NTriplesParseError:
-        return NTriplesParseError(f"{message} (at column {self.pos})", self.line_number)
+    def error(self, message: str, column: Optional[int] = None) -> NTriplesParseError:
+        if column is None:
+            column = self.pos
+        return NTriplesParseError(f"{message} (at column {column})", self.line_number)
 
     def skip_ws(self) -> None:
         while self.pos < len(self.line) and self.line[self.pos] in " \t":
@@ -97,22 +126,30 @@ class _LineScanner:
                 self.pos += 1
                 if esc in _ESCAPES:
                     out.append(_ESCAPES[esc])
-                elif esc == "u":
-                    hexval = self.line[self.pos : self.pos + 4]
-                    if len(hexval) < 4:
-                        raise self.error("truncated \\u escape")
-                    out.append(chr(int(hexval, 16)))
-                    self.pos += 4
-                elif esc == "U":
-                    hexval = self.line[self.pos : self.pos + 8]
-                    if len(hexval) < 8:
-                        raise self.error("truncated \\U escape")
-                    out.append(chr(int(hexval, 16)))
-                    self.pos += 8
+                elif esc in "uU":
+                    out.append(self.read_code_point(esc))
                 else:
                     raise self.error(f"unknown escape \\{esc}")
             else:
                 out.append(ch)
+
+    def read_code_point(self, esc: str) -> str:
+        """The character a ``\\u`` (4 hex digits) or ``\\U`` (8) escape
+        names; it must be a Unicode scalar value (no surrogate)."""
+        start = self.pos - 2
+        width = 4 if esc == "u" else 8
+        digits = self.line[self.pos : self.pos + width]
+        if len(digits) < width or not _HEX_DIGITS.issuperset(digits):
+            raise self.error(
+                f"\\{esc} escape needs {width} hex digits, got {digits!r}", start
+            )
+        code = int(digits, 16)
+        if code > 0x10FFFF or 0xD800 <= code <= 0xDFFF:
+            raise self.error(
+                f"\\{esc}{digits} is not a Unicode scalar value", start
+            )
+        self.pos += width
+        return chr(code)
 
     def read_literal(self) -> Literal:
         lexical = self.read_string()
@@ -158,6 +195,11 @@ def parse_ntriples(source: Union[str, TextIO, Iterable[str]]) -> Iterator[Triple
     column.  The out-of-core build path (``repro build``) feeds
     file handles through here directly.
 
+    Within one call, equal URI texts read by the line pattern are one
+    :class:`URI` object (until :data:`URI_MEMO_SIZE` distinct texts, when
+    the memo starts afresh), so a repeated subject, predicate or class
+    is built and hashed once.
+
     >>> list(parse_ntriples('<a:s> <a:p> "v" .'))
     [Triple(URI('a:s'), URI('a:p'), Literal('v'))]
     """
@@ -169,23 +211,56 @@ def parse_ntriples(source: Union[str, TextIO, Iterable[str]]) -> Iterator[Triple
         lines: Iterable[str] = io.StringIO(source)
     else:
         lines = source
+    uris: Dict[str, URI] = {}
+
+    def uri(text: str) -> URI:
+        term = uris.get(text)
+        if term is None:
+            if len(uris) >= URI_MEMO_SIZE:
+                uris.clear()
+            term = uris[text] = URI(text)
+        return term
+
+    match = _TRIPLE_LINE.fullmatch
     for number, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        scanner = _LineScanner(line, number)
-        scanner.skip_ws()
-        subject = scanner.read_subject()
-        scanner.skip_ws()
-        predicate = scanner.read_uri()
-        scanner.skip_ws()
-        obj = scanner.read_object()
-        scanner.skip_ws()
-        scanner.expect(".")
-        scanner.skip_ws()
-        if not scanner.at_end() and not scanner.line[scanner.pos :].lstrip().startswith("#"):
-            raise scanner.error("trailing content after '.'")
-        yield Triple(subject, predicate, obj)
+        found = match(line)
+        if found is None:
+            yield _scan_line(line, number)
+            continue
+        s_uri, s_label, p_uri, o_uri, o_label, lexical, language, datatype = (
+            found.groups()
+        )
+        subject = uri(s_uri) if s_label is None else BNode(s_label)
+        if o_uri is not None:
+            obj: Term = uri(o_uri)
+        elif o_label is not None:
+            obj = BNode(o_label)
+        elif datatype is not None:
+            obj = Literal(lexical, datatype=uri(datatype))
+        else:
+            obj = Literal(lexical, language=language)
+        yield Triple(subject, uri(p_uri), obj)
+
+
+def _scan_line(line: str, number: int) -> Triple:
+    """One stripped line the pattern did not match, read by the scanner:
+    its triple, or the error at its line and column."""
+    scanner = _LineScanner(line, number)
+    scanner.skip_ws()
+    subject = scanner.read_subject()
+    scanner.skip_ws()
+    predicate = scanner.read_uri()
+    scanner.skip_ws()
+    obj = scanner.read_object()
+    scanner.skip_ws()
+    scanner.expect(".")
+    scanner.skip_ws()
+    if not scanner.at_end() and not scanner.line[scanner.pos :].lstrip().startswith("#"):
+        raise scanner.error("trailing content after '.'")
+    return Triple(subject, predicate, obj)
 
 
 def serialize_ntriples(triples: Iterable[Triple]) -> str:

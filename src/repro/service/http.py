@@ -61,7 +61,7 @@ from http import HTTPStatus
 from typing import Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
-from repro.rdf.ntriples import parse_ntriples
+from repro.rdf.ntriples import NTriplesParseError, parse_ntriples
 from repro.service.encoding import (
     _dumps,
     _encode_outcome,
@@ -190,7 +190,10 @@ def _ntriples_field(body: Dict[str, object], name: str) -> list:
     text = body.get(name, "")
     if not isinstance(text, str):
         raise ValueError(f"{name!r} must be N-Triples text (a string), got {text!r}")
-    return list(parse_ntriples(text))
+    try:
+        return list(parse_ntriples(text))
+    except NTriplesParseError as exc:
+        raise ValueError(f"{name!r}: {exc}") from None
 
 
 # ----------------------------------------------------------------------

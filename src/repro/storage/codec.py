@@ -91,6 +91,9 @@ class Interner:
         existing = self._ids.get(item)
         if existing is not None:
             return existing
+        return self._assign(item)
+
+    def _assign(self, item) -> int:
         index = len(self.items)
         self._ids[item] = index
         self.items.append(item)
@@ -107,13 +110,12 @@ class TermInterner(Interner):
     __slots__ = ()
 
     def id(self, term: Term) -> int:
-        if (
-            term not in self._ids
-            and isinstance(term, Literal)
-            and term.datatype is not None
-        ):
+        existing = self._ids.get(term)
+        if existing is not None:
+            return existing
+        if isinstance(term, Literal) and term.datatype is not None:
             super().id(term.datatype)
-        return super().id(term)
+        return self._assign(term)
 
     @property
     def terms(self) -> List[Term]:

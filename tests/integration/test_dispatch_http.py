@@ -133,6 +133,11 @@ def test_an_execute_past_the_last_rank_is_a_completed_request(request, tier, ask
 MALFORMED_BODIES = [
     ("/update", {"add": 5}, "add"),
     ("/update", {"remove": ["<a> <b> <c> ."]}, "remove"),
+    # Text that does not parse is refused naming its field too.
+    ("/update", {"add": '<a:s> <a:p> "\\UFFFFFFFF" .'}, "add"),
+    ("/update", {"add": '<a:s> <a:p> "\\uD800" .'}, "add"),
+    ("/update", {"add": "<a:s> <a:p> <a:o> .\n<a:s> <a:p> ."}, "add"),
+    ("/update", {"add": "<a:s> <a:p> <a:o> .", "remove": "<a:s> <a:p>"}, "remove"),
     ("/search", {"q": 5}, "q"),
     ("/search", {"q": None}, "q"),
     ("/search", {"q": ["cimiano", 2006]}, "q"),

@@ -278,6 +278,30 @@ class TestPersistenceCommands:
         wal.write_bytes(b'# repro-wal 1\n\nB 0\nA <ex:b> <ex:p> "z\xc3')
         assert main(["search", "aifb", "--bundle", str(bundle)]) == 0
 
+    @pytest.mark.parametrize("command", ["search", "serve"])
+    def test_unparseable_wal_entry_is_reported_not_traced(self, tmp_path, command):
+        """A committed entry whose escape names no character is one
+        ``repro: --bundle:`` line, not a traceback."""
+        import zlib
+
+        bundle = tmp_path / "example.reprobundle"
+        assert main(["build", "--dataset", "example", "-o", str(bundle)]) == 0
+        body = 'A <a:s> <a:p> "\\UFFFFFFFF" .'
+        crc = zlib.crc32(body.encode("ascii"))
+        (tmp_path / "example.reprobundle.wal").write_bytes(
+            f"# repro-wal 1\n\nB 0\n{body}\nC 0 {crc:08x}\n".encode("ascii")
+        )
+        argv = {
+            "search": ["search", "aifb", "--bundle", str(bundle)],
+            "serve": ["serve", "--bundle", str(bundle), "--port", "0"],
+        }[command]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        message = str(excinfo.value)
+        assert message.startswith("repro: --bundle: ")
+        assert "unparseable triple in committed entry" in message
+        assert "not a Unicode scalar value" in message
+
     def test_stream_flag_is_a_hidden_noop(self, tmp_path, capsys):
         """The CLI contract the benchmark harness leans on: it passes
         ``--stream`` for two workloads and not for three, and both

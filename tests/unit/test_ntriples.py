@@ -73,6 +73,46 @@ class TestErrors:
         with pytest.raises(NTriplesParseError):
             list(parse_ntriples(line))
 
+    @pytest.mark.parametrize(
+        "escape, column",
+        [
+            ("\\u12", 13),  # too few digits before the closing quote
+            ("\\u+0aB", 13),  # int() would take a sign,
+            ("\\u 1ab", 13),  # surrounding blanks
+            ("\\u1_ab", 13),  # and an underscore
+            ("\\u00g1", 13),
+            ("\\U0001F60", 13),
+            ("x\\U0000 1F6", 14),
+            ("\\UFFFFFFFF", 13),  # beyond U+10FFFF
+            ("\\U00110000", 13),
+            ("\\uD800", 13),  # surrogates are not scalar values
+            ("\\udfff", 13),
+            ("\\U0000DC00", 13),
+        ],
+    )
+    def test_malformed_unicode_escape_is_a_parse_error(self, escape, column):
+        """An escape takes exactly 4 (``\\u``) or 8 (``\\U``) hex digits
+        naming a Unicode scalar value; the error points at its backslash."""
+        doc = f'<a:s> <a:p> "v" .\n<a:s> <a:p> "{escape}" .'
+        with pytest.raises(NTriplesParseError) as excinfo:
+            list(parse_ntriples(doc))
+        assert excinfo.value.line_number == 2
+        assert str(excinfo.value).endswith(f"(at column {column})")
+
+    @pytest.mark.parametrize(
+        "escape, char",
+        [
+            ("\\u0041", "A"),
+            ("\\uFFFF", "\uffff"),
+            ("\\ud7ff", "\ud7ff"),
+            ("\\uE000", "\ue000"),
+            ("\\U0010FFFF", "\U0010ffff"),
+            ("\\U00000000", "\x00"),
+        ],
+    )
+    def test_unicode_escape_bounds(self, escape, char):
+        assert parse_one(f'<a:s> <a:p> "{escape}" .').object == Literal(char)
+
     def test_error_carries_line_number(self):
         doc = "<a:s> <a:p> <a:o> .\nbad line"
         with pytest.raises(NTriplesParseError) as excinfo:

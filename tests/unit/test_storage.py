@@ -790,6 +790,37 @@ def test_wal_damage_reads_the_same_through_both_readers(tmp_path, row):
     assert [epoch for epoch, _, _ in loader] == expected
 
 
+def committed_log(*body_lines: str) -> bytes:
+    """A log of one entry at epoch 0, committed with a valid CRC over
+    ``body_lines`` (each an ``A``/``R`` line) whatever they hold."""
+    import zlib
+
+    body = "\n".join(body_lines)
+    crc = zlib.crc32(body.encode("utf-8"))
+    return f"# repro-wal 1\n\nB 0\n{body}\nC 0 {crc:08x}\n".encode("utf-8")
+
+
+@pytest.mark.parametrize(
+    "line", ['A <a:s> <a:p> "\\UFFFFFFFF" .', 'R <a:s> <a:p> "\\uD800" .',
+             "A <a:s> <a:p> ."],
+)
+def test_wal_unparseable_committed_entry_is_a_wal_error(example_graph, tmp_path, line):
+    """A CRC-valid entry whose triples do not parse is a writer bug:
+    both readers and the load that replays it raise WalError naming it."""
+    path = tmp_path / "a.reprobundle"
+    KeywordSearchEngine(DataGraph(example_graph.triples)).save(path)
+    wal = tmp_path / "a.reprobundle.wal"
+    wal.write_bytes(committed_log('A <a:s> <a:p> "ok" .', line))
+    loader, cursor = _read_both_ways(wal)
+    for outcome in (loader, cursor):
+        assert isinstance(outcome, WalError)
+        assert "unparseable triple in committed entry" in str(outcome)
+        assert "line 1:" in str(outcome)
+    for attach_wal in (True, False):
+        with pytest.raises(WalError):
+            KeywordSearchEngine.load(path, attach_wal=attach_wal)
+
+
 def test_wal_cursor_resumes_past_a_newline_less_commit(tmp_path):
     """A follower that consumed a ``C`` before its newline landed picks
     the next epoch up from there: once each, no epoch twice."""
