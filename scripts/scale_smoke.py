@@ -17,7 +17,10 @@ The same bundle is then loaded in another fresh subprocess — a plain
 search, an execute and one update epoch under a much lower RSS ceiling:
 the serving-side counterpart of the build contract, failing if a load or
 an update quietly materializes postings, triples or the data graph it
-should be binary-searching on disk.
+should be binary-searching on disk.  That child also looks up the
+corpus's two largest keywords cold and fails if the term table then
+holds more than a few hundred decoded terms: a lookup decodes the
+matches it keeps, not every posting it scores.
 
 Last, a third fresh subprocess builds the engine the library API and
 ``repro search`` without ``--bundle`` build —
@@ -60,6 +63,11 @@ BYTES_PER_TRIPLE_CEILING = 165
 #: an update decodes what it touches, and a regression that rebuilds the
 #: graph from the stored triples (~115 MB) fails the job.
 DEFAULT_SERVE_CEILING_MB = 96
+#: "student" and "undergraduate" score thousands of elements each in
+#: this corpus and keep 8.  The serving child's term-table memo holds
+#: ~60 terms after its search, execute and these two cold lookups; a
+#: lookup that decoded every posting it scored left ~13,800.
+TERM_MEMO_CEILING = 400
 #: A constructed engine over the same corpus peaks near 174 MB through
 #: construction, search, execute and the update epoch: the data graph
 #: keeps each triple once, in the TripleStore the engine executes on
@@ -100,6 +108,10 @@ def peak_kb():
     return peak
 
 print('SERVE_PEAK_KB', peak_kb())
+if engine.index_tier == 'mmap':
+    for keyword in ('student', 'undergraduate'):
+        assert engine.keyword_index.lookup(keyword), keyword
+    print('TERM_MEMO', len(engine.store._terms._terms))
 
 ns = 'http://example.org/smoke/'
 added = [
@@ -201,14 +213,22 @@ def main() -> int:
         print("FAIL: bundle serve subprocess exited nonzero")
         return 1
     serve_peak_mb = int(values["SERVE_PEAK_KB"]) / 1024
+    term_memo = int(values["TERM_MEMO"])
     total_peak_mb = int(values["TOTAL_PEAK_KB"]) / 1024
     print(
         f"# bundle serve ok: cold {float(values['COLD_MS']):.0f} ms, "
         f"{values['CANDIDATES']} candidates, {values['ANSWERS']} answers, "
         f"{values['UPDATED']} post-update candidates, "
         f"peak RSS {serve_peak_mb:.0f} MB serving / {total_peak_mb:.0f} MB "
-        "incl. update epoch"
+        f"incl. update epoch, {term_memo} decoded terms after the cold lookups "
+        f"(ceiling {TERM_MEMO_CEILING})"
     )
+    if term_memo > TERM_MEMO_CEILING:
+        print(
+            f"FAIL: the term table holds {term_memo} decoded terms after two "
+            f"cold lookups > {TERM_MEMO_CEILING} ceiling"
+        )
+        return 1
     if serve_peak_mb > serve_ceiling_mb:
         print(
             f"FAIL: bundle serve peaked at {serve_peak_mb:.0f} MB "

@@ -858,9 +858,6 @@ class KeywordSearchEngine:
         """Hit/miss statistics of the query-time memo layers (the numbers
         the service's ``/stats`` endpoint reports as cache hit rates)."""
         stats = {"keyword_lookups": self.keyword_index.cache_stats()}
-        postings = self.keyword_index.postings_cache_stats()
-        if postings is not None:
-            stats["postings"] = postings
         # The plan LRU of the current summary version and the results its
         # plans keep (their counters start over when the version moves).
         substrate = self.summary.built_substrate()

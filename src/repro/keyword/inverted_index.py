@@ -12,7 +12,8 @@ from typing import Dict, Hashable, Iterable, Iterator, List, NamedTuple, Optiona
 
 
 class Posting(NamedTuple):
-    """One indexed occurrence list entry."""
+    """One indexed occurrence list entry; ``element`` is a handle, which
+    the index's ``element()`` resolves to the element key."""
 
     element: Hashable
     term_frequency: int
@@ -87,6 +88,14 @@ class InvertedIndex:
         if not bucket:
             return []
         return [Posting(el, tf, total) for el, (tf, total) in bucket.items()]
+
+    def element(self, handle: Hashable) -> Hashable:
+        """The element a posting's handle names: here the handle is the
+        key (the mmap tier hands base elements out by id)."""
+        return handle
+
+    #: Resolving without a memo: the same thing where nothing is decoded.
+    peek_element = element
 
     def __contains__(self, term: str) -> bool:
         return term in self._postings

@@ -505,17 +505,6 @@ class KeywordIndex:
         """Serving tier of the underlying inverted index (memory/mmap)."""
         return getattr(self._index, "tier", "memory")
 
-    def postings_cache_stats(self) -> Optional[Dict[str, float]]:
-        """Decoded-postings LRU statistics, or None for a dict index.
-
-        Only a loaded bundle's mmap-resident index decodes posting runs
-        on demand and keeps an LRU over them; the constructors' dicts
-        hold everything, so there is nothing to count.
-        """
-        if self.index_tier != "mmap":
-            return None
-        return self._index.cache_stats()
-
     def lookup(self, keyword: str) -> List[KeywordMatch]:
         """All elements matching a keyword, best score first.
 
@@ -567,7 +556,9 @@ class KeywordIndex:
         if not terms:
             return []
 
-        # element_key -> (best factor, label length), per keyword term.
+        # posting handle -> (best factor, label length), per keyword term.
+        # A handle names one element whichever term's postings it came
+        # from, so scoring and intersecting never decode an element.
         per_term = [self._term_candidates(term, accepted) for term in terms]
 
         # Intersect: every term must match.
@@ -576,42 +567,59 @@ class KeywordIndex:
             common &= set(candidates)
 
         scored: List[Tuple[float, Hashable]] = []
-        for key in common:
+        for handle in common:
             factor_product = 1.0
             label_terms = 1
             for candidates in per_term:
-                factor, label_len = candidates[key]
+                factor, label_len = candidates[handle]
                 factor_product *= factor
                 label_terms = max(label_terms, label_len)
             base = factor_product ** (1.0 / len(terms))
             coverage = min(1.0, len(terms) / max(label_terms, 1))
-            scored.append((max(1e-6, base * (coverage ** 0.5)), key))
+            scored.append((max(1e-6, base * (coverage ** 0.5)), handle))
 
         # Select, then materialize only what is kept.  Equal scores
         # tie-break canonically (by element-key repr) so the result — and
         # the cutoff — does not depend on index insertion order;
         # incremental maintenance and a fresh rebuild must rank
-        # identically.
+        # identically.  The repr reads a transient decode: thousands of
+        # elements can tie at the cutoff, and only the kept ones are
+        # decoded for good.
+        peek = self._index.peek_element
+
+        def canonical(pair: Tuple[float, Hashable]) -> str:
+            return repr(peek(pair[1]))
+
         limit = MAX_MATCHES_PER_KEYWORD
+        tied: List[Tuple[float, Hashable]] = []
         if len(scored) > limit:
-            # Only what scores at least the limit-th best can be kept;
-            # the rest need no repr.
+            # Fewer than ``limit`` score above the limit-th best; the
+            # ties at it fill the rest in canonical order.
             floor = heapq.nlargest(limit, (score for score, _ in scored))[-1]
-            scored = [pair for pair in scored if pair[0] >= floor]
-        scored.sort(key=lambda pair: (-pair[0], repr(pair[1])))
-        return [self._materialize(key, score) for score, key in scored[:limit]]
+            above = [pair for pair in scored if pair[0] > floor]
+            tied = heapq.nsmallest(
+                limit - len(above),
+                (pair for pair in scored if pair[0] == floor),
+                key=canonical,
+            )
+            scored = above
+        scored.sort(key=lambda pair: (-pair[0], canonical(pair)))
+        element = self._index.element
+        return [
+            self._materialize(element(handle), score) for score, handle in scored + tied
+        ]
 
     def _term_candidates(
         self, term: str, accepted: List[FrozenSet]
     ) -> Dict[Hashable, Tuple[float, int]]:
-        """element_key -> (best factor, label length) for one analyzed
+        """posting handle -> (best factor, label length) for one analyzed
         term; its acceptance set is appended to ``accepted``."""
         out: Dict[Hashable, Tuple[float, int]] = {}
 
-        def _offer(key: Hashable, factor: float, label_len: int) -> None:
-            current = out.get(key)
+        def _offer(handle: Hashable, factor: float, label_len: int) -> None:
+            current = out.get(handle)
             if current is None or factor > current[0]:
-                out[key] = (factor, label_len)
+                out[handle] = (factor, label_len)
 
         read: Set[Hashable] = {term}
         for posting in self._index.lookup(term):

@@ -9,6 +9,10 @@ ASCII blank-node labels and language tags — match :data:`_TRIPLE_LINE`
 whole and become terms straight from its groups.  Every other line goes
 through :class:`_LineScanner`, the one place that decodes escapes and
 non-ASCII labels and that reports an error with its line and column.
+
+Text is Unicode scalar values only: a raw lone surrogate (U+D800-U+DFFF,
+which a ``str`` can hold but UTF-8 cannot encode) is refused wherever
+it sits in a triple line, as the ``\uD800`` escape is.
 """
 
 from __future__ import annotations
@@ -39,6 +43,8 @@ _ESCAPES = {
 
 
 _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
+
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 #: A whole stripped line of the escape-free shape, tokens separated by
 #: optional spaces or tabs.  Groups: subject URI | subject label,
@@ -226,7 +232,11 @@ def parse_ntriples(source: Union[str, TextIO, Iterable[str]]) -> Iterator[Triple
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        found = match(line)
+        # A surrogate is the scanner's to refuse; only a non-ASCII line
+        # (an O(1) test) can hold one.
+        found = (
+            match(line) if line.isascii() or _SURROGATE.search(line) is None else None
+        )
         if found is None:
             yield _scan_line(line, number)
             continue
@@ -249,6 +259,13 @@ def _scan_line(line: str, number: int) -> Triple:
     """One stripped line the pattern did not match, read by the scanner:
     its triple, or the error at its line and column."""
     scanner = _LineScanner(line, number)
+    surrogate = _SURROGATE.search(line)
+    if surrogate is not None:
+        raise scanner.error(
+            f"lone surrogate U+{ord(surrogate.group()):04X} is not a Unicode "
+            "scalar value",
+            surrogate.start(),
+        )
     scanner.skip_ws()
     subject = scanner.read_subject()
     scanner.skip_ws()

@@ -36,12 +36,11 @@ from __future__ import annotations
 import struct
 from bisect import bisect_left, bisect_right
 from itertools import chain, filterfalse
-from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Tuple
 
 from repro.rdf.terms import BNode, Literal, Term, URI
 from repro.rdf.triples import Triple
 from repro.store.triple_store import TripleStore, ill_typed_pattern
-from repro.util import LruDict
 
 from repro.storage.codec import (
     ELEMENT_CODE,
@@ -54,10 +53,6 @@ from repro.keyword.inverted_index import InvertedIndex, Posting
 
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
-
-#: LRU bound for decoded posting lists (lists, not bytes — the undecoded
-#: runs stay on disk either way).
-POSTINGS_CACHE_SIZE = 4096
 
 #: How many terms the table does not hold it remembers: room for the new
 #: terms of a few dozen typical update batches.
@@ -145,11 +140,21 @@ class MmapTermTable:
         term = self._terms.get(index)
         if term is not None:
             return term
-        if not 0 <= index < len(self):
-            raise IndexError(index)
-        term = self._decode(index)
+        term = self.peek(index)
         self._terms[index] = term
         return term
+
+    def peek(self, index: int) -> Term:
+        """The term at ``index``, decoded without memoizing it: for a
+        caller that only compares it (the keyword lookup's tie-break reads
+        thousands of elements to keep eight).  A typed literal's datatype
+        still goes through the memo; there are a handful of them."""
+        term = self._terms.get(index)
+        if term is not None:
+            return term
+        if not 0 <= index < len(self):
+            raise IndexError(index)
+        return self._decode(index)
 
     def _text_at(self, pos: int) -> Tuple[str, int]:
         (length,) = _U32.unpack_from(self._records, pos)
@@ -224,10 +229,10 @@ class MmapTermDictionary:
     """The keyword vocabulary: id ↔ analyzed-term text over the mmap.
 
     ``text`` decodes one length-prefixed string by offset (memoized);
-    ``id_of`` binary-searches the lexicographic permutation;
-    ``iter_texts`` walks the vocabulary in **id order** — which is the
-    insertion order the materialized postings dict iterates in, so the
-    fuzzy scan's first-best-on-tie behavior is preserved exactly.
+    ``id_of`` binary-searches the lexicographic permutation.  Ids are in
+    the insertion order the materialized postings dict iterates in, so
+    walking them (:meth:`MmapInvertedIndex.iter_terms`) preserves the
+    fuzzy scan's first-best-on-tie behavior exactly.
     """
 
     __slots__ = ("_strings", "_offsets", "_sorted", "_texts", "_ids")
@@ -268,28 +273,23 @@ class MmapTermDictionary:
             self._ids[text] = found
         return found
 
-    def iter_texts(self) -> Iterator[str]:
-        for vid in range(len(self)):
-            yield self.text(vid)
-
 
 class MmapPostingsReader:
-    """Posting lists as contiguous int64 runs, LRU over decoded lists.
+    """Posting lists as contiguous ``(element id, tf, total)`` int64 runs.
 
-    ``rows(vid)`` slices the run for one vocabulary id out of the mmap
-    (zero-copy until the per-row tuple build) and resolves element ids
-    through the supplied callback; decoded lists are kept in a small
-    :class:`~repro.util.LruDict` so hot keywords do not re-decode.
+    ``postings(vid)`` slices the run for one vocabulary id out of the
+    mmap and hands its rows out by element id: one ``tolist()`` of the
+    slice, no element decoded and nothing kept.  Which element an id
+    names is the caller's question (:meth:`MmapInvertedIndex.element`),
+    asked only for what it keeps.
     """
 
-    __slots__ = ("_offsets", "_runs", "_eids", "_resolve", "_cache")
+    __slots__ = ("_offsets", "_runs", "_eids")
 
-    def __init__(self, offsets, runs, resolve_element):
+    def __init__(self, offsets, runs):
         self._offsets = offsets
         self._runs = runs
         self._eids = runs[0::3]  # the element-id column, still a view
-        self._resolve = resolve_element
-        self._cache = LruDict(POSTINGS_CACHE_SIZE)
 
     def df(self, vid: int) -> int:
         return self._offsets[vid + 1] - self._offsets[vid]
@@ -300,23 +300,9 @@ class MmapPostingsReader:
         row = bisect_left(self._eids, eid, self._offsets[vid], self._offsets[vid + 1])
         return self._runs[3 * row + 1]
 
-    def rows(self, vid: int) -> Tuple[Tuple[Hashable, int, int], ...]:
-        hit = self._cache.hit(vid)
-        if hit is not None:
-            return hit
-        runs = self._runs
-        resolve = self._resolve
-        start = 3 * self._offsets[vid]
-        end = 3 * self._offsets[vid + 1]
-        rows = tuple(
-            (resolve(runs[i]), runs[i + 1], runs[i + 2])
-            for i in range(start, end, 3)
-        )
-        self._cache.put(vid, rows)
-        return rows
-
-    def cache_stats(self) -> Dict[str, float]:
-        return self._cache.cache_stats()
+    def postings(self, vid: int) -> List[Posting]:
+        flat = self._runs[3 * self._offsets[vid] : 3 * self._offsets[vid + 1]].tolist()
+        return list(map(Posting, flat[0::3], flat[1::3], flat[2::3]))
 
 
 class MmapInvertedIndex:
@@ -329,7 +315,10 @@ class MmapInvertedIndex:
       tombstones) with a delta ``InvertedIndex`` holding everything
       indexed since load — appended after the base postings, which is
       exactly where a re-inserted dict key would sit in the
-      constructors' index;
+      constructors' index.  A posting's ``element`` is a **handle**: a
+      base element's id, or a delta element's key; :meth:`element`
+      resolves one to its key, so a lookup decodes only the elements
+      its caller keeps;
     * **unindex** of a base element records a tombstone and bumps
       per-term dead counters (via the element→terms runs), keeping
       ``document_frequency`` / ``term_count`` / ``posting_count`` O(1)
@@ -370,27 +359,31 @@ class MmapInvertedIndex:
                 f"for a vocabulary of {len(dictionary)}"
             )
         self._base_rows = len(postings_runs) // 3
-        self._element_keys: Dict[int, Hashable] = {}
-        self._postings = MmapPostingsReader(
-            postings_offsets, postings_runs, self._element_key
-        )
+        self._postings = MmapPostingsReader(postings_offsets, postings_runs)
         # Update overlay.
         self._delta = InvertedIndex()
         self._tombstones: set = set()
+        self._dead_eids: set = set()  # the tombstones' element ids
         self._dead_df: Dict[int, int] = {}
         self._dead_vids: set = set()
         self._dead_rows = 0
 
     # -- element identity ----------------------------------------------
 
-    def _element_key(self, eid: int) -> Hashable:
-        key = self._element_keys.get(eid)
-        if key is None:
-            code = self._elements[2 * eid]
-            tid = self._elements[2 * eid + 1]
-            key = (ELEMENT_KINDS[code], self._terms[tid])
-            self._element_keys[eid] = key
-        return key
+    def element(self, handle: Hashable) -> Hashable:
+        """The element key a posting's handle names; a base element's
+        term is decoded through the term table's memo."""
+        return self._resolve(handle, self._terms.__getitem__)
+
+    def peek_element(self, handle: Hashable) -> Hashable:
+        """:meth:`element`, decoded without memoizing the term."""
+        return self._resolve(handle, self._terms.peek)
+
+    def _resolve(self, handle: Hashable, term_at: Callable[[int], Term]) -> Hashable:
+        if not isinstance(handle, int):
+            return handle  # a delta element's key
+        elements = self._elements
+        return (ELEMENT_KINDS[elements[2 * handle]], term_at(elements[2 * handle + 1]))
 
     def _base_eid(self, element: Hashable) -> Optional[int]:
         kind, term = element
@@ -421,6 +414,7 @@ class MmapInvertedIndex:
         if eid is None:
             return False
         self._tombstones.add(element)
+        self._dead_eids.add(eid)
         runs = self._eterm_runs
         df = self._postings.df
         for i in range(self._eterm_offsets[eid], self._eterm_offsets[eid + 1]):
@@ -448,19 +442,15 @@ class MmapInvertedIndex:
     # -- lookup --------------------------------------------------------
 
     def lookup(self, term: str) -> List[Posting]:
+        """The term's postings by handle: live base rows by element id,
+        then the delta's by key."""
         out: List[Posting] = []
         vid = self._dict.id_of(term)
         if vid is not None and vid not in self._dead_vids:
-            rows = self._postings.rows(vid)
+            out = self._postings.postings(vid)
             if self._dead_df.get(vid):
-                tombstones = self._tombstones
-                out.extend(
-                    Posting(element, tf, total)
-                    for element, tf, total in rows
-                    if element not in tombstones
-                )
-            else:
-                out.extend(Posting(*row) for row in rows)
+                dead = self._dead_eids
+                out = [posting for posting in out if posting.element not in dead]
         out.extend(self._delta.lookup(term))
         return out
 
@@ -537,10 +527,6 @@ class MmapInvertedIndex:
 
     def __len__(self) -> int:
         return self.term_count
-
-    def cache_stats(self) -> Dict[str, float]:
-        """Hit/miss statistics of the decoded-postings LRU."""
-        return self._postings.cache_stats()
 
 
 def attr_refs_decoder(term_table: MmapTermTable):

@@ -136,6 +136,9 @@ MALFORMED_BODIES = [
     # Text that does not parse is refused naming its field too.
     ("/update", {"add": '<a:s> <a:p> "\\UFFFFFFFF" .'}, "add"),
     ("/update", {"add": '<a:s> <a:p> "\\uD800" .'}, "add"),
+    # As is a raw lone surrogate: a store holding it could not be saved.
+    ("/update", {"add": '<a:s> <a:p> "x\ud800" .'}, "add"),
+    ("/update", {"remove": "<a:s\udc00> <a:p> <a:o> ."}, "remove"),
     ("/update", {"add": "<a:s> <a:p> <a:o> .\n<a:s> <a:p> ."}, "add"),
     ("/update", {"add": "<a:s> <a:p> <a:o> .", "remove": "<a:s> <a:p>"}, "remove"),
     ("/search", {"q": 5}, "q"),

@@ -9,7 +9,9 @@ similarity: for every query, ``search()`` (candidates, costs, SPARQL/SQL
 ``execute()`` answer multisets must equal those of the engine the
 constructors build (``KeywordSearchEngine(DataGraph(triples))``, the one
 oracle), including after update epochs that overlay deltas on the
-read-only mmap postings and through a WAL-tail replay.
+read-only mmap postings and through a WAL-tail replay.  Below the
+search, every keyword lookup agrees too: a loaded index scores postings
+by element id and decodes only the matches it keeps.
 """
 
 import pytest
@@ -23,6 +25,7 @@ from test_persistence_identity import (
     execute_signature,
     search_signature,
 )
+from test_lookup_memo_invalidation import KEYWORDS, apply, base_and_history, describe
 from test_stream_build_identity import PROP_QUERIES, TINY_BUDGET, any_triple
 
 from repro.core.engine import KeywordSearchEngine
@@ -152,3 +155,50 @@ def test_mmap_identity_random_corpora(tmp_path_factory, triples):
     for query in PROP_QUERIES:
         assert search_signature(mapped, query) == search_signature(reference, query), query
         assert execute_signature(mapped, query) == execute_signature(reference, query), query
+
+
+# ----------------------------------------------------------------------
+# Keyword lookups across updates: base ids beside delta keys
+# ----------------------------------------------------------------------
+
+#: Words the multi-term keywords are drawn from: exact, lexicon-related,
+#: misspelt (fuzzy) and absent ones of the memo suite's pool.
+WORDS = ("student", "pupil", "course", "lecture", "graduate", "council",
+         "alice", "notes", "paper", "publication", "studnt", "profesor",
+         "handbook", "name", "title", "advisor", "zzzqqq")
+
+
+@given(
+    graph=base_and_history(),
+    multi=st.lists(
+        st.lists(st.sampled_from(WORDS), min_size=2, max_size=3).map(" ".join),
+        max_size=4,
+    ),
+)
+@settings(max_examples=50, deadline=None)
+def test_loaded_lookups_equal_constructed_across_updates(tmp_path_factory, graph, multi):
+    """Every vocabulary term, the memo suite's keyword pool and random
+    multi-term keywords look up alike — scores, order, class contexts —
+    on a loaded bundle and on the engine the constructors build, after
+    every step of a history that tombstones base elements and re-indexes
+    them in the delta: one element is a base id in one step's postings
+    and a delta key in the next."""
+    base, history = graph
+    path = tmp_path_factory.mktemp("lookup-identity") / "g.reprobundle"
+    build_bundle_streaming(iter(base), path)
+    loaded = KeywordSearchEngine.load(path, attach_wal=False)
+    constructed = KeywordSearchEngine(DataGraph(base))
+
+    def agree(where):
+        ours, theirs = loaded.keyword_index, constructed.keyword_index
+        vocabulary = {*ours._index.iter_terms(), *theirs._index.iter_terms()}
+        for keyword in sorted({*KEYWORDS, *multi, *vocabulary}):
+            assert describe(ours.lookup(keyword)) == describe(theirs.lookup(keyword)), (
+                where, keyword,
+            )
+
+    agree("base")
+    for step, (add, triple) in enumerate(history):
+        for engine in (loaded, constructed):
+            apply(engine, add, triple)
+        agree((step, add, triple))

@@ -54,7 +54,7 @@ _NON_ASCII = "éß²東Ⅻ"
 uris = st.text(alphabet="ab:/#.?=&%~é東 \"'\\<", min_size=1, max_size=12).map(
     lambda text: f"<{text}>"
 )
-bad_uris = st.sampled_from(["<>", "<a:x"])  # empty, unterminated
+bad_uris = st.sampled_from(["<>", "<a:x", "<a:\ud800>"])  # empty, unterminated, surrogate
 
 bnodes = st.one_of(
     st.text(alphabet=_ASCII_LABEL, min_size=1, max_size=6),
@@ -91,7 +91,7 @@ bad_literals = st.one_of(
     st.builds(
         lambda tag: f'"x"@{tag}', st.sampled_from(["", "en_US", "en.x", "en@x"])
     ),
-    st.sampled_from(['"x"^^<>', '"x"^<a:d>', '"unterminated', '"x"^^"y"']),
+    st.sampled_from(['"x"^^<>', '"x"^<a:d>', '"unterminated', '"x"^^"y"', '"x\udc00"']),
 )
 
 #: One (well formed, near miss) pair of strategies per slot of a line.
@@ -190,6 +190,9 @@ def test_line_shapes_agree_with_the_scanner(line):
         "_: <a:p> <a:o> .",
         "<a:s> <a:p> <a:o> \x0b.",
         '<a:s> <a:p> "x"@en_US .',
+        '<a:s> <a:p> "x\ud800" .',  # a raw surrogate, wherever it sits
+        "<a:s\udfff> <a:p> <a:o> .",
+        "<a:s> <a:p> <a:o> . #\udc00",
     ],
 )
 def test_near_misses_are_errors_on_both_paths(line):

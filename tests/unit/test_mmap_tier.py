@@ -4,23 +4,26 @@ The property suite (tests/property/test_mmap_tier_identity.py) proves
 end-to-end behavioral identity; these tests pin the component contracts
 the identity rests on — binary-searched term lookup over the sorted
 permutation, pattern-complete triple matching against the sorted runs,
-delta/tombstone overlay bookkeeping, and the postings-LRU counters the
-service's ``/stats`` endpoint reports.
+delta/tombstone overlay bookkeeping, and postings handed out by element
+id and resolved only on request.
 """
 
 import itertools
+import random
 from array import array
 
 import pytest
 
 from repro.core.engine import KeywordSearchEngine
 from repro.datasets.example import running_example_graph
+from repro.keyword.keyword_index import MAX_MATCHES_PER_KEYWORD
 from repro.rdf.graph import DataGraph
 from repro.rdf.namespace import RDF, XSD
 from repro.rdf.terms import Literal, URI
 from repro.rdf.triples import Triple
 from repro.storage import (
     MmapInvertedIndex,
+    MmapTermTable,
     MmapTripleTier,
     build_bundle_streaming,
     load_bundle,
@@ -51,6 +54,15 @@ def example_bundle(tmp_path_factory):
 def mapped(example_bundle):
     _, path = example_bundle
     return load_bundle(path)
+
+
+def keyed_postings(index, term):
+    """``index.lookup(term)`` with each handle resolved to its element
+    key, as sorted reprs: what two tiers' postings are compared by."""
+    return sorted(
+        repr(posting._replace(element=index.element(posting.element)))
+        for posting in index.lookup(term)
+    )
 
 
 def test_term_table_round_trips_every_term(example_bundle, mapped):
@@ -91,7 +103,7 @@ def test_miss_memos_stay_bounded_under_update_churn_and_unknown_keywords(
     known = [table[i] for i in range(len(table))]
     keys_before = [engine.store.key_of(term) for term in known]
     lookups_before = {
-        word: sorted(map(repr, engine.keyword_index._index.lookup(word)))
+        word: keyed_postings(engine.keyword_index._index, word)
         for word in ("cimiano", "2006", "public", "hello")
     }
     ranked_before = [
@@ -119,7 +131,7 @@ def test_miss_memos_stay_bounded_under_update_churn_and_unknown_keywords(
 
     assert [engine.store.key_of(term) for term in known] == keys_before
     for word, rows in lookups_before.items():
-        assert sorted(map(repr, engine.keyword_index._index.lookup(word))) == rows
+        assert keyed_postings(engine.keyword_index._index, word) == rows
     assert [
         (c.cost, str(c.query)) for c in engine.search("cimiano 2006").candidates
     ] == ranked_before
@@ -386,9 +398,7 @@ def test_inverted_index_lookup_and_tombstones(example_bundle, mapped):
     assert sorted(inverted.vocabulary) == sorted(reference.vocabulary)
     for term in reference.vocabulary:
         assert inverted.document_frequency(term) == reference.document_frequency(term)
-        assert sorted(map(repr, inverted.lookup(term))) == sorted(
-            map(repr, reference.lookup(term))
-        ), term
+        assert keyed_postings(inverted, term) == keyed_postings(reference, term), term
 
     # Unindex an element: its postings disappear from every term; the
     # remaining base rows survive the tombstone filter untouched.
@@ -398,7 +408,7 @@ def test_inverted_index_lookup_and_tombstones(example_bundle, mapped):
     assert inverted.unindex(element) is False
     for term in reference.vocabulary:
         live = [p for p in reference.lookup(term) if p.element != element]
-        assert sorted(map(repr, inverted.lookup(term))) == sorted(map(repr, live)), term
+        assert keyed_postings(inverted, term) == sorted(map(repr, live)), term
 
     # Re-index through the delta: lookups see base rows then delta rows,
     # matching a materialized dict's delete/reinsert-at-end ordering.
@@ -406,9 +416,11 @@ def test_inverted_index_lookup_and_tombstones(example_bundle, mapped):
     assert inverted.document_frequency("reborn") == 1
     rows = inverted.lookup("public")
     assert rows[-1].element == element and rows[-1].term_frequency == 2
+    # Its base id stays dead: the element is posted once, by its key.
+    assert [inverted.element(p.element) for p in rows].count(element) == 1
 
 
-def test_posted_counts_reads_the_elements_own_record(tmp_path):
+def test_posted_counts_reads_the_elements_own_record(tmp_path, monkeypatch):
     """``posted_counts`` is the element's own (term, tf) record on both
     tiers — through base rows, a tombstone and a delta re-post — and on
     the mmap tier it never decodes a posting list to get there."""
@@ -422,12 +434,18 @@ def test_posted_counts_reads_the_elements_own_record(tmp_path):
     build_bundle_streaming(iter(triples), path)
     inverted = load_bundle(path).keyword_index._index
     reference = KeywordSearchEngine(DataGraph(triples)).keyword_index._index
+    runs_read = []
+    read = mmap_tier.MmapPostingsReader.postings
+    monkeypatch.setattr(
+        mmap_tier.MmapPostingsReader, "postings",
+        lambda self, vid: runs_read.append(vid) or read(self, vid),
+    )
 
     element = ("value", Literal(texts[2]))
     assert reference.posted_counts(element) == {"mine": 3, "data": 1}
     for key in reference._element_terms:
         assert inverted.posted_counts(key) == reference.posted_counts(key)
-    assert inverted.cache_stats()["misses"] == 0  # no run was decoded
+    assert runs_read == []  # no run was read
     assert inverted.posted_counts(("value", Literal("never indexed"))) == {}
 
     for index in (inverted, reference):
@@ -437,15 +455,64 @@ def test_posted_counts_reads_the_elements_own_record(tmp_path):
         assert index.posted_counts(element) == {"data": 2, "reborn": 1}
 
 
-def test_postings_lru_counters(mapped):
+def test_lookup_hands_out_base_elements_by_id(mapped):
+    """A lookup reads a run as element ids and decodes no term; the
+    caller resolves the handles it keeps — through the term table's
+    memo with ``element``, without it with ``peek_element``."""
     inverted = mapped.keyword_index._index
-    stats = inverted.cache_stats()
-    assert stats["hits"] == 0 and stats["misses"] == 0
-    inverted.lookup("public")
-    inverted.lookup("public")
-    stats = inverted.cache_stats()
-    assert stats["misses"] == 1 and stats["hits"] >= 1
-    assert set(stats) == {"size", "maxsize", "hits", "misses", "hit_rate"}
+    table = inverted._terms
+    memoized = len(table._terms)
+    postings = inverted.lookup("public") + inverted.lookup("cimiano")
+    assert postings and all(isinstance(p.element, int) for p in postings)
+    assert len(table._terms) == memoized
+    peeked = [inverted.peek_element(p.element) for p in postings]
+    assert len(table._terms) == memoized
+    unseen = {term for _, term in peeked} - set(table._terms.values())
+    assert unseen  # a value nothing has decoded yet
+    resolved = [inverted.element(p.element) for p in postings]
+    assert resolved == peeked
+    assert ("class", URI("http://example.org/aifb/Publication")) in resolved
+    assert len(table._terms) == memoized + len(unseen)
+    assert inverted.element(("value", Literal("any key"))) == ("value", Literal("any key"))
+
+
+def test_cold_lookup_decodes_only_the_matches_it_keeps(tmp_path, monkeypatch):
+    """Forty values tie at the cutoff of "student": a cold lookup orders
+    them all by their keys' repr, but the term table memoizes the terms
+    of the matches it keeps and no more — and those are the constructed
+    engine's matches, in its order, ties at the cutoff included."""
+    ex = "http://example.org/ties/"
+    rng = random.Random(7)
+    numbers = rng.sample(range(1000), 40)
+    triples = [Triple(URI(ex + "e0"), RDF.type, URI(ex + "Student"))] + [
+        Triple(URI(f"{ex}e{i}"), URI(ex + "name"), Literal(f"student {n}"))
+        for i, n in enumerate(numbers)
+    ]
+    rng.shuffle(triples)  # element ids follow neither label nor repr order
+    path = tmp_path / "ties.reprobundle"
+    build_bundle_streaming(iter(triples), path)
+    loaded = KeywordSearchEngine.load(path, attach_wal=False)
+    constructed = KeywordSearchEngine(DataGraph(triples))
+
+    table = loaded.keyword_index._index._terms
+    decoded = []
+    decode = MmapTermTable._decode
+    monkeypatch.setattr(
+        MmapTermTable, "_decode", lambda table, i: decoded.append(i) or decode(table, i)
+    )
+    memoized = len(table._terms)
+    matches = loaded.keyword_index.lookup("student")
+    assert len(table._terms) - memoized <= MAX_MATCHES_PER_KEYWORD
+    assert len(set(decoded)) >= len(numbers)  # every tie was compared
+
+    expected = constructed.keyword_index.lookup("student")
+    assert len(expected) == MAX_MATCHES_PER_KEYWORD
+    # The cutoff falls inside the ties: which of them are kept is the
+    # tie-break's to say.
+    assert [m.score for m in expected].count(expected[-1].score) < len(numbers)
+    assert [(repr(m), m.element_key) for m in matches] == [
+        (repr(m), m.element_key) for m in expected
+    ]
 
 
 def test_engine_stats_report_tier(example_bundle):
@@ -468,8 +535,7 @@ def test_engine_stats_report_tier(example_bundle):
     with pytest.raises(ValueError, match="unknown index_tier 'disk'"):
         KeywordSearchEngine.load(path, attach_wal=False, index_tier="disk")
 
-    assert built.keyword_index.postings_cache_stats() is None
-    assert "postings" not in built.cache_stats()
+    # Neither tier keeps decoded posting lists: nothing to report.
     loaded.search("publication")
-    stats = loaded.cache_stats()
-    assert "postings" in stats and stats["postings"]["misses"] > 0
+    assert "postings" not in built.cache_stats()
+    assert "postings" not in loaded.cache_stats()

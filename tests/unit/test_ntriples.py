@@ -100,6 +100,28 @@ class TestErrors:
         assert str(excinfo.value).endswith(f"(at column {column})")
 
     @pytest.mark.parametrize(
+        "line, column",
+        [
+            ('<a:s> <a:p> "x\ud800" .', 14),  # in a lexical form
+            ("<a:s\udc00> <a:p> <a:o> .", 4),  # in a URI
+            ("<a:s> <a:\udfff> <a:o> .", 9),
+            ("<a:s> <a:p> <a:o\ud800> .", 16),
+            ('<a:s> <a:p> "x"^^<a:\ud800> .', 20),  # in a datatype
+            ('<a:s> <a:p> "x\ud83d\ude00" .', 14),  # a pair is two of them
+            ("_:b\ud800 <a:p> <a:o> .", 3),  # ends no label: refused, not cut
+            ('<a:s> <a:p> "x" . # \udc00', 20),  # in a trailing comment
+        ],
+    )
+    def test_raw_lone_surrogate_is_a_parse_error(self, line, column):
+        """A raw U+D800-U+DFFF is refused as its escape is: a store of
+        such text could never be saved as UTF-8."""
+        with pytest.raises(NTriplesParseError) as excinfo:
+            list(parse_ntriples(f"<a:s> <a:p> <a:o> .\n{line}"))
+        assert excinfo.value.line_number == 2
+        assert "lone surrogate" in str(excinfo.value)
+        assert str(excinfo.value).endswith(f"(at column {column})")
+
+    @pytest.mark.parametrize(
         "escape, char",
         [
             ("\\u0041", "A"),

@@ -81,7 +81,7 @@ def test_strings_round_trip():
     blob, offsets = _records_blob([_pack_str(s) for s in strings])
     order = sorted(range(len(strings)), key=strings.__getitem__)
     dictionary = MmapTermDictionary(blob, offsets, order)
-    assert list(dictionary.iter_texts()) == strings
+    assert [dictionary.text(i) for i in range(len(dictionary))] == strings
     assert [dictionary.id_of(s) for s in strings] == list(range(len(strings)))
     assert dictionary.id_of("absent") is None
 
