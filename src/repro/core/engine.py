@@ -39,12 +39,11 @@ from __future__ import annotations
 
 import json
 import threading
-import time
 from json.encoder import encode_basestring_ascii
 from math import isfinite
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.util import LruDict, cache_stats_shape
+from repro.util import Counters, Laps, LruDict, cache_stats_shape
 
 from repro.core.exploration import DEFAULT_DMAX, ExplorationResult, explore_top_k
 from repro.core.query_mapping import QueryMappingError, map_to_query
@@ -398,9 +397,7 @@ class KeywordSearchEngine:
         #: Explorations that started from a seed threshold, and those among
         #: them that refuted it and ran a second time (``/stats``
         #: ``exploration``; the second should stay 0).
-        self._seeded = 0
-        self._seed_fallbacks = 0
-        self._seed_lock = threading.Lock()
+        self._seeds = Counters("seeded", "seed_fallbacks")
         #: Provenance of a bundle-loaded engine (path, format version,
         #: epoch at save, WAL state) — ``None`` for a built engine.  The
         #: serving layer surfaces it through ``/stats``.
@@ -625,17 +622,15 @@ class KeywordSearchEngine:
             raise ValueError("matches must align one list per keyword")
         keep = matches is None and self.search_cache_size > 0
 
-        clock = time.perf_counter
-        started = clock()
+        laps = Laps()
         # Task 1: keyword-to-element mapping.
         if matches is None:
             matches = snapshot.keyword_index.lookup_all(keywords)
-        mapped = clock()
+        laps.lap("keyword_mapping")
         ignored = [kw for kw, m in zip(keywords, matches) if not m]
         effective = [m for m in matches if m]
         if not effective and not keep:
-            timings = {"keyword_mapping": mapped - started, "total": clock() - started}
-            return SearchResult(keywords, [], matches, ignored, None, timings)
+            return SearchResult(keywords, [], matches, ignored, None, laps.total())
 
         # Task 2: zero-copy augmentation — the query's plan, where its result
         # is kept (no matches: the plan of none) — and element costs.
@@ -645,30 +640,25 @@ class KeywordSearchEngine:
         if result is not None:
             candidates = result.up_to(rank)
         else:
-            timings = {"keyword_mapping": mapped - started}
             exploration = None
             if effective:
                 costs = snapshot.cost_model.element_costs(plan)
-                augmented_at = clock()
+                laps.lap("augmentation")
                 # Tasks 3+4: exploration and top-k.
                 exploration = explore_top_k(
                     plan, costs, k=k, dmax=dmax, guided=snapshot.guided
                 )
                 if isfinite(exploration.seed_threshold):
-                    with self._seed_lock:
-                        self._seeded += 1
-                        self._seed_fallbacks += exploration.seed_fallback
-                explored = clock()
-                timings["augmentation"] = augmented_at - mapped
-                timings["exploration"] = explored - augmented_at
+                    self._seeds.add("seeded")
+                    if exploration.seed_fallback:
+                        self._seeds.add("seed_fallbacks")
+                laps.lap("exploration")
             # Task 5: query mapping, as far as this search reads.
             result = _PlanResult(exploration, plan.graph, snapshot.graph)
             candidates = result.up_to(rank)
-            finished = clock()
             if exploration is not None:
-                timings["query_mapping"] = finished - explored
-            timings["total"] = finished - started
-            result.timings = timings
+                laps.lap("query_mapping")
+            result.timings = laps.total()
             if keep:
                 plan.results.put(key, result)
                 snapshot.substrate.trim_results(self.search_cache_size)
@@ -770,10 +760,9 @@ class KeywordSearchEngine:
         if len(result.candidates) < rank:
             return None, [], result.timings
         candidate = result.candidates[rank - 1]
-        started = time.perf_counter()
+        laps = Laps()
         answers = snapshot.evaluator.evaluate(candidate.query, limit=limit)
-        timings = dict(result.timings, execute=time.perf_counter() - started)
-        return candidate, answers, timings
+        return candidate, answers, dict(result.timings, execute=laps.lap("execute"))
 
     def search_and_execute(
         self,
@@ -786,13 +775,12 @@ class KeywordSearchEngine:
         collected.  Returns answers, the queries used, and wall-clock
         timings for both phases.
         """
-        started = time.perf_counter()
+        laps = Laps()
         result = self.search(query, k=k)
-        computation_seconds = time.perf_counter() - started
+        computation_seconds = laps.lap("computation")
 
         answers: List[Answer] = []
         used: List[QueryCandidate] = []
-        started = time.perf_counter()
         for candidate in result.candidates:
             remaining = min_answers - len(answers)
             if remaining <= 0:
@@ -801,7 +789,7 @@ class KeywordSearchEngine:
             if batch:
                 used.append(candidate)
                 answers.extend(batch)
-        processing_seconds = time.perf_counter() - started
+        processing_seconds = laps.lap("processing")
 
         return {
             "result": result,
@@ -851,8 +839,7 @@ class KeywordSearchEngine:
         off the connectivity tables, ``seed_fallbacks`` of them refuted it
         and were repeated without — correct either way, but each one is a
         second exploration somebody should look at."""
-        with self._seed_lock:
-            return {"seeded": self._seeded, "seed_fallbacks": self._seed_fallbacks}
+        return self._seeds.snapshot()
 
     def cache_stats(self) -> Dict[str, Dict[str, float]]:
         """Hit/miss statistics of the query-time memo layers (the numbers

@@ -49,10 +49,11 @@ from __future__ import annotations
 import logging
 import os
 import threading
-import time
 from array import array
 from importlib.util import find_spec
 from typing import Dict, List, Optional
+
+from repro.util import now
 
 log = logging.getLogger(__name__)
 
@@ -90,7 +91,7 @@ def _numpy():
     if _np is None and _available:
         with _import_lock:
             if _np is None and _available:
-                started = time.perf_counter()
+                started = now()
                 try:
                     import numpy
                 except Exception as exc:  # ImportError, or a broken binary
@@ -105,7 +106,7 @@ def _numpy():
                     log.info(
                         "imported numpy %s for the bound-table kernel in %.0f ms",
                         numpy.__version__,
-                        1000 * (time.perf_counter() - started),
+                        1000 * (now() - started),
                     )
     return _np
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import heapq
 import threading
-import time
 from collections import Counter, OrderedDict
 from typing import (
     Callable,
@@ -37,7 +36,7 @@ from typing import (
     Tuple,
 )
 
-from repro.util import cache_stats_shape
+from repro.util import cache_stats_shape, now
 
 from repro.keyword.analysis import DEFAULT_ANALYZER
 from repro.keyword.inverted_index import InvertedIndex
@@ -351,7 +350,7 @@ class KeywordIndex:
             Literal, Dict[Tuple[URI, Optional[Term]], int]
         ] = {}
 
-        started = time.perf_counter()
+        started = now()
         for kind, element, text in indexed_elements(
             graph.classes,
             graph.relation_labels,
@@ -364,7 +363,7 @@ class KeywordIndex:
         refs = self._attribute_class_refs, self._value_occurrence_refs
         for t in graph.attribute_triples():
             adjust_contexts(*refs, t.predicate, t.object, graph.types_of(t.subject), +1)
-        self.build_seconds = time.perf_counter() - started
+        self.build_seconds = now() - started
 
     def _label_terms(self, kind: str, element) -> List[str]:
         return DEFAULT_ANALYZER.analyze(

@@ -80,7 +80,7 @@ import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.service.protocol import (
     DeadlineExceeded,
@@ -90,6 +90,7 @@ from repro.service.protocol import (
     write_frame,
 )
 from repro.service.service import AdmissionError, BatchOutcome, QueryLedger
+from repro.util import Counters, now
 
 __all__ = ["DispatchError", "DispatchService", "WorkerDied"]
 
@@ -130,10 +131,10 @@ class WorkerWedged(WorkerDied):
 class _FdReader:
     """Deadline-aware exact reads over a pipe file descriptor.
 
-    ``read`` blocks in ``select`` until bytes arrive or ``deadline``
-    (monotonic seconds, set per request) passes — the latter raises
-    :class:`WorkerWedged`, a :class:`WorkerDied`: a worker that stops
-    answering is retired like a dead one.
+    ``read`` blocks in ``select`` until bytes arrive or ``deadline`` (a
+    :func:`repro.util.now` reading, set per request) passes — the latter
+    raises :class:`WorkerWedged`, a :class:`WorkerDied`: a worker that
+    stops answering is retired like a dead one.
     """
 
     def __init__(self, fd: int):
@@ -144,7 +145,7 @@ class _FdReader:
         while True:
             timeout = None
             if self.deadline is not None:
-                timeout = self.deadline - time.monotonic()
+                timeout = self.deadline - now()
                 if timeout <= 0:
                     raise WorkerWedged("worker response deadline exceeded")
             ready, _, _ = select.select([self._fd], [], [], timeout)
@@ -177,7 +178,7 @@ class _WorkerHandle:
             cmd, stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env
         )
         self.reader = _FdReader(self.proc.stdout.fileno())
-        self.reader.deadline = time.monotonic() + SPAWN_TIMEOUT
+        self.reader.deadline = now() + SPAWN_TIMEOUT
         try:
             ready = read_frame(self.reader)
         except (ProtocolError, WorkerDied) as exc:
@@ -191,7 +192,6 @@ class _WorkerHandle:
             raise DispatchError(f"worker refused to start: {ready.get('error')}")
         self.pid: int = ready["pid"]
         self.epoch: int = ready.get("epoch", 0)
-        self.load_seconds: float = ready.get("load_seconds", 0.0)
         self.busy = False
         #: Exchanges waiting for this very worker (a sync, a stats poll):
         #: while there are any, `_borrow` leaves it for them.
@@ -213,7 +213,7 @@ class _WorkerHandle:
         except (BrokenPipeError, OSError) as exc:
             raise WorkerDied(f"worker pipe write failed: {exc}") from exc
         self.reader.deadline = (
-            None if timeout is None else time.monotonic() + timeout
+            None if timeout is None else now() + timeout
         )
         try:
             response = read_frame(self.reader)
@@ -315,12 +315,8 @@ class DispatchService:
         self._closed = False
 
         self._ledger = QueryLedger(max_pending)
-        # The dispatcher's own counters (the ledger has its own lock).
-        self._stats_lock = threading.Lock()
-        self._retries = 0
-        self._restarts = 0
-        self._wedged = 0
-        self._spawn_failures = 0
+        # The dispatcher's own counters, beside the ledger's.
+        self._counts = Counters("retries", "restarts", "spawn_failures", "wedged")
         #: The committed epoch every response must be at or past.
         self._watermark = engine.index_manager.epoch
 
@@ -354,9 +350,7 @@ class DispatchService:
     def _spawn_one(self) -> _WorkerHandle:
         return _WorkerHandle(self.bundle, self._overrides)
 
-    def _borrow(
-        self, request: Request, since: float
-    ) -> Tuple[_WorkerHandle, float]:
+    def _borrow(self, request: Request, since: float) -> _WorkerHandle:
         """Take an idle worker for ``request``, waiting until
         ``max_queue_wait`` after ``since`` (without one,
         ``_DEFAULT_QUEUE_WAIT`` after now) or the request's deadline,
@@ -364,12 +358,12 @@ class DispatchService:
         :class:`DeadlineExceeded` at the deadline — also when it has
         passed before the wait begins.
 
-        Returns ``(handle, seconds_waited)``.  Dead handles found in the
-        idle list are retired (with respawn) on the way — a worker killed
-        while idle is discovered here, not by a failed request — and a
-        worker some exchange is waiting for (``claims``) is left to it.
+        Records its wait as a queue wait.  Dead handles found in the idle
+        list are retired (with respawn) on the way — a worker killed while
+        idle is discovered here, not by a failed request — and a worker
+        some exchange is waiting for (``claims``) is left to it.
         """
-        started = time.monotonic()
+        started = now()
         bound = self.max_queue_wait
         if bound is None:
             bound, since = _DEFAULT_QUEUE_WAIT, started
@@ -392,13 +386,14 @@ class DispatchService:
                     del self._idle[position]
                     if handle.alive:
                         handle.busy = True
-                        return handle, time.monotonic() - started
+                        self._ledger.record_queue_wait(now() - started)
+                        return handle
                     self._retire_locked(handle)
                 if not self._handles and not self._spawning:
                     raise DispatchError(
                         "no live workers and no respawn in progress"
                     )
-                remaining = until - time.monotonic()
+                remaining = until - now()
                 if remaining <= 0 and not request.expired():
                     raise AdmissionError(
                         f"no idle worker within max_queue_wait={bound:.3f}s "
@@ -449,11 +444,9 @@ class DispatchService:
                     self._handles.append(handle)
                     self._idle.append(handle)
                     self._cond.notify_all()
-                with self._stats_lock:
-                    self._restarts += 1
+                self._counts.add("restarts")
                 return
-            with self._stats_lock:
-                self._spawn_failures += 1
+            self._counts.add("spawn_failures")
         finally:
             with self._cond:
                 self._spawning -= 1
@@ -464,7 +457,7 @@ class DispatchService:
     ) -> bool:
         """Wait until *this* worker is idle and claim it.  False when it
         died/was retired meanwhile or the wait timed out."""
-        deadline = time.monotonic() + timeout
+        deadline = now() + timeout
         with self._cond:
             handle.claims += 1
             try:
@@ -475,7 +468,7 @@ class DispatchService:
                         self._idle.remove(handle)
                         handle.busy = True
                         return True
-                    remaining = deadline - time.monotonic()
+                    remaining = deadline - now()
                     if remaining <= 0:
                         return False
                     self._cond.wait(remaining)
@@ -495,21 +488,20 @@ class DispatchService:
             raise RuntimeError("service is closed")
         request = Request.new() if request is None else request
         self._ledger.admit(1)
-        started = time.monotonic()
         try:
-            response = self._exchange(payload, request, started)
+            response = self._exchange(payload, request, now())
         except AdmissionError:
             self._ledger.count("rejected")
             raise
         except DeadlineExceeded:
-            self._ledger.record(0.0, "timeout")
+            self._ledger.record(request, "timeout")
             raise
         except Exception:
-            self._ledger.record(0.0, "error")
+            self._ledger.record(request, "error")
             raise
         finally:
             self._ledger.release(1)
-        self._ledger.record(time.monotonic() - started, "ok")
+        self._ledger.record(request, "ok")
         return response
 
     def _exchange(
@@ -520,12 +512,11 @@ class DispatchService:
         the request is a :class:`DeadlineExceeded`, not retried."""
         attempts = 0
         while True:
-            handle, waited = self._borrow(request, since)
-            self._ledger.record_queue_wait(waited)
+            handle = self._borrow(request, since)
             patience = (
                 None
                 if request.deadline is None
-                else request.deadline + WEDGE_GRACE - time.monotonic()
+                else request.deadline + WEDGE_GRACE - now()
             )
             try:
                 response = handle.request(
@@ -533,8 +524,7 @@ class DispatchService:
                 )
             except WorkerWedged:
                 self._retire(handle)
-                with self._stats_lock:
-                    self._wedged += 1
+                self._counts.add("wedged")
                 _log(f"worker {handle.pid} wedged on request {request.id}: "
                      f"silent {WEDGE_GRACE:g}s past its deadline, killed")
                 raise DeadlineExceeded(
@@ -549,8 +539,7 @@ class DispatchService:
                     raise DispatchError(
                         f"request failed on {attempts} workers in a row"
                     )
-                with self._stats_lock:
-                    self._retries += 1
+                self._counts.add("retries")
                 continue
             self._checkin(handle)
             if response.get("ok"):
@@ -605,11 +594,11 @@ class DispatchService:
             raise RuntimeError("service is closed")
         request = Request.new() if request is None else request
         self._ledger.admit(len(queries))
-        started = time.monotonic()
+        started = now()
         watermark = self._watermark
 
         def one(index: int, query) -> BatchOutcome:
-            begun = time.monotonic()
+            begun = now()
             bound = self.max_queue_wait
             if bound is not None and begun - started > bound:
                 return BatchOutcome(index, query, "timeout")  # as in process
@@ -630,11 +619,11 @@ class DispatchService:
             except Exception as exc:
                 return BatchOutcome(
                     index, query, "error", error=exc,
-                    latency_seconds=time.monotonic() - begun,
+                    latency_seconds=now() - begun,
                 )
             return BatchOutcome(
                 index, query, "ok", result=response["body"],
-                latency_seconds=time.monotonic() - begun,
+                latency_seconds=now() - begun,
             )
 
         try:
@@ -645,7 +634,7 @@ class DispatchService:
         finally:
             self._ledger.release(len(queries))
         for outcome in outcomes:
-            self._ledger.record(outcome.latency_seconds, outcome.status)
+            self._ledger.record(request, outcome.status)
         return outcomes
 
     def execute_ranked(
@@ -755,13 +744,10 @@ class DispatchService:
         with ``alive: false`` for this snapshot; busy workers are
         reported by pid with ``busy: true`` instead of blocking the
         stats call behind a long search."""
-        now = time.monotonic()
-        queries = self._ledger.stats(now)
-        with self._stats_lock:
-            queries["retries"] = self._retries
-            restarts = self._restarts
-            spawn_failures = self._spawn_failures
-            wedged = self._wedged
+        at = now()
+        queries = self._ledger.stats(at)
+        counts = self._counts.snapshot()
+        queries["retries"] = counts.pop("retries")
 
         workers: List[Dict[str, object]] = []
         with self._cond:
@@ -798,15 +784,10 @@ class DispatchService:
                 "workers": self.workers,
                 "live_workers": len(handles),
                 "max_pending": self.max_pending,
-                "uptime_seconds": now - self._ledger.started_at,
+                "uptime_seconds": at - self._ledger.started_at,
             },
             "queries": queries,
-            "dispatch": {
-                "watermark": self._watermark,
-                "restarts": restarts,
-                "spawn_failures": spawn_failures,
-                "wedged": wedged,
-            },
+            "dispatch": {"watermark": self._watermark, **counts},
             "workers": workers,
             "caches": engine.cache_stats(),
             "snapshot": {
@@ -834,10 +815,8 @@ class DispatchService:
                 return
             self._closed = True
             self._cond.notify_all()
-        deadline = time.monotonic() + drain_seconds
-        while time.monotonic() < deadline:
-            if self._ledger.inflight == 0:
-                break
+        deadline = now() + drain_seconds
+        while self._ledger.inflight and now() < deadline:
             time.sleep(0.02)
         with self._cond:
             handles = list(self._handles)

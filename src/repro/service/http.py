@@ -73,6 +73,7 @@ from repro.service.encoding import (
 )
 from repro.service.protocol import MAX_FRAME_BYTES, DeadlineExceeded, Request
 from repro.service.service import AdmissionError, EngineService
+from repro.util import Counters, now
 
 __all__ = [
     "IDLE_TIMEOUT_SECONDS",
@@ -219,7 +220,7 @@ class _Handler(socketserver.StreamRequestHandler):
 
     def setup(self) -> None:
         super().setup()
-        self.server.count("connections")
+        self.server.counts.add("connections")
 
     def handle(self) -> None:
         self.handle_one_request()
@@ -236,7 +237,7 @@ class _Handler(socketserver.StreamRequestHandler):
             try:
                 if not self._read_head():
                     return
-                self.server.count("requests")
+                self.server.counts.add("requests")
                 status, body = self._route()
             except _Refused as exc:
                 self.close_connection = True
@@ -262,7 +263,7 @@ class _Handler(socketserver.StreamRequestHandler):
     def _recv(self) -> bytes:
         """More of the request in progress, if it comes before the
         request's deadline: a client that trickles is cut off there."""
-        remaining = self._deadline - time.monotonic()
+        remaining = self._deadline - now()
         if remaining <= 0:
             raise TimeoutError("request not complete by its deadline")
         self.connection.settimeout(remaining)
@@ -285,9 +286,8 @@ class _Handler(socketserver.StreamRequestHandler):
         data = self._pending or self.rfile.read1(_RECV_BYTES)  # the idle wait
         if not data:
             return False
-        arrived = time.monotonic()
-        self._deadline = arrived + self.timeout
-        self.request_value = Request.new(self.server.request_timeout, arrived)
+        self.request_value = Request.new(self.server.request_timeout)
+        self._deadline = self.request_value.arrived + self.timeout
         while not (blank := _HEAD_END.search(data)):
             if (len(data) - data.rfind(b"\n") > _MAX_LINE
                     or data.count(b"\n") > _MAX_HEADERS + 1):
@@ -396,7 +396,7 @@ class _Handler(socketserver.StreamRequestHandler):
                 return self._get_search(parse_qs(url.query))
             if url.path == "/stats":
                 return 200, _dumps(
-                    dict(self.service.stats(), http=self.server.http_stats())
+                    dict(self.service.stats(), http=self.server.counts.snapshot())
                 )
         else:
             handler = {
@@ -496,18 +496,9 @@ class _HTTPServer(socketserver.ThreadingTCPServer):
         self.service = service
         self.verbose = verbose
         self.request_timeout = request_timeout
-        self._counts_lock = threading.Lock()
-        self._counts = {"connections": 0, "requests": 0}
-
-    def count(self, what: str) -> None:
-        with self._counts_lock:
-            self._counts[what] += 1
-
-    def http_stats(self) -> Dict[str, int]:
-        """``requests / connections`` is the reuse ratio: 1 means every
-        request paid a TCP connect and a thread spawn."""
-        with self._counts_lock:
-            return dict(self._counts)
+        #: ``requests / connections`` is the reuse ratio: 1 means every
+        #: request paid a TCP connect and a thread spawn.
+        self.counts = Counters("connections", "requests")
 
 
 class ReproServer:

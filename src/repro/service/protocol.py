@@ -31,8 +31,9 @@ import itertools
 import json
 import os
 import struct
-import time
 from typing import Dict, NamedTuple, Optional
+
+from repro.util import now
 
 __all__ = [
     "DeadlineExceeded",
@@ -75,7 +76,7 @@ def _next_id() -> str:
 
 class Request(NamedTuple):
     """One request from the front end to the worker: its ``id``, when it
-    ``arrived`` and its ``deadline`` (``time.monotonic()`` seconds;
+    ``arrived`` and its ``deadline`` (:func:`repro.util.now` seconds;
     ``None`` for no deadline).  A value, not a handle: a retry sends the
     same one again."""
 
@@ -90,7 +91,7 @@ class Request(NamedTuple):
         """A fresh id; the deadline ``timeout`` seconds after arrival (now,
         unless given)."""
         if arrived is None:
-            arrived = time.monotonic()
+            arrived = now()
         deadline = None if timeout is None else arrived + timeout
         return cls(_next_id(), arrived, deadline)
 
@@ -108,21 +109,19 @@ class Request(NamedTuple):
         return limit
 
     def expired(self) -> bool:
-        return self.deadline is not None and time.monotonic() >= self.deadline
+        return self.deadline is not None and now() >= self.deadline
 
     def to_frame(self) -> Dict[str, object]:
         """The envelope fields that carry this request to a worker."""
-        left = None if self.deadline is None else self.deadline - time.monotonic()
+        left = None if self.deadline is None else self.deadline - now()
         return {"id": self.id, "left": left}
 
     @classmethod
     def from_frame(cls, envelope: Dict[str, object]) -> "Request":
         """The request an envelope carries, as of its receipt; a fresh id
         when it names none."""
-        now = time.monotonic()
-        left = envelope.get("left")
-        deadline = None if left is None else now + left
-        return cls(envelope.get("id") or _next_id(), now, deadline)
+        request = cls.new(envelope.get("left"))
+        return request._replace(id=envelope["id"]) if envelope.get("id") else request
 
 
 def write_frame(

@@ -45,6 +45,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.core import kernels
 from repro.service.protocol import DeadlineExceeded, Request
+from repro.util import now
 
 __all__ = [
     "AdmissionError",
@@ -73,14 +74,14 @@ class _ReadWriteLock:
         self._writers_waiting = 0
 
     def acquire_read(self, until: Optional[float] = None) -> bool:
-        """Returns False iff ``until`` (a ``time.monotonic()``) passed
+        """Returns False iff ``until`` (a :func:`now` reading) passed
         before admission."""
         with self._cond:
             while self._writer or self._writers_waiting:
                 if until is None:
                     self._cond.wait()
                     continue
-                remaining = until - time.monotonic()
+                remaining = until - now()
                 if remaining <= 0:
                     return False
                 self._cond.wait(remaining)
@@ -143,6 +144,8 @@ class BatchOutcome:
 #: How many recent latencies and queue waits feed the ``/stats``
 #: percentiles.
 LATENCY_WINDOW = 2048
+#: The ``queries`` count each outcome adds to (any other: ``errors``).
+_OUTCOME_COUNTS = {"ok": "completed", "timeout": "timeouts"}
 
 
 def _percentile(sorted_values: Sequence[float], q: float) -> float:
@@ -159,16 +162,16 @@ class QueryLedger:
 
     ``admit`` / ``release`` bracket every in-flight query against
     ``max_pending``; ``record`` files its outcome (``"ok"`` with its
-    latency, ``"timeout"``, anything else an error); waits — for the read
-    lock, earlier batch members or an idle worker — go to
-    ``record_queue_wait``.
+    latency, from the request's arrival; ``"timeout"``; anything else an
+    error); waits — for the read lock, earlier batch members or an idle
+    worker — go to ``record_queue_wait``.
     All of it sits behind one lock and :meth:`stats` reads it in one
     critical section.
     """
 
     def __init__(self, max_pending: int):
         self.max_pending = max_pending
-        self.started_at = time.monotonic()
+        self.started_at = now()
         self._lock = threading.Lock()
         self._inflight = 0
         self._counts = dict.fromkeys(
@@ -202,29 +205,26 @@ class QueryLedger:
         with self._lock:
             self._counts[what] += n
 
-    def record(self, latency: float, status: str) -> None:
+    def record(self, request: Request, status: str) -> None:
+        at = now()
         with self._lock:
+            self._counts[_OUTCOME_COUNTS.get(status, "errors")] += 1
             if status == "ok":
-                self._counts["completed"] += 1
-                self._latencies.append((time.monotonic(), latency))
-            elif status == "timeout":
-                self._counts["timeouts"] += 1
-            else:
-                self._counts["errors"] += 1
+                self._latencies.append((at, at - request.arrived))
 
     def record_queue_wait(self, seconds: float) -> None:
         with self._lock:
             self._queue_waits.append(seconds)
 
-    def stats(self, now: float) -> Dict[str, object]:
-        """The ``queries`` block as of ``now`` (a ``time.monotonic()``)."""
+    def stats(self, at: float) -> Dict[str, object]:
+        """The ``queries`` block as of the :func:`now` reading ``at``."""
         with self._lock:
             records = list(self._latencies)
             queue_waits = sorted(self._queue_waits)
             counters = dict(self._counts, inflight=self._inflight)
-        uptime = now - self.started_at
+        uptime = at - self.started_at
         latencies = sorted(seconds for _, seconds in records)
-        recent = [t for t, _ in records if t > now - 60.0]
+        recent = [t for t, _ in records if t > at - 60.0]
         window = min(uptime, 60.0)
         return dict(
             counters,
@@ -339,7 +339,7 @@ class EngineService:
             raise RuntimeError("service is closed")
         self._ledger.admit(count)
         try:
-            submitted = time.monotonic()
+            submitted = now()
             bound = self.max_queue_wait
             until = request.wait_until(None if bound is None else submitted + bound)
             if not self._rw.acquire_read(until):
@@ -354,7 +354,7 @@ class EngineService:
                     f"read admission waited past max_queue_wait="
                     f"{bound:.3f}s behind an update epoch"
                 )
-            self._ledger.record_queue_wait(time.monotonic() - submitted)
+            self._ledger.record_queue_wait(now() - submitted)
             try:
                 yield submitted
             finally:
@@ -364,16 +364,16 @@ class EngineService:
 
     def _read_one(self, run, request: Optional[Request]):
         """``run(snapshot)`` for one request under its own read hold; its
-        latency, from the start of the wait, goes to the ledger."""
+        outcome goes to the ledger."""
         if request is None:
             request = Request.new()
-        with self._read_hold(1, request) as submitted:
+        with self._read_hold(1, request):
             try:
                 outcome = run(self.engine.snapshot())
             except Exception:
-                self._ledger.record(0.0, "error")
+                self._ledger.record(request, "error")
                 raise
-        self._ledger.record(time.monotonic() - submitted, "ok")
+        self._ledger.record(request, "ok")
         return outcome
 
     def search(self, query, k=None, dmax=None, request: Optional[Request] = None):
@@ -407,7 +407,7 @@ class EngineService:
         if request is None:
             request = Request.new()
         with self._read_hold(len(queries), request) as submitted:
-            acquired = time.monotonic()
+            acquired = now()
             snapshot = self.engine.snapshot()
             outcomes = [
                 self._run_one(snapshot, index, query, k, dmax, request.deadline,
@@ -415,13 +415,13 @@ class EngineService:
                 for index, query in enumerate(queries)
             ]
         for outcome in outcomes:
-            self._ledger.record(outcome.latency_seconds, outcome.status)
+            self._ledger.record(request, outcome.status)
         return outcomes
 
     def _run_one(
         self, snapshot, index, query, k, dmax, deadline, submitted, acquired
     ):
-        started = time.monotonic()
+        started = now()
         # A member's wait behind the earlier members is recorded beside
         # the hold's lock wait; the bound applies to the two together.
         self._ledger.record_queue_wait(started - acquired)
@@ -435,11 +435,11 @@ class EngineService:
         except Exception as exc:  # per-query isolation: one bad query
             return BatchOutcome(  # never poisons its batch siblings
                 index, query, "error", error=exc,
-                latency_seconds=time.monotonic() - started,
+                latency_seconds=now() - started,
             )
         return BatchOutcome(
             index, query, "ok", result=result,
-            latency_seconds=time.monotonic() - started,
+            latency_seconds=now() - started,
         )
 
     def execute_ranked(
@@ -471,7 +471,7 @@ class EngineService:
     def stats(self) -> Dict[str, object]:
         """Service-level counters: QPS, latency percentiles, admission and
         epoch state, and the engine's memo-layer hit rates."""
-        now = time.monotonic()
+        at = now()
         engine = self.engine
         # Bundle provenance of a warm-started engine: which artifact this
         # process serves, at which saved epoch, and how many delta-log
@@ -481,9 +481,9 @@ class EngineService:
             "artifact": dict(artifact) if artifact is not None else None,
             "service": {
                 "max_pending": self.max_pending,
-                "uptime_seconds": now - self._ledger.started_at,
+                "uptime_seconds": at - self._ledger.started_at,
             },
-            "queries": self._ledger.stats(now),
+            "queries": self._ledger.stats(at),
             "index_tier": engine.index_tier,
             "caches": engine.cache_stats(),
             "kernels": kernels.kernel_status(),

@@ -64,8 +64,8 @@ shutdown    reply, then exit the loop cleanly
 ==========  ===========================================================
 
 On startup the worker proactively sends one ``ready`` frame carrying its
-pid, epoch, and load time; the dispatcher treats a connection without it
-as a failed spawn.
+pid and epoch; the dispatcher treats a connection without it as a failed
+spawn.
 """
 
 from __future__ import annotations
@@ -131,11 +131,9 @@ class WorkerRuntime:
     def __init__(self, bundle: str, overrides: Optional[Dict[str, object]] = None):
         self.bundle = os.fspath(bundle)
         self.overrides = dict(overrides or {})
-        started = time.perf_counter()
         self.engine = KeywordSearchEngine.load(
             self.bundle, attach_wal=False, **self.overrides
         )
-        self.load_seconds = time.perf_counter() - started
         self.cursor = WalCursor(self._wal_path())
         self.completed = 0
         self.errors = 0
@@ -269,7 +267,7 @@ class WorkerRuntime:
             "errors": self.errors,
             "epochs_replayed": self.epochs_replayed,
             "reloads": self.reloads,
-            "load_seconds": self.load_seconds,
+            "load_seconds": self.engine.artifact["load_seconds"],
             "index_tier": self.engine.index_tier,
             "caches": self.engine.cache_stats(),
             "kernels": kernels.kernel_status(),
@@ -288,7 +286,6 @@ class WorkerRuntime:
                 "op": "ready",
                 "pid": os.getpid(),
                 "epoch": self.epoch,
-                "load_seconds": self.load_seconds,
             },
         )
         while True:

@@ -54,7 +54,6 @@ import json
 import mmap
 import os
 import struct
-import time
 import zlib
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -79,6 +78,7 @@ from repro.storage.errors import (
     WalError,
 )
 from repro.storage.graph_view import MmapDataGraph
+from repro.util import now
 
 MAGIC = b"RPROBNDL"
 #: Bump on any change to the section layout, the encodings or what the
@@ -685,7 +685,7 @@ def load_engine(
         raise ValueError(
             f"unknown index_tier {index_tier!r} (expected 'memory' or 'mmap')"
         )
-    started = time.perf_counter()
+    started = now()
     loaded = load_bundle(path)
     meta = loaded.meta
     engine_meta = dict(meta["engine"])
@@ -746,7 +746,7 @@ def load_engine(
         "index_version_at_save": meta["snapshot"]["index_version"],
         "wal_path": os.path.abspath(wal_path) if (replay_wal or attach_wal) else None,
         "wal_epochs_replayed": replayed,
-        "load_seconds": time.perf_counter() - started,
+        "load_seconds": now() - started,
         "writer": meta.get("writer"),
     }
     return engine

@@ -228,11 +228,12 @@ class MmapTermTable:
 class MmapTermDictionary:
     """The keyword vocabulary: id ↔ analyzed-term text over the mmap.
 
-    ``text`` decodes one length-prefixed string by offset (memoized);
-    ``id_of`` binary-searches the lexicographic permutation.  Ids are in
-    the insertion order the materialized postings dict iterates in, so
-    walking them (:meth:`MmapInvertedIndex.iter_terms`) preserves the
-    fuzzy scan's first-best-on-tie behavior exactly.
+    ``text`` decodes one length-prefixed string by offset (memoized),
+    ``peek`` without memoizing it; ``id_of`` binary-searches the
+    lexicographic permutation.  Ids are in the insertion order the
+    materialized postings dict iterates in, so walking them
+    (:meth:`MmapInvertedIndex.iter_terms`) preserves the fuzzy scan's
+    first-best-on-tie behavior exactly.
     """
 
     __slots__ = ("_strings", "_offsets", "_sorted", "_texts", "_ids")
@@ -255,14 +256,17 @@ class MmapTermDictionary:
         return len(self._offsets) - 1
 
     def text(self, vid: int) -> str:
-        cached = self._texts.get(vid)
-        if cached is not None:
-            return cached
+        text = self._texts.get(vid)
+        if text is None:
+            text = self._texts[vid] = self.peek(vid)
+        return text
+
+    def peek(self, vid: int) -> str:
+        """The text of ``vid``, decoded without memoizing it: for the scans
+        of the whole vocabulary (the fuzzy fallback, the size estimate)."""
         start = self._offsets[vid]
         (length,) = _U32.unpack_from(self._strings, start)
-        text = bytes(self._strings[start + 4 : start + 4 + length]).decode("utf-8")
-        self._texts[vid] = text
-        return text
+        return bytes(self._strings[start + 4 : start + 4 + length]).decode("utf-8")
 
     def id_of(self, text: str) -> Optional[int]:
         found = self._ids.get(text)
@@ -471,7 +475,7 @@ class MmapInvertedIndex:
         dead = self._dead_vids
         for vid in range(len(self._dict)):
             if vid not in dead:
-                yield self._dict.text(vid)
+                yield self._dict.peek(vid)
         for term in self._delta.iter_terms():
             if not self._base_live(term):
                 yield term
@@ -516,7 +520,7 @@ class MmapInvertedIndex:
         for vid in range(len(dictionary)):
             live = df(vid) - dead_df.get(vid, 0)
             if live > 0:
-                total += len(dictionary.text(vid).encode()) + 16 * live
+                total += len(dictionary.peek(vid).encode()) + 16 * live
         for term in self._delta.iter_terms():
             delta_df = self._delta.document_frequency(term)
             if self._base_live(term):

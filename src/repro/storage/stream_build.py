@@ -37,7 +37,6 @@ from __future__ import annotations
 import os
 import struct
 import tempfile
-import time
 from array import array
 from itertools import chain, islice
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple, Union
@@ -83,6 +82,7 @@ from repro.storage.segments import (
     write_ids_from_segment,
     write_raw_from_segment,
 )
+from repro.util import Laps, now
 
 _U64 = struct.Struct("<Q")
 
@@ -159,7 +159,7 @@ def build_bundle_streaming(
     cost_model = persistable_cost_model_name(cost_model)
     path = os.fspath(path)
     budget_rows = max(4, spill_budget_bytes // _BYTES_PER_ROW)
-    started = time.perf_counter()
+    started = now()
     # The header's configuration blocks; `_build` adds what it measures.
     config = {
         "snapshot": {"index_version": 0, "epoch": epoch},
@@ -192,7 +192,7 @@ def build_bundle_streaming(
     except BaseException:
         writer.abort()
         raise
-    info["build_seconds"] = time.perf_counter() - started
+    info["build_seconds"] = now() - started
     return info
 
 
@@ -306,7 +306,7 @@ def _build(
         kind_spool.append_value(kind)
         n_rows += 1
         if progress is not None and n_rows % progress_every == 0:
-            progress(n_rows, time.perf_counter() - started)
+            progress(n_rows, now() - started)
 
     rows_spool.close()
     kind_spool.close()
@@ -388,7 +388,7 @@ def _build(
     # Keyword index: elements in indexed_elements() order, postings via
     # spill runs.
     # ------------------------------------------------------------------
-    kindex_started = time.perf_counter()
+    laps = Laps()
     analyze = DEFAULT_ANALYZER.analyze
     vocab = Interner()
     vocab_id = vocab.id
@@ -514,12 +514,11 @@ def _build(
             for vid in sorted(value_occ_refs)
         ),
     )
-    kindex_seconds = time.perf_counter() - kindex_started
+    laps.lap("kindex")
 
     # ------------------------------------------------------------------
     # Summary graph: Definition 4 replayed from pass A's and pass B's counts.
     # ------------------------------------------------------------------
-    summary_started = time.perf_counter()
     instance_counts: Dict[int, int] = {}
     for _, cls in type_pairs:
         instance_counts[cls] = instance_counts.get(cls, 0) + 1
@@ -537,7 +536,7 @@ def _build(
         ((terms[sub], terms[sup]) for sub, sup in subclass_pairs),
         (stats["entities"], stats["relation_edges"], stats["attribute_edges"]),
     )
-    summary.build_seconds = time.perf_counter() - summary_started
+    summary.build_seconds = laps.lap("summary")
 
     summary_state = summary.state_for_persistence()
     vertices = list(summary_state["vertices"].values())
@@ -611,7 +610,7 @@ def _build(
     meta["snapshot"]["summary_version"] = summary.snapshot_key
     # The structural counts a loaded graph keeps by delta from here on.
     meta["graph"].update(conflicts=list(conflicts), stats=stats)
-    meta["kindex"]["build_seconds"] = kindex_seconds
+    meta["kindex"]["build_seconds"] = laps.seconds["kindex"]
     meta["summary"] = {
         key: summary_state[key]
         for key in (

@@ -10,7 +10,6 @@ and |e_agg| are retained for the C2 popularity cost.
 
 from __future__ import annotations
 
-import time
 from itertools import chain
 from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 
@@ -27,6 +26,7 @@ from repro.summary.elements import (
     is_edge_key,
 )
 from repro.summary.substrate import ExplorationSubstrate
+from repro.util import now
 
 _SUBCLASS_LABEL = URI("http://www.w3.org/2000/01/rdf-schema#subClassOf")
 
@@ -66,7 +66,7 @@ class SummaryGraph:
     @classmethod
     def from_data_graph(cls, graph: DataGraph) -> "SummaryGraph":
         """Apply the aggregation rules of Definition 4."""
-        started = time.perf_counter()
+        started = now()
         counts: Dict[Tuple[URI, Optional[Term], Optional[Term]], int] = {}
         types = graph.types_of
         for t in graph.relation_triples():
@@ -79,7 +79,7 @@ class SummaryGraph:
             graph.subclass_pairs(),
             (stats["entities"], stats["relation_edges"], stats["attribute_edges"]),
         )
-        summary.build_seconds = time.perf_counter() - started
+        summary.build_seconds = now() - started
         return summary
 
     @classmethod

@@ -1,10 +1,54 @@
-"""Small shared utilities."""
+"""Small shared utilities: the one clock, counters and the query-time memo."""
 
 from __future__ import annotations
 
 import threading
+import time
 from collections import OrderedDict
 from typing import Dict, Optional
+
+#: The package's one clock, in seconds: monotonic and system-wide (on Linux
+#: ``time.monotonic``'s ``CLOCK_MONOTONIC``), so deadlines, latencies and
+#: stage timings share one base.
+now = time.perf_counter
+
+
+class Laps:
+    """A stopwatch: named consecutive intervals, in the order taken."""
+
+    __slots__ = ("started", "_last", "seconds")
+
+    def __init__(self):
+        self.started = self._last = now()
+        self.seconds: Dict[str, float] = {}
+
+    def lap(self, name: str) -> float:
+        """Close the interval since the last lap (or the start) as ``name``."""
+        at = now()
+        seconds = self.seconds[name] = at - self._last
+        self._last = at
+        return seconds
+
+    def total(self) -> Dict[str, float]:
+        """The laps, then ``total``: the start to now."""
+        self.seconds["total"] = now() - self.started
+        return self.seconds
+
+
+class Counters:
+    """Named ints under one lock."""
+
+    def __init__(self, *names: str):
+        self._lock = threading.Lock()
+        self._counts = dict.fromkeys(names, 0)
+
+    def add(self, name: str, n: int = 1) -> None:
+        with self._lock:
+            self._counts[name] += n
+
+    def snapshot(self) -> Dict[str, int]:
+        with self._lock:
+            return dict(self._counts)
 
 
 def cache_stats_shape(

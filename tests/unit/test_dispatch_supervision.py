@@ -21,7 +21,14 @@ import urllib.request
 import pytest
 
 from repro.core.engine import KeywordSearchEngine
-from repro.service import AdmissionError, DispatchService, ReproServer, Request
+from repro.service import (
+    AdmissionError,
+    DispatchService,
+    EngineService,
+    ReproServer,
+    Request,
+)
+from repro.util import now
 
 
 @pytest.fixture(scope="module")
@@ -474,4 +481,31 @@ class TestStatsMerging:
         for key in ("queue_wait_p50_ms", "queue_wait_p99_ms", "queue_wait_max_ms"):
             assert queries[key] >= 0
         assert stats["dispatch"]["restarts"] == 0
+        assert list(stats["dispatch"]) == [
+            "watermark", "restarts", "spawn_failures", "wedged"
+        ]
+        assert queries["retries"] == 0
         assert sum(w["completed"] for w in workers) >= 1
+        # A worker reports the load its engine records, not a second timer.
+        assert all(w["load_seconds"] > 0 for w in workers)
+
+
+class TestLatencyFromArrival:
+    def test_both_tiers_count_a_request_from_its_arrival(self, bundle):
+        """A request that arrived 0.2 s before it reached the service —
+        a slow upload, say — reports at least that as its latency, on
+        either tier, whether it searches or executes."""
+        inprocess = EngineService(KeywordSearchEngine.load(bundle, attach_wal=False))
+        dispatch = DispatchService(bundle, workers=1)
+        try:
+            for tier in (inprocess, dispatch):
+                tier.search("cimiano 2006", request=Request.new(arrived=now() - 0.2))
+                tier.execute_ranked(
+                    "cimiano 2006", request=Request.new(arrived=now() - 0.2)
+                )
+                queries = tier.stats()["queries"]
+                assert queries["completed"] == 2
+                assert queries["p50_ms"] >= 200, queries
+        finally:
+            inprocess.close()
+            dispatch.close()

@@ -6,7 +6,8 @@ contract is: no internal exception ever escapes `hit`/`put`/`clear`, and
 the size bound holds whenever the dict is quiescent.  The keyword-lookup
 memo (`repro.keyword.keyword_index.LookupMemo`) is hammered the same way
 and owes one thing more: its dependency → keywords reverse map names
-exactly the dependencies of the entries it holds.
+exactly the dependencies of the entries it holds.  The counter sets
+(`repro.util.Counters`) lose no increment under contention.
 """
 
 import random
@@ -14,7 +15,7 @@ import sys
 import threading
 
 from repro.keyword.keyword_index import LookupMemo
-from repro.util import LruDict
+from repro.util import Counters, LruDict
 
 THREADS = 8
 OPS_PER_THREAD = 4000
@@ -142,3 +143,28 @@ def test_eviction_order_unchanged():
     assert cache.hit("b") is None
     assert cache.hit("a") == 1
     assert cache.hit("c") == 3
+
+
+def test_counters_lose_no_add_under_contention():
+    counts = Counters("one", "two")
+    adds = 10_000
+    barrier = threading.Barrier(THREADS)
+
+    def hammer():
+        barrier.wait()
+        for _ in range(adds):
+            counts.add("one")
+            counts.add("two", 2)
+
+    threads = [threading.Thread(target=hammer, daemon=True) for _ in range(THREADS)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive(), "stress thread wedged (deadlock?)"
+    finally:
+        sys.setswitchinterval(interval)
+    assert counts.snapshot() == {"one": THREADS * adds, "two": 2 * THREADS * adds}

@@ -515,6 +515,41 @@ def test_cold_lookup_decodes_only_the_matches_it_keeps(tmp_path, monkeypatch):
     ]
 
 
+def test_cold_fuzzy_lookup_memoizes_no_vocabulary(tmp_path):
+    """A keyword no term matches falls back to a fuzzy scan that reads
+    every text of the vocabulary, but memoizes none of them: the memo
+    grows by the bisect probes of the two exact lookups alone (the
+    keyword's miss, then the one term within reach) — and the match is
+    the constructed engine's."""
+    ex = "http://example.org/fuzzy/"
+    rng = random.Random(3)
+    letters = "abcdefghijklmnopqrstuvwxyz"
+    words = {
+        "".join(rng.choice(letters) for _ in range(rng.randrange(5, 10)))
+        for _ in range(300)
+    }
+    triples = [Triple(URI(ex + "e0"), RDF.type, URI(ex + "Student"))] + [
+        Triple(URI(f"{ex}e{i}"), URI(ex + "name"), Literal(word))
+        for i, word in enumerate(sorted(words))
+    ]
+    path = tmp_path / "fuzzy.reprobundle"
+    build_bundle_streaming(iter(triples), path)
+    loaded = KeywordSearchEngine.load(path, attach_wal=False)
+    constructed = KeywordSearchEngine(DataGraph(triples))
+
+    vocabulary = loaded.keyword_index._index._dict
+    memoized = len(vocabulary._texts)
+    matches = loaded.keyword_index.lookup("studnt")
+    assert len(vocabulary._texts) - memoized <= 2 * len(vocabulary).bit_length()
+    assert len(vocabulary) > 300
+
+    expected = constructed.keyword_index.lookup("studnt")
+    assert [m.element_key for m in expected] == [("class", URI(ex + "Student"))]
+    assert [(repr(m), m.element_key) for m in matches] == [
+        (repr(m), m.element_key) for m in expected
+    ]
+
+
 def test_engine_stats_report_tier(example_bundle):
     """``index_tier`` is what the code can observe, not something to
     set: a loaded bundle is served in place, the constructors build
