@@ -20,7 +20,11 @@ an update quietly materializes postings, triples or the data graph it
 should be binary-searching on disk.  That child also looks up the
 corpus's two largest keywords cold and fails if the term table then
 holds more than a few hundred decoded terms: a lookup decodes the
-matches it keeps, not every posting it scores.
+matches it keeps, not every posting it scores.  It then looks up a
+misspelt keyword and a 10,000-letter one, both cold, and fails if the
+vocabulary then holds more than a few dozen decoded texts: a fuzzy
+lookup probes its one-edit neighbourhood by binary search and a miss
+memoizes nothing, so neither reads the vocabulary into memory.
 
 Last, a third fresh subprocess builds the engine the library API and
 ``repro search`` without ``--bundle`` build —
@@ -68,6 +72,13 @@ DEFAULT_SERVE_CEILING_MB = 96
 #: ~60 terms after its search, execute and these two cold lookups; a
 #: lookup that decoded every posting it scored left ~13,800.
 TERM_MEMO_CEILING = 400
+#: The vocabulary's decoded-text memo after the same work plus the cold
+#: lookups of "studnt" (a fuzzy fallback: ~460 probes, each a bisect of
+#: the sorted vocabulary) and a 10,000-letter keyword (too long to have
+#: a neighbour: no probe).  It holds 0: only a posting-count read
+#: memoizes a text.  A bisect that memoized the texts on its path left
+#: ~120 after the same lookups.
+VOCAB_MEMO_CEILING = 64
 #: A constructed engine over the same corpus peaks near 174 MB through
 #: construction, search, execute and the update epoch: the data graph
 #: keeps each triple once, in the TripleStore the engine executes on
@@ -112,6 +123,9 @@ if engine.index_tier == 'mmap':
     for keyword in ('student', 'undergraduate'):
         assert engine.keyword_index.lookup(keyword), keyword
     print('TERM_MEMO', len(engine.store._terms._terms))
+    assert engine.keyword_index.lookup('studnt'), 'no fuzzy match for studnt'
+    assert engine.keyword_index.lookup('q' * 10000) == [], 'a match for q * 10000'
+    print('VOCAB_MEMO', len(engine.keyword_index._index._dict._texts))
 
 ns = 'http://example.org/smoke/'
 added = [
@@ -214,6 +228,7 @@ def main() -> int:
         return 1
     serve_peak_mb = int(values["SERVE_PEAK_KB"]) / 1024
     term_memo = int(values["TERM_MEMO"])
+    vocab_memo = int(values["VOCAB_MEMO"])
     total_peak_mb = int(values["TOTAL_PEAK_KB"]) / 1024
     print(
         f"# bundle serve ok: cold {float(values['COLD_MS']):.0f} ms, "
@@ -221,12 +236,19 @@ def main() -> int:
         f"{values['UPDATED']} post-update candidates, "
         f"peak RSS {serve_peak_mb:.0f} MB serving / {total_peak_mb:.0f} MB "
         f"incl. update epoch, {term_memo} decoded terms after the cold lookups "
-        f"(ceiling {TERM_MEMO_CEILING})"
+        f"(ceiling {TERM_MEMO_CEILING}), {vocab_memo} decoded vocabulary texts "
+        f"after the fuzzy ones (ceiling {VOCAB_MEMO_CEILING})"
     )
     if term_memo > TERM_MEMO_CEILING:
         print(
             f"FAIL: the term table holds {term_memo} decoded terms after two "
             f"cold lookups > {TERM_MEMO_CEILING} ceiling"
+        )
+        return 1
+    if vocab_memo > VOCAB_MEMO_CEILING:
+        print(
+            f"FAIL: the vocabulary holds {vocab_memo} decoded texts after the "
+            f"cold fuzzy lookups > {VOCAB_MEMO_CEILING} ceiling"
         )
         return 1
     if serve_peak_mb > serve_ceiling_mb:

@@ -7,7 +7,7 @@ matching.  This package rebuilds each piece from scratch:
 
 * :mod:`~repro.keyword.analysis` — tokenizer + stopwords + analyzer chain
 * :mod:`~repro.keyword.stemmer` — the Porter stemming algorithm
-* :mod:`~repro.keyword.levenshtein` — bounded edit distance for fuzzy lookup
+* :mod:`~repro.keyword.levenshtein` — edit distance and similarity for fuzzy lookup
 * :mod:`~repro.keyword.synonyms` — offline synonym/hypernym lexicon
 * :mod:`~repro.keyword.inverted_index` — generic term → postings index
 * :mod:`~repro.keyword.keyword_index` — the keyword-element map ``f`` with
@@ -17,7 +17,7 @@ matching.  This package rebuilds each piece from scratch:
 
 from repro.keyword.analysis import Analyzer, tokenize, STOPWORDS
 from repro.keyword.stemmer import porter_stem
-from repro.keyword.levenshtein import levenshtein, similarity, within_distance
+from repro.keyword.levenshtein import levenshtein, similarity
 from repro.keyword.synonyms import SynonymLexicon, DEFAULT_LEXICON
 from repro.keyword.inverted_index import InvertedIndex, Posting
 from repro.keyword.keyword_index import (
@@ -36,7 +36,6 @@ __all__ = [
     "porter_stem",
     "levenshtein",
     "similarity",
-    "within_distance",
     "SynonymLexicon",
     "DEFAULT_LEXICON",
     "InvertedIndex",

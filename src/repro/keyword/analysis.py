@@ -29,6 +29,10 @@ STOPWORDS = frozenset(
 # ("year2006" -> "year 2006") before the alphanumeric token scan.
 _CAMEL_RE = re.compile(r"(?<=[a-z0-9])(?=[A-Z])|(?<=[A-Za-z])(?=[0-9])|(?<=[0-9])(?=[A-Za-z])")
 _TOKEN_RE = re.compile(r"[A-Za-z0-9]+")
+#: Every character an analyzed term can hold: tokens are ``_TOKEN_RE``
+#: matches, lowercased, then Porter-stemmed (letters stay letters) or kept
+#: as digits.  The fuzzy fallback probes one-edit neighbours over it.
+TERM_ALPHABET = "abcdefghijklmnopqrstuvwxyz0123456789"
 
 
 def tokenize(text: str) -> List[str]:

@@ -33,6 +33,9 @@ class InvertedIndex:
         self._indexed_elements: set = set()
         # element -> terms it is posted under, for O(|label|) unindexing.
         self._element_terms: Dict[Hashable, set] = {}
+        #: No term the index holds is longer (a high-water mark: an
+        #: unindex leaves it).
+        self.max_term_length = 0
 
     def index(self, element: Hashable, terms: Iterable[str]) -> None:
         """Index an element under its analyzed label terms."""
@@ -53,6 +56,7 @@ class InvertedIndex:
                 entry[1] = max(entry[1], total)
         self._indexed_elements.add(element)
         self._element_terms.setdefault(element, set()).update(counts)
+        self.max_term_length = max(self.max_term_length, *map(len, counts))
 
     def unindex(self, element: Hashable) -> bool:
         """Remove an element's postings; returns False if never indexed."""

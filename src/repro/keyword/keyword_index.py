@@ -29,6 +29,7 @@ from typing import (
     FrozenSet,
     Hashable,
     Iterable,
+    Iterator,
     List,
     Optional,
     Sequence,
@@ -38,9 +39,9 @@ from typing import (
 
 from repro.util import cache_stats_shape, now
 
-from repro.keyword.analysis import DEFAULT_ANALYZER
-from repro.keyword.inverted_index import InvertedIndex
-from repro.keyword.levenshtein import levenshtein, similarity
+from repro.keyword.analysis import DEFAULT_ANALYZER, TERM_ALPHABET
+from repro.keyword.inverted_index import InvertedIndex, Posting
+from repro.keyword.levenshtein import similarity
 from repro.keyword.synonyms import DEFAULT_LEXICON
 from repro.rdf.derivation import (
     ATTRIBUTE,
@@ -160,26 +161,26 @@ class ValueMatch(KeywordMatch):
 #: factor of the exploration that follows.
 MAX_MATCHES_PER_KEYWORD = 8
 
-#: The Levenshtein bound of the fuzzy fallback a keyword with no exact or
-#: lexicon match gets.
-FUZZY_MAX_DISTANCE = 1
-
 #: How many keywords' matches the lookup memo keeps (LRU).
 LOOKUP_CACHE_SIZE = 1024
 
-#: The dependency of a lookup that scanned the vocabulary (a fuzzy match,
-#: or no match at all): any posting change may alter its answer.
-_ANY_POSTING = object()
+
+def _deletion_keys(term: str) -> Iterator[int]:
+    """Hashes of the term and of the term minus one character, made one at
+    a time: strings within one edit of each other share one such key."""
+    yield hash(term)
+    for i in range(len(term)):
+        yield hash(term[:i] + term[i + 1 :])
 
 
 class LookupMemo:
     """keyword → match tuple, LRU-bounded, invalidated by dependency.
 
     An entry records what its result was computed from: per keyword term
-    its *acceptance set* (the term and its lexicon relatives, the posting
-    lists the term's candidates were read from, plus
-    :data:`_ANY_POSTING` when it scanned the vocabulary), and the element
-    keys whose class contexts its matches carry.  A score reads only
+    its *acceptance set* (the term and its lexicon relatives, whose
+    posting lists gave its candidates; empty for a term that fell back to
+    its one-edit neighbours), the element keys whose class contexts its
+    matches carry, and its fuzzy terms' *keys*.  A score reads only
     per-term match factors and label lengths, so a posting change can
     move an entry only through the one element whose postings changed.
     :meth:`invalidate` therefore drops an entry that read a changed
@@ -189,13 +190,14 @@ class LookupMemo:
         the element is, or was, in the keyword's intersection;
     (b) the changed term has no live posting left: a keyword term may
         have lost its last candidate, and its fuzzy fallback may now run;
-    (c) the entry scanned the vocabulary.
 
-    An element (class-context) mark drops every entry that depends on
-    it.  The dependency → keywords reverse map only ever names
-    dependencies of live entries — eviction and invalidation unlink what
-    they drop — so its size is bounded by ``maxsize`` × dependencies per
-    entry however many terms the index has seen come and go.
+    and an entry when a changed label term reaches a key: a term its
+    fuzzy term read (a first posting ends the fallback), or one of its
+    :func:`_deletion_keys` (a hash collision only drops an entry more).
+    An element (class-context) mark drops every entry that depends on it.
+    The reverse maps name only what live entries hold, so their size is
+    bounded by ``maxsize`` × what one entry holds, however many terms the
+    index has seen come and go.
 
     A *hit* is a list served without recomputation, a *miss* a
     recomputation, ``invalidated`` counts entries dropped by updates
@@ -204,9 +206,13 @@ class LookupMemo:
 
     def __init__(self, maxsize: int):
         self._lock = threading.Lock()
-        #: keyword -> (matches, dependencies, acceptance sets)
-        self._entries: "OrderedDict[str, Tuple[tuple, tuple, tuple]]" = OrderedDict()
+        #: keyword -> (matches, dependencies, acceptance sets, keys)
+        self._entries: "OrderedDict[str, Tuple[tuple, tuple, tuple, tuple]]" = OrderedDict()
         self._dependents: Dict[Hashable, Set[str]] = {}
+        self._keyed: Dict[int, Set[str]] = {}
+        #: No fuzzy term memoized is longer (a high-water mark), so a label
+        #: term longer by two has no deletion worth forming.
+        self._key_length = 0
         self.maxsize = maxsize
         #: Advances with every invalidation; :meth:`put` refuses a result
         #: computed before the latest one (it may predate the change).
@@ -236,19 +242,26 @@ class LookupMemo:
         accepted: Sequence[FrozenSet],
         elements: Iterable[Hashable],
         generation: int,
+        fuzzy: Sequence[Tuple[str, FrozenSet[str]]] = (),
     ) -> None:
         """Memoize a result computed at ``generation`` from the posting
-        lists of the ``accepted`` sets (one per keyword term) and the
-        class contexts of ``elements``; evicts least-recently-used
-        entries beyond the bound."""
+        lists of the ``accepted`` sets (one per keyword term), the class
+        contexts of ``elements`` and the neighbourhoods of the ``fuzzy``
+        terms (each with the terms it read); evicts beyond the bound."""
         dependencies = (*frozenset().union(*accepted), *elements)
+        keys = set()
+        for term, read in fuzzy:
+            keys.update(map(hash, read), _deletion_keys(term))
         with self._lock:
             if generation != self.generation:
                 return
             self._drop(keyword)  # two threads may have computed it at once
-            self._entries[keyword] = (matches, dependencies, tuple(accepted))
+            self._entries[keyword] = (matches, dependencies, tuple(accepted), tuple(keys))
             for dependency in dependencies:
                 self._dependents.setdefault(dependency, set()).add(keyword)
+            for key in keys:
+                self._keyed.setdefault(key, set()).add(keyword)
+            self._key_length = max([self._key_length, *(len(term) for term, _ in fuzzy)])
             while len(self._entries) > self.maxsize:
                 self._drop(next(iter(self._entries)))
 
@@ -262,29 +275,26 @@ class LookupMemo:
         holds, per element whose postings changed, its label terms old ∪
         new (each names a changed posting list), ``elements`` the
         elements whose class contexts changed, and ``live(term)`` says
-        whether a term still has a live posting.  The drop rule is the
-        class docstring's (a)-(c)."""
+        whether a term still has a live posting.  The drop rules are the
+        class docstring's."""
         with self._lock:
             self.generation += 1
-            dependents, entries = self._dependents, self._entries
+            dependents, entries, keyed = self._dependents, self._entries, self._keyed
             doomed: Set[str] = set()
             for label in labels:
-                if label:
-                    doomed.update(dependents.get(_ANY_POSTING, ()))
                 for term in label:
-                    keywords = dependents.get(term)
-                    if not keywords:
-                        continue
-                    if not live(term):
+                    keywords = dependents.get(term, ())
+                    if keywords and not live(term):
                         doomed.update(keywords)
-                        continue
-                    doomed.update(
-                        keyword
-                        for keyword in keywords
-                        if not any(
-                            accepted.isdisjoint(label) for accepted in entries[keyword][2]
+                    else:  # rule (a): meets every acceptance set
+                        doomed.update(
+                            keyword for keyword in keywords
+                            if not any(map(label.isdisjoint, entries[keyword][2]))
                         )
-                    )
+                    if keyed:  # no deletion of a longer term is a key
+                        near = len(term) <= self._key_length + 1
+                        for key in _deletion_keys(term) if near else (hash(term),):
+                            doomed.update(keyed.get(key, ()))
             for element in elements:
                 doomed.update(dependents.get(element, ()))
             for keyword in doomed:
@@ -295,12 +305,12 @@ class LookupMemo:
         entry = self._entries.pop(keyword, None)
         if entry is None:
             return
-        dependents = self._dependents
-        for dependency in entry[1]:
-            keywords = dependents[dependency]
-            keywords.discard(keyword)
-            if not keywords:
-                del dependents[dependency]
+        for reverse, links in ((self._dependents, entry[1]), (self._keyed, entry[3])):
+            for link in links:
+                keywords = reverse[link]
+                keywords.discard(keyword)
+                if not keywords:
+                    del reverse[link]
 
     def cache_stats(self) -> Dict[str, float]:
         """The ``/stats`` cache shape plus ``invalidated``."""
@@ -310,6 +320,20 @@ class LookupMemo:
             )
             stats["invalidated"] = self.invalidated
             return stats
+
+
+def _one_edit_neighbours(term: str) -> Iterator[str]:
+    """Every string one insertion, deletion or substitution over
+    :data:`~repro.keyword.analysis.TERM_ALPHABET` away from ``term``, each
+    once, made one at a time."""
+    for i in range(len(term) + 1):
+        head, tail, rest = term[:i], term[i : i + 1], term[i + 1 :]
+        # Inserting c before an equal character is inserting it after; the
+        # deletions of a double letter are one string.
+        yield from (head + c + tail + rest for c in TERM_ALPHABET if c != tail)
+        if tail and head[-1:] != tail:
+            yield head + rest
+        yield from (head + c + rest for c in TERM_ALPHABET if tail and c != tail)
 
 
 class KeywordIndex:
@@ -325,10 +349,10 @@ class KeywordIndex:
         (:data:`~repro.keyword.synonyms.DEFAULT_LEXICON`).
 
     A lookup keeps the :data:`MAX_MATCHES_PER_KEYWORD` best elements,
-    falls back to vocabulary terms within :data:`FUZZY_MAX_DISTANCE`
-    edits when nothing else matches, and is memoized in a
-    :class:`LookupMemo` of :data:`LOOKUP_CACHE_SIZE` keywords.  None of
-    the three is a setting: a bundle records none of them.
+    falls back to the vocabulary terms one edit away when nothing else
+    matches, and is memoized in a :class:`LookupMemo` of
+    :data:`LOOKUP_CACHE_SIZE` keywords.  None of the three is a setting:
+    a bundle records none of them.
     """
 
     def __init__(self, graph: DataGraph):
@@ -513,18 +537,13 @@ class KeywordIndex:
         for labels longer than the keyword (the paper's TF/IDF remark).
 
         Results are memoized per keyword (LRU, :data:`LOOKUP_CACHE_SIZE`
-        entries) together with what they were computed from — per keyword
-        term its acceptance set (the term and its lexicon relatives, and
-        the whole vocabulary when the fuzzy fallback ran), and the
-        elements whose class contexts the matches carry.  Incremental
+        entries) with what they were computed from, and incremental
         maintenance drops an entry only when a change can reach its
-        answer (:class:`LookupMemo`): a changed element whose label terms
-        meet every acceptance set, a read term left with no live
-        posting, a vocabulary scan, or a changed class context.  So a
-        stale list is never served, and an update that adds a value
-        sharing one term with a multi-term keyword costs that keyword
-        nothing.  Matches are immutable; each call returns a fresh list
-        of the shared match objects.
+        answer (:class:`LookupMemo`).  So a stale list is never served,
+        and an update that adds a value sharing one term with a
+        multi-term keyword costs that keyword nothing.  Matches are
+        immutable; each call returns a fresh list of the shared match
+        objects.
         """
         memo = self._lookup_cache
         hit = memo.hit(keyword)
@@ -532,25 +551,27 @@ class KeywordIndex:
             return list(hit)
         generation = memo.generation
         accepted: List[FrozenSet] = []
-        matches = self._lookup_uncached(keyword, accepted)
+        fuzzy: List[Tuple[str, FrozenSet[str]]] = []
+        matches = self._lookup_uncached(keyword, accepted, fuzzy)
+        longest = self._index.max_term_length + 1
+        if any(len(term) > longest for term, _ in fuzzy):
+            return matches  # probed nothing: cheaper to redo than to key
         # Only A-edge and V-vertex matches read a class context.
         elements = [
             match.element_key
             for match in matches
             if isinstance(match, (AttributeMatch, ValueMatch))
         ]
-        memo.put(keyword, tuple(matches), accepted, elements, generation)
+        memo.put(keyword, tuple(matches), accepted, elements, generation, fuzzy)
         return matches
 
     def _lookup_uncached(
-        self, keyword: str, accepted: Optional[List[FrozenSet]] = None
+        self, keyword: str, accepted: Optional[list] = None, fuzzy: Optional[list] = None
     ) -> List[KeywordMatch]:
-        """Compute the matches; ``accepted`` (when given) collects each
-        keyword term's acceptance set: the terms whose posting lists its
-        candidates were read from, and :data:`_ANY_POSTING` when it
-        scanned the vocabulary."""
-        if accepted is None:
-            accepted = []
+        """Compute the matches; ``accepted`` and ``fuzzy`` (when given)
+        collect what :meth:`LookupMemo.put` takes of the same names."""
+        accepted = [] if accepted is None else accepted
+        fuzzy = [] if fuzzy is None else fuzzy
         terms = DEFAULT_ANALYZER.analyze_unique(keyword)
         if not terms:
             return []
@@ -558,7 +579,7 @@ class KeywordIndex:
         # posting handle -> (best factor, label length), per keyword term.
         # A handle names one element whichever term's postings it came
         # from, so scoring and intersecting never decode an element.
-        per_term = [self._term_candidates(term, accepted) for term in terms]
+        per_term = [self._term_candidates(term, accepted, fuzzy) for term in terms]
 
         # Intersect: every term must match.
         common = set(per_term[0])
@@ -609,36 +630,40 @@ class KeywordIndex:
         ]
 
     def _term_candidates(
-        self, term: str, accepted: List[FrozenSet]
+        self, term: str, accepted: List[FrozenSet], fuzzy: List[Tuple[str, FrozenSet[str]]]
     ) -> Dict[Hashable, Tuple[float, int]]:
         """posting handle -> (best factor, label length) for one analyzed
-        term; its acceptance set is appended to ``accepted``."""
+        term, its acceptance set appended to ``accepted`` (and a fuzzy term
+        to ``fuzzy``, with the terms it read)."""
         out: Dict[Hashable, Tuple[float, int]] = {}
 
-        def _offer(handle: Hashable, factor: float, label_len: int) -> None:
-            current = out.get(handle)
-            if current is None or factor > current[0]:
-                out[handle] = (factor, label_len)
+        def _offer(postings: List[Posting], factor: float) -> None:
+            for posting in postings:
+                current = out.get(posting.element)
+                if current is None or factor > current[0]:
+                    out[posting.element] = (factor, posting.label_terms)
 
-        read: Set[Hashable] = {term}
-        for posting in self._index.lookup(term):
-            _offer(posting.element, 1.0, posting.label_terms)
-
+        lookup = self._index.lookup
+        read = {term}
+        _offer(lookup(term), 1.0)
         for related_term, rel_factor in DEFAULT_LEXICON.related(term):
             read.add(related_term)
-            for posting in self._index.lookup(related_term):
-                _offer(posting.element, rel_factor, posting.label_terms)
+            _offer(lookup(related_term), rel_factor)
+        if out:
+            accepted.append(frozenset(read))
+            return out
 
-        accepted.append(frozenset(read) if out else frozenset({*read, _ANY_POSTING}))
-        if not out:
-            bound = FUZZY_MAX_DISTANCE
-            for vocab_term in self._index.iter_terms():
-                if abs(len(vocab_term) - len(term)) > bound:
-                    continue
-                if levenshtein(term, vocab_term, bound) <= bound:
-                    factor = similarity(term, vocab_term)
-                    for posting in self._index.lookup(vocab_term):
-                        _offer(posting.element, factor, posting.label_terms)
+        # The fuzzy fallback probes each string one edit away (an analyzed
+        # term is spelt over TERM_ALPHABET, so no neighbour is missed).  A
+        # term more than one character longer than any indexed has none.
+        accepted.append(frozenset())
+        fuzzy.append((term, frozenset(read)))
+        if len(term) > self._index.max_term_length + 1:
+            return out
+        for neighbour in _one_edit_neighbours(term):
+            postings = lookup(neighbour)
+            if postings:
+                _offer(postings, similarity(term, neighbour))
         return out
 
     def _materialize(self, key: Hashable, score: float) -> KeywordMatch:

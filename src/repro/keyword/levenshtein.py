@@ -1,64 +1,29 @@
-"""Levenshtein edit distance, with the banded early-exit variant used for
-imprecise keyword-to-term matching (Section IV-A).
+"""Levenshtein edit distance and the similarity built on it, the
+syntactic part of imprecise keyword-to-term matching (Section IV-A).
 """
 
 from __future__ import annotations
 
-from typing import Optional
 
-
-def levenshtein(a: str, b: str, max_distance: Optional[int] = None) -> int:
+def levenshtein(a: str, b: str) -> int:
     """The edit distance between two strings.
-
-    With ``max_distance`` the computation runs in a diagonal band and returns
-    ``max_distance + 1`` as soon as the true distance provably exceeds the
-    bound — the standard trick for fuzzy dictionary scans.
 
     >>> levenshtein("cimiano", "cimiano")
     0
     >>> levenshtein("cimiano", "cimano")
     1
     """
-    if a == b:
-        return 0
     if len(a) > len(b):
-        a, b = b, a
-    la, lb = len(a), len(b)
-    if max_distance is not None and lb - la > max_distance:
-        return max_distance + 1
-    if la == 0:
-        return lb
-
-    previous = list(range(la + 1))
-    for j in range(1, lb + 1):
-        bj = b[j - 1]
+        a, b = b, a  # rows as long as the shorter string
+    previous = list(range(len(a) + 1))
+    for j, bj in enumerate(b, 1):
         current = [j]
-        row_min = j
-        for i in range(1, la + 1):
-            cost = 0 if a[i - 1] == bj else 1
-            value = min(
-                previous[i] + 1,  # deletion
-                current[i - 1] + 1,  # insertion
-                previous[i - 1] + cost,  # substitution
-            )
-            current.append(value)
-            if value < row_min:
-                row_min = value
-        if max_distance is not None and row_min > max_distance:
-            return max_distance + 1
+        for i, ai in enumerate(a, 1):
+            # Deletion, insertion, substitution (free on equal characters).
+            cost = min(previous[i], current[i - 1]) + 1
+            current.append(min(cost, previous[i - 1] + (ai != bj)))
         previous = current
-    distance = previous[la]
-    if max_distance is not None and distance > max_distance:
-        # The row minima never exceeded the bound (some band cell stayed
-        # cheap) but the final cell did: clamp to the sentinel so the
-        # bounded variant's contract — d <= bound ? d : bound + 1 — holds.
-        return max_distance + 1
-    return distance
-
-
-def within_distance(a: str, b: str, max_distance: int) -> bool:
-    """True iff edit distance ≤ max_distance (early-exits)."""
-    return levenshtein(a, b, max_distance) <= max_distance
+    return previous[-1]
 
 
 def similarity(a: str, b: str) -> float:

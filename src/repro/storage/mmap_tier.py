@@ -35,7 +35,9 @@ from __future__ import annotations
 
 import struct
 from bisect import bisect_left, bisect_right
+from functools import cached_property
 from itertools import chain, filterfalse
+from operator import sub
 from typing import Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Tuple
 
 from repro.rdf.terms import BNode, Literal, Term, URI
@@ -232,8 +234,8 @@ class MmapTermDictionary:
     ``peek`` without memoizing it; ``id_of`` binary-searches the
     lexicographic permutation.  Ids are in the insertion order the
     materialized postings dict iterates in, so walking them
-    (:meth:`MmapInvertedIndex.iter_terms`) preserves the fuzzy scan's
-    first-best-on-tie behavior exactly.
+    (:meth:`MmapInvertedIndex.iter_terms`) enumerates the vocabulary as
+    the constructors' index does.
     """
 
     __slots__ = ("_strings", "_offsets", "_sorted", "_texts", "_ids")
@@ -249,7 +251,7 @@ class MmapTermDictionary:
             )
         self._texts: Dict[int, str] = {}
         # As in the term table: found ids only; a miss — any word a
-        # client cares to send — is one bisect (~3 us) and not remembered.
+        # client cares to send — is one bisect (~7 us) and not remembered.
         self._ids: Dict[str, int] = {}
 
     def __len__(self) -> int:
@@ -262,8 +264,8 @@ class MmapTermDictionary:
         return text
 
     def peek(self, vid: int) -> str:
-        """The text of ``vid``, decoded without memoizing it: for the scans
-        of the whole vocabulary (the fuzzy fallback, the size estimate)."""
+        """The text of ``vid``, decoded without memoizing it: for the
+        bisects of :meth:`id_of` and the scans of the whole vocabulary."""
         start = self._offsets[vid]
         (length,) = _U32.unpack_from(self._strings, start)
         return bytes(self._strings[start + 4 : start + 4 + length]).decode("utf-8")
@@ -272,7 +274,7 @@ class MmapTermDictionary:
         found = self._ids.get(text)
         if found is not None:
             return found
-        found = _find_sorted(self._sorted, self.text, text)
+        found = _find_sorted(self._sorted, self.peek, text)
         if found is not None:
             self._ids[text] = found
         return found
@@ -463,6 +465,17 @@ class MmapInvertedIndex:
             return True
         vid = self._dict.id_of(term)
         return vid is not None and vid not in self._dead_vids
+
+    @cached_property
+    def _base_max_length(self) -> int:
+        offsets = self._dict._offsets  # the longest encoding: no text decoded
+        return max(map(sub, offsets[1:], offsets[:-1]), default=4) - 4
+
+    @property
+    def max_term_length(self) -> int:
+        """No live term is longer: the base vocabulary's longest, or the
+        delta's high-water mark."""
+        return max(self._base_max_length, self._delta.max_term_length)
 
     def _base_live(self, term: str) -> bool:
         vid = self._dict.id_of(term)

@@ -41,16 +41,6 @@ def test_single_insertion_costs_one(a, insert, pos):
     assert levenshtein(a, b) == 1
 
 
-@given(words, words, st.integers(min_value=0, max_value=6))
-def test_bounded_agrees_with_exact_within_bound(a, b, bound):
-    exact = levenshtein(a, b)
-    bounded = levenshtein(a, b, max_distance=bound)
-    if exact <= bound:
-        assert bounded == exact
-    else:
-        assert bounded == bound + 1
-
-
 @given(words, words)
 def test_similarity_in_unit_interval(a, b):
     s = similarity(a, b)

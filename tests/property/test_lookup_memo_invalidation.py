@@ -19,6 +19,8 @@ Pure Python on purpose: this suite must run, not skip, where numpy does
 not exist.
 """
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -179,7 +181,7 @@ def served_from_memo(engine, keyword):
 
 
 @pytest.mark.parametrize("tier", ["in-process", "mmap"])
-def test_named_hazards(tmp_path_factory, tier):
+def test_named_hazards(tmp_path_factory, monkeypatch, tier):
     engine = both_engines(SCRIPT_BASE, tmp_path_factory)[tier]
     index = engine.keyword_index
     check(engine, "base")
@@ -219,14 +221,75 @@ def test_named_hazards(tmp_path_factory, tier):
     check(engine, "value back")
     assert occurrences("alice") == {(N.name, N.Professor)}
 
-    # A new term one edit away from a fuzzy keyword: "studnt" consulted no
-    # term that changed, only the vocabulary as a whole.
+    # A new term one edit away from a fuzzy keyword: "studnt" read no
+    # term that changed, but "studet" shares its deletion key "studt".
     before = describe(index.lookup("studnt"))
     assert before  # fuzzy-matched "student"
     engine.add_triples([Triple(N.e1, N.title, Literal("studet"))])
     check(engine, "near miss")
     assert len(index.lookup("studnt")) == len(before) + 1
     assert served_from_memo(engine, "professor")  # an exact entry is not so broad
+
+    # A term more than one character longer than any the index holds has
+    # no neighbour: its lookup reads its own posting list, probes nothing
+    # and is not memoized.  One character shorter, it probes its
+    # neighbourhood.
+    inverted = index._index
+    calls = []
+    for name in ("lookup", "__contains__"):
+        method = getattr(type(inverted), name)
+        monkeypatch.setattr(
+            type(inverted),
+            name,
+            lambda self, term, _method=method: calls.append(term) or _method(self, term),
+        )
+    longest = inverted.max_term_length
+    too_long = "x" * (longest + 2)
+    assert index.lookup(too_long) == [] and calls == [too_long]
+    index.lookup("x" * (longest + 1))
+    assert len(calls) > 36 * longest
+    monkeypatch.undo()
+    assert not served_from_memo(engine, too_long)
+
+    # Labels two or more edits away from every fuzzy keyword: the fuzzy
+    # and no-match entries stay.
+    quantum = Triple(N.e2, N.title, Literal("Quantum Harmonics"))
+    engine.add_triples([quantum])
+    for keyword in ("studnt", "zzzqqq"):
+        assert served_from_memo(engine, keyword), keyword
+    check(engine, "far away")
+    engine.remove_triples([quantum])
+    # A label term one deletion away from the once too-long keyword: now
+    # within reach, it is probed, found and memoized, and the label's
+    # removal drops it.
+    near = Triple(N.e2, N.title, Literal("x" * (longest + 1)))
+    engine.add_triples([near])
+    assert [m.score for m in index.lookup(too_long)] == [1 - 1 / (longest + 2)]
+    assert served_from_memo(engine, too_long)
+    engine.remove_triples([near])
+    assert not served_from_memo(engine, too_long)
+    check(engine, "too long")
+
+    # A multi-term keyword whose fuzzy term gains its first posting, or
+    # whose fuzzy term's lexicon relative does ("film" ~ "movi"), on an
+    # element outside the intersection: the fallback no longer runs, so
+    # the answer moves although the intersection did not.
+    filmy = Triple(N.e2, N.title, Literal("filmy council"))
+    engine.add_triples([filmy])
+    keyword = "film council"
+    for gained in ("film", "movie"):
+        assert index.lookup(keyword)  # "film" reaches "filmi", one edit away
+        assert served_from_memo(engine, keyword)
+        triple = Triple(N.e1, N.title, Literal(gained))
+        engine.add_triples([triple])
+        assert not served_from_memo(engine, keyword), gained
+        assert index.lookup(keyword) == []
+        check(engine, ("first posting", gained))
+        engine.remove_triples([triple])
+        assert not served_from_memo(engine, keyword), gained
+        check(engine, ("last posting gone", gained))
+    engine.remove_triples([filmy])
+    check(engine, "filmy gone")
 
     # A no-op refresh: a new instance refreshes its class, whose label did
     # not move — nothing at all is invalidated, every keyword is a hit.
@@ -313,7 +376,88 @@ def test_bookkeeping_is_bounded_by_the_memo_under_value_churn(monkeypatch):
             peak_links, sum(len(keywords) for keywords in memo._dependents.values())
         )
     assert 0 < len(memo) <= size
-    # An entry depends on at most its terms, their lexicon neighbours, the
-    # vocabulary marker and max_matches (8) elements: well under 32.
+    # An entry depends on at most its terms, their lexicon neighbours and
+    # max_matches (8) elements: well under 32.
     assert peak_dependencies <= peak_links <= 32 * size
     assert index.cache_stats()["invalidated"] > 0
+
+
+def test_fuzzy_keys_are_bounded_by_the_memo_under_churn(monkeypatch):
+    """Fuzzy entries keep their keys apart from the term dependencies: per
+    entry, each fuzzy term's n + 1 deletion keys and the terms it read,
+    and only live entries' keys."""
+    size = 8
+    monkeypatch.setattr(keyword_index, "LOOKUP_CACHE_SIZE", size)
+    index = KeywordIndex(DataGraph(SCRIPT_BASE))
+    memo = index._lookup_cache
+    student = frozenset({N.Student})
+    peak_keys = peak_links = 0
+    for i in range(2000):
+        # A digit term is kept verbatim: "0000127" is one edit from both
+        # "000012" and "0000137".
+        value = Literal(f"{i:06d}7")
+        index.adjust_attribute_occurrence(N.name, value, student, +1)
+        assert index.lookup(f"{i:06d}")
+        index.lookup(f"{i:06d} {i + 1:05d}37")
+        index.lookup(f"studnt {i % 7}")
+        if i % 10:
+            index.adjust_attribute_occurrence(N.name, value, student, -1)
+        peak_keys = max(peak_keys, len(memo._keyed))
+        peak_links = max(
+            peak_links, sum(len(keywords) for keywords in memo._keyed.values())
+        )
+    assert 0 < len(memo) <= size
+    assert all(type(key) is int for key in memo._keyed)
+    # At most two fuzzy terms of at most 7 characters per entry: 8 keys
+    # each, and a lexicon relative or two.
+    assert peak_keys <= peak_links <= 20 * size
+    assert index.cache_stats()["invalidated"] > 0
+
+
+def test_a_too_long_lookup_forms_no_deletions_of_a_later_label(monkeypatch):
+    """A lookup too long to probe is not memoized, so it cannot raise the
+    bound under which an update forms its label terms' deletions."""
+    index = KeywordIndex(DataGraph(SCRIPT_BASE))
+    memo = index._lookup_cache
+    assert index.lookup("studnt")  # a fuzzy entry: keyed
+    formed = []
+    original = keyword_index._deletion_keys
+    monkeypatch.setattr(
+        keyword_index,
+        "_deletion_keys",
+        lambda term: formed.append(term) or original(term),
+    )
+    huge = "x" * 10_000
+    assert index.lookup(huge) == []
+    index.adjust_attribute_occurrence(
+        N.name, Literal("9" * 10_000), frozenset({N.Student}), +1
+    )
+    assert max(map(len, formed), default=0) < 10
+    assert huge not in memo._entries
+    assert "studnt" in memo._entries  # two or more edits away: it stays
+
+
+def test_long_fuzzy_terms_keep_o_length_memory():
+    """A long vocabulary term puts a keyword of similar length within
+    reach of the probe: its neighbours are made one at a time, and its
+    entry keeps n + 1 hashes, not n + 1 strings of n - 1 characters."""
+    n = 1500
+    long_value = "1234567890" * (n // 10)
+    triples = SCRIPT_BASE + [Triple(N.e2, N.title, Literal(long_value))]
+    index = KeywordIndex(DataGraph(triples))
+    memo = index._lookup_cache
+    keyword = "0987654321" * (n // 10)  # same length, far more than one edit
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert index.lookup(keyword) == []
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # About 400 bytes per key (the hash, its keyword set, the map slot);
+    # n + 1 strings of n - 1 characters alone would be n * n bytes.
+    assert retained - before < 1000 * n
+    assert peak - before < 1000 * n
+    assert keyword in memo._entries
+    assert len(memo._entries[keyword][3]) <= n + 1
+    assert all(type(key) is int for key in memo._keyed)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.keyword.levenshtein import levenshtein, similarity, within_distance
+from repro.keyword.levenshtein import levenshtein, similarity
 
 
 @pytest.mark.parametrize(
@@ -23,23 +23,6 @@ from repro.keyword.levenshtein import levenshtein, similarity, within_distance
 def test_known_distances(a, b, d):
     assert levenshtein(a, b) == d
     assert levenshtein(b, a) == d  # symmetric
-
-
-def test_bounded_early_exit_returns_bound_plus_one():
-    assert levenshtein("completely", "different", max_distance=2) == 3
-
-
-def test_bounded_exact_when_within():
-    assert levenshtein("cimiano", "cimano", max_distance=2) == 1
-
-
-def test_length_difference_shortcut():
-    assert levenshtein("ab", "abcdefgh", max_distance=3) == 4
-
-
-def test_within_distance():
-    assert within_distance("icde", "icdt", 1)
-    assert not within_distance("icde", "sigmod", 2)
 
 
 def test_similarity_identical():

@@ -75,7 +75,8 @@ def _hammer_memo(memo, seed, failures, barrier):
                 memo.hit(f"kw{key}")
             elif op < 0.90:
                 terms = frozenset(f"t{(key + j) % KEYSPACE}" for j in range(3))
-                memo.put(f"kw{key}", (key,), [terms], (), memo.generation)
+                fuzzy = [(f"t{key}", terms)] if key % 2 else ()
+                memo.put(f"kw{key}", (key,), [terms], (), memo.generation, fuzzy)
             else:
                 memo.invalidate([frozenset({f"t{key}"})], [("value", key)], lambda term: True)
     except BaseException as exc:  # noqa: BLE001 - the assertion target
@@ -106,17 +107,18 @@ def test_lookup_memo_reverse_map_stays_consistent_under_contention():
     assert failures == []
     assert len(memo) <= MAXSIZE
     # A lost update would leave a link to a dropped entry, or an entry
-    # that no invalidation can reach.
-    links = {
-        (dependency, keyword)
-        for dependency, keywords in memo._dependents.items()
-        for keyword in keywords
-    }
-    assert links == {
-        (dependency, keyword)
-        for keyword, (_, dependencies, _) in memo._entries.items()
-        for dependency in dependencies
-    }
+    # that no invalidation can reach: through a dependency or a key.
+    for reverse, column in ((memo._dependents, 1), (memo._keyed, 3)):
+        links = {
+            (dependency, keyword)
+            for dependency, keywords in reverse.items()
+            for keyword in keywords
+        }
+        assert links == {
+            (dependency, keyword)
+            for keyword, entry in memo._entries.items()
+            for dependency in entry[column]
+        }
     stats = memo.cache_stats()
     assert stats["invalidated"] > 0 and stats["hits"] > 0
 

@@ -137,6 +137,28 @@ def test_miss_memos_stay_bounded_under_update_churn_and_unknown_keywords(
     ] == ranked_before
 
 
+def test_a_vocabulary_miss_memoizes_nothing(example_bundle):
+    """A miss bisects the sorted vocabulary through ``peek``: on a fresh
+    load, 1,000 absent words leave no text memoized and no id, and a hit
+    memoizes its id alone."""
+    _, path = example_bundle
+    engine = KeywordSearchEngine.load(path, attach_wal=False)
+    vocab = engine.keyword_index._index._dict
+    known = {vocab.peek(vid) for vid in range(len(vocab))}
+    rng = random.Random(7)
+    absent = set()
+    while len(absent) < 1000:
+        word = "".join(rng.choice("abcdefghijklmnopqrstuvwxyz0123456789")
+                       for _ in range(rng.randrange(1, 12)))
+        if word not in known:
+            absent.add(word)
+    assert all(vocab.id_of(word) is None for word in absent)
+    assert vocab._texts == {} and vocab._ids == {}
+    vid = vocab.id_of("cimiano")
+    assert vid is not None and vocab._ids == {"cimiano": vid}
+    assert vocab._texts == {}
+
+
 def test_triple_tier_matches_every_pattern(example_bundle, mapped):
     engine, _ = example_bundle
     tier = mapped.graph.store
@@ -516,11 +538,10 @@ def test_cold_lookup_decodes_only_the_matches_it_keeps(tmp_path, monkeypatch):
 
 
 def test_cold_fuzzy_lookup_memoizes_no_vocabulary(tmp_path):
-    """A keyword no term matches falls back to a fuzzy scan that reads
-    every text of the vocabulary, but memoizes none of them: the memo
-    grows by the bisect probes of the two exact lookups alone (the
-    keyword's miss, then the one term within reach) — and the match is
-    the constructed engine's."""
+    """A keyword no term matches falls back to probing its one-edit
+    neighbourhood, hundreds of bisects of the vocabulary, but memoizes
+    none of the texts they read — and the match is the constructed
+    engine's."""
     ex = "http://example.org/fuzzy/"
     rng = random.Random(3)
     letters = "abcdefghijklmnopqrstuvwxyz"
