@@ -21,9 +21,7 @@ It also holds every worker to its import budget: right after start-up a
 worker's proportional set size is under a ceiling that an HTTP stack or
 numpy inside it would blow — the dispatcher's under one that
 ``http.server`` would blow, with no ``_ssl`` mapped — and at the end no
-worker has imported numpy
-(``kernels.loaded`` — nothing the smoke sends has a view wide enough) and
-none has had a seed threshold refuted (``exploration.seed_fallbacks`` — a
+worker has had a seed threshold refuted (``exploration.seed_fallbacks`` — a
 second exploration behind a correct answer is what that counter is for),
 and every worker reports a query plan in its plan LRU (``caches.plans``,
 ``0 < size <= maxsize``).
@@ -340,10 +338,6 @@ def main() -> int:
             f"epoch did not advance on all workers: {epochs} "
             f"!= {updated['epoch']}"
         )
-        assert not any(w["kernels"]["loaded"] for w in live), (
-            f"a worker imported numpy for views this small: "
-            f"{[w['kernels'] for w in live]}"
-        )
         explored = [w["exploration"] for w in live]
         assert all(e["seeded"] > 0 for e in explored) and not any(
             e["seed_fallbacks"] for e in explored
@@ -361,7 +355,7 @@ def main() -> int:
             f"on both sides of it, unrelated lookups survived it on every "
             f"worker, {conn.requests} requests on 1 connection; workers "
             f"started at {[w['pss_kb'] for w in before['workers']]} KB Pss "
-            f"(ceiling {WORKER_START_PSS_CEILING_KB}) and none imported numpy; "
+            f"(ceiling {WORKER_START_PSS_CEILING_KB}); "
             f"the dispatcher at {dispatcher_pss_kb} KB Pss (ceiling "
             f"{DISPATCHER_START_PSS_CEILING_KB}), no _ssl mapped",
             file=sys.stderr,

@@ -1,11 +1,7 @@
 """Setuptools packaging for the reproduction.
 
-The core is dependency-free on purpose — ``pip install repro`` pulls in
-nothing and runs the same exploration loop as any other install.  The
-``fast`` extra buys one thing: with numpy importable, the completion-bound
-tables of a large summary (512+ elements in a query's view) are computed
-by the relaxation kernel of :mod:`repro.core.kernels` instead of
-per-keyword Dijkstras, with identical output.
+The package is dependency-free on purpose: ``pip install repro`` pulls in
+nothing, and every install runs the same code.
 """
 
 import os
@@ -33,9 +29,6 @@ setup(
     python_requires=">=3.8",
     install_requires=[],
     extras_require={
-        # numpy accelerates the bound tables of large summaries, nothing
-        # else; output stays byte-identical.
-        "fast": ["numpy"],
         "dev": ["pytest", "hypothesis", "pytest-benchmark"],
     },
     entry_points={"console_scripts": ["repro = repro.cli:main"]},

@@ -996,10 +996,7 @@ def main(argv: Optional[list] = None) -> int:
     if argv and argv[0] in ("--version", "-V"):
         # Handled before dispatch: the legacy positional alias would
         # otherwise swallow the flag as a keyword query.
-        from repro.core import kernels
-
         print(f"repro {__version__}")
-        print(kernels.status_line())
         return 0
     if argv and argv[0] == "bench":
         # A removed subcommand, not a keyword: the positional alias below

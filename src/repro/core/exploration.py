@@ -81,12 +81,9 @@ Implementation notes (performance, same semantics):
   ``/stats`` ``exploration.seed_fallbacks``): a wrong witness can cost a
   second exploration, never an answer.  The threshold is cached beside
   the tables per ``(k, dmax)``; ``guided=False`` runs unseeded;
-* the loop is pure Python and runs on every install.  numpy (the
-  ``repro[fast]`` extra) buys exactly one thing: a bound table over a
-  view of at least ``kernels.MIN_BOUNDS_TOTAL`` elements is computed by
-  the relaxation kernel of :mod:`repro.core.kernels` instead of the
-  per-keyword Dijkstra below — same values bit for bit, chosen from the
-  view's size, not by an option.
+* the loop and its bound tables are pure Python and run the same on every
+  install: one implementation computes the tables, the per-keyword
+  Dijkstra of :func:`_completion_bounds`.
 """
 
 from __future__ import annotations
@@ -98,7 +95,6 @@ from itertools import islice
 from operator import add, itemgetter, sub
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
-from repro.core import kernels
 from repro.core.subgraph import MatchingSubgraph
 from repro.core.topk import CandidateList
 from repro.scoring.cost import split_cost_mapping
@@ -180,12 +176,10 @@ class _SubstrateView:
         "to_merged",
         "decode",
         # Lazy per-view caches: the costs as a plain list (scalar indexing
-        # of array('d') is slower in the pop loop), the relaxation kernel's
-        # overlay patch-edge ndarrays (False = not built), and the shared
+        # of array('d') is slower in the pop loop), and the shared
         # adjacency-row memo (base rows boxed into tuples once, reused
         # across every exploration on this view).
         "costs_list",
-        "np_patches",
         "row_memo",
         # (bounds, nets) pair: per-keyword `bounds[kw][e] - costs[e]`
         # tables precomputed for the pop-time prune check, keyed on the
@@ -247,7 +241,6 @@ def _build_substrate_view(
     view.substrate = substrate
     view.total = n + m
     view.costs_list = None
-    view.np_patches = False
     view.row_memo = None
     view.net_bounds = None
     view.tables = None
@@ -458,32 +451,6 @@ def _view_row_of(view: _SubstrateView):
     return row_of
 
 
-def _bounds_for(
-    m: int,
-    seed_costs: List[Dict[int, float]],
-    view: _SubstrateView,
-    use_kernel: Optional[bool],
-) -> Tuple[List[List[float]], List[array]]:
-    """One query's completion bounds and distance tables, by the
-    implementation its view's size selects: the numpy relaxation kernel from
-    ``kernels.MIN_BOUNDS_TOTAL`` elements up (when numpy is importable),
-    the Dijkstra tables below that, without numpy, or when the kernel
-    declines a pathological graph — identical values either way.
-    ``use_kernel`` is ``explore_top_k``'s ``use_vectorized``: ``None``
-    selects by size, ``True`` / ``False`` pin one implementation."""
-    if use_kernel is None:
-        use_kernel = (
-            view.total >= kernels.MIN_BOUNDS_TOTAL and kernels.kernels_enabled()
-        )
-    if use_kernel:
-        computed = kernels.completion_bounds(m, seed_costs, view)
-        if computed is not None:
-            return computed
-    return _completion_bounds(
-        m, seed_costs, _view_row_of(view), _boxed_costs(view), view.total
-    )
-
-
 # ----------------------------------------------------------------------
 # Combination enumeration (Algorithm 2 registrations)
 # ----------------------------------------------------------------------
@@ -579,11 +546,10 @@ def _path_back(dist, known, node, row_of, costs):
     """Keyword j's cheapest path to ``node`` (a tuple, keyword element
     first), walked back through its distance table: a predecessor is any
     neighbor ``p`` with ``dist[p] + cost[node] == dist[node]`` — exactly
-    the float the Dijkstra (or the kernel, whose fixpoint is the same)
-    stored, so the forward chain along the path reproduces ``dist[node]``
-    bit for bit.  ``known`` memoizes paths per element, starting from the
-    keyword elements themselves; shortest paths share prefixes, so each
-    element's row is scanned once per keyword."""
+    the float the Dijkstra stored, so the forward chain along the path
+    reproduces ``dist[node]`` bit for bit.  ``known`` memoizes paths per
+    element, starting from the keyword elements themselves; shortest paths
+    share prefixes, so each element's row is scanned once per keyword."""
     trail = []
     path = known.get(node)
     while path is None:
@@ -1063,7 +1029,7 @@ def explore_top_k(
     k: int = 10,
     dmax: int = DEFAULT_DMAX,
     guided: bool = True,
-    use_vectorized: Optional[bool] = None,
+    use_vectorized: None = None,
 ) -> ExplorationResult:
     """Run Algorithms 1+2 and return the k cheapest matching subgraphs.
 
@@ -1098,20 +1064,13 @@ def explore_top_k(
         against (``test_guided_equivalence.py``) and the Section VI-C
         ablation (``benchmarks/test_ablation_guarantee.py``).
     use_vectorized:
-        Which implementation computes the bound tables — nothing else;
-        the loop is the same on every install.  ``None`` (default)
-        selects by the view's size (see :func:`_bounds_for`) and keeps
-        the tables on the plan's view, so a repeated query reuses them;
-        ``True`` forces the numpy relaxation kernel regardless of size
-        (how the tests exercise it on tiny graphs) and raises without
-        numpy; ``False`` forces the Dijkstra tables.  A pinned call
-        computes its own tables and neither reads nor stores the plan's.
-        The tables are bit-identical either way.
+        Accepts only ``None``; anything else is a ``TypeError``.  The one
+        bound-table implementation left needs no choosing, and the keyword
+        stays only for the frozen ``perf/tracing.py``, which passes
+        ``EngineSnapshot.use_vectorized`` (ROADMAP item 5(b)).
     """
-    if use_vectorized and not kernels.kernels_enabled():
-        raise ValueError(
-            "the relaxation kernel requires numpy (pip install repro[fast])"
-        )
+    if use_vectorized is not None:
+        raise TypeError("explore_top_k() takes use_vectorized=None only")
     ordered_sets = [ks for ks in augmented.sorted_keyword_elements() if ks]
     m = len(ordered_sets)
     if m == 0:
@@ -1143,11 +1102,13 @@ def explore_top_k(
         # The tables are a function of the view (its costs and adjacency)
         # and of the plan's keyword elements, so they live on the view;
         # racing searches that both miss store equal tables.
-        tables = view.tables if use_vectorized is None else None
+        tables = view.tables
         if tables is None:
-            tables = BoundTables(*_bounds_for(m, seed_costs, view, use_vectorized))
-            if use_vectorized is None:
-                view.tables = tables
+            tables = view.tables = BoundTables(
+                *_completion_bounds(
+                    m, seed_costs, _view_row_of(view), _boxed_costs(view), view.total
+                )
+            )
         bounds = tables.bounds
         # The seed: a pure function of the tables, k and dmax, so racing
         # searches that both miss store equal floats.

@@ -61,8 +61,8 @@ class EngineSnapshot:
     )
 
     #: A constant.  Its only reader is the frozen perf/tracing.py, which
-    #: hands it to explore_top_k(use_vectorized=) — None there means "bound
-    #: tables by view size"; goes with that call when perf/ may be edited.
+    #: hands it to explore_top_k(use_vectorized=), whose one accepted value
+    #: it is; both go with ROADMAP item 5(b).
     use_vectorized = None
 
     def __init__(

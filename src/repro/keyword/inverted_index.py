@@ -104,11 +104,6 @@ class InvertedIndex:
     def __contains__(self, term: str) -> bool:
         return term in self._postings
 
-    @property
-    def vocabulary(self) -> Tuple[str, ...]:
-        """All indexed terms (the fuzzy-scan dictionary)."""
-        return tuple(self._postings.keys())
-
     def iter_terms(self) -> Iterator[str]:
         return iter(self._postings.keys())
 

@@ -655,15 +655,18 @@ class KeywordIndex:
 
         # The fuzzy fallback probes each string one edit away (an analyzed
         # term is spelt over TERM_ALPHABET, so no neighbour is missed).  A
-        # term more than one character longer than any indexed has none.
+        # term more than one character longer than any indexed has none,
+        # and a neighbour that shares no character with it (two different
+        # one-letter terms: similarity 0) is no match.
         accepted.append(frozenset())
         fuzzy.append((term, frozenset(read)))
         if len(term) > self._index.max_term_length + 1:
             return out
         for neighbour in _one_edit_neighbours(term):
             postings = lookup(neighbour)
-            if postings:
-                _offer(postings, similarity(term, neighbour))
+            factor = similarity(term, neighbour) if postings else 0.0
+            if factor:
+                _offer(postings, factor)
         return out
 
     def _materialize(self, key: Hashable, score: float) -> KeywordMatch:

@@ -9,60 +9,47 @@ algorithm faithfully: measure-based condition checks and the five rule steps
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import List
 
 _VOWELS = frozenset("aeiou")
 
 
-def _is_consonant(word: str, i: int) -> bool:
-    ch = word[i]
-    if ch in _VOWELS:
-        return False
-    if ch == "y":
-        return i == 0 or not _is_consonant(word, i - 1)
-    return True
+def _consonants(word: str) -> List[bool]:
+    """Per letter, whether it is a consonant: any letter but a, e, i, o, u,
+    and ``y`` only at the start of the word or after a vowel.  One pass: a
+    ``y`` reads the verdict on the letter before it from the list, so a run
+    of them costs one step each, not a recursion each."""
+    mask: List[bool] = []
+    for ch in word:
+        if ch in _VOWELS:
+            mask.append(False)
+        elif ch == "y":
+            mask.append(not mask or not mask[-1])
+        else:
+            mask.append(True)
+    return mask
 
 
 def _measure(stem: str) -> int:
-    """The Porter measure m: the number of VC sequences in the stem."""
-    m = 0
-    i = 0
-    n = len(stem)
-    # Skip initial consonant run.
-    while i < n and _is_consonant(stem, i):
-        i += 1
-    while i < n:
-        # Vowel run.
-        while i < n and not _is_consonant(stem, i):
-            i += 1
-        if i >= n:
-            break
-        m += 1
-        # Consonant run.
-        while i < n and _is_consonant(stem, i):
-            i += 1
-    return m
+    """The Porter measure m: the number of VC sequences in the stem, that
+    is, of vowels followed by a consonant."""
+    mask = _consonants(stem)
+    return sum(1 for prev, cur in zip(mask, mask[1:]) if cur and not prev)
 
 
 def _contains_vowel(stem: str) -> bool:
-    return any(not _is_consonant(stem, i) for i in range(len(stem)))
+    return not all(_consonants(stem))
 
 
 def _ends_double_consonant(word: str) -> bool:
-    return (
-        len(word) >= 2
-        and word[-1] == word[-2]
-        and _is_consonant(word, len(word) - 1)
-    )
+    return len(word) >= 2 and word[-1] == word[-2] and _consonants(word)[-1]
 
 
 def _ends_cvc(word: str) -> bool:
     """Ends consonant-vowel-consonant, final consonant not w, x, or y."""
-    if len(word) < 3:
-        return False
     return (
-        _is_consonant(word, len(word) - 3)
-        and not _is_consonant(word, len(word) - 2)
-        and _is_consonant(word, len(word) - 1)
+        len(word) >= 3
+        and _consonants(word)[-3:] == [True, False, True]
         and word[-1] not in "wxy"
     )
 

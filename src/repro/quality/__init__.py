@@ -2,7 +2,7 @@
 
 The paper's Section VII-A measures answer quality as MRR over
 intent-annotated workloads; the speed/scale layers of this repo
-(substrate, kernels, bundles, the mmap tier) are property-tested for
+(substrate, plans, bundles, the mmap tier) are property-tested for
 *identity*, but identity tests cannot catch a ranking change that is
 internally consistent yet worse.  This package is the safety net: golden
 query→expected-result files per dataset (``eval/goldens/*.jsonl``), a

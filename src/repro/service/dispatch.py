@@ -22,8 +22,7 @@ wall with processes instead:
   postings its requests touched): 18 MB Pss
   per worker on DBLP-8000, measured alone (7 MB interpreter, 9 MB
   imports, 2 MB engine; table in ``docs/architecture.md``).  A worker
-  therefore imports only what it runs: no HTTP stack, and numpy not
-  before a view is wide enough for the kernel;
+  therefore imports only what it runs: no HTTP stack;
 * ``/search`` and ``/execute`` are fanned out over the pool through a
   length-prefixed JSON frame protocol (:mod:`repro.service.protocol`)
   on each worker's stdin/stdout pipe, one in-flight request per worker.

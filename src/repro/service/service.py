@@ -43,7 +43,6 @@ from collections import deque
 from contextlib import contextmanager
 from typing import Dict, List, Optional, Sequence
 
-from repro.core import kernels
 from repro.service.protocol import DeadlineExceeded, Request
 from repro.util import now
 
@@ -486,7 +485,6 @@ class EngineService:
             "queries": self._ledger.stats(at),
             "index_tier": engine.index_tier,
             "caches": engine.cache_stats(),
-            "kernels": kernels.kernel_status(),
             "exploration": engine.exploration_stats(),
             "snapshot": {
                 "epoch": engine.index_manager.epoch,

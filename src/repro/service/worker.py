@@ -13,11 +13,11 @@ backs all of them with one physical copy.  The rest of a worker is its
 own: the interpreter, its imports, and what it decodes (the summary
 graph, the terms and postings its requests touched).  That is why this
 module imports the engine, the frame protocol and the byte encoders
-(:mod:`repro.service.encoding`) and nothing else — no HTTP layer, no ``subprocess``, no numpy until a
-view is wide enough for the kernel — and imports all of it up front, so
-that the ready frame means "every import is paid" and no request pays
-one.  The point of the multiprocess tier stands: N CPU-bound pure-Python
-searches stop sharing one GIL, at 18 MB Pss per worker on DBLP-8000
+(:mod:`repro.service.encoding`) and nothing else — no HTTP layer, no
+``subprocess`` — and imports all of it up front, so that the ready frame
+means "every import is paid" and no request pays one.  The point of the
+multiprocess tier stands: N CPU-bound pure-Python searches stop sharing
+one GIL, at 18 MB Pss per worker on DBLP-8000
 (``docs/architecture.md`` has the breakdown).
 
 **Epoch propagation.**  The dispatcher owns the single WAL-attached
@@ -77,7 +77,6 @@ import sys
 import time
 from typing import Dict, Optional
 
-from repro.core import kernels
 from repro.core.engine import KeywordSearchEngine
 from repro.service.encoding import encode_execution, encode_result
 from repro.service.protocol import (
@@ -270,7 +269,6 @@ class WorkerRuntime:
             "load_seconds": self.engine.artifact["load_seconds"],
             "index_tier": self.engine.index_tier,
             "caches": self.engine.cache_stats(),
-            "kernels": kernels.kernel_status(),
             "exploration": self.engine.exploration_stats(),
         }
         payload.update(process_memory())

@@ -493,10 +493,6 @@ class MmapInvertedIndex:
             if not self._base_live(term):
                 yield term
 
-    @property
-    def vocabulary(self) -> Tuple[str, ...]:
-        return tuple(self.iter_terms())
-
     # -- statistics ----------------------------------------------------
 
     def document_frequency(self, term: str) -> int:

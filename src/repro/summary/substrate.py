@@ -32,10 +32,7 @@ die with the substrate when ``version`` moves):
   ``repro.core.exploration._build_substrate_view``), on the view its
   :class:`BoundTables`, and the finished searches an engine keeps — so a
   repeated query skips all of them and runs only Algorithm 1/2's loop,
-  or, when its result is kept, none of it;
-* zero-copy int64 ndarray views over ``offsets``/``targets`` for the
-  vectorized kernels (:mod:`repro.core.kernels`) — built lazily on first
-  kernel use, sharing the underlying buffer.
+  or, when its result is kept, none of it.
 """
 
 from __future__ import annotations
@@ -99,7 +96,6 @@ class ExplorationSubstrate:
         "n",
         "_cost_arrays",
         "plans",
-        "_ndarrays",
     )
 
     #: Base-cost arrays retained per substrate (one per live cost model).
@@ -128,7 +124,6 @@ class ExplorationSubstrate:
         #: keyword matches (per keyword, the match objects themselves,
         #: which compare by identity) -> AugmentedSummaryGraph.
         self.plans: LruDict = LruDict(self.MAX_PLANS)
-        self._ndarrays = None
 
     def row(self, element_id: int) -> array:
         """The neighbor ids of one element (ascending, canonical order)."""
@@ -170,20 +165,6 @@ class ExplorationSubstrate:
             while excess > 0 and plan.results:
                 plan.results.drop_oldest()
                 excess -= 1
-
-    # ------------------------------------------------------------------
-    # ndarray views (vectorized kernels)
-    # ------------------------------------------------------------------
-
-    def ndarray_views(self):
-        """The int64 ``(offsets, targets)`` ndarray pair adopted by
-        :func:`repro.core.kernels.csr_ndarrays`, or ``None`` before the
-        first kernel use.  Kept here so the views share the substrate's
-        lifetime."""
-        return self._ndarrays
-
-    def adopt_ndarray_views(self, views) -> None:
-        self._ndarrays = views
 
     # ------------------------------------------------------------------
     # Introspection

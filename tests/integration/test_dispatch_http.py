@@ -302,6 +302,44 @@ def test_stats_data_reports_the_overlay(request, tier, example_graph):
     assert _get(f"{url}/stats")[1]["data"] == before
 
 
+@BOTH_TIERS
+def test_a_token_of_thousands_of_ys_is_indexed_and_found(request, tier):
+    """Stemming decides per ``y`` whether it is a consonant from the letter
+    before it; a literal of 5,000 of them is a 200, not a failed index
+    update, and a later search finds it."""
+    url = request.getfixturevalue(tier).url
+    word = "y" * 5000
+    triple = f'<http://example.org/yrun> <http://example.org/p> "{word}" .'
+    status, body = _post(f"{url}/update", {"add": triple})
+    assert status == 200 and body["changed"] == 1
+    status, hit = _get(f"{url}/search?q={word}")
+    assert status == 200
+    assert hit["ignored_keywords"] == [] and hit["candidates"]
+    _post(f"{url}/update", {"remove": triple})
+
+
+@BOTH_TIERS
+def test_stats_has_no_kernels_block(request, tier):
+    """Bound tables have one implementation, so ``/stats`` reports none:
+    not at the top, and not per worker on the process tier."""
+    status, stats = _get(f"{request.getfixturevalue(tier).url}/stats")
+    assert status == 200 and "snapshot" in stats
+    assert "kernels" not in stats
+    assert ("workers" in stats) == (tier == "dispatch_server")
+    for worker in stats.get("workers", []):
+        assert "exploration" in worker and "kernels" not in worker
+
+
+@BOTH_TIERS
+def test_a_one_letter_keyword_sharing_no_character_matches_nothing(request, tier):
+    """The example's one-letter terms are ``x`` and ``p``; ``b`` is one
+    substitution from each but shares no character with either, so it
+    matches nothing and is ignored."""
+    status, hit = _get(f"{request.getfixturevalue(tier).url}/search?q=b")
+    assert status == 200
+    assert hit["ignored_keywords"] == ["b"] and hit["candidates"] == []
+
+
 #: What legitimately differs between two responses to one request.
 _TIMING_VALUES = re.compile(rb'"timings_ms": \{[^}]*\}|"latency_ms": [-+.e0-9]+')
 

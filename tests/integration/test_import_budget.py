@@ -2,21 +2,16 @@
 
 ``sys.modules`` is process state — and this suite's own process has long
 since imported numpy, ``http.server`` and ``subprocess`` — so every case
-runs its script in a fresh interpreter and asserts there.  Four
+runs its script in a fresh interpreter and asserts there.  Three
 processes are pinned:
 
 * a ``--workers N`` **worker** reads frames from a pipe: it holds the
   engine, the frame protocol and the byte encoders, no HTTP stack and no
   numpy, and everything it will ever import is in before the ready frame;
-* a **builder / in-process server** does not import numpy to find out
-  that none of its views is wide enough for the kernel;
-* the first **kernel use** is what imports numpy, on that call;
+* a **builder / in-process server** imports no numpy either (no module
+  of the package names it: ``test_util.py::test_no_module_imports_numpy``);
 * a **serving process** answers HTTP with ``repro.service.http``'s own
   layer: no ``http.server``, no ``http.client``, no ``ssl``.
-
-Each script computes its own expectation of numpy's presence (the
-``tier1-no-numpy`` CI job runs these too: ``active`` is false there and
-the numpy assertions hold trivially).
 """
 
 import os
@@ -93,12 +88,9 @@ def test_worker_imports_no_http_stack_and_no_numpy_and_nothing_after_ready(bundl
         late = sorted(set(sys.modules) - at_ready)
         assert not late, f"imported by a request, after the ready frame: {late}"
 
-        # /stats reads numpy's version off the name of its .dist-info
-        # directory: reporting on numpy imports neither numpy nor
-        # importlib.metadata (whose parser is `email`, 2.4 MB a worker
-        # would keep) — nothing at all, like every other request.
-        stats = runtime.handle({"op": "stats"})
-        assert stats["kernels"]["loaded"] is False, stats["kernels"]
+        # /stats imports nothing either, importlib.metadata (whose parser
+        # is `email`, 2.4 MB a worker would keep) included.
+        assert runtime.handle({"op": "stats"})["ok"]
         forbidden.append("importlib.metadata")
         loaded = [name for name in forbidden if name in sys.modules]
         assert not loaded, f"a worker's stats imported {loaded}"
@@ -115,31 +107,23 @@ def test_cli_service_and_a_search_leave_numpy_unimported(tmp_path):
     _fresh(
         """
         import sys
-        from importlib.util import find_spec
 
         import repro.cli
         import repro.service
-        from repro.core import kernels
         from repro.core.engine import KeywordSearchEngine
         from repro.datasets import DblpConfig, generate_dblp
         from repro.datasets.workloads import dblp_performance_queries
         from repro.service import EngineService
 
-        installed = find_spec("numpy") is not None
         engine = KeywordSearchEngine(generate_dblp(DblpConfig(publications=150)))
         service = EngineService(engine)
         try:
             for entry in dblp_performance_queries():
                 service.search(entry.keywords)
-            status = service.stats()["kernels"]
+            service.stats()
         finally:
             service.close()
-        assert "numpy" not in sys.modules, "a search below the threshold imported numpy"
-        assert status["active"] is installed and status["loaded"] is False, status
-        assert (status["numpy"] is not None) is installed, status
-        assert kernels.status_line().startswith(
-            "kernels: numpy " + status["numpy"] if installed else "kernels: off"
-        )
+        assert "numpy" not in sys.modules, "a search imported numpy"
 
         # ... and neither does `repro build`.
         assert repro.cli.main(
@@ -150,47 +134,6 @@ def test_cli_service_and_a_search_leave_numpy_unimported(tmp_path):
         out,
     )
     assert os.path.exists(out)
-
-
-def test_forcing_the_kernel_is_what_imports_numpy():
-    pytest.importorskip("numpy")
-    _fresh(
-        """
-        import logging
-        import sys
-
-        from repro.core import kernels
-        from repro.core.engine import KeywordSearchEngine
-        from repro.core.exploration import explore_top_k
-        from repro.datasets.example import running_example_graph
-        from repro.summary.augmentation import augment
-
-        records = []
-        handler = logging.Handler()
-        handler.emit = records.append
-        kernels.log.addHandler(handler)
-        kernels.log.setLevel(logging.INFO)
-
-        engine = KeywordSearchEngine(running_example_graph(), guided=True)
-        matches = [m for m in engine.keyword_index.lookup_all(["cimiano", "aifb"]) if m]
-        augmented = augment(engine.summary, matches)
-        costs = dict(engine.cost_model.element_costs(augmented))
-
-        ref = explore_top_k(augmented, dict(costs), k=5, use_vectorized=False)
-        assert "numpy" not in sys.modules and not kernels.kernel_status()["loaded"]
-        vec = explore_top_k(augmented, dict(costs), k=5, use_vectorized=True)
-        assert "numpy" in sys.modules and kernels.kernel_status()["loaded"]
-        again = explore_top_k(augmented, dict(costs), k=5, use_vectorized=True)
-
-        for got in (vec, again):
-            assert [(sg.elements, sg.cost) for sg in got.subgraphs] == [
-                (sg.elements, sg.cost) for sg in ref.subgraphs
-            ]
-            assert got.cursors_created == ref.cursors_created
-        (record,) = records  # imported once, said once
-        assert "imported numpy" in record.getMessage(), record.getMessage()
-        """
-    )
 
 
 #: What the front end of a serving process needs none of: ``http.server``

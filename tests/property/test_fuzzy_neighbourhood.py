@@ -4,8 +4,8 @@ A keyword term with no exact or lexicon match takes its candidates from
 the vocabulary terms one edit away.  ``KeywordIndex`` finds them by
 probing every deletion, substitution and insertion over
 ``TERM_ALPHABET``; the reference here is the walk it replaced — every
-term ``iter_terms()`` yields, kept when ``levenshtein(t, v) <= 1``, each
-offered with factor ``similarity(t, v)``.  Everything after the
+term ``iter_terms()`` yields, kept when ``levenshtein(t, v) <= 1`` and
+``similarity(t, v) > 0``, each offered with that similarity as factor.  Everything after the
 candidates (intersection, scores, the tie-break, the cutoff) is the
 production code on both sides, so a difference is the probe's.
 
@@ -21,6 +21,7 @@ through the memo, so a fuzzy entry that should have been dropped shows
 up as a difference too.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from test_lookup_memo_invalidation import apply, describe
@@ -63,8 +64,9 @@ def walked_candidates(index, term):
         offer(related, factor)
     if not out:
         for vocabulary_term in inverted.iter_terms():
-            if levenshtein(term, vocabulary_term) <= 1:
-                offer(vocabulary_term, similarity(term, vocabulary_term))
+            factor = similarity(term, vocabulary_term)
+            if levenshtein(term, vocabulary_term) <= 1 and factor > 0:
+                offer(vocabulary_term, factor)
     return out
 
 
@@ -151,11 +153,31 @@ def test_probe_equals_the_walk_on_a_loaded_bundle_across_updates(tmp_path_factor
 
 
 def test_one_letter_term_reaches_the_digit_terms():
-    """``b`` is one substitution from every one-digit term, and from the
-    one-letter and two-letter terms around it."""
+    """``b`` is one substitution from every one-digit term and from ``c``,
+    and one insertion from ``bk``: only the insertion shares a character
+    with it, so only ``bk`` matches."""
     labels = [*DIGITS, "c", "bk", "kk"]
     engine = KeywordSearchEngine(DataGraph(triples_of(labels)))
     index = engine.keyword_index
     matched = {m.value.lexical for m in index.lookup("b") if hasattr(m, "value")}
-    assert matched and matched <= {*DIGITS, "c", "bk"}
+    assert matched == {"bk"}
     assert describe(index.lookup("b")) == describe(walked_lookup(index, "b"))
+
+
+@pytest.mark.parametrize("loaded", [False, True], ids=["constructed", "loaded"])
+def test_a_neighbour_sharing_no_character_is_no_match(lubm_small, tmp_path, loaded):
+    """Two different one-letter terms are 0 similar.  On LUBM, ``b`` and
+    ``j`` have no posting of their own and reach the one-letter terms
+    (``0``-``9``, ``u``, ``d``) by substitution only: they keep no match,
+    none scored 0 and none floored to 1e-6.  A neighbour that shares a
+    character — the insertion ``bk`` of ``b`` — still matches."""
+    bk = Triple(N["bk"], N["label"], Literal("bk"))
+    engine = KeywordSearchEngine(DataGraph([*lubm_small.triples, bk]))
+    if loaded:
+        path = str(tmp_path / "lubm.reprobundle")
+        engine.save(path)
+        engine = KeywordSearchEngine.load(path, attach_wal=False)
+    index = engine.keyword_index
+    assert index.lookup("j") == []
+    (match,) = index.lookup("b")
+    assert match.value.lexical == "bk" and match.score > 0.1

@@ -123,8 +123,8 @@ def _assert_derived_equal(maintained, rebuilt):
     assert ours._attribute_class_refs == theirs._attribute_class_refs
     assert ours._value_occurrence_refs == theirs._value_occurrence_refs
     ours, theirs = ours._index, theirs._index
-    assert sorted(ours.vocabulary) == sorted(theirs.vocabulary)
-    for term in theirs.vocabulary:
+    assert sorted(ours.iter_terms()) == sorted(theirs.iter_terms())
+    for term in theirs.iter_terms():
         assert sorted(ours.lookup(term), key=repr) == sorted(
             theirs.lookup(term), key=repr
         ), term

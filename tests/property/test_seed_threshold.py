@@ -14,8 +14,7 @@ have to hold for that to be a speed-up and nothing else:
   the reference loop that stopped on its cursor budget is no verdict and
   is returned as it is;
 * the threshold is a function of the tables, ``k`` and ``dmax`` alone:
-  threads deriving it together agree, and the relaxation kernel's tables
-  give the same float as the Dijkstra's;
+  threads deriving it together agree;
 * production and the literal Algorithm 1/2 apply it alike
   (``test_vectorized_identity.py`` compares all six diagnostics; here the
   answers with and without the seed are compared).
@@ -32,14 +31,14 @@ from test_vectorized_identity import (
     _exploration_signature,
     _random_case,
     exploration_cases,
-    needs_numpy,
 )
 
 from repro.core import exploration
 from repro.core.engine import KeywordSearchEngine
 from repro.core.exploration import (
-    _bounds_for,
+    _boxed_costs,
     _build_substrate_view,
+    _completion_bounds,
     _view_row_of,
     explore_top_k,
     seed_threshold,
@@ -62,7 +61,7 @@ def _answer(result):
     ]
 
 
-def _tables(augmented, costs, use_kernel=False):
+def _tables(augmented, costs):
     """The inputs ``explore_top_k`` derives a threshold from."""
     view = _build_substrate_view(augmented, costs)
     seed_costs = [
@@ -70,7 +69,9 @@ def _tables(augmented, costs, use_kernel=False):
         for elements in augmented.sorted_keyword_elements()
         if elements
     ]
-    _, dists = _bounds_for(len(seed_costs), seed_costs, view, use_kernel)
+    _, dists = _completion_bounds(
+        len(seed_costs), seed_costs, _view_row_of(view), _boxed_costs(view), view.total
+    )
     return view, seed_costs, dists
 
 
@@ -296,21 +297,3 @@ def test_thresholds_kept_per_entry_are_bounded():
     (tables,) = _plan_tables(engine)
     assert len(tables.thresholds) == tables.MAX_THRESHOLDS < 29
 
-
-@needs_numpy
-@given(exploration_cases(), st.sampled_from([2, 6]))
-@settings(max_examples=120, deadline=None)
-def test_kernel_tables_and_dijkstra_tables_give_one_threshold(case, dmax):
-    augmented, costs, k, _ = _random_case(case)
-    view, seed_costs, dijkstra = _tables(augmented, costs, use_kernel=False)
-    _, _, kernel = _tables(augmented, costs, use_kernel=True)
-    assert kernel == dijkstra and all(row.typecode == "d" for row in kernel)
-
-    via_kernel = explore_top_k(augmented, costs, k=k, dmax=dmax, use_vectorized=True)
-    via_dijkstra = explore_top_k(augmented, costs, k=k, dmax=dmax, use_vectorized=False)
-    # == on floats: bit for bit (both finite or both +inf).
-    assert via_kernel.seed_threshold == via_dijkstra.seed_threshold
-    assert via_kernel.seed_threshold == seed_threshold(
-        len(seed_costs), kernel, seed_costs, _view_row_of(view), view.costs, k, dmax
-    )
-    assert _exploration_signature(via_kernel) == _exploration_signature(via_dijkstra)

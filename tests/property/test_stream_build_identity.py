@@ -204,13 +204,13 @@ def assert_indexes_equal(loaded, reference):
     # Which term comes first, and which of two elements of one kind
     # within a term, is the constructors' set-iteration order (hash-seed
     # dependent): the contract is the same terms and the same rows.
-    assert sorted(ours.vocabulary) == sorted(theirs.vocabulary)
+    assert sorted(ours.iter_terms()) == sorted(theirs.iter_terms())
     assert len(ours) == len(theirs) == ours.term_count
     assert ours.element_count == theirs.element_count
     assert ours.posting_count == theirs.posting_count
     assert ours.lookup("no-such-term") == [] and "no-such-term" not in ours
     elements = set()
-    for term in theirs.vocabulary:
+    for term in theirs.iter_terms():
         assert term in ours
         # A loaded index hands base postings out by element id: compare
         # them resolved to their element keys.

@@ -1,24 +1,11 @@
-"""Property: the exploration that ships is byte-identical to its oracles.
+"""Property: the exploration that ships is byte-identical to its oracle.
 
-Two identities, over one case space (the bundled datasets, an mmap-backed
-bundle engine, randomized graphs, incremental update batches, bounded and
-unbounded):
-
-* **production loop == reference loop.**  ``explore_top_k``'s
-  structure-of-arrays loop against the literal Algorithm 1/2 of
-  ``tests/reference_exploration.py`` — same subgraphs, same ranking among
-  equal costs, same six diagnostics.  Pure Python on both sides: these
-  cases run with or without numpy.
-* **relaxation kernel == Dijkstra.**  The numpy bound tables
-  (``repro.core.kernels``) forced on graphs far below the size at which
-  they are selected, against the Dijkstra tables.  The proof obligation
-  is structural (both compute the same least fixpoint under IEEE
-  round-to-nearest; see the kernel docstrings), but floating-point
-  identity arguments rot silently, so it is re-checked empirically.
-  Only these cases need numpy.
+``explore_top_k``'s structure-of-arrays loop against the literal
+Algorithm 1/2 of ``tests/reference_exploration.py`` — same subgraphs,
+same ranking among equal costs, same six diagnostics — over one case
+space: the bundled datasets, an mmap-backed bundle engine, randomized
+graphs and incremental update batches, bounded and unbounded.
 """
-
-from contextlib import contextmanager, nullcontext
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 from reference_exploration import explore_top_k as reference_explore_top_k
 from reference_exploration import reference_loop
 
-from repro.core import kernels
 from repro.core.engine import KeywordSearchEngine
 from repro.core.exploration import explore_top_k
 from repro.datasets import TapConfig, generate_tap, running_example_graph
@@ -60,35 +46,13 @@ def _search_signature(result):
     )
 
 
-@contextmanager
-def _forced_kernel():
-    """Every bound table inside the block comes from the relaxation
-    kernel: the size rule is the only selector an engine has, so the
-    threshold is what gets moved."""
-    threshold = kernels.MIN_BOUNDS_TOTAL
-    kernels.MIN_BOUNDS_TOTAL = 0
-    try:
-        yield
-    finally:
-        kernels.MIN_BOUNDS_TOTAL = threshold
-
-
-#: (subject, oracle): how the first and the second engine of a pair search.
-#: Neither side caches across the pair — each engine has its own substrate.
-LOOP = (nullcontext, reference_loop)
-KERNEL = (_forced_kernel, nullcontext)
-
-needs_numpy = pytest.mark.skipif(
-    not kernels.kernels_enabled(), reason="runs the numpy kernel"
-)
-
-
-def _assert_identical(pair, subject, oracle, queries):
-    searching_subject, searching_oracle = pair
+def _assert_identical(subject, oracle, queries):
+    """The subject engine searches with the production loop, the oracle
+    engine with the reference loop; neither caches across the pair, each
+    engine has its own substrate."""
     for query in queries:
-        with searching_subject():
-            got = _search_signature(subject.search(query))
-        with searching_oracle():
+        got = _search_signature(subject.search(query))
+        with reference_loop():
             expected = _search_signature(oracle.search(query))
         assert got == expected, f"divergence on {query!r}"
 
@@ -109,59 +73,29 @@ TAP_QUERIES = [
 ]
 
 
-def _example_dataset_case(pair, mode):
+@MODES
+def test_example_dataset_identity(mode):
     subject = KeywordSearchEngine(running_example_graph(), **mode)
     oracle = KeywordSearchEngine(running_example_graph(), **mode)
-    _assert_identical(pair, subject, oracle, EXAMPLE_QUERIES)
+    _assert_identical(subject, oracle, EXAMPLE_QUERIES)
 
 
-def _tap_dataset_case(pair, mode):
+@MODES
+def test_tap_dataset_identity(mode):
     graph = generate_tap(TapConfig(instances_per_class=6))
     subject = KeywordSearchEngine(graph, cost_model="c3", k=10, **mode)
     oracle = KeywordSearchEngine(graph, cost_model="c3", k=10, **mode)
-    _assert_identical(pair, subject, oracle, TAP_QUERIES)
+    _assert_identical(subject, oracle, TAP_QUERIES)
 
 
-def _bundle_engine_case(pair, tmp_path):
-    """An mmap-backed bundle engine (for the kernel: zero-copy ndarray
-    adoption of the CSR sections) must agree with an in-memory build."""
+def test_bundle_engine_identity(tmp_path):
+    """An mmap-backed bundle engine must agree with an in-memory build."""
     build_engine = KeywordSearchEngine(running_example_graph())
     path = tmp_path / "example.reprobundle"
     build_engine.save(str(path))
     subject = KeywordSearchEngine.load(str(path))
     oracle = KeywordSearchEngine(running_example_graph())
-    _assert_identical(pair, subject, oracle, EXAMPLE_QUERIES)
-
-
-@MODES
-def test_example_dataset_identity(mode):
-    _example_dataset_case(LOOP, mode)
-
-
-@needs_numpy
-@MODES
-def test_example_dataset_kernel_identity(mode):
-    _example_dataset_case(KERNEL, mode)
-
-
-@MODES
-def test_tap_dataset_identity(mode):
-    _tap_dataset_case(LOOP, mode)
-
-
-@needs_numpy
-@MODES
-def test_tap_dataset_kernel_identity(mode):
-    _tap_dataset_case(KERNEL, mode)
-
-
-def test_bundle_engine_identity(tmp_path):
-    _bundle_engine_case(LOOP, tmp_path)
-
-
-@needs_numpy
-def test_bundle_engine_kernel_identity(tmp_path):
-    _bundle_engine_case(KERNEL, tmp_path)
+    _assert_identical(subject, oracle, EXAMPLE_QUERIES)
 
 
 # ----------------------------------------------------------------------
@@ -246,18 +180,6 @@ def test_random_graph_exploration_identity(case):
     assert _exploration_signature(production) == _exploration_signature(reference)
 
 
-@needs_numpy
-@given(exploration_cases())
-@settings(max_examples=120, deadline=None)
-def test_random_graph_kernel_identity(case):
-    """Plain-dict costs are not cacheable, so each call computes its own
-    table: the kernel's on one side, the Dijkstra's on the other."""
-    augmented, costs, k, _ = _random_case(case)
-    kernel = explore_top_k(augmented, costs, k=k, dmax=6, use_vectorized=True)
-    dijkstra = explore_top_k(augmented, costs, k=k, dmax=6, use_vectorized=False)
-    assert _exploration_signature(kernel) == _exploration_signature(dijkstra)
-
-
 # ----------------------------------------------------------------------
 # Identity across incremental update batches
 # ----------------------------------------------------------------------
@@ -280,7 +202,10 @@ update_operations = st.lists(
 )
 
 
-def _update_batches_case(pair, operations, mode):
+@MODES
+@given(operations=update_operations)
+@settings(max_examples=25, deadline=None)
+def test_identity_survives_update_batches(operations, mode):
     """Apply the same add/remove batches to both engines of a pair; after
     every batch both must answer identically (each new summary version
     gets a fresh substrate, and with it fresh views and bound tables).
@@ -296,21 +221,4 @@ def _update_batches_case(pair, operations, mode):
         else:
             subject.remove_triples(batch)
             oracle.remove_triples(batch)
-        _assert_identical(
-            pair, subject, oracle, ["cimiano 2006", "researcher article"]
-        )
-
-
-@MODES
-@given(operations=update_operations)
-@settings(max_examples=25, deadline=None)
-def test_identity_survives_update_batches(operations, mode):
-    _update_batches_case(LOOP, operations, mode)
-
-
-@needs_numpy
-@MODES
-@given(operations=update_operations)
-@settings(max_examples=25, deadline=None)
-def test_kernel_identity_survives_update_batches(operations, mode):
-    _update_batches_case(KERNEL, operations, mode)
+        _assert_identical(subject, oracle, ["cimiano 2006", "researcher article"])

@@ -86,6 +86,21 @@ class TestBasics:
         result = explore_top_k(augmented, uniform_costs(graph), k=1)
         assert result.subgraphs[0].elements == frozenset({keys[0]})
 
+    @pytest.mark.parametrize("pinned", [True, False, 0])
+    def test_use_vectorized_accepts_none_only(self, pinned):
+        """One implementation computes bound tables; the keyword is left
+        for an old caller that passes ``None``, and nothing else."""
+        graph, keys, _ = build_line_graph(3)
+        augmented = augmented_for(graph, [[keys[0]], [keys[2]]])
+        costs = uniform_costs(graph)
+        default = explore_top_k(augmented, costs, k=1)
+        passed = explore_top_k(augmented, costs, k=1, use_vectorized=None)
+        assert [sg.elements for sg in passed.subgraphs] == [
+            sg.elements for sg in default.subgraphs
+        ]
+        with pytest.raises(TypeError, match="use_vectorized"):
+            explore_top_k(augmented, costs, k=1, use_vectorized=pinned)
+
 
 class TestOrderingAndK:
     def test_results_ascending_cost(self):

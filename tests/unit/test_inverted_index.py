@@ -63,4 +63,4 @@ def test_estimated_bytes_positive():
 
 
 def test_vocabulary():
-    assert set(make_index().vocabulary) == {"graph", "search", "database", "ranking"}
+    assert set(make_index().iter_terms()) == {"graph", "search", "database", "ranking"}

@@ -417,8 +417,8 @@ def test_inverted_index_lookup_and_tombstones(example_bundle, mapped):
     assert isinstance(inverted, MmapInvertedIndex)
     reference = engine.keyword_index._index
 
-    assert sorted(inverted.vocabulary) == sorted(reference.vocabulary)
-    for term in reference.vocabulary:
+    assert sorted(inverted.iter_terms()) == sorted(reference.iter_terms())
+    for term in reference.iter_terms():
         assert inverted.document_frequency(term) == reference.document_frequency(term)
         assert keyed_postings(inverted, term) == keyed_postings(reference, term), term
 
@@ -428,7 +428,7 @@ def test_inverted_index_lookup_and_tombstones(example_bundle, mapped):
     element = victim.element
     assert inverted.unindex(element) is True
     assert inverted.unindex(element) is False
-    for term in reference.vocabulary:
+    for term in reference.iter_terms():
         live = [p for p in reference.lookup(term) if p.element != element]
         assert keyed_postings(inverted, term) == sorted(map(repr, live)), term
 

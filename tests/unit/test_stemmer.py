@@ -1,8 +1,10 @@
 """Unit tests for the Porter stemmer against known reference pairs."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.keyword.stemmer import porter_stem
+from repro.keyword.analysis import DEFAULT_ANALYZER
+from repro.keyword.stemmer import _consonants, porter_stem
 
 
 # Reference pairs from Porter's original paper / the canonical test set.
@@ -131,3 +133,46 @@ def test_memoized_stems_equal_the_algorithm():
     assert porter_stem.cache_info().currsize == STEM_CACHE_SIZE
     for word in words:
         assert porter_stem(word) == compute(word)
+
+
+def _is_consonant(word, i):
+    """Porter's definition, letter by letter: a ``y`` is a consonant at
+    the start of the word or after a vowel."""
+    if word[i] in "aeiou":
+        return False
+    if word[i] == "y":
+        return i == 0 or not _is_consonant(word, i - 1)
+    return True
+
+
+@given(st.text(alphabet="aeiouybcdlrst", max_size=30))
+@settings(max_examples=300, deadline=None)
+def test_consonant_mask_is_the_letter_by_letter_definition(word):
+    assert _consonants(word) == [_is_consonant(word, i) for i in range(len(word))]
+
+
+@pytest.mark.parametrize(
+    "prefix, prefix_mask, length, first",
+    [
+        ("", [], 1000, True),
+        ("", [], 5001, True),
+        ("a", [False], 5000, True),
+        ("b", [True], 5000, False),
+    ],
+    ids=["start-even", "start-odd", "after-vowel", "after-consonant"],
+)
+def test_a_long_run_of_y_alternates(prefix, prefix_mask, length, first):
+    """A ``y`` at the start or after a vowel is a consonant, after a
+    consonant a vowel: a run alternates from its first verdict on, at any
+    length."""
+    run = [first if i % 2 == 0 else not first for i in range(length)]
+    assert _consonants(prefix + "y" * length) == prefix_mask + run
+
+
+def test_a_long_run_of_y_is_analyzed():
+    """A run of ``y`` alternates consonant and vowel; the mask reads it in
+    one pass, where the letter-by-letter definition recursed once per
+    ``y`` and a few thousand of them raised ``RecursionError``."""
+    assert DEFAULT_ANALYZER.analyze("y" * 5000) == ["y" * 4999 + "i"]
+    # -ing goes, the double consonant ``yy`` (even positions) loses one.
+    assert DEFAULT_ANALYZER.analyze("b" + "y" * 5000 + "ing") == ["b" + "y" * 4998 + "i"]

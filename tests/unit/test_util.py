@@ -77,3 +77,32 @@ def test_only_repro_util_reads_a_clock():
                 for name in names if name in _CLOCKS
             ]
     assert readers == []
+
+
+def test_no_module_imports_numpy():
+    """The package runs on the standard library alone: no module imports
+    numpy, by statement or by name (`importlib.import_module`,
+    `__import__`, `find_spec`)."""
+    root = pathlib.Path(repro.__file__).parent
+    importers = []
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            elif isinstance(node, ast.Call) and node.args:
+                first = node.args[0]
+                names = [first.value] if isinstance(first, ast.Constant) else []
+                func = node.func
+                called = getattr(func, "attr", getattr(func, "id", None))
+                if called not in ("import_module", "__import__", "find_spec"):
+                    continue
+            else:
+                continue
+            importers += [
+                f"{path.relative_to(root)}:{node.lineno} {name}"
+                for name in names
+                if isinstance(name, str) and name.split(".")[0] == "numpy"
+            ]
+    assert importers == []
