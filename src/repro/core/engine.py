@@ -437,9 +437,9 @@ class KeywordSearchEngine:
         """Write the whole offline layer to a ``.reprobundle`` file.
 
         The bundle (``repro.storage``) holds the triple store, keyword
-        index, summary graph, and CSR substrate in a versioned,
-        checksummed, pickle-free binary format keyed on the formal
-        ``(summary version, keyword-index version)`` snapshot pair;
+        index and summary graph in a versioned, checksummed, pickle-free
+        binary format keyed on the formal ``(summary version,
+        keyword-index version)`` snapshot pair;
         :meth:`load` reconstitutes an engine that is byte-identical in
         behavior to this one.  Saving is a streamed rebuild: the engine's
         current triples and configuration go through the one bundle
@@ -477,9 +477,9 @@ class KeywordSearchEngine:
         """Reconstitute an engine from a bundle in milliseconds-not-minutes.
 
         Loading decodes the schema-sized summary graph and serves the
-        keyword index, the triple store and the substrate's CSR sections
-        in place, straight from the mapped file (no rebuild, no
-        re-analysis, :attr:`index_tier` ``"mmap"``); it does not read the
+        keyword index and the triple store in place, straight from the
+        mapped file (no rebuild, no re-analysis, :attr:`index_tier`
+        ``"mmap"``); it does not read the
         sorted runs end to end, so checking them is
         :func:`repro.storage.verify_bundle`'s job, run by whoever owns
         the artifact.  The engine configuration saved in the bundle applies
@@ -535,7 +535,7 @@ class KeywordSearchEngine:
 
         The snapshot records the formal ``(summary version, keyword-index
         version)`` key and references every structure the pipeline
-        reads — including the version-keyed CSR substrate and the cost
+        reads — including the version-keyed exploration substrate and the cost
         model whose base table is keyed on the pinned summary version.
         Consistency across a racing update is the serving layer's job
         (:class:`~repro.service.EngineService` excludes writers while any

@@ -11,20 +11,16 @@ because element costs are strictly positive.
 
 Implementation notes (performance, same semantics):
 
-* the query-invariant part of element interning lives in a **version-keyed
-  CSR substrate** cached on the base summary graph
-  (:mod:`repro.summary.substrate`): canonical key ↔ id tables and flat
-  ``array('l')`` adjacency rows are built once per graph version; per query
-  only the O(#matches) overlay elements get appended ids and adjacency
-  rows, so exploration setup is proportional to the keyword matches, not
-  the summary;
-* result identity is anchored to the **canonical merged id space** — the
-  ids interning base + overlay from scratch in repr order would assign.
-  Exploration runs on the substrate's append-only ids but emits subgraphs
-  in merged ids (a monotone O(log #matches) translation), so tie-breaking
-  among equal-cost candidates, and therefore the returned ranking, is a
-  function of the abstract graph: an incrementally maintained index and a
-  freshly rebuilt one rank identically;
+* every plan's view is **one id space**: an element's id is its rank in
+  the canonical order — one stable repr sort of the base and overlay
+  elements, base first among equal reprs — so the loop, the bound tables,
+  the seed walk and the emitted subgraphs all index the view's rows and
+  costs directly, with no translation.  Tie-breaking among equal-cost
+  candidates, and therefore the returned ranking, is then a function of
+  the abstract graph: an incrementally maintained index and a freshly
+  rebuilt one rank identically.  The base graph's part of the numbering
+  is interned once per graph version (:mod:`repro.summary.substrate`); a
+  view merges the O(#matches) overlay elements into it, once per plan;
 * cursors live in **structure-of-arrays** lists indexed by creation order
   (one packed ``(element, keyword, parent, distance)`` tuple plus a
   parallel cost list); heap entries are ``(cost, index)`` pairs, so the
@@ -89,15 +85,14 @@ Implementation notes (performance, same semantics):
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, insort
 from heapq import heapify, heappop, heappush
 from itertools import islice
 from operator import add, itemgetter, sub
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.subgraph import MatchingSubgraph
 from repro.core.topk import CandidateList
-from repro.scoring.cost import split_cost_mapping
 from repro.summary.augmentation import AugmentedSummaryGraph
 from repro.summary.substrate import BoundTables, checked_cost
 
@@ -156,31 +151,21 @@ class ExplorationResult:
 
 
 class _SubstrateView:
-    """Per-query id space: a cached substrate plus appended overlay extras.
+    """One plan's id space: element ``i`` is ``keys[i]``, its neighbours'
+    ids are ``rows[i]`` (ascending) and its cost is ``costs[i]``.
 
-    Base elements keep their substrate ids ``0..n-1``; the overlay's
-    O(#matches) elements get ids ``n..n+m-1`` in canonical (repr-sorted)
-    order.  ``to_merged`` translates a substrate id to the rank the element
-    holds in the *merged* canonical order over base + overlay, which is
-    what emitted subgraphs are expressed in (``None`` when there are no
-    extras: the two id spaces coincide).
+    Ids are canonical ranks — one stable repr sort of the base and overlay
+    elements, base first among equal reprs — which is what interning the
+    augmented graph from scratch would assign, so emitted subgraphs decode
+    with ``keys.__getitem__``.
     """
 
     __slots__ = (
-        "substrate",
-        "total",
-        "extra_keys",
+        "keys",
+        "ids",
         "rows",
         "costs",
-        "id_of",
-        "to_merged",
-        "decode",
-        # Lazy per-view caches: the costs as a plain list (scalar indexing
-        # of array('d') is slower in the pop loop), and the shared
-        # adjacency-row memo (base rows boxed into tuples once, reused
-        # across every exploration on this view).
-        "costs_list",
-        "row_memo",
+        "total",
         # (bounds, nets) pair: per-keyword `bounds[kw][e] - costs[e]`
         # tables precomputed for the pop-time prune check, keyed on the
         # identity of the bounds object they were folded from.
@@ -193,7 +178,15 @@ class _SubstrateView:
 def _build_substrate_view(
     augmented: AugmentedSummaryGraph, element_costs
 ) -> _SubstrateView:
-    """The per-query view over the graph's cached substrate.
+    """The view of one plan over the graph's cached substrate.
+
+    A plan without overlay elements shares the substrate's tables.  One
+    with overlay elements merges them into the canonical order by one
+    stable sort of the base and overlay reprs, base first: base rows are
+    renumbered through ``rank`` (old index -> view id; base elements keep
+    their relative order, so a row stays ascending), and the rows the
+    overlay touches — its own elements and the base vertices that gained
+    edges — are read off the overlay.
 
     A view is a function of the augmented graph and the costs, and is never
     mutated after assembly (its lazy caches only ever store equal values),
@@ -213,114 +206,41 @@ def _build_substrate_view(
             "exploration requires a summary graph (or overlay) "
             f"with exploration_substrate(); got {type(graph).__name__}"
         )
-    if owner is graph:
-        added_keys: Tuple[Hashable, ...] = ()
-        added_incident = {}
-    else:
-        added_keys = graph.added_element_keys()
-        added_incident = graph.added_incident_map()
     substrate = factory()
-
-    overrides, base_table = split_cost_mapping(element_costs)
-    base_array = None
-    if base_table is not None:
-        try:
-            base_array = substrate.cost_array(base_table)
-        except (KeyError, ValueError):
-            # Two-layer mapping whose base map alone is not a valid cost
-            # table (a missing element, or a non-positive entry masked by a
-            # per-query override) — read every element through the full
-            # mapping instead, which re-validates with reference semantics.
-            base_table = None
-
-    n = substrate.n
-    ids = substrate.ids
-    m = len(added_keys)
+    added = () if owner is graph else graph.added_element_keys()
 
     view = _SubstrateView()
-    view.substrate = substrate
-    view.total = n + m
-    view.costs_list = None
-    view.row_memo = None
+    if added:
+        n = len(substrate.keys)
+        every = substrate.keys + added
+        reprs = substrate.reprs + [repr(key) for key in added]
+        order = sorted(range(len(every)), key=reprs.__getitem__)
+        keys = tuple(map(every.__getitem__, order))
+        ids = dict(zip(keys, range(len(keys))))
+        rank = [0] * len(every)
+        for new, old in enumerate(order):
+            rank[old] = new
+        base_get = substrate.ids.get
+        touched = {base_get(key) for key in graph.added_incident_map()}
+        base_rows = substrate.rows
+        neighbors = graph.neighbors
+        rows = []
+        for new, old in enumerate(order):
+            if old < n and old not in touched:
+                rows.append(tuple(map(rank.__getitem__, base_rows[old])))
+            else:
+                rows.append(tuple(sorted([ids[nb] for nb in neighbors(keys[new])])))
+        view.keys, view.ids, view.rows = keys, ids, rows
+    else:
+        view.keys, view.ids, view.rows = substrate.keys, substrate.ids, substrate.rows
+    view.total = len(view.keys)
     view.net_bounds = None
     view.tables = None
 
-    if m:
-        # Stable repr-only sort: elements with equal reprs keep overlay
-        # insertion order, exactly like the canonical heap-merge.
-        extra_pairs = sorted(((repr(key), key) for key in added_keys), key=itemgetter(0))
-        extra_keys = tuple(key for _, key in extra_pairs)
-        base_reprs = substrate.reprs
-        ins = array("l", (bisect_right(base_reprs, text) for text, _ in extra_pairs))
-        extra_ranks = array("l", (ins[j] + j for j in range(m)))
-        extra_ids = {key: n + j for j, key in enumerate(extra_keys)}
-
-        def to_merged(sid: int, _ins=ins, _n=n, _ranks=extra_ranks) -> int:
-            return sid + bisect_right(_ins, sid) if sid < _n else _ranks[sid - _n]
-
-        def id_of(key, _extra=extra_ids.get, _base=ids.get) -> Optional[int]:
-            sid = _extra(key)
-            return sid if sid is not None else _base(key)
-
-        def decode(
-            mid: int, _ranks=extra_ranks, _keys=substrate.keys, _extra=extra_keys, _m=m
-        ) -> Hashable:
-            j = bisect_left(_ranks, mid)
-            if j < _m and _ranks[j] == mid:
-                return _extra[j]
-            return _keys[mid - j]
-
-        # Adjacency rows that differ from the substrate: every overlay
-        # element, plus base vertices that gained overlay edges.  Rows are
-        # ordered by merged rank — the order a full interning would expand
-        # neighbors in.
-        rows: Dict[int, Tuple[int, ...]] = {}
-        neighbors = graph.neighbors
-        for j, key in enumerate(extra_keys):
-            row = []
-            for nb in neighbors(key):
-                sid = extra_ids.get(nb)
-                row.append(sid if sid is not None else ids[nb])
-            row.sort(key=to_merged)
-            rows[n + j] = tuple(row)
-        offsets, targets = substrate.offsets, substrate.targets
-        for vkey, added in added_incident.items():
-            vsid = ids.get(vkey)
-            if vsid is None or not added:
-                continue  # overlay vertex (handled above) or no additions
-            merged_row = list(targets[offsets[vsid] : offsets[vsid + 1]])
-            merged_row.extend(extra_ids[edge] for edge in added)
-            merged_row.sort(key=to_merged)
-            rows[vsid] = tuple(merged_row)
-
-        view.extra_keys = extra_keys
-        view.rows = rows
-        view.id_of = id_of
-        view.to_merged = to_merged
-        view.decode = decode
-    else:
-        view.extra_keys = ()
-        view.rows = {}
-        view.id_of = ids.get
-        view.to_merged = None
-        view.decode = substrate.keys.__getitem__
-
-    # Cost slots: cached base array + O(#matches) per-query entries when
-    # the mapping is the cost models' (overrides, base) ChainMap; a fresh
-    # fill otherwise.
-    if base_table is not None:
-        costs = array("d", base_array)
-    else:
-        costs = substrate.fresh_cost_array(element_costs)
-    costs_get = element_costs.get
-    for key in view.extra_keys:
-        costs.append(checked_cost(key, costs_get(key)))
-    if base_table is not None:
-        ids_get = ids.get
-        for key, value in overrides.items():
-            sid = ids_get(key)
-            if sid is not None:
-                costs[sid] = checked_cost(key, value)
+    costs = list(map(element_costs.get, view.keys))
+    if None in costs or not min(costs, default=1.0) > 0:
+        for key, cost in zip(view.keys, costs):
+            checked_cost(key, cost)
     view.costs = costs
     if any(memoized is element_costs for memoized in augmented.cost_memo.values()):
         # Racing first builds agree on whichever view landed first.
@@ -411,44 +331,6 @@ def _completion_bounds(
             _dijkstra_rows(seeds, row_of, costs, total) if seeds else [_INF] * total
         )
     return bounds, [array("d", row) for row in per_keyword_dist]
-
-
-def _boxed_costs(view: _SubstrateView) -> List[float]:
-    """The view's costs as a list of float objects (an ``array('d')``
-    boxes a new float on every read), made once per view."""
-    costs = view.costs_list
-    if costs is None:
-        costs = view.costs_list = view.costs.tolist()
-    return costs
-
-
-def _boxed_rows(view: _SubstrateView) -> Dict[int, Tuple[int, ...]]:
-    """The adjacency-row memo of a view: a base row is sliced out of the
-    CSR arrays and boxed into a tuple once, by whoever reads it first —
-    the bound tables, the seed threshold or the exploration loop — and
-    every later reader skips both.  Concurrent searches share it safely:
-    entries are pure functions of the element id, so a racing
-    double-compute just overwrites with an equal value."""
-    rows = view.row_memo
-    if rows is None:
-        rows = view.row_memo = dict(view.rows)
-    return rows
-
-
-def _view_row_of(view: _SubstrateView):
-    """The per-element adjacency accessor of a substrate view."""
-    rows = _boxed_rows(view)
-    substrate = view.substrate
-    offsets = substrate.offsets
-    targets = substrate.targets
-
-    def row_of(element: int, _get=rows.get, _t=targets, _o=offsets) -> Sequence[int]:
-        row = _get(element)
-        if row is None:
-            row = rows[element] = tuple(_t[_o[element] : _o[element + 1]])
-        return row
-
-    return row_of
 
 
 # ----------------------------------------------------------------------
@@ -744,11 +626,8 @@ def explore_soa(seed_lists, m, view, bounds, candidates, k, dmax, threshold=_INF
     Returns ``(created, popped, pruned, max_queue, terminated_by)``;
     accepted subgraphs accumulate in ``candidates``.
     """
-    substrate = view.substrate
-    offsets = substrate.offsets
-    targets = substrate.targets
-    costs = _boxed_costs(view)
-    to_merged = view.to_merged
+    costs = view.costs
+    rows = view.rows
 
     cursors: List[Tuple[int, int, int, int]] = []
     c_cost: List[float] = []
@@ -771,13 +650,10 @@ def explore_soa(seed_lists, m, view, bounds, candidates, k, dmax, threshold=_INF
     # paper's space bound of k cheapest paths per (element, keyword).
     states: Dict[int, List[List[int]]] = {}
     states_get = states.get
-    # _view_row_of's lookup, inlined where a row is expanded.
-    rows = _boxed_rows(view)
-    rows_get = rows.get
-    # A cursor's (translated) path and its element set are fixed at
-    # creation; registrations re-enumerate the same cursors many times,
-    # so both are memoized by cursor index.  MatchingSubgraph copies the
-    # path lists it is handed, so sharing them is safe.
+    # A cursor's path and its element set are fixed at creation;
+    # registrations re-enumerate the same cursors many times, so both are
+    # memoized by cursor index.  MatchingSubgraph copies the path lists it
+    # is handed, so sharing them is safe.
     path_cache: Dict[int, list] = {}
     paths_get = path_cache.get
     pset_cache: Dict[int, frozenset] = {}
@@ -790,16 +666,10 @@ def explore_soa(seed_lists, m, view, bounds, candidates, k, dmax, threshold=_INF
             parts = []
             append = parts.append
             probe = ix
-            if to_merged is None:
-                while probe >= 0:
-                    cu = cursors[probe]
-                    append(cu[0])
-                    probe = cu[2]
-            else:
-                while probe >= 0:
-                    cu = cursors[probe]
-                    append(to_merged(cu[0]))
-                    probe = cu[2]
+            while probe >= 0:
+                cu = cursors[probe]
+                append(cu[0])
+                probe = cu[2]
             parts.reverse()
             # Stored as a tuple: MatchingSubgraph's path normalization
             # (tuple of tuples) then reuses the object instead of copying.
@@ -876,10 +746,6 @@ def explore_soa(seed_lists, m, view, bounds, candidates, k, dmax, threshold=_INF
         # 13-22).  Registration happened, so paths of length dmax still
         # contribute to connecting elements.
         if distance < dmax:
-            row = rows_get(element)
-            if row is None:
-                row = tuple(targets[offsets[element] : offsets[element + 1]])
-                rows[element] = row
             # One ancestor set per expansion is the cycle check.  A
             # child's path extends its parent's by one element, and a
             # child only exists because its parent expanded (and cached
@@ -890,7 +756,7 @@ def explore_soa(seed_lists, m, view, bounds, candidates, k, dmax, threshold=_INF
                 ancestors = {element}
             anc_cache[ci] = ancestors
             next_distance = distance + 1
-            for neighbor in row:
+            for neighbor in rows[element]:
                 if neighbor in ancestors:
                     continue
                 neighbor_state = states_get(neighbor)
@@ -938,7 +804,6 @@ def explore_soa(seed_lists, m, view, bounds, candidates, k, dmax, threshold=_INF
                 # stream is an ascending scan of the other keyword's
                 # bucket — the iter_combinations singleton reduction,
                 # inlined without the generator machinery.
-                connecting = element if to_merged is None else to_merged(element)
                 olist = state[1 - kw]
                 olen = len(olist)
                 distinct_sets = set()
@@ -963,7 +828,7 @@ def explore_soa(seed_lists, m, view, bounds, candidates, k, dmax, threshold=_INF
                         accept(
                             key,
                             existing,
-                            from_parts(connecting, paths, key, subgraph_cost),
+                            from_parts(element, paths, key, subgraph_cost),
                         )
                         n_found = len(srt)
                         kth = srt[k - 1][0] if n_found >= k else _INF
@@ -979,7 +844,6 @@ def explore_soa(seed_lists, m, view, bounds, candidates, k, dmax, threshold=_INF
                     combo_cost = combo_cost + c_cost[olist[oi]] - c_cost[ox]
             else:
                 lists = [state[i] if i != kw else (ci,) for i in range(m)]
-                connecting = element if to_merged is None else to_merged(element)
                 distinct_sets = set()
                 for combo_cost, combo in iter_combinations(lists, c_cost, kth_cost):
                     if n_found >= k and combo_cost >= kth:
@@ -997,7 +861,7 @@ def explore_soa(seed_lists, m, view, bounds, candidates, k, dmax, threshold=_INF
                         accept(
                             key,
                             existing,
-                            from_parts(connecting, paths, key, subgraph_cost),
+                            from_parts(element, paths, key, subgraph_cost),
                         )
                         n_found = len(srt)
                         kth = srt[k - 1][0] if n_found >= k else _INF
@@ -1078,7 +942,7 @@ def explore_top_k(
 
     view = _build_substrate_view(augmented, element_costs)
     costs = view.costs
-    id_of = view.id_of
+    id_of = view.ids.get
 
     # Deterministic seeding: K_i are sets, so a canonical order (by key
     # repr, cached on the augmented graph) makes tie-breaking — and
@@ -1102,12 +966,11 @@ def explore_top_k(
         # The tables are a function of the view (its costs and adjacency)
         # and of the plan's keyword elements, so they live on the view;
         # racing searches that both miss store equal tables.
+        row_of = view.rows.__getitem__
         tables = view.tables
         if tables is None:
             tables = view.tables = BoundTables(
-                *_completion_bounds(
-                    m, seed_costs, _view_row_of(view), _boxed_costs(view), view.total
-                )
+                *_completion_bounds(m, seed_costs, row_of, costs, view.total)
             )
         bounds = tables.bounds
         # The seed: a pure function of the tables, k and dmax, so racing
@@ -1115,13 +978,7 @@ def explore_top_k(
         threshold = tables.thresholds.hit((k, dmax))
         if threshold is None:
             threshold = seed_threshold(
-                m,
-                tables.dists,
-                seed_costs,
-                _view_row_of(view),
-                _boxed_costs(view),
-                k,
-                dmax,
+                m, tables.dists, seed_costs, row_of, costs, k, dmax
             )
             tables.thresholds.put((k, dmax), threshold)
 
@@ -1142,9 +999,8 @@ def explore_top_k(
         created, popped, pruned, max_queue, terminated_by = explore_soa(
             seed_lists, m, view, bounds, candidates, k, dmax
         )
-    decode = view.decode
     return ExplorationResult(
-        subgraphs=[sg.translated(decode) for sg in candidates.best()],
+        subgraphs=[sg.translated(view.keys.__getitem__) for sg in candidates.best()],
         cursors_created=created,
         cursors_popped=popped,
         cursors_pruned=pruned,

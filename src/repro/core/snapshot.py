@@ -13,7 +13,7 @@ delta-bounded), so a "snapshot" here is not a copy: it is a pin.  An
 :class:`EngineSnapshot` records the exact ``(summary version, keyword-index
 version)`` pair — the formal snapshot key — together with direct references
 to every structure a search step reads: the summary graph, the
-keyword index, the CSR exploration substrate, the cost model (whose base
+keyword index, the exploration substrate, the cost model (whose base
 cost table is keyed on the pinned summary version), the data graph, the
 triple store, and the evaluator.
 
@@ -87,7 +87,7 @@ class EngineSnapshot:
         self.store = store
         self.evaluator = evaluator
         self.cost_model = cost_model
-        #: The version-keyed CSR intern tables, fetched eagerly so the
+        #: The version-keyed intern tables, fetched eagerly so the
         #: (potentially expensive) build happens once per epoch instead of
         #: racing inside the first batch of concurrent searches.
         self.substrate = substrate

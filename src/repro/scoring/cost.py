@@ -17,8 +17,7 @@ literal formula is not offered.
 from __future__ import annotations
 
 import weakref
-from collections import ChainMap
-from typing import Dict, Hashable, Mapping, Optional, Tuple
+from typing import Dict, Hashable, Mapping
 
 from repro.summary.augmentation import AugmentedSummaryGraph
 from repro.summary.elements import (
@@ -38,31 +37,6 @@ MIN_COST = 0.01
 MIN_SCORE = 1e-3
 
 
-def split_cost_mapping(
-    costs: Mapping[Hashable, float],
-) -> Tuple[Mapping[Hashable, float], Optional[Mapping[Hashable, float]]]:
-    """Split a cost mapping into ``(overrides, base_table)``.
-
-    :meth:`CostModel.element_costs` returns a two-layer
-    ``ChainMap(overrides, cached_base_costs)`` for overlay-augmented
-    graphs: the second map is the query-invariant base-cost table (cached
-    per summary-graph version and stable in identity across queries), the
-    first holds only the O(#matches) per-query entries.  The exploration
-    substrate keys its ``array('d')`` cost slots on that base table's
-    identity, so it needs the layers apart.
-
-    Any other mapping shape — a plain dict from tests, the costs of a
-    model that overrides :meth:`~CostModel.compute_costs` (PageRank, the
-    eval's perturbed model) or of a graph with no base — yields
-    ``(costs, None)``: every element must then be read through ``costs``
-    directly.
-    """
-    if isinstance(costs, ChainMap) and len(costs.maps) == 2:
-        overrides, base = costs.maps
-        return overrides, base
-    return costs, None
-
-
 class CostModel:
     """Base: assigns ``cost(n) > 0`` to every element of an augmented graph.
 
@@ -70,7 +44,7 @@ class CostModel:
     are query-invariant for most models (C1, C2, and C3 away from matched
     elements), so they are computed once and cached; per query only the
     overlay-added elements and the keyword-matched elements get fresh
-    costs, layered over the cached table with a :class:`~collections.ChainMap`.
+    costs, merged into a copy of the cached table: one plain dict per plan.
     The cache keys on the base graph's mutation ``version``, so incremental
     index maintenance invalidates it automatically.
 
@@ -92,7 +66,7 @@ class CostModel:
             costs = augmented.cost_memo.setdefault(self, self.compute_costs(augmented))
         return costs
 
-    def compute_costs(self, augmented: AugmentedSummaryGraph) -> Mapping[Hashable, float]:
+    def compute_costs(self, augmented: AugmentedSummaryGraph) -> Dict[Hashable, float]:
         """:meth:`element_costs` without the memo."""
         graph = augmented.graph
         base = getattr(graph, "base", None)
@@ -118,7 +92,7 @@ class CostModel:
                 overrides[key] = self.edge_cost(graph.edge(key), augmented)
             else:
                 overrides[key] = self.vertex_cost(graph.vertex(key), augmented)
-        return ChainMap(overrides, base_costs)
+        return {**base_costs, **overrides}
 
     def _cached_base_costs(self, base) -> Dict[Hashable, float]:
         cached = getattr(self, "_base_cost_cache", None)

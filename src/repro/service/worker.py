@@ -7,8 +7,7 @@ of the shared bundle::
     KeywordSearchEngine.load(bundle, attach_wal=False)
 
 Lazy loading means the sections a worker reads in place are ``mmap``
-views of the bundle — the CSR substrate, the sorted runs, postings and
-term table — and every worker maps the *same* file, so the OS page cache
+views of the bundle — the sorted runs, postings and term table — and every worker maps the *same* file, so the OS page cache
 backs all of them with one physical copy.  The rest of a worker is its
 own: the interpreter, its imports, and what it decodes (the summary
 graph, the terms and postings its requests touched).  That is why this

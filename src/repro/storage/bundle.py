@@ -25,7 +25,7 @@ A loaded bundle is served in place:
   :mod:`repro.storage.mmap_tier` over the ``mmap``-ed sorted runs —
   nothing is decoded at load, lookups bisect the file, updates land in
   the readers' in-memory overlays;
-* the CSR exploration substrate is *not* a stored structure: it is
+* the exploration substrate is *not* a stored structure: it is
   derived from the decoded summary graph (schema-sized, well under a
   millisecond) on the first ``snapshot()``, the way every other summary
   gets one;

@@ -172,8 +172,8 @@ def encode_ids(seq: Iterable[int]) -> bytes:
 
 def encode_raw_ids(seq) -> bytes:
     """A bare ``int64`` little-endian blob — no framing, so a reader can
-    hand the bytes straight to ``mmap``-backed views (the substrate's CSR
-    sections)."""
+    hand the bytes straight to ``mmap``-backed views (the offsets of the
+    term table and of the keyword index's runs)."""
     if isinstance(seq, array) and seq.itemsize == 8:
         a = seq
     else:

@@ -232,7 +232,9 @@ class MmapTermDictionary:
 
     ``text`` decodes one length-prefixed string by offset (memoized),
     ``peek`` without memoizing it; ``id_of`` binary-searches the
-    lexicographic permutation.  Ids are in the insertion order the
+    lexicographic permutation on the raw UTF-8 bytes, decoding nothing:
+    the builder sorts the vocabulary by ``str``, and code-point order is
+    UTF-8 byte order.  Ids are in the insertion order the
     materialized postings dict iterates in, so walking them
     (:meth:`MmapInvertedIndex.iter_terms`) enumerates the vocabulary as
     the constructors' index does.
@@ -264,17 +266,22 @@ class MmapTermDictionary:
         return text
 
     def peek(self, vid: int) -> str:
-        """The text of ``vid``, decoded without memoizing it: for the
-        bisects of :meth:`id_of` and the scans of the whole vocabulary."""
+        """The text of ``vid``, decoded without memoizing it."""
+        return self._raw(vid).decode("utf-8")
+
+    def _raw(self, vid: int) -> bytes:
         start = self._offsets[vid]
         (length,) = _U32.unpack_from(self._strings, start)
-        return bytes(self._strings[start + 4 : start + 4 + length]).decode("utf-8")
+        return bytes(self._strings[start + 4 : start + 4 + length])
 
     def id_of(self, text: str) -> Optional[int]:
         found = self._ids.get(text)
         if found is not None:
             return found
-        found = _find_sorted(self._sorted, self.peek, text)
+        # A lone surrogate (no stored term holds one) still encodes, in
+        # code-point order, so such a probe misses like any other.
+        probe = text.encode("utf-8", "surrogatepass")
+        found = _find_sorted(self._sorted, self._raw, probe)
         if found is not None:
             self._ids[text] = found
         return found

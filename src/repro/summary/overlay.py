@@ -198,8 +198,8 @@ class OverlaySummaryGraph:
     def added_element_keys(self) -> Tuple[Hashable, ...]:
         """Keys of overlay-only elements (vertices, then edges).
 
-        The exploration substrate appends exactly these as per-query ids on
-        top of the base graph's cached CSR tables.
+        A plan's exploration view merges exactly these into the base
+        graph's canonical order (``repro.core.exploration``).
         """
         return tuple(chain(self._added_vertices, self._added_edges))
 

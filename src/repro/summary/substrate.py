@@ -1,44 +1,38 @@
-"""Version-keyed CSR exploration substrate (the query-invariant half of
+"""Version-keyed exploration substrate (the query-invariant half of
 Algorithm 1's interning).
 
-Before this module, every ``explore_top_k`` call re-interned the whole
-augmented summary graph — re-sorting all element keys, re-hashing them into
-an id dict, and re-materializing per-element neighbor lists — an
-O(|summary| log |summary|) term per query.  The substrate hoists everything
-query-invariant out of that loop: the **base** summary graph is interned
-once into flat CSR arrays
+Exploration numbers the elements of a plan's view by their canonical
+(repr-sorted) rank.  The part of that numbering that does not depend on
+the query is the base summary graph's, so it is interned once per graph
+version:
 
-* ``keys`` / ``ids`` — the canonical (repr-sorted) key ↔ id tables,
-* ``offsets`` / ``targets`` — ``array('l')`` compressed sparse rows holding
-  every element's neighbor ids in canonical order,
+* ``keys`` / ``reprs`` / ``ids`` — the canonical key, its repr, and the
+  key -> id table;
+* ``rows`` — per element, the tuple of its neighbours' ids, ascending,
 
-and cached on the summary graph keyed on its mutation ``version``
+cached on the summary graph keyed on its mutation ``version``
 (:meth:`~repro.summary.summary_graph.SummaryGraph.exploration_substrate`),
 so :class:`~repro.maintenance.IndexManager` updates invalidate it
-automatically.  Per query, only the O(#matches) overlay elements receive
-appended ids and adjacency rows (see ``repro.core.exploration``).
+automatically.  A plan's view (``repro.core.exploration``) merges the
+O(#matches) overlay elements into this order; a plan without overlay
+elements uses these tables as they are.
 
-The substrate also hosts derived caches with the same lifetime (they
-die with the substrate when ``version`` moves):
-
-* per-cost-table ``array('d')`` base-cost slots, keyed on the cost model's
-  cached base-cost dict — turning per-query cost assembly into one memcpy
-  plus O(#matches) overrides;
-* the **query plans** (:attr:`ExplorationSubstrate.plans`): an LRU of
-  augmented graphs keyed by the keyword matches they were built from
-  (:func:`repro.summary.augmentation.augment`).  Each plan carries what
-  the stages after augmentation derive from it — per cost model its
-  element costs, per costs object its assembled view (see
-  ``repro.core.exploration._build_substrate_view``), on the view its
-  :class:`BoundTables`, and the finished searches an engine keeps — so a
-  repeated query skips all of them and runs only Algorithm 1/2's loop,
-  or, when its result is kept, none of it.
+The substrate also hosts the **query plans**
+(:attr:`ExplorationSubstrate.plans`), which die with it when ``version``
+moves: an LRU of augmented graphs keyed by the keyword matches they were
+built from (:func:`repro.summary.augmentation.augment`).  Each plan
+carries what the stages after augmentation derive from it — per cost
+model its element costs, per costs object its view (see
+``repro.core.exploration._build_substrate_view``), on the view its
+:class:`BoundTables`, and the finished searches an engine keeps — so a
+repeated query skips all of them and runs only Algorithm 1/2's loop, or,
+when its result is kept, none of it.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 
 from repro.util import LruDict
 
@@ -76,7 +70,7 @@ class BoundTables:
 
 
 class ExplorationSubstrate:
-    """Flat CSR intern tables over one version of a summary graph.
+    """Canonical intern tables over one version of a summary graph.
 
     Parameters
     ----------
@@ -87,19 +81,8 @@ class ExplorationSubstrate:
         ``key -> iterable of neighbor keys`` over the same graph.
     """
 
-    __slots__ = (
-        "keys",
-        "reprs",
-        "ids",
-        "offsets",
-        "targets",
-        "n",
-        "_cost_arrays",
-        "plans",
-    )
+    __slots__ = ("keys", "reprs", "ids", "rows", "plans")
 
-    #: Base-cost arrays retained per substrate (one per live cost model).
-    MAX_COST_TABLES = 4
     #: Query plans retained per substrate (LRU).
     MAX_PLANS = 32
 
@@ -109,53 +92,12 @@ class ExplorationSubstrate:
         self.reprs: List[str] = [text for text, _ in pairs]
         ids: Dict[Hashable, int] = {key: i for i, key in enumerate(self.keys)}
         self.ids = ids
-        self.n = len(self.keys)
-
-        offsets = array("l", [0])
-        targets = array("l")
-        for key in self.keys:
-            row = sorted(ids[nb] for nb in neighbors_of(key))
-            targets.extend(row)
-            offsets.append(len(targets))
-        self.offsets = offsets
-        self.targets = targets
-
-        self._cost_arrays: Dict[int, Tuple[Mapping, array]] = {}
+        self.rows: List[Tuple[int, ...]] = [
+            tuple(sorted([ids[nb] for nb in neighbors_of(key)])) for key in self.keys
+        ]
         #: keyword matches (per keyword, the match objects themselves,
         #: which compare by identity) -> AugmentedSummaryGraph.
         self.plans: LruDict = LruDict(self.MAX_PLANS)
-
-    def row(self, element_id: int) -> array:
-        """The neighbor ids of one element (ascending, canonical order)."""
-        return self.targets[self.offsets[element_id] : self.offsets[element_id + 1]]
-
-    # ------------------------------------------------------------------
-    # Cost slots
-    # ------------------------------------------------------------------
-
-    def cost_array(self, base_table: Mapping[Hashable, float]) -> array:
-        """``array('d')`` of base-element costs aligned with :attr:`keys`.
-
-        Keyed on the identity of ``base_table`` — the cost models hand out
-        one cached base-cost dict per graph version, so repeated queries
-        hit the same array.  A strong reference to the table is kept so a
-        recycled ``id()`` can never alias a dead entry.
-        """
-        token = id(base_table)
-        entry = self._cost_arrays.get(token)
-        if entry is not None and entry[0] is base_table:
-            return entry[1]
-        get = base_table.get
-        arr = array("d", (checked_cost(key, get(key)) for key in self.keys))
-        if len(self._cost_arrays) >= self.MAX_COST_TABLES:
-            self._cost_arrays.pop(next(iter(self._cost_arrays)))
-        self._cost_arrays[token] = (base_table, arr)
-        return arr
-
-    def fresh_cost_array(self, mapping: Mapping[Hashable, float]) -> array:
-        """Uncached cost slots for an arbitrary per-query cost mapping."""
-        get = mapping.get
-        return array("d", (checked_cost(key, get(key)) for key in self.keys))
 
     def trim_results(self, maxsize: int) -> None:
         """Drop kept results, least recently used plan's oldest first, to ``maxsize``."""
@@ -166,20 +108,5 @@ class ExplorationSubstrate:
                 plan.results.drop_oldest()
                 excess -= 1
 
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-
-    def stats(self) -> Dict[str, float]:
-        return {
-            "elements": self.n,
-            "adjacency_slots": len(self.targets),
-            "estimated_bytes": 8 * (len(self.offsets) + len(self.targets))
-            + 8 * self.n * len(self._cost_arrays),
-        }
-
     def __repr__(self):
-        return (
-            f"ExplorationSubstrate(elements={self.n}, "
-            f"adjacency_slots={len(self.targets)})"
-        )
+        return f"ExplorationSubstrate(elements={len(self.keys)})"

@@ -56,7 +56,7 @@ class SummaryGraph:
         self.version: int = 0
         # (version, (repr, key) pairs) cache for the canonical order.
         self._canonical_cache: Optional[Tuple[int, Tuple]] = None
-        # (version, substrate) cache for the CSR exploration substrate.
+        # (version, substrate) cache for the exploration substrate.
         self._substrate_cache: Optional[Tuple[int, ExplorationSubstrate]] = None
 
     # ------------------------------------------------------------------
@@ -327,10 +327,10 @@ class SummaryGraph:
         return pairs
 
     def exploration_substrate(self) -> ExplorationSubstrate:
-        """The CSR intern tables of this graph, cached per :attr:`version`.
+        """The intern tables of this graph, cached per :attr:`version`.
 
         The substrate is the query-invariant part of Algorithm 1's element
-        interning (canonical key ↔ id tables plus flat adjacency arrays);
+        interning (canonical key ↔ id tables plus neighbour-id rows);
         any mutation advances :attr:`version` and therefore invalidates it
         automatically — including every delta the
         :class:`~repro.maintenance.IndexManager` propagates.

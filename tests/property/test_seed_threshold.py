@@ -36,10 +36,8 @@ from test_vectorized_identity import (
 from repro.core import exploration
 from repro.core.engine import KeywordSearchEngine
 from repro.core.exploration import (
-    _boxed_costs,
     _build_substrate_view,
     _completion_bounds,
-    _view_row_of,
     explore_top_k,
     seed_threshold,
     seed_witnesses,
@@ -65,12 +63,12 @@ def _tables(augmented, costs):
     """The inputs ``explore_top_k`` derives a threshold from."""
     view = _build_substrate_view(augmented, costs)
     seed_costs = [
-        {view.id_of(key): view.costs[view.id_of(key)] for key in elements}
+        {view.ids[key]: view.costs[view.ids[key]] for key in elements}
         for elements in augmented.sorted_keyword_elements()
         if elements
     ]
     _, dists = _completion_bounds(
-        len(seed_costs), seed_costs, _view_row_of(view), _boxed_costs(view), view.total
+        len(seed_costs), seed_costs, view.rows.__getitem__, view.costs, view.total
     )
     return view, seed_costs, dists
 
@@ -85,7 +83,7 @@ def _tables(augmented, costs):
 def test_witnesses_are_subgraphs_the_loop_can_assemble(case, dmax):
     augmented, costs, k, _ = _random_case(case)
     view, seed_costs, dists = _tables(augmented, costs)
-    row_of = _view_row_of(view)
+    row_of = view.rows.__getitem__
     m = len(seed_costs)
     witnesses = seed_witnesses(m, dists, seed_costs, row_of, view.costs, k, dmax)
 

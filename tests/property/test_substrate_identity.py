@@ -1,10 +1,11 @@
-"""Property: the cached CSR substrate never changes what exploration returns.
+"""Property: the cached substrate never changes what exploration returns.
 
-The version-keyed substrate explores on append-only ids and translates
-emitted subgraphs back into the canonical merged id space, so the result
-is a function of the abstract graph — not of how long the substrate has
-been cached, which views and bound tables it has accumulated, or how the
-graph under it was arrived at.
+Each plan's view numbers its elements by canonical rank — one stable repr
+sort of the base and overlay elements, base first — and exploration runs
+and emits subgraphs in those ids, so the result is a function of the
+abstract graph — not of how long the substrate has been cached, which
+views and bound tables it has accumulated, or how the graph under it was
+arrived at.
 
 Part 1 holds that against ground truth: on random summary graphs, under
 the bounded default loop and the unbounded ``guided=False`` oracle, the

@@ -12,10 +12,11 @@ because a second, plainer implementation is what "byte-identical" is
 measured against: same subgraphs, same ranking among equal costs, same six
 diagnostics (``test_vectorized_identity.py``, ``test_exploration.py``).
 
-It shares with production only what is not the loop: the per-query view
-over the CSR substrate (ids anchor tie-breaking, so both sides must number
-elements alike), the Dijkstra bound tables and the seed threshold read off
-them.  It caches nothing.
+It interns its own id space from scratch (:func:`intern_view`: ids anchor
+tie-breaking, so both sides must number elements alike, and the oracle
+numbers them from the definition rather than from production's view) and
+shares with production only the Dijkstra bound tables and the seed
+threshold read off them.  It caches nothing.
 
 :func:`reference_loop` substitutes it at the one seam where the engine
 reaches exploration, ``repro.core.engine``'s call of ``explore_top_k``.
@@ -53,9 +54,7 @@ from repro.core import engine as engine_module
 from repro.core.exploration import (
     DEFAULT_DMAX,
     ExplorationResult,
-    _build_substrate_view,
     _completion_bounds,
-    _view_row_of,
     seed_threshold,
 )
 from repro.core.subgraph import MatchingSubgraph
@@ -223,6 +222,34 @@ def _best_combinations(
                 heapq.heappush(heap, (next_cost, successor))
 
 
+class InternedView:
+    """The id space of an augmented graph, interned from scratch: element
+    ``i`` is ``keys[i]``, ``rows[i]`` its neighbours' ids (ascending) and
+    ``costs[i]`` its cost read through the cost mapping."""
+
+    def __init__(self, keys, rows, costs):
+        self.keys = keys
+        self.ids = {key: i for i, key in enumerate(keys)}
+        self.rows = rows
+        self.costs = costs
+
+
+def intern_view(augmented, element_costs) -> InternedView:
+    """Number every element of ``augmented.graph`` by its rank in one
+    stable sort by repr of the base graph's vertices and edges followed by
+    the overlay's, so base elements come first among equal reprs."""
+    graph = augmented.graph
+    base = getattr(graph, "base", graph)
+    keys = [vertex.key for vertex in base.vertices] + [edge.key for edge in base.edges]
+    if base is not graph:
+        keys += [vertex.key for vertex in graph.added_vertices]
+        keys += [edge.key for edge in graph.added_edges]
+    keys.sort(key=repr)
+    ids = {key: i for i, key in enumerate(keys)}
+    rows = [sorted(ids[nb] for nb in graph.neighbors(key)) for key in keys]
+    return InternedView(keys, rows, [element_costs[key] for key in keys])
+
+
 def explore_top_k(
     augmented,
     element_costs,
@@ -248,15 +275,15 @@ def explore_top_k(
     if m == 0:
         return ExplorationResult([], 0, 0, 0, 0, "no-keywords", 0)
 
-    view = _build_substrate_view(augmented, element_costs)
+    view = intern_view(augmented, element_costs)
     costs = view.costs
-    row_of = _view_row_of(view)
+    row_of = view.rows.__getitem__
 
     seeds: List[List[Tuple[int, float]]] = []
     for elements in ordered_sets:
         pairs = []
         for key in elements:
-            element = view.id_of(key)
+            element = view.ids.get(key)
             if element is None:
                 raise KeyError(f"keyword element {key!r} not in augmented graph")
             pairs.append((element, costs[element]))
@@ -267,7 +294,7 @@ def explore_top_k(
         threshold = _INF
     else:
         seed_costs = [dict(pairs) for pairs in seeds]
-        bounds, dists = _completion_bounds(m, seed_costs, row_of, costs, view.total)
+        bounds, dists = _completion_bounds(m, seed_costs, row_of, costs, len(costs))
         if threshold is None:
             threshold = seed_threshold(m, dists, seed_costs, row_of, costs, k, dmax)
 
@@ -289,8 +316,7 @@ def _explore(view, seeds, bounds, k, dmax, max_cursors, threshold) -> Exploratio
     ``min(k-th cost, threshold)``."""
     m = len(seeds)
     costs = view.costs
-    to_merged = view.to_merged
-    row_of = _view_row_of(view)
+    row_of = view.rows.__getitem__
     candidates = CandidateList(k)
 
     heap: List[Tuple[float, int, Cursor]] = []
@@ -365,14 +391,7 @@ def _explore(view, seeds, bounds, k, dmax, max_cursors, threshold) -> Exploratio
             for combo_cost, combo in _best_combinations(other_lists, kth_cost):
                 if len(candidates) >= k and combo_cost >= kth_cost():
                     break
-                if to_merged is None:
-                    merged = subgraph_from_cursors(element, combo)
-                else:
-                    merged = MatchingSubgraph(
-                        to_merged(element),
-                        [[to_merged(e) for e in c.path()] for c in combo],
-                        sum(c.cost for c in combo),
-                    )
+                merged = subgraph_from_cursors(element, combo)
                 candidates.offer(merged)
                 distinct_sets.add(merged.canonical_key)
                 if len(distinct_sets) >= k:
@@ -388,7 +407,7 @@ def _explore(view, seeds, bounds, k, dmax, max_cursors, threshold) -> Exploratio
             break
 
     return ExplorationResult(
-        subgraphs=[sg.translated(view.decode) for sg in candidates.best()],
+        subgraphs=[sg.translated(view.keys.__getitem__) for sg in candidates.best()],
         cursors_created=created,
         cursors_popped=popped,
         cursors_pruned=pruned,

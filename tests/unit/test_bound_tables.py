@@ -15,11 +15,9 @@ import pytest
 from repro.core import exploration, kernels
 from repro.core.engine import KeywordSearchEngine
 from repro.core.exploration import (
-    _boxed_costs,
     _build_substrate_view,
     _completion_bounds,
     _dijkstra_rows,
-    _view_row_of,
     explore_top_k,
 )
 from repro.datasets import running_example_graph
@@ -129,7 +127,7 @@ def _ring_problem(n, chord_step):
     costs = engine.cost_model.element_costs(augmented)
     view = _build_substrate_view(augmented, costs)
     seed_costs = [
-        {view.id_of(key): view.costs[view.id_of(key)] for key in elements}
+        {view.ids[key]: view.costs[view.ids[key]] for key in elements}
         for elements in augmented.sorted_keyword_elements()
         if elements
     ]
@@ -149,8 +147,8 @@ def _solves_the_equations(table, seeds, in_rows, costs):
 def test_wide_view_tables_solve_their_equations(n, chord_step, total):
     _, _, view, seed_costs = _ring_problem(n, chord_step)
     assert view.total == total
-    row_of = _view_row_of(view)
-    costs = _boxed_costs(view)
+    row_of = view.rows.__getitem__
+    costs = view.costs
     in_rows = [[] for _ in range(view.total)]
     for u in range(view.total):
         for v in row_of(u):

@@ -537,25 +537,37 @@ def test_cold_lookup_decodes_only_the_matches_it_keeps(tmp_path, monkeypatch):
     ]
 
 
-def test_cold_fuzzy_lookup_memoizes_no_vocabulary(tmp_path):
-    """A keyword no term matches falls back to probing its one-edit
-    neighbourhood, hundreds of bisects of the vocabulary, but memoizes
-    none of the texts they read — and the match is the constructed
-    engine's."""
-    ex = "http://example.org/fuzzy/"
+FUZZY = "http://example.org/fuzzy/"
+
+
+def _fuzzy_triples():
+    """A student class and 300 random words, one value each."""
     rng = random.Random(3)
     letters = "abcdefghijklmnopqrstuvwxyz"
     words = {
         "".join(rng.choice(letters) for _ in range(rng.randrange(5, 10)))
         for _ in range(300)
     }
-    triples = [Triple(URI(ex + "e0"), RDF.type, URI(ex + "Student"))] + [
-        Triple(URI(f"{ex}e{i}"), URI(ex + "name"), Literal(word))
+    return [Triple(URI(FUZZY + "e0"), RDF.type, URI(FUZZY + "Student"))] + [
+        Triple(URI(f"{FUZZY}e{i}"), URI(FUZZY + "name"), Literal(word))
         for i, word in enumerate(sorted(words))
     ]
+
+
+def _fuzzy_bundle(tmp_path, triples):
     path = tmp_path / "fuzzy.reprobundle"
     build_bundle_streaming(iter(triples), path)
-    loaded = KeywordSearchEngine.load(path, attach_wal=False)
+    return KeywordSearchEngine.load(path, attach_wal=False)
+
+
+def test_cold_fuzzy_lookup_memoizes_no_vocabulary(tmp_path):
+    """A keyword no term matches falls back to probing its one-edit
+    neighbourhood, hundreds of bisects of the vocabulary, but memoizes
+    none of the texts they read — and the match is the constructed
+    engine's."""
+    ex = FUZZY
+    triples = _fuzzy_triples()
+    loaded = _fuzzy_bundle(tmp_path, triples)
     constructed = KeywordSearchEngine(DataGraph(triples))
 
     vocabulary = loaded.keyword_index._index._dict
@@ -569,6 +581,36 @@ def test_cold_fuzzy_lookup_memoizes_no_vocabulary(tmp_path):
     assert [(repr(m), m.element_key) for m in matches] == [
         (repr(m), m.element_key) for m in expected
     ]
+
+
+def test_cold_fuzzy_lookup_decodes_no_text_to_bisect(tmp_path, monkeypatch):
+    """Each probe of the one-edit neighbourhood bisects the vocabulary on
+    raw UTF-8 bytes: hundreds of probes, and not one text decoded (``peek``)
+    inside them."""
+    loaded = _fuzzy_bundle(tmp_path, _fuzzy_triples())
+    dictionary = type(loaded.keyword_index._index._dict)
+    peek, id_of = dictionary.peek, dictionary.id_of
+    probing, probes, decoded = [], [], []
+
+    def counting_peek(self, vid):
+        if probing:
+            decoded.append(vid)
+        return peek(self, vid)
+
+    def counting_id_of(self, text):
+        probing.append(text)
+        probes.append(text)
+        try:
+            return id_of(self, text)
+        finally:
+            probing.pop()
+
+    monkeypatch.setattr(dictionary, "peek", counting_peek)
+    monkeypatch.setattr(dictionary, "id_of", counting_id_of)
+    matches = loaded.keyword_index.lookup("studnt")
+    assert [m.element_key for m in matches] == [("class", URI(FUZZY + "Student"))]
+    assert len(probes) > 100
+    assert decoded == []
 
 
 def test_engine_stats_report_tier(example_bundle):

@@ -585,8 +585,7 @@ def test_loaded_substrate_equals_the_in_process_one(dataset, request, tmp_path):
     loaded = KeywordSearchEngine.load(path, attach_wal=False)
     substrate = loaded.snapshot().substrate
     fresh = engine.snapshot().substrate
-    assert list(substrate.offsets) == list(fresh.offsets)
-    assert list(substrate.targets) == list(fresh.targets)
+    assert substrate.rows == fresh.rows
     assert substrate.keys == fresh.keys
 
 

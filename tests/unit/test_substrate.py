@@ -1,8 +1,13 @@
-"""Unit tests for the version-keyed CSR exploration substrate."""
+"""Unit tests for the version-keyed exploration substrate and the id
+space of a plan's view."""
 
 import pytest
 
-from repro.core.exploration import explore_top_k
+from reference_exploration import intern_view
+
+from repro.core.engine import KeywordSearchEngine
+from repro.core.exploration import _build_substrate_view, explore_top_k
+from repro.datasets import running_example_graph
 from repro.rdf.terms import URI, Literal
 from repro.summary.augmentation import AugmentedSummaryGraph, augment
 from repro.summary.elements import SummaryEdgeKind
@@ -35,7 +40,7 @@ class TestCaching:
         graph.add_edge(URI("e:new"), SummaryEdgeKind.RELATION, keys[0], keys[2])
         second = graph.exploration_substrate()
         assert second is not first
-        assert second.n == first.n + 1
+        assert len(second.keys) == len(first.keys) + 1
 
 
 class TestStructure:
@@ -45,43 +50,57 @@ class TestStructure:
         assert list(substrate.keys) == sorted(substrate.keys, key=repr)
         assert substrate.reprs == sorted(substrate.reprs)
 
-    def test_csr_rows_match_graph_neighbors(self):
+    def test_rows_match_graph_neighbors(self):
         graph, _, _ = line_graph(5)
         substrate = graph.exploration_substrate()
+        assert len(substrate.rows) == len(substrate.keys)
         for key, element_id in substrate.ids.items():
             expected = sorted(substrate.ids[nb] for nb in graph.neighbors(key))
-            assert list(substrate.row(element_id)) == expected
+            assert substrate.rows[element_id] == tuple(expected)
 
-    def test_stats_and_repr(self):
+    def test_size_and_repr(self):
         graph, _, _ = line_graph()
         substrate = graph.exploration_substrate()
-        stats = substrate.stats()
-        assert stats["elements"] == len(graph)
+        assert len(substrate.keys) == len(graph)
         assert "ExplorationSubstrate" in repr(substrate)
 
 
-class TestCostSlots:
-    def test_cost_array_cached_by_table_identity(self):
-        graph, _, _ = line_graph()
+class TestViewCosts:
+    def test_view_costs_read_through_the_mapping(self):
+        """A plan without overlay elements shares the substrate's tables,
+        and its costs are the mapping's, in id order."""
+        graph, keys, _ = line_graph()
         substrate = graph.exploration_substrate()
-        table = {key: 1.0 for key in substrate.keys}
-        first = substrate.cost_array(table)
-        assert substrate.cost_array(table) is first
-        assert substrate.cost_array(dict(table)) is not first
+        augmented = AugmentedSummaryGraph(graph, [{keys[0]}], {})
+        table = {key: float(i + 1) for i, key in enumerate(substrate.keys)}
+        view = _build_substrate_view(augmented, table)
+        assert view.keys is substrate.keys and view.rows is substrate.rows
+        assert view.costs == [table[key] for key in substrate.keys]
+
+    def test_view_cached_by_memoized_costs_identity(self):
+        """The view of the costs a plan memoized is kept on the plan; any
+        other mapping, even an equal copy, gets a view of its own."""
+        graph, keys, _ = line_graph()
+        augmented = AugmentedSummaryGraph(graph, [{keys[0]}], {})
+        table = {key: 1.0 for key in graph.exploration_substrate().keys}
+        augmented.cost_memo["model"] = table
+        first = _build_substrate_view(augmented, table)
+        assert _build_substrate_view(augmented, table) is first
+        assert _build_substrate_view(augmented, dict(table)) is not first
 
     def test_missing_cost_raises_key_error(self):
-        graph, _, _ = line_graph()
-        substrate = graph.exploration_substrate()
+        graph, keys, _ = line_graph()
+        augmented = AugmentedSummaryGraph(graph, [{keys[0]}, {keys[3]}], {})
         with pytest.raises(KeyError, match="no cost assigned"):
-            substrate.cost_array({})
+            explore_top_k(augmented, {}, k=1)
 
     def test_non_positive_cost_rejected(self):
-        graph, _, _ = line_graph()
-        substrate = graph.exploration_substrate()
-        table = {key: 1.0 for key in substrate.keys}
-        table[substrate.keys[0]] = 0.0
+        graph, keys, _ = line_graph()
+        augmented = AugmentedSummaryGraph(graph, [{keys[0]}, {keys[3]}], {})
+        table = dict.fromkeys(graph.exploration_substrate().keys, 1.0)
+        table[keys[1]] = 0.0
         with pytest.raises(ValueError, match="must be positive"):
-            substrate.fresh_cost_array(table)
+            explore_top_k(augmented, table, k=1)
 
     def test_checked_cost_passthrough(self):
         assert checked_cost("x", 0.5) == 0.5
@@ -141,10 +160,10 @@ class TestExplorationIntegration:
         assert [sg.elements for sg in a.subgraphs] == [sg.elements for sg in b.subgraphs]
         assert [sg.paths for sg in a.subgraphs] == [sg.paths for sg in b.subgraphs]
 
-    def test_masked_non_positive_base_cost_falls_back(self):
+    def test_layered_cost_mapping_reads_through(self):
         """A two-layer ChainMap whose base holds a non-positive entry that
-        a per-query override rescores positive must succeed, reading
-        through the full mapping — like the flat table it amounts to."""
+        the top layer rescores positive must succeed: the view reads every
+        cost through the mapping, like the flat table it amounts to."""
         from collections import ChainMap
 
         graph, keys, _ = line_graph(3)
@@ -174,14 +193,15 @@ class TestExplorationIntegration:
         with pytest.raises(ValueError, match="exploration requires a summary graph"):
             explore_top_k(augmented, {"a": 1.0}, k=1)
 
-    def test_overlay_elements_get_appended_ids(self):
+    def test_overlay_elements_leave_the_substrate_unmutated(self):
         """A query whose matches add overlay elements explores identically
         through the substrate, and the base substrate stays unmutated."""
         from repro.keyword.keyword_index import ValueMatch
 
         graph, keys, _ = line_graph(3)
         substrate = graph.exploration_substrate()
-        n_before = substrate.n
+        n_before = len(substrate.keys)
+        rows_before = list(substrate.rows)
 
         match = ValueMatch(
             Literal("v"), frozenset([(URI("a:attr"), URI("c:0"))]), 1.0
@@ -202,4 +222,42 @@ class TestExplorationIntegration:
         assert a.subgraphs
         assert [sg.elements for sg in a.subgraphs] == [sg.elements for sg in b.subgraphs]
         assert graph.exploration_substrate() is substrate
-        assert substrate.n == n_before
+        assert len(substrate.keys) == n_before
+        assert substrate.rows == rows_before
+
+
+#: Queries whose plans add value vertices and A-edges to the summary.
+VIEW_QUERIES = {
+    "example": ["cimiano 2006", "aifb article", "cimiano aifb 2006", "x-media"],
+    "dblp": ["cimiano 2006", "semantic search 2005", "thanh tran aifb"],
+}
+
+
+@pytest.mark.parametrize("dataset", sorted(VIEW_QUERIES))
+def test_view_is_the_from_scratch_interning(dataset, dblp_small):
+    """A plan's view numbers its elements exactly as interning the
+    augmented graph from scratch does (``reference_exploration``'s
+    :func:`intern_view`): same keys in the same order, same rows, same
+    costs.  Overlay elements take their canonical ranks among the base
+    elements, not ids after them."""
+    graph = running_example_graph() if dataset == "example" else dblp_small
+    engine = KeywordSearchEngine(graph)
+    interleaved = 0
+    for query in VIEW_QUERIES[dataset]:
+        matches = [m for m in engine.keyword_index.lookup_all(query.split()) if m]
+        augmented = augment(engine.summary, matches)
+        assert isinstance(augmented.graph, OverlaySummaryGraph), query
+        added = augmented.graph.added_element_keys()
+        assert any(key[0] == "value" for key in added), query
+        assert any(key[0] == "edge" for key in added), query
+        costs = engine.cost_model.element_costs(augmented)
+        view = _build_substrate_view(augmented, costs)
+        fresh = intern_view(augmented, costs)
+        assert list(view.keys) == fresh.keys, query
+        assert view.ids == fresh.ids, query
+        assert [list(row) for row in view.rows] == fresh.rows, query
+        assert view.costs == fresh.costs, query
+        assert view.total == len(fresh.keys), query
+        first_added = min(view.ids[key] for key in added)
+        interleaved += first_added < len(view.keys) - len(added)
+    assert interleaved, "no plan put an overlay element before a base element"
