@@ -1,7 +1,9 @@
 """The ranking, pinned byte for byte: candidates in rank order, ties and all.
 
-Every DBLP performance and effectiveness query on ``dblp_small`` and every
-LUBM effectiveness query on ``lubm_small`` is searched at k=10, and each
+Every DBLP performance and effectiveness query on ``dblp_small``, every
+LUBM effectiveness query on ``lubm_small``, every running-example
+effectiveness query on the Fig. 1a graph and every TAP effectiveness
+query on ``tap_small`` is searched at k=10, and each
 query's record — every candidate's signature and ``repr(cost)`` in rank
 order, plus the exploration's ``cursors_created`` / ``popped`` /
 ``pruned`` — must equal ``ranking_golden.json`` byte for byte.  A
@@ -12,7 +14,11 @@ same process; this file compares it against a ranking written down once.
 Equal-cost candidates are common here (several per DBLP query), and their
 order is decided by how exploration numbers the elements of a plan's
 view, so a change to that numbering shows up here even when it is applied
-to the exploration and its oracle alike.
+to the exploration and its oracle alike.  The running example and TAP are
+where such ties set a base summary element against an overlay element
+(one the query's keyword matches added), so a numbering that orders the
+two parts differently moves their rankings while DBLP's and LUBM's stay
+put.
 
 To rewrite the file after a change that is meant to move the ranking::
 
@@ -24,11 +30,21 @@ import json
 import os
 
 from repro.core.engine import KeywordSearchEngine
-from repro.datasets import DblpConfig, LubmConfig, generate_dblp, generate_lubm
+from repro.datasets import (
+    DblpConfig,
+    LubmConfig,
+    TapConfig,
+    generate_dblp,
+    generate_lubm,
+    generate_tap,
+)
+from repro.datasets.example import running_example_graph
 from repro.datasets.workloads import (
     dblp_effectiveness_workload,
     dblp_performance_queries,
+    example_effectiveness_workload,
     lubm_effectiveness_workload,
+    tap_effectiveness_workload,
 )
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "ranking_golden.json")
@@ -64,25 +80,32 @@ def _records(graph, queries):
     return records
 
 
-def ranking_text(dblp_graph, lubm_graph) -> str:
-    """The golden file's exact contents for these two graphs."""
+DATASETS = ("dblp", "lubm", "example", "tap")
+
+
+def ranking_text(dblp_graph, lubm_graph, example_graph, tap_graph) -> str:
+    """The golden file's exact contents for these four graphs."""
     golden = {
         "k": K,
         "dblp": _records(
             dblp_graph, dblp_performance_queries() + dblp_effectiveness_workload()
         ),
         "lubm": _records(lubm_graph, lubm_effectiveness_workload()),
+        "example": _records(example_graph, example_effectiveness_workload()),
+        "tap": _records(tap_graph, tap_effectiveness_workload()),
     }
     return json.dumps(golden, indent=1, sort_keys=True) + "\n"
 
 
-def test_ranking_matches_the_golden_byte_for_byte(dblp_small, lubm_small):
-    got = ranking_text(dblp_small, lubm_small)
+def test_ranking_matches_the_golden_byte_for_byte(
+    dblp_small, lubm_small, example_graph, tap_small
+):
+    got = ranking_text(dblp_small, lubm_small, example_graph, tap_small)
     with open(GOLDEN, encoding="utf-8") as handle:
         expected = handle.read()
     if got != expected:
         got_data, expected_data = json.loads(got), json.loads(expected)
-        for dataset in ("dblp", "lubm"):
+        for dataset in DATASETS:
             for mine, theirs in zip(got_data[dataset], expected_data[dataset]):
                 assert mine == theirs, f"{dataset} {theirs['qid']} diverges"
     assert got == expected
@@ -92,6 +115,8 @@ if __name__ == "__main__":
     text = ranking_text(
         generate_dblp(DblpConfig(publications=300)),
         generate_lubm(LubmConfig(universities=1)),
+        running_example_graph(),
+        generate_tap(TapConfig(instances_per_class=4)),
     )
     with open(GOLDEN, "w", encoding="utf-8") as handle:
         handle.write(text)
