@@ -355,15 +355,16 @@ class KeywordSearchEngine:
     dmax:
         Default exploration depth, in elements.
     guided:
-        ``True`` (default) runs Algorithm 2 with its completion bounds;
-        ``False`` runs the unbounded loop of the Section VI-C ablation
-        (``benchmarks/test_ablation_guarantee.py``), which returns the
-        same results (see :func:`~repro.core.exploration.explore_top_k`).
-        No entry point sets it.
+        Accepts only ``True``; anything else is a ``TypeError``.  Every
+        search runs Algorithm 2 with its completion bounds (see
+        :func:`~repro.core.exploration.explore_top_k`); the keyword, and
+        the read-only :attr:`guided`, stay only for the frozen
+        ``perf/checks.py``, which passes ``guided=engine.guided``
+        (ROADMAP item 5(b)).
     search_cache_size:
         When positive, query plans keep up to this many finished searches
         in all (and the plan LRU holds at least this many plans), keyed on
-        cost model, k, dmax and ``guided``, so a repeated query runs
+        cost model, k and dmax, so a repeated query runs
         neither exploration nor mapping already done.  A result dies with its plan — when the
         summary version moves, or an update recomputes a keyword's matches
         — and a hit returns the ``timings`` of the search that ran it.
@@ -390,9 +391,10 @@ class KeywordSearchEngine:
         self.cost_model = (
             make_cost_model(cost_model) if isinstance(cost_model, str) else cost_model
         )
+        if True is not guided:
+            raise TypeError("KeywordSearchEngine() takes guided=True only")
         self.k = k
         self.dmax = dmax
-        self.guided = guided
         self.search_cache_size = search_cache_size
         #: Explorations that started from a seed threshold, and those among
         #: them that refuted it and ran a second time (``/stats``
@@ -507,6 +509,12 @@ class KeywordSearchEngine:
         loaded bundle, ``"memory"`` for an engine the constructors built."""
         return self.keyword_index.index_tier
 
+    @property
+    def guided(self) -> bool:
+        """``True``, read-only: every search runs Algorithm 2 with its
+        completion bounds (the constructor's ``guided=`` shim)."""
+        return True
+
     # ------------------------------------------------------------------
     # Updates (incremental offline-index maintenance)
     # ------------------------------------------------------------------
@@ -559,7 +567,6 @@ class KeywordSearchEngine:
             epoch=self.index_manager.epoch,
             k=self.k,
             dmax=self.dmax,
-            guided=self.guided,
         )
 
     def search(
@@ -635,7 +642,7 @@ class KeywordSearchEngine:
         # Task 2: zero-copy augmentation — the query's plan, where its result
         # is kept (no matches: the plan of none) — and element costs.
         plan = augment(snapshot.summary, effective)
-        key = (snapshot.cost_model, k, dmax, snapshot.guided)
+        key = (snapshot.cost_model, k, dmax)
         result = plan.results.hit(key) if keep else None
         if result is not None:
             candidates = result.up_to(rank)
@@ -645,9 +652,7 @@ class KeywordSearchEngine:
                 costs = snapshot.cost_model.element_costs(plan)
                 laps.lap("augmentation")
                 # Tasks 3+4: exploration and top-k.
-                exploration = explore_top_k(
-                    plan, costs, k=k, dmax=dmax, guided=snapshot.guided
-                )
+                exploration = explore_top_k(plan, costs, k=k, dmax=dmax)
                 if isfinite(exploration.seed_threshold):
                     self._seeds.add("seeded")
                     if exploration.seed_fallback:

@@ -53,9 +53,10 @@ Implementation notes (performance, same semantics):
   cursor, and a cursor that was queued before the k-th cost fell is
   discarded when popped.  The k-th cost only ever falls, so the push-time
   check drops a subset of what the pop-time check would, and neither can
-  change the answer (``guided=False`` switches both off and is kept only
-  as the identity oracle).  The bound tables are kept on the query
-  plan's view, so a repeated query skips them entirely;
+  change the answer: they change the work, never the result (the
+  unbounded loop they are checked against is the test oracle's,
+  ``tests/reference_exploration.py``).  The bound tables are kept on the
+  query plan's view, so a repeated query skips them entirely;
 * Algorithm 2 **starts with a threshold**.  On its own it can prune only
   once k candidates exist, and most of a request's cursors are created
   before that, against a k-th cost of +inf — although the per-keyword
@@ -76,7 +77,7 @@ Implementation notes (performance, same semantics):
   without the seed and counted (``ExplorationResult.seed_fallback``,
   ``/stats`` ``exploration.seed_fallbacks``): a wrong witness can cost a
   second exploration, never an answer.  The threshold is cached beside
-  the tables per ``(k, dmax)``; ``guided=False`` runs unseeded;
+  the tables per ``(k, dmax)``;
 * the loop and its bound tables are pure Python and run the same on every
   install: one implementation computes the tables, the per-keyword
   Dijkstra of :func:`_completion_bounds`.
@@ -88,8 +89,8 @@ from array import array
 from bisect import bisect_left, insort
 from heapq import heapify, heappop, heappush
 from itertools import islice
-from operator import add, itemgetter, sub
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from operator import add, itemgetter
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro.core.subgraph import MatchingSubgraph
 from repro.core.topk import CandidateList
@@ -166,11 +167,7 @@ class _SubstrateView:
         "rows",
         "costs",
         "total",
-        # (bounds, nets) pair: per-keyword `bounds[kw][e] - costs[e]`
-        # tables precomputed for the pop-time prune check, keyed on the
-        # identity of the bounds object they were folded from.
-        "net_bounds",
-        # The plan's BoundTables (None until a guided run built them).
+        # The plan's BoundTables (None until the first run built them).
         "tables",
     )
 
@@ -234,7 +231,6 @@ def _build_substrate_view(
     else:
         view.keys, view.ids, view.rows = substrate.keys, substrate.ids, substrate.rows
     view.total = len(view.keys)
-    view.net_bounds = None
     view.tables = None
 
     costs = list(map(element_costs.get, view.keys))
@@ -286,8 +282,8 @@ def _completion_bounds(
     costs: Sequence[float],
     total: int,
 ) -> Tuple[List[List[float]], List[array]]:
-    """Per-keyword admissible completion bounds L_i(n) (guided exploration),
-    and the per-keyword distance tables they were built from.
+    """Per-keyword admissible completion bounds L_i(n), and the
+    per-keyword distance tables they were built from.
 
     ``dist_j(n)`` = cheapest path cost from keyword j to element n.  The
     raw table is a Dijkstra seeded with ``S_i(n*) = Σ_{j≠i} dist_j(n*)`` at
@@ -607,15 +603,16 @@ def seed_threshold(m, dists, seed_costs, row_of, costs, k, dmax) -> float:
 # ----------------------------------------------------------------------
 
 
-def explore_soa(seed_lists, m, view, bounds, candidates, k, dmax, threshold=_INF):
+def explore_soa(seed_lists, m, view, nets, candidates, k, dmax, threshold=_INF):
     """The cost-ordered pop loop on structure-of-arrays cursors.
 
     ``seed_lists[i]`` holds ``(element, cost)`` origin pairs in canonical
     seeding order.  Cursors are one packed ``(element, keyword, parent,
     distance)`` tuple plus a parallel cost list, indexed by creation
     order; heap entries are ``(cost, index)`` pairs, so equal costs pop
-    in creation order.  ``bounds`` is the per-keyword completion table or
-    ``None`` for the unbounded oracle run; ``threshold`` is the seed the
+    in creation order.  ``nets`` holds the per-keyword net completion
+    tables (:attr:`~repro.summary.substrate.BoundTables.nets`);
+    ``threshold`` is the seed the
     two bound checks start from (:func:`seed_threshold`) — they prune
     against ``min(k-th cost, threshold)``, everything else reads the k-th
     cost alone.  Every counter increment,
@@ -689,21 +686,6 @@ def explore_soa(seed_lists, m, view, bounds, candidates, k, dmax, threshold=_INF
     n_found = len(candidates)
     dup_offers = 0
 
-    # Net completion bounds: the raw table enters an element once more
-    # while a cursor's cost already covers it (see _completion_bounds), so
-    # every check needs ``bounds[kw][e] - costs[e]``; the subtraction is
-    # folded once per table and cached on the view, keyed by the bounds
-    # object's identity.
-    nets = None
-    if bounds is not None:
-        cached_nets = view.net_bounds
-        if cached_nets is not None and cached_nets[0] is bounds:
-            nets = cached_nets[1]
-        else:
-            nets = [list(map(sub, brow, costs)) for brow in bounds]
-            view.net_bounds = (bounds, nets)
-
-    kw_nets = None
     popped = 0
     pruned = 0
     max_queue = 0
@@ -726,11 +708,10 @@ def explore_soa(seed_lists, m, view, bounds, candidates, k, dmax, threshold=_INF
         # cannot beat the k-th candidate, the cursor is dead weight.
         # Children are checked before they are pushed too; this pop-time
         # check stays because the k-th cost may have fallen since.
-        if nets is not None:
-            kw_nets = nets[kw]
-            if cursor_cost + kw_nets[element] >= cut:
-                pruned += 1
-                continue
+        kw_nets = nets[kw]
+        if cursor_cost + kw_nets[element] >= cut:
+            pruned += 1
+            continue
 
         state = states_get(element)
         if state is None:
@@ -770,7 +751,7 @@ def explore_soa(seed_lists, m, view, bounds, candidates, k, dmax, threshold=_INF
                 # here would have been discarded at its pop, and skipping
                 # its cursor, cost slot and heap entry cannot change the
                 # answer.
-                if kw_nets is not None and child_cost + kw_nets[neighbor] >= cut:
+                if child_cost + kw_nets[neighbor] >= cut:
                     pruned += 1
                     continue
                 cur_append((neighbor, kw, ci, next_distance))
@@ -910,31 +891,25 @@ def explore_top_k(
     dmax:
         Maximum path length in elements; cursors at distance ``dmax`` are
         registered but not expanded.
-    guided:
-        ``True`` (default): the completion bounds of Section VI-A/IX
-        ("indexing connectivity") are part of the algorithm — per-keyword
+    guided, use_vectorized:
+        Accept only ``True`` and ``None``; anything else is a
+        ``TypeError``.  The completion bounds of Section VI-A/IX ("indexing
+        connectivity") are always part of the algorithm — per-keyword
         cheapest-completion tables are looked up (or computed once and
-        kept on the query plan's view), a child that provably cannot contribute
-        a candidate better than the current k-th never gets a cursor, and
-        a cursor that lost that race while queued is discarded when
-        popped; until k candidates exist, "the current k-th" is the seed
-        threshold read off the same tables (:func:`seed_threshold`),
+        kept on the query plan's view), a child that provably cannot
+        contribute a candidate better than the current k-th never gets a
+        cursor, and a cursor that lost that race while queued is discarded
+        when popped; until k candidates exist, "the current k-th" is the
+        seed threshold read off the same tables (:func:`seed_threshold`),
         checked when the run ends and dropped for one rerun if the run
         refuted it (``seed_fallback`` on the result — see the module
-        docstring for why the check makes the seed safe).  ``False`` runs
-        the unbounded, unseeded loop.  The result is
-        identical; only the work changes — which is the one reason
-        ``False`` still exists: it is the oracle the bounds are tested
-        against (``test_guided_equivalence.py``) and the Section VI-C
-        ablation (``benchmarks/test_ablation_guarantee.py``).
-    use_vectorized:
-        Accepts only ``None``; anything else is a ``TypeError``.  The one
-        bound-table implementation left needs no choosing, and the keyword
-        stays only for the frozen ``perf/tracing.py``, which passes
-        ``EngineSnapshot.use_vectorized`` (ROADMAP item 5(b)).
+        docstring for why the check makes the seed safe).  Both keywords
+        stay only for the frozen ``perf/tracing.py``, which passes
+        ``EngineSnapshot.guided`` and ``EngineSnapshot.use_vectorized``
+        (ROADMAP item 5(b)).
     """
-    if use_vectorized is not None:
-        raise TypeError("explore_top_k() takes use_vectorized=None only")
+    if use_vectorized is not None or guided is not True:
+        raise TypeError("explore_top_k() takes guided=True, use_vectorized=None only")
     ordered_sets = [ks for ks in augmented.sorted_keyword_elements() if ks]
     m = len(ordered_sets)
     if m == 0:
@@ -956,35 +931,27 @@ def explore_top_k(
                 raise KeyError(f"keyword element {key!r} not in augmented graph")
             pairs.append((element, costs[element]))
 
-    # The single seam between the algorithm and its oracle: without
-    # `bounds` the loop runs unbounded — same subgraphs, several times the
-    # cursors — which is what the identity tests compare against.
-    bounds: Optional[List[List[float]]] = None
-    threshold = _INF
-    if guided:
-        seed_costs = [dict(pairs) for pairs in seed_lists]
-        # The tables are a function of the view (its costs and adjacency)
-        # and of the plan's keyword elements, so they live on the view;
-        # racing searches that both miss store equal tables.
-        row_of = view.rows.__getitem__
-        tables = view.tables
-        if tables is None:
-            tables = view.tables = BoundTables(
-                *_completion_bounds(m, seed_costs, row_of, costs, view.total)
-            )
-        bounds = tables.bounds
-        # The seed: a pure function of the tables, k and dmax, so racing
-        # searches that both miss store equal floats.
-        threshold = tables.thresholds.hit((k, dmax))
-        if threshold is None:
-            threshold = seed_threshold(
-                m, tables.dists, seed_costs, row_of, costs, k, dmax
-            )
-            tables.thresholds.put((k, dmax), threshold)
+    seed_costs = [dict(pairs) for pairs in seed_lists]
+    # The tables are a function of the view (its costs and adjacency)
+    # and of the plan's keyword elements, so they live on the view;
+    # racing searches that both miss store equal tables.
+    row_of = view.rows.__getitem__
+    tables = view.tables
+    if tables is None:
+        tables = view.tables = BoundTables(
+            *_completion_bounds(m, seed_costs, row_of, costs, view.total), costs
+        )
+    nets = tables.nets
+    # The seed: a pure function of the tables, k and dmax, so racing
+    # searches that both miss store equal floats.
+    threshold = tables.thresholds.hit((k, dmax))
+    if threshold is None:
+        threshold = seed_threshold(m, tables.dists, seed_costs, row_of, costs, k, dmax)
+        tables.thresholds.put((k, dmax), threshold)
 
     candidates = CandidateList(k)
     created, popped, pruned, max_queue, terminated_by = explore_soa(
-        seed_lists, m, view, bounds, candidates, k, dmax, threshold
+        seed_lists, m, view, nets, candidates, k, dmax, threshold
     )
     # The seed is checked, not trusted.  Every cursor it pruned had
     # cost + bound >= threshold, so whatever that cursor could have
@@ -997,7 +964,7 @@ def explore_top_k(
     if seed_fallback:
         candidates = CandidateList(k)
         created, popped, pruned, max_queue, terminated_by = explore_soa(
-            seed_lists, m, view, bounds, candidates, k, dmax
+            seed_lists, m, view, nets, candidates, k, dmax
         )
     return ExplorationResult(
         subgraphs=[sg.translated(view.keys.__getitem__) for sg in candidates.best()],

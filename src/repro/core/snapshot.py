@@ -57,12 +57,13 @@ class EngineSnapshot:
         "epoch",
         "k",
         "dmax",
-        "guided",
     )
 
-    #: A constant.  Its only reader is the frozen perf/tracing.py, which
-    #: hands it to explore_top_k(use_vectorized=), whose one accepted value
-    #: it is; both go with ROADMAP item 5(b).
+    #: Constants, read-only (outside ``__slots__``).  Their only reader is
+    #: the frozen perf/tracing.py, which hands them to
+    #: explore_top_k(guided=, use_vectorized=), whose one accepted values
+    #: they are; all go with ROADMAP item 5(b).
+    guided = True
     use_vectorized = None
 
     def __init__(
@@ -79,7 +80,6 @@ class EngineSnapshot:
         epoch: int,
         k: int,
         dmax: int,
-        guided: bool,
     ):
         self.graph = graph
         self.summary = summary
@@ -97,7 +97,6 @@ class EngineSnapshot:
         self.epoch = epoch
         self.k = k
         self.dmax = dmax
-        self.guided = guided
 
     @property
     def key(self) -> SnapshotKey:

@@ -32,7 +32,8 @@ when its result is kept, none of it.
 from __future__ import annotations
 
 from array import array
-from typing import Dict, Hashable, Iterable, List, Optional, Tuple
+from operator import sub
+from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.util import LruDict
 
@@ -50,21 +51,27 @@ class BoundTables:
     """What a query plan's view holds: the query's connectivity tables
     and what has been derived from them.
 
-    ``bounds[i]`` is keyword i's completion-bound table (a list: the
-    exploration loop indexes it per cursor), ``dists[j]`` the per-keyword
-    distance table the bounds were built from (``array('d')``: read once
-    per ``(k, dmax)``, by ``repro.core.exploration.seed_threshold``), and
-    ``thresholds`` the seed thresholds derived so far, keyed ``(k, dmax)``
-    — a handful per plan, since a server's k and dmax rarely vary.
+    ``nets[i]`` is keyword i's net completion-bound table, ``bounds[i][e]
+    - costs[e]`` for the completion bounds and element costs given (a
+    list: the exploration loop indexes it per cursor; the raw table
+    enters an element once more while a cursor's cost already covers it,
+    so every prune check needs the difference, and it is folded once,
+    here), ``dists[j]`` the per-keyword distance table the bounds were
+    built from (``array('d')``: read once per ``(k, dmax)``, by
+    ``repro.core.exploration.seed_threshold``), and ``thresholds`` the
+    seed thresholds derived so far, keyed ``(k, dmax)`` — a handful per
+    plan, since a server's k and dmax rarely vary.
     """
 
-    __slots__ = ("bounds", "dists", "thresholds")
+    __slots__ = ("nets", "dists", "thresholds")
 
     #: Seed thresholds retained per plan (LRU).
     MAX_THRESHOLDS = 8
 
-    def __init__(self, bounds: List[List[float]], dists: List[array]):
-        self.bounds = bounds
+    def __init__(
+        self, bounds: List[List[float]], dists: List[array], costs: Sequence[float]
+    ):
+        self.nets = [list(map(sub, row, costs)) for row in bounds]
         self.dists = dists
         self.thresholds: LruDict = LruDict(self.MAX_THRESHOLDS)
 

@@ -1,6 +1,7 @@
 """Integration tests on the DBLP-shaped dataset: the Fig. 4/5 pipelines."""
 
 import pytest
+from reference_exploration import reference_loop
 
 from repro.core.engine import KeywordSearchEngine
 from repro.datasets import DblpConfig, generate_dblp
@@ -91,12 +92,9 @@ def test_exploration_diagnostics_scale_with_keywords(engines):
     engine = engines["c3"]
     small = engine.search("cimiano 2006").exploration
     large = engine.search("cimiano tran keyword 2006").exploration
-    engine.guided = False
-    try:
+    with reference_loop(guided=False):
         plain_small = engine.search("cimiano 2006").exploration
         plain_large = engine.search("cimiano tran keyword 2006").exploration
-    finally:
-        engine.guided = True
     # What scales with the number of keywords is the frontier Algorithm 1
     # opens — one per keyword element — and the unbounded run shows it
     # (610 -> 2,040 cursors).

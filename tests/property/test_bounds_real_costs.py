@@ -18,14 +18,16 @@ not this test.
 The loop as served also starts from a seed threshold read off the same
 tables (``exploration.seed_threshold``), which is a second way to be
 wrong by an ulp — a witness's table sum against the loop's chained sum —
-so there are three legs: seeded == bounded-unseeded == unbounded, and the
-seeded engine's fallback counter stays 0 throughout (a refuted seed is
+so there are three legs: seeded == bounded-unseeded == unbounded (the
+oracle's loop, ``tests/reference_exploration.py`` at ``guided=False``), and
+the seeded engine's fallback counter stays 0 throughout (a refuted seed is
 rerun without it, so equal answers alone would not show one).
 """
 
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 
 import pytest
+from reference_exploration import reference_loop
 
 from repro.core import exploration
 from repro.core.engine import KeywordSearchEngine
@@ -95,9 +97,9 @@ def _unseeded():
 def _answer(engine, keywords, k, dmax, guided):
     """Ranked queries, and under them the subgraphs exactly as explored:
     connecting element, one path per keyword, element set, cost — in
-    order."""
-    engine.guided = guided
-    result = engine.search(keywords, k=k, dmax=dmax)
+    order.  ``guided=False`` searches through the oracle's unbounded loop."""
+    with nullcontext() if guided else reference_loop(guided=False):
+        result = engine.search(keywords, k=k, dmax=dmax)
     explored = result.exploration
     return (
         [(c.signature, c.cost) for c in result],

@@ -1,12 +1,14 @@
 """Property: guided and unguided exploration return identical results.
 
-Guided mode (the Section VI-A/IX "indexing connectivity" speed-up) prunes
-cursors through admissible completion bounds; because the bounds only ever
-*under*estimate, pruning may change the work but never the answer.  On
-randomized graphs, keyword sets, costs, and k, both modes must return the
-same ranked sequence of subgraph element sets with the same costs — not
-just the same cost multiset (complements ``benchmarks/test_ablation_guarantee.py``,
-which measures the work difference on the paper workloads).
+The exploration (the Section VI-A/IX "indexing connectivity" speed-up)
+prunes cursors through admissible completion bounds; because the bounds
+only ever *under*estimate, pruning may change the work but never the
+answer.  On randomized graphs, keyword sets, costs, and k, it must return
+the same ranked sequence of subgraph element sets with the same costs as
+the unbounded loop of ``tests/reference_exploration.py`` (``guided=False``)
+— not just the same cost multiset (complements
+``benchmarks/test_ablation_guarantee.py``, which measures the work
+difference on the paper workloads).
 """
 
 import pytest
@@ -81,7 +83,7 @@ def test_guided_and_unguided_return_identical_results(case):
     }
 
     augmented = AugmentedSummaryGraph(graph, [set(ks) for ks in keyword_sets], {})
-    plain = explore_top_k(augmented, costs, k=k, dmax=6, guided=False)
+    plain = reference_explore_top_k(augmented, costs, k=k, dmax=6, guided=False)
     guided = explore_top_k(augmented, costs, k=k, dmax=6, guided=True)
 
     assert _signature(guided) == _signature(plain)
@@ -110,7 +112,7 @@ def test_bound_is_applied_before_a_cursor_is_created():
     costs = {el.key: 1.0 for el in list(graph.vertices) + list(graph.edges)}
     augmented = AugmentedSummaryGraph(graph, [{hub}, {leaves[0]}], {})
 
-    plain = explore_top_k(augmented, costs, k=1, guided=False)
+    plain = reference_explore_top_k(augmented, costs, k=1, guided=False)
     guided = explore_top_k(augmented, costs, k=1, guided=True)
 
     assert _signature(guided) == _signature(plain)

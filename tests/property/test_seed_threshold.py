@@ -81,7 +81,7 @@ def _tables(augmented, costs):
 @given(exploration_cases(), st.sampled_from([2, 4, 6]))
 @settings(max_examples=150, deadline=None)
 def test_witnesses_are_subgraphs_the_loop_can_assemble(case, dmax):
-    augmented, costs, k, _ = _random_case(case)
+    augmented, costs, k = _random_case(case)
     view, seed_costs, dists = _tables(augmented, costs)
     row_of = view.rows.__getitem__
     m = len(seed_costs)
@@ -114,7 +114,7 @@ def test_witnesses_are_subgraphs_the_loop_can_assemble(case, dmax):
         return
     assert witnesses[-1][0] < threshold <= witnesses[-1][0] * (1 + 2e-9)
 
-    plain = explore_top_k(augmented, costs, k=k, dmax=dmax, guided=False)
+    plain = reference_explore_top_k(augmented, costs, k=k, dmax=dmax, guided=False)
     if len(plain.subgraphs) == k:
         assert threshold > plain.subgraphs[-1].cost
 
@@ -124,12 +124,12 @@ def test_witnesses_are_subgraphs_the_loop_can_assemble(case, dmax):
 def test_seeded_answer_is_the_unseeded_answer(case, dmax):
     """Production (seeded) against the bounds alone (the reference with
     its seed forced to +inf) and against no bounds at all."""
-    augmented, costs, k, _ = _random_case(case)
+    augmented, costs, k = _random_case(case)
     seeded = explore_top_k(augmented, costs, k=k, dmax=dmax)
     bounded = reference_explore_top_k(
         augmented, costs, k=k, dmax=dmax, threshold=INF
     )
-    plain = explore_top_k(augmented, costs, k=k, dmax=dmax, guided=False)
+    plain = reference_explore_top_k(augmented, costs, k=k, dmax=dmax, guided=False)
     assert _answer(seeded) == _answer(bounded) == _answer(plain)
     assert bounded.seed_threshold == plain.seed_threshold == INF
     assert seeded.cursors_created <= bounded.cursors_created or seeded.seed_fallback
@@ -161,7 +161,7 @@ def _counting_loop(monkeypatch):
 @given(exploration_cases())
 @settings(max_examples=100, deadline=None)
 def test_a_threshold_below_the_kth_cost_costs_one_rerun(case):
-    augmented, costs, k, _ = _random_case(case)
+    augmented, costs, k = _random_case(case)
     unseeded = reference_explore_top_k(augmented, costs, k=k, dmax=6, threshold=INF)
     low = _too_low(unseeded)
 

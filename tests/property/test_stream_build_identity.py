@@ -100,16 +100,14 @@ def test_engine_save_is_the_builder(example_graph, tmp_path):
     the same builder: every section byte for byte, in the same order, as
     a direct build with that configuration — also across a spill budget
     that changes how the sorts run, not what they produce.  The header
-    records only the configuration some caller varies; ``guided`` is how
-    an engine explores, not what the artifact holds, so a non-default
-    value leaves no trace in it."""
+    records only the configuration some caller varies."""
     import json
     import struct
 
     from repro.storage.bundle import MAGIC
 
     reference = KeywordSearchEngine(
-        DataGraph(example_graph.triples), cost_model="c2", k=7, guided=False
+        DataGraph(example_graph.triples), cost_model="c2", k=7
     )
     saved = tmp_path / "saved.reprobundle"
     built = tmp_path / "built.reprobundle"

@@ -7,9 +7,10 @@ abstract graph — not of how long the substrate has been cached, which
 views and bound tables it has accumulated, or how the graph under it was
 arrived at.
 
-Part 1 holds that against ground truth: on random summary graphs, under
-the bounded default loop and the unbounded ``guided=False`` oracle, the
-returned costs are exactly those of the brute-force enumerator of
+Part 1 holds that against ground truth: on random summary graphs, for
+the bounded loop that ships and for the unbounded oracle
+(``tests/reference_exploration.py`` at ``guided=False``), the returned
+costs are exactly those of the brute-force enumerator of
 ``test_topk_guarantee.py``.
 
 Part 2 drives the whole engine pipeline — real keyword lookups, overlay
@@ -26,9 +27,12 @@ explored again while its plan is cached, again after the LRU is cleared,
 and after every batch.
 """
 
+from functools import partial
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reference_exploration import explore_top_k as reference_explore_top_k
 from test_topk_guarantee import build_random_graph, oracle_top_k
 
 from repro.core.engine import KeywordSearchEngine
@@ -71,15 +75,15 @@ def exploration_cases(draw):
     return n, edges, keyword_sets, cost_choices, k
 
 
-#: Both properties run under the default (the bounded loop — spelled as
-#: "no argument", so the suite follows the default wherever it points) and
-#: under the unbounded oracle loop.
-modes = st.sampled_from([{}, {"guided": False}])
+#: Every property runs the loop that ships and the unbounded oracle loop.
+loops = st.sampled_from(
+    [explore_top_k, partial(reference_explore_top_k, guided=False)]
+)
 
 
-@given(exploration_cases(), modes)
+@given(exploration_cases(), loops)
 @settings(max_examples=120, deadline=None)
-def test_substrate_matches_reference_on_random_graphs(case, mode):
+def test_substrate_matches_reference_on_random_graphs(case, explore):
     n, edges, keyword_indices, cost_choices, k = case
     graph, keys = build_random_graph(n, edges)
     keyword_sets = [{keys[i] for i in indices} for indices in keyword_indices]
@@ -89,7 +93,7 @@ def test_substrate_matches_reference_on_random_graphs(case, mode):
         for i, el in enumerate(elements)
     }
     augmented = AugmentedSummaryGraph(graph, [set(ks) for ks in keyword_sets], {})
-    result = explore_top_k(augmented, costs, k=k, dmax=6, **mode)
+    result = explore(augmented, costs, k=k, dmax=6)
     expected = oracle_top_k(graph, keyword_sets, costs, k, 6)
     assert [sg.cost for sg in result.subgraphs] == pytest.approx(expected)
 
@@ -163,22 +167,22 @@ def _diagnostics(result):
     )
 
 
-def _explore(engine, query, mode):
+def _explore(engine, query, explore):
     matches = [m for m in engine.keyword_index.lookup_all(query.split()) if m]
     if not matches:
         return None
     augmented = augment(engine.summary, matches)
     costs = engine.cost_model.element_costs(augmented)
-    return explore_top_k(augmented, costs, k=5, dmax=6, **mode)
+    return explore(augmented, costs, k=5, dmax=6)
 
 
-def _assert_engine_identity(engine, mode):
+def _assert_engine_identity(engine, explore):
     rebuilt = KeywordSearchEngine(
         DataGraph(engine.graph.triples), cost_model="c3", k=5
     )
     for query in QUERIES:
-        maintained = _explore(engine, query, mode)
-        reference = _explore(rebuilt, query, mode)
+        maintained = _explore(engine, query, explore)
+        reference = _explore(rebuilt, query, explore)
         if reference is None:
             assert maintained is None
             continue
@@ -189,12 +193,12 @@ def _assert_engine_identity(engine, mode):
 @given(
     initial=st.lists(any_triple, min_size=3, max_size=15),
     batches=batches,
-    mode=modes,
+    explore=loops,
 )
 @settings(max_examples=40, deadline=None)
-def test_substrate_matches_reference_through_maintenance(initial, batches, mode):
+def test_substrate_matches_reference_through_maintenance(initial, batches, explore):
     engine = KeywordSearchEngine(DataGraph(initial), cost_model="c3", k=5)
-    _assert_engine_identity(engine, mode)
+    _assert_engine_identity(engine, explore)
 
     for op, triples in batches:
         if op == "add":
@@ -204,7 +208,7 @@ def test_substrate_matches_reference_through_maintenance(initial, batches, mode)
         # The version bump must have invalidated the substrate: the
         # maintained engine explores the *updated* graph, including
         # overlay augmentation, exactly as a fresh one does.
-        _assert_engine_identity(engine, mode)
+        _assert_engine_identity(engine, explore)
 
 
 # ----------------------------------------------------------------------
@@ -219,21 +223,21 @@ def _plans(engine):
 @given(
     initial=st.lists(any_triple, min_size=3, max_size=15),
     batches=batches,
-    mode=modes,
+    explore=loops,
 )
 @settings(max_examples=25, deadline=None)
-def test_cached_and_rebuilt_plans_match_reference(initial, batches, mode):
+def test_cached_and_rebuilt_plans_match_reference(initial, batches, explore):
     """Inputs for Part 2's comparison: a second pass whose every plan is
     a hit, a pass after ``plans.clear()``, and each batch followed by a
     pass that finds no plan if the batch moved the summary version (a
     class count changed) and then a pass that hits the plans it built."""
     engine = KeywordSearchEngine(DataGraph(initial), cost_model="c3", k=5)
-    _assert_engine_identity(engine, mode)
+    _assert_engine_identity(engine, explore)
     misses = _plans(engine).misses
-    _assert_engine_identity(engine, mode)
+    _assert_engine_identity(engine, explore)
     assert _plans(engine).misses == misses
     _plans(engine).clear()
-    _assert_engine_identity(engine, mode)
+    _assert_engine_identity(engine, explore)
 
     for op, triples in batches:
         version = engine.summary.version
@@ -243,7 +247,7 @@ def test_cached_and_rebuilt_plans_match_reference(initial, batches, mode):
             engine.remove_triples(triples)
         if engine.summary.version != version:
             assert len(_plans(engine)) == 0
-        _assert_engine_identity(engine, mode)
+        _assert_engine_identity(engine, explore)
         misses = _plans(engine).misses
-        _assert_engine_identity(engine, mode)
+        _assert_engine_identity(engine, explore)
         assert _plans(engine).misses == misses

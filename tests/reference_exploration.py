@@ -18,6 +18,13 @@ numbers them from the definition rather than from production's view) and
 shares with production only the Dijkstra bound tables and the seed
 threshold read off them.  It caches nothing.
 
+It is also the only unbounded loop there is: ``guided=False`` runs it
+without bounds and without a seed — the same answer, several times the
+cursors.  That is what the bounds are checked against
+(``test_guided_equivalence.py``, ``test_bounds_real_costs.py``) and the
+plain column of the Section VI-C ablation
+(``benchmarks/test_ablation_guarantee.py``); production has no such mode.
+
 :func:`reference_loop` substitutes it at the one seam where the engine
 reaches exploration, ``repro.core.engine``'s call of ``explore_top_k``.
 
@@ -37,6 +44,7 @@ the parent-chain walk (bounded by dmax).
 """
 
 from contextlib import contextmanager
+from functools import partial
 import heapq
 from typing import (
     Callable,
@@ -259,9 +267,8 @@ def explore_top_k(
     guided: bool = True,
     threshold: Optional[float] = None,
 ) -> ExplorationResult:
-    """``repro.core.exploration.explore_top_k`` on :class:`Cursor` objects
-    (same parameters, minus the bound-table implementation choice: the
-    tables here are always the Dijkstra's).
+    """``repro.core.exploration.explore_top_k`` on :class:`Cursor` objects,
+    plus ``guided=False``: no bound tables, no seed, the unbounded loop.
 
     ``threshold`` is the seed Algorithm 2 starts from.  ``None`` derives
     it as production does (:func:`seed_threshold` over the same tables —
@@ -418,11 +425,12 @@ def _explore(view, seeds, bounds, k, dmax, max_cursors, threshold) -> Exploratio
 
 
 @contextmanager
-def reference_loop():
+def reference_loop(guided: bool = True):
     """Every ``engine.search`` inside the block explores with the loop
-    above instead of the production one."""
+    above instead of the production one; ``guided=False`` runs it
+    unbounded and unseeded (the Section VI-C ablation's plain column)."""
     production = engine_module.explore_top_k
-    engine_module.explore_top_k = explore_top_k
+    engine_module.explore_top_k = partial(explore_top_k, guided=guided)
     try:
         yield
     finally:

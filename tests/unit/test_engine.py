@@ -170,6 +170,28 @@ class TestConfiguration:
         )
         assert summary["summary_ratio"] > 1.0
 
+    def test_guided_is_a_read_only_true(self, example_graph, engine):
+        """Every search runs the bounded loop: ``guided=True`` is the one
+        value the constructor and ``explore_top_k`` accept, and neither
+        the engine's nor a snapshot's ``guided`` can be switched off."""
+        from repro.core.exploration import explore_top_k
+        from repro.summary.augmentation import augment
+
+        with pytest.raises(TypeError, match="guided=True only"):
+            KeywordSearchEngine(example_graph, guided=False)
+        plan = augment(engine.summary, engine.keyword_index.lookup_all(["cimiano"]))
+        costs = engine.cost_model.element_costs(plan)
+        with pytest.raises(TypeError, match="guided=True"):
+            explore_top_k(plan, costs, guided=False)
+        assert explore_top_k(plan, costs, guided=True).subgraphs
+        snapshot = engine.snapshot()
+        assert engine.guided is True and snapshot.guided is True
+        with pytest.raises(AttributeError):
+            engine.guided = False
+        with pytest.raises(AttributeError):
+            snapshot.guided = False
+        assert engine.guided is True and snapshot.guided is True
+
 
 def _memoized(first, second):
     """True when ``second`` was served from the search-result cache.

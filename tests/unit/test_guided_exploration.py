@@ -1,7 +1,10 @@
 """Unit tests for distance-guided exploration (the 'indexing connectivity'
-speed-up of Sections VI-A and IX)."""
+speed-up of Sections VI-A and IX), against the unbounded loop of
+``tests/reference_exploration.py``."""
 
 import pytest
+from reference_exploration import explore_top_k as reference_explore_top_k
+from reference_exploration import reference_loop
 
 from repro.core.exploration import _dijkstra_rows, explore_top_k
 from repro.rdf.terms import URI
@@ -43,7 +46,7 @@ class TestGuidedEquivalence:
         graph, keys, _ = build_line_graph(6)
         augmented = augmented_for(graph, [[keys[0]], [keys[5], keys[2]]])
         costs = uniform_costs(graph)
-        plain = explore_top_k(augmented, costs, k=5, guided=False)
+        plain = reference_explore_top_k(augmented, costs, k=5, guided=False)
         guided = explore_top_k(augmented, costs, k=5, guided=True)
         assert [sg.cost for sg in plain.subgraphs] == [
             sg.cost for sg in guided.subgraphs
@@ -55,7 +58,7 @@ class TestGuidedEquivalence:
         costs[keys[2]] = 0.3
         costs[edges[1]] = 2.0
         augmented = augmented_for(graph, [[keys[0]], [keys[4]]])
-        plain = explore_top_k(augmented, costs, k=3, guided=False)
+        plain = reference_explore_top_k(augmented, costs, k=3, guided=False)
         guided = explore_top_k(augmented, costs, k=3, guided=True)
         assert [sg.elements for sg in plain.subgraphs] == [
             sg.elements for sg in guided.subgraphs
@@ -69,7 +72,7 @@ class TestGuidedEquivalence:
             graph.add_edge(URI(f"e:{i}"), SummaryEdgeKind.RELATION, keys[i], keys[i + 1])
         costs = uniform_costs(graph)
         augmented = augmented_for(graph, [[keys[0]], [keys[2]]])
-        plain = explore_top_k(augmented, costs, k=1, guided=False)
+        plain = reference_explore_top_k(augmented, costs, k=1, guided=False)
         guided = explore_top_k(augmented, costs, k=1, guided=True)
         assert guided.cursors_popped <= plain.cursors_popped
         assert [sg.cost for sg in guided.subgraphs] == [
@@ -79,7 +82,7 @@ class TestGuidedEquivalence:
     def test_guided_engine_matches_plain_engine(self, example_graph):
         from repro.core.engine import KeywordSearchEngine
 
-        plain = KeywordSearchEngine(example_graph, cost_model="c3", k=5, guided=False)
+        plain = KeywordSearchEngine(example_graph, cost_model="c3", k=5)
         guided = KeywordSearchEngine(
             example_graph,
             cost_model="c3",
@@ -89,6 +92,7 @@ class TestGuidedEquivalence:
             keyword_index=plain.keyword_index,
         )
         for query in ("2006 cimiano aifb", "aifb 2006", "publication cimiano"):
-            a = plain.search(query)
+            with reference_loop(guided=False):
+                a = plain.search(query)
             b = guided.search(query)
             assert [round(c.cost, 9) for c in a] == [round(c.cost, 9) for c in b]

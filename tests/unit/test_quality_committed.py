@@ -10,9 +10,8 @@ import os
 
 import pytest
 
-from reference_exploration import explore_top_k as reference_explore_top_k
+from reference_exploration import reference_loop
 
-from repro.core import engine as engine_module
 from repro.datasets import DATASET_NAMES, effectiveness_workload
 from repro.quality import load_baseline, load_goldens
 
@@ -63,19 +62,12 @@ def test_goldens_and_baseline_case_counts_agree(dataset):
     assert baseline["num_cases"] == len(goldens)
 
 
-def _unbounded(*args, guided, **kwargs):
-    """The literal, unbounded Algorithm 1 loop in place of the engine's."""
-    return reference_explore_top_k(*args, guided=False, **kwargs)
-
-
 @pytest.mark.parametrize(
     "dataset, bundled",
     [("example", False), ("tap", False), ("example", True)],
     ids=["example", "tap", "example-bundle"],
 )
-def test_baseline_metrics_do_not_depend_on_the_bounds(
-    dataset, bundled, tmp_path, monkeypatch
-):
+def test_baseline_metrics_do_not_depend_on_the_bounds(dataset, bundled, tmp_path):
     """The bounded exploration every entry point runs and the unbounded
     reference loop (``tests/reference_exploration.py``, substituted at
     the engine's call) score the committed goldens to the same
@@ -95,9 +87,9 @@ def test_baseline_metrics_do_not_depend_on_the_bounds(
     assert config["index_tier"] == ("mmap" if bundled else "in-process")
     bounded = evaluate_quality(engine, goldens)
     assert engine.exploration_stats()["seed_fallbacks"] == 0
-    monkeypatch.setattr(engine_module, "explore_top_k", _unbounded)
     engine, _ = build_eval_engine(dataset, bundle=bundle)
-    unbounded = evaluate_quality(engine, goldens)
+    with reference_loop(guided=False):
+        unbounded = evaluate_quality(engine, goldens)
     assert engine.exploration_stats()["seeded"] == 0
     assert bounded["aggregates"] == unbounded["aggregates"] == baseline["aggregates"]
     assert bounded["counts"] == unbounded["counts"] == baseline["counts"]
