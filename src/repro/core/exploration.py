@@ -9,6 +9,11 @@ triggers the Algorithm 2 top-k check, and the invariant behind the
 guarantee — cursors pop in non-decreasing cost order (Theorem 1) — holds
 because element costs are strictly positive.
 
+The pieces the loop reads live where the paper puts them: the plan's view
+and its bound tables in :mod:`repro.summary.substrate`, the candidate list
+and its combination enumerator in :mod:`repro.core.topk`, the seed
+threshold in :mod:`repro.core.seed`.
+
 Implementation notes (performance, same semantics):
 
 * every plan's view is **one id space**: an element's id is its rank in
@@ -37,16 +42,11 @@ Implementation notes (performance, same semantics):
   paths for the cursor's keyword (pop order is cost-monotone, so such a
   cursor could never register);
 * new candidate combinations are enumerated best-first
-  (:func:`iter_combinations`) and cut off at the candidate list's current
-  k-th cost — both when consuming them and inside the enumeration heap,
-  so long per-keyword lists cannot allocate frontier state
-  quadratically.  A combination's cost is the *chained* sum along the
-  successor path that discovered it (``cost + w[next] - w[current]``),
-  not a fresh sum of its members: the two can differ in the last ulp,
-  which can flip the consumer's ``>= kth_cost`` break, so the literal
-  Algorithm 2 the tests compare against
-  (``tests/reference_exploration.py``) and this enumerator replay the
-  same chains and agree value for value;
+  (:func:`~repro.core.topk.iter_combinations`, whose chained cost
+  arithmetic is part of the contract) and cut off at the candidate
+  list's current k-th cost — both when consuming them and inside the
+  enumeration heap, so long per-keyword lists cannot allocate frontier
+  state quadratically;
 * admissible per-keyword completion bounds (Section VI-A/IX, "indexing
   connectivity") are applied twice: a child whose cheapest possible
   completion cannot beat the current k-th candidate is never given a
@@ -57,20 +57,13 @@ Implementation notes (performance, same semantics):
   unbounded loop they are checked against is the test oracle's,
   ``tests/reference_exploration.py``).  The bound tables are kept on the
   query plan's view, so a repeated query skips them entirely;
-* Algorithm 2 **starts with a threshold**.  On its own it can prune only
-  once k candidates exist, and most of a request's cursors are created
-  before that, against a k-th cost of +inf — although the per-keyword
-  distance tables the bounds are built from already describe concrete
-  matching subgraphs.  :func:`seed_witnesses` reads up to k of them off
-  the tables (no exploration: shortest paths walked back through the
-  tables, plus the cheapest sibling bindings at the cheapest connecting
-  element) and :func:`seed_threshold` takes the k-th cheapest as an upper
-  bound on the k-th cost the run will end with; both bound checks then
-  compare against ``min(k-th cost, threshold)`` from the first pop on.
-  Nothing else in the loop reads the threshold.  It is **checked, not
-  trusted**: a cursor the seed pruned had ``cost + bound >= threshold``,
-  so everything it could have completed costs at least the threshold,
-  and a run that ends with k candidates strictly below the threshold has
+* Algorithm 2 **starts with a threshold** read off the same tables
+  (:func:`~repro.core.seed.seed_threshold`), and both bound checks compare
+  against ``min(k-th cost, threshold)`` from the first pop on.  Nothing
+  else in the loop reads the threshold.  It is **checked, not trusted**:
+  a cursor the seed pruned had ``cost + bound >= threshold``, so
+  everything it could have completed costs at least the threshold, and a
+  run that ends with k candidates strictly below the threshold has
   therefore lost nothing — it is the unseeded run's list, ties and all.
   A run that ends otherwise (a witness that the per-element cap of k
   paths, not the graph, kept the loop from assembling) is repeated
@@ -80,22 +73,23 @@ Implementation notes (performance, same semantics):
   the tables per ``(k, dmax)``;
 * the loop and its bound tables are pure Python and run the same on every
   install: one implementation computes the tables, the per-keyword
-  Dijkstra of :func:`_completion_bounds`.
+  Dijkstra of :func:`repro.summary.substrate._completion_bounds`.
 """
 
 from __future__ import annotations
 
-from array import array
-from bisect import bisect_left, insort
 from heapq import heapify, heappop, heappush
-from itertools import islice
-from operator import add, itemgetter
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
+from repro.core.seed import seed_threshold
 from repro.core.subgraph import MatchingSubgraph
-from repro.core.topk import CandidateList
+from repro.core.topk import CandidateList, iter_combinations
 from repro.summary.augmentation import AugmentedSummaryGraph
-from repro.summary.substrate import BoundTables, checked_cost
+from repro.summary.substrate import (
+    BoundTables,
+    _build_substrate_view,
+    _completion_bounds,
+)
 
 #: Default bound on path length, counted in *elements* (a vertex→vertex hop
 #: crosses two elements: the edge and the far vertex).
@@ -150,452 +144,6 @@ class ExplorationResult:
             f"popped={self.cursors_popped}, terminated_by={self.terminated_by!r})"
         )
 
-
-class _SubstrateView:
-    """One plan's id space: element ``i`` is ``keys[i]``, its neighbours'
-    ids are ``rows[i]`` (ascending) and its cost is ``costs[i]``.
-
-    Ids are canonical ranks — one stable repr sort of the base and overlay
-    elements, base first among equal reprs — which is what interning the
-    augmented graph from scratch would assign, so emitted subgraphs decode
-    with ``keys.__getitem__``.
-    """
-
-    __slots__ = (
-        "keys",
-        "ids",
-        "rows",
-        "costs",
-        "total",
-        # The plan's BoundTables (None until the first run built them).
-        "tables",
-    )
-
-
-def _build_substrate_view(
-    augmented: AugmentedSummaryGraph, element_costs
-) -> _SubstrateView:
-    """The view of one plan over the graph's cached substrate.
-
-    A plan without overlay elements shares the substrate's tables.  One
-    with overlay elements merges them into the canonical order by one
-    stable sort of the base and overlay reprs, base first: base rows are
-    renumbered through ``rank`` (old index -> view id; base elements keep
-    their relative order, so a row stays ascending), and the rows the
-    overlay touches — its own elements and the base vertices that gained
-    edges — are read off the overlay.
-
-    A view is a function of the augmented graph and the costs, and is never
-    mutated after assembly (its lazy caches only ever store equal values),
-    so the view of costs the graph memoized — the ones
-    :meth:`~repro.scoring.cost.CostModel.element_costs` returns — is kept
-    on the graph and shared by every search of that plan.  Any other costs
-    object (a test's plain dict) gets a view of its own per call.
-    """
-    cached = augmented.view_memo.get(id(element_costs))
-    if cached is not None and cached[0] is element_costs:
-        return cached[1]
-    graph = augmented.graph
-    owner = getattr(graph, "base", graph)
-    factory = getattr(owner, "exploration_substrate", None)
-    if factory is None:
-        raise ValueError(
-            "exploration requires a summary graph (or overlay) "
-            f"with exploration_substrate(); got {type(graph).__name__}"
-        )
-    substrate = factory()
-    added = () if owner is graph else graph.added_element_keys()
-
-    view = _SubstrateView()
-    if added:
-        n = len(substrate.keys)
-        every = substrate.keys + added
-        reprs = substrate.reprs + [repr(key) for key in added]
-        order = sorted(range(len(every)), key=reprs.__getitem__)
-        keys = tuple(map(every.__getitem__, order))
-        ids = dict(zip(keys, range(len(keys))))
-        rank = [0] * len(every)
-        for new, old in enumerate(order):
-            rank[old] = new
-        base_get = substrate.ids.get
-        touched = {base_get(key) for key in graph.added_incident_map()}
-        base_rows = substrate.rows
-        neighbors = graph.neighbors
-        rows = []
-        for new, old in enumerate(order):
-            if old < n and old not in touched:
-                rows.append(tuple(map(rank.__getitem__, base_rows[old])))
-            else:
-                rows.append(tuple(sorted([ids[nb] for nb in neighbors(keys[new])])))
-        view.keys, view.ids, view.rows = keys, ids, rows
-    else:
-        view.keys, view.ids, view.rows = substrate.keys, substrate.ids, substrate.rows
-    view.total = len(view.keys)
-    view.tables = None
-
-    costs = list(map(element_costs.get, view.keys))
-    if None in costs or not min(costs, default=1.0) > 0:
-        for key, cost in zip(view.keys, costs):
-            checked_cost(key, cost)
-    view.costs = costs
-    if any(memoized is element_costs for memoized in augmented.cost_memo.values()):
-        # Racing first builds agree on whichever view landed first.
-        view = augmented.view_memo.setdefault(id(element_costs), (element_costs, view))[1]
-    return view
-
-
-def _dijkstra_rows(
-    seeds: Dict[int, float],
-    row_of: Callable[[int], Sequence[int]],
-    costs: Sequence[float],
-    total: int,
-) -> List[float]:
-    """Cheapest path cost to every element from weighted seed elements.
-
-    Seeds carry their initial path cost; relaxing an edge adds the cost of
-    the element being entered — matching the exploration's path-cost
-    definition (origin cost included).
-    """
-    dist = [_INF] * total
-    heap: List[Tuple[float, int]] = []
-    for node, cost in seeds.items():
-        if cost < dist[node]:
-            dist[node] = cost
-            heap.append((cost, node))
-    heapify(heap)
-    while heap:
-        d, node = heappop(heap)
-        if d != dist[node]:
-            continue
-        for neighbor in row_of(node):
-            nd = d + costs[neighbor]
-            if nd < dist[neighbor]:
-                dist[neighbor] = nd
-                heappush(heap, (nd, neighbor))
-    return dist
-
-
-def _completion_bounds(
-    m: int,
-    seed_costs: List[Dict[int, float]],
-    row_of: Callable[[int], Sequence[int]],
-    costs: Sequence[float],
-    total: int,
-) -> Tuple[List[List[float]], List[array]]:
-    """Per-keyword admissible completion bounds L_i(n), and the
-    per-keyword distance tables they were built from.
-
-    ``dist_j(n)`` = cheapest path cost from keyword j to element n.  The
-    raw table is a Dijkstra seeded with ``S_i(n*) = Σ_{j≠i} dist_j(n*)`` at
-    every element; since relaxation *enters* nodes (adding the entered
-    node's cost) while a cursor's own cost already covers its element, the
-    admissible per-cursor bound is ``L_i(n) − cost(n)``: a subgraph
-    completing a keyword-i path sitting at n with cost w costs at least
-    ``w + L_i(n) − cost(n)``.  Bounds also ignore the simple-path
-    constraint, so they only ever *under*estimate: pruning on them
-    preserves the exact top-k.  They underestimate by at least one whole
-    element cost — the meeting element n*'s own cost is in neither the
-    relaxed distance from n* nor the subtraction — which, for any cost
-    table whose entries are within ~10 orders of magnitude of each other,
-    dwarfs the last-ulp difference between a table's sum and a path's sum
-    over the same elements; that slack is why the prune compares with a
-    plain ``>=`` and needs no rounding margin
-    (``test_bounds_real_costs.py`` checks it on the real cost models).
-
-    Returns ``(bounds, dists)``; ``dists[j]`` is ``dist_j`` as an
-    ``array('d')`` — the table :func:`seed_witnesses` reads subgraphs off.
-    """
-    per_keyword_dist = [
-        _dijkstra_rows(seed_costs[i], row_of, costs, total) for i in range(m)
-    ]
-    bounds: List[List[float]] = []
-    for i in range(m):
-        seeds: Dict[int, float] = {}
-        for node in range(total):
-            acc = 0.0
-            for j in range(m):
-                if j == i:
-                    continue
-                dj = per_keyword_dist[j][node]
-                if dj == _INF:
-                    acc = _INF
-                    break
-                acc += dj
-            if acc != _INF:
-                seeds[node] = acc
-        bounds.append(
-            _dijkstra_rows(seeds, row_of, costs, total) if seeds else [_INF] * total
-        )
-    return bounds, [array("d", row) for row in per_keyword_dist]
-
-
-# ----------------------------------------------------------------------
-# Combination enumeration (Algorithm 2 registrations)
-# ----------------------------------------------------------------------
-
-
-def iter_combinations(lists, w, cutoff):
-    """Cheapest-sum-first index tuples across per-keyword cursor lists.
-
-    ``lists[i]`` holds cursor indices ascending in cost, ``w`` maps a
-    cursor index to its cost, ``cutoff`` returns the caller's current
-    k-th cost.  Yields ``(cost, combo)`` with ``combo`` one cursor index
-    per keyword: the classic k-smallest-sums frontier search from index
-    vector (0, ..., 0); the caller decides when to stop consuming.
-    Successors at or above the cut-off are neither pushed nor remembered
-    in ``seen`` — they could only ever be consumed past the caller's own
-    stopping point (the cut-off never increases) — which bounds the
-    frontier by the cut-off instead of letting it grow quadratically in
-    the list lengths.
-
-    Costs are chained (``cost + w[next] - w[current]`` along the
-    successor path that discovers a combination), the start sum is a
-    fold-left over the keywords, and ties break lexicographically on the
-    index vector — see the module docstring for why that arithmetic is
-    part of the contract.  Singleton dimensions are reduced out first
-    (their constant coordinates never influence a tuple comparison): with
-    one non-singleton list the frontier heap degenerates to an ascending
-    scan of that list, chaining successor costs exactly as the heap
-    would — the common ``m == 2`` registration.
-    """
-    m = len(lists)
-    start_cost = 0
-    for lst in lists:
-        start_cost = start_cost + w[lst[0]]
-    base = [lst[0] for lst in lists]
-    wide = [i for i in range(m) if len(lists[i]) > 1]
-
-    if not wide:
-        yield start_cost, tuple(base)
-        return
-
-    if len(wide) == 1:
-        d = wide[0]
-        lst = lists[d]
-        cost = start_cost
-        prev = lst[0]
-        yield cost, tuple(base)
-        for nxt in lst[1:]:
-            cost = cost + w[nxt] - w[prev]
-            prev = nxt
-            base[d] = nxt
-            yield cost, tuple(base)
-        return
-
-    # >= 2 open dimensions: the frontier heap over full m-length index
-    # vectors (an np.add.outer grid with argpartition chunks was measured
-    # and rejected: grid arithmetic is not value-identical to the chained
-    # successor sums).
-    start = (0,) * m
-    heap: List[Tuple[float, Tuple[int, ...]]] = [(start_cost, start)]
-    seen = {start}
-    while heap:
-        cost, indices = heappop(heap)
-        yield cost, tuple(lists[i][indices[i]] for i in range(m))
-        bound = cutoff()
-        for i in wide:
-            nxt = indices[i] + 1
-            lst = lists[i]
-            if nxt < len(lst):
-                successor = indices[:i] + (nxt,) + indices[i + 1 :]
-                if successor in seen:
-                    continue
-                next_cost = cost + w[lst[nxt]] - w[lst[indices[i]]]
-                if next_cost >= bound:
-                    continue
-                seen.add(successor)
-                heappush(heap, (next_cost, successor))
-
-
-# ----------------------------------------------------------------------
-# The seed threshold (witness subgraphs read off the distance tables)
-# ----------------------------------------------------------------------
-
-#: Relative widening of the seed threshold.  A witness's cost is a sum of
-#: table entries, the loop's cost for the same subgraph a sum of chained
-#: path costs; both are folded in the same order here, and the widening
-#: keeps the threshold strictly above the witness whatever the last ulp
-#: of either does.  Ten orders of magnitude above double rounding, ten
-#: below any difference between two distinct subgraph costs that matters.
-_SEED_SLACK = 1e-9
-
-
-def _path_back(dist, known, node, row_of, costs):
-    """Keyword j's cheapest path to ``node`` (a tuple, keyword element
-    first), walked back through its distance table: a predecessor is any
-    neighbor ``p`` with ``dist[p] + cost[node] == dist[node]`` — exactly
-    the float the Dijkstra stored, so the forward chain along the path
-    reproduces ``dist[node]`` bit for bit.  ``known`` memoizes paths per
-    element, starting from the keyword elements themselves; shortest paths
-    share prefixes, so each element's row is scanned once per keyword."""
-    trail = []
-    path = known.get(node)
-    while path is None:
-        trail.append(node)
-        need = dist[node]
-        cost = costs[node]
-        for prev in row_of(node):
-            if dist[prev] + cost == need:
-                break
-        else:  # pragma: no cover - not a fixpoint table: no witness
-            return None
-        node = prev
-        path = known.get(node)
-    while trail:
-        node = trail.pop()
-        path = path + (node,)
-        known[node] = path
-    return path
-
-
-def _sibling_bindings(root, m, seed_costs, row_of, costs, k, dmax):
-    """Per keyword, the up to k keyword elements nearest ``root`` with
-    their tree paths: ``(lists, paths, weights)`` in the shape
-    :func:`iter_combinations` enumerates (``lists[j]`` indexes ``paths`` /
-    ``weights`` ascending in weight).  One Dijkstra outward from
-    ``root``, not expanded past ``dmax`` hops and stopped once every
-    keyword has k elements (or all it has) settled.  A path's weight is
-    chained forward from its keyword element — the float a cursor
-    walking it carries — not read off the outward distances, which add
-    the same costs in the opposite order."""
-    owners: Dict[int, List[int]] = {}
-    for j, seeds in enumerate(seed_costs):
-        for node in seeds:
-            owners.setdefault(node, []).append(j)
-    room = [min(k, len(seeds)) for seeds in seed_costs]
-    missing = sum(room)
-    settled: List[List[int]] = [[] for _ in range(m)]
-    dist = {root: costs[root]}
-    parent = {root: -1}
-    heap = [(costs[root], root, 0)]
-    while heap and missing:
-        d, node, depth = heappop(heap)
-        if d != dist[node]:
-            continue
-        for j in owners.get(node, ()):
-            if room[j]:
-                room[j] -= 1
-                missing -= 1
-                settled[j].append(node)
-        if depth == dmax:
-            continue
-        depth += 1
-        for neighbor in row_of(node):
-            nd = d + costs[neighbor]
-            if nd < dist.get(neighbor, _INF):
-                dist[neighbor] = nd
-                parent[neighbor] = node
-                heappush(heap, (nd, neighbor, depth))
-
-    paths: List[List[int]] = []
-    weights: List[float] = []
-    lists: List[List[int]] = []
-    for elements in settled:
-        first = len(paths)
-        for node in elements:
-            path = []
-            weight = 0
-            while node >= 0:
-                path.append(node)
-                weight = weight + costs[node]
-                node = parent[node]
-            paths.append(path)
-            weights.append(weight)
-        lists.append(sorted(range(first, len(paths)), key=weights.__getitem__))
-    return lists, paths, weights
-
-
-def seed_witnesses(m, dists, seed_costs, row_of, costs, k, dmax):
-    """Up to k matching subgraphs with pairwise distinct element sets,
-    read off the per-keyword distance tables without exploring:
-    ``(cost, connecting element, paths)`` triples, cheapest first.
-
-    Two families.  (1) Through each connecting element ``n``, in
-    ascending ``Σ_j dist_j(n)``, every keyword's shortest path to ``n``
-    (:func:`_path_back`); the walk stops once the sum reaches the k-th
-    witness already held.  (2) At the cheapest connecting element, the k
-    cheapest ways to bind each keyword to one of its elements near it
-    (:func:`_sibling_bindings`) — the top-k of a query are commonly
-    sibling bindings of one structure, which (1) alone sees once.
-
-    Every witness is something Algorithm 1 can assemble — one simple
-    path per keyword, from one of its elements to the connecting
-    element, at most ``dmax`` hops — and its cost is the fold, in keyword
-    order, of the chained path costs: the float the loop computes for
-    that combination.  Fewer than k come back when the tables hold fewer
-    (then the walk is skipped where a count shows it in advance).
-    """
-    found: Dict[frozenset, tuple] = {}
-    best: List[float] = []  # costs of `found`, ascending
-
-    def offer(cost, connecting, paths):
-        key = frozenset().union(*paths)
-        held = found.get(key)
-        if held is not None:
-            if held[0] <= cost:
-                return
-            del best[bisect_left(best, held[0])]
-        found[key] = (cost, connecting, paths)
-        insort(best, cost)
-
-    def kth():
-        return best[k - 1] if len(best) >= k else _INF
-
-    sums = dists[0]
-    for row in dists[1:]:
-        sums = map(add, sums, row)
-    order = [(total, node) for node, total in enumerate(sums) if total != _INF]
-    # At most one witness per connecting element plus k bindings: tables
-    # that cannot reach k are not walked at all (a large k on a small view).
-    bindings = 1
-    for seeds in seed_costs:
-        bindings *= len(seeds)
-    if not order or len(order) + min(bindings, k) < k:
-        return []
-    heapify(order)
-
-    # k == 1 needs no siblings: the cheapest connecting element's own
-    # witness is the cheapest subgraph there is.
-    if k > 1:
-        root = order[0][1]
-        lists, paths, weights = _sibling_bindings(
-            root, m, seed_costs, row_of, costs, k, dmax
-        )
-        if all(lists):
-            for combo_cost, combo in islice(
-                iter_combinations(lists, weights, kth), k
-            ):
-                if combo_cost >= kth():
-                    break
-                cost = 0
-                for ix in combo:
-                    cost = cost + weights[ix]
-                offer(cost, root, [paths[ix] for ix in combo])
-
-    known = [{node: (node,) for node in seeds} for seeds in seed_costs]
-    while order:
-        total, node = heappop(order)
-        if total >= kth():
-            break
-        walked = []
-        for j in range(m):
-            path = _path_back(dists[j], known[j], node, row_of, costs)
-            if path is None or len(path) - 1 > dmax:
-                break
-            walked.append(path)
-        else:
-            offer(total, node, walked)
-    return sorted(found.values(), key=itemgetter(0))[:k]
-
-
-def seed_threshold(m, dists, seed_costs, row_of, costs, k, dmax) -> float:
-    """An upper bound on the k-th cost Algorithm 2 will end with: the
-    k-th cheapest witness, widened by :data:`_SEED_SLACK`; +inf when the
-    tables show fewer than k witnesses."""
-    witnesses = seed_witnesses(m, dists, seed_costs, row_of, costs, k, dmax)
-    if len(witnesses) < k:
-        return _INF
-    return witnesses[k - 1][0] * (1 + _SEED_SLACK)
 
 
 # ----------------------------------------------------------------------

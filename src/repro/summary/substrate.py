@@ -13,7 +13,7 @@ version:
 cached on the summary graph keyed on its mutation ``version``
 (:meth:`~repro.summary.summary_graph.SummaryGraph.exploration_substrate`),
 so :class:`~repro.maintenance.IndexManager` updates invalidate it
-automatically.  A plan's view (``repro.core.exploration``) merges the
+automatically.  A plan's view (:func:`_build_substrate_view`) merges the
 O(#matches) overlay elements into this order; a plan without overlay
 elements uses these tables as they are.
 
@@ -22,20 +22,40 @@ The substrate also hosts the **query plans**
 moves: an LRU of augmented graphs keyed by the keyword matches they were
 built from (:func:`repro.summary.augmentation.augment`).  Each plan
 carries what the stages after augmentation derive from it — per cost
-model its element costs, per costs object its view (see
-``repro.core.exploration._build_substrate_view``), on the view its
+model its element costs, per costs object its view, on the view its
 :class:`BoundTables`, and the finished searches an engine keeps — so a
-repeated query skips all of them and runs only Algorithm 1/2's loop, or,
-when its result is kept, none of it.
+repeated query skips all of them and runs only Algorithm 1/2's loop
+(:mod:`repro.core.exploration`), or, when its result is kept, none of it.
+
+The view and its bound tables are built here too, from nothing but the
+augmented graph and the costs: the view by :func:`_build_substrate_view`,
+the tables — the Section VI-A/IX completion bounds and the per-keyword
+distances they are built from — by the per-keyword Dijkstra of
+:func:`_dijkstra_rows` / :func:`_completion_bounds`.
 """
 
 from __future__ import annotations
 
 from array import array
+from heapq import heapify, heappop, heappush
+from math import inf as _INF
 from operator import sub
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    Hashable,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.util import LruDict
+
+if TYPE_CHECKING:
+    from repro.summary.augmentation import AugmentedSummaryGraph
 
 
 def checked_cost(key: Hashable, cost: Optional[float]) -> float:
@@ -117,3 +137,183 @@ class ExplorationSubstrate:
 
     def __repr__(self):
         return f"ExplorationSubstrate(elements={len(self.keys)})"
+
+
+class _SubstrateView:
+    """One plan's id space: element ``i`` is ``keys[i]``, its neighbours'
+    ids are ``rows[i]`` (ascending) and its cost is ``costs[i]``.
+
+    Ids are canonical ranks — one stable repr sort of the base and overlay
+    elements, base first among equal reprs — which is what interning the
+    augmented graph from scratch would assign, so emitted subgraphs decode
+    with ``keys.__getitem__``.
+    """
+
+    __slots__ = (
+        "keys",
+        "ids",
+        "rows",
+        "costs",
+        "total",
+        # The plan's BoundTables (None until the first run built them).
+        "tables",
+    )
+
+
+def _build_substrate_view(
+    augmented: AugmentedSummaryGraph, element_costs
+) -> _SubstrateView:
+    """The view of one plan over the graph's cached substrate.
+
+    A plan without overlay elements shares the substrate's tables.  One
+    with overlay elements merges them into the canonical order by one
+    stable sort of the base and overlay reprs, base first: base rows are
+    renumbered through ``rank`` (old index -> view id; base elements keep
+    their relative order, so a row stays ascending), and the rows the
+    overlay touches — its own elements and the base vertices that gained
+    edges — are read off the overlay.
+
+    A view is a function of the augmented graph and the costs, and is never
+    mutated after assembly (its lazy caches only ever store equal values),
+    so the view of costs the graph memoized — the ones
+    :meth:`~repro.scoring.cost.CostModel.element_costs` returns — is kept
+    on the graph and shared by every search of that plan.  Any other costs
+    object (a test's plain dict) gets a view of its own per call.
+    """
+    cached = augmented.view_memo.get(id(element_costs))
+    if cached is not None and cached[0] is element_costs:
+        return cached[1]
+    graph = augmented.graph
+    owner = getattr(graph, "base", graph)
+    factory = getattr(owner, "exploration_substrate", None)
+    if factory is None:
+        raise ValueError(
+            "exploration requires a summary graph (or overlay) "
+            f"with exploration_substrate(); got {type(graph).__name__}"
+        )
+    substrate = factory()
+    added = () if owner is graph else graph.added_element_keys()
+
+    view = _SubstrateView()
+    if added:
+        n = len(substrate.keys)
+        every = substrate.keys + added
+        reprs = substrate.reprs + [repr(key) for key in added]
+        order = sorted(range(len(every)), key=reprs.__getitem__)
+        keys = tuple(map(every.__getitem__, order))
+        ids = dict(zip(keys, range(len(keys))))
+        rank = [0] * len(every)
+        for new, old in enumerate(order):
+            rank[old] = new
+        base_get = substrate.ids.get
+        touched = {base_get(key) for key in graph.added_incident_map()}
+        base_rows = substrate.rows
+        neighbors = graph.neighbors
+        rows = []
+        for new, old in enumerate(order):
+            if old < n and old not in touched:
+                rows.append(tuple(map(rank.__getitem__, base_rows[old])))
+            else:
+                rows.append(tuple(sorted([ids[nb] for nb in neighbors(keys[new])])))
+        view.keys, view.ids, view.rows = keys, ids, rows
+    else:
+        view.keys, view.ids, view.rows = substrate.keys, substrate.ids, substrate.rows
+    view.total = len(view.keys)
+    view.tables = None
+
+    costs = list(map(element_costs.get, view.keys))
+    if None in costs or not min(costs, default=1.0) > 0:
+        for key, cost in zip(view.keys, costs):
+            checked_cost(key, cost)
+    view.costs = costs
+    if any(memoized is element_costs for memoized in augmented.cost_memo.values()):
+        # Racing first builds agree on whichever view landed first.
+        view = augmented.view_memo.setdefault(id(element_costs), (element_costs, view))[1]
+    return view
+
+
+
+def _dijkstra_rows(
+    seeds: Dict[int, float],
+    row_of: Callable[[int], Sequence[int]],
+    costs: Sequence[float],
+    total: int,
+) -> List[float]:
+    """Cheapest path cost to every element from weighted seed elements.
+
+    Seeds carry their initial path cost; relaxing an edge adds the cost of
+    the element being entered — matching the exploration's path-cost
+    definition (origin cost included).
+    """
+    dist = [_INF] * total
+    heap: List[Tuple[float, int]] = []
+    for node, cost in seeds.items():
+        if cost < dist[node]:
+            dist[node] = cost
+            heap.append((cost, node))
+    heapify(heap)
+    while heap:
+        d, node = heappop(heap)
+        if d != dist[node]:
+            continue
+        for neighbor in row_of(node):
+            nd = d + costs[neighbor]
+            if nd < dist[neighbor]:
+                dist[neighbor] = nd
+                heappush(heap, (nd, neighbor))
+    return dist
+
+
+def _completion_bounds(
+    m: int,
+    seed_costs: List[Dict[int, float]],
+    row_of: Callable[[int], Sequence[int]],
+    costs: Sequence[float],
+    total: int,
+) -> Tuple[List[List[float]], List[array]]:
+    """Per-keyword admissible completion bounds L_i(n), and the
+    per-keyword distance tables they were built from.
+
+    ``dist_j(n)`` = cheapest path cost from keyword j to element n.  The
+    raw table is a Dijkstra seeded with ``S_i(n*) = Σ_{j≠i} dist_j(n*)`` at
+    every element; since relaxation *enters* nodes (adding the entered
+    node's cost) while a cursor's own cost already covers its element, the
+    admissible per-cursor bound is ``L_i(n) − cost(n)``: a subgraph
+    completing a keyword-i path sitting at n with cost w costs at least
+    ``w + L_i(n) − cost(n)``.  Bounds also ignore the simple-path
+    constraint, so they only ever *under*estimate: pruning on them
+    preserves the exact top-k.  They underestimate by at least one whole
+    element cost — the meeting element n*'s own cost is in neither the
+    relaxed distance from n* nor the subtraction — which, for any cost
+    table whose entries are within ~10 orders of magnitude of each other,
+    dwarfs the last-ulp difference between a table's sum and a path's sum
+    over the same elements; that slack is why the prune compares with a
+    plain ``>=`` and needs no rounding margin
+    (``test_bounds_real_costs.py`` checks it on the real cost models).
+
+    Returns ``(bounds, dists)``; ``dists[j]`` is ``dist_j`` as an
+    ``array('d')`` — the table :func:`seed_witnesses` reads subgraphs off.
+    """
+    per_keyword_dist = [
+        _dijkstra_rows(seed_costs[i], row_of, costs, total) for i in range(m)
+    ]
+    bounds: List[List[float]] = []
+    for i in range(m):
+        seeds: Dict[int, float] = {}
+        for node in range(total):
+            acc = 0.0
+            for j in range(m):
+                if j == i:
+                    continue
+                dj = per_keyword_dist[j][node]
+                if dj == _INF:
+                    acc = _INF
+                    break
+                acc += dj
+            if acc != _INF:
+                seeds[node] = acc
+        bounds.append(
+            _dijkstra_rows(seeds, row_of, costs, total) if seeds else [_INF] * total
+        )
+    return bounds, [array("d", row) for row in per_keyword_dist]
+

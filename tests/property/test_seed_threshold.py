@@ -35,17 +35,13 @@ from test_vectorized_identity import (
 
 from repro.core import exploration
 from repro.core.engine import KeywordSearchEngine
-from repro.core.exploration import (
-    _build_substrate_view,
-    _completion_bounds,
-    explore_top_k,
-    seed_threshold,
-    seed_witnesses,
-)
+from repro.core.exploration import explore_top_k
+from repro.core.seed import seed_threshold, seed_witnesses
 from repro.datasets import running_example_graph
 from repro.rdf.terms import URI
 from repro.summary.augmentation import AugmentedSummaryGraph
 from repro.summary.elements import SummaryEdgeKind
+from repro.summary.substrate import _build_substrate_view, _completion_bounds
 from repro.summary.summary_graph import SummaryGraph
 
 INF = float("inf")

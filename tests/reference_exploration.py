@@ -59,14 +59,11 @@ from typing import (
 )
 
 from repro.core import engine as engine_module
-from repro.core.exploration import (
-    DEFAULT_DMAX,
-    ExplorationResult,
-    _completion_bounds,
-    seed_threshold,
-)
+from repro.core.exploration import DEFAULT_DMAX, ExplorationResult
+from repro.core.seed import seed_threshold
 from repro.core.subgraph import MatchingSubgraph
 from repro.core.topk import CandidateList
+from repro.summary.substrate import _completion_bounds
 
 _INF = float("inf")
 

@@ -15,18 +15,18 @@ from reference_exploration import explore_top_k as reference_explore_top_k
 
 from repro.core import exploration, kernels
 from repro.core.engine import KeywordSearchEngine
-from repro.core.exploration import (
-    _build_substrate_view,
-    _completion_bounds,
-    _dijkstra_rows,
-    explore_top_k,
-)
+from repro.core.exploration import explore_top_k
 from repro.datasets import running_example_graph
 from repro.rdf.graph import DataGraph
 from repro.rdf.namespace import RDF
 from repro.rdf.terms import URI
 from repro.rdf.triples import Triple
 from repro.summary.augmentation import augment
+from repro.summary.substrate import (
+    _build_substrate_view,
+    _completion_bounds,
+    _dijkstra_rows,
+)
 
 _INF = float("inf")
 

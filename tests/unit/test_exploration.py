@@ -4,8 +4,9 @@ import pytest
 
 from reference_exploration import Cursor, _best_combinations
 
-from repro.core import exploration
-from repro.core.exploration import explore_top_k, iter_combinations
+from repro.core import topk
+from repro.core.exploration import explore_top_k
+from repro.core.topk import iter_combinations
 from repro.rdf.terms import URI
 from repro.summary.augmentation import AugmentedSummaryGraph
 from repro.summary.elements import SummaryEdgeKind
@@ -346,13 +347,13 @@ class TestIterCombinations:
         when the cut-off is already tight."""
         lists, w = _indexed([[float(i + 1) for i in range(60)]] * 2)
         pushes = []
-        original = exploration.heappush
+        original = topk.heappush
 
         def counting_push(heap, item):
             pushes.append(item)
             return original(heap, item)
 
-        monkeypatch.setattr(exploration, "heappush", counting_push)
+        monkeypatch.setattr(topk, "heappush", counting_push)
 
         def consume(cutoff):
             del pushes[:]

@@ -6,10 +6,11 @@ import pytest
 from reference_exploration import explore_top_k as reference_explore_top_k
 from reference_exploration import reference_loop
 
-from repro.core.exploration import _dijkstra_rows, explore_top_k
+from repro.core.exploration import explore_top_k
 from repro.rdf.terms import URI
 from repro.summary.augmentation import AugmentedSummaryGraph
 from repro.summary.elements import SummaryEdgeKind
+from repro.summary.substrate import _dijkstra_rows
 from repro.summary.summary_graph import SummaryGraph
 
 from tests.unit.test_exploration import (

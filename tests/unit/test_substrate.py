@@ -6,13 +6,17 @@ import pytest
 from reference_exploration import intern_view
 
 from repro.core.engine import KeywordSearchEngine
-from repro.core.exploration import _build_substrate_view, explore_top_k
+from repro.core.exploration import explore_top_k
 from repro.datasets import running_example_graph
 from repro.rdf.terms import URI, Literal
 from repro.summary.augmentation import AugmentedSummaryGraph, augment
 from repro.summary.elements import SummaryEdgeKind
 from repro.summary.overlay import OverlaySummaryGraph
-from repro.summary.substrate import ExplorationSubstrate, checked_cost
+from repro.summary.substrate import (
+    ExplorationSubstrate,
+    _build_substrate_view,
+    checked_cost,
+)
 from repro.summary.summary_graph import SummaryGraph
 
 
