@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import math
 import sys
 from typing import Optional
 
@@ -70,6 +71,18 @@ def _non_negative_int(text: str) -> int:
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def _positive_seconds(text: str) -> float:
+    """A finite number of seconds > 0: the rule a batch body's
+    ``timeout`` field is held to, so ``nan``, ``inf``, 0 and negatives
+    are refused here as they are there."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number of seconds > 0, got {text}"
+        )
     return value
 
 
@@ -127,9 +140,9 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
         "setting with --bundle)",
     )
     parser.add_argument(
-        "--dmax", type=int, default=None,
-        help="exploration depth bound (default 10, or the bundle's setting "
-        "with --bundle)",
+        "--dmax", type=_non_negative_int, default=None,
+        help="exploration depth bound (>= 0; default 10, or the bundle's "
+        "setting with --bundle)",
     )
 
 
@@ -262,7 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--sparql", action="store_true", help="print SPARQL instead of logic syntax"
     )
     parser.add_argument(
-        "--limit", type=int, default=10, help="answer limit with --execute"
+        "--limit", type=_non_negative_int, default=10,
+        help="answer limit with --execute (>= 0)",
     )
     return parser
 
@@ -359,7 +373,7 @@ def build_serve_parser() -> argparse.ArgumentParser:
         help="admission bound on in-flight queries (excess gets HTTP 429)",
     )
     parser.add_argument(
-        "--max-queue-wait", type=float, default=None, metavar="SECONDS",
+        "--max-queue-wait", type=_positive_seconds, default=None, metavar="SECONDS",
         help="bound on time a query may wait for admission/an idle worker, "
         "separately from execution (excess gets HTTP 429)",
     )
@@ -369,7 +383,7 @@ def build_serve_parser() -> argparse.ArgumentParser:
         "at least N plans kept (0: plans keep no results)",
     )
     parser.add_argument(
-        "--timeout", type=float, default=None, metavar="SECONDS",
+        "--timeout", type=_positive_seconds, default=None, metavar="SECONDS",
         help="deadline of every /search and /execute request, seconds from "
         "its arrival, on either tier (a batch's 'timeout' field overrides "
         "it): a request whose wait outlasts it gets HTTP 504, a batch member "

@@ -154,8 +154,13 @@ def build_bundle_streaming(
     temporary directory beside ``path``, so they share its file system
     and never outlive the build.  Returns the
     :meth:`BundleWriter.finish` info dict extended with build statistics
-    (triple/term counts, seconds, spill-run counts).
+    (triple/term counts, seconds, spill-run counts).  A ``k`` below 1 or
+    a ``dmax`` below 0 is a ``ValueError``: no search could serve it.
     """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if dmax < 0:
+        raise ValueError(f"dmax must be >= 0, got {dmax}")
     cost_model = persistable_cost_model_name(cost_model)
     path = os.fspath(path)
     budget_rows = max(4, spill_budget_bytes // _BYTES_PER_ROW)

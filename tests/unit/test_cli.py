@@ -576,6 +576,47 @@ def test_serve_cache_is_a_non_negative_count(capsys):
     assert "--cache: must be >= 0, got -1" in capsys.readouterr().err
 
 
+_SECONDS = "must be a finite number of seconds > 0"
+
+
+@pytest.mark.parametrize(
+    "parser, argv, message",
+    [
+        ("search", ["q", "--dmax", "-1"], "--dmax: must be >= 0, got -1"),
+        ("search", ["q", "--execute", "--limit", "-1"], "--limit: must be >= 0, got -1"),
+        ("build", ["-o", "x.reprobundle", "--dmax", "-1"], "--dmax: must be >= 0"),
+        ("serve", ["--dmax", "-1"], "--dmax: must be >= 0, got -1"),
+        ("serve", ["--timeout", "-1"], f"--timeout: {_SECONDS}, got -1"),
+        ("serve", ["--timeout", "0"], f"--timeout: {_SECONDS}, got 0"),
+        ("serve", ["--timeout", "nan"], f"--timeout: {_SECONDS}, got nan"),
+        ("serve", ["--timeout", "inf"], f"--timeout: {_SECONDS}, got inf"),
+        ("serve", ["--max-queue-wait", "-1"], f"--max-queue-wait: {_SECONDS}"),
+        ("serve", ["--max-queue-wait", "0"], f"--max-queue-wait: {_SECONDS}"),
+    ],
+    ids=[
+        "search-dmax", "search-limit", "build-dmax", "serve-dmax",
+        "serve-timeout", "serve-timeout-zero", "serve-timeout-nan",
+        "serve-timeout-inf", "serve-max-queue-wait", "serve-max-queue-wait-zero",
+    ],
+)
+def test_settings_no_search_can_serve_exit_2(parser, argv, message, capsys):
+    """A depth or answer limit below 0, and a deadline or queue wait that
+    is not a finite number of seconds > 0, are refused by the parser with
+    the flag's name — not a traceback at the first search, not a bundle
+    whose every search fails, not a server whose every request is late."""
+    from repro.cli import build_build_parser, build_serve_parser
+
+    parsers = {
+        "search": build_parser,
+        "build": build_build_parser,
+        "serve": build_serve_parser,
+    }
+    with pytest.raises(SystemExit) as excinfo:
+        parsers[parser]().parse_args(argv)
+    assert excinfo.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_serve_hands_timeout_to_the_server_with_workers(monkeypatch):
     """``--timeout`` is every request's deadline on either tier: with
     ``--workers`` it reaches the one place that mints requests, the

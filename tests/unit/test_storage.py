@@ -482,6 +482,28 @@ def test_load_overrides_engine_config(small_engine, tmp_path):
             KeywordSearchEngine.load(path, **unknown)
 
 
+@pytest.mark.parametrize(
+    "setting, message",
+    [({"k": 0}, "k must be >= 1"), ({"dmax": -1}, "dmax must be >= 0")],
+    ids=["k", "dmax"],
+)
+def test_builder_refuses_a_configuration_no_search_can_serve(
+    example_graph, tmp_path, setting, message
+):
+    """The one writer refuses ``k < 1`` and ``dmax < 0`` by name, so
+    neither ``repro build`` nor ``engine.save`` can persist a bundle
+    whose every search would fail; nothing is left at the path."""
+    from repro.storage import build_bundle_streaming
+
+    path = tmp_path / "bad.reprobundle"
+    with pytest.raises(ValueError, match=message):
+        build_bundle_streaming(iter(example_graph.triples), path, **setting)
+    engine = KeywordSearchEngine(DataGraph(example_graph.triples), **setting)
+    with pytest.raises(ValueError, match=message):
+        engine.save(path)
+    assert not path.exists()
+
+
 def test_engine_config_round_trips(example_graph, tmp_path):
     engine = KeywordSearchEngine(
         DataGraph(example_graph.triples),
