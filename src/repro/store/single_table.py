@@ -12,7 +12,7 @@ evaluator in :mod:`repro.query.evaluator`, and to ground the SQL rendering.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.rdf.terms import Term, Variable
 from repro.rdf.triples import Triple
@@ -46,10 +46,6 @@ class SingleTableStore:
     @property
     def rows(self) -> Tuple[Row, ...]:
         return tuple(self._rows)
-
-    def scan(self) -> Iterator[Row]:
-        """Full table scan (the only access path this store has)."""
-        yield from self._rows
 
     def evaluate_self_join(
         self,
