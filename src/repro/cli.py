@@ -75,9 +75,7 @@ def _non_negative_int(text: str) -> int:
 
 
 def _positive_seconds(text: str) -> float:
-    """A finite number of seconds > 0: the rule a batch body's
-    ``timeout`` field is held to, so ``nan``, ``inf``, 0 and negatives
-    are refused here as they are there."""
+    """Finite and > 0: the rule a batch body's ``timeout`` is held to."""
     value = float(text)
     if not (math.isfinite(value) and value > 0):
         raise argparse.ArgumentTypeError(

@@ -3,9 +3,7 @@
 * :mod:`~repro.core.exploration` — Algorithm 1, cost-ordered multi-origin
   exploration of the augmented summary graph
 * :mod:`~repro.core.topk` — Algorithm 2, TA-style top-k with the best-score
-  guarantee, and the enumerator of its candidate combinations
-* :mod:`~repro.core.seed` — Algorithm 2's starting threshold, read off the
-  per-keyword distance tables
+  guarantee; :mod:`~repro.core.seed` — its starting threshold
 * :mod:`~repro.core.subgraph` — matching subgraphs (Definition 6) merged
   from cursor paths
 * :mod:`~repro.core.query_mapping` — subgraph → conjunctive query (Sec VI-D)

@@ -355,12 +355,8 @@ class KeywordSearchEngine:
     dmax:
         Default exploration depth, in elements.
     guided:
-        Accepts only ``True``; anything else is a ``TypeError``.  Every
-        search runs Algorithm 2 with its completion bounds (see
-        :func:`~repro.core.exploration.explore_top_k`); the keyword, and
-        the read-only :attr:`guided`, stay only for the frozen
-        ``perf/checks.py``, which passes ``guided=engine.guided``
-        (ROADMAP item 5(b)).
+        ``True`` only (else ``TypeError``): every search is bounded.  A shim
+        for the frozen ``perf/checks.py`` (ROADMAP item 5(b)).
     search_cache_size:
         When positive, query plans keep up to this many finished searches
         in all (and the plan LRU holds at least this many plans), keyed on
@@ -391,7 +387,7 @@ class KeywordSearchEngine:
         self.cost_model = (
             make_cost_model(cost_model) if isinstance(cost_model, str) else cost_model
         )
-        if True is not guided:
+        if guided is not True:
             raise TypeError("KeywordSearchEngine() takes guided=True only")
         self.k = k
         self.dmax = dmax
@@ -511,8 +507,7 @@ class KeywordSearchEngine:
 
     @property
     def guided(self) -> bool:
-        """``True``, read-only: every search runs Algorithm 2 with its
-        completion bounds (the constructor's ``guided=`` shim)."""
+        """Always ``True``, and read-only (the constructor's ``guided=`` shim)."""
         return True
 
     # ------------------------------------------------------------------

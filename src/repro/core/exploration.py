@@ -7,25 +7,17 @@ of each Q_i").  Both vertices and edges are visited; expansion skips any
 element already on the path (distinct, acyclic paths).  Every registration
 triggers the Algorithm 2 top-k check, and the invariant behind the
 guarantee — cursors pop in non-decreasing cost order (Theorem 1) — holds
-because element costs are strictly positive.
-
-The pieces the loop reads live where the paper puts them: the plan's view
-and its bound tables in :mod:`repro.summary.substrate`, the candidate list
-and its combination enumerator in :mod:`repro.core.topk`, the seed
-threshold in :mod:`repro.core.seed`.
+because element costs are strictly positive.  What the loop reads lives
+where the paper puts it: the plan's view and bound tables in
+:mod:`repro.summary.substrate`, the candidate list and its combination
+enumerator in :mod:`repro.core.topk`, the seed in :mod:`repro.core.seed`.
 
 Implementation notes (performance, same semantics):
 
-* every plan's view is **one id space**: an element's id is its rank in
-  the canonical order — one stable repr sort of the base and overlay
-  elements, base first among equal reprs — so the loop, the bound tables,
-  the seed walk and the emitted subgraphs all index the view's rows and
-  costs directly, with no translation.  Tie-breaking among equal-cost
-  candidates, and therefore the returned ranking, is then a function of
-  the abstract graph: an incrementally maintained index and a freshly
-  rebuilt one rank identically.  The base graph's part of the numbering
-  is interned once per graph version (:mod:`repro.summary.substrate`); a
-  view merges the O(#matches) overlay elements into it, once per plan;
+* the loop, the tables, the seed walk and the emitted subgraphs index the
+  view's ``rows`` / ``costs`` directly: one id space, canonical ranks, so
+  nothing is translated and equal-cost ties rank as a function of the
+  abstract graph (a maintained and a rebuilt index rank identically);
 * cursors live in **structure-of-arrays** lists indexed by creation order
   (one packed ``(element, keyword, parent, distance)`` tuple plus a
   parallel cost list); heap entries are ``(cost, index)`` pairs, so the
@@ -53,27 +45,21 @@ Implementation notes (performance, same semantics):
   cursor, and a cursor that was queued before the k-th cost fell is
   discarded when popped.  The k-th cost only ever falls, so the push-time
   check drops a subset of what the pop-time check would, and neither can
-  change the answer: they change the work, never the result (the
-  unbounded loop they are checked against is the test oracle's,
-  ``tests/reference_exploration.py``).  The bound tables are kept on the
-  query plan's view, so a repeated query skips them entirely;
-* Algorithm 2 **starts with a threshold** read off the same tables
-  (:func:`~repro.core.seed.seed_threshold`), and both bound checks compare
-  against ``min(k-th cost, threshold)`` from the first pop on.  Nothing
-  else in the loop reads the threshold.  It is **checked, not trusted**:
-  a cursor the seed pruned had ``cost + bound >= threshold``, so
-  everything it could have completed costs at least the threshold, and a
-  run that ends with k candidates strictly below the threshold has
-  therefore lost nothing — it is the unseeded run's list, ties and all.
-  A run that ends otherwise (a witness that the per-element cap of k
-  paths, not the graph, kept the loop from assembling) is repeated
-  without the seed and counted (``ExplorationResult.seed_fallback``,
-  ``/stats`` ``exploration.seed_fallbacks``): a wrong witness can cost a
-  second exploration, never an answer.  The threshold is cached beside
-  the tables per ``(k, dmax)``;
-* the loop and its bound tables are pure Python and run the same on every
-  install: one implementation computes the tables, the per-keyword
-  Dijkstra of :func:`repro.summary.substrate._completion_bounds`.
+  change the answer (the unbounded loop they are checked against is the
+  test oracle's, ``tests/reference_exploration.py``).  The tables are
+  kept on the query plan's view, so a repeated query skips them;
+* both checks compare against ``min(k-th cost, threshold)``, the
+  threshold being Algorithm 2's **seed** read off the same tables; nothing
+  else reads it.  It is **checked, not trusted**: a cursor the seed
+  pruned had ``cost + bound >= threshold``, so everything it could have
+  completed costs at least the threshold, and a run that ends with k
+  candidates strictly below it has lost nothing — it is the unseeded
+  run's list, ties and all.  A run that ends otherwise (a witness that
+  the per-element cap of k paths, not the graph, kept the loop from
+  assembling) is repeated without the seed and counted
+  (``ExplorationResult.seed_fallback``, ``/stats``
+  ``exploration.seed_fallbacks``): a wrong witness can cost a second
+  exploration, never an answer.
 """
 
 from __future__ import annotations
@@ -85,11 +71,7 @@ from repro.core.seed import seed_threshold
 from repro.core.subgraph import MatchingSubgraph
 from repro.core.topk import CandidateList, iter_combinations
 from repro.summary.augmentation import AugmentedSummaryGraph
-from repro.summary.substrate import (
-    BoundTables,
-    _build_substrate_view,
-    _completion_bounds,
-)
+from repro.summary.substrate import BoundTables, _build_substrate_view, _completion_bounds
 
 #: Default bound on path length, counted in *elements* (a vertex→vertex hop
 #: crosses two elements: the edge and the far vertex).
@@ -159,9 +141,8 @@ def explore_soa(seed_lists, m, view, nets, candidates, k, dmax, threshold=_INF):
     distance)`` tuple plus a parallel cost list, indexed by creation
     order; heap entries are ``(cost, index)`` pairs, so equal costs pop
     in creation order.  ``nets`` holds the per-keyword net completion
-    tables (:attr:`~repro.summary.substrate.BoundTables.nets`);
-    ``threshold`` is the seed the
-    two bound checks start from (:func:`seed_threshold`) — they prune
+    tables (``BoundTables.nets``); ``threshold`` is the seed the two
+    bound checks start from (:func:`seed_threshold`) — they prune
     against ``min(k-th cost, threshold)``, everything else reads the k-th
     cost alone.  Every counter increment,
     pruning decision, offer and termination check is that of the literal
@@ -424,7 +405,11 @@ def explore_top_k(
     guided: bool = True,
     use_vectorized: None = None,
 ) -> ExplorationResult:
-    """Run Algorithms 1+2 and return the k cheapest matching subgraphs.
+    """Run Algorithms 1+2 and return the k cheapest matching subgraphs,
+    with the completion bounds of Section VI-A/IX always on: the plan's
+    tables and seed threshold are looked up, or computed once and kept on
+    its view, and a refuted seed costs one unseeded rerun
+    (``seed_fallback`` on the result — see the module docstring).
 
     Parameters
     ----------
@@ -440,21 +425,9 @@ def explore_top_k(
         Maximum path length in elements; cursors at distance ``dmax`` are
         registered but not expanded.
     guided, use_vectorized:
-        Accept only ``True`` and ``None``; anything else is a
-        ``TypeError``.  The completion bounds of Section VI-A/IX ("indexing
-        connectivity") are always part of the algorithm — per-keyword
-        cheapest-completion tables are looked up (or computed once and
-        kept on the query plan's view), a child that provably cannot
-        contribute a candidate better than the current k-th never gets a
-        cursor, and a cursor that lost that race while queued is discarded
-        when popped; until k candidates exist, "the current k-th" is the
-        seed threshold read off the same tables (:func:`seed_threshold`),
-        checked when the run ends and dropped for one rerun if the run
-        refuted it (``seed_fallback`` on the result — see the module
-        docstring for why the check makes the seed safe).  Both keywords
-        stay only for the frozen ``perf/tracing.py``, which passes
-        ``EngineSnapshot.guided`` and ``EngineSnapshot.use_vectorized``
-        (ROADMAP item 5(b)).
+        ``True`` and ``None`` only (anything else is a ``TypeError``):
+        shims for the frozen ``perf/tracing.py``, which passes
+        ``EngineSnapshot.guided`` / ``.use_vectorized`` (ROADMAP item 5(b)).
     """
     if use_vectorized is not None or guided is not True:
         raise TypeError("explore_top_k() takes guided=True, use_vectorized=None only")

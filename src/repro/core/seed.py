@@ -1,18 +1,12 @@
-"""Algorithm 2's starting threshold: witness subgraphs read off the
-per-keyword distance tables.
+"""Algorithm 2's starting threshold, read off the distance tables.
 
-On its own, Algorithm 2 can prune only once k candidates exist, and most
-of a request's cursors are created before that, against a k-th cost of
-+inf — although the per-keyword distance tables the completion bounds
-are built from (:class:`~repro.summary.substrate.BoundTables`) already
-describe concrete matching subgraphs.  :func:`seed_witnesses` reads up
-to k of them off the tables (no exploration: shortest paths walked back
-through the tables, plus the cheapest sibling bindings at the cheapest
-connecting element) and :func:`seed_threshold` takes the k-th cheapest
-as an upper bound on the k-th cost the run will end with.  The
-exploration loop (:mod:`repro.core.exploration`) starts its bound checks
-from it, and checks it rather than trusting it; the threshold is cached
-beside the tables per ``(k, dmax)``.
+Alone, Algorithm 2 prunes only once k candidates exist, although the
+per-keyword distance tables of :class:`~repro.summary.substrate.BoundTables`
+already describe matching subgraphs: :func:`seed_witnesses` reads up to k
+of them off the tables without exploring, and :func:`seed_threshold`
+takes the k-th cheapest as an upper bound on the run's final k-th cost —
+which :mod:`repro.core.exploration` starts its bound checks from, checks
+and caches beside the tables per ``(k, dmax)``.
 """
 
 from __future__ import annotations

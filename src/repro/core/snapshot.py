@@ -59,10 +59,9 @@ class EngineSnapshot:
         "dmax",
     )
 
-    #: Constants, read-only (outside ``__slots__``).  Their only reader is
-    #: the frozen perf/tracing.py, which hands them to
-    #: explore_top_k(guided=, use_vectorized=), whose one accepted values
-    #: they are; all go with ROADMAP item 5(b).
+    #: Read-only constants (outside ``__slots__``) for the frozen
+    #: perf/tracing.py, which hands them to explore_top_k(guided=,
+    #: use_vectorized=); they go with ROADMAP item 5(b).
     guided = True
     use_vectorized = None
 

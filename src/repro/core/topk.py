@@ -8,15 +8,12 @@ still be completed by some queued cursor and path costs only grow
 (Theorem 1).  Termination when ``highestCost < lowestCost`` therefore
 guarantees the returned subgraphs are exactly the k cheapest.
 
-:func:`iter_combinations` is the enumerator behind every registration:
-the new candidate combinations, best-first, cut off at the candidate
-list's current k-th cost.  A combination's cost is the *chained* sum
-along the successor path that discovered it (``cost + w[next] -
-w[current]``), not a fresh sum of its members: the two can differ in the
-last ulp, which can flip the consumer's ``>= kth_cost`` break, so the
-literal Algorithm 2 the tests compare against
-(``tests/reference_exploration.py``) and this enumerator replay the same
-chains and agree value for value.
+:func:`iter_combinations` enumerates a registration's new combinations
+best-first.  A combination's cost is the *chained* sum along the
+successor path that discovered it (``cost + w[next] - w[current]``), not
+a fresh sum: the two can differ in the last ulp, which can flip the
+consumer's ``>= kth_cost`` break, so the oracle
+(``tests/reference_exploration.py``) replays the same chains.
 """
 
 from __future__ import annotations

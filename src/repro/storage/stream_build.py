@@ -154,8 +154,8 @@ def build_bundle_streaming(
     temporary directory beside ``path``, so they share its file system
     and never outlive the build.  Returns the
     :meth:`BundleWriter.finish` info dict extended with build statistics
-    (triple/term counts, seconds, spill-run counts).  A ``k`` below 1 or
-    a ``dmax`` below 0 is a ``ValueError``: no search could serve it.
+    (triple/term counts, seconds, spill-run counts).  ``k < 1`` or
+    ``dmax < 0`` is a ``ValueError``: no search could serve it.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")

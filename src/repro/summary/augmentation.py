@@ -67,7 +67,7 @@ class AugmentedSummaryGraph:
         (:meth:`~repro.scoring.cost.CostModel.element_costs`).
     view_memo:
         ``id(costs)`` → ``(costs, view)``: the exploration's per-query
-        view (``repro.core.exploration._build_substrate_view``) of each
+        view (``repro.summary.substrate._build_substrate_view``) of each
         costs object in :attr:`cost_memo`; the entry holds the costs, so a
         recycled ``id()`` can never alias it.
     results:

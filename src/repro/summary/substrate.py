@@ -26,12 +26,8 @@ model its element costs, per costs object its view, on the view its
 :class:`BoundTables`, and the finished searches an engine keeps — so a
 repeated query skips all of them and runs only Algorithm 1/2's loop
 (:mod:`repro.core.exploration`), or, when its result is kept, none of it.
-
-The view and its bound tables are built here too, from nothing but the
-augmented graph and the costs: the view by :func:`_build_substrate_view`,
-the tables — the Section VI-A/IX completion bounds and the per-keyword
-distances they are built from — by the per-keyword Dijkstra of
-:func:`_dijkstra_rows` / :func:`_completion_bounds`.
+The tables — Section VI-A/IX's completion bounds and the per-keyword
+distances behind them — are the Dijkstra of :func:`_completion_bounds`.
 """
 
 from __future__ import annotations
@@ -78,7 +74,7 @@ class BoundTables:
     so every prune check needs the difference, and it is folded once,
     here), ``dists[j]`` the per-keyword distance table the bounds were
     built from (``array('d')``: read once per ``(k, dmax)``, by
-    ``repro.core.exploration.seed_threshold``), and ``thresholds`` the
+    ``repro.core.seed.seed_threshold``), and ``thresholds`` the
     seed thresholds derived so far, keyed ``(k, dmax)`` — a handful per
     plan, since a server's k and dmax rarely vary.
     """
